@@ -7,6 +7,7 @@ import (
 	"cachecost/internal/storage"
 	"cachecost/internal/storage/plan"
 	"cachecost/internal/storage/sql"
+	"cachecost/internal/trace"
 	"cachecost/internal/wire"
 )
 
@@ -16,10 +17,16 @@ import (
 // Remote and Linked configurations.
 type App struct {
 	db *storage.Client
+	sc trace.SpanContext // carried on every statement; zero outside a request
 }
 
 // NewApp binds the application to a database client.
 func NewApp(db *storage.Client) *App { return &App{db: db} }
+
+// In returns the application bound to one request's span context, so the
+// statements it issues carry the request's trace, deadline and metering
+// lane to the storage node.
+func (a *App) In(sc trace.SpanContext) *App { return &App{db: a.db, sc: sc} }
 
 // ObjectQueryCount is the number of SQL queries one GetTableObject issues
 // — the paper's "up to 8 SQL queries" for a getTable (§2.2).
@@ -38,7 +45,7 @@ const ObjectQueryCount = 8
 //  8. lineage edges for the table
 func (a *App) GetTableObject(id int64) (*TableInfo, error) {
 	// 1: the table row.
-	trs, err := a.db.Query("SELECT name, schema_id, owner_name, props, stats FROM tables WHERE id = ?", sql.Int64(id))
+	trs, err := a.db.QueryCtx(a.sc, "SELECT name, schema_id, owner_name, props, stats FROM tables WHERE id = ?", sql.Int64(id))
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +67,7 @@ func (a *App) GetTableObject(id int64) (*TableInfo, error) {
 	info.Stats = row[4].Blob
 
 	// 2: parent schema.
-	srs, err := a.db.Query("SELECT name, catalog_id FROM schemas WHERE id = ?", sql.Int64(schemaID))
+	srs, err := a.db.QueryCtx(a.sc, "SELECT name, catalog_id FROM schemas WHERE id = ?", sql.Int64(schemaID))
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +78,7 @@ func (a *App) GetTableObject(id int64) (*TableInfo, error) {
 	catalogID := srs.Rows[0][1].Int
 
 	// 3: parent catalog.
-	crs, err := a.db.Query("SELECT name FROM catalogs WHERE id = ?", sql.Int64(catalogID))
+	crs, err := a.db.QueryCtx(a.sc, "SELECT name FROM catalogs WHERE id = ?", sql.Int64(catalogID))
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +98,7 @@ func (a *App) GetTableObject(id int64) (*TableInfo, error) {
 		{schemaIDBase + schemaID, "schema"},
 		{catalogIDBase + catalogID, "catalog"},
 	} {
-		grs, err := a.db.Query(
+		grs, err := a.db.QueryCtx(a.sc,
 			"SELECT principals.name, grants.privilege FROM grants JOIN principals ON grants.principal_id = principals.id WHERE grants.securable_id = ?",
 			sql.Int64(lvl.securable))
 		if err != nil {
@@ -108,7 +115,7 @@ func (a *App) GetTableObject(id int64) (*TableInfo, error) {
 	sortGrants(info.Grants)
 
 	// 7: constraints.
-	cors, err := a.db.Query("SELECT name, kind, expr FROM constraints WHERE table_id = ?", sql.Int64(id))
+	cors, err := a.db.QueryCtx(a.sc, "SELECT name, kind, expr FROM constraints WHERE table_id = ?", sql.Int64(id))
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +124,7 @@ func (a *App) GetTableObject(id int64) (*TableInfo, error) {
 	}
 
 	// 8: lineage.
-	lrs, err := a.db.Query("SELECT upstream_id, kind FROM lineage WHERE target_id = ?", sql.Int64(id))
+	lrs, err := a.db.QueryCtx(a.sc, "SELECT upstream_id, kind FROM lineage WHERE target_id = ?", sql.Int64(id))
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +137,7 @@ func (a *App) GetTableObject(id int64) (*TableInfo, error) {
 // GetTableKV performs the denormalized read path: one lookup returning
 // the serialized materialized object, deserialized by the application.
 func (a *App) GetTableKV(id int64) (*TableInfo, error) {
-	rs, err := a.db.Query("SELECT obj FROM tables_denorm WHERE id = ?", sql.Int64(id))
+	rs, err := a.db.QueryCtx(a.sc, "SELECT obj FROM tables_denorm WHERE id = ?", sql.Int64(id))
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +155,7 @@ func (a *App) GetTableKV(id int64) (*TableInfo, error) {
 // stats payload of one table (the common steady-state write in a
 // governance service: statistics and property refreshes).
 func (a *App) UpdateTableStats(id int64, stats []byte) error {
-	rs, err := a.db.Exec("UPDATE tables SET stats = ? WHERE id = ?", sql.Blob(stats), sql.Int64(id))
+	rs, err := a.db.ExecCtx(a.sc, "UPDATE tables SET stats = ? WHERE id = ?", sql.Blob(stats), sql.Int64(id))
 	if err != nil {
 		return err
 	}
@@ -161,7 +168,7 @@ func (a *App) UpdateTableStats(id int64, stats []byte) error {
 // UpdateTableKV is the KV-variant write path: re-materialize and replace
 // the denormalized object (the write amplification denormalization buys).
 func (a *App) UpdateTableKV(info *TableInfo) error {
-	rs, err := a.db.Exec("UPDATE tables_denorm SET obj = ? WHERE id = ?",
+	rs, err := a.db.ExecCtx(a.sc, "UPDATE tables_denorm SET obj = ? WHERE id = ?",
 		sql.Blob(wire.Marshal(info)), sql.Int64(info.ID))
 	if err != nil {
 		return err
@@ -175,12 +182,12 @@ func (a *App) UpdateTableKV(info *TableInfo) error {
 // VersionOfObject returns the storage version of the table's base row:
 // the freshness token a consistent cache must check (§5.5).
 func (a *App) VersionOfObject(id int64) (uint64, bool, error) {
-	return a.db.Version("tables", sql.Int64(id))
+	return a.db.VersionCtx(a.sc, "tables", sql.Int64(id))
 }
 
 // VersionOfKV returns the storage version of the denormalized row.
 func (a *App) VersionOfKV(id int64) (uint64, bool, error) {
-	return a.db.Version("tables_denorm", sql.Int64(id))
+	return a.db.VersionCtx(a.sc, "tables_denorm", sql.Int64(id))
 }
 
 // sortGrants orders grants by source precedence (table, schema, catalog)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"cachecost/internal/meter"
 	"cachecost/internal/remotecache"
 	"cachecost/internal/rpc"
 	"cachecost/internal/storage/sql"
@@ -172,61 +171,50 @@ func (s *KVService) writeBatch(l *kvLane, sc trace.SpanContext, keys []string, v
 // frame in (MultiGetRequest shape {1: key...}), one reply frame out
 // carrying a packed found bitmap and one 16-byte digest per key.
 func (s *KVService) handleReadBatch(l *kvLane, sc trace.SpanContext, req []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	meter.AttributeCtx(s.m, l.attr, s.appComp, func() {
-		act, asc := trace.Start(sc, "app", "read")
-		defer act.End()
-		var r remotecache.MultiGetRequest
-		if err = wire.Unmarshal(req, &r); err != nil {
-			return
-		}
-		act.AnnotateInt("batch.keys", int64(len(r.Keys)))
-		var values [][]byte
-		values, err = s.readBatch(l, asc, r.Keys)
-		if err != nil {
-			return
-		}
-		var total int
-		found := make([]bool, len(values))
-		var dig [16]byte
-		e := wire.GetEncoder()
-		for i, v := range values {
-			total += len(v)
-			found[i] = true
-			e.BytesField(2, appendDigest(dig[:0], v))
-		}
-		e.PackedBools(1, found)
-		act.SetBytes(len(req), total)
-		out = append(rpc.GetBuffer(), e.Bytes()...)
-		wire.PutEncoder(e)
-	})
-	return out, err
+	sc.Lane().EnterOp(s.appComp)
+	act, asc := trace.Start(sc, "app", "read")
+	defer act.End()
+	var r remotecache.MultiGetRequest
+	if err := wire.Unmarshal(req, &r); err != nil {
+		return nil, err
+	}
+	act.AnnotateInt("batch.keys", int64(len(r.Keys)))
+	values, err := s.readBatch(l, asc, r.Keys)
+	if err != nil {
+		return nil, err
+	}
+	var total int
+	found := make([]bool, len(values))
+	var dig [16]byte
+	e := wire.GetEncoder()
+	for i, v := range values {
+		total += len(v)
+		found[i] = true
+		e.BytesField(2, appendDigest(dig[:0], v))
+	}
+	e.PackedBools(1, found)
+	act.SetBytes(len(req), total)
+	out := append(rpc.GetBuffer(), e.Bytes()...)
+	wire.PutEncoder(e)
+	return out, nil
 }
 
 // handleWriteBatch is the client-facing multi-key write (MultiSetRequest
 // shape in, Ack shape out).
 func (s *KVService) handleWriteBatch(l *kvLane, sc trace.SpanContext, req []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	meter.AttributeCtx(s.m, l.attr, s.appComp, func() {
-		act, asc := trace.Start(sc, "app", "write")
-		defer act.End()
-		var r remotecache.MultiSetRequest
-		if err = wire.Unmarshal(req, &r); err != nil {
-			return
-		}
-		act.AnnotateInt("batch.keys", int64(len(r.Keys)))
-		if err = s.writeBatch(l, asc, r.Keys, r.Values); err != nil {
-			return
-		}
-		act.SetBytes(len(req), 0)
-		e := wire.GetEncoder()
-		e.Bool(1, true)
-		out = append(rpc.GetBuffer(), e.Bytes()...)
-		wire.PutEncoder(e)
-	})
-	return out, err
+	sc.Lane().EnterOp(s.appComp)
+	act, asc := trace.Start(sc, "app", "write")
+	defer act.End()
+	var r remotecache.MultiSetRequest
+	if err := wire.Unmarshal(req, &r); err != nil {
+		return nil, err
+	}
+	act.AnnotateInt("batch.keys", int64(len(r.Keys)))
+	if err := s.writeBatch(l, asc, r.Keys, r.Values); err != nil {
+		return nil, err
+	}
+	act.SetBytes(len(req), 0)
+	return encodeAck(true), nil
 }
 
 // frontReadBatch performs one client multi-key read against a front

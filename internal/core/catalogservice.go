@@ -13,6 +13,7 @@ import (
 	"cachecost/internal/remotecache"
 	"cachecost/internal/rpc"
 	"cachecost/internal/storage"
+	"cachecost/internal/trace"
 	"cachecost/internal/wire"
 )
 
@@ -145,8 +146,8 @@ func NewCatalogService(cfg CatalogServiceConfig) (*CatalogService, error) {
 
 	s.front = rpc.NewServer(s.appComp, meter.NewBurner(), cfg.RPCCost)
 	s.front.SetMeterHandlerBody(false)
-	s.front.Handle("app.Read", s.handleRead)
-	s.front.Handle("app.Write", s.handleWrite)
+	s.front.HandleCtx("app.Read", s.handleRead)
+	s.front.HandleCtx("app.Write", s.handleWrite)
 	return s, nil
 }
 
@@ -166,49 +167,53 @@ func tableID(key string) (int64, error) {
 }
 
 // fetch reads the rich object from storage via the mode's read path.
-func (s *CatalogService) fetch(id int64) (*catalog.TableInfo, error) {
+// app is the application bound to the request (catalog.App.In).
+func (s *CatalogService) fetch(app *catalog.App, id int64) (*catalog.TableInfo, error) {
 	if s.cfg.Mode == ModeObject {
-		return s.app.GetTableObject(id)
+		return app.GetTableObject(id)
 	}
-	return s.app.GetTableKV(id)
+	return app.GetTableKV(id)
 }
 
-func (s *CatalogService) fetchVersioned(key string) (*catalog.TableInfo, uint64, error) {
+func (s *CatalogService) fetchVersioned(app *catalog.App, key string) (*catalog.TableInfo, uint64, error) {
 	id, err := tableID(key)
 	if err != nil {
 		return nil, 0, err
 	}
-	info, err := s.fetch(id)
+	info, err := s.fetch(app, id)
 	if err != nil {
 		return nil, 0, err
 	}
-	ver, _, err := s.version(id)
+	ver, _, err := s.version(app, id)
 	if err != nil {
 		return nil, 0, err
 	}
 	return info, ver, nil
 }
 
-func (s *CatalogService) version(id int64) (uint64, bool, error) {
+func (s *CatalogService) version(app *catalog.App, id int64) (uint64, bool, error) {
 	if s.cfg.Mode == ModeObject {
-		return s.app.VersionOfObject(id)
+		return app.VersionOfObject(id)
 	}
-	return s.app.VersionOfKV(id)
+	return app.VersionOfKV(id)
 }
 
-// read serves one rich-object read through the architecture.
-func (s *CatalogService) read(key string) (*catalog.TableInfo, error) {
+// read serves one rich-object read through the architecture; every
+// downstream call carries the request's span context.
+func (s *CatalogService) read(sc trace.SpanContext, key string) (*catalog.TableInfo, error) {
 	id, err := tableID(key)
 	if err != nil {
 		return nil, err
 	}
+	app := s.app.In(sc)
+	fetchVersioned := func(k string) (*catalog.TableInfo, uint64, error) { return s.fetchVersioned(app, k) }
 	switch s.cfg.Arch {
 	case Base:
-		return s.fetch(id)
+		return s.fetch(app, id)
 	case Remote:
 		// The remote cache stores the serialized object: a hit pays RPC
 		// plus deserialization.
-		if buf, found, err := s.rc.Get(key); err != nil {
+		if buf, found, err := s.rc.GetCtx(sc, key); err != nil {
 			return nil, err
 		} else if found {
 			info := &catalog.TableInfo{}
@@ -217,24 +222,24 @@ func (s *CatalogService) read(key string) (*catalog.TableInfo, error) {
 			}
 			return info, nil
 		}
-		info, err := s.fetch(id)
+		info, err := s.fetch(app, id)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.rc.Set(key, wire.Marshal(info)); err != nil {
+		if err := s.rc.SetTTLCtx(sc, key, wire.Marshal(info), 0); err != nil {
 			return nil, err
 		}
 		return info, nil
 	case Linked:
-		info, _, err := s.lc.GetOrLoad(key, func() (*catalog.TableInfo, error) { return s.fetch(id) })
+		info, _, err := s.lc.GetOrLoad(key, func() (*catalog.TableInfo, error) { return s.fetch(app, id) })
 		return info, err
 	case LinkedVersion:
 		info, _, err := s.vc.Read(key,
-			func(string) (uint64, bool, error) { return s.version(id) },
-			s.fetchVersioned)
+			func(string) (uint64, bool, error) { return s.version(app, id) },
+			fetchVersioned)
 		return info, err
 	case LinkedOwned:
-		info, _, err := s.oc.Read(key, s.fetchVersioned)
+		info, _, err := s.oc.Read(key, fetchVersioned)
 		return info, err
 	default:
 		return nil, fmt.Errorf("core: unknown arch %v", s.cfg.Arch)
@@ -242,22 +247,23 @@ func (s *CatalogService) read(key string) (*catalog.TableInfo, error) {
 }
 
 // write refreshes a table's stats payload and maintains the caches.
-func (s *CatalogService) write(key string, stats []byte) error {
+func (s *CatalogService) write(sc trace.SpanContext, key string, stats []byte) error {
 	id, err := tableID(key)
 	if err != nil {
 		return err
 	}
+	app := s.app.In(sc)
 	storeWrite := func() error {
 		if s.cfg.Mode == ModeObject {
-			return s.app.UpdateTableStats(id, stats)
+			return app.UpdateTableStats(id, stats)
 		}
 		// Denormalized write: read-modify-write the materialized object.
-		info, err := s.app.GetTableKV(id)
+		info, err := app.GetTableKV(id)
 		if err != nil {
 			return err
 		}
 		info.Stats = stats
-		return s.app.UpdateTableKV(info)
+		return app.UpdateTableKV(info)
 	}
 	switch s.cfg.Arch {
 	case Base:
@@ -266,7 +272,7 @@ func (s *CatalogService) write(key string, stats []byte) error {
 		if err := storeWrite(); err != nil {
 			return err
 		}
-		_, err := s.rc.Delete(key)
+		_, err := s.rc.DeleteCtx(sc, key)
 		return err
 	case Linked:
 		if err := storeWrite(); err != nil {
@@ -298,55 +304,46 @@ func (s *CatalogService) write(key string, stats []byte) error {
 	}
 }
 
-func (s *CatalogService) handleRead(req []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	meter.Attribute(s.m, s.appComp, func() {
-		var r remotecache.GetRequest
-		if err = wire.Unmarshal(req, &r); err != nil {
-			return
-		}
-		var info *catalog.TableInfo
-		info, err = s.read(r.Key)
-		if err != nil {
-			return
-		}
-		// Application logic over the rich object: resolve a principal's
-		// effective privileges (the inheritance-aware view) and digest
-		// the stats payload — then reply with the small derived result.
-		// The client asked a governance question, not for the raw blob.
-		privs := info.AllowedFor("principal_007")
-		summary := wire.NewEncoder(64)
-		summary.String(1, info.FullName)
-		summary.String(2, info.Owner)
-		for _, p := range privs {
-			summary.String(3, p)
-		}
-		summary.Uint64(4, uint64(len(info.Constraints)))
-		summary.Uint64(5, uint64(len(info.Lineage)))
-		summary.BytesField(6, Digest(info.Stats))
-		out = wire.Marshal(&remotecache.GetResponse{
-			Found: true,
-			Value: append([]byte(nil), summary.Bytes()...),
-		})
-	})
-	return out, err
+func (s *CatalogService) handleRead(sc trace.SpanContext, req []byte) ([]byte, error) {
+	sc.Lane().EnterOp(s.appComp)
+	var r remotecache.GetRequest
+	if err := wire.Unmarshal(req, &r); err != nil {
+		return nil, err
+	}
+	info, err := s.read(sc, r.Key)
+	if err != nil {
+		return nil, err
+	}
+	// Application logic over the rich object: resolve a principal's
+	// effective privileges (the inheritance-aware view) and digest
+	// the stats payload — then reply with the small derived result.
+	// The client asked a governance question, not for the raw blob.
+	privs := info.AllowedFor("principal_007")
+	summary := wire.NewEncoder(64)
+	summary.String(1, info.FullName)
+	summary.String(2, info.Owner)
+	for _, p := range privs {
+		summary.String(3, p)
+	}
+	summary.Uint64(4, uint64(len(info.Constraints)))
+	summary.Uint64(5, uint64(len(info.Lineage)))
+	summary.BytesField(6, Digest(info.Stats))
+	return wire.Marshal(&remotecache.GetResponse{
+		Found: true,
+		Value: append([]byte(nil), summary.Bytes()...),
+	}), nil
 }
 
-func (s *CatalogService) handleWrite(req []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	meter.Attribute(s.m, s.appComp, func() {
-		var r remotecache.SetRequest
-		if err = wire.Unmarshal(req, &r); err != nil {
-			return
-		}
-		if err = s.write(r.Key, r.Value); err != nil {
-			return
-		}
-		out = wire.Marshal(&remotecache.Ack{OK: true})
-	})
-	return out, err
+func (s *CatalogService) handleWrite(sc trace.SpanContext, req []byte) ([]byte, error) {
+	sc.Lane().EnterOp(s.appComp)
+	var r remotecache.SetRequest
+	if err := wire.Unmarshal(req, &r); err != nil {
+		return nil, err
+	}
+	if err := s.write(sc, r.Key, r.Value); err != nil {
+		return nil, err
+	}
+	return wire.Marshal(&remotecache.Ack{OK: true}), nil
 }
 
 // Read implements Service: returns the serialized rich object.

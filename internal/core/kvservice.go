@@ -179,9 +179,9 @@ type ServiceConfig struct {
 
 	// Parallelism pre-builds that many worker lanes (Worker(i)) for the
 	// concurrent experiment driver. Each lane has its own front door,
-	// storage connection, cache client stack, fault decision stream and
-	// attribution context, so concurrent workers share no per-request
-	// mutable state beyond the (concurrency-safe) services themselves.
+	// storage connection, cache client stack and fault decision stream,
+	// so concurrent workers share no per-request mutable state beyond the
+	// (concurrency-safe) services themselves.
 	// Default 1: only the classic single-threaded path, byte-identical
 	// to previous behaviour. Supported for Base, Remote and Linked on
 	// in-process deployments.
@@ -292,9 +292,8 @@ type KVService struct {
 
 	front *rpc.Server // client-facing
 
-	// def is the classic single-threaded lane (default fault stream, no
-	// attribution context); lanes are the pre-built worker lanes when
-	// Parallelism > 1.
+	// def is the classic single-threaded lane (default fault stream);
+	// lanes are the pre-built worker lanes when Parallelism > 1.
 	def   kvLane
 	lanes []*kvLane
 
@@ -309,14 +308,13 @@ type KVService struct {
 }
 
 // kvLane is one request path through the service: a front door whose
-// handlers are bound to this lane's private connections, fault decision
-// stream and attribution context. The default lane (worker -1, nil attr)
-// reproduces the historical single-threaded behaviour exactly; worker
-// lanes give the concurrent driver contention-free, deterministic and
-// tightly-attributed request paths.
+// handlers are bound to this lane's private connections and fault
+// decision stream. The default lane (worker -1) reproduces the historical
+// single-threaded behaviour exactly; worker lanes give the concurrent
+// driver contention-free, deterministic request paths. (Busy-time
+// attribution is per request, not per kvLane: see meter.Lane.)
 type kvLane struct {
-	w     int            // fault decision stream; -1 = default
-	attr  *meter.AttrCtx // per-goroutine attribution; nil on the default lane
+	w     int // fault decision stream; -1 = default
 	front *rpc.Server
 	db    *storage.Client
 	rc    *remotecache.Client // Remote only
@@ -518,24 +516,17 @@ func (s *KVService) buildCacheTier() error {
 // tier: a private loopback per node, fault wrapping per node (targets
 // CacheFaultNode(i); worker lanes draw from their own decision
 // streams), a per-node retry layer, and the shard-map router on top.
-func (s *KVService) routedCacheClient(lbm *rpc.Metrics, attr *meter.AttrCtx, worker int) (*remotecache.Client, []*rpc.RetryConn, error) {
+func (s *KVService) routedCacheClient(lbm *rpc.Metrics, worker int) (*remotecache.Client, []*rpc.RetryConn, error) {
 	cfg := s.cfg
 	conns := make(map[string]rpc.Conn, cfg.CacheNodes)
 	var retries []*rpc.RetryConn
 	for i := 0; i < cfg.CacheNodes; i++ {
 		n := cacheNodeName(i)
 		lb := rpc.NewLoopback(s.rcServers[n].RPCServer(), s.appComp, meter.NewBurner(), cfg.RPCCost)
-		lb.SetAttrCtx(attr)
 		lb.SetMetrics(lbm)
 		var conn rpc.Conn = lb
 		if cfg.Faults != nil {
-			if worker < 0 {
-				conn = cfg.Faults.Wrap(CacheFaultNode(i), conn)
-			} else {
-				fc := cfg.Faults.WrapWorker(CacheFaultNode(i), worker, conn)
-				fc.SetAttrCtx(attr)
-				conn = fc
-			}
+			conn = cfg.Faults.WrapWorker(CacheFaultNode(i), worker, conn)
 		}
 		if cfg.CacheRetry != nil {
 			policy := *cfg.CacheRetry
@@ -544,7 +535,6 @@ func (s *KVService) routedCacheClient(lbm *rpc.Metrics, attr *meter.AttrCtx, wor
 			}
 			seed := cfg.RetrySeed + int64(worker+1)*int64(cfg.CacheNodes) + int64(i)
 			rt := rpc.NewRetryConn(conn, policy, seed, s.appComp, meter.NewBurner())
-			rt.SetAttrCtx(attr)
 			retries = append(retries, rt)
 			conn = rt
 		}
@@ -592,7 +582,7 @@ func (s *KVService) finish(cacheConn rpc.Conn) error {
 		if s.smap != nil {
 			// Multi-node tier: the default lane gets its own routed client
 			// stack (per-node loopback + faults + retries under the map).
-			rc, retries, err := s.routedCacheClient(rpc.NewMetrics(cfg.Telemetry, "loopback"), nil, -1)
+			rc, retries, err := s.routedCacheClient(rpc.NewMetrics(cfg.Telemetry, "loopback"), -1)
 			if err != nil {
 				return err
 			}
@@ -654,8 +644,7 @@ func (s *KVService) finish(cacheConn rpc.Conn) error {
 	}
 
 	// The default lane mirrors the classic single-threaded service: the
-	// shared connections, the default fault stream, no attribution
-	// context.
+	// shared connections and the default fault stream.
 	s.def = kvLane{w: -1, db: s.db, rc: s.rc, retry: s.retry}
 	s.front = s.newFront(&s.def)
 	s.def.front = s.front
@@ -683,9 +672,9 @@ func (s *KVService) newFront(l *kvLane) *rpc.Server {
 // buildLanes pre-builds cfg.Parallelism worker lanes. Each lane owns a
 // private storage connection and (for Remote) a private cache client
 // stack — loopback, worker-scoped fault stream, worker-seeded retry layer
-// — all bound to the lane's attribution context. Keeping the stacks
-// private is what makes per-worker fault schedules deterministic: a
-// worker's decisions never interleave into another worker's stream.
+// Keeping the stacks private is what makes per-worker fault schedules
+// deterministic: a worker's decisions never interleave into another
+// worker's stream.
 func (s *KVService) buildLanes() error {
 	cfg := s.cfg
 	switch cfg.Arch {
@@ -699,19 +688,16 @@ func (s *KVService) buildLanes() error {
 	s.lanes = make([]*kvLane, cfg.Parallelism)
 	lbm := rpc.NewMetrics(cfg.Telemetry, "loopback")
 	for i := range s.lanes {
-		l := &kvLane{w: i, attr: s.m.NewAttrCtx()}
+		l := &kvLane{w: i}
 		dbLoop := rpc.NewLoopback(s.node.Server(), s.appComp, meter.NewBurner(), cfg.RPCCost)
-		dbLoop.SetAttrCtx(l.attr)
 		dbLoop.SetMetrics(lbm)
 		var dbConn rpc.Conn = dbLoop
 		if cfg.Faults != nil {
-			fc := cfg.Faults.WrapWorker(StorageFaultNode, i, dbConn)
-			fc.SetAttrCtx(l.attr)
-			dbConn = fc
+			dbConn = cfg.Faults.WrapWorker(StorageFaultNode, i, dbConn)
 		}
 		l.db = storage.NewClient(dbConn)
 		if cfg.Arch == Remote && s.smap != nil {
-			rc, retries, err := s.routedCacheClient(lbm, l.attr, i)
+			rc, retries, err := s.routedCacheClient(lbm, i)
 			if err != nil {
 				return err
 			}
@@ -719,13 +705,10 @@ func (s *KVService) buildLanes() error {
 			s.retries = append(s.retries, retries...)
 		} else if cfg.Arch == Remote {
 			lb := rpc.NewLoopback(s.rcServer.RPCServer(), s.appComp, meter.NewBurner(), cfg.RPCCost)
-			lb.SetAttrCtx(l.attr)
 			lb.SetMetrics(lbm)
 			var cacheConn rpc.Conn = lb
 			if cfg.Faults != nil {
-				fc := cfg.Faults.WrapWorker(CacheNode, i, cacheConn)
-				fc.SetAttrCtx(l.attr)
-				cacheConn = fc
+				cacheConn = cfg.Faults.WrapWorker(CacheNode, i, cacheConn)
 			}
 			if cfg.CacheRetry != nil {
 				policy := *cfg.CacheRetry
@@ -733,7 +716,6 @@ func (s *KVService) buildLanes() error {
 					policy.RetryCounter = s.m.Counter(RetriesCounter)
 				}
 				rt := rpc.NewRetryConn(cacheConn, policy, cfg.RetrySeed+int64(i), s.appComp, meter.NewBurner())
-				rt.SetAttrCtx(l.attr)
 				l.retry = rt
 				cacheConn = rt
 			}
@@ -1024,7 +1006,7 @@ func (s *KVService) linkedFault(l *kvLane, sc trace.SpanContext) bool {
 	if s.cfg.Faults == nil {
 		return false
 	}
-	if err := s.cfg.Faults.DecideTrace(LinkedCacheNode, l.w, l.attr, sc); err != nil {
+	if err := s.cfg.Faults.DecideTrace(LinkedCacheNode, l.w, sc); err != nil {
 		s.degraded.Inc()
 		sc.MarkOutcome(trace.FlagDegraded)
 		return true
@@ -1216,7 +1198,9 @@ func (s *KVService) admit(sc trace.SpanContext) (admission.Outcome, func()) {
 	if b != nil {
 		t0 = time.Now()
 	}
+	sc.Lane().Park() // queueing for a slot is nobody's CPU
 	outcome, release := s.gate.Enter(sc.Deadline())
+	sc.Lane().Unpark()
 	if b != nil {
 		b.Add(trace.StageAdmission, time.Since(t0))
 	}
@@ -1288,101 +1272,92 @@ func encodeAck(ok bool) []byte {
 	return out
 }
 
+// fieldBytes scans a wire message for length-delimited field want and
+// returns its body, aliasing buf (nil when absent). The front door reads
+// its two one-field shapes with it — the GetRequest key, the GetResponse
+// value — the way encodeReadOut writes them: handing wire.Unmarshal a
+// message struct moves the struct to the heap.
+func fieldBytes(buf []byte, want uint32) (body []byte, err error) {
+	err = wire.Decode(buf, func(d *wire.Decoder) error {
+		for !d.Done() {
+			f, t, err := d.Next()
+			if err == nil && f == want && t == wire.TBytes {
+				body, err = d.Bytes()
+			} else if err == nil {
+				err = d.Skip(t)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return body, err
+}
+
 // handleRead is the client-facing read: decode, pass the admission gate,
 // serve through the cache hierarchy, apply the application logic, reply
-// with the small derived result. Application CPU not attributed to a
-// downstream component lands on "app"; a worker lane's attribution
-// context keeps that split tight under concurrency. A shed request is a
-// non-error: it answers found=false (or a cache-only hit) so overload is
-// a degraded mode, not a failure storm.
+// with the small derived result. The handler is one "app" operation on
+// the request's lane: whatever the lane is not carried into a downstream
+// component for lands on "app". A shed request is a non-error: it answers
+// found=false (or a cache-only hit) so overload is a degraded mode, not a
+// failure storm.
 func (s *KVService) handleRead(l *kvLane, sc trace.SpanContext, req []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	b := sc.Breakdown()
-	var c0 time.Duration
-	if b != nil {
-		// Bill the request's busy time on the meter's clock (thread CPU
-		// when the driver enables it): the priced quantity the flight
-		// recorder reports per exemplar.
-		c0 = l.attr.Now()
+	sc.Lane().EnterOp(s.appComp)
+	act, asc := trace.Start(sc, "app", "read")
+	defer act.End()
+	kb, err := fieldBytes(req, 1)
+	if err != nil {
+		return nil, err
 	}
-	meter.AttributeCtx(s.m, l.attr, s.appComp, func() {
-		act, asc := trace.Start(sc, "app", "read")
-		defer act.End()
-		var r remotecache.GetRequest // shape {1: key} — reuse the message
-		if err = wire.Unmarshal(req, &r); err != nil {
-			return
-		}
-		outcome, release := s.admit(sc)
-		switch outcome {
-		case admission.ShedQueueFull:
-			act.Annotate("admission", "shed")
-			if v, ok := s.readShed(l, asc, r.Key); ok {
-				out = encodeReadOut(true, v)
-			} else {
-				out = encodeReadOut(false, nil)
-			}
-			return
-		case admission.DeadlineExpired:
-			act.Annotate("admission", "deadline")
-			out = encodeReadOut(false, nil)
-			return
-		}
-		defer release()
-		var v []byte
-		v, err = s.read(l, asc, r.Key)
-		if err != nil {
-			return
-		}
-		act.SetBytes(len(req), len(v))
-		out = encodeReadOut(true, v)
-	})
-	if b != nil {
-		b.AddCost(l.attr.Now() - c0)
+	// Copied, not aliased: a miss retains the key (cache fills, the
+	// access observer) past the request buffer's life.
+	key := string(kb)
+	outcome, release := s.admit(sc)
+	switch outcome {
+	case admission.ShedQueueFull:
+		act.Annotate("admission", "shed")
+		v, ok := s.readShed(l, asc, key)
+		return encodeReadOut(ok, v), nil
+	case admission.DeadlineExpired:
+		act.Annotate("admission", "deadline")
+		return encodeReadOut(false, nil), nil
 	}
-	return out, err
+	defer release()
+	v, err := s.read(l, asc, key)
+	if err != nil {
+		return nil, err
+	}
+	act.SetBytes(len(req), len(v))
+	return encodeReadOut(true, v), nil
 }
 
 // handleWrite is the client-facing write. A shed or expired write is
 // acknowledged ok=false and NOT applied: under overload the service
 // refuses mutations rather than applying them outside the SLO.
 func (s *KVService) handleWrite(l *kvLane, sc trace.SpanContext, req []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	b := sc.Breakdown()
-	var c0 time.Duration
-	if b != nil {
-		c0 = l.attr.Now()
+	sc.Lane().EnterOp(s.appComp)
+	act, asc := trace.Start(sc, "app", "write")
+	defer act.End()
+	var r remotecache.SetRequest // shape {key, value}
+	if err := wire.Unmarshal(req, &r); err != nil {
+		return nil, err
 	}
-	meter.AttributeCtx(s.m, l.attr, s.appComp, func() {
-		act, asc := trace.Start(sc, "app", "write")
-		defer act.End()
-		var r remotecache.SetRequest // shape {key, value}
-		if err = wire.Unmarshal(req, &r); err != nil {
-			return
-		}
-		outcome, release := s.admit(sc)
-		switch outcome {
-		case admission.ShedQueueFull:
-			act.Annotate("admission", "shed")
-			out = encodeAck(false)
-			return
-		case admission.DeadlineExpired:
-			act.Annotate("admission", "deadline")
-			out = encodeAck(false)
-			return
-		}
-		defer release()
-		if err = s.write(l, asc, r.Key, r.Value); err != nil {
-			return
-		}
-		act.SetBytes(len(req), 0)
-		out = encodeAck(true)
-	})
-	if b != nil {
-		b.AddCost(l.attr.Now() - c0)
+	outcome, release := s.admit(sc)
+	switch outcome {
+	case admission.ShedQueueFull:
+		act.Annotate("admission", "shed")
+		return encodeAck(false), nil
+	case admission.DeadlineExpired:
+		act.Annotate("admission", "deadline")
+		return encodeAck(false), nil
 	}
-	return out, err
+	defer release()
+	if err := s.write(l, asc, r.Key, r.Value); err != nil {
+		return nil, err
+	}
+	act.SetBytes(len(req), 0)
+	return encodeAck(true), nil
 }
 
 // Read implements Service from the client's side of the front door.
@@ -1444,9 +1419,8 @@ func (s *KVService) AdmissionStats() admission.Stats { return s.gate.Stats() }
 // frontRead performs one client read against a front-door server. The
 // request is encoded field-by-field from a pooled encoder (GetRequest
 // shape {1: key}) and the response buffer cycles back to the transport
-// pool: the handler builds its reply from the same pool, and the
-// GetResponse decoder copies Value out, so both sides of the round trip
-// are reusable.
+// pool: the handler builds its reply from the same pool, and the digest
+// is copied out of it, so both sides of the round trip are reusable.
 func frontRead(sc trace.SpanContext, front *rpc.Server, key string) ([]byte, error) {
 	e := wire.GetEncoder()
 	e.String(1, key)
@@ -1455,13 +1429,11 @@ func frontRead(sc trace.SpanContext, front *rpc.Server, key string) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
-	var resp remotecache.GetResponse
-	err = wire.Unmarshal(respBody, &resp)
+	// GetResponse shape {1: found, 2: value}.
+	v, err := fieldBytes(respBody, 2)
+	v = append([]byte(nil), v...)
 	rpc.PutBuffer(respBody)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Value, nil
+	return v, err
 }
 
 // frontWrite performs one client write against a front-door server,

@@ -59,3 +59,74 @@ func TestMeteringConservation(t *testing.T) {
 		})
 	}
 }
+
+// TestMeteredOpsUnchanged pins how many operations each component meters
+// over a fixed 1 000-op stream: one per transport charge, per front-end
+// burn, per replication ship or lease check, per handler section. The
+// numbers were taken before metering moved onto lanes; with the wire
+// formats untouched, equal counts mean the Burner was handed the same
+// units (a scratch run with a counting Burner read 92 233 236, 61 079 484
+// and 33 484 584 units on both sides), so what the lane removed is
+// measuring overhead, not measured work.
+func TestMeteredOpsUnchanged(t *testing.T) {
+	want := map[Arch]map[string]int64{
+		Base:   {"app": 5000, "storage.exec": 1216, "storage.kv": 3340, "storage.raft": 1108, "storage.rpc": 2000, "storage.sql": 3324},
+		Remote: {"app": 6144, "remotecache": 3696, "storage.exec": 556, "storage.kv": 2680, "storage.raft": 448, "storage.rpc": 680, "storage.sql": 1344},
+		Linked: {"app": 3542, "app.cache": 0, "storage.exec": 487, "storage.kv": 2611, "storage.raft": 379, "storage.rpc": 542, "storage.sql": 1137},
+	}
+	for arch, ops := range want {
+		t.Run(arch.String(), func(t *testing.T) {
+			m := meter.NewMeter()
+			gen := smallGen(13)
+			svc, err := BuildKVService(smallCfg(arch, m), gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 1000; i++ {
+				op := gen.Next()
+				if op.Kind == workload.Read {
+					_, err = svc.Read(op.Key)
+				} else {
+					err = svc.Write(op.Key, ValueFor(op.Key, op.ValueSize))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := m.Snapshot()
+			if len(snap) != len(ops) {
+				t.Errorf("components = %v, want %d of them", snap, len(ops))
+			}
+			for _, c := range snap {
+				if c.Ops != ops[c.Name] {
+					t.Errorf("%s: %d ops, want %d", c.Name, c.Ops, ops[c.Name])
+				}
+			}
+		})
+	}
+}
+
+// TestLinkedHitAllocs pins the front-door framing: a Linked hit allocates
+// the key it decodes and the digest it returns, nothing else.
+func TestLinkedHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting differs under -race")
+	}
+	gen := smallGen(13)
+	svc, err := BuildKVService(smallCfg(Linked, meter.NewMeter()), gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := workload.KeyName(3)
+	if _, err := svc.Read(key); err != nil { // fill
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := svc.Read(key); err != nil {
+			panic(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Linked hit allocates %.1f per op, want <= 2", allocs)
+	}
+}

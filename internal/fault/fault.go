@@ -19,7 +19,7 @@
 // decision-stream identity, per-stream call sequence number). The default
 // stream reproduces the classic single-threaded schedule exactly. A
 // concurrent driver gives each worker its own stream (Wrap with
-// WrapWorker, or DecideCtx with a worker index): each stream has a private
+// WrapWorker, or DecideTrace with a worker index): each stream has a private
 // atomic sequence counter and a worker-specific salt, so a fixed seed
 // reproduces the identical per-worker fault schedule regardless of how the
 // scheduler interleaves workers. Kill/blackhole/slow-start switches remain
@@ -325,37 +325,32 @@ func unit(x uint64) float64 { return float64(x>>11) / float64(1<<53) }
 // call this on every Call; non-RPC layers (linked caches, raft groups)
 // call it directly.
 func (in *Injector) Decide(node string) error {
-	return in.DecideCtx(node, -1, nil)
+	return in.DecideTrace(node, -1, trace.SpanContext{})
 }
 
-// DecideCtx is Decide on an explicit decision stream: worker >= 0 selects
-// that worker's private stream (deterministic under concurrency), worker
-// < 0 the default stream. A non-nil ctx receives the burn time charged to
-// the fault component, so a caller's AttributeCtx window can subtract it.
-func (in *Injector) DecideCtx(node string, worker int, ctx *meter.AttrCtx) error {
-	return in.DecideTrace(node, worker, ctx, trace.SpanContext{})
-}
-
-// DecideTrace is DecideCtx carrying the caller's span context: decisions
-// that inject anything — a kill reject, a blackhole timeout, stall or
-// slow-start work, a transient error — are recorded as "fault" spans on
-// the request trace and bump the trace's fault counter. Clean decisions
-// leave no span. The decision-draw sequence is byte-identical to
-// DecideCtx's, so fixed-seed fault schedules are unchanged by tracing.
-func (in *Injector) DecideTrace(node string, worker int, ctx *meter.AttrCtx, sc trace.SpanContext) error {
+// DecideTrace is Decide on an explicit decision stream — worker >= 0
+// selects that worker's private stream (deterministic under concurrency),
+// worker < 0 the default stream — carrying the caller's span context:
+// injected work is a lap of the request's lane, and decisions that inject
+// anything — a kill reject, a blackhole timeout, stall or slow-start
+// work, a transient error — are recorded as "fault" spans on the request
+// trace and bump the trace's fault counter. Clean decisions leave no
+// span. The decision-draw sequence does not depend on the context, so
+// fixed-seed fault schedules are unchanged by tracing.
+func (in *Injector) DecideTrace(node string, worker int, sc trace.SpanContext) error {
 	n := in.node(node)
 	st := n.stream(worker)
 	seq := st.seq.Add(1)
 	st.stats.calls.Add(1)
 	if n.killed.Load() {
 		st.stats.downRejects.Add(1)
-		in.recordFault(sc, node, "down", 0, 0, nil)
+		in.recordFault(sc, node, "down", 0, 0)
 		return ErrNodeDown
 	}
 	if n.blackholed.Load() {
 		st.stats.blackholed.Add(1)
 		st.stats.workInjected.Add(int64(in.timeoutWork))
-		in.recordFault(sc, node, "blackhole", in.timeoutWork, 0, ctx)
+		in.recordFault(sc, node, "blackhole", in.timeoutWork, 0)
 		return ErrBlackhole
 	}
 	rule := *n.rule.Load()
@@ -402,46 +397,34 @@ func (in *Injector) DecideTrace(node string, worker int, ctx *meter.AttrCtx, sc 
 	case slow && !stalled:
 		outcome = "slow-start"
 	}
-	in.recordFault(sc, node, outcome, work, sleep, ctx)
+	in.recordFault(sc, node, outcome, work, sleep)
 	return err
 }
 
-// recordFault burns the injected work, sleeps any wall-clock stall and,
-// when the request is traced, wraps both in a "fault" span annotated with
-// the outcome, bumping the path-level fault counter.
-func (in *Injector) recordFault(sc trace.SpanContext, node, outcome string, work int, sleep time.Duration, ctx *meter.AttrCtx) {
-	if !sc.Traced() {
-		in.burn(work, ctx)
-		if sleep > 0 {
-			time.Sleep(sleep)
+// recordFault burns the injected work on the fault component, sleeps any
+// wall-clock stall with the lane parked and, when the request is traced,
+// wraps both in a "fault" span annotated with the outcome, bumping the
+// path-level fault counter.
+func (in *Injector) recordFault(sc trace.SpanContext, node, outcome string, work int, sleep time.Duration) {
+	var act trace.Active
+	if sc.Traced() {
+		sc.Tracer().CountFault()
+		act, _ = trace.Start(sc, "fault", node)
+		act.Annotate("fault.outcome", outcome)
+		if work > 0 {
+			act.AnnotateInt("fault.work", int64(work))
 		}
-		return
+		if sleep > 0 {
+			act.AnnotateInt("fault.sleep_ns", int64(sleep))
+		}
 	}
-	sc.Tracer().CountFault()
-	act, _ := trace.Start(sc, "fault", node)
-	act.Annotate("fault.outcome", outcome)
-	if work > 0 {
-		act.AnnotateInt("fault.work", int64(work))
-	}
+	sc.Lane().Burn(in.comp, in.burner, work)
 	if sleep > 0 {
-		act.AnnotateInt("fault.sleep_ns", int64(sleep))
-	}
-	in.burn(work, ctx)
-	if sleep > 0 {
+		sc.Lane().Park()
 		time.Sleep(sleep)
+		sc.Lane().Unpark()
 	}
 	act.End()
-}
-
-// burn charges injected work to the fault component, crediting a non-nil
-// attribution context with the attributed duration.
-func (in *Injector) burn(work int, ctx *meter.AttrCtx) {
-	if work <= 0 || in.comp == nil {
-		return
-	}
-	sw := in.comp.Start()
-	in.burner.Burn(work)
-	ctx.AddInner(sw.Stop())
 }
 
 // nodeStats sums a node's counters across the default stream and every
@@ -535,7 +518,6 @@ type Conn struct {
 	worker int
 	in     *Injector
 	next   rpc.Conn
-	attr   *meter.AttrCtx
 }
 
 // Wrap returns conn filtered through the named node's default decision
@@ -551,23 +533,16 @@ func (in *Injector) WrapWorker(node string, worker int, conn rpc.Conn) *Conn {
 	return &Conn{node: node, worker: worker, in: in, next: conn}
 }
 
-// SetAttrCtx binds a per-worker attribution context: injected burn time is
-// credited there. Call before the conn is used.
-func (c *Conn) SetAttrCtx(ctx *meter.AttrCtx) { c.attr = ctx }
-
 // Call implements rpc.Conn: the node decides first; only clean calls
 // reach the underlying connection.
 func (c *Conn) Call(method string, req []byte) ([]byte, error) {
-	if err := c.in.DecideCtx(c.node, c.worker, c.attr); err != nil {
-		return nil, err
-	}
-	return c.next.Call(method, req)
+	return c.CallCtx(trace.SpanContext{}, method, req)
 }
 
 // CallCtx implements rpc.TraceConn: injected faults appear as spans on
 // the request trace, and clean calls propagate the span context onward.
 func (c *Conn) CallCtx(sc trace.SpanContext, method string, req []byte) ([]byte, error) {
-	if err := c.in.DecideTrace(c.node, c.worker, c.attr, sc); err != nil {
+	if err := c.in.DecideTrace(c.node, c.worker, sc); err != nil {
 		return nil, err
 	}
 	return rpc.CallTraced(c.next, sc, method, req)

@@ -20,13 +20,21 @@ import (
 // same thread's clock.
 type busyClock struct {
 	threadCPU atomic.Bool
+	// fake replaces the time source in this package's tests, which count
+	// and script clock reads; it is set before the meter is used.
+	fake func() int64
 }
 
 // now returns nanoseconds on the selected time source. A nil clock (a
-// detached component or zero AttrCtx) reads the wall clock.
+// detached component) reads the wall clock.
 func (c *busyClock) now() int64 {
-	if c != nil && c.threadCPU.Load() {
-		return threadCPUNanos()
+	if c != nil {
+		if c.fake != nil {
+			return c.fake()
+		}
+		if c.threadCPU.Load() {
+			return threadCPUNanos()
+		}
 	}
 	return wallNanos()
 }

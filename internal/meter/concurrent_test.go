@@ -43,103 +43,6 @@ func TestTotalBusyAtomicAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// TestAttributeCtxIgnoresConcurrentNoise is the point of the attribution
-// context: a goroutine attributing its own work must not have unrelated
-// busy time — charged concurrently by other goroutines — subtracted from
-// it. (The nil-ctx path measures inner time as the delta of the meter
-// total, which only works single-threaded.)
-func TestAttributeCtxIgnoresConcurrentNoise(t *testing.T) {
-	m := NewMeter()
-	app := m.Component("app")
-	noise := m.Component("noise")
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				noise.AddBusy(time.Second) // huge, would swamp any delta-based split
-			}
-		}
-	}()
-
-	ctx := &AttrCtx{}
-	AttributeCtx(m, ctx, app, func() {
-		t0 := time.Now()
-		for time.Since(t0) < 5*time.Millisecond {
-		}
-	})
-	close(stop)
-	wg.Wait()
-
-	if b := app.Busy(); b < 2*time.Millisecond || b > 100*time.Millisecond {
-		t.Fatalf("app busy = %v under concurrent noise, want ~5ms", b)
-	}
-	if app.Ops() != 1 {
-		t.Fatalf("ops = %d, want 1", app.Ops())
-	}
-}
-
-// TestAttributeCtxSubtractsCreditedCallees mirrors the classic Attribute
-// semantics on the ctx path: inner time credited via AddInner is
-// excluded from the attributed component's own time.
-func TestAttributeCtxSubtractsCreditedCallees(t *testing.T) {
-	m := NewMeter()
-	app := m.Component("app")
-	db := m.Component("db")
-
-	ctx := &AttrCtx{}
-	AttributeCtx(m, ctx, app, func() {
-		t0 := time.Now()
-		for time.Since(t0) < 5*time.Millisecond {
-		}
-		sw := db.Start()
-		t0 = time.Now()
-		for time.Since(t0) < 15*time.Millisecond {
-		}
-		ctx.AddInner(sw.Stop())
-	})
-
-	if got := db.Busy(); got < 10*time.Millisecond {
-		t.Fatalf("db busy = %v", got)
-	}
-	appBusy := app.Busy()
-	if appBusy < 2*time.Millisecond || appBusy > 12*time.Millisecond {
-		t.Fatalf("app busy = %v, want ~5ms (credited callee time excluded)", appBusy)
-	}
-}
-
-// TestAttrCtxSpanOverwrites checks Span's overwrite semantics: the span
-// contributes its wall time once, replacing (not adding to) any finer
-// grained credits recorded inside it — that is what prevents double
-// counting when a spanned server dispatch itself runs crediting charges.
-func TestAttrCtxSpanOverwrites(t *testing.T) {
-	ctx := &AttrCtx{}
-	ctx.AddInner(3 * time.Millisecond)
-	ctx.Span(func() {
-		ctx.AddInner(time.Hour) // must be subsumed by the span's wall time
-		t0 := time.Now()
-		for time.Since(t0) < 2*time.Millisecond {
-		}
-	})
-	got := ctx.Inner()
-	if got < 5*time.Millisecond || got > time.Second {
-		t.Fatalf("Inner after span = %v, want pre(3ms) + span wall(~2ms)", got)
-	}
-}
-
-// TestAttrCtxNilSafe: the nil context (the classic single-threaded path)
-// must accept credits as no-ops.
-func TestAttrCtxNilSafe(t *testing.T) {
-	var ctx *AttrCtx
-	ctx.AddInner(time.Second) // must not panic
-}
-
 // TestBurnerLockFreeUnderContention hammers one Burner from several
 // goroutines; with the race detector on, this verifies the lock-free
 // design.

@@ -1,0 +1,151 @@
+package meter
+
+import (
+	"sync"
+	"time"
+)
+
+// Lane partitions one request's busy clock among components. It is a lap
+// clock: the time between two lane events belongs to exactly one
+// component — the one the lane was in — and a parked lane belongs to
+// none. The clock is read only when the component actually changes, so a
+// request that crosses k component boundaries costs k+2 reads (open,
+// close, one per crossing) however many sections it meters, and the laps
+// of a request sum to its elapsed busy time by construction, whatever
+// other goroutines attribute meanwhile.
+//
+// A Lane is single-goroutine state: it rides the request's
+// trace.SpanContext down the synchronous call path. Every method is
+// nil-safe, so code handed a context without a lane (an unmetered
+// deployment) pays one pointer test.
+type Lane struct {
+	clk    *busyClock
+	cur    *Component // owner of the running lap; nil credits nobody
+	t0     int64      // clock reading at the last lap boundary
+	busy   int64      // laps credited so far, plus excluded leaf time
+	parked bool
+}
+
+var lanePool = sync.Pool{New: func() any { return new(Lane) }}
+
+// OpenLane takes a lane from the pool and starts its first lap in c, on
+// the clock of c's meter; every component the lane later enters must
+// belong to that meter. The opener must Close it.
+func OpenLane(c *Component) *Lane {
+	l := lanePool.Get().(*Lane)
+	*l = Lane{clk: c.clk, cur: c}
+	l.t0 = l.clk.now()
+	return l
+}
+
+// lap ends the running lap at now, crediting it to the component the
+// lane is leaving.
+func (l *Lane) lap(now int64) {
+	if d := now - l.t0; d > 0 {
+		l.busy += d
+		if l.cur != nil {
+			l.cur.AddBusy(time.Duration(d))
+		}
+	}
+	l.t0 = now
+}
+
+// Enter moves the lane into c and returns the component it left, for
+// Leave. Entering the current component is free: no clock read, no
+// credit.
+func (l *Lane) Enter(c *Component) (prev *Component) {
+	if l == nil {
+		return nil
+	}
+	prev = l.cur
+	if c != prev {
+		l.lap(l.clk.now())
+		l.cur = c
+	}
+	return prev
+}
+
+// Current returns the component the lane is in, for a caller that hands
+// the lane to code that walks it on and wants to Leave back here after.
+func (l *Lane) Current() *Component {
+	if l == nil {
+		return nil
+	}
+	return l.cur
+}
+
+// Leave moves the lane back into prev, the value Enter returned.
+func (l *Lane) Leave(prev *Component) { l.Enter(prev) }
+
+// EnterOp is Enter for a section that counts as one operation of c. A nil
+// c (an unmetered deployment) leaves the lane where it is.
+func (l *Lane) EnterOp(c *Component) {
+	if c != nil {
+		l.Enter(c)
+		c.AddOps(1)
+	}
+}
+
+// Burn does work units of calibrated CPU on b as one operation of c. With
+// a lane the burn is a lap of it; code with no request context (l == nil)
+// falls back to c's own stopwatch. A nil c does nothing.
+func (l *Lane) Burn(c *Component, b *Burner, work int) {
+	switch {
+	case c == nil || work <= 0:
+	case l == nil:
+		sw := c.Begin()
+		b.Burn(work)
+		sw.Stop()
+	default:
+		prev := l.Enter(c)
+		b.Burn(work)
+		c.AddOps(1)
+		l.Leave(prev)
+	}
+}
+
+// Park ends the running lap before the goroutine blocks (a socket read, a
+// queue slot, a contended lock, a sleep); Unpark starts the next lap when
+// it resumes. The time in between is credited to nobody — on the
+// thread-CPU clock that is the CPU the runtime and kernel spend putting
+// the thread to sleep and waking it.
+func (l *Lane) Park() {
+	if l != nil && !l.parked {
+		l.lap(l.clk.now())
+		l.parked = true
+	}
+}
+
+// Unpark resumes a parked lane in the component it was parked in.
+func (l *Lane) Unpark() {
+	if l != nil && l.parked {
+		l.parked = false
+		l.t0 = l.clk.now()
+	}
+}
+
+// Exclude takes d out of the running lap: busy time a context-free leaf
+// (one that meters itself with a Stopwatch) has already attributed to its
+// own component since the lap began. Call it before the next lane event.
+func (l *Lane) Exclude(d time.Duration) {
+	if l != nil && d > 0 {
+		l.t0 += int64(d)
+		l.busy += int64(d)
+	}
+}
+
+// Close ends the last lap, returns the lane to the pool and reports the
+// request's elapsed busy time: every lap plus every excluded leaf, which
+// is exactly what the request added to the meter. The lane must not be
+// used afterwards.
+func (l *Lane) Close() time.Duration {
+	if l == nil {
+		return 0
+	}
+	if !l.parked {
+		l.lap(l.clk.now())
+	}
+	busy := l.busy
+	lanePool.Put(l)
+	return time.Duration(busy)
+}

@@ -1,0 +1,215 @@
+package meter_test
+
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"cachecost/internal/core"
+	"cachecost/internal/meter"
+	"cachecost/internal/rpc"
+	"cachecost/internal/trace"
+	"cachecost/internal/workload"
+)
+
+// tickClock is a busy clock that advances one nanosecond per read, so
+// every lap is the number of reads it spans and nothing depends on the
+// machine. reads is the number of reads so far.
+type tickClock struct{ reads atomic.Int64 }
+
+func (c *tickClock) now() int64 { return c.reads.Add(1) }
+
+func tickMeter() (*meter.Meter, *tickClock) {
+	m, c := meter.NewMeter(), &tickClock{}
+	m.SetClock(c.now)
+	return m, c
+}
+
+func totalBusy(m *meter.Meter) time.Duration {
+	var sum time.Duration
+	for _, s := range m.Snapshot() {
+		sum += s.Busy
+	}
+	return sum
+}
+
+// TestLanePartitionExact: the laps of a lane partition its busy clock.
+// With a clock that ticks once per read, the sum of every component's
+// busy time equals the lane's elapsed busy time exactly — under nesting,
+// re-entry of the current component, an excluded self-metering leaf and a
+// parked stretch — and each component gets exactly its own laps.
+func TestLanePartitionExact(t *testing.T) {
+	m, clk := tickMeter()
+	app, db, kv := m.Component("app"), m.Component("db"), m.Component("db.kv")
+	burner := meter.NewBurner()
+
+	l := meter.OpenLane(app) // read 1
+	p1 := l.Enter(app)       // current component: free
+	if got := clk.reads.Load(); got != 1 {
+		t.Fatalf("entering the current component read the clock: %d reads", got)
+	}
+	p2 := l.Enter(db) // read 2: app gets 1
+	l.Burn(db, burner, 64)
+	sw := kv.Start() // read 3: a context-free leaf meters itself
+	d := sw.Stop()   // read 4: kv gets 1
+	l.Exclude(d)
+	l.Park()    // read 5: db gets 5-2-1 = 2
+	clk.now()   // read 6: blocked time, nobody's
+	clk.now()   // read 7
+	l.Unpark()  // read 8
+	l.Leave(p2) // read 9: db gets 1
+	l.Leave(p1) // app to app: free
+	l.Burn(nil, burner, 64)
+	elapsed := l.Close() // read 10: app gets 1
+
+	if got := clk.reads.Load(); got != 10 {
+		t.Fatalf("clock reads = %d, want 10", got)
+	}
+	for _, w := range []struct {
+		c    *meter.Component
+		busy time.Duration
+		ops  int64
+	}{{app, 2, 0}, {db, 3, 1}, {kv, 1, 1}} {
+		if w.c.Busy() != w.busy || w.c.Ops() != w.ops {
+			t.Errorf("%s: busy %d ops %d, want %d and %d", w.c.Name(), w.c.Busy(), w.c.Ops(), w.busy, w.ops)
+		}
+	}
+	if sum := totalBusy(m); sum != elapsed || elapsed != 6 {
+		t.Fatalf("sum of component busy %d, lane elapsed %d, want both 6", sum, elapsed)
+	}
+}
+
+// TestLaneNilSafe: code handed a context without a lane calls the same
+// methods; Burn falls back to the component's own stopwatch.
+func TestLaneNilSafe(t *testing.T) {
+	m, clk := tickMeter()
+	c := m.Component("c")
+	var l *meter.Lane
+	l.Leave(l.Enter(c))
+	l.Park()
+	l.Unpark()
+	l.Exclude(time.Second)
+	if l.Close() != 0 || clk.reads.Load() != 0 {
+		t.Fatal("a nil lane must read no clock and report no time")
+	}
+	l.Burn(c, meter.NewBurner(), 64)
+	if c.Busy() != 1 || c.Ops() != 1 {
+		t.Fatalf("laneless burn: busy %d ops %d, want a stopwatch pair's 1 and 1", c.Busy(), c.Ops())
+	}
+}
+
+// TestLanesConcurrent: lanes are per request, so concurrent requests
+// attributing to shared components cannot disturb one another — every
+// lane's laps still sum to its own elapsed time. Run under -race.
+func TestLanesConcurrent(t *testing.T) {
+	m, _ := tickMeter()
+	a, b := m.Component("a"), m.Component("b")
+	var elapsed atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				l := meter.OpenLane(a)
+				prev := l.Enter(b)
+				l.Park()
+				l.Unpark()
+				l.Leave(prev)
+				elapsed.Add(int64(l.Close()))
+			}
+		}()
+	}
+	wg.Wait()
+	if sum := totalBusy(m); int64(sum) != elapsed.Load() {
+		t.Fatalf("sum of component busy %d != sum of lane elapsed %d", sum, elapsed.Load())
+	}
+}
+
+// TestLaneHandlerErrorPath: a handler that fails halfway through a nested
+// dispatch still leaves every lap credited and the lane closed — the
+// partition holds on the error path too.
+func TestLaneHandlerErrorPath(t *testing.T) {
+	m, clk := tickMeter()
+	backend := rpc.NewServer(m.Component("backend"), meter.NewBurner(), rpc.DefaultCost)
+	backend.Handle("fail", func([]byte) ([]byte, error) { return nil, errors.New("boom") })
+	conn := rpc.NewLoopback(backend, m.Component("front"), meter.NewBurner(), rpc.DefaultCost)
+	front := rpc.NewServer(m.Component("front"), meter.NewBurner(), rpc.DefaultCost)
+	front.SetMeterHandlerBody(false)
+	var lane *meter.Lane
+	front.HandleCtx("op", func(sc trace.SpanContext, req []byte) ([]byte, error) {
+		lane = sc.Lane()
+		return rpc.CallTraced(conn, sc, "fail", req)
+	})
+	if _, err := front.Dispatch("op", []byte("x")); err == nil {
+		t.Fatal("handler error must surface")
+	}
+	if lane == nil {
+		t.Fatal("the outermost dispatch must open a lane")
+	}
+	// open, front->backend, backend->front, close: 4 reads, 3 laps.
+	if got := clk.reads.Load(); got != 4 {
+		t.Fatalf("clock reads = %d, want 4", got)
+	}
+	if sum := totalBusy(m); sum != 3 {
+		t.Fatalf("sum of component busy = %d, want the 3 laps between 4 reads", sum)
+	}
+}
+
+// clockReadsPerRead builds arch on a counting clock, warms it, and
+// returns the clock reads of n reads through KVService.Read together with
+// the service's meter.
+func clockReadsPerRead(t *testing.T, arch core.Arch, cacheBytes int64, n int) (float64, *meter.Meter) {
+	t.Helper()
+	m, clk := tickMeter()
+	const keys = 64
+	gen := workload.NewSynthetic(workload.SyntheticConfig{Keys: keys, ValueSize: 256, Seed: 1})
+	svc, err := core.BuildKVService(core.ServiceConfig{
+		Arch: arch, Meter: m, AppCacheBytes: cacheBytes, RemoteCacheBytes: cacheBytes,
+	}, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(i int) {
+		if _, err := svc.Read(workload.KeyName(i % keys)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < keys; i++ {
+		read(i) // fill the cache tier
+	}
+	m.Reset()
+	before := clk.reads.Load()
+	for i := 0; i < n; i++ {
+		read(i)
+	}
+	return float64(clk.reads.Load()-before) / float64(n), m
+}
+
+// TestClockReadBudget pins what metering costs a request: busy-clock
+// reads per read through the front door. A Linked hit opens and closes
+// its lane and never leaves "app"; a Remote hit adds the cache server's
+// lap; a Base point read walks app -> storage sql -> raft -> exec (with
+// kv's own stopwatch pair inside) -> sql -> rpc -> app.
+func TestClockReadBudget(t *testing.T) {
+	for _, c := range []struct {
+		arch   core.Arch
+		budget float64
+	}{{core.Linked, 2}, {core.Remote, 4}, {core.Base, 10}} {
+		t.Run(c.arch.String(), func(t *testing.T) {
+			const n = 200
+			reads, m := clockReadsPerRead(t, c.arch, 1<<30, n)
+			if reads > c.budget {
+				t.Errorf("%.2f clock reads per read, budget %.0f", reads, c.budget)
+			}
+			// One lane per request and a clock that ticks once per read:
+			// the busy total is reads minus one per request (k reads bound
+			// k-1 laps), less the nothing that was parked.
+			if got, want := int64(totalBusy(m)), int64(reads*n)-n; got != want {
+				t.Errorf("sum of component busy = %d, want %d", got, want)
+			}
+		})
+	}
+}

@@ -9,11 +9,12 @@
 // attribute busy time and provisioned memory to themselves, and the Meter
 // turns the measurements into monthly dollar costs.
 //
-// Attribution is cooperative: a component wraps each unit of work in
-// Component.Track (or uses a Stopwatch for finer splits). Because every
-// component in this repository does real CPU work (parsing, planning,
-// encoding, copying), busy wall-time of a non-blocking handler is a faithful
-// proxy for CPU time, which is what the paper measures.
+// Attribution is cooperative. A request carries a Lane, a lap clock that
+// hands each stretch of its busy time to exactly one component; code with
+// no request context wraps its work in Component.Track or a Stopwatch.
+// Because every component in this repository does real CPU work (parsing,
+// planning, encoding, copying), busy wall-time of a non-blocking handler
+// is a faithful proxy for CPU time, which is what the paper measures.
 package meter
 
 import (
@@ -32,13 +33,8 @@ type Meter struct {
 	counters   map[string]*Counter
 	start      time.Time
 	requests   atomic.Int64
-	// busy caches the meter-wide busy total. Every Component attribution
-	// adds to it, so TotalBusy — which Attribute consults twice per
-	// request — is one atomic load instead of a mutex-guarded walk of the
-	// component map.
-	busy atomic.Int64
 	// clk is the time source for busy measurements, shared with every
-	// component and attribution context the meter hands out.
+	// component and lane on the meter.
 	clk busyClock
 }
 
@@ -73,7 +69,7 @@ func (m *Meter) Component(name string) *Component {
 		// creation: a component built moments into the window whose level
 		// is then set once (the universal construction pattern) prices
 		// exactly that level, bit-for-bit compatible with level pricing.
-		c = &Component{name: name, total: &m.busy, clk: &m.clk, memAnchor: m.start}
+		c = &Component{name: name, clk: &m.clk, memAnchor: m.start}
 		m.components[name] = c
 	}
 	return c
@@ -107,7 +103,6 @@ func (m *Meter) Reset() {
 	for _, c := range m.counters {
 		c.n.Store(0)
 	}
-	m.busy.Store(0)
 	m.requests.Store(0)
 	m.start = now
 }
@@ -140,119 +135,15 @@ func (m *Meter) Snapshot() []ComponentSnapshot {
 	return out
 }
 
-// TotalBusy returns the sum of busy time across every component. It is a
-// single atomic load — safe and cheap on any hot path.
+// TotalBusy returns the sum of busy time across every component.
 func (m *Meter) TotalBusy() time.Duration {
-	return time.Duration(m.busy.Load())
-}
-
-// Attribute runs fn and credits c with the wall time fn consumed MINUS
-// whatever busy time fn's callees attributed to other components of the
-// same meter in the meantime. With a single-threaded caller this yields
-// exact, double-counting-free attribution for a handler that invokes
-// self-metering downstream services. Under concurrency the meter-wide
-// delta also absorbs other goroutines' attributions; concurrent drivers
-// use AttributeCtx with a per-goroutine AttrCtx instead.
-func Attribute(m *Meter, c *Component, fn func()) {
-	AttributeCtx(m, nil, c, fn)
-}
-
-// AttributeCtx is Attribute with an optional per-goroutine attribution
-// context. With ctx == nil it behaves exactly like Attribute (meter-wide
-// busy delta — exact for a single-threaded caller). With a non-nil ctx —
-// one per worker goroutine, threaded through that worker's connections —
-// the callee busy subtracted is only what *this* goroutine's callees
-// recorded, so the split stays tight under concurrency.
-func AttributeCtx(m *Meter, ctx *AttrCtx, c *Component, fn func()) {
-	if c == nil {
-		fn()
-		return
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var sum time.Duration
+	for _, c := range m.components {
+		sum += c.Busy()
 	}
-	var before time.Duration
-	if ctx != nil {
-		before = ctx.Inner()
-	} else {
-		before = m.TotalBusy()
-	}
-	t0 := m.clk.now()
-	fn()
-	total := time.Duration(m.clk.now() - t0)
-	var inner time.Duration
-	if ctx != nil {
-		inner = ctx.Inner() - before
-	} else {
-		inner = m.TotalBusy() - before
-	}
-	if own := total - inner; own > 0 {
-		c.AddBusy(own)
-	}
-	c.AddOps(1)
-}
-
-// AttrCtx is a per-goroutine attribution context for concurrent drivers.
-// A worker goroutine owns exactly one AttrCtx and threads it through its
-// private connections (loopback, retry, fault); every callee charge those
-// connections observe is recorded here, so AttributeCtx can subtract
-// precisely the busy time *this* goroutine's callees claimed — unpolluted
-// by other workers attributing to the same shared meter concurrently.
-//
-// An AttrCtx is intentionally not safe for concurrent use: it exists to
-// be single-goroutine state.
-type AttrCtx struct {
-	inner int64      // nanoseconds of callee-attributed (or excluded) time
-	clk   *busyClock // the owning meter's time source; nil reads the wall clock
-}
-
-// NewAttrCtx returns an attribution context on the meter's time source,
-// so Span measurements agree with the stopwatches crediting into it.
-func (m *Meter) NewAttrCtx() *AttrCtx { return &AttrCtx{clk: &m.clk} }
-
-// Now returns the context's busy-clock reading. The flight recorder
-// reads it on entry and exit of a request handler to bill the request's
-// busy time on the same clock the meter prices (the thread-CPU clock
-// when the concurrent driver enables it). Nil-safe: a nil context reads
-// the wall clock.
-func (c *AttrCtx) Now() time.Duration {
-	if c == nil {
-		return time.Duration(wallNanos())
-	}
-	return time.Duration(c.clk.now())
-}
-
-// AddInner records d as busy time already attributed by a callee on this
-// goroutine (and therefore excluded from the enclosing component's own
-// time).
-func (c *AttrCtx) AddInner(d time.Duration) {
-	if c != nil && d > 0 {
-		c.inner += int64(d)
-	}
-}
-
-// Inner returns the accumulated callee time.
-func (c *AttrCtx) Inner() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return time.Duration(c.inner)
-}
-
-// Span runs fn and counts its entire wall time as callee time, replacing
-// any finer-grained credits fn recorded itself. Callers wrap a synchronous
-// downstream call (an RPC dispatch, a self-metering library call) in a
-// Span so its wall — attributed work, lock waits and glue alike — is
-// excluded from the enclosing component's own time exactly once.
-func (c *AttrCtx) Span(fn func()) {
-	if c == nil {
-		fn()
-		return
-	}
-	pre := c.inner
-	t0 := c.clk.now()
-	fn()
-	if d := c.clk.now() - t0; d > 0 {
-		pre += d
-	}
-	c.inner = pre
+	return sum
 }
 
 // Component accumulates busy time, operation counts and provisioned memory
@@ -264,8 +155,7 @@ type Component struct {
 	memBytes  atomic.Int64
 	diskBytes atomic.Int64
 	ops       atomic.Int64
-	total     *atomic.Int64 // the owning Meter's busy total; nil if detached
-	clk       *busyClock    // the owning Meter's time source; nil reads wall
+	clk       *busyClock // the owning Meter's time source; nil reads wall
 
 	// Provisioned memory is priced by its time-average over the metered
 	// window, so a controller that resizes a cache mid-window is billed
@@ -284,9 +174,6 @@ func (c *Component) Name() string { return c.name }
 func (c *Component) AddBusy(d time.Duration) {
 	if d > 0 {
 		c.busyNanos.Add(int64(d))
-		if c.total != nil {
-			c.total.Add(int64(d))
-		}
 	}
 }
 

@@ -475,7 +475,7 @@ func (s *Server) handleMultiGet(sc trace.SpanContext, req []byte) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	s.acquire()
+	s.acquire(sc.Lane())
 	defer s.release()
 	act, _ := trace.Start(sc, s.name, "multiget")
 	found := make([]bool, len(keys))
@@ -512,7 +512,7 @@ func (s *Server) handleMultiSet(sc trace.SpanContext, req []byte) ([]byte, error
 	if len(r.Keys) != len(r.Values) {
 		return nil, fmt.Errorf("remotecache: MultiSet %d keys but %d values", len(r.Keys), len(r.Values))
 	}
-	s.acquire()
+	s.acquire(sc.Lane())
 	defer s.release()
 	act, _ := trace.Start(sc, s.name, "multiset")
 	ok := make([]bool, len(r.Keys))
@@ -554,7 +554,7 @@ func (s *Server) handleMultiDelete(sc trace.SpanContext, req []byte) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	s.acquire()
+	s.acquire(sc.Lane())
 	defer s.release()
 	act, _ := trace.Start(sc, s.name, "multidelete")
 	ok := make([]bool, len(keys))

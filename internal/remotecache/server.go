@@ -132,10 +132,16 @@ func (s *Server) Ops() int64 { return s.ops.Load() }
 
 // acquire takes a serving slot, blocking when the node is already
 // serving MaxConcurrent requests, tallies the request and occupies the
-// slot for the configured serving time. Paired with release; both are a
+// slot for the configured serving time. The request's lane is parked
+// while it queues and sleeps — the serving time is billed as ServeTime,
+// not as whatever the sleep measured. Paired with release; both are a
 // single nil test when no cap is configured.
-func (s *Server) acquire() {
+func (s *Server) acquire(l *meter.Lane) {
 	s.ops.Add(1)
+	if s.slots == nil && s.serve <= 0 {
+		return
+	}
+	l.Park()
 	if s.slots != nil {
 		s.slots <- struct{}{}
 	}
@@ -145,6 +151,7 @@ func (s *Server) acquire() {
 			s.comp.AddBusy(s.serve)
 		}
 	}
+	l.Unpark()
 }
 
 func (s *Server) release() {
@@ -220,7 +227,7 @@ func (s *Server) handleGet(sc trace.SpanContext, req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.acquire()
+	s.acquire(sc.Lane())
 	defer s.release()
 	act, _ := trace.Start(sc, s.name, "get")
 	v, ok := s.store.Get(key)
@@ -240,7 +247,7 @@ func (s *Server) handleSet(sc trace.SpanContext, req []byte) ([]byte, error) {
 	if err := wire.Unmarshal(req, &r); err != nil {
 		return nil, err
 	}
-	s.acquire()
+	s.acquire(sc.Lane())
 	defer s.release()
 	act, _ := trace.Start(sc, s.name, "set")
 	// SetRequest's decode copied Key and Value out of req, so the stored
@@ -261,7 +268,7 @@ func (s *Server) handleDelete(sc trace.SpanContext, req []byte) ([]byte, error) 
 	if err := wire.Unmarshal(req, &r); err != nil {
 		return nil, err
 	}
-	s.acquire()
+	s.acquire(sc.Lane())
 	defer s.release()
 	act, _ := trace.Start(sc, s.name, "delete")
 	existed := s.store.Delete(r.Key)

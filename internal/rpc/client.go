@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -60,7 +61,7 @@ func Dial(addr string, comp *meter.Component, burner *meter.Burner, cost CostMod
 
 // Call implements Conn.
 func (c *Client) Call(method string, req []byte) ([]byte, error) {
-	return c.call(&frame{kind: frameRequest, method: method, body: req})
+	return c.call(nil, &frame{kind: frameRequest, method: method, body: req})
 }
 
 // CallCtx implements TraceConn: the hop is recorded as an "rpc" span
@@ -70,7 +71,7 @@ func (c *Client) Call(method string, req []byte) ([]byte, error) {
 // sees the caller's SLO budget.
 func (c *Client) CallCtx(sc trace.SpanContext, method string, req []byte) ([]byte, error) {
 	if !sc.Traced() && !sc.HasDeadline() {
-		return c.Call(method, req)
+		return c.call(sc.Lane(), &frame{kind: frameRequest, method: method, body: req})
 	}
 	sc.Tracer().CountHop()
 	act, down := trace.Start(sc, "rpc", method)
@@ -81,7 +82,7 @@ func (c *Client) CallCtx(sc trace.SpanContext, method string, req []byte) ([]byt
 		f.traceID, f.spanID, f.sampled = down.TraceID(), down.SpanID(), down.Sampled()
 		f.deadline = down.DeadlineUnixNano()
 	}
-	resp, err := c.call(&f)
+	resp, err := c.call(sc.Lane(), &f)
 	act.SetBytes(len(req), len(resp))
 	act.End()
 	return resp, err
@@ -93,13 +94,12 @@ func (c *Client) CallCtx(sc trace.SpanContext, method string, req []byte) ([]byt
 func (c *Client) SetMetrics(m *Metrics) { c.metrics = m }
 
 // call sends one pre-built request frame (kind, method, body and trace
-// context set by the caller) and waits for its response.
-func (c *Client) call(f *frame) ([]byte, error) {
+// context set by the caller) and waits for its response. The caller's
+// lane is parked across the wait: time on the socket is nobody's CPU.
+func (c *Client) call(l *meter.Lane, f *frame) ([]byte, error) {
 	start := c.metrics.begin()
 	req := f.body
-	if c.comp != nil && c.burner != nil {
-		c.cost.Charge(c.comp, c.burner, len(req))
-	}
+	c.cost.Charge(l, c.comp, c.burner, len(req))
 
 	ch := make(chan callResult, 1)
 	c.mu.Lock()
@@ -133,14 +133,14 @@ func (c *Client) call(f *frame) ([]byte, error) {
 		return nil, err
 	}
 
+	l.Park()
 	res := <-ch
+	l.Unpark()
 	if res.err != nil {
 		c.metrics.end(start, len(req), 0, res.err)
 		return nil, res.err
 	}
-	if c.comp != nil && c.burner != nil {
-		c.cost.Charge(c.comp, c.burner, len(res.body))
-	}
+	c.cost.Charge(l, c.comp, c.burner, len(res.body))
 	c.metrics.end(start, len(req), len(res.body), nil)
 	return res.body, nil
 }
@@ -156,8 +156,9 @@ func (c *Client) forget(id uint64) {
 // transport error.
 func (c *Client) readLoop() {
 	var rd frame
+	br := bufio.NewReader(c.conn)
 	for {
-		if err := readFrame(c.conn, &rd); err != nil {
+		if err := readFrame(br, &rd); err != nil {
 			c.fail(fmt.Errorf("rpc: connection lost: %w", err))
 			return
 		}

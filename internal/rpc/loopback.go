@@ -23,12 +23,11 @@ var loopbackBufPool = sync.Pool{
 // charged per-message and per-byte transport overhead — while keeping
 // experiment runs deterministic and single-process.
 type Loopback struct {
-	server *Server
-	comp   *meter.Component // caller-side attribution; may be nil
-	burner *meter.Burner
+	server  *Server
+	comp    *meter.Component // caller-side attribution; may be nil
+	burner  *meter.Burner
 	cost    CostModel
-	attr    *meter.AttrCtx // per-worker attribution context; may be nil
-	metrics *Metrics       // per-message telemetry; may be nil
+	metrics *Metrics // per-message telemetry; may be nil
 	closed  atomic.Bool
 }
 
@@ -37,12 +36,6 @@ type Loopback struct {
 func NewLoopback(server *Server, comp *meter.Component, burner *meter.Burner, cost CostModel) *Loopback {
 	return &Loopback{server: server, comp: comp, burner: burner, cost: cost}
 }
-
-// SetAttrCtx binds a per-worker attribution context: transport charges and
-// the full dispatch wall time are recorded there, so a concurrent caller's
-// AttributeCtx window subtracts exactly this goroutine's callee time. Call
-// it before the connection is used; it is not synchronized against Call.
-func (l *Loopback) SetAttrCtx(ctx *meter.AttrCtx) { l.attr = ctx }
 
 // SetMetrics binds per-message telemetry. Call before the connection is
 // used; it is not synchronized against Call.
@@ -74,23 +67,13 @@ func (l *Loopback) call(sc trace.SpanContext, method string, req []byte) ([]byte
 		return nil, net.ErrClosed
 	}
 	start := l.metrics.begin()
-	if l.comp != nil && l.burner != nil {
-		l.attr.AddInner(l.cost.Charge(l.comp, l.burner, len(req)))
-	}
+	l.cost.Charge(sc.Lane(), l.comp, l.burner, len(req))
 	// Copy across the "wire": the server must not alias caller memory,
 	// exactly as with a socket. The buffer is pooled — handlers may not
 	// retain the request past the call, so it is free for reuse on return.
 	bp := loopbackBufPool.Get().(*[]byte)
 	wireReq := append((*bp)[:0], req...)
-	var resp []byte
-	var err error
-	if l.attr != nil {
-		// The dispatch wall — downstream attributed busy plus its glue —
-		// is callee time from this goroutine's perspective.
-		l.attr.Span(func() { resp, err = l.server.DispatchCtx(sc, method, wireReq) })
-	} else {
-		resp, err = l.server.DispatchCtx(sc, method, wireReq)
-	}
+	resp, err := l.server.DispatchCtx(sc, method, wireReq)
 	if err != nil {
 		*bp = wireReq
 		loopbackBufPool.Put(bp)
@@ -104,9 +87,7 @@ func (l *Loopback) call(sc trace.SpanContext, method string, req []byte) ([]byte
 	wireResp := append(GetBuffer(), resp...)
 	*bp = wireReq
 	loopbackBufPool.Put(bp)
-	if l.comp != nil && l.burner != nil {
-		l.attr.AddInner(l.cost.Charge(l.comp, l.burner, len(wireResp)))
-	}
+	l.cost.Charge(sc.Lane(), l.comp, l.burner, len(wireResp))
 	l.metrics.end(start, len(req), len(wireResp), nil)
 	return wireResp, nil
 }

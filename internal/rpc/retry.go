@@ -113,7 +113,6 @@ type RetryConn struct {
 	policy RetryPolicy
 	comp   *meter.Component // retry-overhead attribution; may be nil
 	burner *meter.Burner
-	attr   *meter.AttrCtx // per-worker attribution context; may be nil
 
 	mu     sync.Mutex
 	rng    uint64
@@ -137,11 +136,6 @@ func NewRetryConn(conn Conn, policy RetryPolicy, seed int64, comp *meter.Compone
 		rng:    uint64(seed)*0x9e3779b97f4a7c15 + 1,
 	}
 }
-
-// SetAttrCtx binds a per-worker attribution context; the retry burn time
-// charged to comp is also recorded there so a concurrent caller's
-// AttributeCtx window subtracts it. Call before the conn is used.
-func (r *RetryConn) SetAttrCtx(ctx *meter.AttrCtx) { r.attr = ctx }
 
 // nextJitter draws the next deterministic jitter fraction in [0.5, 1).
 func (r *RetryConn) nextJitter() float64 {
@@ -222,13 +216,11 @@ func (r *RetryConn) CallCtx(sc trace.SpanContext, method string, req []byte) ([]
 			p.RetryCounter.Inc()
 		}
 		if p.Sleep != nil {
+			sc.Lane().Park()
 			p.Sleep(backoff)
+			sc.Lane().Unpark()
 		}
-		if r.comp != nil && p.RetryWork > 0 {
-			sw := r.comp.Start()
-			r.burner.Burn(p.RetryWork)
-			r.attr.AddInner(sw.Stop())
-		}
+		sc.Lane().Burn(r.comp, r.burner, p.RetryWork)
 	}
 
 	r.mu.Lock()

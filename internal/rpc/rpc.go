@@ -13,7 +13,6 @@ package rpc
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"cachecost/internal/meter"
 	"cachecost/internal/trace"
@@ -39,12 +38,12 @@ type TraceConn interface {
 }
 
 // CallTraced issues a call with span-context propagation when the
-// context carries anything worth propagating — a tracer or a deadline —
-// and the connection supports it, falling back to the untraced path
-// otherwise. Instrumented layers route every call through this helper,
-// so a run with tracing disabled pays exactly one branch here.
+// context carries anything worth propagating — a tracer, a deadline or
+// the request's metering lane — and the connection supports it, falling
+// back to the context-free path otherwise. Instrumented layers route
+// every call through this helper.
 func CallTraced(conn Conn, sc trace.SpanContext, method string, req []byte) ([]byte, error) {
-	if sc.Traced() || sc.HasDeadline() {
+	if sc.Traced() || sc.HasDeadline() || sc.Lane() != nil {
 		if tc, ok := conn.(TraceConn); ok {
 			return tc.CallCtx(sc, method, req)
 		}
@@ -93,19 +92,12 @@ type CostModel struct {
 // DefaultCost is the calibration used by all experiments.
 var DefaultCost = CostModel{PerMessage: 4096, PerByte: 0.5}
 
-// Charge burns CPU for one message of n payload bytes and attributes the
-// time to component c, returning the busy duration attributed. A zero
-// model charges nothing and returns 0. The return value lets callers that
-// track a per-goroutine attribution context credit the charge there.
-func (m CostModel) Charge(c *meter.Component, b *meter.Burner, n int) time.Duration {
-	if m.PerMessage == 0 && m.PerByte == 0 {
-		return 0
+// Charge burns CPU for one message of n payload bytes as one operation of
+// component c: a lap of the request's lane l, or c's own stopwatch when
+// the caller has no request context (l == nil). A zero model, a nil c or
+// a nil b charges nothing.
+func (m CostModel) Charge(l *meter.Lane, c *meter.Component, b *meter.Burner, n int) {
+	if b != nil && (m.PerMessage != 0 || m.PerByte != 0) {
+		l.Burn(c, b, m.PerMessage+int(m.PerByte*float64(n)))
 	}
-	work := m.PerMessage + int(m.PerByte*float64(n))
-	if work <= 0 {
-		return 0
-	}
-	sw := c.Start()
-	b.Burn(work)
-	return sw.Stop()
 }

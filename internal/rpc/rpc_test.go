@@ -356,11 +356,11 @@ func TestCostModelScalesWithBytes(t *testing.T) {
 	c := m.Component("x")
 	cost := CostModel{PerMessage: 100, PerByte: 1}
 
-	cost.Charge(c, b, 0)
+	cost.Charge(nil, c, b, 0)
 	small := c.Busy()
 	m.Reset()
 	for i := 0; i < 10; i++ {
-		cost.Charge(c, b, 1<<20)
+		cost.Charge(nil, c, b, 1<<20)
 	}
 	large := c.Busy() / 10
 	if large <= small {
@@ -369,7 +369,7 @@ func TestCostModelScalesWithBytes(t *testing.T) {
 
 	// Zero model charges nothing.
 	m.Reset()
-	CostModel{}.Charge(c, b, 1<<20)
+	CostModel{}.Charge(nil, c, b, 1<<20)
 	if c.Busy() != 0 {
 		t.Fatal("zero cost model should not charge")
 	}

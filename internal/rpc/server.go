@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -39,9 +40,9 @@ type Server struct {
 	// transports pass their context straight into DispatchCtx instead.
 	tracer    *trace.Tracer
 	traceName string
-	// meterBody controls whether Dispatch wraps the handler body in the
-	// component's stopwatch. Servers whose handlers meter their own
-	// internals (the storage node) disable it to avoid double counting;
+	// meterBody controls whether the handler body runs as a lap of the
+	// server's component. Servers whose handlers walk the lane through
+	// finer components (the front door, the storage node) disable it;
 	// transport overhead is charged to comp either way.
 	meterBody bool
 	// metrics, when set, records per-dispatch latency and sizes.
@@ -82,7 +83,7 @@ func (s *Server) SetTracer(t *trace.Tracer, name string) {
 	s.tracer, s.traceName = t, name
 }
 
-// SetMeterHandlerBody controls whether Dispatch attributes handler wall
+// SetMeterHandlerBody controls whether Dispatch attributes handler busy
 // time to the server's component (default true). Disable it when the
 // handlers meter their own work against finer-grained components.
 func (s *Server) SetMeterHandlerBody(on bool) { s.meterBody = on }
@@ -123,21 +124,39 @@ func (s *Server) Dispatch(method string, req []byte) ([]byte, error) {
 }
 
 // DispatchCtx is Dispatch carrying the caller's span context through to
-// the handler. On a front-door server with a flight recorder bound, it
-// brackets the dispatch with the recorder's Begin/Done so every request
-// leaves a completion-time flight record; nested dispatches (a context
-// that already carries a breakdown) pass straight through.
+// the handler. The outermost metered dispatch of a request — one whose
+// context carries no lane yet — opens the request's metering lane and
+// closes it on return; nested in-process dispatches ride it. On a
+// front-door server with a flight recorder bound, it also brackets the
+// dispatch with the recorder's Begin/Done so every request leaves a
+// completion-time flight record, billed the lane's elapsed busy time;
+// nested dispatches (a context that already carries a breakdown) pass
+// straight through.
 func (s *Server) DispatchCtx(sc trace.SpanContext, method string, req []byte) ([]byte, error) {
+	var lane *meter.Lane
+	if s.comp != nil && sc.Lane() == nil {
+		lane = meter.OpenLane(s.comp)
+		sc = sc.WithLane(lane)
+	}
 	if s.flight != nil && sc.Breakdown() == nil {
 		fsc := s.flight.Begin(sc)
 		t0 := time.Now()
 		resp, err := s.dispatch(fsc, method, req)
+		fsc.AddCost(lane.Close())
 		s.flight.Done(fsc, method, t0, time.Since(t0), err)
 		return resp, err
 	}
-	return s.dispatch(sc, method, req)
+	resp, err := s.dispatch(sc, method, req)
+	lane.Close()
+	return resp, err
 }
 
+// dispatch runs the handler and then charges both messages' transport
+// overhead in one lap of the server's component. With meterBody on, the
+// handler runs inside that lap. With it off, the handler walks the lane
+// on through its own finer components and leaves it wherever it ended;
+// the server's component is entered once, after the handler, not once per
+// message, and the lane is handed back to the caller's component.
 func (s *Server) dispatch(sc trace.SpanContext, method string, req []byte) ([]byte, error) {
 	s.mu.RLock()
 	fn, ok := s.handlers[method]
@@ -146,21 +165,18 @@ func (s *Server) dispatch(sc trace.SpanContext, method string, req []byte) ([]by
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchMethod, method)
 	}
 	start := s.metrics.begin()
-	if s.comp != nil && s.burner != nil {
-		s.cost.Charge(s.comp, s.burner, len(req))
+	lane := sc.Lane()
+	prev := lane.Current()
+	if s.meterBody {
+		lane.EnterOp(s.comp)
 	}
-	var resp []byte
-	var err error
-	if s.comp != nil && s.meterBody {
-		sw := s.comp.Begin() // by value: one Dispatch per frame, no alloc
-		resp, err = fn(sc, req)
-		sw.Stop()
-	} else {
-		resp, err = fn(sc, req)
+	resp, err := fn(sc, req)
+	if s.comp != nil {
+		lane.Enter(s.comp)
+		s.cost.Charge(lane, s.comp, s.burner, len(req))
+		s.cost.Charge(lane, s.comp, s.burner, len(resp))
 	}
-	if s.comp != nil && s.burner != nil {
-		s.cost.Charge(s.comp, s.burner, len(resp))
-	}
+	lane.Leave(prev)
 	s.metrics.end(start, len(req), len(resp), err)
 	return resp, err
 }
@@ -213,8 +229,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	var wmu sync.Mutex
 	var rd frame
+	br := bufio.NewReader(conn) // one read syscall can deliver header, payload and the next frame
 	for {
-		if err := readFrame(conn, &rd); err != nil {
+		if err := readFrame(br, &rd); err != nil {
 			return // connection closed or corrupt; drop it
 		}
 		if rd.kind != frameRequest && rd.kind != frameRequestTraced {

@@ -6,7 +6,6 @@ import (
 
 	"cachecost/internal/rpc"
 	"cachecost/internal/storage/plan"
-	"cachecost/internal/storage/raft"
 	"cachecost/internal/storage/sql"
 	"cachecost/internal/trace"
 	"cachecost/internal/wire"
@@ -113,23 +112,15 @@ func (c *Client) batchQueryInner(sc trace.SpanContext, src string, params []sql.
 // single front-end burn, single lease validation, then the executor
 // runs the pre-parsed statement once per parameter.
 func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
-	n.mu.Lock()
+	lane := sc.Lane()
+	n.lock(lane)
 	defer n.mu.Unlock()
 	// One batch is one statement against the path model: the per-key rows
 	// all come from a single parsed plan.
 	sc.Tracer().CountStatement()
 	defer n.histBatch.ObserveSince(time.Now())
 
-	sqlAct, _ := trace.Start(sc, "storage.sql", "parse")
-	var q QueryRequest
-	var stmt sql.Stmt
-	var err error
-	n.trackSQL(func() {
-		if err = wire.Unmarshal(req, &q); err != nil {
-			return
-		}
-		stmt, err = sql.Parse(q.SQL)
-	})
+	q, stmt, sqlAct, err := n.parseStatement(sc, req)
 	if err != nil {
 		sqlAct.End()
 		return nil, err
@@ -142,42 +133,37 @@ func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error
 		sqlAct.End()
 		return nil, fmt.Errorf("storage: sql.BatchQuery needs at least one parameter")
 	}
-	n.burnFrontend()
+	n.burnFrontend(lane)
 	sqlAct.AnnotateInt("batch.keys", int64(len(q.Params)))
 	sqlAct.SetBytes(len(req), 0)
 	sqlAct.End()
-	if err := n.group.ValidateLeaseCtx(sc); err != nil {
+	db, err := n.validateLease(sc)
+	if err != nil {
 		return nil, err
-	}
-	db := n.LeaderDB()
-	if db == nil {
-		return nil, raft.ErrNotLeader
 	}
 	results := make([]*plan.ResultSet, len(q.Params))
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
-	execErr := n.trackExec(func() error {
+	_, err = n.exec(lane, func() (*plan.ResultSet, error) {
 		param := make([]sql.Value, 1)
 		for i, p := range q.Params {
 			param[0] = p
 			rs, e := db.Exec(stmt, param)
 			if e != nil {
-				return e
+				return nil, e
 			}
 			results[i] = rs
 		}
-		return nil
+		return nil, nil
 	})
 	kvAct.AnnotateInt("batch.keys", int64(len(q.Params)))
 	kvAct.End()
-	if execErr != nil {
-		return nil, execErr
+	if err != nil {
+		return nil, err
 	}
-	var out []byte
-	n.trackSQL(func() {
-		e := wire.GetEncoder()
-		(&BatchQueryResponse{Results: results}).MarshalWire(e)
-		out = append([]byte(nil), e.Bytes()...)
-		wire.PutEncoder(e)
-	})
+	lane.EnterOp(n.sqlComp)
+	e := wire.GetEncoder()
+	(&BatchQueryResponse{Results: results}).MarshalWire(e)
+	out := append([]byte(nil), e.Bytes()...)
+	wire.PutEncoder(e)
 	return out, nil
 }

@@ -100,7 +100,8 @@ type Node struct {
 
 	// mu serializes statement execution. The paper's cost metric is CPU
 	// busy time, not latency, so a single execution lane loses nothing —
-	// and it makes the meter's attribution splits exact.
+	// and it makes the kv busy delta a statement excludes from its
+	// executor lap exact.
 	mu sync.Mutex
 
 	group *raft.Group
@@ -253,34 +254,33 @@ type applier struct {
 	id   int
 }
 
-// Apply implements raft.StateMachine. Statement-based replication: every
-// replica re-parses and re-executes the statement, paying the same CPU the
-// leader paid — the replication cost the paper's write path carries.
-func (a *applier) Apply(cmd raft.Command) {
+// Apply implements raft.StateMachine.
+func (a *applier) Apply(cmd raft.Command) { a.ApplyCtx(trace.SpanContext{}, cmd) }
+
+// ApplyCtx implements raft.ContextApplier. Statement-based replication:
+// every replica re-parses and re-executes the statement, paying the same
+// CPU the leader paid — the replication cost the paper's write path
+// carries. It runs inside handleExec's Propose and walks that request's
+// lane on through sql and exec; handleExec re-enters sql afterwards.
+func (a *applier) ApplyCtx(sc trace.SpanContext, cmd raft.Command) {
 	c, err := decodeCmd(cmd.Value)
 	if err != nil {
 		a.node.noteApplyErr(fmt.Errorf("storage: replica %d: corrupt command: %w", a.id, err))
 		return
 	}
-	n := a.node
-	var stmt sql.Stmt
-	n.trackSQL(func() {
-		stmt, err = sql.Parse(c.SQL)
-	})
+	n, lane := a.node, sc.Lane()
+	lane.EnterOp(n.sqlComp)
+	stmt, err := sql.Parse(c.SQL)
 	if err != nil {
 		n.noteApplyErr(fmt.Errorf("storage: replica %d: %w", a.id, err))
 		return
 	}
-	if execErr := n.trackExec(func() error {
-		rs, execErr := n.dbs[a.id].Exec(stmt, c.Params)
-		if execErr != nil {
-			return execErr
-		}
-		n.lastResult[a.id] = rs
-		return nil
-	}); execErr != nil {
-		n.noteApplyErr(fmt.Errorf("storage: replica %d: %w", a.id, execErr))
+	rs, err := n.exec(lane, func() (*plan.ResultSet, error) { return n.dbs[a.id].Exec(stmt, c.Params) })
+	if err != nil {
+		n.noteApplyErr(fmt.Errorf("storage: replica %d: %w", a.id, err))
+		return
 	}
+	n.lastResult[a.id] = rs
 }
 
 func (n *Node) noteApplyErr(err error) {
@@ -298,57 +298,47 @@ func (n *Node) ApplyErr() error {
 	return n.applyErr
 }
 
-// burnFrontend charges the per-statement SQL front-end work, attributed
-// to the front-end component when metered.
-func (n *Node) burnFrontend() {
-	if n.cfg.FrontendWork <= 0 {
-		return
+// A statement handler walks its request's lane through the node's
+// components in order — sql (decode, parse, front-end burn), raft (lease
+// or replication), exec, sql again (result encoding) — entering each as
+// its section starts (Lane.EnterOp), so a statement costs one clock read
+// per section instead of a stopwatch pair around each. The handler leaves
+// the lane where its last section ended; the rpc server that dispatched
+// it (handler body metering off) takes it from there.
+
+// lock takes the execution slot, parking the lane if it has to wait:
+// queueing behind another statement is nobody's CPU.
+func (n *Node) lock(l *meter.Lane) {
+	if !n.mu.TryLock() {
+		l.Park()
+		n.mu.Lock()
+		l.Unpark()
 	}
-	if n.sqlComp != nil {
-		sw := n.sqlComp.Start()
-		n.burner.Burn(n.cfg.FrontendWork)
-		sw.Stop()
-		return
-	}
-	n.burner.Burn(n.cfg.FrontendWork)
 }
 
-// trackSQL attributes fn to the SQL front-end component.
-func (n *Node) trackSQL(fn func()) {
+// burnFrontend charges the per-statement SQL front-end work to the
+// front-end component.
+func (n *Node) burnFrontend(l *meter.Lane) {
 	if n.sqlComp == nil {
-		fn()
+		n.burner.Burn(n.cfg.FrontendWork) // unmetered nodes still pay the work
 		return
 	}
-	sw := n.sqlComp.Start()
-	fn()
-	sw.Stop()
+	l.Burn(n.sqlComp, n.burner, n.cfg.FrontendWork)
 }
 
-// trackExec attributes fn to the executor component, net of the kv and
-// raft time fn consumed (those meter themselves). Callers hold n.mu, so
-// the deltas are exact.
-func (n *Node) trackExec(fn func() error) error {
+// exec runs fn as one operation of the executor component, net of the
+// busy time the kv engine attributed to itself meanwhile: kv has no
+// request context and keeps its own stopwatch, on the same clock the lane
+// reads. Callers hold n.mu, so the kv delta is this statement's alone.
+func (n *Node) exec(l *meter.Lane, fn func() (*plan.ResultSet, error)) (*plan.ResultSet, error) {
 	if n.execComp == nil {
 		return fn()
 	}
-	kv0 := busyOf(n.kvComp)
-	raft0 := busyOf(n.raftComp)
-	t0 := time.Now()
-	err := fn()
-	total := time.Since(t0)
-	inner := (busyOf(n.kvComp) - kv0) + (busyOf(n.raftComp) - raft0)
-	if own := total - inner; own > 0 {
-		n.execComp.AddBusy(own)
-	}
-	n.execComp.AddOps(1)
-	return err
-}
-
-func busyOf(c *meter.Component) time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.Busy()
+	l.EnterOp(n.execComp)
+	kv0 := n.kvComp.Busy()
+	rs, err := fn()
+	l.Exclude(n.kvComp.Busy() - kv0)
+	return rs, err
 }
 
 // Server returns the node's RPC server for use with rpc.Serve, loopback or
@@ -439,24 +429,48 @@ func truncate(s string, n int) string {
 	return s[:n] + "..."
 }
 
+// parseStatement opens a statement's sql section: request decode and
+// parse, under a "storage.sql" parse span the caller ends.
+func (n *Node) parseStatement(sc trace.SpanContext, req []byte) (q QueryRequest, stmt sql.Stmt, act trace.Active, err error) {
+	sc.Lane().EnterOp(n.sqlComp)
+	act, _ = trace.Start(sc, "storage.sql", "parse")
+	if err = wire.Unmarshal(req, &q); err == nil {
+		stmt, err = sql.Parse(q.SQL)
+	}
+	return q, stmt, act, err
+}
+
+// validateLease is the transaction layer's check before a local read: a
+// raft section, entered here so that it and the executor section after it
+// cost one clock read each.
+func (n *Node) validateLease(sc trace.SpanContext) (*plan.DB, error) {
+	sc.Lane().Enter(n.raftComp)
+	if err := n.group.ValidateLeaseCtx(sc); err != nil {
+		return nil, err
+	}
+	db := n.LeaderDB()
+	if db == nil {
+		return nil, raft.ErrNotLeader
+	}
+	return db, nil
+}
+
+// encode is the closing sql section: result encoding.
+func (n *Node) encode(l *meter.Lane, m wire.Marshaler) []byte {
+	l.EnterOp(n.sqlComp)
+	return wire.Marshal(m)
+}
+
 // handleQuery serves read-only statements on the leader after validating
 // its lease.
 func (n *Node) handleQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
-	n.mu.Lock()
+	lane := sc.Lane()
+	n.lock(lane)
 	defer n.mu.Unlock()
 	sc.Tracer().CountStatement()
 	defer n.histQuery.ObserveSince(time.Now())
 
-	sqlAct, _ := trace.Start(sc, "storage.sql", "parse")
-	var q QueryRequest
-	var stmt sql.Stmt
-	var err error
-	n.trackSQL(func() {
-		if err = wire.Unmarshal(req, &q); err != nil {
-			return
-		}
-		stmt, err = sql.Parse(q.SQL)
-	})
+	q, stmt, sqlAct, err := n.parseStatement(sc, req)
 	if err != nil {
 		sqlAct.End()
 		return nil, err
@@ -465,51 +479,32 @@ func (n *Node) handleQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
 		sqlAct.End()
 		return nil, fmt.Errorf("storage: sql.Query only accepts SELECT; use sql.Exec")
 	}
-	n.burnFrontend()
+	n.burnFrontend(lane)
 	sqlAct.SetBytes(len(req), 0)
 	sqlAct.End()
-	// Transaction layer: validate the leader lease before a local read.
-	if err := n.group.ValidateLeaseCtx(sc); err != nil {
+	db, err := n.validateLease(sc)
+	if err != nil {
 		return nil, err
 	}
-	db := n.LeaderDB()
-	if db == nil {
-		return nil, raft.ErrNotLeader
-	}
-	var rs *plan.ResultSet
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
-	execErr := n.trackExec(func() error {
-		var e error
-		rs, e = db.Exec(stmt, q.Params)
-		return e
-	})
+	rs, err := n.exec(lane, func() (*plan.ResultSet, error) { return db.Exec(stmt, q.Params) })
 	kvAct.End()
-	if execErr != nil {
-		return nil, execErr
+	if err != nil {
+		return nil, err
 	}
-	var out []byte
-	n.trackSQL(func() { out = wire.Marshal(rs) })
-	return out, nil
+	return n.encode(lane, rs), nil
 }
 
 // handleExec serves write statements: parsed for validation on the
 // front-end, then replicated through raft and applied on every replica.
 func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
-	n.mu.Lock()
+	lane := sc.Lane()
+	n.lock(lane)
 	defer n.mu.Unlock()
 	sc.Tracer().CountStatement()
 	defer n.histExec.ObserveSince(time.Now())
 
-	sqlAct, _ := trace.Start(sc, "storage.sql", "parse")
-	var q QueryRequest
-	var stmt sql.Stmt
-	var err error
-	n.trackSQL(func() {
-		if err = wire.Unmarshal(req, &q); err != nil {
-			return
-		}
-		stmt, err = sql.Parse(q.SQL)
-	})
+	q, stmt, sqlAct, err := n.parseStatement(sc, req)
 	if err != nil {
 		sqlAct.End()
 		return nil, err
@@ -518,7 +513,7 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 		sqlAct.End()
 		return nil, fmt.Errorf("storage: sql.Exec does not accept SELECT; use sql.Query")
 	}
-	n.burnFrontend()
+	n.burnFrontend(lane)
 	sqlAct.SetBytes(len(req), 0)
 	sqlAct.End()
 	// Dry-run validation on the leader would double-apply; instead rely
@@ -540,6 +535,7 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 	if b != nil {
 		raftT0 = time.Now()
 	}
+	lane.Enter(n.raftComp) // the ships' laps; each replica's apply walks on from here
 	_, perr := n.group.ProposeCtx(sc, cmd)
 	if b != nil {
 		b.Add(trace.StageRaft, time.Since(raftT0))
@@ -554,9 +550,7 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 	if ld := n.group.Leader(); ld >= 0 && n.lastResult[ld] != nil {
 		rs = n.lastResult[ld]
 	}
-	var out []byte
-	n.trackSQL(func() { out = wire.Marshal(rs) })
-	return out, nil
+	return n.encode(lane, rs), nil
 }
 
 // handleVersion serves the §5.5 version check. As in TiDB, it traverses
@@ -564,62 +558,52 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 // validation, and a full row fetch from the storage engine — only to
 // return eight bytes.
 func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
-	n.mu.Lock()
+	lane := sc.Lane()
+	n.lock(lane)
 	defer n.mu.Unlock()
 	sc.Tracer().CountStatement()
 	defer n.histVersion.ObserveSince(time.Now())
 
+	lane.EnterOp(n.sqlComp)
 	sqlAct, _ := trace.Start(sc, "storage.sql", "parse")
 	var vr VersionRequest
-	var err error
-	n.trackSQL(func() {
-		err = wire.Unmarshal(req, &vr)
-	})
-	if err != nil {
+	if err := wire.Unmarshal(req, &vr); err != nil {
 		sqlAct.End()
 		return nil, err
 	}
 	// Even a version check traverses the SQL front-end (§5.5).
-	n.burnFrontend()
+	n.burnFrontend(lane)
 	sqlAct.Annotate("sql.op", "version-check")
 	sqlAct.End()
-	if err := n.group.ValidateLeaseCtx(sc); err != nil {
+	db, err := n.validateLease(sc)
+	if err != nil {
 		return nil, err
-	}
-	db := n.LeaderDB()
-	if db == nil {
-		return nil, raft.ErrNotLeader
 	}
 	resp := &VersionResponse{}
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
-	execErr := n.trackExec(func() error {
+	_, err = n.exec(lane, func() (*plan.ResultSet, error) {
 		t, err := db.Catalog().Lookup(vr.Table)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Fetch the full row (the engine has no narrower path — exactly
 		// the paper's observation) and report its version.
 		rs, err := db.ExecSQL(
 			fmt.Sprintf("SELECT * FROM %s WHERE %s = ?", vr.Table, t.PKCol()), vr.PK)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if len(rs.Rows) > 0 {
-			resp.Found = true
-		}
-		ver, ok := db.Store().VersionOf(rowKeyFor(vr.Table, vr.PK))
-		if ok {
+		resp.Found = len(rs.Rows) > 0
+		if ver, ok := db.Store().VersionOf(rowKeyFor(vr.Table, vr.PK)); ok {
 			resp.Version = ver
 		}
-		return nil
+		return rs, nil
 	})
 	kvAct.End()
-	if execErr != nil {
-		return nil, execErr
+	if err != nil {
+		return nil, err
 	}
-	var out []byte
-	n.trackSQL(func() { out = wire.Marshal(resp) })
-	return out, nil
+	return n.encode(lane, resp), nil
 }
 
 // rowKeyFor mirrors the plan package's key layout for version lookups.

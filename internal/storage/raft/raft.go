@@ -43,6 +43,13 @@ type StateMachine interface {
 	Apply(cmd Command)
 }
 
+// ContextApplier is the optional StateMachine extension for appliers that
+// meter their work on the proposing request's lane: when implemented,
+// ApplyCtx is called instead of Apply, with the proposal's span context.
+type ContextApplier interface {
+	ApplyCtx(sc trace.SpanContext, cmd Command)
+}
+
 // Entry is one log slot.
 type Entry struct {
 	Term uint64
@@ -214,15 +221,10 @@ func (g *Group) nodeDown(n *node) bool {
 	return n.down || (g.gate != nil && g.gate(n.id))
 }
 
-func (g *Group) burn(work int) {
-	if work <= 0 {
-		return
-	}
-	if g.cfg.Comp != nil {
-		sw := g.cfg.Comp.Start()
-		g.cfg.Burner.Burn(work)
-		sw.Stop()
-	}
+// burn bills replication or lease work to the group's component, as a
+// lap of the request's lane when the caller has one.
+func (g *Group) burn(l *meter.Lane, work int) {
+	l.Burn(g.cfg.Comp, g.cfg.Burner, work)
 }
 
 // Tick advances logical time by one. Heartbeats are NOT implicit: the
@@ -312,7 +314,7 @@ func (g *Group) ProposeCtx(sc trace.SpanContext, cmd Command) (int, error) {
 		shipAct, _ := trace.Start(psc, "storage.raft", "ship")
 		shipAct.AnnotateInt("raft.replica", int64(f.id))
 		shipAct.SetBytes(size, 0)
-		g.burn(g.cfg.ReplicationPerMsg + int(g.cfg.ReplicationPerByte*float64(size)))
+		g.burn(sc.Lane(), g.cfg.ReplicationPerMsg+int(g.cfg.ReplicationPerByte*float64(size)))
 		if g.appendEntries(ld, f) {
 			acks++
 		}
@@ -380,9 +382,11 @@ func (g *Group) applyCommitted(sc trace.SpanContext, n *node) {
 	for n.lastApplied < n.commitIndex {
 		e := n.log[n.lastApplied]
 		n.lastApplied++
-		if n.sm != nil {
-			// The state machine itself (kv.Store) meters its own work;
-			// no extra burn here.
+		// The state machine itself (kv.Store) meters its own work; no
+		// extra burn here.
+		if ca, ok := n.sm.(ContextApplier); ok {
+			ca.ApplyCtx(sc, e.Cmd)
+		} else if n.sm != nil {
 			n.sm.Apply(e.Cmd)
 		}
 	}
@@ -410,14 +414,14 @@ func (g *Group) ValidateLeaseCtx(sc trace.SpanContext) error {
 	g.leaseChecks++
 	act, _ := trace.Start(sc, "storage.raft", "lease")
 	defer act.End()
-	g.burn(g.cfg.LeaseCheckWork)
+	g.burn(sc.Lane(), g.cfg.LeaseCheckWork)
 	if g.tick < g.leaseUntil {
 		return nil
 	}
 	// Lease expired: fall back to a quorum read-index check.
 	g.quorumReads++
 	act.Annotate("raft.quorum-read", "true")
-	g.burn(g.cfg.QuorumCheckWork)
+	g.burn(sc.Lane(), g.cfg.QuorumCheckWork)
 	up := 0
 	for _, n := range g.nodes {
 		if !g.nodeDown(n) {
@@ -480,7 +484,7 @@ func (g *Group) ElectLeader(candidateID int) error {
 		if v.id == candidateID || g.nodeDown(v) {
 			continue
 		}
-		g.burn(g.cfg.ReplicationPerMsg) // RequestVote RPC
+		g.burn(nil, g.cfg.ReplicationPerMsg) // RequestVote RPC
 		if v.term > cand.term {
 			continue
 		}

@@ -28,6 +28,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cachecost/internal/meter"
 )
 
 // TraceID identifies one request's trace. IDs are sequential per Tracer,
@@ -112,7 +114,20 @@ type SpanContext struct {
 	// flight recorder (see stage.go). In-process only: like at, it does
 	// not cross a wire hop.
 	b *Breakdown
+	// lane is the request's busy-clock partition (see meter.Lane), opened
+	// by the outermost metered rpc dispatch. In-process only.
+	lane *meter.Lane
 }
+
+// WithLane returns sc carrying the request's metering lane.
+func (sc SpanContext) WithLane(l *meter.Lane) SpanContext {
+	sc.lane = l
+	return sc
+}
+
+// Lane returns the request's metering lane, or nil: every Lane method is
+// nil-safe, so `sc.Lane().Enter(c)` is always legal.
+func (sc SpanContext) Lane() *meter.Lane { return sc.lane }
 
 // Traced reports whether a Tracer is attached (path counters are live).
 func (sc SpanContext) Traced() bool { return sc.t != nil }
@@ -421,7 +436,7 @@ func (t *Tracer) start(sc SpanContext, component, op string) (Active, SpanContex
 	at.mu.Unlock()
 	a := Active{t: t, at: at, idx: idx}
 	return a, SpanContext{t: t, at: at, trace: at.id, span: sid,
-		deadline: sc.deadline, intended: sc.intended, b: sc.b}
+		deadline: sc.deadline, intended: sc.intended, b: sc.b, lane: sc.lane}
 }
 
 // context rebuilds the handle's own span context (used for the root).
