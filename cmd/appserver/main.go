@@ -28,27 +28,22 @@ import (
 	"cachecost/internal/workload"
 )
 
-func parseArch(s string) (core.Arch, error) {
-	switch strings.ToLower(s) {
-	case "base":
-		return core.Base, nil
-	case "remote":
-		return core.Remote, nil
-	case "linked":
-		return core.Linked, nil
-	case "linked-version", "linkedversion":
-		return core.LinkedVersion, nil
-	case "linked-owned", "linkedowned":
-		return core.LinkedOwned, nil
-	default:
-		return 0, fmt.Errorf("unknown architecture %q (base|remote|linked|linked-version|linked-owned)", s)
+// archNames lists, in flag spelling, every architecture core.ParseArch
+// accepts: it walks the Arch values until one no longer round-trips.
+func archNames() string {
+	var names []string
+	for a := core.Base; ; a++ {
+		if _, err := core.ParseArch(a.String()); err != nil {
+			return strings.Join(names, "|")
+		}
+		names = append(names, strings.ToLower(strings.ReplaceAll(a.String(), "+", "-")))
 	}
 }
 
 func main() {
 	var (
 		addr      = flag.String("addr", ":7001", "listen address")
-		archName  = flag.String("arch", "linked", "caching architecture")
+		archName  = flag.String("arch", "linked", "caching architecture: "+archNames())
 		storeAddr = flag.String("store", "localhost:7101", "storeserver address")
 		cacheAddr = flag.String("cache", "", "cacheserver address (Remote architecture)")
 		appCache  = flag.Int64("appcache", 64<<20, "linked cache bytes (s_A)")
@@ -72,7 +67,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	arch, err := parseArch(*archName)
+	arch, err := core.ParseArch(*archName)
 	if err != nil {
 		fatal("bad -arch", "err", err)
 	}

@@ -314,8 +314,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		var table *core.Table
 		var err error
 		// Label the run for CPU profiles: -metrics' /debug/pprof/profile
-		// samples can then be sliced by figure (and, within open-loop
-		// cells, by arch and lane).
+		// samples can then be sliced by figure on this goroutine, and by
+		// arch and lane on every cell's lane goroutines (closed and open
+		// loop alike; a lane replaces the figure label with its own).
 		pprof.Do(context.Background(), pprof.Labels("figure", f.ID), func(context.Context) {
 			table, err = f.Run(opts)
 		})

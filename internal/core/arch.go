@@ -5,7 +5,10 @@
 // on a workload the way §5.1 does, and the §4 analytic cost model.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Arch identifies a caching architecture from Figure 1.
 type Arch int
@@ -30,6 +33,8 @@ const (
 	// LinkedTTL: linked cache with TTL expiry — the industry-standard
 	// bounded-staleness compromise the paper's related work surveys (§7).
 	LinkedTTL
+
+	numArchs // keep last
 )
 
 // String implements fmt.Stringer.
@@ -50,6 +55,21 @@ func (a Arch) String() string {
 	default:
 		return fmt.Sprintf("Arch(%d)", int(a))
 	}
+}
+
+// ParseArch is the inverse of Arch.String, as flags spell it:
+// case-insensitive, with '+' and '-' interchangeable or omitted, so
+// "linked-ttl", "Linked+TTL" and "linkedttl" all name LinkedTTL.
+func ParseArch(s string) (Arch, error) {
+	norm := strings.NewReplacer("+", "", "-", "")
+	var names []string
+	for a := Base; a < numArchs; a++ {
+		if strings.EqualFold(norm.Replace(a.String()), norm.Replace(s)) {
+			return a, nil
+		}
+		names = append(names, a.String())
+	}
+	return 0, fmt.Errorf("core: unknown architecture %q (have %s)", s, strings.Join(names, ", "))
 }
 
 // Archs lists the eventually-consistent architectures of the §5.3 cost

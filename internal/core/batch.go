@@ -252,30 +252,8 @@ func frontWriteBatch(sc trace.SpanContext, front *rpc.Server, keys []string, val
 	return err
 }
 
-// ReadBatch drives one multi-key client read: one root span, one front
-// door round trip, one digest per key.
-func (s *KVService) ReadBatch(keys []string) ([][]byte, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	sc, act := s.cfg.Tracer.StartRequest("read")
-	vs, err := frontReadBatch(sc, s.front, keys)
-	act.End()
-	return vs, err
-}
-
-// WriteBatch drives one multi-key client write.
-func (s *KVService) WriteBatch(keys []string, values [][]byte) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	sc, act := s.cfg.Tracer.StartRequest("write")
-	err := frontWriteBatch(sc, s.front, keys, values)
-	act.End()
-	return err
-}
-
-// ReadBatch drives a multi-key read through the worker's lane.
+// ReadBatch drives one multi-key client read through the worker's lane:
+// one root span, one front door round trip, one digest per key.
 func (w *KVWorker) ReadBatch(keys []string) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
@@ -286,7 +264,7 @@ func (w *KVWorker) ReadBatch(keys []string) ([][]byte, error) {
 	return vs, err
 }
 
-// WriteBatch drives a multi-key write through the worker's lane.
+// WriteBatch drives one multi-key client write through the worker's lane.
 func (w *KVWorker) WriteBatch(keys []string, values [][]byte) error {
 	if len(keys) == 0 {
 		return nil

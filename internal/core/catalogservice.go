@@ -366,27 +366,24 @@ func (s *CatalogService) Write(key string, value []byte) error {
 	return err
 }
 
-// CacheHitRatio reports the application-level hit ratio.
-func (s *CatalogService) CacheHitRatio() float64 {
+// cacheStats implements hitRatioReporter: cumulative application-level
+// cache (hits, reads).
+func (s *CatalogService) cacheStats() (hits, reads int64) {
 	switch s.cfg.Arch {
 	case Remote:
-		return s.rcServer.Stats().HitRatio()
+		st := s.rcServer.Stats()
+		return st.Hits, st.Hits + st.Misses
 	case Linked:
-		return s.lc.Stats().HitRatio()
+		st := s.lc.Stats()
+		return st.Hits, st.Hits + st.Misses
 	case LinkedVersion:
 		st := s.vc.Stats()
-		if st.Reads == 0 {
-			return 0
-		}
-		return float64(st.Hits) / float64(st.Reads)
+		return st.Hits, st.Reads
 	case LinkedOwned:
 		st := s.oc.Stats()
-		if st.Reads == 0 {
-			return 0
-		}
-		return float64(st.AuthorityHits) / float64(st.Reads)
+		return st.AuthorityHits, st.Reads
 	default:
-		return 0
+		return 0, 0
 	}
 }
 

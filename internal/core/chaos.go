@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cachecost/internal/fault"
-	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
 	"cachecost/internal/workload"
 )
@@ -62,9 +61,9 @@ func (o FigOptions) ChaosCell(cc ChaosConfig, wcfg workload.SyntheticConfig) (*C
 	if cc.StallWork == 0 {
 		cc.StallWork = 2048
 	}
-	m := meter.NewMeter()
-	o.cellMeter(m)
-	inj := fault.New(cc.Seed, fault.Options{Meter: m})
+	c := o.synthCell(cc.Arch, wcfg)
+	c.svc.RetrySeed = cc.Seed
+	inj := fault.New(cc.Seed, fault.Options{Meter: c.svc.Meter})
 	node := faultNodeFor(cc.Arch)
 	if node != "" {
 		inj.SetRule(node, fault.Rule{
@@ -73,31 +72,10 @@ func (o FigOptions) ChaosCell(cc ChaosConfig, wcfg workload.SyntheticConfig) (*C
 			StallRate:      cc.ErrorRate,
 			SlowStartCalls: 50,
 		})
-	}
-
-	gen := workload.NewSynthetic(wcfg)
-	ws := int64(wcfg.Keys) * int64(wcfg.ValueSize)
-	svcCfg := ServiceConfig{
-		Arch:              cc.Arch,
-		Meter:             m,
-		StorageCacheBytes: ws * 15 / 100,
-		AppCacheBytes:     ws * 60 / 100,
-		RemoteCacheBytes:  ws * 60 / 100,
-		AppReplicas:       o.AppReplicas,
-		RetrySeed:         cc.Seed,
-		Parallelism:       o.Parallelism,
-		Tracer:            o.Tracer,
-		Telemetry:         o.Telemetry,
-	}
-	if node != "" {
-		svcCfg.Faults = inj
+		c.svc.Faults = inj
 	}
 	if cc.Retry && cc.Arch == Remote {
-		svcCfg.CacheRetry = &rpc.RetryPolicy{}
-	}
-	svc, err := BuildKVService(svcCfg, gen)
-	if err != nil {
-		return nil, err
+		c.svc.CacheRetry = &rpc.RetryPolicy{}
 	}
 
 	// The kill window is expressed in total driven ops (warmup included),
@@ -114,20 +92,12 @@ func (o FigOptions) ChaosCell(cc ChaosConfig, wcfg workload.SyntheticConfig) (*C
 	}
 	sched := fault.NewSchedule(events)
 
-	res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup:      o.Warmup,
-		Ops:         o.Ops,
-		Parallelism: o.Parallelism,
-		Prices:      o.Prices,
-		OnOp:        func(int) { sched.Step(inj) },
-		Tracer:      o.Tracer,
-		Telemetry:   o.Telemetry,
-	})
+	c.run.OnOp = func(int) { sched.Step(inj) }
+	res, err := o.runCell(fmt.Sprintf("chaos/%s/rate=%g", cc.Arch, cc.ErrorRate), c)
 	if err != nil {
 		return nil, err
 	}
-	o.emit(fmt.Sprintf("chaos/%s/rate=%g", cc.Arch, cc.ErrorRate), res)
-	return &ChaosResult{RunResult: res, Injector: inj, Service: svc}, nil
+	return &ChaosResult{RunResult: res, Injector: inj, Service: c.kv}, nil
 }
 
 // defaultFaultRates is the chaos figure's sweep.

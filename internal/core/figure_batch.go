@@ -3,49 +3,12 @@ package core
 import (
 	"fmt"
 
-	"cachecost/internal/meter"
 	"cachecost/internal/workload"
 )
 
 // defaultBatchSizes is the batch figure's sweep when FigOptions does not
 // override it.
 var defaultBatchSizes = []int{1, 2, 4, 8, 16, 32}
-
-// batchCell runs one (arch, batch size) cell: the standard kvCell
-// deployment driven with RunConfig.BatchSize = b, so B point ops share
-// one client request, one front-door frame and one fan-out through the
-// cache hierarchy. Cost stays normalized per op, so cells are directly
-// comparable across B.
-func (o FigOptions) batchCell(arch Arch, b int, cfg workload.SyntheticConfig) (*RunResult, error) {
-	m := meter.NewMeter()
-	o.cellMeter(m)
-	gen := workload.NewSynthetic(cfg)
-	ws := int64(cfg.Keys) * int64(cfg.ValueSize)
-	par := o.parFor(arch)
-	svc, err := BuildKVService(ServiceConfig{
-		Arch:              arch,
-		Meter:             m,
-		StorageCacheBytes: ws * 15 / 100,
-		AppCacheBytes:     ws * 60 / 100,
-		RemoteCacheBytes:  ws * 60 / 100,
-		AppReplicas:       o.AppReplicas,
-		Parallelism:       par,
-		Tracer:            o.Tracer,
-		Telemetry:         o.Telemetry,
-	}, gen)
-	if err != nil {
-		return nil, err
-	}
-	res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup: o.Warmup, Ops: o.Ops, Parallelism: par, BatchSize: b,
-		Prices: o.Prices, Tracer: o.Tracer, Telemetry: o.Telemetry,
-	})
-	if err != nil {
-		return nil, err
-	}
-	o.emit(fmt.Sprintf("batch/%s/B=%d", arch, b), res)
-	return res, nil
-}
 
 // FigBatch measures the cost of multi-key batching: cost per op across
 // architectures as the client batch size B grows. Batching amortizes
@@ -70,7 +33,13 @@ func FigBatch(o FigOptions) (*Table, error) {
 	for _, arch := range Archs {
 		var b1 float64
 		for _, b := range sizes {
-			res, err := o.batchCell(arch, b, cfg)
+			// The default cell driven with BatchSize = b: B point ops share
+			// one client request, one front-door frame and one fan-out
+			// through the cache hierarchy. Cost stays normalized per op, so
+			// cells are directly comparable across B.
+			c := o.synthCell(arch, cfg)
+			c.run.BatchSize = b
+			res, err := o.runCell(fmt.Sprintf("batch/%s/B=%d", arch, b), c)
 			if err != nil {
 				return nil, err
 			}

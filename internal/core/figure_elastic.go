@@ -58,7 +58,7 @@ func FigElastic(o FigOptions) (*Table, error) {
 		// Closed-loop capacity probe; it also calibrates the marginal
 		// cost of a miss from this architecture's own measured storage
 		// bill.
-		probe, _, err := o.elasticCell(arch, cfg, ws, prices, nil, 0, false, 0)
+		probe, _, err := o.elasticCell("", arch, cfg, ws, prices, nil, 0, false, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -66,13 +66,7 @@ func FigElastic(o FigOptions) (*Table, error) {
 			return nil, fmt.Errorf("core: elastic capacity probe for %s measured no throughput", arch)
 		}
 		missUSD := missCostUSD(probe, cfg.ReadRatio)
-		slo := o.SLO
-		if slo <= 0 {
-			slo = 10 * probe.LatencyP99
-			if slo < 250*time.Millisecond {
-				slo = 250 * time.Millisecond
-			}
-		}
+		slo := o.sloFor(probe, 250*time.Millisecond)
 		arrival := workload.ArrivalConfig{
 			Process: workload.ArrivalDiurnal,
 			Rate:    elasticLoad * probe.Throughput,
@@ -86,14 +80,13 @@ func FigElastic(o FigOptions) (*Table, error) {
 		verdict[arch] = map[string]float64{}
 		for _, mode := range []string{"static", "elastic"} {
 			el := mode == "elastic" && arch != Base
-			res, info, err := o.elasticCell(arch, runCfg, ws, prices, &arrival, slo, el, missUSD)
+			res, info, err := o.elasticCell(mode, arch, runCfg, ws, prices, &arrival, slo, el, missUSD)
 			if err != nil {
 				return nil, err
 			}
 			t.AddRow(arch.String(), mode, res.CostPerMReq, float64(res.LatencyP99)/1e6,
 				res.HitRatio, res.Report.MemCost, info.endBytes, info.resizes,
 				res.ServerShed, res.DeadlineExceeded)
-			o.emit(fmt.Sprintf("elastic/%s/%s", arch, mode), res)
 			verdict[arch][mode] = res.CostPerMReq
 		}
 		if s, e := verdict[arch]["static"], verdict[arch]["elastic"]; arch != Base && e > 0 {
@@ -123,81 +116,66 @@ type elasticInfo struct {
 // arrival runs the closed-loop capacity probe. With el set, an elastic
 // controller observes every read and retunes the architecture's cache
 // tier on the driver's op clock.
-func (o FigOptions) elasticCell(arch Arch, cfg workload.SyntheticConfig, ws int64,
+func (o FigOptions) elasticCell(mode string, arch Arch, cfg workload.SyntheticConfig, ws int64,
 	prices meter.PriceBook, arrival *workload.ArrivalConfig, slo time.Duration,
 	el bool, missUSD float64) (*RunResult, elasticInfo, error) {
 
-	m := meter.NewMeter()
-	o.cellMeter(m)
-	gen := workload.NewSynthetic(cfg)
+	c := o.synthCell(arch, cfg)
+	c.svc.Parallelism = 1
 	staticBytes := ws * elasticStaticShare / 100
-	svcCfg := ServiceConfig{
-		Arch:              arch,
-		Meter:             m,
-		StorageCacheBytes: ws * 15 / 100,
-		AppCacheBytes:     staticBytes,
-		RemoteCacheBytes:  staticBytes,
-		AppReplicas:       o.AppReplicas,
-		Tracer:            o.Tracer,
-		Telemetry:         o.Telemetry,
-	}
+	c.svc.AppCacheBytes, c.svc.RemoteCacheBytes = staticBytes, staticBytes
+	c.run.Prices = prices
+	label := ""
 	if arrival != nil {
-		svcCfg.Admission = &AdmissionConfig{MaxInflight: 1, QueueDepth: 4}
-	}
-	svc, err := BuildKVService(svcCfg, gen)
-	if err != nil {
-		return nil, elasticInfo{}, err
-	}
-	rc := RunConfig{
-		Warmup: o.Warmup, Ops: o.Ops, Prices: prices, Tracer: o.Tracer, Telemetry: o.Telemetry,
-	}
-	if arrival != nil {
-		rc.Arrival = arrival
-		rc.SLO = slo
+		c.openLoop(*arrival, slo)
+		label = fmt.Sprintf("elastic/%s/%s", arch, mode)
 	}
 
 	var ctrl *elastic.Controller
 	if el {
-		ecfg := elastic.Config{
-			Name:        arch.String(),
-			Prices:      prices,
-			MissCostUSD: missUSD,
-			MinBytes:    ws / 64,
-			MaxBytes:    2 * ws,
-			Window:      4096,
-			MinSamples:  512,
-			Registry:    o.Telemetry,
-		}
-		switch {
-		case svc.LinkedCache() != nil:
-			ecfg.Target = svc.LinkedCache()
-			ecfg.Replicas = o.AppReplicas
-		case svc.RemoteCacheServer() != nil:
-			ecfg.Target = svc.RemoteCacheServer()
-		default:
-			return nil, elasticInfo{}, fmt.Errorf("core: %s has no resizable cache tier", arch)
-		}
-		ctrl = elastic.New(ecfg)
-		svc.SetAccessObserver(ctrl.Observe)
-		// Tick on the driver's op clock — deterministic across runs,
-		// warmup included, so the controller is already tracking when
-		// the metered window opens.
-		every := (o.Warmup + o.Ops) / 60
-		if every < 500 {
-			every = 500
-		}
-		rc.OnOp = func(n int) {
-			if n > 0 && n%every == 0 {
-				ctrl.Tick()
+		c.built = func(svc *KVService) error {
+			ecfg := elastic.Config{
+				Name:        arch.String(),
+				Prices:      prices,
+				MissCostUSD: missUSD,
+				MinBytes:    ws / 64,
+				MaxBytes:    2 * ws,
+				Window:      4096,
+				MinSamples:  512,
+				Registry:    o.Telemetry,
 			}
+			switch {
+			case svc.LinkedCache() != nil:
+				ecfg.Target = svc.LinkedCache()
+				ecfg.Replicas = o.AppReplicas
+			case svc.RemoteCacheServer() != nil:
+				ecfg.Target = svc.RemoteCacheServer()
+			default:
+				return fmt.Errorf("core: %s has no resizable cache tier", arch)
+			}
+			ctrl = elastic.New(ecfg)
+			svc.SetAccessObserver(ctrl.Observe)
+			// Tick on the driver's op clock — deterministic across runs,
+			// warmup included, so the controller is already tracking when
+			// the metered window opens.
+			every := (o.Warmup + o.Ops) / 60
+			if every < 500 {
+				every = 500
+			}
+			c.run.OnOp = func(n int) {
+				if n > 0 && n%every == 0 {
+					ctrl.Tick()
+				}
+			}
+			return nil
 		}
 	}
 
-	res, err := RunExperimentCfg(svc, m, gen, rc)
+	res, err := o.runCell(label, c)
 	if err != nil {
 		return nil, elasticInfo{}, err
 	}
-	info := elasticInfo{}
+	svc, info := c.kv, elasticInfo{}
 	if el {
 		info.endBytes = ctrl.TargetBytes()
 		info.resizes = ctrl.Resizes()

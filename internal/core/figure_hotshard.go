@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cachecost/internal/meter"
 	"cachecost/internal/workload"
 )
 
@@ -80,7 +79,7 @@ func FigHotShard(o FigOptions) (*Table, error) {
 	// goodput difference is placement, not pacing.
 	probeCfg := cfg
 	probeCfg.FlipAt = 0
-	probe, err := o.hotshardCell("probe", probeCfg, par, false, nil, 0)
+	probe, err := o.hotshardCell("", probeCfg, par, false, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +110,7 @@ func FigHotShard(o FigOptions) (*Table, error) {
 		if managed {
 			mode = "managed"
 		}
-		cell, err := o.hotshardCell(mode, cfg, par, managed, arrival, slo)
+		cell, err := o.hotshardCell("hotshard/"+mode, cfg, par, managed, arrival, slo)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +124,6 @@ func FigHotShard(o FigOptions) (*Table, error) {
 			res.HitRatio, cell.spread,
 			res.ServerShed, res.DeadlineExceeded,
 			cell.stats.Replicates, cell.stats.Migrates, cell.stats.Cutovers)
-		o.emit("hotshard/"+mode, res)
 	}
 	t.Notes = append(t.Notes,
 		"identical op stream, identical offered load: the only difference is whether the shard map may move",
@@ -152,87 +150,62 @@ type hotshardCellResult struct {
 // otherwise). The managed row ticks the shard manager from the driver's
 // serialized OnOp hook every max(100, Ops/25) ops, so reshaping cadence
 // scales with the experiment and stays deterministic in op space.
-func (o FigOptions) hotshardCell(mode string, cfg workload.SyntheticConfig, par int, managed bool, arrival *workload.ArrivalConfig, slo time.Duration) (*hotshardCellResult, error) {
-	m := meter.NewMeter()
-	o.cellMeter(m)
-	gen := workload.NewSynthetic(cfg)
-	ws := int64(cfg.Keys) * int64(cfg.ValueSize)
-	svcCfg := ServiceConfig{
-		Arch:              Remote,
-		Meter:             m,
-		StorageCacheBytes: ws * 15 / 100,
-		AppCacheBytes:     ws * 60 / 100,
-		// The remote tier holds the whole population: capacity misses are
-		// rare, storage stays a bit player, and the figure measures the
-		// cache tier's placement physics rather than miss costs.
-		RemoteCacheBytes:     ws * 125 / 100,
-		AppReplicas:          o.AppReplicas,
-		Parallelism:          par,
-		Tracer:               o.Tracer,
-		Telemetry:            o.Telemetry,
-		CacheNodes:           hotshardNodes,
-		CacheNodeConcurrency: hotshardConcurrency,
-		CacheNodeServeTime:   hotshardServe,
-	}
+func (o FigOptions) hotshardCell(label string, cfg workload.SyntheticConfig, par int, managed bool, arrival *workload.ArrivalConfig, slo time.Duration) (*hotshardCellResult, error) {
+	c := o.synthCell(Remote, cfg)
+	c.svc.Parallelism = par
+	// The remote tier holds the whole population: capacity misses are
+	// rare, storage stays a bit player, and the figure measures the
+	// cache tier's placement physics rather than miss costs.
+	c.svc.RemoteCacheBytes = int64(cfg.Keys) * int64(cfg.ValueSize) * 125 / 100
+	c.svc.CacheNodes = hotshardNodes
+	c.svc.CacheNodeConcurrency = hotshardConcurrency
+	c.svc.CacheNodeServeTime = hotshardServe
 	if managed {
 		// Migration is the heavy hammer — an epoch bump plus a double-read
 		// window — so it is reserved for severe, persistent overload;
 		// replication (cheap for a 90%-read workload) does the routine
 		// balancing.
-		svcCfg.ShardMgr = &ShardMgrConfig{MigrateFrac: 1.6}
+		c.svc.ShardMgr = &ShardMgrConfig{MigrateFrac: 1.6}
 	}
 	if arrival != nil {
-		svcCfg.Admission = &AdmissionConfig{MaxInflight: par, QueueDepth: 4 * par}
-	}
-	kv, err := BuildKVService(svcCfg, gen)
-	if err != nil {
-		return nil, err
+		c.openLoop(*arrival, slo)
 	}
 	// Seed the cache tier with the whole population, as an operator warms
 	// a fleet before shifting traffic: the metered window then measures
 	// the tier's placement physics, not compulsory-miss storage trips.
-	items, err := PreloadItems(gen)
-	if err != nil {
-		return nil, err
-	}
-	if err := kv.WarmRemoteCache(items); err != nil {
-		return nil, err
-	}
-	runCfg := RunConfig{
-		Warmup: o.Warmup, Ops: o.Ops, Parallelism: par, Prices: o.Prices, Tracer: o.Tracer,
-		Telemetry: o.Telemetry,
-	}
-	if arrival != nil {
-		runCfg.Arrival = arrival
-		runCfg.SLO = slo
+	c.built = func(kv *KVService) error {
+		items, err := PreloadItems(c.gen)
+		if err != nil {
+			return err
+		}
+		return kv.WarmRemoteCache(items)
 	}
 	tickEvery := o.Ops / 25
 	if tickEvery < 100 {
 		tickEvery = 100
 	}
-	mgr := kv.ShardManager()
 	// baseOps snapshots each node's served count as the metered window
 	// opens, so node_spread reflects metered traffic only (warming and
 	// warmup are deliberately balanced and would wash the signal out).
 	var baseOps map[string]int64
-	runCfg.OnOp = func(n int) {
+	c.run.OnOp = func(n int) {
 		if n == o.Warmup {
-			baseOps = kv.CacheNodeOps()
+			baseOps = c.kv.CacheNodeOps()
 		}
-		if mgr != nil && n > 0 && n%tickEvery == 0 {
+		if mgr := c.kv.ShardManager(); mgr != nil && n > 0 && n%tickEvery == 0 {
 			mgr.Tick()
 		}
 	}
-	res, err := RunExperimentCfg(kv, m, gen, runCfg)
+	res, err := o.runCell(label, c)
 	if err != nil {
 		return nil, err
 	}
-	metered := kv.CacheNodeOps()
+	metered := c.kv.CacheNodeOps()
 	for n, v := range baseOps {
 		metered[n] -= v
 	}
 	out := &hotshardCellResult{res: res, spread: nodeSpread(metered)}
-	if mgr := kv.ShardManager(); mgr != nil {
+	if mgr := c.kv.ShardManager(); mgr != nil {
 		st := mgr.Stats()
 		out.stats = hotshardStats{Replicates: st.Replicates, Migrates: st.Migrates, Cutovers: st.Cutovers}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cachecost/internal/meter"
 	"cachecost/internal/workload"
 )
 
@@ -25,11 +24,7 @@ func FigOverload(o FigOptions) (*Table, error) {
 	if len(loads) == 0 {
 		loads = []float64{0.3, 0.6, 1.5, 3.0}
 	}
-	process := o.Arrival
-	if process == "" {
-		process = workload.ArrivalPoisson.String()
-	}
-	proc, err := workload.ParseArrivalProcess(process)
+	proc, err := o.arrivalProcess()
 	if err != nil {
 		return nil, err
 	}
@@ -55,19 +50,12 @@ func FigOverload(o FigOptions) (*Table, error) {
 		// declares it not worth serving; floored well above dispatch and
 		// scheduler jitter so a busy CI machine cannot expire healthy
 		// requests below saturation.
-		slo := o.SLO
-		if slo <= 0 {
-			slo = 10 * probe.LatencyP99
-			if slo < 10*time.Millisecond {
-				slo = 10 * time.Millisecond
-			}
-		}
+		slo := o.sloFor(probe, 10*time.Millisecond)
 		for _, load := range loads {
-			res, err := o.overloadCell(arch, cfg, workload.ArrivalConfig{
-				Process: proc,
-				Rate:    load * capacity,
-				Seed:    o.Seed,
-			}, slo)
+			// kvCell's deployment, open loop with the admission gate armed.
+			c := o.synthCell(arch, cfg)
+			c.openLoop(workload.ArrivalConfig{Process: proc, Rate: load * capacity, Seed: o.Seed}, slo)
+			res, err := o.runCell(fmt.Sprintf("overload/%s/load=%.1f", arch, load), c)
 			if err != nil {
 				return nil, err
 			}
@@ -80,7 +68,6 @@ func FigOverload(o FigOptions) (*Table, error) {
 			t.AddRow(arch.String(), load, res.OfferedQPS, goodput, res.CostPerMReq,
 				float64(res.LatencyP99)/1e6, float64(res.SendLatencyP99)/1e6,
 				res.ClientShed, res.ServerShed, res.DeadlineExceeded)
-			o.emit(fmt.Sprintf("overload/%s/load=%.1f", arch, load), res)
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -88,38 +75,4 @@ func FigOverload(o FigOptions) (*Table, error) {
 		"past saturation the admission gate sheds the excess, keeping the intended-arrival p99 bounded instead of letting the backlog diverge",
 		"cost/Mreq prices only executed requests: shed ops never reach the meter's request count")
 	return t, nil
-}
-
-// overloadCell runs one (arch, offered-load) point on a fresh deployment
-// with the admission gate armed: kvCell's sizing plus open-loop driving.
-func (o FigOptions) overloadCell(arch Arch, cfg workload.SyntheticConfig, arrival workload.ArrivalConfig, slo time.Duration) (*RunResult, error) {
-	m := meter.NewMeter()
-	o.cellMeter(m)
-	gen := workload.NewSynthetic(cfg)
-	ws := int64(cfg.Keys) * int64(cfg.ValueSize)
-	par := o.parFor(arch)
-	svcCfg := ServiceConfig{
-		Arch:              arch,
-		Meter:             m,
-		StorageCacheBytes: ws * 15 / 100,
-		AppCacheBytes:     ws * 60 / 100,
-		RemoteCacheBytes:  ws * 60 / 100,
-		AppReplicas:       o.AppReplicas,
-		Parallelism:       par,
-		Tracer:            o.Tracer,
-		Telemetry:         o.Telemetry,
-		// One slot per worker lane and a short wait queue: the server
-		// serves at capacity and refuses the rest within the SLO.
-		Admission: &AdmissionConfig{MaxInflight: par, QueueDepth: 4 * par},
-	}
-	svc, err := BuildKVService(svcCfg, gen)
-	if err != nil {
-		return nil, err
-	}
-	return RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup: o.Warmup, Ops: o.Ops, Parallelism: par, Prices: o.Prices, Tracer: o.Tracer,
-		Telemetry: o.Telemetry,
-		Arrival:   &arrival,
-		SLO:       slo,
-	})
 }

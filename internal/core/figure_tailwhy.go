@@ -6,7 +6,6 @@ import (
 
 	"cachecost/internal/fault"
 	"cachecost/internal/flight"
-	"cachecost/internal/meter"
 	"cachecost/internal/trace"
 	"cachecost/internal/workload"
 )
@@ -37,11 +36,7 @@ func FigTailwhy(o FigOptions) (*Table, error) {
 	if len(o.OfferedLoads) > 0 {
 		load = o.OfferedLoads[0]
 	}
-	process := o.Arrival
-	if process == "" {
-		process = workload.ArrivalPoisson.String()
-	}
-	proc, err := workload.ParseArrivalProcess(process)
+	proc, err := o.arrivalProcess()
 	if err != nil {
 		return nil, err
 	}
@@ -62,21 +57,25 @@ func FigTailwhy(o FigOptions) (*Table, error) {
 		if capacity <= 0 {
 			return nil, fmt.Errorf("core: capacity probe for %s measured no throughput", arch)
 		}
-		slo := o.SLO
-		if slo <= 0 {
-			slo = 10 * probe.LatencyP99
-			if slo < 10*time.Millisecond {
-				slo = 10 * time.Millisecond
-			}
-		}
 		// One recorder serves every cell; reset at the cell boundary so
 		// exemplars describe this (arch, load) point only.
 		rec.Reset()
-		res, err := o.tailwhyCell(arch, cfg, workload.ArrivalConfig{
-			Process: proc,
-			Rate:    load * capacity,
-			Seed:    o.Seed,
-		}, slo, rec)
+		// The overload figure's cell with the flight recorder armed and
+		// the optional storage-stall injection: a wall-clock stall on the
+		// app→storage connection at the configured rate.
+		c := o.synthCell(arch, cfg)
+		c.openLoop(workload.ArrivalConfig{Process: proc, Rate: load * capacity, Seed: o.Seed},
+			o.sloFor(probe, 10*time.Millisecond))
+		c.svc.Flight = rec
+		if o.StorageStall > 0 {
+			rate := o.StorageStallRate
+			if rate <= 0 {
+				rate = 1
+			}
+			c.svc.Faults = fault.New(o.Seed, fault.Options{Meter: c.svc.Meter})
+			c.svc.Faults.SetRule(StorageFaultNode, fault.Rule{StallSleep: o.StorageStall, StallRate: rate})
+		}
+		res, err := o.runCell(fmt.Sprintf("tailwhy/%s/load=%.1f", arch, load), c)
 		if err != nil {
 			return nil, err
 		}
@@ -112,55 +111,10 @@ func FigTailwhy(o FigOptions) (*Table, error) {
 			frac(trace.StageQueue), frac(trace.StageAdmission), frac(trace.StageCache),
 			frac(trace.StageStorage), frac(trace.StageApp),
 			dominant.String(), len(ex.Shed), len(ex.Deadline), len(ex.Degraded), len(ex.Error))
-		o.emit(fmt.Sprintf("tailwhy/%s/load=%.1f", arch, load), res)
 	}
 	t.Notes = append(t.Notes,
 		"fractions split the slowest-K exemplars' intended-clock latency; queue is dispatch-to-handler slip, app the unattributed handler remainder",
 		"retention decides at request completion, so a request slow only in its final stage is still captured",
 		"with -storagestall the dominant stage moves to storage and blown-deadline exemplars carry the injected stall")
 	return t, nil
-}
-
-// tailwhyCell is overloadCell with the flight recorder armed and the
-// optional storage-stall injection: a wall-clock stall on the
-// app→storage connection at the configured rate.
-func (o FigOptions) tailwhyCell(arch Arch, cfg workload.SyntheticConfig, arrival workload.ArrivalConfig, slo time.Duration, rec *flight.Recorder) (*RunResult, error) {
-	m := meter.NewMeter()
-	o.cellMeter(m)
-	gen := workload.NewSynthetic(cfg)
-	ws := int64(cfg.Keys) * int64(cfg.ValueSize)
-	par := o.parFor(arch)
-	var inj *fault.Injector
-	if o.StorageStall > 0 {
-		rate := o.StorageStallRate
-		if rate <= 0 {
-			rate = 1
-		}
-		inj = fault.New(o.Seed, fault.Options{Meter: m})
-		inj.SetRule(StorageFaultNode, fault.Rule{StallSleep: o.StorageStall, StallRate: rate})
-	}
-	svcCfg := ServiceConfig{
-		Arch:              arch,
-		Meter:             m,
-		StorageCacheBytes: ws * 15 / 100,
-		AppCacheBytes:     ws * 60 / 100,
-		RemoteCacheBytes:  ws * 60 / 100,
-		AppReplicas:       o.AppReplicas,
-		Parallelism:       par,
-		Tracer:            o.Tracer,
-		Telemetry:         o.Telemetry,
-		Faults:            inj,
-		Flight:            rec,
-		Admission:         &AdmissionConfig{MaxInflight: par, QueueDepth: 4 * par},
-	}
-	svc, err := BuildKVService(svcCfg, gen)
-	if err != nil {
-		return nil, err
-	}
-	return RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup: o.Warmup, Ops: o.Ops, Parallelism: par, Prices: o.Prices, Tracer: o.Tracer,
-		Telemetry: o.Telemetry,
-		Arrival:   &arrival,
-		SLO:       slo,
-	})
 }

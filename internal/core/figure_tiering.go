@@ -87,13 +87,7 @@ func FigTiering(o FigOptions) (*Table, error) {
 		// expired op would be answered cheaply and distort the cost
 		// comparison). A generous floor keeps the single service lane
 		// ahead of peak queueing on every split.
-		slo := o.SLO
-		if slo <= 0 {
-			slo = 10 * probe.LatencyP99
-			if slo < 250*time.Millisecond {
-				slo = 250 * time.Millisecond
-			}
-		}
+		slo := o.sloFor(probe, 250*time.Millisecond)
 		arrival := workload.ArrivalConfig{
 			Process: workload.ArrivalDiurnal,
 			Rate:    tieringLoad * probe.Throughput,
@@ -109,7 +103,6 @@ func FigTiering(o FigOptions) (*Table, error) {
 			t.AddRow(arch.String(), fmt.Sprintf("%d%%", split), res.CostPerMReq,
 				float64(res.LatencyP99)/1e6, res.Report.MemCost, res.Report.DiskCost,
 				st.DiskReads, st.TierDemotions, res.ServerShed, res.DeadlineExceeded)
-			o.emit(fmt.Sprintf("tiering/%s/dram=%d%%", arch, split), res)
 			switch split {
 			case 0:
 				allDisk = res.CostPerMReq
@@ -142,46 +135,24 @@ func FigTiering(o FigOptions) (*Table, error) {
 func (o FigOptions) tieringCell(arch Arch, cfg workload.SyntheticConfig, dramPct int, ws int64,
 	prices meter.PriceBook, arrival *workload.ArrivalConfig, slo time.Duration) (*RunResult, kvStats, error) {
 
-	m := meter.NewMeter()
-	o.cellMeter(m)
-	gen := workload.NewSynthetic(cfg)
-	dram := ws * int64(dramPct) / 100
-	if dram < 1 {
-		dram = 1 // 0 would select the page-mode default block cache
-	}
-	svcCfg := ServiceConfig{
-		Arch:               arch,
-		Meter:              m,
-		StorageDurable:     true,
-		StorageCacheBytes:  dram,
-		AppCacheBytes:      ws * 60 / 100,
-		RemoteCacheBytes:   ws * 60 / 100,
-		AppReplicas:        o.AppReplicas,
-		DiskPenaltyPerOp:   tieringDiskPerOp,
-		DiskPenaltyPerByte: tieringDiskPerByte,
-		Tracer:             o.Tracer,
-		Telemetry:          o.Telemetry,
-	}
+	c := o.synthCell(arch, cfg)
+	c.svc.Parallelism = 1
+	c.svc.StorageDurable = true
+	// 0 would select the page-mode default block cache.
+	c.svc.StorageCacheBytes = max(ws*int64(dramPct)/100, 1)
+	c.svc.DiskPenaltyPerOp, c.svc.DiskPenaltyPerByte = tieringDiskPerOp, tieringDiskPerByte
+	c.run.Prices = prices
+	label := ""
 	if arrival != nil {
-		svcCfg.Admission = &AdmissionConfig{MaxInflight: 1, QueueDepth: 4}
+		c.openLoop(*arrival, slo)
+		label = fmt.Sprintf("tiering/%s/dram=%d%%", arch, dramPct)
 	}
-	svc, err := BuildKVService(svcCfg, gen)
-	if err != nil {
-		return nil, kvStats{}, err
-	}
-	rc := RunConfig{
-		Warmup: o.Warmup, Ops: o.Ops, Prices: prices, Tracer: o.Tracer, Telemetry: o.Telemetry,
-	}
-	if arrival != nil {
-		rc.Arrival = arrival
-		rc.SLO = slo
-	}
-	res, err := RunExperimentCfg(svc, m, gen, rc)
+	res, err := o.runCell(label, c)
 	if err != nil {
 		return nil, kvStats{}, err
 	}
 	var st kvStats
-	if db := svc.node.LeaderDB(); db != nil {
+	if db := c.kv.node.LeaderDB(); db != nil {
 		s := db.Store().Stats()
 		st = kvStats{DiskReads: s.DiskReads, TierDemotions: s.TierDemotions}
 	}

@@ -87,14 +87,6 @@ type FigOptions struct {
 	OnResult func(cell string, res *RunResult)
 }
 
-// cellMeter bridges a freshly built cell meter into the telemetry
-// registry (under the fixed collector name "meter", replacing the
-// previous cell's bridge) so scrapes during a figure run always read the
-// live cell's attribution.
-func (o FigOptions) cellMeter(m *meter.Meter) {
-	telemetry.RegisterMeter(o.Telemetry, "meter", m)
-}
-
 // emit hands a completed cell's result to the OnResult hook.
 func (o FigOptions) emit(cell string, res *RunResult) {
 	if o.OnResult != nil {
@@ -138,42 +130,111 @@ func (o *FigOptions) applyDefaults() {
 	}
 }
 
-// kvCell runs one (arch, workload) cell on a fresh deployment. Caches are
-// sized to 60% of the working set: with experiment-scale key populations
-// (hundreds to thousands of keys) this reproduces the cache hit ratios
-// (~0.9) that the paper's configuration — GBs of cache over 100K Zipfian
-// keys — reaches, because Zipfian mass concentrates more as the
-// population grows.
-func (o FigOptions) kvCell(arch Arch, cfg workload.SyntheticConfig) (*RunResult, error) {
+// figCell is one experiment cell before it runs: the default deployment
+// and run for an (arch, workload) pair, which a figure mutates into the
+// point it measures — so a figure states only what distinguishes it.
+type figCell struct {
+	gen workload.Generator
+	svc ServiceConfig
+	run RunConfig
+	// built, when set, sees the built service before traffic starts
+	// (install an observer, warm a tier).
+	built func(kv *KVService) error
+	// kv is the built service, once runCell has run.
+	kv *KVService
+}
+
+// newCell is the default cell for arch on gen, whose materialized working
+// set is ws bytes: a fresh meter, bridged into the telemetry registry
+// under the fixed collector name "meter" (replacing the previous cell's
+// bridge, so scrapes during a figure run always read the live cell's
+// attribution), and caches sized to 60% of the working set. With
+// experiment-scale key populations (hundreds to thousands of keys) that
+// reproduces the cache hit ratios (~0.9) that the paper's configuration —
+// GBs of cache over 100K Zipfian keys — reaches, because Zipfian mass
+// concentrates more as the population grows.
+func (o FigOptions) newCell(arch Arch, gen workload.Generator, ws int64) *figCell {
 	m := meter.NewMeter()
-	o.cellMeter(m)
-	gen := workload.NewSynthetic(cfg)
-	ws := int64(cfg.Keys) * int64(cfg.ValueSize)
-	par := o.parFor(arch)
-	svcCfg := ServiceConfig{
-		Arch:              arch,
-		Meter:             m,
-		StorageCacheBytes: ws * 15 / 100,
-		AppCacheBytes:     ws * 60 / 100,
-		RemoteCacheBytes:  ws * 60 / 100,
-		AppReplicas:       o.AppReplicas,
-		Parallelism:       par,
-		Tracer:            o.Tracer,
-		Telemetry:         o.Telemetry,
+	telemetry.RegisterMeter(o.Telemetry, "meter", m)
+	return &figCell{
+		gen: gen,
+		svc: ServiceConfig{
+			Arch:              arch,
+			Meter:             m,
+			StorageCacheBytes: ws * 15 / 100,
+			AppCacheBytes:     ws * 60 / 100,
+			RemoteCacheBytes:  ws * 60 / 100,
+			AppReplicas:       o.AppReplicas,
+			Parallelism:       o.parFor(arch),
+			Tracer:            o.Tracer,
+			Telemetry:         o.Telemetry,
+		},
+		run: RunConfig{
+			Warmup: o.Warmup, Ops: o.Ops, Prices: o.Prices, Tracer: o.Tracer, Telemetry: o.Telemetry,
+		},
 	}
-	svc, err := BuildKVService(svcCfg, gen)
+}
+
+// synthCell is newCell over a synthetic workload, whose working set is
+// keys x value size.
+func (o FigOptions) synthCell(arch Arch, cfg workload.SyntheticConfig) *figCell {
+	return o.newCell(arch, workload.NewSynthetic(cfg), int64(cfg.Keys)*int64(cfg.ValueSize))
+}
+
+// runCell is the one cell runner: it builds and preloads c's deployment,
+// drives it at the parallelism it was built with, and hands the result
+// to OnResult under label (capacity probes pass none).
+func (o FigOptions) runCell(label string, c *figCell) (*RunResult, error) {
+	kv, err := BuildKVService(c.svc, c.gen)
 	if err != nil {
 		return nil, err
 	}
-	res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup: o.Warmup, Ops: o.Ops, Parallelism: par, Prices: o.Prices, Tracer: o.Tracer,
-		Telemetry: o.Telemetry,
-	})
+	c.kv = kv
+	if c.built != nil {
+		if err := c.built(kv); err != nil {
+			return nil, err
+		}
+	}
+	c.run.Parallelism = c.svc.Parallelism
+	res, err := RunExperimentCfg(kv, c.svc.Meter, c.gen, c.run)
 	if err != nil {
 		return nil, err
 	}
-	o.emit(fmt.Sprintf("kv/%s/r=%.2f/v=%s", arch, cfg.ReadRatio, sizeLabel(cfg.ValueSize)), res)
+	if label != "" {
+		o.emit(label, res)
+	}
 	return res, nil
+}
+
+// kvCell runs the default cell for one (arch, synthetic workload) pair.
+func (o FigOptions) kvCell(arch Arch, cfg workload.SyntheticConfig) (*RunResult, error) {
+	return o.runCell(fmt.Sprintf("kv/%s/r=%.2f/v=%s", arch, cfg.ReadRatio, sizeLabel(cfg.ValueSize)), o.synthCell(arch, cfg))
+}
+
+// openLoop drives c from an arrival schedule with the admission gate
+// armed — one slot per lane and a short wait queue: the server serves at
+// capacity and refuses the rest within the SLO.
+func (c *figCell) openLoop(arrival workload.ArrivalConfig, slo time.Duration) {
+	par := c.svc.Parallelism
+	c.svc.Admission = &AdmissionConfig{MaxInflight: par, QueueDepth: 4 * par}
+	c.run.Arrival, c.run.SLO = &arrival, slo
+}
+
+// sloFor is an open-loop figure's per-request budget: the configured
+// SLO, else ~10x the capacity probe's unloaded p99, floored.
+func (o FigOptions) sloFor(probe *RunResult, floor time.Duration) time.Duration {
+	if o.SLO > 0 {
+		return o.SLO
+	}
+	return max(10*probe.LatencyP99, floor)
+}
+
+// arrivalProcess is the configured arrival process (default poisson).
+func (o FigOptions) arrivalProcess() (workload.ArrivalProcess, error) {
+	if o.Arrival == "" {
+		return workload.ArrivalPoisson, nil
+	}
+	return workload.ParseArrivalProcess(o.Arrival)
 }
 
 // Fig2a reproduces Figure 2a: the analytic model's cost saving of Linked
@@ -365,10 +426,10 @@ func Fig5a(o FigOptions) (*Table, error) {
 // catalogCell runs one catalog-service cell.
 func (o FigOptions) catalogCell(arch Arch, mode CatalogMode) (*RunResult, error) {
 	m := meter.NewMeter()
-	o.cellMeter(m)
+	telemetry.RegisterMeter(o.Telemetry, "meter", m)
 	gen := workload.NewUnity(workload.UnityConfig{Tables: o.Tables, Seed: o.Seed})
 	// Size caches to 60% of the materialized working set (median 23KB
-	// objects, Figure 3a distribution) — see kvCell for the hit-ratio
+	// objects, Figure 3a distribution) — see newCell for the hit-ratio
 	// rationale.
 	var ws int64
 	for i := 0; i < o.Tables; i++ {
@@ -416,38 +477,18 @@ func Fig5b(o FigOptions) (*Table, error) {
 		Header: []string{"arch", "$/Mreq", "hit_ratio", "storage_share", "saving_vs_Base"},
 	}
 	var baseCost float64
+	// The ~10B values are dwarfed by per-entry overhead, so the working
+	// set counts it.
+	var ws int64
+	for i := 0; i < o.Keys; i++ {
+		ws += int64(workload.MetaValueSize(i)) + 64
+	}
 	for _, arch := range Archs {
-		m := meter.NewMeter()
-		o.cellMeter(m)
 		gen := workload.NewMetaKV(workload.MetaKVConfig{Keys: o.Keys, Seed: o.Seed})
-		var ws int64
-		for i := 0; i < o.Keys; i++ {
-			ws += int64(workload.MetaValueSize(i)) + 64
-		}
-		par := o.parFor(arch)
-		svcCfg := ServiceConfig{
-			Arch:              arch,
-			Meter:             m,
-			StorageCacheBytes: ws * 15 / 100,
-			AppCacheBytes:     ws * 60 / 100,
-			RemoteCacheBytes:  ws * 60 / 100,
-			AppReplicas:       o.AppReplicas,
-			Parallelism:       par,
-			Tracer:            o.Tracer,
-			Telemetry:         o.Telemetry,
-		}
-		svc, err := BuildKVService(svcCfg, gen)
+		res, err := o.runCell("fig5b/"+arch.String(), o.newCell(arch, gen, ws))
 		if err != nil {
 			return nil, err
 		}
-		res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-			Warmup: o.Warmup, Ops: o.Ops, Parallelism: par, Prices: o.Prices, Tracer: o.Tracer,
-			Telemetry: o.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		o.emit("fig5b/"+arch.String(), res)
 		if arch == Base {
 			baseCost = res.CostPerMReq
 		}
@@ -613,36 +654,10 @@ func FigAblation(o FigOptions) (*Table, error) {
 	}
 	cfg := workload.SyntheticConfig{Keys: o.Keys, Alpha: 1.2, ReadRatio: 0.9, ValueSize: 2 << 10, Seed: o.Seed}
 	run := func(arch Arch, frontend int, diskPerByte float64) (*RunResult, error) {
-		m := meter.NewMeter()
-		o.cellMeter(m)
-		gen := workload.NewSynthetic(cfg)
-		ws := int64(cfg.Keys) * int64(cfg.ValueSize)
-		par := o.parFor(arch)
-		svc, err := BuildKVService(ServiceConfig{
-			Arch:                arch,
-			Meter:               m,
-			StorageCacheBytes:   ws * 15 / 100,
-			AppCacheBytes:       ws * 60 / 100,
-			RemoteCacheBytes:    ws * 60 / 100,
-			AppReplicas:         o.AppReplicas,
-			StorageFrontendWork: frontend,
-			DiskPenaltyPerByte:  diskPerByte,
-			Parallelism:         par,
-			Tracer:              o.Tracer,
-			Telemetry:           o.Telemetry,
-		}, gen)
-		if err != nil {
-			return nil, err
-		}
-		res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-			Warmup: o.Warmup / 2, Ops: o.Ops / 2, Parallelism: par, Prices: o.Prices, Tracer: o.Tracer,
-			Telemetry: o.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		o.emit(fmt.Sprintf("ablation/%s/fe=%d/disk=%g", arch, frontend, diskPerByte), res)
-		return res, nil
+		c := o.synthCell(arch, cfg)
+		c.svc.StorageFrontendWork, c.svc.DiskPenaltyPerByte = frontend, diskPerByte
+		c.run.Warmup, c.run.Ops = o.Warmup/2, o.Ops/2
+		return o.runCell(fmt.Sprintf("ablation/%s/fe=%d/disk=%g", arch, frontend, diskPerByte), c)
 	}
 	for _, fe := range []int{-1, 16384, 49152, 131072} {
 		for _, disk := range []float64{0.25, 1, 4} {
@@ -685,35 +700,17 @@ func FigAllocation(o FigOptions) (*Table, error) {
 	for _, share := range []int{0, 25, 50, 75, 100} {
 		sA := budget * int64(share) / 100
 		sD := budget - sA
-		m := meter.NewMeter()
-		o.cellMeter(m)
-		gen := workload.NewSynthetic(cfg)
 		arch := Linked
 		if share == 0 {
 			arch = Base // no app cache at all
 		}
-		par := o.parFor(arch)
-		svc, err := BuildKVService(ServiceConfig{
-			Arch:              arch,
-			Meter:             m,
-			StorageCacheBytes: maxInt64(sD, 1),
-			AppCacheBytes:     maxInt64(sA, 1),
-			AppReplicas:       o.AppReplicas,
-			Parallelism:       par,
-			Tracer:            o.Tracer,
-			Telemetry:         o.Telemetry,
-		}, gen)
+		c := o.synthCell(arch, cfg)
+		// A zero budget would select the 8 MiB default.
+		c.svc.StorageCacheBytes, c.svc.AppCacheBytes = max(sD, 1), max(sA, 1)
+		res, err := o.runCell(fmt.Sprintf("allocation/sA=%d%%", share), c)
 		if err != nil {
 			return nil, err
 		}
-		res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-			Warmup: o.Warmup, Ops: o.Ops, Parallelism: par, Prices: o.Prices, Tracer: o.Tracer,
-			Telemetry: o.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		o.emit(fmt.Sprintf("allocation/sA=%d%%", share), res)
 		if share == 0 {
 			allStorage = res.CostPerMReq
 		}
@@ -724,13 +721,6 @@ func FigAllocation(o FigOptions) (*Table, error) {
 		"same total DRAM; moving it next to the application buys more hit ratio per dollar and removes per-query storage CPU",
 		"the paper's hypothesis: provision more distributed cache, less storage-layer cache")
 	return t, nil
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FigMarginal reproduces the §4 takeaway table: marginal value of app

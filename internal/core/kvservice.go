@@ -247,15 +247,22 @@ func (c *ServiceConfig) applyDefaults() {
 // the §2.4 architectures. The client-facing surface is itself an RPC
 // server, so client↔app communication is paid like every other hop.
 type KVService struct {
+	// KVWorker is the default lane (worker -1, the default fault stream):
+	// the service's own Read/Write/ReadDeadline/WriteDeadline/SetIntended/
+	// ReadBatch/WriteBatch are this worker's.
+	KVWorker
+
 	cfg     ServiceConfig
 	m       *meter.Meter
 	appComp *meter.Component
 
 	node *storage.Node
-	db   *storage.Client
+	// lbm is the one per-transport metrics family every in-process
+	// loopback shares, so process-level scrapes see the merged message
+	// stream.
+	lbm *rpc.Metrics
 
 	rcServer *remotecache.Server
-	rc       *remotecache.Client
 
 	// Multi-node cache tier (CacheNodes > 1): servers by shard-map node
 	// name, the shared placement map, and — when ShardMgr is configured
@@ -264,7 +271,6 @@ type KVService struct {
 	smap      *cluster.ShardMap
 	detector  *shardmgr.Detector
 	shardMgr  *shardmgr.Manager
-	retries   []*rpc.RetryConn // per-node retry layers (multi-node default lane)
 
 	lc      *linkedcache.Cache[[]byte]
 	vc      *consistency.VersionedCache[[]byte]
@@ -272,8 +278,8 @@ type KVService struct {
 	tc      *consistency.TTLCache[[]byte]
 	sharder *cluster.Sharder
 
-	retry    *rpc.RetryConn // cache retry layer, when configured
-	degraded *meter.Counter // cache errors demoted to misses
+	retries  []*rpc.RetryConn // every lane's cache retry layers, when configured
+	degraded *meter.Counter   // cache errors demoted to misses
 
 	// Admission control, when configured: one gate shared by every lane
 	// (slots are a service-level resource), with shed/deadline counters
@@ -290,17 +296,8 @@ type KVService struct {
 	// fault rate rises.
 	cacheReads, cacheHits atomic.Int64
 
-	front *rpc.Server // client-facing
-
-	// def is the classic single-threaded lane (default fault stream);
 	// lanes are the pre-built worker lanes when Parallelism > 1.
-	def   kvLane
 	lanes []*kvLane
-
-	// intendedNS is the default lane's pending intended arrival instant
-	// (see KVWorker.SetIntended); the single-threaded open-loop driver is
-	// its only writer and reader.
-	intendedNS int64
 
 	// obs, when set (before traffic starts), observes every successful
 	// read — the elastic controller's demand feed.
@@ -318,7 +315,6 @@ type kvLane struct {
 	front *rpc.Server
 	db    *storage.Client
 	rc    *remotecache.Client // Remote only
-	retry *rpc.RetryConn      // Remote with CacheRetry only
 }
 
 // NewKVService builds a single-process deployment: the storage node and
@@ -346,20 +342,7 @@ func NewKVService(cfg ServiceConfig) (*KVService, error) {
 		Tracer:             cfg.Tracer,
 		Telemetry:          cfg.Telemetry,
 	})
-	// The app talks to storage over a loopback hop; the app pays its
-	// client-side transport overhead. All in-process loopbacks share one
-	// per-transport metrics family, so process-level scrapes see the
-	// merged message stream.
-	lbm := rpc.NewMetrics(cfg.Telemetry, "loopback")
-	dbLoop := rpc.NewLoopback(s.node.Server(), s.appComp, meter.NewBurner(), cfg.RPCCost)
-	dbLoop.SetMetrics(lbm)
-	var dbConn rpc.Conn = dbLoop
-	if cfg.Faults != nil {
-		dbConn = cfg.Faults.Wrap(StorageFaultNode, dbConn)
-	}
-	s.db = storage.NewClient(dbConn)
-
-	var cacheConn rpc.Conn
+	s.lbm = rpc.NewMetrics(cfg.Telemetry, "loopback")
 	if cfg.Arch == Remote {
 		if cfg.CacheNodes > 1 {
 			if err := s.buildCacheTier(); err != nil {
@@ -376,12 +359,9 @@ func NewKVService(cfg ServiceConfig) (*KVService, error) {
 				MaxConcurrent: cfg.CacheNodeConcurrency,
 				ServeTime:     cfg.CacheNodeServeTime,
 			})
-			cacheLoop := rpc.NewLoopback(s.rcServer.RPCServer(), s.appComp, meter.NewBurner(), cfg.RPCCost)
-			cacheLoop.SetMetrics(lbm)
-			cacheConn = cacheLoop
 		}
 	}
-	if err := s.finish(cacheConn); err != nil {
+	if err := s.finish(RemoteEndpoints{}); err != nil {
 		return nil, err
 	}
 	if err := s.node.Bootstrap([]string{
@@ -424,11 +404,10 @@ func NewKVServiceRemote(cfg ServiceConfig, eps RemoteEndpoints) (*KVService, err
 	}
 	s := &KVService{cfg: cfg, m: cfg.Meter}
 	s.appComp = cfg.Meter.Component("app")
-	s.db = storage.NewClient(eps.DB)
-	if err := s.finish(eps.Cache); err != nil {
+	if err := s.finish(eps); err != nil {
 		return nil, err
 	}
-	if _, err := s.db.Exec("CREATE TABLE IF NOT EXISTS kvdata (k TEXT PRIMARY KEY, v BLOB)"); err != nil {
+	if _, err := s.l.db.Exec("CREATE TABLE IF NOT EXISTS kvdata (k TEXT PRIMARY KEY, v BLOB)"); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -512,19 +491,27 @@ func (s *KVService) buildCacheTier() error {
 	return nil
 }
 
-// routedCacheClient builds one lane's client stack over the multi-node
-// tier: a private loopback per node, fault wrapping per node (targets
-// CacheFaultNode(i); worker lanes draw from their own decision
-// streams), a per-node retry layer, and the shard-map router on top.
-func (s *KVService) routedCacheClient(lbm *rpc.Metrics, worker int) (*remotecache.Client, []*rpc.RetryConn, error) {
+// cacheClient builds lane worker's Remote cache client stack (-1 is the
+// default lane), per cache node and innermost first: the connection — a
+// private loopback, or external when the node runs elsewhere — fault
+// injection at the node (worker lanes draw from their own decision
+// streams), budgeted retries above it; then graceful degradation in the
+// client on top, routing through the shard map when the tier has one.
+// It is the stack a production lookaside client carries, and keeping it
+// private per lane is what makes per-worker fault schedules
+// deterministic: a worker's decisions never interleave into another's.
+func (s *KVService) cacheClient(worker int, external rpc.Conn) (*remotecache.Client, error) {
 	cfg := s.cfg
 	conns := make(map[string]rpc.Conn, cfg.CacheNodes)
-	var retries []*rpc.RetryConn
 	for i := 0; i < cfg.CacheNodes; i++ {
-		n := cacheNodeName(i)
-		lb := rpc.NewLoopback(s.rcServers[n].RPCServer(), s.appComp, meter.NewBurner(), cfg.RPCCost)
-		lb.SetMetrics(lbm)
-		var conn rpc.Conn = lb
+		conn := external
+		if conn == nil {
+			srv := s.rcServer
+			if s.smap != nil {
+				srv = s.rcServers[cacheNodeName(i)]
+			}
+			conn = s.loopback(srv.RPCServer())
+		}
 		if cfg.Faults != nil {
 			conn = cfg.Faults.WrapWorker(CacheFaultNode(i), worker, conn)
 		}
@@ -535,23 +522,61 @@ func (s *KVService) routedCacheClient(lbm *rpc.Metrics, worker int) (*remotecach
 			}
 			seed := cfg.RetrySeed + int64(worker+1)*int64(cfg.CacheNodes) + int64(i)
 			rt := rpc.NewRetryConn(conn, policy, seed, s.appComp, meter.NewBurner())
-			retries = append(retries, rt)
+			s.retries = append(s.retries, rt)
 			conn = rt
 		}
-		conns[n] = conn
+		conns[cacheNodeName(i)] = conn
 	}
-	c, err := remotecache.NewRoutedClient(conns, s.smap)
-	if err != nil {
-		return nil, nil, err
+	c := remotecache.NewSingleClient(conns[cacheNodeName(0)])
+	if s.smap != nil {
+		routed, err := remotecache.NewRoutedClient(conns, s.smap)
+		if err != nil {
+			return nil, err
+		}
+		c = routed
 	}
 	c.Degrade(s.degraded)
 	c.SetTelemetry(cfg.Telemetry)
-	return c, retries, nil
+	return c, nil
 }
 
-// finish wires the architecture's cache layer and the client-facing front
-// door. cacheConn is non-nil only for the Remote architecture.
-func (s *KVService) finish(cacheConn rpc.Conn) error {
+// loopback is an in-process hop from the app to srv; the app pays its
+// client-side transport overhead.
+func (s *KVService) loopback(srv *rpc.Server) rpc.Conn {
+	lb := rpc.NewLoopback(srv, s.appComp, meter.NewBurner(), s.cfg.RPCCost)
+	lb.SetMetrics(s.lbm)
+	return lb
+}
+
+// newLane builds request lane worker (-1 is the default lane): a private
+// storage connection, for Remote a private cache client stack, and a
+// front door bound to both. Connections in eps are used as given; the
+// rest are loopbacks, with the storage hop wrapped under
+// StorageFaultNode.
+func (s *KVService) newLane(worker int, eps RemoteEndpoints) (*kvLane, error) {
+	l := &kvLane{w: worker}
+	dbConn := eps.DB
+	if dbConn == nil {
+		dbConn = s.loopback(s.node.Server())
+		if s.cfg.Faults != nil {
+			dbConn = s.cfg.Faults.WrapWorker(StorageFaultNode, worker, dbConn)
+		}
+	}
+	l.db = storage.NewClient(dbConn)
+	if s.cfg.Arch == Remote {
+		rc, err := s.cacheClient(worker, eps.Cache)
+		if err != nil {
+			return nil, err
+		}
+		l.rc = rc
+	}
+	l.front = s.newFront(l)
+	return l, nil
+}
+
+// finish wires the architecture's cache layer and the request lanes. eps
+// carries a distributed deployment's connections (zero in process).
+func (s *KVService) finish(eps RemoteEndpoints) error {
 	cfg := s.cfg
 	s.degraded = s.m.Counter(DegradedCounter)
 	if cfg.Faults != nil {
@@ -578,36 +603,6 @@ func (s *KVService) finish(cacheConn rpc.Conn) error {
 		}
 	}
 	switch cfg.Arch {
-	case Remote:
-		if s.smap != nil {
-			// Multi-node tier: the default lane gets its own routed client
-			// stack (per-node loopback + faults + retries under the map).
-			rc, retries, err := s.routedCacheClient(rpc.NewMetrics(cfg.Telemetry, "loopback"), -1)
-			if err != nil {
-				return err
-			}
-			s.rc = rc
-			s.retries = retries
-			break
-		}
-		// Robustness layering, innermost first: fault injection at the
-		// cache node, budgeted retries above it, graceful degradation in
-		// the client above that — the stack a production lookaside
-		// client carries.
-		if cfg.Faults != nil {
-			cacheConn = cfg.Faults.Wrap(CacheNode, cacheConn)
-		}
-		if cfg.CacheRetry != nil {
-			policy := *cfg.CacheRetry
-			if policy.RetryCounter == nil {
-				policy.RetryCounter = s.m.Counter(RetriesCounter)
-			}
-			s.retry = rpc.NewRetryConn(cacheConn, policy, cfg.RetrySeed, s.appComp, meter.NewBurner())
-			cacheConn = s.retry
-		}
-		s.rc = remotecache.NewSingleClient(cacheConn)
-		s.rc.Degrade(s.degraded)
-		s.rc.SetTelemetry(cfg.Telemetry)
 	case Linked:
 		s.lc = linkedcache.New(linkedcache.Config{
 			CapacityBytes: cfg.AppCacheBytes,
@@ -643,14 +638,27 @@ func (s *KVService) finish(cacheConn rpc.Conn) error {
 		s.scaleLinkedMemory()
 	}
 
-	// The default lane mirrors the classic single-threaded service: the
-	// shared connections and the default fault stream.
-	s.def = kvLane{w: -1, db: s.db, rc: s.rc, retry: s.retry}
-	s.front = s.newFront(&s.def)
-	s.def.front = s.front
-
-	if cfg.Parallelism > 1 {
-		return s.buildLanes()
+	def, err := s.newLane(-1, eps)
+	if err != nil {
+		return err
+	}
+	s.KVWorker = KVWorker{s: s, l: def}
+	if cfg.Parallelism == 1 {
+		return nil
+	}
+	switch cfg.Arch {
+	case Base, Remote, Linked:
+	default:
+		return fmt.Errorf("core: Parallelism > 1 is not supported for the %v architecture", cfg.Arch)
+	}
+	if s.node == nil {
+		return fmt.Errorf("core: Parallelism > 1 requires an in-process deployment")
+	}
+	s.lanes = make([]*kvLane, cfg.Parallelism)
+	for i := range s.lanes {
+		if s.lanes[i], err = s.newLane(i, RemoteEndpoints{}); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -669,70 +677,13 @@ func (s *KVService) newFront(l *kvLane) *rpc.Server {
 	return front
 }
 
-// buildLanes pre-builds cfg.Parallelism worker lanes. Each lane owns a
-// private storage connection and (for Remote) a private cache client
-// stack — loopback, worker-scoped fault stream, worker-seeded retry layer
-// Keeping the stacks private is what makes per-worker fault schedules
-// deterministic: a worker's decisions never interleave into another
-// worker's stream.
-func (s *KVService) buildLanes() error {
-	cfg := s.cfg
-	switch cfg.Arch {
-	case Base, Remote, Linked:
-	default:
-		return fmt.Errorf("core: Parallelism > 1 is not supported for the %v architecture", cfg.Arch)
-	}
-	if s.node == nil {
-		return fmt.Errorf("core: Parallelism > 1 requires an in-process deployment")
-	}
-	s.lanes = make([]*kvLane, cfg.Parallelism)
-	lbm := rpc.NewMetrics(cfg.Telemetry, "loopback")
-	for i := range s.lanes {
-		l := &kvLane{w: i}
-		dbLoop := rpc.NewLoopback(s.node.Server(), s.appComp, meter.NewBurner(), cfg.RPCCost)
-		dbLoop.SetMetrics(lbm)
-		var dbConn rpc.Conn = dbLoop
-		if cfg.Faults != nil {
-			dbConn = cfg.Faults.WrapWorker(StorageFaultNode, i, dbConn)
-		}
-		l.db = storage.NewClient(dbConn)
-		if cfg.Arch == Remote && s.smap != nil {
-			rc, retries, err := s.routedCacheClient(lbm, i)
-			if err != nil {
-				return err
-			}
-			l.rc = rc
-			s.retries = append(s.retries, retries...)
-		} else if cfg.Arch == Remote {
-			lb := rpc.NewLoopback(s.rcServer.RPCServer(), s.appComp, meter.NewBurner(), cfg.RPCCost)
-			lb.SetMetrics(lbm)
-			var cacheConn rpc.Conn = lb
-			if cfg.Faults != nil {
-				cacheConn = cfg.Faults.WrapWorker(CacheNode, i, cacheConn)
-			}
-			if cfg.CacheRetry != nil {
-				policy := *cfg.CacheRetry
-				if policy.RetryCounter == nil {
-					policy.RetryCounter = s.m.Counter(RetriesCounter)
-				}
-				rt := rpc.NewRetryConn(cacheConn, policy, cfg.RetrySeed+int64(i), s.appComp, meter.NewBurner())
-				l.retry = rt
-				cacheConn = rt
-			}
-			l.rc = remotecache.NewSingleClient(cacheConn)
-			l.rc.Degrade(s.degraded)
-			l.rc.SetTelemetry(cfg.Telemetry)
-		}
-		l.front = s.newFront(l)
-		s.lanes[i] = l
-	}
-	return nil
-}
-
-// KVWorker is one pre-built parallel lane of a KVService, handed to one
-// driver goroutine. Its Read/Write go through the lane's own front door,
-// so every hop's transport charge, fault decision and retry draw stays on
-// this worker's deterministic stream.
+// KVWorker is the client's side of one lane of a KVService, handed to one
+// driver goroutine: the service's own default lane, or a pre-built
+// parallel lane from Worker(i). Its Read/Write go through the lane's own
+// front door, so every hop's transport charge, fault decision and retry
+// draw stays on this worker's deterministic stream. The driver plays the
+// client; its own CPU is outside the bill (the paper prices the service,
+// not its callers).
 type KVWorker struct {
 	s *KVService
 	l *kvLane
@@ -774,9 +725,10 @@ func (s *KVService) Worker(i int) (ServiceWorker, error) {
 	return &KVWorker{s: s, l: s.lanes[i]}, nil
 }
 
-// Read drives a client read through the worker's lane. Each worker's
-// requests open their own root span, so concurrent traces never share
-// spans.
+// Read drives a client read through the worker's lane. The root span
+// opens here: the trace covers the whole client-visible request, and
+// each worker's requests open their own, so concurrent traces never
+// share spans.
 func (w *KVWorker) Read(key string) ([]byte, error) {
 	sc, act := w.s.cfg.Tracer.StartRequest("read")
 	v, err := frontRead(w.withIntended(sc), w.l.front, key)
@@ -845,7 +797,7 @@ func (s *KVService) RemoteCacheServer() *remotecache.Server { return s.rcServer 
 func (s *KVService) SetAccessObserver(fn func(key string, size int64)) { s.obs = fn }
 
 // Front returns the client-facing RPC server.
-func (s *KVService) Front() *rpc.Server { return s.front }
+func (s *KVService) Front() *rpc.Server { return s.l.front }
 
 // ShardManager returns the dynamic shard manager (nil unless ShardMgr
 // was configured). The experiment driver calls its Tick on the cadence
@@ -919,7 +871,7 @@ func (s *KVService) Preload(items []PreloadItem) error {
 			}
 			continue
 		}
-		if _, err := s.db.Exec(stmt, params...); err != nil {
+		if _, err := s.l.db.Exec(stmt, params...); err != nil {
 			return err
 		}
 	}
@@ -983,11 +935,11 @@ func (s *KVService) loadFromDB(l *kvLane, sc trace.SpanContext, key string) ([]b
 }
 
 func (s *KVService) loadVersioned(sc trace.SpanContext, key string) ([]byte, uint64, error) {
-	v, err := s.loadFromDB(&s.def, sc, key)
+	v, err := s.loadFromDB(s.l, sc, key)
 	if err != nil {
 		return nil, 0, err
 	}
-	ver, _, err := s.db.VersionCtx(sc, "kvdata", sql.Text(key))
+	ver, _, err := s.l.db.VersionCtx(sc, "kvdata", sql.Text(key))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -995,7 +947,7 @@ func (s *KVService) loadVersioned(sc trace.SpanContext, key string) ([]byte, uin
 }
 
 func (s *KVService) checkVersion(sc trace.SpanContext, key string) (uint64, bool, error) {
-	return s.db.VersionCtx(sc, "kvdata", sql.Text(key))
+	return s.l.db.VersionCtx(sc, "kvdata", sql.Text(key))
 }
 
 // linkedFault consults the fault layer for the in-process cache: an
@@ -1138,7 +1090,7 @@ func (s *KVService) write(l *kvLane, sc trace.SpanContext, key string, value []b
 			if err := storeWrite(); err != nil {
 				return 0, err
 			}
-			ver, _, err := s.db.VersionCtx(sc, "kvdata", sql.Text(key))
+			ver, _, err := s.l.db.VersionCtx(sc, "kvdata", sql.Text(key))
 			return ver, err
 		})
 	case LinkedTTL:
@@ -1360,58 +1312,6 @@ func (s *KVService) handleWrite(l *kvLane, sc trace.SpanContext, req []byte) ([]
 	return encodeAck(true), nil
 }
 
-// Read implements Service from the client's side of the front door.
-func (s *KVService) Read(key string) ([]byte, error) {
-	// The experiment driver plays the client; its own CPU is outside the
-	// bill (the paper prices the service, not its callers). The root span
-	// opens here too: the trace covers the whole client-visible request.
-	sc, act := s.cfg.Tracer.StartRequest("read")
-	v, err := frontRead(s.withIntended(sc), s.front, key)
-	act.End()
-	return v, err
-}
-
-// Write implements Service.
-func (s *KVService) Write(key string, value []byte) error {
-	sc, act := s.cfg.Tracer.StartRequest("write")
-	err := frontWrite(s.withIntended(sc), s.front, key, value)
-	act.End()
-	return err
-}
-
-// ReadDeadline implements DeadlineWorker on the default lane.
-func (s *KVService) ReadDeadline(key string, deadline time.Time) ([]byte, error) {
-	sc, act := s.cfg.Tracer.StartRequest("read")
-	v, err := frontRead(s.withIntended(sc).WithDeadline(deadline), s.front, key)
-	act.End()
-	return v, err
-}
-
-// WriteDeadline implements DeadlineWorker on the default lane.
-func (s *KVService) WriteDeadline(key string, value []byte, deadline time.Time) error {
-	sc, act := s.cfg.Tracer.StartRequest("write")
-	err := frontWrite(s.withIntended(sc).WithDeadline(deadline), s.front, key, value)
-	act.End()
-	return err
-}
-
-// SetIntended implements IntendedWorker on the default lane (see
-// KVWorker.SetIntended).
-func (s *KVService) SetIntended(t time.Time) {
-	if t.IsZero() {
-		s.intendedNS = 0
-		return
-	}
-	s.intendedNS = t.UnixNano()
-}
-
-func (s *KVService) withIntended(sc trace.SpanContext) trace.SpanContext {
-	if s.intendedNS != 0 {
-		return sc.WithIntendedUnixNano(s.intendedNS)
-	}
-	return sc
-}
-
 // AdmissionStats snapshots the admission gate's conservation counters
 // (zero without an AdmissionConfig).
 func (s *KVService) AdmissionStats() admission.Stats { return s.gate.Stats() }
@@ -1449,41 +1349,32 @@ func frontWrite(sc trace.SpanContext, front *rpc.Server, key string, value []byt
 	return err
 }
 
-// CacheHitRatio reports the architecture's application-level cache hit
-// ratio (0 for Base).
-func (s *KVService) CacheHitRatio() float64 {
+// cacheStats implements hitRatioReporter: cumulative application-level
+// cache (hits, reads), zero for Base.
+func (s *KVService) cacheStats() (hits, reads int64) {
 	switch s.cfg.Arch {
 	case Remote, Linked:
-		// Service-level ratio: counts every read that consulted the
-		// cache tier, including ones the fault layer degraded to
-		// storage loads (which the caches' internal stats never see).
-		reads := s.cacheReads.Load()
-		if reads == 0 {
-			return 0
-		}
-		return float64(s.cacheHits.Load()) / float64(reads)
+		// Service-level counts: every read that consulted the cache tier,
+		// including ones the fault layer degraded to storage loads (which
+		// the caches' internal stats never see).
+		return s.cacheHits.Load(), s.cacheReads.Load()
 	case LinkedVersion:
 		st := s.vc.Stats()
-		if st.Reads == 0 {
-			return 0
-		}
-		return float64(st.Hits) / float64(st.Reads)
+		return st.Hits, st.Reads
 	case LinkedOwned:
 		st := s.oc.Stats()
-		if st.Reads == 0 {
-			return 0
-		}
-		return float64(st.AuthorityHits) / float64(st.Reads)
+		return st.AuthorityHits, st.Reads
 	case LinkedTTL:
 		st := s.tc.Stats()
-		if st.Reads == 0 {
-			return 0
-		}
-		return float64(st.Hits) / float64(st.Reads)
+		return st.Hits, st.Reads
 	default:
-		return 0
+		return 0, 0
 	}
 }
+
+// CacheHitRatio reports the architecture's application-level cache hit
+// ratio since construction (0 for Base).
+func (s *KVService) CacheHitRatio() float64 { return hitRatio(s.cacheStats()) }
 
 // Degraded returns how many cache operations were demoted to misses or
 // no-ops so the service could keep serving through cache faults.
@@ -1494,24 +1385,8 @@ func (s *KVService) Degraded() int64 { return s.degraded.Value() }
 // configured).
 func (s *KVService) RetryStats() rpc.RetryStats {
 	var total rpc.RetryStats
-	if s.retry != nil {
-		total = s.retry.Stats()
-	}
 	for _, rt := range s.retries {
 		st := rt.Stats()
-		total.Calls += st.Calls
-		total.Attempts += st.Attempts
-		total.Retries += st.Retries
-		total.BudgetDenied += st.BudgetDenied
-		total.DeadlineExceeded += st.DeadlineExceeded
-		total.Failures += st.Failures
-		total.BackoffTotal += st.BackoffTotal
-	}
-	for _, l := range s.lanes {
-		if l.retry == nil {
-			continue
-		}
-		st := l.retry.Stats()
 		total.Calls += st.Calls
 		total.Attempts += st.Attempts
 		total.Retries += st.Retries

@@ -11,12 +11,18 @@ import (
 	"cachecost/internal/workload"
 )
 
-// parCell builds and drives one fig4a-style cell at the given
+// parCell builds and drives one fig4a-style cell (r=0.9) at the given
 // parallelism, returning the priced result.
 func parCell(t *testing.T, arch Arch, par int, seed int64) *RunResult {
 	t.Helper()
+	return parCellAt(t, arch, par, seed, 0.9)
+}
+
+// parCellAt is parCell at the given read ratio.
+func parCellAt(t *testing.T, arch Arch, par int, seed int64, readRatio float64) *RunResult {
+	t.Helper()
 	gen := workload.NewSynthetic(workload.SyntheticConfig{
-		Keys: 500, Alpha: 1.2, ReadRatio: 0.9, ValueSize: 1 << 10, Seed: seed,
+		Keys: 500, Alpha: 1.2, ReadRatio: readRatio, ValueSize: 1 << 10, Seed: seed,
 	})
 	m := meter.NewMeter()
 	ws := int64(500) * (1 << 10)
@@ -44,20 +50,33 @@ func parCell(t *testing.T, arch Arch, par int, seed int64) *RunResult {
 // TestParallelHitRatioMatchesSequential: the workload split is
 // round-robin over one pre-drawn op stream, so the aggregate key/op
 // multiset — and therefore the cache hit ratio — must match the
-// sequential driver at any parallelism (small slack for benign
-// same-key load races).
+// sequential driver at any parallelism. A read-only stream isolates that
+// property: what is left is eviction-order noise, under half a point.
+// The mixed r=0.9 stream adds the lookaside thundering herd — after a
+// write deletes a hot key, every lane that reads it before the first
+// refill lands misses too. How many do is a race between lanes, and the
+// race detector stretches the refill until the herd alone exceeds the
+// slack in a third of runs (HitRatio covers the metered window's reads
+// alone, so warmup's do not dilute it). Like the cost assertions below,
+// the mixed stream is therefore compared only without the detector.
 func TestParallelHitRatioMatchesSequential(t *testing.T) {
+	streams := []struct{ readRatio, slack float64 }{{1, 0.02}}
+	if !raceEnabled {
+		streams = append(streams, struct{ readRatio, slack float64 }{0.9, 0.05})
+	}
 	for _, arch := range []Arch{Remote, Linked} {
 		t.Run(arch.String(), func(t *testing.T) {
-			base := parCell(t, arch, 1, 7)
-			if base.HitRatio < 0.3 {
-				t.Fatalf("sequential hit ratio %0.3f implausibly low", base.HitRatio)
-			}
-			for _, par := range []int{2, 8} {
-				res := parCell(t, arch, par, 7)
-				if diff := math.Abs(res.HitRatio - base.HitRatio); diff > 0.05 {
-					t.Errorf("parallelism %d: hit ratio %0.4f vs sequential %0.4f (diff %0.4f)",
-						par, res.HitRatio, base.HitRatio, diff)
+			for _, st := range streams {
+				base := parCellAt(t, arch, 1, 7, st.readRatio)
+				if base.HitRatio < 0.3 {
+					t.Fatalf("r=%g: sequential hit ratio %0.3f implausibly low", st.readRatio, base.HitRatio)
+				}
+				for _, par := range []int{2, 8} {
+					res := parCellAt(t, arch, par, 7, st.readRatio)
+					if diff := math.Abs(res.HitRatio - base.HitRatio); diff > st.slack {
+						t.Errorf("r=%g parallelism %d: hit ratio %0.4f vs sequential %0.4f (diff %0.4f)",
+							st.readRatio, par, res.HitRatio, base.HitRatio, diff)
+					}
 				}
 			}
 		})

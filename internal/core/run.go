@@ -1,9 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,9 +102,23 @@ func (r *RunResult) String() string {
 		r.AppCores, r.CacheCores, r.StorageCores, 100*r.Report.MemFraction())
 }
 
-// hitRatioReporter is implemented by services that track cache hits.
+// hitRatioReporter is implemented by services that track cache hits. It
+// reports cumulative (hits, reads) since construction; the driver
+// snapshots the pair at the fence and reports the metered window's delta,
+// so warmup's compulsory misses never dilute RunResult.HitRatio.
 type hitRatioReporter interface {
-	CacheHitRatio() float64
+	cacheStats() (hits, reads int64)
+}
+
+// A service that drops the method silently reports HitRatio 0.
+var _, _ hitRatioReporter = (*KVService)(nil), (*CatalogService)(nil)
+
+// hitRatio is hits/reads, 0 when nothing was read.
+func hitRatio(hits, reads int64) float64 {
+	if reads == 0 {
+		return 0
+	}
+	return float64(hits) / float64(reads)
 }
 
 // ServiceWorker is one worker's view of a service: the subset of Service
@@ -121,13 +140,13 @@ type ParallelService interface {
 type RunConfig struct {
 	// Warmup operations run unmetered before the window; Ops are metered.
 	Warmup, Ops int
-	// Parallelism fans the workload out to that many worker goroutines
-	// (each on its own service lane). <= 1 runs the classic sequential
-	// loop. The aggregate op stream is identical at any parallelism: ops
-	// are drawn from the generator once, in order, and dealt round-robin
-	// to workers.
+	// Parallelism fans the workload out to that many lanes, each a
+	// goroutine on its own service lane (Worker(i)). <= 1 is one lane on
+	// the service's default lane. The aggregate op stream is identical at
+	// any parallelism: ops are drawn from the generator once, in order,
+	// and dealt round-robin to lanes.
 	Parallelism int
-	// BatchSize groups each worker's operations into multi-key batches
+	// BatchSize groups each lane's operations into multi-key batches
 	// of this size (the service must implement BatchServiceWorker).
 	// Within one batch the reads are issued as one ReadBatch and the
 	// writes as one WriteBatch — reads first — so op order is preserved
@@ -135,16 +154,15 @@ type RunConfig struct {
 	// identical at any batch size. OnOp still fires once per op, per-op
 	// latency is approximated as batch wall time / batch ops, and the
 	// meter still normalizes cost per op, so results are comparable
-	// across B. <= 1 runs the classic per-op path, byte-identical to
-	// previous behaviour.
+	// across B. <= 1 issues every op as its own Read or Write.
 	BatchSize int
 	// Prices is the price book for the report.
 	Prices meter.PriceBook
-	// OnOp, when non-nil, is called before each operation — warmup and
-	// metered alike — with the number of operations started before it.
-	// Calls are serialized; under parallelism the order operations start
-	// in is scheduler-dependent, but exactly one call fires per op.
-	// Chaos schedules advance here.
+	// OnOp, when non-nil, is called as each operation is released to its
+	// lane — warmup and metered alike — with the number of operations
+	// released before it. Calls are serialized; under parallelism the
+	// order operations start in is scheduler-dependent, but exactly one
+	// call fires per op. Chaos schedules advance here.
 	OnOp func(n int)
 	// Arrival, when non-nil, switches the metered window to open-loop
 	// driving: a deterministic schedule of cfg.Ops intended arrivals is
@@ -175,82 +193,71 @@ type RunConfig struct {
 }
 
 // RunExperiment drives svc with ops operations from gen (after warmup
-// unmetered operations), then prices the metered window. The meter must
-// be the one the service was assembled with. This is the classic
-// sequential entry point; see RunExperimentCfg for the concurrent driver.
+// unmetered operations) on one lane, then prices the metered window. The
+// meter must be the one the service was assembled with. See
+// RunExperimentCfg for parallelism, batching and open-loop driving.
 func RunExperiment(svc Service, m *meter.Meter, gen workload.Generator, warmup, ops int, prices meter.PriceBook) (*RunResult, error) {
 	return RunExperimentCfg(svc, m, gen, RunConfig{Warmup: warmup, Ops: ops, Prices: prices})
 }
 
-// applyOp executes one workload op against a worker surface.
-func applyOp(svc ServiceWorker, op workload.Op) error {
-	switch op.Kind {
-	case workload.Read:
-		if _, err := svc.Read(op.Key); err != nil {
-			return fmt.Errorf("core: read %q: %w", op.Key, err)
-		}
-	case workload.Write:
-		if err := svc.Write(op.Key, ValueFor(op.Key, op.ValueSize)); err != nil {
-			return fmt.Errorf("core: write %q: %w", op.Key, err)
-		}
-	}
-	return nil
-}
-
 // RunExperimentCfg drives svc with cfg.Ops operations from gen (after
-// cfg.Warmup unmetered operations) across cfg.Parallelism workers, then
+// cfg.Warmup unmetered operations) across cfg.Parallelism lanes, then
 // prices the metered window and reports throughput and latency
 // percentiles alongside cost.
 func RunExperimentCfg(svc Service, m *meter.Meter, gen workload.Generator, cfg RunConfig) (*RunResult, error) {
-	if cfg.Parallelism < 1 {
-		cfg.Parallelism = 1
-	}
-	// Meter on the thread-CPU clock for the whole run (driver goroutines
-	// are pinned to OS threads below): busy time then counts only CPU the
-	// measured code actually consumed, not wall time it spent preempted
-	// by other workers or parked on a lock. On an idle machine this is
-	// identical to the classic wall measurement for the single-threaded
-	// driver, and it is what keeps cost/Mreq parallelism-invariant.
+	cfg.Parallelism, cfg.BatchSize = max(cfg.Parallelism, 1), max(cfg.BatchSize, 1)
+	// Meter on the thread-CPU clock for the whole run (lane goroutines are
+	// pinned to OS threads): busy time then counts only CPU the measured
+	// code actually consumed, not wall time it spent preempted by other
+	// lanes or parked on a lock. On an idle machine this is identical to a
+	// wall measurement for a single lane, and it is what keeps cost/Mreq
+	// parallelism-invariant.
 	m.SetThreadCPUClock(true)
 	defer m.SetThreadCPUClock(false)
-	var lats []time.Duration
-	var wall time.Duration
-	var ol *openLoopStats
-	var err error
-	switch {
-	case cfg.Arrival != nil && cfg.BatchSize > 1:
-		return nil, fmt.Errorf("core: open-loop driving does not support batching")
-	case cfg.Arrival != nil:
-		ol, err = runOpenLoop(svc, m, gen, cfg)
-		if ol != nil {
-			lats, wall = ol.intended, ol.wall
-		}
-	case cfg.BatchSize > 1 && cfg.Parallelism == 1:
-		lats, wall, err = runSequentialBatched(svc, m, gen, cfg)
-	case cfg.BatchSize > 1:
-		lats, wall, err = runParallelBatched(svc, m, gen, cfg)
-	case cfg.Parallelism == 1:
-		lats, wall, err = runSequential(svc, m, gen, cfg)
-	default:
-		lats, wall, err = runParallel(svc, m, gen, cfg)
-	}
+	win, err := drive(svc, m, gen, cfg)
 	if err != nil {
 		return nil, err
 	}
-	path := cfg.Tracer.PathStats()
-	var hists []telemetry.HistSummary
+	res := &RunResult{
+		Arch:        svc.Arch(),
+		Workload:    gen.Name(),
+		Ops:         len(win.send),
+		HitRatio:    win.hitRatio,
+		Degraded:    m.CounterValue(DegradedCounter),
+		Retries:     m.CounterValue(RetriesCounter),
+		Path:        cfg.Tracer.PathStats(),
+		Parallelism: cfg.Parallelism,
+		Wall:        win.wall,
+	}
 	if cfg.Telemetry != nil {
-		hists = cfg.Telemetry.Snapshot().HistSummaries()
+		res.Hists = cfg.Telemetry.Snapshot().HistSummaries()
 	}
 	// Price the requests the service actually saw: under open loop,
 	// client-shed ops never reached the service and must not dilute
 	// cost/Mreq.
-	metered := cfg.Ops
-	if ol != nil {
-		metered = ol.executed
-	}
-	m.AddRequests(int64(metered))
+	m.AddRequests(int64(res.Ops))
 	report := meter.BuildReport(m, cfg.Prices)
+	// The honest clock: under open loop latency is measured from each
+	// op's intended arrival, and the send clock is reported beside it.
+	lats := win.send
+	if sched := win.sched; sched != nil {
+		lats = win.intended
+		res.SendLatencyP50, res.SendLatencyP99 = percentiles(win.send)
+		res.Arrival = sched.Name()
+		res.Offered, res.Executed, res.ClientShed = cfg.Ops, res.Ops, win.clientShed
+		res.ServerShed = m.CounterValue(ShedCounter)
+		res.DeadlineExceeded = m.CounterValue(DeadlineExceededCounter)
+		res.ScheduleSpan = sched.Span()
+		if sp := sched.Span().Seconds(); sp > 0 {
+			res.OfferedQPS = float64(cfg.Ops) / sp
+			// The slowest lane's wall clock includes drain time past the
+			// schedule's end; the schedule span is the honest denominator
+			// for rate at a given offered load.
+			res.Throughput = float64(res.Ops) / sp
+		}
+	} else if win.wall > 0 {
+		res.Throughput = float64(cfg.Ops) / win.wall.Seconds()
+	}
 	if cfg.Parallelism > 1 && len(lats) > 0 {
 		// Memory amortization under a concurrent driver: see
 		// meter.Report.LaneQPS. The single-lane rate is 1/mean latency.
@@ -258,224 +265,256 @@ func RunExperimentCfg(svc Service, m *meter.Meter, gen workload.Generator, cfg R
 		for _, d := range lats {
 			sum += d
 		}
-		mean := sum / time.Duration(len(lats))
-		if mean > 0 {
+		if mean := sum / time.Duration(len(lats)); mean > 0 {
 			report.LaneQPS = float64(time.Second) / float64(mean)
 		}
 	}
-
-	res := &RunResult{
-		Arch:         svc.Arch(),
-		Workload:     gen.Name(),
-		Ops:          cfg.Ops,
-		Report:       report,
-		Degraded:     m.CounterValue(DegradedCounter),
-		Retries:      m.CounterValue(RetriesCounter),
-		CostPerMReq:  report.CostPerMillionRequests(),
-		AppCost:      report.ComponentCost("app"),
-		CacheCost:    report.ComponentCost("remotecache"),
-		StorageCost:  report.ComponentCost("storage"),
-		AppCores:     report.ComponentCores("app"),
-		CacheCores:   report.ComponentCores("remotecache"),
-		StorageCores: report.ComponentCores("storage"),
-		Path:         path,
-		Parallelism:  cfg.Parallelism,
-		Wall:         wall,
-		Hists:        hists,
-	}
-	if ol != nil {
-		res.Ops = ol.executed
-		res.Arrival = ol.name
-		res.Offered = ol.offered
-		res.Executed = ol.executed
-		res.ClientShed = ol.clientShed
-		res.ServerShed = m.CounterValue(ShedCounter)
-		res.DeadlineExceeded = m.CounterValue(DeadlineExceededCounter)
-		res.ScheduleSpan = ol.span
-		if sp := ol.span.Seconds(); sp > 0 {
-			res.OfferedQPS = float64(ol.offered) / sp
-			// The slowest lane's wall clock includes drain time past the
-			// schedule's end; the schedule span is the honest denominator
-			// for rate at a given offered load.
-			res.Throughput = float64(ol.executed) / sp
-		}
-		if len(ol.send) > 0 {
-			send := append([]time.Duration(nil), ol.send...)
-			sort.Slice(send, func(i, j int) bool { return send[i] < send[j] })
-			res.SendLatencyP50 = send[percentileIndex(len(send), 50)]
-			res.SendLatencyP99 = send[percentileIndex(len(send), 99)]
-		}
-	} else if wall > 0 {
-		res.Throughput = float64(cfg.Ops) / wall.Seconds()
-	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		res.LatencyP50 = lats[percentileIndex(len(lats), 50)]
-		res.LatencyP99 = lats[percentileIndex(len(lats), 99)]
-	}
-	if hr, ok := svc.(hitRatioReporter); ok {
-		res.HitRatio = hr.CacheHitRatio()
-	}
+	res.LatencyP50, res.LatencyP99 = percentiles(lats)
+	res.Report = report
+	res.CostPerMReq = report.CostPerMillionRequests()
+	res.AppCost, res.AppCores = report.ComponentCost("app"), report.ComponentCores("app")
+	res.CacheCost, res.CacheCores = report.ComponentCost("remotecache"), report.ComponentCores("remotecache")
+	res.StorageCost, res.StorageCores = report.ComponentCost("storage"), report.ComponentCores("storage")
 	return res, nil
 }
 
-// percentileIndex returns the index of the p'th percentile in a sorted
-// slice of n samples (nearest-rank).
-func percentileIndex(n, p int) int {
-	i := n*p/100 - 1
-	if i < 0 {
-		i = 0
+// percentiles sorts d and returns its nearest-rank p50 and p99 (zeros
+// when empty).
+func percentiles(d []time.Duration) (p50, p99 time.Duration) {
+	if len(d) == 0 {
+		return 0, 0
 	}
-	if i >= n {
-		i = n - 1
-	}
-	return i
+	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+	return d[max(len(d)*50/100-1, 0)], d[max(len(d)*99/100-1, 0)]
 }
 
-// runSequential is the classic single-threaded loop: ops stream straight
-// from the generator, preserving historical behaviour exactly.
-func runSequential(svc Service, m *meter.Meter, gen workload.Generator, cfg RunConfig) ([]time.Duration, time.Duration, error) {
-	// Pin the driving goroutine so the meter's thread-CPU readings are
-	// all taken against one thread's clock.
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	reqHist := cfg.Telemetry.Histogram("request.latency", "seconds")
-	n := 0
-	apply := func(count int, lats []time.Duration) ([]time.Duration, error) {
-		for i := 0; i < count; i++ {
-			if cfg.OnOp != nil {
-				cfg.OnOp(n)
-			}
-			n++
-			op := gen.Next()
-			t0 := time.Now()
-			if err := applyOp(svc, op); err != nil {
-				return lats, err
-			}
-			d := time.Since(t0)
-			reqHist.Observe(int64(d))
-			if lats != nil {
-				lats = append(lats, d)
-			}
-		}
-		return lats, nil
+// chunk is what a lane executes as one client request: up to BatchSize
+// of its dealt ops. Under open loop it is one op, stamped with its
+// intended arrival and SLO deadline (both zero under closed loop).
+type chunk struct {
+	ops                []workload.Op
+	intended, deadline time.Time
+}
+
+// apply issues c against w as one client request.
+func (c chunk) apply(w ServiceWorker, batched bool) (err error) {
+	if batched {
+		return applyBatch(w.(BatchServiceWorker), c.ops)
 	}
-	if _, err := apply(cfg.Warmup, nil); err != nil {
-		return nil, 0, err
+	if iw, ok := w.(IntendedWorker); ok {
+		iw.SetIntended(c.intended)
 	}
-	// Collect garbage from setup and warmup (and from earlier experiment
-	// cells in the same process) so the metered window does not absorb
-	// another deployment's GC debt.
-	runtime.GC()
-	m.Reset()
-	cfg.Tracer.ResetCounters()
-	cfg.Telemetry.Reset()
-	t0 := time.Now()
-	lats, err := apply(cfg.Ops, make([]time.Duration, 0, cfg.Ops))
-	wall := time.Since(t0)
+	op := c.ops[0]
+	var dw DeadlineWorker
+	if !c.deadline.IsZero() {
+		dw, _ = w.(DeadlineWorker) // a worker without deadlines drops them
+	}
+	switch timed := dw != nil; {
+	case op.Kind == workload.Read && timed:
+		_, err = dw.ReadDeadline(op.Key, c.deadline)
+	case op.Kind == workload.Read:
+		_, err = w.Read(op.Key)
+	case timed:
+		err = dw.WriteDeadline(op.Key, ValueFor(op.Key, op.ValueSize), c.deadline)
+	default:
+		err = w.Write(op.Key, ValueFor(op.Key, op.ValueSize))
+	}
 	if err != nil {
-		return nil, 0, err
+		return fmt.Errorf("core: %v %q: %w", op.Kind, op.Key, err)
 	}
-	return lats, wall, nil
+	return nil
 }
 
-// runParallel fans the op stream out to cfg.Parallelism workers. The
-// whole stream (warmup then metered) is drawn from the generator up
-// front, in the same order the sequential driver would, and dealt
-// round-robin: worker w executes ops w, w+N, w+2N, ... of each phase in
-// order. The aggregate key/op multiset is therefore identical at any
-// parallelism, and each worker's subsequence is deterministic.
-func runParallel(svc Service, m *meter.Meter, gen workload.Generator, cfg RunConfig) ([]time.Duration, time.Duration, error) {
-	ps, ok := svc.(ParallelService)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: %T does not support a parallel driver", svc)
+// meteredWindow is what drive hands the result assembler about the
+// metered window: per-op latency on the send clock (from the moment the
+// op's chunk left for the service), the wall clock and the cache hit
+// ratio. Under open loop it also carries per-op latency from each op's
+// intended arrival, the arrival schedule, and the count of ops dropped at
+// a full lane queue.
+type meteredWindow struct {
+	send, intended []time.Duration
+	wall           time.Duration
+	hitRatio       float64
+	sched          *workload.Schedule
+	clientShed     int64
+}
+
+// deal draws n ops from gen, in order, and deals them round-robin: lane
+// w gets ops w, w+P, w+2P, … Drawing the stream once, up front, is what
+// makes the aggregate key/op multiset identical at any parallelism,
+// batch size and arrival process, and each lane's subsequence
+// deterministic.
+func deal(gen workload.Generator, n, par int) [][]workload.Op {
+	lanes := make([][]workload.Op, par)
+	for i := 0; i < n; i++ {
+		lanes[i%par] = append(lanes[i%par], gen.Next())
 	}
-	workers := make([]ServiceWorker, cfg.Parallelism)
-	for i := range workers {
-		w, err := ps.Worker(i)
-		if err != nil {
-			return nil, 0, err
+	return lanes
+}
+
+// drive is the experiment driver: warmup, fence, metered window. One
+// rule covers every mode: a lane executes its dealt ops in order, and
+// modes differ only in when the next chunk is released to it. Closed
+// loop releases a lane's next <= BatchSize ops the moment its previous
+// chunk completes, so a slow service paces its own load; open loop
+// releases each op at its scheduled instant into the lane's bounded
+// queue (see pace), so it cannot. OnOp fires as each op is released.
+func drive(svc Service, m *meter.Meter, gen workload.Generator, cfg RunConfig) (*meteredWindow, error) {
+	par, batched := cfg.Parallelism, cfg.BatchSize > 1
+	win := &meteredWindow{}
+	var err error
+	if cfg.Arrival != nil {
+		if batched {
+			return nil, fmt.Errorf("core: open-loop driving does not support batching")
 		}
-		workers[i] = w
+		if win.sched, err = workload.BuildSchedule(*cfg.Arrival, cfg.Ops); err != nil {
+			return nil, err
+		}
 	}
-	stream := make([]workload.Op, cfg.Warmup+cfg.Ops)
-	for i := range stream {
-		stream[i] = gen.Next()
+	workers := make([]ServiceWorker, par)
+	for w := range workers {
+		workers[w] = svc // one lane: the service's default lane
+		if ps, ok := svc.(ParallelService); par > 1 && !ok {
+			return nil, fmt.Errorf("core: %T does not support a parallel driver", svc)
+		} else if par > 1 {
+			if workers[w], err = ps.Worker(w); err != nil {
+				return nil, err
+			}
+		}
+		if _, ok := workers[w].(BatchServiceWorker); batched && !ok {
+			return nil, fmt.Errorf("core: %T does not support batched operations", workers[w])
+		}
 	}
+	warm, metered := deal(gen, cfg.Warmup, par), deal(gen, cfg.Ops, par)
 	reqHist := cfg.Telemetry.Histogram("request.latency", "seconds")
 
-	var started atomic.Int64
+	released := 0
 	var onOpMu sync.Mutex
-	onOp := func() {
-		n := started.Add(1) - 1
+	release := func() {
 		if cfg.OnOp != nil {
 			onOpMu.Lock()
-			cfg.OnOp(int(n))
+			cfg.OnOp(released)
+			released++
 			onOpMu.Unlock()
 		}
 	}
+	// failed stops every lane after the first lane error.
+	var failed atomic.Bool
 
-	// runPhase executes ops[lo:hi) across the workers, returning each
-	// worker's error and (when sample is true) per-op latencies.
-	runPhase := func(lo, hi int, sample bool) ([][]time.Duration, error) {
-		errs := make([]error, len(workers))
-		lats := make([][]time.Duration, len(workers))
+	// lane is the one lane body. Its next chunk is the next op the
+	// dispatcher released into queue, when it has one, else its own next
+	// <= BatchSize dealt ops. Only the metered phase is sampled.
+	send, intended := make([][]time.Duration, par), make([][]time.Duration, par)
+	lane := func(w int, mine []workload.Op, queue <-chan chunk, sample bool) error {
+		// Pin to an OS thread: every thread-CPU clock delta this lane's
+		// request path takes is then against one clock.
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+		// Label the lane for CPU profiles: `go tool pprof` can then slice
+		// samples by architecture and lane. Labels the lane inherited
+		// (costbench's `figure`) are replaced: there is no context here
+		// to merge them into.
+		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+			pprof.Labels("arch", svc.Arch().String(), "lane", strconv.Itoa(w))))
+		for !failed.Load() {
+			var c chunk
+			if queue != nil {
+				var ok bool
+				if c, ok = <-queue; !ok {
+					break
+				}
+			} else if n := min(cfg.BatchSize, len(mine)); n > 0 {
+				c.ops, mine = mine[:n], mine[n:]
+				for range c.ops {
+					release()
+				}
+			} else {
+				break
+			}
+			t0 := time.Now()
+			if err := c.apply(workers[w], batched); err != nil {
+				failed.Store(true)
+				return err
+			}
+			done := time.Now()
+			// A chunk is one client request; each of its ops is charged an
+			// equal share of the request's wall time.
+			sent := done.Sub(t0) / time.Duration(len(c.ops))
+			lat := sent
+			if queue != nil {
+				lat = done.Sub(c.intended)
+			}
+			for range c.ops {
+				reqHist.Observe(int64(lat))
+				if sample {
+					send[w] = append(send[w], sent)
+					if queue != nil {
+						intended[w] = append(intended[w], lat)
+					}
+				}
+			}
+		}
+		return nil
+	}
+	// phase runs every lane over its share of dealt — with the dispatcher
+	// pacing them, when the lanes have queues — and reports the phase's
+	// wall clock and first lane error.
+	phase := func(dealt [][]workload.Op, queues []chan chunk, sample bool) (time.Duration, error) {
+		errs := make([]error, par)
+		t0 := time.Now()
 		var wg sync.WaitGroup
 		for w := range workers {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				// Pin to an OS thread: every thread-CPU clock delta this
-				// worker's request path takes is then against one clock.
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-				var mine []time.Duration
-				if sample {
-					mine = make([]time.Duration, 0, (hi-lo)/len(workers)+1)
-				}
-				for i := lo + w; i < hi; i += len(workers) {
-					onOp()
-					t0 := time.Now()
-					if err := applyOp(workers[w], stream[i]); err != nil {
-						errs[w] = err
-						break
-					}
-					d := time.Since(t0)
-					reqHist.Observe(int64(d))
-					if sample {
-						mine = append(mine, d)
-					}
-				}
-				lats[w] = mine
+				errs[w] = lane(w, dealt[w], queues[w], sample)
 			}(w)
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		if queues[0] != nil {
+			win.clientShed = pace(win.sched, cfg.SLO, dealt, queues, release, &failed)
 		}
-		return lats, nil
+		wg.Wait()
+		return time.Since(t0), errors.Join(errs...)
 	}
 
-	if _, err := runPhase(0, cfg.Warmup, false); err != nil {
-		return nil, 0, err
+	// Warmup is closed-loop in every mode: its job is warming caches and
+	// per-lane connections, not measuring.
+	queues := make([]chan chunk, par)
+	if _, err := phase(warm, queues, false); err != nil {
+		return nil, err
 	}
+
+	// The fence. Collect garbage from setup and warmup (and from earlier
+	// experiment cells in the same process) so the metered window does
+	// not absorb another deployment's GC debt, then zero or snapshot
+	// every instrument at the one boundary all of RunResult is cut at.
 	runtime.GC()
 	m.Reset()
 	cfg.Tracer.ResetCounters()
 	cfg.Telemetry.Reset()
-	t0 := time.Now()
-	perWorker, err := runPhase(cfg.Warmup, len(stream), true)
-	wall := time.Since(t0)
-	if err != nil {
-		return nil, 0, err
+	cacheStats := func() (hits, reads int64) { return 0, 0 }
+	if hr, ok := svc.(hitRatioReporter); ok {
+		cacheStats = hr.cacheStats
 	}
-	lats := make([]time.Duration, 0, cfg.Ops)
-	for _, mine := range perWorker {
-		lats = append(lats, mine...)
+	hits0, reads0 := cacheStats()
+
+	depth := cfg.LaneDepth
+	if depth <= 0 {
+		depth = defaultLaneDepth
 	}
-	return lats, wall, nil
+	for w := range queues {
+		send[w] = make([]time.Duration, 0, len(metered[w]))
+		if win.sched != nil {
+			queues[w] = make(chan chunk, depth) // the lane's bounded client-side buffer
+		}
+	}
+	if win.wall, err = phase(metered, queues, true); err != nil {
+		return nil, err
+	}
+	win.send, win.intended = slices.Concat(send...), slices.Concat(intended...)
+	hits, reads := cacheStats()
+	win.hitRatio = hitRatio(hits-hits0, reads-reads0)
+	return win, nil
 }
 
 // PreloadItems materializes the key population of a KV-style generator

@@ -2,23 +2,9 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"cachecost/internal/meter"
 	"cachecost/internal/workload"
 )
-
-// Batched experiment drivers (RunConfig.BatchSize > 1). The op stream is
-// the same one the per-op drivers see — same generator draws, same deal
-// across workers — but each worker chunks its subsequence into B-sized
-// batches and issues every batch as one ReadBatch plus (when the batch
-// holds writes) one WriteBatch. Metering stays per-op: OnOp fires once
-// per op before its batch starts, each op observes batch-wall/B into the
-// latency histogram, and the meter divides cost by cfg.Ops exactly as at
-// B=1 — so a batch-size sweep moves only the work per op, not the units.
 
 // applyBatch issues one batch of ops against a batch-capable worker:
 // the batch's reads as one multi-key read, then its writes as one
@@ -47,163 +33,4 @@ func applyBatch(svc BatchServiceWorker, ops []workload.Op) error {
 		}
 	}
 	return nil
-}
-
-// runSequentialBatched is runSequential with the op stream chunked into
-// BatchSize multi-key requests.
-func runSequentialBatched(svc Service, m *meter.Meter, gen workload.Generator, cfg RunConfig) ([]time.Duration, time.Duration, error) {
-	bsvc, ok := svc.(BatchServiceWorker)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: %T does not support batched operations", svc)
-	}
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	reqHist := cfg.Telemetry.Histogram("request.latency", "seconds")
-	n := 0
-	batch := make([]workload.Op, 0, cfg.BatchSize)
-	apply := func(count int, lats []time.Duration) ([]time.Duration, error) {
-		for done := 0; done < count; {
-			b := cfg.BatchSize
-			if rem := count - done; b > rem {
-				b = rem
-			}
-			batch = batch[:0]
-			for i := 0; i < b; i++ {
-				if cfg.OnOp != nil {
-					cfg.OnOp(n)
-				}
-				n++
-				batch = append(batch, gen.Next())
-			}
-			t0 := time.Now()
-			if err := applyBatch(bsvc, batch); err != nil {
-				return lats, err
-			}
-			per := time.Since(t0) / time.Duration(b)
-			for i := 0; i < b; i++ {
-				reqHist.Observe(int64(per))
-				if lats != nil {
-					lats = append(lats, per)
-				}
-			}
-			done += b
-		}
-		return lats, nil
-	}
-	if _, err := apply(cfg.Warmup, nil); err != nil {
-		return nil, 0, err
-	}
-	runtime.GC()
-	m.Reset()
-	cfg.Tracer.ResetCounters()
-	cfg.Telemetry.Reset()
-	t0 := time.Now()
-	lats, err := apply(cfg.Ops, make([]time.Duration, 0, cfg.Ops))
-	wall := time.Since(t0)
-	if err != nil {
-		return nil, 0, err
-	}
-	return lats, wall, nil
-}
-
-// runParallelBatched is runParallel with each worker's dealt
-// subsequence chunked into BatchSize multi-key requests.
-func runParallelBatched(svc Service, m *meter.Meter, gen workload.Generator, cfg RunConfig) ([]time.Duration, time.Duration, error) {
-	ps, ok := svc.(ParallelService)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: %T does not support a parallel driver", svc)
-	}
-	workers := make([]BatchServiceWorker, cfg.Parallelism)
-	for i := range workers {
-		w, err := ps.Worker(i)
-		if err != nil {
-			return nil, 0, err
-		}
-		bw, ok := w.(BatchServiceWorker)
-		if !ok {
-			return nil, 0, fmt.Errorf("core: worker %T does not support batched operations", w)
-		}
-		workers[i] = bw
-	}
-	stream := make([]workload.Op, cfg.Warmup+cfg.Ops)
-	for i := range stream {
-		stream[i] = gen.Next()
-	}
-	reqHist := cfg.Telemetry.Histogram("request.latency", "seconds")
-
-	var started atomic.Int64
-	var onOpMu sync.Mutex
-	onOp := func() {
-		n := started.Add(1) - 1
-		if cfg.OnOp != nil {
-			onOpMu.Lock()
-			cfg.OnOp(int(n))
-			onOpMu.Unlock()
-		}
-	}
-
-	runPhase := func(lo, hi int, sample bool) ([][]time.Duration, error) {
-		errs := make([]error, len(workers))
-		lats := make([][]time.Duration, len(workers))
-		var wg sync.WaitGroup
-		for w := range workers {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-				var mine []time.Duration
-				if sample {
-					mine = make([]time.Duration, 0, (hi-lo)/len(workers)+1)
-				}
-				batch := make([]workload.Op, 0, cfg.BatchSize)
-				for i := lo + w; i < hi; {
-					batch = batch[:0]
-					for ; i < hi && len(batch) < cfg.BatchSize; i += len(workers) {
-						onOp()
-						batch = append(batch, stream[i])
-					}
-					t0 := time.Now()
-					if err := applyBatch(workers[w], batch); err != nil {
-						errs[w] = err
-						break
-					}
-					per := time.Since(t0) / time.Duration(len(batch))
-					for range batch {
-						reqHist.Observe(int64(per))
-						if sample {
-							mine = append(mine, per)
-						}
-					}
-				}
-				lats[w] = mine
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return lats, nil
-	}
-
-	if _, err := runPhase(0, cfg.Warmup, false); err != nil {
-		return nil, 0, err
-	}
-	runtime.GC()
-	m.Reset()
-	cfg.Tracer.ResetCounters()
-	cfg.Telemetry.Reset()
-	t0 := time.Now()
-	perWorker, err := runPhase(cfg.Warmup, len(stream), true)
-	wall := time.Since(t0)
-	if err != nil {
-		return nil, 0, err
-	}
-	lats := make([]time.Duration, 0, cfg.Ops)
-	for _, mine := range perWorker {
-		lats = append(lats, mine...)
-	}
-	return lats, wall, nil
 }

@@ -1,29 +1,23 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"runtime"
-	"runtime/pprof"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"cachecost/internal/meter"
 	"cachecost/internal/workload"
 )
 
-// Open-loop driving. The closed-loop runners model a fixed worker pool:
-// the next op starts when the last one finishes, so a slow service
-// quietly slows its own load generator — the coordinated-omission blind
-// spot. The open-loop runner models the paper's "millions of users"
-// instead: a deterministic schedule fixes each op's *intended* arrival
-// before the run starts, a dispatcher releases ops at those instants
-// into bounded per-lane queues, and latency is measured from the
-// intended arrival. A stalled server is then charged for every request
-// that queued behind the stall, and a saturated server faces the full
-// offered rate instead of an automatically throttled one.
+// Open-loop driving. Closed loop models a fixed worker pool: a lane's
+// next op starts when its last one finishes, so a slow service quietly
+// slows its own load generator — the coordinated-omission blind spot.
+// Open loop models the paper's "millions of users" instead: a
+// deterministic schedule fixes each op's *intended* arrival before the
+// run starts, a dispatcher releases ops at those instants into bounded
+// per-lane queues, and latency is measured from the intended arrival. A
+// stalled server is then charged for every request that queued behind
+// the stall, and a saturated server faces the full offered rate instead
+// of an automatically throttled one.
 
 // DeadlineWorker is a ServiceWorker that accepts a per-request SLO
 // deadline, propagated down the request path (and across transports via
@@ -36,221 +30,58 @@ type DeadlineWorker interface {
 // IntendedWorker is a ServiceWorker that accepts each op's intended
 // arrival instant (the open-loop schedule slot) before the op runs, so
 // the flight recorder can attribute schedule slip to its queue stage and
-// measure latency on the intended clock. The runner calls SetIntended
-// from the lane's own goroutine only.
+// measure latency on the intended clock. The driver calls SetIntended
+// from the lane's own goroutine only, before every op; the zero time
+// (closed loop) clears it.
 type IntendedWorker interface {
 	SetIntended(t time.Time)
-}
-
-// applyOpDeadline executes one op, attaching the deadline when the
-// worker supports it.
-func applyOpDeadline(w ServiceWorker, op workload.Op, deadline time.Time) error {
-	if !deadline.IsZero() {
-		if dw, ok := w.(DeadlineWorker); ok {
-			switch op.Kind {
-			case workload.Read:
-				if _, err := dw.ReadDeadline(op.Key, deadline); err != nil {
-					return fmt.Errorf("core: read %q: %w", op.Key, err)
-				}
-			case workload.Write:
-				if err := dw.WriteDeadline(op.Key, ValueFor(op.Key, op.ValueSize), deadline); err != nil {
-					return fmt.Errorf("core: write %q: %w", op.Key, err)
-				}
-			}
-			return nil
-		}
-	}
-	return applyOp(w, op)
-}
-
-// openLoopStats is what the open-loop runner hands back to the result
-// assembler.
-type openLoopStats struct {
-	name              string // schedule name
-	offered, executed int
-	clientShed        int64
-	span              time.Duration // schedule-intended duration
-	wall              time.Duration // dispatch start to last lane drained
-	intended, send    []time.Duration
-}
-
-// schedOp is one dispatched operation: the op, its intended arrival and
-// its SLO deadline.
-type schedOp struct {
-	op       workload.Op
-	intended time.Time
-	deadline time.Time
 }
 
 // defaultLaneDepth bounds a lane's client-side queue when the config
 // does not say otherwise.
 const defaultLaneDepth = 1024
 
-// runOpenLoop drives the metered window from an arrival schedule.
-// Warmup stays closed-loop (its job is warming caches, not measuring),
-// dealt round-robin across the lanes so per-lane connections warm too.
-func runOpenLoop(svc Service, m *meter.Meter, gen workload.Generator, cfg RunConfig) (*openLoopStats, error) {
-	par := cfg.Parallelism
-	depth := cfg.LaneDepth
-	if depth <= 0 {
-		depth = defaultLaneDepth
-	}
-	workers := make([]ServiceWorker, par)
-	if par == 1 {
-		workers[0] = svc
-	} else {
-		ps, ok := svc.(ParallelService)
-		if !ok {
-			return nil, fmt.Errorf("core: %T does not support a parallel driver", svc)
-		}
-		for i := range workers {
-			w, err := ps.Worker(i)
-			if err != nil {
-				return nil, err
-			}
-			workers[i] = w
-		}
-	}
-
-	// The whole op stream is drawn up front in generator order and dealt
-	// round-robin by arrival index, exactly like the closed-loop parallel
-	// driver: the aggregate op multiset is identical at any parallelism
-	// and any arrival process.
-	stream := make([]workload.Op, cfg.Warmup+cfg.Ops)
-	for i := range stream {
-		stream[i] = gen.Next()
-	}
-	arrival := *cfg.Arrival
-	sched, err := workload.BuildSchedule(arrival, cfg.Ops)
-	if err != nil {
-		return nil, err
-	}
-	reqHist := cfg.Telemetry.Histogram("request.latency", "seconds")
-
-	var started atomic.Int64
-	var onOpMu sync.Mutex
-	onOp := func() {
-		n := started.Add(1) - 1
-		if cfg.OnOp != nil {
-			onOpMu.Lock()
-			cfg.OnOp(int(n))
-			onOpMu.Unlock()
-		}
-	}
-
-	// Closed-loop warmup, sequential over the lanes.
-	for i := 0; i < cfg.Warmup; i++ {
-		onOp()
-		if err := applyOp(workers[i%par], stream[i]); err != nil {
-			return nil, err
-		}
-	}
-	runtime.GC()
-	m.Reset()
-	cfg.Tracer.ResetCounters()
-	cfg.Telemetry.Reset()
-
-	type laneRec struct {
-		intended, send []time.Duration
-		err            error
-		executed       int
-	}
-	chans := make([]chan schedOp, par)
-	recs := make([]laneRec, par)
-	var wg sync.WaitGroup
-	for w := range workers {
-		chans[w] = make(chan schedOp, depth)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Pin to an OS thread so the meter's thread-CPU readings for
-			// this lane's request path are against one clock.
-			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
-			// Label the lane for CPU profiles: `go tool pprof` can then
-			// slice samples by architecture and lane.
-			labels := pprof.Labels("arch", svc.Arch().String(), "lane", strconv.Itoa(w))
-			pprof.Do(context.Background(), labels, func(context.Context) {
-				iw, _ := workers[w].(IntendedWorker)
-				rec := &recs[w]
-				for so := range chans[w] {
-					if iw != nil {
-						iw.SetIntended(so.intended)
-					}
-					sendT0 := time.Now()
-					if err := applyOpDeadline(workers[w], so.op, so.deadline); err != nil {
-						rec.err = err
-						// Keep draining so the dispatcher never blocks; the
-						// remaining ops are not executed.
-						for range chans[w] {
-						}
-						return
-					}
-					done := time.Now()
-					rec.executed++
-					dIntended := done.Sub(so.intended)
-					reqHist.Observe(int64(dIntended))
-					rec.intended = append(rec.intended, dIntended)
-					rec.send = append(rec.send, done.Sub(sendT0))
-				}
-			})
-		}(w)
-	}
-
-	// Dispatch: release op i at t0 + offset(i) into lane i%par. A full
-	// lane drops the op at its arrival instant (client-side shedding):
-	// an open-loop client with a bounded buffer, not an unbounded one —
-	// so a dead service yields bounded memory and a finite run, and the
-	// drop is itself a datum (ClientShed).
-	var clientShed int64
+// pace is the open-loop dispatcher: it releases metered op i at
+// t0 + sched.Offset(i) into lane i%P's queue, firing release (OnOp) at
+// that instant, and reports how many ops it had to drop. A full queue
+// drops the op at its arrival instant (client-side shedding): an
+// open-loop client with a bounded buffer, not an unbounded one — so a
+// dead service yields bounded memory and a finite run, and the drop is
+// itself a datum (ClientShed). A lane failure ends the run, so dispatch
+// stops at the first one rather than pacing out the rest of the schedule.
+// The queues are closed on return.
+func pace(sched *workload.Schedule, slo time.Duration, dealt [][]workload.Op, queues []chan chunk, release func(), failed *atomic.Bool) (shed int64) {
+	par := len(queues)
 	t0 := time.Now()
-	for i := 0; i < cfg.Ops; i++ {
+	for i := 0; i < sched.N(); i++ {
 		target := t0.Add(sched.Offset(i))
-		for {
-			rem := time.Until(target)
-			if rem <= 0 {
-				break
-			}
+		for rem := time.Until(target); rem > 0 && !failed.Load(); rem = time.Until(target) {
 			// Sleep the bulk, spin the tail: timer wake-ups overshoot by
 			// tens of microseconds, which at high offered rates would
-			// systematically delay every dispatch.
+			// systematically delay every dispatch. Naps are bounded so a
+			// lane failure is noticed within one.
 			if rem > 200*time.Microsecond {
-				time.Sleep(rem - 100*time.Microsecond)
+				time.Sleep(min(rem-100*time.Microsecond, 10*time.Millisecond))
 			} else {
 				runtime.Gosched()
 			}
 		}
-		onOp()
-		var deadline time.Time
-		if cfg.SLO > 0 {
-			deadline = target.Add(cfg.SLO)
+		if failed.Load() {
+			break
+		}
+		release()
+		c := chunk{ops: dealt[i%par][i/par : i/par+1], intended: target}
+		if slo > 0 {
+			c.deadline = target.Add(slo)
 		}
 		select {
-		case chans[i%par] <- schedOp{op: stream[cfg.Warmup+i], intended: target, deadline: deadline}:
+		case queues[i%par] <- c:
 		default:
-			clientShed++
+			shed++
 		}
 	}
-	for _, ch := range chans {
-		close(ch)
+	for _, q := range queues {
+		close(q)
 	}
-	wg.Wait()
-	wall := time.Since(t0)
-
-	ol := &openLoopStats{
-		name:       sched.Name(),
-		offered:    cfg.Ops,
-		clientShed: clientShed,
-		span:       sched.Span(),
-		wall:       wall,
-	}
-	for w := range recs {
-		if recs[w].err != nil {
-			return nil, recs[w].err
-		}
-		ol.executed += recs[w].executed
-		ol.intended = append(ol.intended, recs[w].intended...)
-		ol.send = append(ol.send, recs[w].send...)
-	}
-	return ol, nil
+	return shed
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cachecost/internal/fault"
-	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
 	"cachecost/internal/telemetry"
 	"cachecost/internal/workload"
@@ -53,33 +52,19 @@ func deltaHist(s telemetry.Snapshot, name string) (telemetry.HistState, bool) {
 // storage round trips, and recovery restores steady state.
 func FigTimeseries(o FigOptions) (*Table, error) {
 	o.applyDefaults()
-	reg := o.Telemetry
-	if reg == nil {
-		reg = telemetry.NewRegistry() // standalone: the figure still works unscraped
+	if o.Telemetry == nil {
+		o.Telemetry = telemetry.NewRegistry() // standalone: the figure still works unscraped
 	}
+	reg := o.Telemetry
 
 	wcfg := workload.SyntheticConfig{Keys: o.Keys, Alpha: 1.2, ReadRatio: 0.9, ValueSize: 1 << 10, Seed: o.Seed}
-	m := meter.NewMeter()
-	telemetry.RegisterMeter(reg, "meter", m)
-	inj := fault.New(o.Seed, fault.Options{Meter: m})
+	c := o.synthCell(Remote, wcfg)
+	c.svc.Parallelism = 1 // one lane: window edges are op counts on one timeline
+	inj := fault.New(o.Seed, fault.Options{Meter: c.svc.Meter})
 	inj.SetRule(CacheNode, fault.Rule{SlowStartCalls: 50})
-	gen := workload.NewSynthetic(wcfg)
-	ws := int64(wcfg.Keys) * int64(wcfg.ValueSize)
-	svc, err := BuildKVService(ServiceConfig{
-		Arch:              Remote,
-		Meter:             m,
-		StorageCacheBytes: ws * 15 / 100,
-		RemoteCacheBytes:  ws * 60 / 100,
-		AppReplicas:       o.AppReplicas,
-		Faults:            inj,
-		CacheRetry:        &rpc.RetryPolicy{},
-		RetrySeed:         o.Seed,
-		Tracer:            o.Tracer,
-		Telemetry:         reg,
-	}, gen)
-	if err != nil {
-		return nil, err
-	}
+	c.svc.Faults = inj
+	c.svc.CacheRetry = &rpc.RetryPolicy{}
+	c.svc.RetrySeed = o.Seed
 
 	killAt := o.Warmup + o.Ops*2/5
 	reviveAt := o.Warmup + o.Ops*3/5
@@ -103,25 +88,17 @@ func FigTimeseries(o FigOptions) (*Table, error) {
 	}
 	var wins []window
 	next := 0
-	res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup:    o.Warmup,
-		Ops:       o.Ops,
-		Prices:    o.Prices,
-		Tracer:    o.Tracer,
-		Telemetry: reg,
-		OnOp: func(n int) {
-			sched.Step(inj)
-			for next < len(edges) && n >= edges[next] {
-				wins = append(wins, window{endOp: n, snap: reg.Snapshot()})
-				next++
-			}
-		},
-	})
-	if err != nil {
+	c.run.OnOp = func(n int) {
+		sched.Step(inj)
+		for next < len(edges) && n >= edges[next] {
+			wins = append(wins, window{endOp: n, snap: reg.Snapshot()})
+			next++
+		}
+	}
+	if _, err := o.runCell("timeseries/Remote", c); err != nil {
 		return nil, err
 	}
 	wins = append(wins, window{endOp: o.Warmup + o.Ops, snap: reg.Snapshot()})
-	o.emit("timeseries/Remote", res)
 
 	t := &Table{
 		ID:     "timeseries",
