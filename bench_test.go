@@ -1,13 +1,14 @@
 package cachecost_test
 
-// One benchmark per paper table/figure, plus per-operation benchmarks for
-// each caching architecture. Figure benchmarks regenerate the figure's
-// rows at reduced scale each iteration and report the headline number as
-// a custom metric; run them with
+// One benchmark per paper table/figure, plus a few that isolate one
+// mechanism. Figure benchmarks regenerate the figure's rows at reduced
+// scale each iteration and report the headline number as a custom metric;
+// run them with
 //
 //	go test -bench=. -benchmem
 //
-// and see cmd/costbench for full-scale regeneration.
+// and see cmd/costbench for full-scale regeneration. Per-architecture
+// request cost is the repository benchmark's job (bench/, BENCHMARK.json).
 
 import (
 	"testing"
@@ -50,81 +51,6 @@ func BenchmarkFig7(b *testing.B)        { benchFigure(b, core.Fig7) }
 func BenchmarkFig8(b *testing.B)        { benchFigure(b, core.Fig8) }
 func BenchmarkConsistency(b *testing.B) { benchFigure(b, core.FigConsistency) }
 func BenchmarkMarginal(b *testing.B)    { benchFigure(b, core.FigMarginal) }
-
-// benchFig4aAt regenerates fig4a with the concurrent driver at the given
-// parallelism; wall-clock per regeneration is the ns/op, so comparing
-// Fig4aP1 with Fig4aP4 measures the driver's parallel speedup on this
-// machine (bounded by its core count).
-func benchFig4aAt(b *testing.B, par int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		o := benchOpts()
-		o.Parallelism = par
-		if _, err := core.Fig4a(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig4aP1(b *testing.B) { benchFig4aAt(b, 1) }
-func BenchmarkFig4aP4(b *testing.B) { benchFig4aAt(b, 4) }
-
-// benchArch measures per-request latency and cost of one architecture
-// under the standard synthetic workload, reporting $/Mreq alongside
-// ns/op.
-func benchArch(b *testing.B, arch core.Arch, valueSize int) {
-	b.Helper()
-	m := meter.NewMeter()
-	gen := workload.NewSynthetic(workload.SyntheticConfig{
-		Keys: 300, Alpha: 1.2, ReadRatio: 0.9, ValueSize: valueSize, Seed: 1,
-	})
-	ws := int64(300 * valueSize)
-	svc, err := core.BuildKVService(core.ServiceConfig{
-		Arch:              arch,
-		Meter:             m,
-		StorageCacheBytes: ws * 15 / 100,
-		AppCacheBytes:     ws * 60 / 100,
-		RemoteCacheBytes:  ws * 60 / 100,
-	}, gen)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm the caches.
-	for i := 0; i < 400; i++ {
-		op := gen.Next()
-		if op.Kind == workload.Read {
-			svc.Read(op.Key)
-		} else {
-			svc.Write(op.Key, core.ValueFor(op.Key, op.ValueSize))
-		}
-	}
-	m.Reset()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op := gen.Next()
-		var err error
-		if op.Kind == workload.Read {
-			_, err = svc.Read(op.Key)
-		} else {
-			err = svc.Write(op.Key, core.ValueFor(op.Key, op.ValueSize))
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	m.AddRequests(int64(b.N))
-	rep := meter.BuildReport(m, meter.GCP)
-	b.ReportMetric(rep.CostPerMillionRequests()*1e6, "µ$/Mreq")
-}
-
-func BenchmarkArchBase1KB(b *testing.B)          { benchArch(b, core.Base, 1<<10) }
-func BenchmarkArchRemote1KB(b *testing.B)        { benchArch(b, core.Remote, 1<<10) }
-func BenchmarkArchLinked1KB(b *testing.B)        { benchArch(b, core.Linked, 1<<10) }
-func BenchmarkArchLinkedVersion1KB(b *testing.B) { benchArch(b, core.LinkedVersion, 1<<10) }
-func BenchmarkArchLinkedOwned1KB(b *testing.B)   { benchArch(b, core.LinkedOwned, 1<<10) }
-func BenchmarkArchBase32KB(b *testing.B)         { benchArch(b, core.Base, 32<<10) }
-func BenchmarkArchLinked32KB(b *testing.B)       { benchArch(b, core.Linked, 32<<10) }
 
 // BenchmarkVersionCheck isolates the §5.5 cost: the storage-side price of
 // one consistency version check.

@@ -38,25 +38,3 @@ func ExampleReuseAnalyzer() {
 	// MR at 100B: 1.0
 	// MR at 200B: 0.1
 }
-
-// ExampleS3FIFO shows the scan-resistant policy: a burst of one-hit
-// wonders cannot displace the established working set.
-func ExampleS3FIFO() {
-	c := cache.NewS3FIFO[[]byte](64*20, func(k string, v []byte) int64 {
-		return int64(len(v))
-	})
-	// Establish a hot key.
-	for i := 0; i < 3; i++ {
-		if _, ok := c.Get("hot"); !ok {
-			c.Put("hot", make([]byte, 64))
-		}
-	}
-	// Scan 100 cold keys.
-	for i := 0; i < 100; i++ {
-		c.Put(fmt.Sprintf("cold%d", i), make([]byte, 64))
-	}
-	_, stillThere := c.Get("hot")
-	fmt.Println("hot key survived the scan:", stillThere)
-	// Output:
-	// hot key survived the scan: true
-}

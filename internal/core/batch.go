@@ -5,7 +5,6 @@ import (
 
 	"cachecost/internal/remotecache"
 	"cachecost/internal/rpc"
-	"cachecost/internal/storage/sql"
 	"cachecost/internal/trace"
 	"cachecost/internal/wire"
 )
@@ -20,10 +19,7 @@ import (
 // figure measures.
 //
 // Semantics are positional throughout: response slot i answers request
-// key i. Under fault injection the Remote path inherits the cache
-// client's partial-result behaviour — a dead cache node demotes its
-// keys to misses (one degradation per failed node RPC) and the batch
-// falls through to one batched storage read, so no op is dropped.
+// key i.
 
 // BatchServiceWorker is a worker surface that can carry multi-key
 // operations. ReadBatch returns one digest per key, positionally;
@@ -34,137 +30,43 @@ type BatchServiceWorker interface {
 	WriteBatch(keys []string, values [][]byte) error
 }
 
-// loadBatchFromDB is the batched storage read shared by all
-// architectures: one sql.BatchQuery RPC binds the point-read template
-// once per key, so storage parses, burns its front-end and validates
-// its lease once for the whole batch.
-func (s *KVService) loadBatchFromDB(l *kvLane, sc trace.SpanContext, keys []string) ([][]byte, error) {
-	params := make([]sql.Value, len(keys))
-	for i, k := range keys {
-		params[i] = sql.Text(k)
-	}
-	results, err := l.db.BatchQueryCtx(sc, "SELECT v FROM kvdata WHERE k = ?", params)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(keys))
-	for i, rs := range results {
-		if len(rs.Rows) == 0 {
-			return nil, fmt.Errorf("core: no row for key %q", keys[i])
-		}
-		out[i] = rs.Rows[0][0].Blob
-	}
-	return out, nil
-}
-
-// readBatch serves a multi-key read through the architecture's cache
-// hierarchy on lane l, returning raw values positionally.
+// readBatch serves a multi-key read on lane l, returning raw values
+// positionally. A tier with a batched protocol runs it; the consistency
+// designs keep their per-key read protocols (version checks and leases
+// are per-key by design) and the batch still saves the per-op front-door
+// frames.
 func (s *KVService) readBatch(l *kvLane, sc trace.SpanContext, keys []string) ([][]byte, error) {
-	switch s.cfg.Arch {
-	case Base:
-		return s.loadBatchFromDB(l, sc, keys)
-	case Remote:
-		s.cacheReads.Add(int64(len(keys)))
-		values, found, err := l.rc.MultiGetCtx(sc, keys)
-		if err != nil {
-			return nil, err
-		}
-		var missKeys []string
-		var missIdx []int
-		for i, f := range found {
-			if f {
-				s.cacheHits.Add(1)
-				continue
-			}
-			missKeys = append(missKeys, keys[i])
-			missIdx = append(missIdx, i)
-		}
-		if len(missKeys) == 0 {
-			return values, nil
-		}
-		loaded, err := s.loadBatchFromDB(l, sc, missKeys)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range missIdx {
-			values[i] = loaded[j]
-		}
-		// Backfill the cache with one batched set; a dead node degrades
-		// this to a no-op, same as the scalar path.
-		if err := l.rc.MultiSetTTLCtx(sc, missKeys, loaded, 0); err != nil {
-			return nil, err
-		}
-		return values, nil
-	case Linked:
-		s.cacheReads.Add(int64(len(keys)))
-		// One fault decision per batch: the in-process cache shard is
-		// either up or down for the whole request.
-		if s.linkedFault(l, sc) {
-			return s.loadBatchFromDB(l, sc, keys)
-		}
-		values := make([][]byte, len(keys))
-		var missKeys []string
-		var missIdx []int
-		for i, k := range keys {
-			if v, ok := s.lc.GetCtx(sc, k); ok {
-				values[i] = v
-				s.cacheHits.Add(1)
-				continue
-			}
-			missKeys = append(missKeys, k)
-			missIdx = append(missIdx, i)
-		}
-		if len(missKeys) == 0 {
-			return values, nil
-		}
-		loaded, err := s.loadBatchFromDB(l, sc, missKeys)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range missIdx {
-			values[i] = loaded[j]
-			s.lc.PutCtx(sc, missKeys[j], loaded[j])
-		}
-		return values, nil
-	default:
-		// Consistency architectures keep their per-key read protocols
-		// (version checks and leases are per-key by design); the batch
-		// still saves the per-op front-door frames.
-		values := make([][]byte, len(keys))
-		for i, k := range keys {
-			v, err := s.read(l, sc, k)
-			if err != nil {
-				return nil, err
-			}
-			values[i] = v
-		}
-		return values, nil
+	if br, ok := l.tier.(batchReader[[]byte]); ok {
+		values, hits, err := br.readBatch(sc, keys, l.rows)
+		s.count(len(keys), hits)
+		return values, err
 	}
+	values := make([][]byte, len(keys))
+	for i, k := range keys {
+		v, err := s.read(l, sc, k)
+		if err != nil {
+			return nil, err
+		}
+		values[i] = v
+	}
+	return values, nil
 }
 
-// writeBatch applies a multi-key write on lane l. Storage writes stay
-// per-statement (each update replicates through raft on its own), but
-// the Remote architecture batches its lookaside invalidations into one
-// MultiDelete frame.
+// writeBatch applies a multi-key write on lane l: in one step where the
+// tier batches its invalidations, key by key elsewhere.
 func (s *KVService) writeBatch(l *kvLane, sc trace.SpanContext, keys []string, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("core: WriteBatch %d keys but %d values", len(keys), len(values))
 	}
-	if s.cfg.Arch != Remote {
-		for i := range keys {
-			if err := s.write(l, sc, keys[i], values[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+	if bd, ok := l.tier.(batchDropper[[]byte]); ok {
+		return bd.dropBatch(sc, keys, values, l.rows)
 	}
 	for i := range keys {
-		if _, err := l.db.ExecCtx(sc, "UPDATE kvdata SET v = ? WHERE k = ?",
-			sql.Blob(values[i]), sql.Text(keys[i])); err != nil {
+		if err := s.write(l, sc, keys[i], values[i]); err != nil {
 			return err
 		}
 	}
-	return l.rc.MultiDeleteCtx(sc, keys)
+	return nil
 }
 
 // handleReadBatch is the client-facing multi-key read: one request

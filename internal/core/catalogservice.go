@@ -6,9 +6,6 @@ import (
 	"strings"
 
 	"cachecost/internal/catalog"
-	"cachecost/internal/cluster"
-	"cachecost/internal/consistency"
-	"cachecost/internal/linkedcache"
 	"cachecost/internal/meter"
 	"cachecost/internal/remotecache"
 	"cachecost/internal/rpc"
@@ -54,24 +51,18 @@ type CatalogServiceConfig struct {
 }
 
 // CatalogService deploys the rich-object application under an
-// architecture. The linked cache holds live *catalog.TableInfo objects;
-// the remote cache holds their serialized form — that asymmetry is the
-// §5.4 comparison.
+// architecture: the same tiers KVService runs, over live
+// *catalog.TableInfo objects. The linked cache holds them as they are; the
+// remote cache holds their serialized form — that asymmetry is the §5.4
+// comparison.
 type CatalogService struct {
 	cfg     CatalogServiceConfig
-	m       *meter.Meter
 	appComp *meter.Component
 
-	node *storage.Node
-	app  *catalog.App
-
-	rcServer *remotecache.Server
-	rc       *remotecache.Client
-
-	lc      *linkedcache.Cache[*catalog.TableInfo]
-	vc      *consistency.VersionedCache[*catalog.TableInfo]
-	oc      *consistency.OwnedCache[*catalog.TableInfo]
-	sharder *cluster.Sharder
+	node   *storage.Node
+	tables *catalogTables
+	tier   tier[*catalog.TableInfo]
+	hitCount
 
 	front *rpc.Server
 }
@@ -88,7 +79,7 @@ func NewCatalogService(cfg CatalogServiceConfig) (*CatalogService, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	s := &CatalogService{cfg: cfg, m: cfg.Meter}
+	s := &CatalogService{cfg: cfg}
 	s.appComp = cfg.Meter.Component("app")
 
 	s.node = storage.NewNode(storage.Config{
@@ -107,42 +98,26 @@ func NewCatalogService(cfg CatalogServiceConfig) (*CatalogService, error) {
 		return nil, err
 	}
 	db := storage.NewClient(rpc.NewLoopback(s.node.Server(), s.appComp, meter.NewBurner(), cfg.RPCCost))
-	s.app = catalog.NewApp(db)
+	s.tables = &catalogTables{app: catalog.NewApp(db), mode: cfg.Mode}
 
-	objSize := func(k string, o *catalog.TableInfo) int64 { return o.MemSize() + int64(len(k)) }
-	switch cfg.Arch {
-	case Remote:
-		s.rcServer = remotecache.NewServer(remotecache.ServerConfig{
+	// The service has one request lane: the default fault stream and, for
+	// Remote, one client over one in-process cache node.
+	var rc *remotecache.Client
+	if cfg.Arch == Remote {
+		srv := remotecache.NewServer(remotecache.ServerConfig{
 			CapacityBytes: cfg.RemoteCacheBytes,
 			Meter:         cfg.Meter,
 			Name:          "remotecache",
 			RPCCost:       cfg.RPCCost,
 		})
-		s.rc = remotecache.NewSingleClient(
-			rpc.NewLoopback(s.rcServer.RPCServer(), s.appComp, meter.NewBurner(), cfg.RPCCost))
-	case Linked:
-		s.lc = linkedcache.New(linkedcache.Config{
-			CapacityBytes: cfg.AppCacheBytes,
-			Meter:         cfg.Meter,
-			Name:          "app.cache",
-		}, objSize)
-		s.m.Component("app.cache").SetMemBytes(cfg.AppCacheBytes * int64(cfg.AppReplicas))
-	case LinkedVersion:
-		s.vc = consistency.NewVersionedCache[*catalog.TableInfo](linkedcache.Config{
-			CapacityBytes: cfg.AppCacheBytes,
-			Meter:         cfg.Meter,
-			Name:          "app.cache",
-		}, func(k string, o *catalog.TableInfo) int64 { return o.MemSize() + int64(len(k)) })
-		s.m.Component("app.cache").SetMemBytes(cfg.AppCacheBytes * int64(cfg.AppReplicas))
-	case LinkedOwned:
-		s.sharder = cluster.NewSharder(64)
-		s.oc = consistency.NewOwnedCache[*catalog.TableInfo]("app0", s.sharder, linkedcache.Config{
-			CapacityBytes: cfg.AppCacheBytes,
-			Meter:         cfg.Meter,
-			Name:          "app.cache",
-		}, func(k string, o *catalog.TableInfo) int64 { return o.MemSize() + int64(len(k)) })
-		s.m.Component("app.cache").SetMemBytes(cfg.AppCacheBytes * int64(cfg.AppReplicas))
+		rc = remotecache.NewSingleClient(
+			rpc.NewLoopback(srv.RPCServer(), s.appComp, meter.NewBurner(), cfg.RPCCost))
 	}
+	arch, err := newArchitecture(&s.cfg.ServiceConfig, catalogKit)
+	if err != nil {
+		return nil, err
+	}
+	s.tier = arch.bind(-1, rc)
 
 	s.front = rpc.NewServer(s.appComp, meter.NewBurner(), cfg.RPCCost)
 	s.front.SetMeterHandlerBody(false)
@@ -166,142 +141,68 @@ func tableID(key string) (int64, error) {
 	return strconv.ParseInt(key[i+1:], 10, 64)
 }
 
-// fetch reads the rich object from storage via the mode's read path.
-// app is the application bound to the request (catalog.App.In).
-func (s *CatalogService) fetch(app *catalog.App, id int64) (*catalog.TableInfo, error) {
-	if s.cfg.Mode == ModeObject {
-		return app.GetTableObject(id)
-	}
-	return app.GetTableKV(id)
+// catalogKit is the catalog application's object: a live TableInfo
+// budgeted at its in-memory footprint, serialized with the wire codec for
+// a remote cache.
+var catalogKit = objectKit[*catalog.TableInfo]{
+	sizeOf: func(k string, o *catalog.TableInfo) int64 { return o.MemSize() + int64(len(k)) },
+	encode: func(o *catalog.TableInfo) []byte { return wire.Marshal(o) },
+	decode: func(b []byte) (*catalog.TableInfo, error) {
+		info := &catalog.TableInfo{}
+		return info, wire.Unmarshal(b, info)
+	},
 }
 
-func (s *CatalogService) fetchVersioned(app *catalog.App, key string) (*catalog.TableInfo, uint64, error) {
-	id, err := tableID(key)
-	if err != nil {
-		return nil, 0, err
-	}
-	info, err := s.fetch(app, id)
-	if err != nil {
-		return nil, 0, err
-	}
-	ver, _, err := s.version(app, id)
-	if err != nil {
-		return nil, 0, err
-	}
-	return info, ver, nil
+// catalogTables is the catalog application's storage path: the mode's
+// read, version and stats-refresh statements over the service's storage
+// connection, each bound to the request's span context (catalog.App.In)
+// so it carries the request's trace, deadline and metering lane.
+type catalogTables struct {
+	app  *catalog.App
+	mode CatalogMode
 }
 
-func (s *CatalogService) version(app *catalog.App, id int64) (uint64, bool, error) {
-	if s.cfg.Mode == ModeObject {
-		return app.VersionOfObject(id)
-	}
-	return app.VersionOfKV(id)
-}
-
-// read serves one rich-object read through the architecture; every
-// downstream call carries the request's span context.
-func (s *CatalogService) read(sc trace.SpanContext, key string) (*catalog.TableInfo, error) {
+// load composes the rich object via the mode's read path.
+func (c *catalogTables) load(sc trace.SpanContext, key string) (*catalog.TableInfo, error) {
 	id, err := tableID(key)
 	if err != nil {
 		return nil, err
 	}
-	app := s.app.In(sc)
-	fetchVersioned := func(k string) (*catalog.TableInfo, uint64, error) { return s.fetchVersioned(app, k) }
-	switch s.cfg.Arch {
-	case Base:
-		return s.fetch(app, id)
-	case Remote:
-		// The remote cache stores the serialized object: a hit pays RPC
-		// plus deserialization.
-		if buf, found, err := s.rc.GetCtx(sc, key); err != nil {
-			return nil, err
-		} else if found {
-			info := &catalog.TableInfo{}
-			if err := wire.Unmarshal(buf, info); err != nil {
-				return nil, err
-			}
-			return info, nil
-		}
-		info, err := s.fetch(app, id)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.rc.SetTTLCtx(sc, key, wire.Marshal(info), 0); err != nil {
-			return nil, err
-		}
-		return info, nil
-	case Linked:
-		info, _, err := s.lc.GetOrLoad(key, func() (*catalog.TableInfo, error) { return s.fetch(app, id) })
-		return info, err
-	case LinkedVersion:
-		info, _, err := s.vc.Read(key,
-			func(string) (uint64, bool, error) { return s.version(app, id) },
-			fetchVersioned)
-		return info, err
-	case LinkedOwned:
-		info, _, err := s.oc.Read(key, fetchVersioned)
-		return info, err
-	default:
-		return nil, fmt.Errorf("core: unknown arch %v", s.cfg.Arch)
+	if c.mode == ModeObject {
+		return c.app.In(sc).GetTableObject(id)
 	}
+	return c.app.In(sc).GetTableKV(id)
 }
 
-// write refreshes a table's stats payload and maintains the caches.
-func (s *CatalogService) write(sc trace.SpanContext, key string, stats []byte) error {
+func (c *catalogTables) version(sc trace.SpanContext, key string) (uint64, bool, error) {
+	id, err := tableID(key)
+	if err != nil {
+		return 0, false, err
+	}
+	if c.mode == ModeObject {
+		return c.app.In(sc).VersionOfObject(id)
+	}
+	return c.app.In(sc).VersionOfKV(id)
+}
+
+// store refreshes a table's stats payload. It yields only part of the
+// object, which is why catalog writes always drop the cached entry.
+func (c *catalogTables) store(sc trace.SpanContext, key string, stats []byte) error {
 	id, err := tableID(key)
 	if err != nil {
 		return err
 	}
-	app := s.app.In(sc)
-	storeWrite := func() error {
-		if s.cfg.Mode == ModeObject {
-			return app.UpdateTableStats(id, stats)
-		}
-		// Denormalized write: read-modify-write the materialized object.
-		info, err := app.GetTableKV(id)
-		if err != nil {
-			return err
-		}
-		info.Stats = stats
-		return app.UpdateTableKV(info)
+	app := c.app.In(sc)
+	if c.mode == ModeObject {
+		return app.UpdateTableStats(id, stats)
 	}
-	switch s.cfg.Arch {
-	case Base:
-		return storeWrite()
-	case Remote:
-		if err := storeWrite(); err != nil {
-			return err
-		}
-		_, err := s.rc.DeleteCtx(sc, key)
+	// Denormalized write: read-modify-write the materialized object.
+	info, err := app.GetTableKV(id)
+	if err != nil {
 		return err
-	case Linked:
-		if err := storeWrite(); err != nil {
-			return err
-		}
-		s.lc.Delete(key)
-		return nil
-	case LinkedVersion:
-		if err := storeWrite(); err != nil {
-			return err
-		}
-		s.vc.Invalidate(key)
-		return nil
-	case LinkedOwned:
-		// The owner routes the write but does not re-materialize the rich
-		// object inline; invalidating forces the next read to re-compose
-		// under a fresh ownership assignment, which preserves
-		// linearizability (we are the only writer for owned keys).
-		if !s.oc.Owns(key) {
-			return consistency.ErrNotOwner
-		}
-		if err := storeWrite(); err != nil {
-			return err
-		}
-		s.oc.Invalidate(key)
-		return nil
-	default:
-		return fmt.Errorf("core: unknown arch %v", s.cfg.Arch)
 	}
+	info.Stats = stats
+	return app.UpdateTableKV(info)
 }
 
 func (s *CatalogService) handleRead(sc trace.SpanContext, req []byte) ([]byte, error) {
@@ -310,7 +211,8 @@ func (s *CatalogService) handleRead(sc trace.SpanContext, req []byte) ([]byte, e
 	if err := wire.Unmarshal(req, &r); err != nil {
 		return nil, err
 	}
-	info, err := s.read(sc, r.Key)
+	info, hit, err := s.tier.read(sc, r.Key, s.tables)
+	s.countOne(hit)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +242,7 @@ func (s *CatalogService) handleWrite(sc trace.SpanContext, req []byte) ([]byte, 
 	if err := wire.Unmarshal(req, &r); err != nil {
 		return nil, err
 	}
-	if err := s.write(sc, r.Key, r.Value); err != nil {
+	if err := s.tier.drop(sc, r.Key, r.Value, s.tables); err != nil {
 		return nil, err
 	}
 	return wire.Marshal(&remotecache.Ack{OK: true}), nil
@@ -364,27 +266,6 @@ func (s *CatalogService) Write(key string, value []byte) error {
 	req := wire.Marshal(&remotecache.SetRequest{Key: key, Value: value})
 	_, err := s.front.Dispatch("app.Write", req)
 	return err
-}
-
-// cacheStats implements hitRatioReporter: cumulative application-level
-// cache (hits, reads).
-func (s *CatalogService) cacheStats() (hits, reads int64) {
-	switch s.cfg.Arch {
-	case Remote:
-		st := s.rcServer.Stats()
-		return st.Hits, st.Hits + st.Misses
-	case Linked:
-		st := s.lc.Stats()
-		return st.Hits, st.Hits + st.Misses
-	case LinkedVersion:
-		st := s.vc.Stats()
-		return st.Hits, st.Reads
-	case LinkedOwned:
-		st := s.oc.Stats()
-		return st.AuthorityHits, st.Reads
-	default:
-		return 0, 0
-	}
 }
 
 // Close implements Service.

@@ -97,11 +97,8 @@ func (o FigOptions) emit(cell string, res *RunResult) {
 // parFor returns the parallelism to use for one cell of arch: the
 // configured fan-out where worker lanes exist, 1 elsewhere.
 func (o FigOptions) parFor(arch Arch) int {
-	if o.Parallelism > 1 {
-		switch arch {
-		case Base, Remote, Linked:
-			return o.Parallelism
-		}
+	if o.Parallelism > 1 && arch.hasWorkerLanes() {
+		return o.Parallelism
 	}
 	return 1
 }

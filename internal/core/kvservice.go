@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"cachecost/internal/admission"
@@ -272,11 +271,9 @@ type KVService struct {
 	detector  *shardmgr.Detector
 	shardMgr  *shardmgr.Manager
 
-	lc      *linkedcache.Cache[[]byte]
-	vc      *consistency.VersionedCache[[]byte]
-	oc      *consistency.OwnedCache[[]byte]
-	tc      *consistency.TTLCache[[]byte]
-	sharder *cluster.Sharder
+	// arch is the built architecture: the cache state every lane's tier
+	// shares, and the binder newLane makes each lane's tier with.
+	arch *architecture[[]byte]
 
 	retries  []*rpc.RetryConn // every lane's cache retry layers, when configured
 	degraded *meter.Counter   // cache errors demoted to misses
@@ -290,11 +287,10 @@ type KVService struct {
 	dlCtr      *meter.Counter
 	telShed    *telemetry.Counter
 	telExpired *telemetry.Counter
-	// Service-level cache accounting: reads that consulted the cache
-	// tier and reads it served. Unlike the caches' internal stats these
-	// see degraded (fault-skipped) lookups, so hit ratio falls as the
-	// fault rate rises.
-	cacheReads, cacheHits atomic.Int64
+	// hitCount is the application-level cache accounting, counted at the
+	// tier call on the full path (shed reads are overload triage, not the
+	// architecture's policy, and stay out of it).
+	hitCount
 
 	// lanes are the pre-built worker lanes when Parallelism > 1.
 	lanes []*kvLane
@@ -305,16 +301,16 @@ type KVService struct {
 }
 
 // kvLane is one request path through the service: a front door whose
-// handlers are bound to this lane's private connections and fault
-// decision stream. The default lane (worker -1) reproduces the historical
-// single-threaded behaviour exactly; worker lanes give the concurrent
+// handlers run the lane's tier over the lane's private storage path. The
+// tier is bound to the lane's cache client stack and fault decision
+// stream, so the default lane (worker -1) reproduces the historical
+// single-threaded behaviour exactly and worker lanes give the concurrent
 // driver contention-free, deterministic request paths. (Busy-time
 // attribution is per request, not per kvLane: see meter.Lane.)
 type kvLane struct {
-	w     int // fault decision stream; -1 = default
 	front *rpc.Server
-	db    *storage.Client
-	rc    *remotecache.Client // Remote only
+	rows  *kvRows
+	tier  tier[[]byte]
 }
 
 // NewKVService builds a single-process deployment: the storage node and
@@ -407,7 +403,7 @@ func NewKVServiceRemote(cfg ServiceConfig, eps RemoteEndpoints) (*KVService, err
 	if err := s.finish(eps); err != nil {
 		return nil, err
 	}
-	if _, err := s.l.db.Exec("CREATE TABLE IF NOT EXISTS kvdata (k TEXT PRIMARY KEY, v BLOB)"); err != nil {
+	if _, err := s.l.rows.db.Exec("CREATE TABLE IF NOT EXISTS kvdata (k TEXT PRIMARY KEY, v BLOB)"); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -549,12 +545,11 @@ func (s *KVService) loopback(srv *rpc.Server) rpc.Conn {
 }
 
 // newLane builds request lane worker (-1 is the default lane): a private
-// storage connection, for Remote a private cache client stack, and a
-// front door bound to both. Connections in eps are used as given; the
-// rest are loopbacks, with the storage hop wrapped under
-// StorageFaultNode.
+// storage connection, for Remote a private cache client stack, the
+// architecture's tier bound to both, and a front door in front. Connections
+// in eps are used as given; the rest are loopbacks, with the storage hop
+// wrapped under StorageFaultNode.
 func (s *KVService) newLane(worker int, eps RemoteEndpoints) (*kvLane, error) {
-	l := &kvLane{w: worker}
 	dbConn := eps.DB
 	if dbConn == nil {
 		dbConn = s.loopback(s.node.Server())
@@ -562,20 +557,20 @@ func (s *KVService) newLane(worker int, eps RemoteEndpoints) (*kvLane, error) {
 			dbConn = s.cfg.Faults.WrapWorker(StorageFaultNode, worker, dbConn)
 		}
 	}
-	l.db = storage.NewClient(dbConn)
+	var rc *remotecache.Client
 	if s.cfg.Arch == Remote {
-		rc, err := s.cacheClient(worker, eps.Cache)
-		if err != nil {
+		var err error
+		if rc, err = s.cacheClient(worker, eps.Cache); err != nil {
 			return nil, err
 		}
-		l.rc = rc
 	}
+	l := &kvLane{rows: &kvRows{db: storage.NewClient(dbConn)}, tier: s.arch.bind(worker, rc)}
 	l.front = s.newFront(l)
 	return l, nil
 }
 
-// finish wires the architecture's cache layer and the request lanes. eps
-// carries a distributed deployment's connections (zero in process).
+// finish builds the architecture and the request lanes. eps carries a
+// distributed deployment's connections (zero in process).
 func (s *KVService) finish(eps RemoteEndpoints) error {
 	cfg := s.cfg
 	s.degraded = s.m.Counter(DegradedCounter)
@@ -602,42 +597,10 @@ func (s *KVService) finish(eps RemoteEndpoints) error {
 			})
 		}
 	}
-	switch cfg.Arch {
-	case Linked:
-		s.lc = linkedcache.New(linkedcache.Config{
-			CapacityBytes: cfg.AppCacheBytes,
-			Meter:         cfg.Meter,
-			Name:          "app.cache",
-			Telemetry:     cfg.Telemetry,
-		}, func(k string, v []byte) int64 { return int64(len(k) + len(v) + 64) })
-		s.scaleLinkedMemory()
-	case LinkedVersion:
-		s.vc = consistency.NewVersionedCache[[]byte](linkedcache.Config{
-			CapacityBytes: cfg.AppCacheBytes,
-			Meter:         cfg.Meter,
-			Name:          "app.cache",
-			Telemetry:     cfg.Telemetry,
-		}, func(k string, v []byte) int64 { return int64(len(k) + len(v) + 64) })
-		s.scaleLinkedMemory()
-	case LinkedOwned:
-		s.sharder = cluster.NewSharder(64)
-		s.oc = consistency.NewOwnedCache[[]byte]("app0", s.sharder, linkedcache.Config{
-			CapacityBytes: cfg.AppCacheBytes,
-			Meter:         cfg.Meter,
-			Name:          "app.cache",
-			Telemetry:     cfg.Telemetry,
-		}, func(k string, v []byte) int64 { return int64(len(k) + len(v) + 64) })
-		s.scaleLinkedMemory()
-	case LinkedTTL:
-		s.tc = consistency.NewTTLCache[[]byte](linkedcache.Config{
-			CapacityBytes: cfg.AppCacheBytes,
-			Meter:         cfg.Meter,
-			Name:          "app.cache",
-			Telemetry:     cfg.Telemetry,
-		}, cfg.TTL, func(k string, v []byte) int64 { return int64(len(k) + len(v) + 64) })
-		s.scaleLinkedMemory()
+	var err error
+	if s.arch, err = newArchitecture(&s.cfg, kvKit); err != nil {
+		return err
 	}
-
 	def, err := s.newLane(-1, eps)
 	if err != nil {
 		return err
@@ -646,9 +609,7 @@ func (s *KVService) finish(eps RemoteEndpoints) error {
 	if cfg.Parallelism == 1 {
 		return nil
 	}
-	switch cfg.Arch {
-	case Base, Remote, Linked:
-	default:
+	if !cfg.Arch.hasWorkerLanes() {
 		return fmt.Errorf("core: Parallelism > 1 is not supported for the %v architecture", cfg.Arch)
 	}
 	if s.node == nil {
@@ -762,29 +723,13 @@ func (w *KVWorker) WriteDeadline(key string, value []byte, deadline time.Time) e
 	return err
 }
 
-// scaleLinkedMemory bills the linked cache once per application server.
-// Tiers that can resize at runtime route through SetBilledReplicas so a
-// later Resize re-prices budget × replicas instead of reverting to the
-// construction-time level; the others price the static configuration
-// directly.
-func (s *KVService) scaleLinkedMemory() {
-	switch {
-	case s.lc != nil:
-		s.lc.SetBilledReplicas(s.cfg.AppReplicas)
-	case s.tc != nil:
-		s.tc.SetBilledReplicas(s.cfg.AppReplicas)
-	default:
-		s.m.Component("app.cache").SetMemBytes(s.cfg.AppCacheBytes * int64(s.cfg.AppReplicas))
-	}
-}
-
 // LinkedCache returns the Linked tier's cache, or nil on other
 // architectures. The elastic controller resizes through it.
-func (s *KVService) LinkedCache() *linkedcache.Cache[[]byte] { return s.lc }
+func (s *KVService) LinkedCache() *linkedcache.Cache[[]byte] { return s.arch.lc }
 
 // TTLTier returns the LinkedTTL tier's cache, or nil on other
 // architectures.
-func (s *KVService) TTLTier() *consistency.TTLCache[[]byte] { return s.tc }
+func (s *KVService) TTLTier() *consistency.TTLCache[[]byte] { return s.arch.tc }
 
 // RemoteCacheServer returns the single-node Remote tier's cache server,
 // or nil (other architectures, or CacheNodes > 1).
@@ -871,7 +816,7 @@ func (s *KVService) Preload(items []PreloadItem) error {
 			}
 			continue
 		}
-		if _, err := s.l.db.Exec(stmt, params...); err != nil {
+		if _, err := s.l.rows.db.Exec(stmt, params...); err != nil {
 			return err
 		}
 	}
@@ -921,55 +866,12 @@ func ValueFor(key string, size int) []byte {
 	return out
 }
 
-// loadFromDB is the storage read path shared by all architectures, over
-// the lane's private storage connection.
-func (s *KVService) loadFromDB(l *kvLane, sc trace.SpanContext, key string) ([]byte, error) {
-	rs, err := l.db.QueryCtx(sc, "SELECT v FROM kvdata WHERE k = ?", sql.Text(key))
-	if err != nil {
-		return nil, err
-	}
-	if len(rs.Rows) == 0 {
-		return nil, fmt.Errorf("core: no row for key %q", key)
-	}
-	return rs.Rows[0][0].Blob, nil
-}
-
-func (s *KVService) loadVersioned(sc trace.SpanContext, key string) ([]byte, uint64, error) {
-	v, err := s.loadFromDB(s.l, sc, key)
-	if err != nil {
-		return nil, 0, err
-	}
-	ver, _, err := s.l.db.VersionCtx(sc, "kvdata", sql.Text(key))
-	if err != nil {
-		return nil, 0, err
-	}
-	return v, ver, nil
-}
-
-func (s *KVService) checkVersion(sc trace.SpanContext, key string) (uint64, bool, error) {
-	return s.l.db.VersionCtx(sc, "kvdata", sql.Text(key))
-}
-
-// linkedFault consults the fault layer for the in-process cache: an
-// injected error models the cache shard being lost or restarting, so the
-// read/write skips the cache (a degradation) and goes to storage. The
-// decision is drawn from the lane's stream.
-func (s *KVService) linkedFault(l *kvLane, sc trace.SpanContext) bool {
-	if s.cfg.Faults == nil {
-		return false
-	}
-	if err := s.cfg.Faults.DecideTrace(LinkedCacheNode, l.w, sc); err != nil {
-		s.degraded.Inc()
-		sc.MarkOutcome(trace.FlagDegraded)
-		return true
-	}
-	return false
-}
-
-// read runs the architecture dispatch and feeds the access observer,
-// when one is installed (the elastic controller's windowed MRC).
+// read serves key through the lane's tier, counts the outcome, and feeds
+// the access observer when one is installed (the elastic controller's
+// windowed MRC).
 func (s *KVService) read(l *kvLane, sc trace.SpanContext, key string) ([]byte, error) {
-	v, err := s.readArch(l, sc, key)
+	v, hit, err := l.tier.read(sc, key, l.rows)
+	s.countOne(hit)
 	if obs := s.obs; obs != nil && err == nil {
 		// Approximate the entry's budgeted footprint the way the cache
 		// tiers size entries: key + value + per-entry overhead.
@@ -978,130 +880,13 @@ func (s *KVService) read(l *kvLane, sc trace.SpanContext, key string) ([]byte, e
 	return v, err
 }
 
-// readArch dispatches a read through the architecture's cache hierarchy
-// on lane l.
-func (s *KVService) readArch(l *kvLane, sc trace.SpanContext, key string) ([]byte, error) {
-	switch s.cfg.Arch {
-	case Base:
-		return s.loadFromDB(l, sc, key)
-	case Remote:
-		s.cacheReads.Add(1)
-		if v, found, err := l.rc.GetCtx(sc, key); err != nil {
-			return nil, err
-		} else if found {
-			s.cacheHits.Add(1)
-			return v, nil
-		}
-		v, err := s.loadFromDB(l, sc, key)
-		if err != nil {
-			return nil, err
-		}
-		if err := l.rc.SetTTLCtx(sc, key, v, 0); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case Linked:
-		s.cacheReads.Add(1)
-		if s.linkedFault(l, sc) {
-			return s.loadFromDB(l, sc, key)
-		}
-		v, hit, err := s.lc.GetOrLoadCtx(sc, key, func(lsc trace.SpanContext) ([]byte, error) {
-			return s.loadFromDB(l, lsc, key)
-		})
-		if err == nil && hit {
-			s.cacheHits.Add(1)
-		}
-		return v, err
-	case LinkedVersion:
-		v, _, err := s.consistentRead(sc, key, func(csc trace.SpanContext) ([]byte, bool, error) {
-			return s.vc.Read(key,
-				func(k string) (uint64, bool, error) { return s.checkVersion(csc, k) },
-				func(k string) ([]byte, uint64, error) { return s.loadVersioned(csc, k) })
-		})
-		return v, err
-	case LinkedOwned:
-		v, _, err := s.consistentRead(sc, key, func(csc trace.SpanContext) ([]byte, bool, error) {
-			return s.oc.Read(key, func(k string) ([]byte, uint64, error) { return s.loadVersioned(csc, k) })
-		})
-		return v, err
-	case LinkedTTL:
-		v, _, err := s.consistentRead(sc, key, func(csc trace.SpanContext) ([]byte, bool, error) {
-			return s.tc.Read(key, func(k string) ([]byte, uint64, error) { return s.loadVersioned(csc, k) })
-		})
-		return v, err
-	default:
-		return nil, fmt.Errorf("core: unknown arch %v", s.cfg.Arch)
-	}
-}
-
-// consistentRead wraps a consistency-cache read in an app.cache span:
-// the consistency strategies live outside the traced cache libraries, so
-// the service records their lookup spans and linked hit/miss counts
-// itself. The strategy's downstream storage calls (version checks and
-// loads) carry the span's child context, nesting them under the cache
-// span exactly as the §5.5 path model describes.
-func (s *KVService) consistentRead(sc trace.SpanContext, key string, read func(csc trace.SpanContext) ([]byte, bool, error)) ([]byte, bool, error) {
-	if !sc.Traced() {
-		return read(sc)
-	}
-	act, csc := trace.Start(sc, "app.cache", "read")
-	v, hit, err := read(csc)
-	if err == nil {
-		sc.Tracer().CountLinkedHit(hit)
-		act.AnnotateBool("cache.hit", hit)
-	}
-	act.End()
-	return v, hit, err
-}
-
-// write dispatches a write on lane l: storage first, then cache
-// maintenance.
+// write applies a write on lane l. A KV write carries the whole row, so a
+// tier that can keep it does; the rest invalidate.
 func (s *KVService) write(l *kvLane, sc trace.SpanContext, key string, value []byte) error {
-	storeWrite := func() error {
-		_, err := l.db.ExecCtx(sc, "UPDATE kvdata SET v = ? WHERE k = ?", sql.Blob(value), sql.Text(key))
-		return err
+	if wt, ok := l.tier.(writeThrough[[]byte]); ok {
+		return wt.write(sc, key, value, value, l.rows)
 	}
-	switch s.cfg.Arch {
-	case Base:
-		return storeWrite()
-	case Remote:
-		if err := storeWrite(); err != nil {
-			return err
-		}
-		// Lookaside invalidation: delete, let the next read repopulate.
-		_, err := l.rc.DeleteCtx(sc, key)
-		return err
-	case Linked:
-		if err := storeWrite(); err != nil {
-			return err
-		}
-		if !s.linkedFault(l, sc) {
-			s.lc.PutCtx(sc, key, value)
-		}
-		return nil
-	case LinkedVersion:
-		if err := storeWrite(); err != nil {
-			return err
-		}
-		s.vc.Invalidate(key)
-		return nil
-	case LinkedOwned:
-		return s.oc.Write(key, value, func() (uint64, error) {
-			if err := storeWrite(); err != nil {
-				return 0, err
-			}
-			ver, _, err := s.l.db.VersionCtx(sc, "kvdata", sql.Text(key))
-			return ver, err
-		})
-	case LinkedTTL:
-		if err := storeWrite(); err != nil {
-			return err
-		}
-		s.tc.Write(key, value)
-		return nil
-	default:
-		return fmt.Errorf("core: unknown arch %v", s.cfg.Arch)
-	}
+	return l.tier.drop(sc, key, value, l.rows)
 }
 
 // Digest is the application logic applied to a value: a real computation
@@ -1171,31 +956,14 @@ func (s *KVService) admit(sc trace.SpanContext) (admission.Outcome, func()) {
 
 // readShed is the degraded serve for a shed read: answer from the cache
 // tier alone — no storage, no admission slot — so overload responses
-// stay cheap and bounded. Base has no cache tier and sheds outright;
-// Remote consults the remote cache (whose client demotes errors to
-// misses, so a dead cache degrades this to an immediate miss); Linked
-// reads its in-process cache. Deliberately not counted in
-// cacheReads/cacheHits: the hit ratio describes the full-path policy,
+// stay cheap and bounded. A tier that cannot peek sheds outright.
+// Deliberately not counted: the hit ratio describes the full-path policy,
 // not overload triage.
 func (s *KVService) readShed(l *kvLane, sc trace.SpanContext, key string) ([]byte, bool) {
-	switch s.cfg.Arch {
-	case Remote:
-		if l.rc == nil {
-			return nil, false
-		}
-		v, found, err := l.rc.GetCtx(sc, key)
-		if err != nil || !found {
-			return nil, false
-		}
-		return v, true
-	case Linked:
-		if s.lc == nil {
-			return nil, false
-		}
-		return s.lc.GetCtx(sc, key)
-	default:
-		return nil, false
+	if p, ok := l.tier.(peeker[[]byte]); ok {
+		return p.peek(sc, key)
 	}
+	return nil, false
 }
 
 // encodeReadOut encodes the GetResponse shape {1: found, 2: digest}
@@ -1347,29 +1115,6 @@ func frontWrite(sc trace.SpanContext, front *rpc.Server, key string, value []byt
 	wire.PutEncoder(e)
 	rpc.PutBuffer(respBody)
 	return err
-}
-
-// cacheStats implements hitRatioReporter: cumulative application-level
-// cache (hits, reads), zero for Base.
-func (s *KVService) cacheStats() (hits, reads int64) {
-	switch s.cfg.Arch {
-	case Remote, Linked:
-		// Service-level counts: every read that consulted the cache tier,
-		// including ones the fault layer degraded to storage loads (which
-		// the caches' internal stats never see).
-		return s.cacheHits.Load(), s.cacheReads.Load()
-	case LinkedVersion:
-		st := s.vc.Stats()
-		return st.Hits, st.Reads
-	case LinkedOwned:
-		st := s.oc.Stats()
-		return st.AuthorityHits, st.Reads
-	case LinkedTTL:
-		st := s.tc.Stats()
-		return st.Hits, st.Reads
-	default:
-		return 0, 0
-	}
 }
 
 // CacheHitRatio reports the architecture's application-level cache hit

@@ -106,27 +106,52 @@ func TestMeteredOpsUnchanged(t *testing.T) {
 	}
 }
 
-// TestLinkedHitAllocs pins the front-door framing: a Linked hit allocates
-// the key it decodes and the digest it returns, nothing else.
+// TestLinkedHitAllocs pins what a warmed-key request allocates on the
+// three benchmarked architectures. The Linked hit is the front-door
+// framing alone — the key it decodes and the digest it returns. The rest
+// are the counts taken before architectures became tier values: a tier
+// call crosses an interface, so anything handed through it that is built
+// per request (a closure over the storage statement, say) escapes to the
+// heap and shows up here as +1.
 func TestLinkedHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
 	}
-	gen := smallGen(13)
-	svc, err := BuildKVService(smallCfg(Linked, meter.NewMeter()), gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := workload.KeyName(3)
-	if _, err := svc.Read(key); err != nil { // fill
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := svc.Read(key); err != nil {
-			panic(err)
-		}
-	})
-	if allocs > 2 {
-		t.Fatalf("Linked hit allocates %.1f per op, want <= 2", allocs)
+	for _, tc := range []struct {
+		arch        Arch
+		read, write float64
+	}{
+		{Base, 42, 161},
+		{Remote, 6, 166},
+		{Linked, 2, 161},
+	} {
+		t.Run(tc.arch.String(), func(t *testing.T) {
+			gen := smallGen(13)
+			svc, err := BuildKVService(smallCfg(tc.arch, meter.NewMeter()), gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := workload.KeyName(3)
+			value := ValueFor(key, 2048)
+			if _, err := svc.Read(key); err != nil { // fill
+				t.Fatal(err)
+			}
+			reads := testing.AllocsPerRun(1000, func() {
+				if _, err := svc.Read(key); err != nil {
+					panic(err)
+				}
+			})
+			if reads > tc.read {
+				t.Errorf("warmed read allocates %.1f per op, want <= %v", reads, tc.read)
+			}
+			writes := testing.AllocsPerRun(200, func() {
+				if err := svc.Write(key, value); err != nil {
+					panic(err)
+				}
+			})
+			if writes > tc.write {
+				t.Errorf("write allocates %.1f per op, want <= %v", writes, tc.write)
+			}
+		})
 	}
 }

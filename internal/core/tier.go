@@ -1,0 +1,499 @@
+package core
+
+import (
+	"fmt"
+	"sync/atomic"
+
+	"cachecost/internal/cluster"
+	"cachecost/internal/consistency"
+	"cachecost/internal/fault"
+	"cachecost/internal/linkedcache"
+	"cachecost/internal/meter"
+	"cachecost/internal/remotecache"
+	"cachecost/internal/trace"
+)
+
+// The architectures of Figure 1 as values. Each design is one small type
+// implementing tier, bound to a request lane; KVService and CatalogService
+// run the same six, so each read and write protocol is stated once, in
+// this file. Nothing here knows which service is calling: the application
+// hands in its storage path (source) with every call and its object's
+// size and wire form (objectKit) once.
+
+// source is the application's storage path for one request lane, shared
+// by every request on the lane and safe for them to use concurrently.
+type source[V any] interface {
+	load(sc trace.SpanContext, key string) (V, error)
+	// version is the §5.5 version check; !found means no such key.
+	version(sc trace.SpanContext, key string) (ver uint64, found bool, err error)
+	// store applies a client's write payload (Service.Write's value) to
+	// key. The payload travels beside the lane-owned source, not inside a
+	// per-request closure: handed through the tier interface, a closure
+	// escapes to the heap on every write.
+	store(sc trace.SpanContext, key string, payload []byte) error
+}
+
+// loadVersioned loads key's object and the storage version it reflects.
+func loadVersioned[V any](sc trace.SpanContext, key string, src source[V]) (V, uint64, error) {
+	v, err := src.load(sc, key)
+	if err != nil {
+		return v, 0, err
+	}
+	ver, _, err := src.version(sc, key)
+	return v, ver, err
+}
+
+// loadMisses completes a batched read: one storage round trip loads
+// keys[i] into values[i] for every i in miss. It returns the missed keys
+// and their objects, positionally, for the caller to backfill with.
+func loadMisses[V any](sc trace.SpanContext, keys []string, miss []int, values []V, src batchSource[V]) ([]string, []V, error) {
+	if len(miss) == 0 {
+		return nil, nil, nil
+	}
+	missKeys := make([]string, len(miss))
+	for j, i := range miss {
+		missKeys[j] = keys[i]
+	}
+	loaded, err := src.loadBatch(sc, missKeys)
+	if err != nil {
+		return nil, nil, err
+	}
+	for j, i := range miss {
+		values[i] = loaded[j]
+	}
+	return missKeys, loaded, nil
+}
+
+// tier is one architecture's cache policy on one request lane.
+type tier[V any] interface {
+	// read serves key; hit reports whether the cache did. The services
+	// count (reads, hits) from it, so the hit ratio means the same thing
+	// under every architecture.
+	read(sc trace.SpanContext, key string, src source[V]) (v V, hit bool, err error)
+	// drop applies a write whose resulting object the caller does not
+	// hold, and removes key's entry so the next read reloads it.
+	drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error
+}
+
+// The optional capabilities. A service asserts for one per call; a tier
+// has one only by declaring the method itself (TestTierCapabilities pins
+// the table), so a design without a batched protocol falls back to its
+// per-key one instead of bypassing its cache.
+
+// writeThrough is a tier that can keep v, the whole object a write's
+// payload produces, instead of dropping the entry.
+type writeThrough[V any] interface {
+	write(sc trace.SpanContext, key string, v V, payload []byte, src source[V]) error
+}
+
+// batchSource is a storage path with a one-round-trip, positional load.
+type batchSource[V any] interface {
+	source[V]
+	loadBatch(sc trace.SpanContext, keys []string) ([]V, error)
+}
+
+// batchReader is a tier with a multi-key read protocol; values are
+// positional, hits counts the keys the cache served.
+type batchReader[V any] interface {
+	readBatch(sc trace.SpanContext, keys []string, src batchSource[V]) (values []V, hits int, err error)
+}
+
+// batchDropper is a tier that invalidates a multi-key write in one frame.
+type batchDropper[V any] interface {
+	dropBatch(sc trace.SpanContext, keys []string, payloads [][]byte, src source[V]) error
+}
+
+// peeker is a tier that can answer from its cache alone — no storage, no
+// fill — which is what an overloaded service sheds reads to. Errors are
+// misses.
+type peeker[V any] interface {
+	peek(sc trace.SpanContext, key string) (V, bool)
+}
+
+// objectKit is what the application contributes to its architecture: how
+// the linked cache budgets one live object, and the serialized form a
+// remote cache holds (the asymmetry §5.4 prices).
+type objectKit[V any] struct {
+	sizeOf func(key string, v V) int64
+	encode func(V) []byte
+	decode func([]byte) (V, error)
+}
+
+// architecture is one built design: the cache state every lane shares,
+// and the binder that makes a lane's tier from it.
+type architecture[V any] struct {
+	// bind returns the tier for the lane with fault decision stream w
+	// (-1 = default) and private cache client stack rc (nil unless Remote).
+	bind func(w int, rc *remotecache.Client) tier[V]
+	// lc and tc are the Linked and Linked+TTL caches, nil elsewhere: the
+	// elastic controller resizes through them.
+	lc *linkedcache.Cache[V]
+	tc *consistency.TTLCache[V]
+}
+
+// newArchitecture builds cfg.Arch: the shared linked cache, billed once
+// per application server (the linked tier is deployed in each, §2.4), and
+// the per-lane binder. An architecture nothing here implements fails now,
+// not at the first request.
+func newArchitecture[V any](cfg *ServiceConfig, kit objectKit[V]) (*architecture[V], error) {
+	lcfg := linkedcache.Config{
+		CapacityBytes: cfg.AppCacheBytes,
+		Meter:         cfg.Meter,
+		Name:          "app.cache",
+		Telemetry:     cfg.Telemetry,
+	}
+	// Caches that cannot resize price the static configuration directly;
+	// Linked and Linked+TTL go through SetBilledReplicas so a later Resize
+	// re-prices budget × replicas.
+	billStatic := func() {
+		cfg.Meter.Component("app.cache").SetMemBytes(cfg.AppCacheBytes * int64(cfg.AppReplicas))
+	}
+	shared := func(t tier[V]) func(int, *remotecache.Client) tier[V] {
+		return func(int, *remotecache.Client) tier[V] { return t }
+	}
+	a := &architecture[V]{}
+	switch cfg.Arch {
+	case Base:
+		a.bind = shared(baseTier[V]{})
+	case Remote:
+		a.bind = func(_ int, rc *remotecache.Client) tier[V] {
+			return &remoteTier[V]{rc: rc, kit: kit}
+		}
+	case Linked:
+		a.lc = linkedcache.New(lcfg, kit.sizeOf)
+		a.lc.SetBilledReplicas(cfg.AppReplicas)
+		var degraded *meter.Counter
+		if cfg.Faults != nil {
+			degraded = cfg.Meter.Counter(DegradedCounter)
+		}
+		a.bind = func(w int, _ *remotecache.Client) tier[V] {
+			return &linkedTier[V]{lc: a.lc, faults: cfg.Faults, w: w, degraded: degraded}
+		}
+	case LinkedVersion:
+		a.bind = shared(&versionTier[V]{vc: consistency.NewVersionedCache(lcfg, kit.sizeOf)})
+		billStatic()
+	case LinkedOwned:
+		// One application server owns every shard: the auto-sharder's
+		// leases are real, its routing is not exercised.
+		a.bind = shared(&ownedTier[V]{oc: consistency.NewOwnedCache("app0", cluster.NewSharder(64), lcfg, kit.sizeOf)})
+		billStatic()
+	case LinkedTTL:
+		a.tc = consistency.NewTTLCache(lcfg, cfg.TTL, kit.sizeOf)
+		a.tc.SetBilledReplicas(cfg.AppReplicas)
+		a.bind = shared(&ttlTier[V]{tc: a.tc})
+	default:
+		return nil, fmt.Errorf("core: unknown architecture %v", cfg.Arch)
+	}
+	return a, nil
+}
+
+// baseTier is Figure 1a: no application-side cache.
+type baseTier[V any] struct{}
+
+func (baseTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, bool, error) {
+	v, err := src.load(sc, key)
+	return v, false, err
+}
+
+func (baseTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
+	return src.store(sc, key, payload)
+}
+
+func (baseTier[V]) readBatch(sc trace.SpanContext, keys []string, src batchSource[V]) ([]V, int, error) {
+	values, err := src.loadBatch(sc, keys)
+	return values, 0, err
+}
+
+// remoteTier is Figure 1b: a lookaside remote cache holding serialized
+// objects over the lane's private client stack, so a hit pays the hop and
+// the decode. Reads fill on a miss with no expiry; writes invalidate and
+// let the next read repopulate.
+//
+// This type is the single home of the lookaside stale-set race (ROADMAP
+// item 4): a fill racing a write's delete re-installs the value the read
+// loaded before the write, with nothing to expire it. read and readBatch
+// fill, drop and dropBatch invalidate; a version-stamped set or a lease
+// goes here and nowhere else.
+type remoteTier[V any] struct {
+	rc  *remotecache.Client
+	kit objectKit[V]
+}
+
+func (t *remoteTier[V]) get(sc trace.SpanContext, key string) (v V, found bool, err error) {
+	buf, found, err := t.rc.GetCtx(sc, key)
+	if err != nil || !found {
+		return v, false, err
+	}
+	v, err = t.kit.decode(buf)
+	return v, err == nil, err
+}
+
+func (t *remoteTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, bool, error) {
+	v, found, err := t.get(sc, key)
+	if err != nil || found {
+		return v, found, err
+	}
+	if v, err = src.load(sc, key); err != nil {
+		return v, false, err
+	}
+	return v, false, t.rc.SetTTLCtx(sc, key, t.kit.encode(v), 0)
+}
+
+func (t *remoteTier[V]) peek(sc trace.SpanContext, key string) (V, bool) {
+	v, found, _ := t.get(sc, key)
+	return v, found
+}
+
+func (t *remoteTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
+	if err := src.store(sc, key, payload); err != nil {
+		return err
+	}
+	_, err := t.rc.DeleteCtx(sc, key)
+	return err
+}
+
+// readBatch is the lookaside protocol with one frame per step: one
+// MultiGet, one batched storage read for the misses, one MultiSet to
+// backfill them. A dead cache node demotes its keys to misses (one
+// degradation per failed node RPC), so under faults no key is dropped.
+func (t *remoteTier[V]) readBatch(sc trace.SpanContext, keys []string, src batchSource[V]) ([]V, int, error) {
+	bufs, found, err := t.rc.MultiGetCtx(sc, keys)
+	if err != nil {
+		return nil, 0, err
+	}
+	values := make([]V, len(keys))
+	var miss []int
+	for i, f := range found {
+		if !f {
+			miss = append(miss, i)
+		} else if values[i], err = t.kit.decode(bufs[i]); err != nil {
+			return nil, 0, err
+		}
+	}
+	hits := len(keys) - len(miss)
+	missKeys, loaded, err := loadMisses(sc, keys, miss, values, src)
+	if err != nil || len(miss) == 0 {
+		return values, hits, err
+	}
+	fills := make([][]byte, len(loaded))
+	for j, v := range loaded {
+		fills[j] = t.kit.encode(v)
+	}
+	return values, hits, t.rc.MultiSetTTLCtx(sc, missKeys, fills, 0)
+}
+
+// dropBatch keeps the storage writes per-statement (each update
+// replicates through raft on its own) and batches the invalidations into
+// one MultiDelete frame.
+func (t *remoteTier[V]) dropBatch(sc trace.SpanContext, keys []string, payloads [][]byte, src source[V]) error {
+	for i, k := range keys {
+		if err := src.store(sc, k, payloads[i]); err != nil {
+			return err
+		}
+	}
+	return t.rc.MultiDeleteCtx(sc, keys)
+}
+
+// linkedTier is Figure 1c: an in-process cache of live objects, shared by
+// every lane. Each lane consults the fault layer on its own decision
+// stream; an injected fault models the cache shard an app replica carries
+// being lost or restarting, so the request skips the cache (a counted
+// degradation) and is served as Base would serve it.
+type linkedTier[V any] struct {
+	lc       *linkedcache.Cache[V]
+	faults   *fault.Injector
+	w        int
+	degraded *meter.Counter
+}
+
+func (t *linkedTier[V]) faulted(sc trace.SpanContext) bool {
+	if t.faults == nil {
+		return false
+	}
+	if err := t.faults.DecideTrace(LinkedCacheNode, t.w, sc); err != nil {
+		t.degraded.Inc()
+		sc.MarkOutcome(trace.FlagDegraded)
+		return true
+	}
+	return false
+}
+
+func (t *linkedTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, bool, error) {
+	if t.faulted(sc) {
+		return baseTier[V]{}.read(sc, key, src)
+	}
+	return t.lc.GetOrLoadCtx(sc, key, func(lsc trace.SpanContext) (V, error) { return src.load(lsc, key) })
+}
+
+func (t *linkedTier[V]) peek(sc trace.SpanContext, key string) (V, bool) { return t.lc.GetCtx(sc, key) }
+
+func (t *linkedTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
+	if err := src.store(sc, key, payload); err != nil {
+		return err
+	}
+	t.lc.Delete(key)
+	return nil
+}
+
+func (t *linkedTier[V]) write(sc trace.SpanContext, key string, v V, payload []byte, src source[V]) error {
+	if err := src.store(sc, key, payload); err != nil {
+		return err
+	}
+	if !t.faulted(sc) {
+		t.lc.PutCtx(sc, key, v)
+	}
+	return nil
+}
+
+// readBatch draws one fault decision per batch — the in-process cache
+// shard is up or down for the whole request — looks every key up, and
+// loads the misses in one storage round trip.
+func (t *linkedTier[V]) readBatch(sc trace.SpanContext, keys []string, src batchSource[V]) ([]V, int, error) {
+	if t.faulted(sc) {
+		return baseTier[V]{}.readBatch(sc, keys, src)
+	}
+	values := make([]V, len(keys))
+	var miss []int
+	for i, k := range keys {
+		var ok bool
+		if values[i], ok = t.lc.GetCtx(sc, k); !ok {
+			miss = append(miss, i)
+		}
+	}
+	missKeys, loaded, err := loadMisses(sc, keys, miss, values, src)
+	for j, v := range loaded {
+		t.lc.PutCtx(sc, missKeys[j], v)
+	}
+	return values, len(keys) - len(miss), err
+}
+
+// consistentRead wraps a consistency-cache read in an app.cache span: the
+// strategies live outside the traced cache libraries, so the tier records
+// their lookup span and linked hit/miss count itself. The strategy's
+// storage calls (version checks, loads) carry the span's child context,
+// nesting under the cache span as the §5.5 path model describes.
+func consistentRead[V any](sc trace.SpanContext, read func(csc trace.SpanContext) (V, bool, error)) (V, bool, error) {
+	act, csc := trace.Start(sc, "app.cache", "read")
+	v, hit, err := read(csc)
+	if err == nil {
+		sc.Tracer().CountLinkedHit(hit)
+		act.AnnotateBool("cache.hit", hit)
+	}
+	act.End()
+	return v, hit, err
+}
+
+// versionTier is Figure 1d: a linked cache whose every read revalidates
+// the entry against the storage version — linearizable, at one storage
+// round trip per read. Writes invalidate.
+type versionTier[V any] struct {
+	vc *consistency.VersionedCache[V]
+}
+
+func (t *versionTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, bool, error) {
+	return consistentRead(sc, func(csc trace.SpanContext) (V, bool, error) {
+		return t.vc.Read(key,
+			func(k string) (uint64, bool, error) { return src.version(csc, k) },
+			func(k string) (V, uint64, error) { return loadVersioned(csc, k, src) })
+	})
+}
+
+func (t *versionTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
+	if err := src.store(sc, key, payload); err != nil {
+		return err
+	}
+	t.vc.Invalidate(key)
+	return nil
+}
+
+// ownedTier is the §6 design: a linked cache holding auto-sharder
+// ownership leases, so reads are linearizable with no per-read storage
+// contact as long as every write for an owned key comes through the
+// owner.
+type ownedTier[V any] struct {
+	oc *consistency.OwnedCache[V]
+}
+
+func (t *ownedTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, bool, error) {
+	return consistentRead(sc, func(csc trace.SpanContext) (V, bool, error) {
+		return t.oc.Read(key, func(k string) (V, uint64, error) { return loadVersioned(csc, k, src) })
+	})
+}
+
+// drop routes the write through the owner without re-materializing the
+// object: invalidating makes the next read re-compose it under a fresh
+// ownership assignment, which preserves linearizability (the owner is the
+// only writer of its keys).
+func (t *ownedTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
+	if !t.oc.Owns(key) {
+		return consistency.ErrNotOwner
+	}
+	if err := src.store(sc, key, payload); err != nil {
+		return err
+	}
+	t.oc.Invalidate(key)
+	return nil
+}
+
+func (t *ownedTier[V]) write(sc trace.SpanContext, key string, v V, payload []byte, src source[V]) error {
+	return t.oc.Write(key, v, func() (uint64, error) {
+		if err := src.store(sc, key, payload); err != nil {
+			return 0, err
+		}
+		ver, _, err := src.version(sc, key)
+		return ver, err
+	})
+}
+
+// ttlTier is the bounded-staleness compromise (§7): entries are served
+// with no storage contact until they age out, so a read may be up to TTL
+// old.
+type ttlTier[V any] struct {
+	tc *consistency.TTLCache[V]
+}
+
+func (t *ttlTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, bool, error) {
+	return consistentRead(sc, func(csc trace.SpanContext) (V, bool, error) {
+		return t.tc.Read(key, func(k string) (V, uint64, error) { return loadVersioned(csc, k, src) })
+	})
+}
+
+func (t *ttlTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
+	if err := src.store(sc, key, payload); err != nil {
+		return err
+	}
+	t.tc.Invalidate(key)
+	return nil
+}
+
+func (t *ttlTier[V]) write(sc trace.SpanContext, key string, v V, payload []byte, src source[V]) error {
+	if err := src.store(sc, key, payload); err != nil {
+		return err
+	}
+	t.tc.Write(key, v)
+	return nil
+}
+
+// hitCount is a service's application-level cache accounting, taken at
+// the tier call: reads that went through the tier and reads its cache
+// served. Unlike the caches' internal stats it sees degraded
+// (fault-skipped) lookups, so the hit ratio falls as the fault rate
+// rises. Base counts reads and no hits.
+type hitCount struct {
+	reads, hits atomic.Int64
+}
+
+func (c *hitCount) count(reads, hits int) {
+	c.reads.Add(int64(reads))
+	c.hits.Add(int64(hits))
+}
+
+func (c *hitCount) countOne(hit bool) {
+	c.reads.Add(1)
+	if hit {
+		c.hits.Add(1)
+	}
+}
+
+// cacheStats implements hitRatioReporter.
+func (c *hitCount) cacheStats() (hits, reads int64) { return c.hits.Load(), c.reads.Load() }

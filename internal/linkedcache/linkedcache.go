@@ -5,9 +5,9 @@
 // finds the architecture's 2× cost advantage over remote caches.
 //
 // To avoid replicating the cache in every application server, linked
-// caches are sharded: each server owns a partition of the key space
-// (Partitioned, backed by the cluster package's consistent-hash ring),
-// and the serving tier routes requests to owners.
+// caches are sharded: each server owns a partition of the key space and
+// the serving tier routes requests to owners. This package is one
+// server's cache; ownership is consistency.OwnedCache over cluster.Sharder.
 package linkedcache
 
 import (
@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"cachecost/internal/cache"
-	"cachecost/internal/cluster"
 	"cachecost/internal/meter"
 	"cachecost/internal/telemetry"
 	"cachecost/internal/trace"
@@ -132,22 +131,6 @@ func (c *Cache[V]) PutTTL(key string, v V, ttl time.Duration) { c.store.PutTTL(k
 // Delete removes key.
 func (c *Cache[V]) Delete(key string) bool { return c.store.Delete(key) }
 
-// GetOrLoad returns the cached value or loads, caches and returns it.
-// Concurrent loads of the same key may race and both load; the last Put
-// wins — the standard lookaside trade-off.
-func (c *Cache[V]) GetOrLoad(key string, load func() (V, error)) (V, bool, error) {
-	if v, ok := c.store.Get(key); ok {
-		return v, true, nil
-	}
-	v, err := load()
-	if err != nil {
-		var zero V
-		return zero, false, err
-	}
-	c.store.Put(key, v)
-	return v, false, nil
-}
-
 // GetCtx is Get carrying the caller's span context: the in-process
 // lookup is recorded as a cache span (annotated cache.hit) under the
 // cache's component name, and the outcome feeds the trace's linked
@@ -171,9 +154,12 @@ func (c *Cache[V]) PutCtx(sc trace.SpanContext, key string, v V) {
 	act.End()
 }
 
-// GetOrLoadCtx is GetOrLoad carrying the caller's span context; load
-// receives the cache span's context so the loader's downstream spans
-// (the storage round trip on a miss) nest under it.
+// GetOrLoadCtx returns the cached value or loads, caches and returns it.
+// Concurrent loads of the same key may race and both load; the last Put
+// wins — the standard lookaside trade-off. The lookup is recorded as a
+// cache span under the caller's span context; load receives that span's
+// context so the loader's downstream spans (the storage round trip on a
+// miss) nest under it.
 func (c *Cache[V]) GetOrLoadCtx(sc trace.SpanContext, key string, load func(sc trace.SpanContext) (V, error)) (V, bool, error) {
 	act, lsc := trace.Start(sc, c.name, "get-or-load")
 	v, ok := c.store.Get(key)
@@ -205,55 +191,3 @@ func (c *Cache[V]) Capacity() int64 { return c.store.Capacity() }
 
 // Flush drops every entry.
 func (c *Cache[V]) Flush() { c.store.Flush() }
-
-// Partitioned is a linked cache owned by one application server in a
-// sharded serving tier: the server caches only the keys it owns and drops
-// entries that reshard away.
-type Partitioned[V any] struct {
-	Self  string
-	cache *Cache[V]
-	shard *cluster.Sharder
-}
-
-// NewPartitioned registers self with the sharder and wires resharding
-// eviction: keys that move to another owner are dropped locally.
-func NewPartitioned[V any](self string, shard *cluster.Sharder, cfg Config, sizeOf cache.SizeOf[V]) *Partitioned[V] {
-	p := &Partitioned[V]{Self: self, cache: New(cfg, sizeOf), shard: shard}
-	shard.Watch(func(moved []string, from, to string) {
-		if from == self {
-			for _, k := range moved {
-				p.cache.Delete(k)
-			}
-		}
-	})
-	shard.Join(self)
-	return p
-}
-
-// Owns reports whether this server currently owns key.
-func (p *Partitioned[V]) Owns(key string) bool { return p.shard.Owner(key) == p.Self }
-
-// Get returns the cached value if this server owns the key and has it.
-func (p *Partitioned[V]) Get(key string) (V, bool) {
-	var zero V
-	if !p.Owns(key) {
-		return zero, false
-	}
-	return p.cache.Get(key)
-}
-
-// Put caches a value if this server owns the key; foreign keys are
-// ignored (the router should not have sent them here).
-func (p *Partitioned[V]) Put(key string, v V) bool {
-	if !p.Owns(key) {
-		return false
-	}
-	p.cache.Put(key, v)
-	return true
-}
-
-// Delete removes key from the local partition.
-func (p *Partitioned[V]) Delete(key string) bool { return p.cache.Delete(key) }
-
-// Cache exposes the underlying linked cache (stats, capacity).
-func (p *Partitioned[V]) Cache() *Cache[V] { return p.cache }

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"cachecost/internal/cluster"
 	"cachecost/internal/meter"
+	"cachecost/internal/trace"
 )
 
 type richObj struct {
@@ -34,15 +34,15 @@ func TestHitReturnsSamePointer(t *testing.T) {
 func TestGetOrLoad(t *testing.T) {
 	c := newObjCache(1<<20, nil)
 	loads := 0
-	load := func() (*richObj, error) {
+	load := func(trace.SpanContext) (*richObj, error) {
 		loads++
 		return &richObj{Name: "loaded"}, nil
 	}
-	v, hit, err := c.GetOrLoad("k", load)
+	v, hit, err := c.GetOrLoadCtx(trace.SpanContext{}, "k", load)
 	if err != nil || hit || v.Name != "loaded" {
 		t.Fatalf("first = %v %v %v", v, hit, err)
 	}
-	v2, hit, err := c.GetOrLoad("k", load)
+	v2, hit, err := c.GetOrLoadCtx(trace.SpanContext{}, "k", load)
 	if err != nil || !hit || v2 != v {
 		t.Fatalf("second = %v %v %v", v2, hit, err)
 	}
@@ -54,7 +54,7 @@ func TestGetOrLoad(t *testing.T) {
 func TestGetOrLoadErrorNotCached(t *testing.T) {
 	c := newObjCache(1<<20, nil)
 	boom := errors.New("boom")
-	_, _, err := c.GetOrLoad("k", func() (*richObj, error) { return nil, boom })
+	_, _, err := c.GetOrLoadCtx(trace.SpanContext{}, "k", func(trace.SpanContext) (*richObj, error) { return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -102,69 +102,6 @@ func TestFlushAndDelete(t *testing.T) {
 	}
 	if c.Capacity() != 1<<20 {
 		t.Fatal("capacity should survive flush")
-	}
-}
-
-func TestPartitionedOwnership(t *testing.T) {
-	shard := cluster.NewSharder(64)
-	p1 := NewPartitioned[*richObj]("app1", shard, Config{CapacityBytes: 1 << 20}, objSize)
-	p2 := NewPartitioned[*richObj]("app2", shard, Config{CapacityBytes: 1 << 20}, objSize)
-
-	owned1, owned2 := 0, 0
-	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("k%d", i)
-		switch {
-		case p1.Owns(key):
-			owned1++
-			if !p1.Put(key, &richObj{Name: key}) {
-				t.Fatalf("owner put rejected for %s", key)
-			}
-			if p2.Put(key, &richObj{}) {
-				t.Fatalf("non-owner put accepted for %s", key)
-			}
-		case p2.Owns(key):
-			owned2++
-		default:
-			t.Fatalf("key %s unowned", key)
-		}
-	}
-	if owned1 == 0 || owned2 == 0 {
-		t.Fatalf("partitioning degenerate: %d/%d", owned1, owned2)
-	}
-}
-
-func TestPartitionedReshardEvicts(t *testing.T) {
-	shard := cluster.NewSharder(64)
-	p1 := NewPartitioned[*richObj]("app1", shard, Config{CapacityBytes: 1 << 20}, objSize)
-
-	keys := make([]string, 300)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%d", i)
-		shard.Assign(keys[i]) // track for reshard reporting
-		p1.Put(keys[i], &richObj{Name: keys[i]})
-	}
-	before := 0
-	for _, k := range keys {
-		if _, ok := p1.Get(k); ok {
-			before++
-		}
-	}
-	if before != len(keys) {
-		t.Fatalf("pre-reshard hits = %d", before)
-	}
-
-	// A second server joins: some keys move away and must be dropped
-	// from p1 (stale ownership would risk serving stale data).
-	p2 := NewPartitioned[*richObj]("app2", shard, Config{CapacityBytes: 1 << 20}, objSize)
-	for _, k := range keys {
-		if !p1.Owns(k) {
-			if _, ok := p1.Cache().Get(k); ok {
-				t.Fatalf("key %q still cached on old owner after reshard", k)
-			}
-			if !p2.Owns(k) {
-				t.Fatalf("key %q unowned after join", k)
-			}
-		}
 	}
 }
 

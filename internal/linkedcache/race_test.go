@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cachecost/internal/cache"
+	"cachecost/internal/trace"
 )
 
 // TestCacheConcurrentGetOrLoad runs the linked cache's hit path from 8
@@ -37,7 +38,7 @@ func TestCacheConcurrentGetOrLoad(t *testing.T) {
 					c.Put(key, build(key, byte(w)))
 					continue
 				}
-				v, _, err := c.GetOrLoad(key, func() ([]byte, error) {
+				v, _, err := c.GetOrLoadCtx(trace.SpanContext{}, key, func(trace.SpanContext) ([]byte, error) {
 					return build(key, byte(w)), nil
 				})
 				if err != nil {

@@ -16,9 +16,9 @@ import (
 // production gRPC channels and database drivers do.
 //
 // The checkout path is contention-free: the connection slice is published
-// through an atomic pointer and never mutated in place, so Call and
-// Pinned conns read a consistent snapshot without touching a mutex. The
-// mutex exists only to serialize Close.
+// through an atomic pointer and never mutated in place, so Call reads a
+// consistent snapshot without touching a mutex. The mutex exists only to
+// serialize Close.
 type Pool struct {
 	conns  atomic.Pointer[[]Conn]
 	next   atomic.Uint64
@@ -136,41 +136,6 @@ func (p *Pool) CallCtx(sc trace.SpanContext, method string, req []byte) ([]byte,
 	}
 	return callFrom(conns, p.next.Add(1), sc, method, req)
 }
-
-// Pinned returns a Conn that prefers connection i — a per-worker affinity
-// handle. A worker that owns its pinned conn never touches the shared
-// round-robin counter, so concurrent workers check out connections with
-// zero cross-worker contention. When the pinned connection's node is down
-// the handle fails over across the rest of the pool with Call's exact
-// semantics. Closing the handle is a no-op; the pool owns the conns.
-func (p *Pool) Pinned(i int) Conn {
-	if i < 0 {
-		i = 0
-	}
-	return &pinnedConn{p: p, start: uint64(i)}
-}
-
-type pinnedConn struct {
-	p     *Pool
-	start uint64
-}
-
-// Call implements Conn.
-func (c *pinnedConn) Call(method string, req []byte) ([]byte, error) {
-	return c.CallCtx(trace.SpanContext{}, method, req)
-}
-
-// CallCtx implements TraceConn.
-func (c *pinnedConn) CallCtx(sc trace.SpanContext, method string, req []byte) ([]byte, error) {
-	conns := c.p.snapshot()
-	if conns == nil {
-		return nil, ErrPoolClosed
-	}
-	return callFrom(conns, c.start, sc, method, req)
-}
-
-// Close implements Conn. The pool owns the underlying connections.
-func (c *pinnedConn) Close() error { return nil }
 
 // Size returns the number of pooled connections.
 func (p *Pool) Size() int {

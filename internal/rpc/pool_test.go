@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -236,3 +237,40 @@ func (c closeCountingConn) Close() error {
 }
 
 func (f connFunc) withClose(n *int) Conn { return closeCountingConn{connFunc: f, n: n} }
+
+// TestPoolConcurrentCallers drives the pool from several callers at
+// once; under -race this checks the lock-free checkout path.
+func TestPoolConcurrentCallers(t *testing.T) {
+	var total atomic.Int64
+	conns := make([]Conn, 4)
+	for i := range conns {
+		conns[i] = connFunc(func(method string, req []byte) ([]byte, error) {
+			total.Add(1)
+			return req, nil
+		})
+	}
+	p := NewPool(conns...)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := p.Call("m", []byte(fmt.Sprintf("%d-%d", w, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := total.Load(); got != 8*50 {
+		t.Fatalf("served %d calls, want %d", got, 8*50)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Call("m", nil); err == nil {
+		t.Fatal("Call after Close should fail")
+	}
+}
