@@ -31,25 +31,29 @@ type BatchServiceWorker interface {
 }
 
 // readBatch serves a multi-key read on lane l, returning raw values
-// positionally. A tier with a batched protocol runs it; the consistency
-// designs keep their per-key read protocols (version checks and leases
-// are per-key by design) and the batch still saves the per-op front-door
-// frames.
-func (s *KVService) readBatch(l *kvLane, sc trace.SpanContext, keys []string) ([][]byte, error) {
+// positionally and the transport buffers they are borrowed from (the
+// caller recycles those once it is done with the values). A tier with a
+// batched protocol runs it; the consistency designs keep their per-key
+// read protocols (version checks and leases are per-key by design) and
+// the batch still saves the per-op front-door frames.
+func (s *KVService) readBatch(l *kvLane, sc trace.SpanContext, keys []string) (values, held [][]byte, err error) {
 	if br, ok := l.tier.(batchReader[[]byte]); ok {
-		values, hits, err := br.readBatch(sc, keys, l.rows)
+		values, held, hits, err := br.readBatch(sc, keys, l.rows)
 		s.count(len(keys), hits)
-		return values, err
+		return values, held, err
 	}
-	values := make([][]byte, len(keys))
+	values = make([][]byte, len(keys))
 	for i, k := range keys {
-		v, err := s.read(l, sc, k)
+		v, h, err := s.read(l, sc, k)
+		if h != nil {
+			held = append(held, h)
+		}
 		if err != nil {
-			return nil, err
+			return nil, held, err
 		}
 		values[i] = v
 	}
-	return values, nil
+	return values, held, nil
 }
 
 // writeBatch applies a multi-key write on lane l: in one step where the
@@ -81,23 +85,24 @@ func (s *KVService) handleReadBatch(l *kvLane, sc trace.SpanContext, req []byte)
 		return nil, err
 	}
 	act.AnnotateInt("batch.keys", int64(len(r.Keys)))
-	values, err := s.readBatch(l, asc, r.Keys)
+	values, held, err := s.readBatch(l, asc, r.Keys)
 	if err != nil {
+		rpc.PutBuffers(held)
 		return nil, err
 	}
 	var total int
 	found := make([]bool, len(values))
 	var dig [16]byte
-	e := wire.GetEncoder()
-	for i, v := range values {
-		total += len(v)
-		found[i] = true
-		e.BytesField(2, appendDigest(dig[:0], v))
-	}
-	e.PackedBools(1, found)
+	out := wire.Append(rpc.GetBuffer(), func(e *wire.Encoder) {
+		for i, v := range values {
+			total += len(v)
+			found[i] = true
+			e.BytesField(2, appendDigest(dig[:0], v))
+		}
+		e.PackedBools(1, found)
+	})
 	act.SetBytes(len(req), total)
-	out := append(rpc.GetBuffer(), e.Bytes()...)
-	wire.PutEncoder(e)
+	rpc.PutBuffers(held) // the digests were the last read of the values
 	return out, nil
 }
 

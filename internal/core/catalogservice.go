@@ -211,7 +211,8 @@ func (s *CatalogService) handleRead(sc trace.SpanContext, req []byte) ([]byte, e
 	if err := wire.Unmarshal(req, &r); err != nil {
 		return nil, err
 	}
-	info, hit, err := s.tier.read(sc, r.Key, s.tables)
+	// catalogKit decodes, so info is never borrowed: no held buffer.
+	info, _, hit, err := s.tier.read(sc, r.Key, s.tables)
 	s.countOne(hit)
 	if err != nil {
 		return nil, err

@@ -628,6 +628,7 @@ func (s *KVService) finish(eps RemoteEndpoints) error {
 func (s *KVService) newFront(l *kvLane) *rpc.Server {
 	front := rpc.NewServer(s.appComp, meter.NewBurner(), s.cfg.RPCCost)
 	front.SetMeterHandlerBody(false)
+	front.SetPooledResponses(true) // encodeReadOut, encodeAck, handleReadBatch
 	if s.cfg.Flight != nil {
 		front.SetFlight(s.cfg.Flight.Scope(s.cfg.Arch.String()))
 	}
@@ -868,23 +869,25 @@ func ValueFor(key string, size int) []byte {
 
 // read serves key through the lane's tier, counts the outcome, and feeds
 // the access observer when one is installed (the elastic controller's
-// windowed MRC).
-func (s *KVService) read(l *kvLane, sc trace.SpanContext, key string) ([]byte, error) {
-	v, hit, err := l.tier.read(sc, key, l.rows)
+// windowed MRC). held is tier.read's: the caller recycles it once it is
+// done with v.
+func (s *KVService) read(l *kvLane, sc trace.SpanContext, key string) (v, held []byte, err error) {
+	v, held, hit, err := l.tier.read(sc, key, l.rows)
 	s.countOne(hit)
 	if obs := s.obs; obs != nil && err == nil {
 		// Approximate the entry's budgeted footprint the way the cache
 		// tiers size entries: key + value + per-entry overhead.
 		obs(key, int64(len(key)+len(v)+64))
 	}
-	return v, err
+	return v, held, err
 }
 
 // write applies a write on lane l. A KV write carries the whole row, so a
-// tier that can keep it does; the rest invalidate.
+// tier that can keep it does; the rest invalidate. value is only valid
+// for the call (it aliases the request), so what a tier keeps is a copy.
 func (s *KVService) write(l *kvLane, sc trace.SpanContext, key string, value []byte) error {
 	if wt, ok := l.tier.(writeThrough[[]byte]); ok {
-		return wt.write(sc, key, value, value, l.rows)
+		return wt.write(sc, key, append([]byte(nil), value...), value, l.rows)
 	}
 	return l.tier.drop(sc, key, value, l.rows)
 }
@@ -959,37 +962,31 @@ func (s *KVService) admit(sc trace.SpanContext) (admission.Outcome, func()) {
 // stay cheap and bounded. A tier that cannot peek sheds outright.
 // Deliberately not counted: the hit ratio describes the full-path policy,
 // not overload triage.
-func (s *KVService) readShed(l *kvLane, sc trace.SpanContext, key string) ([]byte, bool) {
+func (s *KVService) readShed(l *kvLane, sc trace.SpanContext, key string) (v, held []byte, ok bool) {
 	if p, ok := l.tier.(peeker[[]byte]); ok {
 		return p.peek(sc, key)
 	}
-	return nil, false
+	return nil, nil, false
 }
 
-// encodeReadOut encodes the GetResponse shape {1: found, 2: digest}
-// field-by-field: the pooled encoder plus a stack-backed digest keeps
-// the reply to one buffer copy. The response buffer comes from the
-// transport pool; the client side of the front door (frontRead) recycles
-// it after decoding.
-func encodeReadOut(found bool, v []byte) []byte {
+// encodeReadOut encodes the GetResponse shape {1: found, 2: digest} into
+// a transport-pool buffer, then recycles held — the buffer v was borrowed
+// from, if any: the digest is the last read of v.
+func encodeReadOut(found bool, v, held []byte) []byte {
 	var dig [16]byte
-	e := wire.GetEncoder()
-	e.Bool(1, found)
-	if found {
-		e.BytesField(2, appendDigest(dig[:0], v))
-	}
-	out := append(rpc.GetBuffer(), e.Bytes()...)
-	wire.PutEncoder(e)
+	out := wire.Append(rpc.GetBuffer(), func(e *wire.Encoder) {
+		e.Bool(1, found)
+		if found {
+			e.BytesField(2, appendDigest(dig[:0], v))
+		}
+	})
+	rpc.PutBuffer(held)
 	return out
 }
 
 // encodeAck encodes the write ack shape {1: ok}.
 func encodeAck(ok bool) []byte {
-	e := wire.GetEncoder()
-	e.Bool(1, ok)
-	out := append(rpc.GetBuffer(), e.Bytes()...)
-	wire.PutEncoder(e)
-	return out
+	return wire.Append(rpc.GetBuffer(), func(e *wire.Encoder) { e.Bool(1, ok) })
 }
 
 // fieldBytes scans a wire message for length-delimited field want and
@@ -1037,19 +1034,19 @@ func (s *KVService) handleRead(l *kvLane, sc trace.SpanContext, req []byte) ([]b
 	switch outcome {
 	case admission.ShedQueueFull:
 		act.Annotate("admission", "shed")
-		v, ok := s.readShed(l, asc, key)
-		return encodeReadOut(ok, v), nil
+		v, held, ok := s.readShed(l, asc, key)
+		return encodeReadOut(ok, v, held), nil
 	case admission.DeadlineExpired:
 		act.Annotate("admission", "deadline")
-		return encodeReadOut(false, nil), nil
+		return encodeReadOut(false, nil, nil), nil
 	}
 	defer release()
-	v, err := s.read(l, asc, key)
+	v, held, err := s.read(l, asc, key)
 	if err != nil {
 		return nil, err
 	}
 	act.SetBytes(len(req), len(v))
-	return encodeReadOut(true, v), nil
+	return encodeReadOut(true, v, held), nil
 }
 
 // handleWrite is the client-facing write. A shed or expired write is
@@ -1059,10 +1056,17 @@ func (s *KVService) handleWrite(l *kvLane, sc trace.SpanContext, req []byte) ([]
 	sc.Lane().EnterOp(s.appComp)
 	act, asc := trace.Start(sc, "app", "write")
 	defer act.End()
-	var r remotecache.SetRequest // shape {key, value}
-	if err := wire.Unmarshal(req, &r); err != nil {
+	// SetRequest shape {1: key, 2: value}. The key is copied (tiers keep
+	// it); the value aliases req, which outlives every use below.
+	kb, err := fieldBytes(req, 1)
+	if err != nil {
 		return nil, err
 	}
+	value, err := fieldBytes(req, 2)
+	if err != nil {
+		return nil, err
+	}
+	key := string(kb)
 	outcome, release := s.admit(sc)
 	switch outcome {
 	case admission.ShedQueueFull:
@@ -1073,7 +1077,7 @@ func (s *KVService) handleWrite(l *kvLane, sc trace.SpanContext, req []byte) ([]
 		return encodeAck(false), nil
 	}
 	defer release()
-	if err := s.write(l, asc, r.Key, r.Value); err != nil {
+	if err := s.write(l, asc, key, value); err != nil {
 		return nil, err
 	}
 	act.SetBytes(len(req), 0)

@@ -16,11 +16,10 @@ type kvRows struct {
 }
 
 // kvKit is the KV application's object: a row value, budgeted at key +
-// value + per-entry overhead, and its own wire form.
+// value + per-entry overhead, and its own wire form (no decode).
 var kvKit = objectKit[[]byte]{
 	sizeOf: func(k string, v []byte) int64 { return int64(len(k) + len(v) + 64) },
 	encode: func(v []byte) []byte { return v },
-	decode: func(b []byte) ([]byte, error) { return b, nil },
 }
 
 func (r *kvRows) load(sc trace.SpanContext, key string) ([]byte, error) {

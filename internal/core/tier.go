@@ -10,6 +10,7 @@ import (
 	"cachecost/internal/linkedcache"
 	"cachecost/internal/meter"
 	"cachecost/internal/remotecache"
+	"cachecost/internal/rpc"
 	"cachecost/internal/trace"
 )
 
@@ -69,7 +70,14 @@ type tier[V any] interface {
 	// read serves key; hit reports whether the cache did. The services
 	// count (reads, hits) from it, so the hit ratio means the same thing
 	// under every architecture.
-	read(sc trace.SpanContext, key string, src source[V]) (v V, hit bool, err error)
+	//
+	// held, when non-nil, is a transport buffer v is borrowed from (a
+	// Remote hit whose wire form is the object): the caller hands it to
+	// rpc.PutBuffer once it is done reading v, and keeps no reference to v
+	// past that (DESIGN.md, "Buffer ownership"). It is a plain value, not
+	// a release closure: a closure through this interface is an
+	// allocation per request.
+	read(sc trace.SpanContext, key string, src source[V]) (v V, held []byte, hit bool, err error)
 	// drop applies a write whose resulting object the caller does not
 	// hold, and removes key's entry so the next read reloads it.
 	drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error
@@ -93,9 +101,10 @@ type batchSource[V any] interface {
 }
 
 // batchReader is a tier with a multi-key read protocol; values are
-// positional, hits counts the keys the cache served.
+// positional, hits counts the keys the cache served, and held lists the
+// transport buffers the values are borrowed from, as in tier.read.
 type batchReader[V any] interface {
-	readBatch(sc trace.SpanContext, keys []string, src batchSource[V]) (values []V, hits int, err error)
+	readBatch(sc trace.SpanContext, keys []string, src batchSource[V]) (values []V, held [][]byte, hits int, err error)
 }
 
 // batchDropper is a tier that invalidates a multi-key write in one frame.
@@ -105,9 +114,9 @@ type batchDropper[V any] interface {
 
 // peeker is a tier that can answer from its cache alone — no storage, no
 // fill — which is what an overloaded service sheds reads to. Errors are
-// misses.
+// misses; held is as in tier.read.
 type peeker[V any] interface {
-	peek(sc trace.SpanContext, key string) (V, bool)
+	peek(sc trace.SpanContext, key string) (v V, held []byte, ok bool)
 }
 
 // objectKit is what the application contributes to its architecture: how
@@ -116,6 +125,9 @@ type peeker[V any] interface {
 type objectKit[V any] struct {
 	sizeOf func(key string, v V) int64
 	encode func(V) []byte
+	// decode builds an object that shares nothing with its input. It is
+	// nil when the wire form is the object (V is []byte): a Remote hit
+	// then lends out the bytes it received instead of copying them.
 	decode func([]byte) (V, error)
 }
 
@@ -190,18 +202,18 @@ func newArchitecture[V any](cfg *ServiceConfig, kit objectKit[V]) (*architecture
 // baseTier is Figure 1a: no application-side cache.
 type baseTier[V any] struct{}
 
-func (baseTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, bool, error) {
+func (baseTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, []byte, bool, error) {
 	v, err := src.load(sc, key)
-	return v, false, err
+	return v, nil, false, err
 }
 
 func (baseTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
 	return src.store(sc, key, payload)
 }
 
-func (baseTier[V]) readBatch(sc trace.SpanContext, keys []string, src batchSource[V]) ([]V, int, error) {
+func (baseTier[V]) readBatch(sc trace.SpanContext, keys []string, src batchSource[V]) ([]V, [][]byte, int, error) {
 	values, err := src.loadBatch(sc, keys)
-	return values, 0, err
+	return values, nil, 0, err
 }
 
 // remoteTier is Figure 1b: a lookaside remote cache holding serialized
@@ -219,29 +231,36 @@ type remoteTier[V any] struct {
 	kit objectKit[V]
 }
 
-func (t *remoteTier[V]) get(sc trace.SpanContext, key string) (v V, found bool, err error) {
-	buf, found, err := t.rc.GetCtx(sc, key)
+// get is the cache lookup. With a decoding kit the object is built and
+// the response buffer recycled here; without one the hit is the borrowed
+// bytes themselves, and the buffer travels up as held.
+func (t *remoteTier[V]) get(sc trace.SpanContext, key string) (v V, held []byte, found bool, err error) {
+	buf, held, found, err := t.rc.BorrowCtx(sc, key)
 	if err != nil || !found {
-		return v, false, err
+		return v, nil, false, err
+	}
+	if t.kit.decode == nil {
+		return any(buf).(V), held, true, nil
 	}
 	v, err = t.kit.decode(buf)
-	return v, err == nil, err
+	rpc.PutBuffer(held)
+	return v, nil, err == nil, err
 }
 
-func (t *remoteTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, bool, error) {
-	v, found, err := t.get(sc, key)
+func (t *remoteTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, []byte, bool, error) {
+	v, held, found, err := t.get(sc, key)
 	if err != nil || found {
-		return v, found, err
+		return v, held, found, err
 	}
 	if v, err = src.load(sc, key); err != nil {
-		return v, false, err
+		return v, nil, false, err
 	}
-	return v, false, t.rc.SetTTLCtx(sc, key, t.kit.encode(v), 0)
+	return v, nil, false, t.rc.SetTTLCtx(sc, key, t.kit.encode(v), 0)
 }
 
-func (t *remoteTier[V]) peek(sc trace.SpanContext, key string) (V, bool) {
-	v, found, _ := t.get(sc, key)
-	return v, found
+func (t *remoteTier[V]) peek(sc trace.SpanContext, key string) (V, []byte, bool) {
+	v, held, found, _ := t.get(sc, key)
+	return v, held, found
 }
 
 func (t *remoteTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
@@ -256,30 +275,49 @@ func (t *remoteTier[V]) drop(sc trace.SpanContext, key string, payload []byte, s
 // MultiGet, one batched storage read for the misses, one MultiSet to
 // backfill them. A dead cache node demotes its keys to misses (one
 // degradation per failed node RPC), so under faults no key is dropped.
-func (t *remoteTier[V]) readBatch(sc trace.SpanContext, keys []string, src batchSource[V]) ([]V, int, error) {
-	bufs, found, err := t.rc.MultiGetCtx(sc, keys)
+func (t *remoteTier[V]) readBatch(sc trace.SpanContext, keys []string, src batchSource[V]) ([]V, [][]byte, int, error) {
+	bufs, found, held, err := t.rc.MultiBorrowCtx(sc, keys)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	values := make([]V, len(keys))
+	values, held, err := t.objects(bufs, found, held)
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	var miss []int
 	for i, f := range found {
 		if !f {
 			miss = append(miss, i)
-		} else if values[i], err = t.kit.decode(bufs[i]); err != nil {
-			return nil, 0, err
 		}
 	}
 	hits := len(keys) - len(miss)
 	missKeys, loaded, err := loadMisses(sc, keys, miss, values, src)
 	if err != nil || len(miss) == 0 {
-		return values, hits, err
+		return values, held, hits, err
 	}
 	fills := make([][]byte, len(loaded))
 	for j, v := range loaded {
 		fills[j] = t.kit.encode(v)
 	}
-	return values, hits, t.rc.MultiSetTTLCtx(sc, missKeys, fills, 0)
+	return values, held, hits, t.rc.MultiSetTTLCtx(sc, missKeys, fills, 0)
+}
+
+// objects turns a batch's borrowed wire forms into objects, positionally.
+// Without a decoding kit they are the objects, adopted in place and still
+// held; with one, each found entry is decoded and the buffers recycled.
+func (t *remoteTier[V]) objects(bufs [][]byte, found []bool, held [][]byte) ([]V, [][]byte, error) {
+	if t.kit.decode == nil {
+		return any(bufs).([]V), held, nil
+	}
+	values := make([]V, len(bufs))
+	var err error
+	for i, f := range found {
+		if f && err == nil {
+			values[i], err = t.kit.decode(bufs[i])
+		}
+	}
+	rpc.PutBuffers(held)
+	return values, nil, err
 }
 
 // dropBatch keeps the storage writes per-statement (each update
@@ -318,14 +356,18 @@ func (t *linkedTier[V]) faulted(sc trace.SpanContext) bool {
 	return false
 }
 
-func (t *linkedTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, bool, error) {
+func (t *linkedTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, []byte, bool, error) {
 	if t.faulted(sc) {
 		return baseTier[V]{}.read(sc, key, src)
 	}
-	return t.lc.GetOrLoadCtx(sc, key, func(lsc trace.SpanContext) (V, error) { return src.load(lsc, key) })
+	v, hit, err := t.lc.GetOrLoadCtx(sc, key, func(lsc trace.SpanContext) (V, error) { return src.load(lsc, key) })
+	return v, nil, hit, err
 }
 
-func (t *linkedTier[V]) peek(sc trace.SpanContext, key string) (V, bool) { return t.lc.GetCtx(sc, key) }
+func (t *linkedTier[V]) peek(sc trace.SpanContext, key string) (V, []byte, bool) {
+	v, ok := t.lc.GetCtx(sc, key)
+	return v, nil, ok
+}
 
 func (t *linkedTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
 	if err := src.store(sc, key, payload); err != nil {
@@ -348,7 +390,7 @@ func (t *linkedTier[V]) write(sc trace.SpanContext, key string, v V, payload []b
 // readBatch draws one fault decision per batch — the in-process cache
 // shard is up or down for the whole request — looks every key up, and
 // loads the misses in one storage round trip.
-func (t *linkedTier[V]) readBatch(sc trace.SpanContext, keys []string, src batchSource[V]) ([]V, int, error) {
+func (t *linkedTier[V]) readBatch(sc trace.SpanContext, keys []string, src batchSource[V]) ([]V, [][]byte, int, error) {
 	if t.faulted(sc) {
 		return baseTier[V]{}.readBatch(sc, keys, src)
 	}
@@ -364,7 +406,7 @@ func (t *linkedTier[V]) readBatch(sc trace.SpanContext, keys []string, src batch
 	for j, v := range loaded {
 		t.lc.PutCtx(sc, missKeys[j], v)
 	}
-	return values, len(keys) - len(miss), err
+	return values, nil, len(keys) - len(miss), err
 }
 
 // consistentRead wraps a consistency-cache read in an app.cache span: the
@@ -372,7 +414,7 @@ func (t *linkedTier[V]) readBatch(sc trace.SpanContext, keys []string, src batch
 // their lookup span and linked hit/miss count itself. The strategy's
 // storage calls (version checks, loads) carry the span's child context,
 // nesting under the cache span as the §5.5 path model describes.
-func consistentRead[V any](sc trace.SpanContext, read func(csc trace.SpanContext) (V, bool, error)) (V, bool, error) {
+func consistentRead[V any](sc trace.SpanContext, read func(csc trace.SpanContext) (V, bool, error)) (V, []byte, bool, error) {
 	act, csc := trace.Start(sc, "app.cache", "read")
 	v, hit, err := read(csc)
 	if err == nil {
@@ -380,7 +422,7 @@ func consistentRead[V any](sc trace.SpanContext, read func(csc trace.SpanContext
 		act.AnnotateBool("cache.hit", hit)
 	}
 	act.End()
-	return v, hit, err
+	return v, nil, hit, err
 }
 
 // versionTier is Figure 1d: a linked cache whose every read revalidates
@@ -390,7 +432,7 @@ type versionTier[V any] struct {
 	vc *consistency.VersionedCache[V]
 }
 
-func (t *versionTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, bool, error) {
+func (t *versionTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, []byte, bool, error) {
 	return consistentRead(sc, func(csc trace.SpanContext) (V, bool, error) {
 		return t.vc.Read(key,
 			func(k string) (uint64, bool, error) { return src.version(csc, k) },
@@ -414,7 +456,7 @@ type ownedTier[V any] struct {
 	oc *consistency.OwnedCache[V]
 }
 
-func (t *ownedTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, bool, error) {
+func (t *ownedTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, []byte, bool, error) {
 	return consistentRead(sc, func(csc trace.SpanContext) (V, bool, error) {
 		return t.oc.Read(key, func(k string) (V, uint64, error) { return loadVersioned(csc, k, src) })
 	})
@@ -452,7 +494,7 @@ type ttlTier[V any] struct {
 	tc *consistency.TTLCache[V]
 }
 
-func (t *ttlTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, bool, error) {
+func (t *ttlTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, []byte, bool, error) {
 	return consistentRead(sc, func(csc trace.SpanContext) (V, bool, error) {
 		return t.tc.Read(key, func(k string) (V, uint64, error) { return loadVersioned(csc, k, src) })
 	})

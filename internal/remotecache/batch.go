@@ -79,7 +79,8 @@ func (r *MultiGetResponse) UnmarshalWire(d *wire.Decoder) error {
 
 // MultiSetRequest stores many key/value pairs, sharing one TTL — batches
 // come from one backfill decision, so per-key TTLs would only pad the
-// frame.
+// frame. Decoded, Values alias the decoder's input: a handler that keeps
+// them copies them.
 type MultiSetRequest struct {
 	Keys   []string
 	Values [][]byte
@@ -104,7 +105,7 @@ func (r *MultiSetRequest) UnmarshalWire(d *wire.Decoder) error {
 		case 2:
 			var b []byte
 			b, err = d.Bytes()
-			r.Values = append(r.Values, append([]byte(nil), b...))
+			r.Values = append(r.Values, b)
 		case 3:
 			r.TTLms, err = d.Int64()
 		default:
@@ -195,19 +196,37 @@ func (c *Client) MultiGet(keys []string) ([][]byte, []bool, error) {
 	return c.MultiGetCtx(trace.SpanContext{}, keys)
 }
 
-// MultiGetCtx is MultiGet carrying the caller's span context. Each node
-// RPC counts two cache messages (one request, one response frame —
-// NOT two per key); each key's outcome feeds the trace hit/miss
+// MultiGetCtx is MultiGet carrying the caller's span context (see
+// MultiBorrowCtx for what rides on it). The values are the caller's to
+// keep: they are copied out of the response buffers, which are recycled
+// here.
+func (c *Client) MultiGetCtx(sc trace.SpanContext, keys []string) ([][]byte, []bool, error) {
+	values, found, held, err := c.MultiBorrowCtx(sc, keys)
+	for i, v := range values {
+		values[i] = append([]byte(nil), v...)
+	}
+	rpc.PutBuffers(held)
+	return values, found, err
+}
+
+// MultiBorrowCtx is MultiGetCtx without the copies: every found value
+// aliases one of the transport buffers in held (one per owning node).
+// The caller hands each to rpc.PutBuffer when it is done reading the
+// values and must not touch them afterwards (DESIGN.md, "Buffer
+// ownership"); on an error held is nil.
+//
+// Each node RPC counts two cache messages (one request, one response
+// frame — NOT two per key); each key's outcome feeds the trace hit/miss
 // counters exactly as the scalar path would. In degraded mode a failed
 // node RPC demotes its keys to misses without failing the batch.
-func (c *Client) MultiGetCtx(sc trace.SpanContext, keys []string) ([][]byte, []bool, error) {
+func (c *Client) MultiBorrowCtx(sc trace.SpanContext, keys []string) (values [][]byte, found []bool, held [][]byte, err error) {
 	b := sc.Breakdown()
 	if b == nil {
-		return c.multiGetCtx(sc, keys)
+		return c.multiGet(sc, keys)
 	}
 	t0 := time.Now()
 	d0 := c.degraded.Load()
-	v, f, err := c.multiGetCtx(sc, keys)
+	values, found, held, err = c.multiGet(sc, keys)
 	b.Add(trace.StageCache, time.Since(t0))
 	// A moved demotion counter means this batch (or, rarely, a concurrent
 	// one) hit the degraded path; marking degraded is the mildest outcome
@@ -215,14 +234,20 @@ func (c *Client) MultiGetCtx(sc trace.SpanContext, keys []string) ([][]byte, []b
 	if c.degraded.Load() != d0 {
 		b.Mark(trace.FlagDegraded)
 	}
-	return v, f, err
+	return values, found, held, err
 }
 
-func (c *Client) multiGetCtx(sc trace.SpanContext, keys []string) ([][]byte, []bool, error) {
-	values := make([][]byte, len(keys))
-	found := make([]bool, len(keys))
+func (c *Client) multiGet(sc trace.SpanContext, keys []string) (values [][]byte, found []bool, held [][]byte, err error) {
+	values = make([][]byte, len(keys))
+	found = make([]bool, len(keys))
 	if len(keys) == 0 {
-		return values, found, nil
+		return values, found, nil, nil
+	}
+	// fail releases what the batch borrowed so far: a strict-mode error
+	// returns no values, so nothing may stay lent out.
+	fail := func(err error) ([][]byte, []bool, [][]byte, error) {
+		rpc.PutBuffers(held)
+		return nil, nil, nil, err
 	}
 	if c.router != nil {
 		// Routed mode falls back to per-key scalar ops: each key's replica
@@ -230,45 +255,38 @@ func (c *Client) multiGetCtx(sc trace.SpanContext, keys []string) ([][]byte, []b
 		// owning node to batch against. (Per-replica-set batching is a
 		// possible future optimization; demotions count per key here.)
 		for i, k := range keys {
-			v, f, err := c.get(sc, k)
+			v, h, f, err := c.get(sc, k)
 			if err != nil {
 				if !c.degrade.Load() {
-					return nil, nil, err
+					return fail(err)
 				}
 				c.demote()
 				continue
 			}
 			values[i], found[i] = v, f
-		}
-		for _, f := range found {
-			sc.Tracer().CountCacheHit(f)
 			if f {
-				c.tmHits.Inc()
-			} else {
-				c.tmMisses.Inc()
+				held = append(held, h)
 			}
 		}
-		return values, found, nil
-	}
-	groups, err := c.group(keys)
-	if err != nil {
-		if !c.degrade.Load() {
-			return nil, nil, err
-		}
-		c.demote()
-		groups = nil // every key reads as a miss
-	}
-	for _, g := range groups {
-		resp, err := c.multiGetNode(sc, g)
+	} else {
+		groups, err := c.group(keys)
 		if err != nil {
 			if !c.degrade.Load() {
-				return nil, nil, err
+				return fail(err)
 			}
-			c.demote() // one failed RPC, one demotion; g's keys stay misses
-			continue
+			c.demote()
+			groups = nil // every key reads as a miss
 		}
-		for i, ki := range g.idx {
-			values[ki], found[ki] = resp.Values[i], resp.Found[i]
+		for _, g := range groups {
+			h, err := c.multiGetNode(sc, g, values, found)
+			if err != nil {
+				if !c.degrade.Load() {
+					return fail(err)
+				}
+				c.demote() // one failed RPC, one demotion; g's keys stay misses
+				continue
+			}
+			held = append(held, h)
 		}
 	}
 	for _, f := range found {
@@ -279,32 +297,57 @@ func (c *Client) multiGetCtx(sc trace.SpanContext, keys []string) ([][]byte, []b
 			c.tmMisses.Inc()
 		}
 	}
-	return values, found, nil
+	return values, found, held, nil
 }
 
-func (c *Client) multiGetNode(sc trace.SpanContext, g *nodeBatch) (*MultiGetResponse, error) {
+// multiGetNode is one cache.MultiGet round trip for g's keys. The
+// MultiGetResponse shape {1: packed found, 2: value...} is read in place,
+// straight into the batch's positional slots: values[g.idx[i]] aliases
+// the response buffer, which is returned for the caller to release. On
+// an error the buffer is recycled here and g's slots are left as misses.
+func (c *Client) multiGetNode(sc trace.SpanContext, g *nodeBatch, values [][]byte, found []bool) (held []byte, err error) {
 	e := wire.GetEncoder()
 	e.StringSlice(1, g.keys)
-	respBody, err := rpc.CallTraced(g.conn, sc, "cache.MultiGet", e.Bytes())
+	held, err = rpc.CallTraced(g.conn, sc, "cache.MultiGet", e.Bytes())
 	wire.PutEncoder(e)
 	if err != nil {
 		return nil, err
 	}
 	sc.Tracer().CountCacheMsgs(2)
-	resp := &MultiGetResponse{
-		Found:  make([]bool, 0, len(g.keys)),
-		Values: make([][]byte, 0, len(g.keys)),
+	var flags []bool
+	n := 0
+	err = wire.Decode(held, func(d *wire.Decoder) error {
+		return decodeFields(d, func(f uint32, t wire.Type) (err error) {
+			switch f {
+			case 1:
+				flags, err = d.PackedBools(flags)
+			case 2:
+				var v []byte
+				if v, err = d.Bytes(); err == nil && n < len(g.idx) && len(v) > 0 {
+					values[g.idx[n]] = v
+				}
+				n++
+			default:
+				err = d.Skip(t)
+			}
+			return err
+		})
+	})
+	if err == nil && (len(flags) != len(g.keys) || n != len(g.keys)) {
+		err = fmt.Errorf("remotecache: MultiGet response misaligned: %d keys, %d found, %d values",
+			len(g.keys), len(flags), n)
 	}
-	err = wire.Unmarshal(respBody, resp)
-	rpc.PutBuffer(respBody) // decode copied the values out; the buffer is dead
 	if err != nil {
+		for _, ki := range g.idx {
+			values[ki] = nil
+		}
+		rpc.PutBuffer(held)
 		return nil, err
 	}
-	if len(resp.Found) != len(g.keys) || len(resp.Values) != len(g.keys) {
-		return nil, fmt.Errorf("remotecache: MultiGet response misaligned: %d keys, %d found, %d values",
-			len(g.keys), len(resp.Found), len(resp.Values))
+	for i, ki := range g.idx {
+		found[ki] = flags[i]
 	}
-	return resp, nil
+	return held, nil
 }
 
 // MultiSetTTL stores keys[i] = values[i], all expiring after ttl
@@ -480,7 +523,7 @@ func (s *Server) handleMultiGet(sc trace.SpanContext, req []byte) ([]byte, error
 	act, _ := trace.Start(sc, s.name, "multiget")
 	found := make([]bool, len(keys))
 	values := make([][]byte, len(keys))
-	hits := 0
+	hits, size := 0, 16
 	for i, k := range keys {
 		values[i], found[i] = s.store.Get(k)
 		if s.hot != nil {
@@ -489,12 +532,12 @@ func (s *Server) handleMultiGet(sc trace.SpanContext, req []byte) ([]byte, error
 		if found[i] {
 			hits++
 		}
+		size += len(values[i]) + 8
 	}
-	e := wire.GetEncoder()
-	e.PackedBools(1, found)
-	e.BytesSlice(2, values)
-	resp := append([]byte(nil), e.Bytes()...)
-	wire.PutEncoder(e)
+	resp := reply(size, func(e *wire.Encoder) { // MultiGetResponse shape
+		e.PackedBools(1, found)
+		e.BytesSlice(2, values)
+	})
 	act.AnnotateInt("batch.keys", int64(len(keys)))
 	act.AnnotateInt("batch.hits", int64(hits))
 	act.SetBytes(len(req), len(resp))
@@ -502,8 +545,8 @@ func (s *Server) handleMultiGet(sc trace.SpanContext, req []byte) ([]byte, error
 	return resp, nil
 }
 
-// handleMultiSet serves cache.MultiSet. The decode copies keys and
-// values out of the transport buffer (the store retains them).
+// handleMultiSet serves cache.MultiSet. The store keeps keys and values,
+// so each value is copied out of the request on its way in.
 func (s *Server) handleMultiSet(sc trace.SpanContext, req []byte) ([]byte, error) {
 	var r MultiSetRequest
 	if err := wire.Unmarshal(req, &r); err != nil {
@@ -517,21 +560,13 @@ func (s *Server) handleMultiSet(sc trace.SpanContext, req []byte) ([]byte, error
 	act, _ := trace.Start(sc, s.name, "multiset")
 	ok := make([]bool, len(r.Keys))
 	for i, k := range r.Keys {
-		if r.TTLms > 0 {
-			s.store.PutTTL(k, r.Values[i], time.Duration(r.TTLms)*time.Millisecond)
-		} else {
-			s.store.Put(k, r.Values[i])
-		}
+		s.put(k, r.Values[i], r.TTLms)
 		ok[i] = true
 	}
 	act.AnnotateInt("batch.keys", int64(len(r.Keys)))
 	act.SetBytes(len(req), 0)
 	act.End()
-	e := wire.GetEncoder()
-	e.PackedBools(1, ok)
-	resp := append([]byte(nil), e.Bytes()...)
-	wire.PutEncoder(e)
-	return resp, nil
+	return reply(0, func(e *wire.Encoder) { e.PackedBools(1, ok) }), nil
 }
 
 // handleMultiDelete serves cache.MultiDelete; OK[i] reports whether
@@ -563,9 +598,5 @@ func (s *Server) handleMultiDelete(sc trace.SpanContext, req []byte) ([]byte, er
 	}
 	act.AnnotateInt("batch.keys", int64(len(keys)))
 	act.End()
-	e := wire.GetEncoder()
-	e.PackedBools(1, ok)
-	resp := append([]byte(nil), e.Bytes()...)
-	wire.PutEncoder(e)
-	return resp, nil
+	return reply(0, func(e *wire.Encoder) { e.PackedBools(1, ok) }), nil
 }

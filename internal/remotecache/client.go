@@ -113,19 +113,36 @@ func (c *Client) Get(key string) ([]byte, bool, error) {
 	return c.GetCtx(trace.SpanContext{}, key)
 }
 
-// GetCtx is Get carrying the caller's span context: the lookup's outcome
-// (including a degraded-mode demotion, which reads as a miss) feeds the
-// trace-level cache hit/miss counters, and the cache RPC's two protocol
-// messages are counted against the request path. With a flight-recorder
-// breakdown attached, the client-observed round trip lands in StageCache
-// and a demotion marks the request degraded.
+// GetCtx is Get carrying the caller's span context (see BorrowCtx for
+// what rides on it). The value is the caller's to keep: it is copied out
+// of the response buffer, which is recycled here.
 func (c *Client) GetCtx(sc trace.SpanContext, key string) ([]byte, bool, error) {
+	v, held, found, err := c.BorrowCtx(sc, key)
+	if found {
+		v = append([]byte(nil), v...)
+	}
+	rpc.PutBuffer(held)
+	return v, found, err
+}
+
+// BorrowCtx is GetCtx without the copy: on a hit the value aliases held,
+// the transport buffer the response arrived in. The caller hands held to
+// rpc.PutBuffer when it is done reading the value and must not touch the
+// value afterwards (DESIGN.md, "Buffer ownership"); held is nil unless
+// found.
+//
+// The lookup's outcome (including a degraded-mode demotion, which reads
+// as a miss) feeds the trace-level cache hit/miss counters, and the cache
+// RPC's two protocol messages are counted against the request path. With
+// a flight-recorder breakdown attached, the client-observed round trip
+// lands in StageCache and a demotion marks the request degraded.
+func (c *Client) BorrowCtx(sc trace.SpanContext, key string) (value, held []byte, found bool, err error) {
 	b := sc.Breakdown()
 	var t0 time.Time
 	if b != nil {
 		t0 = time.Now()
 	}
-	v, found, err := c.get(sc, key)
+	value, held, found, err = c.get(sc, key)
 	if b != nil {
 		b.Add(trace.StageCache, time.Since(t0))
 	}
@@ -133,7 +150,6 @@ func (c *Client) GetCtx(sc trace.SpanContext, key string) ([]byte, bool, error) 
 		c.demote()
 		b.Mark(trace.FlagDegraded)
 		err = nil
-		v, found = nil, false
 	}
 	if err == nil {
 		sc.Tracer().CountCacheHit(found)
@@ -143,39 +159,54 @@ func (c *Client) GetCtx(sc trace.SpanContext, key string) ([]byte, bool, error) 
 			c.tmMisses.Inc()
 		}
 	}
-	return v, found, err
+	return value, held, found, err
 }
 
-func (c *Client) get(sc trace.SpanContext, key string) ([]byte, bool, error) {
+// get is the routed or ring-routed lookup behind BorrowCtx, with its
+// contract: value aliases held, and both are nil unless found.
+func (c *Client) get(sc trace.SpanContext, key string) (value, held []byte, found bool, err error) {
 	if c.router != nil {
 		return c.routedGet(sc, key)
 	}
 	conn, err := c.conn(key)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
-	// GetRequest shape {1: key}, encoded from the pool to keep the
-	// request round trip allocation-free.
+	return getOn(sc, conn, key)
+}
+
+// getOn is one cache.Get round trip on conn. The request is the
+// GetRequest shape {1: key} from a pooled encoder; the response's
+// GetResponse shape {1: found, 2: value} is read in place, so a hit's
+// value aliases the response buffer, returned as held. A miss or an
+// error recycles the buffer here.
+func getOn(sc trace.SpanContext, conn rpc.Conn, key string) (value, held []byte, found bool, err error) {
 	e := wire.GetEncoder()
 	e.String(1, key)
-	respBody, err := rpc.CallTraced(conn, sc, "cache.Get", e.Bytes())
+	held, err = rpc.CallTraced(conn, sc, "cache.Get", e.Bytes())
 	wire.PutEncoder(e)
-	if err == nil {
-		sc.Tracer().CountCacheMsgs(2)
-	}
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
-	var resp GetResponse
-	err = wire.Unmarshal(respBody, &resp)
-	rpc.PutBuffer(respBody) // decode copied Value out; the buffer is dead
-	if err != nil {
-		return nil, false, err
+	sc.Tracer().CountCacheMsgs(2)
+	err = wire.Decode(held, func(d *wire.Decoder) error {
+		return decodeFields(d, func(f uint32, t wire.Type) (err error) {
+			switch f {
+			case 1:
+				found, err = d.Bool()
+			case 2:
+				value, err = d.Bytes()
+			default:
+				err = d.Skip(t)
+			}
+			return err
+		})
+	})
+	if err != nil || !found {
+		rpc.PutBuffer(held)
+		return nil, nil, false, err
 	}
-	if !resp.Found {
-		return nil, false, nil
-	}
-	return resp.Value, true, nil
+	return value, held, true, nil
 }
 
 // Set stores key with no TTL.
@@ -219,21 +250,33 @@ func (c *Client) setTTL(sc trace.SpanContext, key string, value []byte, ttl time
 	if err != nil {
 		return err
 	}
-	// SetRequest shape {1: key, 2: value, 3: ttl_ms}.
+	return setOn(sc, conn, key, value, ttl)
+}
+
+// setOn is one cache.Set round trip on conn: the SetRequest shape
+// {1: key, 2: value, 3: ttl_ms} out, an Ack back.
+func setOn(sc trace.SpanContext, conn rpc.Conn, key string, value []byte, ttl time.Duration) error {
 	e := wire.GetEncoder()
 	e.String(1, key)
 	e.BytesField(2, value)
 	e.Int64(3, int64(ttl/time.Millisecond))
-	respBody, err := rpc.CallTraced(conn, sc, "cache.Set", e.Bytes())
+	_, err := callAck(sc, conn, "cache.Set", e)
+	return err
+}
+
+// callAck sends e's bytes to method, recycles e, and decodes the Ack
+// reply, recycling its buffer too.
+func callAck(sc trace.SpanContext, conn rpc.Conn, method string, e *wire.Encoder) (bool, error) {
+	respBody, err := rpc.CallTraced(conn, sc, method, e.Bytes())
 	wire.PutEncoder(e)
 	if err != nil {
-		return err
+		return false, err
 	}
 	sc.Tracer().CountCacheMsgs(2)
 	var ack Ack
 	err = wire.Unmarshal(respBody, &ack)
 	rpc.PutBuffer(respBody)
-	return err
+	return ack.OK, err
 }
 
 // Delete removes key, reporting whether it existed. In degraded mode a
@@ -270,22 +313,15 @@ func (c *Client) delete(sc trace.SpanContext, key string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	// DeleteRequest shape {1: key}.
+	return deleteOn(sc, conn, key)
+}
+
+// deleteOn is one cache.Delete round trip on conn: the DeleteRequest
+// shape {1: key} out, an Ack (existed) back.
+func deleteOn(sc trace.SpanContext, conn rpc.Conn, key string) (bool, error) {
 	e := wire.GetEncoder()
 	e.String(1, key)
-	respBody, err := rpc.CallTraced(conn, sc, "cache.Delete", e.Bytes())
-	wire.PutEncoder(e)
-	if err != nil {
-		return false, err
-	}
-	sc.Tracer().CountCacheMsgs(2)
-	var ack Ack
-	err = wire.Unmarshal(respBody, &ack)
-	rpc.PutBuffer(respBody)
-	if err != nil {
-		return false, err
-	}
-	return ack.OK, nil
+	return callAck(sc, conn, "cache.Delete", e)
 }
 
 // Close closes every connection, returning the first error.

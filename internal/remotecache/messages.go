@@ -55,7 +55,8 @@ func (r *GetResponse) UnmarshalWire(d *wire.Decoder) error {
 	})
 }
 
-// SetRequest stores a value with an optional TTL in milliseconds.
+// SetRequest stores a value with an optional TTL in milliseconds. Decoded,
+// Value aliases the decoder's input: a handler that keeps it copies it.
 type SetRequest struct {
 	Key   string
 	Value []byte
@@ -76,9 +77,7 @@ func (r *SetRequest) UnmarshalWire(d *wire.Decoder) error {
 		case 1:
 			r.Key, err = d.String()
 		case 2:
-			var b []byte
-			b, err = d.Bytes()
-			r.Value = append([]byte(nil), b...)
+			r.Value, err = d.Bytes()
 		case 3:
 			r.TTLms, err = d.Int64()
 		default:

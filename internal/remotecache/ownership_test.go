@@ -1,0 +1,165 @@
+package remotecache
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"cachecost/internal/rpc"
+	"cachecost/internal/trace"
+)
+
+var noCtx trace.SpanContext
+
+// The tests in this file pin the cache rows of DESIGN.md's "Buffer
+// ownership" table. Under -race rpc.PutBuffer poisons what it recycles,
+// so a borrowed value whose buffer went back early reads as poison.
+
+// churn recycles n transport buffers of about size bytes, writing into
+// each: whatever the pool hands out must be nobody else's.
+func churn(n, size int) {
+	junk := bytes.Repeat([]byte{0xEE}, size)
+	for i := 0; i < n; i++ {
+		rpc.PutBuffer(append(rpc.GetBuffer(), junk...))
+	}
+}
+
+// TestOwnershipBorrowedValueStableUntilReleased: a value BorrowCtx lent
+// out stays byte-identical until its buffer is handed back, whatever
+// happens to the entry it came from and however hard the pool is worked
+// in the meantime — overwrite, Delete, eviction by Resize, and well over
+// a thousand recycled buffers, from four goroutines on the same client.
+func TestOwnershipBorrowedValueStableUntilReleased(t *testing.T) {
+	srv := NewServer(ServerConfig{CapacityBytes: 1 << 20})
+	c := NewSingleClient(rpc.NewLoopback(srv.RPCServer(), nil, nil, rpc.CostModel{}))
+	want := bytes.Repeat([]byte("borrowed."), 2000)
+	if err := c.Set("k", want); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 5; round++ {
+		if err := c.Set("k", want); err != nil {
+			t.Fatal(err)
+		}
+		value, held, found, err := c.BorrowCtx(noCtx, "k")
+		if err != nil || !found {
+			t.Fatalf("borrow = %v %v", found, err)
+		}
+		var wg sync.WaitGroup
+		for _, fn := range []func(i int){
+			func(i int) { c.Set("k", bytes.Repeat([]byte{byte(i)}, len(want))) },
+			func(i int) { c.Delete("k"); c.Get("k") },
+			func(i int) { srv.Resize(0); srv.Resize(1 << 20); c.Set(fmt.Sprint("other", i), want[:100+i]) },
+			func(i int) { churn(4, len(want)); c.Get(fmt.Sprint("other", i)) },
+		} {
+			wg.Add(1)
+			go func(fn func(int)) {
+				defer wg.Done()
+				for i := 0; i < 300; i++ {
+					fn(i)
+				}
+			}(fn)
+		}
+		wg.Wait()
+		if !bytes.Equal(value, want) {
+			t.Fatalf("round %d: borrowed value changed while it was still held", round)
+		}
+		rpc.PutBuffer(held)
+	}
+}
+
+// TestOwnershipMultiBorrowAndCopyingGets: the batch lends like the scalar
+// op, and the Get forms stay the caller's to keep — they survive the
+// release of every buffer and any amount of pool churn.
+func TestOwnershipMultiBorrowAndCopyingGets(t *testing.T) {
+	conns := map[string]rpc.Conn{}
+	for i := 0; i < 3; i++ {
+		srv := NewServer(ServerConfig{CapacityBytes: 1 << 20})
+		conns[fmt.Sprint("cache", i)] = rpc.NewLoopback(srv.RPCServer(), nil, nil, rpc.CostModel{})
+	}
+	c := NewClient(conns)
+	keys := make([]string, 24)
+	for i := range keys {
+		keys[i] = fmt.Sprint("key-", i)
+		if i%4 != 3 { // every fourth key is a miss
+			if err := c.Set(keys[i], valueOf(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(what string, values [][]byte, found []bool) {
+		t.Helper()
+		for i := range keys {
+			if found[i] != (i%4 != 3) || (found[i] && !bytes.Equal(values[i], valueOf(i))) {
+				t.Fatalf("%s: key %d: found=%v value=%q", what, i, found[i], values[i])
+			}
+		}
+	}
+	values, found, held, err := c.MultiBorrowCtx(noCtx, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(held) != len(conns) {
+		t.Fatalf("borrowed from %d buffers, want one per node (%d)", len(held), len(conns))
+	}
+	churn(1200, 600)
+	check("borrowed, before release", values, found)
+	rpc.PutBuffers(held)
+
+	kept, found, err := c.MultiGet(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, ok, err := c.Get(keys[0])
+	if err != nil || !ok {
+		t.Fatal(err)
+	}
+	churn(1200, 600)
+	check("MultiGet, after churn", kept, found)
+	if !bytes.Equal(one, valueOf(0)) {
+		t.Fatal("Get's value changed after its response buffer was recycled")
+	}
+}
+
+func valueOf(i int) []byte { return bytes.Repeat([]byte{byte('A' + i)}, 300+i) }
+
+// TestOwnershipServerGetAliasesKeyAndAllocatesNothing is the server half
+// of the rule handleRead's comment states for the front door: on a cache
+// node the key is a lookup argument, so Get reads it in place — and, with
+// the reply built in a pool buffer, the whole handler allocates nothing,
+// however large the value.
+func TestOwnershipServerGetAliasesKeyAndAllocatesNothing(t *testing.T) {
+	var seen string
+	srv := NewServer(ServerConfig{CapacityBytes: 1 << 20, Hot: recordFunc(func(k string) { seen = k })})
+	srv.Preload("hot-key", bytes.Repeat([]byte("v"), 16<<10))
+	req := []byte("\x0a\x07hot-key") // GetRequest{Key: "hot-key"}
+	resp, err := srv.RPCServer().Dispatch("cache.Get", req)
+	if err != nil || len(resp) < 16<<10 {
+		t.Fatalf("get: %d bytes, %v", len(resp), err)
+	}
+	if unsafe.StringData(seen) != &req[2] {
+		t.Fatal("the key the server looked up is a copy, not the request's bytes")
+	}
+	if raceEnabled {
+		return // allocation accounting differs under -race
+	}
+	srv2 := NewServer(ServerConfig{CapacityBytes: 1 << 20})
+	srv2.Preload("hot-key", bytes.Repeat([]byte("v"), 16<<10))
+	allocs := testing.AllocsPerRun(500, func() {
+		resp, err := srv2.RPCServer().Dispatch("cache.Get", req)
+		if err != nil {
+			panic(err)
+		}
+		rpc.PutBuffer(resp)
+	})
+	if allocs > 0 {
+		t.Fatalf("server Get allocates %.1f per call, want 0", allocs)
+	}
+	runtime.KeepAlive(srv)
+}
+
+type recordFunc func(string)
+
+func (f recordFunc) Record(k string) { f(k) }

@@ -9,7 +9,6 @@ import (
 	"cachecost/internal/rpc"
 	"cachecost/internal/telemetry"
 	"cachecost/internal/trace"
-	"cachecost/internal/wire"
 )
 
 // Routed mode: instead of a private consistent-hash ring, the client
@@ -106,48 +105,36 @@ func (r *router) pickReplica(pl cluster.ShardPlacement) string {
 	return b
 }
 
-// nodeConn resolves a placement node to its connection and inflight
-// index.
-func (c *Client) nodeConn(node string) (rpc.Conn, int, error) {
-	conn, ok := c.conns[node]
-	if !ok {
-		return nil, 0, fmt.Errorf("remotecache: no connection for node %q", node)
-	}
-	return conn, c.router.nodeIdx[node], nil
-}
-
 // routedGet is the replica-aware read path. The epoch-stamped key is
 // looked up on the chosen replica; during a handoff a miss falls
 // through to the old primary at its old epoch, and a hit there is
 // copied forward to the new primary so repeated reads converge onto the
 // new placement while the handoff window is open.
-func (c *Client) routedGet(sc trace.SpanContext, key string) ([]byte, bool, error) {
+func (c *Client) routedGet(sc trace.SpanContext, key string) (value, held []byte, found bool, err error) {
 	r := c.router
 	shard := r.smap.ShardOf(key)
 	r.smap.Note(shard)
 	pl := r.smap.Placement(shard)
 	node := r.pickReplica(pl)
-	v, found, err := c.getNode(sc, node, cluster.EpochKey(pl.Epoch, key))
-	if err != nil || found {
-		return v, found, err
-	}
-	if !pl.Migrating() {
-		return nil, false, nil
+	value, held, found, err = c.getNode(sc, node, cluster.EpochKey(pl.Epoch, key))
+	if err != nil || found || !pl.Migrating() {
+		return value, held, found, err
 	}
 	// Double-read window: the new primary is still cold for this key.
 	r.tmHandoff.Inc()
-	v, found, err = c.getNode(sc, pl.Old, cluster.EpochKey(pl.OldEpoch, key))
+	value, held, found, err = c.getNode(sc, pl.Old, cluster.EpochKey(pl.OldEpoch, key))
 	if err != nil || !found {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	// Copy forward so the next read hits the new primary directly. A
 	// copy-forward failure propagates: in strict mode it is a real cache
 	// error, in degraded mode the caller's demotion turns it into a miss
 	// (the value is re-fetched from storage — wasteful, never wrong).
-	if err := c.setNode(sc, pl.Replicas[0], cluster.EpochKey(pl.Epoch, key), v, 0); err != nil {
-		return nil, false, err
+	if err := c.setNode(sc, pl.Replicas[0], cluster.EpochKey(pl.Epoch, key), value, 0); err != nil {
+		rpc.PutBuffer(held)
+		return nil, nil, false, err
 	}
-	return v, true, nil
+	return value, held, true, nil
 }
 
 // routedSet fans the write out to every replica at the current epoch,
@@ -203,82 +190,44 @@ func (c *Client) routedDelete(sc trace.SpanContext, key string) (bool, error) {
 }
 
 // getNode / setNode / deleteNode are the single-node RPC legs of the
-// routed ops: identical wire shapes to the ring-routed path, plus the
-// inflight tracking power-of-two-choices feeds on.
+// routed ops: the ring-routed path's round trips, inside the inflight
+// tracking power-of-two-choices feeds on.
 
-func (c *Client) getNode(sc trace.SpanContext, node, key string) ([]byte, bool, error) {
-	conn, idx, err := c.nodeConn(node)
-	if err != nil {
-		return nil, false, err
+// track resolves node and counts one more request in flight on it; the
+// caller takes it off the returned counter when the round trip ends.
+func (c *Client) track(node string) (rpc.Conn, *atomic.Int64, error) {
+	conn, ok := c.conns[node]
+	if !ok {
+		return nil, nil, fmt.Errorf("remotecache: no connection for node %q", node)
 	}
-	infl := &c.router.inflight[idx].v
+	infl := &c.router.inflight[c.router.nodeIdx[node]].v
 	infl.Add(1)
-	e := wire.GetEncoder()
-	e.String(1, key)
-	respBody, err := rpc.CallTraced(conn, sc, "cache.Get", e.Bytes())
-	wire.PutEncoder(e)
-	infl.Add(-1)
+	return conn, infl, nil
+}
+
+func (c *Client) getNode(sc trace.SpanContext, node, key string) (value, held []byte, found bool, err error) {
+	conn, infl, err := c.track(node)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
-	sc.Tracer().CountCacheMsgs(2)
-	var resp GetResponse
-	err = wire.Unmarshal(respBody, &resp)
-	rpc.PutBuffer(respBody)
-	if err != nil {
-		return nil, false, err
-	}
-	if !resp.Found {
-		return nil, false, nil
-	}
-	return resp.Value, true, nil
+	defer infl.Add(-1)
+	return getOn(sc, conn, key)
 }
 
 func (c *Client) setNode(sc trace.SpanContext, node, key string, value []byte, ttl time.Duration) error {
-	conn, idx, err := c.nodeConn(node)
+	conn, infl, err := c.track(node)
 	if err != nil {
 		return err
 	}
-	infl := &c.router.inflight[idx].v
-	infl.Add(1)
-	e := wire.GetEncoder()
-	e.String(1, key)
-	e.BytesField(2, value)
-	e.Int64(3, int64(ttl/time.Millisecond))
-	respBody, err := rpc.CallTraced(conn, sc, "cache.Set", e.Bytes())
-	wire.PutEncoder(e)
-	infl.Add(-1)
-	if err != nil {
-		return err
-	}
-	sc.Tracer().CountCacheMsgs(2)
-	var ack Ack
-	err = wire.Unmarshal(respBody, &ack)
-	rpc.PutBuffer(respBody)
-	return err
+	defer infl.Add(-1)
+	return setOn(sc, conn, key, value, ttl)
 }
 
 func (c *Client) deleteNode(sc trace.SpanContext, node, key string) (bool, error) {
-	conn, idx, err := c.nodeConn(node)
+	conn, infl, err := c.track(node)
 	if err != nil {
 		return false, err
 	}
-	infl := &c.router.inflight[idx].v
-	infl.Add(1)
-	e := wire.GetEncoder()
-	e.String(1, key)
-	respBody, err := rpc.CallTraced(conn, sc, "cache.Delete", e.Bytes())
-	wire.PutEncoder(e)
-	infl.Add(-1)
-	if err != nil {
-		return false, err
-	}
-	sc.Tracer().CountCacheMsgs(2)
-	var ack Ack
-	err = wire.Unmarshal(respBody, &ack)
-	rpc.PutBuffer(respBody)
-	if err != nil {
-		return false, err
-	}
-	return ack.OK, nil
+	defer infl.Add(-1)
+	return deleteOn(sc, conn, key)
 }

@@ -106,6 +106,7 @@ func NewServer(cfg ServerConfig) *Server {
 		burner = meter.NewBurner()
 	}
 	s.rpcsrv = rpc.NewServer(s.comp, burner, cfg.RPCCost)
+	s.rpcsrv.SetPooledResponses(true) // every reply below is built by reply
 	if cfg.Tracer != nil {
 		s.rpcsrv.SetTracer(cfg.Tracer, cfg.Name+".rpc")
 	}
@@ -210,10 +211,21 @@ func (s *Server) RegisterTelemetry(reg *telemetry.Registry) {
 	})
 }
 
+// reply builds a handler's response of about size bytes in a
+// transport-pool buffer, which the transport recycles (DESIGN.md, "Buffer
+// ownership"). A pool buffer that is too small is replaced in one step
+// rather than grown field by field.
+func reply(size int, fn func(*wire.Encoder)) []byte {
+	buf := rpc.GetBuffer()
+	if cap(buf) < size {
+		buf = make([]byte, 0, size)
+	}
+	return wire.Append(buf, fn)
+}
+
 func (s *Server) handleGet(sc trace.SpanContext, req []byte) ([]byte, error) {
-	// Decode the key zero-copy: it is only a lookup argument, dead once
-	// Get returns, so it may alias the transport's request buffer. (Set
-	// and Delete keep the copying decode — Put retains its key.)
+	// The key is only a lookup argument, so it aliases the request; the
+	// value is encoded straight out of the store into the reply.
 	var key string
 	err := wire.Decode(req, func(d *wire.Decoder) (err error) {
 		return decodeFields(d, func(f uint32, t wire.Type) error {
@@ -232,11 +244,13 @@ func (s *Server) handleGet(sc trace.SpanContext, req []byte) ([]byte, error) {
 	act, _ := trace.Start(sc, s.name, "get")
 	v, ok := s.store.Get(key)
 	if s.hot != nil {
-		// key aliases the request buffer; the detector clones on retain.
-		s.hot.Record(key)
+		s.hot.Record(key) // the detector clones what it retains
 	}
 	act.AnnotateBool("cache.hit", ok)
-	resp := wire.Marshal(&GetResponse{Found: ok, Value: v})
+	resp := reply(len(v)+16, func(e *wire.Encoder) { // GetResponse shape
+		e.Bool(1, ok)
+		e.BytesField(2, v)
+	})
 	act.SetBytes(len(req), len(resp))
 	act.End()
 	return resp, nil
@@ -250,17 +264,22 @@ func (s *Server) handleSet(sc trace.SpanContext, req []byte) ([]byte, error) {
 	s.acquire(sc.Lane())
 	defer s.release()
 	act, _ := trace.Start(sc, s.name, "set")
-	// SetRequest's decode copied Key and Value out of req, so the stored
-	// value is independent of the transport buffer and immutable from
-	// here on; concurrent readers may share it safely.
-	if r.TTLms > 0 {
-		s.store.PutTTL(r.Key, r.Value, time.Duration(r.TTLms)*time.Millisecond)
-	} else {
-		s.store.Put(r.Key, r.Value)
-	}
+	s.put(r.Key, r.Value, r.TTLms)
 	act.SetBytes(len(req), 0)
 	act.End()
-	return wire.Marshal(&Ack{OK: true}), nil
+	return replyAck(true), nil
+}
+
+// put stores a copy of value, which aliases the request: the entry is
+// independent of every transport buffer and immutable from here on, so
+// concurrent readers may share it.
+func (s *Server) put(key string, value []byte, ttlMs int64) {
+	value = append([]byte(nil), value...)
+	if ttlMs > 0 {
+		s.store.PutTTL(key, value, time.Duration(ttlMs)*time.Millisecond)
+	} else {
+		s.store.Put(key, value)
+	}
 }
 
 func (s *Server) handleDelete(sc trace.SpanContext, req []byte) ([]byte, error) {
@@ -274,5 +293,10 @@ func (s *Server) handleDelete(sc trace.SpanContext, req []byte) ([]byte, error) 
 	existed := s.store.Delete(r.Key)
 	act.AnnotateBool("cache.hit", existed)
 	act.End()
-	return wire.Marshal(&Ack{OK: existed}), nil
+	return replyAck(existed), nil
+}
+
+// replyAck encodes the Ack shape {1: ok}.
+func replyAck(ok bool) []byte {
+	return reply(0, func(e *wire.Encoder) { e.Bool(1, ok) })
 }

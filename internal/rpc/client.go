@@ -171,7 +171,7 @@ func (c *Client) readLoop() {
 		}
 		switch rd.kind {
 		case frameResponse:
-			ch <- callResult{body: append([]byte(nil), rd.body...)}
+			ch <- callResult{body: append(GetBuffer(), rd.body...)}
 		case frameError:
 			ch <- callResult{err: &RemoteError{Method: rd.method, Msg: string(rd.body)}}
 		default:

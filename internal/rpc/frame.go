@@ -35,6 +35,7 @@ type frame struct {
 	id     uint64
 	method string // requests and errors carry the method for diagnostics
 	body   []byte
+	raw    []byte // readFrame's buffer, reused across frames; body aliases it
 
 	traceID  uint64 // trace context; meaningful only for frameRequestTraced
 	spanID   uint64
@@ -69,7 +70,7 @@ func appendFrame(b []byte, f *frame) ([]byte, error) {
 	return b, nil
 }
 
-// readFrame reads one frame from r into f, reusing f.body's capacity.
+// readFrame reads one frame from r into f, reusing f.raw's capacity.
 func readFrame(r io.Reader, f *frame) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -79,10 +80,10 @@ func readFrame(r io.Reader, f *frame) error {
 	if n > MaxFrameSize {
 		return errFrameTooLarge
 	}
-	if cap(f.body) < int(n) {
-		f.body = make([]byte, n)
+	if cap(f.raw) < int(n) {
+		f.raw = make([]byte, n)
 	}
-	buf := f.body[:n]
+	buf := f.raw[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return err
 	}

@@ -10,9 +10,6 @@ import (
 )
 
 // loopbackBufPool recycles the request "wire" buffers Loopback copies into.
-// Handlers must not retain the request past the call (the HandlerFunc
-// contract), so the buffer can be reused as soon as Dispatch returns —
-// making the steady-state request copy allocation-free.
 var loopbackBufPool = sync.Pool{
 	New: func() any { return new([]byte) },
 }
@@ -68,9 +65,9 @@ func (l *Loopback) call(sc trace.SpanContext, method string, req []byte) ([]byte
 	}
 	start := l.metrics.begin()
 	l.cost.Charge(sc.Lane(), l.comp, l.burner, len(req))
-	// Copy across the "wire": the server must not alias caller memory,
-	// exactly as with a socket. The buffer is pooled — handlers may not
-	// retain the request past the call, so it is free for reuse on return.
+	// Both messages are copied across the "wire", exactly as a socket
+	// would; which side owns which buffer, and until when, is DESIGN.md's
+	// "Buffer ownership" table.
 	bp := loopbackBufPool.Get().(*[]byte)
 	wireReq := append((*bp)[:0], req...)
 	resp, err := l.server.DispatchCtx(sc, method, wireReq)
@@ -80,11 +77,10 @@ func (l *Loopback) call(sc trace.SpanContext, method string, req []byte) ([]byte
 		l.metrics.end(start, len(req), 0, err)
 		return nil, err
 	}
-	// Copy the response out BEFORE recycling the request buffer: a handler
-	// may legally build its response over the request bytes (echo-style),
-	// so resp can alias wireReq. The destination comes from the shared
-	// transport pool; callers that finish decoding may PutBuffer it back.
+	// resp may alias wireReq (an echo-style handler): copy it out before
+	// either is released.
 	wireResp := append(GetBuffer(), resp...)
+	l.server.recycle(resp, wireReq)
 	*bp = wireReq
 	loopbackBufPool.Put(bp)
 	l.cost.Charge(sc.Lane(), l.comp, l.burner, len(wireResp))

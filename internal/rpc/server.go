@@ -45,6 +45,9 @@ type Server struct {
 	// finer components (the front door, the storage node) disable it;
 	// transport overhead is charged to comp either way.
 	meterBody bool
+	// pooledResp records that every handler builds its response in a
+	// GetBuffer buffer, so a copying transport recycles it (see recycle).
+	pooledResp bool
 	// metrics, when set, records per-dispatch latency and sizes.
 	metrics *Metrics
 	// flight, when set, records a per-request flight record around each
@@ -87,6 +90,24 @@ func (s *Server) SetTracer(t *trace.Tracer, name string) {
 // time to the server's component (default true). Disable it when the
 // handlers meter their own work against finer-grained components.
 func (s *Server) SetMeterHandlerBody(on bool) { s.meterBody = on }
+
+// SetPooledResponses declares that every handler on this server builds
+// its response in a GetBuffer buffer and gives it up on return (DESIGN.md,
+// "Buffer ownership"). It is a declaration, not a default, because a
+// transport cannot tell a pool buffer from one its handler still shares
+// with someone else, and recycling the latter corrupts a stranger's
+// request. Call before the server receives traffic.
+func (s *Server) SetPooledResponses(on bool) { s.pooledResp = on }
+
+// recycle hands a handler's response back to the pool once a copying
+// transport is done with it — after the loopback's copy, after the
+// socket write. A response built over the request (echo-style) is left
+// alone: the request buffer has its own owner.
+func (s *Server) recycle(resp, req []byte) {
+	if s.pooledResp && !overlaps(resp, req) {
+		PutBuffer(resp)
+	}
+}
 
 // SetMetrics binds per-dispatch telemetry (handler latency, message
 // sizes, error counts). Call before the server receives traffic; it is
@@ -240,9 +261,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		id := rd.id
 		method := rd.method
 		traceID, spanID, sampled, deadline := rd.traceID, rd.spanID, rd.sampled, rd.deadline
-		// Copy the body out of the read frame into a pooled buffer; the
-		// handler contract (request valid only for the duration of the
-		// call) lets the buffer be reused once Dispatch returns.
+		// The request body is copied out of the read frame into a pooled
+		// buffer; ownership is DESIGN.md's "Buffer ownership" table.
 		bodyBuf := frameBufPool.Get().(*[]byte)
 		body := append((*bodyBuf)[:0], rd.body...)
 		*bodyBuf = body
@@ -273,8 +293,9 @@ func (s *Server) serveConn(conn net.Conn) {
 				out = frame{id: id, kind: frameError, method: method, body: []byte(ferr.Error())}
 				buf, _ = appendFrame((*respBuf)[:0], &out)
 			}
-			// Recycle the request buffer only after the response frame is
-			// encoded: resp may alias body (an echo-style handler).
+			// resp may alias body (an echo-style handler): both are
+			// released only now that the frame holds a copy.
+			s.recycle(resp, body)
 			frameBufPool.Put(bodyBuf)
 			wmu.Lock()
 			_, werr := conn.Write(buf)

@@ -160,10 +160,5 @@ func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	lane.EnterOp(n.sqlComp)
-	e := wire.GetEncoder()
-	(&BatchQueryResponse{Results: results}).MarshalWire(e)
-	out := append([]byte(nil), e.Bytes()...)
-	wire.PutEncoder(e)
-	return out, nil
+	return n.encode(lane, &BatchQueryResponse{Results: results}), nil
 }

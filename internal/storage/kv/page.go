@@ -22,9 +22,7 @@ func encodePage(dp *decodedPage) []byte {
 		e.BytesField(2, dp.vals[i])
 		e.Uint64(3, dp.vers[i])
 	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
+	return e.Bytes()
 }
 
 func decodePage(buf []byte) *decodedPage {

@@ -404,7 +404,9 @@ func (s *Store) VersionOf(key []byte) (ver Version, ok bool) {
 
 // Put inserts or replaces key, returning the new version. The write
 // lands in the memtable after a WAL append charge; pages absorb it at
-// the next flush.
+// the next flush. The store keeps value itself, not a copy: the caller
+// gives it up and must not change it afterwards (DESIGN.md, "Buffer
+// ownership"). key is only read.
 func (s *Store) Put(key, value []byte) (ver Version) {
 	s.track(func() {
 		s.mu.Lock()
@@ -426,7 +428,7 @@ func (s *Store) Put(key, value []byte) (ver Version) {
 		} else {
 			s.memBytes += int64(len(k)) + 48
 		}
-		s.mem[k] = &memEntry{val: append([]byte(nil), value...), ver: ver}
+		s.mem[k] = &memEntry{val: value, ver: ver}
 		s.memBytes += int64(len(value))
 		if s.memBytes > s.cfg.MemtableBytes {
 			s.flushLocked()

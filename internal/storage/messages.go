@@ -13,6 +13,9 @@ import (
 )
 
 // QueryRequest is the body of the sql.Query / sql.Exec RPC methods.
+// Decoded BLOB parameters alias the decoder's input: the node's handlers
+// consume them before returning, and a raft log entry never changes
+// (DESIGN.md, "Buffer ownership").
 type QueryRequest struct {
 	SQL    string
 	Params []sql.Value
@@ -43,7 +46,7 @@ func (q *QueryRequest) UnmarshalWire(d *wire.Decoder) error {
 			if err != nil {
 				return err
 			}
-			v, err := sql.DecodeValue(body)
+			v, err := sql.AliasValue(body)
 			if err != nil {
 				return err
 			}
@@ -87,7 +90,7 @@ func (v *VersionRequest) UnmarshalWire(d *wire.Decoder) error {
 			if err != nil {
 				return err
 			}
-			if v.PK, err = sql.DecodeValue(body); err != nil {
+			if v.PK, err = sql.AliasValue(body); err != nil {
 				return err
 			}
 		default:
@@ -144,14 +147,16 @@ type replicatedCmd struct {
 }
 
 func encodeCmd(c *replicatedCmd) []byte {
-	e := wire.NewEncoder(64 + len(c.SQL))
+	size := 64 + len(c.SQL)
+	for _, p := range c.Params {
+		size += int(p.Size())
+	}
+	e := wire.NewEncoder(size)
 	e.String(1, c.SQL)
 	for _, p := range c.Params {
 		sql.EncodeValue(e, 2, p)
 	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
+	return e.Bytes()
 }
 
 func decodeCmd(buf []byte) (*replicatedCmd, error) {

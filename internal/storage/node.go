@@ -185,6 +185,7 @@ func NewNode(cfg Config) *Node {
 
 	n.server = rpc.NewServer(n.rpcComp, n.burner, cfg.RPCCost)
 	n.server.SetMeterHandlerBody(false) // handlers meter their own internals
+	n.server.SetPooledResponses(true)   // every reply is built by encode
 	if cfg.Tracer != nil {
 		n.server.SetTracer(cfg.Tracer, cfg.Prefix+".rpc")
 	}
@@ -455,10 +456,12 @@ func (n *Node) validateLease(sc trace.SpanContext) (*plan.DB, error) {
 	return db, nil
 }
 
-// encode is the closing sql section: result encoding.
+// encode is the closing sql section: result encoding, into a
+// transport-pool buffer the transport recycles (DESIGN.md, "Buffer
+// ownership").
 func (n *Node) encode(l *meter.Lane, m wire.Marshaler) []byte {
 	l.EnterOp(n.sqlComp)
-	return wire.Marshal(m)
+	return wire.AppendMarshal(rpc.GetBuffer(), m)
 }
 
 // handleQuery serves read-only statements on the leader after validating

@@ -80,13 +80,12 @@ func encodeRow(vals []sql.Value) []byte {
 	for i, v := range vals {
 		sql.EncodeValue(e, uint32(i+1), v)
 	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
+	return e.Bytes()
 }
 
 // decodeRow parses an encoded row into nCols values (missing columns
-// decode as NULL).
+// decode as NULL). BLOBs alias buf: every caller passes the private copy
+// kv.Store's Get or Scan just made.
 func decodeRow(buf []byte, nCols int) ([]sql.Value, error) {
 	vals := make([]sql.Value, nCols)
 	d := wire.NewDecoder(buf)
@@ -105,7 +104,7 @@ func decodeRow(buf []byte, nCols int) ([]sql.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := sql.DecodeValue(body)
+		v, err := sql.AliasValue(body)
 		if err != nil {
 			return nil, err
 		}

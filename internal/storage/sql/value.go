@@ -220,8 +220,22 @@ func EncodeValue(e *wire.Encoder, field uint32, v Value) {
 }
 
 // DecodeValue decodes a value previously written by EncodeValue from the
-// nested-message bytes.
+// nested-message bytes. The result shares nothing with buf, so the caller
+// may keep it past buf's life.
 func DecodeValue(buf []byte) (Value, error) {
+	v, err := AliasValue(buf)
+	if v.Blob != nil {
+		v.Blob = append([]byte(nil), v.Blob...)
+	}
+	return v, err
+}
+
+// AliasValue is DecodeValue without the copy: a BLOB's bytes alias buf.
+// It is for a caller that owns buf or is done with the value before buf
+// is reused — a row just copied out of its page, an immutable raft log
+// entry, a request the handler consumes before it returns (DESIGN.md,
+// "Buffer ownership").
+func AliasValue(buf []byte) (Value, error) {
 	d := wire.NewDecoder(buf)
 	var v Value
 	for !d.Done() {
@@ -249,11 +263,9 @@ func DecodeValue(buf []byte) (Value, error) {
 				return v, err
 			}
 		case 5:
-			b, err := d.Bytes()
-			if err != nil {
+			if v.Blob, err = d.Bytes(); err != nil {
 				return v, err
 			}
-			v.Blob = append([]byte(nil), b...)
 		case 6:
 			if v.Bool, err = d.Bool(); err != nil {
 				return v, err

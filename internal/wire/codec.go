@@ -247,16 +247,25 @@ func Marshal(m Marshaler) []byte {
 	return out
 }
 
-// AppendMarshal encodes m and appends the encoding to dst, returning the
-// extended slice. Callers that own a reusable buffer avoid Marshal's
-// output allocation entirely.
-func AppendMarshal(dst []byte, m Marshaler) []byte {
+// Append runs fn with a pooled encoder that writes straight onto the end
+// of dst and returns the extended slice: no scratch buffer, no second
+// copy. fn must not retain the encoder. Responses built into a
+// transport-pool buffer go through here (DESIGN.md, "Buffer ownership").
+func Append(dst []byte, fn func(*Encoder)) []byte {
 	e := encoderPool.Get().(*Encoder)
-	e.Reset()
-	m.MarshalWire(e)
-	dst = append(dst, e.Bytes()...)
+	scratch := e.buf
+	e.buf = dst
+	fn(e)
+	dst, e.buf = e.buf, scratch
 	encoderPool.Put(e)
 	return dst
+}
+
+// AppendMarshal encodes m onto the end of dst, returning the extended
+// slice. Callers that own a reusable buffer avoid Marshal's output
+// allocation entirely.
+func AppendMarshal(dst []byte, m Marshaler) []byte {
+	return Append(dst, m.MarshalWire)
 }
 
 // GetEncoder returns a reset encoder from the shared pool. Pair it with
