@@ -2,259 +2,8 @@ package consistency
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
-
-	"cachecost/internal/cluster"
-	"cachecost/internal/linkedcache"
 )
-
-// fakeStore is a tiny versioned KV used to drive the caches in tests.
-type fakeStore struct {
-	mu       sync.Mutex
-	data     map[string]string
-	versions map[string]uint64
-	next     uint64
-	loads    int
-	checks   int
-}
-
-func newFakeStore() *fakeStore {
-	return &fakeStore{data: make(map[string]string), versions: make(map[string]uint64)}
-}
-
-func (s *fakeStore) put(key, val string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.next++
-	s.data[key] = val
-	s.versions[key] = s.next
-	return s.next
-}
-
-func (s *fakeStore) load(key string) (string, uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.loads++
-	v, ok := s.data[key]
-	if !ok {
-		return "", 0, fmt.Errorf("no key %q", key)
-	}
-	return v, s.versions[key], nil
-}
-
-func (s *fakeStore) check(key string) (uint64, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.checks++
-	v, ok := s.versions[key]
-	return v, ok, nil
-}
-
-func strSize(_ string, v string) int64 { return int64(len(v)) + 16 }
-
-func newVC() *VersionedCache[string] {
-	return NewVersionedCache[string](linkedcache.Config{CapacityBytes: 1 << 20}, strSize)
-}
-
-func TestVersionedReadMissThenHit(t *testing.T) {
-	st := newFakeStore()
-	st.put("k", "v1")
-	c := newVC()
-
-	v, hit, err := c.Read("k", st.check, st.load)
-	if err != nil || hit || v != "v1" {
-		t.Fatalf("first read = %q %v %v", v, hit, err)
-	}
-	v, hit, err = c.Read("k", st.check, st.load)
-	if err != nil || !hit || v != "v1" {
-		t.Fatalf("second read = %q %v %v", v, hit, err)
-	}
-	if st.loads != 1 {
-		t.Fatalf("loads = %d, want 1", st.loads)
-	}
-	// The defining §5.5 property: EVERY read checked the version.
-	if st.checks != 2 {
-		t.Fatalf("checks = %d, want one per read", st.checks)
-	}
-}
-
-func TestVersionedReadSeesNewWritesImmediately(t *testing.T) {
-	st := newFakeStore()
-	st.put("k", "v1")
-	c := newVC()
-	c.Read("k", st.check, st.load)
-
-	st.put("k", "v2") // external write, no invalidation sent
-	v, hit, err := c.Read("k", st.check, st.load)
-	if err != nil || hit || v != "v2" {
-		t.Fatalf("read after external write = %q hit=%v err=%v", v, hit, err)
-	}
-	stats := c.Stats()
-	if stats.Stale != 1 {
-		t.Fatalf("stale = %d, want 1", stats.Stale)
-	}
-}
-
-func TestVersionedLinearizabilityUnderRandomWrites(t *testing.T) {
-	// Property: a versioned read NEVER returns a value older than the
-	// last completed write.
-	st := newFakeStore()
-	c := newVC()
-	for i := 0; i < 500; i++ {
-		want := fmt.Sprintf("v%d", i)
-		st.put("k", want)
-		got, _, err := c.Read("k", st.check, st.load)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("iteration %d: read %q, want %q (stale read!)", i, got, want)
-		}
-	}
-}
-
-func TestVersionedWriteKeepsCacheWarm(t *testing.T) {
-	st := newFakeStore()
-	c := newVC()
-	ver := st.put("k", "mine")
-	c.Write("k", "mine", ver)
-	_, hit, err := c.Read("k", st.check, st.load)
-	if err != nil || !hit {
-		t.Fatalf("read after local write: hit=%v err=%v", hit, err)
-	}
-	if st.loads != 0 {
-		t.Fatal("local write should have avoided the reload")
-	}
-}
-
-func TestVersionedInvalidate(t *testing.T) {
-	st := newFakeStore()
-	st.put("k", "v")
-	c := newVC()
-	c.Read("k", st.check, st.load)
-	c.Invalidate("k")
-	_, hit, _ := c.Read("k", st.check, st.load)
-	if hit {
-		t.Fatal("invalidated entry should miss")
-	}
-}
-
-func TestVersionedErrorPropagation(t *testing.T) {
-	c := newVC()
-	boom := errors.New("check failed")
-	_, _, err := c.Read("k",
-		func(string) (uint64, bool, error) { return 0, false, boom },
-		func(string) (string, uint64, error) { return "", 0, nil })
-	if !errors.Is(err, boom) {
-		t.Fatalf("check error should propagate, got %v", err)
-	}
-	st := newFakeStore()
-	_, _, err = c.Read("missing", st.check, st.load)
-	if err == nil {
-		t.Fatal("load error should propagate")
-	}
-}
-
-func newOwned(self string, sh *cluster.Sharder) *OwnedCache[string] {
-	return NewOwnedCache[string](self, sh, linkedcache.Config{CapacityBytes: 1 << 20}, strSize)
-}
-
-func TestOwnedReadSkipsStorageAfterFirstLoad(t *testing.T) {
-	st := newFakeStore()
-	st.put("k", "v1")
-	sh := cluster.NewSharder(64)
-	c := newOwned("app1", sh)
-
-	if _, _, err := c.Read("k", st.load); err != nil {
-		t.Fatal(err)
-	}
-	loadsAfterFirst := st.loads
-	for i := 0; i < 100; i++ {
-		v, hit, err := c.Read("k", st.load)
-		if err != nil || !hit || v != "v1" {
-			t.Fatalf("read %d = %q %v %v", i, v, hit, err)
-		}
-	}
-	if st.loads != loadsAfterFirst {
-		t.Fatalf("owned reads must not contact storage: %d extra loads", st.loads-loadsAfterFirst)
-	}
-	if c.Stats().AuthorityHits != 100 {
-		t.Fatalf("authority hits = %d", c.Stats().AuthorityHits)
-	}
-}
-
-func TestOwnedWriteThroughKeepsLinearizability(t *testing.T) {
-	st := newFakeStore()
-	sh := cluster.NewSharder(64)
-	c := newOwned("app1", sh)
-	for i := 0; i < 200; i++ {
-		want := fmt.Sprintf("v%d", i)
-		err := c.Write("k", want, func() (uint64, error) { return st.put("k", want), nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.Read("k", st.load)
-		if err != nil || got != want {
-			t.Fatalf("iteration %d: %q vs %q (%v)", i, got, want, err)
-		}
-	}
-	// All reads after the first write were authority hits: zero loads.
-	if st.loads != 0 {
-		t.Fatalf("owner-routed writes should make loads unnecessary, got %d", st.loads)
-	}
-}
-
-func TestOwnedReshardRevokesAuthority(t *testing.T) {
-	st := newFakeStore()
-	st.put("k", "v1")
-	sh := cluster.NewSharder(64)
-	c1 := newOwned("app1", sh)
-	c1.Read("k", st.load)
-
-	// Another instance joins; whether or not "k" moves, c1's outstanding
-	// assignments are invalidated, so its next read revalidates.
-	c2 := newOwned("app2", sh)
-	st.put("k", "v2") // write lands via a path c1 did not see
-
-	owner := sh.Owner("k")
-	var v string
-	var err error
-	switch owner {
-	case "app1":
-		v, _, err = c1.Read("k", st.load)
-	case "app2":
-		v, _, err = c2.Read("k", st.load)
-	default:
-		t.Fatalf("unowned key after join: %q", owner)
-	}
-	if err != nil || v != "v2" {
-		t.Fatalf("post-reshard read = %q (%v), want v2", v, err)
-	}
-}
-
-func TestOwnedRejectsForeignKeys(t *testing.T) {
-	st := newFakeStore()
-	sh := cluster.NewSharder(64)
-	c1 := newOwned("app1", sh)
-	c2 := newOwned("app2", sh)
-	// Find a key owned by app2 and access it via app1.
-	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if sh.Owner(key) == "app2" {
-			if _, _, err := c1.Read(key, st.load); !errors.Is(err, ErrNotOwner) {
-				t.Fatalf("foreign read should be rejected, got %v", err)
-			}
-			if err := c1.Write(key, "x", func() (uint64, error) { return 0, nil }); !errors.Is(err, ErrNotOwner) {
-				t.Fatalf("foreign write should be rejected, got %v", err)
-			}
-			_ = c2
-			return
-		}
-	}
-	t.Fatal("no key owned by app2 found")
-}
 
 func TestDelayedWriteAnomalyWithoutFencing(t *testing.T) {
 	r := RunDelayedWriteScenario(false)
@@ -300,34 +49,5 @@ func TestFencedStoreSemantics(t *testing.T) {
 	u.AdvanceFence("k", 9)
 	if _, err := u.Put("k", "x", 1); err != nil {
 		t.Fatalf("unenforced store should admit stale tokens: %v", err)
-	}
-}
-
-func TestOwnedVsVersionedStorageTraffic(t *testing.T) {
-	// The §6 pitch in one test: for a read-heavy key, the versioned cache
-	// contacts storage on every read, the owned cache once.
-	st := newFakeStore()
-	st.put("k", "v")
-	vc := newVC()
-	sh := cluster.NewSharder(64)
-	oc := newOwned("app1", sh)
-
-	const reads = 100
-	for i := 0; i < reads; i++ {
-		vc.Read("k", st.check, st.load)
-	}
-	versionedContacts := st.checks + st.loads
-
-	st.checks, st.loads = 0, 0
-	for i := 0; i < reads; i++ {
-		oc.Read("k", st.load)
-	}
-	ownedContacts := st.checks + st.loads
-
-	if versionedContacts < reads {
-		t.Fatalf("versioned cache should contact storage per read: %d", versionedContacts)
-	}
-	if ownedContacts != 1 {
-		t.Fatalf("owned cache should contact storage once: %d", ownedContacts)
 	}
 }

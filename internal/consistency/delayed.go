@@ -1,3 +1,8 @@
+// Package consistency holds the paper's Figure 8 scenario: a write
+// delayed across a resharding leaves an ownership-based cache stale, and
+// write fencing prevents it. The consistent caches the paper prices
+// (Linked+Version, the §6 ownership design, Linked+TTL) are tier policies
+// in internal/core.
 package consistency
 
 import (

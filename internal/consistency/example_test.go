@@ -1,11 +1,11 @@
 package consistency_test
 
 import (
+	"bytes"
 	"fmt"
 
-	"cachecost/internal/cluster"
 	"cachecost/internal/consistency"
-	"cachecost/internal/linkedcache"
+	"cachecost/internal/core"
 )
 
 // ExampleRunDelayedWriteScenario reproduces the paper's Figure 8 anomaly
@@ -23,57 +23,41 @@ func ExampleRunDelayedWriteScenario() {
 // ExampleOwnedCache shows the §6 design: the owner serves linearizable
 // reads without any storage contact, because all writes route through it.
 func ExampleOwnedCache() {
-	// A toy versioned store.
-	store := map[string]string{"k": "v1"}
-	version := uint64(1)
-	loads := 0
-	load := func(key string) (string, uint64, error) {
-		loads++
-		return store[key], version, nil
+	f, err := OwnedCache()
+	if err != nil {
+		fmt.Println(err)
+		return
 	}
-
-	sh := cluster.NewSharder(64)
-	oc := consistency.NewOwnedCache[string]("app0", sh,
-		linkedcache.Config{CapacityBytes: 1 << 20},
-		func(k string, v string) int64 { return int64(len(v)) + 16 })
-
-	oc.Read("k", load) // first read loads and takes ownership
-	for i := 0; i < 99; i++ {
-		oc.Read("k", load) // authority hits: no storage contact
+	f.tr.ResetCounters()
+	for i := 0; i < 100; i++ {
+		f.app.Read("k0") // the first read loads; the rest are owner hits
 	}
-	oc.Write("k", "v2", func() (uint64, error) { // owner-routed write
-		store["k"] = "v2"
-		version++
-		return version, nil
-	})
-	v, hit, _ := oc.Read("k", load)
+	v := core.ValueFor("k0", 128)
+	f.app.Write("k0", v) // an owner-routed write-through
+	got, _ := f.app.Read("k0")
 
-	fmt.Printf("value=%s servedFromCache=%v storageLoads=%d\n", v, hit, loads)
+	p := f.tr.PathStats()
+	fmt.Printf("fresh=%v servedFromCache=%d/%d storageStatements=%d\n",
+		bytes.Equal(got, core.Digest(v)), p.LinkedHits, p.LinkedHits+p.LinkedMisses, p.SQLStatements)
 	// Output:
-	// value=v2 servedFromCache=true storageLoads=1
+	// fresh=true servedFromCache=100/101 storageStatements=2
 }
 
 // ExampleVersionedCache shows the §5.5 baseline: linearizable, but every
 // read pays a storage version check.
 func ExampleVersionedCache() {
-	store := map[string]string{"k": "v1"}
-	version := uint64(1)
-	checks := 0
-	check := func(key string) (uint64, bool, error) {
-		checks++
-		return version, true, nil
+	f, err := VersionedCache()
+	if err != nil {
+		fmt.Println(err)
+		return
 	}
-	load := func(key string) (string, uint64, error) {
-		return store[key], version, nil
-	}
-
-	vc := consistency.NewVersionedCache[string](
-		linkedcache.Config{CapacityBytes: 1 << 20},
-		func(k string, v string) int64 { return int64(len(v)) + 16 })
+	f.tr.ResetCounters()
 	for i := 0; i < 100; i++ {
-		vc.Read("k", check, load)
+		f.app.Read("k0")
 	}
-	fmt.Printf("reads=100 storageChecks=%d\n", checks)
+	p := f.tr.PathStats()
+	fmt.Printf("reads=%d loads=%d versionChecks=%d\n",
+		p.Requests, p.LinkedMisses, p.SQLStatements-p.LinkedMisses)
 	// Output:
-	// reads=100 storageChecks=100
+	// reads=100 loads=1 versionChecks=100
 }

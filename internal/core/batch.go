@@ -15,14 +15,14 @@ import (
 // per-message overhead the paper's cost model charges (RPC framing,
 // (de)serialization, the SQL front-end) is paid once per batch instead
 // of once per key. The per-key work (cache lookups, executor rows,
-// digests) still scales with B; that split is exactly what the batch
+// answers) still scales with B; that split is exactly what the batch
 // figure measures.
 //
 // Semantics are positional throughout: response slot i answers request
 // key i.
 
 // BatchServiceWorker is a worker surface that can carry multi-key
-// operations. ReadBatch returns one digest per key, positionally;
+// operations. ReadBatch returns one answer per key, positionally;
 // WriteBatch applies keys[i] = values[i] for every i.
 type BatchServiceWorker interface {
 	ServiceWorker
@@ -30,19 +30,22 @@ type BatchServiceWorker interface {
 	WriteBatch(keys []string, values [][]byte) error
 }
 
-// readBatch serves a multi-key read on lane l, returning raw values
+// readBatch serves a multi-key read on lane l, returning objects
 // positionally and the transport buffers they are borrowed from (the
-// caller recycles those once it is done with the values). A tier with a
-// batched protocol runs it; the consistency designs keep their per-key
-// read protocols (version checks and leases are per-key by design) and
-// the batch still saves the per-op front-door frames.
-func (s *KVService) readBatch(l *kvLane, sc trace.SpanContext, keys []string) (values, held [][]byte, err error) {
-	if br, ok := l.tier.(batchReader[[]byte]); ok {
-		values, held, hits, err := br.readBatch(sc, keys, l.rows)
+// caller recycles those once it is done with the objects). A tier with a
+// batched protocol runs it over a storage path with a batched load; the
+// rest keep their per-key read protocols (the consistency designs' version
+// checks and leases are per-key by design, and the catalog's rich objects
+// have no batched load), and the batch still saves the per-op front-door
+// frames.
+func (s *service[V]) readBatch(l *lane[V], sc trace.SpanContext, keys []string) (values []V, held [][]byte, err error) {
+	br, ok := l.tier.(batchReader[V])
+	if bs, batched := l.src.(batchSource[V]); ok && batched {
+		values, held, hits, err := br.readBatch(sc, keys, bs)
 		s.count(len(keys), hits)
 		return values, held, err
 	}
-	values = make([][]byte, len(keys))
+	values = make([]V, len(keys))
 	for i, k := range keys {
 		v, h, err := s.read(l, sc, k)
 		if h != nil {
@@ -58,12 +61,12 @@ func (s *KVService) readBatch(l *kvLane, sc trace.SpanContext, keys []string) (v
 
 // writeBatch applies a multi-key write on lane l: in one step where the
 // tier batches its invalidations, key by key elsewhere.
-func (s *KVService) writeBatch(l *kvLane, sc trace.SpanContext, keys []string, values [][]byte) error {
+func (s *service[V]) writeBatch(l *lane[V], sc trace.SpanContext, keys []string, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("core: WriteBatch %d keys but %d values", len(keys), len(values))
 	}
-	if bd, ok := l.tier.(batchDropper[[]byte]); ok {
-		return bd.dropBatch(sc, keys, values, l.rows)
+	if bd, ok := l.tier.(batchDropper[V]); ok {
+		return bd.dropBatch(sc, keys, values, l.src)
 	}
 	for i := range keys {
 		if err := s.write(l, sc, keys[i], values[i]); err != nil {
@@ -75,8 +78,8 @@ func (s *KVService) writeBatch(l *kvLane, sc trace.SpanContext, keys []string, v
 
 // handleReadBatch is the client-facing multi-key read: one request
 // frame in (MultiGetRequest shape {1: key...}), one reply frame out
-// carrying a packed found bitmap and one 16-byte digest per key.
-func (s *KVService) handleReadBatch(l *kvLane, sc trace.SpanContext, req []byte) ([]byte, error) {
+// carrying a packed found bitmap and one answer per key.
+func (s *service[V]) handleReadBatch(l *lane[V], sc trace.SpanContext, req []byte) ([]byte, error) {
 	sc.Lane().EnterOp(s.appComp)
 	act, asc := trace.Start(sc, "app", "read")
 	defer act.End()
@@ -92,23 +95,21 @@ func (s *KVService) handleReadBatch(l *kvLane, sc trace.SpanContext, req []byte)
 	}
 	var total int
 	found := make([]bool, len(values))
-	var dig [16]byte
 	out := wire.Append(rpc.GetBuffer(), func(e *wire.Encoder) {
 		for i, v := range values {
-			total += len(v)
+			total += s.app.answer(e, v)
 			found[i] = true
-			e.BytesField(2, appendDigest(dig[:0], v))
 		}
 		e.PackedBools(1, found)
 	})
 	act.SetBytes(len(req), total)
-	rpc.PutBuffers(held) // the digests were the last read of the values
+	rpc.PutBuffers(held) // the answers were the last read of the objects
 	return out, nil
 }
 
 // handleWriteBatch is the client-facing multi-key write (MultiSetRequest
 // shape in, Ack shape out).
-func (s *KVService) handleWriteBatch(l *kvLane, sc trace.SpanContext, req []byte) ([]byte, error) {
+func (s *service[V]) handleWriteBatch(l *lane[V], sc trace.SpanContext, req []byte) ([]byte, error) {
 	sc.Lane().EnterOp(s.appComp)
 	act, asc := trace.Start(sc, "app", "write")
 	defer act.End()

@@ -6,8 +6,7 @@ import (
 	"strings"
 
 	"cachecost/internal/catalog"
-	"cachecost/internal/remotecache"
-	"cachecost/internal/rpc"
+	"cachecost/internal/storage"
 	"cachecost/internal/trace"
 	"cachecost/internal/wire"
 )
@@ -49,18 +48,13 @@ type CatalogServiceConfig struct {
 }
 
 // CatalogService deploys the rich-object application under an
-// architecture: the same parts and tiers KVService runs, over live
-// *catalog.TableInfo objects. The linked cache holds them as they are; the
-// remote cache holds their serialized form — that asymmetry is the §5.4
-// comparison. The service has one request lane (the default fault stream)
-// and its Read/Write are that lane's AppClient's.
+// architecture: the same front door, parts and tiers KVService runs, over
+// live *catalog.TableInfo objects. The linked cache holds them as they
+// are; the remote cache holds their serialized form — that asymmetry is
+// the §5.4 comparison. A read answers a governance summary; a write
+// refreshes part of the object, so it always drops the cached entry.
 type CatalogService struct {
-	AppClient
-	deployment
-
-	tables *catalogTables
-	tier   tier[*catalog.TableInfo]
-	hitCount
+	service[*catalog.TableInfo]
 }
 
 // NewCatalogService builds and seeds the deployment.
@@ -84,20 +78,15 @@ func NewCatalogService(cfg CatalogServiceConfig) (*CatalogService, error) {
 	}); err != nil {
 		return nil, err
 	}
-	db, rc, err := s.lanePath(-1, RemoteEndpoints{})
-	if err != nil {
+	if err := s.finish(application[*catalog.TableInfo]{
+		kit: catalogKit,
+		source: func(db *storage.Client) source[*catalog.TableInfo] {
+			return &catalogTables{app: catalog.NewApp(db), mode: cfg.Mode}
+		},
+		answer: governanceSummary,
+	}, RemoteEndpoints{}); err != nil {
 		return nil, err
 	}
-	arch, err := newArchitecture(&s.cfg, catalogKit)
-	if err != nil {
-		return nil, err
-	}
-	s.tables = &catalogTables{app: catalog.NewApp(db), mode: cfg.Mode}
-	s.tier = arch.bind(-1, rc)
-	front := s.newFront()
-	front.HandleCtx("app.Read", s.handleRead)
-	front.HandleCtx("app.Write", s.handleWrite)
-	s.AppClient = AppClient{conn: rpc.NewDirect(front), tracer: s.cfg.Tracer}
 	return s, nil
 }
 
@@ -143,15 +132,19 @@ func (c *catalogTables) load(sc trace.SpanContext, key string) (*catalog.TableIn
 	return c.app.In(sc).GetTableKV(id)
 }
 
-func (c *catalogTables) version(sc trace.SpanContext, key string) (uint64, bool, error) {
+func (c *catalogTables) version(sc trace.SpanContext, key string) (uint64, error) {
 	id, err := tableID(key)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
+	app := c.app.In(sc)
+	var ver uint64
 	if c.mode == ModeObject {
-		return c.app.In(sc).VersionOfObject(id)
+		ver, _, err = app.VersionOfObject(id)
+	} else {
+		ver, _, err = app.VersionOfKV(id)
 	}
-	return c.app.In(sc).VersionOfKV(id)
+	return ver, err
 }
 
 // store refreshes a table's stats payload. It yields only part of the
@@ -174,46 +167,22 @@ func (c *catalogTables) store(sc trace.SpanContext, key string, stats []byte) er
 	return app.UpdateTableKV(info)
 }
 
-func (s *CatalogService) handleRead(sc trace.SpanContext, req []byte) ([]byte, error) {
-	sc.Lane().EnterOp(s.appComp)
-	var r remotecache.GetRequest
-	if err := wire.Unmarshal(req, &r); err != nil {
-		return nil, err
+// governanceSummary is the application logic over the rich object:
+// resolve a principal's effective privileges (the inheritance-aware view)
+// and digest the stats payload. The client asked a governance question,
+// not for the raw blob, so the reply is the small derived result.
+func governanceSummary(e *wire.Encoder, info *catalog.TableInfo) int {
+	sum := wire.GetEncoder()
+	sum.String(1, info.FullName)
+	sum.String(2, info.Owner)
+	for _, p := range info.AllowedFor("principal_007") {
+		sum.String(3, p)
 	}
-	// catalogKit decodes, so info is never borrowed: no held buffer.
-	info, _, hit, err := s.tier.read(sc, r.Key, s.tables)
-	s.countOne(hit)
-	if err != nil {
-		return nil, err
-	}
-	// Application logic over the rich object: resolve a principal's
-	// effective privileges (the inheritance-aware view) and digest
-	// the stats payload — then reply with the small derived result.
-	// The client asked a governance question, not for the raw blob.
-	privs := info.AllowedFor("principal_007")
-	summary := wire.NewEncoder(64)
-	summary.String(1, info.FullName)
-	summary.String(2, info.Owner)
-	for _, p := range privs {
-		summary.String(3, p)
-	}
-	summary.Uint64(4, uint64(len(info.Constraints)))
-	summary.Uint64(5, uint64(len(info.Lineage)))
-	summary.BytesField(6, Digest(info.Stats))
-	return wire.Marshal(&remotecache.GetResponse{
-		Found: true,
-		Value: append([]byte(nil), summary.Bytes()...),
-	}), nil
-}
-
-func (s *CatalogService) handleWrite(sc trace.SpanContext, req []byte) ([]byte, error) {
-	sc.Lane().EnterOp(s.appComp)
-	var r remotecache.SetRequest
-	if err := wire.Unmarshal(req, &r); err != nil {
-		return nil, err
-	}
-	if err := s.tier.drop(sc, r.Key, r.Value, s.tables); err != nil {
-		return nil, err
-	}
-	return wire.Marshal(&remotecache.Ack{OK: true}), nil
+	sum.Uint64(4, uint64(len(info.Constraints)))
+	sum.Uint64(5, uint64(len(info.Lineage)))
+	var dig [16]byte
+	sum.BytesField(6, appendDigest(dig[:0], info.Stats))
+	e.BytesField(2, sum.Bytes())
+	wire.PutEncoder(sum)
+	return int(info.MemSize())
 }

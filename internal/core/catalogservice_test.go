@@ -157,3 +157,32 @@ func TestCatalogServiceKVModeNotSeededForObject(t *testing.T) {
 		t.Fatalf("KV-mode read should work: %v", err)
 	}
 }
+
+// TestCatalogReadBatchMatchesReadAllArchs: the catalog gets the batch
+// handlers with no code of its own. Its storage path has no batched load,
+// so every design serves a batch key by key, and a batch answers what the
+// per-key reads answer, cold and warm.
+func TestCatalogReadBatchMatchesReadAllArchs(t *testing.T) {
+	keys := make([]string, 8)
+	for i := range keys {
+		keys[i] = workload.KeyName(2 * i)
+	}
+	for _, mode := range []CatalogMode{ModeObject, ModeKV} {
+		for arch := Base; arch < numArchs; arch++ {
+			t.Run(arch.String()+"/"+mode.String(), func(t *testing.T) {
+				svc := newCatalogSvc(t, arch, mode)
+				for pass := 0; pass < 2; pass++ {
+					got, err := svc.ReadBatch(keys)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, k := range keys {
+						if want, err := svc.Read(k); err != nil || !bytes.Equal(got[i], want) {
+							t.Fatalf("pass %d: batch answer for %s differs from Read (%v)", pass, k, err)
+						}
+					}
+				}
+			})
+		}
+	}
+}

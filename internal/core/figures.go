@@ -134,10 +134,13 @@ type figCell struct {
 	gen workload.Generator
 	svc ServiceConfig
 	run RunConfig
-	// built, when set, sees the built service before traffic starts
+	// deploy, when set, builds the cell's service in place of the
+	// preloaded KVService (unityCell's rich-object application).
+	deploy func(ServiceConfig) (Service, error)
+	// built, when set, sees the built KVService before traffic starts
 	// (install an observer, warm a tier).
 	built func(kv *KVService) error
-	// kv is the built service, once runCell has run.
+	// kv is the built KVService, once runCell has run.
 	kv *KVService
 }
 
@@ -182,18 +185,12 @@ func (o FigOptions) synthCell(arch Arch, cfg workload.SyntheticConfig) *figCell 
 // drives it at the parallelism it was built with, and hands the result
 // to OnResult under label (capacity probes pass none).
 func (o FigOptions) runCell(label string, c *figCell) (*RunResult, error) {
-	kv, err := BuildKVService(c.svc, c.gen)
+	svc, err := c.build()
 	if err != nil {
 		return nil, err
 	}
-	c.kv = kv
-	if c.built != nil {
-		if err := c.built(kv); err != nil {
-			return nil, err
-		}
-	}
 	c.run.Parallelism = c.svc.Parallelism
-	res, err := RunExperimentCfg(kv, c.svc.Meter, c.gen, c.run)
+	res, err := RunExperimentCfg(svc, c.svc.Meter, c.gen, c.run)
 	if err != nil {
 		return nil, err
 	}
@@ -201,6 +198,19 @@ func (o FigOptions) runCell(label string, c *figCell) (*RunResult, error) {
 		o.emit(label, res)
 	}
 	return res, nil
+}
+
+// build deploys c's service.
+func (c *figCell) build() (Service, error) {
+	if c.deploy != nil {
+		return c.deploy(c.svc)
+	}
+	kv, err := BuildKVService(c.svc, c.gen)
+	c.kv = kv
+	if err == nil && c.built != nil {
+		err = c.built(kv)
+	}
+	return kv, err
 }
 
 // kvCell runs the default cell for one (arch, synthetic workload) pair.
@@ -400,14 +410,18 @@ func sizeLabel(n int) string {
 // Catalog-KV workload (denormalized single-row reads).
 func Fig5a(o FigOptions) (*Table, error) {
 	o.applyDefaults()
-	t := &Table{
-		ID:     "fig5a",
-		Title:  "Cost on Unity Catalog-KV (denormalized)",
-		Header: []string{"arch", "$/Mreq", "hit_ratio", "storage_share", "saving_vs_Base"},
-	}
+	return savingTable("fig5a", "Cost on Unity Catalog-KV (denormalized)", func(arch Arch) (*RunResult, error) {
+		return o.catalogCell(arch, ModeKV)
+	})
+}
+
+// savingTable runs cell for each of Archs and tabulates its cost, hit
+// ratio, storage share of the bill, and saving against Base.
+func savingTable(id, title string, cell func(Arch) (*RunResult, error)) (*Table, error) {
+	t := &Table{ID: id, Title: title, Header: []string{"arch", "$/Mreq", "hit_ratio", "storage_share", "saving_vs_Base"}}
 	var baseCost float64
 	for _, arch := range Archs {
-		res, err := o.catalogCell(arch, ModeKV)
+		res, err := cell(arch)
 		if err != nil {
 			return nil, err
 		}
@@ -420,77 +434,45 @@ func Fig5a(o FigOptions) (*Table, error) {
 	return t, nil
 }
 
-// catalogCell runs one catalog-service cell.
-func (o FigOptions) catalogCell(arch Arch, mode CatalogMode) (*RunResult, error) {
-	m := meter.NewMeter()
-	telemetry.RegisterMeter(o.Telemetry, "meter", m)
-	gen := workload.NewUnity(workload.UnityConfig{Tables: o.Tables, Seed: o.Seed})
-	// Size caches to 60% of the materialized working set (median 23KB
-	// objects, Figure 3a distribution) — see newCell for the hit-ratio
-	// rationale.
+// unityCell is newCell over the Unity Catalog trace, deploying the
+// rich-object application in mode over o.Tables tables, whose
+// materialized working set is the Figure 3a object sizes. Rich objects
+// move far more bytes per op, so the cell runs a third of the ops.
+func (o FigOptions) unityCell(arch Arch, mode CatalogMode) *figCell {
 	var ws int64
 	for i := 0; i < o.Tables; i++ {
 		ws += int64(workload.UnityValueSize(i))
 	}
-	svc, err := NewCatalogService(CatalogServiceConfig{
-		ServiceConfig: ServiceConfig{
-			Arch:              arch,
-			Meter:             m,
-			StorageCacheBytes: ws * 15 / 100,
-			AppCacheBytes:     ws * 60 / 100,
-			RemoteCacheBytes:  ws * 60 / 100,
-			AppReplicas:       o.AppReplicas,
-			Tracer:            o.Tracer,
-			Telemetry:         o.Telemetry,
-		},
-		Mode:   mode,
-		Tables: o.Tables,
-		Seed:   o.Seed,
-	})
-	if err != nil {
-		return nil, err
+	c := o.newCell(arch, workload.NewUnity(workload.UnityConfig{Tables: o.Tables, Seed: o.Seed}), ws)
+	c.deploy = func(svc ServiceConfig) (Service, error) {
+		return NewCatalogService(CatalogServiceConfig{ServiceConfig: svc, Mode: mode, Tables: o.Tables, Seed: o.Seed})
 	}
-	ops := o.Ops / 3 // rich objects move far more bytes per op
-	if ops < 200 {
-		ops = 200
-	}
-	res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup: ops / 3, Ops: ops, Prices: o.Prices, Tracer: o.Tracer, Telemetry: o.Telemetry,
-	})
-	if err != nil {
-		return nil, err
-	}
-	o.emit(fmt.Sprintf("catalog/%s/%s", mode, arch), res)
-	return res, nil
+	ops := max(o.Ops/3, 200)
+	c.run.Warmup, c.run.Ops = ops/3, ops
+	return c
+}
+
+// catalogCell runs the default cell for one (arch, catalog mode) pair.
+func (o FigOptions) catalogCell(arch Arch, mode CatalogMode) (*RunResult, error) {
+	return o.runCell(fmt.Sprintf("catalog/%s/%s", mode, arch), o.unityCell(arch, mode))
 }
 
 // Fig5b reproduces Figure 5b: cost across architectures on the Meta-like
 // key-value trace (30% writes, ~10B values).
 func Fig5b(o FigOptions) (*Table, error) {
 	o.applyDefaults()
-	t := &Table{
-		ID:     "fig5b",
-		Title:  "Cost on Meta-like trace",
-		Header: []string{"arch", "$/Mreq", "hit_ratio", "storage_share", "saving_vs_Base"},
-	}
-	var baseCost float64
 	// The ~10B values are dwarfed by per-entry overhead, so the working
 	// set counts it.
 	var ws int64
 	for i := 0; i < o.Keys; i++ {
 		ws += int64(workload.MetaValueSize(i)) + 64
 	}
-	for _, arch := range Archs {
+	t, err := savingTable("fig5b", "Cost on Meta-like trace", func(arch Arch) (*RunResult, error) {
 		gen := workload.NewMetaKV(workload.MetaKVConfig{Keys: o.Keys, Seed: o.Seed})
-		res, err := o.runCell("fig5b/"+arch.String(), o.newCell(arch, gen, ws))
-		if err != nil {
-			return nil, err
-		}
-		if arch == Base {
-			baseCost = res.CostPerMReq
-		}
-		t.AddRow(arch.String(), res.CostPerMReq, res.HitRatio,
-			res.StorageCost/res.Report.TotalCost, baseCost/res.CostPerMReq)
+		return o.runCell("fig5b/"+arch.String(), o.newCell(arch, gen, ws))
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes, "30% writes cap the saving: every write still pays storage and replication")
 	return t, nil

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"cachecost/internal/trace"
 )
 
 // tinyOpts keeps figure smoke tests fast; shape assertions here use
@@ -252,6 +254,23 @@ func TestTableRendering(t *testing.T) {
 	for _, want := range []string{"== x: T ==", "a", "bb", "2.500", "note: n1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCatalogCellParallel: a catalog cell is a newCell mutation, so the
+// rich-object comparison runs at the parallelism the eventually consistent
+// designs support, and reports real path counts.
+func TestCatalogCellParallel(t *testing.T) {
+	o := FigOptions{Ops: 200, Warmup: 60, Tables: 40, Parallelism: 4, Tracer: trace.New(trace.Config{Capacity: 4})}
+	o.applyDefaults()
+	for _, arch := range Archs {
+		res, err := o.runCell("", o.unityCell(arch, ModeKV))
+		if err != nil {
+			t.Fatalf("%v: %v", arch, err)
+		}
+		if res.Parallelism != 4 || res.Path.Requests == 0 {
+			t.Errorf("%v: parallelism %d, %d requests traced; want 4 lanes and a traced path", arch, res.Parallelism, res.Path.Requests)
 		}
 	}
 }

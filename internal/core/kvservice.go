@@ -9,7 +9,6 @@ import (
 	"cachecost/internal/cluster"
 	"cachecost/internal/fault"
 	"cachecost/internal/flight"
-	"cachecost/internal/linkedcache"
 	"cachecost/internal/meter"
 	"cachecost/internal/remotecache"
 	"cachecost/internal/rpc"
@@ -18,7 +17,6 @@ import (
 	"cachecost/internal/storage/sql"
 	"cachecost/internal/telemetry"
 	"cachecost/internal/trace"
-	"cachecost/internal/wire"
 )
 
 // Fault-target names used when a ServiceConfig carries an Injector: the
@@ -195,8 +193,7 @@ type ShardMgrConfig struct {
 	MigrateFrac float64
 }
 
-// linkedTTL is the Linked+TTL architecture's freshness bound; the elastic
-// controller retunes it live (SetTTL).
+// linkedTTL is the Linked+TTL architecture's freshness bound.
 const linkedTTL = 500 * time.Millisecond
 
 func (c *ServiceConfig) applyDefaults() {
@@ -226,7 +223,8 @@ func (c *ServiceConfig) applyDefaults() {
 // deployment is the assembly KVService and CatalogService share, built
 // the same way from one ServiceConfig: in process, the storage node and the
 // Remote cache tier; in every deployment, the app's transports to them,
-// each lane's cache client stack and the front door's settings.
+// each lane's cache client stack, the front door's settings and its
+// admission gate.
 type deployment struct {
 	cfg     ServiceConfig
 	m       *meter.Meter
@@ -250,6 +248,16 @@ type deployment struct {
 
 	retries  []*rpc.RetryConn // every lane's cache retry layers, when configured
 	degraded *meter.Counter   // cache errors demoted to misses
+
+	// Admission control, when configured: one gate shared by every lane
+	// (slots are a service-level resource), with shed/deadline counters
+	// on both the meter (reset at the metered-window boundary, surfaced
+	// in RunResult) and the telemetry registry (live scrapes).
+	gate       *admission.Gate
+	shedCtr    *meter.Counter
+	dlCtr      *meter.Counter
+	telShed    *telemetry.Counter
+	telExpired *telemetry.Counter
 }
 
 // build applies cfg's defaults and, for an in-process deployment,
@@ -268,6 +276,26 @@ func (d *deployment) build(cfg ServiceConfig, inProcess bool) error {
 	d.degraded = d.m.Counter(DegradedCounter)
 	if cfg.Faults != nil {
 		cfg.Faults.RegisterTelemetry(cfg.Telemetry)
+	}
+	if cfg.Admission != nil {
+		if cfg.Admission.MaxInflight <= 0 {
+			return fmt.Errorf("core: AdmissionConfig.MaxInflight must be positive")
+		}
+		d.gate = admission.NewGate(cfg.Admission.MaxInflight, cfg.Admission.QueueDepth, nil)
+		d.shedCtr = d.m.Counter(ShedCounter)
+		d.dlCtr = d.m.Counter(DeadlineExceededCounter)
+		d.telShed = cfg.Telemetry.Counter("admission.shed")
+		d.telExpired = cfg.Telemetry.Counter("admission.deadline_exceeded")
+		if cfg.Telemetry != nil {
+			gate := d.gate
+			cfg.Telemetry.RegisterCollector("admission", func(emit func(telemetry.Sample)) {
+				st := gate.Stats()
+				emit(telemetry.Sample{Name: "admission.inflight", Kind: telemetry.KindGauge, Value: float64(st.Inflight)})
+				emit(telemetry.Sample{Name: "admission.waiting", Kind: telemetry.KindGauge, Value: float64(st.Waiting)})
+				emit(telemetry.Sample{Name: "admission.offered", Kind: telemetry.KindCounter, Value: float64(st.Offered)})
+				emit(telemetry.Sample{Name: "admission.admitted", Kind: telemetry.KindCounter, Value: float64(st.Admitted)})
+			})
+		}
 	}
 	if !inProcess {
 		return nil
@@ -456,64 +484,71 @@ func (d *deployment) newFront() *rpc.Server {
 // Arch implements Service.
 func (d *deployment) Arch() Arch { return d.cfg.Arch }
 
-// Node exposes the in-process storage node (experiments tune s_D, inject
-// faults); nil when storage runs elsewhere.
-func (d *deployment) Node() *storage.Node { return d.node }
-
 // Close implements Service.
 func (d *deployment) Close() error { return nil }
+
+// admit consults the admission gate for one client request. It returns
+// the gate outcome and, for Admitted, the release the handler must call
+// when its full-path work finishes. Shed and expired outcomes bump their
+// counters here.
+func (d *deployment) admit(sc trace.SpanContext) (admission.Outcome, func()) {
+	if d.gate == nil {
+		return admission.Admitted, func() {}
+	}
+	b := sc.Breakdown()
+	var t0 time.Time
+	if b != nil {
+		t0 = time.Now()
+	}
+	sc.Lane().Park() // queueing for a slot is nobody's CPU
+	outcome, release := d.gate.Enter(sc.Deadline())
+	sc.Lane().Unpark()
+	if b != nil {
+		b.Add(trace.StageAdmission, time.Since(t0))
+	}
+	switch outcome {
+	case admission.ShedQueueFull:
+		d.shedCtr.Inc()
+		d.telShed.Inc()
+		b.Mark(trace.FlagShed)
+	case admission.DeadlineExpired:
+		d.dlCtr.Inc()
+		d.telExpired.Inc()
+		b.Mark(trace.FlagDeadline)
+	}
+	return outcome, release
+}
+
+// Degraded returns how many cache operations were demoted to misses or
+// no-ops so the service could keep serving through cache faults.
+func (d *deployment) Degraded() int64 { return d.degraded.Value() }
+
+// RetryStats returns the cache retry layer's counters summed over the
+// default lane and every worker lane (zero when no CacheRetry policy was
+// configured).
+func (d *deployment) RetryStats() rpc.RetryStats {
+	var total rpc.RetryStats
+	for _, rt := range d.retries {
+		st := rt.Stats()
+		total.Calls += st.Calls
+		total.Attempts += st.Attempts
+		total.Retries += st.Retries
+		total.BudgetDenied += st.BudgetDenied
+		total.DeadlineExceeded += st.DeadlineExceeded
+		total.Failures += st.Failures
+		total.BackoffTotal += st.BackoffTotal
+	}
+	return total
+}
 
 // KVService is the synthetic/Meta-trace service: a key-value style
 // application (one row per key in the kvdata table) deployed under one of
 // the §2.4 architectures. The client-facing surface is itself an RPC
-// server, so client↔app communication is paid like every other hop.
+// server, so client↔app communication is paid like every other hop. A
+// read answers the row's digest; a write carries the whole row, so a
+// write-through tier keeps a copy of it.
 type KVService struct {
-	// AppClient is the client of the default lane (worker -1, the default
-	// fault stream): the service's own Read/Write/ReadDeadline/
-	// WriteDeadline/SetIntended/ReadBatch/WriteBatch are its.
-	AppClient
-	deployment
-
-	// l is the default lane.
-	l *kvLane
-
-	// arch is the built architecture: the cache state every lane's tier
-	// shares, and the binder newLane makes each lane's tier with.
-	arch *architecture[[]byte]
-
-	// Admission control, when configured: one gate shared by every lane
-	// (slots are a service-level resource), with shed/deadline counters
-	// on both the meter (reset at the metered-window boundary, surfaced
-	// in RunResult) and the telemetry registry (live scrapes).
-	gate       *admission.Gate
-	shedCtr    *meter.Counter
-	dlCtr      *meter.Counter
-	telShed    *telemetry.Counter
-	telExpired *telemetry.Counter
-	// hitCount is the application-level cache accounting, counted at the
-	// tier call on the full path (shed reads are overload triage, not the
-	// architecture's policy, and stay out of it).
-	hitCount
-
-	// lanes are the pre-built worker lanes when Parallelism > 1.
-	lanes []*kvLane
-
-	// obs, when set (before traffic starts), observes every successful
-	// read — the elastic controller's demand feed.
-	obs func(key string, size int64)
-}
-
-// kvLane is one request path through the service: a front door whose
-// handlers run the lane's tier over the lane's private storage path. The
-// tier is bound to the lane's cache client stack and fault decision
-// stream, so the default lane (worker -1) reproduces the historical
-// single-threaded behaviour exactly and worker lanes give the concurrent
-// driver contention-free, deterministic request paths. (Busy-time
-// attribution is per request, not per kvLane: see meter.Lane.)
-type kvLane struct {
-	front *rpc.Server
-	rows  *kvRows
-	tier  tier[[]byte]
+	service[[]byte]
 }
 
 // NewKVService builds a single-process deployment: the storage node and
@@ -524,7 +559,7 @@ func NewKVService(cfg ServiceConfig) (*KVService, error) {
 	if err := s.build(cfg, true); err != nil {
 		return nil, err
 	}
-	if err := s.finish(RemoteEndpoints{}); err != nil {
+	if err := s.finish(kvApp, RemoteEndpoints{}); err != nil {
 		return nil, err
 	}
 	if err := s.node.Bootstrap([]string{
@@ -563,109 +598,21 @@ func NewKVServiceRemote(cfg ServiceConfig, eps RemoteEndpoints) (*KVService, err
 	if err := s.build(cfg, false); err != nil {
 		return nil, err
 	}
-	if err := s.finish(eps); err != nil {
+	if err := s.finish(kvApp, eps); err != nil {
 		return nil, err
 	}
-	if _, err := s.l.rows.db.Exec("CREATE TABLE IF NOT EXISTS kvdata (k TEXT PRIMARY KEY, v BLOB)"); err != nil {
+	if _, err := s.db().Exec("CREATE TABLE IF NOT EXISTS kvdata (k TEXT PRIMARY KEY, v BLOB)"); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// newLane builds request lane worker (-1 is the default lane): its private
-// paths below the app, the architecture's tier bound to them, and a front
-// door in front.
-func (s *KVService) newLane(worker int, eps RemoteEndpoints) (*kvLane, error) {
-	db, rc, err := s.lanePath(worker, eps)
-	if err != nil {
-		return nil, err
-	}
-	l := &kvLane{rows: &kvRows{db: db}, tier: s.arch.bind(worker, rc)}
-	l.front = s.newFront()
-	l.front.SetPooledResponses(true) // encodeReadOut, encodeAck, handleReadBatch
-	l.front.HandleCtx("app.Read", func(sc trace.SpanContext, req []byte) ([]byte, error) { return s.handleRead(l, sc, req) })
-	l.front.HandleCtx("app.Write", func(sc trace.SpanContext, req []byte) ([]byte, error) { return s.handleWrite(l, sc, req) })
-	l.front.HandleCtx("app.ReadBatch", func(sc trace.SpanContext, req []byte) ([]byte, error) { return s.handleReadBatch(l, sc, req) })
-	l.front.HandleCtx("app.WriteBatch", func(sc trace.SpanContext, req []byte) ([]byte, error) { return s.handleWriteBatch(l, sc, req) })
-	return l, nil
-}
-
-// finish builds the admission gate, the architecture and the request
-// lanes. eps carries a distributed deployment's connections (zero in
-// process).
-func (s *KVService) finish(eps RemoteEndpoints) error {
-	cfg := s.cfg
-	if cfg.Admission != nil {
-		if cfg.Admission.MaxInflight <= 0 {
-			return fmt.Errorf("core: AdmissionConfig.MaxInflight must be positive")
-		}
-		s.gate = admission.NewGate(cfg.Admission.MaxInflight, cfg.Admission.QueueDepth, nil)
-		s.shedCtr = s.m.Counter(ShedCounter)
-		s.dlCtr = s.m.Counter(DeadlineExceededCounter)
-		s.telShed = cfg.Telemetry.Counter("admission.shed")
-		s.telExpired = cfg.Telemetry.Counter("admission.deadline_exceeded")
-		if cfg.Telemetry != nil {
-			gate := s.gate
-			cfg.Telemetry.RegisterCollector("admission", func(emit func(telemetry.Sample)) {
-				st := gate.Stats()
-				emit(telemetry.Sample{Name: "admission.inflight", Kind: telemetry.KindGauge, Value: float64(st.Inflight)})
-				emit(telemetry.Sample{Name: "admission.waiting", Kind: telemetry.KindGauge, Value: float64(st.Waiting)})
-				emit(telemetry.Sample{Name: "admission.offered", Kind: telemetry.KindCounter, Value: float64(st.Offered)})
-				emit(telemetry.Sample{Name: "admission.admitted", Kind: telemetry.KindCounter, Value: float64(st.Admitted)})
-			})
-		}
-	}
-	var err error
-	if s.arch, err = newArchitecture(&s.cfg, kvKit); err != nil {
-		return err
-	}
-	if s.l, err = s.newLane(-1, eps); err != nil {
-		return err
-	}
-	s.AppClient = AppClient{conn: rpc.NewDirect(s.l.front), tracer: cfg.Tracer}
-	if cfg.Parallelism == 1 {
-		return nil
-	}
-	if !cfg.Arch.hasWorkerLanes() {
-		return fmt.Errorf("core: Parallelism > 1 is not supported for the %v architecture", cfg.Arch)
-	}
-	if s.node == nil {
-		return fmt.Errorf("core: Parallelism > 1 requires an in-process deployment")
-	}
-	s.lanes = make([]*kvLane, cfg.Parallelism)
-	for i := range s.lanes {
-		if s.lanes[i], err = s.newLane(i, RemoteEndpoints{}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Worker returns the client of lane i. The service must have been built
-// with Parallelism > i.
-func (s *KVService) Worker(i int) (ServiceWorker, error) {
-	if i < 0 || i >= len(s.lanes) {
-		return nil, fmt.Errorf("core: worker %d of %d-lane service", i, len(s.lanes))
-	}
-	return NewAppClient(rpc.NewDirect(s.lanes[i].front), s.cfg.Tracer), nil
-}
-
-// LinkedCache returns the Linked tier's cache, or nil on other
-// architectures. The elastic controller resizes through it.
-func (s *KVService) LinkedCache() *linkedcache.Cache[[]byte] { return s.arch.lc }
+// db is the default lane's storage client.
+func (s *KVService) db() *storage.Client { return s.l.src.(*kvRows).db }
 
 // RemoteCacheServer returns the single-node Remote tier's cache server,
 // or nil (other architectures, or CacheNodes > 1).
 func (s *KVService) RemoteCacheServer() *remotecache.Server { return s.rcServer }
-
-// SetAccessObserver installs a hook observing every successful read's
-// key and approximate cached-entry footprint — the elastic controller's
-// demand feed. Install it before traffic starts; it is read without
-// synchronization on the hot path.
-func (s *KVService) SetAccessObserver(fn func(key string, size int64)) { s.obs = fn }
-
-// Front returns the client-facing RPC server.
-func (s *KVService) Front() *rpc.Server { return s.l.front }
 
 // ShardManager returns the dynamic shard manager (nil unless ShardMgr
 // was configured). The experiment driver calls its Tick on the cadence
@@ -675,19 +622,6 @@ func (s *KVService) ShardManager() *shardmgr.Manager { return s.shardMgr }
 // ShardMap returns the multi-node tier's placement map (nil for
 // single-node deployments).
 func (s *KVService) ShardMap() *cluster.ShardMap { return s.smap }
-
-// HotKeys returns the detector's current top-n served keys with their
-// epoch stamps stripped (nil without a ShardMgr config).
-func (s *KVService) HotKeys(n int) []shardmgr.HotKey {
-	if s.detector == nil {
-		return nil
-	}
-	hks := s.detector.TopK(n)
-	for i := range hks {
-		hks[i].Key = cluster.TrimEpoch(hks[i].Key)
-	}
-	return hks
-}
 
 // CacheNodeOps reports each cache node's served-request count, keyed by
 // shard-map node name — the per-node load spread the hot-shard figure
@@ -714,10 +648,7 @@ type PreloadItem struct {
 func (s *KVService) Preload(items []PreloadItem) error {
 	const chunk = 50
 	for start := 0; start < len(items); start += chunk {
-		end := start + chunk
-		if end > len(items) {
-			end = len(items)
-		}
+		end := min(start+chunk, len(items))
 		stmt := "INSERT INTO kvdata (k, v) VALUES "
 		params := make([]sql.Value, 0, 2*(end-start))
 		for i := start; i < end; i++ {
@@ -733,7 +664,7 @@ func (s *KVService) Preload(items []PreloadItem) error {
 			}
 			continue
 		}
-		if _, err := s.l.rows.db.Exec(stmt, params...); err != nil {
+		if _, err := s.db().Exec(stmt, params...); err != nil {
 			return err
 		}
 	}
@@ -783,31 +714,6 @@ func ValueFor(key string, size int) []byte {
 	return out
 }
 
-// read serves key through the lane's tier, counts the outcome, and feeds
-// the access observer when one is installed (the elastic controller's
-// windowed MRC). held is tier.read's: the caller recycles it once it is
-// done with v.
-func (s *KVService) read(l *kvLane, sc trace.SpanContext, key string) (v, held []byte, err error) {
-	v, held, hit, err := l.tier.read(sc, key, l.rows)
-	s.countOne(hit)
-	if obs := s.obs; obs != nil && err == nil {
-		// Approximate the entry's budgeted footprint the way the cache
-		// tiers size entries: key + value + per-entry overhead.
-		obs(key, int64(len(key)+len(v)+64))
-	}
-	return v, held, err
-}
-
-// write applies a write on lane l. A KV write carries the whole row, so a
-// tier that can keep it does; the rest invalidate. value is only valid
-// for the call (it aliases the request), so what a tier keeps is a copy.
-func (s *KVService) write(l *kvLane, sc trace.SpanContext, key string, value []byte) error {
-	if wt, ok := l.tier.(writeThrough[[]byte]); ok {
-		return wt.write(sc, key, append([]byte(nil), value...), value, l.rows)
-	}
-	return l.tier.drop(sc, key, value, l.rows)
-}
-
 // Digest is the application logic applied to a value: a real computation
 // over the object's header (its first few KB) plus its length, producing
 // a small derived result. Requests return the digest, not the raw value —
@@ -839,193 +745,4 @@ func appendDigest(dst, value []byte) []byte {
 		dst = append(dst, byte(n>>(8*i)))
 	}
 	return dst
-}
-
-// admit consults the admission gate for one client request. It returns
-// the gate outcome and, for Admitted, the release the handler must call
-// when its full-path work finishes. Shed and expired outcomes bump their
-// counters here.
-func (s *KVService) admit(sc trace.SpanContext) (admission.Outcome, func()) {
-	if s.gate == nil {
-		return admission.Admitted, func() {}
-	}
-	b := sc.Breakdown()
-	var t0 time.Time
-	if b != nil {
-		t0 = time.Now()
-	}
-	sc.Lane().Park() // queueing for a slot is nobody's CPU
-	outcome, release := s.gate.Enter(sc.Deadline())
-	sc.Lane().Unpark()
-	if b != nil {
-		b.Add(trace.StageAdmission, time.Since(t0))
-	}
-	switch outcome {
-	case admission.ShedQueueFull:
-		s.shedCtr.Inc()
-		s.telShed.Inc()
-		b.Mark(trace.FlagShed)
-	case admission.DeadlineExpired:
-		s.dlCtr.Inc()
-		s.telExpired.Inc()
-		b.Mark(trace.FlagDeadline)
-	}
-	return outcome, release
-}
-
-// readShed is the degraded serve for a shed read: answer from the cache
-// tier alone — no storage, no admission slot — so overload responses
-// stay cheap and bounded. A tier that cannot peek sheds outright.
-// Deliberately not counted: the hit ratio describes the full-path policy,
-// not overload triage.
-func (s *KVService) readShed(l *kvLane, sc trace.SpanContext, key string) (v, held []byte, ok bool) {
-	if p, ok := l.tier.(peeker[[]byte]); ok {
-		return p.peek(sc, key)
-	}
-	return nil, nil, false
-}
-
-// encodeReadOut encodes the GetResponse shape {1: found, 2: digest} into
-// a transport-pool buffer, then recycles held — the buffer v was borrowed
-// from, if any: the digest is the last read of v.
-func encodeReadOut(found bool, v, held []byte) []byte {
-	var dig [16]byte
-	out := wire.Append(rpc.GetBuffer(), func(e *wire.Encoder) {
-		e.Bool(1, found)
-		if found {
-			e.BytesField(2, appendDigest(dig[:0], v))
-		}
-	})
-	rpc.PutBuffer(held)
-	return out
-}
-
-// encodeAck encodes the write ack shape {1: ok}.
-func encodeAck(ok bool) []byte {
-	return wire.Append(rpc.GetBuffer(), func(e *wire.Encoder) { e.Bool(1, ok) })
-}
-
-// fieldBytes scans a wire message for length-delimited field want and
-// returns its body, aliasing buf (nil when absent). The front door reads
-// its two one-field shapes with it — the GetRequest key, the GetResponse
-// value — the way encodeReadOut writes them: handing wire.Unmarshal a
-// message struct moves the struct to the heap.
-func fieldBytes(buf []byte, want uint32) (body []byte, err error) {
-	err = wire.Decode(buf, func(d *wire.Decoder) error {
-		for !d.Done() {
-			f, t, err := d.Next()
-			if err == nil && f == want && t == wire.TBytes {
-				body, err = d.Bytes()
-			} else if err == nil {
-				err = d.Skip(t)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	return body, err
-}
-
-// handleRead is the client-facing read: decode, pass the admission gate,
-// serve through the cache hierarchy, apply the application logic, reply
-// with the small derived result. The handler is one "app" operation on
-// the request's lane: whatever the lane is not carried into a downstream
-// component for lands on "app". A shed request is a non-error: it answers
-// found=false (or a cache-only hit) so overload is a degraded mode, not a
-// failure storm.
-func (s *KVService) handleRead(l *kvLane, sc trace.SpanContext, req []byte) ([]byte, error) {
-	sc.Lane().EnterOp(s.appComp)
-	act, asc := trace.Start(sc, "app", "read")
-	defer act.End()
-	kb, err := fieldBytes(req, 1)
-	if err != nil {
-		return nil, err
-	}
-	// Copied, not aliased: a miss retains the key (cache fills, the
-	// access observer) past the request buffer's life.
-	key := string(kb)
-	outcome, release := s.admit(sc)
-	switch outcome {
-	case admission.ShedQueueFull:
-		act.Annotate("admission", "shed")
-		v, held, ok := s.readShed(l, asc, key)
-		return encodeReadOut(ok, v, held), nil
-	case admission.DeadlineExpired:
-		act.Annotate("admission", "deadline")
-		return encodeReadOut(false, nil, nil), nil
-	}
-	defer release()
-	v, held, err := s.read(l, asc, key)
-	if err != nil {
-		return nil, err
-	}
-	act.SetBytes(len(req), len(v))
-	return encodeReadOut(true, v, held), nil
-}
-
-// handleWrite is the client-facing write. A shed or expired write is
-// acknowledged ok=false and NOT applied: under overload the service
-// refuses mutations rather than applying them outside the SLO.
-func (s *KVService) handleWrite(l *kvLane, sc trace.SpanContext, req []byte) ([]byte, error) {
-	sc.Lane().EnterOp(s.appComp)
-	act, asc := trace.Start(sc, "app", "write")
-	defer act.End()
-	// SetRequest shape {1: key, 2: value}. The key is copied (tiers keep
-	// it); the value aliases req, which outlives every use below.
-	kb, err := fieldBytes(req, 1)
-	if err != nil {
-		return nil, err
-	}
-	value, err := fieldBytes(req, 2)
-	if err != nil {
-		return nil, err
-	}
-	key := string(kb)
-	outcome, release := s.admit(sc)
-	switch outcome {
-	case admission.ShedQueueFull:
-		act.Annotate("admission", "shed")
-		return encodeAck(false), nil
-	case admission.DeadlineExpired:
-		act.Annotate("admission", "deadline")
-		return encodeAck(false), nil
-	}
-	defer release()
-	if err := s.write(l, asc, key, value); err != nil {
-		return nil, err
-	}
-	act.SetBytes(len(req), 0)
-	return encodeAck(true), nil
-}
-
-// AdmissionStats snapshots the admission gate's conservation counters
-// (zero without an AdmissionConfig).
-func (s *KVService) AdmissionStats() admission.Stats { return s.gate.Stats() }
-
-// CacheHitRatio reports the architecture's application-level cache hit
-// ratio since construction (0 for Base).
-func (s *KVService) CacheHitRatio() float64 { return hitRatio(s.cacheStats()) }
-
-// Degraded returns how many cache operations were demoted to misses or
-// no-ops so the service could keep serving through cache faults.
-func (s *KVService) Degraded() int64 { return s.degraded.Value() }
-
-// RetryStats returns the cache retry layer's counters summed over the
-// default lane and every worker lane (zero when no CacheRetry policy was
-// configured).
-func (s *KVService) RetryStats() rpc.RetryStats {
-	var total rpc.RetryStats
-	for _, rt := range s.retries {
-		st := rt.Stats()
-		total.Calls += st.Calls
-		total.Attempts += st.Attempts
-		total.Retries += st.Retries
-		total.BudgetDenied += st.BudgetDenied
-		total.DeadlineExceeded += st.DeadlineExceeded
-		total.Failures += st.Failures
-		total.BackoffTotal += st.BackoffTotal
-	}
-	return total
 }

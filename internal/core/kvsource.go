@@ -6,6 +6,7 @@ import (
 	"cachecost/internal/storage"
 	"cachecost/internal/storage/sql"
 	"cachecost/internal/trace"
+	"cachecost/internal/wire"
 )
 
 // kvRows is the KV application's storage path for one lane: the kvdata
@@ -15,11 +16,22 @@ type kvRows struct {
 	db *storage.Client
 }
 
-// kvKit is the KV application's object: a row value, budgeted at key +
-// value + per-entry overhead, and its own wire form (no decode).
-var kvKit = objectKit[[]byte]{
-	sizeOf: func(k string, v []byte) int64 { return int64(len(k) + len(v) + 64) },
-	encode: func(v []byte) []byte { return v },
+// kvApp is the KV application's port into the front door. Its object is
+// a row value, budgeted at key + value + per-entry overhead and its own
+// wire form (no decode); a read answers the value's digest; a write's
+// payload is the whole row.
+var kvApp = application[[]byte]{
+	kit: objectKit[[]byte]{
+		sizeOf: func(k string, v []byte) int64 { return int64(len(k) + len(v) + 64) },
+		encode: func(v []byte) []byte { return v },
+	},
+	source: func(db *storage.Client) source[[]byte] { return &kvRows{db: db} },
+	answer: func(e *wire.Encoder, v []byte) int {
+		var dig [16]byte // stays on the stack: the digest is encoded in place
+		e.BytesField(2, appendDigest(dig[:0], v))
+		return len(v)
+	},
+	object: func(payload []byte) []byte { return append([]byte(nil), payload...) },
 }
 
 func (r *kvRows) load(sc trace.SpanContext, key string) ([]byte, error) {
@@ -33,8 +45,9 @@ func (r *kvRows) load(sc trace.SpanContext, key string) ([]byte, error) {
 	return rs.Rows[0][0].Blob, nil
 }
 
-func (r *kvRows) version(sc trace.SpanContext, key string) (uint64, bool, error) {
-	return r.db.VersionCtx(sc, "kvdata", sql.Text(key))
+func (r *kvRows) version(sc trace.SpanContext, key string) (uint64, error) {
+	ver, _, err := r.db.VersionCtx(sc, "kvdata", sql.Text(key))
+	return ver, err
 }
 
 func (r *kvRows) store(sc trace.SpanContext, key string, value []byte) error {

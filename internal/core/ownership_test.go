@@ -39,7 +39,7 @@ func TestOwnershipRemoteHitHeldUntilReleased(t *testing.T) {
 		if _, err := svc.Read(key); err != nil { // miss: fills the cache
 			t.Fatal(err)
 		}
-		v, held, hit, err := svc.l.tier.read(trace.SpanContext{}, key, svc.l.rows)
+		v, held, hit, err := svc.l.tier.read(trace.SpanContext{}, key, svc.l.src)
 		if err != nil || !hit || held == nil {
 			t.Fatalf("warmed tier read: hit=%v held=%v err=%v", hit, held != nil, err)
 		}

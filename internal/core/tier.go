@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"cachecost/internal/cluster"
-	"cachecost/internal/consistency"
 	"cachecost/internal/fault"
 	"cachecost/internal/linkedcache"
 	"cachecost/internal/meter"
@@ -25,23 +27,14 @@ import (
 // by every request on the lane and safe for them to use concurrently.
 type source[V any] interface {
 	load(sc trace.SpanContext, key string) (V, error)
-	// version is the §5.5 version check; !found means no such key.
-	version(sc trace.SpanContext, key string) (ver uint64, found bool, err error)
+	// version is the §5.5 version check: key's storage version, 0 when
+	// storage has no such key (stored versions start at 1).
+	version(sc trace.SpanContext, key string) (uint64, error)
 	// store applies a client's write payload (Service.Write's value) to
 	// key. The payload travels beside the lane-owned source, not inside a
 	// per-request closure: handed through the tier interface, a closure
 	// escapes to the heap on every write.
 	store(sc trace.SpanContext, key string, payload []byte) error
-}
-
-// loadVersioned loads key's object and the storage version it reflects.
-func loadVersioned[V any](sc trace.SpanContext, key string, src source[V]) (V, uint64, error) {
-	v, err := src.load(sc, key)
-	if err != nil {
-		return v, 0, err
-	}
-	ver, _, err := src.version(sc, key)
-	return v, ver, err
 }
 
 // loadMisses completes a batched read: one storage round trip loads
@@ -137,10 +130,9 @@ type architecture[V any] struct {
 	// bind returns the tier for the lane with fault decision stream w
 	// (-1 = default) and private cache client stack rc (nil unless Remote).
 	bind func(w int, rc *remotecache.Client) tier[V]
-	// lc and tc are the Linked and Linked+TTL caches, nil elsewhere: the
-	// elastic controller resizes through them.
+	// lc is the Linked cache, nil elsewhere: the elastic controller
+	// resizes through it.
 	lc *linkedcache.Cache[V]
-	tc *consistency.TTLCache[V]
 }
 
 // newArchitecture builds cfg.Arch: the shared linked cache, billed once
@@ -154,14 +146,15 @@ func newArchitecture[V any](cfg *ServiceConfig, kit objectKit[V]) (*architecture
 		Name:          "app.cache",
 		Telemetry:     cfg.Telemetry,
 	}
-	// Caches that cannot resize price the static configuration directly;
-	// Linked and Linked+TTL go through SetBilledReplicas so a later Resize
-	// re-prices budget × replicas.
-	billStatic := func() {
-		cfg.Meter.Component("app.cache").SetMemBytes(cfg.AppCacheBytes * int64(cfg.AppReplicas))
-	}
+	// The consistency caches never resize: they price the static budget.
+	// Linked goes through SetBilledReplicas so a later Resize re-prices
+	// budget × replicas.
 	shared := func(t tier[V]) func(int, *remotecache.Client) tier[V] {
 		return func(int, *remotecache.Client) tier[V] { return t }
+	}
+	static := func(t tier[V]) func(int, *remotecache.Client) tier[V] {
+		cfg.Meter.Component("app.cache").SetMemBytes(cfg.AppCacheBytes * int64(cfg.AppReplicas))
+		return shared(t)
 	}
 	a := &architecture[V]{}
 	switch cfg.Arch {
@@ -182,17 +175,13 @@ func newArchitecture[V any](cfg *ServiceConfig, kit objectKit[V]) (*architecture
 			return &linkedTier[V]{lc: a.lc, faults: cfg.Faults, w: w, degraded: degraded}
 		}
 	case LinkedVersion:
-		a.bind = shared(&versionTier[V]{vc: consistency.NewVersionedCache(lcfg, kit.sizeOf)})
-		billStatic()
+		a.bind = static(newVersionTier(lcfg, kit))
 	case LinkedOwned:
 		// One application server owns every shard: the auto-sharder's
 		// leases are real, its routing is not exercised.
-		a.bind = shared(&ownedTier[V]{oc: consistency.NewOwnedCache("app0", cluster.NewSharder(64), lcfg, kit.sizeOf)})
-		billStatic()
+		a.bind = static(newOwnedTier("app0", cluster.NewSharder(64), lcfg, kit))
 	case LinkedTTL:
-		a.tc = consistency.NewTTLCache(lcfg, linkedTTL, kit.sizeOf)
-		a.tc.SetBilledReplicas(cfg.AppReplicas)
-		a.bind = shared(&ttlTier[V]{tc: a.tc})
+		a.bind = static(newTTLTier(lcfg, kit, linkedTTL))
 	default:
 		return nil, fmt.Errorf("core: unknown architecture %v", cfg.Arch)
 	}
@@ -409,14 +398,134 @@ func (t *linkedTier[V]) readBatch(sc trace.SpanContext, keys []string, src batch
 	return values, nil, len(keys) - len(miss), err
 }
 
-// consistentRead wraps a consistency-cache read in an app.cache span: the
-// strategies live outside the traced cache libraries, so the tier records
-// their lookup span and linked hit/miss count itself. The strategy's
-// storage calls (version checks, loads) carry the span's child context,
-// nesting under the cache span as the §5.5 path model describes.
-func consistentRead[V any](sc trace.SpanContext, read func(csc trace.SpanContext) (V, bool, error)) (V, []byte, bool, error) {
-	act, csc := trace.Start(sc, "app.cache", "read")
-	v, hit, err := read(csc)
+// The consistency designs. Each is a linked cache whose entries carry a
+// stamp — what the design checks before serving one — over one fill guard.
+
+// stamped is a consistency tier's cache entry: the object and the stamp it
+// was cached under.
+type stamped[V, S any] struct {
+	v     V
+	stamp S
+}
+
+// guarded is a consistency tier's linked cache and the one fill guard the
+// three designs share. An entry serves a read when fresh(entry's stamp,
+// read's stamp) holds; otherwise the read fills it. A write or
+// invalidation of a key supersedes every fill of the key in flight:
+//
+//   - a superseded fill never installs its value: it may have loaded
+//     before the write, and would cache the pre-write object as a hit;
+//   - no read that starts after the write joins a superseded fill.
+//
+// Reads of a key the fill in flight is fresh for share its load, so a hot
+// key's miss or expiry is one storage load, not a stampede; any other read
+// supersedes it and fills under its own stamp, so at most one fill per key
+// is live. Lookups take no lock. Every mutation of lc — an install, a
+// write-through, an invalidation — runs under mu, which is what makes a
+// supersede and an install mutually exclusive: a fill registers before its
+// load and a write supersedes after its store, so a fill either is
+// superseded or loaded the written value.
+type guarded[V any, S comparable] struct {
+	lc    *linkedcache.Cache[stamped[V, S]]
+	fresh func(have, want S) bool
+
+	mu    sync.Mutex
+	fills map[string]*fill[V, S]
+}
+
+// fill is one fill in flight. Its leader publishes v and err before
+// closing done; superseded is guarded by guarded.mu.
+type fill[V, S any] struct {
+	stamp      S
+	done       chan struct{}
+	v          V
+	err        error
+	superseded bool
+}
+
+// newGuarded builds the cache; overhead budgets an entry's stamp.
+func newGuarded[V any, S comparable](lcfg linkedcache.Config, kit objectKit[V], overhead int64, fresh func(have, want S) bool) *guarded[V, S] {
+	return &guarded[V, S]{
+		lc:    linkedcache.New(lcfg, func(k string, e stamped[V, S]) int64 { return kit.sizeOf(k, e.v) + overhead }),
+		fresh: fresh,
+		fills: make(map[string]*fill[V, S]),
+	}
+}
+
+// equal is the freshness rule of a stamp that must match exactly.
+func equal[S comparable](have, want S) bool { return have == want }
+
+// lookup serves key to a read stamped want: the cached entry when it is
+// fresh, else the fill in flight when it is fresh, else a new fill
+// stamped want. hit reports the first.
+func (g *guarded[V, S]) lookup(sc trace.SpanContext, key string, want S, src source[V]) (V, bool, error) {
+	if e, ok := g.lc.Get(key); ok && g.fresh(e.stamp, want) {
+		return e.v, true, nil
+	}
+	g.mu.Lock()
+	if fl, ok := g.fills[key]; ok && g.fresh(fl.stamp, want) {
+		g.mu.Unlock()
+		<-fl.done
+		return fl.v, false, fl.err
+	}
+	g.supersede(key) // one this read cannot join: at most one live fill per key
+	fl := &fill[V, S]{stamp: want, done: make(chan struct{})}
+	g.fills[key] = fl
+	g.mu.Unlock()
+
+	fl.v, fl.err = src.load(sc, key)
+	g.mu.Lock()
+	if !fl.superseded {
+		delete(g.fills, key)
+		if fl.err == nil {
+			g.lc.Put(key, stamped[V, S]{fl.v, want})
+		}
+	}
+	g.mu.Unlock()
+	close(fl.done)
+	return fl.v, false, fl.err
+}
+
+// keep caches a write-through object, superseding key's fill.
+func (g *guarded[V, S]) keep(key string, v V, stamp S) {
+	g.mu.Lock()
+	g.supersede(key)
+	g.lc.Put(key, stamped[V, S]{v, stamp})
+	g.mu.Unlock()
+}
+
+// drop is the consistency designs' invalidating write: storage, then the
+// entry, superseding its fill.
+func (g *guarded[V, S]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
+	if err := src.store(sc, key, payload); err != nil {
+		return err
+	}
+	g.evict(key)
+	return nil
+}
+
+// evict drops key's entry, superseding its fill.
+func (g *guarded[V, S]) evict(key string) {
+	g.mu.Lock()
+	g.supersede(key)
+	g.lc.Delete(key)
+	g.mu.Unlock()
+}
+
+// supersede detaches key's live fill, if any: it will not install, and no
+// later read joins it. The caller holds mu.
+func (g *guarded[V, S]) supersede(key string) {
+	if fl, ok := g.fills[key]; ok {
+		fl.superseded = true
+		delete(g.fills, key)
+	}
+}
+
+// endRead closes a consistency tier's app.cache read span. The designs
+// live outside the traced cache library, so the tier records the lookup
+// span and its linked hit count itself; the read's storage calls (version
+// checks, loads) run under the span, as the §5.5 path model describes.
+func endRead[V any](sc trace.SpanContext, act trace.Active, v V, hit bool, err error) (V, []byte, bool, error) {
 	if err == nil {
 		sc.Tracer().CountLinkedHit(hit)
 		act.AnnotateBool("cache.hit", hit)
@@ -425,94 +534,125 @@ func consistentRead[V any](sc trace.SpanContext, read func(csc trace.SpanContext
 	return v, nil, hit, err
 }
 
-// versionTier is Figure 1d: a linked cache whose every read revalidates
-// the entry against the storage version — linearizable, at one storage
-// round trip per read. Writes invalidate.
-type versionTier[V any] struct {
-	vc *consistency.VersionedCache[V]
+// versionTier is Figure 1d: every read revalidates against the storage
+// version — linearizable, at one storage round trip per read. An entry is
+// stamped with the version its filling read's check returned, and served
+// while checks return the same. Writes invalidate.
+type versionTier[V any] struct{ *guarded[V, uint64] }
+
+func newVersionTier[V any](lcfg linkedcache.Config, kit objectKit[V]) *versionTier[V] {
+	return &versionTier[V]{newGuarded(lcfg, kit, 16, equal[uint64])}
 }
 
 func (t *versionTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, []byte, bool, error) {
-	return consistentRead(sc, func(csc trace.SpanContext) (V, bool, error) {
-		return t.vc.Read(key,
-			func(k string) (uint64, bool, error) { return src.version(csc, k) },
-			func(k string) (V, uint64, error) { return loadVersioned(csc, k, src) })
-	})
+	act, csc := trace.Start(sc, "app.cache", "read")
+	var v V
+	hit := false
+	ver, err := src.version(csc, key)
+	if err == nil {
+		v, hit, err = t.lookup(csc, key, ver, src)
+	}
+	return endRead(sc, act, v, hit, err)
 }
 
-func (t *versionTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
-	if err := src.store(sc, key, payload); err != nil {
-		return err
-	}
-	t.vc.Invalidate(key)
-	return nil
-}
+// errNotOwner is returned for a key another application server owns; the
+// serving tier routes such requests to the owner.
+var errNotOwner = errors.New("core: not the owner of this key")
 
 // ownedTier is the §6 design: a linked cache holding auto-sharder
-// ownership leases, so reads are linearizable with no per-read storage
-// contact as long as every write for an owned key comes through the
-// owner.
+// ownership leases. An entry is stamped with the assignment it was cached
+// under and served while the sharder grants the same one, so reads are
+// linearizable with no storage contact as long as every write for an owned
+// key comes through the owner. A reshard bumps the generation, which voids
+// every outstanding assignment, and evicts the keys that moved away. The
+// hazard that remains, a write delayed from before a reshard, is Figure
+// 8's (consistency.RunDelayedWriteScenario).
 type ownedTier[V any] struct {
-	oc *consistency.OwnedCache[V]
+	*guarded[V, cluster.Assignment]
+	self    string
+	sharder *cluster.Sharder
+}
+
+// newOwnedTier joins self to sharder.
+func newOwnedTier[V any](self string, sharder *cluster.Sharder, lcfg linkedcache.Config, kit objectKit[V]) *ownedTier[V] {
+	t := &ownedTier[V]{guarded: newGuarded(lcfg, kit, 32, equal[cluster.Assignment]), self: self, sharder: sharder}
+	sharder.Watch(func(moved []string, from, _ string) {
+		if from == self {
+			for _, k := range moved {
+				t.evict(k)
+			}
+		}
+	})
+	sharder.Join(self)
+	return t
+}
+
+// assign is the sharder's current grant of key, which must be to self.
+func (t *ownedTier[V]) assign(key string) (cluster.Assignment, error) {
+	a := t.sharder.Assign(key)
+	if a.Node != t.self {
+		return a, errNotOwner
+	}
+	return a, nil
 }
 
 func (t *ownedTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, []byte, bool, error) {
-	return consistentRead(sc, func(csc trace.SpanContext) (V, bool, error) {
-		return t.oc.Read(key, func(k string) (V, uint64, error) { return loadVersioned(csc, k, src) })
-	})
+	act, csc := trace.Start(sc, "app.cache", "read")
+	var v V
+	hit := false
+	a, err := t.assign(key)
+	if err == nil {
+		v, hit, err = t.lookup(csc, key, a, src)
+	}
+	return endRead(sc, act, v, hit, err)
 }
 
 // drop routes the write through the owner without re-materializing the
 // object: invalidating makes the next read re-compose it under a fresh
-// ownership assignment, which preserves linearizability (the owner is the
-// only writer of its keys).
+// assignment, which preserves linearizability (the owner is the only
+// writer of its keys).
 func (t *ownedTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
-	if !t.oc.Owns(key) {
-		return consistency.ErrNotOwner
+	if _, err := t.assign(key); err != nil {
+		return err
+	}
+	return t.guarded.drop(sc, key, payload, src)
+}
+
+// write is the owner-routed write-through: the entry is stamped with the
+// assignment taken before the store.
+func (t *ownedTier[V]) write(sc trace.SpanContext, key string, v V, payload []byte, src source[V]) error {
+	a, err := t.assign(key)
+	if err != nil {
+		return err
 	}
 	if err := src.store(sc, key, payload); err != nil {
 		return err
 	}
-	t.oc.Invalidate(key)
+	t.keep(key, v, a)
 	return nil
 }
 
-func (t *ownedTier[V]) write(sc trace.SpanContext, key string, v V, payload []byte, src source[V]) error {
-	return t.oc.Write(key, v, func() (uint64, error) {
-		if err := src.store(sc, key, payload); err != nil {
-			return 0, err
-		}
-		ver, _, err := src.version(sc, key)
-		return ver, err
-	})
-}
+// ttlTier is the bounded-staleness compromise (§7): an entry is stamped
+// with the time its fetch began and served with no storage contact until
+// it is ttl old, so a read may return an object up to ttl stale.
+type ttlTier[V any] struct{ *guarded[V, time.Time] }
 
-// ttlTier is the bounded-staleness compromise (§7): entries are served
-// with no storage contact until they age out, so a read may be up to TTL
-// old.
-type ttlTier[V any] struct {
-	tc *consistency.TTLCache[V]
+func newTTLTier[V any](lcfg linkedcache.Config, kit objectKit[V], ttl time.Duration) *ttlTier[V] {
+	fresh := func(fetched, now time.Time) bool { return now.Sub(fetched) < ttl }
+	return &ttlTier[V]{newGuarded(lcfg, kit, 24, fresh)}
 }
 
 func (t *ttlTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, []byte, bool, error) {
-	return consistentRead(sc, func(csc trace.SpanContext) (V, bool, error) {
-		return t.tc.Read(key, func(k string) (V, uint64, error) { return loadVersioned(csc, k, src) })
-	})
-}
-
-func (t *ttlTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
-	if err := src.store(sc, key, payload); err != nil {
-		return err
-	}
-	t.tc.Invalidate(key)
-	return nil
+	act, csc := trace.Start(sc, "app.cache", "read")
+	v, hit, err := t.lookup(csc, key, time.Now(), src)
+	return endRead(sc, act, v, hit, err)
 }
 
 func (t *ttlTier[V]) write(sc trace.SpanContext, key string, v V, payload []byte, src source[V]) error {
 	if err := src.store(sc, key, payload); err != nil {
 		return err
 	}
-	t.tc.Write(key, v)
+	t.keep(key, v, time.Now())
 	return nil
 }
 

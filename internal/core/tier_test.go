@@ -2,22 +2,38 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"cachecost/internal/cluster"
+	"cachecost/internal/linkedcache"
 	"cachecost/internal/meter"
 	"cachecost/internal/trace"
 	"cachecost/internal/workload"
 )
 
+// tierCaps is the set of optional protocols a tier declares.
+type tierCaps struct{ batchRead, batchDrop, peek, writeThrough bool }
+
+func capsOf[V any](t tier[V]) (c tierCaps) {
+	_, c.batchRead = t.(batchReader[V])
+	_, c.batchDrop = t.(batchDropper[V])
+	_, c.peek = t.(peeker[V])
+	_, c.writeThrough = t.(writeThrough[V])
+	return c
+}
+
 // TestTierCapabilities pins which optional protocols each architecture's
-// tier declares. A capability a tier picks up by accident — through an
-// embedded helper, say — is a silent policy change: a batched read on a
-// consistency design would bypass its cache, and the scalar-equivalence
-// tests cannot see it because storage returns the same values.
+// tier declares, under both applications. A capability a tier picks up by
+// accident — through an embedded helper, say — is a silent policy change:
+// a batched read on a consistency design would bypass its cache, and the
+// scalar-equivalence tests cannot see it because storage returns the same
+// values.
 func TestTierCapabilities(t *testing.T) {
-	type caps struct{ batchRead, batchDrop, peek, writeThrough bool }
-	want := map[Arch]caps{
+	want := map[Arch]tierCaps{
 		Base:          {batchRead: true},
 		Remote:        {batchRead: true, batchDrop: true, peek: true},
 		Linked:        {batchRead: true, peek: true, writeThrough: true},
@@ -27,17 +43,15 @@ func TestTierCapabilities(t *testing.T) {
 	}
 	for arch := Base; arch < numArchs; arch++ {
 		t.Run(arch.String(), func(t *testing.T) {
-			svc, err := NewKVService(smallCfg(arch, meter.NewMeter()))
+			kv, err := NewKVService(smallCfg(arch, meter.NewMeter()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got caps
-			_, got.batchRead = svc.l.tier.(batchReader[[]byte])
-			_, got.batchDrop = svc.l.tier.(batchDropper[[]byte])
-			_, got.peek = svc.l.tier.(peeker[[]byte])
-			_, got.writeThrough = svc.l.tier.(writeThrough[[]byte])
-			if got != want[arch] {
-				t.Errorf("capabilities = %+v, want %+v", got, want[arch])
+			catalog := newCatalogSvc(t, arch, ModeKV)
+			for name, got := range map[string]tierCaps{"kv": capsOf(kv.l.tier), "catalog": capsOf(catalog.l.tier)} {
+				if got != want[arch] {
+					t.Errorf("%s: capabilities = %+v, want %+v", name, got, want[arch])
+				}
 			}
 		})
 	}
@@ -98,44 +112,63 @@ func TestTierHitRatioParity(t *testing.T) {
 }
 
 // TestTierSharedAcrossRequestsAllArchs drives one lane from several
-// goroutines at once, as cmd/appserver's connections do: the lane's tier
-// and storage path are shared by every request on it, so nothing they
-// hold may be per-request state. Values are a function of the key, so
+// goroutines at once, as cmd/appserver's connections do, under both
+// applications: the lane's tier and storage path are shared by every
+// request on it, so nothing they hold may be per-request state. Every key
+// is written once first and every write below writes the same value, so
 // every read has one right answer however the writes interleave.
 func TestTierSharedAcrossRequestsAllArchs(t *testing.T) {
-	const keys, size = 8, 256 // newTracedKV's rows are 256 bytes
+	const keys, size = 8, 256
 	for arch := Base; arch < numArchs; arch++ {
 		t.Run(arch.String(), func(t *testing.T) {
-			svc, _ := newTracedKV(t, arch, nil)
-			var wg sync.WaitGroup
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 60; i++ {
-						key := workload.KeyName((g + i) % keys)
-						if i%5 == g%5 {
-							if err := svc.Write(key, ValueFor(key, size)); err != nil {
-								t.Error(err)
-								return
-							}
-							continue
-						}
-						got, err := svc.Read(key)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						if want := Digest(ValueFor(key, size)); !bytes.Equal(got, want) {
-							t.Errorf("read %s = %x, want %x", key, got, want)
-							return
-						}
-					}
-				}()
+			kv, _ := newTracedKV(t, arch, nil)
+			for name, svc := range map[string]Service{"kv": kv, "catalog": newCatalogSvc(t, arch, ModeKV)} {
+				t.Run(name, func(t *testing.T) { sharedLane(t, svc, keys, size) })
 			}
-			wg.Wait()
 		})
 	}
+}
+
+// sharedLane is TestTierSharedAcrossRequestsAllArchs on one service.
+func sharedLane(t *testing.T, svc Service, keys, size int) {
+	want := make(map[string][]byte, keys)
+	for i := 0; i < keys; i++ {
+		key := workload.KeyName(i)
+		if err := svc.Write(key, ValueFor(key, size)); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if want[key], err = svc.Read(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				key := workload.KeyName((g + i) % keys)
+				if i%5 == g%5 {
+					if err := svc.Write(key, ValueFor(key, size)); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				got, err := svc.Read(key)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, want[key]) {
+					t.Errorf("read %s = %x, want %x", key, got, want[key])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestUnknownArchFailsAtConstruction: an architecture no tier implements
@@ -147,5 +180,298 @@ func TestUnknownArchFailsAtConstruction(t *testing.T) {
 	cfg := CatalogServiceConfig{ServiceConfig: smallCfg(numArchs, meter.NewMeter()), Tables: 4}
 	if _, err := NewCatalogService(cfg); err == nil {
 		t.Error("NewCatalogService accepted an unknown architecture")
+	}
+}
+
+// The consistency designs at tier level, over fakeRows.
+
+// fakeRows is a versioned string store a tier reads through, counting the
+// statements it serves. during, when set, runs once inside the next load,
+// after the load has read its value: the probe for a write that lands
+// while a fill is in flight.
+type fakeRows struct {
+	mu                    sync.Mutex
+	data                  map[string]string
+	vers                  map[string]uint64
+	next                  uint64
+	checks, loads, stores int
+	during                func()
+}
+
+func newFakeRows(key, value string) *fakeRows {
+	f := &fakeRows{data: map[string]string{}, vers: map[string]uint64{}}
+	f.put(key, value)
+	return f
+}
+
+// put writes key as a writer elsewhere would: storage only.
+func (f *fakeRows) put(key, value string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.next++
+	f.data[key], f.vers[key] = value, f.next
+}
+
+func (f *fakeRows) load(_ trace.SpanContext, key string) (string, error) {
+	f.mu.Lock()
+	f.loads++
+	v, ok := f.data[key]
+	during := f.during
+	f.during = nil
+	f.mu.Unlock()
+	if during != nil {
+		during()
+	}
+	if !ok {
+		return v, fmt.Errorf("no row for %q", key)
+	}
+	return v, nil
+}
+
+func (f *fakeRows) version(_ trace.SpanContext, key string) (uint64, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.checks++
+	return f.vers[key], nil
+}
+
+func (f *fakeRows) store(_ trace.SpanContext, key string, payload []byte) error {
+	f.mu.Lock()
+	f.stores++
+	f.mu.Unlock()
+	f.put(key, string(payload))
+	return nil
+}
+
+// statements is how many statements f has served.
+func (f *fakeRows) statements() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.checks + f.loads + f.stores
+}
+
+var (
+	strKit   = objectKit[string]{sizeOf: func(k, v string) int64 { return int64(len(k) + len(v)) }}
+	testLCfg = linkedcache.Config{CapacityBytes: 1 << 20}
+)
+
+// namedTier is one consistency design over string objects.
+type namedTier struct {
+	arch Arch
+	tier tier[string]
+}
+
+// consistencyTiers builds one of each consistency design; nothing expires
+// within a test from the TTL tier's hour.
+func consistencyTiers() []namedTier {
+	return []namedTier{
+		{LinkedVersion, newVersionTier(testLCfg, strKit)},
+		{LinkedOwned, newOwnedTier("app0", cluster.NewSharder(64), testLCfg, strKit)},
+		{LinkedTTL, newTTLTier(testLCfg, strKit, time.Hour)},
+	}
+}
+
+func readTier(t *testing.T, tr tier[string], key string, src source[string]) (string, bool) {
+	t.Helper()
+	v, _, hit, err := tr.read(trace.SpanContext{}, key, src)
+	if err != nil {
+		t.Error(err)
+	}
+	return v, hit
+}
+
+// writeTier writes key through tr: kept where the tier writes through,
+// dropped otherwise (through=false forces the drop).
+func writeTier(t *testing.T, tr tier[string], key, v string, through bool, src source[string]) {
+	t.Helper()
+	var err error
+	if wt, ok := tr.(writeThrough[string]); ok && through {
+		err = wt.write(trace.SpanContext{}, key, v, []byte(v), src)
+	} else {
+		err = tr.drop(trace.SpanContext{}, key, []byte(v), src)
+	}
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTierStaleFillSuperseded: a write that lands while a read's fill is
+// in flight supersedes the fill. The read overlapped the write, so the
+// value it loaded is a linearizable answer for it — but not for the next
+// read, which must see the write, not the pre-write value cached as a hit.
+func TestTierStaleFillSuperseded(t *testing.T) {
+	for _, through := range []bool{false, true} {
+		for _, c := range consistencyTiers() {
+			if _, ok := c.tier.(writeThrough[string]); through && !ok {
+				continue
+			}
+			t.Run(fmt.Sprintf("%v/writeThrough=%v", c.arch, through), func(t *testing.T) {
+				src := newFakeRows("k", "old")
+				src.during = func() { writeTier(t, c.tier, "k", "new", through, src) }
+				if v, hit := readTier(t, c.tier, "k", src); v != "old" || hit {
+					t.Fatalf("read the write overlapped = %q hit=%v, want the old value it loaded", v, hit)
+				}
+				if v, _ := readTier(t, c.tier, "k", src); v != "new" {
+					t.Errorf("read after the write = %q, want %q: the superseded fill was cached", v, "new")
+				}
+			})
+		}
+	}
+}
+
+// TestTierNoJoinAfterSupersede: a read that starts after an invalidation
+// never returns the value of a fill the invalidation superseded — it
+// fills afresh instead of joining the one in flight.
+func TestTierNoJoinAfterSupersede(t *testing.T) {
+	for _, c := range consistencyTiers() {
+		t.Run(c.arch.String(), func(t *testing.T) {
+			src := newFakeRows("k", "old")
+			entered, gate := make(chan struct{}), make(chan struct{})
+			src.during = func() { close(entered); <-gate }
+			first, second := make(chan string, 1), make(chan string, 1)
+			go func() { v, _ := readTier(t, c.tier, "k", src); first <- v }()
+			<-entered // the fill has loaded "old" and is in flight
+			writeTier(t, c.tier, "k", "new", false, src)
+			go func() { v, _ := readTier(t, c.tier, "k", src); second <- v }()
+			select {
+			case v := <-second:
+				if v != "new" {
+					t.Errorf("read after the invalidation = %q, want new", v)
+				}
+			case <-time.After(time.Second):
+				t.Error("a read that started after the invalidation joined the superseded fill")
+			}
+			close(gate)
+			<-first
+		})
+	}
+}
+
+// TestTierStatementsPerOp pins the storage statements each consistency
+// design issues, and that each issues no statement whose result nothing
+// reads: a cold miss is the version check plus the load on +Version and
+// the load alone elsewhere; a warm hit is +Version's check and nothing
+// elsewhere; a write is the store alone, kept or dropped.
+func TestTierStatementsPerOp(t *testing.T) {
+	want := map[Arch][2]int{LinkedVersion: {2, 1}, LinkedOwned: {1, 0}, LinkedTTL: {1, 0}}
+	for _, c := range consistencyTiers() {
+		t.Run(c.arch.String(), func(t *testing.T) {
+			src := newFakeRows("k", "v")
+			for i, w := range want[c.arch] {
+				before := src.statements()
+				if _, hit := readTier(t, c.tier, "k", src); hit != (i == 1) || src.statements()-before != w {
+					t.Errorf("read %d: hit=%v, %d statements; want hit=%v, %d", i, hit, src.statements()-before, i == 1, w)
+				}
+			}
+			for _, through := range []bool{false, true} {
+				before := src.statements()
+				writeTier(t, c.tier, "k", "w", through, src)
+				if n := src.statements() - before; n != 1 {
+					t.Errorf("write (through=%v): %d statements, want the store alone", through, n)
+				}
+			}
+		})
+	}
+}
+
+// TestTierOwnedReshard: a second owner joining revokes the first's
+// authority — a write it never saw is read after the reshard, and keys
+// that moved are evicted and served by their new owner.
+func TestTierOwnedReshard(t *testing.T) {
+	sh := cluster.NewSharder(64)
+	a := newOwnedTier("app1", sh, testLCfg, strKit)
+	src := newFakeRows("k0", "v1")
+	for i := 0; i < 64; i++ {
+		src.put(fmt.Sprint("k", i), "v1")
+		readTier(t, a, fmt.Sprint("k", i), src)
+	}
+	b := newOwnedTier("app2", sh, testLCfg, strKit)
+	var mine, theirs string
+	for i := 0; i < 64; i++ {
+		k := fmt.Sprint("k", i)
+		src.put(k, "v2") // lands by a path app1 did not see
+		switch owner := sh.Owner(k); {
+		case owner == "app1" && mine == "":
+			mine = k
+		case owner == "app2" && theirs == "":
+			theirs = k
+		}
+	}
+	if mine == "" || theirs == "" {
+		t.Fatal("test setup: the reshard did not split the keys")
+	}
+	if v, _ := readTier(t, a, mine, src); v != "v2" {
+		t.Errorf("app1 read after the reshard = %q, want v2", v)
+	}
+	if _, ok := a.lc.Get(theirs); ok {
+		t.Errorf("%s moved to app2 but stayed in app1's cache", theirs)
+	}
+	if v, _ := readTier(t, b, theirs, src); v != "v2" {
+		t.Errorf("app2 read = %q, want v2", v)
+	}
+}
+
+// TestTierOwnedRejectsForeignKeys: an owner serves only the keys the
+// sharder grants it. A read, write or drop of another node's key is
+// refused before it reaches storage.
+func TestTierOwnedRejectsForeignKeys(t *testing.T) {
+	sh := cluster.NewSharder(64)
+	a := newOwnedTier("app1", sh, testLCfg, strKit)
+	newOwnedTier("app2", sh, testLCfg, strKit)
+	k := ""
+	for i := 0; i < 100 && k == ""; i++ {
+		if sh.Owner(fmt.Sprint("k", i)) == "app2" {
+			k = fmt.Sprint("k", i)
+		}
+	}
+	if k == "" {
+		t.Fatal("test setup: app2 owns none of 100 keys")
+	}
+	src := newFakeRows(k, "v")
+	if _, _, _, err := a.read(trace.SpanContext{}, k, src); !errors.Is(err, errNotOwner) {
+		t.Errorf("foreign read = %v, want errNotOwner", err)
+	}
+	if err := a.write(trace.SpanContext{}, k, "x", []byte("x"), src); !errors.Is(err, errNotOwner) {
+		t.Errorf("foreign write = %v, want errNotOwner", err)
+	}
+	if err := a.drop(trace.SpanContext{}, k, []byte("x"), src); !errors.Is(err, errNotOwner) {
+		t.Errorf("foreign drop = %v, want errNotOwner", err)
+	}
+	if n := src.statements(); n != 0 {
+		t.Errorf("refused requests issued %d statements, want none", n)
+	}
+}
+
+// TestTierConsistencyRace hammers each consistency design's one fill
+// guard under -race: readers, write-throughs and drops on eight keys.
+// Once they drain, a write is durable against any straggling fill.
+func TestTierConsistencyRace(t *testing.T) {
+	for _, c := range consistencyTiers() {
+		t.Run(c.arch.String(), func(t *testing.T) {
+			src := newFakeRows("k0", "v")
+			for i := 1; i < 8; i++ {
+				src.put(fmt.Sprint("k", i), "v")
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 200; i++ {
+						key := fmt.Sprint("k", (g+i)%8)
+						if g%2 == 0 {
+							readTier(t, c.tier, key, src)
+						} else {
+							writeTier(t, c.tier, key, "w", i%3 != 0, src)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			writeTier(t, c.tier, "k0", "final", true, src)
+			if v, _ := readTier(t, c.tier, "k0", src); v != "final" {
+				t.Errorf("read after the final write = %q", v)
+			}
+		})
 	}
 }

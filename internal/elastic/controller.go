@@ -2,14 +2,11 @@
 // §4 prices caches at a fixed size chosen offline, but real workloads
 // breathe (diurnal swings) and lurch (flash crowds), so any fixed size
 // is wrong most of the day. The controller here watches the live access
-// stream through a windowed miss-ratio curve and continuously retunes
-// two knobs against the same cost model the repository's meter bills —
-//
-//	cache bytes:  memory rent          vs  miss-driven storage cost
-//	cache TTL:    refresh-load cost    vs  staleness exposure
-//
-// — stepping each toward the current cost minimum with hysteresis, so
-// the priced memory follows demand instead of the worst case.
+// stream through a windowed miss-ratio curve and continuously retunes the
+// cache's byte budget against the same cost model the repository's meter
+// bills — memory rent vs miss-driven storage cost — stepping toward the
+// current cost minimum with hysteresis, so the priced memory follows
+// demand instead of the worst case.
 package elastic
 
 import (
@@ -29,19 +26,12 @@ import (
 // report prints.
 const secondsPerMonth = 30 * 24 * 3600
 
-// SizeTarget is a resizable cache tier. linkedcache.Cache,
-// remotecache.Server and consistency.TTLCache all implement it.
+// SizeTarget is a resizable cache tier. linkedcache.Cache and
+// remotecache.Server implement it.
 type SizeTarget interface {
 	Resize(bytes int64)
 	Capacity() int64
 	UsedBytes() int64
-}
-
-// TTLTarget is a cache whose freshness bound can be retuned live
-// (consistency.TTLCache).
-type TTLTarget interface {
-	SetTTL(d time.Duration)
-	TTL() time.Duration
 }
 
 // Curve is the slice of the miss-ratio curve the controller needs.
@@ -61,9 +51,6 @@ type Config struct {
 	Name string
 	// Target is the tier being resized. Required.
 	Target SizeTarget
-	// TTL, when non-nil, is additionally retuned (needs
-	// StaleUSDPerReadSec > 0 to have a staleness cost to trade).
-	TTL TTLTarget
 
 	// Prices converts bytes to monthly rent.
 	Prices meter.PriceBook
@@ -75,18 +62,12 @@ type Config struct {
 	// storage work a hit would have avoided. Figures estimate it from a
 	// measured run: storage component cost / monthly storage contacts.
 	MissCostUSD float64
-	// StaleUSDPerReadSec prices one read-second of staleness exposure
-	// (a read served from an entry that is t seconds old costs t times
-	// this). Zero disables TTL tuning.
-	StaleUSDPerReadSec float64
 
 	// MinBytes/MaxBytes clamp the size the controller may choose.
 	// Defaults: 1 MiB and 4 GiB.
 	MinBytes, MaxBytes int64
-	// MinTTL/MaxTTL clamp the freshness bound. Defaults 10ms and 10m.
-	MinTTL, MaxTTL time.Duration
 	// StepFrac is the multiplicative step per tick (0.15 default): each
-	// tick moves a knob by at most ±StepFrac of its current value.
+	// tick moves the size by at most ±StepFrac of its current value.
 	StepFrac float64
 	// Hysteresis is the minimum relative cost improvement required to
 	// move at all (0.02 default); below it the controller holds, which
@@ -111,8 +92,6 @@ type Config struct {
 	// DemandQPS overrides the measured request rate (tests). Nil
 	// derives it from Observe counts and the clock.
 	DemandQPS func() float64
-	// DistinctFn overrides the active-key estimate (tests).
-	DistinctFn func() int
 	// Clock overrides time.Now (tests).
 	Clock func() time.Time
 }
@@ -124,10 +103,8 @@ type Decision struct {
 	MissRatio   float64 // at the chosen size
 	TargetBytes int64
 	Resized     bool
-	TTL         time.Duration
-	Retuned     bool
 	// EstMonthlyUSD is the controller's own cost estimate at the chosen
-	// operating point (memory rent + miss cost [+ refresh + staleness]).
+	// operating point (memory rent + miss cost).
 	EstMonthlyUSD float64
 }
 
@@ -143,11 +120,10 @@ type Controller struct {
 	lastTick time.Time
 	last     Decision
 	nResizes int64
-	nRetunes int64
 
-	ticks, holds, resizes, retunes *telemetry.Counter
-	gTarget, gActual, gTTL, gMiss  *telemetry.Gauge
-	gCost, gQPS                    *telemetry.Gauge
+	ticks, holds, resizes   *telemetry.Counter
+	gTarget, gActual, gMiss *telemetry.Gauge
+	gCost, gQPS             *telemetry.Gauge
 }
 
 // New builds a controller. The target's current capacity is the
@@ -164,12 +140,6 @@ func New(cfg Config) *Controller {
 	}
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = 4 << 30
-	}
-	if cfg.MinTTL <= 0 {
-		cfg.MinTTL = 10 * time.Millisecond
-	}
-	if cfg.MaxTTL <= 0 {
-		cfg.MaxTTL = 10 * time.Minute
 	}
 	if cfg.StepFrac <= 0 {
 		cfg.StepFrac = 0.15
@@ -195,26 +165,18 @@ func New(cfg Config) *Controller {
 	}
 	c.lastTick = cfg.Clock()
 	c.last.TargetBytes = cfg.Target.Capacity()
-	if cfg.TTL != nil {
-		c.last.TTL = cfg.TTL.TTL()
-	}
 	if reg := cfg.Registry; reg != nil {
 		lbl := telemetry.L("tier", cfg.Name)
 		c.ticks = reg.Counter("elastic.ticks", lbl)
 		c.holds = reg.Counter("elastic.holds", lbl)
 		c.resizes = reg.Counter("elastic.resizes", lbl)
-		c.retunes = reg.Counter("elastic.ttl_retunes", lbl)
 		c.gTarget = reg.Gauge("elastic.target_bytes", lbl)
 		c.gActual = reg.Gauge("elastic.actual_bytes", lbl)
-		c.gTTL = reg.Gauge("elastic.ttl_ms", lbl)
 		c.gMiss = reg.Gauge("elastic.miss_ratio_ppm", lbl)
 		c.gCost = reg.Gauge("elastic.est_cost_cents_month", lbl)
 		c.gQPS = reg.Gauge("elastic.qps", lbl)
 		c.gTarget.Set(c.last.TargetBytes)
 		c.gActual.Set(cfg.Target.Capacity())
-		if cfg.TTL != nil {
-			c.gTTL.Set(c.last.TTL.Milliseconds())
-		}
 		reg.RegisterStatus("elastic."+cfg.Name, c.statusz)
 	}
 	return c
@@ -244,13 +206,6 @@ func (c *Controller) Resizes() int64 {
 	return c.nResizes
 }
 
-// Retunes returns how many times the controller has moved the TTL knob.
-func (c *Controller) Retunes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nRetunes
-}
-
 // Last returns the most recent decision.
 func (c *Controller) Last() Decision {
 	c.mu.Lock()
@@ -258,8 +213,8 @@ func (c *Controller) Last() Decision {
 	return c.last
 }
 
-// Tick evaluates the live curve and moves the size and TTL knobs one
-// bounded step toward the cost minimum. Call it periodically; each call
+// Tick evaluates the live curve and moves the size knob one bounded step
+// toward the cost minimum. Call it periodically; each call
 // is cheap (one curve freeze + a handful of cost evaluations).
 func (c *Controller) Tick() Decision {
 	c.mu.Lock()
@@ -283,7 +238,7 @@ func (c *Controller) Tick() Decision {
 	}
 	c.ops = 0
 
-	d := Decision{QPS: qps, TargetBytes: c.last.TargetBytes, TTL: c.last.TTL}
+	d := Decision{QPS: qps, TargetBytes: c.last.TargetBytes}
 	if curve.Weight() < c.cfg.MinSamples || qps <= 0 {
 		if c.holds != nil {
 			c.holds.Inc()
@@ -293,7 +248,6 @@ func (c *Controller) Tick() Decision {
 	}
 	d.Ticked = true
 
-	// --- size step: memory rent vs miss-driven storage cost ---
 	cur := c.cfg.Target.Capacity()
 	costAt := func(s int64) float64 {
 		rent := c.cfg.Prices.MemCost(s * int64(c.cfg.Replicas))
@@ -330,51 +284,6 @@ func (c *Controller) Tick() Decision {
 	d.MissRatio = curve.MissRatio(best)
 	d.EstMonthlyUSD = bestCost
 
-	// --- TTL step: refresh-load cost vs staleness exposure ---
-	if c.cfg.TTL != nil && c.cfg.StaleUSDPerReadSec > 0 {
-		distinct := 0
-		if c.cfg.DistinctFn != nil {
-			distinct = c.cfg.DistinctFn()
-		} else {
-			distinct = c.win.DistinctKeys()
-		}
-		hit := 1 - d.MissRatio
-		curTTL := c.cfg.TTL.TTL()
-		ttlCost := func(t time.Duration) float64 {
-			sec := t.Seconds()
-			// The cached population refreshes roughly once per TTL;
-			// each refresh is a storage load. Meanwhile every hit is on
-			// average t/2 old.
-			refresh := float64(distinct) / sec * secondsPerMonth * c.cfg.MissCostUSD
-			stale := qps * hit * secondsPerMonth * (sec / 2) * c.cfg.StaleUSDPerReadSec
-			return refresh + stale
-		}
-		bt, btCost := curTTL, ttlCost(curTTL)
-		for _, cand := range []time.Duration{
-			clampD(time.Duration(float64(curTTL)*(1-c.cfg.StepFrac)), c.cfg.MinTTL, c.cfg.MaxTTL),
-			clampD(time.Duration(float64(curTTL)*(1+c.cfg.StepFrac)), c.cfg.MinTTL, c.cfg.MaxTTL),
-		} {
-			if cand == curTTL {
-				continue
-			}
-			if cc := ttlCost(cand); cc < btCost {
-				bt, btCost = cand, cc
-			}
-		}
-		if bt != curTTL && btCost < ttlCost(curTTL)*(1-c.cfg.Hysteresis) {
-			c.cfg.TTL.SetTTL(bt)
-			d.Retuned = true
-			c.nRetunes++
-			if c.retunes != nil {
-				c.retunes.Inc()
-			}
-		} else {
-			bt = curTTL
-		}
-		d.TTL = bt
-		d.EstMonthlyUSD += ttlCost(bt)
-	}
-
 	if c.ticks != nil {
 		c.ticks.Inc()
 		c.gTarget.Set(d.TargetBytes)
@@ -382,9 +291,6 @@ func (c *Controller) Tick() Decision {
 		c.gMiss.Set(int64(d.MissRatio * 1e6))
 		c.gCost.Set(int64(d.EstMonthlyUSD * 100))
 		c.gQPS.Set(int64(qps))
-		if c.cfg.TTL != nil {
-			c.gTTL.Set(d.TTL.Milliseconds())
-		}
 	}
 	c.last = d
 	return d
@@ -399,24 +305,11 @@ func (c *Controller) statusz(w io.Writer) {
 	fmt.Fprintf(w, "tier: %s\n", c.cfg.Name)
 	fmt.Fprintf(w, "target: %s  actual: %s  used: %s\n",
 		fmtBytes(d.TargetBytes), fmtBytes(actual), fmtBytes(used))
-	if c.cfg.TTL != nil {
-		fmt.Fprintf(w, "ttl: %v\n", d.TTL)
-	}
 	fmt.Fprintf(w, "qps: %.0f  miss-ratio: %.3f  est-cost: $%.2f/mo\n",
 		d.QPS, d.MissRatio, d.EstMonthlyUSD)
 }
 
 func clamp(v, lo, hi int64) int64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func clampD(v, lo, hi time.Duration) time.Duration {
 	if v < lo {
 		return lo
 	}
@@ -447,12 +340,4 @@ func fmtBytes(n int64) string {
 func OptimalBytes(a, qps, missUSD, memGBMonth float64) float64 {
 	perByte := memGBMonth / (1 << 30)
 	return a * math.Log(qps*missUSD*secondsPerMonth/(a*perByte))
-}
-
-// OptimalTTL returns the analytic minimum of the TTL cost model:
-//
-//	t* = sqrt(2 · distinct · missUSD / (qps · hit · staleUSD))
-func OptimalTTL(distinct int, qps, hit, missUSD, staleUSD float64) time.Duration {
-	t := math.Sqrt(2 * float64(distinct) * missUSD / (qps * hit * staleUSD))
-	return time.Duration(t * float64(time.Second))
 }

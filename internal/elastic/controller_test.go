@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"cachecost/internal/linkedcache"
 	"cachecost/internal/meter"
@@ -19,11 +18,6 @@ func (f *fakeSize) Capacity() int64 {
 	return f.capacity
 }
 func (f *fakeSize) UsedBytes() int64 { return f.capacity / 2 }
-
-type fakeTTL struct{ ttl time.Duration }
-
-func (f *fakeTTL) SetTTL(d time.Duration) { f.ttl = d }
-func (f *fakeTTL) TTL() time.Duration     { return f.ttl }
 
 // expCurve is the analytic test workload: mr(s) = exp(-s/a), whose cost
 // minimum OptimalBytes gives in closed form.
@@ -111,46 +105,6 @@ func TestHysteresisHoldsFlatMinimum(t *testing.T) {
 		if d := c.Tick(); d.Resized {
 			t.Fatalf("tick %d: resized to %d under sub-hysteresis noise (start %d)",
 				i, d.TargetBytes, opt)
-		}
-	}
-}
-
-// The TTL loop must settle at its closed-form optimum
-// t* = sqrt(2·K·c / (R·hit·p_s)).
-func TestTTLConvergesToAnalyticOptimum(t *testing.T) {
-	const (
-		qps      = 1000.0
-		missUSD  = 1e-6
-		staleUSD = 1e-9
-		distinct = 10000
-		step     = 0.15
-	)
-	prices := meter.GCP.WithMemoryMultiplier(40)
-	for _, start := range []time.Duration{time.Second, 10 * time.Minute} {
-		ttl := &fakeTTL{ttl: start}
-		c := New(Config{
-			Target:             &fakeSize{capacity: 1 << 30},
-			TTL:                ttl,
-			Prices:             prices,
-			MissCostUSD:        missUSD,
-			StaleUSDPerReadSec: staleUSD,
-			StepFrac:           step,
-			MaxTTL:             time.Hour,
-			CurveFn:            func() Curve { return expCurve{a: float64(64 << 20)} },
-			DemandQPS:          func() float64 { return qps },
-			DistinctFn:         func() int { return distinct },
-		})
-		var last Decision
-		for i := 0; i < 200; i++ {
-			last = c.Tick()
-		}
-		want := OptimalTTL(distinct, qps, 1-last.MissRatio, missUSD, staleUSD)
-		if r := float64(last.TTL) / float64(want); r < 1-2*step || r > 1+2*step {
-			t.Errorf("start=%v: TTL settled at %v, want within 2 steps of %v (ratio %.2f)",
-				start, last.TTL, want, r)
-		}
-		if ttl.TTL() != last.TTL {
-			t.Errorf("start=%v: target TTL %v diverged from decision %v", start, ttl.TTL(), last.TTL)
 		}
 	}
 }

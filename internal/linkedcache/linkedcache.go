@@ -7,7 +7,8 @@
 // To avoid replicating the cache in every application server, linked
 // caches are sharded: each server owns a partition of the key space and
 // the serving tier routes requests to owners. This package is one
-// server's cache; ownership is consistency.OwnedCache over cluster.Sharder.
+// server's cache; ownership is internal/core's Linked+Owned tier over
+// cluster.Sharder.
 package linkedcache
 
 import (
