@@ -186,9 +186,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	// (-json) whether or not an ops endpoint is serving.
 	reg := telemetry.NewRegistry()
 	opts.Telemetry = reg
-	// So is the flight recorder: its unsampled fast path is a nil test
-	// plus a pooled breakdown, and /debug/requests (with -metrics) and
-	// the tailwhy figure both read from it.
+	// So is the flight recorder: it keeps no per-request state beyond the
+	// lane every request already carries, and /debug/requests (with
+	// -metrics) and the tailwhy figure both read from it.
 	fr := flight.New(flight.Config{CPUCoreMonthUSD: meter.GCP.CPUCoreMonth})
 	opts.Flight = fr
 	opts.StorageStall = *stall
@@ -238,12 +238,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		defer f.Close()
 		traceOut = f
 		opts.Tracer = trace.New(trace.Config{SampleEvery: *traceSample, Capacity: *traceBuf})
-	} else {
-		// The per-request path counters are exact regardless of span
-		// sampling, so every run carries a tracer; without -trace it
-		// samples (effectively) nothing and exports nowhere, but cells
-		// still report hops/statements/ships in -json output.
-		opts.Tracer = trace.New(trace.Config{SampleEvery: 1 << 30, Capacity: 1})
 	}
 
 	// The ops endpoint binds before any experiment runs: a bad -metrics
@@ -284,7 +278,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	// jsonCell is one experiment cell's full result inside a jsonTable:
-	// the priced outcome plus the always-exact path counters and the
+	// the priced outcome plus the meter's exact path counts and the
 	// telemetry registry's measured per-component latency digests.
 	type jsonCell struct {
 		Cell   string          `json:"cell"`

@@ -90,11 +90,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	cfg := core.RunConfig{Ops: *ops, Telemetry: reg, SLO: *slo, LaneDepth: *laneDepth}
+	var tracer *trace.Tracer
 	if *sample > 0 {
 		// A sampling tracer opens every request's root span: 1 in N carries
 		// a trace id on the wire, which the server joins and its flight
 		// recorder stamps on any exemplar the request earns.
-		cfg.Tracer = trace.New(trace.Config{SampleEvery: *sample, Capacity: 1})
+		tracer = trace.New(trace.Config{SampleEvery: *sample, Capacity: 1})
 	}
 	if *arrival != "" {
 		proc, err := workload.ParseArrivalProcess(*arrival)
@@ -116,7 +117,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		c.SetMetrics(connMetrics)
 		defer c.Close()
-		workers[i] = core.NewAppClient(c, cfg.Tracer)
+		workers[i] = core.NewAppClient(c, tracer)
 	}
 	res, err := core.Drive(workers, gen, cfg)
 	if err != nil {

@@ -37,11 +37,11 @@ func key(i int) string { return fmt.Sprint("k", i) }
 func answer(key string, i int) []byte { return core.Digest(core.ValueFor(key, 64+i)) }
 
 // fleet is two application servers over one storage node: app, under the
-// design under test, traced, over a probed link; and other, uncached,
-// whose writes app never hears of.
+// design under test, over a probed link; and other, uncached, whose
+// writes app never hears of.
 type fleet struct {
 	app, other *core.KVService
-	tr         *trace.Tracer
+	m          *meter.Meter // app's: its Path is the path app's requests took
 	link       *storeLink
 }
 
@@ -52,10 +52,10 @@ func deploy(arch core.Arch) (*fleet, error) {
 		return rpc.NewLoopback(node.Server(), m.Component("app"), meter.NewBurner(), rpc.DefaultCost)
 	}
 	am, om := meter.NewMeter(), meter.NewMeter()
-	f := &fleet{tr: trace.New(trace.Config{Capacity: 4}), link: &storeLink{next: connect(am)}}
+	f := &fleet{m: am, link: &storeLink{next: connect(am)}}
 	var err error
 	if f.app, err = core.NewKVServiceRemote(core.ServiceConfig{
-		Arch: arch, Meter: am, Tracer: f.tr, AppCacheBytes: 1 << 20,
+		Arch: arch, Meter: am, AppCacheBytes: 1 << 20,
 	}, core.RemoteEndpoints{DB: f.link}); err != nil {
 		return nil, err
 	}
@@ -88,25 +88,25 @@ func fleetOf(t *testing.T, arch core.Arch) *fleet {
 }
 
 // read reads key on app and returns the answer and the path it took.
-func (f *fleet) read(t *testing.T, key string) ([]byte, trace.PathStats) {
+func (f *fleet) read(t *testing.T, key string) ([]byte, meter.PathStats) {
 	t.Helper()
-	f.tr.ResetCounters()
+	f.m.Reset()
 	got, err := f.app.Read(key)
 	if err != nil {
 		t.Fatalf("read %s: %v", key, err)
 	}
-	return got, f.tr.PathStats()
+	return got, f.m.Path()
 }
 
 // write makes write i of key through app and returns what a read of it
 // answers and the path the write took.
-func (f *fleet) write(t *testing.T, key string, i int) ([]byte, trace.PathStats) {
+func (f *fleet) write(t *testing.T, key string, i int) ([]byte, meter.PathStats) {
 	t.Helper()
-	f.tr.ResetCounters()
+	f.m.Reset()
 	if err := f.app.Write(key, core.ValueFor(key, 64+i)); err != nil {
 		t.Fatalf("write %s: %v", key, err)
 	}
-	return answer(key, i), f.tr.PathStats()
+	return answer(key, i), f.m.Path()
 }
 
 // writeElsewhere makes write i of key through other.
@@ -289,7 +289,7 @@ func TestOwnedVsVersionedStorageTraffic(t *testing.T) {
 		}
 		for i := 1; i <= 300; i++ {
 			k := key(rng.Intn(keys))
-			var p trace.PathStats
+			var p meter.PathStats
 			if rng.Intn(10) == 0 {
 				want[k], p = f.write(t, k, i)
 			} else {
@@ -331,7 +331,7 @@ func TestTTLCheaperThanVersioned(t *testing.T) {
 
 func TestTTLCoalescesConcurrentLoads(t *testing.T) {
 	f := fleetOf(t, core.LinkedTTL)
-	f.tr.ResetCounters()
+	f.m.Reset()
 	got, errs := f.pileOn("k0", 8, nil)
 	for i := range got {
 		if errs[i] != nil || !bytes.Equal(got[i], answer("k0", 0)) {
@@ -340,7 +340,7 @@ func TestTTLCoalescesConcurrentLoads(t *testing.T) {
 	}
 	// A reader arriving after the load finished hits its entry, so the
 	// one load is the only statement whatever the interleaving.
-	if p := f.tr.PathStats(); p.SQLStatements != 1 {
+	if p := f.m.Path(); p.SQLStatements != 1 {
 		t.Errorf("8 concurrent readers of a cold key: %d statements, want 1", p.SQLStatements)
 	}
 }
@@ -361,9 +361,9 @@ func TestTTLCoalescedLoadError(t *testing.T) {
 
 func TestTTLInvalidate(t *testing.T) {
 	// A catalog write refreshes part of the object, so it drops the entry.
-	tr := trace.New(trace.Config{Capacity: 4})
+	m := meter.NewMeter()
 	svc, err := core.NewCatalogService(core.CatalogServiceConfig{
-		ServiceConfig: core.ServiceConfig{Arch: core.LinkedTTL, Meter: meter.NewMeter(), Tracer: tr,
+		ServiceConfig: core.ServiceConfig{Arch: core.LinkedTTL, Meter: m,
 			StorageCacheBytes: 1 << 20, AppCacheBytes: 1 << 20},
 		Mode: core.ModeKV, Tables: 4, StatsBytes: 1 << 10,
 	})
@@ -371,13 +371,13 @@ func TestTTLInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := workload.KeyName(1)
-	read := func() ([]byte, trace.PathStats) {
-		tr.ResetCounters()
+	read := func() ([]byte, meter.PathStats) {
+		m.Reset()
 		got, err := svc.Read(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got, tr.PathStats()
+		return got, m.Path()
 	}
 	before, _ := read()
 	if _, p := read(); p.LinkedHits != 1 {

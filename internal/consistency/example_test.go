@@ -28,7 +28,7 @@ func ExampleOwnedCache() {
 		fmt.Println(err)
 		return
 	}
-	f.tr.ResetCounters()
+	f.m.Reset()
 	for i := 0; i < 100; i++ {
 		f.app.Read("k0") // the first read loads; the rest are owner hits
 	}
@@ -36,7 +36,7 @@ func ExampleOwnedCache() {
 	f.app.Write("k0", v) // an owner-routed write-through
 	got, _ := f.app.Read("k0")
 
-	p := f.tr.PathStats()
+	p := f.m.Path()
 	fmt.Printf("fresh=%v servedFromCache=%d/%d storageStatements=%d\n",
 		bytes.Equal(got, core.Digest(v)), p.LinkedHits, p.LinkedHits+p.LinkedMisses, p.SQLStatements)
 	// Output:
@@ -51,11 +51,11 @@ func ExampleVersionedCache() {
 		fmt.Println(err)
 		return
 	}
-	f.tr.ResetCounters()
+	f.m.Reset()
 	for i := 0; i < 100; i++ {
 		f.app.Read("k0")
 	}
-	p := f.tr.PathStats()
+	p := f.m.Path()
 	fmt.Printf("reads=%d loads=%d versionChecks=%d\n",
 		p.Requests, p.LinkedMisses, p.SQLStatements-p.LinkedMisses)
 	// Output:

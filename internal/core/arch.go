@@ -72,11 +72,6 @@ func ParseArch(s string) (Arch, error) {
 	return 0, fmt.Errorf("core: unknown architecture %q (have %s)", s, strings.Join(names, ", "))
 }
 
-// hasWorkerLanes reports whether a supports Parallelism > 1. Worker lanes
-// exist for the designs whose caches carry no per-key protocol state; the
-// consistency designs stay single-lane.
-func (a Arch) hasWorkerLanes() bool { return a == Base || a == Remote || a == Linked }
-
 // Archs lists the eventually-consistent architectures of the §5.3 cost
 // comparison, in presentation order.
 var Archs = []Arch{Base, Remote, Linked}

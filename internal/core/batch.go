@@ -81,6 +81,7 @@ func (s *service[V]) writeBatch(l *lane[V], sc trace.SpanContext, keys []string,
 // carrying a packed found bitmap and one answer per key.
 func (s *service[V]) handleReadBatch(l *lane[V], sc trace.SpanContext, req []byte) ([]byte, error) {
 	sc.Lane().EnterOp(s.appComp)
+	sc.Lane().CountRequest()
 	act, asc := trace.Start(sc, "app", "read")
 	defer act.End()
 	var r remotecache.MultiGetRequest
@@ -111,6 +112,7 @@ func (s *service[V]) handleReadBatch(l *lane[V], sc trace.SpanContext, req []byt
 // shape in, Ack shape out).
 func (s *service[V]) handleWriteBatch(l *lane[V], sc trace.SpanContext, req []byte) ([]byte, error) {
 	sc.Lane().EnterOp(s.appComp)
+	sc.Lane().CountRequest()
 	act, asc := trace.Start(sc, "app", "write")
 	defer act.End()
 	var r remotecache.MultiSetRequest

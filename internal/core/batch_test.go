@@ -7,7 +7,6 @@ import (
 
 	"cachecost/internal/fault"
 	"cachecost/internal/meter"
-	"cachecost/internal/trace"
 	"cachecost/internal/trace/assert"
 	"cachecost/internal/workload"
 )
@@ -89,7 +88,7 @@ func TestBatchTraceInvariants(t *testing.T) {
 		if _, err := svc.ReadBatch(keys(0, B)); err != nil {
 			t.Fatal(err)
 		}
-		assert.PathPerOp(t, tr.PathStats(), 1, trace.PathStats{
+		assert.PathPerOp(t, svc.m.Path(), 1, meter.PathStats{
 			RPCHops: 1, CacheMsgs: 2, CacheHits: B})
 		full := tr.Last()
 		assert.Parented(t, full)
@@ -108,7 +107,7 @@ func TestBatchTraceInvariants(t *testing.T) {
 		}
 		// MultiGet (all misses) + one batched storage statement + one
 		// MultiSet backfill: 3 hops, 4 cache messages, 1 statement.
-		assert.PathPerOp(t, tr.PathStats(), 1, trace.PathStats{
+		assert.PathPerOp(t, svc.m.Path(), 1, meter.PathStats{
 			RPCHops: 3, CacheMsgs: 4, SQLStatements: 1, CacheMisses: B})
 		full := tr.Last()
 		assert.Parented(t, full)
@@ -126,7 +125,7 @@ func TestBatchTraceInvariants(t *testing.T) {
 		if _, err := svc.ReadBatch(keys(0, B)); err != nil {
 			t.Fatal(err)
 		}
-		assert.PathPerOp(t, tr.PathStats(), 1, trace.PathStats{
+		assert.PathPerOp(t, svc.m.Path(), 1, meter.PathStats{
 			RPCHops: 1, SQLStatements: 1})
 		full := tr.Last()
 		assert.Parented(t, full)
@@ -142,7 +141,7 @@ func TestBatchTraceInvariants(t *testing.T) {
 		if _, err := svc.ReadBatch(keys(0, B)); err != nil {
 			t.Fatal(err)
 		}
-		assert.PathPerOp(t, tr.PathStats(), 1, trace.PathStats{LinkedHits: B})
+		assert.PathPerOp(t, svc.m.Path(), 1, meter.PathStats{LinkedHits: B})
 		full := tr.Last()
 		assert.Parented(t, full)
 		assert.NoSpans(t, full, "rpc", "")
@@ -166,7 +165,7 @@ func TestBatchTraceInvariants(t *testing.T) {
 		// Storage writes stay per-statement (4 hops, 4 statements, 2 raft
 		// ships each); the lookaside invalidation collapses to ONE
 		// MultiDelete round trip — 2 cache messages, not 8.
-		assert.PathPerOp(t, tr.PathStats(), 1, trace.PathStats{
+		assert.PathPerOp(t, svc.m.Path(), 1, meter.PathStats{
 			RPCHops: 5, CacheMsgs: 2, SQLStatements: 4, RaftShips: 8})
 		full := tr.Last()
 		assert.Parented(t, full)

@@ -6,7 +6,6 @@ import (
 
 	"cachecost/internal/catalog"
 	"cachecost/internal/meter"
-	"cachecost/internal/trace"
 	"cachecost/internal/trace/assert"
 	"cachecost/internal/workload"
 )
@@ -100,16 +99,16 @@ func TestCatalogTracedPathCounters(t *testing.T) {
 	for _, tc := range []struct {
 		arch Arch
 		mode CatalogMode
-		want trace.PathStats
+		want meter.PathStats
 	}{
-		{Base, ModeKV, trace.PathStats{RPCHops: 1, SQLStatements: 1}},
-		{Base, ModeObject, trace.PathStats{RPCHops: catalog.ObjectQueryCount, SQLStatements: catalog.ObjectQueryCount}},
-		{Remote, ModeObject, trace.PathStats{RPCHops: 1, CacheMsgs: 2, CacheHits: 1}},
+		{Base, ModeKV, meter.PathStats{RPCHops: 1, SQLStatements: 1}},
+		{Base, ModeObject, meter.PathStats{RPCHops: catalog.ObjectQueryCount, SQLStatements: catalog.ObjectQueryCount}},
+		{Remote, ModeObject, meter.PathStats{RPCHops: 1, CacheMsgs: 2, CacheHits: 1}},
 	} {
 		t.Run(tc.arch.String()+"/"+tc.mode.String(), func(t *testing.T) {
-			tr := trace.New(trace.Config{Capacity: 4})
+			m := meter.NewMeter()
 			svc, err := NewCatalogService(CatalogServiceConfig{
-				ServiceConfig: ServiceConfig{Arch: tc.arch, Meter: meter.NewMeter(), Tracer: tr,
+				ServiceConfig: ServiceConfig{Arch: tc.arch, Meter: m,
 					StorageCacheBytes: 1 << 20, RemoteCacheBytes: 4 << 20},
 				Mode: tc.mode, Tables: 40, StatsBytes: 4 << 10,
 			})
@@ -121,13 +120,13 @@ func TestCatalogTracedPathCounters(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			tr.ResetCounters()
+			m.Reset()
 			for i := 0; i < reads; i++ {
 				if _, err := svc.Read(workload.KeyName(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			assert.PathPerOp(t, tr.PathStats(), reads, tc.want)
+			assert.PathPerOp(t, m.Path(), reads, tc.want)
 		})
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"cachecost/internal/meter"
 	"cachecost/internal/telemetry"
-	"cachecost/internal/trace"
 	"cachecost/internal/workload"
 )
 
@@ -39,7 +38,9 @@ func (w *recWorker) rec(method string, deadline time.Time, keys ...string) {
 	w.calls = append(w.calls, recCall{method, append([]string(nil), keys...)})
 	w.svc.meterCalls.Inc()
 	w.svc.telCalls.Inc()
-	w.svc.tracer.CountHop()
+	l := meter.OpenLane(w.svc.comp)
+	l.CountHop()
+	l.Close()
 }
 
 func (w *recWorker) Read(key string) ([]byte, error) {
@@ -82,7 +83,7 @@ type recService struct {
 	slo        time.Duration
 	meterCalls *meter.Counter
 	telCalls   *telemetry.Counter
-	tracer     *trace.Tracer
+	comp       *meter.Component // each call closes one lane on it, counting one hop
 }
 
 func (s *recService) Arch() Arch   { return Base }
@@ -160,7 +161,7 @@ func TestDriveEquivalence(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					m := meter.NewMeter()
 					reg := telemetry.NewRegistry()
-					svc := &recService{t: t, tracer: trace.New(trace.Config{}),
+					svc := &recService{t: t, comp: m.Component("rec"),
 						meterCalls: m.Counter("rec.calls"), telCalls: reg.Counter("rec.calls")}
 					svc.recWorker = &recWorker{svc: svc}
 					workers := []*recWorker{svc.recWorker}
@@ -174,8 +175,7 @@ func TestDriveEquivalence(t *testing.T) {
 					var onOp []int
 					cfg := RunConfig{
 						Warmup: warmup, Ops: ops, Parallelism: par, BatchSize: batch, Prices: meter.GCP,
-						Tracer: svc.tracer, Telemetry: reg,
-						OnOp: func(n int) { onOp = append(onOp, n) },
+						Telemetry: reg, OnOp: func(n int) { onOp = append(onOp, n) },
 					}
 					if open {
 						// Fast enough to finish in milliseconds, deep enough
@@ -249,7 +249,7 @@ func TestDriveEquivalence(t *testing.T) {
 						t.Errorf("telemetry saw %d calls after the fence, want %d", got, meteredCalls)
 					}
 					if got := res.Path.RPCHops; got != int64(meteredCalls) {
-						t.Errorf("tracer saw %d calls after the fence, want %d", got, meteredCalls)
+						t.Errorf("path saw %d calls after the fence, want %d", got, meteredCalls)
 					}
 					// Warmup ops are never sampled: one latency per metered op.
 					for _, h := range res.Hists {

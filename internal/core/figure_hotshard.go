@@ -57,14 +57,11 @@ const (
 // everything.
 func FigHotShard(o FigOptions) (*Table, error) {
 	o.applyDefaults()
-	par := o.parFor(Remote)
-	if par < 24 {
-		// Open-loop driving needs enough lanes that the hot node's queue —
-		// not the client worker pool — is the bottleneck: lanes only sleep
-		// through the modeled serving time, so 24 of them sustain several
-		// times the offered rate even when some park on a saturated node.
-		par = 24
-	}
+	// Open-loop driving needs enough lanes that the hot node's queue — not
+	// the client worker pool — is the bottleneck: lanes only sleep through
+	// the modeled serving time, so 24 of them sustain several times the
+	// offered rate even when some park on a saturated node.
+	par := max(o.Parallelism, 24)
 	cfg := workload.SyntheticConfig{
 		Keys: o.Keys, Alpha: 1.2, ReadRatio: 0.9, ValueSize: 1 << 10, Seed: o.Seed,
 		// OnOp indexes the full stream (warmup + metered), and FlipAt

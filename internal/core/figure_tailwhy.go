@@ -6,16 +6,16 @@ import (
 
 	"cachecost/internal/fault"
 	"cachecost/internal/flight"
-	"cachecost/internal/trace"
+	"cachecost/internal/meter"
 	"cachecost/internal/workload"
 )
 
 // FigTailwhy answers "why is the tail slow?" with measured stage
 // attribution. For each architecture it probes closed-loop capacity,
 // then replays the workload open-loop past saturation (the overload
-// figure's driving) with the flight recorder armed: every request gets
-// an always-on breakdown — queue wait, admission wait, cache round
-// trips, storage round trips, app remainder — and at completion the
+// figure's driving) with the flight recorder armed: every request's lane
+// times its stages — queue wait, admission wait, cache round trips,
+// storage round trips, app remainder — and at completion the
 // tail sampler retains the slowest-K plus every shed / blown-deadline /
 // degraded / error request as exemplars. The table reports where the
 // slowest exemplars' intended-clock latency went, stage by stage, and
@@ -80,37 +80,24 @@ func FigTailwhy(o FigOptions) (*Table, error) {
 			return nil, err
 		}
 		ex := rec.Exemplars()
-		var sums [trace.NumStages]int64
-		var total int64
+		var sum flight.Record // the slowest exemplars, stage by stage
 		for i := range ex.Slowest {
 			r := &ex.Slowest[i].Record
-			for s := trace.Stage(0); s < trace.NumStages; s++ {
-				if s == trace.StageRaft {
-					continue
-				}
-				sums[s] += r.Stages[s]
+			for s := range r.Stages {
+				sum.Stages[s] += r.Stages[s]
 			}
-			total += r.Dur
+			sum.Dur += r.Dur
 		}
-		frac := func(s trace.Stage) float64 {
-			if total == 0 {
+		frac := func(s meter.Stage) float64 {
+			if sum.Dur == 0 {
 				return 0
 			}
-			return float64(sums[s]) / float64(total)
-		}
-		dominant, best := trace.StageApp, int64(-1)
-		for s := trace.Stage(0); s < trace.NumStages; s++ {
-			if s == trace.StageRaft {
-				continue
-			}
-			if sums[s] > best {
-				dominant, best = s, sums[s]
-			}
+			return float64(sum.Stages[s]) / float64(sum.Dur)
 		}
 		t.AddRow(arch.String(), len(ex.Slowest), float64(res.LatencyP99)/1e6,
-			frac(trace.StageQueue), frac(trace.StageAdmission), frac(trace.StageCache),
-			frac(trace.StageStorage), frac(trace.StageApp),
-			dominant.String(), len(ex.Shed), len(ex.Deadline), len(ex.Degraded), len(ex.Error))
+			frac(meter.StageQueue), frac(meter.StageAdmission), frac(meter.StageCache),
+			frac(meter.StageStorage), frac(meter.StageApp),
+			sum.DominantStage().String(), len(ex.Shed), len(ex.Deadline), len(ex.Degraded), len(ex.Error))
 	}
 	t.Notes = append(t.Notes,
 		"fractions split the slowest-K exemplars' intended-clock latency; queue is dispatch-to-handler slip, app the unattributed handler remainder",

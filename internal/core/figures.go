@@ -36,14 +36,14 @@ type FigOptions struct {
 	// (cmd/costbench -faultrate). Empty means the default sweep.
 	FaultRates []float64
 	// Parallelism drives experiment cells with that many concurrent
-	// workers (cmd/costbench -parallelism). Applies to the architectures
-	// whose services support worker lanes (Base, Remote, Linked); other
-	// cells run single-threaded. Default 1.
+	// workers on as many worker lanes (cmd/costbench -parallelism), on
+	// every architecture; cells that measure one timeline (timeseries,
+	// tiering, elastic) stay single-lane. Default 1.
 	Parallelism int
 	// Tracer, when non-nil, assembles every experiment cell's service
-	// with request tracing (cmd/costbench -trace): each cell's RunResult
-	// carries exact path counters and the tracer's ring holds the last
-	// sampled traces for export. Nil (the default) disables tracing.
+	// with request tracing (cmd/costbench -trace): the tracer's ring holds
+	// the last sampled traces for export. Nil (the default) disables
+	// tracing; each cell's RunResult.Path is exact either way.
 	Tracer *trace.Tracer
 	// Telemetry, when non-nil, threads the live metrics registry through
 	// every experiment cell (cmd/costbench -metrics): the cell's service
@@ -69,9 +69,9 @@ type FigOptions struct {
 	// poisson.
 	Arrival string
 	// Flight, when non-nil, is the tail-latency flight recorder the
-	// tailwhy figure arms on every cell's front door (cmd/costbench
-	// creates one when -metrics serves /debug/requests, or per run of
-	// -figure tailwhy). Nil lets the figure build a private one.
+	// tailwhy figure arms on every cell's front door (cmd/costbench always
+	// creates one, which /debug/requests serves under -metrics). Nil lets
+	// the figure build a private one.
 	Flight *flight.Recorder
 	// StorageStall, when > 0, injects a wall-clock stall of this length
 	// on the app→storage connection (StorageFaultNode) in the tailwhy
@@ -92,15 +92,6 @@ func (o FigOptions) emit(cell string, res *RunResult) {
 	if o.OnResult != nil {
 		o.OnResult(cell, res)
 	}
-}
-
-// parFor returns the parallelism to use for one cell of arch: the
-// configured fan-out where worker lanes exist, 1 elsewhere.
-func (o FigOptions) parFor(arch Arch) int {
-	if o.Parallelism > 1 && arch.hasWorkerLanes() {
-		return o.Parallelism
-	}
-	return 1
 }
 
 func (o *FigOptions) applyDefaults() {
@@ -125,6 +116,7 @@ func (o *FigOptions) applyDefaults() {
 	if o.AppReplicas <= 0 {
 		o.AppReplicas = 3
 	}
+	o.Parallelism = max(o.Parallelism, 1)
 }
 
 // figCell is one experiment cell before it runs: the default deployment
@@ -165,12 +157,12 @@ func (o FigOptions) newCell(arch Arch, gen workload.Generator, ws int64) *figCel
 			AppCacheBytes:     ws * 60 / 100,
 			RemoteCacheBytes:  ws * 60 / 100,
 			AppReplicas:       o.AppReplicas,
-			Parallelism:       o.parFor(arch),
+			Parallelism:       o.Parallelism,
 			Tracer:            o.Tracer,
 			Telemetry:         o.Telemetry,
 		},
 		run: RunConfig{
-			Warmup: o.Warmup, Ops: o.Ops, Prices: o.Prices, Tracer: o.Tracer, Telemetry: o.Telemetry,
+			Warmup: o.Warmup, Ops: o.Ops, Prices: o.Prices, Telemetry: o.Telemetry,
 		},
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"cachecost/internal/trace"
+	"cachecost/internal/workload"
 )
 
 // tinyOpts keeps figure smoke tests fast; shape assertions here use
@@ -258,19 +258,24 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// TestCatalogCellParallel: a catalog cell is a newCell mutation, so the
-// rich-object comparison runs at the parallelism the eventually consistent
-// designs support, and reports real path counts.
+// TestCatalogCellParallel: every architecture has worker lanes, on both
+// applications — a catalog cell is a newCell mutation like a KV cell — so
+// every cell runs at the configured parallelism, and its path counts one
+// request per op with no tracer attached.
 func TestCatalogCellParallel(t *testing.T) {
-	o := FigOptions{Ops: 200, Warmup: 60, Tables: 40, Parallelism: 4, Tracer: trace.New(trace.Config{Capacity: 4})}
+	o := FigOptions{Ops: 200, Warmup: 60, Keys: 200, Tables: 40, Parallelism: 4}
 	o.applyDefaults()
-	for _, arch := range Archs {
-		res, err := o.runCell("", o.unityCell(arch, ModeKV))
-		if err != nil {
-			t.Fatalf("%v: %v", arch, err)
-		}
-		if res.Parallelism != 4 || res.Path.Requests == 0 {
-			t.Errorf("%v: parallelism %d, %d requests traced; want 4 lanes and a traced path", arch, res.Parallelism, res.Path.Requests)
+	kv := workload.SyntheticConfig{Keys: o.Keys, Alpha: 1.2, ReadRatio: 0.9, ValueSize: 1 << 10, Seed: o.Seed}
+	for arch := Base; arch < numArchs; arch++ {
+		for app, c := range map[string]*figCell{"kv": o.synthCell(arch, kv), "catalog": o.unityCell(arch, ModeKV)} {
+			res, err := o.runCell("", c)
+			if err != nil {
+				t.Fatalf("%v/%s: %v", arch, app, err)
+			}
+			if res.Parallelism != 4 || res.Path.Requests != int64(res.Ops) {
+				t.Errorf("%v/%s: parallelism %d, %d requests counted over %d ops; want 4 lanes and one request per op",
+					arch, app, res.Parallelism, res.Path.Requests, res.Ops)
+			}
 		}
 	}
 }

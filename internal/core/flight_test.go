@@ -120,7 +120,7 @@ func populate(t *testing.T, svc *KVService) {
 }
 
 // dominantShare counts how many exemplars name stage s dominant.
-func dominantShare(exs []flight.Exemplar, s trace.Stage) (dominant, total int) {
+func dominantShare(exs []flight.Exemplar, s meter.Stage) (dominant, total int) {
 	for i := range exs {
 		if exs[i].DominantStage() == s {
 			dominant++
@@ -163,10 +163,10 @@ func TestFlightStorageStallDominant(t *testing.T) {
 	if len(ex.Deadline) == 0 {
 		t.Fatal("stalled storage blew no deadlines into the deadline exemplar class")
 	}
-	if dom, total := dominantShare(ex.Deadline, trace.StageStorage); dom*10 < total*9 {
+	if dom, total := dominantShare(ex.Deadline, meter.StageStorage); dom*10 < total*9 {
 		t.Errorf("storage dominant in %d/%d deadline exemplars, want >=90%%", dom, total)
 	}
-	if dom, total := dominantShare(ex.Slowest, trace.StageStorage); dom*10 < total*9 {
+	if dom, total := dominantShare(ex.Slowest, meter.StageStorage); dom*10 < total*9 {
 		t.Errorf("storage dominant in %d/%d slowest exemplars, want >=90%%", dom, total)
 	}
 }
@@ -212,7 +212,55 @@ func TestFlightCacheStallDominant(t *testing.T) {
 	if len(ex.Slowest) == 0 {
 		t.Fatal("stalled cache retained no slowest exemplars")
 	}
-	if dom, total := dominantShare(ex.Slowest, trace.StageCache); dom*10 < total*9 {
+	if dom, total := dominantShare(ex.Slowest, meter.StageCache); dom*10 < total*9 {
 		t.Errorf("cache dominant in %d/%d slowest exemplars, want >=90%%", dom, total)
+	}
+}
+
+// TestFlightDegradedFlagIsPerRequest: a demotion marks the lane of the
+// request whose cache call failed, so with concurrent lanes — scalar and
+// batched — every retained exemplar carries exactly its own request's
+// degraded flag: set if and only if its own span tree holds an injected
+// cache error. Run it under -race.
+func TestFlightDegradedFlagIsPerRequest(t *testing.T) {
+	for _, batch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("B%d", batch), func(t *testing.T) {
+			rec := flight.New(flight.Config{OutcomeCap: 256})
+			m := meter.NewMeter()
+			gen := smallGen(8)
+			inj := fault.New(8, fault.Options{Meter: m})
+			inj.SetRule(CacheNode, fault.Rule{ErrorRate: 0.3})
+			cfg := smallCfg(Remote, m)
+			cfg.Parallelism, cfg.Faults, cfg.Flight = 4, inj, rec
+			// Every request sampled, so every exemplar carries its spans.
+			cfg.Tracer = trace.New(trace.Config{Capacity: 1})
+			svc, err := BuildKVService(cfg, gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RunExperimentCfg(svc, m, gen, RunConfig{
+				Warmup: 100, Ops: 400, Parallelism: 4, BatchSize: batch, Prices: meter.GCP,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			degraded := 0
+			for _, e := range allExemplars(rec.Exemplars()) {
+				faulted := false
+				for _, sp := range e.Spans {
+					if v, _ := sp.Annotation("fault.outcome"); sp.Component == "fault" && v == "error" {
+						faulted = true
+					}
+				}
+				if flagged := e.Flags&meter.FlagDegraded != 0; flagged != faulted {
+					t.Errorf("%s exemplar: degraded flag %v, its own cache error %v", e.Method, flagged, faulted)
+				}
+				if faulted {
+					degraded++
+				}
+			}
+			if degraded == 0 {
+				t.Fatal("no degraded exemplars at a 30% cache error rate")
+			}
+		})
 	}
 }

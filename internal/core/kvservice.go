@@ -145,18 +145,18 @@ type ServiceConfig struct {
 	// RetrySeed drives the retry layer's jitter sequence. Default 1.
 	RetrySeed int64
 
-	// Tracer, when non-nil, records request-path spans and exact path
-	// counters (hops, statements, cache messages, raft ships) for every
-	// client operation. Nil disables tracing; the instrumented paths then
-	// cost one pointer test per layer.
+	// Tracer, when non-nil, records request-path spans for a sample of
+	// client operations. Nil disables tracing; the instrumented paths then
+	// cost one pointer test per layer. (Path counts — hops, statements,
+	// cache messages, raft ships — need no tracer: every request's lane
+	// counts them into Meter.)
 	Tracer *trace.Tracer
 
 	// Flight, when non-nil, is the tail-latency flight recorder: every
-	// front-door dispatch gets an always-on stage breakdown (queue,
-	// admission, cache, storage, app) and, at completion, the recorder's
-	// tail sampler decides whether to retain the request as an exemplar.
-	// Nil disables recording; the fast path then costs one nil test per
-	// dispatch.
+	// front-door dispatch arms its lane to time stages (queue, admission,
+	// cache, storage, app) and, at completion, the recorder's tail sampler
+	// decides whether to retain the request as an exemplar. Nil disables
+	// recording; the fast path then costs one nil test per dispatch.
 	Flight *flight.Recorder
 
 	// Telemetry, when non-nil, threads a metrics registry through every
@@ -172,7 +172,7 @@ type ServiceConfig struct {
 	// so concurrent workers share no per-request mutable state beyond the
 	// (concurrency-safe) services themselves.
 	// Default 1: only the classic single-threaded path, byte-identical
-	// to previous behaviour. Supported for Base, Remote and Linked on
+	// to previous behaviour. Supported for every architecture on
 	// in-process deployments.
 	Parallelism int
 }
@@ -495,26 +495,21 @@ func (d *deployment) admit(sc trace.SpanContext) (admission.Outcome, func()) {
 	if d.gate == nil {
 		return admission.Admitted, func() {}
 	}
-	b := sc.Breakdown()
-	var t0 time.Time
-	if b != nil {
-		t0 = time.Now()
-	}
-	sc.Lane().Park() // queueing for a slot is nobody's CPU
+	lane := sc.Lane()
+	t0 := lane.StageClock()
+	lane.Park() // queueing for a slot is nobody's CPU
 	outcome, release := d.gate.Enter(sc.Deadline())
-	sc.Lane().Unpark()
-	if b != nil {
-		b.Add(trace.StageAdmission, time.Since(t0))
-	}
+	lane.Unpark()
+	lane.AddStage(meter.StageAdmission, t0)
 	switch outcome {
 	case admission.ShedQueueFull:
 		d.shedCtr.Inc()
 		d.telShed.Inc()
-		b.Mark(trace.FlagShed)
+		lane.Mark(meter.FlagShed)
 	case admission.DeadlineExpired:
 		d.dlCtr.Inc()
 		d.telExpired.Inc()
-		b.Mark(trace.FlagDeadline)
+		lane.Mark(meter.FlagDeadline)
 	}
 	return outcome, release
 }

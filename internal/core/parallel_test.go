@@ -277,8 +277,8 @@ func TestParallelWorkerErrors(t *testing.T) {
 	}
 	cfg := smallCfg(LinkedTTL, m)
 	cfg.Parallelism = 2
-	if _, err := NewKVService(cfg); err == nil {
-		t.Error("Parallelism > 1 should be rejected for LinkedTTL")
+	if _, err := NewKVServiceRemote(cfg, RemoteEndpoints{DB: rpc.NewDirect(svc.Front())}); err == nil {
+		t.Error("Parallelism > 1 should be rejected for a distributed deployment")
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 
 	"cachecost/internal/meter"
 	"cachecost/internal/telemetry"
-	"cachecost/internal/trace"
 	"cachecost/internal/workload"
 )
 
@@ -42,10 +41,11 @@ type RunResult struct {
 	// window (nonzero only with a retry policy and faults).
 	Retries int64
 
-	// Path holds the exact request-path counters for the metered window
+	// Path holds the exact request-path counts for the metered window
 	// (hops, cache messages, SQL statements, raft ships per the paper's
-	// §5.3/§5.5 path model). Zero when the run had no Tracer.
-	Path trace.PathStats
+	// §5.3/§5.5 path model): the meter's sum over every request's lane,
+	// traced or not. Zero from Drive, which has no meter.
+	Path meter.PathStats
 
 	// Parallelism is the worker count the metered window ran at.
 	Parallelism int
@@ -181,10 +181,6 @@ type RunConfig struct {
 	// loop; an op arriving to a full lane is dropped and counted in
 	// RunResult.ClientShed. Default 1024.
 	LaneDepth int
-	// Tracer, when non-nil, is the tracer the service was assembled with
-	// (ServiceConfig.Tracer): its path counters are reset at the metered
-	// window boundary and snapshotted into RunResult.Path.
-	Tracer *trace.Tracer
 	// Telemetry, when non-nil, is the registry the service was assembled
 	// with (ServiceConfig.Telemetry): its flows are reset at the metered
 	// window boundary (mirroring meter.Reset), per-request latency is
@@ -242,6 +238,7 @@ func RunExperimentCfg(svc Service, m *meter.Meter, gen workload.Generator, cfg R
 	}
 	hits, reads := cacheStats()
 	res.Arch, res.HitRatio = svc.Arch(), hitRatio(hits-hits0, reads-reads0)
+	res.Path = m.Path()
 	res.Degraded, res.Retries = m.CounterValue(DegradedCounter), m.CounterValue(RetriesCounter)
 	if cfg.Arrival != nil {
 		res.ServerShed = m.CounterValue(ShedCounter)
@@ -330,9 +327,10 @@ func deal(gen workload.Generator, n, par int) [][]workload.Op {
 // sockets. Lane w is workers[w] (cfg.Parallelism is ignored); it runs
 // cfg's warmup, fence and metered window exactly as RunExperimentCfg does
 // and reports the metered window as the client sees it: ops, wall clock,
-// throughput, latency percentiles on both clocks, the open-loop counts,
-// cfg.Tracer's path counters and cfg.Telemetry's histogram digests
-// (request.latency among them). Nothing is priced.
+// throughput, latency percentiles on both clocks, the open-loop counts and
+// cfg.Telemetry's histogram digests (request.latency among them). Nothing
+// is priced, and no Path is reported: path counts are the service's
+// meter's, which a client does not have.
 func Drive(workers []ServiceWorker, gen workload.Generator, cfg RunConfig) (*RunResult, error) {
 	res, _, err := drive(workers, gen, cfg, "", func() {})
 	return res, err
@@ -470,7 +468,6 @@ func drive(workers []ServiceWorker, gen workload.Generator, cfg RunConfig, arch 
 	// every instrument at the one boundary all of RunResult is cut at.
 	runtime.GC()
 	fence()
-	cfg.Tracer.ResetCounters()
 	cfg.Telemetry.Reset()
 
 	depth := cfg.LaneDepth
@@ -489,7 +486,6 @@ func drive(workers []ServiceWorker, gen workload.Generator, cfg RunConfig, arch 
 	}
 	res := &RunResult{
 		Workload:    gen.Name(),
-		Path:        cfg.Tracer.PathStats(),
 		Parallelism: par,
 		Wall:        wall,
 	}

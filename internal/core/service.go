@@ -90,12 +90,6 @@ func (s *service[V]) finish(app application[V], eps RemoteEndpoints) error {
 	if cfg.Parallelism == 1 {
 		return nil
 	}
-	if !cfg.Arch.hasWorkerLanes() {
-		return fmt.Errorf("core: Parallelism > 1 is not supported for the %v architecture", cfg.Arch)
-	}
-	if s.node == nil {
-		return fmt.Errorf("core: Parallelism > 1 requires an in-process deployment")
-	}
 	s.lanes = make([]*lane[V], cfg.Parallelism)
 	for i := range s.lanes {
 		if s.lanes[i], err = s.newLane(i, RemoteEndpoints{}); err != nil {
@@ -229,13 +223,14 @@ func fieldBytes(buf []byte, want uint32) (body []byte, err error) {
 
 // handleRead is the client-facing read: decode, pass the admission gate,
 // serve through the cache hierarchy, apply the application logic, reply
-// with the small derived result. The handler is one "app" operation on
-// the request's lane: whatever the lane is not carried into a downstream
-// component for lands on "app". A shed request is a non-error: it answers
+// with the small derived result. The handler is one "app" operation and
+// the one client-visible request of the request's lane: whatever the lane
+// is not carried into a downstream component for lands on "app". A shed request is a non-error: it answers
 // found=false (or a cache-only hit) so overload is a degraded mode, not a
 // failure storm.
 func (s *service[V]) handleRead(l *lane[V], sc trace.SpanContext, req []byte) ([]byte, error) {
 	sc.Lane().EnterOp(s.appComp)
+	sc.Lane().CountRequest()
 	act, asc := trace.Start(sc, "app", "read")
 	defer act.End()
 	kb, err := fieldBytes(req, 1)
@@ -273,6 +268,7 @@ func (s *service[V]) handleRead(l *lane[V], sc trace.SpanContext, req []byte) ([
 // refuses mutations rather than applying them outside the SLO.
 func (s *service[V]) handleWrite(l *lane[V], sc trace.SpanContext, req []byte) ([]byte, error) {
 	sc.Lane().EnterOp(s.appComp)
+	sc.Lane().CountRequest()
 	act, asc := trace.Start(sc, "app", "write")
 	defer act.End()
 	// SetRequest shape {1: key, 2: value}. The key is copied (tiers keep

@@ -6,7 +6,6 @@ import (
 
 	"cachecost/internal/meter"
 	"cachecost/internal/telemetry"
-	"cachecost/internal/trace"
 )
 
 // findHist returns the run's histogram digest for name, summed across
@@ -24,16 +23,14 @@ func findHists(res *RunResult, name string) (count int64, found bool) {
 // TestRunTelemetryConservation cross-checks the histogram plane against
 // the exact counting planes that already exist: the request-latency
 // histogram must hold exactly one observation per metered op, and the
-// storage statement-latency family must agree with the tracer's exact
-// per-request SQL statement counters. If these drift, the telemetry
+// storage statement-latency family must agree with the meter's exact
+// per-request SQL statement counts. If these drift, the telemetry
 // layer is dropping or double-counting observations.
 func TestRunTelemetryConservation(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tr := trace.New(trace.Config{SampleEvery: 1 << 30, Capacity: 1})
 	m := meter.NewMeter()
 	gen := smallGen(7)
 	cfg := smallCfg(Remote, m)
-	cfg.Tracer = tr
 	cfg.Telemetry = reg
 	svc, err := BuildKVService(cfg, gen)
 	if err != nil {
@@ -41,7 +38,7 @@ func TestRunTelemetryConservation(t *testing.T) {
 	}
 	const ops = 900
 	res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup: 300, Ops: ops, Prices: meter.GCP, Tracer: tr, Telemetry: reg,
+		Warmup: 300, Ops: ops, Prices: meter.GCP, Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +58,7 @@ func TestRunTelemetryConservation(t *testing.T) {
 		t.Fatal("no storage.stmt.latency histograms in RunResult.Hists")
 	}
 	if stmtCount != res.Path.SQLStatements {
-		t.Fatalf("storage.stmt.latency count = %d, tracer counted %d SQL statements", stmtCount, res.Path.SQLStatements)
+		t.Fatalf("storage.stmt.latency count = %d, the path counted %d SQL statements", stmtCount, res.Path.SQLStatements)
 	}
 	if _, ok := findHists(res, "rpc.msg.latency"); !ok {
 		t.Fatal("no rpc.msg.latency histograms: transports are not feeding the registry")

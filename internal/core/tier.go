@@ -339,7 +339,7 @@ func (t *linkedTier[V]) faulted(sc trace.SpanContext) bool {
 	}
 	if err := t.faults.DecideTrace(LinkedCacheNode, t.w, sc); err != nil {
 		t.degraded.Inc()
-		sc.MarkOutcome(trace.FlagDegraded)
+		sc.Lane().Mark(meter.FlagDegraded)
 		return true
 	}
 	return false
@@ -527,7 +527,7 @@ func (g *guarded[V, S]) supersede(key string) {
 // checks, loads) run under the span, as the §5.5 path model describes.
 func endRead[V any](sc trace.SpanContext, act trace.Active, v V, hit bool, err error) (V, []byte, bool, error) {
 	if err == nil {
-		sc.Tracer().CountLinkedHit(hit)
+		sc.Lane().CountLinkedHit(hit)
 		act.AnnotateBool("cache.hit", hit)
 	}
 	act.End()

@@ -72,8 +72,8 @@ func TestTierBatchFallbackUsesCache(t *testing.T) {
 			if _, err := svc.ReadBatch(keys); err != nil {
 				t.Fatal(err)
 			}
-			want := trace.PathStats{Requests: 1, LinkedHits: 8}
-			if got := tr.PathStats(); got != want {
+			want := meter.PathStats{Requests: 1, LinkedHits: 8}
+			if got := svc.m.Path(); got != want {
 				t.Errorf("warmed ReadBatch path = %+v, want %+v", got, want)
 			}
 		})

@@ -24,7 +24,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace files instea
 //	go test ./internal/core -run TestGoldenTrace -update
 func TestGoldenTrace(t *testing.T) {
 	svc, tr := newTracedKV(t, Remote, nil)
-	tr.ResetCounters()
+	svc.m.Reset()
 	tr.ResetTraces()
 
 	// A scripted mix: cold misses, warm hits, and invalidating writes.

@@ -52,7 +52,7 @@ func newTracedKV(t *testing.T, arch Arch, mutate func(*ServiceConfig)) (*KVServi
 }
 
 // warmReset reads keys [0, n) once to populate caches, then clears the
-// counters and the trace ring so assertions observe only what follows.
+// meter and the trace ring so assertions observe only what follows.
 func warmReset(t *testing.T, svc *KVService, tr *trace.Tracer, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -60,7 +60,7 @@ func warmReset(t *testing.T, svc *KVService, tr *trace.Tracer, n int) {
 			t.Fatal(err)
 		}
 	}
-	tr.ResetCounters()
+	svc.m.Reset()
 	tr.ResetTraces()
 }
 
@@ -80,7 +80,7 @@ func TestTraceInvariantBaseRead(t *testing.T) {
 	warmReset(t, svc, tr, 8)
 	readKeys(t, svc, 0, 8)
 
-	assert.PathPerOp(t, tr.PathStats(), 8, trace.PathStats{RPCHops: 1, SQLStatements: 1})
+	assert.PathPerOp(t, svc.m.Path(), 8, meter.PathStats{RPCHops: 1, SQLStatements: 1})
 	full := tr.Last()
 	assert.Parented(t, full)
 	assert.SpanCount(t, full, "rpc", "sql.Query", 1)
@@ -101,7 +101,7 @@ func TestTraceInvariantRemoteHit(t *testing.T) {
 	warmReset(t, svc, tr, 8) // first touch fills the lookaside cache
 	readKeys(t, svc, 0, 8)
 
-	assert.PathPerOp(t, tr.PathStats(), 8, trace.PathStats{RPCHops: 1, CacheMsgs: 2, CacheHits: 1})
+	assert.PathPerOp(t, svc.m.Path(), 8, meter.PathStats{RPCHops: 1, CacheMsgs: 2, CacheHits: 1})
 	full := tr.Last()
 	assert.Parented(t, full)
 	assert.Annotated(t, full, "remotecache", "get", "cache.hit", "true")
@@ -118,7 +118,7 @@ func TestTraceInvariantRemoteMiss(t *testing.T) {
 	warmReset(t, svc, tr, 8)
 	readKeys(t, svc, 8, 16) // never-touched keys: every read misses
 
-	assert.PathPerOp(t, tr.PathStats(), 8, trace.PathStats{
+	assert.PathPerOp(t, svc.m.Path(), 8, meter.PathStats{
 		RPCHops: 3, CacheMsgs: 4, SQLStatements: 1, CacheMisses: 1})
 	full := tr.Last()
 	assert.Parented(t, full)
@@ -137,7 +137,7 @@ func TestTraceInvariantLinkedHit(t *testing.T) {
 	warmReset(t, svc, tr, 8)
 	readKeys(t, svc, 0, 8)
 
-	assert.PathPerOp(t, tr.PathStats(), 8, trace.PathStats{LinkedHits: 1})
+	assert.PathPerOp(t, svc.m.Path(), 8, meter.PathStats{LinkedHits: 1})
 	full := tr.Last()
 	assert.Parented(t, full)
 	assert.Annotated(t, full, "app.cache", "get-or-load", "cache.hit", "true")
@@ -156,7 +156,7 @@ func TestTraceInvariantLinkedVersionRead(t *testing.T) {
 	warmReset(t, svc, tr, 8)
 	readKeys(t, svc, 0, 8)
 
-	assert.PathPerOp(t, tr.PathStats(), 8, trace.PathStats{
+	assert.PathPerOp(t, svc.m.Path(), 8, meter.PathStats{
 		RPCHops: 1, SQLStatements: 1, LinkedHits: 1})
 	full := tr.Last()
 	assert.Parented(t, full)
@@ -179,7 +179,7 @@ func TestTraceInvariantWriteFanout(t *testing.T) {
 		}
 	}
 
-	assert.PathPerOp(t, tr.PathStats(), 4, trace.PathStats{
+	assert.PathPerOp(t, svc.m.Path(), 4, meter.PathStats{
 		RPCHops: 1, SQLStatements: 1, RaftShips: 2})
 	full := tr.Last()
 	assert.Parented(t, full)
@@ -203,7 +203,7 @@ func TestTraceInvariantChaosDegraded(t *testing.T) {
 	warmReset(t, svc, tr, 8)
 	readKeys(t, svc, 0, 8)
 
-	assert.PathPerOp(t, tr.PathStats(), 8, trace.PathStats{
+	assert.PathPerOp(t, svc.m.Path(), 8, meter.PathStats{
 		Faults: 1, RPCHops: 1, SQLStatements: 1})
 	full := tr.Last()
 	assert.Parented(t, full)
@@ -216,10 +216,10 @@ func TestTraceInvariantChaosDegraded(t *testing.T) {
 }
 
 // TestTraceMatrix drives every architecture and consistency mode at
-// parallelism 1 and 8 (the in-process archs) and asserts no completed
-// trace ever interleaves spans from another request: exactly one root,
-// every parent resolves inside the trace, and the request counter
-// matches the ops driven. Runs under -race in CI.
+// parallelism 1 and 8 and asserts no completed trace ever interleaves
+// spans from another request: exactly one root, every parent resolves
+// inside the trace, and the request count matches the ops driven. Runs
+// under -race in CI.
 func TestTraceMatrix(t *testing.T) {
 	type cell struct {
 		arch Arch
@@ -227,11 +227,7 @@ func TestTraceMatrix(t *testing.T) {
 	}
 	var cells []cell
 	for _, arch := range []Arch{Base, Remote, Linked, LinkedTTL, LinkedVersion, LinkedOwned} {
-		cells = append(cells, cell{arch, 1})
-	}
-	// Worker lanes (parallel drivers) exist for the in-process archs.
-	for _, arch := range []Arch{Base, Remote, Linked} {
-		cells = append(cells, cell{arch, 8})
+		cells = append(cells, cell{arch, 1}, cell{arch, 8})
 	}
 	for _, c := range cells {
 		c := c
@@ -274,7 +270,7 @@ func TestTraceMatrix(t *testing.T) {
 			for err := range errs {
 				t.Fatal(err)
 			}
-			if got := tr.PathStats().Requests; got != int64(c.par*perWorker) {
+			if got := svc.m.Path().Requests; got != int64(c.par*perWorker) {
 				t.Errorf("counted %d requests, want %d", got, c.par*perWorker)
 			}
 			traces := tr.Traces()
@@ -288,5 +284,27 @@ func TestTraceMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPathExactWithoutTracer: a run's path counts are its lanes', not a
+// tracer's, so a fig4a cell with no tracer reports the same Path as the
+// same cell with a tracer that never samples, on every architecture.
+func TestPathExactWithoutTracer(t *testing.T) {
+	cfg := workload.SyntheticConfig{Keys: 300, Alpha: 1.2, ReadRatio: 0.9, ValueSize: 1 << 10, Seed: 3}
+	for arch := Base; arch < numArchs; arch++ {
+		var paths [2]meter.PathStats
+		for i, tr := range []*trace.Tracer{nil, trace.New(trace.Config{SampleEvery: 1 << 30, Capacity: 1})} {
+			o := FigOptions{Ops: 400, Warmup: 150, Keys: cfg.Keys, Tracer: tr}
+			o.applyDefaults()
+			res, err := o.runCell("", o.synthCell(arch, cfg))
+			if err != nil {
+				t.Fatalf("%v: %v", arch, err)
+			}
+			paths[i] = res.Path
+		}
+		if paths[0] != paths[1] || paths[0].Requests != 400 {
+			t.Errorf("%v: path without a tracer %+v, with one %+v; want equal, 400 requests", arch, paths[0], paths[1])
+		}
 	}
 }

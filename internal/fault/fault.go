@@ -401,15 +401,14 @@ func (in *Injector) DecideTrace(node string, worker int, sc trace.SpanContext) e
 	return err
 }
 
-// recordFault burns the injected work on the fault component, sleeps any
-// wall-clock stall with the lane parked and, when the request is traced,
-// wraps both in a "fault" span annotated with the outcome, bumping the
-// path-level fault counter.
+// recordFault counts the fault on the request's lane, burns the injected
+// work on the fault component, sleeps any wall-clock stall with the lane
+// parked and, when the request is sampled, wraps both in a "fault" span
+// annotated with the outcome.
 func (in *Injector) recordFault(sc trace.SpanContext, node, outcome string, work int, sleep time.Duration) {
-	var act trace.Active
-	if sc.Traced() {
-		sc.Tracer().CountFault()
-		act, _ = trace.Start(sc, "fault", node)
+	sc.Lane().CountFault()
+	act, _ := trace.Start(sc, "fault", node)
+	if act.Recording() {
 		act.Annotate("fault.outcome", outcome)
 		if work > 0 {
 			act.AnnotateInt("fault.work", int64(work))

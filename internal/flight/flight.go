@@ -14,9 +14,11 @@
 // drop-oldest buffer). A request that was fast until its final stage is
 // still captured, because nothing is decided until it finishes.
 //
-// The fast path costs one pooled Breakdown per request and one seqlock
-// slot write per completion; it allocates nothing. Only retention (a few
-// per thousand requests) allocates.
+// The recorder keeps no per-request state of its own: the request's
+// metering lane (meter.Lane) is its record, which Begin arms to time
+// stages and Done reads. The fast path costs one seqlock slot write per
+// completion and allocates nothing. Only retention (a few per thousand
+// requests) allocates.
 package flight
 
 import (
@@ -26,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cachecost/internal/meter"
 	"cachecost/internal/trace"
 )
 
@@ -88,10 +91,10 @@ type Record struct {
 	// intended arrival (completion minus Start when Intended is 0).
 	Dur int64
 	// Stages is the per-stage latency split in nanoseconds, indexed by
-	// trace.Stage. StageRaft is informational: its time is already inside
+	// meter.Stage. StageRaft is informational: its time is already inside
 	// StageStorage and is excluded from conservation sums.
-	Stages [trace.NumStages]int64
-	// Flags carries the trace.Flag* outcome bits.
+	Stages [meter.NumStages]int64
+	// Flags carries the meter.Flag* outcome bits.
 	Flags uint32
 	// Cost is the request's busy time on the meter's clock, nanoseconds.
 	Cost int64
@@ -103,13 +106,13 @@ type Record struct {
 // degraded > ok.
 func (r *Record) Outcome() Outcome {
 	switch {
-	case r.Flags&trace.FlagError != 0:
+	case r.Flags&meter.FlagError != 0:
 		return OutcomeError
-	case r.Flags&trace.FlagShed != 0:
+	case r.Flags&meter.FlagShed != 0:
 		return OutcomeShed
-	case r.Flags&trace.FlagDeadline != 0:
+	case r.Flags&meter.FlagDeadline != 0:
 		return OutcomeDeadline
-	case r.Flags&trace.FlagDegraded != 0:
+	case r.Flags&meter.FlagDegraded != 0:
 		return OutcomeDegraded
 	}
 	return OutcomeOK
@@ -119,8 +122,8 @@ func (r *Record) Outcome() Outcome {
 // whose time is contained in StageStorage.
 func (r *Record) SumStages() int64 {
 	var sum int64
-	for s := trace.Stage(0); s < trace.NumStages; s++ {
-		if s == trace.StageRaft {
+	for s := meter.Stage(0); s < meter.NumStages; s++ {
+		if s == meter.StageRaft {
 			continue
 		}
 		sum += r.Stages[s]
@@ -130,10 +133,10 @@ func (r *Record) SumStages() int64 {
 
 // DominantStage returns the stage holding the largest share of the
 // record's latency (StageRaft excluded, as a sub-stage of storage).
-func (r *Record) DominantStage() trace.Stage {
-	best, bestV := trace.StageApp, int64(-1)
-	for s := trace.Stage(0); s < trace.NumStages; s++ {
-		if s == trace.StageRaft {
+func (r *Record) DominantStage() meter.Stage {
+	best, bestV := meter.StageApp, int64(-1)
+	for s := meter.Stage(0); s < meter.NumStages; s++ {
+		if s == meter.StageRaft {
 			continue
 		}
 		if r.Stages[s] > bestV {
@@ -183,7 +186,6 @@ func (c Config) withDefaults() Config {
 type Recorder struct {
 	cfg  Config
 	ring *ring
-	pool sync.Pool // *trace.Breakdown
 
 	total atomic.Int64 // records seen since New/Reset
 
@@ -200,78 +202,64 @@ type Recorder struct {
 // New builds a Recorder.
 func New(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
-	r := &Recorder{cfg: cfg, ring: newRing(cfg.RingSize)}
-	r.pool.New = func() any { return new(trace.Breakdown) }
-	return r
+	return &Recorder{cfg: cfg, ring: newRing(cfg.RingSize)}
 }
 
-// Begin attaches a pooled, zeroed Breakdown to sc, starting per-stage
-// attribution for the request. Callers that attach must pass the same
-// context lineage to Done, which recycles the breakdown. Nil-safe.
+// Begin arms the request's lane to time its stages, and returns sc.
+// Nil-safe.
 func (r *Recorder) Begin(sc trace.SpanContext) trace.SpanContext {
-	if r == nil {
-		return sc
+	if r != nil {
+		sc.Lane().Arm()
 	}
-	return sc.WithBreakdown(r.pool.Get().(*trace.Breakdown))
+	return sc
 }
 
-// Done completes the request's flight record: computes the queue and app
-// remainder stages, writes the record into the ring, makes the tail
-// retention decision, and recycles the breakdown. start is the handler
-// start instant and dur its wall duration; err is the handler result.
-// Nil-safe; a context without a breakdown is ignored.
+// Done completes the request's flight record from its lane — stages,
+// outcome flags and busy time, so the lane must have ended its last lap
+// (parked) and not yet closed — plus the completion-computed queue and app
+// remainder stages; writes it into the ring and makes the tail retention
+// decision. start is the handler start instant and dur its wall duration;
+// err is the handler result. Nil-safe; a context without a lane records
+// zero stages and cost.
 func (r *Recorder) Done(sc trace.SpanContext, arch, method string, start time.Time, dur time.Duration, err error) {
 	if r == nil {
 		return
 	}
-	b := sc.Breakdown()
-	if b == nil {
-		return
-	}
+	l := sc.Lane()
 	startNS := start.UnixNano()
 	endNS := startNS + int64(dur)
-	intended := sc.IntendedUnixNano()
-	if intended > 0 {
-		b.Set(trace.StageQueue, time.Duration(startNS-intended))
-	}
-	inner := b.Stage(trace.StageAdmission) + b.Stage(trace.StageCache) + b.Stage(trace.StageStorage)
-	b.Set(trace.StageApp, dur-inner)
-	if err != nil {
-		b.Mark(trace.FlagError)
-	}
-	// A request that finished past its propagated SLO deadline blew it
-	// even if the admission gate let it through — completion time is the
-	// only place this is knowable.
-	if dl := sc.Deadline(); !dl.IsZero() && endNS > dl.UnixNano() {
-		b.Mark(trace.FlagDeadline)
-	}
-
 	rec := Record{
 		TraceID:  sc.TraceID(),
 		SpanID:   sc.SpanID(),
 		Method:   method,
 		Arch:     arch,
 		Start:    startNS,
-		Intended: intended,
-		Stages:   b.Stages(),
-		Flags:    b.Flags(),
-		Cost:     int64(b.Cost()),
+		Intended: sc.IntendedUnixNano(),
+		Dur:      int64(dur),
+		Stages:   l.Stages(),
+		Flags:    l.Flags(),
+		Cost:     int64(l.Busy()),
 	}
-	if intended > 0 {
-		rec.Dur = endNS - intended
-	} else {
-		rec.Dur = int64(dur)
+	if rec.Intended > 0 {
+		rec.Stages[meter.StageQueue] = max(startNS-rec.Intended, 0)
+		rec.Dur = endNS - rec.Intended
 	}
+	inner := rec.Stages[meter.StageAdmission] + rec.Stages[meter.StageCache] + rec.Stages[meter.StageStorage]
+	rec.Stages[meter.StageApp] = max(int64(dur)-inner, 0)
 	if err != nil {
+		rec.Flags |= meter.FlagError
 		rec.Err = err.Error()
+	}
+	// A request that finished past its propagated SLO deadline blew it
+	// even if the admission gate let it through — completion time is the
+	// only place this is knowable.
+	if dl := sc.DeadlineUnixNano(); dl != 0 && endNS > dl {
+		rec.Flags |= meter.FlagDeadline
 	}
 
 	r.total.Add(1)
 	r.ring.put(rec)
 	r.retain(rec, sc)
-
-	b.Reset()
-	r.pool.Put(b)
 }
 
 // retain applies the completion-time tail-sampling decision.
@@ -400,7 +388,7 @@ func (r *Recorder) Scope(arch string) *Scope {
 	return &Scope{r: r, arch: arch}
 }
 
-// Begin attaches a pooled breakdown (see Recorder.Begin). Nil-safe.
+// Begin arms the request's lane (see Recorder.Begin). Nil-safe.
 func (s *Scope) Begin(sc trace.SpanContext) trace.SpanContext {
 	if s == nil {
 		return sc

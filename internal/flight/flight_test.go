@@ -7,16 +7,22 @@ import (
 	"testing"
 	"time"
 
+	"cachecost/internal/meter"
 	"cachecost/internal/trace"
 )
 
+// testComp is the component the tests' request lanes open on.
+var testComp = meter.NewMeter().Component("test")
+
 // done pushes one synthetic completion through the recorder: a request
-// that started at start, ran for dur, and had mutate applied to its
-// breakdown mid-flight (nil = untouched).
-func done(r *Recorder, start time.Time, dur time.Duration, mutate func(trace.SpanContext), err error) {
-	sc := r.Begin(trace.SpanContext{})
+// that started at start, ran for dur, and had mutate applied to its lane
+// mid-flight (nil = untouched).
+func done(r *Recorder, start time.Time, dur time.Duration, mutate func(*meter.Lane), err error) {
+	l := meter.OpenLane(testComp)
+	defer l.Close()
+	sc := r.Begin(trace.SpanContext{}.WithLane(l))
 	if mutate != nil {
-		mutate(sc)
+		mutate(l)
 	}
 	r.Done(sc, "Test", "test.Op", start, dur, err)
 }
@@ -47,7 +53,7 @@ func TestCompletionTimeSampling(t *testing.T) {
 	if top.Dur != int64(50*time.Millisecond) {
 		t.Fatalf("slowest exemplar Dur = %v, want 50ms (the late-slow request was not captured at completion)", time.Duration(top.Dur))
 	}
-	if got := top.DominantStage(); got != trace.StageApp {
+	if got := top.DominantStage(); got != meter.StageApp {
 		t.Fatalf("dominant stage = %v, want app (all latency was the final-stage remainder)", got)
 	}
 }
@@ -60,9 +66,11 @@ func TestBlownDeadlineCapturedAtCompletion(t *testing.T) {
 	r := New(Config{})
 	start := time.Now()
 
-	sc := r.Begin(trace.SpanContext{}.WithDeadline(start.Add(2 * time.Millisecond)))
-	sc.StageAdd(trace.StageStorage, 9*time.Millisecond)
+	l := meter.OpenLane(testComp)
+	sc := r.Begin(trace.SpanContext{}.WithDeadline(start.Add(2 * time.Millisecond)).WithLane(l))
+	l.AddStage(meter.StageStorage, l.StageClock()-int64(9*time.Millisecond)) // a 9 ms storage stage
 	r.Done(sc, "Test", "test.Op", start, 10*time.Millisecond, nil)
+	l.Close()
 
 	// Control: same shape, deadline comfortably met.
 	sc = r.Begin(trace.SpanContext{}.WithDeadline(start.Add(time.Second)))
@@ -73,10 +81,10 @@ func TestBlownDeadlineCapturedAtCompletion(t *testing.T) {
 		t.Fatalf("deadline exemplars = %d, want 1", len(ex.Deadline))
 	}
 	rec := ex.Deadline[0].Record
-	if rec.Flags&trace.FlagDeadline == 0 {
+	if rec.Flags&meter.FlagDeadline == 0 {
 		t.Error("FlagDeadline not set on the blown-deadline record")
 	}
-	if got := rec.DominantStage(); got != trace.StageStorage {
+	if got := rec.DominantStage(); got != meter.StageStorage {
 		t.Errorf("dominant stage = %v, want storage", got)
 	}
 }
@@ -111,8 +119,8 @@ func TestOutcomeBuffersDropOldest(t *testing.T) {
 	r := New(Config{OutcomeCap: 4})
 	base := time.Now()
 	for i := 1; i <= 10; i++ {
-		done(r, base, time.Duration(i)*time.Millisecond, func(sc trace.SpanContext) {
-			sc.MarkOutcome(trace.FlagShed)
+		done(r, base, time.Duration(i)*time.Millisecond, func(l *meter.Lane) {
+			l.Mark(meter.FlagShed)
 		}, nil)
 	}
 	ex := r.Exemplars()
@@ -132,11 +140,11 @@ func TestOutcomeBuffersDropOldest(t *testing.T) {
 func TestOutcomeSeverity(t *testing.T) {
 	r := New(Config{})
 	base := time.Now()
-	done(r, base, time.Millisecond, func(sc trace.SpanContext) {
-		sc.MarkOutcome(trace.FlagDegraded | trace.FlagDeadline)
+	done(r, base, time.Millisecond, func(l *meter.Lane) {
+		l.Mark(meter.FlagDegraded | meter.FlagDeadline)
 	}, nil)
-	done(r, base, time.Millisecond, func(sc trace.SpanContext) {
-		sc.MarkOutcome(trace.FlagShed | trace.FlagDegraded)
+	done(r, base, time.Millisecond, func(l *meter.Lane) {
+		l.Mark(meter.FlagShed | meter.FlagDegraded)
 	}, errors.New("boom"))
 	ex := r.Exemplars()
 	if len(ex.Deadline) != 1 || len(ex.Error) != 1 || len(ex.Shed) != 0 || len(ex.Degraded) != 0 {
@@ -147,8 +155,8 @@ func TestOutcomeSeverity(t *testing.T) {
 
 // TestFastPathZeroAllocs pins the recorder's defining cost contract: a
 // completion that is neither slow nor a bad outcome (the overwhelming
-// majority of traffic) allocates nothing — pooled breakdown, value-copy
-// ring write, threshold-gated retention skip.
+// majority of traffic) allocates nothing — pooled lane, value-copy ring
+// write, threshold-gated retention skip.
 func TestFastPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
@@ -161,8 +169,7 @@ func TestFastPathZeroAllocs(t *testing.T) {
 		done(r, start, time.Second, nil, nil)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		sc := r.Begin(trace.SpanContext{})
-		r.Done(sc, "Bench", "bench.Op", start, time.Microsecond, nil)
+		done(r, start, time.Microsecond, nil, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("unsampled fast path allocates %.1f per op, want 0", allocs)
@@ -199,9 +206,9 @@ func TestRecorderConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < each; i++ {
 				dur := time.Duration(rng.Intn(1000)+1) * time.Microsecond
-				var mutate func(trace.SpanContext)
+				var mutate func(*meter.Lane)
 				if i%17 == 0 {
-					mutate = func(sc trace.SpanContext) { sc.MarkOutcome(trace.FlagShed) }
+					mutate = func(l *meter.Lane) { l.Mark(meter.FlagShed) }
 				}
 				done(r, base, dur, mutate, nil)
 			}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"cachecost/internal/meter"
 	"cachecost/internal/trace"
 )
 
@@ -36,8 +37,8 @@ type exemplarJSON struct {
 }
 
 func (r *Recorder) toJSON(rec *Record) recordJSON {
-	stages := make(map[string]int64, trace.NumStages)
-	for s := trace.Stage(0); s < trace.NumStages; s++ {
+	stages := make(map[string]int64, meter.NumStages)
+	for s := meter.Stage(0); s < meter.NumStages; s++ {
 		if rec.Stages[s] != 0 {
 			stages[s.String()] = rec.Stages[s]
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecost/internal/meter"
 	"cachecost/internal/trace"
 )
 
@@ -17,14 +18,15 @@ func TestDebugRequestsFilters(t *testing.T) {
 	base := time.Now()
 
 	mk := func(arch string, dur time.Duration, flags uint32) {
-		sc := r.Begin(trace.SpanContext{})
-		sc.MarkOutcome(flags)
-		sc.AddCost(dur / 2)
-		r.Done(sc, arch, "app.Read", base, dur, nil)
+		l := meter.OpenLane(testComp)
+		l.Mark(flags)
+		l.Exclude(dur / 2) // the request was billed dur/2 of busy time
+		r.Done(r.Begin(trace.SpanContext{}.WithLane(l)), arch, "app.Read", base, dur, nil)
+		l.Close()
 	}
 	mk("Base", 1*time.Millisecond, 0)
-	mk("Base", 30*time.Millisecond, trace.FlagDeadline)
-	mk("Linked", 5*time.Millisecond, trace.FlagShed)
+	mk("Base", 30*time.Millisecond, meter.FlagDeadline)
+	mk("Linked", 5*time.Millisecond, meter.FlagShed)
 
 	h := Handler(r)
 	get := func(query string) (p struct {

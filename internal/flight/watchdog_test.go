@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecost/internal/meter"
 	"cachecost/internal/telemetry"
 	"cachecost/internal/trace"
 )
@@ -24,10 +25,12 @@ func TestWatchdogDumpOnFastBurn(t *testing.T) {
 	rec := New(Config{})
 
 	// One retained exemplar so the dump has something to preserve.
-	sc := rec.Begin(trace.SpanContext{})
-	sc.StageAdd(trace.StageStorage, 40*time.Millisecond)
-	sc.MarkOutcome(trace.FlagDeadline)
+	l := meter.OpenLane(testComp)
+	sc := rec.Begin(trace.SpanContext{}.WithLane(l))
+	l.AddStage(meter.StageStorage, l.StageClock()-int64(40*time.Millisecond)) // a 40 ms storage stage
+	l.Mark(meter.FlagDeadline)
 	rec.Done(sc, "Test", "test.Op", time.Now(), 45*time.Millisecond, nil)
+	l.Close()
 
 	dir := t.TempDir()
 	w := NewWatchdog(WatchdogConfig{

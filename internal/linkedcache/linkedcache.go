@@ -132,15 +132,15 @@ func (c *Cache[V]) PutTTL(key string, v V, ttl time.Duration) { c.store.PutTTL(k
 // Delete removes key.
 func (c *Cache[V]) Delete(key string) bool { return c.store.Delete(key) }
 
-// GetCtx is Get carrying the caller's span context: the in-process
+// GetCtx is Get carrying the caller's span context: the outcome is
+// counted on the request's lane as a linked hit or miss, and a sampled
 // lookup is recorded as a cache span (annotated cache.hit) under the
-// cache's component name, and the outcome feeds the trace's linked
-// hit/miss counters. No hop is counted — the lookup never leaves the
+// cache's component name. No hop is counted — the lookup never leaves the
 // process, which is the architecture's whole point.
 func (c *Cache[V]) GetCtx(sc trace.SpanContext, key string) (V, bool) {
 	v, ok := c.store.Get(key)
-	if sc.Traced() {
-		sc.Tracer().CountLinkedHit(ok)
+	sc.Lane().CountLinkedHit(ok)
+	if sc.Sampled() {
 		act, _ := trace.Start(sc, c.name, "get")
 		act.AnnotateBool("cache.hit", ok)
 		act.End()
@@ -164,7 +164,7 @@ func (c *Cache[V]) PutCtx(sc trace.SpanContext, key string, v V) {
 func (c *Cache[V]) GetOrLoadCtx(sc trace.SpanContext, key string, load func(sc trace.SpanContext) (V, error)) (V, bool, error) {
 	act, lsc := trace.Start(sc, c.name, "get-or-load")
 	v, ok := c.store.Get(key)
-	sc.Tracer().CountLinkedHit(ok)
+	sc.Lane().CountLinkedHit(ok)
 	act.AnnotateBool("cache.hit", ok)
 	if ok {
 		act.End()

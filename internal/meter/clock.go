@@ -25,21 +25,19 @@ type busyClock struct {
 	fake func() int64
 }
 
-// now returns nanoseconds on the selected time source. A nil clock (a
-// detached component) reads the wall clock.
+// now returns nanoseconds on the selected time source.
 func (c *busyClock) now() int64 {
-	if c != nil {
-		if c.fake != nil {
-			return c.fake()
-		}
-		if c.threadCPU.Load() {
-			return threadCPUNanos()
-		}
+	if c.fake != nil {
+		return c.fake()
+	}
+	if c.threadCPU.Load() {
+		return threadCPUNanos()
 	}
 	return wallNanos()
 }
 
-// wallBase anchors wall readings so they use the monotonic clock.
+// wallBase anchors wall readings so they use the monotonic clock. Lanes
+// time flight stages on it whatever the busy clock is.
 var wallBase = time.Now()
 
 func wallNanos() int64 { return int64(time.Since(wallBase)) }

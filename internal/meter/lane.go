@@ -5,25 +5,34 @@ import (
 	"time"
 )
 
-// Lane partitions one request's busy clock among components. It is a lap
-// clock: the time between two lane events belongs to exactly one
-// component — the one the lane was in — and a parked lane belongs to
-// none. The clock is read only when the component actually changes, so a
-// request that crosses k component boundaries costs k+2 reads (open,
-// close, one per crossing) however many sections it meters, and the laps
-// of a request sum to its elapsed busy time by construction, whatever
-// other goroutines attribute meanwhile.
+// Lane is a request's one record. Its core is a lap clock partitioning the
+// request's busy time among components: the time between two lane events
+// belongs to exactly one component — the one the lane was in — and a
+// parked lane belongs to none. The clock is read only when the component
+// actually changes, so a request that crosses k component boundaries costs
+// k+2 reads (open, close, one per crossing) however many sections it
+// meters, and the laps of a request sum to its elapsed busy time by
+// construction, whatever other goroutines attribute meanwhile.
 //
-// A Lane is single-goroutine state: it rides the request's
-// trace.SpanContext down the synchronous call path. Every method is
-// nil-safe, so code handed a context without a lane (an unmetered
-// deployment) pays one pointer test.
+// Beside its laps the lane carries what the rest of the request's record
+// needs (record.go): the flight recorder's stage times and outcome flags,
+// and the request's path counts, which Close folds into the meter. They
+// are plain fields because a request never fans out across goroutines:
+// a Lane is single-goroutine state riding the request's trace.SpanContext
+// down the synchronous call path. Every method is nil-safe, so code handed
+// a context without a lane (an unmetered deployment) pays one pointer
+// test.
 type Lane struct {
-	clk    *busyClock
+	m      *Meter
 	cur    *Component // owner of the running lap; nil credits nobody
 	t0     int64      // clock reading at the last lap boundary
 	busy   int64      // laps credited so far, plus excluded leaf time
 	parked bool
+
+	armed  bool // a flight recorder is timing stages
+	flags  uint32
+	stages [NumStages]int64
+	path   [numPathFields]int64
 }
 
 var lanePool = sync.Pool{New: func() any { return new(Lane) }}
@@ -33,8 +42,8 @@ var lanePool = sync.Pool{New: func() any { return new(Lane) }}
 // belong to that meter. The opener must Close it.
 func OpenLane(c *Component) *Lane {
 	l := lanePool.Get().(*Lane)
-	*l = Lane{clk: c.clk, cur: c}
-	l.t0 = l.clk.now()
+	*l = Lane{m: c.m, cur: c}
+	l.t0 = l.m.clk.now()
 	return l
 }
 
@@ -59,7 +68,7 @@ func (l *Lane) Enter(c *Component) (prev *Component) {
 	}
 	prev = l.cur
 	if c != prev {
-		l.lap(l.clk.now())
+		l.lap(l.m.clk.now())
 		l.cur = c
 	}
 	return prev
@@ -93,9 +102,9 @@ func (l *Lane) Burn(c *Component, b *Burner, work int) {
 	switch {
 	case c == nil || work <= 0:
 	case l == nil:
-		t0 := c.clk.now()
+		t0 := c.m.clk.now()
 		b.Burn(work)
-		c.AddBusy(time.Duration(c.clk.now() - t0))
+		c.AddBusy(time.Duration(c.m.clk.now() - t0))
 		c.AddOps(1)
 	default:
 		prev := l.Enter(c)
@@ -109,10 +118,11 @@ func (l *Lane) Burn(c *Component, b *Burner, work int) {
 // queue slot, a contended lock, a sleep); Unpark starts the next lap when
 // it resumes. The time in between is credited to nobody — on the
 // thread-CPU clock that is the CPU the runtime and kernel spend putting
-// the thread to sleep and waking it.
+// the thread to sleep and waking it. Parking a finished request ends its
+// last lap, so Busy is final before Close.
 func (l *Lane) Park() {
 	if l != nil && !l.parked {
-		l.lap(l.clk.now())
+		l.lap(l.m.clk.now())
 		l.parked = true
 	}
 }
@@ -121,7 +131,7 @@ func (l *Lane) Park() {
 func (l *Lane) Unpark() {
 	if l != nil && l.parked {
 		l.parked = false
-		l.t0 = l.clk.now()
+		l.t0 = l.m.clk.now()
 	}
 }
 
@@ -135,16 +145,30 @@ func (l *Lane) Exclude(d time.Duration) {
 	}
 }
 
-// Close ends the last lap, returns the lane to the pool and reports the
-// request's elapsed busy time: every lap plus every excluded leaf, which
-// is exactly what the request added to the meter. The lane must not be
-// used afterwards.
+// Busy returns the busy time the lane's finished laps and excluded leaves
+// add up to: the request's whole cost once the lane is parked or closed.
+func (l *Lane) Busy() time.Duration {
+	if l == nil {
+		return 0
+	}
+	return time.Duration(l.busy)
+}
+
+// Close ends the last lap, folds the request's path counts into the
+// meter, returns the lane to the pool and reports the request's elapsed
+// busy time: every lap plus every excluded leaf, which is exactly what the
+// request added to the meter. The lane must not be used afterwards.
 func (l *Lane) Close() time.Duration {
 	if l == nil {
 		return 0
 	}
 	if !l.parked {
-		l.lap(l.clk.now())
+		l.lap(l.m.clk.now())
+	}
+	for i, n := range l.path {
+		if n != 0 {
+			l.m.path[i].Add(n)
+		}
 	}
 	busy := l.busy
 	lanePool.Put(l)

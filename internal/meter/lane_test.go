@@ -91,12 +91,47 @@ func TestLaneNilSafe(t *testing.T) {
 	l.Park()
 	l.Unpark()
 	l.Exclude(time.Second)
-	if l.Close() != 0 || clk.reads.Load() != 0 {
+	l.Arm()
+	l.AddStage(meter.StageCache, l.StageClock())
+	l.Mark(meter.FlagShed)
+	l.CountHop()
+	if l.Close() != 0 || clk.reads.Load() != 0 || l.Flags() != 0 || l.Stages() != [meter.NumStages]int64{} {
 		t.Fatal("a nil lane must read no clock and report no time")
 	}
 	l.Burn(c, meter.NewBurner(), 64)
 	if c.Busy() != 1 || c.Ops() != 1 {
 		t.Fatalf("laneless burn: busy %d ops %d, want a stopwatch pair's 1 and 1", c.Busy(), c.Ops())
+	}
+}
+
+// TestPathCountersAndReset: a lane's path counts reach its meter when it
+// closes, every field in its place, and Reset zeroes them.
+func TestPathCountersAndReset(t *testing.T) {
+	m := meter.NewMeter()
+	l := meter.OpenLane(m.Component("app"))
+	l.CountRequest()
+	l.CountHop()
+	l.CountHop()
+	l.CountCacheMsgs(2)
+	l.CountStatement()
+	l.CountRaftShips(2)
+	l.CountCacheHit(true)
+	l.CountCacheHit(false)
+	l.CountLinkedHit(true)
+	l.CountLinkedHit(false)
+	l.CountFault()
+	if got := m.Path(); got != (meter.PathStats{}) {
+		t.Fatalf("an open lane's counts reached the meter: %+v", got)
+	}
+	l.Close()
+	want := meter.PathStats{Requests: 1, RPCHops: 2, CacheMsgs: 2, SQLStatements: 1, RaftShips: 2,
+		CacheHits: 1, CacheMisses: 1, LinkedHits: 1, LinkedMisses: 1, Faults: 1}
+	if got := m.Path(); got != want {
+		t.Errorf("Path = %+v, want %+v", got, want)
+	}
+	m.Reset()
+	if got := m.Path(); got != (meter.PathStats{}) {
+		t.Errorf("Reset left %+v", got)
 	}
 }
 

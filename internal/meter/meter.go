@@ -15,6 +15,12 @@
 // Because every component in this repository does real CPU work (parsing,
 // planning, encoding, copying), busy wall-time of a non-blocking handler
 // is a faithful proxy for CPU time, which is what the paper measures.
+//
+// The Lane is the request's whole record, not only its laps: it also
+// carries the flight recorder's stage times and outcome flags and the
+// request's path counts (hops, cache messages, SQL statements, raft
+// ships), which the meter sums per window (Meter.Path) beside the busy
+// time it prices.
 package meter
 
 import (
@@ -36,6 +42,8 @@ type Meter struct {
 	// clk is the time source for busy measurements, shared with every
 	// component and lane on the meter.
 	clk busyClock
+	// path sums the path counts of every lane closed since Reset.
+	path [numPathFields]atomic.Int64
 }
 
 // SetThreadCPUClock switches busy-time measurement between the wall
@@ -69,7 +77,7 @@ func (m *Meter) Component(name string) *Component {
 		// creation: a component built moments into the window whose level
 		// is then set once (the universal construction pattern) prices
 		// exactly that level, bit-for-bit compatible with level pricing.
-		c = &Component{name: name, clk: &m.clk, memAnchor: m.start}
+		c = &Component{name: name, m: m, memAnchor: m.start}
 		m.components[name] = c
 	}
 	return c
@@ -82,8 +90,8 @@ func (m *Meter) AddRequests(n int64) { m.requests.Add(n) }
 // Requests returns the number of client-visible requests recorded so far.
 func (m *Meter) Requests() int64 { return m.requests.Load() }
 
-// Reset zeroes the flow counters (busy time, ops, requests) and restarts
-// the elapsed clock. Provisioned memory is a level, not a flow — it
+// Reset zeroes the flow counters (busy time, ops, requests, path counts)
+// and restarts the elapsed clock. Provisioned memory is a level, not a flow — it
 // survives Reset, so warmup can be discarded without re-registering
 // every cache's footprint.
 func (m *Meter) Reset() {
@@ -102,6 +110,9 @@ func (m *Meter) Reset() {
 	}
 	for _, c := range m.counters {
 		c.n.Store(0)
+	}
+	for i := range m.path {
+		m.path[i].Store(0)
 	}
 	m.requests.Store(0)
 	m.start = now
@@ -144,7 +155,7 @@ type Component struct {
 	memBytes  atomic.Int64
 	diskBytes atomic.Int64
 	ops       atomic.Int64
-	clk       *busyClock // the owning Meter's time source; nil reads wall
+	m         *Meter // the owning meter, whose clock times the component
 
 	// Provisioned memory is priced by its time-average over the metered
 	// window, so a controller that resizes a cache mid-window is billed
@@ -250,7 +261,7 @@ func (c *Component) Ops() int64 { return c.ops.Load() }
 // Start returns a running Stopwatch bound to this component, for code with
 // no request lane to lap (kv.Store meters itself this way).
 func (c *Component) Start() *Stopwatch {
-	return &Stopwatch{c: c, t0: c.clk.now()}
+	return &Stopwatch{c: c, t0: c.m.clk.now()}
 }
 
 // Stopwatch meters one operation of a single component. It is not safe
@@ -264,7 +275,7 @@ type Stopwatch struct {
 // component, counts one operation, and returns the busy time. The stopwatch
 // must not be reused after Stop.
 func (s *Stopwatch) Stop() time.Duration {
-	d := time.Duration(max(s.c.clk.now()-s.t0, 0))
+	d := time.Duration(max(s.c.m.clk.now()-s.t0, 0))
 	s.c.AddBusy(d)
 	s.c.AddOps(1)
 	return d

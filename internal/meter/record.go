@@ -1,0 +1,222 @@
+package meter
+
+// The rest of a request's record, carried on its Lane beside the laps:
+// where its latency went (stages, timed only when a flight recorder armed
+// the lane), how it ended (outcome flags) and the path it took (counts the
+// meter sums over a window).
+
+// Stage labels one slice of a request's latency budget. Stages partition
+// the intended-clock latency of a client-visible request: where the
+// request *waited to start* (queue), where it waited for capacity
+// (admission), and which downstream tier it spent the rest in. The flight
+// recorder (internal/flight) turns a lane's stage times into the record
+// that tail exemplars and the `tailwhy` figure report.
+type Stage uint8
+
+const (
+	// StageQueue is time between the request's intended arrival (open-loop
+	// schedule slot) and the moment its handler started: lane-queue wait
+	// plus dispatcher slip. Computed at completion from the intended
+	// timestamp; zero for closed-loop requests.
+	StageQueue Stage = iota
+	// StageAdmission is time blocked in admission.Gate.Enter waiting for
+	// an inflight slot (or for the deadline that rejected the request).
+	StageAdmission
+	// StageCache is client-observed time in remote-cache calls (the whole
+	// round trip: marshal, hop, server occupancy, injected stalls).
+	StageCache
+	// StageStorage is client-observed time in storage round trips
+	// (queries, writes, version checks), inclusive of raft replication.
+	StageStorage
+	// StageRaft is the replication slice *within* StageStorage (ship +
+	// commit wait on the storage node). It is informational and excluded
+	// from conservation sums: its time is already inside StageStorage.
+	StageRaft
+	// StageApp is the handler remainder: wall time inside the front-door
+	// dispatch not attributed to admission, cache or storage. Computed at
+	// completion.
+	StageApp
+
+	// NumStages sizes per-request stage arrays.
+	NumStages
+)
+
+var stageNames = [NumStages]string{"queue", "admission", "cache", "storage", "raft", "app"}
+
+// String returns the stage's wire/JSON name.
+func (s Stage) String() string {
+	if int(s) < len(stageNames) {
+		return stageNames[s]
+	}
+	return "unknown"
+}
+
+// Outcome flag bits a lane carries. A request may carry several (a
+// degraded read that still blew its deadline); the flight recorder
+// classifies by severity: error > shed > deadline > degraded > ok.
+const (
+	// FlagShed marks a request rejected by the admission gate (queue
+	// full) and answered by the cheap degraded path.
+	FlagShed uint32 = 1 << iota
+	// FlagDeadline marks a request whose SLO deadline expired before or
+	// during service.
+	FlagDeadline
+	// FlagDegraded marks a request answered in cache-degraded mode
+	// (cache tier demoted or bypassed; answer may be stale or partial).
+	FlagDegraded
+	// FlagError marks a request whose handler returned an error.
+	FlagError
+)
+
+// Arm starts stage timing on the lane: the flight recorder arms the lanes
+// whose requests it records. An unarmed lane's stage calls read no clock.
+func (l *Lane) Arm() {
+	if l != nil {
+		l.armed = true
+	}
+}
+
+// StageClock starts timing a stage: it returns the wall clock, or 0 on an
+// unarmed lane. Hand the reading to AddStage when the stage ends.
+func (l *Lane) StageClock() int64 {
+	if l == nil || !l.armed {
+		return 0
+	}
+	return wallNanos()
+}
+
+// AddStage adds the wall time since t0, a StageClock reading, to stage s.
+func (l *Lane) AddStage(s Stage, t0 int64) {
+	if l != nil && l.armed {
+		l.stages[s] += max(wallNanos()-t0, 0)
+	}
+}
+
+// Stages returns the stage times so far in nanoseconds, indexed by Stage.
+func (l *Lane) Stages() (out [NumStages]int64) {
+	if l != nil {
+		out = l.stages
+	}
+	return out
+}
+
+// Mark sets outcome flag bits.
+func (l *Lane) Mark(flags uint32) {
+	if l != nil {
+		l.flags |= flags
+	}
+}
+
+// Flags returns the outcome flag bits set so far.
+func (l *Lane) Flags() uint32 {
+	if l == nil {
+		return 0
+	}
+	return l.flags
+}
+
+// PathStats are a window's exact request-path counts, independent of
+// span sampling: what the paper's path model (§5.3, §5.5) prices per
+// request. Meter.Path sums them over every lane closed on the meter since
+// the last Reset.
+type PathStats struct {
+	// Requests is the number of client-visible requests served.
+	Requests int64
+	// RPCHops counts network hops (loopback or TCP message round trips);
+	// in-process Direct calls are not hops.
+	RPCHops int64
+	// CacheMsgs counts remote-cache protocol messages (request and
+	// response each count one, so one cache RPC is two messages).
+	CacheMsgs int64
+	// SQLStatements counts statements served by the storage front-end,
+	// including §5.5 version checks.
+	SQLStatements int64
+	// RaftShips counts AppendEntries ships to followers (the write
+	// fan-out, N_r-1 per committed proposal with all replicas up).
+	RaftShips int64
+	// CacheHits/CacheMisses count remote-cache lookups by outcome.
+	CacheHits, CacheMisses int64
+	// LinkedHits/LinkedMisses count in-process (linked) cache lookups.
+	LinkedHits, LinkedMisses int64
+	// Faults counts injected fault decisions that stalled or failed a
+	// call.
+	Faults int64
+}
+
+// Lane.path and Meter.path index the counts in PathStats field order.
+const (
+	pathRequests = iota
+	pathHops
+	pathCacheMsgs
+	pathStatements
+	pathRaftShips
+	pathCacheHits
+	pathCacheMisses
+	pathLinkedHits
+	pathLinkedMisses
+	pathFaults
+	numPathFields
+)
+
+func (l *Lane) count(f int, n int64) {
+	if l != nil {
+		l.path[f] += n
+	}
+}
+
+// CountRequest counts the client-visible request the lane serves; the
+// front door's handlers call it.
+func (l *Lane) CountRequest() { l.count(pathRequests, 1) }
+
+// CountHop counts one network hop.
+func (l *Lane) CountHop() { l.count(pathHops, 1) }
+
+// CountCacheMsgs counts n remote-cache protocol messages.
+func (l *Lane) CountCacheMsgs(n int64) { l.count(pathCacheMsgs, n) }
+
+// CountStatement counts one storage statement (query, write or version
+// check).
+func (l *Lane) CountStatement() { l.count(pathStatements, 1) }
+
+// CountRaftShips counts n AppendEntries ships to followers.
+func (l *Lane) CountRaftShips(n int64) { l.count(pathRaftShips, n) }
+
+// CountCacheHit counts a remote-cache lookup's outcome.
+func (l *Lane) CountCacheHit(hit bool) { l.countHit(hit, pathCacheHits) }
+
+// CountLinkedHit counts an in-process cache lookup's outcome.
+func (l *Lane) CountLinkedHit(hit bool) { l.countHit(hit, pathLinkedHits) }
+
+// countHit counts a lookup's outcome under hits, or under the misses
+// field that follows it.
+func (l *Lane) countHit(hit bool, hits int) {
+	if !hit {
+		hits++
+	}
+	l.count(hits, 1)
+}
+
+// CountFault counts one injected fault (stall, error, kill or blackhole)
+// that altered a call.
+func (l *Lane) CountFault() { l.count(pathFaults, 1) }
+
+// Path returns the path counts of the lanes closed on m since it was
+// created or last Reset.
+func (m *Meter) Path() PathStats {
+	var n [numPathFields]int64
+	for i := range n {
+		n[i] = m.path[i].Load()
+	}
+	return PathStats{
+		Requests:      n[pathRequests],
+		RPCHops:       n[pathHops],
+		CacheMsgs:     n[pathCacheMsgs],
+		SQLStatements: n[pathStatements],
+		RaftShips:     n[pathRaftShips],
+		CacheHits:     n[pathCacheHits],
+		CacheMisses:   n[pathCacheMisses],
+		LinkedHits:    n[pathLinkedHits],
+		LinkedMisses:  n[pathLinkedMisses],
+		Faults:        n[pathFaults],
+	}
+}

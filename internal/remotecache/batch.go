@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
 	"cachecost/internal/trace"
 	"cachecost/internal/wire"
@@ -216,28 +217,11 @@ func (c *Client) MultiGetCtx(sc trace.SpanContext, keys []string) ([][]byte, []b
 // ownership"); on an error held is nil.
 //
 // Each node RPC counts two cache messages (one request, one response
-// frame — NOT two per key); each key's outcome feeds the trace hit/miss
-// counters exactly as the scalar path would. In degraded mode a failed
+// frame — NOT two per key); each key's outcome is counted as a cache hit
+// or miss exactly as the scalar path would. In degraded mode a failed
 // node RPC demotes its keys to misses without failing the batch.
 func (c *Client) MultiBorrowCtx(sc trace.SpanContext, keys []string) (values [][]byte, found []bool, held [][]byte, err error) {
-	b := sc.Breakdown()
-	if b == nil {
-		return c.multiGet(sc, keys)
-	}
-	t0 := time.Now()
-	d0 := c.degraded.Load()
-	values, found, held, err = c.multiGet(sc, keys)
-	b.Add(trace.StageCache, time.Since(t0))
-	// A moved demotion counter means this batch (or, rarely, a concurrent
-	// one) hit the degraded path; marking degraded is the mildest outcome
-	// bit, so the imprecision is harmless.
-	if c.degraded.Load() != d0 {
-		b.Mark(trace.FlagDegraded)
-	}
-	return values, found, held, err
-}
-
-func (c *Client) multiGet(sc trace.SpanContext, keys []string) (values [][]byte, found []bool, held [][]byte, err error) {
+	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
 	values = make([][]byte, len(keys))
 	found = make([]bool, len(keys))
 	if len(keys) == 0 {
@@ -260,7 +244,7 @@ func (c *Client) multiGet(sc trace.SpanContext, keys []string) (values [][]byte,
 				if !c.degrade.Load() {
 					return fail(err)
 				}
-				c.demote()
+				c.demote(sc.Lane())
 				continue
 			}
 			values[i], found[i] = v, f
@@ -274,7 +258,7 @@ func (c *Client) multiGet(sc trace.SpanContext, keys []string) (values [][]byte,
 			if !c.degrade.Load() {
 				return fail(err)
 			}
-			c.demote()
+			c.demote(sc.Lane())
 			groups = nil // every key reads as a miss
 		}
 		for _, g := range groups {
@@ -283,14 +267,14 @@ func (c *Client) multiGet(sc trace.SpanContext, keys []string) (values [][]byte,
 				if !c.degrade.Load() {
 					return fail(err)
 				}
-				c.demote() // one failed RPC, one demotion; g's keys stay misses
+				c.demote(sc.Lane()) // one failed RPC, one demotion; g's keys stay misses
 				continue
 			}
 			held = append(held, h)
 		}
 	}
 	for _, f := range found {
-		sc.Tracer().CountCacheHit(f)
+		sc.Lane().CountCacheHit(f)
 		if f {
 			c.tmHits.Inc()
 		} else {
@@ -313,7 +297,7 @@ func (c *Client) multiGetNode(sc trace.SpanContext, g *nodeBatch, values [][]byt
 	if err != nil {
 		return nil, err
 	}
-	sc.Tracer().CountCacheMsgs(2)
+	sc.Lane().CountCacheMsgs(2)
 	var flags []bool
 	n := 0
 	err = wire.Decode(held, func(d *wire.Decoder) error {
@@ -360,21 +344,7 @@ func (c *Client) MultiSetTTL(keys []string, values [][]byte, ttl time.Duration) 
 // degraded mode a failed node RPC is one counted no-op demotion: the
 // next read of those keys re-populates.
 func (c *Client) MultiSetTTLCtx(sc trace.SpanContext, keys []string, values [][]byte, ttl time.Duration) error {
-	b := sc.Breakdown()
-	if b == nil {
-		return c.multiSetTTLCtx(sc, keys, values, ttl)
-	}
-	t0 := time.Now()
-	d0 := c.degraded.Load()
-	err := c.multiSetTTLCtx(sc, keys, values, ttl)
-	b.Add(trace.StageCache, time.Since(t0))
-	if c.degraded.Load() != d0 {
-		b.Mark(trace.FlagDegraded)
-	}
-	return err
-}
-
-func (c *Client) multiSetTTLCtx(sc trace.SpanContext, keys []string, values [][]byte, ttl time.Duration) error {
+	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
 	if len(keys) != len(values) {
 		return fmt.Errorf("remotecache: MultiSet %d keys but %d values", len(keys), len(values))
 	}
@@ -387,7 +357,7 @@ func (c *Client) multiSetTTLCtx(sc trace.SpanContext, keys []string, values [][]
 				if !c.degrade.Load() {
 					return err
 				}
-				c.demote()
+				c.demote(sc.Lane())
 			}
 		}
 		return nil
@@ -397,7 +367,7 @@ func (c *Client) multiSetTTLCtx(sc trace.SpanContext, keys []string, values [][]
 		if !c.degrade.Load() {
 			return err
 		}
-		c.demote()
+		c.demote(sc.Lane())
 		return nil
 	}
 	for _, g := range groups {
@@ -413,10 +383,10 @@ func (c *Client) multiSetTTLCtx(sc trace.SpanContext, keys []string, values [][]
 			if !c.degrade.Load() {
 				return err
 			}
-			c.demote()
+			c.demote(sc.Lane())
 			continue
 		}
-		sc.Tracer().CountCacheMsgs(2)
+		sc.Lane().CountCacheMsgs(2)
 		var ack MultiAck
 		err = wire.Unmarshal(respBody, &ack)
 		rpc.PutBuffer(respBody)
@@ -437,21 +407,7 @@ func (c *Client) MultiDelete(keys []string) error {
 
 // MultiDeleteCtx is MultiDelete carrying the caller's span context.
 func (c *Client) MultiDeleteCtx(sc trace.SpanContext, keys []string) error {
-	b := sc.Breakdown()
-	if b == nil {
-		return c.multiDeleteCtx(sc, keys)
-	}
-	t0 := time.Now()
-	d0 := c.degraded.Load()
-	err := c.multiDeleteCtx(sc, keys)
-	b.Add(trace.StageCache, time.Since(t0))
-	if c.degraded.Load() != d0 {
-		b.Mark(trace.FlagDegraded)
-	}
-	return err
-}
-
-func (c *Client) multiDeleteCtx(sc trace.SpanContext, keys []string) error {
+	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
 	if len(keys) == 0 {
 		return nil
 	}
@@ -461,7 +417,7 @@ func (c *Client) multiDeleteCtx(sc trace.SpanContext, keys []string) error {
 				if !c.degrade.Load() {
 					return err
 				}
-				c.demote()
+				c.demote(sc.Lane())
 			}
 		}
 		return nil
@@ -471,7 +427,7 @@ func (c *Client) multiDeleteCtx(sc trace.SpanContext, keys []string) error {
 		if !c.degrade.Load() {
 			return err
 		}
-		c.demote()
+		c.demote(sc.Lane())
 		return nil
 	}
 	for _, g := range groups {
@@ -483,10 +439,10 @@ func (c *Client) multiDeleteCtx(sc trace.SpanContext, keys []string) error {
 			if !c.degrade.Load() {
 				return err
 			}
-			c.demote()
+			c.demote(sc.Lane())
 			continue
 		}
-		sc.Tracer().CountCacheMsgs(2)
+		sc.Lane().CountCacheMsgs(2)
 		var ack MultiAck
 		err = wire.Unmarshal(respBody, &ack)
 		rpc.PutBuffer(respBody)

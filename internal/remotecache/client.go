@@ -98,8 +98,10 @@ func (c *Client) Degrade(counter *meter.Counter) {
 // Degraded returns how many cache errors have been demoted so far.
 func (c *Client) Degraded() int64 { return c.degraded.Load() }
 
-// demote records one degraded cache operation.
-func (c *Client) demote() {
+// demote records one degraded cache operation, marking the request whose
+// lane it happened on degraded.
+func (c *Client) demote(l *meter.Lane) {
+	l.Mark(meter.FlagDegraded)
 	c.degraded.Add(1)
 	if c.counter != nil {
 		c.counter.Inc()
@@ -132,27 +134,20 @@ func (c *Client) GetCtx(sc trace.SpanContext, key string) ([]byte, bool, error) 
 // found.
 //
 // The lookup's outcome (including a degraded-mode demotion, which reads
-// as a miss) feeds the trace-level cache hit/miss counters, and the cache
-// RPC's two protocol messages are counted against the request path. With
-// a flight-recorder breakdown attached, the client-observed round trip
-// lands in StageCache and a demotion marks the request degraded.
+// as a miss) is counted on the request's lane as a cache hit or miss, as
+// are the cache RPC's two protocol messages; a demotion marks the request
+// degraded. On a lane a flight recorder armed, the client-observed round
+// trip lands in StageCache.
 func (c *Client) BorrowCtx(sc trace.SpanContext, key string) (value, held []byte, found bool, err error) {
-	b := sc.Breakdown()
-	var t0 time.Time
-	if b != nil {
-		t0 = time.Now()
-	}
+	t0 := sc.Lane().StageClock()
 	value, held, found, err = c.get(sc, key)
-	if b != nil {
-		b.Add(trace.StageCache, time.Since(t0))
-	}
+	sc.Lane().AddStage(meter.StageCache, t0)
 	if err != nil && c.degrade.Load() {
-		c.demote()
-		b.Mark(trace.FlagDegraded)
+		c.demote(sc.Lane())
 		err = nil
 	}
 	if err == nil {
-		sc.Tracer().CountCacheHit(found)
+		sc.Lane().CountCacheHit(found)
 		if found {
 			c.tmHits.Inc()
 		} else {
@@ -188,7 +183,7 @@ func getOn(sc trace.SpanContext, conn rpc.Conn, key string) (value, held []byte,
 	if err != nil {
 		return nil, nil, false, err
 	}
-	sc.Tracer().CountCacheMsgs(2)
+	sc.Lane().CountCacheMsgs(2)
 	err = wire.Decode(held, func(d *wire.Decoder) error {
 		return decodeFields(d, func(f uint32, t wire.Type) (err error) {
 			switch f {
@@ -222,24 +217,14 @@ func (c *Client) SetTTL(key string, value []byte, ttl time.Duration) error {
 
 // SetTTLCtx is SetTTL carrying the caller's span context.
 func (c *Client) SetTTLCtx(sc trace.SpanContext, key string, value []byte, ttl time.Duration) error {
-	b := sc.Breakdown()
-	var t0 time.Time
-	if b != nil {
-		t0 = time.Now()
-	}
+	t0 := sc.Lane().StageClock()
 	err := c.setTTL(sc, key, value, ttl)
-	if b != nil {
-		b.Add(trace.StageCache, time.Since(t0))
+	sc.Lane().AddStage(meter.StageCache, t0)
+	if err != nil && c.degrade.Load() {
+		c.demote(sc.Lane())
+		return nil
 	}
-	if err != nil {
-		if c.degrade.Load() {
-			c.demote()
-			b.Mark(trace.FlagDegraded)
-			return nil
-		}
-		return err
-	}
-	return nil
+	return err
 }
 
 func (c *Client) setTTL(sc trace.SpanContext, key string, value []byte, ttl time.Duration) error {
@@ -272,7 +257,7 @@ func callAck(sc trace.SpanContext, conn rpc.Conn, method string, e *wire.Encoder
 	if err != nil {
 		return false, err
 	}
-	sc.Tracer().CountCacheMsgs(2)
+	sc.Lane().CountCacheMsgs(2)
 	var ack Ack
 	err = wire.Unmarshal(respBody, &ack)
 	rpc.PutBuffer(respBody)
@@ -288,18 +273,11 @@ func (c *Client) Delete(key string) (bool, error) {
 
 // DeleteCtx is Delete carrying the caller's span context.
 func (c *Client) DeleteCtx(sc trace.SpanContext, key string) (bool, error) {
-	b := sc.Breakdown()
-	var t0 time.Time
-	if b != nil {
-		t0 = time.Now()
-	}
+	t0 := sc.Lane().StageClock()
 	ok, err := c.delete(sc, key)
-	if b != nil {
-		b.Add(trace.StageCache, time.Since(t0))
-	}
+	sc.Lane().AddStage(meter.StageCache, t0)
 	if err != nil && c.degrade.Load() {
-		c.demote()
-		b.Mark(trace.FlagDegraded)
+		c.demote(sc.Lane())
 		return false, nil
 	}
 	return ok, err

@@ -64,16 +64,16 @@ func (c *Client) Call(method string, req []byte) ([]byte, error) {
 	return c.call(nil, &frame{kind: frameRequest, method: method, body: req})
 }
 
-// CallCtx implements TraceConn: the hop is recorded as an "rpc" span
-// (annotated rpc.hop=tcp) and counted, and when the request is sampled
-// or carries a deadline the span context is embedded in the frame so the
-// server's spans stitch into this trace by ID and its admission control
-// sees the caller's SLO budget.
+// CallCtx implements TraceConn: the hop is counted on the request's lane
+// and, when sampled, recorded as an "rpc" span (annotated rpc.hop=tcp),
+// and when the request is sampled or carries a deadline the span context
+// is embedded in the frame so the server's spans stitch into this trace
+// by ID and its admission control sees the caller's SLO budget.
 func (c *Client) CallCtx(sc trace.SpanContext, method string, req []byte) ([]byte, error) {
-	if !sc.Traced() && !sc.HasDeadline() {
+	sc.Lane().CountHop()
+	if !sc.Sampled() && !sc.HasDeadline() {
 		return c.call(sc.Lane(), &frame{kind: frameRequest, method: method, body: req})
 	}
-	sc.Tracer().CountHop()
 	act, down := trace.Start(sc, "rpc", method)
 	act.Annotate("rpc.hop", "tcp")
 	f := frame{kind: frameRequest, method: method, body: req}

@@ -62,11 +62,9 @@ func TestLaneCrossesWrappedConn(t *testing.T) {
 // request was billed: the elapsed time of the lane its dispatch opened.
 type costSum struct{ ns atomic.Int64 }
 
-func (c *costSum) Begin(sc trace.SpanContext) trace.SpanContext {
-	return sc.WithBreakdown(&trace.Breakdown{})
-}
+func (c *costSum) Begin(sc trace.SpanContext) trace.SpanContext { return sc }
 func (c *costSum) Done(sc trace.SpanContext, _ string, _ time.Time, _ time.Duration, _ error) {
-	c.ns.Add(int64(sc.Breakdown().Cost()))
+	c.ns.Add(int64(sc.Lane().Busy()))
 }
 
 // TestSocketWaitIsParked: on the wall clock (what every cmd/ binary

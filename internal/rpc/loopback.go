@@ -43,14 +43,15 @@ func (l *Loopback) Call(method string, req []byte) ([]byte, error) {
 	return l.call(trace.SpanContext{}, method, req)
 }
 
-// CallCtx implements TraceConn: the hop is recorded as an "rpc" span
-// (annotated rpc.hop=loopback) and counted, and the span context flows
-// into the server's dispatch.
+// CallCtx implements TraceConn: the hop is counted on the request's lane
+// and, when sampled, recorded as an "rpc" span (annotated
+// rpc.hop=loopback), and the span context flows into the server's
+// dispatch.
 func (l *Loopback) CallCtx(sc trace.SpanContext, method string, req []byte) ([]byte, error) {
-	if !sc.Traced() {
+	sc.Lane().CountHop()
+	if !sc.Sampled() {
 		return l.call(sc, method, req)
 	}
-	sc.Tracer().CountHop()
 	act, down := trace.Start(sc, "rpc", method)
 	act.Annotate("rpc.hop", "loopback")
 	resp, err := l.call(down, method, req)

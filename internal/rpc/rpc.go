@@ -38,12 +38,12 @@ type TraceConn interface {
 }
 
 // CallTraced issues a call with span-context propagation when the
-// context carries anything worth propagating — a tracer, a deadline or
-// the request's metering lane — and the connection supports it, falling
-// back to the context-free path otherwise. Instrumented layers route
-// every call through this helper.
+// context carries anything worth propagating — a sampled trace, a
+// deadline or the request's lane — and the connection supports it,
+// falling back to the context-free path otherwise. Instrumented layers
+// route every call through this helper.
 func CallTraced(conn Conn, sc trace.SpanContext, method string, req []byte) ([]byte, error) {
-	if sc.Traced() || sc.HasDeadline() || sc.Lane() != nil {
+	if sc.Sampled() || sc.HasDeadline() || sc.Lane() != nil {
 		if tc, ok := conn.(TraceConn); ok {
 			return tc.CallCtx(sc, method, req)
 		}
@@ -56,8 +56,9 @@ func CallTraced(conn Conn, sc trace.SpanContext, method string, req []byte) ([]b
 type HandlerFunc func(req []byte) ([]byte, error)
 
 // HandlerCtxFunc is a handler that also receives the caller's span
-// context, so it can open child spans and bump path counters. The
-// context is the zero value when the request arrived untraced.
+// context, so it can open child spans and walk and count on the request's
+// lane. The context is the zero value when the request arrived untraced
+// on an unmetered server.
 type HandlerCtxFunc func(sc trace.SpanContext, req []byte) ([]byte, error)
 
 // ErrNoSuchMethod is returned to callers of unregistered methods.

@@ -14,11 +14,11 @@ import (
 
 // FlightRecorder is the completion-time flight-recorder hook a front-door
 // server drives (implemented by internal/flight, declared here so the
-// transport does not depend on it). Begin attaches the per-request stage
-// accumulator before the handler runs; Done, called after the handler
-// returns, turns the accumulated breakdown into a flight record and makes
-// the tail-retention decision — at completion, when outcome and latency
-// are known.
+// transport does not depend on it). Begin arms the request's lane to time
+// its stages before the handler runs; Done, called after the handler
+// returns with the lane's last lap ended, turns the lane into a flight
+// record and makes the tail-retention decision — at completion, when
+// outcome and latency are known.
 type FlightRecorder interface {
 	Begin(sc trace.SpanContext) trace.SpanContext
 	Done(sc trace.SpanContext, method string, start time.Time, dur time.Duration, err error)
@@ -51,9 +51,8 @@ type Server struct {
 	// metrics, when set, records per-dispatch latency and sizes.
 	metrics *Metrics
 	// flight, when set, records a per-request flight record around each
-	// dispatch. Set only on front-door servers: a request that already
-	// carries a breakdown (a nested in-process dispatch) is not
-	// re-recorded.
+	// dispatch that opens a lane. Set only on front-door servers: a nested
+	// in-process dispatch rides its caller's lane and is not re-recorded.
 	flight FlightRecorder
 
 	lnMu      sync.Mutex
@@ -128,8 +127,8 @@ func (s *Server) Handle(method string, fn HandlerFunc) {
 }
 
 // HandleCtx registers a context-aware handler for method: it receives the
-// caller's span context (zero when the request arrived untraced) so it
-// can record spans and path counters.
+// caller's span context, carrying the request's lane on a metered server,
+// so it can record spans and walk and count on the lane.
 func (s *Server) HandleCtx(method string, fn HandlerCtxFunc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -146,29 +145,27 @@ func (s *Server) Dispatch(method string, req []byte) ([]byte, error) {
 
 // DispatchCtx is Dispatch carrying the caller's span context through to
 // the handler. The outermost metered dispatch of a request — one whose
-// context carries no lane yet — opens the request's metering lane and
-// closes it on return; nested in-process dispatches ride it. On a
-// front-door server with a flight recorder bound, it also brackets the
-// dispatch with the recorder's Begin/Done so every request leaves a
-// completion-time flight record, billed the lane's elapsed busy time;
-// nested dispatches (a context that already carries a breakdown) pass
-// straight through.
+// context carries no lane yet — opens the request's lane, its one record,
+// and closes it on return; nested in-process dispatches ride it. On a
+// server with a flight recorder bound, the dispatch that opens the lane
+// also brackets the handler with the recorder's Begin/Done, so every
+// request leaves one completion-time flight record.
 func (s *Server) DispatchCtx(sc trace.SpanContext, method string, req []byte) ([]byte, error) {
-	var lane *meter.Lane
-	if s.comp != nil && sc.Lane() == nil {
-		lane = meter.OpenLane(s.comp)
-		sc = sc.WithLane(lane)
+	if s.comp == nil || sc.Lane() != nil {
+		return s.dispatch(sc, method, req)
 	}
-	if s.flight != nil && sc.Breakdown() == nil {
-		fsc := s.flight.Begin(sc)
-		t0 := time.Now()
-		resp, err := s.dispatch(fsc, method, req)
-		fsc.AddCost(lane.Close())
-		s.flight.Done(fsc, method, t0, time.Since(t0), err)
-		return resp, err
+	lane := meter.OpenLane(s.comp)
+	defer lane.Close()
+	sc = sc.WithLane(lane)
+	if s.flight == nil {
+		return s.dispatch(sc, method, req)
 	}
+	sc = s.flight.Begin(sc)
+	t0 := time.Now()
 	resp, err := s.dispatch(sc, method, req)
-	lane.Close()
+	dur := time.Since(t0)
+	lane.Park() // the request is done: its last lap ends before Done reads it
+	s.flight.Done(sc, method, t0, dur, err)
 	return resp, err
 }
 

@@ -74,9 +74,11 @@ func TestTracePropagatesOverTCP(t *testing.T) {
 	defer c.Close()
 
 	sc, root := clientTr.StartRequest("read")
-	if _, err := CallTraced(c, sc, "echo", []byte("hi")); err != nil {
+	lane := meter.OpenLane(m.Component("client"))
+	if _, err := CallTraced(c, sc.WithLane(lane), "echo", []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
+	lane.Close()
 	root.End()
 
 	full := clientTr.Last()
@@ -95,7 +97,7 @@ func TestTracePropagatesOverTCP(t *testing.T) {
 	if v, _ := hop.Annotation("rpc.hop"); v != "tcp" {
 		t.Errorf("hop annotated %q, want tcp", v)
 	}
-	if got := clientTr.PathStats().RPCHops; got != 1 {
+	if got := m.Path().RPCHops; got != 1 {
 		t.Errorf("client counted %d hops, want 1", got)
 	}
 
@@ -139,33 +141,35 @@ func (p plainConn) Call(method string, req []byte) ([]byte, error) { return p.in
 func (p plainConn) Close() error                                   { return p.inner.Close() }
 
 func TestCallTracedFallsBackWithoutTraceConn(t *testing.T) {
-	s, _ := newTestServer(t)
-	m := meter.NewMeter()
+	s, m := newTestServer(t)
 	lb := NewLoopback(s, m.Component("app"), meter.NewBurner(), DefaultCost)
 	tr := trace.New(trace.Config{})
 	sc, root := tr.StartRequest("read")
-	resp, err := CallTraced(plainConn{lb}, sc, "echo", []byte("x"))
+	lane := meter.OpenLane(m.Component("app"))
+	resp, err := CallTraced(plainConn{lb}, sc.WithLane(lane), "echo", []byte("x"))
+	lane.Close()
 	root.End()
 	if err != nil || string(resp) != "echo:x" {
 		t.Fatalf("CallTraced via plain conn = %q, %v", resp, err)
 	}
-	if got := tr.PathStats().RPCHops; got != 0 {
+	if got := m.Path().RPCHops; got != 0 {
 		t.Errorf("plain conn counted %d hops, want 0 (no TraceConn)", got)
 	}
 }
 
 func TestLoopbackHopSpanAndDirectZeroHop(t *testing.T) {
-	s, _ := newTestServer(t)
-	m := meter.NewMeter()
+	s, m := newTestServer(t)
 	tr := trace.New(trace.Config{})
 
 	lb := NewLoopback(s, m.Component("app"), meter.NewBurner(), DefaultCost)
 	sc, root := tr.StartRequest("read")
-	if _, err := CallTraced(lb, sc, "echo", []byte("x")); err != nil {
+	lane := meter.OpenLane(m.Component("app"))
+	if _, err := CallTraced(lb, sc.WithLane(lane), "echo", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
+	lane.Close()
 	root.End()
-	if got := tr.PathStats().RPCHops; got != 1 {
+	if got := m.Path().RPCHops; got != 1 {
 		t.Errorf("loopback counted %d hops, want 1", got)
 	}
 	full := tr.Last()
@@ -184,14 +188,16 @@ func TestLoopbackHopSpanAndDirectZeroHop(t *testing.T) {
 
 	// Direct dispatch is in-process shared memory: no hop, no span. This
 	// is the foundation of the Linked architecture's zero-hop invariant.
-	tr.ResetCounters()
+	m.Reset()
 	d := NewDirect(s)
 	sc2, root2 := tr.StartRequest("read")
-	if _, err := CallTraced(d, sc2, "echo", []byte("x")); err != nil {
+	lane = meter.OpenLane(m.Component("app"))
+	if _, err := CallTraced(d, sc2.WithLane(lane), "echo", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
+	lane.Close()
 	root2.End()
-	if got := tr.PathStats().RPCHops; got != 0 {
+	if got := m.Path().RPCHops; got != 0 {
 		t.Errorf("direct counted %d hops, want 0", got)
 	}
 	for _, sp := range tr.Last().Spans {

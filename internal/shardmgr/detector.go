@@ -8,6 +8,7 @@
 package shardmgr
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -110,9 +111,14 @@ func fnvMix(key string) uint32 {
 // serve path, where a one-off key would otherwise evict, allocate and
 // clone on every op — into one array increment, while a genuinely
 // heating key still crosses the gate within ~min occurrences. The
-// estimate invariant survives: an admitted key enters with count = its
-// filter mass c (an overestimate — the slot is shared) and err = c-1,
-// so true_count ∈ [Count-Err, Count] still brackets.
+// estimate invariant rests on one more invariant: every unmonitored key's
+// true count is at most its slot's mass. An admitted key then enters with
+// count = its slot's mass + 1 (an overestimate — the slot is shared) and
+// err = count-1, so true_count ∈ [Count-Err, Count] brackets; and an
+// evicted counter's count goes back into its own slot, as filtered
+// space-saving prescribes, so a key evicted early and heating up again
+// re-enters at or above its true count. Neither admission nor eviction
+// lowers a slot's mass: other unmonitored keys may share it.
 func (d *Detector) Record(key string) {
 	s := &d.stripes[stripeIndex()]
 	s.mu.Lock()
@@ -136,22 +142,21 @@ func (d *Detector) Record(key string) {
 		return
 	}
 	// Admission: evict the true minimum counter (exact scan — the cached
-	// gate may run slightly behind) and monitor this key at its filter
-	// estimate. The slot's mass moved into the monitored entry, so the
-	// slot resets.
+	// gate may run slightly behind; ties go to the smallest key, so the
+	// sketch does not depend on map order), return its count to its slot,
+	// and monitor this key at its filter estimate.
 	var minKey string
-	minCount := int64(1<<63 - 1)
+	minCount := int64(math.MaxInt64)
 	for k, e := range s.counts {
-		if e.count < minCount {
+		if e.count < minCount || e.count == minCount && k < minKey {
 			minKey, minCount = k, e.count
 		}
 	}
-	if c < minCount+1 {
-		c = minCount + 1
-	}
+	c = max(c, minCount+1)
 	delete(s.counts, minKey)
+	evicted := fnvMix(minKey) & (filterSlots - 1)
+	s.filter[evicted] = max(s.filter[evicted], uint32(min(minCount, math.MaxUint32)))
 	s.counts[strings.Clone(key)] = &ssEntry{count: c, err: c - 1}
-	s.filter[slot] = 0
 	s.min = minCount // stale-low is safe: it only re-opens the gate early
 	s.mu.Unlock()
 }

@@ -40,6 +40,36 @@ func TestDetectorFindsHeavyHitters(t *testing.T) {
 	}
 }
 
+// A key evicted early must re-enter at or above its true count: filtered
+// space-saving returns an evicted counter's count to its filter slot.
+// The minimum is unique at every eviction in this stream, so the sketch
+// is deterministic and a dropped count fails on every run.
+func TestDetectorEvictedKeyReentersAboveTruth(t *testing.T) {
+	d := NewDetector(8)
+	truth := make(map[string]int64)
+	rec := func(key string, n int) {
+		for i := 0; i < n; i++ {
+			d.Record(key)
+			truth[key]++
+		}
+	}
+	for i := 1; i <= 7; i++ {
+		rec(fmt.Sprintf("heavy%d", i), 100)
+	}
+	rec("x", 5) // the lightest of the eight monitored keys...
+	rec("y", 1) // ...evicted when y is admitted
+	rec("x", 6) // x heats up again and is re-admitted
+	top := d.TopK(0)
+	if len(top) != 8 {
+		t.Fatalf("TopK(0) returned %d keys, want the 8 monitored", len(top))
+	}
+	for _, hk := range top {
+		if tr := truth[hk.Key]; tr > hk.Count || tr < hk.Count-hk.Err {
+			t.Errorf("key %s: true count %d outside [%d, %d]", hk.Key, tr, hk.Count-hk.Err, hk.Count)
+		}
+	}
+}
+
 // The detector clones keys on insert, so callers may feed it strings
 // aliasing reused transport buffers (the cache server's zero-copy
 // decode). Mutating the buffer after Record must not corrupt the

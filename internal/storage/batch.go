@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
 	"cachecost/internal/storage/plan"
 	"cachecost/internal/storage/sql"
@@ -15,7 +16,7 @@ import (
 // template once per bound parameter — the "WHERE k = ?" point-read N
 // keys at a time. The batch pays the per-statement overheads ONCE:
 // one request decode and parse, one SQL front-end burn, one lease
-// validation, one trace statement count, one response frame. Only the
+// validation, one path statement count, one response frame. Only the
 // per-row executor and storage-engine work scales with N — exactly the
 // amortization the paper's cost model says batching should buy (§2.3),
 // since the front-end work it cannot elide dominates point reads.
@@ -75,16 +76,7 @@ func (c *Client) BatchQueryCtx(sc trace.SpanContext, src string, params []sql.Va
 	if len(params) == 0 {
 		return nil, nil
 	}
-	if b := sc.Breakdown(); b != nil {
-		t0 := time.Now()
-		rs, err := c.batchQueryInner(sc, src, params)
-		b.Add(trace.StageStorage, time.Since(t0))
-		return rs, err
-	}
-	return c.batchQueryInner(sc, src, params)
-}
-
-func (c *Client) batchQueryInner(sc trace.SpanContext, src string, params []sql.Value) ([]*plan.ResultSet, error) {
+	defer sc.Lane().AddStage(meter.StageStorage, sc.Lane().StageClock())
 	e := wire.GetEncoder()
 	e.String(1, src)
 	for _, p := range params {
@@ -117,7 +109,7 @@ func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error
 	defer n.mu.Unlock()
 	// One batch is one statement against the path model: the per-key rows
 	// all come from a single parsed plan.
-	sc.Tracer().CountStatement()
+	lane.CountStatement()
 	defer n.histBatch.ObserveSince(time.Now())
 
 	q, stmt, sqlAct, err := n.parseStatement(sc, req)

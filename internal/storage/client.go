@@ -1,8 +1,7 @@
 package storage
 
 import (
-	"time"
-
+	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
 	"cachecost/internal/storage/plan"
 	"cachecost/internal/storage/sql"
@@ -48,20 +47,11 @@ func (c *Client) ExecCtx(sc trace.SpanContext, src string, params ...sql.Value) 
 // ResultSet decoder copies every string and blob out of its input, so the
 // response is dead once Unmarshal returns.
 //
-// When the request carries a flight-recorder breakdown, the whole
-// client-observed round trip — marshal, hop, server occupancy (injected
-// stalls included), decode — lands in StageStorage.
+// On a lane a flight recorder armed, the whole client-observed round trip
+// — marshal, hop, server occupancy (injected stalls included), decode —
+// lands in StageStorage.
 func (c *Client) roundTrip(sc trace.SpanContext, method, src string, params []sql.Value) (*plan.ResultSet, error) {
-	if b := sc.Breakdown(); b != nil {
-		t0 := time.Now()
-		rs, err := c.roundTripInner(sc, method, src, params)
-		b.Add(trace.StageStorage, time.Since(t0))
-		return rs, err
-	}
-	return c.roundTripInner(sc, method, src, params)
-}
-
-func (c *Client) roundTripInner(sc trace.SpanContext, method, src string, params []sql.Value) (*plan.ResultSet, error) {
+	defer sc.Lane().AddStage(meter.StageStorage, sc.Lane().StageClock())
 	// QueryRequest shape {1: sql, 2: param...}, encoded from the pool.
 	e := wire.GetEncoder()
 	e.String(1, src)
@@ -87,18 +77,10 @@ func (c *Client) Version(table string, pk sql.Value) (uint64, bool, error) {
 	return c.VersionCtx(trace.SpanContext{}, table, pk)
 }
 
-// VersionCtx is Version carrying the caller's span context.
+// VersionCtx is Version carrying the caller's span context; its round
+// trip is StageStorage time, like roundTrip's.
 func (c *Client) VersionCtx(sc trace.SpanContext, table string, pk sql.Value) (uint64, bool, error) {
-	if b := sc.Breakdown(); b != nil {
-		t0 := time.Now()
-		v, found, err := c.versionInner(sc, table, pk)
-		b.Add(trace.StageStorage, time.Since(t0))
-		return v, found, err
-	}
-	return c.versionInner(sc, table, pk)
-}
-
-func (c *Client) versionInner(sc trace.SpanContext, table string, pk sql.Value) (uint64, bool, error) {
+	defer sc.Lane().AddStage(meter.StageStorage, sc.Lane().StageClock())
 	// VersionRequest shape {1: table, 2: pk}.
 	e := wire.GetEncoder()
 	e.String(1, table)

@@ -470,7 +470,7 @@ func (n *Node) handleQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
 	lane := sc.Lane()
 	n.lock(lane)
 	defer n.mu.Unlock()
-	sc.Tracer().CountStatement()
+	lane.CountStatement()
 	defer n.histQuery.ObserveSince(time.Now())
 
 	q, stmt, sqlAct, err := n.parseStatement(sc, req)
@@ -504,7 +504,7 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 	lane := sc.Lane()
 	n.lock(lane)
 	defer n.mu.Unlock()
-	sc.Tracer().CountStatement()
+	lane.CountStatement()
 	defer n.histExec.ObserveSince(time.Now())
 
 	q, stmt, sqlAct, err := n.parseStatement(sc, req)
@@ -533,16 +533,10 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 	// The replication slice of the write is informational sub-stage time:
 	// for an in-process request it is already inside the client-observed
 	// StageStorage, so conservation sums exclude StageRaft.
-	b := sc.Breakdown()
-	var raftT0 time.Time
-	if b != nil {
-		raftT0 = time.Now()
-	}
+	raftT0 := lane.StageClock()
 	lane.Enter(n.raftComp) // the ships' laps; each replica's apply walks on from here
 	_, perr := n.group.ProposeCtx(sc, cmd)
-	if b != nil {
-		b.Add(trace.StageRaft, time.Since(raftT0))
-	}
+	lane.AddStage(meter.StageRaft, raftT0)
 	if perr != nil {
 		return nil, perr
 	}
@@ -564,7 +558,7 @@ func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
 	lane := sc.Lane()
 	n.lock(lane)
 	defer n.mu.Unlock()
-	sc.Tracer().CountStatement()
+	lane.CountStatement()
 	defer n.histVersion.ObserveSince(time.Now())
 
 	lane.EnterOp(n.sqlComp)

@@ -320,7 +320,7 @@ func (g *Group) ProposeCtx(sc trace.SpanContext, cmd Command) (int, error) {
 		}
 		shipAct.End()
 	}
-	sc.Tracer().CountRaftShips(ships)
+	sc.Lane().CountRaftShips(ships)
 	g.ships += ships
 	act.AnnotateInt("raft.fanout", ships)
 	if acks <= len(g.nodes)/2 {

@@ -1,13 +1,14 @@
 // Package assert is the trace-assertion harness: helpers for tests that
 // check the paper's path model structurally — "a Linked hit crosses zero
 // network hops", "a Remote hit issues two cache messages and no storage
-// statement" — against captured traces and path counters, rather than
-// against priced outcomes.
+// statement" — against captured traces and the meter's path counts,
+// rather than against priced outcomes.
 package assert
 
 import (
 	"fmt"
 
+	"cachecost/internal/meter"
 	"cachecost/internal/trace"
 )
 
@@ -93,7 +94,7 @@ func Parented(t T, tr *trace.Trace) {
 // PathPerOp asserts that stats, accumulated over ops operations, match
 // the per-operation expectation exactly (want fields are per-op counts;
 // Requests in want is ignored — it is checked against ops).
-func PathPerOp(t T, stats trace.PathStats, ops int64, want trace.PathStats) {
+func PathPerOp(t T, stats meter.PathStats, ops int64, want meter.PathStats) {
 	t.Helper()
 	if stats.Requests != ops {
 		t.Errorf("path stats: %d requests counted, want %d", stats.Requests, ops)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cachecost/internal/meter"
 	"cachecost/internal/trace"
 )
 
@@ -120,17 +121,17 @@ func TestParented(t *testing.T) {
 
 func TestPathPerOp(t *testing.T) {
 	var r recorder
-	stats := trace.PathStats{Requests: 10, RPCHops: 10, SQLStatements: 10}
-	PathPerOp(&r, stats, 10, trace.PathStats{RPCHops: 1, SQLStatements: 1})
+	stats := meter.PathStats{Requests: 10, RPCHops: 10, SQLStatements: 10}
+	PathPerOp(&r, stats, 10, meter.PathStats{RPCHops: 1, SQLStatements: 1})
 	if len(r.failures) != 0 {
 		t.Fatalf("matching stats failed: %v", r.failures)
 	}
-	PathPerOp(&r, stats, 10, trace.PathStats{RPCHops: 2})
+	PathPerOp(&r, stats, 10, meter.PathStats{RPCHops: 2})
 	if len(r.failures) == 0 {
 		t.Fatal("hop mismatch not detected")
 	}
 	r.failures = nil
-	PathPerOp(&r, stats, 5, trace.PathStats{RPCHops: 2, SQLStatements: 2})
+	PathPerOp(&r, stats, 5, meter.PathStats{RPCHops: 2, SQLStatements: 2})
 	if len(r.failures) == 0 {
 		t.Fatal("request-count mismatch not detected")
 	}

@@ -1,22 +1,19 @@
 // Package trace provides request-scoped tracing for the cachecost
 // laboratory. The paper's cost claims are ultimately claims about request
 // *paths* — how many RPC hops, (de)serializations, storage statements and
-// replication fan-outs each architecture pays per operation (§5.3, §5.5) —
-// and the meter can only check the priced outcome, not the path. This
-// package records the path itself: every instrumented layer opens a span
-// (component, op, duration, bytes in/out, annotations such as "cache.hit"
-// or "raft.fanout"), and a SpanContext threads through both RPC transports
-// so spans taken on different sides of a hop stitch into one trace.
+// replication fan-outs each architecture pays per operation (§5.3, §5.5).
+// The request's metering lane (meter.Lane) counts that path exactly on
+// every request; this package records it in detail for a sample: every
+// instrumented layer opens a span (component, op, duration, bytes in/out,
+// annotations such as "cache.hit" or "raft.fanout"), spans are captured
+// 1-in-N into a ring buffer of the last N completed traces, exportable as
+// Chrome trace-event JSON, and a SpanContext threads through both RPC
+// transports so spans taken on different sides of a hop stitch into one
+// trace.
 //
-// Two observation surfaces coexist:
-//
-//   - Path counters (PathStats) are exact aggregates over every request,
-//     sampled or not: network hops, cache messages, SQL statements, raft
-//     ships, cache hits/misses, injected faults. The experiment driver
-//     snapshots them per metered window, so a run's structural shape
-//     (hops/op, statements/op) sits next to its cost in RunResult.
-//   - Span capture is sampled (1-in-N) into a ring buffer of the last N
-//     completed traces, exportable as Chrome trace-event JSON.
+// The SpanContext is also what the request carries down its path, traced
+// or not: its SLO deadline (across transports), its intended arrival
+// instant and its lane (in process only).
 //
 // Tracing is off when no Tracer is configured: the zero SpanContext is
 // inert, every method is nil-safe, and instrumented hot paths pay only a
@@ -91,10 +88,10 @@ type activeTrace struct {
 }
 
 // SpanContext is the propagated identity of the current request: which
-// trace (if any) is recording, which span is the parent, and which Tracer
-// owns the path counters. The zero value means "tracing off" and makes
-// every operation a no-op. Contexts are passed by value down the request
-// path and across transports (see internal/wire's trace-context block).
+// trace (if any) is recording and which span is the parent. The zero
+// value means "tracing off" and makes every operation a no-op. Contexts
+// are passed by value down the request path and across transports (see
+// internal/wire's trace-context block).
 type SpanContext struct {
 	t     *Tracer
 	at    *activeTrace // in-process fast path; nil after a wire crossing
@@ -110,12 +107,9 @@ type SpanContext struct {
 	// intended is the request's intended arrival instant in unix
 	// nanoseconds (0: none); see WithIntendedUnixNano. In-process only.
 	intended int64
-	// b is the always-on per-request stage accumulator attached by the
-	// flight recorder (see stage.go). In-process only: like at, it does
+	// lane is the request's record (see meter.Lane), opened by the
+	// outermost metered rpc dispatch. In-process only: like at, it does
 	// not cross a wire hop.
-	b *Breakdown
-	// lane is the request's busy-clock partition (see meter.Lane), opened
-	// by the outermost metered rpc dispatch. In-process only.
 	lane *meter.Lane
 }
 
@@ -129,15 +123,19 @@ func (sc SpanContext) WithLane(l *meter.Lane) SpanContext {
 // nil-safe, so `sc.Lane().Enter(c)` is always legal.
 func (sc SpanContext) Lane() *meter.Lane { return sc.lane }
 
-// Traced reports whether a Tracer is attached (path counters are live).
-func (sc SpanContext) Traced() bool { return sc.t != nil }
+// WithIntendedUnixNano returns sc carrying the request's intended arrival
+// instant (open-loop schedule slot) in unix nanoseconds; 0 clears. The
+// flight recorder measures queue wait and intended-clock latency from it.
+func (sc SpanContext) WithIntendedUnixNano(ns int64) SpanContext {
+	sc.intended = ns
+	return sc
+}
+
+// IntendedUnixNano returns the intended arrival instant (0 if none).
+func (sc SpanContext) IntendedUnixNano() int64 { return sc.intended }
 
 // Sampled reports whether this request is recording spans.
 func (sc SpanContext) Sampled() bool { return sc.t != nil && sc.trace != 0 }
-
-// Tracer returns the attached Tracer, or nil. All Tracer methods are
-// nil-safe, so `sc.Tracer().CountHop()` is always legal.
-func (sc SpanContext) Tracer() *Tracer { return sc.t }
 
 // TraceID returns the trace identity for wire encoding (0 if unsampled).
 func (sc SpanContext) TraceID() uint64 { return uint64(sc.trace) }
@@ -287,8 +285,7 @@ func Start(sc SpanContext, component, op string) (Active, SpanContext) {
 // Config parameterizes a Tracer.
 type Config struct {
 	// SampleEvery records spans for one request in every SampleEvery.
-	// Values <= 1 sample every request. Path counters always count every
-	// request regardless of sampling.
+	// Values <= 1 sample every request.
 	SampleEvery int
 	// Capacity is how many completed traces the ring buffer retains.
 	// Default 16.
@@ -298,51 +295,15 @@ type Config struct {
 	Now func() time.Time
 }
 
-// PathStats are the exact per-window path counters, independent of span
-// sampling. All counts are totals since the last ResetCounters.
-type PathStats struct {
-	// Requests is the number of client-visible requests started.
-	Requests int64
-	// RPCHops counts network hops (loopback or TCP message round trips);
-	// in-process Direct calls are not hops.
-	RPCHops int64
-	// CacheMsgs counts remote-cache protocol messages (request and
-	// response each count one, so one cache RPC is two messages).
-	CacheMsgs int64
-	// SQLStatements counts statements served by the storage front-end,
-	// including §5.5 version checks.
-	SQLStatements int64
-	// RaftShips counts AppendEntries ships to followers (the write
-	// fan-out, N_r-1 per committed proposal with all replicas up).
-	RaftShips int64
-	// CacheHits/CacheMisses count remote-cache lookups by outcome.
-	CacheHits, CacheMisses int64
-	// LinkedHits/LinkedMisses count in-process (linked) cache lookups.
-	LinkedHits, LinkedMisses int64
-	// Faults counts injected fault decisions that stalled or failed a
-	// call.
-	Faults int64
-}
-
-// pathCounters is the atomic backing store for PathStats.
-type pathCounters struct {
-	requests, hops, cacheMsgs, statements, raftShips atomic.Int64
-	cacheHits, cacheMisses                           atomic.Int64
-	linkedHits, linkedMisses                         atomic.Int64
-	faults                                           atomic.Int64
-}
-
-// Tracer samples request traces into a ring buffer and keeps exact path
-// counters. All methods are safe for concurrent use and nil-safe, so a
-// disabled deployment simply passes a nil *Tracer around.
+// Tracer samples request traces into a ring buffer. All methods are safe
+// for concurrent use and nil-safe, so a disabled deployment simply passes
+// a nil *Tracer around.
 type Tracer struct {
 	cfg Config
 
 	seq       atomic.Uint64 // sampling sequence; never reset
 	nextTrace atomic.Uint64
 	nextSpan  atomic.Uint64
-
-	c pathCounters
 
 	mu       sync.Mutex
 	inflight map[TraceID]*activeTrace
@@ -369,17 +330,15 @@ func (t *Tracer) now() time.Time {
 
 // StartRequest opens the root span of a new request trace, applying the
 // sampling decision. The returned context is what the request path should
-// carry; the returned handle ends the root span. On a nil tracer both
-// returns are inert; on an unsampled request the context still carries
-// the tracer so path counters keep counting.
+// carry; the returned handle ends the root span. On a nil tracer or an
+// unsampled request both returns are inert.
 func (t *Tracer) StartRequest(op string) (SpanContext, Active) {
 	if t == nil {
 		return SpanContext{}, Active{}
 	}
-	t.c.requests.Add(1)
 	n := t.seq.Add(1)
 	if t.cfg.SampleEvery > 1 && (n-1)%uint64(t.cfg.SampleEvery) != 0 {
-		return SpanContext{t: t}, Active{}
+		return SpanContext{}, Active{}
 	}
 	id := TraceID(t.nextTrace.Add(1))
 	at := &activeTrace{id: id, t0: t.now()}
@@ -391,25 +350,14 @@ func (t *Tracer) StartRequest(op string) (SpanContext, Active) {
 	return sp.context(), sp
 }
 
-// Background returns an unsampled context bound to t, so path counters
-// fire for requests that arrived without any wire context. Nil-safe.
-func (t *Tracer) Background() SpanContext {
-	if t == nil {
-		return SpanContext{}
-	}
-	return SpanContext{t: t}
-}
-
 // Join rebuilds a context from wire-decoded identities, binding it to
 // this tracer. Spans started under a joined context land in a local trace
 // fragment carrying the remote trace ID, so cross-process traces stitch
-// by ID at export time. Nil-safe.
+// by ID at export time. An unsampled identity joins as the inert context.
+// Nil-safe.
 func (t *Tracer) Join(traceID, spanID uint64, sampled bool) SpanContext {
-	if t == nil {
+	if t == nil || !sampled || traceID == 0 {
 		return SpanContext{}
-	}
-	if !sampled || traceID == 0 {
-		return SpanContext{t: t}
 	}
 	return SpanContext{t: t, trace: TraceID(traceID), span: SpanID(spanID)}
 }
@@ -436,7 +384,7 @@ func (t *Tracer) start(sc SpanContext, component, op string) (Active, SpanContex
 	at.mu.Unlock()
 	a := Active{t: t, at: at, idx: idx}
 	return a, SpanContext{t: t, at: at, trace: at.id, span: sid,
-		deadline: sc.deadline, intended: sc.intended, b: sc.b, lane: sc.lane}
+		deadline: sc.deadline, intended: sc.intended, lane: sc.lane}
 }
 
 // context rebuilds the handle's own span context (used for the root).
@@ -513,107 +461,4 @@ func (t *Tracer) ResetTraces() {
 	t.mu.Lock()
 	t.ring = nil
 	t.mu.Unlock()
-}
-
-// ResetCounters zeroes the path counters; the experiment driver calls it
-// at the metered-window boundary so PathStats cover only metered ops.
-func (t *Tracer) ResetCounters() {
-	if t == nil {
-		return
-	}
-	t.c.requests.Store(0)
-	t.c.hops.Store(0)
-	t.c.cacheMsgs.Store(0)
-	t.c.statements.Store(0)
-	t.c.raftShips.Store(0)
-	t.c.cacheHits.Store(0)
-	t.c.cacheMisses.Store(0)
-	t.c.linkedHits.Store(0)
-	t.c.linkedMisses.Store(0)
-	t.c.faults.Store(0)
-}
-
-// PathStats snapshots the path counters. Nil-safe (zero stats).
-func (t *Tracer) PathStats() PathStats {
-	if t == nil {
-		return PathStats{}
-	}
-	return PathStats{
-		Requests:      t.c.requests.Load(),
-		RPCHops:       t.c.hops.Load(),
-		CacheMsgs:     t.c.cacheMsgs.Load(),
-		SQLStatements: t.c.statements.Load(),
-		RaftShips:     t.c.raftShips.Load(),
-		CacheHits:     t.c.cacheHits.Load(),
-		CacheMisses:   t.c.cacheMisses.Load(),
-		LinkedHits:    t.c.linkedHits.Load(),
-		LinkedMisses:  t.c.linkedMisses.Load(),
-		Faults:        t.c.faults.Load(),
-	}
-}
-
-// CountHop records one network hop. Nil-safe, like every counter below.
-func (t *Tracer) CountHop() {
-	if t == nil {
-		return
-	}
-	t.c.hops.Add(1)
-}
-
-// CountCacheMsgs records n remote-cache protocol messages.
-func (t *Tracer) CountCacheMsgs(n int64) {
-	if t == nil {
-		return
-	}
-	t.c.cacheMsgs.Add(n)
-}
-
-// CountStatement records one storage statement (query, write or version
-// check).
-func (t *Tracer) CountStatement() {
-	if t == nil {
-		return
-	}
-	t.c.statements.Add(1)
-}
-
-// CountRaftShips records n AppendEntries ships to followers.
-func (t *Tracer) CountRaftShips(n int64) {
-	if t == nil {
-		return
-	}
-	t.c.raftShips.Add(n)
-}
-
-// CountCacheHit records a remote-cache lookup outcome.
-func (t *Tracer) CountCacheHit(hit bool) {
-	if t == nil {
-		return
-	}
-	if hit {
-		t.c.cacheHits.Add(1)
-	} else {
-		t.c.cacheMisses.Add(1)
-	}
-}
-
-// CountLinkedHit records an in-process cache lookup outcome.
-func (t *Tracer) CountLinkedHit(hit bool) {
-	if t == nil {
-		return
-	}
-	if hit {
-		t.c.linkedHits.Add(1)
-	} else {
-		t.c.linkedMisses.Add(1)
-	}
-}
-
-// CountFault records one injected fault (stall, error, kill or
-// blackhole) that altered a call.
-func (t *Tracer) CountFault() {
-	if t == nil {
-		return
-	}
-	t.c.faults.Add(1)
 }

@@ -19,8 +19,8 @@ func fixedClock() func() time.Time {
 func TestStartRequestRecordsTree(t *testing.T) {
 	tr := New(Config{Now: fixedClock()})
 	sc, root := tr.StartRequest("read")
-	if !sc.Traced() || !sc.Sampled() {
-		t.Fatalf("sampled request context: Traced=%v Sampled=%v", sc.Traced(), sc.Sampled())
+	if !sc.Sampled() {
+		t.Fatal("sampled request context is not sampled")
 	}
 	child, csc := Start(sc, "app", "read")
 	grand, _ := Start(csc, "storage.sql", "parse")
@@ -71,9 +71,6 @@ func TestSamplingOneInN(t *testing.T) {
 		if sc.Sampled() {
 			sampled++
 		}
-		if !sc.Traced() {
-			t.Fatal("unsampled request lost its tracer: path counters would stop")
-		}
 		act.End()
 	}
 	if sampled != 3 {
@@ -81,9 +78,6 @@ func TestSamplingOneInN(t *testing.T) {
 	}
 	if got := len(tr.Traces()); got != 3 {
 		t.Errorf("%d completed traces, want 3", got)
-	}
-	if got := tr.PathStats().Requests; got != 12 {
-		t.Errorf("counted %d requests, want 12 (counters are exact, not sampled)", got)
 	}
 }
 
@@ -157,63 +151,25 @@ func TestJoinStitchesFragmentByID(t *testing.T) {
 		t.Error("server span lost its remote parent")
 	}
 
-	// Unsampled and zero-ID joins stay counter-only.
+	// Unsampled and zero-ID joins record nothing.
 	if server.Join(0, 0, true).Sampled() {
 		t.Error("zero trace ID must not sample")
 	}
 	if server.Join(7, 1, false).Sampled() {
 		t.Error("unsampled flag must not sample")
 	}
-	if !server.Join(7, 1, false).Traced() {
-		t.Error("unsampled join must keep the tracer for counters")
-	}
-}
-
-func TestPathCountersAndReset(t *testing.T) {
-	tr := New(Config{})
-	tr.CountHop()
-	tr.CountHop()
-	tr.CountCacheMsgs(2)
-	tr.CountStatement()
-	tr.CountRaftShips(2)
-	tr.CountCacheHit(true)
-	tr.CountCacheHit(false)
-	tr.CountLinkedHit(true)
-	tr.CountLinkedHit(false)
-	tr.CountFault()
-	got := tr.PathStats()
-	want := PathStats{RPCHops: 2, CacheMsgs: 2, SQLStatements: 1, RaftShips: 2,
-		CacheHits: 1, CacheMisses: 1, LinkedHits: 1, LinkedMisses: 1, Faults: 1}
-	if got != want {
-		t.Errorf("PathStats = %+v, want %+v", got, want)
-	}
-	tr.ResetCounters()
-	if tr.PathStats() != (PathStats{}) {
-		t.Errorf("ResetCounters left %+v", tr.PathStats())
-	}
 }
 
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
 	sc, act := tr.StartRequest("read")
-	if sc.Traced() || sc.Sampled() || act.Recording() {
+	if sc.Sampled() || act.Recording() {
 		t.Fatal("nil tracer produced a live context")
 	}
 	// Every path must be a no-op, not a panic.
-	tr.CountHop()
-	tr.CountCacheMsgs(2)
-	tr.CountStatement()
-	tr.CountRaftShips(1)
-	tr.CountCacheHit(true)
-	tr.CountLinkedHit(false)
-	tr.CountFault()
-	tr.ResetCounters()
 	tr.ResetTraces()
-	if tr.PathStats() != (PathStats{}) || tr.Traces() != nil || tr.Last() != nil {
+	if tr.Traces() != nil || tr.Last() != nil {
 		t.Fatal("nil tracer returned non-zero observations")
-	}
-	if tr.Background().Traced() {
-		t.Fatal("nil Background traced")
 	}
 	child, csc := Start(sc, "app", "read")
 	child.Annotate("k", "v")
@@ -221,8 +177,8 @@ func TestNilTracerIsInert(t *testing.T) {
 	child.AnnotateBool("b", true)
 	child.SetBytes(1, 2)
 	child.End()
-	if csc.Traced() {
-		t.Fatal("child of inert context traced")
+	if csc.Sampled() {
+		t.Fatal("child of inert context sampled")
 	}
 }
 
@@ -262,8 +218,5 @@ func TestConcurrentRequestsDoNotInterleave(t *testing.T) {
 				t.Fatalf("trace %d: span %d parented outside the trace", got.ID, sp.ID)
 			}
 		}
-	}
-	if got := tr.PathStats().Requests; got != workers*each {
-		t.Errorf("counted %d requests, want %d", got, workers*each)
 	}
 }
