@@ -12,16 +12,21 @@ import (
 // state (Put-ing a bare []byte into a sync.Pool would box the header on
 // every call).
 var (
-	// bufPool holds recycled buffers, boxed in *[]byte.
-	bufPool = sync.Pool{New: func() any { return new([]byte) }}
+	// bufPool holds recycled buffers, boxed in *[]byte. It has no New: a
+	// miss is a nil buffer, not an empty box.
+	bufPool sync.Pool
 	// hdrPool holds spare *[]byte boxes whose buffer has been handed out.
 	hdrPool = sync.Pool{New: func() any { return new([]byte) }}
 )
 
-// GetBuffer returns a zero-length buffer with reusable capacity. Pair it
-// with PutBuffer once the contents are dead.
+// GetBuffer returns a zero-length buffer with reusable capacity, or nil
+// when the pool is empty, so the caller's append allocates only the bytes
+// it needs. Pair it with PutBuffer once the contents are dead.
 func GetBuffer() []byte {
-	bp := bufPool.Get().(*[]byte)
+	bp, _ := bufPool.Get().(*[]byte)
+	if bp == nil {
+		return nil
+	}
 	b := (*bp)[:0]
 	*bp = nil
 	hdrPool.Put(bp)
@@ -53,6 +58,20 @@ func PutBuffers(bs [][]byte) {
 	for _, b := range bs {
 		PutBuffer(b)
 	}
+}
+
+// maxKeptBuffer bounds the scratch a socket endpoint keeps between frames
+// (a client's write buffer, a server worker's encode buffer, a pooled
+// request body): one left larger by a rare big frame is dropped, not
+// pinned by an idle connection.
+const maxKeptBuffer = 64 << 10
+
+// keep returns b emptied for reuse, or nil when it is too large to hold.
+func keep(b []byte) []byte {
+	if cap(b) > maxKeptBuffer {
+		return nil
+	}
+	return b[:0]
 }
 
 // poisonByte is what a released buffer is filled with in race builds.

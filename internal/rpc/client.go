@@ -12,16 +12,20 @@ import (
 
 // Client is a multiplexing TCP connection to a Server. Many goroutines may
 // Call concurrently over one Client; responses are matched to callers by
-// frame ID.
+// frame ID. Each in-flight call holds a slot from the client's free list
+// and each request is encoded into the client's one write buffer, so a
+// steady-state call allocates nothing.
 type Client struct {
 	conn net.Conn
 
-	wmu sync.Mutex // serializes writes
+	wmu  sync.Mutex // serializes writes
+	wbuf []byte     // frame-encode buffer, guarded by wmu
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan callResult
-	err     error // sticky transport error
+	pending map[uint64]*pendingCall
+	free    []*pendingCall // idle call slots
+	err     error          // sticky transport error
 
 	comp    *meter.Component // caller-side overhead attribution; may be nil
 	burner  *meter.Burner
@@ -29,16 +33,17 @@ type Client struct {
 	metrics *Metrics // per-message telemetry; may be nil
 }
 
+// pendingCall is a reusable call slot. Whoever takes it out of pending —
+// readLoop with the response, or fail — fills res and signals done once;
+// the caller reads res and returns the slot to the free list.
+type pendingCall struct {
+	done chan struct{} // capacity 1
+	res  callResult
+}
+
 type callResult struct {
 	body []byte
 	err  error
-}
-
-// frameBufPool recycles frame-encode scratch buffers on both the client
-// and server write paths. Frames are fully written to the socket before
-// the buffer is returned, so steady-state encoding allocates nothing.
-var frameBufPool = sync.Pool{
-	New: func() any { return new([]byte) },
 }
 
 // Dial connects to a Server at addr. comp (optional) receives the caller's
@@ -50,7 +55,7 @@ func Dial(addr string, comp *meter.Component, burner *meter.Burner, cost CostMod
 	}
 	c := &Client{
 		conn:    conn,
-		pending: make(map[uint64]chan callResult),
+		pending: make(map[uint64]*pendingCall),
 		comp:    comp,
 		burner:  burner,
 		cost:    cost,
@@ -95,47 +100,44 @@ func (c *Client) SetMetrics(m *Metrics) { c.metrics = m }
 
 // call sends one pre-built request frame (kind, method, body and trace
 // context set by the caller) and waits for its response. The caller's
-// lane is parked across the wait: time on the socket is nobody's CPU.
+// lane is parked across the wait: time on the socket is nobody's CPU. A
+// call on a connection that has already failed is counted as an error and
+// charged nothing: no message reaches the wire.
 func (c *Client) call(l *meter.Lane, f *frame) ([]byte, error) {
 	start := c.metrics.begin()
 	req := f.body
-	c.cost.Charge(l, c.comp, c.burner, len(req))
-
-	ch := make(chan callResult, 1)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return nil, err
-	}
-	c.nextID++
-	id := c.nextID
-	c.pending[id] = ch
-	c.mu.Unlock()
-	f.id = id
-
-	bp := frameBufPool.Get().(*[]byte)
-	buf, err := appendFrame((*bp)[:0], f)
-	if err != nil {
-		frameBufPool.Put(bp)
-		c.forget(id)
 		c.metrics.end(start, len(req), 0, err)
 		return nil, err
 	}
+	p := c.slot()
+	c.nextID++
+	f.id = c.nextID
+	c.pending[f.id] = p
+	c.mu.Unlock()
+
+	c.cost.Charge(l, c.comp, c.burner, len(req))
 	c.wmu.Lock()
-	_, err = c.conn.Write(buf)
+	buf, err := appendFrame(c.wbuf[:0], f)
+	if err == nil {
+		_, err = c.conn.Write(buf)
+		c.wbuf = keep(buf)
+	}
 	c.wmu.Unlock()
-	*bp = buf
-	frameBufPool.Put(bp)
 	if err != nil {
-		c.forget(id)
+		c.forget(f.id, p)
 		c.metrics.end(start, len(req), 0, err)
 		return nil, err
 	}
 
 	l.Park()
-	res := <-ch
+	<-p.done
 	l.Unpark()
+	res := p.res
+	c.release(p)
 	if res.err != nil {
 		c.metrics.end(start, len(req), 0, res.err)
 		return nil, res.err
@@ -145,10 +147,38 @@ func (c *Client) call(l *meter.Lane, f *frame) ([]byte, error) {
 	return res.body, nil
 }
 
-func (c *Client) forget(id uint64) {
+// slot takes an idle call slot, making one if none is free. c.mu is held.
+func (c *Client) slot() *pendingCall {
+	if n := len(c.free); n > 0 {
+		p := c.free[n-1]
+		c.free = c.free[:n-1]
+		return p
+	}
+	return &pendingCall{done: make(chan struct{}, 1)}
+}
+
+// release returns a slot whose signal has been taken to the free list.
+func (c *Client) release(p *pendingCall) {
+	p.res = callResult{}
 	c.mu.Lock()
+	c.free = append(c.free, p)
+	c.mu.Unlock()
+}
+
+// forget withdraws a call whose request never reached the wire. If
+// readLoop or fail claimed the slot first, its signal is taken (and any
+// response buffer recycled) before the slot goes back to the free list, so
+// the slot's next call cannot wake on this one's result.
+func (c *Client) forget(id uint64, p *pendingCall) {
+	c.mu.Lock()
+	_, ours := c.pending[id]
 	delete(c.pending, id)
 	c.mu.Unlock()
+	if !ours {
+		<-p.done
+		PutBuffer(p.res.body)
+	}
+	c.release(p)
 }
 
 // readLoop delivers responses to waiting callers until the connection
@@ -163,7 +193,7 @@ func (c *Client) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[rd.id]
+		p, ok := c.pending[rd.id]
 		delete(c.pending, rd.id)
 		c.mu.Unlock()
 		if !ok {
@@ -171,12 +201,13 @@ func (c *Client) readLoop() {
 		}
 		switch rd.kind {
 		case frameResponse:
-			ch <- callResult{body: append(GetBuffer(), rd.body...)}
+			p.res.body = append(GetBuffer(), rd.body...)
 		case frameError:
-			ch <- callResult{err: &RemoteError{Method: rd.method, Msg: string(rd.body)}}
+			p.res.err = &RemoteError{Method: rd.method, Msg: string(rd.body)}
 		default:
-			ch <- callResult{err: fmt.Errorf("rpc: bad frame kind %d", rd.kind)}
+			p.res.err = fmt.Errorf("rpc: bad frame kind %d", rd.kind)
 		}
+		p.done <- struct{}{}
 	}
 }
 
@@ -185,9 +216,10 @@ func (c *Client) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
-	for id, ch := range c.pending {
-		ch <- callResult{err: err}
+	for id, p := range c.pending {
 		delete(c.pending, id)
+		p.res.err = err
+		p.done <- struct{}{}
 	}
 	c.mu.Unlock()
 }

@@ -35,13 +35,22 @@ type frame struct {
 	id     uint64
 	method string // requests and errors carry the method for diagnostics
 	body   []byte
-	raw    []byte // readFrame's buffer, reused across frames; body aliases it
 
 	traceID  uint64 // trace context; meaningful only for frameRequestTraced
 	spanID   uint64
 	sampled  bool
 	deadline int64 // SLO expiry, unix nanos (0: none); frameRequestTraced only
+
+	// readFrame's state, kept across the frames one reader decodes.
+	hdr   [4]byte  // length prefix
+	raw   []byte   // payload buffer; body aliases it
+	names []string // interned method names, at most maxInternedMethods
 }
+
+// maxInternedMethods bounds a reader's method-name list. A service has a
+// handful of methods; a peer that sends more distinct names pays one
+// allocation per frame for the rest.
+const maxInternedMethods = 16
 
 // appendFrame serializes f to b:
 //
@@ -70,13 +79,14 @@ func appendFrame(b []byte, f *frame) ([]byte, error) {
 	return b, nil
 }
 
-// readFrame reads one frame from r into f, reusing f.raw's capacity.
+// readFrame reads one frame from r into f, reusing f's buffers and method
+// names: a reader that decodes a steady stream of frames into one f
+// allocates nothing once its buffer fits the largest frame.
 func readFrame(r io.Reader, f *frame) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, f.hdr[:]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(f.hdr[:])
 	if n > MaxFrameSize {
 		return errFrameTooLarge
 	}
@@ -115,7 +125,25 @@ func readFrame(r io.Reader, f *frame) error {
 		return fmt.Errorf("rpc: bad method length")
 	}
 	buf = buf[k:]
-	f.method = string(buf[:mlen])
+	f.method = f.intern(buf[:mlen])
 	f.body = buf[mlen:]
 	return nil
+}
+
+// intern returns name as a string, reusing the reader's earlier copy when
+// it has seen the name before.
+func (f *frame) intern(name []byte) string {
+	if len(name) == 0 {
+		return "" // responses carry no method
+	}
+	for _, s := range f.names {
+		if s == string(name) {
+			return s
+		}
+	}
+	s := string(name)
+	if len(f.names) < maxInternedMethods {
+		f.names = append(f.names, s)
+	}
+	return s
 }

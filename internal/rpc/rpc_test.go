@@ -61,6 +61,49 @@ func TestFrameTruncated(t *testing.T) {
 	}
 }
 
+// TestFrameInternsMethodNames: one reader decodes 40 distinct method
+// names, three times over, each exactly; it keeps a bounded list of them,
+// and a name it kept decodes without allocating.
+func TestFrameInternsMethodNames(t *testing.T) {
+	names := make([]string, 40)
+	var buf []byte
+	for round := 0; round < 3; round++ {
+		for i := range names {
+			names[i] = fmt.Sprintf("svc.Method%02d", i)
+			in := frame{kind: frameRequest, id: uint64(round*len(names) + i), method: names[i], body: []byte(names[i])}
+			var err error
+			if buf, err = appendFrame(buf, &in); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	r := bytes.NewReader(buf)
+	var rd frame
+	for round := 0; round < 3; round++ {
+		for i, name := range names {
+			if err := readFrame(r, &rd); err != nil {
+				t.Fatal(err)
+			}
+			if rd.method != name || rd.id != uint64(round*len(names)+i) || string(rd.body) != name {
+				t.Fatalf("round %d frame %d: method %q id %d body %q", round, i, rd.method, rd.id, rd.body)
+			}
+		}
+	}
+	if len(rd.names) > maxInternedMethods {
+		t.Fatalf("reader keeps %d names, bound is %d", len(rd.names), maxInternedMethods)
+	}
+	known, _ := appendFrame(nil, &frame{kind: frameRequest, id: 1, method: names[0], body: []byte("k")})
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(known)
+		if err := readFrame(r, &rd); err != nil || rd.method != names[0] {
+			t.Fatalf("%q, %v", rd.method, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decoding a kept method name allocates %.1f per frame", allocs)
+	}
+}
+
 func TestFrameTooLarge(t *testing.T) {
 	in := frame{kind: frameRequest, id: 1, method: "m", body: make([]byte, MaxFrameSize+1)}
 	if _, err := appendFrame(nil, &in); err == nil {

@@ -240,12 +240,17 @@ func (s *Server) Close() error {
 	return first
 }
 
-// serveConn demultiplexes frames from one connection. Each request runs in
-// its own goroutine so a slow handler does not head-of-line block the
-// connection; writes are serialized by a per-connection mutex.
+// serveConn demultiplexes frames from one connection. The reader hands
+// each request to a parked worker and starts a new worker only when none
+// is idle, so a slow handler does not head-of-line block the connection
+// and a steady stream of calls reuses the same few goroutines. Closing
+// work on disconnect reaps them once their current request is done;
+// writes are serialized by a per-connection mutex.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	var wmu sync.Mutex
+	work := make(chan *inbound)
+	defer close(work)
 	var rd frame
 	br := bufio.NewReader(conn) // one read syscall can deliver header, payload and the next frame
 	for {
@@ -255,53 +260,78 @@ func (s *Server) serveConn(conn net.Conn) {
 		if rd.kind != frameRequest && rd.kind != frameRequestTraced {
 			return // protocol violation
 		}
-		id := rd.id
-		method := rd.method
-		traceID, spanID, sampled, deadline := rd.traceID, rd.spanID, rd.sampled, rd.deadline
-		// The request body is copied out of the read frame into a pooled
-		// buffer; ownership is DESIGN.md's "Buffer ownership" table.
-		bodyBuf := frameBufPool.Get().(*[]byte)
-		body := append((*bodyBuf)[:0], rd.body...)
-		*bodyBuf = body
-		go func() {
-			// Join the wire-carried span context so the handler's spans
-			// land in a local fragment of the caller's trace; the server-
-			// side dispatch span is recorded here (never in DispatchCtx)
-			// so in-process transports do not get a duplicate. The wire
-			// deadline re-attaches even when the server has no tracer —
-			// admission control must see the SLO either way.
-			sc := s.tracer.Join(traceID, spanID, sampled).WithDeadlineUnixNano(deadline)
-			act, hsc := trace.Start(sc, s.traceName, method)
-			resp, err := s.DispatchCtx(hsc, method, body)
-			act.SetBytes(len(body), len(resp))
-			act.End()
-			out := frame{id: id}
-			if err != nil {
-				out.kind = frameError
-				out.method = method
-				out.body = []byte(err.Error())
-			} else {
-				out.kind = frameResponse
-				out.body = resp
-			}
-			respBuf := frameBufPool.Get().(*[]byte)
-			buf, ferr := appendFrame((*respBuf)[:0], &out)
-			if ferr != nil {
-				out = frame{id: id, kind: frameError, method: method, body: []byte(ferr.Error())}
-				buf, _ = appendFrame((*respBuf)[:0], &out)
-			}
-			// resp may alias body (an echo-style handler): both are
-			// released only now that the frame holds a copy.
-			s.recycle(resp, body)
-			frameBufPool.Put(bodyBuf)
-			wmu.Lock()
-			_, werr := conn.Write(buf)
-			wmu.Unlock()
-			*respBuf = buf
-			frameBufPool.Put(respBuf)
-			if werr != nil && !errors.Is(werr, net.ErrClosed) {
-				conn.Close()
-			}
-		}()
+		// The request body is copied out of the read frame into the
+		// inbound's own buffer; ownership is DESIGN.md's "Buffer
+		// ownership" table.
+		in := inboundPool.Get().(*inbound)
+		in.id, in.method = rd.id, rd.method
+		in.traceID, in.spanID, in.sampled, in.deadline = rd.traceID, rd.spanID, rd.sampled, rd.deadline
+		in.body = append(in.body[:0], rd.body...)
+		select {
+		case work <- in:
+		default:
+			go s.worker(conn, &wmu, work)
+			work <- in
+		}
 	}
+}
+
+// inbound is one request on its way from a connection's reader to a
+// worker. Inbounds are pooled with their body buffers.
+type inbound struct {
+	id       uint64
+	method   string
+	traceID  uint64
+	spanID   uint64
+	sampled  bool
+	deadline int64
+	body     []byte
+}
+
+var inboundPool = sync.Pool{New: func() any { return new(inbound) }}
+
+// worker serves the requests one connection's reader hands it until the
+// connection closes, encoding each response into a buffer it keeps.
+func (s *Server) worker(conn net.Conn, wmu *sync.Mutex, work <-chan *inbound) {
+	var buf []byte
+	for in := range work {
+		buf = s.serveFrame(conn, wmu, in, buf)
+	}
+}
+
+// serveFrame dispatches one request, writes its response frame and
+// returns the encode buffer for the worker's next request.
+func (s *Server) serveFrame(conn net.Conn, wmu *sync.Mutex, in *inbound, buf []byte) []byte {
+	// Join the wire-carried span context so the handler's spans land in a
+	// local fragment of the caller's trace; the server-side dispatch span
+	// is recorded here (never in DispatchCtx) so in-process transports do
+	// not get a duplicate. The wire deadline re-attaches even when the
+	// server has no tracer — admission control must see the SLO either
+	// way.
+	sc := s.tracer.Join(in.traceID, in.spanID, in.sampled).WithDeadlineUnixNano(in.deadline)
+	act, hsc := trace.Start(sc, s.traceName, in.method)
+	resp, err := s.DispatchCtx(hsc, in.method, in.body)
+	act.SetBytes(len(in.body), len(resp))
+	act.End()
+	out := frame{id: in.id, kind: frameResponse, body: resp}
+	if err != nil {
+		out = frame{id: in.id, kind: frameError, method: in.method, body: []byte(err.Error())}
+	}
+	buf, ferr := appendFrame(buf, &out)
+	if ferr != nil {
+		out = frame{id: in.id, kind: frameError, method: in.method, body: []byte(ferr.Error())}
+		buf, _ = appendFrame(nil, &out)
+	}
+	// resp may alias the request body (an echo-style handler): both are
+	// released only now that the frame holds a copy.
+	s.recycle(resp, in.body)
+	in.body = keep(in.body)
+	inboundPool.Put(in)
+	wmu.Lock()
+	_, werr := conn.Write(buf)
+	wmu.Unlock()
+	if werr != nil && !errors.Is(werr, net.ErrClosed) {
+		conn.Close()
+	}
+	return keep(buf)
 }
