@@ -144,9 +144,9 @@ func TestLinkedHitAllocs(t *testing.T) {
 		readAllocs, readB    float64 // per warmed read: count, bytes
 		writeAllocs, writeBV float64 // per write: count, bytes as a multiple of the value
 	}{
-		{Base, 42, 2.4 * valueSize, 176, 14},   // parent: 43 / 4.4 values; 194 / 30.9 values
-		{Remote, 2, 0.05 * valueSize, 179, 14}, // parent: 6 / 2.1 values; 199 / 30.9 values
-		{Linked, 2, 32, 177, 14},               // parent: 2 / 32 B; 194 / 30.9 values
+		{Base, 20, 2.4 * valueSize, 72, 14},   // parent: 42 / 2.4 values; 176 / 14 values
+		{Remote, 2, 0.05 * valueSize, 75, 14}, // parent: 2 / 0.05 values; 179 / 14 values
+		{Linked, 2, 32, 73, 14},               // parent: 2 / 32 B; 177 / 14 values
 	} {
 		t.Run(tc.arch.String(), func(t *testing.T) {
 			gen := workload.NewSynthetic(workload.SyntheticConfig{

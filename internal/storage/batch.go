@@ -107,12 +107,14 @@ func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error
 	lane := sc.Lane()
 	n.lock(lane)
 	defer n.mu.Unlock()
+	defer n.req.reset()
 	// One batch is one statement against the path model: the per-key rows
 	// all come from a single parsed plan.
 	lane.CountStatement()
 	defer n.histBatch.ObserveSince(time.Now())
 
-	q, stmt, sqlAct, err := n.parseStatement(sc, req)
+	stmt, sqlAct, err := n.parseStatement(sc, req)
+	q := &n.req
 	if err != nil {
 		sqlAct.End()
 		return nil, err
@@ -136,10 +138,10 @@ func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error
 	results := make([]*plan.ResultSet, len(q.Params))
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
 	_, err = n.exec(lane, func() (*plan.ResultSet, error) {
-		param := make([]sql.Value, 1)
+		var param [1]sql.Value
 		for i, p := range q.Params {
 			param[0] = p
-			rs, e := db.Exec(stmt, param)
+			rs, e := db.Exec(stmt, param[:])
 			if e != nil {
 				return nil, e
 			}

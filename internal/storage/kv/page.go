@@ -25,8 +25,16 @@ func encodePage(dp *decodedPage) []byte {
 	return e.Bytes()
 }
 
-func decodePage(buf []byte) *decodedPage {
-	dp := &decodedPage{}
+// decodePage decodes an encoded page of n entries (its page.n, a sizing
+// hint). It copies buf once, as the read off "disk", and the decoded keys
+// and values alias that copy, each clipped to its own length (b[:n:n]) so
+// an append to one can never run into its neighbour. The copy lives as
+// long as the decoded page: a cached page keeps it, including the bytes
+// of entries a later write replaced, until the block cache evicts it.
+func decodePage(buf []byte, n int) *decodedPage {
+	buf = append([]byte(nil), buf...)
+	entries := make([][]byte, 2*n) // the keys' headers, then the values'
+	dp := &decodedPage{keys: entries[:0:n], vals: entries[n:n], vers: make([]Version, 0, n)}
 	d := wire.NewDecoder(buf)
 	for !d.Done() {
 		f, t, err := d.Next()
@@ -39,13 +47,13 @@ func decodePage(buf []byte) *decodedPage {
 			if err != nil {
 				panic("kv: corrupt page key")
 			}
-			dp.keys = append(dp.keys, append([]byte(nil), b...))
+			dp.keys = append(dp.keys, b[:len(b):len(b)])
 		case 2:
 			b, err := d.Bytes()
 			if err != nil {
 				panic("kv: corrupt page value")
 			}
-			dp.vals = append(dp.vals, append([]byte(nil), b...))
+			dp.vals = append(dp.vals, b[:len(b):len(b)])
 		case 3:
 			v, err := d.Uint64()
 			if err != nil {

@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"cachecost/internal/cache"
@@ -214,9 +215,14 @@ type memEntry struct {
 // page is the authoritative, "on disk" form of a key range.
 type page struct {
 	id       uint64
+	cacheKey string // the page's block-cache key, formatted once
 	firstKey []byte // lower bound of the page's range; nil for the first page
 	encoded  []byte
 	n        int // entry count, tracked to avoid decoding for sizing
+}
+
+func newPage(id uint64, firstKey []byte) *page {
+	return &page{id: id, cacheKey: "p" + strconv.FormatUint(id, 10), firstKey: firstKey}
 }
 
 // decodedPage is the in-memory form held by the block cache.
@@ -247,7 +253,9 @@ func Open(cfg Config) (*Store, error) {
 	}
 	cfg.applyDefaults()
 	s := &Store{cfg: cfg, nextID: 1, mem: make(map[string]*memEntry)}
-	s.pages = []*page{{id: 0, encoded: encodePage(&decodedPage{})}}
+	first := newPage(0, nil)
+	first.encoded = encodePage(&decodedPage{})
+	s.pages = []*page{first}
 	s.bcache = cache.NewLRU[*decodedPage](cfg.CacheBytes, func(_ string, p *decodedPage) int64 {
 		var n int64
 		for i := range p.keys {
@@ -302,21 +310,17 @@ func (s *Store) pageIdx(key []byte) int {
 	return i - 1
 }
 
-func cacheKey(id uint64) string {
-	return fmt.Sprintf("p%d", id)
-}
-
 // loadPage returns the decoded form of page p, via the block cache.
 func (s *Store) loadPage(p *page) *decodedPage {
-	if dp, ok := s.bcache.Get(cacheKey(p.id)); ok {
+	if dp, ok := s.bcache.Get(p.cacheKey); ok {
 		return dp
 	}
 	// Block-cache miss: pay the disk read and decode.
 	s.stats.DiskReads++
 	s.stats.DiskReadBytes += int64(len(p.encoded))
 	s.burnDisk(len(p.encoded), s.cfg.DiskPenaltyPerByte)
-	dp := decodePage(p.encoded)
-	s.bcache.Put(cacheKey(p.id), dp)
+	dp := decodePage(p.encoded, p.n)
+	s.bcache.Put(p.cacheKey, dp)
 	return dp
 }
 
@@ -328,7 +332,7 @@ func (s *Store) storePage(p *page, dp *decodedPage) {
 	s.stats.DiskWrites++
 	s.stats.DiskWriteBytes += int64(len(p.encoded))
 	s.burnDisk(len(p.encoded), s.cfg.DiskWritePenaltyPerByte)
-	s.bcache.Put(cacheKey(p.id), dp)
+	s.bcache.Put(p.cacheKey, dp)
 }
 
 // Get returns a copy of the value and its version.
@@ -551,7 +555,7 @@ func (s *Store) deleteFromPages(key []byte) {
 	ndp.vers = removeVerAt(ndp.vers, i)
 	s.storePage(p, ndp)
 	if len(ndp.keys) == 0 && len(s.pages) > 1 {
-		s.bcache.Delete(cacheKey(p.id))
+		s.bcache.Delete(p.cacheKey)
 		s.pages = append(s.pages[:idx], s.pages[idx+1:]...)
 		if idx == 0 {
 			s.pages[0].firstKey = nil
@@ -754,7 +758,7 @@ func (s *Store) maybeSplit(idx int) {
 	left := &decodedPage{keys: dp.keys[:mid:mid], vals: dp.vals[:mid:mid], vers: dp.vers[:mid:mid]}
 	right := &decodedPage{keys: dp.keys[mid:], vals: dp.vals[mid:], vers: dp.vers[mid:]}
 
-	np := &page{id: s.nextID, firstKey: append([]byte(nil), right.keys[0]...)}
+	np := newPage(s.nextID, append([]byte(nil), right.keys[0]...))
 	s.nextID++
 	s.storePage(p, left)
 	s.storePage(np, right)

@@ -12,13 +12,18 @@ import (
 	"cachecost/internal/wire"
 )
 
-// QueryRequest is the body of the sql.Query / sql.Exec RPC methods.
-// Decoded BLOB parameters alias the decoder's input: the node's handlers
-// consume them before returning, and a raft log entry never changes
-// (DESIGN.md, "Buffer ownership").
+// QueryRequest is the body of the sql.Query / sql.Exec RPC methods, and
+// of a replicated statement's raft log entry. Decoded BLOB parameters
+// alias the decoder's input: the node's handlers consume them before
+// returning, and a raft log entry never changes (DESIGN.md, "Buffer
+// ownership").
 type QueryRequest struct {
 	SQL    string
 	Params []sql.Value
+
+	// texts, when set, supplies the statement text on decode; see
+	// decodeInPlace.
+	texts stmtTexts
 }
 
 // MarshalWire implements wire.Marshaler.
@@ -38,9 +43,11 @@ func (q *QueryRequest) UnmarshalWire(d *wire.Decoder) error {
 		}
 		switch f {
 		case 1:
-			if q.SQL, err = d.String(); err != nil {
+			b, err := d.Bytes()
+			if err != nil {
 				return err
 			}
+			q.SQL = q.texts.intern(b)
 		case 2:
 			body, err := d.Bytes()
 			if err != nil {
@@ -58,6 +65,42 @@ func (q *QueryRequest) UnmarshalWire(d *wire.Decoder) error {
 		}
 	}
 	return nil
+}
+
+// decodeInPlace decodes buf into q, which its owner reuses for every
+// request: Params keeps its array, and the text comes from q's table. The
+// owner calls reset once the statement is done.
+func (q *QueryRequest) decodeInPlace(buf []byte) error {
+	q.reset()
+	return wire.Unmarshal(buf, q)
+}
+
+// reset empties q for reuse, zeroing the Params it held so no BLOB alias
+// of a finished request outlives its handler.
+func (q *QueryRequest) reset() {
+	clear(q.Params)
+	q.SQL, q.Params = "", q.Params[:0]
+}
+
+// stmtTexts interns statement texts. A node serves a handful of distinct
+// statements, so a known text decodes without allocating. The text cannot
+// alias the request buffer instead: CREATE TABLE keeps names that are
+// substrings of it. Past maxStmtTexts entries each new text is copied, as
+// without a table. A nil table copies every text.
+type stmtTexts map[string]string
+
+// maxStmtTexts bounds a node's text table.
+const maxStmtTexts = 64
+
+func (t stmtTexts) intern(b []byte) string {
+	if s, ok := t[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if t != nil && len(t) < maxStmtTexts {
+		t[s] = s
+	}
+	return s
 }
 
 // VersionRequest is the body of the sql.Version RPC method: a consistency
@@ -139,30 +182,13 @@ func (v *VersionResponse) UnmarshalWire(d *wire.Decoder) error {
 	return nil
 }
 
-// replicatedCmd is the statement-based replication payload carried in the
-// raft log: a SQL statement plus its bound parameters.
-type replicatedCmd struct {
-	SQL    string
-	Params []sql.Value
-}
-
-func encodeCmd(c *replicatedCmd) []byte {
-	size := 64 + len(c.SQL)
-	for _, p := range c.Params {
+// encodeCmd encodes a statement and its bound parameters as a raft log
+// entry: statement-based replication in QueryRequest's shape, which each
+// replica's applier decodes in place.
+func encodeCmd(q *QueryRequest) []byte {
+	size := 64 + len(q.SQL)
+	for _, p := range q.Params {
 		size += int(p.Size())
 	}
-	e := wire.NewEncoder(size)
-	e.String(1, c.SQL)
-	for _, p := range c.Params {
-		sql.EncodeValue(e, 2, p)
-	}
-	return e.Bytes()
-}
-
-func decodeCmd(buf []byte) (*replicatedCmd, error) {
-	var q QueryRequest
-	if err := wire.Unmarshal(buf, &q); err != nil {
-		return nil, err
-	}
-	return &replicatedCmd{SQL: q.SQL, Params: q.Params}, nil
+	return wire.AppendMarshal(make([]byte, 0, size), q)
 }

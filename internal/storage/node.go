@@ -128,6 +128,12 @@ type Node struct {
 	// handlers call while holding mu).
 	lastResult []*plan.ResultSet
 
+	// req is the statement a handler is serving, decoded in place; texts
+	// is the table of statement texts it and the appliers decode through.
+	// Both are guarded by mu.
+	req   QueryRequest
+	texts stmtTexts
+
 	applyErrMu sync.Mutex
 	applyErr   error // first replication apply error, for tests/diagnostics
 }
@@ -135,7 +141,8 @@ type Node struct {
 // NewNode builds the replica group and registers the RPC methods.
 func NewNode(cfg Config) *Node {
 	cfg.applyDefaults()
-	n := &Node{cfg: cfg, burner: meter.NewBurner()}
+	n := &Node{cfg: cfg, burner: meter.NewBurner(), texts: make(stmtTexts)}
+	n.req.texts = n.texts
 
 	if cfg.Meter != nil {
 		n.rpcComp = cfg.Meter.Component(cfg.Prefix + ".rpc")
@@ -180,7 +187,7 @@ func NewNode(cfg Config) *Node {
 		Comp:       n.raftComp,
 		Burner:     n.burner,
 	}, func(id int) raft.StateMachine {
-		return &applier{node: n, id: id}
+		return &applier{node: n, id: id, req: QueryRequest{texts: n.texts}}
 	})
 
 	n.server = rpc.NewServer(n.rpcComp, n.burner, cfg.RPCCost)
@@ -253,6 +260,10 @@ func (n *Node) RegisterTelemetry(reg *telemetry.Registry) {
 type applier struct {
 	node *Node
 	id   int
+	// req is the log entry being applied, decoded in place. The raft
+	// group's lock serializes an applier's calls (applyCommitted), and
+	// handleExec's n.mu guards the text table it shares with the node.
+	req QueryRequest
 }
 
 // Apply implements raft.StateMachine.
@@ -264,19 +275,19 @@ func (a *applier) Apply(cmd raft.Command) { a.ApplyCtx(trace.SpanContext{}, cmd)
 // carries. It runs inside handleExec's Propose and walks that request's
 // lane on through sql and exec; handleExec re-enters sql afterwards.
 func (a *applier) ApplyCtx(sc trace.SpanContext, cmd raft.Command) {
-	c, err := decodeCmd(cmd.Value)
-	if err != nil {
+	defer a.req.reset()
+	if err := a.req.decodeInPlace(cmd.Value); err != nil {
 		a.node.noteApplyErr(fmt.Errorf("storage: replica %d: corrupt command: %w", a.id, err))
 		return
 	}
 	n, lane := a.node, sc.Lane()
 	lane.EnterOp(n.sqlComp)
-	stmt, err := sql.Parse(c.SQL)
+	stmt, err := sql.Parse(a.req.SQL)
 	if err != nil {
 		n.noteApplyErr(fmt.Errorf("storage: replica %d: %w", a.id, err))
 		return
 	}
-	rs, err := n.exec(lane, func() (*plan.ResultSet, error) { return n.dbs[a.id].Exec(stmt, c.Params) })
+	rs, err := n.exec(lane, func() (*plan.ResultSet, error) { return n.dbs[a.id].Exec(stmt, a.req.Params) })
 	if err != nil {
 		n.noteApplyErr(fmt.Errorf("storage: replica %d: %w", a.id, err))
 		return
@@ -430,15 +441,16 @@ func truncate(s string, n int) string {
 	return s[:n] + "..."
 }
 
-// parseStatement opens a statement's sql section: request decode and
-// parse, under a "storage.sql" parse span the caller ends.
-func (n *Node) parseStatement(sc trace.SpanContext, req []byte) (q QueryRequest, stmt sql.Stmt, act trace.Active, err error) {
+// parseStatement opens a statement's sql section: request decode into
+// n.req and parse, under a "storage.sql" parse span the caller ends.
+// Callers hold n.mu and reset n.req before releasing it.
+func (n *Node) parseStatement(sc trace.SpanContext, req []byte) (stmt sql.Stmt, act trace.Active, err error) {
 	sc.Lane().EnterOp(n.sqlComp)
 	act, _ = trace.Start(sc, "storage.sql", "parse")
-	if err = wire.Unmarshal(req, &q); err == nil {
-		stmt, err = sql.Parse(q.SQL)
+	if err = n.req.decodeInPlace(req); err == nil {
+		stmt, err = sql.Parse(n.req.SQL)
 	}
-	return q, stmt, act, err
+	return stmt, act, err
 }
 
 // validateLease is the transaction layer's check before a local read: a
@@ -470,10 +482,11 @@ func (n *Node) handleQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
 	lane := sc.Lane()
 	n.lock(lane)
 	defer n.mu.Unlock()
+	defer n.req.reset()
 	lane.CountStatement()
 	defer n.histQuery.ObserveSince(time.Now())
 
-	q, stmt, sqlAct, err := n.parseStatement(sc, req)
+	stmt, sqlAct, err := n.parseStatement(sc, req)
 	if err != nil {
 		sqlAct.End()
 		return nil, err
@@ -490,7 +503,7 @@ func (n *Node) handleQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
 		return nil, err
 	}
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
-	rs, err := n.exec(lane, func() (*plan.ResultSet, error) { return db.Exec(stmt, q.Params) })
+	rs, err := n.exec(lane, func() (*plan.ResultSet, error) { return db.Exec(stmt, n.req.Params) })
 	kvAct.End()
 	if err != nil {
 		return nil, err
@@ -504,10 +517,11 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 	lane := sc.Lane()
 	n.lock(lane)
 	defer n.mu.Unlock()
+	defer n.req.reset()
 	lane.CountStatement()
 	defer n.histExec.ObserveSince(time.Now())
 
-	q, stmt, sqlAct, err := n.parseStatement(sc, req)
+	stmt, sqlAct, err := n.parseStatement(sc, req)
 	if err != nil {
 		sqlAct.End()
 		return nil, err
@@ -527,8 +541,8 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 
 	cmd := raft.Command{
 		Op:    raft.OpPut,
-		Key:   []byte(q.SQL[:min(len(q.SQL), 32)]),
-		Value: encodeCmd(&replicatedCmd{SQL: q.SQL, Params: q.Params}),
+		Key:   []byte(n.req.SQL[:min(len(n.req.SQL), 32)]),
+		Value: encodeCmd(&n.req),
 	}
 	// The replication slice of the write is informational sub-stage time:
 	// for an in-process request it is already inside the client-observed
@@ -609,8 +623,7 @@ func rowKeyFor(table string, pk sql.Value) []byte {
 	k = append(k, 't', '/')
 	k = append(k, table...)
 	k = append(k, '/')
-	k = append(k, pk.KeyBytes()...)
-	return k
+	return pk.AppendKeyBytes(k)
 }
 
 func min(a, b int) int {

@@ -157,7 +157,8 @@ func (db *DB) execInsert(st *sql.InsertStmt, params []sql.Value) (*ResultSet, er
 		if pk.IsNull() {
 			return nil, ErrNullKey
 		}
-		key := rowKey(t.Name, pk)
+		var kb [64]byte
+		key := rowKey(kb[:0], t.Name, pk)
 		if _, _, exists := db.store.Get(key); exists {
 			return nil, fmt.Errorf("%w: %s in %q", ErrDuplicateKey, pk, t.Name)
 		}
@@ -182,8 +183,9 @@ func (db *DB) execUpdate(st *sql.UpdateStmt, params []sql.Value) (*ResultSet, er
 	if err != nil {
 		return nil, err
 	}
-	setPos := make([]int, len(st.Set))
-	for i, a := range st.Set {
+	var posBuf [8]int
+	setPos := posBuf[:0]
+	for _, a := range st.Set {
 		p := t.ColIndex(a.Column)
 		if p < 0 {
 			return nil, fmt.Errorf("plan: no column %q in table %q", a.Column, st.Table)
@@ -191,7 +193,7 @@ func (db *DB) execUpdate(st *sql.UpdateStmt, params []sql.Value) (*ResultSet, er
 		if p == t.PKIndex {
 			return nil, fmt.Errorf("plan: updating the primary key of %q is not supported", st.Table)
 		}
-		setPos[i] = p
+		setPos = append(setPos, p)
 	}
 	var n int64
 	for _, vals := range rows {
@@ -219,7 +221,8 @@ func (db *DB) execUpdate(st *sql.UpdateStmt, params []sql.Value) (*ResultSet, er
 				db.store.Put(indexKey(t.Name, idxName, newV, pk), nil)
 			}
 		}
-		db.store.Put(rowKey(t.Name, pk), encodeRow(newVals))
+		var kb [64]byte
+		db.store.Put(rowKey(kb[:0], t.Name, pk), encodeRow(newVals))
 		n++
 	}
 	return &ResultSet{RowsAffected: n}, nil
@@ -243,7 +246,8 @@ func (db *DB) execDelete(st *sql.DeleteStmt, params []sql.Value) (*ResultSet, er
 				db.store.Delete(indexKey(t.Name, idxName, cv, pk))
 			}
 		}
-		db.store.Delete(rowKey(t.Name, pk))
+		var kb [64]byte
+		db.store.Delete(rowKey(kb[:0], t.Name, pk))
 		n++
 	}
 	return &ResultSet{RowsAffected: n}, nil
@@ -315,7 +319,8 @@ func (db *DB) scanTable(t *Table, preds []sql.Pred, params []sql.Value, limitHin
 		pred sql.Pred
 		col  int
 	}
-	var bound []boundPred
+	var boundBuf [4]boundPred
+	bound := boundBuf[:0]
 	for _, p := range preds {
 		ci, ok, err := predFor(t, p)
 		if err != nil {
@@ -347,7 +352,8 @@ func (db *DB) scanTable(t *Table, preds []sql.Pred, params []sql.Value, limitHin
 			if err != nil {
 				return nil, err
 			}
-			buf, _, ok := db.store.Get(rowKey(t.Name, pk))
+			var kb [64]byte
+			buf, _, ok := db.store.Get(rowKey(kb[:0], t.Name, pk))
 			if !ok {
 				return nil, nil
 			}

@@ -14,13 +14,13 @@ import (
 //
 // Length-prefixing of the variable segments keeps ranges unambiguous.
 
-func rowKey(table string, pk sql.Value) []byte {
-	k := make([]byte, 0, len(table)+16)
-	k = append(k, 't', '/')
-	k = append(k, table...)
-	k = append(k, '/')
-	k = append(k, pk.KeyBytes()...)
-	return k
+// rowKey appends table's key for pk to dst. The point lookup passes a
+// stack array, so reading one row builds its key without allocating.
+func rowKey(dst []byte, table string, pk sql.Value) []byte {
+	dst = append(dst, 't', '/')
+	dst = append(dst, table...)
+	dst = append(dst, '/')
+	return pk.AppendKeyBytes(dst)
 }
 
 func tablePrefix(table string) []byte {
@@ -28,18 +28,7 @@ func tablePrefix(table string) []byte {
 }
 
 func indexKey(table, index string, val, pk sql.Value) []byte {
-	vb := val.KeyBytes()
-	k := make([]byte, 0, len(table)+len(index)+len(vb)+24)
-	k = append(k, 'x', '/')
-	k = append(k, table...)
-	k = append(k, '/')
-	k = append(k, index...)
-	k = append(k, '/')
-	k = wire.AppendUvarint(k, uint64(len(vb)))
-	k = append(k, vb...)
-	k = append(k, '/')
-	k = append(k, pk.KeyBytes()...)
-	return k
+	return pk.AppendKeyBytes(indexValPrefix(table, index, val))
 }
 
 // indexValPrefix covers every index entry for one (table,index,value).

@@ -7,9 +7,27 @@ import (
 	"cachecost/internal/storage/sql"
 )
 
-// joinedRow is an intermediate row during join execution: one value slice
-// per bound table, keyed by table name.
-type joinedRow map[string][]sql.Value
+// binding is one table of a SELECT's FROM/JOIN list. A joined row is one
+// []sql.Value: the bound tables' columns concatenated in FROM/JOIN order,
+// table b's starting at b.off. A base-table row is therefore its own
+// joined row.
+type binding struct {
+	t   *Table
+	off int
+}
+
+// bindings is a SELECT's bound tables, in FROM/JOIN order.
+type bindings []binding
+
+// lookup returns the binding of the table named name.
+func (bs bindings) lookup(name string) (binding, bool) {
+	for _, b := range bs {
+		if b.t.Name == name {
+			return b, true
+		}
+	}
+	return binding{}, false
+}
 
 func (db *DB) execSelect(st *sql.SelectStmt, params []sql.Value) (*ResultSet, error) {
 	base, err := db.cat.Lookup(st.Table)
@@ -18,18 +36,19 @@ func (db *DB) execSelect(st *sql.SelectStmt, params []sql.Value) (*ResultSet, er
 	}
 
 	// Tables bound so far, in FROM/JOIN order.
-	order := []*Table{base}
-	byName := map[string]*Table{base.Name: base}
+	var bindBuf [4]binding
+	bound := append(bindings(bindBuf[:0]), binding{t: base})
+	width := len(base.Cols)
 	for _, j := range st.Joins {
 		jt, err := db.cat.Lookup(j.Table)
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := byName[jt.Name]; dup {
+		if _, dup := bound.lookup(jt.Name); dup {
 			return nil, fmt.Errorf("plan: table %q joined twice", jt.Name)
 		}
-		order = append(order, jt)
-		byName[jt.Name] = jt
+		bound = append(bound, binding{t: jt, off: width})
+		width += len(jt.Cols)
 	}
 
 	// Scan the base table. When the query has no joins, no ORDER BY and a
@@ -38,20 +57,17 @@ func (db *DB) execSelect(st *sql.SelectStmt, params []sql.Value) (*ResultSet, er
 	if len(st.Joins) == 0 && st.OrderBy == nil && st.Limit >= 0 {
 		limitHint = st.Limit
 	}
-	baseRows, err := db.scanTable(base, st.Where, params, limitHint)
+	rows, err := db.scanTable(base, st.Where, params, limitHint)
 	if err != nil {
 		return nil, err
-	}
-	rows := make([]joinedRow, 0, len(baseRows))
-	for _, r := range baseRows {
-		rows = append(rows, joinedRow{base.Name: r})
 	}
 
 	// Left-deep nested-loop joins, probing the join table through its
 	// cheapest access path with the bound side of the ON condition.
 	for ji, j := range st.Joins {
-		jt := byName[j.Table]
-		boundRef, probeRef, err := orientJoin(j, jt, byName, order[:ji+1])
+		jb := bound[ji+1]
+		jt := jb.t
+		boundRef, probeRef, err := orientJoin(j, jt, bound[:ji+1])
 		if err != nil {
 			return nil, err
 		}
@@ -59,15 +75,15 @@ func (db *DB) execSelect(st *sql.SelectStmt, params []sql.Value) (*ResultSet, er
 		if probeCol < 0 {
 			return nil, fmt.Errorf("plan: no column %q in table %q", probeRef.Column, jt.Name)
 		}
-		boundTable := byName[boundRef.Table]
-		boundCol := boundTable.ColIndex(boundRef.Column)
+		bb, _ := bound.lookup(boundRef.Table)
+		boundCol := bb.t.ColIndex(boundRef.Column)
 		if boundCol < 0 {
-			return nil, fmt.Errorf("plan: no column %q in table %q", boundRef.Column, boundTable.Name)
+			return nil, fmt.Errorf("plan: no column %q in table %q", boundRef.Column, bb.t.Name)
 		}
 
-		var next []joinedRow
+		var next [][]sql.Value
 		for _, row := range rows {
-			bv := row[boundTable.Name][boundCol]
+			bv := row[bb.off+boundCol]
 			if bv.IsNull() {
 				continue // NULL never joins
 			}
@@ -83,11 +99,9 @@ func (db *DB) execSelect(st *sql.SelectStmt, params []sql.Value) (*ResultSet, er
 				return nil, err
 			}
 			for _, m := range matches {
-				nr := make(joinedRow, len(row)+1)
-				for k, v := range row {
-					nr[k] = v
-				}
-				nr[jt.Name] = m
+				nr := make([]sql.Value, jb.off+len(m))
+				copy(nr, row)
+				copy(nr[jb.off:], m)
 				next = append(next, nr)
 			}
 		}
@@ -95,22 +109,28 @@ func (db *DB) execSelect(st *sql.SelectStmt, params []sql.Value) (*ResultSet, er
 	}
 
 	// Projection schema.
-	proj, cols, err := projection(st, order, byName)
+	var projBuf [8]int
+	proj, cols, err := projection(projBuf[:0], st, bound)
 	if err != nil {
 		return nil, err
 	}
 
+	// The output rows share one backing array, each clipped to its width.
 	out := &ResultSet{Cols: cols}
-	for _, row := range rows {
-		vals := make([]sql.Value, len(proj))
-		for i, p := range proj {
-			vals[i] = row[p.table][p.col]
+	if len(rows) > 0 {
+		out.Rows = make([][]sql.Value, len(rows))
+		vals := make([]sql.Value, len(rows)*len(proj))
+		for i, row := range rows {
+			v := vals[i*len(proj) : (i+1)*len(proj) : (i+1)*len(proj)]
+			for c, off := range proj {
+				v[c] = row[off]
+			}
+			out.Rows[i] = v
 		}
-		out.Rows = append(out.Rows, vals)
 	}
 
 	if st.OrderBy != nil {
-		oTable, oCol, err := resolveRef(st.OrderBy.Col, order, byName)
+		ob, oCol, err := resolveRef(st.OrderBy.Col, bound)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +142,7 @@ func (db *DB) execSelect(st *sql.SelectStmt, params []sql.Value) (*ResultSet, er
 		}
 		keys := make([]keyed, len(rows))
 		for i, row := range rows {
-			keys[i] = keyed{key: row[oTable][oCol], i: i}
+			keys[i] = keyed{key: row[ob.off+oCol], i: i}
 		}
 		desc := st.OrderBy.Desc
 		sort.SliceStable(keys, func(a, b int) bool {
@@ -148,22 +168,18 @@ func (db *DB) execSelect(st *sql.SelectStmt, params []sql.Value) (*ResultSet, er
 // orientJoin determines which side of "ON a = b" refers to an
 // already-bound table (the bound side) and which to the table being
 // joined (the probe side).
-func orientJoin(j sql.Join, jt *Table, byName map[string]*Table, boundTables []*Table) (bound, probe sql.ColRef, err error) {
+func orientJoin(j sql.Join, jt *Table, boundTables bindings) (bound, probe sql.ColRef, err error) {
 	isBound := func(ref sql.ColRef) bool {
 		if ref.Table == jt.Name {
 			return false
 		}
 		if ref.Table != "" {
-			for _, t := range boundTables {
-				if t.Name == ref.Table {
-					return true
-				}
-			}
-			return false
+			_, ok := boundTables.lookup(ref.Table)
+			return ok
 		}
 		// Unqualified: bound if exactly resolvable in a bound table.
-		for _, t := range boundTables {
-			if t.ColIndex(ref.Column) >= 0 {
+		for _, b := range boundTables {
+			if b.t.ColIndex(ref.Column) >= 0 {
 				return true
 			}
 		}
@@ -178,9 +194,9 @@ func orientJoin(j sql.Join, jt *Table, byName map[string]*Table, boundTables []*
 				return sql.ColRef{Table: jt.Name, Column: ref.Column}, nil
 			}
 		}
-		for _, t := range boundTables {
-			if t.ColIndex(ref.Column) >= 0 {
-				return sql.ColRef{Table: t.Name, Column: ref.Column}, nil
+		for _, b := range boundTables {
+			if b.t.ColIndex(ref.Column) >= 0 {
+				return sql.ColRef{Table: b.t.Name, Column: ref.Column}, nil
 			}
 		}
 		return ref, fmt.Errorf("plan: cannot resolve column %q in join", ref.Column)
@@ -221,61 +237,59 @@ func predsForTable(preds []sql.Pred, t *Table) []sql.Pred {
 	return out
 }
 
-type projEntry struct {
-	table string
-	col   int
-}
-
-// projection resolves the SELECT list into (table, column) pairs and
-// output column names. Star expands to every column of every table in
-// order; names are qualified when more than one table is involved.
-func projection(st *sql.SelectStmt, order []*Table, byName map[string]*Table) ([]projEntry, []string, error) {
-	multi := len(order) > 1
+// projection resolves the SELECT list into joined-row offsets, appended to
+// proj, and output column names. Star expands to every column of every
+// table in order; names are qualified when more than one table is
+// involved.
+func projection(proj []int, st *sql.SelectStmt, bound bindings) ([]int, []string, error) {
+	multi := len(bound) > 1
 	name := func(t *Table, col string) string {
 		if multi {
 			return t.Name + "." + col
 		}
 		return col
 	}
-	var proj []projEntry
-	var cols []string
 	if st.Star {
-		for _, t := range order {
-			for i, c := range t.Cols {
-				proj = append(proj, projEntry{table: t.Name, col: i})
-				cols = append(cols, name(t, c.Name))
+		last := bound[len(bound)-1]
+		cols := make([]string, 0, last.off+len(last.t.Cols))
+		for _, b := range bound {
+			for i, c := range b.t.Cols {
+				proj = append(proj, b.off+i)
+				cols = append(cols, name(b.t, c.Name))
 			}
 		}
 		return proj, cols, nil
 	}
+	cols := make([]string, 0, len(st.Cols))
 	for _, ref := range st.Cols {
-		tbl, ci, err := resolveRef(ref, order, byName)
+		b, ci, err := resolveRef(ref, bound)
 		if err != nil {
 			return nil, nil, err
 		}
-		proj = append(proj, projEntry{table: tbl, col: ci})
-		cols = append(cols, name(byName[tbl], byName[tbl].Cols[ci].Name))
+		proj = append(proj, b.off+ci)
+		cols = append(cols, name(b.t, b.t.Cols[ci].Name))
 	}
 	return proj, cols, nil
 }
 
-// resolveRef finds the table and column position for a column reference.
-func resolveRef(ref sql.ColRef, order []*Table, byName map[string]*Table) (string, int, error) {
+// resolveRef finds the bound table and column position for a column
+// reference.
+func resolveRef(ref sql.ColRef, bound bindings) (binding, int, error) {
 	if ref.Table != "" {
-		t, ok := byName[ref.Table]
+		b, ok := bound.lookup(ref.Table)
 		if !ok {
-			return "", 0, fmt.Errorf("plan: table %q is not in the FROM clause", ref.Table)
+			return b, 0, fmt.Errorf("plan: table %q is not in the FROM clause", ref.Table)
 		}
-		ci := t.ColIndex(ref.Column)
+		ci := b.t.ColIndex(ref.Column)
 		if ci < 0 {
-			return "", 0, fmt.Errorf("plan: no column %q in table %q", ref.Column, ref.Table)
+			return b, 0, fmt.Errorf("plan: no column %q in table %q", ref.Column, ref.Table)
 		}
-		return t.Name, ci, nil
+		return b, ci, nil
 	}
-	for _, t := range order {
-		if ci := t.ColIndex(ref.Column); ci >= 0 {
-			return t.Name, ci, nil
+	for _, b := range bound {
+		if ci := b.t.ColIndex(ref.Column); ci >= 0 {
+			return b, ci, nil
 		}
 	}
-	return "", 0, fmt.Errorf("plan: unknown column %q", ref.Column)
+	return binding{}, 0, fmt.Errorf("plan: unknown column %q", ref.Column)
 }

@@ -17,9 +17,13 @@ const (
 	tokPunct  // ( ) , . = != < <= > >= * ?
 )
 
+// token is one lexeme. Its text is a substring of the statement, or for a
+// keyword the canonical upper-case string from the keyword table, so a
+// token owns no memory of its own; only a string literal with an escaped
+// quote is rebuilt.
 type token struct {
 	kind tokKind
-	text string // keywords are uppercased; idents keep original case
+	text string
 	pos  int
 }
 
@@ -30,16 +34,43 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// keywords recognized by the parser (uppercase).
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"JOIN": true, "ON": true, "ORDER": true, "BY": true, "ASC": true,
-	"DESC": true, "LIMIT": true, "INSERT": true, "INTO": true,
-	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true,
-	"CREATE": true, "TABLE": true, "INDEX": true, "PRIMARY": true,
-	"KEY": true, "NULL": true, "TRUE": true, "FALSE": true, "IN": true,
-	"INT": true, "FLOAT": true, "TEXT": true, "BLOB": true, "BOOL": true,
-	"NOT": true, "IF": true, "EXISTS": true,
+// keywords maps each keyword the parser recognizes to itself, so a lookup
+// by an upper-cased copy yields the canonical string.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "AND", "OR", "JOIN", "ON", "ORDER", "BY",
+		"ASC", "DESC", "LIMIT", "INSERT", "INTO", "VALUES", "UPDATE", "SET",
+		"DELETE", "CREATE", "TABLE", "INDEX", "PRIMARY", "KEY", "NULL",
+		"TRUE", "FALSE", "IN", "INT", "FLOAT", "TEXT", "BLOB", "BOOL", "NOT",
+		"IF", "EXISTS",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen bounds the upper-casing buffer: no keyword is longer, so a
+// longer word is an identifier without a lookup.
+const maxKeywordLen = 8
+
+// keyword returns the canonical keyword that word spells, in any letter
+// case. It upper-cases into a stack array, and the map lookup by that
+// array's bytes does not allocate.
+func keyword(word string) (string, bool) {
+	var up [maxKeywordLen]byte
+	if len(word) > len(up) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	kw, ok := keywords[string(up[:len(word)])]
+	return kw, ok
 }
 
 // lexError reports a lexical error with byte position.
@@ -52,11 +83,12 @@ func (e *lexError) Error() string {
 	return fmt.Sprintf("sql: lex error at byte %d: %s", e.pos, e.msg)
 }
 
-// lex tokenizes src. It is written as a single pass with no regexps: the
-// lexer runs on every query a storage node receives, so it is part of the
-// "query processing" CPU the experiments measure.
-func lex(src string) ([]token, error) {
-	var toks []token
+// lex tokenizes src, appending to toks. It is written as a single pass
+// with no regexps: the lexer runs on every query a storage node receives,
+// so it is part of the "query processing" CPU the experiments measure.
+// On error it still returns toks, so a caller that lends its buffer gets
+// it back.
+func lex(toks []token, src string) ([]token, error) {
 	i := 0
 	n := len(src)
 	for i < n {
@@ -70,9 +102,8 @@ func lex(src string) ([]token, error) {
 				i++
 			}
 			word := src[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, token{kind: tokKeyword, text: upper, pos: start})
+			if kw, ok := keyword(word); ok {
+				toks = append(toks, token{kind: tokKeyword, text: kw, pos: start})
 			} else {
 				toks = append(toks, token{kind: tokIdent, text: word, pos: start})
 			}
@@ -87,12 +118,11 @@ func lex(src string) ([]token, error) {
 		case c == '\'':
 			start := i
 			i++
-			var sb strings.Builder
-			closed := false
+			escaped, closed := false, false
 			for i < n {
 				if src[i] == '\'' {
 					if i+1 < n && src[i+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
+						escaped = true
 						i += 2
 						continue
 					}
@@ -100,27 +130,30 @@ func lex(src string) ([]token, error) {
 					closed = true
 					break
 				}
-				sb.WriteByte(src[i])
 				i++
 			}
 			if !closed {
-				return nil, &lexError{pos: start, msg: "unterminated string"}
+				return toks, &lexError{pos: start, msg: "unterminated string"}
 			}
-			toks = append(toks, token{kind: tokString, text: sb.String(), pos: start})
+			text := src[start+1 : i-1]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
+			}
+			toks = append(toks, token{kind: tokString, text: text, pos: start})
 		case c == '!' || c == '<' || c == '>':
 			start := i
 			i++
 			if i < n && src[i] == '=' {
 				i++
 			} else if c == '!' {
-				return nil, &lexError{pos: start, msg: "expected != "}
+				return toks, &lexError{pos: start, msg: "expected != "}
 			}
 			toks = append(toks, token{kind: tokPunct, text: src[start:i], pos: start})
 		case c == '(' || c == ')' || c == ',' || c == '.' || c == '=' || c == '*' || c == '?' || c == ';':
-			toks = append(toks, token{kind: tokPunct, text: string(c), pos: i})
+			toks = append(toks, token{kind: tokPunct, text: src[i : i+1], pos: i})
 			i++
 		default:
-			return nil, &lexError{pos: i, msg: fmt.Sprintf("unexpected character %q", c)}
+			return toks, &lexError{pos: i, msg: fmt.Sprintf("unexpected character %q", c)}
 		}
 	}
 	toks = append(toks, token{kind: tokEOF, pos: n})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // ParseError reports a syntax error with position context.
@@ -18,12 +19,19 @@ func (e *ParseError) Error() string {
 }
 
 // Parse parses one SQL statement. A trailing semicolon is allowed.
+//
+// The parser and its token buffer come from a pool, so a statement costs
+// the AST it returns and nothing else. No AST node points into the token
+// buffer: names and literals are strings (substrings of src), and every
+// slice is the AST's own.
 func Parse(src string) (Stmt, error) {
-	toks, err := lex(src)
+	p := parserPool.Get().(*parser)
+	defer p.release()
+	toks, err := lex(p.toks[:0], src)
+	p.toks = toks
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
 	stmt, err := p.parseStmt()
 	if err != nil {
 		return nil, err
@@ -38,9 +46,28 @@ func Parse(src string) (Stmt, error) {
 	return stmt, nil
 }
 
+// parser is one statement's parse state.
 type parser struct {
-	toks []token
-	i    int
+	toks   []token
+	i      int
+	params int // ? placeholders numbered so far, left to right
+}
+
+var parserPool = sync.Pool{New: func() any { return new(parser) }}
+
+// maxPooledTokens bounds the token buffer a pooled parser keeps: a bulk
+// INSERT's buffer is dropped rather than held for point statements.
+const maxPooledTokens = 1024
+
+// release returns p to the pool, dropping its references into the
+// statement text.
+func (p *parser) release() {
+	if cap(p.toks) > maxPooledTokens {
+		return
+	}
+	clear(p.toks)
+	p.toks, p.i, p.params = p.toks[:0], 0, 0
+	parserPool.Put(p)
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -291,23 +318,13 @@ func (p *parser) parsePred() (Pred, error) {
 	return Pred{Col: col, Op: op, X: x}, nil
 }
 
-// paramCounter numbers ? placeholders left to right across the statement.
-func (p *parser) countParams() int {
-	n := 0
-	for _, t := range p.toks[:p.i] {
-		if t.kind == tokPunct && t.text == "?" {
-			n++
-		}
-	}
-	return n
-}
-
 func (p *parser) parseExpr() (Expr, error) {
 	t := p.peek()
 	switch {
 	case t.kind == tokPunct && t.text == "?":
 		p.next()
-		return Expr{IsParam: true, Param: p.countParams()}, nil
+		p.params++
+		return Expr{IsParam: true, Param: p.params}, nil
 	case t.kind == tokNumber:
 		p.next()
 		if strings.ContainsAny(t.text, ".eE") {

@@ -81,11 +81,24 @@ func renderWhere(b *strings.Builder, preds []Pred) {
 	}
 }
 
+// renderExpr prints x as a literal that lexes back to the same value: a
+// quote inside text is doubled, and a float keeps a decimal point or
+// exponent so it does not come back as an INT.
 func renderExpr(x Expr) string {
-	if x.IsParam {
+	switch {
+	case x.IsParam:
 		return "?"
+	case x.Value.Kind == KindText:
+		return "'" + strings.ReplaceAll(x.Value.Str, "'", "''") + "'"
+	case x.Value.Kind == KindFloat:
+		s := x.Value.String()
+		if !strings.ContainsAny(s, ".eEIN") { // Inf and NaN never parse
+			s += ".0"
+		}
+		return s
+	default:
+		return x.Value.String()
 	}
-	return x.Value.String()
 }
 
 func renderInsert(b *strings.Builder, s *InsertStmt) {

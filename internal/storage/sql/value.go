@@ -282,30 +282,33 @@ func AliasValue(buf []byte) (Value, error) {
 // KeyBytes renders v as an order-preserving byte string usable in KV keys
 // (primary keys and index keys). Text sorts lexically; ints sort by an
 // offset-binary big-endian form.
-func (v Value) KeyBytes() []byte {
+func (v Value) KeyBytes() []byte { return v.AppendKeyBytes(nil) }
+
+// AppendKeyBytes appends KeyBytes' form of v to dst, so a caller can build
+// a whole key in one buffer it supplies.
+func (v Value) AppendKeyBytes(dst []byte) []byte {
 	switch v.Kind {
 	case KindInt:
 		u := uint64(v.Int) ^ (1 << 63) // flip sign bit: negative < positive
-		b := make([]byte, 9)
-		b[0] = 'i'
+		dst = append(dst, 'i')
 		for i := 0; i < 8; i++ {
-			b[1+i] = byte(u >> (56 - 8*i))
+			dst = append(dst, byte(u>>(56-8*i)))
 		}
-		return b
+		return dst
 	case KindText:
-		return append([]byte{'s'}, v.Str...)
+		return append(append(dst, 's'), v.Str...)
 	case KindBlob:
-		return append([]byte{'b'}, v.Blob...)
+		return append(append(dst, 'b'), v.Blob...)
 	case KindBool:
 		if v.Bool {
-			return []byte{'t', 1}
+			return append(dst, 't', 1)
 		}
-		return []byte{'t', 0}
+		return append(dst, 't', 0)
 	case KindFloat:
 		// Floats are not used as keys by the workloads; keep a stable
 		// (if not perfectly ordered for negatives) form.
-		return append([]byte{'f'}, strconv.FormatFloat(v.Float, 'b', -1, 64)...)
+		return strconv.AppendFloat(append(dst, 'f'), v.Float, 'b', -1, 64)
 	default:
-		return []byte{'n'}
+		return append(dst, 'n')
 	}
 }
