@@ -77,11 +77,18 @@ func TestMeteringConservation(t *testing.T) {
 // units (a scratch run with a counting Burner read 92 233 236, 61 079 484
 // and 33 484 584 units on both sides), so what the lane removed is
 // measuring overhead, not measured work.
+//
+// storage.kv counts only the stream's statements. Preloading the 300
+// keys used to add 1,800 ops: each row's INSERT reads for an existing
+// row and then Puts, on each of three replicas. Bootstrap now runs as a
+// bulk load that meters nothing, so each architecture's storage.kv is
+// exactly 1,800 lower (Base 3340, Remote 2680, Linked 2611 before) and
+// every other count is as it was.
 func TestMeteredOpsUnchanged(t *testing.T) {
 	want := map[Arch]map[string]int64{
-		Base:   {"app": 5000, "storage.exec": 1216, "storage.kv": 3340, "storage.raft": 1108, "storage.rpc": 2000, "storage.sql": 3324},
-		Remote: {"app": 6144, "remotecache": 3696, "storage.exec": 556, "storage.kv": 2680, "storage.raft": 448, "storage.rpc": 680, "storage.sql": 1344},
-		Linked: {"app": 3542, "app.cache": 0, "storage.exec": 487, "storage.kv": 2611, "storage.raft": 379, "storage.rpc": 542, "storage.sql": 1137},
+		Base:   {"app": 5000, "storage.exec": 1216, "storage.kv": 1540, "storage.raft": 1108, "storage.rpc": 2000, "storage.sql": 3324},
+		Remote: {"app": 6144, "remotecache": 3696, "storage.exec": 556, "storage.kv": 880, "storage.raft": 448, "storage.rpc": 680, "storage.sql": 1344},
+		Linked: {"app": 3542, "app.cache": 0, "storage.exec": 487, "storage.kv": 811, "storage.raft": 379, "storage.rpc": 542, "storage.sql": 1137},
 	}
 	for arch, ops := range want {
 		t.Run(arch.String(), func(t *testing.T) {

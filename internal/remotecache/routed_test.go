@@ -217,16 +217,21 @@ func TestRoutedKillOldNodeMidMigration(t *testing.T) {
 	c := f.client
 	c.Degrade(nil)
 
-	// storage is the source of truth the cache fronts; version counters
-	// let every read assert it observed nothing older than acked state.
+	// storage is the source of truth the cache fronts; version counts
+	// the writes begun on each key and acked the writes whose Set has
+	// returned, so every read can assert it observed nothing older than
+	// acknowledged state. A write in flight is not acknowledged: a read
+	// racing it may still see the previous value.
 	var mu sync.Mutex
 	storage := map[string]string{}
 	version := map[string]int{}
+	acked := map[string]int{}
 
 	write := func(key string) {
 		mu.Lock()
 		version[key]++
-		val := fmt.Sprintf("%s@v%d", key, version[key])
+		n := version[key]
+		val := fmt.Sprintf("%s@v%d", key, n)
 		storage[key] = val
 		mu.Unlock()
 		// Lookaside write-through: storage first, then cache (fan-out +
@@ -234,6 +239,11 @@ func TestRoutedKillOldNodeMidMigration(t *testing.T) {
 		if err := c.Set(key, []byte(val)); err != nil {
 			t.Fatalf("set %s: %v", key, err)
 		}
+		mu.Lock()
+		if n > acked[key] {
+			acked[key] = n
+		}
+		mu.Unlock()
 	}
 	read := func(key string) {
 		v, found, err := c.Get(key)
@@ -288,7 +298,7 @@ func TestRoutedKillOldNodeMidMigration(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				k := keys[(g*13+i)%len(keys)]
 				mu.Lock()
-				vBefore := version[k]
+				vBefore := acked[k]
 				mu.Unlock()
 				v, found, err := c.Get(k)
 				if err != nil {

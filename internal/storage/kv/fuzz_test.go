@@ -80,6 +80,32 @@ func FuzzSSTableFooter(f *testing.F) {
 	})
 }
 
+// FuzzEncodedLen checks that a page's arithmetic size is its encoding's
+// length, byte for byte: a flush charges and splits on encodedLen before
+// it encodes. A page of up to eight entries has key and value lengths
+// stepping up from the given ones, across varint boundaries.
+func FuzzEncodedLen(f *testing.F) {
+	for _, n := range []uint32{0, 1, 127, 128, 16383, 16384} {
+		f.Add(n, n, uint64(1), uint8(2))
+	}
+	for _, ver := range []uint64{0, 1<<7 - 1, 1 << 7, 1<<14 - 1, 1 << 14, 1 << 63, 1<<64 - 1} {
+		f.Add(uint32(126), uint32(16382), ver, uint8(4))
+	}
+	f.Fuzz(func(t *testing.T, keyLen, valLen uint32, ver uint64, entries uint8) {
+		keyLen, valLen = keyLen%(1<<17), valLen%(1<<17)
+		dp := &decodedPage{}
+		for i := 0; i < int(entries%8); i++ {
+			dp.keys = append(dp.keys, make([]byte, int(keyLen)+i))
+			dp.vals = append(dp.vals, make([]byte, int(valLen)+i))
+			dp.vers = append(dp.vers, ver+uint64(i))
+		}
+		if got, want := encodedLen(dp), len(encodePage(dp)); got != want {
+			t.Fatalf("encodedLen = %d, len(encodePage) = %d (key %d, value %d, version %d, %d entries)",
+				got, want, keyLen, valLen, ver, len(dp.keys))
+		}
+	})
+}
+
 // TestWALDecodeRejectsBitFlips flips every byte of a valid frame and
 // asserts the decoder never returns that frame as valid with altered
 // content (a flip in the length prefix may still decode if it resolves

@@ -12,17 +12,25 @@ import (
 // pays to move a page across the disk boundary.
 
 func encodePage(dp *decodedPage) []byte {
-	size := 16
-	for i := range dp.keys {
-		size += len(dp.keys[i]) + len(dp.vals[i]) + 16
-	}
-	e := wire.NewEncoder(size)
+	e := wire.NewEncoder(encodedLen(dp))
 	for i := range dp.keys {
 		e.BytesField(1, dp.keys[i])
 		e.BytesField(2, dp.vals[i])
 		e.Uint64(3, dp.vers[i])
 	}
 	return e.Bytes()
+}
+
+// encodedLen is len(encodePage(dp)), by arithmetic: per entry, three
+// one-byte tags, the key and value with their varint lengths, and the
+// version's varint.
+func encodedLen(dp *decodedPage) int {
+	n := 0
+	for i := range dp.keys {
+		k, v := len(dp.keys[i]), len(dp.vals[i])
+		n += 3 + wire.UvarintLen(uint64(k)) + k + wire.UvarintLen(uint64(v)) + v + wire.UvarintLen(dp.vers[i])
+	}
+	return n
 }
 
 // decodePage decodes an encoded page of n entries (its page.n, a sizing

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"cachecost/internal/cache"
 	"cachecost/internal/meter"
@@ -203,6 +204,10 @@ type Store struct {
 	mem      map[string]*memEntry     // pending writes
 	memBytes int64
 	dur      *durable // non-nil for durable stores; see durable.go
+
+	// loading counts open BulkLoad scopes. Atomic because track reads it
+	// before taking mu.
+	loading atomic.Int32
 }
 
 // memEntry is one pending write (or tombstone) in the memtable.
@@ -212,13 +217,18 @@ type memEntry struct {
 	tomb bool
 }
 
-// page is the authoritative, "on disk" form of a key range.
+// page is the authoritative, "on disk" form of a key range. A page a
+// flush stores is held decoded in pending until the flush ends, which
+// encodes it once however many of the flush's keys it absorbed; size is
+// its encoded length all along.
 type page struct {
 	id       uint64
 	cacheKey string // the page's block-cache key, formatted once
 	firstKey []byte // lower bound of the page's range; nil for the first page
 	encoded  []byte
-	n        int // entry count, tracked to avoid decoding for sizing
+	pending  *decodedPage // stored by the running flush, not yet encoded
+	size     int          // len(encoded), or encodedLen(pending) while pending
+	n        int          // entry count, tracked to avoid decoding for sizing
 }
 
 func newPage(id uint64, firstKey []byte) *page {
@@ -274,9 +284,23 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
+// BulkLoad runs fn as a bulk load: the store calls fn makes do all their
+// real work — memtable, flushes, page splits, block-cache puts, versions
+// and, on a durable store, the WAL and SSTables — but burn no modeled
+// disk penalty and open no meter stopwatch, so loading leaves both the
+// Burner and the metered component as they were. It is a scope, not a
+// mode: calls from other goroutines while fn runs are unmetered too, so
+// callers serialise them (storage.Node.Bootstrap holds the node's
+// statement lock).
+func (s *Store) BulkLoad(fn func()) {
+	s.loading.Add(1)
+	defer s.loading.Add(-1)
+	fn()
+}
+
 // track wraps a critical section with meter attribution.
 func (s *Store) track(fn func()) {
-	if s.cfg.Comp == nil {
+	if s.cfg.Comp == nil || s.loading.Load() != 0 {
 		fn()
 		return
 	}
@@ -286,6 +310,9 @@ func (s *Store) track(fn func()) {
 }
 
 func (s *Store) burnDisk(n int, perByte float64) {
+	if s.loading.Load() != 0 {
+		return
+	}
 	work := s.cfg.DiskPenaltyPerOp + int(perByte*float64(n))
 	if s.cfg.Burner != nil {
 		s.cfg.Burner.Burn(work)
@@ -315,24 +342,47 @@ func (s *Store) loadPage(p *page) *decodedPage {
 	if dp, ok := s.bcache.Get(p.cacheKey); ok {
 		return dp
 	}
-	// Block-cache miss: pay the disk read and decode.
+	// Block-cache miss: pay the disk read and decode. A page the running
+	// flush stored is read back as stored: its encoded bytes are stale.
 	s.stats.DiskReads++
-	s.stats.DiskReadBytes += int64(len(p.encoded))
-	s.burnDisk(len(p.encoded), s.cfg.DiskPenaltyPerByte)
-	dp := decodePage(p.encoded, p.n)
+	s.stats.DiskReadBytes += int64(p.size)
+	s.burnDisk(p.size, s.cfg.DiskPenaltyPerByte)
+	dp := p.pending
+	if dp == nil {
+		dp = decodePage(p.encoded, p.n)
+	}
 	s.bcache.Put(p.cacheKey, dp)
 	return dp
 }
 
-// storePage re-encodes dp as the authoritative form of p and writes it
-// "to disk", updating the block cache write-through.
+// storePage makes dp the authoritative form of p and writes it "to
+// disk", updating the block cache write-through. The write is counted
+// and charged at dp's encoded size now; the encoding itself waits for
+// the end of the flush (encodeDirty), so a page that absorbs many keys
+// is encoded once.
 func (s *Store) storePage(p *page, dp *decodedPage) {
-	p.encoded = encodePage(dp)
+	p.pending = dp
+	p.size = encodedLen(dp)
 	p.n = len(dp.keys)
 	s.stats.DiskWrites++
-	s.stats.DiskWriteBytes += int64(len(p.encoded))
-	s.burnDisk(len(p.encoded), s.cfg.DiskWritePenaltyPerByte)
+	s.stats.DiskWriteBytes += int64(p.size)
+	s.burnDisk(p.size, s.cfg.DiskWritePenaltyPerByte)
 	s.bcache.Put(p.cacheKey, dp)
+}
+
+// encodeDirty encodes every page the running flush stored, once each.
+// Callers hold s.mu.
+func (s *Store) encodeDirty() {
+	for _, p := range s.pages {
+		if p.pending == nil {
+			continue
+		}
+		p.encoded = encodePage(p.pending)
+		if len(p.encoded) != p.size {
+			panic(fmt.Sprintf("kv: page %d encoded to %d bytes, sized %d", p.id, len(p.encoded), p.size))
+		}
+		p.pending = nil
+	}
 }
 
 // Get returns a copy of the value and its version.
@@ -504,6 +554,7 @@ func (s *Store) flushLocked() {
 			s.applyToPages([]byte(k), e.val, e.ver)
 		}
 	}
+	s.encodeDirty()
 	s.mem = make(map[string]*memEntry)
 	s.memBytes = 0
 }
@@ -687,7 +738,7 @@ func (s *Store) DataBytes() int64 {
 	}
 	var n int64
 	for _, p := range s.pages {
-		n += int64(len(p.encoded))
+		n += int64(p.size)
 	}
 	return n
 }
@@ -750,7 +801,7 @@ func (s *Store) SetCacheBytes(n int64) {
 // Callers hold s.mu. A page with a single oversized entry is left alone.
 func (s *Store) maybeSplit(idx int) {
 	p := s.pages[idx]
-	if len(p.encoded) <= s.cfg.PageBytes || p.n < 2 {
+	if p.size <= s.cfg.PageBytes || p.n < 2 {
 		return
 	}
 	dp := s.loadPage(p)

@@ -225,6 +225,42 @@ func TestMeteredStoreAttributesTime(t *testing.T) {
 	}
 }
 
+// TestLoadBurnsNothing: inside a BulkLoad scope, Puts that cross a
+// memtable flush and page splits leave a caller's Burner and the metered
+// component as they were; the same Puts outside the scope burn and meter.
+// The loaded state is the store's all the same.
+func TestLoadBurnsNothing(t *testing.T) {
+	for _, loaded := range []bool{true, false} {
+		m := meter.NewMeter()
+		b := meter.NewBurner()
+		s := NewStore(Config{PageBytes: 512, CacheBytes: 4 << 10, MemtableBytes: 8 << 10, Comp: m.Component("kv"), Burner: b})
+		sink := b.Sink()
+		puts := func() {
+			for i := 0; i < 200; i++ {
+				s.Put([]byte(fmt.Sprintf("k%03d", i)), bytes.Repeat([]byte("v"), 100))
+			}
+		}
+		if loaded {
+			s.BulkLoad(puts)
+		} else {
+			puts()
+		}
+		if st := s.Stats(); st.Flushes == 0 || st.DiskWrites == 0 {
+			t.Fatalf("loaded=%v: the Puts never flushed: %+v", loaded, st)
+		}
+		c := m.Component("kv")
+		if burned := b.Sink() != sink; burned == loaded {
+			t.Errorf("loaded=%v: Burner sink moved = %v", loaded, burned)
+		}
+		if metered := c.Ops() != 0 || c.Busy() != 0; metered == loaded {
+			t.Errorf("loaded=%v: component metered %d ops, %v busy", loaded, c.Ops(), c.Busy())
+		}
+		if v, _, ok := s.Get([]byte("k123")); !ok || len(v) != 100 {
+			t.Fatalf("loaded=%v: k123 = %q, %v", loaded, v, ok)
+		}
+	}
+}
+
 func TestDiskPenaltyScalesWithValueSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("measured cost ratios are distorted by race-detector instrumentation")

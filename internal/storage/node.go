@@ -405,8 +405,14 @@ func (n *Node) SetBlockCacheBytes(b int64) {
 }
 
 // Bootstrap executes DDL or seed statements directly against every
-// replica, bypassing RPC and metering. Use it to set up schemas and
-// preload data without polluting an experiment's cost measurements.
+// replica, bypassing RPC, raft and metering. Use it to set up schemas
+// and preload data without polluting an experiment's cost measurements.
+// Each replica runs the statements as a bulk load (kv.Store.BulkLoad):
+// parse, plan, row encoding, memtable, flushes, page splits and the
+// block cache do their real work and leave the state a metered write
+// would, but no meter component is charged and no modeled disk penalty
+// is burned — loading is set-up, billed to nobody. n.mu, which every
+// statement handler takes, keeps the scope to this call's statements.
 func (n *Node) Bootstrap(statements []string, params ...[]sql.Value) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -420,7 +426,8 @@ func (n *Node) Bootstrap(statements []string, params ...[]sql.Value) error {
 			p = params[i]
 		}
 		for _, db := range n.dbs {
-			if _, err := db.Exec(stmt, p); err != nil {
+			db.Store().BulkLoad(func() { _, err = db.Exec(stmt, p) })
+			if err != nil {
 				return fmt.Errorf("storage: bootstrap %q: %w", truncate(src, 60), err)
 			}
 		}

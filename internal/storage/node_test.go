@@ -115,6 +115,33 @@ func TestVersionCheck(t *testing.T) {
 	}
 }
 
+// TestBootstrapLeavesMeterUntouched: a schema and enough bootstrap rows
+// to flush every replica's memtable (4 MiB of 16 KB rows) charge no
+// meter component — not the storage engine's flushes, page splits or
+// modeled disk penalty either.
+func TestBootstrapLeavesMeterUntouched(t *testing.T) {
+	m := meter.NewMeter()
+	n, _ := newTestNode(t, m)
+	if err := n.Bootstrap([]string{"CREATE TABLE t (id INT PRIMARY KEY, v BLOB)"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if err := n.BootstrapExec("INSERT INTO t (id, v) VALUES (?, ?)", sql.Int64(int64(i)), sql.Blob(make([]byte, 16<<10))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, db := range n.dbs {
+		if st := db.Store().Stats(); st.Flushes == 0 {
+			t.Fatalf("replica %d never flushed: %+v", i, st)
+		}
+	}
+	for _, c := range m.Snapshot() {
+		if c.Busy != 0 || c.Ops != 0 {
+			t.Errorf("%s: %v busy over %d ops after bootstrap, want 0 and 0", c.Name, c.Busy, c.Ops)
+		}
+	}
+}
+
 func TestBootstrapBypassesMetering(t *testing.T) {
 	m := meter.NewMeter()
 	n, c := newTestNode(t, m)
