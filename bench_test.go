@@ -26,11 +26,15 @@ func benchOpts() core.FigOptions {
 }
 
 // benchFigure regenerates one figure per iteration.
-func benchFigure(b *testing.B, run func(core.FigOptions) (*core.Table, error)) {
+func benchFigure(b *testing.B, id string) {
 	b.Helper()
+	fig, err := core.FigureByID(id)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var rows int
 	for i := 0; i < b.N; i++ {
-		tab, err := run(benchOpts())
+		tab, err := fig.Run(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,18 +43,18 @@ func benchFigure(b *testing.B, run func(core.FigOptions) (*core.Table, error)) {
 	b.ReportMetric(float64(rows), "rows")
 }
 
-func BenchmarkFig2a(b *testing.B)       { benchFigure(b, core.Fig2a) }
-func BenchmarkFig2b(b *testing.B)       { benchFigure(b, core.Fig2b) }
-func BenchmarkFig3(b *testing.B)        { benchFigure(b, core.Fig3) }
-func BenchmarkFig4a(b *testing.B)       { benchFigure(b, core.Fig4a) }
-func BenchmarkFig4b(b *testing.B)       { benchFigure(b, core.Fig4b) }
-func BenchmarkFig5a(b *testing.B)       { benchFigure(b, core.Fig5a) }
-func BenchmarkFig5b(b *testing.B)       { benchFigure(b, core.Fig5b) }
-func BenchmarkFig6(b *testing.B)        { benchFigure(b, core.Fig6) }
-func BenchmarkFig7(b *testing.B)        { benchFigure(b, core.Fig7) }
-func BenchmarkFig8(b *testing.B)        { benchFigure(b, core.Fig8) }
-func BenchmarkConsistency(b *testing.B) { benchFigure(b, core.FigConsistency) }
-func BenchmarkMarginal(b *testing.B)    { benchFigure(b, core.FigMarginal) }
+func BenchmarkFig2a(b *testing.B)       { benchFigure(b, "fig2a") }
+func BenchmarkFig2b(b *testing.B)       { benchFigure(b, "fig2b") }
+func BenchmarkFig3(b *testing.B)        { benchFigure(b, "fig3") }
+func BenchmarkFig4a(b *testing.B)       { benchFigure(b, "fig4a") }
+func BenchmarkFig4b(b *testing.B)       { benchFigure(b, "fig4b") }
+func BenchmarkFig5a(b *testing.B)       { benchFigure(b, "fig5a") }
+func BenchmarkFig5b(b *testing.B)       { benchFigure(b, "fig5b") }
+func BenchmarkFig6(b *testing.B)        { benchFigure(b, "fig6") }
+func BenchmarkFig7(b *testing.B)        { benchFigure(b, "fig7") }
+func BenchmarkFig8(b *testing.B)        { benchFigure(b, "fig8") }
+func BenchmarkConsistency(b *testing.B) { benchFigure(b, "consistency") }
+func BenchmarkMarginal(b *testing.B)    { benchFigure(b, "marginal") }
 
 // BenchmarkVersionCheck isolates the §5.5 cost: the storage-side price of
 // one consistency version check.

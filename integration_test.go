@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"cachecost/internal/core"
+	"cachecost/internal/fault"
 	"cachecost/internal/meter"
 	"cachecost/internal/remotecache"
 	"cachecost/internal/rpc"
@@ -141,6 +142,9 @@ func TestClusterOverTCP(t *testing.T) {
 	}
 }
 
+// TestClusterStoreFailover takes the storage tier away from a Linked
+// service over TCP, through the fault layer: a cached read survives, an
+// uncached one fails, and once storage is back writes and reads succeed.
 func TestClusterStoreFailover(t *testing.T) {
 	storeMeter := meter.NewMeter()
 	node := storage.NewNode(storage.Config{Replicas: 3, BlockCacheBytes: 4 << 20, Meter: storeMeter})
@@ -151,34 +155,34 @@ func TestClusterStoreFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	inj := fault.New(1, fault.Options{})
 	svc, err := core.NewKVServiceRemote(core.ServiceConfig{
 		Arch:  core.Linked,
 		Meter: appMeter,
-	}, core.RemoteEndpoints{DB: dbConn})
+	}, core.RemoteEndpoints{DB: inj.WrapWorker("storage", 0, dbConn)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Preload([]core.PreloadItem{{Key: "k", Size: 64}}); err != nil {
+	if err := svc.Preload([]core.PreloadItem{{Key: "k", Size: 64}, {Key: "cold", Size: 64}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Read("k"); err != nil {
 		t.Fatal(err)
 	}
 
-	// Kill the storage leader mid-flight: cached reads keep working,
-	// uncached reads fail until a new leader is elected.
-	node.Group().FailNode(0)
+	inj.Kill("storage")
 	if _, err := svc.Read("k"); err != nil {
-		t.Fatalf("cached read should survive storage failover: %v", err)
+		t.Fatalf("cached read should survive a storage outage: %v", err)
 	}
-	if err := node.Group().ElectLeader(1); err != nil {
-		t.Fatal(err)
+	if _, err := svc.Read("cold"); err == nil {
+		t.Fatal("uncached read succeeded with storage down")
 	}
+	inj.Revive("storage")
 	if err := svc.Write("k", core.ValueFor("k2", 64)); err != nil {
-		t.Fatalf("write after failover: %v", err)
+		t.Fatalf("write after recovery: %v", err)
 	}
 	got, err := svc.Read("k")
 	if err != nil || !bytes.Equal(got, core.Digest(core.ValueFor("k2", 64))) {
-		t.Fatalf("read after failover: %v", err)
+		t.Fatalf("read after recovery: %v", err)
 	}
 }

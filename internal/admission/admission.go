@@ -28,30 +28,30 @@ type Decision int
 
 // The decisions.
 const (
-	// Admit grants an inflight slot immediately.
-	Admit Decision = iota
-	// Enqueue parks the request in the bounded wait queue; it will be
-	// granted by a later Done or abandoned by its deadline.
-	Enqueue
-	// Shed rejects the request because the wait queue is full. Shedding
+	// admit grants an inflight slot immediately.
+	admit Decision = iota
+	// enqueue parks the request in the bounded wait queue; it will be
+	// granted by a later done or abandoned by its deadline.
+	enqueue
+	// shed rejects the request because the wait queue is full. Shedding
 	// at arrival is the whole point: the server refuses work it cannot
 	// serve within the SLO instead of queueing it to die.
-	Shed
-	// Expire rejects the request because its deadline had already passed
+	shed
+	// expire rejects the request because its deadline had already passed
 	// on arrival.
-	Expire
+	expire
 )
 
 // String implements fmt.Stringer.
 func (d Decision) String() string {
 	switch d {
-	case Admit:
+	case admit:
 		return "admit"
-	case Enqueue:
+	case enqueue:
 		return "enqueue"
-	case Shed:
+	case shed:
 		return "shed"
-	case Expire:
+	case expire:
 		return "expire"
 	default:
 		return fmt.Sprintf("Decision(%d)", int(d))
@@ -93,10 +93,10 @@ type Queue struct {
 	offered, admitted, shed, expired int64
 }
 
-// NewQueue builds a queue with the given slot count and wait depth.
+// newQueue builds a queue with the given slot count and wait depth.
 // maxInflight must be positive; depth may be zero (shed the instant all
 // slots are busy).
-func NewQueue(maxInflight, depth int) *Queue {
+func newQueue(maxInflight, depth int) *Queue {
 	if maxInflight <= 0 {
 		panic("admission: maxInflight must be positive")
 	}
@@ -106,35 +106,35 @@ func NewQueue(maxInflight, depth int) *Queue {
 	return &Queue{maxInflight: maxInflight, depth: depth}
 }
 
-// Offer presents one request with the given deadline (unix nanoseconds,
+// offer presents one request with the given deadline (unix nanoseconds,
 // 0 = none) at clock value now. The returned id identifies the request
-// in later Grant results and Abandon calls; it is meaningful only for
-// Admit and Enqueue.
-func (q *Queue) Offer(deadline int64, now int64) (Decision, uint64) {
+// in later grant results and abandon calls; it is meaningful only for
+// admit and enqueue.
+func (q *Queue) offer(deadline int64, now int64) (Decision, uint64) {
 	q.offered++
 	if deadline != 0 && now > deadline {
 		q.expired++
-		return Expire, 0
+		return expire, 0
 	}
 	if q.inflight < q.maxInflight {
 		q.inflight++
 		q.admitted++
 		q.nextID++
-		return Admit, q.nextID
+		return admit, q.nextID
 	}
 	if len(q.waiting) >= q.depth {
 		q.shed++
-		return Shed, 0
+		return shed, 0
 	}
 	q.nextID++
 	q.waiting = append(q.waiting, q.nextID)
-	return Enqueue, q.nextID
+	return enqueue, q.nextID
 }
 
-// Done releases the slot held by an admitted request and grants it to
+// done releases the slot held by an admitted request and grants it to
 // the first waiter. It returns the granted id and true, or 0 and false
 // when the queue is empty.
-func (q *Queue) Done() (uint64, bool) {
+func (q *Queue) done() (uint64, bool) {
 	if q.inflight <= 0 {
 		panic("admission: Done without an admitted request")
 	}
@@ -151,11 +151,11 @@ func (q *Queue) Done() (uint64, bool) {
 	return id, true
 }
 
-// Abandon removes a waiting request whose deadline passed while queued,
+// abandon removes a waiting request whose deadline passed while queued,
 // freeing its queue capacity immediately. It reports whether the id was
 // found still waiting; false means the request was granted concurrently
 // and the caller must treat it as admitted.
-func (q *Queue) Abandon(id uint64) bool {
+func (q *Queue) abandon(id uint64) bool {
 	for i := range q.waiting {
 		if q.waiting[i] == id {
 			q.waiting = append(q.waiting[:i], q.waiting[i+1:]...)
@@ -166,8 +166,8 @@ func (q *Queue) Abandon(id uint64) bool {
 	return false
 }
 
-// Stats snapshots the conservation counters.
-func (q *Queue) Stats() Stats {
+// stats snapshots the conservation counters.
+func (q *Queue) stats() Stats {
 	return Stats{
 		Offered:  q.offered,
 		Admitted: q.admitted,
@@ -177,9 +177,6 @@ func (q *Queue) Stats() Stats {
 		Inflight: int64(q.inflight),
 	}
 }
-
-// Capacity returns the configured (maxInflight, depth).
-func (q *Queue) Capacity() (int, int) { return q.maxInflight, q.depth }
 
 // Outcome is the result of Gate.Enter.
 type Outcome int
@@ -213,7 +210,7 @@ func NewGate(maxInflight, depth int, now func() time.Time) *Gate {
 		now = time.Now
 	}
 	return &Gate{
-		q:       NewQueue(maxInflight, depth),
+		q:       newQueue(maxInflight, depth),
 		wake:    make(map[uint64]chan struct{}),
 		granted: make(map[uint64]bool),
 		now:     now,
@@ -234,15 +231,15 @@ func (g *Gate) Enter(deadline time.Time) (Outcome, func()) {
 		dl = deadline.UnixNano()
 	}
 	g.mu.Lock()
-	dec, id := g.q.Offer(dl, g.now().UnixNano())
+	dec, id := g.q.offer(dl, g.now().UnixNano())
 	switch dec {
-	case Admit:
+	case admit:
 		g.mu.Unlock()
 		return Admitted, g.release
-	case Shed:
+	case shed:
 		g.mu.Unlock()
 		return ShedQueueFull, nil
-	case Expire:
+	case expire:
 		g.mu.Unlock()
 		return DeadlineExpired, nil
 	}
@@ -272,7 +269,7 @@ func (g *Gate) Enter(deadline time.Time) (Outcome, func()) {
 			g.mu.Unlock()
 			return Admitted, g.release
 		}
-		g.q.Abandon(id)
+		g.q.abandon(id)
 		delete(g.wake, id)
 		g.mu.Unlock()
 		return DeadlineExpired, nil
@@ -282,7 +279,7 @@ func (g *Gate) Enter(deadline time.Time) (Outcome, func()) {
 // release frees a slot and wakes the next live waiter.
 func (g *Gate) release() {
 	g.mu.Lock()
-	id, ok := g.q.Done()
+	id, ok := g.q.done()
 	if ok {
 		if ch, live := g.wake[id]; live {
 			delete(g.wake, id)
@@ -300,5 +297,5 @@ func (g *Gate) Stats() Stats {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.q.Stats()
+	return g.q.stats()
 }

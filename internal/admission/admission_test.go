@@ -8,51 +8,51 @@ import (
 )
 
 func TestQueueBasics(t *testing.T) {
-	q := NewQueue(2, 1)
-	d1, id1 := q.Offer(0, 0)
-	d2, _ := q.Offer(0, 0)
-	if d1 != Admit || d2 != Admit {
+	q := newQueue(2, 1)
+	d1, id1 := q.offer(0, 0)
+	d2, _ := q.offer(0, 0)
+	if d1 != admit || d2 != admit {
 		t.Fatalf("first two offers: %v/%v, want admit/admit", d1, d2)
 	}
 	if id1 == 0 {
 		t.Fatal("admit returned zero id")
 	}
-	d3, id3 := q.Offer(0, 0)
-	if d3 != Enqueue || id3 == 0 {
+	d3, id3 := q.offer(0, 0)
+	if d3 != enqueue || id3 == 0 {
 		t.Fatalf("third offer: %v/%d, want enqueue/nonzero", d3, id3)
 	}
-	if d4, _ := q.Offer(0, 0); d4 != Shed {
+	if d4, _ := q.offer(0, 0); d4 != shed {
 		t.Fatalf("fourth offer: %v, want shed (queue full)", d4)
 	}
-	if d5, _ := q.Offer(10, 20); d5 != Expire {
+	if d5, _ := q.offer(10, 20); d5 != expire {
 		t.Fatalf("expired-on-arrival offer: %v, want expire", d5)
 	}
-	gid, ok := q.Done()
+	gid, ok := q.done()
 	if !ok || gid != id3 {
 		t.Fatalf("Done granted %d/%v, want %d/true", gid, ok, id3)
 	}
-	s := q.Stats()
+	s := q.stats()
 	if s.Offered != 5 || s.Admitted != 3 || s.Shed != 1 || s.Expired != 1 || s.Waiting != 0 || s.Inflight != 2 {
 		t.Fatalf("stats %+v", s)
 	}
 }
 
 func TestQueueAbandon(t *testing.T) {
-	q := NewQueue(1, 2)
-	q.Offer(0, 0) // takes the slot
-	_, idA := q.Offer(0, 0)
-	_, idB := q.Offer(0, 0)
-	if !q.Abandon(idA) {
+	q := newQueue(1, 2)
+	q.offer(0, 0) // takes the slot
+	_, idA := q.offer(0, 0)
+	_, idB := q.offer(0, 0)
+	if !q.abandon(idA) {
 		t.Fatal("Abandon(idA) = false")
 	}
-	if q.Abandon(idA) {
+	if q.abandon(idA) {
 		t.Fatal("double Abandon succeeded")
 	}
-	gid, ok := q.Done() // must skip the abandoned head
+	gid, ok := q.done() // must skip the abandoned head
 	if !ok || gid != idB {
 		t.Fatalf("Done granted %d/%v, want %d/true", gid, ok, idB)
 	}
-	s := q.Stats()
+	s := q.stats()
 	if s.Offered != 3 || s.Admitted != 2 || s.Expired != 1 || s.Waiting != 0 {
 		t.Fatalf("stats %+v", s)
 	}

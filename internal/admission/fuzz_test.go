@@ -11,7 +11,7 @@ import (
 //
 //   - capacity is never exceeded: inflight <= maxInflight and
 //     waiting <= depth at all times;
-//   - an accepted op is never lost: every Enqueue id is eventually
+//   - an accepted op is never lost: every enqueue id is eventually
 //     granted or abandoned, never silently dropped;
 //   - conservation: offered == admitted + shed + expired + waiting.
 func FuzzAdmissionQueue(f *testing.F) {
@@ -23,14 +23,14 @@ func FuzzAdmissionQueue(f *testing.F) {
 		if maxInflight <= 0 || maxInflight > 8 || depth < 0 || depth > 8 {
 			t.Skip()
 		}
-		q := NewQueue(maxInflight, depth)
+		q := newQueue(maxInflight, depth)
 		now := int64(0)
 		inflight := 0
 		// waiting tracks live (un-abandoned) queued ids in FIFO order.
 		var waiting []uint64
 
 		check := func(step int, op string) {
-			s := q.Stats()
+			s := q.stats()
 			if s.Inflight != int64(inflight) {
 				t.Fatalf("step %d (%s): queue inflight %d, model %d", step, op, s.Inflight, inflight)
 			}
@@ -61,23 +61,23 @@ func FuzzAdmissionQueue(f *testing.F) {
 						dl = -1
 					}
 				}
-				dec, id := q.Offer(dl, now)
+				dec, id := q.offer(dl, now)
 				switch dec {
-				case Admit:
+				case admit:
 					if inflight >= maxInflight {
 						t.Fatalf("step %d: admit with %d/%d inflight", step, inflight, maxInflight)
 					}
 					inflight++
-				case Enqueue:
+				case enqueue:
 					if len(waiting) >= depth {
 						t.Fatalf("step %d: enqueue with %d/%d waiting", step, len(waiting), depth)
 					}
 					waiting = append(waiting, id)
-				case Shed:
+				case shed:
 					if len(waiting) < depth {
 						t.Fatalf("step %d: shed with queue space (%d/%d)", step, len(waiting), depth)
 					}
-				case Expire:
+				case expire:
 					if dl == 0 || now <= dl {
 						t.Fatalf("step %d: expired a live deadline (dl=%d now=%d)", step, dl, now)
 					}
@@ -87,7 +87,7 @@ func FuzzAdmissionQueue(f *testing.F) {
 				if inflight == 0 {
 					continue // Done without an admitted op would rightly panic
 				}
-				id, granted := q.Done()
+				id, granted := q.done()
 				inflight--
 				if granted {
 					if len(waiting) == 0 {
@@ -108,7 +108,7 @@ func FuzzAdmissionQueue(f *testing.F) {
 				}
 				i := int(b>>2) % len(waiting)
 				id := waiting[i]
-				if !q.Abandon(id) {
+				if !q.abandon(id) {
 					t.Fatalf("step %d: Abandon(%d) failed for a live waiter", step, id)
 				}
 				waiting = append(waiting[:i], waiting[i+1:]...)
@@ -122,7 +122,7 @@ func FuzzAdmissionQueue(f *testing.F) {
 		// Drain: every accepted op must surface. Complete all inflight work;
 		// each Done may grant a waiter, which we then complete too.
 		for inflight > 0 {
-			id, granted := q.Done()
+			id, granted := q.done()
 			inflight--
 			if granted {
 				if len(waiting) == 0 || waiting[0] != id {
@@ -136,7 +136,7 @@ func FuzzAdmissionQueue(f *testing.F) {
 		if len(waiting) != 0 {
 			t.Fatalf("drain left %d accepted ops stranded", len(waiting))
 		}
-		s := q.Stats()
+		s := q.stats()
 		if s.Offered != s.Admitted+s.Shed+s.Expired {
 			t.Fatalf("final conservation violated: %+v", s)
 		}

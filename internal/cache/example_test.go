@@ -21,10 +21,11 @@ func ExampleLRU() {
 	// hit ratio: 1.0
 }
 
-// ExampleReuseAnalyzer computes an exact miss-ratio curve from a trace —
-// the MR(s) function the paper's cost model consumes.
-func ExampleReuseAnalyzer() {
-	a := cache.NewReuseAnalyzer()
+// ExampleWindowedAnalyzer computes a miss-ratio curve from a trace — the
+// MR(s) function the paper's cost model consumes. A window the trace
+// never fills gives the exact, full-history curve.
+func ExampleWindowedAnalyzer() {
+	a := cache.NewWindowedAnalyzer(1000, 0.5)
 	// Cycle over two 100-byte objects: any cache holding both (200B) hits
 	// everything after the cold misses.
 	for i := 0; i < 10; i++ {

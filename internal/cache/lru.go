@@ -34,14 +34,6 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// MissRatio returns 1 - HitRatio when lookups happened, else 0.
-func (s Stats) MissRatio() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return 1 - s.HitRatio()
-}
-
 func (s *Stats) add(o Stats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
@@ -98,9 +90,6 @@ func NewLRU[V any](capacity int64, sizeOf SizeOf[V]) *LRU[V] {
 // SetEvictFunc installs an eviction observer.
 func (c *LRU[V]) SetEvictFunc(fn EvictFunc[V]) { c.onEvict = fn }
 
-// SetClock overrides the time source (tests).
-func (c *LRU[V]) SetClock(now func() time.Time) { c.now = now }
-
 // Get returns the value for key, marking it most recently used. Expired
 // entries are removed and reported as misses.
 func (c *LRU[V]) Get(key string) (V, bool) {
@@ -118,24 +107,6 @@ func (c *LRU[V]) Get(key string) (V, bool) {
 	}
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
-	return en.val, true
-}
-
-// Peek returns the value without updating recency or hit/miss stats. An
-// expired entry is reclaimed (counted under Expirations, like Get):
-// leaving it resident would keep dead bytes charged against UsedBytes
-// and Len until the next Get of that exact key.
-func (c *LRU[V]) Peek(key string) (V, bool) {
-	var zero V
-	el, ok := c.items[key]
-	if !ok {
-		return zero, false
-	}
-	en := el.Value.(*entry[V])
-	if !en.expire.IsZero() && c.now().After(en.expire) {
-		c.removeElement(el, &c.stats.Expirations)
-		return zero, false
-	}
 	return en.val, true
 }
 
@@ -194,9 +165,6 @@ func (c *LRU[V]) Delete(key string) bool {
 	return true
 }
 
-// Len returns the number of live entries.
-func (c *LRU[V]) Len() int { return c.ll.Len() }
-
 // UsedBytes returns the budgeted bytes of live entries.
 func (c *LRU[V]) UsedBytes() int64 { return c.used }
 
@@ -211,9 +179,6 @@ func (c *LRU[V]) SetCapacity(capacity int64) {
 
 // Stats returns cumulative counters.
 func (c *LRU[V]) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters.
-func (c *LRU[V]) ResetStats() { c.stats = Stats{} }
 
 // Flush removes every entry without invoking the evict callback and resets
 // usage.
@@ -246,8 +211,8 @@ func (c *LRU[V]) removeElement(el *list.Element, counter *int64) {
 	}
 }
 
-// Keys returns the keys from most to least recently used. Intended for
-// tests and diagnostics.
+// Keys returns the keys from most to least recently used. kv's store
+// state golden hashes the block cache through it.
 func (c *LRU[V]) Keys() []string {
 	out := make([]string, 0, c.ll.Len())
 	for el := c.ll.Front(); el != nil; el = el.Next() {

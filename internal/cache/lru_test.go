@@ -28,19 +28,26 @@ func TestLRUBasicPutGet(t *testing.T) {
 	}
 }
 
+// resident reports whether key holds an entry, without touching recency,
+// expiry or counters.
+func resident(c *LRU[[]byte], key string) bool {
+	_, ok := c.items[key]
+	return ok
+}
+
 func TestLRUEvictsLeastRecent(t *testing.T) {
 	c := newByteLRU(10)
 	c.Put("a", make([]byte, 4))
 	c.Put("b", make([]byte, 4))
 	c.Get("a")                  // a now most recent
 	c.Put("c", make([]byte, 4)) // must evict b
-	if _, ok := c.Peek("b"); ok {
+	if resident(c, "b") {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.Peek("a"); !ok {
+	if !resident(c, "a") {
 		t.Fatal("a should have survived")
 	}
-	if _, ok := c.Peek("c"); !ok {
+	if !resident(c, "c") {
 		t.Fatal("c should be present")
 	}
 	if c.Stats().Evictions != 1 {
@@ -56,8 +63,8 @@ func TestLRUByteBudget(t *testing.T) {
 	if c.UsedBytes() > 100 {
 		t.Fatalf("used %d bytes exceeds capacity", c.UsedBytes())
 	}
-	if c.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", c.Len())
+	if c.ll.Len() != 10 {
+		t.Fatalf("Len = %d, want 10", c.ll.Len())
 	}
 }
 
@@ -72,8 +79,8 @@ func TestLRUReplaceAdjustsUsage(t *testing.T) {
 	if c.UsedBytes() != 5 {
 		t.Fatalf("used = %d, want 5", c.UsedBytes())
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if c.ll.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.ll.Len())
 	}
 }
 
@@ -81,10 +88,10 @@ func TestLRUOversizedNotAdmitted(t *testing.T) {
 	c := newByteLRU(10)
 	c.Put("small", make([]byte, 5))
 	c.Put("huge", make([]byte, 100))
-	if _, ok := c.Peek("huge"); ok {
+	if resident(c, "huge") {
 		t.Fatal("oversized entry should not be admitted")
 	}
-	if _, ok := c.Peek("small"); !ok {
+	if !resident(c, "small") {
 		t.Fatal("existing entries should survive an oversized Put")
 	}
 }
@@ -95,7 +102,7 @@ func TestLRUZeroCapacityCachesNothing(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("zero-capacity cache should never hit")
 	}
-	if c.Len() != 0 {
+	if c.ll.Len() != 0 {
 		t.Fatal("zero-capacity cache should hold nothing")
 	}
 }
@@ -117,7 +124,7 @@ func TestLRUDelete(t *testing.T) {
 func TestLRUTTLExpiry(t *testing.T) {
 	c := newByteLRU(100)
 	now := time.Unix(1000, 0)
-	c.SetClock(func() time.Time { return now })
+	c.now = func() time.Time { return now }
 	c.PutTTL("a", []byte("x"), time.Minute)
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("entry should be live before expiry")
@@ -131,22 +138,6 @@ func TestLRUTTLExpiry(t *testing.T) {
 	}
 	if c.UsedBytes() != 0 {
 		t.Fatal("expired entry should release bytes")
-	}
-}
-
-func TestLRUPeekDoesNotTouchRecency(t *testing.T) {
-	c := newByteLRU(8)
-	c.Put("a", make([]byte, 4))
-	c.Put("b", make([]byte, 4))
-	c.Peek("a")                 // must NOT promote a
-	c.Put("c", make([]byte, 4)) // evicts a (still least recent)
-	if _, ok := c.Peek("a"); ok {
-		t.Fatal("Peek should not have promoted a")
-	}
-	hitsBefore := c.Stats().Hits
-	c.Peek("b")
-	if c.Stats().Hits != hitsBefore {
-		t.Fatal("Peek should not count as a hit")
 	}
 }
 
@@ -187,7 +178,7 @@ func TestLRUFlush(t *testing.T) {
 	c.Put("a", []byte("1"))
 	c.Put("b", []byte("2"))
 	c.Flush()
-	if c.Len() != 0 || c.UsedBytes() != 0 {
+	if c.ll.Len() != 0 || c.UsedBytes() != 0 {
 		t.Fatal("Flush should empty the cache")
 	}
 	if _, ok := c.Get("a"); ok {
@@ -222,44 +213,20 @@ func TestLRUOversizedReplaceNotAdmitted(t *testing.T) {
 	c.Put("a", make([]byte, 4))
 	c.Put("b", make([]byte, 4))
 	c.Put("a", make([]byte, 100)) // oversize replace
-	if _, ok := c.Peek("a"); ok {
+	if resident(c, "a") {
 		t.Fatal("oversize replacement must not be admitted")
 	}
-	if _, ok := c.Peek("b"); !ok {
+	if !resident(c, "b") {
 		t.Fatal("other entries must survive an oversize replace")
 	}
-	if c.Len() != 1 || c.UsedBytes() != 4 {
-		t.Fatalf("Len=%d used=%d, want 1/4", c.Len(), c.UsedBytes())
+	if c.ll.Len() != 1 || c.UsedBytes() != 4 {
+		t.Fatalf("Len=%d used=%d, want 1/4", c.ll.Len(), c.UsedBytes())
 	}
 	if c.Stats().Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1 (the dropped old entry)", c.Stats().Evictions)
 	}
 	if len(evicted) != 1 || evicted[0] != "a" {
 		t.Fatalf("evict callback saw %v, want [a]", evicted)
-	}
-}
-
-// Regression: Peek of an expired entry must reclaim it. Pre-fix, the dead
-// entry stayed charged against UsedBytes/Len until the next Get of that
-// exact key.
-func TestLRUPeekReclaimsExpired(t *testing.T) {
-	c := newByteLRU(100)
-	now := time.Unix(1000, 0)
-	c.SetClock(func() time.Time { return now })
-	c.PutTTL("a", make([]byte, 8), time.Minute)
-	now = now.Add(2 * time.Minute)
-	if _, ok := c.Peek("a"); ok {
-		t.Fatal("expired entry must read as a miss")
-	}
-	if c.Len() != 0 || c.UsedBytes() != 0 {
-		t.Fatalf("Len=%d used=%d after expired Peek, want 0/0", c.Len(), c.UsedBytes())
-	}
-	if c.Stats().Expirations != 1 {
-		t.Fatalf("expirations = %d, want 1", c.Stats().Expirations)
-	}
-	st := c.Stats()
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Fatal("Peek must not touch hit/miss counters")
 	}
 }
 
@@ -284,7 +251,7 @@ func checkLRUInvariants(t *testing.T, c *LRU[[]byte]) {
 }
 
 // FuzzLRUInvariants drives a random op sequence (put, oversize put,
-// replace, get, peek, delete, TTL put, clock advance) and checks the
+// replace, get, delete, TTL put, clock advance) and checks the
 // used == Σ live sizes invariant after every single operation.
 func FuzzLRUInvariants(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -293,7 +260,7 @@ func FuzzLRUInvariants(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		c := newByteLRU(64)
 		now := time.Unix(1000, 0)
-		c.SetClock(func() time.Time { return now })
+		c.now = func() time.Time { return now }
 		for i := 0; i+1 < len(script); i += 2 {
 			op, arg := script[i], script[i+1]
 			key := fmt.Sprintf("k%d", arg%8)
@@ -305,7 +272,7 @@ func FuzzLRUInvariants(f *testing.F) {
 			case 2:
 				c.Get(key)
 			case 3:
-				c.Peek(key)
+				c.Get(key)
 			case 4:
 				c.Delete(key)
 			case 5: // TTL put
@@ -323,11 +290,8 @@ func TestStatsRatios(t *testing.T) {
 	if s.HitRatio() != 0.75 {
 		t.Fatalf("HitRatio = %v", s.HitRatio())
 	}
-	if s.MissRatio() != 0.25 {
-		t.Fatalf("MissRatio = %v", s.MissRatio())
-	}
 	var empty Stats
-	if empty.HitRatio() != 0 || empty.MissRatio() != 0 {
+	if empty.HitRatio() != 0 {
 		t.Fatal("empty stats should have zero ratios")
 	}
 }

@@ -1,8 +1,6 @@
 package cache
 
-import "sort"
-
-// ReuseAnalyzer computes exact LRU miss-ratio curves from a stream of
+// reuseAnalyzer computes exact LRU miss-ratio curves from a stream of
 // accesses using byte-weighted reuse distances (Mattson's stack algorithm
 // with a Fenwick tree, O(log n) per access).
 //
@@ -10,7 +8,7 @@ import "sort"
 // touched since the previous access to the same key — exactly the number
 // of bytes an LRU cache must hold for that access to hit. The resulting
 // curve MR(s) is what the paper's theoretical model (§4) consumes.
-type ReuseAnalyzer struct {
+type reuseAnalyzer struct {
 	bit       []int64          // Fenwick tree over access positions, holding sizes
 	last      map[string]int   // key -> last access position (1-based)
 	lastSize  map[string]int64 // key -> size recorded at that position
@@ -19,22 +17,22 @@ type ReuseAnalyzer struct {
 	cold      int64            // first-touch accesses (infinite distance)
 }
 
-// NewReuseAnalyzer returns an empty analyzer.
-func NewReuseAnalyzer() *ReuseAnalyzer {
-	return &ReuseAnalyzer{
+// newReuseAnalyzer returns an empty analyzer.
+func newReuseAnalyzer() *reuseAnalyzer {
+	return &reuseAnalyzer{
 		bit:      make([]int64, 1),
 		last:     make(map[string]int),
 		lastSize: make(map[string]int64),
 	}
 }
 
-func (a *ReuseAnalyzer) bitAdd(i int, delta int64) {
+func (a *reuseAnalyzer) bitAdd(i int, delta int64) {
 	for ; i < len(a.bit); i += i & (-i) {
 		a.bit[i] += delta
 	}
 }
 
-func (a *ReuseAnalyzer) bitSum(i int) int64 {
+func (a *reuseAnalyzer) bitSum(i int) int64 {
 	var s int64
 	for ; i > 0; i -= i & (-i) {
 		s += a.bit[i]
@@ -43,7 +41,7 @@ func (a *ReuseAnalyzer) bitSum(i int) int64 {
 }
 
 // Access records one access to key with the given value size in bytes.
-func (a *ReuseAnalyzer) Access(key string, size int64) {
+func (a *reuseAnalyzer) Access(key string, size int64) {
 	a.pos++
 	// Grow the Fenwick tree to cover the new position ("push back" trick:
 	// a new node starts as the sum of the already-present child ranges it
@@ -70,52 +68,4 @@ func (a *ReuseAnalyzer) Access(key string, size int64) {
 	a.bitAdd(a.pos, size)
 	a.last[key] = a.pos
 	a.lastSize[key] = size
-}
-
-// Distinct returns the number of distinct keys observed so far.
-func (a *ReuseAnalyzer) Distinct() int { return len(a.last) }
-
-// Curve freezes the analyzer into a queryable miss-ratio curve. The
-// analyzer may continue to be used afterwards; Curve can be called again.
-func (a *ReuseAnalyzer) Curve() *MRC {
-	d := make([]int64, len(a.distances))
-	copy(d, a.distances)
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-	return &MRC{distances: d, cold: a.cold, total: int64(len(d)) + a.cold}
-}
-
-// MRC is a frozen miss-ratio curve.
-type MRC struct {
-	distances []int64 // sorted finite reuse distances
-	cold      int64
-	total     int64
-}
-
-// MissRatio returns the fraction of accesses that would miss in an LRU of
-// the given byte capacity. Cold (first-touch) accesses always miss.
-func (m *MRC) MissRatio(cacheBytes int64) float64 {
-	if m.total == 0 {
-		return 0
-	}
-	// Hits are accesses with reuse distance <= cacheBytes.
-	hits := sort.Search(len(m.distances), func(i int) bool {
-		return m.distances[i] > cacheBytes
-	})
-	return float64(m.total-int64(hits)) / float64(m.total)
-}
-
-// Total returns the number of accesses the curve covers.
-func (m *MRC) Total() int64 { return m.total }
-
-// ColdMisses returns the number of first-touch accesses.
-func (m *MRC) ColdMisses() int64 { return m.cold }
-
-// WorkingSetBytes returns the byte capacity at which the miss ratio
-// reaches its compulsory floor (cold misses only): the maximum finite
-// reuse distance observed.
-func (m *MRC) WorkingSetBytes() int64 {
-	if len(m.distances) == 0 {
-		return 0
-	}
-	return m.distances[len(m.distances)-1]
 }

@@ -7,14 +7,27 @@ import (
 	"testing"
 )
 
+// newExact is a windowed analyzer whose one window never fills: its curve
+// is the exact, full-history miss-ratio curve.
+func newExact() *WindowedAnalyzer { return NewWindowedAnalyzer(math.MaxInt, 1) }
+
+// workingSet is the byte capacity at which m reaches its compulsory floor:
+// the largest finite reuse distance.
+func workingSet(m *WeightedMRC) int64 {
+	if len(m.dists) == 0 {
+		return 0
+	}
+	return m.dists[len(m.dists)-1]
+}
+
 func TestMRCSequentialScanAlwaysMisses(t *testing.T) {
-	a := NewReuseAnalyzer()
+	a := newExact()
 	for i := 0; i < 100; i++ {
 		a.Access(fmt.Sprintf("k%d", i), 10)
 	}
 	m := a.Curve()
-	if m.Total() != 100 || m.ColdMisses() != 100 {
-		t.Fatalf("scan: total=%d cold=%d", m.Total(), m.ColdMisses())
+	if m.Weight() != 100 || m.coldW != 100 {
+		t.Fatalf("scan: total=%v cold=%v", m.Weight(), m.coldW)
 	}
 	if mr := m.MissRatio(1 << 30); mr != 1.0 {
 		t.Fatalf("cold scan should miss at any size, got %v", mr)
@@ -22,7 +35,7 @@ func TestMRCSequentialScanAlwaysMisses(t *testing.T) {
 }
 
 func TestMRCSingleKeyHitsAfterFirst(t *testing.T) {
-	a := NewReuseAnalyzer()
+	a := newExact()
 	for i := 0; i < 10; i++ {
 		a.Access("k", 100)
 	}
@@ -37,7 +50,7 @@ func TestMRCSingleKeyHitsAfterFirst(t *testing.T) {
 
 func TestMRCCyclicPattern(t *testing.T) {
 	// Cycle over 3 keys of 10B each: reuse distance is exactly 30B.
-	a := NewReuseAnalyzer()
+	a := newExact()
 	keys := []string{"a", "b", "c"}
 	for r := 0; r < 10; r++ {
 		for _, k := range keys {
@@ -51,7 +64,7 @@ func TestMRCCyclicPattern(t *testing.T) {
 	if got := m.MissRatio(29); got != 1.0 {
 		t.Fatalf("MR(29B) = %v, want 1.0 (LRU thrashes a cyclic scan)", got)
 	}
-	if ws := m.WorkingSetBytes(); ws != 30 {
+	if ws := workingSet(m); ws != 30 {
 		t.Fatalf("WorkingSetBytes = %d, want 30", ws)
 	}
 }
@@ -72,7 +85,7 @@ func TestMRCMatchesActualLRUSimulation(t *testing.T) {
 		}
 	}
 
-	a := NewReuseAnalyzer()
+	a := newExact()
 	for _, k := range trace {
 		a.Access(k, sizes[k])
 	}
@@ -100,13 +113,13 @@ func TestMRCMatchesActualLRUSimulation(t *testing.T) {
 
 func TestMRCMonotoneNonIncreasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	a := NewReuseAnalyzer()
+	a := newExact()
 	for i := 0; i < 5000; i++ {
 		a.Access(fmt.Sprintf("k%d", rng.Intn(200)), int64(1+rng.Intn(100)))
 	}
 	m := a.Curve()
 	prev := 2.0
-	for s := int64(0); s <= m.WorkingSetBytes()+100; s += 97 {
+	for s := int64(0); s <= workingSet(m)+100; s += 97 {
 		mr := m.MissRatio(s)
 		if mr > prev+1e-12 {
 			t.Fatalf("miss ratio increased with cache size at %d: %v > %v", s, mr, prev)
@@ -117,15 +130,15 @@ func TestMRCMonotoneNonIncreasing(t *testing.T) {
 		prev = mr
 	}
 	// Floor equals cold-miss fraction.
-	floor := float64(m.ColdMisses()) / float64(m.Total())
-	if got := m.MissRatio(m.WorkingSetBytes()); math.Abs(got-floor) > 1e-9 {
+	floor := m.coldW / m.Weight()
+	if got := m.MissRatio(workingSet(m)); math.Abs(got-floor) > 1e-9 {
 		t.Fatalf("MR at working set = %v, want cold floor %v", got, floor)
 	}
 }
 
 func TestMRCEmpty(t *testing.T) {
-	m := NewReuseAnalyzer().Curve()
-	if m.MissRatio(100) != 0 || m.Total() != 0 || m.WorkingSetBytes() != 0 {
+	m := newExact().Curve()
+	if m.MissRatio(100) != 0 || m.Weight() != 0 || workingSet(m) != 0 {
 		t.Fatal("empty curve should be all zeros")
 	}
 }
@@ -136,7 +149,7 @@ func BenchmarkReuseAnalyzer(b *testing.B) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%d", i)
 	}
-	a := NewReuseAnalyzer()
+	a := newExact()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Access(keys[rng.Intn(len(keys))], 64)

@@ -3,7 +3,7 @@ package cache
 import "sort"
 
 // WindowedAnalyzer estimates the miss-ratio curve of the *recent*
-// workload rather than of all history. ReuseAnalyzer is exact but
+// workload rather than of all history. reuseAnalyzer is exact but
 // unbounded: its Fenwick tree and distance log grow with every access,
 // and a diurnal or flash-crowd shift stays diluted by hours of stale
 // samples. The windowed variant keeps two bounded generations of the
@@ -22,7 +22,7 @@ type WindowedAnalyzer struct {
 	window int
 	decay  float64
 
-	cur, prev   *ReuseAnalyzer
+	cur, prev   *reuseAnalyzer
 	curN, prevN int
 }
 
@@ -39,7 +39,7 @@ func NewWindowedAnalyzer(window int, decay float64) *WindowedAnalyzer {
 	if decay > 1 {
 		decay = 1
 	}
-	return &WindowedAnalyzer{window: window, decay: decay, cur: NewReuseAnalyzer()}
+	return &WindowedAnalyzer{window: window, decay: decay, cur: newReuseAnalyzer()}
 }
 
 // Access records one access. When the current generation fills, it is
@@ -48,25 +48,10 @@ func NewWindowedAnalyzer(window int, decay float64) *WindowedAnalyzer {
 func (w *WindowedAnalyzer) Access(key string, size int64) {
 	if w.curN >= w.window {
 		w.prev, w.prevN = w.cur, w.curN
-		w.cur, w.curN = NewReuseAnalyzer(), 0
+		w.cur, w.curN = newReuseAnalyzer(), 0
 	}
 	w.cur.Access(key, size)
 	w.curN++
-}
-
-// Accesses returns the number of accesses currently contributing to the
-// curve (both generations, unweighted).
-func (w *WindowedAnalyzer) Accesses() int { return w.curN + w.prevN }
-
-// DistinctKeys estimates the active key population: the larger distinct
-// count of the two generations (the current one undercounts right after
-// a rotation).
-func (w *WindowedAnalyzer) DistinctKeys() int {
-	n := w.cur.Distinct()
-	if w.prev != nil && w.prev.Distinct() > n {
-		n = w.prev.Distinct()
-	}
-	return n
 }
 
 // Curve freezes the live generations into a weighted miss-ratio curve.
@@ -134,15 +119,3 @@ func (m *WeightedMRC) MissRatio(cacheBytes int64) float64 {
 
 // Weight returns the total sample weight behind the curve.
 func (m *WeightedMRC) Weight() float64 { return m.totalW }
-
-// ColdWeight returns the weighted first-touch (compulsory miss) mass.
-func (m *WeightedMRC) ColdWeight() float64 { return m.coldW }
-
-// WorkingSetBytes returns the byte capacity at which the miss ratio
-// reaches its compulsory floor: the maximum finite reuse distance.
-func (m *WeightedMRC) WorkingSetBytes() int64 {
-	if len(m.dists) == 0 {
-		return 0
-	}
-	return m.dists[len(m.dists)-1]
-}

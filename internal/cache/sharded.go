@@ -68,14 +68,6 @@ func (s *Sharded[V]) Resize(capacity int64) {
 	}
 }
 
-// SetEvictFunc installs fn on every shard. fn may be called concurrently
-// from different shards.
-func (s *Sharded[V]) SetEvictFunc(fn EvictFunc[V]) {
-	for i := range s.shards {
-		s.shards[i].lru.SetEvictFunc(fn)
-	}
-}
-
 // shard routes key with FNV-1a. The hash is intentionally fixed (not a
 // per-instance random seed): shard placement, and therefore per-shard LRU
 // eviction order, must be identical across runs for experiments to be
@@ -127,17 +119,6 @@ func (s *Sharded[V]) Delete(key string) bool {
 	return sh.lru.Delete(key)
 }
 
-// Len returns the total number of live entries.
-func (s *Sharded[V]) Len() int {
-	n := 0
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-		n += s.shards[i].lru.Len()
-		s.shards[i].mu.Unlock()
-	}
-	return n
-}
-
 // UsedBytes returns the total budgeted bytes across shards.
 func (s *Sharded[V]) UsedBytes() int64 {
 	var n int64
@@ -167,15 +148,6 @@ func (s *Sharded[V]) Stats() Stats {
 		s.shards[i].mu.Unlock()
 	}
 	return out
-}
-
-// ResetStats zeroes counters on every shard.
-func (s *Sharded[V]) ResetStats() {
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-		s.shards[i].lru.ResetStats()
-		s.shards[i].mu.Unlock()
-	}
 }
 
 // Flush empties every shard.

@@ -17,8 +17,8 @@ const (
 	catalogIDBase = 2_000_000_000
 )
 
-// DDL is the normalized governance schema (the production shape).
-var DDL = []string{
+// ddl is the normalized governance schema (the production shape).
+var ddl = []string{
 	`CREATE TABLE catalogs (id INT PRIMARY KEY, name TEXT, owner_name TEXT)`,
 	`CREATE TABLE schemas (id INT PRIMARY KEY, name TEXT, catalog_id INT, owner_name TEXT)`,
 	`CREATE TABLE tables (id INT PRIMARY KEY, name TEXT, schema_id INT, owner_name TEXT, props BLOB, stats BLOB)`,
@@ -74,7 +74,7 @@ func Seed(node *storage.Node, cfg SeedConfig) error {
 	cfg.applyDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	ddl := DDL
+	ddl := ddl
 	if err := node.Bootstrap(ddl); err != nil {
 		return err
 	}

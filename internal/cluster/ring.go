@@ -78,25 +78,6 @@ func (r *Ring) Add(member string) {
 	sort.Slice(r.hashes, func(i, j int) bool { return r.hashes[i] < r.hashes[j] })
 }
 
-// Remove deletes a member. Removing an absent member is a no-op.
-func (r *Ring) Remove(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.members[member] {
-		return
-	}
-	delete(r.members, member)
-	keep := r.hashes[:0]
-	for _, h := range r.hashes {
-		if r.owners[h] == member {
-			delete(r.owners, h)
-		} else {
-			keep = append(keep, h)
-		}
-	}
-	r.hashes = keep
-}
-
 // Owner returns the member owning key, or "" if the ring is empty.
 func (r *Ring) Owner(key string) string {
 	r.mu.RLock()
@@ -110,55 +91,4 @@ func (r *Ring) Owner(key string) string {
 		i = 0
 	}
 	return r.owners[r.hashes[i]]
-}
-
-// Owners returns up to n distinct members walking clockwise from key's
-// point on the ring: the first is Owner(key), the rest its successor
-// members — the natural replica set for the key. Fewer than n members
-// are returned when the ring is smaller than n.
-func (r *Ring) Owners(key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.hashes) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	h := hash64(key)
-	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
-	out := make([]string, 0, n)
-	for j := 0; j < len(r.hashes) && len(out) < n; j++ {
-		m := r.owners[r.hashes[(i+j)%len(r.hashes)]]
-		seen := false
-		for _, have := range out {
-			if have == m {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// Members returns the current members, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Size returns the member count.
-func (r *Ring) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
 }

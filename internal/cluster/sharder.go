@@ -68,23 +68,6 @@ func (s *Sharder) Join(node string) {
 	}
 }
 
-// Leave removes a node and bumps the generation; its keys are remapped
-// and reported. Same locking discipline as Join: the watcher slice is
-// copied under the lock and invoked outside it.
-func (s *Sharder) Leave(node string) {
-	s.mu.Lock()
-	s.ring.Remove(node)
-	s.gen++
-	moved := s.remapLocked()
-	watchers := append([]WatchFunc(nil), s.watchers...)
-	s.mu.Unlock()
-	for _, ev := range moved {
-		for _, fn := range watchers {
-			fn(ev.keys, ev.from, ev.to)
-		}
-	}
-}
-
 // movedEvent is one resharding edge: keys that moved from one owner to
 // another in a single membership change.
 type movedEvent struct {
@@ -128,29 +111,3 @@ func (s *Sharder) Assign(key string) Assignment {
 	s.tracked[key] = owner
 	return Assignment{Node: owner, Generation: s.gen}
 }
-
-// Owner returns the current owner of key without tracking it.
-func (s *Sharder) Owner(key string) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ring.Owner(key)
-}
-
-// Generation returns the current assignment generation.
-func (s *Sharder) Generation() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.gen
-}
-
-// Valid reports whether an assignment still confers ownership. The
-// generation bumps on every membership change, so any reshard since the
-// assignment was granted invalidates it.
-func (s *Sharder) Valid(a Assignment) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return a.Generation == s.gen
-}
-
-// Nodes returns the current members.
-func (s *Sharder) Nodes() []string { return s.ring.Members() }

@@ -146,11 +146,6 @@ func (m *ShardMap) Placement(shard int) ShardPlacement {
 	return (*m.cur.Load())[shard]
 }
 
-// Generation returns the global placement generation; it bumps on every
-// successful mutation, so a consumer can detect any reshard since it
-// last resolved placements (the Sharder.Valid rule).
-func (m *ShardMap) Generation() uint64 { return m.gen.Load() }
-
 // Note tallies one operation against shard in the current demand
 // window. Lock-free and padded per shard; the shard manager drains the
 // window each tick.

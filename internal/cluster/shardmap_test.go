@@ -73,12 +73,12 @@ func TestShardMapReplicateAndUnreplicate(t *testing.T) {
 			break
 		}
 	}
-	gen := m.Generation()
+	gen := m.gen.Load()
 	if !m.Replicate(s, other) {
 		t.Fatal("Replicate refused a fresh node")
 	}
-	if m.Generation() != gen+1 {
-		t.Fatalf("generation %d, want %d", m.Generation(), gen+1)
+	if m.gen.Load() != gen+1 {
+		t.Fatalf("generation %d, want %d", m.gen.Load(), gen+1)
 	}
 	pl := m.Placement(s)
 	if !pl.HasReplica(other) || pl.Primary() != primary {

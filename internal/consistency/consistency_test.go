@@ -29,25 +29,25 @@ func TestDelayedWritePreventedByFencing(t *testing.T) {
 }
 
 func TestFencedStoreSemantics(t *testing.T) {
-	s := NewFencedStore(true)
-	if _, err := s.Put("k", "a", 1); err != nil {
+	s := newFencedStore(true)
+	if _, err := s.put("k", "a", 1); err != nil {
 		t.Fatal(err)
 	}
-	s.AdvanceFence("k", 3)
-	if _, err := s.Put("k", "b", 2); !errors.Is(err, ErrFenced) {
+	s.advanceFence("k", 3)
+	if _, err := s.put("k", "b", 2); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale token should fence, got %v", err)
 	}
-	if _, err := s.Put("k", "c", 3); err != nil {
+	if _, err := s.put("k", "c", 3); err != nil {
 		t.Fatalf("current token should pass, got %v", err)
 	}
-	v, ver, ok := s.Get("k")
+	v, ver, ok := s.get("k")
 	if !ok || v != "c" || ver == 0 {
 		t.Fatalf("Get = %q %d %v", v, ver, ok)
 	}
 	// Unenforced store admits anything.
-	u := NewFencedStore(false)
-	u.AdvanceFence("k", 9)
-	if _, err := u.Put("k", "x", 1); err != nil {
+	u := newFencedStore(false)
+	u.advanceFence("k", 9)
+	if _, err := u.put("k", "x", 1); err != nil {
 		t.Fatalf("unenforced store should admit stale tokens: %v", err)
 	}
 }

@@ -43,8 +43,8 @@ type FencedStore struct {
 	Enforce bool
 }
 
-// NewFencedStore returns an empty store.
-func NewFencedStore(enforce bool) *FencedStore {
+// newFencedStore returns an empty store.
+func newFencedStore(enforce bool) *FencedStore {
 	return &FencedStore{
 		data:     make(map[string]string),
 		versions: make(map[string]uint64),
@@ -53,18 +53,18 @@ func NewFencedStore(enforce bool) *FencedStore {
 	}
 }
 
-// Get returns the value and version of key.
-func (s *FencedStore) Get(key string) (string, uint64, bool) {
+// get returns the value and version of key.
+func (s *FencedStore) get(key string) (string, uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v, ok := s.data[key]
 	return v, s.versions[key], ok
 }
 
-// Put writes key with a fencing token. If enforcement is on and the token
+// put writes key with a fencing token. If enforcement is on and the token
 // is older than the highest admitted token for the key, the write is
 // rejected with ErrFenced.
-func (s *FencedStore) Put(key, value string, token uint64) (uint64, error) {
+func (s *FencedStore) put(key, value string, token uint64) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.Enforce && token < s.fences[key] {
@@ -79,10 +79,10 @@ func (s *FencedStore) Put(key, value string, token uint64) (uint64, error) {
 	return s.nextVer, nil
 }
 
-// AdvanceFence records that the new owner of key operates at the given
+// advanceFence records that the new owner of key operates at the given
 // generation, fencing out older writers even before the new owner's
 // first write.
-func (s *FencedStore) AdvanceFence(key string, token uint64) {
+func (s *FencedStore) advanceFence(key string, token uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if token > s.fences[key] {
@@ -126,25 +126,25 @@ func (r DelayedWriteReport) String() string {
 // forever. With fencing the delayed write is rejected and cache and
 // storage agree.
 func RunDelayedWriteScenario(enforceFencing bool) DelayedWriteReport {
-	store := NewFencedStore(enforceFencing)
+	store := newFencedStore(enforceFencing)
 	const key = "k"
 
 	// Initial committed state, written under generation 1.
-	store.Put(key, "old", 1)
+	store.put(key, "old", 1)
 
 	// t1: reshard to B at generation 2; B reads current value and, if
 	// fencing is on, registers its generation with storage.
 	if enforceFencing {
-		store.AdvanceFence(key, 2)
+		store.advanceFence(key, 2)
 	}
-	bCache, _, _ := store.Get(key) // B's authoritative copy
+	bCache, _, _ := store.get(key) // B's authoritative copy
 
 	// t2: A's delayed write (issued under generation 1) arrives.
-	_, err := store.Put(key, "new", 1)
+	_, err := store.put(key, "new", 1)
 	applied := err == nil
 
 	// t3: B serves from cache; storage has whatever it has.
-	storageVal, _, _ := store.Get(key)
+	storageVal, _, _ := store.get(key)
 
 	return DelayedWriteReport{
 		Fenced:              enforceFencing,

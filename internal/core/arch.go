@@ -76,10 +76,6 @@ func ParseArch(s string) (Arch, error) {
 // comparison, in presentation order.
 var Archs = []Arch{Base, Remote, Linked}
 
-// ConsistentArchs lists the architectures of the §5.5/§6 consistency
-// comparison.
-var ConsistentArchs = []Arch{Base, Linked, LinkedVersion, LinkedOwned}
-
 // Service is a deployed application serving reads and writes under some
 // architecture. Values are the application-level payloads.
 type Service interface {

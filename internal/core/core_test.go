@@ -158,8 +158,9 @@ func TestVersionCheckErodesSavings(t *testing.T) {
 	// The erosion shows up at the storage layer specifically. Compare
 	// load-normalized storage cost (cores per run are divided by each
 	// run's own elapsed time, so cross-run core counts mislead).
-	linkedStorage := linked.StorageCost / linked.Report.QPS()
-	versionedStorage := versioned.StorageCost / versioned.Report.QPS()
+	qps := func(r meter.Report) float64 { return float64(r.Requests) / r.Elapsed.Seconds() }
+	linkedStorage := linked.StorageCost / qps(linked.Report)
+	versionedStorage := versioned.StorageCost / qps(versioned.Report)
 	if !(versionedStorage > linkedStorage*1.5) {
 		t.Errorf("version checks should load storage: linked=%v versioned=%v per unit load",
 			linkedStorage, versionedStorage)
@@ -300,7 +301,7 @@ func TestModelOptimalAllocationUsesAppCache(t *testing.T) {
 }
 
 func TestZipfMRMonotone(t *testing.T) {
-	mr := ZipfMR(10_000, 1.1, 1024)
+	mr := zipfMR(10_000, 1.1, 1024)
 	prev := 1.1
 	for s := float64(0); s <= 12_000*1024; s += 512 * 1024 {
 		v := mr(s)

@@ -357,3 +357,32 @@ func TestParseArchRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestPercentilesNearestRank: p is the sample of rank ceil(n·p), so the
+// p50 of three samples is the middle one and the p99 of 101 is the
+// 100th, not the 99th.
+func TestPercentilesNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		n, p50, p99 int
+	}{
+		{1, 1, 1},
+		{2, 1, 2},
+		{3, 2, 3},
+		{99, 50, 99},
+		{100, 50, 99},
+		{101, 51, 100},
+		{1001, 501, 991},
+	} {
+		d := make([]time.Duration, c.n)
+		for i := range d {
+			d[i] = time.Duration(c.n - i) // ranks 1..n, reversed
+		}
+		p50, p99 := percentiles(d)
+		if p50 != time.Duration(c.p50) || p99 != time.Duration(c.p99) {
+			t.Errorf("n=%d: p50, p99 = %d, %d, want %d, %d", c.n, p50, p99, c.p50, c.p99)
+		}
+	}
+	if p50, p99 := percentiles(nil); p50 != 0 || p99 != 0 {
+		t.Errorf("empty: %d, %d", p50, p99)
+	}
+}

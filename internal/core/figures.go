@@ -236,10 +236,10 @@ func (o FigOptions) arrivalProcess() (workload.ArrivalProcess, error) {
 	return workload.ParseArrivalProcess(o.Arrival)
 }
 
-// Fig2a reproduces Figure 2a: the analytic model's cost saving of Linked
+// fig2a reproduces Figure 2a: the analytic model's cost saving of Linked
 // (s_A = 8 GB, s_D = 1 GB) over Base (1 GB in-storage cache) as the
 // Zipfian skew α varies.
-func Fig2a(o FigOptions) (*Table, error) {
+func fig2a(o FigOptions) (*Table, error) {
 	o.applyDefaults()
 	t := &Table{
 		ID:     "fig2a",
@@ -259,10 +259,10 @@ func Fig2a(o FigOptions) (*Table, error) {
 	return t, nil
 }
 
-// Fig2b reproduces Figure 2b: saving as the replica count N_r grows,
+// fig2b reproduces Figure 2b: saving as the replica count N_r grows,
 // at list memory price and at 40x memory price (with the allocation
 // re-optimized, per the §4 takeaway).
-func Fig2b(o FigOptions) (*Table, error) {
+func fig2b(o FigOptions) (*Table, error) {
 	o.applyDefaults()
 	t := &Table{
 		ID:     "fig2b",
@@ -286,9 +286,9 @@ func Fig2b(o FigOptions) (*Table, error) {
 	return t, nil
 }
 
-// Fig3 reproduces Figure 3: the Unity-Catalog trace distributions —
+// fig3 reproduces Figure 3: the Unity-Catalog trace distributions —
 // value sizes (3a) and access frequencies (3b).
-func Fig3(o FigOptions) (*Table, error) {
+func fig3(o FigOptions) (*Table, error) {
 	o.applyDefaults()
 	gen := workload.NewUnity(workload.UnityConfig{Tables: o.Tables * 10, Seed: o.Seed})
 	n := o.Ops * 10
@@ -313,9 +313,9 @@ func Fig3(o FigOptions) (*Table, error) {
 	return t, nil
 }
 
-// Fig4a reproduces Figure 4a: total cost per million requests across
+// fig4a reproduces Figure 4a: total cost per million requests across
 // architectures as the read ratio varies (1 KB values).
-func Fig4a(o FigOptions) (*Table, error) {
+func fig4a(o FigOptions) (*Table, error) {
 	o.applyDefaults()
 	t := &Table{
 		ID:     "fig4a",
@@ -353,10 +353,10 @@ func fig4bKeysFor(valueSize, baseKeys int) int {
 	return k
 }
 
-// Fig4b reproduces Figure 4b: total cost across architectures as the
+// fig4b reproduces Figure 4b: total cost across architectures as the
 // value size grows from 1KB to 1MB (r = 90%). The paper reports Linked
 // saving 3.9x at 1KB rising to 7.3x at 1MB.
-func Fig4b(o FigOptions) (*Table, error) {
+func fig4b(o FigOptions) (*Table, error) {
 	o.applyDefaults()
 	t := &Table{
 		ID:     "fig4b",
@@ -398,9 +398,9 @@ func sizeLabel(n int) string {
 	}
 }
 
-// Fig5a reproduces Figure 5a: cost across architectures on the Unity
+// fig5a reproduces Figure 5a: cost across architectures on the Unity
 // Catalog-KV workload (denormalized single-row reads).
-func Fig5a(o FigOptions) (*Table, error) {
+func fig5a(o FigOptions) (*Table, error) {
 	o.applyDefaults()
 	return savingTable("fig5a", "Cost on Unity Catalog-KV (denormalized)", func(arch Arch) (*RunResult, error) {
 		return o.catalogCell(arch, ModeKV)
@@ -449,9 +449,9 @@ func (o FigOptions) catalogCell(arch Arch, mode CatalogMode) (*RunResult, error)
 	return o.runCell(fmt.Sprintf("catalog/%s/%s", mode, arch), o.unityCell(arch, mode))
 }
 
-// Fig5b reproduces Figure 5b: cost across architectures on the Meta-like
+// fig5b reproduces Figure 5b: cost across architectures on the Meta-like
 // key-value trace (30% writes, ~10B values).
-func Fig5b(o FigOptions) (*Table, error) {
+func fig5b(o FigOptions) (*Table, error) {
 	o.applyDefaults()
 	// The ~10B values are dwarfed by per-entry overhead, so the working
 	// set counts it.
@@ -470,10 +470,10 @@ func Fig5b(o FigOptions) (*Table, error) {
 	return t, nil
 }
 
-// Fig6 reproduces Figure 6: the relative CPU breakdown across app server,
+// fig6 reproduces Figure 6: the relative CPU breakdown across app server,
 // remote cache and storage as value size varies, for each architecture —
 // including Linked+Version, whose checks restore storage load (§5.5).
-func Fig6(o FigOptions) (*Table, error) {
+func fig6(o FigOptions) (*Table, error) {
 	o.applyDefaults()
 	t := &Table{
 		ID:    "fig6",
@@ -522,10 +522,10 @@ func Fig6(o FigOptions) (*Table, error) {
 	return t, nil
 }
 
-// Fig7 reproduces Figure 7: Unity Catalog-Object (rich objects composed
+// fig7 reproduces Figure 7: Unity Catalog-Object (rich objects composed
 // from 8 SQL queries) across architectures, and the §5.4 comparison of
 // Object-mode vs KV-mode savings.
-func Fig7(o FigOptions) (*Table, error) {
+func fig7(o FigOptions) (*Table, error) {
 	o.applyDefaults()
 	t := &Table{
 		ID:     "fig7",
@@ -562,9 +562,9 @@ func Fig7(o FigOptions) (*Table, error) {
 	return t, nil
 }
 
-// Fig8 reproduces Figure 8: the delayed-writes anomaly, with and without
+// fig8 reproduces Figure 8: the delayed-writes anomaly, with and without
 // write fencing.
-func Fig8(o FigOptions) (*Table, error) {
+func fig8(o FigOptions) (*Table, error) {
 	t := &Table{
 		ID:     "fig8",
 		Title:  "Delayed writes across a reshard",
@@ -579,9 +579,9 @@ func Fig8(o FigOptions) (*Table, error) {
 	return t, nil
 }
 
-// FigConsistency reproduces the §5.5/§6 comparison: the cost of
+// figConsistency reproduces the §5.5/§6 comparison: the cost of
 // consistency across Linked, Linked+Version and the ownership design.
-func FigConsistency(o FigOptions) (*Table, error) {
+func figConsistency(o FigOptions) (*Table, error) {
 	o.applyDefaults()
 	t := &Table{
 		ID:     "consistency",
@@ -612,11 +612,11 @@ func FigConsistency(o FigOptions) (*Table, error) {
 	return t, nil
 }
 
-// FigAblation probes the sensitivity of the headline conclusion (caches
+// figAblation probes the sensitivity of the headline conclusion (caches
 // save money; Linked wins) to the simulator's calibration constants: the
 // storage SQL front-end charge and the disk penalty. The conclusion
 // should hold across a wide band, not just at the defaults.
-func FigAblation(o FigOptions) (*Table, error) {
+func figAblation(o FigOptions) (*Table, error) {
 	o.applyDefaults()
 	t := &Table{
 		ID:     "ablation",
@@ -654,11 +654,11 @@ func FigAblation(o FigOptions) (*Table, error) {
 	return t, nil
 }
 
-// FigAllocation tests the paper's second hypothesis (§3): for a fixed
+// figAllocation tests the paper's second hypothesis (§3): for a fixed
 // total memory budget, shifting bytes from the storage-layer block cache
 // (s_D) to the application-linked cache (s_A) lowers total cost — "more
 // distributed in-memory caches, less storage layer caches".
-func FigAllocation(o FigOptions) (*Table, error) {
+func figAllocation(o FigOptions) (*Table, error) {
 	o.applyDefaults()
 	t := &Table{
 		ID:     "allocation",
@@ -694,9 +694,9 @@ func FigAllocation(o FigOptions) (*Table, error) {
 	return t, nil
 }
 
-// FigMarginal reproduces the §4 takeaway table: marginal value of app
+// figMarginal reproduces the §4 takeaway table: marginal value of app
 // cache vs storage cache and the optimal allocation.
-func FigMarginal(o FigOptions) (*Table, error) {
+func figMarginal(o FigOptions) (*Table, error) {
 	o.applyDefaults()
 	t := &Table{
 		ID:     "marginal",
@@ -737,20 +737,20 @@ type Figure struct {
 
 // Figures lists every reproduction in presentation order.
 var Figures = []Figure{
-	{"fig2a", "model: saving vs alpha", Fig2a},
-	{"fig2b", "model: saving vs replicas", Fig2b},
-	{"fig3", "Unity Catalog trace distributions", Fig3},
-	{"fig4a", "cost vs read ratio", Fig4a},
-	{"fig4b", "cost vs value size", Fig4b},
-	{"fig5a", "Unity Catalog-KV costs", Fig5a},
-	{"fig5b", "Meta trace costs", Fig5b},
-	{"fig6", "CPU breakdowns", Fig6},
-	{"fig7", "Unity Catalog-Object costs", Fig7},
-	{"fig8", "delayed writes", Fig8},
-	{"consistency", "cost of consistency", FigConsistency},
-	{"marginal", "model marginals", FigMarginal},
-	{"allocation", "memory split: linked vs storage cache", FigAllocation},
-	{"ablation", "calibration sensitivity", FigAblation},
+	{"fig2a", "model: saving vs alpha", fig2a},
+	{"fig2b", "model: saving vs replicas", fig2b},
+	{"fig3", "Unity Catalog trace distributions", fig3},
+	{"fig4a", "cost vs read ratio", fig4a},
+	{"fig4b", "cost vs value size", fig4b},
+	{"fig5a", "Unity Catalog-KV costs", fig5a},
+	{"fig5b", "Meta trace costs", fig5b},
+	{"fig6", "CPU breakdowns", fig6},
+	{"fig7", "Unity Catalog-Object costs", fig7},
+	{"fig8", "delayed writes", fig8},
+	{"consistency", "cost of consistency", figConsistency},
+	{"marginal", "model marginals", figMarginal},
+	{"allocation", "memory split: linked vs storage cache", figAllocation},
+	{"ablation", "calibration sensitivity", figAblation},
 	{"batch", "cost vs multi-key batch size", FigBatch},
 	{"chaos", "cost under cache-tier faults", FigChaos},
 	{"overload", "open-loop cost and honest latency past saturation", FigOverload},

@@ -28,7 +28,7 @@ func cell(t *testing.T, tab *Table, row, col int) float64 {
 }
 
 func TestFig2aShape(t *testing.T) {
-	tab, err := Fig2a(tinyOpts())
+	tab, err := fig2a(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestFig2aShape(t *testing.T) {
 }
 
 func TestFig2bShape(t *testing.T) {
-	tab, err := Fig2b(tinyOpts())
+	tab, err := fig2b(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFig2bShape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	tab, err := Fig3(tinyOpts())
+	tab, err := fig3(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFig4aShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("measured cost ratios are distorted by race-detector instrumentation")
 	}
-	tab, err := Fig4a(tinyOpts())
+	tab, err := fig4a(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestFig5bShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("measured cost ratios are distorted by race-detector instrumentation")
 	}
-	tab, err := Fig5b(tinyOpts())
+	tab, err := fig5b(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestFig5bShape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	tab, err := Fig8(tinyOpts())
+	tab, err := fig8(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestFigConsistencyShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("measured cost ratios are distorted by race-detector instrumentation")
 	}
-	tab, err := FigConsistency(tinyOpts())
+	tab, err := figConsistency(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFigAllocationShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("measured cost ratios are distorted by race-detector instrumentation")
 	}
-	tab, err := FigAllocation(tinyOpts())
+	tab, err := figAllocation(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestFigAllocationShape(t *testing.T) {
 }
 
 func TestFigMarginalShape(t *testing.T) {
-	tab, err := FigMarginal(tinyOpts())
+	tab, err := figMarginal(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestManagedTierKillOldNodeMidMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := svc.ShardManager()
-	smap := svc.ShardMap()
+	smap := svc.smap
 	if mgr == nil || smap == nil {
 		t.Fatal("managed service built without a manager or shard map")
 	}
@@ -76,7 +76,7 @@ func TestManagedTierKillOldNodeMidMigration(t *testing.T) {
 					t.Errorf("unparseable old node %q", pl.Old)
 					return
 				}
-				killed = CacheFaultNode(idx)
+				killed = cacheFaultNode(idx)
 				inj.Kill(killed)
 				reviveAt = n + 6*tickEvery
 				return

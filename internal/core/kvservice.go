@@ -246,8 +246,7 @@ type deployment struct {
 	detector  *shardmgr.Detector
 	shardMgr  *shardmgr.Manager
 
-	retries  []*rpc.RetryConn // every lane's cache retry layers, when configured
-	degraded *meter.Counter   // cache errors demoted to misses
+	degraded *meter.Counter // cache errors demoted to misses
 
 	// Admission control, when configured: one gate shared by every lane
 	// (slots are a service-level resource), with shed/deadline counters
@@ -319,9 +318,9 @@ func (d *deployment) build(cfg ServiceConfig, inProcess bool) error {
 // cacheNodeName is the shard-map name of cache node i ("c0", "c1", …).
 func cacheNodeName(i int) string { return "c" + strconv.Itoa(i) }
 
-// CacheFaultNode is the fault-injection target name of cache node i in
+// cacheFaultNode is the fault-injection target name of cache node i in
 // a multi-node tier ("cache0" matches the single-node CacheNode).
-func CacheFaultNode(i int) string { return "cache" + strconv.Itoa(i) }
+func cacheFaultNode(i int) string { return "cache" + strconv.Itoa(i) }
 
 // buildCacheTier constructs the in-process Remote tier. One node is the
 // classic single-server wiring, metered as "remotecache". More nodes each
@@ -411,7 +410,7 @@ func (d *deployment) cacheClient(worker int, external rpc.Conn) (*remotecache.Cl
 			conn = d.loopback(srv.RPCServer())
 		}
 		if cfg.Faults != nil {
-			conn = cfg.Faults.WrapWorker(CacheFaultNode(i), worker, conn)
+			conn = cfg.Faults.WrapWorker(cacheFaultNode(i), worker, conn)
 		}
 		if cfg.CacheRetry != nil {
 			policy := *cfg.CacheRetry
@@ -419,9 +418,7 @@ func (d *deployment) cacheClient(worker int, external rpc.Conn) (*remotecache.Cl
 				policy.RetryCounter = d.m.Counter(RetriesCounter)
 			}
 			seed := cfg.RetrySeed + int64(worker+1)*int64(cfg.CacheNodes) + int64(i)
-			rt := rpc.NewRetryConn(conn, policy, seed, d.appComp, meter.NewBurner())
-			d.retries = append(d.retries, rt)
-			conn = rt
+			conn = rpc.NewRetryConn(conn, policy, seed, d.appComp, meter.NewBurner())
 		}
 		conns[cacheNodeName(i)] = conn
 	}
@@ -514,28 +511,6 @@ func (d *deployment) admit(sc trace.SpanContext) (admission.Outcome, func()) {
 	return outcome, release
 }
 
-// Degraded returns how many cache operations were demoted to misses or
-// no-ops so the service could keep serving through cache faults.
-func (d *deployment) Degraded() int64 { return d.degraded.Value() }
-
-// RetryStats returns the cache retry layer's counters summed over the
-// default lane and every worker lane (zero when no CacheRetry policy was
-// configured).
-func (d *deployment) RetryStats() rpc.RetryStats {
-	var total rpc.RetryStats
-	for _, rt := range d.retries {
-		st := rt.Stats()
-		total.Calls += st.Calls
-		total.Attempts += st.Attempts
-		total.Retries += st.Retries
-		total.BudgetDenied += st.BudgetDenied
-		total.DeadlineExceeded += st.DeadlineExceeded
-		total.Failures += st.Failures
-		total.BackoffTotal += st.BackoffTotal
-	}
-	return total
-}
-
 // KVService is the synthetic/Meta-trace service: a key-value style
 // application (one row per key in the kvdata table) deployed under one of
 // the §2.4 architectures. The client-facing surface is itself an RPC
@@ -613,10 +588,6 @@ func (s *KVService) RemoteCacheServer() *remotecache.Server { return s.rcServer 
 // was configured). The experiment driver calls its Tick on the cadence
 // it wants — ticks are not time-based, so runs stay deterministic.
 func (s *KVService) ShardManager() *shardmgr.Manager { return s.shardMgr }
-
-// ShardMap returns the multi-node tier's placement map (nil for
-// single-node deployments).
-func (s *KVService) ShardMap() *cluster.ShardMap { return s.smap }
 
 // CacheNodeOps reports each cache node's served-request count, keyed by
 // shard-map node name — the per-node load spread the hot-shard figure

@@ -46,15 +46,15 @@ func DefaultModel(alpha float64) Model {
 		CDSeconds: 1000e-6,
 		Replicas:  1,
 		Prices:    meter.GCP,
-		MR:        ZipfMR(1_000_000, alpha, 10<<10),
+		MR:        zipfMR(1_000_000, alpha, 10<<10),
 	}
 }
 
-// ZipfMR returns the analytic LRU miss-ratio curve for a Zipfian
+// zipfMR returns the analytic LRU miss-ratio curve for a Zipfian
 // workload of n keys with fixed value size: a cache of s bytes holds the
 // top s/valueSize keys, so MR(s) = 1 - mass(top-k). For Zipfian
 // popularity LRU closely tracks this perfect-frequency curve.
-func ZipfMR(n int, alpha float64, valueSize int) func(bytes float64) float64 {
+func zipfMR(n int, alpha float64, valueSize int) func(bytes float64) float64 {
 	z := workload.NewZipfSampler(n, alpha, rand.New(rand.NewSource(1)))
 	return func(bytes float64) float64 {
 		k := int(bytes / float64(valueSize))

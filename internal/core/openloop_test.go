@@ -161,7 +161,7 @@ func TestOpenLoopTimelineMatchesSchedule(t *testing.T) {
 	if res.ScheduleSpan != sched.Span() {
 		t.Fatalf("run span %v != schedule span %v", res.ScheduleSpan, sched.Span())
 	}
-	if got, want := res.OfferedQPS, sched.OfferedQPS(); got != want {
+	if got, want := res.OfferedQPS, float64(sched.N())/sched.Span().Seconds(); got != want {
 		t.Fatalf("offered qps %.2f != schedule's %.2f", got, want)
 	}
 	if res.Arrival != sched.Name() {

@@ -262,14 +262,15 @@ func RunExperimentCfg(svc Service, m *meter.Meter, gen workload.Generator, cfg R
 	return res, nil
 }
 
-// percentiles sorts d and returns its nearest-rank p50 and p99 (zeros
-// when empty).
+// percentiles sorts d and returns its nearest-rank p50 and p99: the
+// samples of rank ceil(n·p) (zeros when empty).
 func percentiles(d []time.Duration) (p50, p99 time.Duration) {
 	if len(d) == 0 {
 		return 0, 0
 	}
 	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-	return d[max(len(d)*50/100-1, 0)], d[max(len(d)*99/100-1, 0)]
+	rank := func(pct int) time.Duration { return d[(len(d)*pct+99)/100-1] } // ceil(n·pct/100)
+	return rank(50), rank(99)
 }
 
 // chunk is what a lane executes as one client request: up to BatchSize

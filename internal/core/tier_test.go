@@ -390,7 +390,7 @@ func TestTierOwnedReshard(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		k := fmt.Sprint("k", i)
 		src.put(k, "v2") // lands by a path app1 did not see
-		switch owner := sh.Owner(k); {
+		switch owner := sh.Assign(k).Node; {
 		case owner == "app1" && mine == "":
 			mine = k
 		case owner == "app2" && theirs == "":
@@ -420,7 +420,7 @@ func TestTierOwnedRejectsForeignKeys(t *testing.T) {
 	newOwnedTier("app2", sh, testLCfg, strKit)
 	k := ""
 	for i := 0; i < 100 && k == ""; i++ {
-		if sh.Owner(fmt.Sprint("k", i)) == "app2" {
+		if sh.Assign(fmt.Sprint("k", i)).Node == "app2" {
 			k = fmt.Sprint("k", i)
 		}
 	}

@@ -206,13 +206,6 @@ func (c *Controller) Resizes() int64 {
 	return c.nResizes
 }
 
-// Last returns the most recent decision.
-func (c *Controller) Last() Decision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.last
-}
-
 // Tick evaluates the live curve and moves the size knob one bounded step
 // toward the cost minimum. Call it periodically; each call
 // is cheap (one curve freeze + a handful of cost evaluations).

@@ -99,8 +99,8 @@ func TestChaosCellIsDeterministic(t *testing.T) {
 		cc := core.ChaosConfig{Arch: arch, ErrorRate: 0.25, KillWindow: true, Retry: true, Seed: 99}
 		a := runCell(t, cc)
 		b := runCell(t, cc)
-		if at, bt := a.Injector.Trace(), b.Injector.Trace(); at != bt {
-			t.Errorf("%s: fault schedules diverged under fixed seed:\n%s\n%s", arch, at, bt)
+		if at, bt := a.Injector.Stats(), b.Injector.Stats(); at != bt {
+			t.Errorf("%s: fault schedules diverged under fixed seed:\n%+v\n%+v", arch, at, bt)
 		}
 		if a.Degraded != b.Degraded || a.Retries != b.Retries {
 			t.Errorf("%s: outcome counters diverged: degraded %d/%d retries %d/%d",

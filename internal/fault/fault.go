@@ -28,8 +28,6 @@ package fault
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -290,9 +288,9 @@ func (in *Injector) Blackhole(node string, on bool) {
 	in.node(node).blackholed.Store(on)
 }
 
-// Down reports whether node is currently killed or blackholed. Pools and
+// down reports whether node is currently killed or blackholed. Pools and
 // replication layers use it to route around unreachable nodes.
-func (in *Injector) Down(node string) bool {
+func (in *Injector) down(node string) bool {
 	in.mu.RLock()
 	n, ok := in.nodes[node]
 	in.mu.RUnlock()
@@ -439,18 +437,6 @@ func (n *nodeState) nodeStats() NodeStats {
 	return total
 }
 
-// NodeStats returns the counters for one node, summed over all decision
-// streams.
-func (in *Injector) NodeStats(node string) NodeStats {
-	in.mu.RLock()
-	n, ok := in.nodes[node]
-	in.mu.RUnlock()
-	if !ok {
-		return NodeStats{}
-	}
-	return n.nodeStats()
-}
-
 // WorkerStats returns the counters for one worker's decision stream
 // against node. worker < 0 selects the default stream.
 func (in *Injector) WorkerStats(node string, worker int) NodeStats {
@@ -488,41 +474,12 @@ func (in *Injector) Stats() NodeStats {
 	return total
 }
 
-// Trace renders the per-node decision counts, sorted by node name — a
-// compact fault-schedule fingerprint for determinism checks.
-func (in *Injector) Trace() string {
-	in.mu.RLock()
-	names := make([]string, 0, len(in.nodes))
-	for name := range in.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	nodes := make([]*nodeState, len(names))
-	for i, name := range names {
-		nodes[i] = in.nodes[name]
-	}
-	in.mu.RUnlock()
-	out := ""
-	for i, name := range names {
-		s := nodes[i].nodeStats()
-		out += fmt.Sprintf("%s{calls=%d errs=%d down=%d bh=%d stalls=%d slow=%d work=%d} ",
-			name, s.Calls, s.InjectedErrors, s.DownRejects, s.Blackholed, s.Stalls, s.SlowStarts, s.WorkInjected)
-	}
-	return out
-}
-
 // Conn is an rpc.Conn filtered through an Injector node.
 type Conn struct {
 	node   string
 	worker int
 	in     *Injector
 	next   rpc.Conn
-}
-
-// Wrap returns conn filtered through the named node's default decision
-// stream.
-func (in *Injector) Wrap(node string, conn rpc.Conn) *Conn {
-	return &Conn{node: node, worker: -1, in: in, next: conn}
 }
 
 // WrapWorker returns conn filtered through the named node using worker's
@@ -552,7 +509,4 @@ func (c *Conn) Close() error { return c.next.Close() }
 
 // Down implements rpc.Downer: pools skip this connection while its node
 // is killed or blackholed.
-func (c *Conn) Down() bool { return c.in.Down(c.node) }
-
-// Node returns the fault-target name this conn is bound to.
-func (c *Conn) Node() string { return c.node }
+func (c *Conn) Down() bool { return c.in.down(c.node) }

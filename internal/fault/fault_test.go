@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestZeroRuleInjectsNothing(t *testing.T) {
 			t.Fatalf("zero rule injected %v at call %d", err, i)
 		}
 	}
-	st := in.NodeStats("n")
+	st := in.node("n").nodeStats()
 	if st.Calls != 1000 || st.InjectedErrors != 0 || st.Stalls != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -55,7 +56,7 @@ func TestDeterministicUnderFixedSeed(t *testing.T) {
 				in.Revive("a")
 			}
 		}
-		return out, in.Trace()
+		return out, fmt.Sprintf("%+v %+v", in.node("a").nodeStats(), in.node("b").nodeStats())
 	}
 	o1, t1 := run()
 	o2, t2 := run()
@@ -107,7 +108,7 @@ func TestKillReviveAndSlowStart(t *testing.T) {
 		t.Fatalf("healthy node: %v", err)
 	}
 	in.Kill("n")
-	if !in.Down("n") {
+	if !in.down("n") {
 		t.Fatal("killed node should report down")
 	}
 	for i := 0; i < 3; i++ {
@@ -116,7 +117,7 @@ func TestKillReviveAndSlowStart(t *testing.T) {
 		}
 	}
 	in.Revive("n")
-	if in.Down("n") {
+	if in.down("n") {
 		t.Fatal("revived node should be up")
 	}
 	for i := 0; i < 10; i++ {
@@ -124,7 +125,7 @@ func TestKillReviveAndSlowStart(t *testing.T) {
 			t.Fatalf("revived node errored: %v", err)
 		}
 	}
-	st := in.NodeStats("n")
+	st := in.node("n").nodeStats()
 	if st.SlowStarts != 5 {
 		t.Fatalf("SlowStarts = %d, want 5", st.SlowStarts)
 	}
@@ -139,7 +140,7 @@ func TestKillReviveAndSlowStart(t *testing.T) {
 func TestBlackholeAndHeal(t *testing.T) {
 	in := New(3, Options{TimeoutWork: 7})
 	in.Blackhole("n", true)
-	if !in.Down("n") {
+	if !in.down("n") {
 		t.Fatal("blackholed node should report down")
 	}
 	if err := in.Decide("n"); !errors.Is(err, ErrBlackhole) {
@@ -149,7 +150,7 @@ func TestBlackholeAndHeal(t *testing.T) {
 	if err := in.Decide("n"); err != nil {
 		t.Fatalf("healed node errored: %v", err)
 	}
-	st := in.NodeStats("n")
+	st := in.node("n").nodeStats()
 	if st.Blackholed != 1 || st.WorkInjected != 7 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -183,7 +184,7 @@ func echoServer() *rpc.Server {
 func TestWrappedConnInjectsAndPassesThrough(t *testing.T) {
 	in := New(11, Options{})
 	in.SetRule("cache0", Rule{ErrorRate: 0.5})
-	conn := in.Wrap("cache0", rpc.NewDirect(echoServer()))
+	conn := in.WrapWorker("cache0", -1, rpc.NewDirect(echoServer()))
 	ok, failed := 0, 0
 	for i := 0; i < 400; i++ {
 		resp, err := conn.Call("echo", []byte("hi"))
@@ -202,14 +203,14 @@ func TestWrappedConnInjectsAndPassesThrough(t *testing.T) {
 	if ok == 0 || failed == 0 {
 		t.Fatalf("want a mix of outcomes, got ok=%d failed=%d", ok, failed)
 	}
-	if got := in.NodeStats("cache0").InjectedErrors; got != int64(failed) {
+	if got := in.node("cache0").nodeStats().InjectedErrors; got != int64(failed) {
 		t.Fatalf("stats errors = %d, want %d", got, failed)
 	}
 }
 
 func TestWrappedConnDownImplementsPoolInterface(t *testing.T) {
 	in := New(1, Options{})
-	conn := in.Wrap("n", rpc.NewDirect(echoServer()))
+	conn := in.WrapWorker("n", -1, rpc.NewDirect(echoServer()))
 	var d rpc.Downer = conn
 	if d.Down() {
 		t.Fatal("fresh node should be up")
@@ -224,13 +225,13 @@ func TestScheduleAppliesEventsInOpOrder(t *testing.T) {
 	in := New(1, Options{})
 	s := NewSchedule([]Event{
 		{AtOp: 5, Node: "n", Action: ActKill},
-		{AtOp: 2, Node: "n", Action: ActSetRule, Rule: Rule{ErrorRate: 1}},
+		{AtOp: 2, Node: "n", Action: actSetRule, Rule: Rule{ErrorRate: 1}},
 		{AtOp: 8, Node: "n", Action: ActRevive},
 	})
 	var timeline []bool // down per op
 	for op := 0; op < 12; op++ {
 		s.Step(in)
-		timeline = append(timeline, in.Down("n"))
+		timeline = append(timeline, in.down("n"))
 	}
 	for op, down := range timeline {
 		wantDown := op >= 5 && op < 8
@@ -238,10 +239,10 @@ func TestScheduleAppliesEventsInOpOrder(t *testing.T) {
 			t.Fatalf("op %d: down=%v want %v (timeline %v)", op, down, wantDown, timeline)
 		}
 	}
-	if !s.Done() {
+	if s.pos != len(s.events) {
 		t.Fatal("schedule should be exhausted")
 	}
-	// The ActSetRule at op 2 must be live.
+	// The actSetRule at op 2 must be live.
 	if err := in.Decide("n"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("rule with ErrorRate=1 should inject, got %v", err)
 	}
@@ -257,12 +258,12 @@ func TestInjectorIsSafeForConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				in.Decide("n")
-				in.Down("n")
+				in.down("n")
 			}
 		}()
 	}
 	wg.Wait()
-	if got := in.NodeStats("n").Calls; got != 1600 {
+	if got := in.node("n").nodeStats().Calls; got != 1600 {
 		t.Fatalf("calls = %d, want 1600", got)
 	}
 }

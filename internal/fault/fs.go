@@ -9,13 +9,13 @@ import (
 	"cachecost/internal/storage/kv"
 )
 
-// ErrTornWrite is returned by a fault FS when torn-write injection
+// errTornWrite is returned by a fault FS when torn-write injection
 // fires: only a prefix of the buffer reached the underlying file. The
 // kv engine treats durable-path I/O errors as fatal (crash-only
 // design), so under injection the process dies exactly as it would in
 // a real mid-write power cut — with a partial frame on disk that
 // recovery must reject.
-var ErrTornWrite = errors.New("fault: torn write injected")
+var errTornWrite = errors.New("fault: torn write injected")
 
 // FSOptions configures a fault-injecting filesystem wrapper.
 type FSOptions struct {
@@ -29,7 +29,7 @@ type FSOptions struct {
 	SyncSleep time.Duration
 	// TornWriteAfter tears the Nth write call (1-based) across all
 	// files: only a prefix of the buffer reaches the inner file and the
-	// write returns ErrTornWrite. Zero disables injection.
+	// write returns errTornWrite. Zero disables injection.
 	TornWriteAfter int64
 	// TornWriteFrac is the fraction of the torn buffer that survives,
 	// clamped to [0,1). Default 0.5.
@@ -60,15 +60,6 @@ func (in *Injector) NewFS(inner kv.FS, opts FSOptions) *FS {
 	return &FS{inner: inner, in: in, opts: opts}
 }
 
-// Writes returns the number of write calls observed across all files.
-func (f *FS) Writes() int64 { return f.writes.Load() }
-
-// Syncs returns the number of fsync calls observed.
-func (f *FS) Syncs() int64 { return f.syncs.Load() }
-
-// TornWrites returns how many writes were torn.
-func (f *FS) TornWrites() int64 { return f.torn.Load() }
-
 func (f *FS) Create(name string) (kv.File, error) {
 	file, err := f.inner.Create(name)
 	if err != nil {
@@ -85,10 +76,10 @@ func (f *FS) Open(name string) (kv.File, error) {
 	return &faultFile{File: file, fs: f}, nil
 }
 
-func (f *FS) Remove(name string) error              { return f.inner.Remove(name) }
-func (f *FS) Rename(oldName, newName string) error  { return f.inner.Rename(oldName, newName) }
-func (f *FS) List() ([]string, error)               { return f.inner.List() }
-func (f *FS) Size(name string) (int64, error)       { return f.inner.Size(name) }
+func (f *FS) Remove(name string) error             { return f.inner.Remove(name) }
+func (f *FS) Rename(oldName, newName string) error { return f.inner.Rename(oldName, newName) }
+func (f *FS) List() ([]string, error)              { return f.inner.List() }
+func (f *FS) Size(name string) (int64, error)      { return f.inner.Size(name) }
 
 // faultFile interposes on the write and sync paths; reads pass through.
 type faultFile struct {
@@ -106,7 +97,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 				return 0, err
 			}
 		}
-		return keep, fmt.Errorf("%w: wrote %d of %d bytes", ErrTornWrite, keep, len(p))
+		return keep, fmt.Errorf("%w: wrote %d of %d bytes", errTornWrite, keep, len(p))
 	}
 	return f.File.Write(p)
 }

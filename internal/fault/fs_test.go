@@ -25,10 +25,10 @@ func TestFSMeteredFsyncStalls(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if fs.Syncs() == 0 {
+	if fs.syncs.Load() == 0 {
 		t.Fatal("no fsyncs observed")
 	}
-	st := in.NodeStats("fs")
+	st := in.node("fs").nodeStats()
 	if st.Stalls == 0 || st.WorkInjected == 0 {
 		t.Fatalf("fsync stalls not injected: %+v", st)
 	}
@@ -83,8 +83,8 @@ func TestFSTornWriteKillsAndRecoveryRejects(t *testing.T) {
 			acked++ // WALSyncEvery=1: every completed Put is acked
 		}
 	}()
-	if fs.TornWrites() != 1 {
-		t.Fatalf("TornWrites = %d", fs.TornWrites())
+	if fs.torn.Load() != 1 {
+		t.Fatalf("TornWrites = %d", fs.torn.Load())
 	}
 	if acked == 0 {
 		t.Fatal("tear fired before any write was acknowledged")
@@ -101,8 +101,10 @@ func TestFSTornWriteKillsAndRecoveryRejects(t *testing.T) {
 			t.Fatalf("acked write k%02d lost or corrupted: %q,%v", i, v, ok)
 		}
 	}
-	if got := r.Len(); got != acked {
-		t.Fatalf("recovered %d keys, want exactly the %d acked", got, acked)
+	for i := acked; i < 100; i++ {
+		if _, _, ok := r.Get([]byte(fmt.Sprintf("k%02d", i))); ok {
+			t.Fatalf("recovered k%02d, which was never acked (%d were)", i, acked)
+		}
 	}
 	r.Close()
 }

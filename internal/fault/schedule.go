@@ -11,12 +11,12 @@ const (
 	ActKill Action = iota
 	// ActRevive clears the kill switch (arming slow-start).
 	ActRevive
-	// ActBlackhole partitions the node.
-	ActBlackhole
-	// ActHeal clears the partition.
-	ActHeal
-	// ActSetRule installs Event.Rule as the node's steady-state rule.
-	ActSetRule
+	// actBlackhole partitions the node.
+	actBlackhole
+	// actHeal clears the partition.
+	actHeal
+	// actSetRule installs Event.Rule as the node's steady-state rule.
+	actSetRule
 )
 
 // String implements fmt.Stringer.
@@ -26,11 +26,11 @@ func (a Action) String() string {
 		return "kill"
 	case ActRevive:
 		return "revive"
-	case ActBlackhole:
+	case actBlackhole:
 		return "blackhole"
-	case ActHeal:
+	case actHeal:
 		return "heal"
-	case ActSetRule:
+	case actSetRule:
 		return "set-rule"
 	default:
 		return "unknown"
@@ -43,7 +43,7 @@ type Event struct {
 	AtOp   int
 	Node   string
 	Action Action
-	Rule   Rule // used by ActSetRule
+	Rule   Rule // used by actSetRule
 }
 
 // Schedule replays a fixed list of fault events against an Injector as a
@@ -77,20 +77,14 @@ func (s *Schedule) Step(in *Injector) int {
 			in.Kill(e.Node)
 		case ActRevive:
 			in.Revive(e.Node)
-		case ActBlackhole:
+		case actBlackhole:
 			in.Blackhole(e.Node, true)
-		case ActHeal:
+		case actHeal:
 			in.Blackhole(e.Node, false)
-		case ActSetRule:
+		case actSetRule:
 			in.SetRule(e.Node, e.Rule)
 		}
 	}
 	s.op++
 	return applied
 }
-
-// Op returns the current op counter.
-func (s *Schedule) Op() int { return s.op }
-
-// Done reports whether every event has been applied.
-func (s *Schedule) Done() bool { return s.pos >= len(s.events) }

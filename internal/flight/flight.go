@@ -36,16 +36,16 @@ import (
 type Outcome uint8
 
 const (
-	// OutcomeOK is a request served normally within its deadline.
-	OutcomeOK Outcome = iota
-	// OutcomeShed is a request rejected by the admission gate.
-	OutcomeShed
-	// OutcomeDeadline is a request whose SLO deadline expired.
-	OutcomeDeadline
-	// OutcomeDegraded is a request answered in cache-degraded mode.
-	OutcomeDegraded
-	// OutcomeError is a request whose handler returned an error.
-	OutcomeError
+	// outcomeOK is a request served normally within its deadline.
+	outcomeOK Outcome = iota
+	// outcomeShed is a request rejected by the admission gate.
+	outcomeShed
+	// outcomeDeadline is a request whose SLO deadline expired.
+	outcomeDeadline
+	// outcomeDegraded is a request answered in cache-degraded mode.
+	outcomeDegraded
+	// outcomeError is a request whose handler returned an error.
+	outcomeError
 
 	numOutcomes
 )
@@ -107,28 +107,15 @@ type Record struct {
 func (r *Record) Outcome() Outcome {
 	switch {
 	case r.Flags&meter.FlagError != 0:
-		return OutcomeError
+		return outcomeError
 	case r.Flags&meter.FlagShed != 0:
-		return OutcomeShed
+		return outcomeShed
 	case r.Flags&meter.FlagDeadline != 0:
-		return OutcomeDeadline
+		return outcomeDeadline
 	case r.Flags&meter.FlagDegraded != 0:
-		return OutcomeDegraded
+		return outcomeDegraded
 	}
-	return OutcomeOK
-}
-
-// SumStages returns the conservation sum: every stage except StageRaft,
-// whose time is contained in StageStorage.
-func (r *Record) SumStages() int64 {
-	var sum int64
-	for s := meter.Stage(0); s < meter.NumStages; s++ {
-		if s == meter.StageRaft {
-			continue
-		}
-		sum += r.Stages[s]
-	}
-	return sum
+	return outcomeOK
 }
 
 // DominantStage returns the stage holding the largest share of the
@@ -196,7 +183,7 @@ type Recorder struct {
 
 	mu       sync.Mutex
 	slowest  slowHeap                // min-heap on Dur; top is the K-th slowest retained
-	outcomes [numOutcomes][]Exemplar // FIFO per bad outcome; [OutcomeOK] unused
+	outcomes [numOutcomes][]Exemplar // FIFO per bad outcome; [outcomeOK] unused
 }
 
 // New builds a Recorder.
@@ -266,12 +253,12 @@ func (r *Recorder) Done(sc trace.SpanContext, arch, method string, start time.Ti
 func (r *Recorder) retain(rec Record, sc trace.SpanContext) {
 	out := rec.Outcome()
 	slow := rec.Dur > r.threshold.Load()
-	if out == OutcomeOK && !slow {
+	if out == outcomeOK && !slow {
 		return
 	}
 	ex := Exemplar{Record: rec, Spans: sc.SnapshotSpans()}
 	r.mu.Lock()
-	if out != OutcomeOK {
+	if out != outcomeOK {
 		q := r.outcomes[out]
 		if len(q) >= r.cfg.OutcomeCap {
 			copy(q, q[1:])
@@ -332,10 +319,10 @@ func (r *Recorder) Exemplars() ExemplarSet {
 	cp := func(q []Exemplar) []Exemplar { return append([]Exemplar(nil), q...) }
 	return ExemplarSet{
 		Slowest:  slow,
-		Shed:     cp(r.outcomes[OutcomeShed]),
-		Deadline: cp(r.outcomes[OutcomeDeadline]),
-		Degraded: cp(r.outcomes[OutcomeDegraded]),
-		Error:    cp(r.outcomes[OutcomeError]),
+		Shed:     cp(r.outcomes[outcomeShed]),
+		Deadline: cp(r.outcomes[outcomeDeadline]),
+		Degraded: cp(r.outcomes[outcomeDegraded]),
+		Error:    cp(r.outcomes[outcomeError]),
 	}
 }
 

@@ -97,17 +97,17 @@ type deltaEntry struct {
 	Delta telemetry.Snapshot `json:"delta"`
 }
 
-// NewWatchdog builds a Watchdog. Tick and Run must not be called
+// NewWatchdog builds a Watchdog. tick and Run must not be called
 // concurrently with each other.
 func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	return &Watchdog{cfg: cfg.withDefaults()}
 }
 
-// Tick takes one snapshot, differences it against the previous window,
+// tick takes one snapshot, differences it against the previous window,
 // and returns the window's burn rate. When the rate has exceeded
 // FastBurn for two consecutive windows (and the debounce allows), it
 // writes a dump and returns its directory.
-func (w *Watchdog) Tick(now time.Time) (burn float64, dumpDir string, err error) {
+func (w *Watchdog) tick(now time.Time) (burn float64, dumpDir string, err error) {
 	snap := w.cfg.Registry.Snapshot()
 	if !w.havePrev {
 		w.prev, w.havePrev = snap, true
@@ -144,7 +144,7 @@ func (w *Watchdog) Tick(now time.Time) (burn float64, dumpDir string, err error)
 		w.overrun = 0
 	}
 	if w.overrun >= 2 && now.Sub(w.lastDump) >= w.cfg.MinInterval {
-		dumpDir, err = w.Dump(now)
+		dumpDir, err = w.dump(now)
 		if err == nil {
 			w.lastDump = now
 			w.overrun = 0
@@ -153,11 +153,11 @@ func (w *Watchdog) Tick(now time.Time) (burn float64, dumpDir string, err error)
 	return burn, dumpDir, err
 }
 
-// Dump writes the black-box dump unconditionally and returns its
+// dump writes the black-box dump unconditionally and returns its
 // directory: exemplars.json (the /debug/requests payload), statusz.txt
 // (the /statusz render), and deltas.jsonl (the last K snapshot deltas
 // with their burn rates).
-func (w *Watchdog) Dump(now time.Time) (string, error) {
+func (w *Watchdog) dump(now time.Time) (string, error) {
 	w.dumpSeq++
 	dir := filepath.Join(w.cfg.Dir, fmt.Sprintf("dump-%s-%02d", now.UTC().Format("20060102T150405"), w.dumpSeq))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -218,7 +218,7 @@ func (w *Watchdog) Run(interval time.Duration, stop <-chan struct{}, done chan<-
 		case <-stop:
 			return
 		case now := <-t.C:
-			if _, dir, err := w.Tick(now); err != nil {
+			if _, dir, err := w.tick(now); err != nil {
 				fmt.Fprintf(os.Stderr, "flight watchdog: dump failed: %v\n", err)
 			} else if dir != "" {
 				fmt.Fprintf(os.Stderr, "flight watchdog: error budget burning fast; black-box dump written to %s\n", dir)

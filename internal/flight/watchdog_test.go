@@ -46,7 +46,7 @@ func TestWatchdogDumpOnFastBurn(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		lat.Observe(int64(time.Millisecond))
 	}
-	if burn, d, _ := w.Tick(now); burn != 0 || d != "" {
+	if burn, d, _ := w.tick(now); burn != 0 || d != "" {
 		t.Fatalf("baseline tick: burn=%g dump=%q, want 0 and none", burn, d)
 	}
 
@@ -54,9 +54,9 @@ func TestWatchdogDumpOnFastBurn(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		lat.Observe(int64(time.Millisecond))
 	}
-	shed.Add(1)
+	shed.Inc()
 	now = now.Add(time.Minute)
-	if burn, d, _ := w.Tick(now); burn >= 14 || d != "" {
+	if burn, d, _ := w.tick(now); burn >= 14 || d != "" {
 		t.Fatalf("healthy tick: burn=%g dump=%q, want <14 and none", burn, d)
 	}
 
@@ -64,9 +64,11 @@ func TestWatchdogDumpOnFastBurn(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		lat.Observe(int64(time.Millisecond))
 	}
-	shed.Add(50)
+	for i := 0; i < 50; i++ {
+		shed.Inc()
+	}
 	now = now.Add(time.Minute)
-	burn, d, err := w.Tick(now)
+	burn, d, err := w.tick(now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +83,11 @@ func TestWatchdogDumpOnFastBurn(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		lat.Observe(int64(time.Millisecond))
 	}
-	shed.Add(50)
+	for i := 0; i < 50; i++ {
+		shed.Inc()
+	}
 	now = now.Add(time.Minute)
-	_, d, err = w.Tick(now)
+	_, d, err = w.tick(now)
 	if err != nil {
 		t.Fatal(err)
 	}

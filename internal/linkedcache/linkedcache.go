@@ -13,7 +13,6 @@ package linkedcache
 
 import (
 	"sync/atomic"
-	"time"
 
 	"cachecost/internal/cache"
 	"cachecost/internal/meter"
@@ -66,7 +65,7 @@ func New[V any](cfg Config, sizeOf cache.SizeOf[V]) *Cache[V] {
 		c.comp = cfg.Meter.Component(name)
 		c.comp.SetMemBytes(cfg.CapacityBytes)
 	}
-	c.RegisterTelemetry(cfg.Telemetry)
+	c.registerTelemetry(cfg.Telemetry)
 	return c
 }
 
@@ -98,10 +97,10 @@ func (c *Cache[V]) SetBilledReplicas(n int) {
 	}
 }
 
-// RegisterTelemetry installs a pull collector publishing the cache's
+// registerTelemetry installs a pull collector publishing the cache's
 // counters and used bytes; the lookup hot path is untouched. A nil
 // registry is a no-op.
-func (c *Cache[V]) RegisterTelemetry(reg *telemetry.Registry) {
+func (c *Cache[V]) registerTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
@@ -125,9 +124,6 @@ func (c *Cache[V]) Get(key string) (V, bool) { return c.store.Get(key) }
 
 // Put stores a live value with no TTL.
 func (c *Cache[V]) Put(key string, v V) { c.store.Put(key, v) }
-
-// PutTTL stores a live value that expires after ttl.
-func (c *Cache[V]) PutTTL(key string, v V, ttl time.Duration) { c.store.PutTTL(key, v, ttl) }
 
 // Delete removes key.
 func (c *Cache[V]) Delete(key string) bool { return c.store.Delete(key) }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"cachecost/internal/meter"
 	"cachecost/internal/trace"
@@ -60,15 +59,6 @@ func TestGetOrLoadErrorNotCached(t *testing.T) {
 	}
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("failed load must not cache")
-	}
-}
-
-func TestTTL(t *testing.T) {
-	c := newObjCache(1<<20, nil)
-	c.PutTTL("k", &richObj{}, time.Millisecond)
-	time.Sleep(5 * time.Millisecond)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("TTL should expire")
 	}
 }
 

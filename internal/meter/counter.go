@@ -16,17 +16,8 @@ type Counter struct {
 	n    atomic.Int64
 }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.n.Add(n) }
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.n.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n.Load() }
 
 // Counter returns the named counter, creating it on first use. Like
 // components, counters are identified by stable dotted names such as
@@ -51,7 +42,7 @@ func (m *Meter) CounterValue(name string) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if c, ok := m.counters[name]; ok {
-		return c.Value()
+		return c.n.Load()
 	}
 	return 0
 }
@@ -68,7 +59,7 @@ func (m *Meter) Counters() []CounterSnapshot {
 	defer m.mu.Unlock()
 	out := make([]CounterSnapshot, 0, len(m.counters))
 	for _, c := range m.counters {
-		out = append(out, CounterSnapshot{Name: c.name, Value: c.Value()})
+		out = append(out, CounterSnapshot{Name: c.name, Value: c.n.Load()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -1,13 +1,12 @@
 package meter
 
 import (
-	"math"
 	"testing"
 	"time"
 )
 
 // The durable storage engine reports its file footprint through
-// Component.SetDiskBytes/AddDiskBytes; the report must price it at the
+// Component.AddDiskBytes; the report must price it at the
 // book's storage rate, include it in totals, and amortize it like
 // memory rent in the per-request figure.
 func TestReportPricesDiskBytes(t *testing.T) {
@@ -15,7 +14,7 @@ func TestReportPricesDiskBytes(t *testing.T) {
 	kv := m.Component("storage.kv")
 	kv.AddBusy(10 * time.Millisecond)
 	kv.SetMemBytes(1 << 30)
-	kv.SetDiskBytes(50 << 30) // 50 GB on disk
+	kv.AddDiskBytes(50 << 30) // 50 GB on disk
 	kv.AddDiskBytes(50 << 30) // plus a 50 GB delta from a second store
 	if got := kv.DiskBytes(); got != 100<<30 {
 		t.Fatalf("DiskBytes = %d, want %d", got, int64(100<<30))
@@ -29,13 +28,13 @@ func TestReportPricesDiskBytes(t *testing.T) {
 	}
 	almost(t, "DiskGB", line.DiskGB, 100)
 	almost(t, "DiskCost", line.DiskCost, 100*GCP.StorageGBMonth) // $2 at $2/100GB-mo
-	almost(t, "Line.Total", line.Total(), line.CPUCost+line.MemCost+line.DiskCost)
+	almost(t, "Line.Total", line.total(), line.CPUCost+line.MemCost+line.DiskCost)
 	almost(t, "Report.DiskCost", r.DiskCost, line.DiskCost)
 	almost(t, "Report.TotalCost", r.TotalCost, r.CPUCost+r.MemCost+r.DiskCost)
 
 	// Per-request normalization: disk rent divides by throughput exactly
 	// like memory rent.
-	qps := r.QPS()
+	qps := r.qps()
 	const secondsPerMonth = 30 * 24 * 3600
 	want := (r.CPUCost/(qps*secondsPerMonth) + (r.MemCost+r.DiskCost)/(qps*secondsPerMonth)) * 1e6
 	almost(t, "CostPerMillionRequests", r.CostPerMillionRequests(), want)
@@ -47,15 +46,5 @@ func TestReportPricesDiskBytes(t *testing.T) {
 	snap := m.Snapshot()
 	if snap[0].DiskBytes != 100<<30 {
 		t.Fatalf("snapshot DiskBytes = %d", snap[0].DiskBytes)
-	}
-
-	// Rollup aggregates disk like the other columns.
-	roll := r.Rollup()
-	var sum float64
-	for _, l := range roll {
-		sum += l.DiskCost
-	}
-	if math.Abs(sum-r.DiskCost) > 1e-9 {
-		t.Fatalf("rollup DiskCost = %v, want %v", sum, r.DiskCost)
 	}
 }

@@ -46,7 +46,7 @@ func ExampleComponent_Start() {
 	// ... the operation's CPU work ...
 	sw.Stop()
 
-	fmt.Println(app.Ops())
+	fmt.Println(m.Snapshot()[0].Ops)
 	// Output:
 	// 1
 }

@@ -68,12 +68,13 @@ func TestLanePartitionExact(t *testing.T) {
 		t.Fatalf("clock reads = %d, want 10", got)
 	}
 	for _, w := range []struct {
+		name string
 		c    *meter.Component
 		busy time.Duration
 		ops  int64
-	}{{app, 2, 0}, {db, 3, 1}, {kv, 1, 1}} {
+	}{{"app", app, 2, 0}, {"db", db, 3, 1}, {"kv", kv, 1, 1}} {
 		if w.c.Busy() != w.busy || w.c.Ops() != w.ops {
-			t.Errorf("%s: busy %d ops %d, want %d and %d", w.c.Name(), w.c.Busy(), w.c.Ops(), w.busy, w.ops)
+			t.Errorf("%s: busy %d ops %d, want %d and %d", w.name, w.c.Busy(), w.c.Ops(), w.busy, w.ops)
 		}
 	}
 	if sum := totalBusy(m); sum != elapsed || elapsed != 6 {

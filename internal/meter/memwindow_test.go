@@ -74,18 +74,3 @@ func TestMemAvgTracksMidWindowResize(t *testing.T) {
 		t.Fatalf("post-Reset avg = %d, want exact level %d", got, 200<<20)
 	}
 }
-
-// AddMemBytes routes through the same integral.
-func TestMemAvgAddDelta(t *testing.T) {
-	m := NewMeter()
-	c := m.Component("cache")
-	c.SetMemBytes(1 << 20)
-	c.AddMemBytes(1 << 20)
-	if got := c.MemBytes(); got != 2<<20 {
-		t.Fatalf("AddMemBytes level = %d, want %d", got, 2<<20)
-	}
-	c.AddMemBytes(-(1 << 19))
-	if got := c.MemBytes(); got != 3<<19 {
-		t.Fatalf("negative AddMemBytes level = %d, want %d", got, 3<<19)
-	}
-}

@@ -167,9 +167,6 @@ type Component struct {
 	memAnchor time.Time // start of the current constant-level segment
 }
 
-// Name returns the component's registered name.
-func (c *Component) Name() string { return c.name }
-
 // AddBusy attributes d of busy CPU time to the component.
 func (c *Component) AddBusy(d time.Duration) {
 	if d > 0 {
@@ -185,22 +182,15 @@ func (c *Component) AddOps(n int64) { c.ops.Add(n) }
 // accumulates. Reports price the level's time-average over the window,
 // so mid-window changes (an elastic controller resizing a cache) bill
 // the byte-seconds actually held.
-func (c *Component) SetMemBytes(n int64) { c.setMemLevel(n, false) }
-
-// AddMemBytes adjusts provisioned memory by delta bytes (may be negative).
-func (c *Component) AddMemBytes(delta int64) { c.setMemLevel(delta, true) }
-
-// setMemLevel integrates the outgoing level into the window's
-// byte-seconds and installs the new one. Establishing a footprint for
-// the first time in a window (prior level zero, nothing integrated yet)
-// is retroactive to the window start: the universal pattern of setting a
-// cache's budget once at build time keeps pricing exactly that budget.
-func (c *Component) setMemLevel(n int64, delta bool) {
+func (c *Component) SetMemBytes(n int64) {
 	c.memMu.Lock()
+	defer c.memMu.Unlock()
 	prev := c.memBytes.Load()
-	if delta {
-		n += prev
-	}
+	// Establishing a footprint for the first time in a window (prior
+	// level zero, nothing integrated yet) is retroactive to the window
+	// start: the universal pattern of setting a cache's budget once at
+	// build time keeps pricing exactly that budget. Otherwise the
+	// outgoing level is integrated into the window's byte-seconds.
 	if prev != 0 || c.memInt != 0 {
 		now := time.Now()
 		if d := now.Sub(c.memAnchor); d > 0 {
@@ -209,7 +199,6 @@ func (c *Component) setMemLevel(n int64, delta bool) {
 		c.memAnchor = now
 	}
 	c.memBytes.Store(n)
-	c.memMu.Unlock()
 }
 
 // avgMemBytes returns the level's time-average over [windowStart, now].
@@ -235,11 +224,6 @@ func (c *Component) avgMemBytes(windowStart, now time.Time) int64 {
 	}
 	return int64(avg + 0.5)
 }
-
-// SetDiskBytes records the persistent-storage footprint of the component,
-// in bytes. Like provisioned memory it is a level, not a rate: the report
-// prices it as a monthly rent at the price book's storage rate.
-func (c *Component) SetDiskBytes(n int64) { c.diskBytes.Store(n) }
 
 // AddDiskBytes adjusts the persistent-storage footprint by delta bytes
 // (may be negative). Durable stores report file-size deltas after each

@@ -47,8 +47,7 @@ func TestMemAccounting(t *testing.T) {
 	m := NewMeter()
 	c := m.Component("cache")
 	c.SetMemBytes(1 << 30)
-	c.AddMemBytes(1 << 29)
-	if got, want := c.MemBytes(), int64(3<<29); got != want {
+	if got, want := c.MemBytes(), int64(1<<30); got != want {
 		t.Fatalf("MemBytes() = %d, want %d", got, want)
 	}
 	c.SetMemBytes(42)
@@ -225,13 +224,6 @@ func TestReportHierarchyRollup(t *testing.T) {
 	appCores := r.ComponentCores("app")
 	if stCores <= appCores {
 		t.Fatalf("storage rollup (%v) should exceed app (%v)", stCores, appCores)
-	}
-	roll := r.Rollup()
-	if len(roll) != 2 {
-		t.Fatalf("Rollup should merge storage.* into storage: %+v", roll)
-	}
-	if roll[0].Component != "storage" {
-		t.Fatalf("Rollup should sort by descending cost, got %q first", roll[0].Component)
 	}
 }
 

@@ -2,7 +2,6 @@ package meter
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -19,8 +18,8 @@ type Line struct {
 	Ops       int64
 }
 
-// Total returns the line's combined monthly cost.
-func (l Line) Total() float64 { return l.CPUCost + l.MemCost + l.DiskCost }
+// total returns the line's combined monthly cost.
+func (l Line) total() float64 { return l.CPUCost + l.MemCost + l.DiskCost }
 
 // Report is a priced summary of a Meter over its elapsed window.
 type Report struct {
@@ -81,8 +80,8 @@ func BuildReport(m *Meter, prices PriceBook) Report {
 	return r
 }
 
-// QPS returns the observed request throughput.
-func (r Report) QPS() float64 {
+// qps returns the observed request throughput.
+func (r Report) qps() float64 {
 	if r.Elapsed <= 0 {
 		return 0
 	}
@@ -94,7 +93,7 @@ func (r Report) QPS() float64 {
 // It is the scale-free unit used to compare architectures, because a
 // deployment is sized to its offered load.
 func (r Report) CostPerMillionRequests() float64 {
-	qps := r.QPS()
+	qps := r.qps()
 	if qps == 0 {
 		return 0
 	}
@@ -125,7 +124,7 @@ func (r Report) ComponentCost(prefix string) float64 {
 	var sum float64
 	for _, l := range r.Lines {
 		if prefix == "" || l.Component == prefix || strings.HasPrefix(l.Component, prefix+".") {
-			sum += l.Total()
+			sum += l.total()
 		}
 	}
 	return sum
@@ -143,51 +142,16 @@ func (r Report) ComponentCores(prefix string) float64 {
 	return sum
 }
 
-// Rollup aggregates lines into top-level components (the name up to the
-// first dot) and returns them sorted by descending total cost.
-func (r Report) Rollup() []Line {
-	agg := make(map[string]*Line)
-	for _, l := range r.Lines {
-		top := l.Component
-		if i := strings.IndexByte(top, '.'); i >= 0 {
-			top = top[:i]
-		}
-		a, ok := agg[top]
-		if !ok {
-			a = &Line{Component: top}
-			agg[top] = a
-		}
-		a.Cores += l.Cores
-		a.MemGB += l.MemGB
-		a.DiskGB += l.DiskGB
-		a.CPUCost += l.CPUCost
-		a.MemCost += l.MemCost
-		a.DiskCost += l.DiskCost
-		a.Ops += l.Ops
-	}
-	out := make([]Line, 0, len(agg))
-	for _, a := range agg {
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total() != out[j].Total() {
-			return out[i].Total() > out[j].Total()
-		}
-		return out[i].Component < out[j].Component
-	})
-	return out
-}
-
 // String renders the report as an aligned text table.
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "elapsed=%v requests=%d qps=%.0f prices[%s]\n",
-		r.Elapsed.Round(time.Millisecond), r.Requests, r.QPS(), r.Prices)
+		r.Elapsed.Round(time.Millisecond), r.Requests, r.qps(), r.Prices)
 	fmt.Fprintf(&b, "%-24s %10s %10s %10s %12s %12s %12s %12s\n",
 		"component", "cores", "memGB", "diskGB", "cpu$/mo", "mem$/mo", "disk$/mo", "total$/mo")
 	for _, l := range r.Lines {
 		fmt.Fprintf(&b, "%-24s %10.4f %10.4f %10.4f %12.4f %12.4f %12.4f %12.4f\n",
-			l.Component, l.Cores, l.MemGB, l.DiskGB, l.CPUCost, l.MemCost, l.DiskCost, l.Total())
+			l.Component, l.Cores, l.MemGB, l.DiskGB, l.CPUCost, l.MemCost, l.DiskCost, l.total())
 	}
 	fmt.Fprintf(&b, "%-24s %10.4f %10s %10s %12.4f %12.4f %12.4f %12.4f\n",
 		"TOTAL", r.ComponentCores(""), "", "", r.CPUCost, r.MemCost, r.DiskCost, r.TotalCost)

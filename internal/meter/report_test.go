@@ -24,7 +24,9 @@ func reportFixture() (*Meter, Report) {
 	sql.AddBusy(50 * time.Millisecond)
 	sql.SetMemBytes(1 << 30)
 	sql.AddOps(1800)
-	m.Counter("cache.degraded").Add(7)
+	for i := 0; i < 7; i++ {
+		m.Counter("cache.degraded").Inc()
+	}
 	m.AddRequests(1000)
 	return m, BuildReport(m, GCP)
 }
@@ -54,7 +56,7 @@ func TestBuildReportPricing(t *testing.T) {
 	app, sql := lineFor(t, r, "app"), lineFor(t, r, "storage.sql")
 	for _, l := range r.Lines {
 		almost(t, l.Component+" CPUCost", l.CPUCost, GCP.CPUCost(l.Cores))
-		almost(t, l.Component+" Total", l.Total(), l.CPUCost+l.MemCost)
+		almost(t, l.Component+" Total", l.total(), l.CPUCost+l.MemCost)
 	}
 	if app.Cores <= 0 {
 		t.Fatalf("app cores = %v, want > 0", app.Cores)
@@ -73,8 +75,8 @@ func TestBuildReportPricing(t *testing.T) {
 	if r.Requests != 1000 {
 		t.Errorf("Requests = %d", r.Requests)
 	}
-	if r.QPS() <= 0 {
-		t.Errorf("QPS = %v, want > 0", r.QPS())
+	if r.qps() <= 0 {
+		t.Errorf("QPS = %v, want > 0", r.qps())
 	}
 	// Ops survive into lines, and counters into the report.
 	if got := lineFor(t, r, "storage.sql").Ops; got != 1800 {
@@ -97,40 +99,12 @@ func TestComponentPrefixRollups(t *testing.T) {
 	_, r := reportFixture()
 	almost(t, `ComponentCost("")`, r.ComponentCost(""), r.TotalCost)
 	almost(t, `ComponentCost(app)`, r.ComponentCost("app"),
-		lineFor(t, r, "app").Total()+lineFor(t, r, "app.cache").Total())
-	almost(t, `ComponentCost(app.cache)`, r.ComponentCost("app.cache"), lineFor(t, r, "app.cache").Total())
-	almost(t, `ComponentCost(storage)`, r.ComponentCost("storage"), lineFor(t, r, "storage.sql").Total())
+		lineFor(t, r, "app").total()+lineFor(t, r, "app.cache").total())
+	almost(t, `ComponentCost(app.cache)`, r.ComponentCost("app.cache"), lineFor(t, r, "app.cache").total())
+	almost(t, `ComponentCost(storage)`, r.ComponentCost("storage"), lineFor(t, r, "storage.sql").total())
 	almost(t, `ComponentCost(ap)`, r.ComponentCost("ap"), 0)
 	almost(t, `ComponentCores("")`, r.ComponentCores(""),
 		lineFor(t, r, "app").Cores+lineFor(t, r, "app.cache").Cores+lineFor(t, r, "storage.sql").Cores)
-}
-
-func TestRollupAggregatesTopLevel(t *testing.T) {
-	_, r := reportFixture()
-	roll := r.Rollup()
-	if len(roll) != 2 {
-		t.Fatalf("rollup lines = %d, want 2 (app, storage): %+v", len(roll), roll)
-	}
-	byName := map[string]Line{}
-	for _, l := range roll {
-		byName[l.Component] = l
-	}
-	app, ok := byName["app"]
-	if !ok {
-		t.Fatalf("no app rollup: %+v", roll)
-	}
-	almost(t, "app rollup total", app.Total(),
-		lineFor(t, r, "app").Total()+lineFor(t, r, "app.cache").Total())
-	almost(t, "app rollup memGB", app.MemGB, 2)
-	if app.Ops != 1900 {
-		t.Errorf("app rollup ops = %d, want 1900", app.Ops)
-	}
-	// Sorted by descending total.
-	for i := 1; i < len(roll); i++ {
-		if roll[i-1].Total() < roll[i].Total() {
-			t.Errorf("rollup not sorted by total: %+v", roll)
-		}
-	}
 }
 
 // CostPerMillionRequests: CPU cost per request is throughput-invariant,
@@ -139,7 +113,7 @@ func TestRollupAggregatesTopLevel(t *testing.T) {
 func TestCostPerMillionRequestsLaneQPS(t *testing.T) {
 	_, r := reportFixture()
 	const secondsPerMonth = 30 * 24 * 3600
-	qps := r.QPS()
+	qps := r.qps()
 	want := (r.CPUCost/(qps*secondsPerMonth) + r.MemCost/(qps*secondsPerMonth)) * 1e6
 	almost(t, "CostPerMReq", r.CostPerMillionRequests(), want)
 

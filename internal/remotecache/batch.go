@@ -192,25 +192,8 @@ func (c *Client) group(keys []string) ([]*nodeBatch, error) {
 	return groups, nil
 }
 
-// MultiGet fetches keys, reporting per-key presence positionally.
-func (c *Client) MultiGet(keys []string) ([][]byte, []bool, error) {
-	return c.MultiGetCtx(trace.SpanContext{}, keys)
-}
-
-// MultiGetCtx is MultiGet carrying the caller's span context (see
-// MultiBorrowCtx for what rides on it). The values are the caller's to
-// keep: they are copied out of the response buffers, which are recycled
-// here.
-func (c *Client) MultiGetCtx(sc trace.SpanContext, keys []string) ([][]byte, []bool, error) {
-	values, found, held, err := c.MultiBorrowCtx(sc, keys)
-	for i, v := range values {
-		values[i] = append([]byte(nil), v...)
-	}
-	rpc.PutBuffers(held)
-	return values, found, err
-}
-
-// MultiBorrowCtx is MultiGetCtx without the copies: every found value
+// MultiBorrowCtx fetches keys, reporting per-key presence positionally,
+// under the caller's span context. Nothing is copied: every found value
 // aliases one of the transport buffers in held (one per owning node).
 // The caller hands each to rpc.PutBuffer when it is done reading the
 // values and must not touch them afterwards (DESIGN.md, "Buffer
@@ -334,14 +317,8 @@ func (c *Client) multiGetNode(sc trace.SpanContext, g *nodeBatch, values [][]byt
 	return held, nil
 }
 
-// MultiSetTTL stores keys[i] = values[i], all expiring after ttl
-// (0 = never).
-func (c *Client) MultiSetTTL(keys []string, values [][]byte, ttl time.Duration) error {
-	return c.MultiSetTTLCtx(trace.SpanContext{}, keys, values, ttl)
-}
-
-// MultiSetTTLCtx is MultiSetTTL carrying the caller's span context. In
-// degraded mode a failed node RPC is one counted no-op demotion: the
+// MultiSetTTLCtx stores keys[i] = values[i], all expiring after ttl
+// (0 = never), under the caller's span context. In degraded mode a failed node RPC is one counted no-op demotion: the
 // next read of those keys re-populates.
 func (c *Client) MultiSetTTLCtx(sc trace.SpanContext, keys []string, values [][]byte, ttl time.Duration) error {
 	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
@@ -397,15 +374,10 @@ func (c *Client) MultiSetTTLCtx(sc trace.SpanContext, keys []string, values [][]
 	return nil
 }
 
-// MultiDelete removes keys — the batched invalidation path. In degraded
-// mode a failed node RPC is one counted demotion; those entries may
-// survive until their node recovers, the same bounded-staleness price
-// the scalar Delete documents.
-func (c *Client) MultiDelete(keys []string) error {
-	return c.MultiDeleteCtx(trace.SpanContext{}, keys)
-}
-
-// MultiDeleteCtx is MultiDelete carrying the caller's span context.
+// MultiDeleteCtx removes keys under the caller's span context — the
+// batched invalidation path. In degraded mode a failed node RPC is one
+// counted demotion; those entries may survive until their node recovers,
+// the same bounded-staleness price the scalar Delete documents.
 func (c *Client) MultiDeleteCtx(sc trace.SpanContext, keys []string) error {
 	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
 	if len(keys) == 0 {

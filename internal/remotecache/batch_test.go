@@ -6,9 +6,20 @@ import (
 	"testing"
 	"time"
 
+	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
 	"cachecost/internal/wire"
 )
+
+// multiGet is MultiBorrowCtx with the values copied out.
+func multiGet(c *Client, keys []string) ([][]byte, []bool, error) {
+	values, found, held, err := c.MultiBorrowCtx(noCtx, keys)
+	for i, v := range values {
+		values[i] = append([]byte(nil), v...)
+	}
+	rpc.PutBuffers(held)
+	return values, found, err
+}
 
 func roundTrip(in wire.Marshaler, out wire.Unmarshaler) error {
 	return wire.Unmarshal(wire.Marshal(in), out)
@@ -28,12 +39,12 @@ func TestMultiGetSetDeleteSingleNode(t *testing.T) {
 
 	keys := []string{"a", "b", "c", "d"}
 	vals := [][]byte{[]byte("va"), []byte("vb"), []byte("vc"), []byte("vd")}
-	if err := c.MultiSetTTL(keys, vals, 0); err != nil {
+	if err := c.MultiSetTTLCtx(noCtx, keys, vals, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	// Mixed batch: two present, one absent, one present.
-	got, found, err := c.MultiGet([]string{"a", "missing", "c", "d"})
+	got, found, err := multiGet(c, []string{"a", "missing", "c", "d"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +56,10 @@ func TestMultiGetSetDeleteSingleNode(t *testing.T) {
 		}
 	}
 
-	if err := c.MultiDelete([]string{"a", "b"}); err != nil {
+	if err := c.MultiDeleteCtx(noCtx, []string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
-	_, found, err = c.MultiGet(keys)
+	_, found, err = multiGet(c, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +71,14 @@ func TestMultiGetSetDeleteSingleNode(t *testing.T) {
 func TestMultiGetEmptyBatch(t *testing.T) {
 	srv := newNode(t, nil, 1<<20)
 	c := NewSingleClient(rpc.NewDirect(srv.RPCServer()))
-	vals, found, err := c.MultiGet(nil)
+	vals, found, err := multiGet(c, nil)
 	if err != nil || len(vals) != 0 || len(found) != 0 {
 		t.Fatalf("empty batch = %v %v %v", vals, found, err)
 	}
-	if err := c.MultiSetTTL(nil, nil, 0); err != nil {
+	if err := c.MultiSetTTLCtx(noCtx, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.MultiDelete(nil); err != nil {
+	if err := c.MultiDeleteCtx(noCtx, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -75,7 +86,7 @@ func TestMultiGetEmptyBatch(t *testing.T) {
 func TestMultiSetLengthMismatch(t *testing.T) {
 	srv := newNode(t, nil, 1<<20)
 	c := NewSingleClient(rpc.NewDirect(srv.RPCServer()))
-	if err := c.MultiSetTTL([]string{"a", "b"}, [][]byte{[]byte("x")}, 0); err == nil {
+	if err := c.MultiSetTTLCtx(noCtx, []string{"a", "b"}, [][]byte{[]byte("x")}, 0); err == nil {
 		t.Fatal("mismatched keys/values must error")
 	}
 }
@@ -97,10 +108,10 @@ func TestMultiGetFansOutAcrossNodes(t *testing.T) {
 		keys[i] = fmt.Sprintf("k%d", i)
 		vals[i] = []byte(fmt.Sprintf("v%d", i))
 	}
-	if err := c.MultiSetTTL(keys, vals, 0); err != nil {
+	if err := c.MultiSetTTLCtx(noCtx, keys, vals, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, found, err := c.MultiGet(keys)
+	got, found, err := multiGet(c, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +127,7 @@ func TestMultiGetFansOutAcrossNodes(t *testing.T) {
 		}
 	}
 	// Round trips must match the scalar path: MultiDelete existing keys.
-	if err := c.MultiDelete(keys); err != nil {
+	if err := c.MultiDeleteCtx(noCtx, keys); err != nil {
 		t.Fatal(err)
 	}
 	for name, srv := range nodes {
@@ -155,13 +166,14 @@ func TestMultiGetPartialResultsDegraded(t *testing.T) {
 	batch := []string{liveKeys[0], deadKeys[0], liveKeys[1], deadKeys[1], liveKeys[2], deadKeys[2]}
 
 	// Strict mode: the dead node fails the whole batch.
-	if _, _, err := c.MultiGet(batch); err == nil {
+	if _, _, err := multiGet(c, batch); err == nil {
 		t.Fatal("strict client must propagate the node failure")
 	}
 
 	// Degraded mode: partial results.
-	c.Degrade(nil)
-	vals, found, err := c.MultiGet(batch)
+	m := meter.NewMeter()
+	c.Degrade(m.Counter("degraded"))
+	vals, found, err := multiGet(c, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,19 +186,19 @@ func TestMultiGetPartialResultsDegraded(t *testing.T) {
 			t.Fatalf("slot %d (%s) = %q", i, k, vals[i])
 		}
 	}
-	if got := c.Degraded(); got != 1 {
+	if got := m.CounterValue("degraded"); got != 1 {
 		t.Fatalf("Degraded = %d, want 1 (one failed node RPC, not one per key)", got)
 	}
 
 	// Degraded MultiSet/MultiDelete to the dead node: silent no-ops,
 	// one demotion each.
-	if err := c.MultiSetTTL(deadKeys, [][]byte{[]byte("x"), []byte("y"), []byte("z")}, 0); err != nil {
+	if err := c.MultiSetTTLCtx(noCtx, deadKeys, [][]byte{[]byte("x"), []byte("y"), []byte("z")}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.MultiDelete(deadKeys); err != nil {
+	if err := c.MultiDeleteCtx(noCtx, deadKeys); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Degraded(); got != 3 {
+	if got := m.CounterValue("degraded"); got != 3 {
 		t.Fatalf("Degraded = %d, want 3", got)
 	}
 }
@@ -194,11 +206,11 @@ func TestMultiGetPartialResultsDegraded(t *testing.T) {
 func TestMultiSetTTLExpires(t *testing.T) {
 	srv := newNode(t, nil, 1<<20)
 	c := NewSingleClient(rpc.NewDirect(srv.RPCServer()))
-	if err := c.MultiSetTTL([]string{"a", "b"}, [][]byte{[]byte("1"), []byte("2")}, time.Millisecond); err != nil {
+	if err := c.MultiSetTTLCtx(noCtx, []string{"a", "b"}, [][]byte{[]byte("1"), []byte("2")}, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(5 * time.Millisecond)
-	_, found, err := c.MultiGet([]string{"a", "b"})
+	_, found, err := multiGet(c, []string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}

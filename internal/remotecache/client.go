@@ -32,9 +32,8 @@ type Client struct {
 	ring  *cluster.Ring
 	conns map[string]rpc.Conn
 
-	degrade  atomic.Bool
-	degraded atomic.Int64   // cache errors demoted so far
-	counter  *meter.Counter // optional mirror into a meter's counters
+	degrade atomic.Bool
+	counter *meter.Counter // optional mirror into a meter's counters
 
 	// Client-observed outcome counters; nil (no-op) until SetTelemetry.
 	tmHits     *telemetry.Counter
@@ -95,14 +94,10 @@ func (c *Client) Degrade(counter *meter.Counter) {
 	c.degrade.Store(true)
 }
 
-// Degraded returns how many cache errors have been demoted so far.
-func (c *Client) Degraded() int64 { return c.degraded.Load() }
-
 // demote records one degraded cache operation, marking the request whose
 // lane it happened on degraded.
 func (c *Client) demote(l *meter.Lane) {
 	l.Mark(meter.FlagDegraded)
-	c.degraded.Add(1)
 	if c.counter != nil {
 		c.counter.Inc()
 	}
@@ -110,16 +105,10 @@ func (c *Client) demote(l *meter.Lane) {
 }
 
 // Get fetches key, reporting presence. In degraded mode a cache failure
-// reads as a miss.
+// reads as a miss. The value is the caller's to keep: it is copied out of
+// the response buffer, which is recycled here.
 func (c *Client) Get(key string) ([]byte, bool, error) {
-	return c.GetCtx(trace.SpanContext{}, key)
-}
-
-// GetCtx is Get carrying the caller's span context (see BorrowCtx for
-// what rides on it). The value is the caller's to keep: it is copied out
-// of the response buffer, which is recycled here.
-func (c *Client) GetCtx(sc trace.SpanContext, key string) ([]byte, bool, error) {
-	v, held, found, err := c.BorrowCtx(sc, key)
+	v, held, found, err := c.BorrowCtx(trace.SpanContext{}, key)
 	if found {
 		v = append([]byte(nil), v...)
 	}
@@ -127,11 +116,11 @@ func (c *Client) GetCtx(sc trace.SpanContext, key string) ([]byte, bool, error) 
 	return v, found, err
 }
 
-// BorrowCtx is GetCtx without the copy: on a hit the value aliases held,
-// the transport buffer the response arrived in. The caller hands held to
-// rpc.PutBuffer when it is done reading the value and must not touch the
-// value afterwards (DESIGN.md, "Buffer ownership"); held is nil unless
-// found.
+// BorrowCtx is Get, under the caller's span context, without the copy:
+// on a hit the value aliases held, the transport buffer the response
+// arrived in. The caller hands held to rpc.PutBuffer when it is done
+// reading the value and must not touch the value afterwards (DESIGN.md,
+// "Buffer ownership"); held is nil unless found.
 //
 // The lookup's outcome (including a degraded-mode demotion, which reads
 // as a miss) is counted on the request's lane as a cache hit or miss, as
@@ -206,16 +195,12 @@ func getOn(sc trace.SpanContext, conn rpc.Conn, key string) (value, held []byte,
 
 // Set stores key with no TTL.
 func (c *Client) Set(key string, value []byte) error {
-	return c.SetTTL(key, value, 0)
+	return c.SetTTLCtx(trace.SpanContext{}, key, value, 0)
 }
 
-// SetTTL stores key, expiring after ttl (0 = never). In degraded mode a
-// cache failure is a silent no-op: the next read re-populates.
-func (c *Client) SetTTL(key string, value []byte, ttl time.Duration) error {
-	return c.SetTTLCtx(trace.SpanContext{}, key, value, ttl)
-}
-
-// SetTTLCtx is SetTTL carrying the caller's span context.
+// SetTTLCtx stores key, expiring after ttl (0 = never), under the
+// caller's span context. In degraded mode a cache failure is a silent
+// no-op: the next read re-populates.
 func (c *Client) SetTTLCtx(sc trace.SpanContext, key string, value []byte, ttl time.Duration) error {
 	t0 := sc.Lane().StageClock()
 	err := c.setTTL(sc, key, value, ttl)

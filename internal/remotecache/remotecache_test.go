@@ -43,7 +43,7 @@ func TestGetSetDeleteLoopback(t *testing.T) {
 func TestTTLExpires(t *testing.T) {
 	srv := newNode(t, nil, 1<<20)
 	c := NewSingleClient(rpc.NewDirect(srv.RPCServer()))
-	if err := c.SetTTL("k", []byte("v"), time.Millisecond); err != nil {
+	if err := c.SetTTLCtx(noCtx, "k", []byte("v"), time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(5 * time.Millisecond)

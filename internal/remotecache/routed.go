@@ -66,15 +66,6 @@ func NewRoutedClient(conns map[string]rpc.Conn, smap *cluster.ShardMap) (*Client
 	return c, nil
 }
 
-// ShardMap returns the map a routed client resolves through (nil for a
-// ring-routed client).
-func (c *Client) ShardMap() *cluster.ShardMap {
-	if c.router == nil {
-		return nil
-	}
-	return c.router.smap
-}
-
 // pickReplica chooses the replica to read from: the sole replica when
 // the shard is unreplicated, otherwise two distinct candidates from a
 // mixed sequence number and the one with fewer in-flight requests —

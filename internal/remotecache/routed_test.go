@@ -9,6 +9,7 @@ import (
 
 	"cachecost/internal/cluster"
 	"cachecost/internal/fault"
+	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
 	"cachecost/internal/shardmgr"
 	"cachecost/internal/telemetry"
@@ -35,7 +36,7 @@ func newRoutedFixture(t *testing.T, shards int, inj *fault.Injector) *routedFixt
 		servers[n] = srv
 		var conn rpc.Conn = rpc.NewDirect(srv.RPCServer())
 		if inj != nil {
-			conn = inj.Wrap(n, conn)
+			conn = inj.WrapWorker(n, -1, conn)
 		}
 		conns[n] = conn
 	}
@@ -215,7 +216,8 @@ func TestRoutedKillOldNodeMidMigration(t *testing.T) {
 	inj := fault.New(1, fault.Options{})
 	f := newRoutedFixture(t, 16, inj)
 	c := f.client
-	c.Degrade(nil)
+	m := meter.NewMeter()
+	c.Degrade(m.Counter("degraded"))
 
 	// storage is the source of truth the cache fronts; version counts
 	// the writes begun on each key and acked the writes whose Set has
@@ -345,7 +347,7 @@ func TestRoutedKillOldNodeMidMigration(t *testing.T) {
 		write(key)
 	}
 	read(key)
-	if got := c.Degraded(); got == 0 {
+	if got := m.CounterValue("degraded"); got == 0 {
 		t.Fatal("kill window demoted nothing — the fault never bit")
 	}
 }

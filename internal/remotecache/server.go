@@ -112,7 +112,7 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	if cfg.Telemetry != nil {
 		s.rpcsrv.SetMetrics(rpc.NewMetrics(cfg.Telemetry, cfg.Name))
-		s.RegisterTelemetry(cfg.Telemetry)
+		s.registerTelemetry(cfg.Telemetry)
 	}
 	s.rpcsrv.HandleCtx("cache.Get", s.handleGet)
 	s.rpcsrv.HandleCtx("cache.Set", s.handleSet)
@@ -192,10 +192,10 @@ func (s *Server) Resize(bytes int64) {
 	}
 }
 
-// RegisterTelemetry installs a pull collector publishing the node's
+// registerTelemetry installs a pull collector publishing the node's
 // cache counters and used bytes. The store's own atomics are read only
 // at scrape time; the serving hot path is untouched.
-func (s *Server) RegisterTelemetry(reg *telemetry.Registry) {
+func (s *Server) registerTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}

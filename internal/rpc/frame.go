@@ -19,10 +19,10 @@ const (
 	frameRequestTraced = 3
 )
 
-// MaxFrameSize bounds a single frame to keep a malformed or hostile peer
+// maxFrameSize bounds a single frame to keep a malformed or hostile peer
 // from ballooning memory. 64 MiB comfortably fits the 1 MB values plus
 // batching used by the experiments.
-const MaxFrameSize = 64 << 20
+const maxFrameSize = 64 << 20
 
 var errFrameTooLarge = errors.New("rpc: frame exceeds maximum size")
 
@@ -72,7 +72,7 @@ func appendFrame(b []byte, f *frame) ([]byte, error) {
 	b = append(b, f.method...)
 	b = append(b, f.body...)
 	n := len(b) - start - 4
-	if n > MaxFrameSize {
+	if n > maxFrameSize {
 		return nil, errFrameTooLarge
 	}
 	binary.BigEndian.PutUint32(b[start:], uint32(n))
@@ -87,7 +87,7 @@ func readFrame(r io.Reader, f *frame) error {
 		return err
 	}
 	n := binary.BigEndian.Uint32(f.hdr[:])
-	if n > MaxFrameSize {
+	if n > maxFrameSize {
 		return errFrameTooLarge
 	}
 	if cap(f.raw) < int(n) {

@@ -137,18 +137,6 @@ func (p *Pool) CallCtx(sc trace.SpanContext, method string, req []byte) ([]byte,
 	return callFrom(conns, p.next.Add(1), sc, method, req)
 }
 
-// Size returns the number of pooled connections.
-func (p *Pool) Size() int {
-	if p.closed.Load() {
-		return 0
-	}
-	cp := p.conns.Load()
-	if cp == nil {
-		return 0
-	}
-	return len(*cp)
-}
-
 // Close implements Conn, closing every pooled connection and returning
 // the first error.
 func (p *Pool) Close() error {

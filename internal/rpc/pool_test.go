@@ -23,8 +23,8 @@ func TestPoolRoundRobinOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if p.Size() != 4 {
-		t.Fatalf("Size = %d", p.Size())
+	if len(*p.conns.Load()) != 4 {
+		t.Fatalf("%d conns", len(*p.conns.Load()))
 	}
 
 	var wg sync.WaitGroup
@@ -109,8 +109,8 @@ func TestDialPoolMinimumOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if p.Size() != 1 {
-		t.Fatalf("Size = %d, want 1", p.Size())
+	if len(*p.conns.Load()) != 1 {
+		t.Fatalf("%d conns, want 1", len(*p.conns.Load()))
 	}
 }
 

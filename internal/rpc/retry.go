@@ -49,7 +49,7 @@ type RetryPolicy struct {
 	// deterministic, while the delay sequence itself is still computed
 	// (and observable in RetryStats.BackoffTotal).
 	Sleep func(time.Duration)
-	// Retryable classifies errors. Nil means DefaultRetryable.
+	// Retryable classifies errors. Nil means defaultRetryable.
 	Retryable func(error) bool
 	// RetryCounter, when non-nil, is bumped once per retry attempt so
 	// retries show up in the meter's counter report.
@@ -76,14 +76,14 @@ func (p *RetryPolicy) applyDefaults() {
 		p.RetryWork = 1024
 	}
 	if p.Retryable == nil {
-		p.Retryable = DefaultRetryable
+		p.Retryable = defaultRetryable
 	}
 }
 
-// DefaultRetryable retries transport-level failures and refuses to retry
+// defaultRetryable retries transport-level failures and refuses to retry
 // application-level outcomes: a *RemoteError is the server speaking (the
 // call was delivered), and ErrNoSuchMethod will not improve with retries.
-func DefaultRetryable(err error) bool {
+func defaultRetryable(err error) bool {
 	var re *RemoteError
 	if errors.As(err, &re) {
 		return false
@@ -239,11 +239,4 @@ func (r *RetryConn) Down() bool {
 		return d.Down()
 	}
 	return false
-}
-
-// Stats returns a snapshot of the retry counters.
-func (r *RetryConn) Stats() RetryStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
 }

@@ -35,7 +35,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	if *calls != 3 {
 		t.Fatalf("underlying calls = %d, want 3", *calls)
 	}
-	st := rc.Stats()
+	st := rc.stats
 	if st.Calls != 1 || st.Attempts != 3 || st.Retries != 2 || st.Failures != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -54,7 +54,7 @@ func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 	if *calls != 3 {
 		t.Fatalf("underlying calls = %d, want 3", *calls)
 	}
-	if st := rc.Stats(); st.Failures != 1 {
+	if st := rc.stats; st.Failures != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -91,7 +91,7 @@ func TestRetryBudgetLimitsAmplification(t *testing.T) {
 			t.Fatalf("call %d err = %v", i, err)
 		}
 	}
-	st := rc.Stats()
+	st := rc.stats
 	if st.Retries != 1 {
 		t.Fatalf("retries = %d, want exactly the banked token's worth (1)", st.Retries)
 	}
@@ -120,7 +120,7 @@ func TestRetryDeadlineStopsRetrying(t *testing.T) {
 	if slept != 0 {
 		t.Fatalf("slept %v after deadline", slept)
 	}
-	if st := rc.Stats(); st.DeadlineExceeded != 1 || st.Attempts != 1 {
+	if st := rc.stats; st.DeadlineExceeded != 1 || st.Attempts != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -177,7 +177,7 @@ func TestRetryWorkIsMeteredAndCounted(t *testing.T) {
 	if comp.Busy() <= 0 {
 		t.Fatal("retry work should accrue busy time")
 	}
-	if counter.Value() != 2 {
-		t.Fatalf("retry counter = %d, want 2", counter.Value())
+	if got := m.CounterValue("rpc.retries"); got != 2 {
+		t.Fatalf("retry counter = %d, want 2", got)
 	}
 }

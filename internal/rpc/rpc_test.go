@@ -105,7 +105,7 @@ func TestFrameInternsMethodNames(t *testing.T) {
 }
 
 func TestFrameTooLarge(t *testing.T) {
-	in := frame{kind: frameRequest, id: 1, method: "m", body: make([]byte, MaxFrameSize+1)}
+	in := frame{kind: frameRequest, id: 1, method: "m", body: make([]byte, maxFrameSize+1)}
 	if _, err := appendFrame(nil, &in); err == nil {
 		t.Fatal("oversized frame should be rejected at encode time")
 	}

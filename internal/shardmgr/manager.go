@@ -116,7 +116,7 @@ func New(cfg Config) (*Manager, error) {
 	m.ctCutover = reg.Counter("shardmgr.cutover")
 	m.gHandoffs = reg.Gauge("shardmgr.handoffs")
 	m.gReplicated = reg.Gauge("shardmgr.replicated_shards")
-	reg.RegisterStatus("shardmgr", m.Status)
+	reg.RegisterStatus("shardmgr", m.status)
 	return m, nil
 }
 
@@ -329,10 +329,10 @@ func sortedKeys(m map[int]int) []int {
 	return out
 }
 
-// Status renders the manager's live state for /statusz: the detector's
+// status renders the manager's live state for /statusz: the detector's
 // current top-k keys and every shard whose placement deviates from the
 // static seed (replicated or mid-handoff), plus last-window node loads.
-func (m *Manager) Status(w io.Writer) {
+func (m *Manager) status(w io.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	sm := m.cfg.Map

@@ -64,12 +64,6 @@ func (r *BatchQueryResponse) UnmarshalWire(d *wire.Decoder) error {
 	return nil
 }
 
-// BatchQuery runs one SELECT template once per bound parameter,
-// returning positionally aligned result sets.
-func (c *Client) BatchQuery(src string, params ...sql.Value) ([]*plan.ResultSet, error) {
-	return c.BatchQueryCtx(trace.SpanContext{}, src, params)
-}
-
 // BatchQueryCtx is BatchQuery carrying the caller's span context. An
 // empty parameter list returns without touching the node.
 func (c *Client) BatchQueryCtx(sc trace.SpanContext, src string, params []sql.Value) ([]*plan.ResultSet, error) {
@@ -131,10 +125,7 @@ func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error
 	sqlAct.AnnotateInt("batch.keys", int64(len(q.Params)))
 	sqlAct.SetBytes(len(req), 0)
 	sqlAct.End()
-	db, err := n.validateLease(sc)
-	if err != nil {
-		return nil, err
-	}
+	db := n.validateLease(sc)
 	results := make([]*plan.ResultSet, len(q.Params))
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
 	_, err = n.exec(lane, func() (*plan.ResultSet, error) {

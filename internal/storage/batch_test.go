@@ -6,6 +6,7 @@ import (
 
 	"cachecost/internal/meter"
 	"cachecost/internal/storage/sql"
+	"cachecost/internal/trace"
 )
 
 func seedBatchTable(t *testing.T, c *Client, rows int) {
@@ -27,7 +28,7 @@ func TestBatchQueryPositionalResults(t *testing.T) {
 
 	// Mixed batch, out of order, with one absent key.
 	params := []sql.Value{sql.Int64(5), sql.Int64(999), sql.Int64(0), sql.Int64(5)}
-	results, err := c.BatchQuery("SELECT v FROM bt WHERE id = ?", params...)
+	results, err := c.BatchQueryCtx(trace.SpanContext{}, "SELECT v FROM bt WHERE id = ?", params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +52,10 @@ func TestBatchQueryPositionalResults(t *testing.T) {
 func TestBatchQueryRejectsNonSelectAndEmpty(t *testing.T) {
 	_, c := newTestNode(t, nil)
 	seedBatchTable(t, c, 1)
-	if _, err := c.BatchQuery("INSERT INTO bt (id, v) VALUES (?, 'x')", sql.Int64(9)); err == nil {
+	if _, err := c.BatchQueryCtx(trace.SpanContext{}, "INSERT INTO bt (id, v) VALUES (?, 'x')", []sql.Value{sql.Int64(9)}); err == nil {
 		t.Fatal("BatchQuery should reject writes")
 	}
-	if rs, err := c.BatchQuery("SELECT v FROM bt WHERE id = ?"); err != nil || rs != nil {
+	if rs, err := c.BatchQueryCtx(trace.SpanContext{}, "SELECT v FROM bt WHERE id = ?", nil); err != nil || rs != nil {
 		t.Fatalf("empty batch = %v, %v; want nil, nil without an RPC", rs, err)
 	}
 }
@@ -76,7 +77,7 @@ func TestBatchQueryAmortizesFrontend(t *testing.T) {
 			params[i] = sql.Int64(int64(i))
 		}
 		if batched {
-			results, err := c.BatchQuery("SELECT v FROM bt WHERE id = ?", params...)
+			results, err := c.BatchQueryCtx(trace.SpanContext{}, "SELECT v FROM bt WHERE id = ?", params)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +130,7 @@ func TestBatchQueryMatchesScalarReads(t *testing.T) {
 	for i := range params {
 		params[i] = sql.Int64(int64(i))
 	}
-	batched, err := c.BatchQuery("SELECT v FROM bt WHERE id = ?", params...)
+	batched, err := c.BatchQueryCtx(trace.SpanContext{}, "SELECT v FROM bt WHERE id = ?", params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,11 +72,6 @@ func (c *Client) roundTrip(sc trace.SpanContext, method, src string, params []sq
 	return rs, nil
 }
 
-// Version performs the §5.5 consistency version check for one row.
-func (c *Client) Version(table string, pk sql.Value) (uint64, bool, error) {
-	return c.VersionCtx(trace.SpanContext{}, table, pk)
-}
-
 // VersionCtx is Version carrying the caller's span context; its round
 // trip is StageStorage time, like roundTrip's.
 func (c *Client) VersionCtx(sc trace.SpanContext, table string, pk sql.Value) (uint64, bool, error) {

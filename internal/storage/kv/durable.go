@@ -330,17 +330,6 @@ func (s *Store) RecoveryTime() time.Duration {
 	return time.Duration(s.dur.recoveryNanos)
 }
 
-// DiskBytes returns the durable store's current file footprint (tables
-// plus WAL segments) — the quantity priced at the storage rate.
-func (s *Store) DiskBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dur == nil {
-		return 0
-	}
-	return s.dur.fileBytes
-}
-
 // TierBytes reports the two tier levels: DRAM-resident bytes (memtable +
 // value tier + table index/bloom overhead) and the live logical bytes on
 // the disk tier (Σ key+value over live table entries; exact right after
@@ -636,21 +625,6 @@ func (s *Store) durCompact() {
 	s.syncDiskMeter()
 }
 
-// Compact forces a full merge of all tables (flushing the memtable
-// first). Exposed for tests and operational tooling.
-func (s *Store) Compact() {
-	if s.dur == nil {
-		s.Flush()
-		return
-	}
-	s.track(func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.durFlush()
-		s.durCompact()
-	})
-}
-
 // ---------------------------------------------------------------------------
 // Scan and counting
 
@@ -755,15 +729,4 @@ func (s *Store) durScan(start, end []byte, limit int) (items []Item) {
 		}
 	}
 	return items
-}
-
-// durCount returns the number of live keys (tables ∪ memtable, minus
-// tombstones). Callers hold s.mu.
-func (s *Store) durCount() int {
-	n := 0
-	for _, it := range s.durScan(nil, nil, 0) {
-		_ = it
-		n++
-	}
-	return n
 }

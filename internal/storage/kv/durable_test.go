@@ -57,7 +57,7 @@ func TestDurableSurvivesCleanReopen(t *testing.T) {
 	}
 
 	r := durableStore(t, fs, Config{CacheBytes: 1 << 20})
-	if got := r.Len(); got != n-1 {
+	if got := len(r.Scan(nil, nil, 0)); got != n-1 {
 		t.Fatalf("Len after reopen = %d, want %d", got, n-1)
 	}
 	for i := 0; i < n; i++ {
@@ -76,8 +76,8 @@ func TestDurableSurvivesCleanReopen(t *testing.T) {
 	if r.Stats().Recoveries != 1 {
 		t.Fatalf("Recoveries = %d", r.Stats().Recoveries)
 	}
-	if r.CurrentVersion() != s.CurrentVersion() {
-		t.Fatalf("version not recovered: %d vs %d", r.CurrentVersion(), s.CurrentVersion())
+	if r.version != s.version {
+		t.Fatalf("version not recovered: %d vs %d", r.version, s.version)
 	}
 	r.Close()
 }
@@ -147,7 +147,7 @@ func TestDurableCompactionMergesAndGCsTombstones(t *testing.T) {
 	if ssts != 1 {
 		t.Fatalf("full compaction must leave one table, have %v", names)
 	}
-	if got := s.Len(); got != 75 {
+	if got := len(s.Scan(nil, nil, 0)); got != 75 {
 		t.Fatalf("Len = %d, want 75", got)
 	}
 	// Invariant: after a full compaction the disk tier's live-byte gauge
@@ -286,13 +286,17 @@ func TestDurableMetersDiskFootprint(t *testing.T) {
 	}
 	s.Flush()
 	got := m.Component("storage.kv").DiskBytes()
-	if got != s.DiskBytes() {
-		t.Fatalf("metered disk bytes %d != store footprint %d", got, s.DiskBytes())
+	if got != s.dur.fileBytes {
+		t.Fatalf("metered disk bytes %d != store footprint %d", got, s.dur.fileBytes)
 	}
 	if got <= 0 {
 		t.Fatal("disk footprint must be positive after a flush")
 	}
-	if total := fs.TotalBytes(); got != total {
+	var total int64
+	for _, f := range fs.files {
+		total += int64(len(f.data))
+	}
+	if got != total {
 		t.Fatalf("store footprint %d != filesystem bytes %d", got, total)
 	}
 	s.Close()
@@ -316,7 +320,7 @@ func TestDurableDirFS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if got := r.Len(); got != 299 {
+	if got := len(r.Scan(nil, nil, 0)); got != 299 {
 		t.Fatalf("Len = %d", got)
 	}
 	if v, _, ok := r.Get([]byte("k0123")); !ok || string(v) != "v123" {
@@ -349,15 +353,15 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.cfg.Validate()
+			err := tc.cfg.validate()
 			if err == nil {
-				t.Fatalf("Validate(%+v) accepted a bad config", tc.cfg)
+				t.Fatalf("validate(%+v) accepted a bad config", tc.cfg)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not name the bad field (%q)", err, tc.want)
 			}
 			if _, err := Open(tc.cfg); err == nil {
-				t.Fatal("Open must reject what Validate rejects")
+				t.Fatal("Open must reject what validate rejects")
 			}
 			defer func() {
 				if recover() == nil {
@@ -369,7 +373,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 
 	// Zero values are documented defaults, not errors.
-	if err := (Config{}).Validate(); err != nil {
+	if err := (Config{}).validate(); err != nil {
 		t.Fatalf("zero config must validate: %v", err)
 	}
 }

@@ -47,10 +47,10 @@ type FS interface {
 	Size(name string) (int64, error)
 }
 
-// ErrCrashed is returned by MemFS handles that were opened before a
+// errCrashed is returned by MemFS handles that were opened before a
 // simulated crash; like a real process restart, pre-crash descriptors
 // are dead.
-var ErrCrashed = errors.New("kv: filesystem crashed under this handle")
+var errCrashed = errors.New("kv: filesystem crashed under this handle")
 
 // ---------------------------------------------------------------------------
 // DirFS: a real directory.
@@ -162,7 +162,7 @@ func NewMemFS() *MemFS {
 // Crash simulates a machine power failure. For each file, data up to the
 // synced watermark survives; the unsynced tail is truncated to a prefix
 // whose length is drawn deterministically from seed — modeling a torn
-// final write. Handles opened before the crash return ErrCrashed on any
+// final write. Handles opened before the crash return errCrashed on any
 // further operation, like descriptors of a dead process.
 func (m *MemFS) Crash(seed int64) {
 	m.mu.Lock()
@@ -269,23 +269,11 @@ func (m *MemFS) Size(name string) (int64, error) {
 	return int64(len(f.data)), nil
 }
 
-// TotalBytes returns the summed size of all files — the disk footprint
-// the meter prices.
-func (m *MemFS) TotalBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, f := range m.files {
-		n += int64(len(f.data))
-	}
-	return n
-}
-
 func (h *memHandle) Write(p []byte) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	if h.gen != h.fs.gen {
-		return 0, ErrCrashed
+		return 0, errCrashed
 	}
 	h.f.data = append(h.f.data, p...)
 	return len(p), nil
@@ -295,7 +283,7 @@ func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	if h.gen != h.fs.gen {
-		return 0, ErrCrashed
+		return 0, errCrashed
 	}
 	if off < 0 || off > int64(len(h.f.data)) {
 		return 0, io.EOF
@@ -311,7 +299,7 @@ func (h *memHandle) Sync() error {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	if h.gen != h.fs.gen {
-		return ErrCrashed
+		return errCrashed
 	}
 	h.f.synced = len(h.f.data)
 	return nil

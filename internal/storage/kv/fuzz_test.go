@@ -12,19 +12,19 @@ import (
 // and nothing else. A corrupt frame must never yield a record.
 func FuzzWALRecord(f *testing.F) {
 	// Valid frames of each shape.
-	f.Add(AppendWALRecord(nil, WALRecord{Op: walOpPut, Version: 1, Key: []byte("k"), Value: []byte("v")}))
-	f.Add(AppendWALRecord(nil, WALRecord{Op: walOpDelete, Version: 7, Key: []byte("gone")}))
-	f.Add(AppendWALRecord(nil, WALRecord{Op: walOpPut, Version: 1 << 40, Key: bytes.Repeat([]byte("K"), 300), Value: nil}))
+	f.Add(appendWALRecord(nil, WALRecord{Op: walOpPut, Version: 1, Key: []byte("k"), Value: []byte("v")}))
+	f.Add(appendWALRecord(nil, WALRecord{Op: walOpDelete, Version: 7, Key: []byte("gone")}))
+	f.Add(appendWALRecord(nil, WALRecord{Op: walOpPut, Version: 1 << 40, Key: bytes.Repeat([]byte("K"), 300), Value: nil}))
 	// Two back-to-back frames (decoder must consume only the first).
-	two := AppendWALRecord(nil, WALRecord{Op: walOpPut, Version: 2, Key: []byte("a"), Value: []byte("1")})
-	f.Add(AppendWALRecord(two, WALRecord{Op: walOpDelete, Version: 3, Key: []byte("b")}))
+	two := appendWALRecord(nil, WALRecord{Op: walOpPut, Version: 2, Key: []byte("a"), Value: []byte("1")})
+	f.Add(appendWALRecord(two, WALRecord{Op: walOpDelete, Version: 3, Key: []byte("b")}))
 	// Adversarial shapes: empty, short, huge length prefix, zeroed frame.
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
 	f.Add(make([]byte, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, n, err := DecodeWALRecord(data)
+		rec, n, err := decodeWALRecord(data)
 		if err != nil {
 			if !errors.Is(err, ErrWALShort) && !errors.Is(err, ErrWALCorrupt) {
 				t.Fatalf("unexpected error class: %v", err)
@@ -44,7 +44,7 @@ func FuzzWALRecord(f *testing.F) {
 			t.Fatal("delete record carries a value")
 		}
 		// Round-trip: a decoded record re-encodes to the consumed bytes.
-		if got := AppendWALRecord(nil, rec); !bytes.Equal(got, data[:n]) {
+		if got := appendWALRecord(nil, rec); !bytes.Equal(got, data[:n]) {
 			t.Fatalf("re-encode mismatch: %x vs %x", got, data[:n])
 		}
 	})
@@ -54,27 +54,27 @@ func FuzzWALRecord(f *testing.F) {
 // decoder: never panic, fail closed on anything but a byte-exact valid
 // footer (bad magic, bad checksum, wrong size all rejected).
 func FuzzSSTableFooter(f *testing.F) {
-	f.Add(EncodeSSTableFooter(SSTableFooter{
+	f.Add(encodeSSTableFooter(SSTableFooter{
 		IndexOff: 4096, IndexLen: 128, BloomOff: 4224, BloomLen: 64,
 		Entries: 100, LiveBytes: 4000, MaxVersion: 99,
 	}))
-	f.Add(EncodeSSTableFooter(SSTableFooter{}))
+	f.Add(encodeSSTableFooter(SSTableFooter{}))
 	f.Add([]byte{})
-	f.Add(make([]byte, SSTableFooterSize))
-	f.Add(bytes.Repeat([]byte{0xff}, SSTableFooterSize))
+	f.Add(make([]byte, sstableFooterSize))
+	f.Add(bytes.Repeat([]byte{0xff}, sstableFooterSize))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ft, err := DecodeSSTableFooter(data)
+		ft, err := decodeSSTableFooter(data)
 		if err != nil {
 			if !errors.Is(err, ErrSSTableCorrupt) {
 				t.Fatalf("unexpected error class: %v", err)
 			}
 			return
 		}
-		if len(data) != SSTableFooterSize {
-			t.Fatalf("accepted footer of %d bytes, want %d", len(data), SSTableFooterSize)
+		if len(data) != sstableFooterSize {
+			t.Fatalf("accepted footer of %d bytes, want %d", len(data), sstableFooterSize)
 		}
-		if got := EncodeSSTableFooter(ft); !bytes.Equal(got, data) {
+		if got := encodeSSTableFooter(ft); !bytes.Equal(got, data) {
 			t.Fatalf("re-encode mismatch: %x vs %x", got, data)
 		}
 	})
@@ -112,11 +112,11 @@ func FuzzEncodedLen(f *testing.F) {
 // to another valid frame boundary — impossible here since the buffer
 // holds exactly one frame).
 func TestWALDecodeRejectsBitFlips(t *testing.T) {
-	orig := AppendWALRecord(nil, WALRecord{Op: walOpPut, Version: 42, Key: []byte("key"), Value: []byte("value")})
+	orig := appendWALRecord(nil, WALRecord{Op: walOpPut, Version: 42, Key: []byte("key"), Value: []byte("value")})
 	for i := range orig {
 		mut := append([]byte(nil), orig...)
 		mut[i] ^= 0x01
-		rec, _, err := DecodeWALRecord(mut)
+		rec, _, err := decodeWALRecord(mut)
 		if err == nil {
 			t.Fatalf("byte %d: flip accepted: %+v", i, rec)
 		}
@@ -125,13 +125,13 @@ func TestWALDecodeRejectsBitFlips(t *testing.T) {
 
 // TestSSTableFooterRejectsBitFlips does the same for the footer.
 func TestSSTableFooterRejectsBitFlips(t *testing.T) {
-	orig := EncodeSSTableFooter(SSTableFooter{
+	orig := encodeSSTableFooter(SSTableFooter{
 		IndexOff: 1, IndexLen: 2, BloomOff: 3, BloomLen: 4, Entries: 5, LiveBytes: 6, MaxVersion: 7,
 	})
 	for i := range orig {
 		mut := append([]byte(nil), orig...)
 		mut[i] ^= 0x01
-		if ft, err := DecodeSSTableFooter(mut); err == nil {
+		if ft, err := decodeSSTableFooter(mut); err == nil {
 			t.Fatalf("byte %d: flip accepted: %+v", i, ft)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,11 +38,11 @@ import (
 // renamed to "<seq>.sst". Recovery deletes any *.tmp it finds: a table
 // either exists completely or not at all.
 
-// SSTableMagic terminates every table file.
-const SSTableMagic = "CCSSTB01"
+// sstableMagic terminates every table file.
+const sstableMagic = "CCSSTB01"
 
-// SSTableFooterSize is the fixed byte length of the footer.
-const SSTableFooterSize = 7*8 + 4 + 8
+// sstableFooterSize is the fixed byte length of the footer.
+const sstableFooterSize = 7*8 + 4 + 8
 
 // SSTableFooter locates the index and bloom sections and carries the
 // table's summary statistics.
@@ -62,24 +61,24 @@ var ErrSSTableCorrupt = errors.New("kv: sstable corrupt")
 
 const sstTombstone = 0x01
 
-// EncodeSSTableFooter returns the fixed-size footer encoding.
-func EncodeSSTableFooter(f SSTableFooter) []byte {
-	b := make([]byte, 0, SSTableFooterSize)
+// encodeSSTableFooter returns the fixed-size footer encoding.
+func encodeSSTableFooter(f SSTableFooter) []byte {
+	b := make([]byte, 0, sstableFooterSize)
 	for _, v := range [7]uint64{f.IndexOff, f.IndexLen, f.BloomOff, f.BloomLen, f.Entries, f.LiveBytes, f.MaxVersion} {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	return append(b, SSTableMagic...)
+	return append(b, sstableMagic...)
 }
 
-// DecodeSSTableFooter validates and decodes a footer. It is fail-closed:
+// decodeSSTableFooter validates and decodes a footer. It is fail-closed:
 // wrong size, wrong magic or wrong checksum all reject.
-func DecodeSSTableFooter(b []byte) (SSTableFooter, error) {
+func decodeSSTableFooter(b []byte) (SSTableFooter, error) {
 	var f SSTableFooter
-	if len(b) != SSTableFooterSize {
-		return f, fmt.Errorf("%w: footer is %d bytes, want %d", ErrSSTableCorrupt, len(b), SSTableFooterSize)
+	if len(b) != sstableFooterSize {
+		return f, fmt.Errorf("%w: footer is %d bytes, want %d", ErrSSTableCorrupt, len(b), sstableFooterSize)
 	}
-	if string(b[len(b)-8:]) != SSTableMagic {
+	if string(b[len(b)-8:]) != sstableMagic {
 		return f, fmt.Errorf("%w: bad magic", ErrSSTableCorrupt)
 	}
 	fields := b[:7*8]
@@ -226,7 +225,7 @@ func (w *sstWriter) finish() (string, int64, error) {
 	}
 	w.off += uint64(len(bl))
 
-	footer := EncodeSSTableFooter(SSTableFooter{
+	footer := encodeSSTableFooter(SSTableFooter{
 		IndexOff: indexOff, IndexLen: uint64(len(idx)),
 		BloomOff: bloomOff, BloomLen: uint64(len(bl)),
 		Entries: w.entries, LiveBytes: w.liveBytes, MaxVersion: w.maxVersion,
@@ -317,18 +316,18 @@ func openSSTable(fs FS, name string) (*ssTable, error) {
 }
 
 func (t *ssTable) load() error {
-	if t.size < SSTableFooterSize {
+	if t.size < sstableFooterSize {
 		return fmt.Errorf("%w: file shorter than footer", ErrSSTableCorrupt)
 	}
-	fb := make([]byte, SSTableFooterSize)
-	if _, err := t.f.ReadAt(fb, t.size-SSTableFooterSize); err != nil {
+	fb := make([]byte, sstableFooterSize)
+	if _, err := t.f.ReadAt(fb, t.size-sstableFooterSize); err != nil {
 		return fmt.Errorf("kv: read footer: %w", err)
 	}
-	footer, err := DecodeSSTableFooter(fb)
+	footer, err := decodeSSTableFooter(fb)
 	if err != nil {
 		return err
 	}
-	body := uint64(t.size - SSTableFooterSize)
+	body := uint64(t.size - sstableFooterSize)
 	if footer.IndexOff+footer.IndexLen > body || footer.BloomOff+footer.BloomLen > body ||
 		footer.IndexOff+footer.IndexLen > footer.BloomOff || footer.IndexLen < 5 || footer.BloomLen < 6 {
 		return fmt.Errorf("%w: footer offsets out of range", ErrSSTableCorrupt)
@@ -487,30 +486,4 @@ func (t *ssTable) get(key []byte) (val []byte, ver Version, tomb, found bool, by
 		block = block[n:]
 	}
 	return nil, 0, false, false, int(ref.length), nil
-}
-
-// iter streams every entry in key order, newest table first being the
-// caller's concern. fn returning io.EOF stops early without error.
-func (t *ssTable) iter(fn func(key, val []byte, ver Version, tomb bool) error) (bytesRead int64, err error) {
-	for _, ref := range t.refs {
-		block, err := t.readBlock(ref)
-		if err != nil {
-			return bytesRead, err
-		}
-		bytesRead += int64(ref.length)
-		for len(block) > 0 {
-			k, v, ver, tomb, n, err := decodeEntry(block)
-			if err != nil {
-				return bytesRead, err
-			}
-			if err := fn(k, v, ver, tomb); err != nil {
-				if err == io.EOF {
-					return bytesRead, nil
-				}
-				return bytesRead, err
-			}
-			block = block[n:]
-		}
-	}
-	return bytesRead, nil
 }

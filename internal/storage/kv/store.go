@@ -42,7 +42,7 @@ type Item struct {
 
 // Config parameterizes a Store. Zero values mean "use the documented
 // default"; negative values are configuration errors that fail fast
-// (Validate returns a descriptive error; NewStore panics with it).
+// (validate returns a descriptive error; NewStore panics with it).
 type Config struct {
 	// PageBytes is the target encoded size of one page. Pages split when
 	// they exceed it. Default 16 KiB.
@@ -96,9 +96,9 @@ type Config struct {
 	Burner *meter.Burner
 }
 
-// Validate rejects configurations that would otherwise misbehave
+// validate rejects configurations that would otherwise misbehave
 // silently. Each failure names the offending field and value.
-func (c Config) Validate() error {
+func (c Config) validate() error {
 	switch {
 	case c.PageBytes < 0:
 		return fmt.Errorf("kv: Config.PageBytes must be positive (or 0 for the 16 KiB default), got %d", c.PageBytes)
@@ -258,7 +258,7 @@ func NewStore(cfg Config) *Store {
 // the WAL is replayed up to its last acknowledged record, and new writes
 // are logged before they are acknowledged.
 func Open(cfg Config) (*Store, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg.applyDefaults()
@@ -710,22 +710,6 @@ func (s *Store) scanPagesLocked(start, end []byte, limit int) (items []Item) {
 	return items
 }
 
-// Len returns the number of live keys. It forces a memtable flush to
-// keep the count exact.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dur != nil {
-		return s.durCount()
-	}
-	s.flushLocked()
-	n := 0
-	for _, p := range s.pages {
-		n += p.n
-	}
-	return n
-}
-
 // DataBytes returns the total encoded bytes "on disk" — the quantity the
 // storage line item of the cost model prices. It forces a memtable flush
 // so pending writes are included.
@@ -741,13 +725,6 @@ func (s *Store) DataBytes() int64 {
 		n += int64(p.size)
 	}
 	return n
-}
-
-// CurrentVersion returns the latest assigned write version.
-func (s *Store) CurrentVersion() Version {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version
 }
 
 // Stats returns store counters.
@@ -769,32 +746,6 @@ func (s *Store) CacheStats() cache.Stats {
 		return s.dur.tier.Stats()
 	}
 	return s.bcache.Stats()
-}
-
-// SetCacheBytes resizes the DRAM budget — the block cache for in-memory
-// stores, the value tier for durable ones (evicting, i.e. demoting, as
-// needed) — and updates the metered memory provision. Used by
-// experiments that sweep s_D.
-func (s *Store) SetCacheBytes(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cfg.CacheBytes = n
-	if s.dur != nil {
-		if s.dur.tier == nil && n > 0 {
-			d, st := s.dur, s
-			d.tier = cache.NewLRU[tierValue](n, func(k string, v tierValue) int64 {
-				return int64(len(k)+len(v.val)) + 48
-			})
-			d.tier.SetEvictFunc(func(string, tierValue) { st.stats.TierDemotions++ })
-		} else if s.dur.tier != nil {
-			s.dur.tier.SetCapacity(n)
-		}
-	} else {
-		s.bcache.SetCapacity(n)
-	}
-	if s.cfg.Comp != nil {
-		s.cfg.Comp.SetMemBytes(n)
-	}
 }
 
 // maybeSplit splits pages[idx] if it exceeds the page size target.

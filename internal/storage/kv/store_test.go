@@ -38,8 +38,8 @@ func TestVersionsMonotonic(t *testing.T) {
 		}
 		last = v
 	}
-	if s.CurrentVersion() != last {
-		t.Fatalf("CurrentVersion = %d, want %d", s.CurrentVersion(), last)
+	if s.version != last {
+		t.Fatalf("version = %d, want %d", s.version, last)
 	}
 }
 
@@ -54,8 +54,8 @@ func TestOverwriteBumpsVersion(t *testing.T) {
 	if string(val) != "b" || ver != v2 {
 		t.Fatalf("Get after overwrite = %q v%d", val, ver)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
+	if len(s.Scan(nil, nil, 0)) != 1 {
+		t.Fatalf("%d live keys, want 1", len(s.Scan(nil, nil, 0)))
 	}
 }
 
@@ -185,24 +185,6 @@ func TestNoCacheAlwaysReadsDisk(t *testing.T) {
 	}
 	if got := s.Stats().DiskReads - before; got != 10 {
 		t.Fatalf("uncached store should read disk every time, got %d reads", got)
-	}
-}
-
-func TestSetCacheBytesChangesBehaviour(t *testing.T) {
-	s := NewStore(Config{PageBytes: 512, CacheBytes: 1 << 20})
-	for i := 0; i < 100; i++ {
-		s.Put([]byte(fmt.Sprintf("k%03d", i)), bytes.Repeat([]byte("v"), 64))
-	}
-	// Warm with a big cache.
-	s.Flush() // drain the memtable so reads exercise the block cache
-	for i := 0; i < 100; i++ {
-		s.Get([]byte(fmt.Sprintf("k%03d", i)))
-	}
-	s.SetCacheBytes(0)
-	before := s.Stats().DiskReads
-	s.Get([]byte("k000"))
-	if s.Stats().DiskReads == before {
-		t.Fatal("after shrinking cache to 0, reads must go to disk")
 	}
 }
 

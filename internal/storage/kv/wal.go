@@ -42,7 +42,7 @@ type WALRecord struct {
 	Value   []byte // nil for deletes
 }
 
-// Errors returned by DecodeWALRecord. ErrWALShort marks a frame cut off
+// Errors returned by decodeWALRecord. ErrWALShort marks a frame cut off
 // mid-write (a torn tail); ErrWALCorrupt marks a frame whose bytes are
 // present but wrong. Recovery treats both the same way — stop, serve
 // nothing from the bad frame onward — but tests distinguish them.
@@ -51,8 +51,8 @@ var (
 	ErrWALCorrupt = errors.New("kv: wal record corrupt")
 )
 
-// AppendWALRecord appends the framed encoding of r to dst.
-func AppendWALRecord(dst []byte, r WALRecord) []byte {
+// appendWALRecord appends the framed encoding of r to dst.
+func appendWALRecord(dst []byte, r WALRecord) []byte {
 	payloadLen := 1 + wire.UvarintLen(uint64(r.Version)) + wire.UvarintLen(uint64(len(r.Key))) + len(r.Key)
 	if r.Op == walOpPut {
 		payloadLen += wire.UvarintLen(uint64(len(r.Value))) + len(r.Value)
@@ -73,12 +73,12 @@ func AppendWALRecord(dst []byte, r WALRecord) []byte {
 	return dst
 }
 
-// DecodeWALRecord decodes the first framed record in buf, returning the
+// decodeWALRecord decodes the first framed record in buf, returning the
 // record and the number of bytes consumed. It is fail-closed: any frame
 // that is truncated, oversized, fails its checksum, or carries a
 // malformed payload is rejected with an error — never partially
 // returned. The returned record aliases buf.
-func DecodeWALRecord(buf []byte) (WALRecord, int, error) {
+func decodeWALRecord(buf []byte) (WALRecord, int, error) {
 	var r WALRecord
 	if len(buf) < 8 {
 		return r, 0, ErrWALShort
@@ -145,7 +145,7 @@ func newWALWriter(f File, name string) *walWriter {
 
 // append frames and writes r. The record is durable only after sync.
 func (w *walWriter) append(r WALRecord) (int, error) {
-	w.buf = AppendWALRecord(w.buf[:0], r)
+	w.buf = appendWALRecord(w.buf[:0], r)
 	n, err := w.f.Write(w.buf)
 	if err != nil {
 		return n, fmt.Errorf("kv: wal append: %w", err)
@@ -186,7 +186,7 @@ func replayWAL(f File, size int64, fn func(WALRecord)) (good int64, err error) {
 	}
 	off := 0
 	for off < len(data) {
-		rec, n, err := DecodeWALRecord(data[off:])
+		rec, n, err := decodeWALRecord(data[off:])
 		if err != nil {
 			// Torn or corrupt frame: nothing at or past this offset was
 			// covered by an acknowledged fsync. Stop here, fail closed.

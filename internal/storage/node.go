@@ -35,8 +35,6 @@ type Config struct {
 	Prefix string
 	// RPCCost is the transport overhead model for the node's RPC server.
 	RPCCost rpc.CostModel
-	// LeaseTicks passes through to the raft group.
-	LeaseTicks int
 	// FrontendWork is the per-statement CPU burn (Burner units) modeling
 	// the SQL front-end cost our lightweight parser does not reproduce:
 	// connection management, session state, optimizer work — the
@@ -49,8 +47,7 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Telemetry, when set, feeds per-statement latency histograms and
 	// rpc dispatch metrics, and registers a pull collector exposing the
-	// block-cache hit ratio and raft replication counters (including
-	// ship lag) under Prefix.
+	// block-cache hit ratio and raft replication counters under Prefix.
 	Telemetry *telemetry.Registry
 	// Durable switches every replica's kv store to the durable tiered
 	// engine (WAL + bloom-filtered SSTables). BlockCacheBytes becomes the
@@ -182,10 +179,9 @@ func NewNode(cfg Config) *Node {
 	}
 
 	n.group = raft.NewGroup(raft.Config{
-		Replicas:   cfg.Replicas,
-		LeaseTicks: cfg.LeaseTicks,
-		Comp:       n.raftComp,
-		Burner:     n.burner,
+		Replicas: cfg.Replicas,
+		Comp:     n.raftComp,
+		Burner:   n.burner,
 	}, func(id int) raft.StateMachine {
 		return &applier{node: n, id: id, req: QueryRequest{texts: n.texts}}
 	})
@@ -206,53 +202,49 @@ func NewNode(cfg Config) *Node {
 		n.histVersion = cfg.Telemetry.Histogram("storage.stmt.latency", "seconds", telemetry.L("stmt", "version"))
 		n.histBatch = cfg.Telemetry.Histogram("storage.stmt.latency", "seconds", telemetry.L("stmt", "batch"))
 		n.server.SetMetrics(rpc.NewMetrics(cfg.Telemetry, cfg.Prefix))
-		n.RegisterTelemetry(cfg.Telemetry)
+		n.registerTelemetry(cfg.Telemetry)
 	}
 	return n
 }
 
-// RegisterTelemetry installs a pull collector publishing the node's
+// registerTelemetry installs a pull collector publishing the node's
 // storage-engine and replication state: block-cache hits/misses, disk
-// traffic, raft proposal/election counters, and the current ship lag
-// (how far the worst reachable follower trails the leader's log). The
+// traffic, and raft proposal, ship and lease-check counters. The
 // statement path is untouched — everything here reads existing atomics
 // or cheap snapshots at scrape time.
-func (n *Node) RegisterTelemetry(reg *telemetry.Registry) {
+func (n *Node) registerTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
 	lbl := []telemetry.Label{telemetry.L("node", n.cfg.Prefix)}
 	reg.RegisterCollector("storage."+n.cfg.Prefix, func(emit func(telemetry.Sample)) {
-		if db := n.LeaderDB(); db != nil {
-			cs := db.Store().CacheStats()
-			emit(telemetry.Sample{Name: "storage.block_cache.hits", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(cs.Hits)})
-			emit(telemetry.Sample{Name: "storage.block_cache.misses", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(cs.Misses)})
-			st := db.Store().Stats()
-			emit(telemetry.Sample{Name: "storage.disk.read_bytes", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.DiskReadBytes)})
-			emit(telemetry.Sample{Name: "storage.disk.write_bytes", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.DiskWriteBytes)})
-			if n.cfg.Durable {
-				emit(telemetry.Sample{Name: "storage.disk.reads", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.DiskReads)})
-				emit(telemetry.Sample{Name: "storage.wal.fsync", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.WALFsyncs)})
-				emit(telemetry.Sample{Name: "storage.wal.appends", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.WALAppends)})
-				emit(telemetry.Sample{Name: "storage.wal.bytes", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.WALBytes)})
-				emit(telemetry.Sample{Name: "storage.compaction.count", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.Compactions)})
-				emit(telemetry.Sample{Name: "storage.compaction.bytes", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.CompactionBytes)})
-				emit(telemetry.Sample{Name: "storage.tier.demotions", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.TierDemotions)})
-				emit(telemetry.Sample{Name: "storage.tier.promotions", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.TierPromotions)})
-				emit(telemetry.Sample{Name: "storage.tier.hits", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.TierHits)})
-				emit(telemetry.Sample{Name: "storage.bloom.negatives", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.BloomNegatives)})
-				dram, diskLive := db.Store().TierBytes()
-				emit(telemetry.Sample{Name: "storage.tier.dram_bytes", Labels: lbl, Kind: telemetry.KindGauge, Value: float64(dram)})
-				emit(telemetry.Sample{Name: "storage.tier.disk_bytes", Labels: lbl, Kind: telemetry.KindGauge, Value: float64(diskLive)})
-				emit(telemetry.Sample{Name: "storage.recovery.seconds", Labels: lbl, Kind: telemetry.KindGauge, Value: db.Store().RecoveryTime().Seconds()})
-			}
+		db := n.LeaderDB()
+		cs := db.Store().CacheStats()
+		emit(telemetry.Sample{Name: "storage.block_cache.hits", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(cs.Hits)})
+		emit(telemetry.Sample{Name: "storage.block_cache.misses", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(cs.Misses)})
+		st := db.Store().Stats()
+		emit(telemetry.Sample{Name: "storage.disk.read_bytes", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.DiskReadBytes)})
+		emit(telemetry.Sample{Name: "storage.disk.write_bytes", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.DiskWriteBytes)})
+		if n.cfg.Durable {
+			emit(telemetry.Sample{Name: "storage.disk.reads", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.DiskReads)})
+			emit(telemetry.Sample{Name: "storage.wal.fsync", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.WALFsyncs)})
+			emit(telemetry.Sample{Name: "storage.wal.appends", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.WALAppends)})
+			emit(telemetry.Sample{Name: "storage.wal.bytes", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.WALBytes)})
+			emit(telemetry.Sample{Name: "storage.compaction.count", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.Compactions)})
+			emit(telemetry.Sample{Name: "storage.compaction.bytes", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.CompactionBytes)})
+			emit(telemetry.Sample{Name: "storage.tier.demotions", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.TierDemotions)})
+			emit(telemetry.Sample{Name: "storage.tier.promotions", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.TierPromotions)})
+			emit(telemetry.Sample{Name: "storage.tier.hits", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.TierHits)})
+			emit(telemetry.Sample{Name: "storage.bloom.negatives", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.BloomNegatives)})
+			dram, diskLive := db.Store().TierBytes()
+			emit(telemetry.Sample{Name: "storage.tier.dram_bytes", Labels: lbl, Kind: telemetry.KindGauge, Value: float64(dram)})
+			emit(telemetry.Sample{Name: "storage.tier.disk_bytes", Labels: lbl, Kind: telemetry.KindGauge, Value: float64(diskLive)})
+			emit(telemetry.Sample{Name: "storage.recovery.seconds", Labels: lbl, Kind: telemetry.KindGauge, Value: db.Store().RecoveryTime().Seconds()})
 		}
 		gs := n.group.Stats()
 		emit(telemetry.Sample{Name: "raft.proposals", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(gs.Proposals)})
 		emit(telemetry.Sample{Name: "raft.ships", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(gs.Ships)})
 		emit(telemetry.Sample{Name: "raft.lease_checks", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(gs.LeaseChecks)})
-		emit(telemetry.Sample{Name: "raft.elections", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(gs.Elections)})
-		emit(telemetry.Sample{Name: "raft.ship_lag", Labels: lbl, Kind: telemetry.KindGauge, Value: float64(n.group.ShipLag())})
 	})
 }
 
@@ -260,8 +252,8 @@ func (n *Node) RegisterTelemetry(reg *telemetry.Registry) {
 type applier struct {
 	node *Node
 	id   int
-	// req is the log entry being applied, decoded in place. The raft
-	// group's lock serializes an applier's calls (applyCommitted), and
+	// req is the command being applied, decoded in place. The raft
+	// group's lock serializes an applier's calls (ProposeCtx), and
 	// handleExec's n.mu guards the text table it shares with the node.
 	req QueryRequest
 }
@@ -303,8 +295,8 @@ func (n *Node) noteApplyErr(err error) {
 	}
 }
 
-// ApplyErr returns the first replication apply error, if any.
-func (n *Node) ApplyErr() error {
+// firstApplyErr returns the first replication apply error, if any.
+func (n *Node) firstApplyErr() error {
 	n.applyErrMu.Lock()
 	defer n.applyErrMu.Unlock()
 	return n.applyErr
@@ -357,25 +349,12 @@ func (n *Node) exec(l *meter.Lane, fn func() (*plan.ResultSet, error)) (*plan.Re
 // direct connections.
 func (n *Node) Server() *rpc.Server { return n.server }
 
-// Group returns the raft group (fault injection, lease control).
-func (n *Node) Group() *raft.Group { return n.group }
-
-// LeaderDB returns the current leader's DB, for white-box tests.
-func (n *Node) LeaderDB() *plan.DB {
-	ld := n.group.Leader()
-	if ld < 0 {
-		return nil
-	}
-	return n.dbs[ld]
-}
+// LeaderDB returns the leader's (replica 0's) DB, for white-box tests.
+func (n *Node) LeaderDB() *plan.DB { return n.dbs[0] }
 
 // DataBytes returns the leader's on-disk data size.
 func (n *Node) DataBytes() int64 {
-	db := n.LeaderDB()
-	if db == nil {
-		return 0
-	}
-	return db.Store().DataBytes()
+	return n.LeaderDB().Store().DataBytes()
 }
 
 // Close syncs and closes every replica's store. Only meaningful for
@@ -390,18 +369,6 @@ func (n *Node) Close() error {
 		}
 	}
 	return first
-}
-
-// SetBlockCacheBytes resizes every replica's block cache (sweeping s_D).
-func (n *Node) SetBlockCacheBytes(b int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, db := range n.dbs {
-		db.Store().SetCacheBytes(b)
-	}
-	if n.kvComp != nil {
-		n.kvComp.SetMemBytes(b * int64(n.cfg.Replicas))
-	}
 }
 
 // Bootstrap executes DDL or seed statements directly against every
@@ -463,16 +430,10 @@ func (n *Node) parseStatement(sc trace.SpanContext, req []byte) (stmt sql.Stmt, 
 // validateLease is the transaction layer's check before a local read: a
 // raft section, entered here so that it and the executor section after it
 // cost one clock read each.
-func (n *Node) validateLease(sc trace.SpanContext) (*plan.DB, error) {
+func (n *Node) validateLease(sc trace.SpanContext) *plan.DB {
 	sc.Lane().Enter(n.raftComp)
-	if err := n.group.ValidateLeaseCtx(sc); err != nil {
-		return nil, err
-	}
-	db := n.LeaderDB()
-	if db == nil {
-		return nil, raft.ErrNotLeader
-	}
-	return db, nil
+	n.group.ValidateLeaseCtx(sc)
+	return n.LeaderDB()
 }
 
 // encode is the closing sql section: result encoding, into a
@@ -505,10 +466,7 @@ func (n *Node) handleQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
 	n.burnFrontend(lane)
 	sqlAct.SetBytes(len(req), 0)
 	sqlAct.End()
-	db, err := n.validateLease(sc)
-	if err != nil {
-		return nil, err
-	}
+	db := n.validateLease(sc)
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
 	rs, err := n.exec(lane, func() (*plan.ResultSet, error) { return db.Exec(stmt, n.req.Params) })
 	kvAct.End()
@@ -561,12 +519,12 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 	if perr != nil {
 		return nil, perr
 	}
-	if err := n.ApplyErr(); err != nil {
+	if err := n.firstApplyErr(); err != nil {
 		return nil, err
 	}
 	rs := &plan.ResultSet{}
-	if ld := n.group.Leader(); ld >= 0 && n.lastResult[ld] != nil {
-		rs = n.lastResult[ld]
+	if n.lastResult[0] != nil {
+		rs = n.lastResult[0]
 	}
 	return n.encode(lane, rs), nil
 }
@@ -593,13 +551,10 @@ func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
 	n.burnFrontend(lane)
 	sqlAct.Annotate("sql.op", "version-check")
 	sqlAct.End()
-	db, err := n.validateLease(sc)
-	if err != nil {
-		return nil, err
-	}
+	db := n.validateLease(sc)
 	resp := &VersionResponse{}
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
-	_, err = n.exec(lane, func() (*plan.ResultSet, error) {
+	_, err := n.exec(lane, func() (*plan.ResultSet, error) {
 		t, err := db.Catalog().Lookup(vr.Table)
 		if err != nil {
 			return nil, err

@@ -12,7 +12,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"cachecost/internal/storage/sql"
@@ -138,16 +137,4 @@ func (c *Catalog) Lookup(name string) (*Table, error) {
 		return nil, fmt.Errorf("plan: no such table %q", name)
 	}
 	return t, nil
-}
-
-// Tables returns the defined table names, sorted.
-func (c *Catalog) Tables() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
-	for name := range c.tables {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

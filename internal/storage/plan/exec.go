@@ -13,19 +13,19 @@ type AccessPath int
 
 // Access paths, cheapest first.
 const (
-	PathPoint AccessPath = iota // primary-key point lookup
-	PathIndex                   // secondary-index equality scan
-	PathScan                    // full table scan
+	pathPoint AccessPath = iota // primary-key point lookup
+	pathIndex                   // secondary-index equality scan
+	pathScan                    // full table scan
 )
 
 // String implements fmt.Stringer.
 func (p AccessPath) String() string {
 	switch p {
-	case PathPoint:
+	case pathPoint:
 		return "point"
-	case PathIndex:
+	case pathIndex:
 		return "index"
-	case PathScan:
+	case pathScan:
 		return "scan"
 	default:
 		return "unknown"
@@ -58,9 +58,6 @@ func (db *DB) Catalog() *Catalog { return db.cat }
 
 // Store returns the underlying kv store.
 func (db *DB) Store() *kv.Store { return db.store }
-
-// LastPath returns the access path chosen by the most recent scan.
-func (db *DB) LastPath() AccessPath { return db.lastPath }
 
 // ExecSQL parses and executes src with the given parameters.
 func (db *DB) ExecSQL(src string, params ...sql.Value) (*ResultSet, error) {
@@ -347,7 +344,7 @@ func (db *DB) scanTable(t *Table, preds []sql.Pred, params []sql.Value, limitHin
 	// Path 1: primary-key equality -> point lookup.
 	for _, bp := range bound {
 		if bp.col == t.PKIndex && bp.pred.Op == sql.OpEq {
-			db.lastPath = PathPoint
+			db.lastPath = pathPoint
 			pk, err := evalExpr(bp.pred.X, params)
 			if err != nil {
 				return nil, err
@@ -378,7 +375,7 @@ func (db *DB) scanTable(t *Table, preds []sql.Pred, params []sql.Value, limitHin
 		if !ok || bp.pred.Op != sql.OpEq {
 			continue
 		}
-		db.lastPath = PathIndex
+		db.lastPath = pathIndex
 		v, err := evalExpr(bp.pred.X, params)
 		if err != nil {
 			return nil, err
@@ -411,7 +408,7 @@ func (db *DB) scanTable(t *Table, preds []sql.Pred, params []sql.Value, limitHin
 	}
 
 	// Path 3: full scan.
-	db.lastPath = PathScan
+	db.lastPath = pathScan
 	prefix := tablePrefix(t.Name)
 	items := db.store.Scan(prefix, prefixEnd(prefix), 0)
 	var out [][]sql.Value

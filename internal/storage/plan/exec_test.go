@@ -3,7 +3,6 @@ package plan
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"cachecost/internal/storage/kv"
@@ -45,8 +44,8 @@ func TestCreateInsertSelect(t *testing.T) {
 	if got := rs.Cols; len(got) != 4 || got[0] != "id" {
 		t.Fatalf("cols = %v", got)
 	}
-	if db.LastPath() != PathPoint {
-		t.Fatalf("pk equality should use point path, got %v", db.LastPath())
+	if db.lastPath != pathPoint {
+		t.Fatalf("pk equality should use point path, got %v", db.lastPath)
 	}
 }
 
@@ -69,8 +68,8 @@ func TestSelectFilterScan(t *testing.T) {
 	if len(rs.Rows) != 2 {
 		t.Fatalf("rows = %v", rs.Rows)
 	}
-	if db.LastPath() != PathScan {
-		t.Fatalf("unindexed filter should scan, got %v", db.LastPath())
+	if db.lastPath != pathScan {
+		t.Fatalf("unindexed filter should scan, got %v", db.lastPath)
 	}
 }
 
@@ -112,8 +111,8 @@ func TestSecondaryIndexPath(t *testing.T) {
 	if len(rs.Rows) != 2 {
 		t.Fatalf("rows = %v", rs.Rows)
 	}
-	if db.LastPath() != PathIndex {
-		t.Fatalf("indexed equality should use index path, got %v", db.LastPath())
+	if db.lastPath != pathIndex {
+		t.Fatalf("indexed equality should use index path, got %v", db.lastPath)
 	}
 }
 
@@ -350,7 +349,7 @@ func TestTextPrimaryKey(t *testing.T) {
 	if len(rs.Rows) != 1 || string(rs.Rows[0][0].Blob) != "payload" {
 		t.Fatalf("blob roundtrip = %v", rs.Rows)
 	}
-	if db.LastPath() != PathPoint {
+	if db.lastPath != pathPoint {
 		t.Fatal("text pk lookup should be a point read")
 	}
 }
@@ -378,16 +377,6 @@ func TestResultSetWireRoundtrip(t *testing.T) {
 	}
 }
 
-func TestResultSetDataSize(t *testing.T) {
-	rs := &ResultSet{
-		Cols: []string{"a"},
-		Rows: [][]sql.Value{{sql.Text(strings.Repeat("x", 1000))}},
-	}
-	if rs.DataSize() < 1000 {
-		t.Fatalf("DataSize = %d", rs.DataSize())
-	}
-}
-
 func TestScanLimitHintStopsEarly(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, "CREATE TABLE big (id INT PRIMARY KEY, v INT)")
@@ -404,9 +393,13 @@ func TestCatalogTables(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, "CREATE TABLE zeta (id INT PRIMARY KEY)")
 	mustExec(t, db, "CREATE TABLE alpha (id INT PRIMARY KEY)")
-	got := db.Catalog().Tables()
-	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
-		t.Fatalf("Tables() = %v", got)
+	for _, name := range []string{"alpha", "zeta"} {
+		if _, err := db.Catalog().Lookup(name); err != nil {
+			t.Fatalf("Lookup(%q): %v", name, err)
+		}
+	}
+	if _, err := db.Catalog().Lookup("beta"); err == nil {
+		t.Fatal("Lookup of a table never created succeeded")
 	}
 }
 

@@ -111,17 +111,6 @@ type ResultSet struct {
 	RowsAffected int64
 }
 
-// DataSize returns the approximate byte size of all values in the result.
-func (r *ResultSet) DataSize() int64 {
-	var n int64
-	for _, row := range r.Rows {
-		for _, v := range row {
-			n += v.Size()
-		}
-	}
-	return n
-}
-
 // MarshalWire implements wire.Marshaler.
 func (r *ResultSet) MarshalWire(e *wire.Encoder) {
 	for _, c := range r.Cols {

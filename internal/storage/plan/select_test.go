@@ -157,7 +157,7 @@ func TestSelectMatchesReferenceFilter(t *testing.T) {
 }
 
 func TestAccessPathString(t *testing.T) {
-	if PathPoint.String() != "point" || PathIndex.String() != "index" || PathScan.String() != "scan" {
+	if pathPoint.String() != "point" || pathIndex.String() != "index" || pathScan.String() != "scan" {
 		t.Fatal("AccessPath.String broken")
 	}
 	if AccessPath(9).String() != "unknown" {
@@ -170,7 +170,7 @@ func TestIndexPathUsedInsideJoinProbe(t *testing.T) {
 	seedJoinWorld(t, db)
 	mustExec(t, db, "SELECT emps.name FROM depts JOIN emps ON depts.id = emps.dept_id WHERE depts.id = 1")
 	// The last probe into emps goes through the secondary index.
-	if db.LastPath() != PathIndex {
-		t.Fatalf("join probe should use the index, got %v", db.LastPath())
+	if db.lastPath != pathIndex {
+		t.Fatalf("join probe should use the index, got %v", db.lastPath)
 	}
 }

@@ -451,7 +451,7 @@ func TestValueSize(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
-		KindNull: "NULL", KindInt: "INT", KindFloat: "FLOAT",
+		kindNull: "NULL", KindInt: "INT", KindFloat: "FLOAT",
 		KindText: "TEXT", KindBlob: "BLOB", KindBool: "BOOL",
 	} {
 		if k.String() != want {

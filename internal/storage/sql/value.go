@@ -19,7 +19,7 @@ type Kind uint8
 
 // Value kinds.
 const (
-	KindNull Kind = iota
+	kindNull Kind = iota
 	KindInt
 	KindFloat
 	KindText
@@ -30,7 +30,7 @@ const (
 // String implements fmt.Stringer.
 func (k Kind) String() string {
 	switch k {
-	case KindNull:
+	case kindNull:
 		return "NULL"
 	case KindInt:
 		return "INT"
@@ -78,7 +78,7 @@ func Blob(b []byte) Value { return Value{Kind: KindBlob, Blob: b} }
 func Bool(b bool) Value { return Value{Kind: KindBool, Bool: b} }
 
 // IsNull reports whether v is NULL.
-func (v Value) IsNull() bool { return v.Kind == KindNull }
+func (v Value) IsNull() bool { return v.Kind == kindNull }
 
 // Size returns the approximate in-memory size of the value in bytes,
 // used for cache budgeting and trace statistics.
@@ -97,8 +97,8 @@ func (v Value) Size() int64 {
 // Cross-type numeric comparisons (INT vs FLOAT) compare numerically;
 // other cross-type comparisons order by kind.
 func (v Value) Compare(o Value) int {
-	if v.Kind == KindNull || o.Kind == KindNull {
-		return boolCmp(v.Kind != KindNull, o.Kind != KindNull)
+	if v.Kind == kindNull || o.Kind == kindNull {
+		return boolCmp(v.Kind != kindNull, o.Kind != kindNull)
 	}
 	if isNumeric(v.Kind) && isNumeric(o.Kind) {
 		a, b := v.asFloat(), o.asFloat()
@@ -179,7 +179,7 @@ func (v Value) Equal(o Value) bool {
 // String renders the value as a SQL literal.
 func (v Value) String() string {
 	switch v.Kind {
-	case KindNull:
+	case kindNull:
 		return "NULL"
 	case KindInt:
 		return strconv.FormatInt(v.Int, 10)

@@ -10,6 +10,7 @@ import (
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
 	"cachecost/internal/storage/sql"
+	"cachecost/internal/trace"
 )
 
 // newLoopbackNode is a metered three-replica node holding rows k0..k99
@@ -121,7 +122,7 @@ func TestConcurrentStatementsShareNodeScratch(t *testing.T) {
 						return
 					}
 				default:
-					rss, err := c.BatchQuery("SELECT v FROM kvdata"+pad+" WHERE k = ?", keys...)
+					rss, err := c.BatchQueryCtx(trace.SpanContext{}, "SELECT v FROM kvdata"+pad+" WHERE k = ?", keys)
 					if err != nil {
 						t.Error(err)
 						return
@@ -137,7 +138,7 @@ func TestConcurrentStatementsShareNodeScratch(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if err := n.ApplyErr(); err != nil {
+	if err := n.firstApplyErr(); err != nil {
 		t.Fatal(err)
 	}
 	if len(n.texts) > maxStmtTexts {

@@ -107,49 +107,8 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// ObserveDuration records a latency.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
-
 // ObserveSince records the elapsed time since start.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(int64(time.Since(start))) }
-
-// Count returns the merged observation count.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for _, s := range h.shards {
-		n += s.count.Load()
-	}
-	return n
-}
-
-// Sum returns the merged sum of observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for _, s := range h.shards {
-		n += s.sum.Load()
-	}
-	return n
-}
-
-// Max returns the largest observed value (exact, not bucketed).
-func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	var m int64
-	for _, s := range h.shards {
-		if v := s.max.Load(); v > m {
-			m = v
-		}
-	}
-	return m
-}
 
 // merged folds all shards into one bucket array plus count/sum/max.
 func (h *Histogram) merged() (buckets []int64, count, sum, max int64) {
@@ -167,16 +126,6 @@ func (h *Histogram) merged() (buckets []int64, count, sum, max int64) {
 		}
 	}
 	return buckets, count, sum, max
-}
-
-// Quantile returns the q-th quantile (0 < q <= 1) as a bucket-midpoint
-// representative, or 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	buckets, count, _, max := h.merged()
-	return quantileFromBuckets(buckets, count, max, q)
 }
 
 // quantileFromBuckets walks a merged bucket array to the bucket holding
@@ -236,15 +185,6 @@ type HistSummary struct {
 	P99   int64   `json:"p99"`
 	P999  int64   `json:"p999"`
 	Mean  float64 `json:"mean"`
-}
-
-// Summary digests the histogram in one merge pass.
-func (h *Histogram) Summary() HistSummary {
-	if h == nil {
-		return HistSummary{}
-	}
-	buckets, count, sum, max := h.merged()
-	return summarize(h.name, h.unit, buckets, count, sum, max)
 }
 
 func summarize(name, unit string, buckets []int64, count, sum, max int64) HistSummary {

@@ -41,6 +41,17 @@ func TestBucketIndexMonotone(t *testing.T) {
 // TestQuantizationError: for any value below the clamp range, the
 // bucket midpoint must be within 1/32 (~3.1%) of the true value — the
 // bound the ≤5% p99-drift acceptance criterion relies on.
+// digest reads back r's one histogram the way reports and RunResult do:
+// through a snapshot's HistSummaries.
+func digest(t *testing.T, r *Registry) HistSummary {
+	t.Helper()
+	hs := r.Snapshot().HistSummaries()
+	if len(hs) != 1 {
+		t.Fatalf("registry holds %d histograms, want 1", len(hs))
+	}
+	return hs[0]
+}
+
 func TestQuantizationError(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 100000; i++ {
@@ -60,7 +71,8 @@ func TestQuantizationError(t *testing.T) {
 // nearest-rank percentiles from the sorted slice, and checks the
 // histogram's answers are within bucket resolution.
 func TestQuantilesMatchExact(t *testing.T) {
-	h := newHistogram("t", "", nil)
+	r := NewRegistry()
+	h := r.Histogram("t", "")
 	rng := rand.New(rand.NewSource(42))
 	n := 50000
 	vals := make([]int64, n)
@@ -71,23 +83,27 @@ func TestQuantilesMatchExact(t *testing.T) {
 		h.Observe(v)
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
+	d := digest(t, r)
+	for _, c := range []struct {
+		q   float64
+		got int64
+	}{{0.5, d.P50}, {0.9, d.P90}, {0.99, d.P99}, {0.999, d.P999}} {
+		q, got := c.q, c.got
 		rank := int(q*float64(n) + 0.5)
 		if rank < 1 {
 			rank = 1
 		}
 		exact := vals[rank-1]
-		got := h.Quantile(q)
 		rel := math.Abs(float64(got)-float64(exact)) / float64(exact)
 		if rel > 0.05 {
 			t.Errorf("q=%.3f: histogram %d vs exact %d (rel err %.3f)", q, got, exact, rel)
 		}
 	}
-	if h.Count() != int64(n) {
-		t.Errorf("Count = %d, want %d", h.Count(), n)
+	if d.Count != int64(n) {
+		t.Errorf("Count = %d, want %d", d.Count, n)
 	}
-	if h.Max() != vals[n-1] {
-		t.Errorf("Max = %d, want %d", h.Max(), vals[n-1])
+	if d.Max != vals[n-1] {
+		t.Errorf("Max = %d, want %d", d.Max, vals[n-1])
 	}
 }
 
@@ -125,12 +141,13 @@ func TestParallelMergeInvariance(t *testing.T) {
 		stream[i] = rng.Int63n(10_000_000)
 	}
 
-	seq := newHistogram("seq", "", nil)
+	rseq, rpar := NewRegistry(), NewRegistry()
+	seq := rseq.Histogram("h", "")
 	for _, v := range stream {
 		seq.Observe(v)
 	}
 
-	par := newHistogram("par", "", nil)
+	par := rpar.Histogram("h", "")
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -144,18 +161,7 @@ func TestParallelMergeInvariance(t *testing.T) {
 	}
 	wg.Wait()
 
-	if seq.Count() != par.Count() || seq.Sum() != par.Sum() || seq.Max() != par.Max() {
-		t.Fatalf("merge mismatch: count %d/%d sum %d/%d max %d/%d",
-			seq.Count(), par.Count(), seq.Sum(), par.Sum(), seq.Max(), par.Max())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999, 1.0} {
-		if a, b := seq.Quantile(q), par.Quantile(q); a != b {
-			t.Errorf("q=%.3f: sequential %d vs parallel %d", q, a, b)
-		}
-	}
-	sa, sb := seq.Summary(), par.Summary()
-	sa.Name, sb.Name = "", ""
-	if sa != sb {
+	if sa, sb := digest(t, rseq), digest(t, rpar); sa != sb || sa.Count != int64(len(stream)) {
 		t.Errorf("summaries differ:\nseq %+v\npar %+v", sa, sb)
 	}
 }
@@ -163,47 +169,43 @@ func TestParallelMergeInvariance(t *testing.T) {
 // TestHistogramClampAndNegative: overflow values clamp into the top
 // bucket but Max stays exact; negative values record as zero.
 func TestHistogramClampAndNegative(t *testing.T) {
-	h := newHistogram("t", "", nil)
+	r := NewRegistry()
+	h := r.Histogram("t", "")
 	huge := int64(1) << 50
 	h.Observe(huge)
 	h.Observe(-5)
-	if h.Count() != 2 {
-		t.Fatalf("Count = %d", h.Count())
+	d := digest(t, r)
+	if d.Count != 2 {
+		t.Fatalf("Count = %d", d.Count)
 	}
-	if h.Max() != huge {
-		t.Errorf("Max = %d, want %d", h.Max(), huge)
+	if d.Max != huge {
+		t.Errorf("Max = %d, want %d", d.Max, huge)
 	}
-	// p100 of the clamped value reports the exact max, not a midpoint
+	// p999 of the clamped value reports the exact max, not a midpoint
 	// beyond the representable range.
-	if got := h.Quantile(1.0); got != huge {
-		t.Errorf("Quantile(1.0) = %d, want exact max %d", got, huge)
+	if d.P999 != huge {
+		t.Errorf("P999 = %d, want exact max %d", d.P999, huge)
 	}
-	if got := h.Quantile(0.25); got != 0 {
-		t.Errorf("Quantile(0.25) = %d, want 0 (negative clamped)", got)
+	if d.P50 != 0 {
+		t.Errorf("P50 = %d, want 0 (negative clamped)", d.P50)
 	}
 }
 
-// TestObserveDurationHelpers covers the time-based entry points.
+// TestObserveDurationHelpers covers the time-based entry point.
 func TestObserveDurationHelpers(t *testing.T) {
-	h := newHistogram("t", "seconds", nil)
-	h.ObserveDuration(250 * time.Microsecond)
+	r := NewRegistry()
+	h := r.Histogram("t", "seconds")
 	h.ObserveSince(time.Now().Add(-time.Millisecond))
-	if h.Count() != 2 {
-		t.Fatalf("Count = %d, want 2", h.Count())
-	}
-	if h.Sum() < int64(time.Millisecond) {
-		t.Errorf("Sum = %d, want >= 1ms of observed time", h.Sum())
+	if d := digest(t, r); d.Count != 1 || d.Sum < int64(time.Millisecond) {
+		t.Fatalf("count %d sum %d, want one observation of >= 1ms", d.Count, d.Sum)
 	}
 }
 
 // TestEmptyHistogram: an untouched histogram digests to zeros.
 func TestEmptyHistogram(t *testing.T) {
-	h := newHistogram("t", "", nil)
-	if h.Quantile(0.99) != 0 || h.Count() != 0 || h.Max() != 0 {
-		t.Fatal("empty histogram not zero")
-	}
-	s := h.Summary()
-	if s.Count != 0 || s.P99 != 0 || s.Mean != 0 {
+	r := NewRegistry()
+	r.Histogram("t", "")
+	if s := digest(t, r); s.Count != 0 || s.Max != 0 || s.P99 != 0 || s.Mean != 0 {
 		t.Fatalf("empty summary %+v", s)
 	}
 }

@@ -24,12 +24,12 @@ type OpsConfig struct {
 	Debug map[string]http.Handler
 }
 
-// NewOpsHandler builds the ops mux: Prometheus-text /metrics, JSON
+// newOpsHandler builds the ops mux: Prometheus-text /metrics, JSON
 // /metrics.json, a human /statusz cost table, and the stdlib pprof
 // handlers under /debug/pprof/. The mux is explicit — handlers are
 // mounted here, not on http.DefaultServeMux, so two servers in one test
 // process never collide.
-func NewOpsHandler(cfg OpsConfig) http.Handler {
+func newOpsHandler(cfg OpsConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -114,7 +114,7 @@ func StartOps(addr string, cfg OpsConfig) (*OpsServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cannot bind metrics address %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: NewOpsHandler(cfg)}
+	srv := &http.Server{Handler: newOpsHandler(cfg)}
 	o := &OpsServer{Addr: ln.Addr().String(), srv: srv, ln: ln}
 	go func() { _ = srv.Serve(ln) }()
 	return o, nil

@@ -16,8 +16,8 @@ import (
 
 func testRegistry() *Registry {
 	r := NewRegistry()
-	r.Counter("rpc.retries").Add(3)
-	r.Counter("cache.hits", L("node", "cache0")).Add(10)
+	add(r.Counter("rpc.retries"), 3)
+	add(r.Counter("cache.hits", L("node", "cache0")), 10)
 	r.Gauge("cache.bytes", L("node", "cache0")).Set(4096)
 	h := r.Histogram("request.latency", "seconds")
 	for i := int64(1); i <= 100; i++ {
@@ -106,7 +106,7 @@ func TestOpsHandlerEndpoints(t *testing.T) {
 	comp.AddOps(10)
 	m.AddRequests(10)
 
-	h := NewOpsHandler(OpsConfig{Registry: testRegistry(), Meter: m})
+	h := newOpsHandler(OpsConfig{Registry: testRegistry(), Meter: m})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -158,7 +158,7 @@ func TestOpsHandlerEndpoints(t *testing.T) {
 
 // TestStatuszWithoutMeter: a registry-only config still renders.
 func TestStatuszWithoutMeter(t *testing.T) {
-	h := NewOpsHandler(OpsConfig{Registry: testRegistry()})
+	h := newOpsHandler(OpsConfig{Registry: testRegistry()})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/statusz")
@@ -187,7 +187,7 @@ func TestStatusSectionsOnStatusz(t *testing.T) {
 		t.Fatalf("sections = %+v, want [bravo alpha]", secs)
 	}
 
-	h := NewOpsHandler(OpsConfig{Registry: reg})
+	h := newOpsHandler(OpsConfig{Registry: reg})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/statusz")
@@ -258,7 +258,8 @@ func TestRegisterMeterBridge(t *testing.T) {
 	comp.AddBusy(2 * time.Millisecond)
 	comp.AddOps(4)
 	comp.SetMemBytes(1 << 20)
-	m.Counter("cache.degraded").Add(2)
+	m.Counter("cache.degraded").Inc()
+	m.Counter("cache.degraded").Inc()
 
 	r := NewRegistry()
 	RegisterMeter(r, "meter", m)

@@ -32,14 +32,14 @@ type recordLine struct {
 }
 
 // NewRecorder starts a recorder from the registry's current state, so
-// the first Record emits only what happened after construction.
+// the first record emits only what happened after construction.
 func NewRecorder(reg *Registry, w io.Writer) *Recorder {
 	return &Recorder{reg: reg, w: w, prev: reg.Snapshot(), enc: json.NewEncoder(w)}
 }
 
-// Record snapshots the registry, emits the delta since the previous
-// Record as one JSONL line stamped now, and advances the baseline.
-func (r *Recorder) Record(now time.Time) error {
+// record snapshots the registry, emits the delta since the previous
+// record as one JSONL line stamped now, and advances the baseline.
+func (r *Recorder) record(now time.Time) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cur := r.reg.Snapshot()
@@ -82,9 +82,9 @@ func (r *Recorder) Run(interval time.Duration, stop <-chan struct{}, done chan<-
 	for {
 		select {
 		case now := <-t.C:
-			_ = r.Record(now)
+			_ = r.record(now)
 		case <-stop:
-			_ = r.Record(time.Now())
+			_ = r.record(time.Now())
 			return
 		}
 	}

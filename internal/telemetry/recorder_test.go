@@ -19,23 +19,23 @@ func TestRecorderEmitsWindowedDeltas(t *testing.T) {
 	rec := NewRecorder(r, &buf)
 
 	// Window 1: 5 ops around 100ns.
-	c.Add(5)
+	add(c, 5)
 	g.Set(1024)
 	for i := 0; i < 5; i++ {
 		h.Observe(100)
 	}
 	t0 := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-	if err := rec.Record(t0); err != nil {
+	if err := rec.record(t0); err != nil {
 		t.Fatal(err)
 	}
 
 	// Window 2: 2 ops around 10µs — the windowed p50 must reflect only
 	// these, not the cumulative distribution.
-	c.Add(2)
+	add(c, 2)
 	for i := 0; i < 2; i++ {
 		h.Observe(10000)
 	}
-	if err := rec.Record(t0.Add(time.Second)); err != nil {
+	if err := rec.record(t0.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -90,7 +90,7 @@ func TestRecorderQuietWindow(t *testing.T) {
 	r.Histogram("lat", "").Observe(5)
 	var buf bytes.Buffer
 	rec := NewRecorder(r, &buf) // baseline includes the observation
-	if err := rec.Record(time.Unix(0, 0)); err != nil {
+	if err := rec.record(time.Unix(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	var l struct {
@@ -112,7 +112,7 @@ func TestRecorderRunLoop(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go rec.Run(5*time.Millisecond, stop, done)
-	c.Add(1)
+	add(c, 1)
 	time.Sleep(25 * time.Millisecond)
 	close(stop)
 	<-done

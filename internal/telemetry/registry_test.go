@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterIdentityAndLabels(t *testing.T) {
@@ -23,20 +24,26 @@ func TestCounterIdentityAndLabels(t *testing.T) {
 	if r.Counter("hits", L("node", "cache1")) == a {
 		t.Fatal("distinct labels shared a counter")
 	}
-	a.Add(3)
+	add(a, 3)
 	a.Inc()
 	if a.Value() != 4 {
 		t.Fatalf("Value = %d, want 4", a.Value())
 	}
 }
 
+// add bumps c n times.
+func add(c *Counter, n int) {
+	for i := 0; i < n; i++ {
+		c.Inc()
+	}
+}
+
 func TestGaugeSetAdd(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("mem")
+	g := NewRegistry().Gauge("mem")
 	g.Set(100)
-	g.Add(-30)
+	g.Set(70)
 	if g.Value() != 70 {
-		t.Fatalf("Value = %d, want 70", g.Value())
+		t.Fatalf("Value = %d, want 70: Set replaces", g.Value())
 	}
 }
 
@@ -48,20 +55,16 @@ func TestNilRegistrySafe(t *testing.T) {
 	g := r.Gauge("y")
 	h := r.Histogram("z", "")
 	c.Inc()
-	c.Add(5)
 	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	h.ObserveSince(time.Now())
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatal("nil metrics accumulated state")
 	}
 	r.RegisterCollector("none", func(func(Sample)) {})
 	r.Reset()
 	if s := r.Snapshot(); len(s.Counters) != 0 {
 		t.Fatal("nil registry snapshot not empty")
-	}
-	if h.Summary() != (HistSummary{}) {
-		t.Fatal("nil histogram summary not zero")
 	}
 }
 
@@ -92,14 +95,15 @@ func TestResetZeroesFlowsKeepsLevels(t *testing.T) {
 	c := r.Counter("flow")
 	g := r.Gauge("level")
 	h := r.Histogram("lat", "")
-	c.Add(5)
+	c.Inc()
 	g.Set(42)
 	h.Observe(100)
 	r.Reset()
-	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
+	d := digest(t, r)
+	if c.Value() != 0 || d.Count != 0 || d.Sum != 0 || d.Max != 0 {
 		t.Fatal("Reset left flow state behind")
 	}
-	if h.Quantile(0.5) != 0 {
+	if d.P50 != 0 {
 		t.Fatal("Reset left bucket state behind")
 	}
 	if g.Value() != 42 {
@@ -164,13 +168,13 @@ func TestDeltaSince(t *testing.T) {
 	c := r.Counter("ops")
 	g := r.Gauge("mem")
 	h := r.Histogram("lat", "")
-	c.Add(10)
+	add(c, 10)
 	g.Set(5)
 	h.Observe(100)
 	h.Observe(200)
 	prev := r.Snapshot()
 
-	c.Add(7)
+	add(c, 7)
 	g.Set(9)
 	h.Observe(400)
 	cur := r.Snapshot()
@@ -204,13 +208,13 @@ func TestDeltaSinceClampsAfterReset(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops")
 	h := r.Histogram("lat", "")
-	c.Add(100)
+	add(c, 100)
 	h.Observe(50)
 	h.Observe(60)
 	prev := r.Snapshot()
 
 	r.Reset()
-	c.Add(3)
+	add(c, 3)
 	h.Observe(70)
 	cur := r.Snapshot()
 
@@ -228,7 +232,7 @@ func TestDeltaSinceClampsAfterReset(t *testing.T) {
 func TestDeltaSinceNewMetric(t *testing.T) {
 	r := NewRegistry()
 	prev := r.Snapshot()
-	r.Counter("fresh").Add(4)
+	add(r.Counter("fresh"), 4)
 	r.Histogram("lat", "").Observe(10)
 	d := r.Snapshot().DeltaSince(prev)
 	if v := findCounter(d, "fresh"); v != 4 {

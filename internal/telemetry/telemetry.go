@@ -107,14 +107,11 @@ type Counter struct {
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n (n must be >= 0 for the counter to stay monotone).
-func (c *Counter) Add(n int64) {
+func (c *Counter) Inc() {
 	if c == nil {
 		return
 	}
-	c.cells[shardIndex()].v.Add(n)
+	c.cells[shardIndex()].v.Add(1)
 }
 
 // Value merges the shards into the current total.
@@ -136,8 +133,7 @@ func (c *Counter) reset() {
 	}
 }
 
-// Gauge is a level — provisioned bytes, replication lag, up/down. Set
-// replaces; Add adjusts. Gauges are written at low rates, so a single
+// Gauge is a level — provisioned bytes, up/down. Set replaces. Gauges are written at low rates, so a single
 // atomic suffices. Nil-safe like Counter.
 type Gauge struct {
 	name   string
@@ -149,13 +145,6 @@ type Gauge struct {
 func (g *Gauge) Set(n int64) {
 	if g != nil {
 		g.v.Store(n)
-	}
-}
-
-// Add adjusts the level by delta (may be negative).
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
 	}
 }
 

@@ -176,12 +176,6 @@ func (sc SpanContext) Deadline() time.Time {
 // DeadlineUnixNano returns the SLO expiry for wire encoding (0 if none).
 func (sc SpanContext) DeadlineUnixNano() int64 { return sc.deadline }
 
-// Expired reports whether the deadline has passed at the given instant.
-// A context without a deadline never expires.
-func (sc SpanContext) Expired(now time.Time) bool {
-	return sc.deadline != 0 && now.UnixNano() > sc.deadline
-}
-
 // SnapshotSpans returns a copy of the spans recorded so far for this
 // request's in-process trace fragment, in start order. Nil when the
 // request is unsampled or the context crossed a wire (the fragment lives

@@ -13,13 +13,13 @@ type Type uint8
 
 // Wire types, protobuf-compatible where it matters.
 const (
-	TVarint  Type = 0 // uint64/int64/bool
-	TFixed64 Type = 1 // float64, fixed 8-byte integers
+	tVarint  Type = 0 // uint64/int64/bool
+	tFixed64 Type = 1 // float64, fixed 8-byte integers
 	TBytes   Type = 2 // length-delimited: bytes, string, nested messages
 )
 
-// ErrBadTag is returned when a tag has an unknown wire type or field 0.
-var ErrBadTag = errors.New("wire: malformed tag")
+// errBadTag is returned when a tag has an unknown wire type or field 0.
+var errBadTag = errors.New("wire: malformed tag")
 
 // Encoder appends fields to a buffer. The zero value is ready to use;
 // Reset lets callers reuse the underlying allocation across messages,
@@ -49,19 +49,19 @@ func (e *Encoder) tag(field uint32, t Type) {
 
 // Uint64 encodes field as a varint.
 func (e *Encoder) Uint64(field uint32, v uint64) {
-	e.tag(field, TVarint)
+	e.tag(field, tVarint)
 	e.buf = AppendUvarint(e.buf, v)
 }
 
 // Int64 encodes field as a zigzag varint.
 func (e *Encoder) Int64(field uint32, v int64) {
-	e.tag(field, TVarint)
+	e.tag(field, tVarint)
 	e.buf = AppendUvarint(e.buf, Zigzag(v))
 }
 
 // Bool encodes field as a 0/1 varint.
 func (e *Encoder) Bool(field uint32, v bool) {
-	e.tag(field, TVarint)
+	e.tag(field, tVarint)
 	if v {
 		e.buf = append(e.buf, 1)
 	} else {
@@ -71,7 +71,7 @@ func (e *Encoder) Bool(field uint32, v bool) {
 
 // Float64 encodes field as a fixed 8-byte IEEE 754 value.
 func (e *Encoder) Float64(field uint32, v float64) {
-	e.tag(field, TFixed64)
+	e.tag(field, tFixed64)
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
@@ -135,7 +135,7 @@ func (d *Decoder) Next() (field uint32, t Type, err error) {
 	field = uint32(u >> 3)
 	t = Type(u & 7)
 	if field == 0 || t > TBytes {
-		return 0, 0, fmt.Errorf("%w: field=%d type=%d", ErrBadTag, field, t)
+		return 0, 0, fmt.Errorf("%w: field=%d type=%d", errBadTag, field, t)
 	}
 	return field, t, nil
 }
@@ -197,10 +197,10 @@ func (d *Decoder) String() (string, error) {
 // Skip discards a field body of the given wire type.
 func (d *Decoder) Skip(t Type) error {
 	switch t {
-	case TVarint:
+	case tVarint:
 		_, err := d.Uint64()
 		return err
-	case TFixed64:
+	case tFixed64:
 		if d.pos+8 > len(d.buf) {
 			return ErrTruncated
 		}
@@ -210,7 +210,7 @@ func (d *Decoder) Skip(t Type) error {
 		_, err := d.Bytes()
 		return err
 	default:
-		return ErrBadTag
+		return errBadTag
 	}
 }
 

@@ -25,9 +25,9 @@ func TestDecoderNeverPanicsOnGarbage(t *testing.T) {
 			}
 			var bodyErr error
 			switch typ {
-			case TVarint:
+			case tVarint:
 				_, bodyErr = d.Uint64()
-			case TFixed64:
+			case tFixed64:
 				_, bodyErr = d.Float64()
 			case TBytes:
 				_, bodyErr = d.Bytes()

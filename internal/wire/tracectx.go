@@ -25,12 +25,12 @@ import (
 // guess — a corrupt header must not stitch spans into the wrong trace or
 // invent an SLO.
 
-// TraceContextSize is the encoded size of a span context without a
-// deadline; TraceContextDeadlineSize is the size with one. Decoders must
+// traceContextSize is the encoded size of a span context without a
+// deadline; traceContextDeadlineSize is the size with one. Decoders must
 // use the size returned by DecodeTraceContext, not assume either.
 const (
-	TraceContextSize         = 17
-	TraceContextDeadlineSize = TraceContextSize + 8
+	traceContextSize         = 17
+	traceContextDeadlineSize = traceContextSize + 8
 )
 
 // Trace-context flag bits.
@@ -39,8 +39,8 @@ const (
 	traceFlagDeadline = 0x02
 )
 
-// ErrBadTraceContext is returned for truncated or malformed span contexts.
-var ErrBadTraceContext = errors.New("wire: malformed trace context")
+// errBadTraceContext is returned for truncated or malformed span contexts.
+var errBadTraceContext = errors.New("wire: malformed trace context")
 
 // AppendTraceContext appends the encoding of a span context. deadline is
 // unix nanoseconds; zero means none and omits the trailing word.
@@ -62,27 +62,27 @@ func AppendTraceContext(dst []byte, traceID, spanID uint64, sampled bool, deadli
 }
 
 // DecodeTraceContext decodes a span context from the front of b and
-// returns the number of bytes consumed (TraceContextSize or
-// TraceContextDeadlineSize). It fails closed on truncation, on any flag
+// returns the number of bytes consumed (traceContextSize or
+// traceContextDeadlineSize). It fails closed on truncation, on any flag
 // bit it does not understand, and on a deadline flag with a zero value.
 func DecodeTraceContext(b []byte) (traceID, spanID uint64, sampled bool, deadline int64, n int, err error) {
-	if len(b) < TraceContextSize {
-		return 0, 0, false, 0, 0, ErrBadTraceContext
+	if len(b) < traceContextSize {
+		return 0, 0, false, 0, 0, errBadTraceContext
 	}
 	flags := b[16]
 	if flags&^byte(traceFlagSampled|traceFlagDeadline) != 0 {
-		return 0, 0, false, 0, 0, ErrBadTraceContext
+		return 0, 0, false, 0, 0, errBadTraceContext
 	}
-	n = TraceContextSize
+	n = traceContextSize
 	if flags&traceFlagDeadline != 0 {
-		if len(b) < TraceContextDeadlineSize {
-			return 0, 0, false, 0, 0, ErrBadTraceContext
+		if len(b) < traceContextDeadlineSize {
+			return 0, 0, false, 0, 0, errBadTraceContext
 		}
-		deadline = int64(binary.BigEndian.Uint64(b[TraceContextSize:]))
+		deadline = int64(binary.BigEndian.Uint64(b[traceContextSize:]))
 		if deadline == 0 {
-			return 0, 0, false, 0, 0, ErrBadTraceContext
+			return 0, 0, false, 0, 0, errBadTraceContext
 		}
-		n = TraceContextDeadlineSize
+		n = traceContextDeadlineSize
 	}
 	traceID = binary.BigEndian.Uint64(b)
 	spanID = binary.BigEndian.Uint64(b[8:])

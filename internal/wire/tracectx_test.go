@@ -20,9 +20,9 @@ func TestTraceContextRoundtrip(t *testing.T) {
 		{0, 0, false, -1},
 	} {
 		b := AppendTraceContext(nil, tc.traceID, tc.spanID, tc.sampled, tc.deadline)
-		want := TraceContextSize
+		want := traceContextSize
 		if tc.deadline != 0 {
-			want = TraceContextDeadlineSize
+			want = traceContextDeadlineSize
 		}
 		if len(b) != want {
 			t.Fatalf("encoded %d bytes, want %d", len(b), want)
@@ -40,7 +40,7 @@ func TestTraceContextRoundtrip(t *testing.T) {
 func TestTraceContextFailsClosed(t *testing.T) {
 	valid := AppendTraceContext(nil, 1, 2, true, 0)
 	// Every truncation errors.
-	for i := 0; i < TraceContextSize; i++ {
+	for i := 0; i < traceContextSize; i++ {
 		if _, _, _, _, _, err := DecodeTraceContext(valid[:i]); err == nil {
 			t.Fatalf("%d-byte prefix decoded", i)
 		}
@@ -61,14 +61,14 @@ func TestTraceContextFailsClosed(t *testing.T) {
 	}
 	// Truncated deadline word errors.
 	withDL := AppendTraceContext(nil, 1, 2, true, 99)
-	for i := TraceContextSize; i < TraceContextDeadlineSize; i++ {
+	for i := traceContextSize; i < traceContextDeadlineSize; i++ {
 		if _, _, _, _, _, err := DecodeTraceContext(withDL[:i]); err == nil {
 			t.Fatalf("%d-byte deadline prefix decoded", i)
 		}
 	}
 	// A deadline flag with a zero deadline is non-canonical and errors.
 	zeroDL := append([]byte(nil), withDL...)
-	for i := TraceContextSize; i < TraceContextDeadlineSize; i++ {
+	for i := traceContextSize; i < traceContextDeadlineSize; i++ {
 		zeroDL[i] = 0
 	}
 	if _, _, _, _, _, err := DecodeTraceContext(zeroDL); err == nil {
@@ -86,19 +86,19 @@ func FuzzTraceContext(f *testing.F) {
 	f.Add(AppendTraceContext(nil, 1, 2, true, 1_700_000_000_000_000_000))
 	f.Add(AppendTraceContext(nil, 0, 0, false, 1))
 	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xff}, TraceContextSize))
-	f.Add(bytes.Repeat([]byte{0xff}, TraceContextSize-1))
-	f.Add(bytes.Repeat([]byte{0xff}, TraceContextDeadlineSize))
+	f.Add(bytes.Repeat([]byte{0xff}, traceContextSize))
+	f.Add(bytes.Repeat([]byte{0xff}, traceContextSize-1))
+	f.Add(bytes.Repeat([]byte{0xff}, traceContextDeadlineSize))
 	f.Add(append(AppendTraceContext(nil, 3, 4, false, 0), 0xaa, 0xbb))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		traceID, spanID, sampled, deadline, n, err := DecodeTraceContext(b)
 		if err != nil {
 			// The only legal rejections: truncation, unknown flags, or a
 			// non-canonical zero deadline under the deadline flag.
-			if len(b) >= TraceContextSize && b[16]&^byte(0x03) == 0 {
+			if len(b) >= traceContextSize && b[16]&^byte(0x03) == 0 {
 				hasDL := b[16]&0x02 != 0
-				ok := hasDL && (len(b) < TraceContextDeadlineSize ||
-					bytes.Equal(b[TraceContextSize:TraceContextDeadlineSize], make([]byte, 8)))
+				ok := hasDL && (len(b) < traceContextDeadlineSize ||
+					bytes.Equal(b[traceContextSize:traceContextDeadlineSize], make([]byte, 8)))
 				if !ok {
 					t.Fatalf("rejected a well-formed block: % x", b)
 				}
@@ -108,7 +108,7 @@ func FuzzTraceContext(f *testing.F) {
 			}
 			return
 		}
-		if n != TraceContextSize && n != TraceContextDeadlineSize {
+		if n != traceContextSize && n != traceContextDeadlineSize {
 			t.Fatalf("consumed %d bytes", n)
 		}
 		if len(b) < n {

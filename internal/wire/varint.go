@@ -12,8 +12,8 @@ package wire
 
 import "errors"
 
-// ErrOverflow is returned when a varint is longer than 64 bits.
-var ErrOverflow = errors.New("wire: varint overflows uint64")
+// errOverflow is returned when a varint is longer than 64 bits.
+var errOverflow = errors.New("wire: varint overflows uint64")
 
 // ErrTruncated is returned when the input ends mid-value.
 var ErrTruncated = errors.New("wire: truncated input")
@@ -39,11 +39,11 @@ func Uvarint(b []byte) (uint64, int, error) {
 	var s uint
 	for i, c := range b {
 		if i == MaxVarintLen {
-			return 0, 0, ErrOverflow
+			return 0, 0, errOverflow
 		}
 		if c < 0x80 {
 			if i == MaxVarintLen-1 && c > 1 {
-				return 0, 0, ErrOverflow
+				return 0, 0, errOverflow
 			}
 			return x | uint64(c)<<s, i + 1, nil
 		}
@@ -69,15 +69,3 @@ func Zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 // Unzigzag reverses Zigzag.
 func Unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// AppendVarint appends a zigzag-encoded signed integer.
-func AppendVarint(b []byte, v int64) []byte { return AppendUvarint(b, Zigzag(v)) }
-
-// Varint decodes a zigzag-encoded signed integer.
-func Varint(b []byte) (int64, int, error) {
-	u, n, err := Uvarint(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	return Unzigzag(u), n, nil
-}

@@ -44,13 +44,13 @@ func TestUvarintTruncated(t *testing.T) {
 func TestUvarintOverflow(t *testing.T) {
 	// 11 continuation bytes: too long for 64 bits.
 	b := bytes.Repeat([]byte{0xff}, 11)
-	if _, _, err := Uvarint(b); err != ErrOverflow {
-		t.Fatalf("want ErrOverflow, got %v", err)
+	if _, _, err := Uvarint(b); err != errOverflow {
+		t.Fatalf("want errOverflow, got %v", err)
 	}
 	// 10 bytes but top bits set beyond 64.
 	b = append(bytes.Repeat([]byte{0xff}, 9), 0x7f)
-	if _, _, err := Uvarint(b); err != ErrOverflow {
-		t.Fatalf("want ErrOverflow for 10-byte overflow, got %v", err)
+	if _, _, err := Uvarint(b); err != errOverflow {
+		t.Fatalf("want errOverflow for 10-byte overflow, got %v", err)
 	}
 }
 
@@ -85,23 +85,23 @@ func TestEncoderDecoderAllTypes(t *testing.T) {
 			t.Fatalf("Next() = (%d,%d,%v), want (%d,%d)", f, typ, err, wantField, wantType)
 		}
 	}
-	expect(1, TVarint)
+	expect(1, tVarint)
 	if v, _ := d.Uint64(); v != 42 {
 		t.Fatal("uint64 mismatch")
 	}
-	expect(2, TVarint)
+	expect(2, tVarint)
 	if v, _ := d.Int64(); v != -7 {
 		t.Fatal("int64 mismatch")
 	}
-	expect(3, TVarint)
+	expect(3, tVarint)
 	if v, _ := d.Bool(); !v {
 		t.Fatal("bool true mismatch")
 	}
-	expect(4, TVarint)
+	expect(4, tVarint)
 	if v, _ := d.Bool(); v {
 		t.Fatal("bool false mismatch")
 	}
-	expect(5, TFixed64)
+	expect(5, tFixed64)
 	if v, _ := d.Float64(); v != 3.25 {
 		t.Fatal("float64 mismatch")
 	}

@@ -87,22 +87,3 @@ func Analyze(gen Generator, n int) TraceStats {
 	sort.Sort(sort.Reverse(sort.IntSlice(st.AccessCounts)))
 	return st
 }
-
-// SizeCDF returns (size, cumulative fraction) points of the value-size
-// distribution over nSamples draws — the Figure 3a curve.
-func SizeCDF(gen Generator, nSamples int, points int) [][2]float64 {
-	sizes := make([]int, nSamples)
-	for i := range sizes {
-		sizes[i] = gen.Next().ValueSize
-	}
-	sort.Ints(sizes)
-	out := make([][2]float64, 0, points)
-	for i := 1; i <= points; i++ {
-		idx := nSamples*i/points - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out = append(out, [2]float64{float64(sizes[idx]), float64(i) / float64(points)})
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -195,9 +194,6 @@ func (s *Schedule) N() int { return len(s.offsets) }
 // Name identifies the schedule in reports ("poisson@2000qps").
 func (s *Schedule) Name() string { return s.name }
 
-// Rate returns the configured mean rate in ops/sec.
-func (s *Schedule) Rate() float64 { return s.rate }
-
 // Offset returns the intended arrival offset of op i.
 func (s *Schedule) Offset(i int) time.Duration { return s.offsets[i] }
 
@@ -211,27 +207,4 @@ func (s *Schedule) Span() time.Duration {
 		return 0
 	}
 	return s.offsets[len(s.offsets)-1]
-}
-
-// OfferedQPS is the schedule-defined offered rate: N()/Span().
-func (s *Schedule) OfferedQPS() float64 {
-	sp := s.Span().Seconds()
-	if sp <= 0 {
-		return 0
-	}
-	return float64(s.N()) / sp
-}
-
-// Encode serializes the timeline (varint nanosecond deltas). Two
-// schedules built from the same config are byte-identical; the
-// determinism suite pins this.
-func (s *Schedule) Encode() []byte {
-	out := make([]byte, 0, 2*len(s.offsets))
-	out = binary.AppendUvarint(out, uint64(len(s.offsets)))
-	prev := time.Duration(0)
-	for _, off := range s.offsets {
-		out = binary.AppendUvarint(out, uint64(off-prev))
-		prev = off
-	}
-	return out
 }

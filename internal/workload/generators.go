@@ -94,9 +94,6 @@ func (s *Synthetic) Next() Op {
 	return Op{Kind: kind, Key: KeyName(perm[rank]), ValueSize: s.cfg.ValueSize}
 }
 
-// Zipf exposes the underlying sampler (analytic model calibration).
-func (s *Synthetic) Zipf() *ZipfSampler { return s.zipf }
-
 // Keys returns the population size.
 func (s *Synthetic) Keys() int { return s.cfg.Keys }
 
@@ -167,9 +164,6 @@ func (m *MetaKV) Next() Op {
 	return Op{Kind: kind, Key: KeyName(keyID), ValueSize: MetaValueSize(keyID)}
 }
 
-// Zipf exposes the underlying sampler.
-func (m *MetaKV) Zipf() *ZipfSampler { return m.zipf }
-
 // Keys returns the population size.
 func (m *MetaKV) Keys() int { return m.cfg.Keys }
 
@@ -239,9 +233,3 @@ func (u *Unity) Next() Op {
 	tableID := u.perm[rank]
 	return Op{Kind: kind, Key: KeyName(tableID), ValueSize: UnityValueSize(tableID)}
 }
-
-// Zipf exposes the underlying sampler.
-func (u *Unity) Zipf() *ZipfSampler { return u.zipf }
-
-// Tables returns the table population size.
-func (u *Unity) Tables() int { return u.cfg.Tables }

@@ -138,9 +138,6 @@ func (r *Replay) Name() string { return r.name }
 // Len returns the number of recorded operations.
 func (r *Replay) Len() int { return len(r.ops) }
 
-// Wrapped returns how many times replay restarted from the beginning.
-func (r *Replay) Wrapped() int { return r.wrapped }
-
 // Next implements Generator.
 func (r *Replay) Next() Op {
 	if len(r.ops) == 0 {

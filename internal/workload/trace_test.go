@@ -27,8 +27,8 @@ func TestTraceRoundtrip(t *testing.T) {
 			t.Fatalf("op %d: %+v vs %+v", i, got, want)
 		}
 	}
-	if rep.Wrapped() != 1 {
-		t.Fatalf("Wrapped = %d after exactly one pass", rep.Wrapped())
+	if rep.wrapped != 1 {
+		t.Fatalf("Wrapped = %d after exactly one pass", rep.wrapped)
 	}
 	// Wraparound restarts from the first op.
 	first := NewSynthetic(SyntheticConfig{Keys: 100, Seed: 9}).Next()

@@ -14,13 +14,13 @@ func TestZipfSamplerSkew(t *testing.T) {
 	for i := 0; i < n; i++ {
 		counts[z.Sample()]++
 	}
-	// Rank 0 must dominate and empirical frequency must track Prob.
+	// Rank 0 must dominate and empirical frequency must track its mass.
 	if counts[0] < counts[10] {
 		t.Fatal("rank 0 should be most popular")
 	}
 	emp := float64(counts[0]) / n
-	if math.Abs(emp-z.Prob(0)) > 0.02 {
-		t.Fatalf("empirical P(0)=%v vs analytic %v", emp, z.Prob(0))
+	if math.Abs(emp-z.TopMass(1)) > 0.02 {
+		t.Fatalf("empirical P(0)=%v vs analytic %v", emp, z.TopMass(1))
 	}
 }
 
@@ -37,7 +37,7 @@ func TestZipfSamplerLowAlpha(t *testing.T) {
 	}
 	// alpha = 0 is uniform.
 	u := NewZipfSampler(10, 0, rng)
-	if math.Abs(u.Prob(0)-0.1) > 1e-9 || math.Abs(u.Prob(9)-0.1) > 1e-9 {
+	if math.Abs(u.TopMass(1)-0.1) > 1e-9 || math.Abs(1-u.TopMass(9)-0.1) > 1e-9 {
 		t.Fatal("alpha=0 should be uniform")
 	}
 }
@@ -196,25 +196,6 @@ func TestAnalyzeCounts(t *testing.T) {
 	}
 	if st.String() == "" {
 		t.Fatal("String should render")
-	}
-}
-
-func TestSizeCDF(t *testing.T) {
-	g := NewUnity(UnityConfig{Seed: 2})
-	cdf := SizeCDF(g, 5000, 20)
-	if len(cdf) != 20 {
-		t.Fatalf("points = %d", len(cdf))
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i][0] < cdf[i-1][0] {
-			t.Fatal("CDF sizes must be non-decreasing")
-		}
-		if cdf[i][1] <= cdf[i-1][1] {
-			t.Fatal("CDF fractions must increase")
-		}
-	}
-	if cdf[len(cdf)-1][1] != 1.0 {
-		t.Fatal("CDF must end at 1")
 	}
 }
 

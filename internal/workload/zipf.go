@@ -38,17 +38,6 @@ func (z *ZipfSampler) Sample() int {
 	return sort.SearchFloat64s(z.cdf, u)
 }
 
-// Prob returns the probability of rank i.
-func (z *ZipfSampler) Prob(i int) float64 {
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
-}
-
-// N returns the population size.
-func (z *ZipfSampler) N() int { return len(z.cdf) }
-
 // TopMass returns the cumulative probability of the k most popular ranks
 // — the analytic hit ratio of a cache holding exactly the top-k objects.
 func (z *ZipfSampler) TopMass(k int) float64 {
