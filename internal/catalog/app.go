@@ -154,11 +154,11 @@ func (a *App) GetTableKV(id int64) (*TableInfo, error) {
 // stats payload of one table (the common steady-state write in a
 // governance service: statistics and property refreshes).
 func (a *App) UpdateTableStats(id int64, stats []byte) error {
-	rs, err := a.db.ExecCtx(a.sc, "UPDATE tables SET stats = ? WHERE id = ?", sql.Blob(stats), sql.Int64(id))
+	n, err := a.db.ExecCtx(a.sc, "UPDATE tables SET stats = ? WHERE id = ?", sql.Blob(stats), sql.Int64(id))
 	if err != nil {
 		return err
 	}
-	if rs.RowsAffected == 0 {
+	if n == 0 {
 		return fmt.Errorf("catalog: no table %d", id)
 	}
 	return nil
@@ -167,12 +167,12 @@ func (a *App) UpdateTableStats(id int64, stats []byte) error {
 // UpdateTableKV is the KV-variant write path: re-materialize and replace
 // the denormalized object (the write amplification denormalization buys).
 func (a *App) UpdateTableKV(info *TableInfo) error {
-	rs, err := a.db.ExecCtx(a.sc, "UPDATE tables_denorm SET obj = ? WHERE id = ?",
+	n, err := a.db.ExecCtx(a.sc, "UPDATE tables_denorm SET obj = ? WHERE id = ?",
 		sql.Blob(wire.Marshal(info)), sql.Int64(info.ID))
 	if err != nil {
 		return err
 	}
-	if rs.RowsAffected == 0 {
+	if n == 0 {
 		return fmt.Errorf("catalog: no denormalized table %d", info.ID)
 	}
 	return nil

@@ -131,9 +131,12 @@ func TestMeteredOpsUnchanged(t *testing.T) {
 // the digest it returns. A Remote hit adds the cache round trip and not
 // one value-sized buffer — the value is encoded into a pool buffer,
 // copied across the loopback into another, and digested in place
-// (DESIGN.md, "Buffer ownership"). A write is replicated three ways; per
-// replica it costs the old row read, the new row, its memtable entry and,
-// amortised over the memtable, a page re-encode at flush.
+// (DESIGN.md, "Buffer ownership"). A write is parsed four times and
+// applied three ways; per replica it keeps one thing, the new row, which
+// becomes its memtable entry, plus, amortised over the memtable, the pages
+// a flush writes. The old row is read where the store keeps it, and the
+// statement, the command and the result are scratch the node and the
+// replicas reuse. A 10 B write shows the per-message part alone.
 //
 // Anything handed through the tier interface that is built per request (a
 // closure over the storage statement, say) escapes to the heap and shows
@@ -150,10 +153,17 @@ func TestLinkedHitAllocs(t *testing.T) {
 		arch                 Arch
 		readAllocs, readB    float64 // per warmed read: count, bytes
 		writeAllocs, writeBV float64 // per write: count, bytes as a multiple of the value
+		smallWriteAllocs     float64 // per warmed 10 B write: count
 	}{
-		{Base, 20, 2.4 * valueSize, 72, 14},   // parent: 42 / 2.4 values; 176 / 14 values
-		{Remote, 2, 0.05 * valueSize, 75, 14}, // parent: 2 / 0.05 values; 179 / 14 values
-		{Linked, 2, 32, 73, 14},               // parent: 2 / 32 B; 177 / 14 values
+		// Measured 11.0 / 1.02 values; 24.9 / 6.66 values; 4.37 at 10 B.
+		// Parent: 19.0 / 2.18 values; 69.9 / 11.34 values; 52.4 at 10 B.
+		{Base, 11, 1.1 * valueSize, 25, 7, 4.5},
+		// Measured 2.01 / 51 B; 25.9 / 6.66 values; 5.36 at 10 B.
+		// Parent: 2.02 / 52 B; 72.9 / 11.34 values; 55.4 at 10 B.
+		{Remote, 2, 0.05 * valueSize, 26, 7, 5.5},
+		// Measured 2.00 / 32 B; 27.0 / 7.67 values; 6.36 at 10 B.
+		// Parent: 2.00 / 32 B; 70.9 / 12.34 values; 53.4 at 10 B.
+		{Linked, 2, 32, 27, 8, 6.5},
 	} {
 		t.Run(tc.arch.String(), func(t *testing.T) {
 			gen := workload.NewSynthetic(workload.SyntheticConfig{
@@ -191,6 +201,14 @@ func TestLinkedHitAllocs(t *testing.T) {
 			t.Logf("write: %.1f allocs, %.2f values per op", allocs, bytes/valueSize)
 			if allocs > tc.writeAllocs+0.5 || bytes > tc.writeBV*valueSize {
 				t.Errorf("write allocates %.1f / %.1f values per op, want <= %v / %v values", allocs, bytes/valueSize, tc.writeAllocs, tc.writeBV)
+			}
+			small := ValueFor(key, 10)
+			writeSmall := func(i int) error { return svc.Write(workload.KeyName(i%keys), small) }
+			perOp(keys, writeSmall) // every row small, every key in the memtable
+			allocs, bytes = perOp(5*keys, writeSmall)
+			t.Logf("10 B write: %.2f allocs, %.0f B per op", allocs, bytes)
+			if allocs > tc.smallWriteAllocs+0.5 {
+				t.Errorf("10 B write allocates %.2f per op, want <= %v", allocs, tc.smallWriteAllocs)
 			}
 		})
 	}

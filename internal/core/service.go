@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"strings"
+	"unsafe"
 
 	"cachecost/internal/admission"
 	"cachecost/internal/linkedcache"
@@ -157,12 +159,12 @@ func (s *service[V]) read(l *lane[V], sc trace.SpanContext, key string) (v V, he
 }
 
 // write applies a write on lane l. Where the payload is the whole object,
-// a tier that can keep it does; the rest invalidate. payload is only valid
-// for the call (it aliases the request), so what a tier keeps is the
-// application's own copy.
+// a tier that can keep it does; the rest invalidate. key and payload may
+// only be valid for the call (they alias the request), so what a tier
+// keeps is its own copy: the key's here, the application's object.
 func (s *service[V]) write(l *lane[V], sc trace.SpanContext, key string, payload []byte) error {
 	if wt, ok := l.tier.(writeThrough[V]); ok && s.app.object != nil {
-		return wt.write(sc, key, s.app.object(payload), payload, l.src)
+		return wt.write(sc, strings.Clone(key), s.app.object(payload), payload, l.src)
 	}
 	return l.tier.drop(sc, key, payload, l.src)
 }
@@ -271,8 +273,9 @@ func (s *service[V]) handleWrite(l *lane[V], sc trace.SpanContext, req []byte) (
 	sc.Lane().CountRequest()
 	act, asc := trace.Start(sc, "app", "write")
 	defer act.End()
-	// SetRequest shape {1: key, 2: value}. The key is copied (tiers keep
-	// it); the value aliases req, which outlives every use below.
+	// SetRequest shape {1: key, 2: value}. Key and value alias req, which
+	// outlives every use below; write copies the key for a tier that
+	// keeps it.
 	kb, err := fieldBytes(req, 1)
 	if err != nil {
 		return nil, err
@@ -281,7 +284,7 @@ func (s *service[V]) handleWrite(l *lane[V], sc trace.SpanContext, req []byte) (
 	if err != nil {
 		return nil, err
 	}
-	key := string(kb)
+	key := unsafe.String(unsafe.SliceData(kb), len(kb))
 	outcome, release := s.admit(sc)
 	switch outcome {
 	case admission.ShedQueueFull:

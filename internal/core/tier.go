@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,7 +73,9 @@ type tier[V any] interface {
 	// allocation per request.
 	read(sc trace.SpanContext, key string, src source[V]) (v V, held []byte, hit bool, err error)
 	// drop applies a write whose resulting object the caller does not
-	// hold, and removes key's entry so the next read reloads it.
+	// hold, and removes key's entry so the next read reloads it. key may
+	// alias the request (the front door's write): a tier that keeps it
+	// past the call copies it.
 	drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error
 }
 
@@ -612,6 +615,7 @@ func (t *ownedTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V,
 // assignment, which preserves linearizability (the owner is the only
 // writer of its keys).
 func (t *ownedTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
+	key = strings.Clone(key) // the sharder tracks the keys it assigns
 	if _, err := t.assign(key); err != nil {
 		return err
 	}

@@ -194,10 +194,10 @@ func TestLaneHandlerErrorPath(t *testing.T) {
 	}
 }
 
-// clockReadsPerRead builds arch on a counting clock, warms it, and
-// returns the clock reads of n reads through KVService.Read together with
-// the service's meter.
-func clockReadsPerRead(t *testing.T, arch core.Arch, cacheBytes int64, n int) (float64, *meter.Meter) {
+// clockReadsPerOp builds arch on a counting clock, warms it, and returns
+// the clock reads of n reads through KVService.Read — or, with write, of
+// n writes through KVService.Write — together with the service's meter.
+func clockReadsPerOp(t *testing.T, arch core.Arch, cacheBytes int64, n int, write bool) (float64, *meter.Meter) {
 	t.Helper()
 	m, clk := tickMeter()
 	const keys = 64
@@ -208,37 +208,61 @@ func clockReadsPerRead(t *testing.T, arch core.Arch, cacheBytes int64, n int) (f
 	if err != nil {
 		t.Fatal(err)
 	}
-	read := func(i int) {
-		if _, err := svc.Read(workload.KeyName(i % keys)); err != nil {
+	value := core.ValueFor("clock", 256)
+	op := func(i int) {
+		key := workload.KeyName(i % keys)
+		var err error
+		if write {
+			err = svc.Write(key, value)
+		} else {
+			_, err = svc.Read(key)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < keys; i++ {
-		read(i) // fill the cache tier
+		op(i) // fill the cache tier, or give every key a memtable entry
 	}
 	m.Reset()
 	before := clk.reads.Load()
 	for i := 0; i < n; i++ {
-		read(i)
+		op(i)
 	}
 	return float64(clk.reads.Load()-before) / float64(n), m
 }
 
 // TestClockReadBudget pins what metering costs a request: busy-clock
-// reads per read through the front door. A Linked hit opens and closes
+// reads per request through the front door. A Linked hit opens and closes
 // its lane and never leaves "app"; a Remote hit adds the cache server's
 // lap; a Base point read walks app -> storage sql -> raft -> exec (with
-// kv's own stopwatch pair inside) -> sql -> rpc -> app.
+// kv's own stopwatch pair inside) -> sql -> rpc -> app. A write walks the
+// storage node's sections once on the leader and once more per replica
+// apply (sql, exec with kv's stopwatch pairs), and a Remote write adds
+// the cache Delete's lap. The write counts are pinned exactly, at what
+// they were before the write path stopped allocating, so a change to it
+// cannot add or drop a lap boundary.
 func TestClockReadBudget(t *testing.T) {
 	for _, c := range []struct {
 		arch   core.Arch
+		write  bool
 		budget float64
-	}{{core.Linked, 2}, {core.Remote, 4}, {core.Base, 10}} {
-		t.Run(c.arch.String(), func(t *testing.T) {
+	}{
+		{core.Linked, false, 2}, {core.Remote, false, 4}, {core.Base, false, 10},
+		{core.Linked, true, 25}, {core.Remote, true, 27}, {core.Base, true, 25},
+	} {
+		name := c.arch.String()
+		if c.write {
+			name += "Write"
+		}
+		t.Run(name, func(t *testing.T) {
 			const n = 200
-			reads, m := clockReadsPerRead(t, c.arch, 1<<30, n)
-			if reads > c.budget {
+			reads, m := clockReadsPerOp(t, c.arch, 1<<30, n, c.write)
+			if !c.write && reads > c.budget {
 				t.Errorf("%.2f clock reads per read, budget %.0f", reads, c.budget)
+			}
+			if c.write && reads != c.budget {
+				t.Errorf("%.2f clock reads per write, want exactly %.0f", reads, c.budget)
 			}
 			// One lane per request and a clock that ticks once per read:
 			// the busy total is reads minus one per request (k reads bound

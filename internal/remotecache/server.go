@@ -283,14 +283,25 @@ func (s *Server) put(key string, value []byte, ttlMs int64) {
 }
 
 func (s *Server) handleDelete(sc trace.SpanContext, req []byte) ([]byte, error) {
-	var r DeleteRequest
-	if err := wire.Unmarshal(req, &r); err != nil {
+	// DeleteRequest shape {1: key}. The key is only a lookup argument, so
+	// it aliases the request, as handleGet's does.
+	var key string
+	err := wire.Decode(req, func(d *wire.Decoder) (err error) {
+		return decodeFields(d, func(f uint32, t wire.Type) error {
+			if f == 1 {
+				key, err = d.StringZC()
+				return err
+			}
+			return d.Skip(t)
+		})
+	})
+	if err != nil {
 		return nil, err
 	}
 	s.acquire(sc.Lane())
 	defer s.release()
 	act, _ := trace.Start(sc, s.name, "delete")
-	existed := s.store.Delete(r.Key)
+	existed := s.store.Delete(key)
 	act.AnnotateBool("cache.hit", existed)
 	act.End()
 	return replyAck(existed), nil

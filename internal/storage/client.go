@@ -22,44 +22,15 @@ func NewClient(conn rpc.Conn) *Client { return &Client{conn: conn} }
 
 // Query runs a SELECT with bound parameters.
 func (c *Client) Query(src string, params ...sql.Value) (*plan.ResultSet, error) {
-	return c.roundTrip(trace.SpanContext{}, "sql.Query", src, params)
+	return c.QueryCtx(trace.SpanContext{}, src, params...)
 }
 
 // QueryCtx is Query carrying the caller's span context through to the
-// storage node.
+// storage node. The ResultSet decoder copies every string and blob out of
+// the response, so the response is dead once it returns.
 func (c *Client) QueryCtx(sc trace.SpanContext, src string, params ...sql.Value) (*plan.ResultSet, error) {
-	return c.roundTrip(sc, "sql.Query", src, params)
-}
-
-// Exec runs a write statement (INSERT/UPDATE/DELETE/DDL) with bound
-// parameters, replicated through the storage node's raft group.
-func (c *Client) Exec(src string, params ...sql.Value) (*plan.ResultSet, error) {
-	return c.roundTrip(trace.SpanContext{}, "sql.Exec", src, params)
-}
-
-// ExecCtx is Exec carrying the caller's span context.
-func (c *Client) ExecCtx(sc trace.SpanContext, src string, params ...sql.Value) (*plan.ResultSet, error) {
-	return c.roundTrip(sc, "sql.Exec", src, params)
-}
-
-// roundTrip encodes one statement, calls the node, and decodes the result
-// set. Request and response buffers cycle through the transport pool: the
-// ResultSet decoder copies every string and blob out of its input, so the
-// response is dead once Unmarshal returns.
-//
-// On a lane a flight recorder armed, the whole client-observed round trip
-// — marshal, hop, server occupancy (injected stalls included), decode —
-// lands in StageStorage.
-func (c *Client) roundTrip(sc trace.SpanContext, method, src string, params []sql.Value) (*plan.ResultSet, error) {
 	defer sc.Lane().AddStage(meter.StageStorage, sc.Lane().StageClock())
-	// QueryRequest shape {1: sql, 2: param...}, encoded from the pool.
-	e := wire.GetEncoder()
-	e.String(1, src)
-	for _, p := range params {
-		sql.EncodeValue(e, 2, p)
-	}
-	respBody, err := rpc.CallTraced(c.conn, sc, method, e.Bytes())
-	wire.PutEncoder(e)
+	respBody, err := c.call(sc, "sql.Query", src, params)
 	if err != nil {
 		return nil, err
 	}
@@ -70,6 +41,45 @@ func (c *Client) roundTrip(sc trace.SpanContext, method, src string, params []sq
 		return nil, err
 	}
 	return rs, nil
+}
+
+// Exec runs a write statement (INSERT/UPDATE/DELETE/DDL) with bound
+// parameters, replicated through the storage node's raft group, and
+// returns the number of rows it affected.
+func (c *Client) Exec(src string, params ...sql.Value) (int64, error) {
+	return c.ExecCtx(trace.SpanContext{}, src, params...)
+}
+
+// ExecCtx is Exec carrying the caller's span context. A write's result
+// is its row count alone, read straight off the response.
+func (c *Client) ExecCtx(sc trace.SpanContext, src string, params ...sql.Value) (int64, error) {
+	defer sc.Lane().AddStage(meter.StageStorage, sc.Lane().StageClock())
+	respBody, err := c.call(sc, "sql.Exec", src, params)
+	if err != nil {
+		return 0, err
+	}
+	n, err := plan.RowsAffected(respBody)
+	rpc.PutBuffer(respBody)
+	return n, err
+}
+
+// call encodes one statement and calls the node. Request and response
+// buffers cycle through the transport pool: the caller decodes the
+// response and recycles it.
+//
+// On a lane a flight recorder armed, the whole client-observed round trip
+// — marshal, hop, server occupancy (injected stalls included), decode —
+// lands in StageStorage: the callers time it.
+func (c *Client) call(sc trace.SpanContext, method, src string, params []sql.Value) ([]byte, error) {
+	// QueryRequest shape {1: sql, 2: param...}, encoded from the pool.
+	e := wire.GetEncoder()
+	e.String(1, src)
+	for _, p := range params {
+		sql.EncodeValue(e, 2, p)
+	}
+	respBody, err := rpc.CallTraced(c.conn, sc, method, e.Bytes())
+	wire.PutEncoder(e)
+	return respBody, err
 }
 
 // VersionCtx is Version carrying the caller's span context; its round

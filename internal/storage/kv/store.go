@@ -385,7 +385,11 @@ func (s *Store) encodeDirty() {
 	}
 }
 
-// Get returns a copy of the value and its version.
+// Get returns the value and its version. The value is lent, not copied:
+// a stored value is never rewritten — a Put replaces the slice, a flush
+// or a block-cache load builds new pages around it — so the caller may
+// read it for as long as it likes, and must not write it. Its capacity
+// is clipped, so an append reallocates.
 func (s *Store) Get(key []byte) (val []byte, ver Version, ok bool) {
 	s.track(func() {
 		s.mu.Lock()
@@ -396,17 +400,11 @@ func (s *Store) Get(key []byte) (val []byte, ver Version, ok bool) {
 			if e.tomb {
 				return
 			}
-			val = append([]byte(nil), e.val...)
-			ver = e.ver
-			ok = true
+			val, ver, ok = e.val, e.ver, true
 			return
 		}
 		if s.dur != nil {
-			var v []byte
-			v, ver, ok = s.durGet(key)
-			if ok {
-				val = append([]byte(nil), v...)
-			}
+			val, ver, ok = s.durGet(key)
 			return
 		}
 		p := s.pages[s.pageIdx(key)]
@@ -415,11 +413,9 @@ func (s *Store) Get(key []byte) (val []byte, ver Version, ok bool) {
 		if !found {
 			return
 		}
-		val = append([]byte(nil), dp.vals[i]...)
-		ver = dp.vers[i]
-		ok = true
+		val, ver, ok = dp.vals[i], dp.vers[i], true
 	})
-	return val, ver, ok
+	return val[:len(val):len(val)], ver, ok
 }
 
 // VersionOf returns the version of key without copying the value. It
@@ -460,7 +456,8 @@ func (s *Store) VersionOf(key []byte) (ver Version, ok bool) {
 // lands in the memtable after a WAL append charge; pages absorb it at
 // the next flush. The store keeps value itself, not a copy: the caller
 // gives it up and must not change it afterwards (DESIGN.md, "Buffer
-// ownership"). key is only read.
+// ownership"). key is only read; the memtable copies it when the key is
+// new to it, and rewrites the entry of a key it holds in place.
 func (s *Store) Put(key, value []byte) (ver Version) {
 	s.track(func() {
 		s.mu.Lock()
@@ -468,21 +465,15 @@ func (s *Store) Put(key, value []byte) (ver Version) {
 		s.stats.Puts++
 		s.version++
 		ver = s.version
-		k := string(key)
 		if s.dur != nil {
 			// Real WAL append (CRC-framed, group-committed).
 			s.durAppend(WALRecord{Op: walOpPut, Version: ver, Key: key, Value: value})
-			s.durTierWrite(k, value, ver, false)
+			s.durTierWrite(string(key), value, ver, false)
 		} else {
 			// WAL append: sequential write of the record.
 			s.burnDisk(len(key)+len(value), s.cfg.DiskWritePenaltyPerByte)
 		}
-		if old, ok := s.mem[k]; ok {
-			s.memBytes -= int64(len(old.val))
-		} else {
-			s.memBytes += int64(len(k)) + 48
-		}
-		s.mem[k] = &memEntry{val: value, ver: ver}
+		*s.memSlot(key) = memEntry{val: value, ver: ver}
 		s.memBytes += int64(len(value))
 		if s.memBytes > s.cfg.MemtableBytes {
 			s.flushLocked()
@@ -499,8 +490,7 @@ func (s *Store) Delete(key []byte) (existed bool) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.stats.Deletes++
-		k := string(key)
-		if e, ok := s.mem[k]; ok {
+		if e, ok := s.mem[string(key)]; ok {
 			existed = !e.tomb
 		} else if s.dur != nil {
 			_, _, existed = s.durGet(key)
@@ -515,18 +505,27 @@ func (s *Store) Delete(key []byte) (existed bool) {
 		s.version++
 		if s.dur != nil {
 			s.durAppend(WALRecord{Op: walOpDelete, Version: s.version, Key: key})
-			s.durTierWrite(k, nil, s.version, true)
+			s.durTierWrite(string(key), nil, s.version, true)
 		} else {
 			s.burnDisk(len(key), s.cfg.DiskWritePenaltyPerByte) // tombstone WAL append
 		}
-		if old, ok := s.mem[k]; ok {
-			s.memBytes -= int64(len(old.val))
-		} else {
-			s.memBytes += int64(len(k)) + 48
-		}
-		s.mem[k] = &memEntry{ver: s.version, tomb: true}
+		*s.memSlot(key) = memEntry{ver: s.version, tomb: true}
 	})
 	return existed
+}
+
+// memSlot returns key's memtable entry for a write to overwrite, taking
+// the old value out of memBytes. A key the memtable does not hold yet is
+// added: the key is copied then, and only then. Callers hold s.mu.
+func (s *Store) memSlot(key []byte) *memEntry {
+	if e, ok := s.mem[string(key)]; ok {
+		s.memBytes -= int64(len(e.val))
+		return e
+	}
+	e := new(memEntry)
+	s.mem[string(key)] = e
+	s.memBytes += int64(len(key)) + 48
+	return e
 }
 
 // flushLocked applies every memtable entry to the page store (or, for a
@@ -578,12 +577,11 @@ func (s *Store) applyToPages(key, value []byte, ver Version) {
 	// The decoded page in the cache is about to be mutated; work on a
 	// shallow copy of the slices so other references stay coherent.
 	ndp := dp.clone()
-	k := append([]byte(nil), key...)
 	if found {
 		ndp.vals[i] = value
 		ndp.vers[i] = ver
 	} else {
-		ndp.keys = insertAt(ndp.keys, i, k)
+		ndp.keys = insertAt(ndp.keys, i, append([]byte(nil), key...))
 		ndp.vals = insertAt(ndp.vals, i, value)
 		ndp.vers = insertVerAt(ndp.vers, i, ver)
 	}

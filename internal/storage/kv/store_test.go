@@ -146,14 +146,32 @@ func TestScanAcrossManyPages(t *testing.T) {
 	}
 }
 
-func TestGetCopiesValue(t *testing.T) {
+// TestGetLendsStoredValue: Get lends the stored value instead of copying
+// it, which is safe because the store never rewrites a value it holds. A
+// lent value stays as it was through an overwrite of its key, a flush
+// and a delete, from the memtable and from a page alike, and its
+// capacity is clipped, so an append reallocates instead of writing into
+// the store.
+func TestGetLendsStoredValue(t *testing.T) {
 	s := newTestStore()
-	s.Put([]byte("k"), []byte("original"))
-	v, _, _ := s.Get([]byte("k"))
-	v[0] = 'X'
-	v2, _, _ := s.Get([]byte("k"))
-	if string(v2) != "original" {
-		t.Fatal("Get must return a copy, not an alias into the store")
+	s.Put([]byte("k"), append(make([]byte, 0, 64), "original"...))
+	fromMem, _, _ := s.Get([]byte("k"))
+	if cap(fromMem) != len(fromMem) {
+		t.Fatalf("lent value has capacity %d for length %d", cap(fromMem), len(fromMem))
+	}
+	_ = append(fromMem, "XXXX"...)
+	s.Flush()
+	fromPage, _, _ := s.Get([]byte("k"))
+	s.Put([]byte("k"), []byte("replaced"))
+	s.Flush()
+	s.Delete([]byte("k"))
+	s.Flush()
+	if string(fromMem) != "original" || string(fromPage) != "original" {
+		t.Fatalf("lent values changed to %q and %q", fromMem, fromPage)
+	}
+	s.Put([]byte("j"), []byte("value"))
+	if got := testing.AllocsPerRun(100, func() { s.Get([]byte("j")) }); got != 0 {
+		t.Errorf("Get from the memtable: %v allocs, want 0", got)
 	}
 }
 

@@ -8,15 +8,16 @@
 package storage
 
 import (
+	"cachecost/internal/rpc"
 	"cachecost/internal/storage/sql"
 	"cachecost/internal/wire"
 )
 
 // QueryRequest is the body of the sql.Query / sql.Exec RPC methods, and
-// of a replicated statement's raft log entry. Decoded BLOB parameters
-// alias the decoder's input: the node's handlers consume them before
-// returning, and a raft log entry never changes (DESIGN.md, "Buffer
-// ownership").
+// of a replicated statement's proposed command. Decoded TEXT and BLOB
+// parameters alias the decoder's input: the node's handlers consume them
+// before returning, and a proposed command is never written while a
+// replica applies it (DESIGN.md, "Buffer ownership").
 type QueryRequest struct {
 	SQL    string
 	Params []sql.Value
@@ -24,6 +25,9 @@ type QueryRequest struct {
 	// texts, when set, supplies the statement text on decode; see
 	// decodeInPlace.
 	texts stmtTexts
+	// stmt is the owner's statement scratch: SQL is parsed into it, and
+	// the AST is the owner's until reset.
+	stmt sql.Scratch
 }
 
 // MarshalWire implements wire.Marshaler.
@@ -75,11 +79,13 @@ func (q *QueryRequest) decodeInPlace(buf []byte) error {
 	return wire.Unmarshal(buf, q)
 }
 
-// reset empties q for reuse, zeroing the Params it held so no BLOB alias
-// of a finished request outlives its handler.
+// reset empties q for reuse, zeroing the Params and the AST it held so no
+// alias of a finished request, and no piece of its statement, outlives
+// its handler.
 func (q *QueryRequest) reset() {
 	clear(q.Params)
 	q.SQL, q.Params = "", q.Params[:0]
+	q.stmt.Reset()
 }
 
 // stmtTexts interns statement texts. A node serves a handful of distinct
@@ -182,13 +188,11 @@ func (v *VersionResponse) UnmarshalWire(d *wire.Decoder) error {
 	return nil
 }
 
-// encodeCmd encodes a statement and its bound parameters as a raft log
-// entry: statement-based replication in QueryRequest's shape, which each
-// replica's applier decodes in place.
+// encodeCmd encodes a statement and its bound parameters as a proposed
+// command: statement-based replication in QueryRequest's shape, which
+// each replica's applier decodes in place. The buffer comes from the
+// transport pool; nothing keeps the command once Propose returns, so the
+// proposer recycles it then.
 func encodeCmd(q *QueryRequest) []byte {
-	size := 64 + len(q.SQL)
-	for _, p := range q.Params {
-		size += int(p.Size())
-	}
-	return wire.AppendMarshal(make([]byte, 0, size), q)
+	return wire.AppendMarshal(rpc.GetBuffer(), q)
 }

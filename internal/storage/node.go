@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
@@ -120,9 +121,9 @@ type Node struct {
 	histVersion *telemetry.Histogram
 	histBatch   *telemetry.Histogram
 
-	// lastResult holds each replica's most recent apply result; indexed
-	// by replica id, guarded by mu (appliers run under Propose, which the
-	// handlers call while holding mu).
+	// lastResult holds each replica's most recent apply result, its DB's
+	// own (plan.DB.Exec); indexed by replica id, guarded by mu (appliers
+	// run under Propose, which the handlers call while holding mu).
 	lastResult []*plan.ResultSet
 
 	// req is the statement a handler is serving, decoded in place; texts
@@ -274,7 +275,7 @@ func (a *applier) ApplyCtx(sc trace.SpanContext, cmd raft.Command) {
 	}
 	n, lane := a.node, sc.Lane()
 	lane.EnterOp(n.sqlComp)
-	stmt, err := sql.Parse(a.req.SQL)
+	stmt, err := a.req.stmt.Parse(a.req.SQL)
 	if err != nil {
 		n.noteApplyErr(fmt.Errorf("storage: replica %d: %w", a.id, err))
 		return
@@ -422,7 +423,7 @@ func (n *Node) parseStatement(sc trace.SpanContext, req []byte) (stmt sql.Stmt, 
 	sc.Lane().EnterOp(n.sqlComp)
 	act, _ = trace.Start(sc, "storage.sql", "parse")
 	if err = n.req.decodeInPlace(req); err == nil {
-		stmt, err = sql.Parse(n.req.SQL)
+		stmt, err = n.req.stmt.Parse(n.req.SQL)
 	}
 	return stmt, act, err
 }
@@ -506,7 +507,7 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 
 	cmd := raft.Command{
 		Op:    raft.OpPut,
-		Key:   []byte(n.req.SQL[:min(len(n.req.SQL), 32)]),
+		Key:   cmdKey(n.req.SQL),
 		Value: encodeCmd(&n.req),
 	}
 	// The replication slice of the write is informational sub-stage time:
@@ -515,6 +516,7 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 	raftT0 := lane.StageClock()
 	lane.Enter(n.raftComp) // the ships' laps; each replica's apply walks on from here
 	_, perr := n.group.ProposeCtx(sc, cmd)
+	rpc.PutBuffer(cmd.Value)
 	lane.AddStage(meter.StageRaft, raftT0)
 	if perr != nil {
 		return nil, perr
@@ -522,11 +524,16 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 	if err := n.firstApplyErr(); err != nil {
 		return nil, err
 	}
-	rs := &plan.ResultSet{}
-	if n.lastResult[0] != nil {
-		rs = n.lastResult[0]
-	}
-	return n.encode(lane, rs), nil
+	// Every replica applied the statement; the leader's result is its
+	// answer.
+	return n.encode(lane, n.lastResult[0]), nil
+}
+
+// cmdKey is a proposed command's key: the statement's first 32 bytes.
+// The group reads it only for its length, which the ship burn prices, so
+// it is the statement text itself, read-only, not a copy.
+func cmdKey(stmt string) []byte {
+	return unsafe.Slice(unsafe.StringData(stmt), min(len(stmt), 32))
 }
 
 // handleVersion serves the §5.5 version check. As in TiDB, it traverses

@@ -29,12 +29,12 @@ func TestExecAndQueryThroughRPC(t *testing.T) {
 	if _, err := c.Exec("CREATE TABLE t (id INT PRIMARY KEY, name TEXT)"); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := c.Exec("INSERT INTO t (id, name) VALUES (1, 'a'), (2, 'b')")
+	affected, err := c.Exec("INSERT INTO t (id, name) VALUES (1, 'a'), (2, 'b')")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.RowsAffected != 2 {
-		t.Fatalf("RowsAffected = %d, want 2", rs.RowsAffected)
+	if affected != 2 {
+		t.Fatalf("rows affected = %d, want 2", affected)
 	}
 	got, err := c.Query("SELECT name FROM t WHERE id = ?", sql.Int64(2))
 	if err != nil {

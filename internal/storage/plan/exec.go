@@ -38,7 +38,8 @@ var (
 	ErrNullKey      = errors.New("plan: primary key must not be NULL")
 )
 
-// DB binds a catalog to a kv store and executes statements.
+// DB binds a catalog to a kv store and executes statements, one at a
+// time.
 type DB struct {
 	cat   *Catalog
 	store *kv.Store
@@ -46,6 +47,45 @@ type DB struct {
 	// lastPath records the access path of the most recent base-table
 	// scan, for tests and EXPLAIN-style diagnostics.
 	lastPath AccessPath
+
+	// A statement's scratch, reused statement after statement: vals is
+	// the arena its rows are decoded and built in, rows the rows its
+	// base-table scan matched. Exec empties both when the statement
+	// returns (release). res is a write's result (wrote).
+	vals []sql.Value
+	rows [][]sql.Value
+	res  ResultSet
+}
+
+// maxKeptVals bounds the row arena a DB keeps between statements: a large
+// scan's arena is dropped rather than held for point statements.
+const maxKeptVals = 1024
+
+// rowVals returns n NULL values from the statement's arena. A slice it
+// returned earlier stays valid when the arena grows: it keeps the old
+// array.
+func (db *DB) rowVals(n int) []sql.Value {
+	at := len(db.vals)
+	db.vals = append(db.vals, make([]sql.Value, n)...)
+	return db.vals[at : at+n : at+n]
+}
+
+// release ends a statement: the arena and the matched rows are zeroed,
+// so no row of it stays reachable, and kept unless they grew too large.
+func (db *DB) release() {
+	clear(db.vals)
+	clear(db.rows)
+	db.vals, db.rows = db.vals[:0], db.rows[:0]
+	if cap(db.vals) > maxKeptVals {
+		db.vals, db.rows = nil, nil
+	}
+}
+
+// wrote returns a write's result: the DB's own ResultSet, valid until
+// its next statement.
+func (db *DB) wrote(n int64) *ResultSet {
+	db.res = ResultSet{RowsAffected: n}
+	return &db.res
 }
 
 // NewDB returns a DB over store with an empty catalog.
@@ -68,12 +108,16 @@ func (db *DB) ExecSQL(src string, params ...sql.Value) (*ResultSet, error) {
 	return db.Exec(stmt, params)
 }
 
-// Exec executes a parsed statement with bound parameters.
+// Exec executes a parsed statement with bound parameters. A SELECT's
+// ResultSet is the caller's; its TEXT and BLOB values may alias rows the
+// store lent, which it never rewrites. Any other statement's is the DB's
+// own, valid until the DB's next statement.
 func (db *DB) Exec(stmt sql.Stmt, params []sql.Value) (*ResultSet, error) {
+	defer db.release()
 	switch st := stmt.(type) {
 	case *sql.CreateTableStmt:
 		_, err := db.cat.Define(st)
-		return &ResultSet{}, err
+		return db.wrote(0), err
 	case *sql.CreateIndexStmt:
 		return db.execCreateIndex(st)
 	case *sql.InsertStmt:
@@ -95,16 +139,17 @@ func (db *DB) execCreateIndex(st *sql.CreateIndexStmt) (*ResultSet, error) {
 		return nil, err
 	}
 	if !created {
-		return &ResultSet{}, nil
+		return db.wrote(0), nil
 	}
 	// Backfill the index from existing rows.
 	col := t.ColIndex(st.Column)
 	prefix := tablePrefix(t.Name)
 	items := db.store.Scan(prefix, prefixEnd(prefix), 0)
 	var n int64
+	vals := make([]sql.Value, len(t.Cols))
 	for _, it := range items {
-		vals, err := decodeRow(it.Value, len(t.Cols))
-		if err != nil {
+		clear(vals)
+		if err := decodeRow(vals, it.Value); err != nil {
 			return nil, err
 		}
 		if vals[col].IsNull() {
@@ -113,7 +158,7 @@ func (db *DB) execCreateIndex(st *sql.CreateIndexStmt) (*ResultSet, error) {
 		db.store.Put(indexKey(t.Name, st.Name, vals[col], vals[t.PKIndex]), nil)
 		n++
 	}
-	return &ResultSet{RowsAffected: n}, nil
+	return db.wrote(n), nil
 }
 
 // evalExpr resolves a literal or parameter.
@@ -142,7 +187,7 @@ func (db *DB) execInsert(st *sql.InsertStmt, params []sql.Value) (*ResultSet, er
 	}
 	var n int64
 	for _, row := range st.Rows {
-		vals := make([]sql.Value, len(t.Cols))
+		vals := db.rowVals(len(t.Cols))
 		for i, x := range row {
 			v, err := evalExpr(x, params)
 			if err != nil {
@@ -168,7 +213,7 @@ func (db *DB) execInsert(st *sql.InsertStmt, params []sql.Value) (*ResultSet, er
 		}
 		n++
 	}
-	return &ResultSet{RowsAffected: n}, nil
+	return db.wrote(n), nil
 }
 
 func (db *DB) execUpdate(st *sql.UpdateStmt, params []sql.Value) (*ResultSet, error) {
@@ -176,7 +221,8 @@ func (db *DB) execUpdate(st *sql.UpdateStmt, params []sql.Value) (*ResultSet, er
 	if err != nil {
 		return nil, err
 	}
-	rows, err := db.scanTable(t, st.Where, params, 0)
+	rows, err := db.scanTable(db.rows[:0], t, st.Where, params, 0)
+	db.rows = rows
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +241,7 @@ func (db *DB) execUpdate(st *sql.UpdateStmt, params []sql.Value) (*ResultSet, er
 	var n int64
 	for _, vals := range rows {
 		pk := vals[t.PKIndex]
-		newVals := make([]sql.Value, len(vals))
+		newVals := db.rowVals(len(vals))
 		copy(newVals, vals)
 		for i, a := range st.Set {
 			v, err := evalExpr(a.X, params)
@@ -222,7 +268,7 @@ func (db *DB) execUpdate(st *sql.UpdateStmt, params []sql.Value) (*ResultSet, er
 		db.store.Put(rowKey(kb[:0], t.Name, pk), encodeRow(newVals))
 		n++
 	}
-	return &ResultSet{RowsAffected: n}, nil
+	return db.wrote(n), nil
 }
 
 func (db *DB) execDelete(st *sql.DeleteStmt, params []sql.Value) (*ResultSet, error) {
@@ -230,7 +276,8 @@ func (db *DB) execDelete(st *sql.DeleteStmt, params []sql.Value) (*ResultSet, er
 	if err != nil {
 		return nil, err
 	}
-	rows, err := db.scanTable(t, st.Where, params, 0)
+	rows, err := db.scanTable(db.rows[:0], t, st.Where, params, 0)
+	db.rows = rows
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +294,7 @@ func (db *DB) execDelete(st *sql.DeleteStmt, params []sql.Value) (*ResultSet, er
 		db.store.Delete(rowKey(kb[:0], t.Name, pk))
 		n++
 	}
-	return &ResultSet{RowsAffected: n}, nil
+	return db.wrote(n), nil
 }
 
 // predFor reports whether pred applies to table t (unqualified or
@@ -307,10 +354,12 @@ func matchPred(v sql.Value, pred sql.Pred, params []sql.Value) (bool, error) {
 	}
 }
 
-// scanTable returns the rows of t matching the applicable predicates,
-// choosing the cheapest access path. limitHint > 0 allows early exit when
-// no ordering is required.
-func (db *DB) scanTable(t *Table, preds []sql.Pred, params []sql.Value, limitHint int) ([][]sql.Value, error) {
+// scanTable appends to dst the rows of t matching the applicable
+// predicates, choosing the cheapest access path. limitHint > 0 allows
+// early exit when no ordering is required. The rows live in the
+// statement's arena (rowVals); a point lookup decodes the row the store
+// lends, so its values alias the stored row.
+func (db *DB) scanTable(dst [][]sql.Value, t *Table, preds []sql.Pred, params []sql.Value, limitHint int) ([][]sql.Value, error) {
 	// Resolve applicable predicates.
 	type boundPred struct {
 		pred sql.Pred
@@ -321,25 +370,38 @@ func (db *DB) scanTable(t *Table, preds []sql.Pred, params []sql.Value, limitHin
 	for _, p := range preds {
 		ci, ok, err := predFor(t, p)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		if ok {
 			bound = append(bound, boundPred{pred: p, col: ci})
 		}
 	}
 
-	filter := func(vals []sql.Value) (bool, error) {
+	// keep decodes buf into the arena and appends it to dst if it passes
+	// the predicates; a row that does not gives its arena slot back,
+	// zeroed, so release leaves nothing of it past the arena's length.
+	keep := func(buf []byte) (bool, error) {
+		vals := db.rowVals(len(t.Cols))
+		if err := decodeRow(vals, buf); err != nil {
+			return false, err
+		}
 		for _, bp := range bound {
 			ok, err := matchPred(vals[bp.col], bp.pred, params)
 			if err != nil {
 				return false, err
 			}
 			if !ok {
+				clear(vals)
+				db.vals = db.vals[:len(db.vals)-len(vals)]
 				return false, nil
 			}
 		}
+		dst = append(dst, vals)
 		return true, nil
 	}
+	// full reports whether the limit hint is reached.
+	n0 := len(dst)
+	full := func() bool { return limitHint > 0 && len(dst)-n0 >= limitHint }
 
 	// Path 1: primary-key equality -> point lookup.
 	for _, bp := range bound {
@@ -347,25 +409,13 @@ func (db *DB) scanTable(t *Table, preds []sql.Pred, params []sql.Value, limitHin
 			db.lastPath = pathPoint
 			pk, err := evalExpr(bp.pred.X, params)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			var kb [64]byte
-			buf, _, ok := db.store.Get(rowKey(kb[:0], t.Name, pk))
-			if !ok {
-				return nil, nil
+			if buf, _, ok := db.store.Get(rowKey(kb[:0], t.Name, pk)); ok {
+				_, err = keep(buf)
 			}
-			vals, err := decodeRow(buf, len(t.Cols))
-			if err != nil {
-				return nil, err
-			}
-			match, err := filter(vals)
-			if err != nil {
-				return nil, err
-			}
-			if !match {
-				return nil, nil
-			}
-			return [][]sql.Value{vals}, nil
+			return dst, err
 		}
 	}
 
@@ -378,55 +428,31 @@ func (db *DB) scanTable(t *Table, preds []sql.Pred, params []sql.Value, limitHin
 		db.lastPath = pathIndex
 		v, err := evalExpr(bp.pred.X, params)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		prefix := indexValPrefix(t.Name, idxName, v)
 		entries := db.store.Scan(prefix, prefixEnd(prefix), 0)
-		var out [][]sql.Value
 		for _, en := range entries {
 			rk := append(tablePrefix(t.Name), en.Key[len(prefix):]...)
 			buf, _, ok := db.store.Get(rk)
 			if !ok {
 				continue // index entry racing a delete
 			}
-			vals, err := decodeRow(buf, len(t.Cols))
-			if err != nil {
-				return nil, err
-			}
-			match, err := filter(vals)
-			if err != nil {
-				return nil, err
-			}
-			if match {
-				out = append(out, vals)
-				if limitHint > 0 && len(out) >= limitHint {
-					break
-				}
+			if kept, err := keep(buf); err != nil || kept && full() {
+				return dst, err
 			}
 		}
-		return out, nil
+		return dst, nil
 	}
 
 	// Path 3: full scan.
 	db.lastPath = pathScan
 	prefix := tablePrefix(t.Name)
 	items := db.store.Scan(prefix, prefixEnd(prefix), 0)
-	var out [][]sql.Value
 	for _, it := range items {
-		vals, err := decodeRow(it.Value, len(t.Cols))
-		if err != nil {
-			return nil, err
-		}
-		match, err := filter(vals)
-		if err != nil {
-			return nil, err
-		}
-		if match {
-			out = append(out, vals)
-			if limitHint > 0 && len(out) >= limitHint {
-				break
-			}
+		if kept, err := keep(it.Value); err != nil || kept && full() {
+			return dst, err
 		}
 	}
-	return out, nil
+	return dst, nil
 }

@@ -59,47 +59,48 @@ func prefixEnd(prefix []byte) []byte {
 	return nil // prefix is all 0xff: no upper bound
 }
 
-// encodeRow serializes vals (one per table column, in schema order).
+// encodeRow serializes vals (one per table column, in schema order) into
+// a buffer of its own, sized so the encode never grows it: the row the
+// store keeps.
 func encodeRow(vals []sql.Value) []byte {
 	size := 16
 	for _, v := range vals {
 		size += int(v.Size())
 	}
-	e := wire.NewEncoder(size)
-	for i, v := range vals {
-		sql.EncodeValue(e, uint32(i+1), v)
-	}
-	return e.Bytes()
+	return wire.Append(make([]byte, 0, size), func(e *wire.Encoder) {
+		for i, v := range vals {
+			sql.EncodeValue(e, uint32(i+1), v)
+		}
+	})
 }
 
-// decodeRow parses an encoded row into nCols values (missing columns
-// decode as NULL). BLOBs alias buf: every caller passes the private copy
-// kv.Store's Get or Scan just made.
-func decodeRow(buf []byte, nCols int) ([]sql.Value, error) {
-	vals := make([]sql.Value, nCols)
+// decodeRow parses an encoded row into vals, one per column (missing
+// columns stay NULL). TEXTs and BLOBs alias buf: the row the store lent,
+// which it never rewrites, or a Scan's private copy.
+func decodeRow(vals []sql.Value, buf []byte) error {
 	d := wire.NewDecoder(buf)
 	for !d.Done() {
 		f, t, err := d.Next()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if t != wire.TBytes || int(f) < 1 || int(f) > nCols {
+		if t != wire.TBytes || int(f) < 1 || int(f) > len(vals) {
 			if err := d.Skip(t); err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
 		body, err := d.Bytes()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v, err := sql.AliasValue(body)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		vals[f-1] = v
 	}
-	return vals, nil
+	return nil
 }
 
 // ResultSet is the output of a statement: column names (qualified as
@@ -166,6 +167,26 @@ func (r *ResultSet) UnmarshalWire(d *wire.Decoder) error {
 		}
 	}
 	return nil
+}
+
+// RowsAffected decodes only a write's row count from an encoded
+// ResultSet: a write's result has no columns and no rows to build.
+func RowsAffected(buf []byte) (n int64, err error) {
+	err = wire.Decode(buf, func(d *wire.Decoder) error {
+		for !d.Done() {
+			f, t, err := d.Next()
+			if err == nil && f == 3 {
+				n, err = d.Int64()
+			} else if err == nil {
+				err = d.Skip(t)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return n, err
 }
 
 func decodeResultRow(buf []byte) ([]sql.Value, error) {

@@ -57,7 +57,8 @@ func (db *DB) execSelect(st *sql.SelectStmt, params []sql.Value) (*ResultSet, er
 	if len(st.Joins) == 0 && st.OrderBy == nil && st.Limit >= 0 {
 		limitHint = st.Limit
 	}
-	rows, err := db.scanTable(base, st.Where, params, limitHint)
+	rows, err := db.scanTable(db.rows[:0], base, st.Where, params, limitHint)
+	db.rows = rows
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +95,7 @@ func (db *DB) execSelect(st *sql.SelectStmt, params []sql.Value) (*ResultSet, er
 				Op:  sql.OpEq,
 				X:   sql.Expr{Value: bv},
 			}}, predsForTable(st.Where, jt)...)
-			matches, err := db.scanTable(jt, probePreds, params, 0)
+			matches, err := db.scanTable(nil, jt, probePreds, params, 0)
 			if err != nil {
 				return nil, err
 			}

@@ -33,40 +33,82 @@ var parserTestStatements = []string{
 	"SELECT * FROM t WHERE a ! 1",
 	"CREATE TABLE IF t (id INT)",
 	"FOO BAR",
+	"UPDATE kvdata SET v = ? WHERE k = ?",
+	"UPDATE t SET a = 'x', b = 2.5, c = NULL WHERE id IN (1, 2) AND d >= ?",
+	"update T set A = 'it''s' where ID = 3;",
+	"UPDATE t SET a = ?",
+	"DELETE FROM t WHERE k = ? AND v != 'x'",
+	"UPDATE t SET a = 1 WHERE",
+	"UPDATE t SET WHERE id = 1",
+	"UPDATE t SET a = 1 WHERE b = 2 OR c = 3",
 }
 
-// FuzzParse holds the parser's reuse hazard: it parses with pooled
-// state, and no AST may point into it. So an unrelated parse leaves an
-// earlier AST as it was (checked by its rendering, before a re-parse of
-// the same input could write the same values back), and parsing an input
-// twice, with an unrelated statement parsed in between, gives equal ASTs
-// or equal errors. A parsed statement renders to SQL that parses back to
-// the same AST.
+// unrelatedStatements are parsed between a statement's parses: a SELECT
+// with every clause, and an UPDATE, the statement a replica parses once
+// per write.
+var unrelatedStatements = []string{
+	"SELECT a, b, c FROM unrelated WHERE x = ? AND y IN ('p', 'q', ?) ORDER BY z LIMIT 3",
+	"UPDATE unrelated SET p = 'q', r = ?, s = 7 WHERE x = ? AND y IN (1, 2)",
+}
+
+// FuzzParse holds the parser's reuse hazards: it parses with pooled
+// state, and no AST may point into it; and a Scratch's AST is written by
+// parses into that Scratch and nothing else. So an unrelated parse —
+// pooled, or into another Scratch — leaves an earlier AST as it was
+// (checked by its rendering, before a re-parse of the same input could
+// write the same values back); parsing an input twice, with unrelated
+// statements parsed in between, gives equal ASTs or equal errors; and a
+// parse into a Scratch that held another statement gives the AST, or the
+// error, a pooled parse gives. A parsed statement renders to SQL that
+// parses back to the same AST.
 func FuzzParse(f *testing.F) {
 	for _, src := range parserTestStatements {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		var mine, other Scratch
+		for _, u := range unrelatedStatements {
+			if _, err := mine.Parse(u); err != nil { // mine held another statement
+				t.Fatal(err)
+			}
+		}
 		first, err1 := Parse(src)
-		var before string
+		scratched, errS := mine.Parse(src)
+		var before, beforeS string
 		if err1 == nil {
 			before = Render(first)
 		}
-		if _, err := Parse("SELECT a, b, c FROM unrelated WHERE x = ? AND y IN ('p', 'q', ?) ORDER BY z LIMIT 3"); err != nil {
-			t.Fatal(err)
+		if errS == nil {
+			beforeS = Render(scratched)
+		}
+		for _, u := range unrelatedStatements {
+			if _, err := Parse(u); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := other.Parse(u); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err1 == nil && Render(first) != before {
 			t.Fatalf("Parse(%q) changed after an unrelated parse: %q, then %q", src, before, Render(first))
 		}
+		if errS == nil && Render(scratched) != beforeS {
+			t.Fatalf("Scratch.Parse(%q) changed after unrelated parses: %q, then %q", src, beforeS, Render(scratched))
+		}
 		second, err2 := Parse(src)
-		if (err1 == nil) != (err2 == nil) || err1 != nil && err1.Error() != err2.Error() {
-			t.Fatalf("Parse(%q) errors differ: %v, then %v", src, err1, err2)
+		for _, err := range []error{err2, errS} {
+			if (err1 == nil) != (err == nil) || err1 != nil && err1.Error() != err.Error() {
+				t.Fatalf("Parse(%q) errors differ: %v, then %v", src, err1, err)
+			}
 		}
 		if err1 != nil {
 			return
 		}
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("Parse(%q) changed after an unrelated parse:\n  %#v\nvs\n  %#v", src, first, second)
+		}
+		if !reflect.DeepEqual(first, scratched) {
+			t.Fatalf("Scratch.Parse(%q) differs from Parse:\n  %#v\nvs\n  %#v", src, scratched, first)
 		}
 		rendered := Render(first)
 		again, err := Parse(rendered)

@@ -24,9 +24,50 @@ func (e *ParseError) Error() string {
 // the AST it returns and nothing else. No AST node points into the token
 // buffer: names and literals are strings (substrings of src), and every
 // slice is the AST's own.
-func Parse(src string) (Stmt, error) {
+func Parse(src string) (Stmt, error) { return parse(src, nil) }
+
+// Scratch is the reusable AST of one statement at a time. A caller that
+// parses statement after statement — a storage node's request, each
+// replica's applier — parses into its own Scratch, and a SELECT, UPDATE or
+// DELETE then reuses the Scratch's statement node and slices instead of
+// allocating them. The zero value is ready to use.
+//
+// The AST Scratch.Parse returns is valid until the next Parse into the
+// same Scratch or Reset; nothing else ever writes it. Other statements
+// parse as with Parse.
+type Scratch struct {
+	sel   SelectStmt
+	upd   UpdateStmt
+	del   DeleteStmt
+	order Order
+	cols  []ColRef
+	joins []Join
+	set   []Assign
+	where []Pred
+}
+
+// Parse parses src into s, like Parse.
+func (s *Scratch) Parse(src string) (Stmt, error) { return parse(src, s) }
+
+// Reset zeroes the last statement parsed into s, so no name or literal
+// of it outlives the statement, and keeps the slices' arrays. It zeroes
+// them to their capacity: a parse that failed part way may have written
+// past the lengths the Scratch recorded.
+func (s *Scratch) Reset() {
+	clear(s.cols[:cap(s.cols)])
+	clear(s.joins[:cap(s.joins)])
+	clear(s.set[:cap(s.set)])
+	clear(s.where[:cap(s.where)])
+	*s = Scratch{cols: s.cols[:0], joins: s.joins[:0], set: s.set[:0], where: s.where[:0]}
+}
+
+func parse(src string, sc *Scratch) (Stmt, error) {
 	p := parserPool.Get().(*parser)
 	defer p.release()
+	p.sc = sc
+	if sc != nil {
+		sc.Reset()
+	}
 	toks, err := lex(p.toks[:0], src)
 	p.toks = toks
 	if err != nil {
@@ -50,7 +91,8 @@ func Parse(src string) (Stmt, error) {
 type parser struct {
 	toks   []token
 	i      int
-	params int // ? placeholders numbered so far, left to right
+	params int      // ? placeholders numbered so far, left to right
+	sc     *Scratch // the caller's statement scratch, or nil
 }
 
 var parserPool = sync.Pool{New: func() any { return new(parser) }}
@@ -66,7 +108,7 @@ func (p *parser) release() {
 		return
 	}
 	clear(p.toks)
-	p.toks, p.i, p.params = p.toks[:0], 0, 0
+	p.toks, p.i, p.params, p.sc = p.toks[:0], 0, 0, nil
 	parserPool.Put(p)
 }
 
@@ -162,7 +204,15 @@ func (p *parser) parseColRef() (ColRef, error) {
 
 func (p *parser) parseSelect() (*SelectStmt, error) {
 	p.next() // SELECT
-	s := &SelectStmt{Limit: -1}
+	var s *SelectStmt
+	var cols []ColRef
+	var joins []Join
+	if p.sc != nil {
+		s, cols, joins = &p.sc.sel, p.sc.cols, p.sc.joins
+	} else {
+		s = new(SelectStmt)
+	}
+	s.Limit = -1
 	if p.acceptPunct("*") {
 		s.Star = true
 	} else {
@@ -171,7 +221,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.Cols = append(s.Cols, c)
+			cols = append(cols, c)
 			if !p.acceptPunct(",") {
 				break
 			}
@@ -205,7 +255,11 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Joins = append(s.Joins, Join{Table: jt, Left: left, Right: right})
+		joins = append(joins, Join{Table: jt, Left: left, Right: right})
+	}
+	s.Cols, s.Joins = used(cols), used(joins)
+	if p.sc != nil {
+		p.sc.cols, p.sc.joins = cols, joins
 	}
 
 	if p.acceptKeyword("WHERE") {
@@ -224,7 +278,13 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		o := &Order{Col: col}
+		var o *Order
+		if p.sc != nil {
+			o = &p.sc.order
+		} else {
+			o = new(Order)
+		}
+		o.Col = col
 		if p.acceptKeyword("DESC") {
 			o.Desc = true
 		} else {
@@ -249,6 +309,9 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 
 func (p *parser) parseWhere() ([]Pred, error) {
 	var preds []Pred
+	if p.sc != nil {
+		preds = p.sc.where
+	}
 	for {
 		pred, err := p.parsePred()
 		if err != nil {
@@ -262,7 +325,19 @@ func (p *parser) parseWhere() ([]Pred, error) {
 			break
 		}
 	}
+	if p.sc != nil {
+		p.sc.where = preds
+	}
 	return preds, nil
+}
+
+// used returns s as an AST field: nil when empty, as a parse without a
+// Scratch leaves it, so the two parses give equal ASTs.
+func used[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 func (p *parser) parsePred() (Pred, error) {
@@ -420,7 +495,14 @@ func (p *parser) parseUpdate() (*UpdateStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &UpdateStmt{Table: table}
+	var st *UpdateStmt
+	var set []Assign
+	if p.sc != nil {
+		st, set = &p.sc.upd, p.sc.set
+	} else {
+		st = new(UpdateStmt)
+	}
+	st.Table = table
 	if err := p.expectKeyword("SET"); err != nil {
 		return nil, err
 	}
@@ -436,10 +518,14 @@ func (p *parser) parseUpdate() (*UpdateStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.Set = append(st.Set, Assign{Column: col, X: x})
+		set = append(set, Assign{Column: col, X: x})
 		if !p.acceptPunct(",") {
 			break
 		}
+	}
+	st.Set = set
+	if p.sc != nil {
+		p.sc.set = set
 	}
 	if p.acceptKeyword("WHERE") {
 		preds, err := p.parseWhere()
@@ -460,7 +546,13 @@ func (p *parser) parseDelete() (*DeleteStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &DeleteStmt{Table: table}
+	var st *DeleteStmt
+	if p.sc != nil {
+		st = &p.sc.del
+	} else {
+		st = new(DeleteStmt)
+	}
+	st.Table = table
 	if p.acceptKeyword("WHERE") {
 		preds, err := p.parseWhere()
 		if err != nil {

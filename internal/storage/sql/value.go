@@ -10,6 +10,7 @@ package sql
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"cachecost/internal/wire"
 )
@@ -227,14 +228,17 @@ func DecodeValue(buf []byte) (Value, error) {
 	if v.Blob != nil {
 		v.Blob = append([]byte(nil), v.Blob...)
 	}
+	v.Str = strings.Clone(v.Str)
 	return v, err
 }
 
-// AliasValue is DecodeValue without the copy: a BLOB's bytes alias buf.
-// It is for a caller that owns buf or is done with the value before buf
-// is reused — a row just copied out of its page, an immutable raft log
-// entry, a request the handler consumes before it returns (DESIGN.md,
-// "Buffer ownership").
+// AliasValue is DecodeValue without the copies: a TEXT's string and a
+// BLOB's bytes alias buf. It is for a caller that owns buf or is done
+// with the value before buf is reused — a row the store lends, which it
+// never rewrites; a proposed command; a request the handler consumes
+// before it returns (DESIGN.md, "Buffer ownership"). Whatever keeps such
+// a value past buf's life copies it: a row encode, a key build, an error
+// message.
 func AliasValue(buf []byte) (Value, error) {
 	d := wire.NewDecoder(buf)
 	var v Value
@@ -259,7 +263,7 @@ func AliasValue(buf []byte) (Value, error) {
 				return v, err
 			}
 		case 4:
-			if v.Str, err = d.String(); err != nil {
+			if v.Str, err = d.StringZC(); err != nil {
 				return v, err
 			}
 		case 5:

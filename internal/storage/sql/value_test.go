@@ -17,11 +17,11 @@ func encodeForTest(v Value) []byte {
 	return append([]byte(nil), body...)
 }
 
-// TestAliasValueSharesOnlyTheBlob states the two decoders' contract: they
-// read the same value, AliasValue's BLOB is the input's bytes, and
-// DecodeValue's is its own.
-func TestAliasValueSharesOnlyTheBlob(t *testing.T) {
-	for _, v := range []Value{Null(), Int64(-7), Float64(2.5), Text("key-3"), Bool(true), Blob([]byte("payload")), Blob(nil)} {
+// TestAliasValueSharesTextAndBlob states the two decoders' contract:
+// they read the same value, AliasValue's TEXT and BLOB are the input's
+// bytes, and DecodeValue's are its own.
+func TestAliasValueSharesTextAndBlob(t *testing.T) {
+	for _, v := range []Value{Null(), Int64(-7), Float64(2.5), Text("key-3"), Text(""), Bool(true), Blob([]byte("payload")), Blob(nil)} {
 		buf := encodeForTest(v)
 		aliased, err := AliasValue(buf)
 		if err != nil {
@@ -31,6 +31,11 @@ func TestAliasValueSharesOnlyTheBlob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		a := aliased
+		a.Blob = copied.Blob // an empty BLOB decodes as empty or as nil
+		if !bytes.Equal(aliased.Blob, copied.Blob) || !reflect.DeepEqual(a, copied) {
+			t.Errorf("decoders disagree: %+v vs %+v", aliased, copied)
+		}
 		for i := range buf {
 			buf[i] ^= 0xFF
 		}
@@ -38,18 +43,17 @@ func TestAliasValueSharesOnlyTheBlob(t *testing.T) {
 			t.Errorf("DecodeValue(%v) = %v after its input changed", v, copied)
 		}
 		if len(v.Blob) > 0 && bytes.Equal(aliased.Blob, v.Blob) {
-			t.Errorf("AliasValue(%v) did not alias its input", v)
+			t.Errorf("AliasValue(%v) did not alias its input's BLOB", v)
 		}
-		aliased.Blob = copied.Blob
-		if !reflect.DeepEqual(aliased, copied) {
-			t.Errorf("decoders disagree beyond the blob: %+v vs %+v", aliased, copied)
+		if len(v.Str) > 0 && aliased.Str == v.Str {
+			t.Errorf("AliasValue(%v) did not alias its input's TEXT", v)
 		}
 	}
 }
 
 // FuzzDecodeValue: on every input the aliasing and the copying decoder
 // agree — same error or same value — and changing the input afterwards
-// changes only the aliasing result.
+// changes only the aliasing result, TEXT and BLOB alike.
 func FuzzDecodeValue(f *testing.F) {
 	for _, v := range []Value{Null(), Int64(1 << 40), Float64(-0.5), Text("k"), Bool(false), Blob(bytes.Repeat([]byte("b"), 300))} {
 		f.Add(encodeForTest(v))
@@ -68,7 +72,7 @@ func FuzzDecodeValue(f *testing.F) {
 		if !bytes.Equal(aliased.Blob, copied.Blob) {
 			t.Fatalf("blobs disagree: %q vs %q", aliased.Blob, copied.Blob)
 		}
-		want := append([]byte(nil), copied.Blob...)
+		want, wantStr := append([]byte(nil), copied.Blob...), copied.Str
 		a, c := aliased, copied
 		a.Blob, c.Blob = nil, nil
 		if !reflect.DeepEqual(a, c) && !(a.Float != a.Float && c.Float != c.Float) { // NaN != NaN
@@ -77,11 +81,14 @@ func FuzzDecodeValue(f *testing.F) {
 		for i := range buf {
 			buf[i] ^= 0xFF
 		}
-		if !bytes.Equal(copied.Blob, want) {
-			t.Fatal("DecodeValue's blob changed with its input")
+		if !bytes.Equal(copied.Blob, want) || copied.Str != wantStr {
+			t.Fatal("DecodeValue's blob or text changed with its input")
 		}
 		if len(want) > 0 && bytes.Equal(aliased.Blob, want) {
 			t.Fatal("AliasValue's blob did not change with its input: it is a copy")
+		}
+		if len(wantStr) > 0 && aliased.Str == wantStr {
+			t.Fatal("AliasValue's text did not change with its input: it is a copy")
 		}
 	})
 }

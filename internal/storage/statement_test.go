@@ -3,9 +3,11 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
@@ -35,10 +37,13 @@ func newLoopbackNode(t testing.TB) (*Node, *Client) {
 
 // TestStatementAllocs pins what one statement allocates end to end over
 // a loopback hop, client included: the node decodes each request in
-// place, lexes into a pooled token buffer, builds row keys on the stack
-// and decodes a page with one copy. A replicated UPDATE is parsed four
-// times: once by the front end, then by each of the three replicas'
-// appliers.
+// place, lexes into a pooled token buffer, parses into its statement
+// scratch, builds row keys on the stack, decodes the row the store lends
+// into its row arena and, on a miss, decodes a page with one copy. A
+// replicated UPDATE is parsed four times: once by the front end, then by
+// each of the three replicas' appliers, each into its own scratch. What
+// it keeps per replica is the new row; the rest is the client's
+// statement encode and the loopback hop.
 func TestStatementAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
@@ -58,8 +63,8 @@ func TestStatementAllocs(t *testing.T) {
 	}
 	update := func() {
 		i++
-		if rs, err := c.Exec("UPDATE kvdata SET v = ? WHERE k = ?", value, keys[i%len(keys)]); err != nil || rs.RowsAffected != 1 {
-			t.Fatalf("update: %v, %v", rs, err)
+		if n, err := c.Exec("UPDATE kvdata SET v = ? WHERE k = ?", value, keys[i%len(keys)]); err != nil || n != 1 {
+			t.Fatalf("update: %v rows, %v", n, err)
 		}
 	}
 	read() // warm the pools, the text table and the block cache
@@ -69,8 +74,8 @@ func TestStatementAllocs(t *testing.T) {
 		op   func()
 		max  float64
 	}{
-		{"point SELECT", read, 17}, // parent: 39
-		{"UPDATE", update, 50},     // parent: 143
+		{"point SELECT", read, 10}, // parent: 17 (39 before the pooled parser)
+		{"UPDATE", update, 10},     // parent: 50 (143 before the pooled parser)
 	} {
 		got := testing.AllocsPerRun(200, tc.op)
 		t.Logf("%s: %v allocs", tc.name, got)
@@ -143,5 +148,180 @@ func TestConcurrentStatementsShareNodeScratch(t *testing.T) {
 	}
 	if len(n.texts) > maxStmtTexts {
 		t.Fatalf("text table holds %d texts, bound %d", len(n.texts), maxStmtTexts)
+	}
+}
+
+// TestConcurrentWritesReuseReplicaScratch drives what a write reuses
+// instead of allocating — the node's and every applier's request and
+// statement scratch, each replica's row arena and result, the pooled
+// command buffer, rows the store lends — and the TEXT parameters that
+// alias the request and the command, from many goroutines at once, while
+// another goroutine flushes every replica's memtable under the lent rows.
+// The value column is TEXT and indexed, so a written value travels as an
+// aliased TEXT into the row encode and into the index keys. Every read
+// must return what its goroutine last wrote — by key, by index and in a
+// batch, on the leader and then on every replica — and once the traffic
+// stops no scratch may still hold a piece of a statement. The transport
+// overwrites each request the moment its handler returns; run the test
+// with -race, and rpc.PutBuffer poisons the command and response buffers
+// it recycles too, so an alias that outlived its statement reads as
+// poison.
+func TestConcurrentWritesReuseReplicaScratch(t *testing.T) {
+	n := NewNode(Config{Replicas: 3, BlockCacheBytes: 1 << 20, Meter: meter.NewMeter()})
+	c := NewClient(reusingConn{n.Server()})
+	for _, s := range []string{"CREATE TABLE notes (k TEXT PRIMARY KEY, v TEXT)", "CREATE INDEX notes_v ON notes (v)"} {
+		if _, err := c.Exec(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const (
+		workers = 6
+		ops     = 160
+		owned   = 3 // keys per goroutine
+	)
+	keys := make([][]sql.Value, workers)
+	latest := make([][]string, workers)
+	for g := range keys {
+		for j := 0; j < owned; j++ {
+			k, v := fmt.Sprintf("g%d-k%d", g, j), fmt.Sprintf("g%d-k%d-initial", g, j)
+			if _, err := c.Exec("INSERT INTO notes (k, v) VALUES (?, ?)", sql.Text(k), sql.Text(v)); err != nil {
+				t.Fatal(err)
+			}
+			keys[g] = append(keys[g], sql.Text(k))
+			latest[g] = append(latest[g], v)
+		}
+	}
+
+	stop := make(chan struct{})
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+				for _, db := range n.dbs {
+					db.Store().Flush()
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				j := i % owned
+				key, want := keys[g][j], latest[g][j]
+				switch i % 4 {
+				case 0:
+					v := fmt.Sprintf("g%d-i%d-%s", g, i, strings.Repeat("x", i%40))
+					if n, err := c.Exec("UPDATE notes SET v = ? WHERE k = ?", sql.Text(v), key); err != nil || n != 1 {
+						t.Errorf("worker %d update %v: %d rows, %v", g, key, n, err)
+						return
+					}
+					latest[g][j] = v
+				case 1:
+					rs, err := c.Query("SELECT v FROM notes WHERE k = ?", key)
+					if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != want {
+						t.Errorf("worker %d read %v: %v, %v; want %q", g, key, rs, err, want)
+						return
+					}
+				case 2:
+					rs, err := c.Query("SELECT k FROM notes WHERE v = ?", sql.Text(want))
+					if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != key.Str {
+						t.Errorf("worker %d index read %q: %v, %v; want %v", g, want, rs, err, key)
+						return
+					}
+				default:
+					rss, err := c.BatchQueryCtx(trace.SpanContext{}, "SELECT v FROM notes WHERE k = ?", keys[g])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for k, rs := range rss {
+						if len(rs.Rows) != 1 || rs.Rows[0][0].Str != latest[g][k] {
+							t.Errorf("worker %d batch read %v: %v; want %q", g, keys[g][k], rs.Rows, latest[g][k])
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-flushed
+	if err := n.firstApplyErr(); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, db := range n.dbs {
+		for g := range keys {
+			for j, key := range keys[g] {
+				rs, err := db.ExecSQL("SELECT v FROM notes WHERE k = ?", key)
+				if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != latest[g][j] {
+					t.Fatalf("replica %d, key %v: %v, %v; want %q", i, key, rs, err, latest[g][j])
+				}
+				rs, err = db.ExecSQL("SELECT k FROM notes WHERE v = ?", sql.Text(latest[g][j]))
+				if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != key.Str {
+					t.Fatalf("replica %d, index entry %q: %v, %v; want %v", i, latest[g][j], rs, err, key)
+				}
+			}
+		}
+		if rs, err := db.ExecSQL("SELECT k FROM notes"); err != nil || len(rs.Rows) != workers*owned {
+			t.Fatalf("replica %d holds %v rows (%v), want %d", i, rs, err, workers*owned)
+		}
+	}
+
+	// Quiescent: every request the node and its appliers decoded into,
+	// every statement scratch and every replica's row arena is empty to
+	// its capacity.
+	reqs := []reflect.Value{reflect.ValueOf(&n.req).Elem()}
+	sms := reflect.ValueOf(n.group).Elem().FieldByName("sms")
+	for i := 0; i < sms.Len(); i++ {
+		reqs = append(reqs, sms.Index(i).Elem().Elem().FieldByName("req"))
+	}
+	for i, q := range reqs {
+		for _, f := range []string{"SQL", "Params", "stmt"} {
+			if !zeroToCap(q.FieldByName(f)) {
+				t.Errorf("request %d (0 is the node's) still holds its %s", i, f)
+			}
+		}
+	}
+	for i, db := range n.dbs {
+		for _, f := range []string{"vals", "rows"} {
+			if !zeroToCap(reflect.ValueOf(db).Elem().FieldByName(f)) {
+				t.Errorf("replica %d's DB still holds rows in its %s", i, f)
+			}
+		}
+	}
+}
+
+// zeroToCap reports whether v is zero throughout, a slice's elements
+// checked to its capacity: what scratch holds once its statement is done.
+func zeroToCap(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Slice:
+		v = v.Slice(0, v.Cap())
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if !zeroToCap(v.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !zeroToCap(v.Field(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return v.IsZero()
 	}
 }
