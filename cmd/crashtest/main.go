@@ -172,9 +172,9 @@ func parentMain() error {
 	rng := rand.New(rand.NewSource(*flagSeed))
 
 	var (
-		acked      int64 = -1 // highest ACK ever read
-		nextStart  int64
-		totalAcks  int64
+		acked                         int64 = -1 // highest ACK ever read
+		nextStart                     int64
+		totalAcks                     int64
 		kills, stallKills, tornDeaths int
 	)
 	for i := 0; i < *flagN; i++ {

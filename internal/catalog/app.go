@@ -1,8 +1,10 @@
 package catalog
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 
 	"cachecost/internal/storage"
 	"cachecost/internal/storage/sql"
@@ -32,7 +34,9 @@ func (a *App) In(sc trace.SpanContext) *App { return &App{db: a.db, sc: sc} }
 const ObjectQueryCount = 8
 
 // GetTableObject performs the production read path: 8 SQL queries plus
-// application-side composition of the rich object.
+// application-side composition of the rich object. Each query's result
+// borrows its response until released, so the object clones every name,
+// string and payload it keeps.
 //
 //  1. tables row (name, schema, owner, properties blob, stats payload)
 //  2. schemas row (name, parent catalog)
@@ -48,14 +52,15 @@ func (a *App) GetTableObject(id int64) (*TableInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer trs.Release()
 	if len(trs.Rows) == 0 {
 		return nil, fmt.Errorf("catalog: no table %d", id)
 	}
 	row := trs.Rows[0]
 	info := &TableInfo{
 		ID:    id,
-		Name:  row[0].Str,
-		Owner: row[2].Str,
+		Name:  strings.Clone(row[0].Str),
+		Owner: strings.Clone(row[2].Str),
 	}
 	schemaID := row[1].Int
 	props, err := decodeProps(row[3].Blob)
@@ -63,17 +68,18 @@ func (a *App) GetTableObject(id int64) (*TableInfo, error) {
 		return nil, err
 	}
 	info.Properties = props
-	info.Stats = row[4].Blob
+	info.Stats = bytes.Clone(row[4].Blob)
 
 	// 2: parent schema.
 	srs, err := a.db.QueryCtx(a.sc, "SELECT name, catalog_id FROM schemas WHERE id = ?", sql.Int64(schemaID))
 	if err != nil {
 		return nil, err
 	}
+	defer srs.Release()
 	if len(srs.Rows) == 0 {
 		return nil, fmt.Errorf("catalog: table %d has dangling schema %d", id, schemaID)
 	}
-	info.SchemaName = srs.Rows[0][0].Str
+	info.SchemaName = strings.Clone(srs.Rows[0][0].Str)
 	catalogID := srs.Rows[0][1].Int
 
 	// 3: parent catalog.
@@ -81,10 +87,11 @@ func (a *App) GetTableObject(id int64) (*TableInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer crs.Release()
 	if len(crs.Rows) == 0 {
 		return nil, fmt.Errorf("catalog: schema %d has dangling catalog %d", schemaID, catalogID)
 	}
-	info.CatalogName = crs.Rows[0][0].Str
+	info.CatalogName = strings.Clone(crs.Rows[0][0].Str)
 	info.FullName = info.CatalogName + "." + info.SchemaName + "." + info.Name
 
 	// 4-6: grants at each level of the hierarchy; inheritance is the
@@ -105,11 +112,12 @@ func (a *App) GetTableObject(id int64) (*TableInfo, error) {
 		}
 		for _, g := range grs.Rows {
 			info.Grants = append(info.Grants, Grant{
-				Principal: g[0].Str,
-				Privilege: g[1].Str,
+				Principal: strings.Clone(g[0].Str),
+				Privilege: strings.Clone(g[1].Str),
 				Source:    lvl.source,
 			})
 		}
+		grs.Release()
 	}
 	sortGrants(info.Grants)
 
@@ -119,8 +127,13 @@ func (a *App) GetTableObject(id int64) (*TableInfo, error) {
 		return nil, err
 	}
 	for _, c := range cors.Rows {
-		info.Constraints = append(info.Constraints, Constraint{Name: c[0].Str, Kind: c[1].Str, Expr: c[2].Str})
+		info.Constraints = append(info.Constraints, Constraint{
+			Name: strings.Clone(c[0].Str),
+			Kind: strings.Clone(c[1].Str),
+			Expr: strings.Clone(c[2].Str),
+		})
 	}
+	cors.Release()
 
 	// 8: lineage.
 	lrs, err := a.db.QueryCtx(a.sc, "SELECT upstream_id, kind FROM lineage WHERE target_id = ?", sql.Int64(id))
@@ -128,18 +141,21 @@ func (a *App) GetTableObject(id int64) (*TableInfo, error) {
 		return nil, err
 	}
 	for _, l := range lrs.Rows {
-		info.Lineage = append(info.Lineage, LineageEdge{UpstreamID: l[0].Int, Kind: l[1].Str})
+		info.Lineage = append(info.Lineage, LineageEdge{UpstreamID: l[0].Int, Kind: strings.Clone(l[1].Str)})
 	}
+	lrs.Release()
 	return info, nil
 }
 
 // GetTableKV performs the denormalized read path: one lookup returning
-// the serialized materialized object, deserialized by the application.
+// the serialized materialized object, deserialized by the application
+// into an object that shares nothing with the borrowed result.
 func (a *App) GetTableKV(id int64) (*TableInfo, error) {
 	rs, err := a.db.QueryCtx(a.sc, "SELECT obj FROM tables_denorm WHERE id = ?", sql.Int64(id))
 	if err != nil {
 		return nil, err
 	}
+	defer rs.Release()
 	if len(rs.Rows) == 0 {
 		return nil, fmt.Errorf("catalog: no denormalized table %d", id)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"sync"
 )
 
@@ -103,11 +104,14 @@ func (s *Sharder) remapLocked() []movedEvent {
 }
 
 // Assign returns the current assignment for key and records the key for
-// future resharding notifications.
+// future resharding notifications, copying it when it is new: key may
+// alias a request buffer.
 func (s *Sharder) Assign(key string) Assignment {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	owner := s.ring.Owner(key)
-	s.tracked[key] = owner
+	if have, ok := s.tracked[key]; !ok || have != owner {
+		s.tracked[strings.Clone(key)] = owner
+	}
 	return Assignment{Node: owner, Generation: s.gen}
 }

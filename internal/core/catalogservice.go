@@ -120,16 +120,20 @@ type catalogTables struct {
 	mode CatalogMode
 }
 
-// load composes the rich object via the mode's read path.
-func (c *catalogTables) load(sc trace.SpanContext, key string) (*catalog.TableInfo, error) {
+// load composes the rich object via the mode's read path. The object
+// shares nothing with the responses it was read from, so nothing is held.
+func (c *catalogTables) load(sc trace.SpanContext, key string) (*catalog.TableInfo, []byte, error) {
 	id, err := tableID(key)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	var info *catalog.TableInfo
 	if c.mode == ModeObject {
-		return c.app.In(sc).GetTableObject(id)
+		info, err = c.app.In(sc).GetTableObject(id)
+	} else {
+		info, err = c.app.In(sc).GetTableKV(id)
 	}
-	return c.app.In(sc).GetTableKV(id)
+	return info, nil, err
 }
 
 func (c *catalogTables) version(sc trace.SpanContext, key string) (uint64, error) {

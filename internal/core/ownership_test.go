@@ -2,13 +2,17 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"cachecost/internal/catalog"
 	"cachecost/internal/meter"
 	"cachecost/internal/remotecache"
 	"cachecost/internal/rpc"
+	"cachecost/internal/storage"
+	"cachecost/internal/storage/sql"
 	"cachecost/internal/trace"
 	"cachecost/internal/wire"
 	"cachecost/internal/workload"
@@ -76,11 +80,12 @@ func TestOwnershipRemoteHitHeldUntilReleased(t *testing.T) {
 	}
 }
 
-// TestOwnershipKeyCopiedOnMiss is PR 12's finding as a test: the front
-// door must copy the key out of its request, because a miss keeps it —
-// the cache fill stores it — long after the request buffer is reused.
-// (The cache node's Get, which keeps nothing, reads its key in place:
-// remotecache's TestOwnershipServerGetAliasesKeyAndAllocatesNothing.)
+// TestOwnershipKeyCopiedOnMiss: the front door's read key aliases its
+// request, so whatever keeps the key past the request copies it — here
+// the access observer, and the miss's cache fill, which must still be
+// found under the real key once the request buffer is reused. (The cache
+// node's Get, which keeps nothing, reads its key in place: remotecache's
+// TestOwnershipServerGetAliasesKeyAndAllocatesNothing.)
 func TestOwnershipKeyCopiedOnMiss(t *testing.T) {
 	svc, err := BuildKVService(smallCfg(Remote, meter.NewMeter()), smallGen(13))
 	if err != nil {
@@ -97,7 +102,7 @@ func TestOwnershipKeyCopiedOnMiss(t *testing.T) {
 	rpc.PutBuffer(resp)
 	lo, hi := uintptr(unsafe.Pointer(&req[0])), uintptr(unsafe.Pointer(&req[len(req)-1]))
 	if p := uintptr(unsafe.Pointer(unsafe.StringData(seen))); p >= lo && p <= hi {
-		t.Fatal("the key handed down the miss path aliases the request buffer")
+		t.Fatal("the key the access observer keeps aliases the request buffer")
 	}
 	// The transport reuses the request buffer; the filled entry must still
 	// be found under the real key.
@@ -136,5 +141,156 @@ func TestOwnershipWriteThroughKeepsItsOwnCopy(t *testing.T) {
 	got, ok := svc.LinkedCache().Get(key)
 	if !ok || !bytes.Equal(got, value) {
 		t.Fatal("the write-through entry aliases the request buffer")
+	}
+}
+
+// TestBorrowedStorageReads drives every borrowed storage read at once:
+// the storage node's Query, BatchQuery and Version results and the rows
+// UPDATE leaves behind, on one node; the catalog objects composed from
+// borrowed results; and the front door's reads, whose row values travel
+// up lent from the storage response until the digest is encoded. Each
+// goroutine owns its keys, so every value is checked against what it
+// last wrote, before the result is released. Under -race rpc.PutBuffer
+// poisons what it recycles, so a value read after its response went
+// back — a catalog field not cloned, a response released before the
+// digest is encoded, a Linked fill that keeps the lent row — reads as
+// poison and fails here.
+func TestBorrowedStorageReads(t *testing.T) {
+	const (
+		workers = 4
+		owned   = 4 // keys per worker
+		ops     = 120
+	)
+	node := storage.NewNode(storage.Config{Replicas: 3, BlockCacheBytes: 1 << 20, Meter: meter.NewMeter()})
+	if err := catalog.Seed(node, catalog.SeedConfig{Tables: 12, Normalized: true, StatsBytesOverride: 512}); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.BootstrapExec("CREATE TABLE kvdata (k TEXT PRIMARY KEY, v BLOB)"); err != nil {
+		t.Fatal(err)
+	}
+	keyOf := func(g, j int) sql.Value { return sql.Text(fmt.Sprintf("key-%d-%d", g, j)) }
+	for g := 0; g < workers; g++ {
+		for j := 0; j < owned; j++ {
+			if err := node.BootstrapExec("INSERT INTO kvdata (k, v) VALUES (?, ?)", keyOf(g, j), sql.Blob(ValueFor(keyOf(g, j).Str, 1024))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	client := func() *storage.Client {
+		return storage.NewClient(rpc.NewLoopback(node.Server(), nil, meter.NewBurner(), rpc.CostModel{}))
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := client()
+			keys := make([]sql.Value, owned)
+			latest := make([][]byte, owned)
+			vers := make([]uint64, owned)
+			for j := range keys {
+				keys[j] = keyOf(g, j)
+				latest[j] = ValueFor(keys[j].Str, 1024)
+			}
+			for i := 0; i < ops; i++ {
+				j := i % owned
+				switch i % 4 {
+				case 0:
+					v := ValueFor(fmt.Sprintf("%v-%d", keys[j], i), 1024)
+					if _, err := c.Exec("UPDATE kvdata SET v = ? WHERE k = ?", sql.Blob(v), keys[j]); err != nil {
+						t.Error(err)
+						return
+					}
+					latest[j] = v
+				case 1:
+					rs, err := c.Query("SELECT v FROM kvdata WHERE k = ?", keys[j])
+					if err != nil || len(rs.Rows) != 1 || !bytes.Equal(rs.Rows[0][0].Blob, latest[j]) {
+						t.Errorf("worker %d: Query %v: %v, %v", g, keys[j], rs, err)
+						return
+					}
+					rs.Release()
+				case 2:
+					resp, err := c.BatchQueryCtx(trace.SpanContext{}, "SELECT k, v FROM kvdata WHERE k = ?", keys)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for k, rs := range resp.Results {
+						if len(rs.Rows) != 1 || rs.Rows[0][0].Str != keys[k].Str || !bytes.Equal(rs.Rows[0][1].Blob, latest[k]) {
+							t.Errorf("worker %d: BatchQuery slot %d: %v", g, k, rs.Rows)
+							return
+						}
+					}
+					resp.Release()
+				default:
+					ver, found, err := c.VersionCtx(trace.SpanContext{}, "kvdata", keys[j])
+					if err != nil || !found || ver < vers[j] {
+						t.Errorf("worker %d: Version %v = %d, %v, %v; had %d", g, keys[j], ver, found, err, vers[j])
+						return
+					}
+					vers[j] = ver
+				}
+			}
+		}(g)
+	}
+
+	// Catalog objects, composed from borrowed results, must survive every
+	// query after them.
+	app := catalog.NewApp(client())
+	var objs []*catalog.TableInfo
+	var snaps [][]byte
+	for i := 0; i < 3*ops; i++ {
+		info, err := app.GetTableObject(int64(i % 12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs, snaps = append(objs, info), append(snaps, wire.Marshal(info))
+	}
+	wg.Wait()
+	for i, info := range objs {
+		if !bytes.Equal(wire.Marshal(info), snaps[i]) {
+			t.Fatalf("catalog object %d (table %d) changed after later queries", i, info.ID)
+		}
+	}
+
+	// The front door: reads lent from storage up to the digest, fills
+	// that keep a copy, and keys aliasing the request.
+	for _, arch := range []Arch{Base, Remote, Linked, LinkedVersion} {
+		t.Run(arch.String(), func(t *testing.T) {
+			svc, err := BuildKVService(smallCfg(arch, meter.NewMeter()), smallGen(13))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < workers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					latest := make(map[string][]byte)
+					for i := 0; i < ops; i++ {
+						key := workload.KeyName(g*owned + i%owned)
+						want, ok := latest[key]
+						if !ok {
+							want = ValueFor(key, 2048)
+						}
+						if i%5 == 4 {
+							want = ValueFor(fmt.Sprintf("%s-%d", key, i), 2048)
+							if err := svc.Write(key, want); err != nil {
+								t.Error(err)
+								return
+							}
+							latest[key] = want
+						}
+						got, err := svc.Read(key)
+						if err != nil || !bytes.Equal(got, Digest(want)) {
+							t.Errorf("worker %d: read %s: %x, %v; want %x", g, key, got, err, Digest(want))
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
 	}
 }

@@ -147,24 +147,30 @@ func (s *service[V]) CacheHitRatio() float64 { return hitRatio(s.cacheStats()) }
 
 // read serves key through the lane's tier, counts the outcome, and feeds
 // the access observer when one is installed (the elastic controller's
-// windowed MRC). held is tier.read's: the caller recycles it once it is
-// done with v.
+// windowed MRC), which keeps a copy of key: key may alias the request.
+// held is tier.read's: the caller recycles it once it is done with v. A
+// failed read recycles its own.
 func (s *service[V]) read(l *lane[V], sc trace.SpanContext, key string) (v V, held []byte, err error) {
 	v, held, hit, err := l.tier.read(sc, key, l.src)
 	s.countOne(hit)
-	if obs := s.obs; obs != nil && err == nil {
-		obs(key, s.app.kit.sizeOf(key, v))
+	if err != nil {
+		rpc.PutBuffer(held)
+		return v, nil, err
 	}
-	return v, held, err
+	if obs := s.obs; obs != nil {
+		obs(strings.Clone(key), s.app.kit.sizeOf(key, v))
+	}
+	return v, held, nil
 }
 
 // write applies a write on lane l. Where the payload is the whole object,
 // a tier that can keep it does; the rest invalidate. key and payload may
 // only be valid for the call (they alias the request), so what a tier
-// keeps is its own copy: the key's here, the application's object.
+// keeps is its own copy: the application's object here, the key's where
+// it is kept (the linked cache, the sharder).
 func (s *service[V]) write(l *lane[V], sc trace.SpanContext, key string, payload []byte) error {
 	if wt, ok := l.tier.(writeThrough[V]); ok && s.app.object != nil {
-		return wt.write(sc, strings.Clone(key), s.app.object(payload), payload, l.src)
+		return wt.write(sc, key, s.app.object(payload), payload, l.src)
 	}
 	return l.tier.drop(sc, key, payload, l.src)
 }
@@ -239,9 +245,10 @@ func (s *service[V]) handleRead(l *lane[V], sc trace.SpanContext, req []byte) ([
 	if err != nil {
 		return nil, err
 	}
-	// Copied, not aliased: a miss retains the key (cache fills, the
-	// access observer) past the request buffer's life.
-	key := string(kb)
+	// The key aliases req, which outlives every use below. Whatever keeps
+	// it copies it: the linked cache on insert, a consistency tier's fill
+	// table, the sharder, the access observer.
+	key := unsafe.String(unsafe.SliceData(kb), len(kb))
 	outcome, release := s.admit(sc)
 	switch outcome {
 	case admission.ShedQueueFull:

@@ -212,7 +212,7 @@ func (f *fakeRows) put(key, value string) {
 	f.data[key], f.vers[key] = value, f.next
 }
 
-func (f *fakeRows) load(_ trace.SpanContext, key string) (string, error) {
+func (f *fakeRows) load(_ trace.SpanContext, key string) (string, []byte, error) {
 	f.mu.Lock()
 	f.loads++
 	v, ok := f.data[key]
@@ -223,9 +223,9 @@ func (f *fakeRows) load(_ trace.SpanContext, key string) (string, error) {
 		during()
 	}
 	if !ok {
-		return v, fmt.Errorf("no row for %q", key)
+		return v, nil, fmt.Errorf("no row for %q", key)
 	}
-	return v, nil
+	return v, nil, nil
 }
 
 func (f *fakeRows) version(_ trace.SpanContext, key string) (uint64, error) {

@@ -12,6 +12,7 @@
 package linkedcache
 
 import (
+	"strings"
 	"sync/atomic"
 
 	"cachecost/internal/cache"
@@ -122,8 +123,9 @@ func (c *Cache[V]) registerTelemetry(reg *telemetry.Registry) {
 // by Put-ing a fresh value, never by mutating one in place.
 func (c *Cache[V]) Get(key string) (V, bool) { return c.store.Get(key) }
 
-// Put stores a live value with no TTL.
-func (c *Cache[V]) Put(key string, v V) { c.store.Put(key, v) }
+// Put stores a live value with no TTL. The cache keeps a copy of key,
+// which may alias a request buffer.
+func (c *Cache[V]) Put(key string, v V) { c.store.Put(strings.Clone(key), v) }
 
 // Delete removes key.
 func (c *Cache[V]) Delete(key string) bool { return c.store.Delete(key) }
@@ -147,7 +149,7 @@ func (c *Cache[V]) GetCtx(sc trace.SpanContext, key string) (V, bool) {
 // PutCtx is Put carrying the caller's span context.
 func (c *Cache[V]) PutCtx(sc trace.SpanContext, key string, v V) {
 	act, _ := trace.Start(sc, c.name, "put")
-	c.store.Put(key, v)
+	c.store.Put(strings.Clone(key), v)
 	act.End()
 }
 
@@ -156,7 +158,8 @@ func (c *Cache[V]) PutCtx(sc trace.SpanContext, key string, v V) {
 // wins — the standard lookaside trade-off. The lookup is recorded as a
 // cache span under the caller's span context; load receives that span's
 // context so the loader's downstream spans (the storage round trip on a
-// miss) nest under it.
+// miss) nest under it. As Put does, a fill keeps a copy of key, and load's
+// value as it is: the loader returns a value of its own.
 func (c *Cache[V]) GetOrLoadCtx(sc trace.SpanContext, key string, load func(sc trace.SpanContext) (V, error)) (V, bool, error) {
 	act, lsc := trace.Start(sc, c.name, "get-or-load")
 	v, ok := c.store.Get(key)
@@ -172,7 +175,7 @@ func (c *Cache[V]) GetOrLoadCtx(sc trace.SpanContext, key string, load func(sc t
 		var zero V
 		return zero, false, err
 	}
-	c.store.Put(key, v)
+	c.store.Put(strings.Clone(key), v)
 	act.End()
 	return v, false, nil
 }

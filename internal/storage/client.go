@@ -26,21 +26,19 @@ func (c *Client) Query(src string, params ...sql.Value) (*plan.ResultSet, error)
 }
 
 // QueryCtx is Query carrying the caller's span context through to the
-// storage node. The ResultSet decoder copies every string and blob out of
-// the response, so the response is dead once it returns.
+// storage node. The ResultSet borrows the response: its column names,
+// TEXTs and BLOBs alias the response buffer, and the set and buffer come
+// from pools. The caller calls Release once it is done reading — or
+// Detach, to keep reading values taken from it until it recycles the
+// response itself. A caller that keeps a value past that copies it; one
+// that never releases only gives up the reuse.
 func (c *Client) QueryCtx(sc trace.SpanContext, src string, params ...sql.Value) (*plan.ResultSet, error) {
 	defer sc.Lane().AddStage(meter.StageStorage, sc.Lane().StageClock())
 	respBody, err := c.call(sc, "sql.Query", src, params)
 	if err != nil {
 		return nil, err
 	}
-	rs := &plan.ResultSet{}
-	err = wire.Unmarshal(respBody, rs)
-	rpc.PutBuffer(respBody)
-	if err != nil {
-		return nil, err
-	}
-	return rs, nil
+	return plan.Borrow(respBody)
 }
 
 // Exec runs a write statement (INSERT/UPDATE/DELETE/DDL) with bound
@@ -96,7 +94,7 @@ func (c *Client) VersionCtx(sc trace.SpanContext, table string, pk sql.Value) (u
 		return 0, false, err
 	}
 	var vr VersionResponse
-	err = wire.Unmarshal(respBody, &vr)
+	err = wire.Decode(respBody, vr.UnmarshalWire)
 	rpc.PutBuffer(respBody)
 	if err != nil {
 		return 0, false, err

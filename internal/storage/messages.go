@@ -110,7 +110,9 @@ func (t stmtTexts) intern(b []byte) string {
 }
 
 // VersionRequest is the body of the sql.Version RPC method: a consistency
-// version check for one row (§5.5).
+// version check for one row (§5.5). Decoded, its table name and a TEXT or
+// BLOB key alias the request, which the handler consumes before it
+// returns.
 type VersionRequest struct {
 	Table string
 	PK    sql.Value
@@ -131,7 +133,7 @@ func (v *VersionRequest) UnmarshalWire(d *wire.Decoder) error {
 		}
 		switch f {
 		case 1:
-			if v.Table, err = d.String(); err != nil {
+			if v.Table, err = d.StringZC(); err != nil {
 				return err
 			}
 		case 2:

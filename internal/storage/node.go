@@ -128,9 +128,16 @@ type Node struct {
 
 	// req is the statement a handler is serving, decoded in place; texts
 	// is the table of statement texts it and the appliers decode through.
-	// Both are guarded by mu.
+	// ver and batch are the version check's request and reply and the
+	// batch reply, each reused handler after handler. All are guarded by
+	// mu.
 	req   QueryRequest
 	texts stmtTexts
+	ver   struct {
+		req  VersionRequest
+		resp VersionResponse
+	}
+	batch BatchQueryResponse
 
 	applyErrMu sync.Mutex
 	applyErr   error // first replication apply error, for tests/diagnostics
@@ -539,18 +546,22 @@ func cmdKey(stmt string) []byte {
 // handleVersion serves the §5.5 version check. As in TiDB, it traverses
 // the whole read path: request decode and SQL-layer work, lease
 // validation, and a full row fetch from the storage engine — only to
-// return eight bytes.
+// return eight bytes. The fetch is a SELECT * by primary key, its text
+// built on the stack, interned and parsed into the node's statement
+// scratch; the table name aliases the request, which outlives the check.
 func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
 	lane := sc.Lane()
 	n.lock(lane)
 	defer n.mu.Unlock()
+	defer n.req.reset()
 	lane.CountStatement()
 	defer n.histVersion.ObserveSince(time.Now())
 
 	lane.EnterOp(n.sqlComp)
 	sqlAct, _ := trace.Start(sc, "storage.sql", "parse")
-	var vr VersionRequest
-	if err := wire.Unmarshal(req, &vr); err != nil {
+	vr := &n.ver.req
+	*vr = VersionRequest{}
+	if err := wire.Decode(req, vr.UnmarshalWire); err != nil {
 		sqlAct.End()
 		return nil, err
 	}
@@ -559,7 +570,8 @@ func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
 	sqlAct.Annotate("sql.op", "version-check")
 	sqlAct.End()
 	db := n.validateLease(sc)
-	resp := &VersionResponse{}
+	resp := &n.ver.resp
+	*resp = VersionResponse{}
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
 	_, err := n.exec(lane, func() (*plan.ResultSet, error) {
 		t, err := db.Catalog().Lookup(vr.Table)
@@ -568,31 +580,31 @@ func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
 		}
 		// Fetch the full row (the engine has no narrower path — exactly
 		// the paper's observation) and report its version.
-		rs, err := db.ExecSQL(
-			fmt.Sprintf("SELECT * FROM %s WHERE %s = ?", vr.Table, t.PKCol()), vr.PK)
+		var src [128]byte
+		b := append(append(src[:0], "SELECT * FROM "...), vr.Table...)
+		b = append(append(append(b, " WHERE "...), t.PKCol()...), " = ?"...)
+		text := n.texts.intern(b)
+		stmt, err := n.req.stmt.Parse(text)
+		if err != nil {
+			return nil, err
+		}
+		pk := [1]sql.Value{vr.PK}
+		rs, err := db.Exec(stmt, pk[:])
 		if err != nil {
 			return nil, err
 		}
 		resp.Found = len(rs.Rows) > 0
-		if ver, ok := db.Store().VersionOf(rowKeyFor(vr.Table, vr.PK)); ok {
+		if ver, ok := db.VersionOf(vr.Table, vr.PK); ok {
 			resp.Version = ver
 		}
 		return rs, nil
 	})
 	kvAct.End()
+	*vr = VersionRequest{}
 	if err != nil {
 		return nil, err
 	}
 	return n.encode(lane, resp), nil
-}
-
-// rowKeyFor mirrors the plan package's key layout for version lookups.
-func rowKeyFor(table string, pk sql.Value) []byte {
-	k := make([]byte, 0, len(table)+16)
-	k = append(k, 't', '/')
-	k = append(k, table...)
-	k = append(k, '/')
-	return pk.AppendKeyBytes(k)
 }
 
 func min(a, b int) int {

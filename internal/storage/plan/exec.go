@@ -51,10 +51,20 @@ type DB struct {
 	// A statement's scratch, reused statement after statement: vals is
 	// the arena its rows are decoded and built in, rows the rows its
 	// base-table scan matched. Exec empties both when the statement
-	// returns (release). res is a write's result (wrote).
+	// returns (release).
 	vals []sql.Value
 	rows [][]sql.Value
-	res  ResultSet
+
+	// A statement's result, the DB's own until its next statement (begin
+	// empties it): res, or each for QueryEach, a write's row count (wrote)
+	// or a SELECT's columns and rows, built in outCols, outRows and
+	// outVals. A SELECT's values alias rows the store lent, which it never
+	// rewrites.
+	res     ResultSet
+	each    []ResultSet
+	outCols []string
+	outRows [][]sql.Value
+	outVals []sql.Value
 }
 
 // maxKeptVals bounds the row arena a DB keeps between statements: a large
@@ -81,6 +91,20 @@ func (db *DB) release() {
 	}
 }
 
+// begin starts a statement: the last one's result is zeroed, and its
+// arrays kept unless they grew too large.
+func (db *DB) begin() {
+	clear(db.each)
+	clear(db.outCols)
+	clear(db.outRows)
+	clear(db.outVals)
+	db.each, db.outCols, db.outRows, db.outVals = db.each[:0], db.outCols[:0], db.outRows[:0], db.outVals[:0]
+	if cap(db.outVals) > maxKeptVals || cap(db.outRows) > maxKeptVals {
+		db.each, db.outCols, db.outRows, db.outVals = nil, nil, nil, nil
+	}
+	db.res = ResultSet{}
+}
+
 // wrote returns a write's result: the DB's own ResultSet, valid until
 // its next statement.
 func (db *DB) wrote(n int64) *ResultSet {
@@ -99,6 +123,13 @@ func (db *DB) Catalog() *Catalog { return db.cat }
 // Store returns the underlying kv store.
 func (db *DB) Store() *kv.Store { return db.store }
 
+// VersionOf returns the storage version of table's row with primary key
+// pk (kv.Store.VersionOf), its key built on the stack.
+func (db *DB) VersionOf(table string, pk sql.Value) (uint64, bool) {
+	var kb [64]byte
+	return db.store.VersionOf(rowKey(kb[:0], table, pk))
+}
+
 // ExecSQL parses and executes src with the given parameters.
 func (db *DB) ExecSQL(src string, params ...sql.Value) (*ResultSet, error) {
 	stmt, err := sql.Parse(src)
@@ -108,11 +139,12 @@ func (db *DB) ExecSQL(src string, params ...sql.Value) (*ResultSet, error) {
 	return db.Exec(stmt, params)
 }
 
-// Exec executes a parsed statement with bound parameters. A SELECT's
-// ResultSet is the caller's; its TEXT and BLOB values may alias rows the
-// store lent, which it never rewrites. Any other statement's is the DB's
-// own, valid until the DB's next statement.
+// Exec executes a parsed statement with bound parameters. The ResultSet
+// is the DB's own, valid until the DB's next statement: a caller that
+// keeps any of it past that copies it. A SELECT's TEXT and BLOB values
+// alias rows the store lent, which it never rewrites.
 func (db *DB) Exec(stmt sql.Stmt, params []sql.Value) (*ResultSet, error) {
+	db.begin()
 	defer db.release()
 	switch st := stmt.(type) {
 	case *sql.CreateTableStmt:
@@ -131,6 +163,25 @@ func (db *DB) Exec(stmt sql.Stmt, params []sql.Value) (*ResultSet, error) {
 	default:
 		return nil, fmt.Errorf("plan: unsupported statement %T", stmt)
 	}
+}
+
+// QueryEach runs the SELECT st once per parameter, each bound as its
+// only parameter — a batch of point reads through one parsed statement.
+// Result i answers params[i]; the results are the DB's own, like Exec's,
+// valid until the DB's next statement.
+func (db *DB) QueryEach(st *sql.SelectStmt, params []sql.Value) ([]ResultSet, error) {
+	db.begin()
+	var param [1]sql.Value
+	for _, p := range params {
+		param[0] = p
+		rs, err := db.execSelect(st, param[:])
+		db.release()
+		if err != nil {
+			return nil, err
+		}
+		db.each = append(db.each, *rs)
+	}
+	return db.each, nil
 }
 
 func (db *DB) execCreateIndex(st *sql.CreateIndexStmt) (*ResultSet, error) {

@@ -109,61 +109,53 @@ func (db *DB) execSelect(st *sql.SelectStmt, params []sql.Value) (*ResultSet, er
 		rows = next
 	}
 
-	// Projection schema.
+	// Projection schema: the result's columns, appended to the DB's.
 	var projBuf [8]int
-	proj, cols, err := projection(projBuf[:0], st, bound)
+	c0 := len(db.outCols)
+	proj, cols, err := projection(projBuf[:0], db.outCols, st, bound)
 	if err != nil {
 		return nil, err
 	}
+	db.outCols = cols
 
-	// The output rows share one backing array, each clipped to its width.
-	out := &ResultSet{Cols: cols}
-	if len(rows) > 0 {
-		out.Rows = make([][]sql.Value, len(rows))
-		vals := make([]sql.Value, len(rows)*len(proj))
-		for i, row := range rows {
-			v := vals[i*len(proj) : (i+1)*len(proj) : (i+1)*len(proj)]
-			for c, off := range proj {
-				v[c] = row[off]
-			}
-			out.Rows[i] = v
-		}
-	}
-
+	// Order and limit the joined rows, then project them into the
+	// result. The sort is stable on the order column, which need not be
+	// projected.
 	if st.OrderBy != nil {
 		ob, oCol, err := resolveRef(st.OrderBy.Col, bound)
 		if err != nil {
 			return nil, err
 		}
-		// Sort the joined rows by the order column (which need not be
-		// projected), tracking the original rows alongside.
-		type keyed struct {
-			key sql.Value
-			i   int
-		}
-		keys := make([]keyed, len(rows))
-		for i, row := range rows {
-			keys[i] = keyed{key: row[ob.off+oCol], i: i}
-		}
-		desc := st.OrderBy.Desc
-		sort.SliceStable(keys, func(a, b int) bool {
-			c := keys[a].key.Compare(keys[b].key)
+		at, desc := ob.off+oCol, st.OrderBy.Desc
+		sort.SliceStable(rows, func(a, b int) bool {
+			c := rows[a][at].Compare(rows[b][at])
 			if desc {
 				return c > 0
 			}
 			return c < 0
 		})
-		sorted := make([][]sql.Value, len(out.Rows))
-		for i, k := range keys {
-			sorted[i] = out.Rows[k.i]
+	}
+	if st.Limit >= 0 && len(rows) > st.Limit {
+		rows = rows[:st.Limit]
+	}
+	db.res = ResultSet{Cols: cols[c0:len(cols):len(cols)]}
+	if len(rows) == 0 {
+		return &db.res, nil
+	}
+	// The result's rows share the DB's value array, each clipped to its
+	// width; they are sliced once every value is in place.
+	v0, r0, w := len(db.outVals), len(db.outRows), len(proj)
+	for _, row := range rows {
+		for _, off := range proj {
+			db.outVals = append(db.outVals, row[off])
 		}
-		out.Rows = sorted
 	}
-
-	if st.Limit >= 0 && len(out.Rows) > st.Limit {
-		out.Rows = out.Rows[:st.Limit]
+	for i := range rows {
+		at := v0 + i*w
+		db.outRows = append(db.outRows, db.outVals[at:at+w:at+w])
 	}
-	return out, nil
+	db.res.Rows = db.outRows[r0:len(db.outRows):len(db.outRows)]
+	return &db.res, nil
 }
 
 // orientJoin determines which side of "ON a = b" refers to an
@@ -239,10 +231,10 @@ func predsForTable(preds []sql.Pred, t *Table) []sql.Pred {
 }
 
 // projection resolves the SELECT list into joined-row offsets, appended to
-// proj, and output column names. Star expands to every column of every
-// table in order; names are qualified when more than one table is
-// involved.
-func projection(proj []int, st *sql.SelectStmt, bound bindings) ([]int, []string, error) {
+// proj, and output column names, appended to cols. Star expands to every
+// column of every table in order; names are qualified when more than one
+// table is involved.
+func projection(proj []int, cols []string, st *sql.SelectStmt, bound bindings) ([]int, []string, error) {
 	multi := len(bound) > 1
 	name := func(t *Table, col string) string {
 		if multi {
@@ -251,8 +243,6 @@ func projection(proj []int, st *sql.SelectStmt, bound bindings) ([]int, []string
 		return col
 	}
 	if st.Star {
-		last := bound[len(bound)-1]
-		cols := make([]string, 0, last.off+len(last.t.Cols))
 		for _, b := range bound {
 			for i, c := range b.t.Cols {
 				proj = append(proj, b.off+i)
@@ -261,7 +251,6 @@ func projection(proj []int, st *sql.SelectStmt, bound bindings) ([]int, []string
 		}
 		return proj, cols, nil
 	}
-	cols := make([]string, 0, len(st.Cols))
 	for _, ref := range st.Cols {
 		b, ci, err := resolveRef(ref, bound)
 		if err != nil {

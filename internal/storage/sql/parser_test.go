@@ -401,7 +401,7 @@ func TestValueEncodeDecodeRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode body for %v: %v", v, err)
 		}
-		got, err := DecodeValue(body)
+		got, err := AliasValue(body)
 		if err != nil {
 			t.Fatalf("decode %v: %v", v, err)
 		}

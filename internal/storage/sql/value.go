@@ -10,7 +10,6 @@ package sql
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"cachecost/internal/wire"
 )
@@ -220,25 +219,14 @@ func EncodeValue(e *wire.Encoder, field uint32, v Value) {
 	})
 }
 
-// DecodeValue decodes a value previously written by EncodeValue from the
-// nested-message bytes. The result shares nothing with buf, so the caller
-// may keep it past buf's life.
-func DecodeValue(buf []byte) (Value, error) {
-	v, err := AliasValue(buf)
-	if v.Blob != nil {
-		v.Blob = append([]byte(nil), v.Blob...)
-	}
-	v.Str = strings.Clone(v.Str)
-	return v, err
-}
-
-// AliasValue is DecodeValue without the copies: a TEXT's string and a
-// BLOB's bytes alias buf. It is for a caller that owns buf or is done
-// with the value before buf is reused — a row the store lends, which it
-// never rewrites; a proposed command; a request the handler consumes
-// before it returns (DESIGN.md, "Buffer ownership"). Whatever keeps such
-// a value past buf's life copies it: a row encode, a key build, an error
-// message.
+// AliasValue decodes a value previously written by EncodeValue from the
+// nested-message bytes. It does not copy: a TEXT's string and a BLOB's
+// bytes alias buf. It is for a caller that owns buf or is done with the
+// value before buf is reused — a row the store lends, which it never
+// rewrites; a proposed command; a request the handler consumes before it
+// returns; a storage response a borrowed ResultSet holds (DESIGN.md,
+// "Buffer ownership"). Whatever keeps such a value past buf's life copies
+// it: a row encode, a key build, an error message, a cache fill.
 func AliasValue(buf []byte) (Value, error) {
 	d := wire.NewDecoder(buf)
 	var v Value

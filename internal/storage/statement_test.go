@@ -40,10 +40,14 @@ func newLoopbackNode(t testing.TB) (*Node, *Client) {
 // place, lexes into a pooled token buffer, parses into its statement
 // scratch, builds row keys on the stack, decodes the row the store lends
 // into its row arena and, on a miss, decodes a page with one copy. A
-// replicated UPDATE is parsed four times: once by the front end, then by
-// each of the three replicas' appliers, each into its own scratch. What
-// it keeps per replica is the new row; the rest is the client's
-// statement encode and the loopback hop.
+// read's result is built in the DB's own scratch and encoded before the
+// node's next statement; the client decodes it into a pooled set that
+// borrows the response until Release. A version check builds its SELECT
+// on the stack and parses it into the node's scratch. A replicated UPDATE
+// is parsed four times: once by the front end, then by each of the three
+// replicas' appliers, each into its own scratch. What it keeps per
+// replica is the new row; the rest is the client's statement encode and
+// the loopback hop.
 func TestStatementAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
@@ -57,8 +61,25 @@ func TestStatementAllocs(t *testing.T) {
 	var i int
 	read := func() {
 		i++
-		if rs, err := c.Query("SELECT v FROM kvdata WHERE k = ?", keys[i%len(keys)]); err != nil || len(rs.Rows) != 1 {
+		rs, err := c.Query("SELECT v FROM kvdata WHERE k = ?", keys[i%len(keys)])
+		if err != nil || len(rs.Rows) != 1 {
 			t.Fatalf("read: %v, %v", rs, err)
+		}
+		rs.Release()
+	}
+	batch := func() {
+		i++
+		at := i % (len(keys) - 8)
+		resp, err := c.BatchQueryCtx(trace.SpanContext{}, "SELECT v FROM kvdata WHERE k = ?", keys[at:at+8])
+		if err != nil || len(resp.Results) != 8 {
+			t.Fatalf("batch: %v, %v", resp, err)
+		}
+		resp.Release()
+	}
+	version := func() {
+		i++
+		if _, found, err := c.VersionCtx(trace.SpanContext{}, "kvdata", keys[i%len(keys)]); err != nil || !found {
+			t.Fatalf("version: %v, %v", found, err)
 		}
 	}
 	update := func() {
@@ -67,15 +88,21 @@ func TestStatementAllocs(t *testing.T) {
 			t.Fatalf("update: %v rows, %v", n, err)
 		}
 	}
-	read() // warm the pools, the text table and the block cache
+	// Warm the pools, the text table and the block cache.
+	read()
+	batch()
+	version()
 	update()
 	for _, tc := range []struct {
 		name string
 		op   func()
 		max  float64
 	}{
-		{"point SELECT", read, 10}, // parent: 17 (39 before the pooled parser)
-		{"UPDATE", update, 10},     // parent: 50 (143 before the pooled parser)
+		// Measured 0 / 0 / 0 / 6.
+		{"point SELECT", read, 1},     // parent: 9 (17 before garbage-free writes, 39 before the pooled parser)
+		{"BatchQuery of 8", batch, 1}, // parent: 76
+		{"version check", version, 1}, // parent: 14
+		{"UPDATE", update, 10},        // parent: 6 (50 before garbage-free writes)
 	} {
 		got := testing.AllocsPerRun(200, tc.op)
 		t.Logf("%s: %v allocs", tc.name, got)
@@ -127,17 +154,18 @@ func TestConcurrentStatementsShareNodeScratch(t *testing.T) {
 						return
 					}
 				default:
-					rss, err := c.BatchQueryCtx(trace.SpanContext{}, "SELECT v FROM kvdata"+pad+" WHERE k = ?", keys)
+					resp, err := c.BatchQueryCtx(trace.SpanContext{}, "SELECT v FROM kvdata"+pad+" WHERE k = ?", keys)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					for k, rs := range rss {
+					for k, rs := range resp.Results {
 						if len(rs.Rows) != 1 || !bytes.Equal(rs.Rows[0][0].Blob, latest[k]) {
 							t.Errorf("worker %d batch read %v: %v; want %q", g, keys[k], rs.Rows, latest[k])
 							return
 						}
 					}
+					resp.Release()
 				}
 			}
 		}(g)
@@ -236,17 +264,18 @@ func TestConcurrentWritesReuseReplicaScratch(t *testing.T) {
 						return
 					}
 				default:
-					rss, err := c.BatchQueryCtx(trace.SpanContext{}, "SELECT v FROM notes WHERE k = ?", keys[g])
+					resp, err := c.BatchQueryCtx(trace.SpanContext{}, "SELECT v FROM notes WHERE k = ?", keys[g])
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					for k, rs := range rss {
+					for k, rs := range resp.Results {
 						if len(rs.Rows) != 1 || rs.Rows[0][0].Str != latest[g][k] {
 							t.Errorf("worker %d batch read %v: %v; want %q", g, keys[g][k], rs.Rows, latest[g][k])
 							return
 						}
 					}
+					resp.Release()
 				}
 			}
 		}(g)

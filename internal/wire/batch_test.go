@@ -29,7 +29,7 @@ func TestPackedBoolsRoundTrip(t *testing.T) {
 		nil,
 		{true},
 		{false},
-		{true, false, true, true, false, false, true, false}, // exactly one byte
+		{true, false, true, true, false, false, true, false},       // exactly one byte
 		{true, false, true, true, false, false, true, false, true}, // spills to 2nd byte
 		make([]bool, 64),
 	}
