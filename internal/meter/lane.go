@@ -1,8 +1,9 @@
 package meter
 
 import (
-	"sync"
 	"time"
+
+	"cachecost/internal/freelist"
 )
 
 // Lane is a request's one record. Its core is a lap clock partitioning the
@@ -35,13 +36,13 @@ type Lane struct {
 	path   [numPathFields]int64
 }
 
-var lanePool = sync.Pool{New: func() any { return new(Lane) }}
+var lanePool = freelist.List[*Lane]{New: func() *Lane { return new(Lane) }}
 
 // OpenLane takes a lane from the pool and starts its first lap in c, on
 // the clock of c's meter; every component the lane later enters must
 // belong to that meter. The opener must Close it.
 func OpenLane(c *Component) *Lane {
-	l := lanePool.Get().(*Lane)
+	l := lanePool.Get()
 	*l = Lane{m: c.m, cur: c}
 	l.t0 = l.m.clk.now()
 	return l

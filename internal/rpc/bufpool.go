@@ -1,44 +1,32 @@
 package rpc
 
 import (
-	"sync"
 	"unsafe"
+
+	"cachecost/internal/freelist"
 )
 
-// The transport buffer pool recycles message buffers across the RPC hot
-// path. Who owns a buffer when, and who may hand it back, is stated once:
-// DESIGN.md, "Buffer ownership". Buffers and their slice headers are
-// pooled separately so a Get/Put cycle is allocation free in the steady
-// state (Put-ing a bare []byte into a sync.Pool would box the header on
-// every call).
-var (
-	// bufPool holds recycled buffers, boxed in *[]byte. It has no New: a
-	// miss is a nil buffer, not an empty box.
-	bufPool sync.Pool
-	// hdrPool holds spare *[]byte boxes whose buffer has been handed out.
-	hdrPool = sync.Pool{New: func() any { return new([]byte) }}
-)
+// bufPool, the transport buffer pool, recycles message buffers across
+// the RPC hot path. Who owns a buffer when, and who may hand it back, is
+// stated once: DESIGN.md, "Buffer ownership". It holds the slices
+// themselves, so a Get/Put cycle is allocation free in the steady state.
+var bufPool freelist.List[[]byte]
 
 // GetBuffer returns a zero-length buffer with reusable capacity, or nil
 // when the pool is empty, so the caller's append allocates only the bytes
 // it needs. Pair it with PutBuffer once the contents are dead.
 func GetBuffer() []byte {
-	bp, _ := bufPool.Get().(*[]byte)
-	if bp == nil {
-		return nil
-	}
-	b := (*bp)[:0]
-	*bp = nil
-	hdrPool.Put(bp)
-	return b
+	return bufPool.Get()[:0]
 }
 
-// PutBuffer recycles b's capacity for future GetBuffer calls. The caller
-// must own b outright: nothing may alias it afterwards. Under the race
-// detector the released bytes are overwritten first, so a read through a
-// stale alias returns poison instead of passing by luck.
+// PutBuffer recycles b's capacity for future GetBuffer calls; one larger
+// than maxKeptBuffer is dropped instead, so the pool never pins a rare
+// big frame. The caller must own b outright: nothing may alias it
+// afterwards. Under the race detector the released bytes are overwritten
+// first, so a read through a stale alias returns poison instead of
+// passing by luck.
 func PutBuffer(b []byte) {
-	if cap(b) == 0 {
+	if cap(b) == 0 || cap(b) > maxKeptBuffer {
 		return
 	}
 	if poisonReleased {
@@ -47,9 +35,7 @@ func PutBuffer(b []byte) {
 			b[i] = poisonByte
 		}
 	}
-	bp := hdrPool.Get().(*[]byte)
-	*bp = b
-	bufPool.Put(bp)
+	bufPool.Put(b)
 }
 
 // PutBuffers recycles every buffer in bs: the release of a batch's

@@ -2,17 +2,16 @@ package rpc
 
 import (
 	"net"
-	"sync"
 	"sync/atomic"
 
+	"cachecost/internal/freelist"
 	"cachecost/internal/meter"
 	"cachecost/internal/trace"
 )
 
-// loopbackBufPool recycles the request "wire" buffers Loopback copies into.
-var loopbackBufPool = sync.Pool{
-	New: func() any { return new([]byte) },
-}
+// loopbackBufPool recycles the request "wire" buffers Loopback copies
+// into; one that grew past maxKeptBuffer is dropped, not kept.
+var loopbackBufPool freelist.List[[]byte]
 
 // Loopback is an in-process Conn bound directly to a Server. It preserves
 // the cost semantics of a real network hop — the request and response are
@@ -69,12 +68,10 @@ func (l *Loopback) call(sc trace.SpanContext, method string, req []byte) ([]byte
 	// Both messages are copied across the "wire", exactly as a socket
 	// would; which side owns which buffer, and until when, is DESIGN.md's
 	// "Buffer ownership" table.
-	bp := loopbackBufPool.Get().(*[]byte)
-	wireReq := append((*bp)[:0], req...)
+	wireReq := append(loopbackBufPool.Get()[:0], req...)
 	resp, err := l.server.DispatchCtx(sc, method, wireReq)
 	if err != nil {
-		*bp = wireReq
-		loopbackBufPool.Put(bp)
+		loopbackBufPool.Put(keep(wireReq))
 		l.metrics.end(start, len(req), 0, err)
 		return nil, err
 	}
@@ -82,8 +79,7 @@ func (l *Loopback) call(sc trace.SpanContext, method string, req []byte) ([]byte
 	// either is released.
 	wireResp := append(GetBuffer(), resp...)
 	l.server.recycle(resp, wireReq)
-	*bp = wireReq
-	loopbackBufPool.Put(bp)
+	loopbackBufPool.Put(keep(wireReq))
 	l.cost.Charge(sc.Lane(), l.comp, l.burner, len(wireResp))
 	l.metrics.end(start, len(req), len(wireResp), nil)
 	return wireResp, nil

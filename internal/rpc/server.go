@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"cachecost/internal/freelist"
 	"cachecost/internal/meter"
 	"cachecost/internal/trace"
 )
@@ -263,7 +264,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// The request body is copied out of the read frame into the
 		// inbound's own buffer; ownership is DESIGN.md's "Buffer
 		// ownership" table.
-		in := inboundPool.Get().(*inbound)
+		in := inboundPool.Get()
 		in.id, in.method = rd.id, rd.method
 		in.traceID, in.spanID, in.sampled, in.deadline = rd.traceID, rd.spanID, rd.sampled, rd.deadline
 		in.body = append(in.body[:0], rd.body...)
@@ -288,7 +289,7 @@ type inbound struct {
 	body     []byte
 }
 
-var inboundPool = sync.Pool{New: func() any { return new(inbound) }}
+var inboundPool = freelist.List[*inbound]{New: func() *inbound { return new(inbound) }}
 
 // worker serves the requests one connection's reader hands it until the
 // connection closes, encoding each response into a buffer it keeps.

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
+
+	"cachecost/internal/freelist"
 )
 
 // ParseError reports a syntax error with position context.
@@ -62,7 +63,7 @@ func (s *Scratch) Reset() {
 }
 
 func parse(src string, sc *Scratch) (Stmt, error) {
-	p := parserPool.Get().(*parser)
+	p := parserPool.Get()
 	defer p.release()
 	p.sc = sc
 	if sc != nil {
@@ -95,7 +96,7 @@ type parser struct {
 	sc     *Scratch // the caller's statement scratch, or nil
 }
 
-var parserPool = sync.Pool{New: func() any { return new(parser) }}
+var parserPool = freelist.List[*parser]{New: func() *parser { return new(parser) }}
 
 // maxPooledTokens bounds the token buffer a pooled parser keeps: a bulk
 // INSERT's buffer is dropped rather than held for point statements.

@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+
+	"cachecost/internal/freelist"
 )
 
 // Type is a wire type, the low three bits of a field tag.
@@ -226,19 +227,15 @@ type Unmarshaler interface {
 
 // encoderPool recycles Encoder scratch space across Marshal calls so the
 // steady state allocates only the returned buffer, never the working one.
-var encoderPool = sync.Pool{
-	New: func() any { return NewEncoder(256) },
-}
+var encoderPool = freelist.List[*Encoder]{New: func() *Encoder { return NewEncoder(256) }}
 
 // decoderPool recycles the Decoder header (the input itself is never
 // copied), making Unmarshal allocation-free.
-var decoderPool = sync.Pool{
-	New: func() any { return new(Decoder) },
-}
+var decoderPool = freelist.List[*Decoder]{New: func() *Decoder { return new(Decoder) }}
 
 // Marshal encodes m into a fresh buffer.
 func Marshal(m Marshaler) []byte {
-	e := encoderPool.Get().(*Encoder)
+	e := encoderPool.Get()
 	e.Reset()
 	m.MarshalWire(e)
 	out := make([]byte, e.Len())
@@ -252,7 +249,7 @@ func Marshal(m Marshaler) []byte {
 // copy. fn must not retain the encoder. Responses built into a
 // transport-pool buffer go through here (DESIGN.md, "Buffer ownership").
 func Append(dst []byte, fn func(*Encoder)) []byte {
-	e := encoderPool.Get().(*Encoder)
+	e := encoderPool.Get()
 	scratch := e.buf
 	e.buf = dst
 	fn(e)
@@ -274,7 +271,7 @@ func AppendMarshal(dst []byte, m Marshaler) []byte {
 // and the interface boxing of a message literal — the two allocations
 // the Marshaler-based path cannot avoid.
 func GetEncoder() *Encoder {
-	e := encoderPool.Get().(*Encoder)
+	e := encoderPool.Get()
 	e.Reset()
 	return e
 }
@@ -284,7 +281,7 @@ func PutEncoder(e *Encoder) { encoderPool.Put(e) }
 
 // Unmarshal decodes buf into m.
 func Unmarshal(buf []byte, m Unmarshaler) error {
-	d := decoderPool.Get().(*Decoder)
+	d := decoderPool.Get()
 	d.buf, d.pos = buf, 0
 	err := m.UnmarshalWire(d)
 	d.buf = nil

@@ -6,7 +6,7 @@ import "unsafe"
 // field-at-a-time access without allocating a Decoder. The decoder is
 // only valid inside fn.
 func Decode(buf []byte, fn func(*Decoder) error) error {
-	d := decoderPool.Get().(*Decoder)
+	d := decoderPool.Get()
 	d.buf, d.pos = buf, 0
 	err := fn(d)
 	d.buf = nil
