@@ -1,10 +1,10 @@
 // Package cluster provides the partitioning substrate: a consistent-hash
-// ring used to shard caches across nodes, and a Slicer-style auto-sharder
-// ([3] in the paper) that grants generation-numbered ownership leases over
-// key ranges. Linked caches use the ring to decide which application
-// server owns which keys (§2.4); the ownership-based consistent cache of
-// §6 builds on the sharder's leases to optimize away per-read version
-// checks.
+// ring, the ShardMap it seeds — the placement a routed remote cache
+// client resolves keys through and the shard manager reshapes — and the
+// Slicer-style auto-sharder ([3] in the paper) it backs, which grants
+// generation-numbered ownership leases over key ranges. The ownership-based
+// consistent cache of §6 builds on the sharder's leases to optimize away
+// per-read version checks.
 package cluster
 
 import (

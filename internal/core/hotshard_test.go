@@ -168,3 +168,33 @@ func TestManagedTierReplicatesUnderSkew(t *testing.T) {
 		t.Fatalf("managed spread %.3f did not improve on static %.3f", managedSpread, staticSpread)
 	}
 }
+
+// TestCacheTierBillsWholeBudget: the Remote tier's nodes split
+// RemoteCacheBytes exactly, whatever the node count — their capacities,
+// and the memory their remotecache components bill, sum to the budget
+// even when no node count divides it.
+func TestCacheTierBillsWholeBudget(t *testing.T) {
+	const budget = 1_000_003
+	for _, nodes := range []int{1, 3, 4} {
+		m := meter.NewMeter()
+		cfg := smallCfg(Remote, m)
+		cfg.RemoteCacheBytes, cfg.CacheNodes = budget, nodes
+		svc, err := NewKVService(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var capacity, billed int64
+		for _, srv := range svc.rcServers {
+			capacity += srv.Capacity()
+		}
+		for _, c := range m.Snapshot() {
+			if strings.HasPrefix(c.Name, "remotecache") {
+				billed += c.MemBytes
+			}
+		}
+		if len(svc.rcServers) != nodes || capacity != budget || billed != budget {
+			t.Errorf("%d nodes: %d servers, capacity %d, billed %d; want %d, %d, %d",
+				nodes, len(svc.rcServers), capacity, billed, nodes, budget, budget)
+		}
+	}
+}

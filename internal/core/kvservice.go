@@ -236,11 +236,10 @@ type deployment struct {
 	// stream.
 	lbm *rpc.Metrics
 
-	rcServer *remotecache.Server
-
-	// Multi-node cache tier (CacheNodes > 1): servers by shard-map node
-	// name, the shared placement map, and — when ShardMgr is configured
-	// — the detector feeding the manager.
+	// rcServers is the in-process Remote tier's cache servers, keyed by
+	// node name (cacheNodeName). A multi-node tier (CacheNodes > 1) also
+	// has the shared placement map and — when ShardMgr is configured —
+	// the detector feeding the manager.
 	rcServers map[string]*remotecache.Server
 	smap      *cluster.ShardMap
 	detector  *shardmgr.Detector
@@ -328,10 +327,12 @@ func cacheFaultNode(i int) string { return "cache" + strconv.Itoa(i) }
 // unchanged) behind a shard map seeded from a consistent-hash ring, with —
 // when ShardMgr is configured — the hot-key detector on every node's serve
 // path plus the manager that reshapes the map. The total memory bill is
-// RemoteCacheBytes either way, split evenly.
+// RemoteCacheBytes either way: the first RemoteCacheBytes % CacheNodes
+// nodes get one byte more than the rest.
 func (d *deployment) buildCacheTier() error {
 	cfg := d.cfg
 	var hot remotecache.KeyRecorder
+	d.rcServers = make(map[string]*remotecache.Server, cfg.CacheNodes)
 	if cfg.CacheNodes > 1 {
 		names := make([]string, cfg.CacheNodes)
 		for i := range names {
@@ -342,19 +343,23 @@ func (d *deployment) buildCacheTier() error {
 			return err
 		}
 		d.smap = smap
-		d.rcServers = make(map[string]*remotecache.Server, cfg.CacheNodes)
 		if cfg.ShardMgr != nil {
 			d.detector = shardmgr.NewDetector(32)
 			hot = d.detector
 		}
 	}
+	per, rem := cfg.RemoteCacheBytes/int64(cfg.CacheNodes), cfg.RemoteCacheBytes%int64(cfg.CacheNodes)
 	for i := 0; i < cfg.CacheNodes; i++ {
 		name := "remotecache"
 		if d.smap != nil {
 			name += "." + cacheNodeName(i)
 		}
-		srv := remotecache.NewServer(remotecache.ServerConfig{
-			CapacityBytes: cfg.RemoteCacheBytes / int64(cfg.CacheNodes),
+		capacity := per
+		if int64(i) < rem {
+			capacity++
+		}
+		d.rcServers[cacheNodeName(i)] = remotecache.NewServer(remotecache.ServerConfig{
+			CapacityBytes: capacity,
 			Meter:         cfg.Meter,
 			Name:          name,
 			RPCCost:       rpc.DefaultCost,
@@ -364,11 +369,6 @@ func (d *deployment) buildCacheTier() error {
 			ServeTime:     cfg.CacheNodeServeTime,
 			Hot:           hot,
 		})
-		if d.smap == nil {
-			d.rcServer = srv
-		} else {
-			d.rcServers[cacheNodeName(i)] = srv
-		}
 	}
 	if mc := cfg.ShardMgr; mc != nil {
 		// Replica sets span up to every node (the manager's default).
@@ -403,11 +403,7 @@ func (d *deployment) cacheClient(worker int, external rpc.Conn) (*remotecache.Cl
 	for i := 0; i < cfg.CacheNodes; i++ {
 		conn := external
 		if conn == nil {
-			srv := d.rcServer
-			if d.smap != nil {
-				srv = d.rcServers[cacheNodeName(i)]
-			}
-			conn = d.loopback(srv.RPCServer())
+			conn = d.loopback(d.rcServers[cacheNodeName(i)].RPCServer())
 		}
 		if cfg.Faults != nil {
 			conn = cfg.Faults.WrapWorker(cacheFaultNode(i), worker, conn)
@@ -424,11 +420,10 @@ func (d *deployment) cacheClient(worker int, external rpc.Conn) (*remotecache.Cl
 	}
 	c := remotecache.NewSingleClient(conns[cacheNodeName(0)])
 	if d.smap != nil {
-		routed, err := remotecache.NewRoutedClient(conns, d.smap)
-		if err != nil {
+		var err error
+		if c, err = remotecache.NewRoutedClient(conns, d.smap); err != nil {
 			return nil, err
 		}
-		c = routed
 	}
 	c.Degrade(d.degraded)
 	c.SetTelemetry(cfg.Telemetry)
@@ -582,7 +577,12 @@ func (s *KVService) db() *storage.Client { return s.l.src.(*kvRows).db }
 
 // RemoteCacheServer returns the single-node Remote tier's cache server,
 // or nil (other architectures, or CacheNodes > 1).
-func (s *KVService) RemoteCacheServer() *remotecache.Server { return s.rcServer }
+func (s *KVService) RemoteCacheServer() *remotecache.Server {
+	if s.smap != nil {
+		return nil
+	}
+	return s.rcServers[cacheNodeName(0)]
+}
 
 // ShardManager returns the dynamic shard manager (nil unless ShardMgr
 // was configured). The experiment driver calls its Tick on the cadence
@@ -593,7 +593,7 @@ func (s *KVService) ShardManager() *shardmgr.Manager { return s.shardMgr }
 // shard-map node name — the per-node load spread the hot-shard figure
 // reports. Nil for single-node deployments.
 func (s *KVService) CacheNodeOps() map[string]int64 {
-	if s.rcServers == nil {
+	if s.smap == nil {
 		return nil
 	}
 	out := make(map[string]int64, len(s.rcServers))
@@ -656,9 +656,9 @@ func (s *KVService) WarmRemoteCache(items []PreloadItem) error {
 				s.rcServers[n].Preload(ek, v)
 			}
 		}
-	case s.rcServer != nil:
+	case s.rcServers != nil:
 		for _, it := range items {
-			s.rcServer.Preload(it.Key, ValueFor(it.Key, it.Size))
+			s.rcServers[cacheNodeName(0)].Preload(it.Key, ValueFor(it.Key, it.Size))
 		}
 	default:
 		return fmt.Errorf("core: WarmRemoteCache requires an in-process Remote deployment")

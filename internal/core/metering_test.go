@@ -220,7 +220,9 @@ func TestLinkedHitAllocs(t *testing.T) {
 
 // TestRemoteReadBatchAllocs pins the batched Remote hit: eight warmed
 // keys come back borrowed from one MultiGet response — no per-value copy,
-// no []V beside the [][]byte (59 allocations before values were lent).
+// no []V beside the [][]byte (59 allocations before values were lent),
+// and no per-node grouping of the keys (48 while the cache client still
+// grouped every batch by owning node; measured 37 since).
 func TestRemoteReadBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
@@ -239,7 +241,9 @@ func TestRemoteReadBatchAllocs(t *testing.T) {
 		}
 	}
 	read() // fill
-	if got := testing.AllocsPerRun(500, read); got > 48 {
-		t.Errorf("warmed ReadBatch of 8 allocates %.1f per batch, want <= 48", got)
+	got := testing.AllocsPerRun(500, read)
+	t.Logf("warmed ReadBatch of 8: %.1f allocs", got)
+	if got > 37 {
+		t.Errorf("warmed ReadBatch of 8 allocates %.1f per batch, want <= 37", got)
 	}
 }

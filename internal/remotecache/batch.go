@@ -10,18 +10,19 @@ import (
 	"cachecost/internal/wire"
 )
 
-// Multi-key operations. A batch ships one request frame and one response
-// frame per owning cache node regardless of how many keys it carries, so
+// Multi-key operations. A single-node client ships a batch as one request
+// frame and one response frame regardless of how many keys it carries, so
 // the per-message costs the paper's model charges — RPC framing, flush,
 // dispatch, trace-context propagation — are amortized over the batch.
 // Response vectors are positional: Found[i] and Values[i] answer Keys[i]
 // of the request, with Values[i] empty on a miss.
 //
-// Partial-result semantics: the client fans a batch out per owning node
-// (consistent hashing, same ring as the scalar ops). In degraded mode a
-// failed node RPC demotes that node's slice of the batch to misses —
-// counted as ONE demotion, it was one RPC — while other nodes' results
-// stand. In strict mode any node failure fails the whole batch.
+// Partial-result semantics: a single-node client sends a batch as one
+// frame, so in degraded mode a failed RPC demotes the whole batch to
+// misses — counted as ONE demotion, it was one RPC. A routed client runs
+// a batch as per-key ops, so each failed key is one demotion and the
+// other keys' results stand. In strict mode any failure fails the whole
+// batch.
 
 // MultiGetRequest asks for many keys in one frame.
 type MultiGetRequest struct {
@@ -157,52 +158,18 @@ func (r *MultiAck) UnmarshalWire(d *wire.Decoder) error {
 	})
 }
 
-// nodeBatch is one owning node's slice of a batch: the keys it owns and
-// their positions in the caller's order.
-type nodeBatch struct {
-	node string
-	conn rpc.Conn
-	keys []string
-	idx  []int
-}
-
-// group partitions keys by owning node, preserving each key's position.
-// Single-node rings (the common experiment topology) yield one group.
-func (c *Client) group(keys []string) ([]*nodeBatch, error) {
-	var groups []*nodeBatch
-	byNode := make(map[string]*nodeBatch, 1)
-	for i, key := range keys {
-		node := c.ring.Owner(key)
-		if node == "" {
-			return nil, ErrNoNodes
-		}
-		g, ok := byNode[node]
-		if !ok {
-			conn, okc := c.conns[node]
-			if !okc {
-				return nil, fmt.Errorf("remotecache: no connection for node %q", node)
-			}
-			g = &nodeBatch{node: node, conn: conn}
-			byNode[node] = g
-			groups = append(groups, g)
-		}
-		g.keys = append(g.keys, key)
-		g.idx = append(g.idx, i)
-	}
-	return groups, nil
-}
-
 // MultiBorrowCtx fetches keys, reporting per-key presence positionally,
 // under the caller's span context. Nothing is copied: every found value
-// aliases one of the transport buffers in held (one per owning node).
-// The caller hands each to rpc.PutBuffer when it is done reading the
-// values and must not touch them afterwards (DESIGN.md, "Buffer
-// ownership"); on an error held is nil.
+// aliases one of the transport buffers in held — the one MultiGet
+// response of a single-node client, or each hit's own response on a
+// routed one. The caller hands each to rpc.PutBuffer when it is done
+// reading the values and must not touch them afterwards (DESIGN.md,
+// "Buffer ownership"); on an error held is nil.
 //
-// Each node RPC counts two cache messages (one request, one response
-// frame — NOT two per key); each key's outcome is counted as a cache hit
-// or miss exactly as the scalar path would. In degraded mode a failed
-// node RPC demotes its keys to misses without failing the batch.
+// Each RPC counts two cache messages (one request, one response frame —
+// NOT two per key); each key's outcome is counted as a cache hit or miss
+// exactly as the scalar path would. In degraded mode a failed RPC
+// demotes its keys to misses without failing the batch.
 func (c *Client) MultiBorrowCtx(sc trace.SpanContext, keys []string) (values [][]byte, found []bool, held [][]byte, err error) {
 	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
 	values = make([][]byte, len(keys))
@@ -210,78 +177,63 @@ func (c *Client) MultiBorrowCtx(sc trace.SpanContext, keys []string) (values [][
 	if len(keys) == 0 {
 		return values, found, nil, nil
 	}
-	// fail releases what the batch borrowed so far: a strict-mode error
-	// returns no values, so nothing may stay lent out.
-	fail := func(err error) ([][]byte, []bool, [][]byte, error) {
+	if c.router != nil {
+		err = c.eachKey(sc, keys, func(i int, key string) error {
+			v, h, f, err := c.get(sc, key)
+			if f {
+				values[i], found[i] = v, true
+				held = append(held, h)
+			}
+			return err
+		})
+	} else {
+		var h []byte
+		h, err = c.multiGetOn(sc, keys, values, found)
+		err = c.demote(sc.Lane(), err) // one failed RPC, one demotion; every key stays a miss
+		if h != nil {
+			held = [][]byte{h}
+		}
+	}
+	if err != nil {
+		// A strict-mode error returns no values, so nothing may stay lent out.
 		rpc.PutBuffers(held)
 		return nil, nil, nil, err
 	}
-	if c.router != nil {
-		// Routed mode falls back to per-key scalar ops: each key's replica
-		// choice and handoff state is independent, so there is no single
-		// owning node to batch against. (Per-replica-set batching is a
-		// possible future optimization; demotions count per key here.)
-		for i, k := range keys {
-			v, h, f, err := c.get(sc, k)
-			if err != nil {
-				if !c.degrade.Load() {
-					return fail(err)
-				}
-				c.demote(sc.Lane())
-				continue
-			}
-			values[i], found[i] = v, f
-			if f {
-				held = append(held, h)
-			}
-		}
-	} else {
-		groups, err := c.group(keys)
-		if err != nil {
-			if !c.degrade.Load() {
-				return fail(err)
-			}
-			c.demote(sc.Lane())
-			groups = nil // every key reads as a miss
-		}
-		for _, g := range groups {
-			h, err := c.multiGetNode(sc, g, values, found)
-			if err != nil {
-				if !c.degrade.Load() {
-					return fail(err)
-				}
-				c.demote(sc.Lane()) // one failed RPC, one demotion; g's keys stay misses
-				continue
-			}
-			held = append(held, h)
-		}
-	}
 	for _, f := range found {
-		sc.Lane().CountCacheHit(f)
-		if f {
-			c.tmHits.Inc()
-		} else {
-			c.tmMisses.Inc()
-		}
+		c.countLookup(sc.Lane(), f)
 	}
 	return values, found, held, nil
 }
 
-// multiGetNode is one cache.MultiGet round trip for g's keys. The
-// MultiGetResponse shape {1: packed found, 2: value...} is read in place,
-// straight into the batch's positional slots: values[g.idx[i]] aliases
-// the response buffer, which is returned for the caller to release. On
-// an error the buffer is recycled here and g's slots are left as misses.
-func (c *Client) multiGetNode(sc trace.SpanContext, g *nodeBatch, values [][]byte, found []bool) (held []byte, err error) {
+// eachKey runs a routed batch as per-key ops: each key's replica choice
+// and handoff state is independent, so there is no single node to batch
+// against. In degraded mode each failed key is one demotion; in strict
+// mode the first failure ends the batch.
+func (c *Client) eachKey(sc trace.SpanContext, keys []string, op func(i int, key string) error) error {
+	for i, key := range keys {
+		if err := c.demote(sc.Lane(), op(i, key)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// multiGetOn is one cache.MultiGet round trip for keys on the client's
+// one node. The MultiGetResponse shape {1: packed found, 2: value...} is
+// read in place, straight into the batch's positional slots: values[i]
+// aliases the response buffer, which is returned for the caller to
+// release. On an error the buffer is recycled here and every slot is left
+// a miss.
+func (c *Client) multiGetOn(sc trace.SpanContext, keys []string, values [][]byte, found []bool) (held []byte, err error) {
 	e := wire.GetEncoder()
-	e.StringSlice(1, g.keys)
-	held, err = rpc.CallTraced(g.conn, sc, "cache.MultiGet", e.Bytes())
+	e.StringSlice(1, keys)
+	held, err = rpc.CallTraced(c.conns[0], sc, "cache.MultiGet", e.Bytes())
 	wire.PutEncoder(e)
 	if err != nil {
 		return nil, err
 	}
 	sc.Lane().CountCacheMsgs(2)
-	var flags []bool
+	flags := found[:0]
 	n := 0
 	err = wire.Decode(held, func(d *wire.Decoder) error {
 		return decodeFields(d, func(f uint32, t wire.Type) (err error) {
@@ -290,8 +242,8 @@ func (c *Client) multiGetNode(sc trace.SpanContext, g *nodeBatch, values [][]byt
 				flags, err = d.PackedBools(flags)
 			case 2:
 				var v []byte
-				if v, err = d.Bytes(); err == nil && n < len(g.idx) && len(v) > 0 {
-					values[g.idx[n]] = v
+				if v, err = d.Bytes(); err == nil && n < len(values) && len(v) > 0 {
+					values[n] = v
 				}
 				n++
 			default:
@@ -300,26 +252,23 @@ func (c *Client) multiGetNode(sc trace.SpanContext, g *nodeBatch, values [][]byt
 			return err
 		})
 	})
-	if err == nil && (len(flags) != len(g.keys) || n != len(g.keys)) {
+	if err == nil && (len(flags) != len(keys) || n != len(keys)) {
 		err = fmt.Errorf("remotecache: MultiGet response misaligned: %d keys, %d found, %d values",
-			len(g.keys), len(flags), n)
+			len(keys), len(flags), n)
 	}
 	if err != nil {
-		for _, ki := range g.idx {
-			values[ki] = nil
-		}
+		clear(values)
+		clear(found)
 		rpc.PutBuffer(held)
 		return nil, err
-	}
-	for i, ki := range g.idx {
-		found[ki] = flags[i]
 	}
 	return held, nil
 }
 
 // MultiSetTTLCtx stores keys[i] = values[i], all expiring after ttl
-// (0 = never), under the caller's span context. In degraded mode a failed node RPC is one counted no-op demotion: the
-// next read of those keys re-populates.
+// (0 = never), under the caller's span context. In degraded mode a failed
+// RPC is one counted no-op demotion: the next read of those keys
+// re-populates.
 func (c *Client) MultiSetTTLCtx(sc trace.SpanContext, keys []string, values [][]byte, ttl time.Duration) error {
 	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
 	if len(keys) != len(values) {
@@ -329,100 +278,35 @@ func (c *Client) MultiSetTTLCtx(sc trace.SpanContext, keys []string, values [][]
 		return nil
 	}
 	if c.router != nil {
-		for i, k := range keys {
-			if err := c.setTTL(sc, k, values[i], ttl); err != nil {
-				if !c.degrade.Load() {
-					return err
-				}
-				c.demote(sc.Lane())
-			}
-		}
-		return nil
+		return c.eachKey(sc, keys, func(i int, key string) error {
+			return c.setTTL(sc, key, values[i], ttl)
+		})
 	}
-	groups, err := c.group(keys)
-	if err != nil {
-		if !c.degrade.Load() {
-			return err
-		}
-		c.demote(sc.Lane())
-		return nil
-	}
-	for _, g := range groups {
-		e := wire.GetEncoder()
-		e.StringSlice(1, g.keys)
-		for _, ki := range g.idx {
-			e.BytesField(2, values[ki])
-		}
-		e.Int64(3, int64(ttl/time.Millisecond))
-		respBody, err := rpc.CallTraced(g.conn, sc, "cache.MultiSet", e.Bytes())
-		wire.PutEncoder(e)
-		if err != nil {
-			if !c.degrade.Load() {
-				return err
-			}
-			c.demote(sc.Lane())
-			continue
-		}
-		sc.Lane().CountCacheMsgs(2)
-		var ack MultiAck
-		err = wire.Unmarshal(respBody, &ack)
-		rpc.PutBuffer(respBody)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	e := wire.GetEncoder()
+	e.StringSlice(1, keys)
+	e.BytesSlice(2, values)
+	e.Int64(3, int64(ttl/time.Millisecond))
+	return c.demote(sc.Lane(), callAck(sc, c.conns[0], "cache.MultiSet", e, new(MultiAck)))
 }
 
 // MultiDeleteCtx removes keys under the caller's span context — the
-// batched invalidation path. In degraded mode a failed node RPC is one
-// counted demotion; those entries may survive until their node recovers,
-// the same bounded-staleness price the scalar Delete documents.
+// batched invalidation path. In degraded mode a failed RPC is one counted
+// demotion; those entries may survive until their node recovers, the
+// same bounded-staleness price the scalar Delete documents.
 func (c *Client) MultiDeleteCtx(sc trace.SpanContext, keys []string) error {
 	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
 	if len(keys) == 0 {
 		return nil
 	}
 	if c.router != nil {
-		for _, k := range keys {
-			if _, err := c.delete(sc, k); err != nil {
-				if !c.degrade.Load() {
-					return err
-				}
-				c.demote(sc.Lane())
-			}
-		}
-		return nil
-	}
-	groups, err := c.group(keys)
-	if err != nil {
-		if !c.degrade.Load() {
+		return c.eachKey(sc, keys, func(_ int, key string) error {
+			_, err := c.delete(sc, key)
 			return err
-		}
-		c.demote(sc.Lane())
-		return nil
+		})
 	}
-	for _, g := range groups {
-		e := wire.GetEncoder()
-		e.StringSlice(1, g.keys)
-		respBody, err := rpc.CallTraced(g.conn, sc, "cache.MultiDelete", e.Bytes())
-		wire.PutEncoder(e)
-		if err != nil {
-			if !c.degrade.Load() {
-				return err
-			}
-			c.demote(sc.Lane())
-			continue
-		}
-		sc.Lane().CountCacheMsgs(2)
-		var ack MultiAck
-		err = wire.Unmarshal(respBody, &ack)
-		rpc.PutBuffer(respBody)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	e := wire.GetEncoder()
+	e.StringSlice(1, keys)
+	return c.demote(sc.Lane(), callAck(sc, c.conns[0], "cache.MultiDelete", e, new(MultiAck)))
 }
 
 // handleMultiGet serves cache.MultiGet. Keys are decoded zero-copy (they

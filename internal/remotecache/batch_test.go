@@ -1,11 +1,13 @@
 package remotecache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"cachecost/internal/cluster"
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
 	"cachecost/internal/wire"
@@ -91,15 +93,12 @@ func TestMultiSetLengthMismatch(t *testing.T) {
 	}
 }
 
+// A routed batch fans out across nodes key by key and answers
+// positionally: duplicates and misses keep their slots, each hit lends
+// its own response buffer, and MultiDelete clears every node.
 func TestMultiGetFansOutAcrossNodes(t *testing.T) {
-	nodes := map[string]*Server{}
-	conns := map[string]rpc.Conn{}
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("cache%d", i)
-		nodes[name] = newNode(t, nil, 1<<20)
-		conns[name] = rpc.NewDirect(nodes[name].RPCServer())
-	}
-	c := NewClient(conns)
+	f := newRoutedFixture(t, 3, 16, nil)
+	c := f.client
 
 	const n = 90
 	keys := make([]string, n)
@@ -111,96 +110,170 @@ func TestMultiGetFansOutAcrossNodes(t *testing.T) {
 	if err := c.MultiSetTTLCtx(noCtx, keys, vals, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, found, err := multiGet(c, keys)
+	// Every key twice, each pair split by a miss.
+	var batch []string
+	for _, k := range keys {
+		batch = append(batch, k, "absent-"+k, k)
+	}
+	values, found, held, err := c.MultiBorrowCtx(noCtx, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range keys {
-		if !found[i] || string(got[i]) != string(vals[i]) {
-			t.Fatalf("key %s = %q/%v", keys[i], got[i], found[i])
+	for i, k := range batch {
+		want := vals[i/3]
+		if i%3 == 1 {
+			want = nil
+		}
+		if found[i] != (want != nil) || string(values[i]) != string(want) {
+			t.Fatalf("slot %d (%s) = %q/%v, want %q", i, k, values[i], found[i], want)
 		}
 	}
+	if len(held) != 2*n {
+		t.Fatalf("lent %d buffers, want one per hit (%d)", len(held), 2*n)
+	}
+	rpc.PutBuffers(held)
 	// The batch must actually have sharded: every node owns some keys.
-	for name, srv := range nodes {
+	for name, srv := range f.servers {
 		if srv.UsedBytes() == 0 {
 			t.Fatalf("node %s received no keys", name)
 		}
 	}
-	// Round trips must match the scalar path: MultiDelete existing keys.
 	if err := c.MultiDeleteCtx(noCtx, keys); err != nil {
 		t.Fatal(err)
 	}
-	for name, srv := range nodes {
+	for name, srv := range f.servers {
 		if srv.UsedBytes() != 0 {
 			t.Fatalf("node %s still holds bytes after MultiDelete", name)
 		}
 	}
 }
 
-// Partial-result semantics: with one of two nodes unreachable, a
-// degraded client returns the reachable node's hits, reads the dead
-// node's keys as misses, and counts ONE demotion per failed node RPC.
+// lendConn records every response next returns, so a test can look at a
+// buffer after the client has handed it back.
+type lendConn struct {
+	next  rpc.Conn
+	resps *[][]byte
+}
+
+func (c lendConn) Call(method string, req []byte) ([]byte, error) {
+	resp, err := c.next.Call(method, req)
+	if err == nil {
+		*c.resps = append(*c.resps, resp)
+	}
+	return resp, err
+}
+func (c lendConn) Close() error { return c.next.Close() }
+
+// Partial-result semantics, per topology. A single-node batch is one
+// frame, so a failed RPC is ONE demotion that reads every key as a miss.
+// A routed batch is per-key ops: with one of three nodes dead, a degraded
+// client returns the live nodes' hits, reads the dead node's keys as
+// misses and counts one demotion per dead key, while a strict client
+// fails the batch and keeps none of the buffers it had borrowed.
 func TestMultiGetPartialResultsDegraded(t *testing.T) {
-	live := newNode(t, nil, 1<<20)
-	conns := map[string]rpc.Conn{
-		"cache0": rpc.NewDirect(live.RPCServer()),
-		"cache1": brokenConn{},
-	}
-	c := NewClient(conns)
-
-	// Find keys on each side of the ring split.
-	var liveKeys, deadKeys []string
-	for i := 0; len(liveKeys) < 3 || len(deadKeys) < 3; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if c.ring.Owner(k) == "cache0" {
-			liveKeys = append(liveKeys, k)
-		} else {
-			deadKeys = append(deadKeys, k)
+	three := [][]byte{[]byte("x"), []byte("y"), []byte("z")}
+	t.Run("single", func(t *testing.T) {
+		c := NewSingleClient(brokenConn{})
+		keys := []string{"a", "b", "c"}
+		if _, _, err := multiGet(c, keys); err == nil {
+			t.Fatal("strict client must propagate the node failure")
 		}
-	}
-	liveKeys, deadKeys = liveKeys[:3], deadKeys[:3]
-	for _, k := range liveKeys {
-		live.store.Put(k, []byte("v-"+k))
-	}
-
-	batch := []string{liveKeys[0], deadKeys[0], liveKeys[1], deadKeys[1], liveKeys[2], deadKeys[2]}
-
-	// Strict mode: the dead node fails the whole batch.
-	if _, _, err := multiGet(c, batch); err == nil {
-		t.Fatal("strict client must propagate the node failure")
-	}
-
-	// Degraded mode: partial results.
-	m := meter.NewMeter()
-	c.Degrade(m.Counter("degraded"))
-	vals, found, err := multiGet(c, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range batch {
-		wantLive := i%2 == 0
-		if found[i] != wantLive {
-			t.Fatalf("slot %d (%s): found=%v, want %v", i, k, found[i], wantLive)
+		m := meter.NewMeter()
+		c.Degrade(m.Counter("degraded"))
+		vals, found, err := multiGet(c, keys)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if wantLive && string(vals[i]) != "v-"+k {
-			t.Fatalf("slot %d (%s) = %q", i, k, vals[i])
+		for i := range keys {
+			if found[i] || vals[i] != nil {
+				t.Fatalf("slot %d = %q/%v, want a miss", i, vals[i], found[i])
+			}
 		}
-	}
-	if got := m.CounterValue("degraded"); got != 1 {
-		t.Fatalf("Degraded = %d, want 1 (one failed node RPC, not one per key)", got)
-	}
+		if got := m.CounterValue("degraded"); got != 1 {
+			t.Fatalf("Degraded = %d, want 1 (one failed RPC, not one per key)", got)
+		}
+		if err := c.MultiSetTTLCtx(noCtx, keys, three, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.MultiDeleteCtx(noCtx, keys); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.CounterValue("degraded"); got != 3 {
+			t.Fatalf("Degraded = %d, want 3", got)
+		}
+	})
 
-	// Degraded MultiSet/MultiDelete to the dead node: silent no-ops,
-	// one demotion each.
-	if err := c.MultiSetTTLCtx(noCtx, deadKeys, [][]byte{[]byte("x"), []byte("y"), []byte("z")}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MultiDeleteCtx(noCtx, deadKeys); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.CounterValue("degraded"); got != 3 {
-		t.Fatalf("Degraded = %d, want 3", got)
-	}
+	t.Run("routed", func(t *testing.T) {
+		smap, err := cluster.NewShardMap(16, []string{"c0", "c1", "c2"}, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resps [][]byte
+		conns := map[string]rpc.Conn{"c1": brokenConn{}}
+		for _, n := range []string{"c0", "c2"} {
+			conns[n] = lendConn{next: rpc.NewDirect(newNode(t, nil, 1<<20).RPCServer()), resps: &resps}
+		}
+		c, err := NewRoutedClient(conns, smap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var liveKeys, deadKeys []string
+		for i := 0; len(liveKeys) < 3 || len(deadKeys) < 3; i++ {
+			k := fmt.Sprintf("k%d", i)
+			if smap.Placement(smap.ShardOf(k)).Primary() == "c1" {
+				deadKeys = append(deadKeys, k)
+			} else {
+				liveKeys = append(liveKeys, k)
+			}
+		}
+		liveKeys, deadKeys = liveKeys[:3], deadKeys[:3]
+		for _, k := range liveKeys {
+			if err := c.Set(k, []byte("v-"+k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batch := []string{liveKeys[0], deadKeys[0], liveKeys[1], deadKeys[1], liveKeys[2], deadKeys[2]}
+
+		// Strict mode: the dead node fails the batch after liveKeys[0]'s
+		// hit was lent, and that loan is called back.
+		resps = resps[:0]
+		values, found, held, err := c.MultiBorrowCtx(noCtx, batch)
+		if err == nil || values != nil || found != nil || held != nil {
+			t.Fatalf("strict batch = %v %v %d held, %v; want an error and nothing lent", values, found, len(held), err)
+		}
+		if len(resps) != 1 {
+			t.Fatalf("%d live responses before the failure, want 1", len(resps))
+		}
+		if raceEnabled && bytes.Contains(resps[0], []byte("v-"+liveKeys[0])) {
+			t.Fatal("the hit lent before the failure was not handed back")
+		}
+
+		// Degraded mode: partial results, one demotion per dead key.
+		m := meter.NewMeter()
+		c.Degrade(m.Counter("degraded"))
+		vals, found, err := multiGet(c, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range batch {
+			wantLive := i%2 == 0
+			if found[i] != wantLive || (wantLive && string(vals[i]) != "v-"+k) {
+				t.Fatalf("slot %d (%s) = %q/%v, want live=%v", i, k, vals[i], found[i], wantLive)
+			}
+		}
+		if got := m.CounterValue("degraded"); got != 3 {
+			t.Fatalf("Degraded = %d, want 3 (one per dead key)", got)
+		}
+		if err := c.MultiSetTTLCtx(noCtx, deadKeys, three, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.MultiDeleteCtx(noCtx, deadKeys); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.CounterValue("degraded"); got != 9 {
+			t.Fatalf("Degraded = %d, want 9", got)
+		}
+	})
 }
 
 func TestMultiSetTTLExpires(t *testing.T) {

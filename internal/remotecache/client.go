@@ -1,12 +1,9 @@
 package remotecache
 
 import (
-	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
-	"cachecost/internal/cluster"
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
 	"cachecost/internal/telemetry"
@@ -14,11 +11,10 @@ import (
 	"cachecost/internal/wire"
 )
 
-// ErrNoNodes is returned by a client with no cache nodes.
-var ErrNoNodes = errors.New("remotecache: no cache nodes")
-
-// Client shards keys across one or more cache nodes with consistent
-// hashing, the standard memcached client topology. It is safe for
+// Client is the application's lookaside cache client (§2.4, Figure 1b).
+// It has one of two topologies: it talks to a single cache node
+// (NewSingleClient), or it routes each key through a shared
+// cluster.ShardMap over several nodes (NewRoutedClient). It is safe for
 // concurrent use once constructed.
 //
 // A client is strict by default: cache errors propagate to the caller.
@@ -29,8 +25,9 @@ var ErrNoNodes = errors.New("remotecache: no cache nodes")
 // exactly this behaviour: the service must keep serving through cache
 // loss, and the degraded window's cost shows up as extra storage load.
 type Client struct {
-	ring  *cluster.Ring
-	conns map[string]rpc.Conn
+	// conns holds the cache nodes' connections: the one node's, or, when
+	// router is set, one per shard-map node in ShardMap.Nodes order.
+	conns []rpc.Conn
 
 	degrade atomic.Bool
 	counter *meter.Counter // optional mirror into a meter's counters
@@ -40,36 +37,14 @@ type Client struct {
 	tmMisses   *telemetry.Counter
 	tmDegraded *telemetry.Counter
 
-	// router, when set (NewRoutedClient), replaces ring routing with
-	// shard-map routing: replica fan-out, P2C reads, handoff double-reads.
+	// router, when set (NewRoutedClient), routes every key through the
+	// shard map: replica fan-out, P2C reads, handoff double-reads.
 	router *router
 }
 
-// NewClient builds a client over named connections (node name -> conn).
-func NewClient(conns map[string]rpc.Conn) *Client {
-	c := &Client{ring: cluster.NewRing(64), conns: make(map[string]rpc.Conn, len(conns))}
-	for name, conn := range conns {
-		c.ring.Add(name)
-		c.conns[name] = conn
-	}
-	return c
-}
-
-// NewSingleClient is the common one-node case.
+// NewSingleClient builds a client over one cache node.
 func NewSingleClient(conn rpc.Conn) *Client {
-	return NewClient(map[string]rpc.Conn{"cache0": conn})
-}
-
-func (c *Client) conn(key string) (rpc.Conn, error) {
-	node := c.ring.Owner(key)
-	if node == "" {
-		return nil, ErrNoNodes
-	}
-	conn, ok := c.conns[node]
-	if !ok {
-		return nil, fmt.Errorf("remotecache: no connection for node %q", node)
-	}
-	return conn, nil
+	return &Client{conns: []rpc.Conn{conn}}
 }
 
 // SetTelemetry binds client-side outcome counters: hits and misses as
@@ -94,14 +69,30 @@ func (c *Client) Degrade(counter *meter.Counter) {
 	c.degrade.Store(true)
 }
 
-// demote records one degraded cache operation, marking the request whose
-// lane it happened on degraded.
-func (c *Client) demote(l *meter.Lane) {
+// demote absorbs a cache failure in degraded mode: it counts one
+// demotion, marks the request whose lane it happened on degraded and
+// returns nil. A strict client, or a nil err, gets err back unchanged.
+func (c *Client) demote(l *meter.Lane, err error) error {
+	if err == nil || !c.degrade.Load() {
+		return err
+	}
 	l.Mark(meter.FlagDegraded)
 	if c.counter != nil {
 		c.counter.Inc()
 	}
 	c.tmDegraded.Inc()
+	return nil
+}
+
+// countLookup counts one key's lookup outcome as a cache hit or miss, on
+// the request's lane and in the client's telemetry.
+func (c *Client) countLookup(l *meter.Lane, found bool) {
+	l.CountCacheHit(found)
+	if found {
+		c.tmHits.Inc()
+	} else {
+		c.tmMisses.Inc()
+	}
 }
 
 // Get fetches key, reporting presence. In degraded mode a cache failure
@@ -131,32 +122,19 @@ func (c *Client) BorrowCtx(sc trace.SpanContext, key string) (value, held []byte
 	t0 := sc.Lane().StageClock()
 	value, held, found, err = c.get(sc, key)
 	sc.Lane().AddStage(meter.StageCache, t0)
-	if err != nil && c.degrade.Load() {
-		c.demote(sc.Lane())
-		err = nil
-	}
-	if err == nil {
-		sc.Lane().CountCacheHit(found)
-		if found {
-			c.tmHits.Inc()
-		} else {
-			c.tmMisses.Inc()
-		}
+	if err = c.demote(sc.Lane(), err); err == nil {
+		c.countLookup(sc.Lane(), found)
 	}
 	return value, held, found, err
 }
 
-// get is the routed or ring-routed lookup behind BorrowCtx, with its
-// contract: value aliases held, and both are nil unless found.
+// get is the lookup behind BorrowCtx, with its contract: value aliases
+// held, and both are nil unless found.
 func (c *Client) get(sc trace.SpanContext, key string) (value, held []byte, found bool, err error) {
 	if c.router != nil {
 		return c.routedGet(sc, key)
 	}
-	conn, err := c.conn(key)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return getOn(sc, conn, key)
+	return getOn(sc, c.conns[0], key)
 }
 
 // getOn is one cache.Get round trip on conn. The request is the
@@ -205,22 +183,14 @@ func (c *Client) SetTTLCtx(sc trace.SpanContext, key string, value []byte, ttl t
 	t0 := sc.Lane().StageClock()
 	err := c.setTTL(sc, key, value, ttl)
 	sc.Lane().AddStage(meter.StageCache, t0)
-	if err != nil && c.degrade.Load() {
-		c.demote(sc.Lane())
-		return nil
-	}
-	return err
+	return c.demote(sc.Lane(), err)
 }
 
 func (c *Client) setTTL(sc trace.SpanContext, key string, value []byte, ttl time.Duration) error {
 	if c.router != nil {
 		return c.routedSet(sc, key, value, ttl)
 	}
-	conn, err := c.conn(key)
-	if err != nil {
-		return err
-	}
-	return setOn(sc, conn, key, value, ttl)
+	return setOn(sc, c.conns[0], key, value, ttl)
 }
 
 // setOn is one cache.Set round trip on conn: the SetRequest shape
@@ -230,23 +200,21 @@ func setOn(sc trace.SpanContext, conn rpc.Conn, key string, value []byte, ttl ti
 	e.String(1, key)
 	e.BytesField(2, value)
 	e.Int64(3, int64(ttl/time.Millisecond))
-	_, err := callAck(sc, conn, "cache.Set", e)
-	return err
+	return callAck(sc, conn, "cache.Set", e, new(Ack))
 }
 
-// callAck sends e's bytes to method, recycles e, and decodes the Ack
-// reply, recycling its buffer too.
-func callAck(sc trace.SpanContext, conn rpc.Conn, method string, e *wire.Encoder) (bool, error) {
+// callAck sends e's bytes to method, recycles e, and decodes the reply
+// into ack — an Ack, or a batch's MultiAck — recycling its buffer too.
+func callAck(sc trace.SpanContext, conn rpc.Conn, method string, e *wire.Encoder, ack wire.Unmarshaler) error {
 	respBody, err := rpc.CallTraced(conn, sc, method, e.Bytes())
 	wire.PutEncoder(e)
 	if err != nil {
-		return false, err
+		return err
 	}
 	sc.Lane().CountCacheMsgs(2)
-	var ack Ack
-	err = wire.Unmarshal(respBody, &ack)
+	err = wire.Unmarshal(respBody, ack)
 	rpc.PutBuffer(respBody)
-	return ack.OK, err
+	return err
 }
 
 // Delete removes key, reporting whether it existed. In degraded mode a
@@ -261,22 +229,17 @@ func (c *Client) DeleteCtx(sc trace.SpanContext, key string) (bool, error) {
 	t0 := sc.Lane().StageClock()
 	ok, err := c.delete(sc, key)
 	sc.Lane().AddStage(meter.StageCache, t0)
-	if err != nil && c.degrade.Load() {
-		c.demote(sc.Lane())
-		return false, nil
+	if err != nil {
+		return false, c.demote(sc.Lane(), err)
 	}
-	return ok, err
+	return ok, nil
 }
 
 func (c *Client) delete(sc trace.SpanContext, key string) (bool, error) {
 	if c.router != nil {
 		return c.routedDelete(sc, key)
 	}
-	conn, err := c.conn(key)
-	if err != nil {
-		return false, err
-	}
-	return deleteOn(sc, conn, key)
+	return deleteOn(sc, c.conns[0], key)
 }
 
 // deleteOn is one cache.Delete round trip on conn: the DeleteRequest
@@ -284,7 +247,9 @@ func (c *Client) delete(sc trace.SpanContext, key string) (bool, error) {
 func deleteOn(sc trace.SpanContext, conn rpc.Conn, key string) (bool, error) {
 	e := wire.GetEncoder()
 	e.String(1, key)
-	return callAck(sc, conn, "cache.Delete", e)
+	var ack Ack
+	err := callAck(sc, conn, "cache.Delete", e, &ack)
+	return ack.OK, err
 }
 
 // Close closes every connection, returning the first error.

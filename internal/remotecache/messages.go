@@ -1,8 +1,9 @@
 // Package remotecache implements the remote lookaside cache tier of the
 // study (§2.4, Figure 1b): a memcached/Redis-style server fronted by the
-// RPC layer, plus a client that shards keys across cache nodes with
-// consistent hashing. Every hit pays an RPC round trip and value
-// (de)serialization — the CPU the linked cache architecture eliminates.
+// RPC layer, plus a client that talks to one cache node or routes each
+// key through a shared cluster.ShardMap over several. Every hit pays an
+// RPC round trip and value (de)serialization — the CPU the linked cache
+// architecture eliminates.
 package remotecache
 
 import "cachecost/internal/wire"

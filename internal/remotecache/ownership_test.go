@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"cachecost/internal/cluster"
 	"cachecost/internal/rpc"
 	"cachecost/internal/trace"
 )
@@ -71,50 +72,72 @@ func TestOwnershipBorrowedValueStableUntilReleased(t *testing.T) {
 }
 
 // TestOwnershipMultiBorrowAndCopyingGets: the batch lends like the scalar
-// op, and Get's value stays the caller's to keep — it survives the
-// release of every buffer and any amount of pool churn.
+// op — from one MultiGet response on a single node, from each hit's own
+// response on a routed three-node tier — and Get's value stays the
+// caller's to keep: it survives the release of every buffer and any
+// amount of pool churn.
 func TestOwnershipMultiBorrowAndCopyingGets(t *testing.T) {
-	conns := map[string]rpc.Conn{}
-	for i := 0; i < 3; i++ {
+	loopback := func() rpc.Conn {
 		srv := NewServer(ServerConfig{CapacityBytes: 1 << 20})
-		conns[fmt.Sprint("cache", i)] = rpc.NewLoopback(srv.RPCServer(), nil, nil, rpc.CostModel{})
+		return rpc.NewLoopback(srv.RPCServer(), nil, nil, rpc.CostModel{})
 	}
-	c := NewClient(conns)
-	keys := make([]string, 24)
-	for i := range keys {
-		keys[i] = fmt.Sprint("key-", i)
-		if i%4 != 3 { // every fourth key is a miss
-			if err := c.Set(keys[i], valueOf(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	check := func(what string, values [][]byte, found []bool) {
-		t.Helper()
-		for i := range keys {
-			if found[i] != (i%4 != 3) || (found[i] && !bytes.Equal(values[i], valueOf(i))) {
-				t.Fatalf("%s: key %d: found=%v value=%q", what, i, found[i], values[i])
-			}
-		}
-	}
-	values, found, held, err := c.MultiBorrowCtx(noCtx, keys)
+	smap, err := cluster.NewShardMap(16, []string{"c0", "c1", "c2"}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(held) != len(conns) {
-		t.Fatalf("borrowed from %d buffers, want one per node (%d)", len(held), len(conns))
-	}
-	churn(1200, 600)
-	check("borrowed, before release", values, found)
-	rpc.PutBuffers(held)
-
-	one, ok, err := c.Get(keys[0])
-	if err != nil || !ok {
+	routed, err := NewRoutedClient(map[string]rpc.Conn{"c0": loopback(), "c1": loopback(), "c2": loopback()}, smap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	churn(1200, 600)
-	if !bytes.Equal(one, valueOf(0)) {
-		t.Fatal("Get's value changed after its response buffer was recycled")
+	keys := make([]string, 24)
+	for i := range keys {
+		keys[i] = fmt.Sprint("key-", i)
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Client
+		lent int // response buffers the batch lends
+	}{
+		{"single", NewSingleClient(loopback()), 1},
+		{"routed", routed, 18},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			for i := range keys {
+				if i%4 != 3 { // every fourth key is a miss
+					if err := c.Set(keys[i], valueOf(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			check := func(what string, values [][]byte, found []bool) {
+				t.Helper()
+				for i := range keys {
+					if found[i] != (i%4 != 3) || (found[i] && !bytes.Equal(values[i], valueOf(i))) {
+						t.Fatalf("%s: key %d: found=%v value=%q", what, i, found[i], values[i])
+					}
+				}
+			}
+			values, found, held, err := c.MultiBorrowCtx(noCtx, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(held) != tc.lent {
+				t.Fatalf("borrowed from %d buffers, want %d", len(held), tc.lent)
+			}
+			churn(1200, 600)
+			check("borrowed, before release", values, found)
+			rpc.PutBuffers(held)
+
+			one, ok, err := c.Get(keys[0])
+			if err != nil || !ok {
+				t.Fatal(err)
+			}
+			churn(1200, 600)
+			if !bytes.Equal(one, valueOf(0)) {
+				t.Fatal("Get's value changed after its response buffer was recycled")
+			}
+		})
 	}
 }
 

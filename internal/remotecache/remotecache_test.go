@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecost/internal/cluster"
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
 )
@@ -68,29 +69,29 @@ func TestEvictionUnderPressure(t *testing.T) {
 	}
 }
 
+// A routed client shards keys across nodes through the shard map: every
+// key reads back, each lives on its shard's primary, and every node gets
+// a share of the population.
 func TestShardingAcrossNodes(t *testing.T) {
-	nodes := map[string]*Server{}
-	conns := map[string]rpc.Conn{}
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("cache%d", i)
-		nodes[name] = newNode(t, nil, 1<<20)
-		conns[name] = rpc.NewDirect(nodes[name].RPCServer())
-	}
-	c := NewClient(conns)
+	f := newRoutedFixture(t, 3, 16, nil)
+	c := f.client
 	const n = 300
 	for i := 0; i < n; i++ {
 		if err := c.Set(fmt.Sprintf("key-%d", i), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Every key must be readable back.
 	for i := 0; i < n; i++ {
-		if _, found, err := c.Get(fmt.Sprintf("key-%d", i)); err != nil || !found {
-			t.Fatalf("key-%d: found=%v err=%v", i, found, err)
+		k := fmt.Sprintf("key-%d", i)
+		if _, found, err := c.Get(k); err != nil || !found {
+			t.Fatalf("%s: found=%v err=%v", k, found, err)
+		}
+		pl := f.smap.Placement(f.smap.ShardOf(k))
+		if _, ok := f.servers[pl.Primary()].store.Get(cluster.EpochKey(pl.Epoch, k)); !ok {
+			t.Fatalf("%s is not on its shard's primary %s", k, pl.Primary())
 		}
 	}
-	// And the population must be spread across nodes.
-	for name, node := range nodes {
+	for name, node := range f.servers {
 		if node.Stats().Puts == 0 {
 			t.Fatalf("node %s received no keys; sharding broken", name)
 		}
@@ -166,13 +167,31 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Wait() // run with -race
 }
 
+// A routed client is built only over exactly the shard map's nodes: no
+// map, a node without a connection, or a connection without a node is an
+// error at construction, so no request can find a node unconnected.
 func TestEmptyClientErrors(t *testing.T) {
-	c := NewClient(nil)
-	if _, _, err := c.Get("k"); err == nil {
-		t.Fatal("client with no nodes should error")
+	smap, err := cluster.NewShardMap(4, []string{"c0", "c1"}, 64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := c.Set("k", nil); err == nil {
-		t.Fatal("set with no nodes should error")
+	conn := rpc.NewDirect(newNode(t, nil, 1<<20).RPCServer())
+	for name, tc := range map[string]struct {
+		conns map[string]rpc.Conn
+		smap  *cluster.ShardMap
+	}{
+		"no map":         {map[string]rpc.Conn{"c0": conn}, nil},
+		"no connections": {nil, smap},
+		"missing node":   {map[string]rpc.Conn{"c0": conn}, smap},
+		"unknown node":   {map[string]rpc.Conn{"c0": conn, "c9": conn}, smap},
+		"extra node":     {map[string]rpc.Conn{"c0": conn, "c1": conn, "c9": conn}, smap},
+	} {
+		if c, err := NewRoutedClient(tc.conns, tc.smap); err == nil || c != nil {
+			t.Errorf("%s: NewRoutedClient = %v, %v; want an error", name, c, err)
+		}
+	}
+	if _, err := NewRoutedClient(map[string]rpc.Conn{"c0": conn, "c1": conn}, smap); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -11,11 +11,10 @@ import (
 	"cachecost/internal/trace"
 )
 
-// Routed mode: instead of a private consistent-hash ring, the client
-// resolves keys through a shared cluster.ShardMap — the dynamic
-// placement the shard manager reshapes at runtime. Reads spread over a
-// hot shard's replica set with power-of-two-choices on the client's own
-// inflight counts; writes fan out to every replica (and invalidate the
+// Routed mode: the client resolves keys through a shared
+// cluster.ShardMap — the dynamic placement the shard manager reshapes at
+// runtime. Reads spread over a hot shard's replica set with
+// power-of-two-choices on the client's own inflight counts; writes fan out to every replica (and invalidate the
 // old primary during a handoff) so replicas never serve stale data;
 // reads that miss during a handoff double-read the old primary at its
 // old epoch and copy the value forward, warming the new primary without
@@ -43,26 +42,32 @@ type router struct {
 	tmHandoff *telemetry.Counter
 }
 
-// NewRoutedClient builds a client that routes through smap. Every node
-// in the map must have a connection.
+// NewRoutedClient builds a client that routes through smap, over conns
+// keyed by node name. Every node in the map must have a connection, and
+// every connection a node: the map's node population is fixed, so this
+// check is the only one routing needs.
 func NewRoutedClient(conns map[string]rpc.Conn, smap *cluster.ShardMap) (*Client, error) {
 	if smap == nil {
 		return nil, fmt.Errorf("remotecache: routed client needs a shard map")
 	}
-	c := NewClient(conns)
 	nodes := smap.Nodes()
+	if len(conns) != len(nodes) {
+		return nil, fmt.Errorf("remotecache: %d connections for %d shard-map nodes", len(conns), len(nodes))
+	}
 	r := &router{
 		smap:     smap,
 		nodeIdx:  make(map[string]int, len(nodes)),
 		inflight: make([]inflightCell, len(nodes)),
 	}
+	c := &Client{conns: make([]rpc.Conn, len(nodes)), router: r}
 	for i, n := range nodes {
-		if _, ok := c.conns[n]; !ok {
+		conn, ok := conns[n]
+		if !ok {
 			return nil, fmt.Errorf("remotecache: no connection for shard-map node %q", n)
 		}
+		c.conns[i] = conn
 		r.nodeIdx[n] = i
 	}
-	c.router = r
 	return c, nil
 }
 
@@ -181,44 +186,33 @@ func (c *Client) routedDelete(sc trace.SpanContext, key string) (bool, error) {
 }
 
 // getNode / setNode / deleteNode are the single-node RPC legs of the
-// routed ops: the ring-routed path's round trips, inside the inflight
-// tracking power-of-two-choices feeds on.
+// routed ops: one round trip each, inside the inflight tracking
+// power-of-two-choices feeds on.
 
-// track resolves node and counts one more request in flight on it; the
-// caller takes it off the returned counter when the round trip ends.
-func (c *Client) track(node string) (rpc.Conn, *atomic.Int64, error) {
-	conn, ok := c.conns[node]
-	if !ok {
-		return nil, nil, fmt.Errorf("remotecache: no connection for node %q", node)
-	}
-	infl := &c.router.inflight[c.router.nodeIdx[node]].v
+// track counts one more request in flight on node and returns its
+// connection; the caller takes it off the returned counter when the
+// round trip ends.
+func (c *Client) track(node string) (rpc.Conn, *atomic.Int64) {
+	i := c.router.nodeIdx[node]
+	infl := &c.router.inflight[i].v
 	infl.Add(1)
-	return conn, infl, nil
+	return c.conns[i], infl
 }
 
 func (c *Client) getNode(sc trace.SpanContext, node, key string) (value, held []byte, found bool, err error) {
-	conn, infl, err := c.track(node)
-	if err != nil {
-		return nil, nil, false, err
-	}
+	conn, infl := c.track(node)
 	defer infl.Add(-1)
 	return getOn(sc, conn, key)
 }
 
 func (c *Client) setNode(sc trace.SpanContext, node, key string, value []byte, ttl time.Duration) error {
-	conn, infl, err := c.track(node)
-	if err != nil {
-		return err
-	}
+	conn, infl := c.track(node)
 	defer infl.Add(-1)
 	return setOn(sc, conn, key, value, ttl)
 }
 
 func (c *Client) deleteNode(sc trace.SpanContext, node, key string) (bool, error) {
-	conn, infl, err := c.track(node)
-	if err != nil {
-		return false, err
-	}
+	conn, infl := c.track(node)
 	defer infl.Add(-1)
 	return deleteOn(sc, conn, key)
 }
