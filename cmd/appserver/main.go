@@ -156,7 +156,6 @@ func main() {
 		<-sig
 		fmt.Println(meter.BuildReport(m, meter.GCP))
 		warnSlowest(logger, fr)
-		svc.Front().Close()
 		os.Exit(0)
 	}()
 

@@ -114,7 +114,6 @@ func main() {
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		fmt.Println(meter.BuildReport(m, meter.GCP))
-		srv.RPCServer().Close()
 		os.Exit(0)
 	}()
 

@@ -98,7 +98,6 @@ func main() {
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		fmt.Println(meter.BuildReport(m, meter.GCP))
-		node.Server().Close()
 		os.Exit(0)
 	}()
 

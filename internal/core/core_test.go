@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"cachecost/internal/meter"
+	"cachecost/internal/rpc"
+	"cachecost/internal/storage"
 	"cachecost/internal/workload"
 )
 
@@ -339,5 +341,47 @@ func TestArchString(t *testing.T) {
 	}
 	if Arch(99).String() == "" {
 		t.Fatal("unknown arch should render")
+	}
+}
+
+// TestPreloadAgainstRunningStore: an app restarted against a running
+// store preloads again. The rows the store holds stay as they are, the
+// missing ones are loaded, and the preload succeeds.
+func TestPreloadAgainstRunningStore(t *testing.T) {
+	m := meter.NewMeter()
+	node := storage.NewNode(storage.Config{BlockCacheBytes: 256 << 10, Meter: m})
+	db := rpc.NewLoopback(node.Server(), m.Component("app"), meter.NewBurner(), rpc.DefaultCost)
+	items := make([]PreloadItem, 120)
+	for i := range items {
+		items[i] = PreloadItem{Key: workload.KeyName(i), Size: 32}
+	}
+	first, err := NewKVServiceRemote(smallCfg(Base, m), RemoteEndpoints{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first run loads a chunk and a half, then writes one row.
+	if err := first.Preload(items[:75]); err != nil {
+		t.Fatal(err)
+	}
+	written := []byte("written after the first preload")
+	if err := first.Write(items[60].Key, written); err != nil {
+		t.Fatal(err)
+	}
+	second, err := NewKVServiceRemote(smallCfg(Base, m), RemoteEndpoints{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Preload(items); err != nil {
+		t.Fatalf("preload against a store holding its rows: %v", err)
+	}
+	for i, it := range items {
+		want := ValueFor(it.Key, it.Size)
+		if i == 60 {
+			want = written
+		}
+		got, err := second.Read(it.Key)
+		if err != nil || !bytes.Equal(got, Digest(want)) {
+			t.Fatalf("read %s = %q, %v; want %q", it.Key, got, err, want)
+		}
 	}
 }

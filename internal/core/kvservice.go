@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"cachecost/internal/admission"
@@ -14,6 +15,7 @@ import (
 	"cachecost/internal/rpc"
 	"cachecost/internal/shardmgr"
 	"cachecost/internal/storage"
+	"cachecost/internal/storage/plan"
 	"cachecost/internal/storage/sql"
 	"cachecost/internal/telemetry"
 	"cachecost/internal/trace"
@@ -610,7 +612,8 @@ type PreloadItem struct {
 }
 
 // Preload bulk-loads rows. In-process deployments load through the
-// unmetered bootstrap path; remote deployments load through SQL.
+// unmetered bootstrap path; remote deployments load through SQL, and
+// keep every row their store already holds as it is.
 func (s *KVService) Preload(items []PreloadItem) error {
 	const chunk = 50
 	for start := 0; start < len(items); start += chunk {
@@ -631,10 +634,27 @@ func (s *KVService) Preload(items []PreloadItem) error {
 			continue
 		}
 		if _, err := s.db().Exec(stmt, params...); err != nil {
-			return err
+			if !duplicateKey(err) {
+				return err
+			}
+			// The store already holds some of the chunk: an app restarted
+			// against a running storeserver. Insert it row by row, keeping
+			// every row the store holds as it is.
+			for i := 0; i < len(params); i += 2 {
+				_, err := s.db().Exec("INSERT INTO kvdata (k, v) VALUES (?, ?)", params[i], params[i+1])
+				if err != nil && !duplicateKey(err) {
+					return err
+				}
+			}
 		}
 	}
 	return nil
+}
+
+// duplicateKey reports whether err is a statement's duplicate-key error,
+// which reaches a remote caller as text.
+func duplicateKey(err error) bool {
+	return strings.Contains(err.Error(), plan.ErrDuplicateKey.Error())
 }
 
 // WarmRemoteCache seeds the Remote architecture's cache tier with every

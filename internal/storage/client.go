@@ -41,7 +41,7 @@ func (c *Client) QueryCtx(sc trace.SpanContext, src string, params ...sql.Value)
 	return plan.Borrow(respBody)
 }
 
-// Exec runs a write statement (INSERT/UPDATE/DELETE/DDL) with bound
+// Exec runs a write statement (INSERT, UPDATE or CREATE) with bound
 // parameters, replicated through the storage node's raft group, and
 // returns the number of rows it affected.
 func (c *Client) Exec(src string, params ...sql.Value) (int64, error) {

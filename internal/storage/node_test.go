@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 
 	"cachecost/internal/meter"
@@ -224,25 +223,40 @@ func TestExecErrorDoesNotPoisonLaterWrites(t *testing.T) {
 }
 
 func TestRichObjectMultiQueryPattern(t *testing.T) {
-	// Smoke-test the Unity-Catalog-style access pattern: one logical read
-	// touching many tables with joins.
+	// Smoke-test the Unity-Catalog-style access pattern with the catalog's
+	// own statements: one logical read touching several tables, one of
+	// them through a join.
 	_, c := newTestNode(t, nil)
 	stmts := []string{
-		"CREATE TABLE tables (id INT PRIMARY KEY, name TEXT, owner INT)",
-		"CREATE TABLE perms (pid INT PRIMARY KEY, table_id INT, principal TEXT, level INT)",
-		"CREATE INDEX idx_perms ON perms (table_id)",
+		"CREATE TABLE tables (id INT PRIMARY KEY, name TEXT, schema_id INT, owner_name TEXT, props BLOB, stats BLOB)",
+		"CREATE TABLE principals (id INT PRIMARY KEY, name TEXT)",
+		"CREATE TABLE grants (id INT PRIMARY KEY, securable_id INT, principal_id INT, privilege TEXT)",
+		"CREATE INDEX idx_grants_securable ON grants (securable_id)",
+		"INSERT INTO tables (id, name, schema_id, owner_name) VALUES (1, 'events', 7, 'ops')",
 	}
 	for _, s := range stmts {
 		if _, err := c.Exec(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.Exec("INSERT INTO tables (id, name, owner) VALUES (1, 'events', 42)")
 	for i := 0; i < 5; i++ {
-		c.Exec(fmt.Sprintf("INSERT INTO perms (pid, table_id, principal, level) VALUES (%d, 1, 'user%d', %d)", i, i, i%3))
+		if _, err := c.Exec("INSERT INTO principals (id, name) VALUES (?, ?)", sql.Int64(int64(100+i)), sql.Text(fmt.Sprintf("user%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Exec("INSERT INTO grants (id, securable_id, principal_id, privilege) VALUES (?, 1, ?, 'SELECT')",
+			sql.Int64(int64(i)), sql.Int64(int64(100+i))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rs, err := c.Query(
-		"SELECT tables.name, perms.principal FROM tables JOIN perms ON tables.id = perms.table_id WHERE tables.id = ? ORDER BY perms.principal",
+	rs, err := c.Query("SELECT name, schema_id, owner_name, props, stats FROM tables WHERE id = ?", sql.Int64(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Rows) != 1 || rs.Rows[0][0].Str != "events" || !rs.Rows[0][3].IsNull() {
+		t.Fatalf("table row = %v", rs.Rows)
+	}
+	rs, err = c.Query(
+		"SELECT principals.name, grants.privilege FROM grants JOIN principals ON grants.principal_id = principals.id WHERE grants.securable_id = ?",
 		sql.Int64(1))
 	if err != nil {
 		t.Fatal(err)
@@ -250,8 +264,10 @@ func TestRichObjectMultiQueryPattern(t *testing.T) {
 	if len(rs.Rows) != 5 {
 		t.Fatalf("join rows = %d", len(rs.Rows))
 	}
-	if !strings.HasPrefix(rs.Rows[0][1].Str, "user") {
-		t.Fatalf("row = %v", rs.Rows[0])
+	for i, row := range rs.Rows {
+		if row[0].Str != fmt.Sprintf("user%d", i) || row[1].Str != "SELECT" {
+			t.Fatalf("row %d = %v", i, row)
+		}
 	}
 }
 

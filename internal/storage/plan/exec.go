@@ -156,8 +156,6 @@ func (db *DB) Exec(stmt sql.Stmt, params []sql.Value) (*ResultSet, error) {
 		return db.execInsert(st, params)
 	case *sql.UpdateStmt:
 		return db.execUpdate(st, params)
-	case *sql.DeleteStmt:
-		return db.execDelete(st, params)
 	case *sql.SelectStmt:
 		return db.execSelect(st, params)
 	default:
@@ -272,7 +270,7 @@ func (db *DB) execUpdate(st *sql.UpdateStmt, params []sql.Value) (*ResultSet, er
 	if err != nil {
 		return nil, err
 	}
-	rows, err := db.scanTable(db.rows[:0], t, st.Where, params, 0)
+	rows, err := db.scanTable(db.rows[:0], t, st.Where, params)
 	db.rows = rows
 	if err != nil {
 		return nil, err
@@ -305,7 +303,7 @@ func (db *DB) execUpdate(st *sql.UpdateStmt, params []sql.Value) (*ResultSet, er
 		for idxName, idxCol := range t.Indexes {
 			ci := t.ColIndex(idxCol)
 			oldV, newV := vals[ci], newVals[ci]
-			if oldV.Compare(newV) == 0 && oldV.IsNull() == newV.IsNull() {
+			if oldV.Equal(newV) || oldV.IsNull() && newV.IsNull() {
 				continue
 			}
 			if !oldV.IsNull() {
@@ -317,32 +315,6 @@ func (db *DB) execUpdate(st *sql.UpdateStmt, params []sql.Value) (*ResultSet, er
 		}
 		var kb [64]byte
 		db.store.Put(rowKey(kb[:0], t.Name, pk), encodeRow(newVals))
-		n++
-	}
-	return db.wrote(n), nil
-}
-
-func (db *DB) execDelete(st *sql.DeleteStmt, params []sql.Value) (*ResultSet, error) {
-	t, err := db.cat.Lookup(st.Table)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := db.scanTable(db.rows[:0], t, st.Where, params, 0)
-	db.rows = rows
-	if err != nil {
-		return nil, err
-	}
-	var n int64
-	for _, vals := range rows {
-		pk := vals[t.PKIndex]
-		for idxName, idxCol := range t.Indexes {
-			cv := vals[t.ColIndex(idxCol)]
-			if !cv.IsNull() {
-				db.store.Delete(indexKey(t.Name, idxName, cv, pk))
-			}
-		}
-		var kb [64]byte
-		db.store.Delete(rowKey(kb[:0], t.Name, pk))
 		n++
 	}
 	return db.wrote(n), nil
@@ -364,54 +336,13 @@ func predFor(t *Table, pred sql.Pred) (int, bool, error) {
 	return ci, true, nil
 }
 
-// matchPred evaluates one predicate against a value, with SQL NULL
-// semantics (any comparison involving NULL is false).
-func matchPred(v sql.Value, pred sql.Pred, params []sql.Value) (bool, error) {
-	if pred.Op == sql.OpIn {
-		for _, x := range pred.List {
-			rv, err := evalExpr(x, params)
-			if err != nil {
-				return false, err
-			}
-			if v.Equal(rv) {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	rv, err := evalExpr(pred.X, params)
-	if err != nil {
-		return false, err
-	}
-	if v.IsNull() || rv.IsNull() {
-		return false, nil
-	}
-	c := v.Compare(rv)
-	switch pred.Op {
-	case sql.OpEq:
-		return c == 0, nil
-	case sql.OpNe:
-		return c != 0, nil
-	case sql.OpLt:
-		return c < 0, nil
-	case sql.OpLe:
-		return c <= 0, nil
-	case sql.OpGt:
-		return c > 0, nil
-	case sql.OpGe:
-		return c >= 0, nil
-	default:
-		return false, fmt.Errorf("plan: unsupported operator %v", pred.Op)
-	}
-}
-
 // scanTable appends to dst the rows of t matching the applicable
-// predicates, choosing the cheapest access path. limitHint > 0 allows
-// early exit when no ordering is required. The rows live in the
+// predicates, choosing the cheapest access path. The rows live in the
 // statement's arena (rowVals); a point lookup decodes the row the store
 // lends, so its values alias the stored row.
-func (db *DB) scanTable(dst [][]sql.Value, t *Table, preds []sql.Pred, params []sql.Value, limitHint int) ([][]sql.Value, error) {
-	// Resolve applicable predicates.
+func (db *DB) scanTable(dst [][]sql.Value, t *Table, preds []sql.Pred, params []sql.Value) ([][]sql.Value, error) {
+	// Resolve applicable predicates. NULL equals nothing, so a predicate
+	// against NULL matches no row.
 	type boundPred struct {
 		pred sql.Pred
 		col  int
@@ -431,32 +362,29 @@ func (db *DB) scanTable(dst [][]sql.Value, t *Table, preds []sql.Pred, params []
 	// keep decodes buf into the arena and appends it to dst if it passes
 	// the predicates; a row that does not gives its arena slot back,
 	// zeroed, so release leaves nothing of it past the arena's length.
-	keep := func(buf []byte) (bool, error) {
+	keep := func(buf []byte) error {
 		vals := db.rowVals(len(t.Cols))
 		if err := decodeRow(vals, buf); err != nil {
-			return false, err
+			return err
 		}
 		for _, bp := range bound {
-			ok, err := matchPred(vals[bp.col], bp.pred, params)
+			rv, err := evalExpr(bp.pred.X, params)
 			if err != nil {
-				return false, err
+				return err
 			}
-			if !ok {
+			if !vals[bp.col].Equal(rv) {
 				clear(vals)
 				db.vals = db.vals[:len(db.vals)-len(vals)]
-				return false, nil
+				return nil
 			}
 		}
 		dst = append(dst, vals)
-		return true, nil
+		return nil
 	}
-	// full reports whether the limit hint is reached.
-	n0 := len(dst)
-	full := func() bool { return limitHint > 0 && len(dst)-n0 >= limitHint }
 
 	// Path 1: primary-key equality -> point lookup.
 	for _, bp := range bound {
-		if bp.col == t.PKIndex && bp.pred.Op == sql.OpEq {
+		if bp.col == t.PKIndex {
 			db.lastPath = pathPoint
 			pk, err := evalExpr(bp.pred.X, params)
 			if err != nil {
@@ -464,7 +392,7 @@ func (db *DB) scanTable(dst [][]sql.Value, t *Table, preds []sql.Pred, params []
 			}
 			var kb [64]byte
 			if buf, _, ok := db.store.Get(rowKey(kb[:0], t.Name, pk)); ok {
-				_, err = keep(buf)
+				err = keep(buf)
 			}
 			return dst, err
 		}
@@ -473,7 +401,7 @@ func (db *DB) scanTable(dst [][]sql.Value, t *Table, preds []sql.Pred, params []
 	// Path 2: indexed-column equality -> index scan + point lookups.
 	for _, bp := range bound {
 		idxName, ok := t.IndexOn(t.Cols[bp.col].Name)
-		if !ok || bp.pred.Op != sql.OpEq {
+		if !ok {
 			continue
 		}
 		db.lastPath = pathIndex
@@ -489,7 +417,7 @@ func (db *DB) scanTable(dst [][]sql.Value, t *Table, preds []sql.Pred, params []
 			if !ok {
 				continue // index entry racing a delete
 			}
-			if kept, err := keep(buf); err != nil || kept && full() {
+			if err := keep(buf); err != nil {
 				return dst, err
 			}
 		}
@@ -501,7 +429,7 @@ func (db *DB) scanTable(dst [][]sql.Value, t *Table, preds []sql.Pred, params []
 	prefix := tablePrefix(t.Name)
 	items := db.store.Scan(prefix, prefixEnd(prefix), 0)
 	for _, it := range items {
-		if kept, err := keep(it.Value); err != nil || kept && full() {
+		if err := keep(it.Value); err != nil {
 			return dst, err
 		}
 	}

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"cachecost/internal/storage/kv"
@@ -26,9 +25,9 @@ func mustExec(t *testing.T, db *DB, src string, params ...sql.Value) *ResultSet 
 
 func seedUsers(t *testing.T, db *DB) {
 	t.Helper()
-	mustExec(t, db, "CREATE TABLE users (id INT PRIMARY KEY, name TEXT, age INT, active BOOL)")
+	mustExec(t, db, "CREATE TABLE users (id INT PRIMARY KEY, name TEXT, age INT, active INT)")
 	mustExec(t, db, `INSERT INTO users (id, name, age, active) VALUES
-		(1, 'alice', 30, TRUE), (2, 'bob', 25, TRUE), (3, 'carol', 35, FALSE), (4, 'dave', 25, TRUE)`)
+		(1, 'alice', 30, 1), (2, 'bob', 25, 1), (3, 'carol', 35, 0), (4, 'dave', 25, 1)`)
 }
 
 func TestCreateInsertSelect(t *testing.T) {
@@ -64,7 +63,7 @@ func TestSelectProjection(t *testing.T) {
 func TestSelectFilterScan(t *testing.T) {
 	db := newTestDB(t)
 	seedUsers(t, db)
-	rs := mustExec(t, db, "SELECT name FROM users WHERE age = 25 AND active = TRUE")
+	rs := mustExec(t, db, "SELECT name FROM users WHERE age = 25 AND active = 1")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("rows = %v", rs.Rows)
 	}
@@ -73,33 +72,47 @@ func TestSelectFilterScan(t *testing.T) {
 	}
 }
 
+// TestSelectInequalities: a WHERE clause compares with = only. Every
+// other comparison is a parse error, and equality filters by value.
 func TestSelectInequalities(t *testing.T) {
 	db := newTestDB(t)
 	seedUsers(t, db)
-	for src, want := range map[string]int{
-		"SELECT * FROM users WHERE age > 25":        2,
-		"SELECT * FROM users WHERE age >= 25":       4,
-		"SELECT * FROM users WHERE age < 30":        2,
-		"SELECT * FROM users WHERE age <= 30":       3,
-		"SELECT * FROM users WHERE age != 25":       2,
-		"SELECT * FROM users WHERE age IN (25, 35)": 3,
+	for _, src := range []string{
+		"SELECT * FROM users WHERE age > 25",
+		"SELECT * FROM users WHERE age >= 25",
+		"SELECT * FROM users WHERE age < 30",
+		"SELECT * FROM users WHERE age <= 30",
+		"SELECT * FROM users WHERE age != 25",
+		"SELECT * FROM users WHERE age IN (25, 35)",
 	} {
-		if got := len(mustExec(t, db, src).Rows); got != want {
-			t.Errorf("%s -> %d rows, want %d", src, got, want)
+		var pe *sql.ParseError
+		if _, err := db.ExecSQL(src); !errors.As(err, &pe) {
+			t.Errorf("%s: err = %v, want a *sql.ParseError", src, err)
 		}
+	}
+	if got := len(mustExec(t, db, "SELECT * FROM users WHERE age = 25").Rows); got != 2 {
+		t.Errorf("age = 25 -> %d rows, want 2", got)
 	}
 }
 
+// TestSelectOrderLimit: ORDER BY and LIMIT are parse errors; a SELECT
+// returns its rows in primary-key order, the order a scan reads.
 func TestSelectOrderLimit(t *testing.T) {
 	db := newTestDB(t)
 	seedUsers(t, db)
-	rs := mustExec(t, db, "SELECT name FROM users ORDER BY age DESC LIMIT 2")
-	if len(rs.Rows) != 2 || rs.Rows[0][0].Str != "carol" || rs.Rows[1][0].Str != "alice" {
-		t.Fatalf("rows = %v", rs.Rows)
+	for _, src := range []string{
+		"SELECT name FROM users ORDER BY age DESC LIMIT 2",
+		"SELECT id FROM users ORDER BY name",
+		"SELECT id FROM users LIMIT 1",
+	} {
+		var pe *sql.ParseError
+		if _, err := db.ExecSQL(src); !errors.As(err, &pe) {
+			t.Errorf("%s: err = %v, want a *sql.ParseError", src, err)
+		}
 	}
-	rs = mustExec(t, db, "SELECT id FROM users ORDER BY name")
-	if rs.Rows[0][0].Int != 1 || rs.Rows[3][0].Int != 4 {
-		t.Fatalf("asc order = %v", rs.Rows)
+	rs := mustExec(t, db, "SELECT id FROM users WHERE age = 25")
+	if len(rs.Rows) != 2 || rs.Rows[0][0].Int != 2 || rs.Rows[1][0].Int != 4 {
+		t.Fatalf("scan order = %v", rs.Rows)
 	}
 }
 
@@ -133,7 +146,7 @@ func TestIndexMaintainedByWrites(t *testing.T) {
 	db := newTestDB(t)
 	seedUsers(t, db)
 	mustExec(t, db, "CREATE INDEX idx_age ON users (age)")
-	mustExec(t, db, "INSERT INTO users (id, name, age, active) VALUES (5, 'eve', 25, TRUE)")
+	mustExec(t, db, "INSERT INTO users (id, name, age, active) VALUES (5, 'eve', 25, 1)")
 	if got := len(mustExec(t, db, "SELECT * FROM users WHERE age = 25").Rows); got != 3 {
 		t.Fatalf("after insert: %d rows", got)
 	}
@@ -144,20 +157,20 @@ func TestIndexMaintainedByWrites(t *testing.T) {
 	if got := len(mustExec(t, db, "SELECT * FROM users WHERE age = 26").Rows); got != 1 {
 		t.Fatal("updated row should be findable at new index value")
 	}
-	mustExec(t, db, "DELETE FROM users WHERE id = 5")
+	mustExec(t, db, "UPDATE users SET age = NULL WHERE id = 5")
 	if got := len(mustExec(t, db, "SELECT * FROM users WHERE age = 26").Rows); got != 0 {
-		t.Fatal("deleted row must leave the index")
+		t.Fatal("a row updated to NULL must leave the index")
 	}
 }
 
 func TestUpdateWhere(t *testing.T) {
 	db := newTestDB(t)
 	seedUsers(t, db)
-	rs := mustExec(t, db, "UPDATE users SET active = FALSE WHERE age = 25")
+	rs := mustExec(t, db, "UPDATE users SET active = 0 WHERE age = 25")
 	if rs.RowsAffected != 2 {
 		t.Fatalf("affected = %d", rs.RowsAffected)
 	}
-	got := mustExec(t, db, "SELECT * FROM users WHERE active = TRUE")
+	got := mustExec(t, db, "SELECT * FROM users WHERE active = 1")
 	if len(got.Rows) != 1 {
 		t.Fatalf("remaining active = %d", len(got.Rows))
 	}
@@ -171,14 +184,16 @@ func TestUpdatePKRejected(t *testing.T) {
 	}
 }
 
+// TestDeleteWhere: no workload deletes a row, so DELETE is a parse error
+// and every row stays.
 func TestDeleteWhere(t *testing.T) {
 	db := newTestDB(t)
 	seedUsers(t, db)
-	rs := mustExec(t, db, "DELETE FROM users WHERE active = FALSE")
-	if rs.RowsAffected != 1 {
-		t.Fatalf("affected = %d", rs.RowsAffected)
+	var pe *sql.ParseError
+	if _, err := db.ExecSQL("DELETE FROM users WHERE active = 0"); !errors.As(err, &pe) {
+		t.Fatalf("DELETE: err = %v, want a *sql.ParseError", err)
 	}
-	if got := len(mustExec(t, db, "SELECT * FROM users").Rows); got != 3 {
+	if got := len(mustExec(t, db, "SELECT * FROM users").Rows); got != 4 {
 		t.Fatalf("remaining = %d", got)
 	}
 }
@@ -256,8 +271,8 @@ func TestJoinWithFilterOnJoinTable(t *testing.T) {
 	mustExec(t, db, `INSERT INTO orders (oid, user_id, amount) VALUES
 		(100, 1, 5), (101, 1, 7), (102, 2, 9)`)
 	rs := mustExec(t, db,
-		"SELECT orders.oid FROM users JOIN orders ON users.id = orders.user_id WHERE orders.amount > 5")
-	if len(rs.Rows) != 2 {
+		"SELECT orders.oid FROM users JOIN orders ON users.id = orders.user_id WHERE orders.amount = 7")
+	if len(rs.Rows) != 1 || rs.Rows[0][0].Int != 101 {
 		t.Fatalf("filtered join rows = %v", rs.Rows)
 	}
 }
@@ -357,7 +372,7 @@ func TestTextPrimaryKey(t *testing.T) {
 func TestResultSetWireRoundtrip(t *testing.T) {
 	db := newTestDB(t)
 	seedUsers(t, db)
-	rs := mustExec(t, db, "SELECT * FROM users ORDER BY id")
+	rs := mustExec(t, db, "SELECT * FROM users")
 
 	buf := marshalRS(rs)
 	var out ResultSet
@@ -370,22 +385,10 @@ func TestResultSetWireRoundtrip(t *testing.T) {
 	for i := range rs.Rows {
 		for j := range rs.Rows[i] {
 			a, b := rs.Rows[i][j], out.Rows[i][j]
-			if a.Kind != b.Kind || (!a.IsNull() && a.Compare(b) != 0) {
+			if a.Kind != b.Kind || (!a.IsNull() && !a.Equal(b)) {
 				t.Fatalf("cell (%d,%d) mismatch: %v vs %v", i, j, a, b)
 			}
 		}
-	}
-}
-
-func TestScanLimitHintStopsEarly(t *testing.T) {
-	db := newTestDB(t)
-	mustExec(t, db, "CREATE TABLE big (id INT PRIMARY KEY, v INT)")
-	for i := 0; i < 200; i++ {
-		mustExec(t, db, fmt.Sprintf("INSERT INTO big (id, v) VALUES (%d, %d)", i, i%2))
-	}
-	rs := mustExec(t, db, "SELECT id FROM big WHERE v = 0 LIMIT 3")
-	if len(rs.Rows) != 3 {
-		t.Fatalf("limit rows = %d", len(rs.Rows))
 	}
 }
 

@@ -57,7 +57,7 @@ func FuzzResultSetDecode(f *testing.F) {
 	seeds := []ResultSet{
 		{Cols: []string{"v"}, Rows: [][]sql.Value{{sql.Blob(bytes.Repeat([]byte("b"), 300))}}},
 		{Cols: []string{"k", "v"}, Rows: [][]sql.Value{{sql.Text("a"), sql.Null()}, {sql.Text(""), sql.Blob(nil)}}},
-		{Cols: []string{"t.id", "u.x", "u.y"}, Rows: [][]sql.Value{{sql.Int64(-1), sql.Float64(0.5), sql.Bool(true)}}},
+		{Cols: []string{"t.id", "u.x", "u.y"}, Rows: [][]sql.Value{{sql.Int64(-1), sql.Text("x"), sql.Int64(1 << 40)}}},
 		{Cols: []string{"v"}},
 		{RowsAffected: 7},
 	}
@@ -70,7 +70,7 @@ func FuzzResultSetDecode(f *testing.F) {
 		Cols: []string{"a", "b", "c", "d"},
 		Rows: [][]sql.Value{
 			{sql.Text("xx"), sql.Int64(1), sql.Blob([]byte("yy")), sql.Null()},
-			{sql.Text("zz"), sql.Int64(2), sql.Blob([]byte("ww")), sql.Bool(false)},
+			{sql.Text("zz"), sql.Int64(2), sql.Blob([]byte("ww")), sql.Int64(0)},
 		},
 		RowsAffected: 3,
 	})
@@ -97,7 +97,8 @@ func FuzzResultSetDecode(f *testing.F) {
 			if reflect.DeepEqual(viewOf(got), viewOf(&fresh)) {
 				continue
 			}
-			// NaN != NaN: equal encodings are equal values.
+			// An empty row decodes as nil or empty: equal encodings are
+			// equal values.
 			if !bytes.Equal(wire.Marshal(got), wire.Marshal(&fresh)) {
 				t.Fatalf("decode into a used set %+v, fresh decode %+v", viewOf(got), viewOf(&fresh))
 			}

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 
 	"cachecost/internal/storage/sql"
 )
@@ -51,13 +50,8 @@ func (db *DB) execSelect(st *sql.SelectStmt, params []sql.Value) (*ResultSet, er
 		width += len(jt.Cols)
 	}
 
-	// Scan the base table. When the query has no joins, no ORDER BY and a
-	// LIMIT, push the limit into the scan.
-	limitHint := 0
-	if len(st.Joins) == 0 && st.OrderBy == nil && st.Limit >= 0 {
-		limitHint = st.Limit
-	}
-	rows, err := db.scanTable(db.rows[:0], base, st.Where, params, limitHint)
+	// Scan the base table.
+	rows, err := db.scanTable(db.rows[:0], base, st.Where, params)
 	db.rows = rows
 	if err != nil {
 		return nil, err
@@ -92,10 +86,9 @@ func (db *DB) execSelect(st *sql.SelectStmt, params []sql.Value) (*ResultSet, er
 			// the join table.
 			probePreds := append([]sql.Pred{{
 				Col: sql.ColRef{Table: jt.Name, Column: probeRef.Column},
-				Op:  sql.OpEq,
 				X:   sql.Expr{Value: bv},
 			}}, predsForTable(st.Where, jt)...)
-			matches, err := db.scanTable(nil, jt, probePreds, params, 0)
+			matches, err := db.scanTable(nil, jt, probePreds, params)
 			if err != nil {
 				return nil, err
 			}
@@ -118,26 +111,7 @@ func (db *DB) execSelect(st *sql.SelectStmt, params []sql.Value) (*ResultSet, er
 	}
 	db.outCols = cols
 
-	// Order and limit the joined rows, then project them into the
-	// result. The sort is stable on the order column, which need not be
-	// projected.
-	if st.OrderBy != nil {
-		ob, oCol, err := resolveRef(st.OrderBy.Col, bound)
-		if err != nil {
-			return nil, err
-		}
-		at, desc := ob.off+oCol, st.OrderBy.Desc
-		sort.SliceStable(rows, func(a, b int) bool {
-			c := rows[a][at].Compare(rows[b][at])
-			if desc {
-				return c > 0
-			}
-			return c < 0
-		})
-	}
-	if st.Limit >= 0 && len(rows) > st.Limit {
-		rows = rows[:st.Limit]
-	}
+	// Project the joined rows into the result.
 	db.res = ResultSet{Cols: cols[c0:len(cols):len(cols)]}
 	if len(rows) == 0 {
 		return &db.res, nil

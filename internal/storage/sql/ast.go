@@ -21,42 +21,6 @@ func (c ColRef) String() string {
 	return c.Column
 }
 
-// CmpOp is a comparison operator in a predicate.
-type CmpOp int
-
-// Comparison operators.
-const (
-	OpEq CmpOp = iota
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-	OpIn
-)
-
-// String renders the operator in SQL syntax.
-func (o CmpOp) String() string {
-	switch o {
-	case OpEq:
-		return "="
-	case OpNe:
-		return "!="
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
-	case OpIn:
-		return "IN"
-	default:
-		return "?"
-	}
-}
-
 // Expr is a literal value or a parameter placeholder.
 type Expr struct {
 	Param   int   // 1-based parameter ordinal when IsParam
@@ -64,14 +28,10 @@ type Expr struct {
 	IsParam bool
 }
 
-// Pred is one conjunct of a WHERE clause: col op expr, or col IN (exprs).
+// Pred is one conjunct of a WHERE clause: col = expr.
 type Pred struct {
 	Col ColRef
-	Op  CmpOp
-	// X is the right-hand side for binary operators.
-	X Expr
-	// List is the IN list when Op == OpIn.
-	List []Expr
+	X   Expr
 }
 
 // Join is one INNER JOIN clause: JOIN Table ON Left = Right.
@@ -81,21 +41,13 @@ type Join struct {
 	Right ColRef
 }
 
-// Order is an ORDER BY clause.
-type Order struct {
-	Col  ColRef
-	Desc bool
-}
-
 // SelectStmt is a SELECT.
 type SelectStmt struct {
-	Star    bool
-	Cols    []ColRef
-	Table   string
-	Joins   []Join
-	Where   []Pred // conjunction
-	OrderBy *Order
-	Limit   int // -1 = none
+	Star  bool
+	Cols  []ColRef
+	Table string
+	Joins []Join
+	Where []Pred // conjunction
 }
 
 func (*SelectStmt) stmt() {}
@@ -123,14 +75,6 @@ type Assign struct {
 	Column string
 	X      Expr
 }
-
-// DeleteStmt is a DELETE.
-type DeleteStmt struct {
-	Table string
-	Where []Pred
-}
-
-func (*DeleteStmt) stmt() {}
 
 // ColDef defines one column of a CREATE TABLE.
 type ColDef struct {

@@ -47,8 +47,8 @@ var parserTestStatements = []string{
 // with every clause, and an UPDATE, the statement a replica parses once
 // per write.
 var unrelatedStatements = []string{
-	"SELECT a, b, c FROM unrelated WHERE x = ? AND y IN ('p', 'q', ?) ORDER BY z LIMIT 3",
-	"UPDATE unrelated SET p = 'q', r = ?, s = 7 WHERE x = ? AND y IN (1, 2)",
+	"SELECT a, b, c FROM unrelated JOIN other ON unrelated.id = other.uid WHERE x = ? AND y = 'p' AND z = 3",
+	"UPDATE unrelated SET p = 'q', r = ?, s = 7 WHERE x = ? AND y = 1",
 }
 
 // FuzzParse holds the parser's reuse hazards: it parses with pooled

@@ -14,7 +14,7 @@ const (
 	tokKeyword
 	tokNumber
 	tokString // 'quoted'
-	tokPunct  // ( ) , . = != < <= > >= * ?
+	tokPunct  // ( ) , . = * ? ;
 )
 
 // token is one lexeme. Its text is a substring of the statement, or for a
@@ -39,11 +39,9 @@ func (t token) String() string {
 var keywords = func() map[string]string {
 	m := make(map[string]string)
 	for _, kw := range []string{
-		"SELECT", "FROM", "WHERE", "AND", "OR", "JOIN", "ON", "ORDER", "BY",
-		"ASC", "DESC", "LIMIT", "INSERT", "INTO", "VALUES", "UPDATE", "SET",
-		"DELETE", "CREATE", "TABLE", "INDEX", "PRIMARY", "KEY", "NULL",
-		"TRUE", "FALSE", "IN", "INT", "FLOAT", "TEXT", "BLOB", "BOOL", "NOT",
-		"IF", "EXISTS",
+		"SELECT", "FROM", "WHERE", "AND", "JOIN", "ON", "INSERT", "INTO",
+		"VALUES", "UPDATE", "SET", "CREATE", "TABLE", "INDEX", "PRIMARY",
+		"KEY", "NULL", "INT", "TEXT", "BLOB", "NOT", "IF", "EXISTS",
 	} {
 		m[kw] = kw
 	}
@@ -52,7 +50,7 @@ var keywords = func() map[string]string {
 
 // maxKeywordLen bounds the upper-casing buffer: no keyword is longer, so a
 // longer word is an identifier without a lookup.
-const maxKeywordLen = 8
+const maxKeywordLen = 7
 
 // keyword returns the canonical keyword that word spells, in any letter
 // case. It upper-cases into a stack array, and the map lookup by that
@@ -71,16 +69,6 @@ func keyword(word string) (string, bool) {
 	}
 	kw, ok := keywords[string(up[:len(word)])]
 	return kw, ok
-}
-
-// lexError reports a lexical error with byte position.
-type lexError struct {
-	pos int
-	msg string
-}
-
-func (e *lexError) Error() string {
-	return fmt.Sprintf("sql: lex error at byte %d: %s", e.pos, e.msg)
 }
 
 // lex tokenizes src, appending to toks. It is written as a single pass
@@ -107,11 +95,10 @@ func lex(toks []token, src string) ([]token, error) {
 			} else {
 				toks = append(toks, token{kind: tokIdent, text: word, pos: start})
 			}
-		case c >= '0' && c <= '9' || (c == '-' && i+1 < n && src[i+1] >= '0' && src[i+1] <= '9'):
+		case isDigit(c) || c == '-' && i+1 < n && isDigit(src[i+1]):
 			start := i
 			i++
-			for i < n && (src[i] >= '0' && src[i] <= '9' || src[i] == '.' || src[i] == 'e' || src[i] == 'E' ||
-				((src[i] == '+' || src[i] == '-') && (src[i-1] == 'e' || src[i-1] == 'E'))) {
+			for i < n && isDigit(src[i]) {
 				i++
 			}
 			toks = append(toks, token{kind: tokNumber, text: src[start:i], pos: start})
@@ -133,27 +120,18 @@ func lex(toks []token, src string) ([]token, error) {
 				i++
 			}
 			if !closed {
-				return toks, &lexError{pos: start, msg: "unterminated string"}
+				return toks, &ParseError{Pos: start, Msg: "unterminated string"}
 			}
 			text := src[start+1 : i-1]
 			if escaped {
 				text = strings.ReplaceAll(text, "''", "'")
 			}
 			toks = append(toks, token{kind: tokString, text: text, pos: start})
-		case c == '!' || c == '<' || c == '>':
-			start := i
-			i++
-			if i < n && src[i] == '=' {
-				i++
-			} else if c == '!' {
-				return toks, &lexError{pos: start, msg: "expected != "}
-			}
-			toks = append(toks, token{kind: tokPunct, text: src[start:i], pos: start})
 		case c == '(' || c == ')' || c == ',' || c == '.' || c == '=' || c == '*' || c == '?' || c == ';':
 			toks = append(toks, token{kind: tokPunct, text: src[i : i+1], pos: i})
 			i++
 		default:
-			return toks, &lexError{pos: i, msg: fmt.Sprintf("unexpected character %q", c)}
+			return toks, &ParseError{Pos: i, Msg: fmt.Sprintf("unexpected character %q", c)}
 		}
 	}
 	toks = append(toks, token{kind: tokEOF, pos: n})
@@ -164,6 +142,6 @@ func isIdentStart(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
 }
 
-func isIdentPart(c byte) bool {
-	return isIdentStart(c) || c >= '0' && c <= '9'
-}
+func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }

@@ -3,7 +3,6 @@ package sql
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"cachecost/internal/freelist"
 )
@@ -29,8 +28,8 @@ func Parse(src string) (Stmt, error) { return parse(src, nil) }
 
 // Scratch is the reusable AST of one statement at a time. A caller that
 // parses statement after statement — a storage node's request, each
-// replica's applier — parses into its own Scratch, and a SELECT, UPDATE or
-// DELETE then reuses the Scratch's statement node and slices instead of
+// replica's applier — parses into its own Scratch, and a SELECT or UPDATE
+// then reuses the Scratch's statement node and slices instead of
 // allocating them. The zero value is ready to use.
 //
 // The AST Scratch.Parse returns is valid until the next Parse into the
@@ -39,8 +38,6 @@ func Parse(src string) (Stmt, error) { return parse(src, nil) }
 type Scratch struct {
 	sel   SelectStmt
 	upd   UpdateStmt
-	del   DeleteStmt
-	order Order
 	cols  []ColRef
 	joins []Join
 	set   []Assign
@@ -179,8 +176,6 @@ func (p *parser) parseStmt() (Stmt, error) {
 		return p.parseInsert()
 	case "UPDATE":
 		return p.parseUpdate()
-	case "DELETE":
-		return p.parseDelete()
 	case "CREATE":
 		return p.parseCreate()
 	default:
@@ -213,7 +208,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	} else {
 		s = new(SelectStmt)
 	}
-	s.Limit = -1
 	if p.acceptPunct("*") {
 		s.Star = true
 	} else {
@@ -270,41 +264,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		}
 		s.Where = preds
 	}
-
-	if p.acceptKeyword("ORDER") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		col, err := p.parseColRef()
-		if err != nil {
-			return nil, err
-		}
-		var o *Order
-		if p.sc != nil {
-			o = &p.sc.order
-		} else {
-			o = new(Order)
-		}
-		o.Col = col
-		if p.acceptKeyword("DESC") {
-			o.Desc = true
-		} else {
-			p.acceptKeyword("ASC")
-		}
-		s.OrderBy = o
-	}
-
-	if p.acceptKeyword("LIMIT") {
-		t := p.next()
-		if t.kind != tokNumber {
-			return nil, &ParseError{Pos: t.pos, Msg: "expected LIMIT count"}
-		}
-		n, err := strconv.Atoi(t.text)
-		if err != nil || n < 0 {
-			return nil, &ParseError{Pos: t.pos, Msg: "invalid LIMIT count"}
-		}
-		s.Limit = n
-	}
 	return s, nil
 }
 
@@ -319,9 +278,6 @@ func (p *parser) parseWhere() ([]Pred, error) {
 			return nil, err
 		}
 		preds = append(preds, pred)
-		if p.peek().kind == tokKeyword && p.peek().text == "OR" {
-			return nil, p.errf("OR is not supported; only conjunctive WHERE clauses")
-		}
 		if !p.acceptKeyword("AND") {
 			break
 		}
@@ -346,52 +302,14 @@ func (p *parser) parsePred() (Pred, error) {
 	if err != nil {
 		return Pred{}, err
 	}
-	if p.acceptKeyword("IN") {
-		if err := p.expectPunct("("); err != nil {
-			return Pred{}, err
-		}
-		var list []Expr
-		for {
-			x, err := p.parseExpr()
-			if err != nil {
-				return Pred{}, err
-			}
-			list = append(list, x)
-			if !p.acceptPunct(",") {
-				break
-			}
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return Pred{}, err
-		}
-		return Pred{Col: col, Op: OpIn, List: list}, nil
-	}
-	t := p.next()
-	if t.kind != tokPunct {
-		return Pred{}, &ParseError{Pos: t.pos, Msg: fmt.Sprintf("expected comparison operator, got %s", t)}
-	}
-	var op CmpOp
-	switch t.text {
-	case "=":
-		op = OpEq
-	case "!=":
-		op = OpNe
-	case "<":
-		op = OpLt
-	case "<=":
-		op = OpLe
-	case ">":
-		op = OpGt
-	case ">=":
-		op = OpGe
-	default:
-		return Pred{}, &ParseError{Pos: t.pos, Msg: fmt.Sprintf("unknown operator %q", t.text)}
+	if err := p.expectPunct("="); err != nil {
+		return Pred{}, err
 	}
 	x, err := p.parseExpr()
 	if err != nil {
 		return Pred{}, err
 	}
-	return Pred{Col: col, Op: op, X: x}, nil
+	return Pred{Col: col, X: x}, nil
 }
 
 func (p *parser) parseExpr() (Expr, error) {
@@ -403,13 +321,6 @@ func (p *parser) parseExpr() (Expr, error) {
 		return Expr{IsParam: true, Param: p.params}, nil
 	case t.kind == tokNumber:
 		p.next()
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return Expr{}, &ParseError{Pos: t.pos, Msg: "invalid number"}
-			}
-			return Expr{Value: Float64(f)}, nil
-		}
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return Expr{}, &ParseError{Pos: t.pos, Msg: "invalid integer"}
@@ -421,12 +332,6 @@ func (p *parser) parseExpr() (Expr, error) {
 	case t.kind == tokKeyword && t.text == "NULL":
 		p.next()
 		return Expr{Value: Null()}, nil
-	case t.kind == tokKeyword && t.text == "TRUE":
-		p.next()
-		return Expr{Value: Bool(true)}, nil
-	case t.kind == tokKeyword && t.text == "FALSE":
-		p.next()
-		return Expr{Value: Bool(false)}, nil
 	default:
 		return Expr{}, &ParseError{Pos: t.pos, Msg: fmt.Sprintf("expected literal or parameter, got %s", t)}
 	}
@@ -538,32 +443,6 @@ func (p *parser) parseUpdate() (*UpdateStmt, error) {
 	return st, nil
 }
 
-func (p *parser) parseDelete() (*DeleteStmt, error) {
-	p.next() // DELETE
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	var st *DeleteStmt
-	if p.sc != nil {
-		st = &p.sc.del
-	} else {
-		st = new(DeleteStmt)
-	}
-	st.Table = table
-	if p.acceptKeyword("WHERE") {
-		preds, err := p.parseWhere()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = preds
-	}
-	return st, nil
-}
-
 func (p *parser) parseCreate() (Stmt, error) {
 	p.next() // CREATE
 	switch {
@@ -615,14 +494,10 @@ func (p *parser) parseCreateTable() (*CreateTableStmt, error) {
 		switch kt.text {
 		case "INT":
 			kind = KindInt
-		case "FLOAT":
-			kind = KindFloat
 		case "TEXT":
 			kind = KindText
 		case "BLOB":
 			kind = KindBlob
-		case "BOOL":
-			kind = KindBool
 		default:
 			return nil, &ParseError{Pos: kt.pos, Msg: fmt.Sprintf("unknown column type %s", kt)}
 		}

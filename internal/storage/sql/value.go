@@ -8,23 +8,23 @@
 package sql
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 
 	"cachecost/internal/wire"
 )
 
-// Kind enumerates value types.
+// Kind enumerates value types. Each value is its tag on the wire and in
+// stored rows.
 type Kind uint8
 
 // Value kinds.
 const (
-	kindNull Kind = iota
-	KindInt
-	KindFloat
-	KindText
-	KindBlob
-	KindBool
+	kindNull Kind = 0
+	KindInt  Kind = 1
+	KindText Kind = 3
+	KindBlob Kind = 4
 )
 
 // String implements fmt.Stringer.
@@ -34,14 +34,10 @@ func (k Kind) String() string {
 		return "NULL"
 	case KindInt:
 		return "INT"
-	case KindFloat:
-		return "FLOAT"
 	case KindText:
 		return "TEXT"
 	case KindBlob:
 		return "BLOB"
-	case KindBool:
-		return "BOOL"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -49,12 +45,10 @@ func (k Kind) String() string {
 
 // Value is one SQL value. The zero Value is NULL.
 type Value struct {
-	Kind  Kind
-	Int   int64
-	Float float64
-	Str   string
-	Blob  []byte
-	Bool  bool
+	Kind Kind
+	Int  int64
+	Str  string
+	Blob []byte
 }
 
 // Constructors.
@@ -65,17 +59,11 @@ func Null() Value { return Value{} }
 // Int64 returns an INT value.
 func Int64(v int64) Value { return Value{Kind: KindInt, Int: v} }
 
-// Float64 returns a FLOAT value.
-func Float64(v float64) Value { return Value{Kind: KindFloat, Float: v} }
-
 // Text returns a TEXT value.
 func Text(s string) Value { return Value{Kind: KindText, Str: s} }
 
 // Blob returns a BLOB value. The slice is not copied.
 func Blob(b []byte) Value { return Value{Kind: KindBlob, Blob: b} }
-
-// Bool returns a BOOL value.
-func Bool(b bool) Value { return Value{Kind: KindBool, Bool: b} }
 
 // IsNull reports whether v is NULL.
 func (v Value) IsNull() bool { return v.Kind == kindNull }
@@ -93,87 +81,23 @@ func (v Value) Size() int64 {
 	}
 }
 
-// Compare orders two values: -1, 0, +1. NULL sorts before everything.
-// Cross-type numeric comparisons (INT vs FLOAT) compare numerically;
-// other cross-type comparisons order by kind.
-func (v Value) Compare(o Value) int {
-	if v.Kind == kindNull || o.Kind == kindNull {
-		return boolCmp(v.Kind != kindNull, o.Kind != kindNull)
-	}
-	if isNumeric(v.Kind) && isNumeric(o.Kind) {
-		a, b := v.asFloat(), o.asFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	}
-	if v.Kind != o.Kind {
-		return boolCmp(v.Kind >= o.Kind, o.Kind >= v.Kind)
-	}
-	switch v.Kind {
-	case KindText:
-		switch {
-		case v.Str < o.Str:
-			return -1
-		case v.Str > o.Str:
-			return 1
-		}
-		return 0
-	case KindBlob:
-		return blobCmp(v.Blob, o.Blob)
-	case KindBool:
-		return boolCmp(v.Bool, o.Bool)
-	default:
-		return 0
-	}
-}
-
-func blobCmp(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return boolCmp(len(a) >= len(b), len(b) >= len(a))
-}
-
-func boolCmp(a, b bool) int {
-	switch {
-	case a == b:
-		return 0
-	case !a:
-		return -1
-	default:
-		return 1
-	}
-}
-
-func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
-
-func (v Value) asFloat() float64 {
-	if v.Kind == KindInt {
-		return float64(v.Int)
-	}
-	return v.Float
-}
-
-// Equal reports value equality under Compare semantics, with NULL never
-// equal to anything (including NULL), per SQL.
+// Equal reports whether v and o are the same value, with NULL never
+// equal to anything (including NULL), per SQL. Values of different kinds
+// are not equal.
 func (v Value) Equal(o Value) bool {
-	if v.IsNull() || o.IsNull() {
+	if v.Kind != o.Kind {
 		return false
 	}
-	return v.Compare(o) == 0
+	switch v.Kind {
+	case KindInt:
+		return v.Int == o.Int
+	case KindText:
+		return v.Str == o.Str
+	case KindBlob:
+		return bytes.Equal(v.Blob, o.Blob)
+	default:
+		return false
+	}
 }
 
 // String renders the value as a SQL literal.
@@ -183,17 +107,10 @@ func (v Value) String() string {
 		return "NULL"
 	case KindInt:
 		return strconv.FormatInt(v.Int, 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.Float, 'g', -1, 64)
 	case KindText:
 		return "'" + v.Str + "'"
 	case KindBlob:
 		return fmt.Sprintf("X'%x'", v.Blob)
-	case KindBool:
-		if v.Bool {
-			return "TRUE"
-		}
-		return "FALSE"
 	default:
 		return "?"
 	}
@@ -207,14 +124,10 @@ func EncodeValue(e *wire.Encoder, field uint32, v Value) {
 		switch v.Kind {
 		case KindInt:
 			sub.Int64(2, v.Int)
-		case KindFloat:
-			sub.Float64(3, v.Float)
 		case KindText:
 			sub.String(4, v.Str)
 		case KindBlob:
 			sub.BytesField(5, v.Blob)
-		case KindBool:
-			sub.Bool(6, v.Bool)
 		}
 	})
 }
@@ -226,7 +139,8 @@ func EncodeValue(e *wire.Encoder, field uint32, v Value) {
 // rewrites; a proposed command; a request the handler consumes before it
 // returns; a storage response a borrowed ResultSet holds (DESIGN.md,
 // "Buffer ownership"). Whatever keeps such a value past buf's life copies
-// it: a row encode, a key build, an error message, a cache fill.
+// it: a row encode, a key build, an error message, a cache fill. A kind
+// tag other than NULL, INT, TEXT or BLOB's is an error.
 func AliasValue(buf []byte) (Value, error) {
 	d := wire.NewDecoder(buf)
 	var v Value
@@ -241,13 +155,12 @@ func AliasValue(buf []byte) (Value, error) {
 			if err != nil {
 				return v, err
 			}
+			if k != uint64(kindNull) && k != uint64(KindInt) && k != uint64(KindText) && k != uint64(KindBlob) {
+				return v, fmt.Errorf("sql: unknown value kind %d", k)
+			}
 			v.Kind = Kind(k)
 		case 2:
 			if v.Int, err = d.Int64(); err != nil {
-				return v, err
-			}
-		case 3:
-			if v.Float, err = d.Float64(); err != nil {
 				return v, err
 			}
 		case 4:
@@ -256,10 +169,6 @@ func AliasValue(buf []byte) (Value, error) {
 			}
 		case 5:
 			if v.Blob, err = d.Bytes(); err != nil {
-				return v, err
-			}
-		case 6:
-			if v.Bool, err = d.Bool(); err != nil {
 				return v, err
 			}
 		default:
@@ -291,15 +200,6 @@ func (v Value) AppendKeyBytes(dst []byte) []byte {
 		return append(append(dst, 's'), v.Str...)
 	case KindBlob:
 		return append(append(dst, 'b'), v.Blob...)
-	case KindBool:
-		if v.Bool {
-			return append(dst, 't', 1)
-		}
-		return append(dst, 't', 0)
-	case KindFloat:
-		// Floats are not used as keys by the workloads; keep a stable
-		// (if not perfectly ordered for negatives) form.
-		return strconv.AppendFloat(append(dst, 'f'), v.Float, 'b', -1, 64)
 	default:
 		return append(dst, 'n')
 	}

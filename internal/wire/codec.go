@@ -1,10 +1,8 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"cachecost/internal/freelist"
 )
@@ -15,7 +13,7 @@ type Type uint8
 // Wire types, protobuf-compatible where it matters.
 const (
 	tVarint  Type = 0 // uint64/int64/bool
-	tFixed64 Type = 1 // float64, fixed 8-byte integers
+	tFixed64 Type = 1 // fixed 8-byte values: no field encodes one, Skip steps over it
 	TBytes   Type = 2 // length-delimited: bytes, string, nested messages
 )
 
@@ -68,12 +66,6 @@ func (e *Encoder) Bool(field uint32, v bool) {
 	} else {
 		e.buf = append(e.buf, 0)
 	}
-}
-
-// Float64 encodes field as a fixed 8-byte IEEE 754 value.
-func (e *Encoder) Float64(field uint32, v float64) {
-	e.tag(field, tFixed64)
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
 // BytesField encodes field as length-delimited bytes.
@@ -161,16 +153,6 @@ func (d *Decoder) Int64() (int64, error) {
 func (d *Decoder) Bool() (bool, error) {
 	u, err := d.Uint64()
 	return u != 0, err
-}
-
-// Float64 reads a fixed 8-byte field body.
-func (d *Decoder) Float64() (float64, error) {
-	if d.pos+8 > len(d.buf) {
-		return 0, ErrTruncated
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.pos:]))
-	d.pos += 8
-	return v, nil
 }
 
 // Bytes reads a length-delimited field body. The returned slice aliases the

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"math"
 	"testing"
 )
 
@@ -12,7 +11,6 @@ type fuzzMsg struct {
 	U   uint64
 	I   int64
 	B   bool
-	F   float64
 	S   string
 	Raw []byte
 	Sub struct {
@@ -25,7 +23,6 @@ func (m *fuzzMsg) MarshalWire(e *Encoder) {
 	e.Uint64(1, m.U)
 	e.Int64(2, m.I)
 	e.Bool(3, m.B)
-	e.Float64(4, m.F)
 	e.String(5, m.S)
 	e.BytesField(6, m.Raw)
 	e.Message(7, func(e *Encoder) {
@@ -47,8 +44,6 @@ func (m *fuzzMsg) UnmarshalWire(d *Decoder) error {
 			m.I, err = d.Int64()
 		case 3:
 			m.B, err = d.Bool()
-		case 4:
-			m.F, err = d.Float64()
 		case 5:
 			m.S, err = d.String()
 		case 6:
@@ -98,7 +93,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{0x12, 0x03, 'a', 'b'}) // truncated bytes field
 	f.Add([]byte{0x07})                 // bad wire type
 	f.Add([]byte{0x00})                 // field 0
-	f.Add(Marshal(&fuzzMsg{U: 7, I: -3, B: true, F: 2.5, S: "hello", Raw: []byte{1, 2}}))
+	f.Add(Marshal(&fuzzMsg{U: 7, I: -3, B: true, S: "hello", Raw: []byte{1, 2}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data)
 		for !d.Done() {
@@ -118,12 +113,11 @@ func FuzzUnmarshal(f *testing.F) {
 // FuzzMarshalUnmarshal round-trips fuzzed field values through the codec
 // and requires exact reconstruction.
 func FuzzMarshalUnmarshal(f *testing.F) {
-	f.Add(uint64(0), int64(0), false, 0.0, "", []byte{}, uint64(0), "")
-	f.Add(uint64(1<<63), int64(-1), true, math.Inf(-1), "key", []byte{0xff, 0x00}, uint64(42), "nested")
-	f.Add(uint64(300), int64(1<<40), false, math.SmallestNonzeroFloat64,
-		string(make([]byte, 200)), bytes.Repeat([]byte{7}, 300), uint64(1), "x")
-	f.Fuzz(func(t *testing.T, u uint64, i int64, b bool, fl float64, s string, raw []byte, subN uint64, subT string) {
-		in := fuzzMsg{U: u, I: i, B: b, F: fl, S: s, Raw: raw}
+	f.Add(uint64(0), int64(0), false, "", []byte{}, uint64(0), "")
+	f.Add(uint64(1<<63), int64(-1), true, "key", []byte{0xff, 0x00}, uint64(42), "nested")
+	f.Add(uint64(300), int64(1<<40), false, string(make([]byte, 200)), bytes.Repeat([]byte{7}, 300), uint64(1), "x")
+	f.Fuzz(func(t *testing.T, u uint64, i int64, b bool, s string, raw []byte, subN uint64, subT string) {
+		in := fuzzMsg{U: u, I: i, B: b, S: s, Raw: raw}
 		in.Sub.N, in.Sub.T = subN, subT
 		buf := Marshal(&in)
 		var out fuzzMsg
@@ -133,10 +127,6 @@ func FuzzMarshalUnmarshal(f *testing.F) {
 		if out.U != in.U || out.I != in.I || out.B != in.B || out.S != in.S ||
 			out.Sub.N != in.Sub.N || out.Sub.T != in.Sub.T {
 			t.Fatalf("round-trip mismatch: in %+v out %+v", in, out)
-		}
-		// NaN compares unequal to itself; compare bit patterns instead.
-		if math.Float64bits(out.F) != math.Float64bits(in.F) {
-			t.Fatalf("float round-trip: in %x out %x", math.Float64bits(in.F), math.Float64bits(out.F))
 		}
 		if !bytes.Equal(out.Raw, in.Raw) && !(len(out.Raw) == 0 && len(in.Raw) == 0) {
 			t.Fatalf("bytes round-trip: in %x out %x", in.Raw, out.Raw)
