@@ -41,12 +41,12 @@ func TestChaosAcceptance(t *testing.T) {
 			// ChaosCell surfaces any request failure as err: nil means the
 			// service answered all 2000 driven ops.
 			chaos, err := o.ChaosCell(core.ChaosConfig{
-				Arch: arch, ErrorRate: 0.10, KillWindow: true, Retry: true,
+				Arch: arch, ErrorRate: 0.10, KillWindow: true,
 			}, wcfg)
 			if err != nil {
 				t.Fatalf("10%% fault cell had a client-visible error: %v", err)
 			}
-			if chaos.Degraded == 0 {
+			if chaos.Path.Degraded == 0 {
 				t.Error("degradation counter stayed zero under 10% faults")
 			}
 			if chaos.HitRatio >= free.HitRatio {
@@ -92,10 +92,9 @@ func TestChaosClusterOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc, err := core.NewKVServiceRemote(core.ServiceConfig{
-		Arch:       core.Remote,
-		Meter:      appMeter,
-		Faults:     inj,
-		CacheRetry: &rpc.RetryPolicy{},
+		Arch:   core.Remote,
+		Meter:  appMeter,
+		Faults: inj,
 	}, core.RemoteEndpoints{DB: dbConn, Cache: cacheConn})
 	if err != nil {
 		t.Fatal(err)
@@ -150,14 +149,14 @@ func TestChaosClusterOverTCP(t *testing.T) {
 		}
 	}
 
-	if appMeter.CounterValue(core.DegradedCounter) == 0 {
+	if appMeter.Path().Degraded == 0 {
 		t.Error("no degradations recorded despite injected faults")
 	}
 	st := inj.Stats() // the cache node is the only one
 	if st.InjectedErrors == 0 || st.DownRejects == 0 {
 		t.Errorf("fault layer saw no traffic: %+v", st)
 	}
-	if appMeter.CounterValue(core.RetriesCounter) == 0 {
+	if appMeter.Path().Retries == 0 {
 		t.Error("retry layer never retried a call despite injected errors")
 	}
 }

@@ -209,7 +209,7 @@ func TestBatchChaosDegradesToStorage(t *testing.T) {
 	if res.Ops != ops {
 		t.Fatalf("res.Ops = %d, want %d", res.Ops, ops)
 	}
-	if res.Degraded == 0 {
+	if res.Path.Degraded == 0 {
 		t.Fatal("the kill window should have demoted cache batch RPCs to misses")
 	}
 	if res.HitRatio <= 0 || res.HitRatio >= 1 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cachecost/internal/fault"
-	"cachecost/internal/rpc"
 	"cachecost/internal/workload"
 )
 
@@ -22,10 +21,7 @@ type ChaosConfig struct {
 	// of the metered window and revives it (with slow-start) after —
 	// the cache-node-loss episode of the paper's availability argument.
 	KillWindow bool
-	// Retry wraps the Remote cache connection in the default retry
-	// policy.
-	Retry bool
-	// Seed drives both the fault schedule and the retry jitter.
+	// Seed drives the fault schedule.
 	Seed int64
 }
 
@@ -62,7 +58,6 @@ func (o FigOptions) ChaosCell(cc ChaosConfig, wcfg workload.SyntheticConfig) (*C
 		cc.StallWork = 2048
 	}
 	c := o.synthCell(cc.Arch, wcfg)
-	c.svc.RetrySeed = cc.Seed
 	inj := fault.New(cc.Seed, fault.Options{Meter: c.svc.Meter})
 	node := faultNodeFor(cc.Arch)
 	if node != "" {
@@ -73,9 +68,6 @@ func (o FigOptions) ChaosCell(cc ChaosConfig, wcfg workload.SyntheticConfig) (*C
 			SlowStartCalls: 50,
 		})
 		c.svc.Faults = inj
-	}
-	if cc.Retry && cc.Arch == Remote {
-		c.svc.CacheRetry = &rpc.RetryPolicy{}
 	}
 
 	// The kill window is expressed in total driven ops (warmup included),
@@ -136,7 +128,6 @@ func FigChaos(o FigOptions) (*Table, error) {
 				Arch:       arch,
 				ErrorRate:  rate,
 				KillWindow: rate > 0,
-				Retry:      true,
 				Seed:       o.Seed,
 			}, wcfg)
 			if err != nil {
@@ -146,7 +137,7 @@ func FigChaos(o FigOptions) (*Table, error) {
 				faultFree = res.CostPerMReq
 			}
 			t.AddRow(arch.String(), rate, res.CostPerMReq, res.HitRatio,
-				res.Degraded, res.Retries,
+				res.Path.Degraded, res.Path.Retries,
 				res.CostPerMReq/faultFree, res.CostPerMReq/base.CostPerMReq)
 		}
 	}

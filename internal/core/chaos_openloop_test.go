@@ -88,13 +88,13 @@ func TestChaosOverloadDegradesWithoutErrors(t *testing.T) {
 
 	// The kill must have been felt: admitted reads crossed the dead
 	// cache and degraded to storage loads.
-	if res.Degraded == 0 {
+	if res.Path.Degraded == 0 {
 		t.Fatal("cache kill during the metered window produced no degradations")
 	}
 	// Overload must have been felt: the server refused part of the
 	// offered excess via the deadline/shed path (client-side lane drops
 	// also count — the point is that refusals, not errors, absorbed it).
-	refused := res.ClientShed + res.ServerShed + res.DeadlineExceeded
+	refused := res.ClientShed + res.Path.Shed + res.Path.Deadline
 	if refused == 0 {
 		t.Fatalf("3x-capacity offered load was fully served: overload never happened (offered %.0f qps)",
 			res.OfferedQPS)

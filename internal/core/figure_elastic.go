@@ -86,7 +86,7 @@ func FigElastic(o FigOptions) (*Table, error) {
 			}
 			t.AddRow(arch.String(), mode, res.CostPerMReq, float64(res.LatencyP99)/1e6,
 				res.HitRatio, res.Report.MemCost, info.endBytes, info.resizes,
-				res.ServerShed, res.DeadlineExceeded)
+				res.Path.Shed, res.Path.Deadline)
 			verdict[arch][mode] = res.CostPerMReq
 		}
 		if s, e := verdict[arch]["static"], verdict[arch]["elastic"]; arch != Base && e > 0 {

@@ -114,12 +114,12 @@ func FigHotShard(o FigOptions) (*Table, error) {
 		res := cell.res
 		goodput := 0.0
 		if sp := res.ScheduleSpan.Seconds(); sp > 0 {
-			goodput = float64(int64(res.Executed)-res.ServerShed-res.DeadlineExceeded) / sp
+			goodput = float64(int64(res.Executed)-res.Path.Shed-res.Path.Deadline) / sp
 		}
 		t.AddRow(mode, res.OfferedQPS, goodput, res.CostPerMReq,
 			float64(res.LatencyP99)/1e6, float64(res.SendLatencyP99)/1e6,
 			res.HitRatio, cell.spread,
-			res.ServerShed, res.DeadlineExceeded,
+			res.Path.Shed, res.Path.Deadline,
 			cell.stats.Replicates, cell.stats.Migrates, cell.stats.Cutovers)
 	}
 	t.Notes = append(t.Notes,

@@ -63,11 +63,11 @@ func FigOverload(o FigOptions) (*Table, error) {
 			// expired ops were answered (cheaply) but carried no value.
 			goodput := 0.0
 			if sp := res.ScheduleSpan.Seconds(); sp > 0 {
-				goodput = float64(int64(res.Executed)-res.ServerShed-res.DeadlineExceeded) / sp
+				goodput = float64(int64(res.Executed)-res.Path.Shed-res.Path.Deadline) / sp
 			}
 			t.AddRow(arch.String(), load, res.OfferedQPS, goodput, res.CostPerMReq,
 				float64(res.LatencyP99)/1e6, float64(res.SendLatencyP99)/1e6,
-				res.ClientShed, res.ServerShed, res.DeadlineExceeded)
+				res.ClientShed, res.Path.Shed, res.Path.Deadline)
 		}
 	}
 	t.Notes = append(t.Notes,

@@ -102,7 +102,7 @@ func FigTiering(o FigOptions) (*Table, error) {
 			}
 			t.AddRow(arch.String(), fmt.Sprintf("%d%%", split), res.CostPerMReq,
 				float64(res.LatencyP99)/1e6, res.Report.MemCost, res.Report.DiskCost,
-				st.DiskReads, st.TierDemotions, res.ServerShed, res.DeadlineExceeded)
+				st.DiskReads, st.TierDemotions, res.Path.Shed, res.Path.Deadline)
 			switch split {
 			case 0:
 				allDisk = res.CostPerMReq

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,8 +223,8 @@ func TestFlightCacheStallDominant(t *testing.T) {
 // TestFlightDegradedFlagIsPerRequest: a demotion marks the lane of the
 // request whose cache call failed, so with concurrent lanes — scalar and
 // batched — every retained exemplar carries exactly its own request's
-// degraded flag: set if and only if its own span tree holds an injected
-// cache error. Run it under -race.
+// degraded flag: set if and only if its own span tree shows a cache call
+// that gave up (gaveUp). Run it under -race.
 func TestFlightDegradedFlagIsPerRequest(t *testing.T) {
 	for _, batch := range []int{1, 4} {
 		t.Run(fmt.Sprintf("B%d", batch), func(t *testing.T) {
@@ -245,16 +248,11 @@ func TestFlightDegradedFlagIsPerRequest(t *testing.T) {
 			}
 			degraded := 0
 			for _, e := range allExemplars(rec.Exemplars()) {
-				faulted := false
-				for _, sp := range e.Spans {
-					if v, _ := sp.Annotation("fault.outcome"); sp.Component == "fault" && v == "error" {
-						faulted = true
-					}
+				gave := gaveUp(e.Spans)
+				if flagged := e.Flags&meter.FlagDegraded != 0; flagged != gave {
+					t.Errorf("%s exemplar: degraded flag %v, its own cache call gave up %v", e.Method, flagged, gave)
 				}
-				if flagged := e.Flags&meter.FlagDegraded != 0; flagged != faulted {
-					t.Errorf("%s exemplar: degraded flag %v, its own cache error %v", e.Method, flagged, faulted)
-				}
-				if faulted {
+				if gave {
 					degraded++
 				}
 			}
@@ -263,6 +261,43 @@ func TestFlightDegradedFlagIsPerRequest(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gaveUp reports whether a request's spans show a cache call that gave
+// up: an injected cache error the retry layer did not absorb. A retry is
+// issued at once, so an error's next span (in start order, non-error
+// fault decisions skipped) is the retried attempt: another injected error
+// or, once one gets through, its cache round trip. A call that gave up is
+// followed by anything else — the storage load a demoted read falls
+// through to, or the end of the request.
+func gaveUp(spans []trace.Span) bool {
+	spans = slices.Clone(spans)
+	slices.SortStableFunc(spans, func(a, b trace.Span) int { return cmp.Compare(a.Start, b.Start) })
+	injected := func(sp trace.Span) (fault, failed bool) {
+		v, _ := sp.Annotation("fault.outcome")
+		return sp.Component == "fault", sp.Component == "fault" && v == "error"
+	}
+	for i, sp := range spans {
+		if _, failed := injected(sp); !failed {
+			continue
+		}
+		next := i + 1
+		for next < len(spans) {
+			if fault, failed := injected(spans[next]); !fault || failed {
+				break
+			}
+			next++
+		}
+		if next == len(spans) {
+			return true
+		}
+		_, retriedAgain := injected(spans[next])
+		roundTrip := spans[next].Component == "rpc" && strings.HasPrefix(spans[next].Op, "cache.")
+		if !retriedAgain && !roundTrip {
+			return true
+		}
+	}
+	return false
 }
 
 // sumStages is the conservation sum: every stage except StageRaft, whose

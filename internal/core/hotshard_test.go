@@ -34,10 +34,10 @@ func TestManagedTierKillOldNodeMidMigration(t *testing.T) {
 	cfg.CacheNodes = 4
 	cfg.RemoteCacheBytes = 1 << 20 // whole population fits: the dip we see is the fault's
 	cfg.Faults = inj
-	// Disable replication (no shard reaches HotFrac of a node's fair
-	// share at 100) and make migration eager: the manager then answers
-	// the Zipf head with a live migration — the scenario under test.
-	cfg.ShardMgr = &ShardMgrConfig{HotFrac: 100, MigrateFrac: 1.05, HandoffTicks: 4}
+	// Eager migration: once replication has spread the Zipf head, a node
+	// still past 1.05x its fair share moves its hottest sole-replica
+	// shard — the live migration under test.
+	cfg.ShardMgr = &ShardMgrConfig{MigrateFrac: 1.05}
 	svc, err := BuildKVService(cfg, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestManagedTierKillOldNodeMidMigration(t *testing.T) {
 	if st.Migrates == 0 || st.Cutovers == 0 {
 		t.Fatalf("migration must complete despite the dead source: migrates=%d cutovers=%d", st.Migrates, st.Cutovers)
 	}
-	if res.Degraded == 0 {
+	if res.Path.Degraded == 0 {
 		t.Fatal("killing the handoff's old node never degraded a read: the window was not exercised")
 	}
 	// Bounded dip: the tier holds the whole population, so only the dead

@@ -36,22 +36,6 @@ const (
 // smoke test expects to dominate deadline exemplars.
 const StorageFaultNode = "storage0"
 
-// DegradedCounter is the meter counter that counts cache errors demoted
-// to misses so the service keeps serving through cache loss.
-const DegradedCounter = "cache.degraded"
-
-// RetriesCounter is the meter counter bumped per cache-call retry.
-const RetriesCounter = "rpc.retries"
-
-// ShedCounter is the meter counter bumped when the admission gate
-// refuses a request because its wait queue is full; the request gets a
-// degraded cache-only answer instead of the full path.
-const ShedCounter = "admission.shed"
-
-// DeadlineExceededCounter is the meter counter bumped when a request's
-// SLO deadline expired at or before admission.
-const DeadlineExceededCounter = "admission.deadline"
-
 // AdmissionConfig bounds the service's accepted work under overload: at
 // most MaxInflight requests execute the full path concurrently, at most
 // QueueDepth wait for a slot, and everything beyond — or anything whose
@@ -127,25 +111,20 @@ type ServiceConfig struct {
 
 	// Faults, when non-nil, interposes the fault-injection layer on the
 	// cache tier: the Remote architecture's cache connection is wrapped
-	// under the node name CacheNode, and the Linked architecture's
-	// in-process cache is gated under LinkedCacheNode. Cache errors are
-	// demoted to misses (counted under DegradedCounter), so the service
-	// keeps serving through cache loss as the paper's availability
-	// discussion assumes. In-process deployments additionally wrap the
-	// app→storage connection under StorageFaultNode, so storage stalls
-	// can be injected for the tail-attribution experiments.
+	// under the node name CacheNode, with budgeted retries (rpc.RetryConn)
+	// above it, and the Linked architecture's in-process cache is gated
+	// under LinkedCacheNode. Cache errors are demoted to misses (counted
+	// as Path.Degraded), so the service keeps serving through cache loss
+	// as the paper's availability discussion assumes. In-process
+	// deployments additionally wrap the app→storage connection under
+	// StorageFaultNode, so storage stalls can be injected for the
+	// tail-attribution experiments.
 	Faults *fault.Injector
-	// CacheRetry, when non-nil, wraps the Remote architecture's cache
-	// connection in an rpc.RetryConn with this policy (retries are
-	// counted under RetriesCounter).
-	CacheRetry *rpc.RetryPolicy
 	// Admission, when non-nil, interposes an SLO-aware admission gate on
 	// the client-facing read/write path: requests past MaxInflight wait
 	// in a bounded queue, and overflow or deadline expiry is shed to a
-	// degraded cache-only answer (ShedCounter / DeadlineExceededCounter).
+	// degraded cache-only answer (counted as Path.Shed / Path.Deadline).
 	Admission *AdmissionConfig
-	// RetrySeed drives the retry layer's jitter sequence. Default 1.
-	RetrySeed int64
 
 	// Tracer, when non-nil, records request-path spans for a sample of
 	// client operations. Nil disables tracing; the instrumented paths then
@@ -184,12 +163,6 @@ type ServiceConfig struct {
 // 32-counter-per-stripe hot-key detector and replica sets of up to
 // CacheNodes.
 type ShardMgrConfig struct {
-	// HandoffTicks is how many manager ticks a migration's double-read
-	// window stays open. Default 2.
-	HandoffTicks int
-	// HotFrac is the manager's replication threshold (shardmgr.Config's
-	// HotFrac). Zero keeps the manager default.
-	HotFrac float64
 	// MigrateFrac is the manager's migration threshold (shardmgr.Config's
 	// MigrateFrac). Zero keeps the manager default.
 	MigrateFrac float64
@@ -213,9 +186,6 @@ func (c *ServiceConfig) applyDefaults() {
 	}
 	if c.RemoteCacheBytes == 0 {
 		c.RemoteCacheBytes = 8 << 20
-	}
-	if c.RetrySeed == 0 {
-		c.RetrySeed = 1
 	}
 	if c.Parallelism < 1 {
 		c.Parallelism = 1
@@ -247,17 +217,9 @@ type deployment struct {
 	detector  *shardmgr.Detector
 	shardMgr  *shardmgr.Manager
 
-	degraded *meter.Counter // cache errors demoted to misses
-
-	// Admission control, when configured: one gate shared by every lane
-	// (slots are a service-level resource), with shed/deadline counters
-	// on both the meter (reset at the metered-window boundary, surfaced
-	// in RunResult) and the telemetry registry (live scrapes).
-	gate       *admission.Gate
-	shedCtr    *meter.Counter
-	dlCtr      *meter.Counter
-	telShed    *telemetry.Counter
-	telExpired *telemetry.Counter
+	// gate is the admission gate, when configured: one gate shared by
+	// every lane (slots are a service-level resource).
+	gate *admission.Gate
 }
 
 // build applies cfg's defaults and, for an in-process deployment,
@@ -273,7 +235,6 @@ func (d *deployment) build(cfg ServiceConfig, inProcess bool) error {
 	d.cfg, d.m = cfg, cfg.Meter
 	d.appComp = cfg.Meter.Component("app")
 	d.lbm = rpc.NewMetrics(cfg.Telemetry, "loopback")
-	d.degraded = d.m.Counter(DegradedCounter)
 	if cfg.Faults != nil {
 		cfg.Faults.RegisterTelemetry(cfg.Telemetry)
 	}
@@ -282,10 +243,6 @@ func (d *deployment) build(cfg ServiceConfig, inProcess bool) error {
 			return fmt.Errorf("core: AdmissionConfig.MaxInflight must be positive")
 		}
 		d.gate = admission.NewGate(cfg.Admission.MaxInflight, cfg.Admission.QueueDepth, nil)
-		d.shedCtr = d.m.Counter(ShedCounter)
-		d.dlCtr = d.m.Counter(DeadlineExceededCounter)
-		d.telShed = cfg.Telemetry.Counter("admission.shed")
-		d.telExpired = cfg.Telemetry.Counter("admission.deadline_exceeded")
 		if cfg.Telemetry != nil {
 			gate := d.gate
 			cfg.Telemetry.RegisterCollector("admission", func(emit func(telemetry.Sample)) {
@@ -373,14 +330,12 @@ func (d *deployment) buildCacheTier() error {
 		})
 	}
 	if mc := cfg.ShardMgr; mc != nil {
-		// Replica sets span up to every node (the manager's default).
+		// Replica sets span up to every node.
 		mgr, err := shardmgr.New(shardmgr.Config{
-			Map:          d.smap,
-			Detector:     d.detector,
-			Registry:     cfg.Telemetry,
-			HandoffTicks: mc.HandoffTicks,
-			HotFrac:      mc.HotFrac,
-			MigrateFrac:  mc.MigrateFrac,
+			Map:         d.smap,
+			Detector:    d.detector,
+			Registry:    cfg.Telemetry,
+			MigrateFrac: mc.MigrateFrac,
 		})
 		if err != nil {
 			return err
@@ -394,8 +349,9 @@ func (d *deployment) buildCacheTier() error {
 // default lane), per cache node and innermost first: the connection — a
 // private loopback, or external when the node runs elsewhere — fault
 // injection at the node (worker lanes draw from their own decision
-// streams), budgeted retries above it; then graceful degradation in the
-// client on top, routing through the shard map when the tier has one.
+// streams) with budgeted retries above it; then the client on top, which
+// demotes cache failures to misses, routing through the shard map when
+// the tier has one.
 // It is the stack a production lookaside client carries, and keeping it
 // private per lane is what makes per-worker fault schedules
 // deterministic: a worker's decisions never interleave into another's.
@@ -409,14 +365,7 @@ func (d *deployment) cacheClient(worker int, external rpc.Conn) (*remotecache.Cl
 		}
 		if cfg.Faults != nil {
 			conn = cfg.Faults.WrapWorker(cacheFaultNode(i), worker, conn)
-		}
-		if cfg.CacheRetry != nil {
-			policy := *cfg.CacheRetry
-			if policy.RetryCounter == nil {
-				policy.RetryCounter = d.m.Counter(RetriesCounter)
-			}
-			seed := cfg.RetrySeed + int64(worker+1)*int64(cfg.CacheNodes) + int64(i)
-			conn = rpc.NewRetryConn(conn, policy, seed, d.appComp, meter.NewBurner())
+			conn = rpc.NewRetryConn(conn, d.appComp, meter.NewBurner())
 		}
 		conns[cacheNodeName(i)] = conn
 	}
@@ -427,7 +376,6 @@ func (d *deployment) cacheClient(worker int, external rpc.Conn) (*remotecache.Cl
 			return nil, err
 		}
 	}
-	c.Degrade(d.degraded)
 	c.SetTelemetry(cfg.Telemetry)
 	return c, nil
 }
@@ -483,8 +431,8 @@ func (d *deployment) Close() error { return nil }
 
 // admit consults the admission gate for one client request. It returns
 // the gate outcome and, for Admitted, the release the handler must call
-// when its full-path work finishes. Shed and expired outcomes bump their
-// counters here.
+// when its full-path work finishes. Shed and expired outcomes are counted
+// on the request's lane here.
 func (d *deployment) admit(sc trace.SpanContext) (admission.Outcome, func()) {
 	if d.gate == nil {
 		return admission.Admitted, func() {}
@@ -497,13 +445,9 @@ func (d *deployment) admit(sc trace.SpanContext) (admission.Outcome, func()) {
 	lane.AddStage(meter.StageAdmission, t0)
 	switch outcome {
 	case admission.ShedQueueFull:
-		d.shedCtr.Inc()
-		d.telShed.Inc()
-		lane.Mark(meter.FlagShed)
+		lane.CountShed()
 	case admission.DeadlineExpired:
-		d.dlCtr.Inc()
-		d.telExpired.Inc()
-		lane.Mark(meter.FlagDeadline)
+		lane.CountDeadline()
 	}
 	return outcome, release
 }

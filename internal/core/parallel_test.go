@@ -240,8 +240,6 @@ func TestParallelServiceFaultsDegradeNotFail(t *testing.T) {
 		StorageCacheBytes: ws * 15 / 100,
 		RemoteCacheBytes:  ws * 60 / 100,
 		Faults:            inj,
-		CacheRetry:        &rpc.RetryPolicy{},
-		RetrySeed:         11,
 		Parallelism:       par,
 	}, gen)
 	if err != nil {
@@ -253,8 +251,8 @@ func TestParallelServiceFaultsDegradeNotFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Degraded == 0 || res.Retries == 0 {
-		t.Errorf("degraded=%d retries=%d at 20%% fault rate", res.Degraded, res.Retries)
+	if res.Path.Degraded == 0 || res.Path.Retries == 0 {
+		t.Errorf("degraded=%d retries=%d at 20%% fault rate", res.Path.Degraded, res.Path.Retries)
 	}
 	for w := 0; w < par; w++ {
 		if inj.WorkerStats(CacheNode, w).Calls == 0 {
@@ -293,13 +291,12 @@ func TestChaosCellUnderParallelism(t *testing.T) {
 			Arch:       arch,
 			ErrorRate:  0.3,
 			KillWindow: true,
-			Retry:      true,
 			Seed:       5,
 		}, wcfg)
 		if err != nil {
 			t.Fatalf("%v: %v", arch, err)
 		}
-		if res.Degraded == 0 {
+		if res.Path.Degraded == 0 {
 			t.Errorf("%v: no degradations at 30%% fault rate with a kill window", arch)
 		}
 		if res.Parallelism != 4 {

@@ -34,17 +34,12 @@ type RunResult struct {
 	AppCost, CacheCost, StorageCost float64
 	// Cores rollups.
 	AppCores, CacheCores, StorageCores float64
-	// Degraded counts cache operations demoted to misses during the
-	// metered window (nonzero only under fault injection).
-	Degraded int64
-	// Retries counts cache-call retry attempts during the metered
-	// window (nonzero only with a retry policy and faults).
-	Retries int64
-
 	// Path holds the exact request-path counts for the metered window
 	// (hops, cache messages, SQL statements, raft ships per the paper's
-	// §5.3/§5.5 path model): the meter's sum over every request's lane,
-	// traced or not. Zero from Drive, which has no meter.
+	// §5.3/§5.5 path model, and the fault-path events: cache demotions,
+	// retries, admission sheds and expired deadlines): the meter's sum
+	// over every request's lane, traced or not. Zero from Drive, which
+	// has no meter.
 	Path meter.PathStats
 
 	// Parallelism is the worker count the metered window ran at.
@@ -73,11 +68,6 @@ type RunResult struct {
 	// ClientShed counts ops dropped at intended arrival because their
 	// lane queue was full — the client-side half of overload.
 	ClientShed int64
-	// ServerShed counts ops the service's admission gate refused
-	// (queue full); DeadlineExceeded counts ops whose SLO deadline
-	// expired at or before admission. Both come from the service meter
-	// and are zero without ServiceConfig.Admission.
-	ServerShed, DeadlineExceeded int64
 	// OfferedQPS is the schedule-defined offered rate (Offered / span).
 	OfferedQPS float64
 	// ScheduleSpan is the schedule's intended duration.
@@ -239,11 +229,6 @@ func RunExperimentCfg(svc Service, m *meter.Meter, gen workload.Generator, cfg R
 	hits, reads := cacheStats()
 	res.Arch, res.HitRatio = svc.Arch(), hitRatio(hits-hits0, reads-reads0)
 	res.Path = m.Path()
-	res.Degraded, res.Retries = m.CounterValue(DegradedCounter), m.CounterValue(RetriesCounter)
-	if cfg.Arrival != nil {
-		res.ServerShed = m.CounterValue(ShedCounter)
-		res.DeadlineExceeded = m.CounterValue(DeadlineExceededCounter)
-	}
 	// Price the requests the service actually saw: under open loop,
 	// client-shed ops never reached the service and must not dilute
 	// cost/Mreq.

@@ -11,7 +11,6 @@ import (
 	"cachecost/internal/cluster"
 	"cachecost/internal/fault"
 	"cachecost/internal/linkedcache"
-	"cachecost/internal/meter"
 	"cachecost/internal/remotecache"
 	"cachecost/internal/rpc"
 	"cachecost/internal/trace"
@@ -193,12 +192,8 @@ func newArchitecture[V any](cfg *ServiceConfig, kit objectKit[V]) (*architecture
 	case Linked:
 		a.lc = linkedcache.New(lcfg, kit.sizeOf)
 		a.lc.SetBilledReplicas(cfg.AppReplicas)
-		var degraded *meter.Counter
-		if cfg.Faults != nil {
-			degraded = cfg.Meter.Counter(DegradedCounter)
-		}
 		a.bind = func(w int, _ *remotecache.Client) tier[V] {
-			return &linkedTier[V]{lc: a.lc, lent: kit.keep, faults: cfg.Faults, w: w, degraded: degraded}
+			return &linkedTier[V]{lc: a.lc, lent: kit.keep, faults: cfg.Faults, w: w}
 		}
 	case LinkedVersion:
 		a.bind = static(newVersionTier(lcfg, kit))
@@ -366,11 +361,10 @@ func (t *remoteTier[V]) dropBatch(sc trace.SpanContext, keys []string, payloads 
 // being lost or restarting, so the request skips the cache (a counted
 // degradation) and is served as Base would serve it.
 type linkedTier[V any] struct {
-	lc       *linkedcache.Cache[V]
-	lent     func(V) V // objectKit.keep
-	faults   *fault.Injector
-	w        int
-	degraded *meter.Counter
+	lc     *linkedcache.Cache[V]
+	lent   func(V) V // objectKit.keep
+	faults *fault.Injector
+	w      int
 }
 
 func (t *linkedTier[V]) faulted(sc trace.SpanContext) bool {
@@ -378,8 +372,7 @@ func (t *linkedTier[V]) faulted(sc trace.SpanContext) bool {
 		return false
 	}
 	if err := t.faults.DecideTrace(LinkedCacheNode, t.w, sc); err != nil {
-		t.degraded.Inc()
-		sc.Lane().Mark(meter.FlagDegraded)
+		sc.Lane().CountDegraded()
 		return true
 	}
 	return false
@@ -413,7 +406,12 @@ func (t *linkedTier[V]) write(sc trace.SpanContext, key string, v V, payload []b
 	if err := src.store(sc, key, payload); err != nil {
 		return err
 	}
-	if !t.faulted(sc) {
+	// A faulted write-through cannot install v, so it drops the key as
+	// drop does: the entry it leaves would serve the pre-write object once
+	// the fault clears.
+	if t.faulted(sc) {
+		t.lc.Delete(key)
+	} else {
 		t.lc.PutCtx(sc, key, v)
 	}
 	return nil

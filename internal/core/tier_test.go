@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cachecost/internal/cluster"
+	"cachecost/internal/fault"
 	"cachecost/internal/linkedcache"
 	"cachecost/internal/meter"
 	"cachecost/internal/trace"
@@ -473,5 +474,36 @@ func TestTierConsistencyRace(t *testing.T) {
 				t.Errorf("read after the final write = %q", v)
 			}
 		})
+	}
+}
+
+// TestLinkedFaultedWriteDropsEntry: a write-through while the linked
+// cache shard is faulted cannot install the new object, and must not
+// leave the old one either: once the fault clears, a read would hit the
+// pre-write object until it was evicted.
+func TestLinkedFaultedWriteDropsEntry(t *testing.T) {
+	m := meter.NewMeter()
+	inj := fault.New(1, fault.Options{Meter: m})
+	cfg := smallCfg(Linked, m)
+	cfg.Faults = inj
+	svc, err := NewKVService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := workload.KeyName(0)
+	if err := svc.Preload([]PreloadItem{{Key: key, Size: 64}}); err != nil {
+		t.Fatal(err)
+	}
+	before, after := ValueFor(key, 64), bytes.Repeat([]byte("w"), 64)
+	if got, err := svc.Read(key); err != nil || !bytes.Equal(got, Digest(before)) {
+		t.Fatalf("read before the fault = %x, %v", got, err)
+	}
+	inj.Kill(LinkedCacheNode)
+	if err := svc.Write(key, after); err != nil {
+		t.Fatal(err)
+	}
+	inj.Revive(LinkedCacheNode)
+	if got, err := svc.Read(key); err != nil || !bytes.Equal(got, Digest(after)) {
+		t.Fatalf("read after the fault cleared = %x, %v; want the faulted write's digest %x", got, err, Digest(after))
 	}
 }

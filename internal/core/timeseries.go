@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cachecost/internal/fault"
-	"cachecost/internal/rpc"
 	"cachecost/internal/telemetry"
 	"cachecost/internal/workload"
 )
@@ -63,8 +62,6 @@ func FigTimeseries(o FigOptions) (*Table, error) {
 	inj := fault.New(o.Seed, fault.Options{Meter: c.svc.Meter})
 	inj.SetRule(CacheNode, fault.Rule{SlowStartCalls: 50})
 	c.svc.Faults = inj
-	c.svc.CacheRetry = &rpc.RetryPolicy{}
-	c.svc.RetrySeed = o.Seed
 
 	killAt := o.Warmup + o.Ops*2/5
 	reviveAt := o.Warmup + o.Ops*3/5
@@ -124,15 +121,15 @@ func FigTimeseries(o FigOptions) (*Table, error) {
 			sum := hs.Summary()
 			ops, p50, p99 = sum.Count, float64(sum.P50)/1e3, float64(sum.P99)/1e3
 		}
-		hits := deltaCounter(d, "cache.client.hits", "")
-		misses := deltaCounter(d, "cache.client.misses", "")
+		hits := deltaCounter(d, "meter.path", "CacheHits")
+		misses := deltaCounter(d, "meter.path", "CacheMisses")
 		hitRatio := 0.0
 		if hits+misses > 0 {
 			hitRatio = hits / (hits + misses)
 		}
 		t.AddRow(i+1, w.endOp, phase, ops, p50, p99, hitRatio,
-			deltaCounter(d, "cache.client.degraded", ""),
-			deltaCounter(d, "meter.counter", RetriesCounter))
+			deltaCounter(d, "meter.path", "Degraded"),
+			deltaCounter(d, "meter.path", "Retries"))
 		prev, prevOp = w.snap, w.endOp
 	}
 	t.Notes = append(t.Notes,

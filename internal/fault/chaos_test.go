@@ -35,16 +35,16 @@ func runCell(t *testing.T, cc core.ChaosConfig) *core.ChaosResult {
 // failures and a nonzero degradation counter, for both cache architectures.
 func TestFallThroughAbsorbsFaults(t *testing.T) {
 	for _, arch := range []core.Arch{core.Remote, core.Linked} {
-		cc := core.ChaosConfig{Arch: arch, ErrorRate: 0.10, KillWindow: true, Retry: true}
+		cc := core.ChaosConfig{Arch: arch, ErrorRate: 0.10, KillWindow: true}
 		res := runCell(t, cc) // runCell fails the test on any request error
-		if res.Degraded == 0 {
+		if res.Path.Degraded == 0 {
 			t.Errorf("%s at 10%% faults: degradation counter stayed zero", arch)
 		}
 		if res.HitRatio <= 0 || res.HitRatio >= 1 {
 			t.Errorf("%s: hit ratio %v outside (0,1)", arch, res.HitRatio)
 		}
-		if arch == core.Remote && res.Retries == 0 {
-			t.Errorf("Remote with retry policy recorded zero retries at 10%% faults")
+		if arch == core.Remote && res.Path.Retries == 0 {
+			t.Errorf("Remote behind the retry layer recorded zero retries at 10%% faults")
 		}
 		if st := res.Injector.Stats(); st.DownRejects == 0 {
 			t.Errorf("%s: kill window produced no down rejects (stats %+v)", arch, st)
@@ -63,9 +63,9 @@ func TestDegradationIsMonotonic(t *testing.T) {
 		var degraded []int64
 		var costs []float64
 		for _, rate := range rates {
-			res := runCell(t, core.ChaosConfig{Arch: arch, ErrorRate: rate, Retry: true})
+			res := runCell(t, core.ChaosConfig{Arch: arch, ErrorRate: rate})
 			hits = append(hits, res.HitRatio)
-			degraded = append(degraded, res.Degraded)
+			degraded = append(degraded, res.Path.Degraded)
 			costs = append(costs, res.CostPerMReq)
 		}
 		for i := 1; i < len(rates); i++ {
@@ -96,15 +96,15 @@ func TestDegradationIsMonotonic(t *testing.T) {
 // time).
 func TestChaosCellIsDeterministic(t *testing.T) {
 	for _, arch := range []core.Arch{core.Remote, core.Linked} {
-		cc := core.ChaosConfig{Arch: arch, ErrorRate: 0.25, KillWindow: true, Retry: true, Seed: 99}
+		cc := core.ChaosConfig{Arch: arch, ErrorRate: 0.25, KillWindow: true, Seed: 99}
 		a := runCell(t, cc)
 		b := runCell(t, cc)
 		if at, bt := a.Injector.Stats(), b.Injector.Stats(); at != bt {
 			t.Errorf("%s: fault schedules diverged under fixed seed:\n%+v\n%+v", arch, at, bt)
 		}
-		if a.Degraded != b.Degraded || a.Retries != b.Retries {
+		if a.Path.Degraded != b.Path.Degraded || a.Path.Retries != b.Path.Retries {
 			t.Errorf("%s: outcome counters diverged: degraded %d/%d retries %d/%d",
-				arch, a.Degraded, b.Degraded, a.Retries, b.Retries)
+				arch, a.Path.Degraded, b.Path.Degraded, a.Path.Retries, b.Path.Retries)
 		}
 		if a.HitRatio != b.HitRatio {
 			t.Errorf("%s: hit ratio diverged: %v vs %v", arch, a.HitRatio, b.HitRatio)
@@ -114,9 +114,9 @@ func TestChaosCellIsDeterministic(t *testing.T) {
 
 // TestMeterTotalsBalance checks the cost report's books under chaos: line
 // items sum to the totals, injected fault work is visible as its own
-// component, and the degradation counters surface in the report.
+// component, and the window's demotions are counted on its path.
 func TestMeterTotalsBalance(t *testing.T) {
-	res := runCell(t, core.ChaosConfig{Arch: core.Remote, ErrorRate: 0.5, KillWindow: true, Retry: true})
+	res := runCell(t, core.ChaosConfig{Arch: core.Remote, ErrorRate: 0.5, KillWindow: true})
 	rep := res.Report
 	var cpu, mem float64
 	for _, l := range rep.Lines {
@@ -132,13 +132,8 @@ func TestMeterTotalsBalance(t *testing.T) {
 	if got := rep.ComponentCost("fault"); got <= 0 {
 		t.Errorf("injected stalls charged $%v to component 'fault', want > 0", got)
 	}
-	counters := map[string]int64{}
-	for _, c := range rep.Counters {
-		counters[c.Name] = c.Value
-	}
-	if counters[core.DegradedCounter] != res.Degraded || res.Degraded == 0 {
-		t.Errorf("report counter %q = %d, RunResult.Degraded = %d",
-			core.DegradedCounter, counters[core.DegradedCounter], res.Degraded)
+	if res.Path.Degraded == 0 {
+		t.Error("Path.Degraded = 0 at 50% cache faults")
 	}
 	if rep.Requests != int64(res.Ops) {
 		t.Errorf("report requests = %d, ops = %d", rep.Requests, res.Ops)

@@ -120,7 +120,7 @@ func TestOutcomeBuffersDropOldest(t *testing.T) {
 	base := time.Now()
 	for i := 1; i <= 10; i++ {
 		done(r, base, time.Duration(i)*time.Millisecond, func(l *meter.Lane) {
-			l.Mark(meter.FlagShed)
+			l.CountShed()
 		}, nil)
 	}
 	ex := r.Exemplars()
@@ -141,10 +141,12 @@ func TestOutcomeSeverity(t *testing.T) {
 	r := New(Config{})
 	base := time.Now()
 	done(r, base, time.Millisecond, func(l *meter.Lane) {
-		l.Mark(meter.FlagDegraded | meter.FlagDeadline)
+		l.CountDegraded()
+		l.CountDeadline()
 	}, nil)
 	done(r, base, time.Millisecond, func(l *meter.Lane) {
-		l.Mark(meter.FlagShed | meter.FlagDegraded)
+		l.CountShed()
+		l.CountDegraded()
 	}, errors.New("boom"))
 	ex := r.Exemplars()
 	if len(ex.Deadline) != 1 || len(ex.Error) != 1 || len(ex.Shed) != 0 || len(ex.Degraded) != 0 {
@@ -208,7 +210,7 @@ func TestRecorderConcurrent(t *testing.T) {
 				dur := time.Duration(rng.Intn(1000)+1) * time.Microsecond
 				var mutate func(*meter.Lane)
 				if i%17 == 0 {
-					mutate = func(l *meter.Lane) { l.Mark(meter.FlagShed) }
+					mutate = (*meter.Lane).CountShed
 				}
 				done(r, base, dur, mutate, nil)
 			}

@@ -17,16 +17,18 @@ func TestDebugRequestsFilters(t *testing.T) {
 	r := New(Config{CPUCoreMonthUSD: 20})
 	base := time.Now()
 
-	mk := func(arch string, dur time.Duration, flags uint32) {
+	mk := func(arch string, dur time.Duration, count func(*meter.Lane)) {
 		l := meter.OpenLane(testComp)
-		l.Mark(flags)
+		if count != nil {
+			count(l)
+		}
 		l.Exclude(dur / 2) // the request was billed dur/2 of busy time
 		r.Done(r.Begin(trace.SpanContext{}.WithLane(l)), arch, "app.Read", base, dur, nil)
 		l.Close()
 	}
-	mk("Base", 1*time.Millisecond, 0)
-	mk("Base", 30*time.Millisecond, meter.FlagDeadline)
-	mk("Linked", 5*time.Millisecond, meter.FlagShed)
+	mk("Base", 1*time.Millisecond, nil)
+	mk("Base", 30*time.Millisecond, (*meter.Lane).CountDeadline)
+	mk("Linked", 5*time.Millisecond, (*meter.Lane).CountShed)
 
 	h := Handler(r)
 	get := func(query string) (p struct {

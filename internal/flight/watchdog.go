@@ -23,17 +23,15 @@ type WatchdogConfig struct {
 	// Dir is where black-box dumps are written. Default "flight-dumps".
 	Dir string
 	// BudgetFrac is the SLO error budget: the fraction of requests
-	// allowed to go bad (shed or blown deadline) in steady state.
-	// Default 0.001 (99.9% SLO).
+	// allowed to go bad (shed or blown deadline at admission: the
+	// meter.path counts Shed and Deadline) in steady state. Default 0.001
+	// (99.9% SLO).
 	BudgetFrac float64
 	// FastBurn is the burn-rate multiple that triggers a dump: bad
 	// fraction / BudgetFrac. Default 14 (the SRE fast-burn page rate —
 	// a 30-day budget gone in ~2 days). Two consecutive over-threshold
 	// windows are required, so a single noisy window cannot fire.
 	FastBurn float64
-	// BadCounters name the windowed telemetry counters summed as "bad
-	// requests". Default admission.shed + admission.deadline_exceeded.
-	BadCounters []string
 	// TotalHist names the histogram whose windowed count is "total
 	// requests". Default "request.latency".
 	TotalHist string
@@ -53,9 +51,6 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	}
 	if c.FastBurn <= 0 {
 		c.FastBurn = 14
-	}
-	if len(c.BadCounters) == 0 {
-		c.BadCounters = []string{"admission.shed", "admission.deadline_exceeded"}
 	}
 	if c.TotalHist == "" {
 		c.TotalHist = "request.latency"
@@ -118,10 +113,8 @@ func (w *Watchdog) tick(now time.Time) (burn float64, dumpDir string, err error)
 
 	var bad, total float64
 	for _, c := range delta.Counters {
-		for _, name := range w.cfg.BadCounters {
-			if c.Name == name {
-				bad += c.Value
-			}
+		if c.Name == "meter.path" && (c.Labels[0].Value == "Shed" || c.Labels[0].Value == "Deadline") {
+			bad += c.Value
 		}
 	}
 	for _, h := range delta.Hists {

@@ -20,7 +20,13 @@ import (
 // the recent snapshot deltas.
 func TestWatchdogDumpOnFastBurn(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	shed := reg.Counter("admission.shed")
+	m := meter.NewMeter()
+	telemetry.RegisterMeter(reg, "meter", m)
+	shed := func() { // one request the admission gate refused
+		l := meter.OpenLane(m.Component("app"))
+		l.CountShed()
+		l.Close()
+	}
 	lat := reg.Histogram("request.latency", "seconds")
 	rec := New(Config{})
 
@@ -28,7 +34,7 @@ func TestWatchdogDumpOnFastBurn(t *testing.T) {
 	l := meter.OpenLane(testComp)
 	sc := rec.Begin(trace.SpanContext{}.WithLane(l))
 	l.AddStage(meter.StageStorage, l.StageClock()-int64(40*time.Millisecond)) // a 40 ms storage stage
-	l.Mark(meter.FlagDeadline)
+	l.CountDeadline()
 	rec.Done(sc, "Test", "test.Op", time.Now(), 45*time.Millisecond, nil)
 	l.Close()
 
@@ -54,7 +60,7 @@ func TestWatchdogDumpOnFastBurn(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		lat.Observe(int64(time.Millisecond))
 	}
-	shed.Inc()
+	shed()
 	now = now.Add(time.Minute)
 	if burn, d, _ := w.tick(now); burn >= 14 || d != "" {
 		t.Fatalf("healthy tick: burn=%g dump=%q, want <14 and none", burn, d)
@@ -65,7 +71,7 @@ func TestWatchdogDumpOnFastBurn(t *testing.T) {
 		lat.Observe(int64(time.Millisecond))
 	}
 	for i := 0; i < 50; i++ {
-		shed.Inc()
+		shed()
 	}
 	now = now.Add(time.Minute)
 	burn, d, err := w.tick(now)
@@ -84,7 +90,7 @@ func TestWatchdogDumpOnFastBurn(t *testing.T) {
 		lat.Observe(int64(time.Millisecond))
 	}
 	for i := 0; i < 50; i++ {
-		shed.Inc()
+		shed()
 	}
 	now = now.Add(time.Minute)
 	_, d, err = w.tick(now)

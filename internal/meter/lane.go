@@ -16,13 +16,13 @@ import (
 // construction, whatever other goroutines attribute meanwhile.
 //
 // Beside its laps the lane carries what the rest of the request's record
-// needs (record.go): the flight recorder's stage times and outcome flags,
-// and the request's path counts, which Close folds into the meter. They
-// are plain fields because a request never fans out across goroutines:
-// a Lane is single-goroutine state riding the request's trace.SpanContext
-// down the synchronous call path. Every method is nil-safe, so code handed
-// a context without a lane (an unmetered deployment) pays one pointer
-// test.
+// needs (record.go): the flight recorder's stage times and the request's
+// path counts, which Close folds into the meter and Flags reads the
+// outcome off. They are plain fields because a request never fans out
+// across goroutines: a Lane is single-goroutine state riding the
+// request's trace.SpanContext down the synchronous call path. Every
+// method is nil-safe, so code handed a context without a lane (an
+// unmetered deployment) pays one pointer test.
 type Lane struct {
 	m      *Meter
 	cur    *Component // owner of the running lap; nil credits nobody
@@ -31,7 +31,6 @@ type Lane struct {
 	parked bool
 
 	armed  bool // a flight recorder is timing stages
-	flags  uint32
 	stages [NumStages]int64
 	path   [numPathFields]int64
 }

@@ -94,7 +94,7 @@ func TestLaneNilSafe(t *testing.T) {
 	l.Exclude(time.Second)
 	l.Arm()
 	l.AddStage(meter.StageCache, l.StageClock())
-	l.Mark(meter.FlagShed)
+	l.CountShed()
 	l.CountHop()
 	if l.Close() != 0 || clk.reads.Load() != 0 || l.Flags() != 0 || l.Stages() != [meter.NumStages]int64{} {
 		t.Fatal("a nil lane must read no clock and report no time")
@@ -106,7 +106,8 @@ func TestLaneNilSafe(t *testing.T) {
 }
 
 // TestPathCountersAndReset: a lane's path counts reach its meter when it
-// closes, every field in its place, and Reset zeroes them.
+// closes, every field in its place, its outcome flags are read off the
+// fault-path counts, and Reset zeroes them.
 func TestPathCountersAndReset(t *testing.T) {
 	m := meter.NewMeter()
 	l := meter.OpenLane(m.Component("app"))
@@ -121,12 +122,27 @@ func TestPathCountersAndReset(t *testing.T) {
 	l.CountLinkedHit(true)
 	l.CountLinkedHit(false)
 	l.CountFault()
+	if l.Flags() != 0 {
+		t.Fatalf("flags %b before any fault-path event", l.Flags())
+	}
+	l.CountDegraded()
+	l.CountDegraded()
+	for i := 0; i < 3; i++ {
+		l.CountRetry()
+	}
+	l.CountShed()
+	l.CountDeadline()
+	l.CountDeadline()
+	if want := meter.FlagShed | meter.FlagDeadline | meter.FlagDegraded; l.Flags() != want {
+		t.Fatalf("flags = %b, want %b", l.Flags(), want)
+	}
 	if got := m.Path(); got != (meter.PathStats{}) {
 		t.Fatalf("an open lane's counts reached the meter: %+v", got)
 	}
 	l.Close()
 	want := meter.PathStats{Requests: 1, RPCHops: 2, CacheMsgs: 2, SQLStatements: 1, RaftShips: 2,
-		CacheHits: 1, CacheMisses: 1, LinkedHits: 1, LinkedMisses: 1, Faults: 1}
+		CacheHits: 1, CacheMisses: 1, LinkedHits: 1, LinkedMisses: 1, Faults: 1,
+		Degraded: 2, Retries: 3, Shed: 1, Deadline: 2}
 	if got := m.Path(); got != want {
 		t.Errorf("Path = %+v, want %+v", got, want)
 	}

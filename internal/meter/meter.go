@@ -17,10 +17,12 @@
 // is a faithful proxy for CPU time, which is what the paper measures.
 //
 // The Lane is the request's whole record, not only its laps: it also
-// carries the flight recorder's stage times and outcome flags and the
-// request's path counts (hops, cache messages, SQL statements, raft
-// ships), which the meter sums per window (Meter.Path) beside the busy
-// time it prices.
+// carries the flight recorder's stage times and the request's path counts
+// (hops, cache messages, SQL statements, raft ships, and the fault-path
+// events: cache demotions, retries, sheds, expired deadlines), which the
+// meter sums per window (Meter.Path) beside the busy time it prices. A
+// path event is counted once, on the lane, at the one site that decides
+// it; the request's outcome flags are read off those counts.
 package meter
 
 import (
@@ -36,7 +38,6 @@ import (
 type Meter struct {
 	mu         sync.Mutex
 	components map[string]*Component
-	counters   map[string]*Counter
 	start      time.Time
 	requests   atomic.Int64
 	// clk is the time source for busy measurements, shared with every
@@ -107,9 +108,6 @@ func (m *Meter) Reset() {
 		c.memInt = 0
 		c.memAnchor = now
 		c.memMu.Unlock()
-	}
-	for _, c := range m.counters {
-		c.n.Store(0)
 	}
 	for i := range m.path {
 		m.path[i].Store(0)

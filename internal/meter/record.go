@@ -2,8 +2,8 @@ package meter
 
 // The rest of a request's record, carried on its Lane beside the laps:
 // where its latency went (stages, timed only when a flight recorder armed
-// the lane), how it ended (outcome flags) and the path it took (counts the
-// meter sums over a window).
+// the lane) and the path it took, fault-path events included (counts the
+// meter sums over a window, from which the outcome flags are read).
 
 // Stage labels one slice of a request's latency budget. Stages partition
 // the intended-clock latency of a client-visible request: where the
@@ -51,9 +51,10 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// Outcome flag bits a lane carries. A request may carry several (a
-// degraded read that still blew its deadline); the flight recorder
-// classifies by severity: error > shed > deadline > degraded > ok.
+// Outcome flag bits of a request's flight record. A request may carry
+// several (a degraded read that still blew its deadline); the flight
+// recorder classifies by severity: error > shed > deadline > degraded >
+// ok. A lane derives the first three from its path counts (Flags).
 const (
 	// FlagShed marks a request rejected by the admission gate (queue
 	// full) and answered by the cheap degraded path.
@@ -100,19 +101,23 @@ func (l *Lane) Stages() (out [NumStages]int64) {
 	return out
 }
 
-// Mark sets outcome flag bits.
-func (l *Lane) Mark(flags uint32) {
-	if l != nil {
-		l.flags |= flags
-	}
-}
-
-// Flags returns the outcome flag bits set so far.
-func (l *Lane) Flags() uint32 {
+// Flags returns the outcome flag bits the request has earned so far,
+// read off its path counts: a shed, an expired deadline or a cache
+// demotion counted on the lane sets its bit.
+func (l *Lane) Flags() (f uint32) {
 	if l == nil {
 		return 0
 	}
-	return l.flags
+	if l.path[pathShed] != 0 {
+		f |= FlagShed
+	}
+	if l.path[pathDeadline] != 0 {
+		f |= FlagDeadline
+	}
+	if l.path[pathDegraded] != 0 {
+		f |= FlagDegraded
+	}
+	return f
 }
 
 // PathStats are a window's exact request-path counts, independent of
@@ -141,6 +146,16 @@ type PathStats struct {
 	// Faults counts injected fault decisions that stalled or failed a
 	// call.
 	Faults int64
+	// Degraded counts cache failures demoted so the request kept
+	// serving: a remote-cache call demoted to a miss or a no-op, or a
+	// faulted linked-cache shard skipped.
+	Degraded int64
+	// Retries counts cache-call retries the retry budget granted.
+	Retries int64
+	// Shed counts requests the admission gate refused (queue full);
+	// Deadline counts requests whose SLO deadline expired at or before
+	// admission.
+	Shed, Deadline int64
 }
 
 // Lane.path and Meter.path index the counts in PathStats field order.
@@ -155,6 +170,10 @@ const (
 	pathLinkedHits
 	pathLinkedMisses
 	pathFaults
+	pathDegraded
+	pathRetries
+	pathShed
+	pathDeadline
 	numPathFields
 )
 
@@ -200,6 +219,21 @@ func (l *Lane) countHit(hit bool, hits int) {
 // that altered a call.
 func (l *Lane) CountFault() { l.count(pathFaults, 1) }
 
+// CountDegraded counts one cache failure demoted so the request kept
+// serving; it marks the request degraded.
+func (l *Lane) CountDegraded() { l.count(pathDegraded, 1) }
+
+// CountRetry counts one cache-call retry.
+func (l *Lane) CountRetry() { l.count(pathRetries, 1) }
+
+// CountShed counts the request's refusal by the admission gate; it marks
+// the request shed.
+func (l *Lane) CountShed() { l.count(pathShed, 1) }
+
+// CountDeadline counts the request's SLO deadline expiring at or before
+// admission; it marks the request's deadline blown.
+func (l *Lane) CountDeadline() { l.count(pathDeadline, 1) }
+
 // Path returns the path counts of the lanes closed on m since it was
 // created or last Reset.
 func (m *Meter) Path() PathStats {
@@ -218,5 +252,9 @@ func (m *Meter) Path() PathStats {
 		LinkedHits:    n[pathLinkedHits],
 		LinkedMisses:  n[pathLinkedMisses],
 		Faults:        n[pathFaults],
+		Degraded:      n[pathDegraded],
+		Retries:       n[pathRetries],
+		Shed:          n[pathShed],
+		Deadline:      n[pathDeadline],
 	}
 }

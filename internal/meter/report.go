@@ -27,11 +27,10 @@ type Report struct {
 	Elapsed   time.Duration
 	Requests  int64
 	Lines     []Line
-	Counters  []CounterSnapshot // named event counters (degradations, retries, faults)
-	CPUCost   float64           // $/month, all components
-	MemCost   float64           // $/month, all components
-	DiskCost  float64           // $/month, all components (persistent storage rent)
-	TotalCost float64           // CPUCost + MemCost + DiskCost
+	CPUCost   float64 // $/month, all components
+	MemCost   float64 // $/month, all components
+	DiskCost  float64 // $/month, all components (persistent storage rent)
+	TotalCost float64 // CPUCost + MemCost + DiskCost
 
 	// LaneQPS, when set (> 0), is the single-lane request rate — the
 	// throughput one closed-loop worker sustains (1/mean latency). A
@@ -53,7 +52,6 @@ func BuildReport(m *Meter, prices PriceBook) Report {
 		Prices:   prices,
 		Elapsed:  elapsed,
 		Requests: m.Requests(),
-		Counters: m.Counters(),
 	}
 	for _, s := range snaps {
 		cores := s.Cores(elapsed)
@@ -157,12 +155,5 @@ func (r Report) String() string {
 		"TOTAL", r.ComponentCores(""), "", "", r.CPUCost, r.MemCost, r.DiskCost, r.TotalCost)
 	fmt.Fprintf(&b, "cost per 1M requests: $%.6f  (memory fraction %.1f%%)\n",
 		r.CostPerMillionRequests(), 100*r.MemFraction())
-	if len(r.Counters) > 0 {
-		b.WriteString("counters:")
-		for _, c := range r.Counters {
-			fmt.Fprintf(&b, " %s=%d", c.Name, c.Value)
-		}
-		b.WriteByte('\n')
-	}
 	return b.String()
 }

@@ -24,9 +24,6 @@ func reportFixture() (*Meter, Report) {
 	sql.AddBusy(50 * time.Millisecond)
 	sql.SetMemBytes(1 << 30)
 	sql.AddOps(1800)
-	for i := 0; i < 7; i++ {
-		m.Counter("cache.degraded").Inc()
-	}
 	m.AddRequests(1000)
 	return m, BuildReport(m, GCP)
 }
@@ -78,18 +75,9 @@ func TestBuildReportPricing(t *testing.T) {
 	if r.qps() <= 0 {
 		t.Errorf("QPS = %v, want > 0", r.qps())
 	}
-	// Ops survive into lines, and counters into the report.
+	// Ops survive into lines.
 	if got := lineFor(t, r, "storage.sql").Ops; got != 1800 {
 		t.Errorf("storage.sql ops = %d", got)
-	}
-	found := false
-	for _, c := range r.Counters {
-		if c.Name == "cache.degraded" && c.Value == 7 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("counters missing cache.degraded=7: %+v", r.Counters)
 	}
 }
 
@@ -132,7 +120,7 @@ func TestCostPerMillionRequestsLaneQPS(t *testing.T) {
 func TestReportString(t *testing.T) {
 	_, r := reportFixture()
 	s := r.String()
-	for _, want := range []string{"component", "app.cache", "storage.sql", "TOTAL", "cost per 1M requests", "cache.degraded=7"} {
+	for _, want := range []string{"component", "app.cache", "storage.sql", "TOTAL", "cost per 1M requests"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("report rendering missing %q:\n%s", want, s)
 		}

@@ -18,11 +18,10 @@ import (
 // of the request, with Values[i] empty on a miss.
 //
 // Partial-result semantics: a single-node client sends a batch as one
-// frame, so in degraded mode a failed RPC demotes the whole batch to
-// misses — counted as ONE demotion, it was one RPC. A routed client runs
-// a batch as per-key ops, so each failed key is one demotion and the
-// other keys' results stand. In strict mode any failure fails the whole
-// batch.
+// frame, so a failed RPC demotes the whole batch to misses — counted as
+// ONE demotion, it was one RPC. A routed client runs a batch as per-key
+// ops, so each failed key is one demotion and the other keys' results
+// stand.
 
 // MultiGetRequest asks for many keys in one frame.
 type MultiGetRequest struct {
@@ -168,8 +167,8 @@ func (r *MultiAck) UnmarshalWire(d *wire.Decoder) error {
 //
 // Each RPC counts two cache messages (one request, one response frame —
 // NOT two per key); each key's outcome is counted as a cache hit or miss
-// exactly as the scalar path would. In degraded mode a failed RPC
-// demotes its keys to misses without failing the batch.
+// exactly as the scalar path would. A failed RPC demotes its keys to
+// misses without failing the batch.
 func (c *Client) MultiBorrowCtx(sc trace.SpanContext, keys []string) (values [][]byte, found []bool, held [][]byte, err error) {
 	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
 	values = make([][]byte, len(keys))
@@ -178,7 +177,7 @@ func (c *Client) MultiBorrowCtx(sc trace.SpanContext, keys []string) (values [][
 		return values, found, nil, nil
 	}
 	if c.router != nil {
-		err = c.eachKey(sc, keys, func(i int, key string) error {
+		c.eachKey(sc, keys, func(i int, key string) error {
 			v, h, f, err := c.get(sc, key)
 			if f {
 				values[i], found[i] = v, true
@@ -187,35 +186,25 @@ func (c *Client) MultiBorrowCtx(sc trace.SpanContext, keys []string) (values [][
 			return err
 		})
 	} else {
-		var h []byte
-		h, err = c.multiGetOn(sc, keys, values, found)
-		err = c.demote(sc.Lane(), err) // one failed RPC, one demotion; every key stays a miss
+		h, err := c.multiGetOn(sc, keys, values, found)
+		demote(sc.Lane(), err) // one failed RPC, one demotion; every key stays a miss
 		if h != nil {
 			held = [][]byte{h}
 		}
 	}
-	if err != nil {
-		// A strict-mode error returns no values, so nothing may stay lent out.
-		rpc.PutBuffers(held)
-		return nil, nil, nil, err
-	}
 	for _, f := range found {
-		c.countLookup(sc.Lane(), f)
+		sc.Lane().CountCacheHit(f)
 	}
 	return values, found, held, nil
 }
 
 // eachKey runs a routed batch as per-key ops: each key's replica choice
 // and handoff state is independent, so there is no single node to batch
-// against. In degraded mode each failed key is one demotion; in strict
-// mode the first failure ends the batch.
-func (c *Client) eachKey(sc trace.SpanContext, keys []string, op func(i int, key string) error) error {
+// against. Each failed key is one demotion.
+func (c *Client) eachKey(sc trace.SpanContext, keys []string, op func(i int, key string) error) {
 	for i, key := range keys {
-		if err := c.demote(sc.Lane(), op(i, key)); err != nil {
-			return err
-		}
+		demote(sc.Lane(), op(i, key))
 	}
-	return nil
 }
 
 // multiGetOn is one cache.MultiGet round trip for keys on the client's
@@ -266,9 +255,8 @@ func (c *Client) multiGetOn(sc trace.SpanContext, keys []string, values [][]byte
 }
 
 // MultiSetTTLCtx stores keys[i] = values[i], all expiring after ttl
-// (0 = never), under the caller's span context. In degraded mode a failed
-// RPC is one counted no-op demotion: the next read of those keys
-// re-populates.
+// (0 = never), under the caller's span context. A failed RPC is one
+// counted no-op demotion: the next read of those keys re-populates.
 func (c *Client) MultiSetTTLCtx(sc trace.SpanContext, keys []string, values [][]byte, ttl time.Duration) error {
 	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
 	if len(keys) != len(values) {
@@ -278,20 +266,21 @@ func (c *Client) MultiSetTTLCtx(sc trace.SpanContext, keys []string, values [][]
 		return nil
 	}
 	if c.router != nil {
-		return c.eachKey(sc, keys, func(i int, key string) error {
+		c.eachKey(sc, keys, func(i int, key string) error {
 			return c.setTTL(sc, key, values[i], ttl)
 		})
+		return nil
 	}
 	e := wire.GetEncoder()
 	e.StringSlice(1, keys)
 	e.BytesSlice(2, values)
 	e.Int64(3, int64(ttl/time.Millisecond))
-	return c.demote(sc.Lane(), callAck(sc, c.conns[0], "cache.MultiSet", e, new(MultiAck)))
+	return demote(sc.Lane(), callAck(sc, c.conns[0], "cache.MultiSet", e, new(MultiAck)))
 }
 
 // MultiDeleteCtx removes keys under the caller's span context — the
-// batched invalidation path. In degraded mode a failed RPC is one counted
-// demotion; those entries may survive until their node recovers, the
+// batched invalidation path. A failed RPC is one counted demotion; those
+// entries may survive until their node recovers, the
 // same bounded-staleness price the scalar Delete documents.
 func (c *Client) MultiDeleteCtx(sc trace.SpanContext, keys []string) error {
 	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
@@ -299,14 +288,15 @@ func (c *Client) MultiDeleteCtx(sc trace.SpanContext, keys []string) error {
 		return nil
 	}
 	if c.router != nil {
-		return c.eachKey(sc, keys, func(_ int, key string) error {
+		c.eachKey(sc, keys, func(_ int, key string) error {
 			_, err := c.delete(sc, key)
 			return err
 		})
+		return nil
 	}
 	e := wire.GetEncoder()
 	e.StringSlice(1, keys)
-	return c.demote(sc.Lane(), callAck(sc, c.conns[0], "cache.MultiDelete", e, new(MultiAck)))
+	return demote(sc.Lane(), callAck(sc, c.conns[0], "cache.MultiDelete", e, new(MultiAck)))
 }
 
 // handleMultiGet serves cache.MultiGet. Keys are decoded zero-copy (they

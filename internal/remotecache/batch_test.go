@@ -1,7 +1,6 @@
 package remotecache
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -10,6 +9,7 @@ import (
 	"cachecost/internal/cluster"
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
+	"cachecost/internal/trace"
 	"cachecost/internal/wire"
 )
 
@@ -148,57 +148,49 @@ func TestMultiGetFansOutAcrossNodes(t *testing.T) {
 	}
 }
 
-// lendConn records every response next returns, so a test can look at a
-// buffer after the client has handed it back.
-type lendConn struct {
-	next  rpc.Conn
-	resps *[][]byte
+// onLane runs fn on a fresh request lane of m; closing the lane folds
+// its path counts into m.Path.
+func onLane(m *meter.Meter, fn func(sc trace.SpanContext)) {
+	l := meter.OpenLane(m.Component("app"))
+	defer l.Close()
+	fn(trace.SpanContext{}.WithLane(l))
 }
-
-func (c lendConn) Call(method string, req []byte) ([]byte, error) {
-	resp, err := c.next.Call(method, req)
-	if err == nil {
-		*c.resps = append(*c.resps, resp)
-	}
-	return resp, err
-}
-func (c lendConn) Close() error { return c.next.Close() }
 
 // Partial-result semantics, per topology. A single-node batch is one
 // frame, so a failed RPC is ONE demotion that reads every key as a miss.
-// A routed batch is per-key ops: with one of three nodes dead, a degraded
-// client returns the live nodes' hits, reads the dead node's keys as
-// misses and counts one demotion per dead key, while a strict client
-// fails the batch and keeps none of the buffers it had borrowed.
+// A routed batch is per-key ops: with one of three nodes dead, the client
+// returns the live nodes' hits, reads the dead node's keys as misses and
+// counts one demotion per dead key. Demotions are counted on the
+// request's lane.
 func TestMultiGetPartialResultsDegraded(t *testing.T) {
 	three := [][]byte{[]byte("x"), []byte("y"), []byte("z")}
 	t.Run("single", func(t *testing.T) {
 		c := NewSingleClient(brokenConn{})
 		keys := []string{"a", "b", "c"}
-		if _, _, err := multiGet(c, keys); err == nil {
-			t.Fatal("strict client must propagate the node failure")
-		}
 		m := meter.NewMeter()
-		c.Degrade(m.Counter("degraded"))
-		vals, found, err := multiGet(c, keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range keys {
-			if found[i] || vals[i] != nil {
-				t.Fatalf("slot %d = %q/%v, want a miss", i, vals[i], found[i])
+		onLane(m, func(sc trace.SpanContext) {
+			values, found, held, err := c.MultiBorrowCtx(sc, keys)
+			if err != nil || held != nil {
+				t.Fatalf("batch err = %v, %d held; want no error and nothing lent", err, len(held))
 			}
+			for i := range keys {
+				if found[i] || values[i] != nil {
+					t.Fatalf("slot %d = %q/%v, want a miss", i, values[i], found[i])
+				}
+			}
+		})
+		if p := m.Path(); p.Degraded != 1 || p.CacheMisses != 3 {
+			t.Fatalf("Degraded = %d, CacheMisses = %d; want 1 (one failed RPC, not one per key) and 3", p.Degraded, p.CacheMisses)
 		}
-		if got := m.CounterValue("degraded"); got != 1 {
-			t.Fatalf("Degraded = %d, want 1 (one failed RPC, not one per key)", got)
-		}
-		if err := c.MultiSetTTLCtx(noCtx, keys, three, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.MultiDeleteCtx(noCtx, keys); err != nil {
-			t.Fatal(err)
-		}
-		if got := m.CounterValue("degraded"); got != 3 {
+		onLane(m, func(sc trace.SpanContext) {
+			if err := c.MultiSetTTLCtx(sc, keys, three, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.MultiDeleteCtx(sc, keys); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := m.Path().Degraded; got != 3 {
 			t.Fatalf("Degraded = %d, want 3", got)
 		}
 	})
@@ -208,10 +200,9 @@ func TestMultiGetPartialResultsDegraded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var resps [][]byte
 		conns := map[string]rpc.Conn{"c1": brokenConn{}}
 		for _, n := range []string{"c0", "c2"} {
-			conns[n] = lendConn{next: rpc.NewDirect(newNode(t, nil, 1<<20).RPCServer()), resps: &resps}
+			conns[n] = rpc.NewDirect(newNode(t, nil, 1<<20).RPCServer())
 		}
 		c, err := NewRoutedClient(conns, smap)
 		if err != nil {
@@ -234,43 +225,36 @@ func TestMultiGetPartialResultsDegraded(t *testing.T) {
 		}
 		batch := []string{liveKeys[0], deadKeys[0], liveKeys[1], deadKeys[1], liveKeys[2], deadKeys[2]}
 
-		// Strict mode: the dead node fails the batch after liveKeys[0]'s
-		// hit was lent, and that loan is called back.
-		resps = resps[:0]
-		values, found, held, err := c.MultiBorrowCtx(noCtx, batch)
-		if err == nil || values != nil || found != nil || held != nil {
-			t.Fatalf("strict batch = %v %v %d held, %v; want an error and nothing lent", values, found, len(held), err)
-		}
-		if len(resps) != 1 {
-			t.Fatalf("%d live responses before the failure, want 1", len(resps))
-		}
-		if raceEnabled && bytes.Contains(resps[0], []byte("v-"+liveKeys[0])) {
-			t.Fatal("the hit lent before the failure was not handed back")
-		}
-
-		// Degraded mode: partial results, one demotion per dead key.
+		// Partial results, one demotion per dead key.
 		m := meter.NewMeter()
-		c.Degrade(m.Counter("degraded"))
-		vals, found, err := multiGet(c, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, k := range batch {
-			wantLive := i%2 == 0
-			if found[i] != wantLive || (wantLive && string(vals[i]) != "v-"+k) {
-				t.Fatalf("slot %d (%s) = %q/%v, want live=%v", i, k, vals[i], found[i], wantLive)
+		onLane(m, func(sc trace.SpanContext) {
+			values, found, held, err := c.MultiBorrowCtx(sc, batch)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if got := m.CounterValue("degraded"); got != 3 {
+			for i, k := range batch {
+				wantLive := i%2 == 0
+				if found[i] != wantLive || (wantLive && string(values[i]) != "v-"+k) {
+					t.Fatalf("slot %d (%s) = %q/%v, want live=%v", i, k, values[i], found[i], wantLive)
+				}
+			}
+			if len(held) != 3 {
+				t.Fatalf("%d buffers lent, want one per live hit (3)", len(held))
+			}
+			rpc.PutBuffers(held)
+		})
+		if got := m.Path().Degraded; got != 3 {
 			t.Fatalf("Degraded = %d, want 3 (one per dead key)", got)
 		}
-		if err := c.MultiSetTTLCtx(noCtx, deadKeys, three, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.MultiDeleteCtx(noCtx, deadKeys); err != nil {
-			t.Fatal(err)
-		}
-		if got := m.CounterValue("degraded"); got != 9 {
+		onLane(m, func(sc trace.SpanContext) {
+			if err := c.MultiSetTTLCtx(sc, deadKeys, three, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.MultiDeleteCtx(sc, deadKeys); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := m.Path().Degraded; got != 9 {
 			t.Fatalf("Degraded = %d, want 9", got)
 		}
 	})

@@ -1,7 +1,6 @@
 package remotecache
 
 import (
-	"sync/atomic"
 	"time"
 
 	"cachecost/internal/meter"
@@ -17,25 +16,17 @@ import (
 // cluster.ShardMap over several nodes (NewRoutedClient). It is safe for
 // concurrent use once constructed.
 //
-// A client is strict by default: cache errors propagate to the caller.
-// Production lookaside clients instead degrade gracefully — the cache is
-// an optimization, not a dependency — so Degrade switches the client to
-// demote every cache failure to a miss (Get) or a no-op (Set/Delete),
-// counting each demotion. The paper's availability argument (§5) assumes
-// exactly this behaviour: the service must keep serving through cache
-// loss, and the degraded window's cost shows up as extra storage load.
+// The client degrades gracefully, as production lookaside clients do —
+// the cache is an optimization, not a dependency: every cache failure is
+// demoted to a miss (Get) or a no-op (Set/Delete) and counted once, on
+// the request's lane, as a degradation. The paper's availability argument
+// (§5) assumes exactly this behaviour: the service must keep serving
+// through cache loss, and the degraded window's cost shows up as extra
+// storage load.
 type Client struct {
 	// conns holds the cache nodes' connections: the one node's, or, when
 	// router is set, one per shard-map node in ShardMap.Nodes order.
 	conns []rpc.Conn
-
-	degrade atomic.Bool
-	counter *meter.Counter // optional mirror into a meter's counters
-
-	// Client-observed outcome counters; nil (no-op) until SetTelemetry.
-	tmHits     *telemetry.Counter
-	tmMisses   *telemetry.Counter
-	tmDegraded *telemetry.Counter
 
 	// router, when set (NewRoutedClient), routes every key through the
 	// shard map: replica fan-out, P2C reads, handoff double-reads.
@@ -47,57 +38,28 @@ func NewSingleClient(conn rpc.Conn) *Client {
 	return &Client{conns: []rpc.Conn{conn}}
 }
 
-// SetTelemetry binds client-side outcome counters: hits and misses as
-// the application observed them (a degraded-mode demotion counts as a
-// miss) plus demotions. Call before the client takes traffic; it is not
-// synchronized against Get/Set/Delete.
+// SetTelemetry binds a routed client's fan-out and handoff counters.
+// Call before the client takes traffic; it is not synchronized against
+// Get/Set/Delete.
 func (c *Client) SetTelemetry(reg *telemetry.Registry) {
-	c.tmHits = reg.Counter("cache.client.hits")
-	c.tmMisses = reg.Counter("cache.client.misses")
-	c.tmDegraded = reg.Counter("cache.client.degraded")
 	if c.router != nil {
 		c.router.tmFanout = reg.Counter("cache.client.fanout_writes")
 		c.router.tmHandoff = reg.Counter("cache.client.handoff_reads")
 	}
 }
 
-// Degrade switches the client to graceful degradation: cache errors are
-// demoted to misses/no-ops and counted. counter (optional) additionally
-// receives each demotion, so degradations appear in the meter's report.
-func (c *Client) Degrade(counter *meter.Counter) {
-	c.counter = counter
-	c.degrade.Store(true)
-}
-
-// demote absorbs a cache failure in degraded mode: it counts one
-// demotion, marks the request whose lane it happened on degraded and
-// returns nil. A strict client, or a nil err, gets err back unchanged.
-func (c *Client) demote(l *meter.Lane, err error) error {
-	if err == nil || !c.degrade.Load() {
-		return err
+// demote absorbs a cache failure: it counts one demotion on the lane,
+// which marks the request degraded, and returns nil.
+func demote(l *meter.Lane, err error) error {
+	if err != nil {
+		l.CountDegraded()
 	}
-	l.Mark(meter.FlagDegraded)
-	if c.counter != nil {
-		c.counter.Inc()
-	}
-	c.tmDegraded.Inc()
 	return nil
 }
 
-// countLookup counts one key's lookup outcome as a cache hit or miss, on
-// the request's lane and in the client's telemetry.
-func (c *Client) countLookup(l *meter.Lane, found bool) {
-	l.CountCacheHit(found)
-	if found {
-		c.tmHits.Inc()
-	} else {
-		c.tmMisses.Inc()
-	}
-}
-
-// Get fetches key, reporting presence. In degraded mode a cache failure
-// reads as a miss. The value is the caller's to keep: it is copied out of
-// the response buffer, which is recycled here.
+// Get fetches key, reporting presence. A cache failure reads as a miss.
+// The value is the caller's to keep: it is copied out of the response
+// buffer, which is recycled here.
 func (c *Client) Get(key string) ([]byte, bool, error) {
 	v, held, found, err := c.BorrowCtx(trace.SpanContext{}, key)
 	if found {
@@ -113,19 +75,17 @@ func (c *Client) Get(key string) ([]byte, bool, error) {
 // reading the value and must not touch the value afterwards (DESIGN.md,
 // "Buffer ownership"); held is nil unless found.
 //
-// The lookup's outcome (including a degraded-mode demotion, which reads
-// as a miss) is counted on the request's lane as a cache hit or miss, as
-// are the cache RPC's two protocol messages; a demotion marks the request
-// degraded. On a lane a flight recorder armed, the client-observed round
-// trip lands in StageCache.
+// The lookup's outcome (including a demotion, which reads as a miss) is
+// counted on the request's lane as a cache hit or miss, as are the cache
+// RPC's two protocol messages. On a lane a flight recorder armed, the
+// client-observed round trip lands in StageCache.
 func (c *Client) BorrowCtx(sc trace.SpanContext, key string) (value, held []byte, found bool, err error) {
 	t0 := sc.Lane().StageClock()
 	value, held, found, err = c.get(sc, key)
 	sc.Lane().AddStage(meter.StageCache, t0)
-	if err = c.demote(sc.Lane(), err); err == nil {
-		c.countLookup(sc.Lane(), found)
-	}
-	return value, held, found, err
+	demote(sc.Lane(), err)
+	sc.Lane().CountCacheHit(found)
+	return value, held, found, nil
 }
 
 // get is the lookup behind BorrowCtx, with its contract: value aliases
@@ -177,13 +137,13 @@ func (c *Client) Set(key string, value []byte) error {
 }
 
 // SetTTLCtx stores key, expiring after ttl (0 = never), under the
-// caller's span context. In degraded mode a cache failure is a silent
-// no-op: the next read re-populates.
+// caller's span context. A cache failure is a counted no-op: the next
+// read re-populates.
 func (c *Client) SetTTLCtx(sc trace.SpanContext, key string, value []byte, ttl time.Duration) error {
 	t0 := sc.Lane().StageClock()
 	err := c.setTTL(sc, key, value, ttl)
 	sc.Lane().AddStage(meter.StageCache, t0)
-	return c.demote(sc.Lane(), err)
+	return demote(sc.Lane(), err)
 }
 
 func (c *Client) setTTL(sc trace.SpanContext, key string, value []byte, ttl time.Duration) error {
@@ -217,9 +177,9 @@ func callAck(sc trace.SpanContext, conn rpc.Conn, method string, e *wire.Encoder
 	return err
 }
 
-// Delete removes key, reporting whether it existed. In degraded mode a
-// cache failure reports "did not exist" — the entry may survive until its
-// node recovers, the bounded-staleness price of lookaside invalidation.
+// Delete removes key, reporting whether it existed. A cache failure
+// reports "did not exist" — the entry may survive until its node
+// recovers, the bounded-staleness price of lookaside invalidation.
 func (c *Client) Delete(key string) (bool, error) {
 	return c.DeleteCtx(trace.SpanContext{}, key)
 }
@@ -230,7 +190,7 @@ func (c *Client) DeleteCtx(sc trace.SpanContext, key string) (bool, error) {
 	ok, err := c.delete(sc, key)
 	sc.Lane().AddStage(meter.StageCache, t0)
 	if err != nil {
-		return false, c.demote(sc.Lane(), err)
+		return false, demote(sc.Lane(), err)
 	}
 	return ok, nil
 }

@@ -123,9 +123,9 @@ func (c *Client) routedGet(sc trace.SpanContext, key string) (value, held []byte
 		return nil, nil, false, err
 	}
 	// Copy forward so the next read hits the new primary directly. A
-	// copy-forward failure propagates: in strict mode it is a real cache
-	// error, in degraded mode the caller's demotion turns it into a miss
-	// (the value is re-fetched from storage — wasteful, never wrong).
+	// copy-forward failure propagates, and the caller's demotion turns it
+	// into a miss (the value is re-fetched from storage — wasteful, never
+	// wrong).
 	if err := c.setNode(sc, pl.Replicas[0], cluster.EpochKey(pl.Epoch, key), value, 0); err != nil {
 		rpc.PutBuffer(held)
 		return nil, nil, false, err

@@ -13,6 +13,7 @@ import (
 	"cachecost/internal/rpc"
 	"cachecost/internal/shardmgr"
 	"cachecost/internal/telemetry"
+	"cachecost/internal/trace"
 )
 
 // routedFixture is a cache tier of nodes c0, c1, … behind a shard map.
@@ -309,15 +310,25 @@ func parseVersion(t testing.TB, v string) int {
 }
 
 // The no-lost-acknowledged-write chaos drill: kill the OLD primary in
-// the middle of a handoff, in degraded mode. Reads may demote to misses
-// (the dip the caller absorbs from storage) but must never return a
-// value older than the last acknowledged write. Run with -race.
+// the middle of a handoff. Reads may demote to misses (the dip the caller
+// absorbs from storage) but must never return a value older than the
+// last acknowledged write. Run with -race.
 func TestRoutedKillOldNodeMidMigration(t *testing.T) {
 	inj := fault.New(1, fault.Options{})
 	f := newRoutedFixture(t, 4, 16, inj)
 	c := f.client
 	m := meter.NewMeter()
-	c.Degrade(m.Counter("degraded"))
+	// get is c.Get on a request lane of its own, so demotions count into
+	// m.Path.
+	get := func(key string) (v []byte, found bool, err error) {
+		onLane(m, func(sc trace.SpanContext) {
+			var held []byte
+			v, held, found, err = c.BorrowCtx(sc, key)
+			v = append([]byte(nil), v...)
+			rpc.PutBuffer(held)
+		})
+		return v, found, err
+	}
 
 	// storage is the source of truth the cache fronts; version counts
 	// the writes begun on each key and acked the writes whose Set has
@@ -337,7 +348,7 @@ func TestRoutedKillOldNodeMidMigration(t *testing.T) {
 		storage[key] = val
 		mu.Unlock()
 		// Lookaside write-through: storage first, then cache (fan-out +
-		// old-primary invalidation). Degraded-mode errors are no-ops.
+		// old-primary invalidation). Cache errors are no-ops.
 		if err := c.Set(key, []byte(val)); err != nil {
 			t.Fatalf("set %s: %v", key, err)
 		}
@@ -348,7 +359,7 @@ func TestRoutedKillOldNodeMidMigration(t *testing.T) {
 		mu.Unlock()
 	}
 	read := func(key string) {
-		v, found, err := c.Get(key)
+		v, found, err := get(key)
 		if err != nil {
 			t.Fatalf("get %s: %v", key, err)
 		}
@@ -402,7 +413,7 @@ func TestRoutedKillOldNodeMidMigration(t *testing.T) {
 				mu.Lock()
 				vBefore := acked[k]
 				mu.Unlock()
-				v, found, err := c.Get(k)
+				v, found, err := get(k)
 				if err != nil {
 					t.Errorf("get %s: %v", k, err)
 					return
@@ -447,7 +458,7 @@ func TestRoutedKillOldNodeMidMigration(t *testing.T) {
 		write(key)
 	}
 	read(key)
-	if got := m.CounterValue("degraded"); got == 0 {
+	if got := m.Path().Degraded; got == 0 {
 		t.Fatal("kill window demoted nothing — the fault never bit")
 	}
 }

@@ -3,9 +3,9 @@ package rpc
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"cachecost/internal/meter"
+	"cachecost/internal/trace"
 )
 
 var errFlaky = errors.New("transient transport failure")
@@ -24,7 +24,7 @@ func flakyConn(failN int) (Conn, *int) {
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	conn, calls := flakyConn(2)
-	rc := NewRetryConn(conn, RetryPolicy{}, 1, nil, nil)
+	rc := NewRetryConn(conn, nil, nil)
 	resp, err := rc.Call("m", []byte("x"))
 	if err != nil {
 		t.Fatalf("call failed despite retries: %v", err)
@@ -35,27 +35,17 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	if *calls != 3 {
 		t.Fatalf("underlying calls = %d, want 3", *calls)
 	}
-	st := rc.stats
-	if st.Calls != 1 || st.Attempts != 3 || st.Retries != 2 || st.Failures != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.BackoffTotal <= 0 {
-		t.Fatal("backoff sequence should be computed even without sleeping")
-	}
 }
 
 func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 	conn, calls := flakyConn(1 << 30)
-	rc := NewRetryConn(conn, RetryPolicy{MaxAttempts: 3, BudgetBurst: 100, BudgetRatio: 100}, 1, nil, nil)
+	rc := NewRetryConn(conn, nil, nil)
 	_, err := rc.Call("m", nil)
-	if !errors.Is(err, errFlaky) {
-		t.Fatalf("err = %v, want the transport error", err)
+	if !errors.Is(err, errFlaky) || errors.Is(err, ErrRetryBudgetExhausted) {
+		t.Fatalf("err = %v, want the bare transport error", err)
 	}
-	if *calls != 3 {
-		t.Fatalf("underlying calls = %d, want 3", *calls)
-	}
-	if st := rc.stats; st.Failures != 1 {
-		t.Fatalf("stats = %+v", st)
+	if *calls != maxAttempts {
+		t.Fatalf("underlying calls = %d, want %d", *calls, maxAttempts)
 	}
 }
 
@@ -65,7 +55,7 @@ func TestRetryDoesNotRetryApplicationErrors(t *testing.T) {
 		calls++
 		return nil, &RemoteError{Method: method, Msg: "no such key"}
 	})
-	rc := NewRetryConn(conn, RetryPolicy{}, 1, nil, nil)
+	rc := NewRetryConn(conn, nil, nil)
 	_, err := rc.Call("m", nil)
 	var re *RemoteError
 	if !errors.As(err, &re) {
@@ -76,108 +66,49 @@ func TestRetryDoesNotRetryApplicationErrors(t *testing.T) {
 	}
 }
 
+// TestRetryBudgetLimitsAmplification holds a dead connection's retries
+// to the token bucket: it starts full (budgetBurst), each call earns
+// budgetRatio, each retry spends one, and a call denied a token fails
+// with ErrRetryBudgetExhausted after its first attempt.
 func TestRetryBudgetLimitsAmplification(t *testing.T) {
-	conn, _ := flakyConn(1 << 30)
-	// Tiny budget: one banked token, negligible earn rate.
-	rc := NewRetryConn(conn, RetryPolicy{BudgetRatio: 1e-9, BudgetBurst: 1}, 1, nil, nil)
-	// First call spends the banked token on its first retry, then is
-	// denied its second.
-	if _, err := rc.Call("m", nil); !errors.Is(err, ErrRetryBudgetExhausted) {
-		t.Fatalf("first call err = %v", err)
-	}
-	// Subsequent calls have no tokens at all.
+	conn, calls := flakyConn(1 << 30)
+	rc := NewRetryConn(conn, nil, nil)
+	// 10 → 8, 8.1 → 6.1, 6.2 → 4.2, 4.3 → 2.3, 2.4 → 0.4: five calls
+	// retry in full.
 	for i := 0; i < 5; i++ {
-		if _, err := rc.Call("m", nil); !errors.Is(err, ErrRetryBudgetExhausted) {
-			t.Fatalf("call %d err = %v", i, err)
+		if _, err := rc.Call("m", nil); errors.Is(err, ErrRetryBudgetExhausted) {
+			t.Fatalf("call %d denied with tokens banked: %v", i, err)
 		}
 	}
-	st := rc.stats
-	if st.Retries != 1 {
-		t.Fatalf("retries = %d, want exactly the banked token's worth (1)", st.Retries)
+	// From here each call earns 0.1 and is denied its first retry.
+	for i := 0; i < 5; i++ {
+		if _, err := rc.Call("m", nil); !errors.Is(err, ErrRetryBudgetExhausted) || !errors.Is(err, errFlaky) {
+			t.Fatalf("call %d err = %v, want the budget denial wrapping the transport error", i, err)
+		}
 	}
-	if st.BudgetDenied != 6 {
-		t.Fatalf("budget denials = %d, want 6 (one on the first call, one per later call)", st.BudgetDenied)
-	}
-	// Amplification check: 6 calls produced at most 6+burst attempts.
-	if st.Attempts > st.Calls+1 {
-		t.Fatalf("attempts %d exceed calls %d + burst 1", st.Attempts, st.Calls)
+	// Amplification: 10 calls, 20 retries (the burst's worth), no more.
+	if *calls != 10+10 {
+		t.Fatalf("underlying calls = %d, want 20 (10 calls + 10 granted retries)", *calls)
 	}
 }
 
-func TestRetryDeadlineStopsRetrying(t *testing.T) {
-	conn, _ := flakyConn(1 << 30)
-	slept := time.Duration(0)
-	rc := NewRetryConn(conn, RetryPolicy{
-		MaxAttempts: 10,
-		Deadline:    time.Nanosecond, // expires before any retry
-		BudgetBurst: 100, BudgetRatio: 100,
-		Sleep: func(d time.Duration) { slept += d },
-	}, 1, nil, nil)
-	_, err := rc.Call("m", nil)
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	if slept != 0 {
-		t.Fatalf("slept %v after deadline", slept)
-	}
-	if st := rc.stats; st.DeadlineExceeded != 1 || st.Attempts != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestRetryBackoffGrowsAndJitterIsDeterministic(t *testing.T) {
-	run := func() []time.Duration {
-		conn, _ := flakyConn(1 << 30)
-		var delays []time.Duration
-		rc := NewRetryConn(conn, RetryPolicy{
-			MaxAttempts: 6,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  8 * time.Millisecond,
-			BudgetBurst: 100, BudgetRatio: 100,
-			Sleep: func(d time.Duration) { delays = append(delays, d) },
-		}, 42, nil, nil)
-		rc.Call("m", nil)
-		return delays
-	}
-	d1, d2 := run(), run()
-	if len(d1) != 5 {
-		t.Fatalf("delays = %v, want 5 retries", d1)
-	}
-	for i := range d1 {
-		if d1[i] != d2[i] {
-			t.Fatalf("jitter diverged under fixed seed: %v vs %v", d1, d2)
-		}
-		// Jitter keeps each delay within [0.5, 1) of the pre-jitter value.
-		pre := time.Millisecond << i
-		if pre > 8*time.Millisecond {
-			pre = 8 * time.Millisecond
-		}
-		if d1[i] < pre/2 || d1[i] >= pre {
-			t.Fatalf("delay %d = %v outside [%v, %v)", i, d1[i], pre/2, pre)
-		}
-	}
-	// Exponential growth until the cap: delay i+1 exceeds delay i's
-	// pre-jitter floor doubling would allow only in expectation, so just
-	// check the deterministic pre-jitter envelope grew (delays not all
-	// equal before the cap region).
-	if !(d1[1] > d1[0]/2) {
-		t.Fatalf("backoff did not grow: %v", d1)
-	}
-}
-
+// TestRetryWorkIsMeteredAndCounted checks that each retry burns its work
+// on the request's lane and is counted there, once, as Path.Retries.
 func TestRetryWorkIsMeteredAndCounted(t *testing.T) {
 	m := meter.NewMeter()
-	comp := m.Component("app")
-	counter := m.Counter("rpc.retries")
+	app := m.Component("app")
+	comp := m.Component("app.retry")
 	conn, _ := flakyConn(2)
-	rc := NewRetryConn(conn, RetryPolicy{RetryWork: 20000, RetryCounter: counter, BudgetBurst: 100, BudgetRatio: 100}, 1, comp, meter.NewBurner())
-	if _, err := rc.Call("m", nil); err != nil {
+	rc := NewRetryConn(conn, comp, meter.NewBurner())
+	l := meter.OpenLane(app)
+	if _, err := rc.CallCtx(trace.SpanContext{}.WithLane(l), "m", nil); err != nil {
 		t.Fatal(err)
 	}
-	if comp.Busy() <= 0 {
-		t.Fatal("retry work should accrue busy time")
+	l.Close()
+	if comp.Busy() <= 0 || comp.Ops() != 2 {
+		t.Fatalf("retry work: busy=%v ops=%d, want busy > 0 and 2 ops", comp.Busy(), comp.Ops())
 	}
-	if got := m.CounterValue("rpc.retries"); got != 2 {
-		t.Fatalf("retry counter = %d, want 2", got)
+	if got := m.Path().Retries; got != 2 {
+		t.Fatalf("Path.Retries = %d, want 2", got)
 	}
 }

@@ -8,6 +8,11 @@
 // process with identical framing and copying semantics, plus a calibrated
 // CPU burn standing in for the kernel network stack — giving deterministic,
 // fast experiment runs with the same relative cost shape.
+//
+// RetryConn is the one retry layer: a fixed policy (three attempts, a
+// 10 % retry budget) with no backoff wait, because the lab prices what a
+// retry costs, not how long it waits. Each retry burns its work and is
+// counted on the request's lane (meter.PathStats.Retries).
 package rpc
 
 import (

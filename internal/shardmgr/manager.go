@@ -23,29 +23,31 @@ type Config struct {
 	// / migrate / cutover counters, per-node load-share gauges, and the
 	// manager's /statusz section (top-k keys + replica placement).
 	Registry *telemetry.Registry
-	// MaxReplicas caps a shard's replica set. Default: the node count.
-	MaxReplicas int
-	// HotFrac sets the replication threshold: a shard is given enough
-	// replicas that each carries at most HotFrac of a node's fair load
-	// share. Default 0.5 — a single shard may occupy at most half a
-	// node before it is spread.
-	HotFrac float64
 	// MigrateFrac sets the migration threshold: when a node's load
 	// exceeds MigrateFrac times the fair per-node share, its hottest
 	// sole-replica shard is migrated to the least-loaded node.
 	// Default 1.3.
 	MigrateFrac float64
-	// HandoffTicks is how many ticks a migration's double-read window
-	// stays open before cutover. Default 2.
-	HandoffTicks int
 	// MinTickOps is the demand-window floor below which a tick only
 	// ages handoffs: deciding placement from a handful of ops would be
 	// noise-chasing. Default 64.
 	MinTickOps int64
-	// StatusTopK is how many hot keys the status section lists.
-	// Default 10.
-	StatusTopK int
 }
+
+// The placement policy's fixed settings. A shard's replica set may span
+// every node.
+const (
+	// hotFrac is the replication threshold: a shard is given enough
+	// replicas that each carries at most hotFrac of a node's fair load
+	// share — a single shard may occupy at most half a node before it is
+	// spread.
+	hotFrac = 0.5
+	// handoffTicks is how many ticks a migration's double-read window
+	// stays open before cutover.
+	handoffTicks = 2
+	// statusTopK is how many hot keys the status section lists.
+	statusTopK = 10
+)
 
 // Stats counts the manager's placement actions.
 type Stats struct {
@@ -85,24 +87,11 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Map == nil {
 		return nil, fmt.Errorf("shardmgr: Config.Map is required")
 	}
-	nodes := cfg.Map.Nodes()
-	if cfg.MaxReplicas <= 0 || cfg.MaxReplicas > len(nodes) {
-		cfg.MaxReplicas = len(nodes)
-	}
-	if cfg.HotFrac <= 0 {
-		cfg.HotFrac = 0.5
-	}
 	if cfg.MigrateFrac <= 1 {
 		cfg.MigrateFrac = 1.3
 	}
-	if cfg.HandoffTicks <= 0 {
-		cfg.HandoffTicks = 2
-	}
 	if cfg.MinTickOps <= 0 {
 		cfg.MinTickOps = 64
-	}
-	if cfg.StatusTopK <= 0 {
-		cfg.StatusTopK = 10
 	}
 	m := &Manager{
 		cfg:      cfg,
@@ -165,7 +154,7 @@ func (m *Manager) Tick() {
 	// window has been open long enough for the new primary to warm.
 	for _, s := range sortedKeys(m.handoff) {
 		m.handoff[s]++
-		if m.handoff[s] >= m.cfg.HandoffTicks {
+		if m.handoff[s] >= handoffTicks {
 			if sm.FinishMigration(s) {
 				m.stats.Cutovers++
 				m.ctCutover.Inc()
@@ -187,10 +176,10 @@ func (m *Manager) Tick() {
 	}
 	nl := m.nodeLoads(m.loads, nodes)
 	fairNode := float64(total) / float64(len(nodes))
-	hotLoad := m.cfg.HotFrac * fairNode
+	hotLoad := hotFrac * fairNode
 
 	// 2. Replication: visit shards by descending demand. A shard wants
-	// enough replicas that each carries at most HotFrac of a node's
+	// enough replicas that each carries at most hotFrac of a node's
 	// fair share; extra replicas land on the least-loaded nodes.
 	order := make([]int, sm.Shards())
 	for i := range order {
@@ -212,9 +201,7 @@ func (m *Manager) Tick() {
 		if load > 0 {
 			want = int(math.Ceil(float64(load) / hotLoad))
 		}
-		if want > m.cfg.MaxReplicas {
-			want = m.cfg.MaxReplicas
-		}
+		want = min(want, len(nodes))
 		cur := len(pl.Replicas)
 		for want > cur {
 			n := pickNode(nodes, nl, pl, false)
@@ -340,8 +327,8 @@ func (m *Manager) status(w io.Writer) {
 	fmt.Fprintf(w, "  ticks=%d replicate=%d unreplicate=%d migrate=%d cutover=%d window_ops=%d\n",
 		st.Ticks, st.Replicates, st.Unreplicates, st.Migrates, st.Cutovers, m.lastTot)
 	if m.cfg.Detector != nil {
-		fmt.Fprintf(w, "  hot keys (top %d of %d observed ops):\n", m.cfg.StatusTopK, m.cfg.Detector.Ops())
-		for _, hk := range m.cfg.Detector.TopK(m.cfg.StatusTopK) {
+		fmt.Fprintf(w, "  hot keys (top %d of %d observed ops):\n", statusTopK, m.cfg.Detector.Ops())
+		for _, hk := range m.cfg.Detector.TopK(statusTopK) {
 			key := cluster.TrimEpoch(hk.Key)
 			shard := sm.ShardOf(key)
 			pl := sm.Placement(shard)

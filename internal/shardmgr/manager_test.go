@@ -32,10 +32,10 @@ func TestManagerRequiresMap(t *testing.T) {
 }
 
 // A shard drawing most of the window must gain replicas — enough that
-// each replica's slice of it fits under HotFrac of a node's fair share.
+// each replica's slice of it fits under hotFrac of a node's fair share.
 func TestManagerReplicatesHotShard(t *testing.T) {
 	sm := newTestMap(t, 16, "c0", "c1", "c2", "c3")
-	m, err := New(Config{Map: sm, HotFrac: 0.5, MinTickOps: 10})
+	m, err := New(Config{Map: sm, MinTickOps: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestManagerReplicatesHotShard(t *testing.T) {
 	}
 	m.Tick()
 	pl := sm.Placement(hot)
-	// share 0.9 of total; fair/node = 0.25; HotFrac*fair = 0.125 per
+	// share 0.9 of total; fair/node = 0.25; hotFrac*fair = 0.125 per
 	// replica → want ceil(0.9/0.125) = 8, clamped to 4 nodes.
 	if len(pl.Replicas) != 4 {
 		t.Fatalf("hot shard has %d replicas, want 4 (placement %+v)", len(pl.Replicas), pl)
@@ -99,10 +99,10 @@ func TestManagerUnreplicatesCooledShard(t *testing.T) {
 
 // Many warm (but not replication-worthy) shards piled on one node must
 // trigger a migration off it, and the handoff must cut over after
-// HandoffTicks more ticks.
+// handoffTicks more ticks.
 func TestManagerMigratesOffHotNode(t *testing.T) {
 	sm := newTestMap(t, 32, "c0", "c1", "c2", "c3")
-	m, err := New(Config{Map: sm, MinTickOps: 10, HandoffTicks: 2, MigrateFrac: 1.3})
+	m, err := New(Config{Map: sm, MinTickOps: 10, MigrateFrac: 1.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +169,12 @@ func TestManagerMigratesOffHotNode(t *testing.T) {
 	if st := m.Stats(); st.Migrates != 1 {
 		t.Fatalf("second migration started while one was in flight (Migrates=%d)", st.Migrates)
 	}
-	// HandoffTicks=2: the handoff opened on tick 1, aged on tick 2, cuts
+	// handoffTicks=2: the handoff opened on tick 1, aged on tick 2, cuts
 	// over on tick 3.
 	loadTick()
 	m.Tick()
 	if sm.Placement(mig).Migrating() {
-		t.Fatal("handoff did not cut over after HandoffTicks")
+		t.Fatal("handoff did not cut over after handoffTicks")
 	}
 	if st := m.Stats(); st.Cutovers != 1 {
 		t.Fatalf("Cutovers = %d, want 1", st.Cutovers)

@@ -258,8 +258,10 @@ func TestRegisterMeterBridge(t *testing.T) {
 	comp.AddBusy(2 * time.Millisecond)
 	comp.AddOps(4)
 	comp.SetMemBytes(1 << 20)
-	m.Counter("cache.degraded").Inc()
-	m.Counter("cache.degraded").Inc()
+	l := meter.OpenLane(comp)
+	l.CountDegraded()
+	l.CountDegraded()
+	l.Close()
 
 	r := NewRegistry()
 	RegisterMeter(r, "meter", m)
@@ -272,8 +274,10 @@ func TestRegisterMeterBridge(t *testing.T) {
 			busy = c.Value
 		case "meter.ops":
 			ops = c.Value
-		case "meter.counter":
-			degraded = c.Value
+		case "meter.path":
+			if c.Labels[0].Value == "Degraded" {
+				degraded = c.Value
+			}
 		}
 	}
 	for _, g := range s.Gauges {
