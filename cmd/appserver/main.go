@@ -52,8 +52,6 @@ func main() {
 		preload   = flag.Int("preload", 0, "preload N keys before serving")
 		valueSize = flag.Int("valuesize", 1024, "preloaded value size")
 		metrics   = flag.String("metrics", "", "serve /metrics, /metrics.json, /statusz, /debug/pprof and /debug/requests on this address")
-		inflight  = flag.Int("maxinflight", 0, "admission gate: concurrent request slots (0 = no admission control)")
-		queue     = flag.Int("queuedepth", 0, "admission gate: bounded wait-queue depth behind the slots")
 		logfmt    = flag.String("logfmt", "text", "log format: text|json")
 	)
 	flag.Parse()
@@ -119,10 +117,6 @@ func main() {
 		AppCacheBytes: *appCache,
 		Telemetry:     reg,
 		Flight:        fr,
-	}
-	if *inflight > 0 {
-		svcCfg.Admission = &core.AdmissionConfig{MaxInflight: *inflight, QueueDepth: *queue}
-		logger.Info("admission gate armed", "slots", *inflight, "queue_depth", *queue)
 	}
 	svc, err := core.NewKVServiceRemote(svcCfg, eps)
 	if err != nil {

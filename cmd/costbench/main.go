@@ -8,8 +8,7 @@
 //	costbench [flags] all
 //	costbench list
 //
-// Figures: fig2a fig2b fig3 fig4a fig4b fig5a fig5b fig6 fig7 fig8
-// consistency marginal.
+// `costbench list` prints every figure id with its title.
 //
 // The default scale finishes in tens of seconds; raise -ops / -keys /
 // -tables to tighten estimates at the cost of runtime.

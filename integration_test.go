@@ -11,6 +11,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"cachecost/internal/core"
 	"cachecost/internal/fault"
@@ -129,6 +130,17 @@ func TestClusterOverTCP(t *testing.T) {
 			}
 			if !bytes.Equal(got, core.Digest(newVal)) {
 				t.Fatal("write not visible over TCP")
+			}
+
+			// A read whose deadline passed before it reached the front
+			// door is answered found=false without work, and counted once.
+			expired := appMeter.Path().Deadline
+			got, err = app.ReadDeadline(workload.KeyName(2), time.Now().Add(-time.Second))
+			if err != nil || len(got) != 0 {
+				t.Fatalf("expired read over TCP = %x, %v; want found=false", got, err)
+			}
+			if n := appMeter.Path().Deadline - expired; n != 1 {
+				t.Fatalf("expired read counted %d times in Path.Deadline, want 1", n)
 			}
 
 			// Both tiers metered real work.

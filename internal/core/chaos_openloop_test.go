@@ -12,8 +12,8 @@ import (
 // TestChaosOverloadDegradesWithoutErrors kills the cache tier in the
 // middle of an overloaded open-loop window and pins the combined
 // failure-mode contract: every request is still answered (no
-// client-visible errors), admitted reads degrade to storage instead of
-// failing, the shed/deadline counters account for the refused excess,
+// client-visible errors), reads degrade to storage instead of failing,
+// the client-shed/deadline counters account for the refused excess,
 // and the meter's conservation invariant (attributed busy never exceeds
 // the threads' wall budget) survives the whole episode.
 func TestChaosOverloadDegradesWithoutErrors(t *testing.T) {
@@ -29,7 +29,6 @@ func TestChaosOverloadDegradesWithoutErrors(t *testing.T) {
 	cfg := smallCfg(Remote, m)
 	cfg.Parallelism = par
 	cfg.Faults = inj
-	cfg.Admission = &AdmissionConfig{MaxInflight: par, QueueDepth: 2 * par}
 	svc, err := BuildKVService(cfg, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +55,6 @@ func TestChaosOverloadDegradesWithoutErrors(t *testing.T) {
 	cfg2 := smallCfg(Remote, m2)
 	cfg2.Parallelism = par
 	cfg2.Faults = inj2
-	cfg2.Admission = &AdmissionConfig{MaxInflight: par, QueueDepth: 2 * par}
 	svc2, err := BuildKVService(cfg2, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -86,15 +84,15 @@ func TestChaosOverloadDegradesWithoutErrors(t *testing.T) {
 	}
 	wall := time.Since(t0)
 
-	// The kill must have been felt: admitted reads crossed the dead
-	// cache and degraded to storage loads.
+	// The kill must have been felt: served reads crossed the dead cache
+	// and degraded to storage loads.
 	if res.Path.Degraded == 0 {
 		t.Fatal("cache kill during the metered window produced no degradations")
 	}
-	// Overload must have been felt: the server refused part of the
-	// offered excess via the deadline/shed path (client-side lane drops
-	// also count — the point is that refusals, not errors, absorbed it).
-	refused := res.ClientShed + res.Path.Shed + res.Path.Deadline
+	// Overload must have been felt: part of the offered excess was
+	// refused, by a full lane queue or by expiry on arrival — the point
+	// is that refusals, not errors, absorbed it.
+	refused := res.ClientShed + res.Path.Deadline
 	if refused == 0 {
 		t.Fatalf("3x-capacity offered load was fully served: overload never happened (offered %.0f qps)",
 			res.OfferedQPS)

@@ -53,7 +53,7 @@ func (c *AppClient) SetIntended(t time.Time) {
 // call issues one front-door request as one root span: enc writes the
 // request into a pooled encoder, dec (when non-nil) reads the response
 // before its buffer cycles back to the transport pool. A non-zero deadline
-// rides the span context to the service's admission gate.
+// rides the span context to the service's front door.
 func (c *AppClient) call(op, method string, deadline time.Time, enc func(*wire.Encoder), dec func(resp []byte) error) error {
 	sc, act := c.tracer.StartRequest(op)
 	if c.intendedNS != 0 {

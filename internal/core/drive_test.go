@@ -307,6 +307,55 @@ func TestDriveOpenLoopStopsOnLaneError(t *testing.T) {
 	}
 }
 
+// lateWorker answers every op at once except its lane's last metered op,
+// which it holds until well past that op's deadline. Nothing is queued
+// behind a lane's last op, so exactly one op per lane finishes late.
+type lateWorker struct {
+	last, n int // metered ops dealt to the lane; deadline-carrying calls seen
+}
+
+func (w *lateWorker) Read(string) ([]byte, error) { return nil, nil }
+func (w *lateWorker) Write(string, []byte) error  { return nil }
+func (w *lateWorker) ReadDeadline(_ string, d time.Time) ([]byte, error) {
+	w.hold(d)
+	return nil, nil
+}
+func (w *lateWorker) WriteDeadline(_ string, _ []byte, d time.Time) error {
+	w.hold(d)
+	return nil
+}
+func (w *lateWorker) hold(d time.Time) {
+	if w.n++; w.n == w.last {
+		time.Sleep(time.Until(d) + 50*time.Millisecond)
+	}
+}
+
+// TestDriveCountsLateOps: under an SLO, RunResult.Late counts the executed
+// ops that finished past their deadline — here each lane's held last op,
+// and none of the instant ones, whose 100 ms budget is far above any
+// dispatch slip. Without an SLO no op has a deadline to miss.
+func TestDriveCountsLateOps(t *testing.T) {
+	const par, ops = 4, 200
+	for _, c := range []struct {
+		slo  time.Duration
+		late int64
+	}{{100 * time.Millisecond, par}, {0, 0}} {
+		workers := make([]ServiceWorker, par)
+		for w := range workers {
+			workers[w] = &lateWorker{last: ops / par}
+		}
+		cfg := openLoopCfg(ops, 400, par)
+		cfg.SLO = c.slo
+		res, err := Drive(workers, synthGen(t, ops), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Late != c.late || res.Executed != ops {
+			t.Errorf("SLO %v: Late = %d of %d executed, want %d of %d", c.slo, res.Late, res.Executed, c.late, ops)
+		}
+	}
+}
+
 // TestDriveHitRatioIsWindowOnly: RunResult.HitRatio is cut at the same
 // fence as every other field. A read-only Linked cell whose cache holds
 // the whole working set, warmed until every key is resident, hits on

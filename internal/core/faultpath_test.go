@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -13,10 +14,10 @@ import (
 )
 
 // TestPathCountsFaultEvents: each fault-path event — a cache demotion, a
-// retry, an admission shed, an expired deadline — is counted once, on the
-// request's lane, and every reader takes it from Meter.Path: the chaos
-// cells' counts, the telemetry bridge, the gate's own tally and the flight
-// recorder's outcome flags all agree.
+// retry, a request expired on arrival — is counted once, on the request's
+// lane, and every reader takes it from Meter.Path: the chaos cells'
+// counts, the telemetry bridge, the expired requests' missing work and
+// the flight recorder's outcome flags all agree.
 func TestPathCountsFaultEvents(t *testing.T) {
 	t.Run("chaos", func(t *testing.T) {
 		// The counts the same cells reported through the meter's named
@@ -52,38 +53,37 @@ func TestPathCountsFaultEvents(t *testing.T) {
 		}
 	})
 
-	t.Run("admission", func(t *testing.T) {
-		m := meter.NewMeter()
-		gen := smallGen(3)
-		cfg := smallCfg(Base, m)
-		cfg.Parallelism = 4
-		cfg.Admission = &AdmissionConfig{MaxInflight: 1, QueueDepth: 1}
-		svc, err := BuildKVService(cfg, gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The test holds the one slot, so the cell is past saturation
-		// whatever the machine: the request that takes the queue place
-		// waits out its deadline (expired), and every request arriving
-		// meanwhile finds the queue full (shed). No warmup, so the gate's
-		// lifetime tally is the metered window's.
-		_, release := svc.gate.Enter(time.Time{})
-		defer release()
-		res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-			Ops: 200, Parallelism: 4, Prices: meter.GCP,
-			Arrival: &workload.ArrivalConfig{Process: workload.ArrivalPoisson, Rate: 20000, Seed: 3},
-			SLO:     2 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := svc.gate.Stats()
-		if res.Path.Shed != st.Shed || res.Path.Deadline != st.Expired {
-			t.Errorf("Path.Shed, Path.Deadline = %d, %d; the gate counted %d shed, %d expired",
-				res.Path.Shed, res.Path.Deadline, st.Shed, st.Expired)
-		}
-		if res.Path.Shed == 0 || res.Path.Deadline == 0 {
-			t.Errorf("Path.Shed = %d, Path.Deadline = %d: the held slot did not both shed and expire", res.Path.Shed, res.Path.Deadline)
+	t.Run("deadline", func(t *testing.T) {
+		// A request that reaches the front door past its deadline is
+		// answered without work: the read finds nothing, the write is not
+		// applied, and each is counted once as Path.Deadline.
+		for _, arch := range []Arch{Base, Remote} {
+			m := meter.NewMeter()
+			svc, err := BuildKVService(smallCfg(arch, m), smallGen(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := workload.KeyName(0)
+			old, err := svc.Read(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Reset()
+			past := time.Now().Add(-time.Second)
+			got, err := svc.ReadDeadline(key, past)
+			if err != nil || len(got) != 0 {
+				t.Errorf("%v: expired read = %x, %v; want an empty digest", arch, got, err)
+			}
+			if err := svc.WriteDeadline(key, ValueFor("other", 64), past); err != nil {
+				t.Errorf("%v: expired write: %v", arch, err)
+			}
+			p := m.Path()
+			if p.Deadline != 2 || p.Requests != 2 || p.SQLStatements != 0 || p.CacheMsgs != 0 {
+				t.Errorf("%v: Path after two expired requests = %+v; want Deadline 2, Requests 2, no statements or cache messages", arch, p)
+			}
+			if now, err := svc.Read(key); err != nil || !bytes.Equal(now, old) {
+				t.Errorf("%v: read after the expired write = %x, %v; want the old digest %x", arch, now, err, old)
+			}
 		}
 	})
 

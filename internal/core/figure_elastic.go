@@ -45,7 +45,7 @@ func FigElastic(o FigOptions) (*Table, error) {
 		ID:    "elastic",
 		Title: "Elastic vs static cache provisioning (diurnal + flash crowd, 40x memory price)",
 		Header: []string{"arch", "mode", "$/Mreq", "p99_intended_ms", "hit", "mem_$/mo",
-			"end_bytes", "resizes", "server_shed", "deadline_exp"},
+			"end_bytes", "resizes", "deadline_exp"},
 	}
 	prices := o.Prices.WithMemoryMultiplier(elasticMemMultiplier)
 	cfg := workload.SyntheticConfig{
@@ -86,7 +86,7 @@ func FigElastic(o FigOptions) (*Table, error) {
 			}
 			t.AddRow(arch.String(), mode, res.CostPerMReq, float64(res.LatencyP99)/1e6,
 				res.HitRatio, res.Report.MemCost, info.endBytes, info.resizes,
-				res.Path.Shed, res.Path.Deadline)
+				res.Path.Deadline)
 			verdict[arch][mode] = res.CostPerMReq
 		}
 		if s, e := verdict[arch]["static"], verdict[arch]["elastic"]; arch != Base && e > 0 {

@@ -41,7 +41,7 @@ const (
 // the keys that were hottest go cold and a fresh, unpredictable set
 // becomes hot — a launch-day traffic shift. Both rows run the identical
 // op stream open-loop at 1.5x the probed closed-loop capacity of the
-// static tier, with the admission gate armed:
+// static tier, each op carrying the same SLO deadline:
 //
 //   - static: CacheNodes=4 with the shard map frozen at its initial
 //     placement. Whichever node the flip lands on becomes the hot spot.
@@ -100,7 +100,7 @@ func FigHotShard(o FigOptions) (*Table, error) {
 			hotshardNodes, hotshardOverload, o.Ops/2),
 		Header: []string{"mode", "offered_qps", "goodput_qps", "cost/Mreq_$",
 			"p99_intended_ms", "p99_send_ms", "hit_ratio", "node_spread",
-			"server_shed", "deadline_exp", "replicates", "migrates", "cutovers"},
+			"deadline_exp", "replicates", "migrates", "cutovers"},
 	}
 	for _, managed := range []bool{false, true} {
 		mode := "static"
@@ -114,12 +114,12 @@ func FigHotShard(o FigOptions) (*Table, error) {
 		res := cell.res
 		goodput := 0.0
 		if sp := res.ScheduleSpan.Seconds(); sp > 0 {
-			goodput = float64(int64(res.Executed)-res.Path.Shed-res.Path.Deadline) / sp
+			goodput = float64(int64(res.Executed)-res.Late) / sp
 		}
 		t.AddRow(mode, res.OfferedQPS, goodput, res.CostPerMReq,
 			float64(res.LatencyP99)/1e6, float64(res.SendLatencyP99)/1e6,
 			res.HitRatio, cell.spread,
-			res.Path.Shed, res.Path.Deadline,
+			res.Path.Deadline,
 			cell.stats.Replicates, cell.stats.Migrates, cell.stats.Cutovers)
 	}
 	t.Notes = append(t.Notes,

@@ -8,13 +8,14 @@ import (
 )
 
 // FigOverload sweeps offered load past saturation under open-loop
-// driving with SLO-aware admission control. For each architecture it
-// first probes closed-loop capacity (the rate the fixed worker pool
-// sustains when the service paces it), then replays the same workload
-// open-loop at fractions and multiples of that capacity. Below
-// saturation the shed counters stay at zero and cost/Mreq matches the
-// closed-loop figures; past saturation the server refuses the excess at
-// the admission gate instead of queueing it to die, so the
+// driving with a per-op SLO deadline. For each architecture it first
+// probes closed-loop capacity (the rate the fixed worker pool sustains
+// when the service paces it), then replays the same workload open-loop
+// at fractions and multiples of that capacity. Below saturation the
+// refusal counters stay at zero and cost/Mreq matches the closed-loop
+// figures; past saturation ops wait in their lanes' bounded queues, the
+// front door answers those that reach it past their deadline without
+// work, and a full lane queue drops arrivals client-side, so the
 // intended-arrival p99 stays bounded while a closed-loop harness would
 // simply have slowed down and reported a healthy latency — the
 // coordinated-omission blind spot this figure exists to expose.
@@ -32,7 +33,7 @@ func FigOverload(o FigOptions) (*Table, error) {
 		ID:    "overload",
 		Title: fmt.Sprintf("Open loop: cost and honest latency vs offered load (%s arrivals)", proc),
 		Header: []string{"arch", "load_x", "offered_qps", "goodput_qps", "cost/Mreq_$",
-			"p99_intended_ms", "p99_send_ms", "client_shed", "server_shed", "deadline_exp"},
+			"p99_intended_ms", "p99_send_ms", "client_shed", "deadline_exp"},
 	}
 	cfg := workload.SyntheticConfig{Keys: o.Keys, Alpha: 1.2, ReadRatio: 0.9, ValueSize: 1 << 10, Seed: o.Seed}
 	for _, arch := range []Arch{Base, Remote, Linked} {
@@ -52,27 +53,29 @@ func FigOverload(o FigOptions) (*Table, error) {
 		// requests below saturation.
 		slo := o.sloFor(probe, 10*time.Millisecond)
 		for _, load := range loads {
-			// kvCell's deployment, open loop with the admission gate armed.
+			// kvCell's deployment, open loop with each op's deadline set.
 			c := o.synthCell(arch, cfg)
 			c.openLoop(workload.ArrivalConfig{Process: proc, Rate: load * capacity, Seed: o.Seed}, slo)
 			res, err := o.runCell(fmt.Sprintf("overload/%s/load=%.1f", arch, load), c)
 			if err != nil {
 				return nil, err
 			}
-			// Goodput: ops actually served within their deadline. Shed and
-			// expired ops were answered (cheaply) but carried no value.
+			// Goodput: ops actually served within their deadline. Late ops
+			// — expired on arrival, or served past the deadline — carried
+			// no value.
 			goodput := 0.0
 			if sp := res.ScheduleSpan.Seconds(); sp > 0 {
-				goodput = float64(int64(res.Executed)-res.Path.Shed-res.Path.Deadline) / sp
+				goodput = float64(int64(res.Executed)-res.Late) / sp
 			}
 			t.AddRow(arch.String(), load, res.OfferedQPS, goodput, res.CostPerMReq,
 				float64(res.LatencyP99)/1e6, float64(res.SendLatencyP99)/1e6,
-				res.ClientShed, res.Path.Shed, res.Path.Deadline)
+				res.ClientShed, res.Path.Deadline)
 		}
 	}
 	t.Notes = append(t.Notes,
 		"p99_intended_ms is measured from each op's scheduled arrival (coordinated-omission-free); p99_send_ms from the moment it left the lane queue",
-		"past saturation the admission gate sheds the excess, keeping the intended-arrival p99 bounded instead of letting the backlog diverge",
-		"cost/Mreq prices only executed requests: shed ops never reach the meter's request count")
+		"past saturation ops queue in their lanes: the front door answers those that arrive past their deadline without work (deadline_exp) and full lane queues drop arrivals (client_shed), keeping the intended-arrival p99 bounded instead of letting the backlog diverge",
+		"goodput counts executed ops that finished within their deadline",
+		"cost/Mreq prices only executed requests: client-shed ops never reach the meter's request count")
 	return t, nil
 }

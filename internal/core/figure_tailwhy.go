@@ -14,10 +14,10 @@ import (
 // attribution. For each architecture it probes closed-loop capacity,
 // then replays the workload open-loop past saturation (the overload
 // figure's driving) with the flight recorder armed: every request's lane
-// times its stages — queue wait, admission wait, cache round trips,
-// storage round trips, app remainder — and at completion the
-// tail sampler retains the slowest-K plus every shed / blown-deadline /
-// degraded / error request as exemplars. The table reports where the
+// times its stages — queue wait, cache round trips, storage round
+// trips, app remainder — and at completion the tail sampler retains the
+// slowest-K plus every blown-deadline / degraded / error request as
+// exemplars. The table reports where the
 // slowest exemplars' intended-clock latency went, stage by stage, and
 // which stage dominates — the per-request evidence behind the overload
 // figure's aggregate p99.
@@ -44,8 +44,8 @@ func FigTailwhy(o FigOptions) (*Table, error) {
 		ID:    "tailwhy",
 		Title: fmt.Sprintf("Why the tail: stage attribution of the slowest requests (%.1fx capacity, %s arrivals)", load, proc),
 		Header: []string{"arch", "slowest_k", "p99_intended_ms",
-			"queue_frac", "admission_frac", "cache_frac", "storage_frac", "app_frac",
-			"dominant", "shed_ex", "deadline_ex", "degraded_ex", "error_ex"},
+			"queue_frac", "cache_frac", "storage_frac", "app_frac",
+			"dominant", "deadline_ex", "degraded_ex", "error_ex"},
 	}
 	cfg := workload.SyntheticConfig{Keys: o.Keys, Alpha: 1.2, ReadRatio: 0.9, ValueSize: 1 << 10, Seed: o.Seed}
 	for _, arch := range []Arch{Base, Remote, Linked} {
@@ -95,9 +95,9 @@ func FigTailwhy(o FigOptions) (*Table, error) {
 			return float64(sum.Stages[s]) / float64(sum.Dur)
 		}
 		t.AddRow(arch.String(), len(ex.Slowest), float64(res.LatencyP99)/1e6,
-			frac(meter.StageQueue), frac(meter.StageAdmission), frac(meter.StageCache),
+			frac(meter.StageQueue), frac(meter.StageCache),
 			frac(meter.StageStorage), frac(meter.StageApp),
-			sum.DominantStage().String(), len(ex.Shed), len(ex.Deadline), len(ex.Degraded), len(ex.Error))
+			sum.DominantStage().String(), len(ex.Deadline), len(ex.Degraded), len(ex.Error))
 	}
 	t.Notes = append(t.Notes,
 		"fractions split the slowest-K exemplars' intended-clock latency; queue is dispatch-to-handler slip, app the unattributed handler remainder",

@@ -38,7 +38,7 @@ const (
 	tieringDiskPerByte = 16.0
 	// tieringLoad drives every split at this fraction of the all-disk
 	// configuration's closed-loop capacity, so the one schedule is
-	// feasible (shed-free) for every cell and cost is compared at equal,
+	// feasible (no op expires) for every cell and cost is compared at equal,
 	// met SLO.
 	tieringLoad = 0.4
 )
@@ -64,7 +64,7 @@ func FigTiering(o FigOptions) (*Table, error) {
 		ID:    "tiering",
 		Title: "Durable storage: cost vs DRAM:disk split (diurnal open loop, 40x memory price)",
 		Header: []string{"arch", "dram_share", "$/Mreq", "p99_intended_ms", "mem_$/mo", "disk_$/mo",
-			"disk_reads", "tier_demotions", "server_shed", "deadline_exp"},
+			"disk_reads", "tier_demotions", "deadline_exp"},
 	}
 	cfg := workload.SyntheticConfig{
 		Keys: tieringKeys, Alpha: 1.2, ReadRatio: 0.9, ValueSize: tieringValueSize, Seed: o.Seed,
@@ -83,8 +83,8 @@ func FigTiering(o FigOptions) (*Table, error) {
 			return nil, fmt.Errorf("core: tiering capacity probe for %s measured no throughput", arch)
 		}
 		// Latency is not this figure's axis: the SLO exists so every op
-		// still traverses its full path at the diurnal peak (a shed or
-		// expired op would be answered cheaply and distort the cost
+		// still traverses its full path at the diurnal peak (an expired
+		// op would be answered cheaply and distort the cost
 		// comparison). A generous floor keeps the single service lane
 		// ahead of peak queueing on every split.
 		slo := o.sloFor(probe, 250*time.Millisecond)
@@ -102,7 +102,7 @@ func FigTiering(o FigOptions) (*Table, error) {
 			}
 			t.AddRow(arch.String(), fmt.Sprintf("%d%%", split), res.CostPerMReq,
 				float64(res.LatencyP99)/1e6, res.Report.MemCost, res.Report.DiskCost,
-				st.DiskReads, st.TierDemotions, res.Path.Shed, res.Path.Deadline)
+				st.DiskReads, st.TierDemotions, res.Path.Deadline)
 			switch split {
 			case 0:
 				allDisk = res.CostPerMReq

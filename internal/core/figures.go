@@ -210,12 +210,10 @@ func (o FigOptions) kvCell(arch Arch, cfg workload.SyntheticConfig) (*RunResult,
 	return o.runCell(fmt.Sprintf("kv/%s/r=%.2f/v=%s", arch, cfg.ReadRatio, sizeLabel(cfg.ValueSize)), o.synthCell(arch, cfg))
 }
 
-// openLoop drives c from an arrival schedule with the admission gate
-// armed — one slot per lane and a short wait queue: the server serves at
-// capacity and refuses the rest within the SLO.
+// openLoop drives c from an arrival schedule, each op carrying a
+// deadline slo past its intended arrival: the front door answers an op
+// that reaches it past that deadline without work.
 func (c *figCell) openLoop(arrival workload.ArrivalConfig, slo time.Duration) {
-	par := c.svc.Parallelism
-	c.svc.Admission = &AdmissionConfig{MaxInflight: par, QueueDepth: 4 * par}
 	c.run.Arrival, c.run.SLO = &arrival, slo
 }
 

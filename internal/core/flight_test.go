@@ -19,7 +19,6 @@ import (
 func allExemplars(ex flight.ExemplarSet) []flight.Exemplar {
 	var out []flight.Exemplar
 	out = append(out, ex.Slowest...)
-	out = append(out, ex.Shed...)
 	out = append(out, ex.Deadline...)
 	out = append(out, ex.Degraded...)
 	out = append(out, ex.Error...)
@@ -30,9 +29,9 @@ func allExemplars(ex flight.ExemplarSet) []flight.Exemplar {
 // with the flight recorder armed, at P1 and P4, and pins the stage
 // attribution's conservation contract: for every captured exemplar the
 // stage durations (StageRaft excluded — it is inside StageStorage)
-// account for at least 90% of the request's intended-clock latency. At
-// P4 the shallow admission gate under 3x offered load must also surface
-// shed exemplars.
+// account for at least 90% of the request's intended-clock latency. The
+// backlog 3x offered load builds in the lane queues must also surface
+// blown-deadline exemplars.
 func TestFlightConservationUnderLoad(t *testing.T) {
 	const warmup, ops = 200, 2000
 	for _, par := range []int{1, 4} {
@@ -59,25 +58,12 @@ func TestFlightConservationUnderLoad(t *testing.T) {
 			cfg2 := smallCfg(Remote, m2)
 			cfg2.Parallelism = par
 			cfg2.Flight = rec
-			// One slot and one queue position: with par lanes feeding the
-			// gate concurrently, par > 2 guarantees queue-full sheds.
-			cfg2.Admission = &AdmissionConfig{MaxInflight: 1, QueueDepth: 1}
-			if par > 1 {
-				// A wall-clock stall on storage round trips makes the
-				// admitted request hold the gate slot in real time, so the
-				// other lanes pile onto the gate even on a single-core
-				// machine — the shed assertion below must not depend on
-				// preemption luck.
-				inj := fault.New(7, fault.Options{Meter: m2})
-				inj.SetRule(StorageFaultNode, fault.Rule{StallSleep: time.Millisecond, StallRate: 1})
-				cfg2.Faults = inj
-			}
 			svc2, err := BuildKVService(cfg2, gen)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rec.Reset()
-			if _, err := RunExperimentCfg(svc2, m2, gen, RunConfig{
+			res, err := RunExperimentCfg(svc2, m2, gen, RunConfig{
 				Warmup: warmup, Ops: ops, Parallelism: par, Prices: meter.GCP,
 				SLO: 20 * time.Millisecond,
 				Arrival: &workload.ArrivalConfig{
@@ -85,8 +71,13 @@ func TestFlightConservationUnderLoad(t *testing.T) {
 					Rate:    3 * probe.Throughput,
 					Seed:    11,
 				},
-			}); err != nil {
+			})
+			if err != nil {
 				t.Fatal(err)
+			}
+			// An op expired on arrival finished past its deadline too.
+			if res.Path.Deadline == 0 || res.Late < res.Path.Deadline {
+				t.Errorf("Late = %d, Path.Deadline = %d: want expiries, each of them late", res.Late, res.Path.Deadline)
 			}
 
 			ex := rec.Exemplars()
@@ -103,8 +94,8 @@ func TestFlightConservationUnderLoad(t *testing.T) {
 						e.Method, e.Outcome(), 100*ratio, time.Duration(e.Dur), e.Stages)
 				}
 			}
-			if par > 1 && len(ex.Shed) == 0 {
-				t.Error("3x overload through a shallow admission gate surfaced no shed exemplars")
+			if len(ex.Deadline) == 0 {
+				t.Error("3x overload surfaced no blown-deadline exemplars")
 			}
 		})
 	}

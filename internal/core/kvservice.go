@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"cachecost/internal/admission"
 	"cachecost/internal/cluster"
 	"cachecost/internal/fault"
 	"cachecost/internal/flight"
@@ -35,20 +34,6 @@ const (
 // recorder observes as StageStorage time — the injected fault the tailwhy
 // smoke test expects to dominate deadline exemplars.
 const StorageFaultNode = "storage0"
-
-// AdmissionConfig bounds the service's accepted work under overload: at
-// most MaxInflight requests execute the full path concurrently, at most
-// QueueDepth wait for a slot, and everything beyond — or anything whose
-// propagated deadline expires first — is shed to a degraded cache-only
-// answer. See internal/admission.
-type AdmissionConfig struct {
-	// MaxInflight is the number of concurrently admitted requests.
-	// Required (> 0).
-	MaxInflight int
-	// QueueDepth bounds the wait queue; 0 sheds the instant all slots
-	// are busy.
-	QueueDepth int
-}
 
 // ServiceConfig assembles one architecture deployment for an experiment.
 type ServiceConfig struct {
@@ -120,11 +105,6 @@ type ServiceConfig struct {
 	// StorageFaultNode, so storage stalls can be injected for the
 	// tail-attribution experiments.
 	Faults *fault.Injector
-	// Admission, when non-nil, interposes an SLO-aware admission gate on
-	// the client-facing read/write path: requests past MaxInflight wait
-	// in a bounded queue, and overflow or deadline expiry is shed to a
-	// degraded cache-only answer (counted as Path.Shed / Path.Deadline).
-	Admission *AdmissionConfig
 
 	// Tracer, when non-nil, records request-path spans for a sample of
 	// client operations. Nil disables tracing; the instrumented paths then
@@ -134,8 +114,8 @@ type ServiceConfig struct {
 	Tracer *trace.Tracer
 
 	// Flight, when non-nil, is the tail-latency flight recorder: every
-	// front-door dispatch arms its lane to time stages (queue, admission,
-	// cache, storage, app) and, at completion, the recorder's tail sampler
+	// front-door dispatch arms its lane to time stages (queue, cache,
+	// storage, app) and, at completion, the recorder's tail sampler
 	// decides whether to retain the request as an exemplar. Nil disables
 	// recording; the fast path then costs one nil test per dispatch.
 	Flight *flight.Recorder
@@ -195,8 +175,7 @@ func (c *ServiceConfig) applyDefaults() {
 // deployment is the assembly KVService and CatalogService share, built
 // the same way from one ServiceConfig: in process, the storage node and the
 // Remote cache tier; in every deployment, the app's transports to them,
-// each lane's cache client stack, the front door's settings and its
-// admission gate.
+// each lane's cache client stack and the front door's settings.
 type deployment struct {
 	cfg     ServiceConfig
 	m       *meter.Meter
@@ -216,10 +195,6 @@ type deployment struct {
 	smap      *cluster.ShardMap
 	detector  *shardmgr.Detector
 	shardMgr  *shardmgr.Manager
-
-	// gate is the admission gate, when configured: one gate shared by
-	// every lane (slots are a service-level resource).
-	gate *admission.Gate
 }
 
 // build applies cfg's defaults and, for an in-process deployment,
@@ -237,22 +212,6 @@ func (d *deployment) build(cfg ServiceConfig, inProcess bool) error {
 	d.lbm = rpc.NewMetrics(cfg.Telemetry, "loopback")
 	if cfg.Faults != nil {
 		cfg.Faults.RegisterTelemetry(cfg.Telemetry)
-	}
-	if cfg.Admission != nil {
-		if cfg.Admission.MaxInflight <= 0 {
-			return fmt.Errorf("core: AdmissionConfig.MaxInflight must be positive")
-		}
-		d.gate = admission.NewGate(cfg.Admission.MaxInflight, cfg.Admission.QueueDepth, nil)
-		if cfg.Telemetry != nil {
-			gate := d.gate
-			cfg.Telemetry.RegisterCollector("admission", func(emit func(telemetry.Sample)) {
-				st := gate.Stats()
-				emit(telemetry.Sample{Name: "admission.inflight", Kind: telemetry.KindGauge, Value: float64(st.Inflight)})
-				emit(telemetry.Sample{Name: "admission.waiting", Kind: telemetry.KindGauge, Value: float64(st.Waiting)})
-				emit(telemetry.Sample{Name: "admission.offered", Kind: telemetry.KindCounter, Value: float64(st.Offered)})
-				emit(telemetry.Sample{Name: "admission.admitted", Kind: telemetry.KindCounter, Value: float64(st.Admitted)})
-			})
-		}
 	}
 	if !inProcess {
 		return nil
@@ -428,29 +387,6 @@ func (d *deployment) Arch() Arch { return d.cfg.Arch }
 
 // Close implements Service.
 func (d *deployment) Close() error { return nil }
-
-// admit consults the admission gate for one client request. It returns
-// the gate outcome and, for Admitted, the release the handler must call
-// when its full-path work finishes. Shed and expired outcomes are counted
-// on the request's lane here.
-func (d *deployment) admit(sc trace.SpanContext) (admission.Outcome, func()) {
-	if d.gate == nil {
-		return admission.Admitted, func() {}
-	}
-	lane := sc.Lane()
-	t0 := lane.StageClock()
-	lane.Park() // queueing for a slot is nobody's CPU
-	outcome, release := d.gate.Enter(sc.Deadline())
-	lane.Unpark()
-	lane.AddStage(meter.StageAdmission, t0)
-	switch outcome {
-	case admission.ShedQueueFull:
-		lane.CountShed()
-	case admission.DeadlineExpired:
-		lane.CountDeadline()
-	}
-	return outcome, release
-}
 
 // KVService is the synthetic/Meta-trace service: a key-value style
 // application (one row per key in the kvdata table) deployed under one of

@@ -37,7 +37,7 @@ type RunResult struct {
 	// Path holds the exact request-path counts for the metered window
 	// (hops, cache messages, SQL statements, raft ships per the paper's
 	// §5.3/§5.5 path model, and the fault-path events: cache demotions,
-	// retries, admission sheds and expired deadlines): the meter's sum
+	// retries and requests expired on arrival): the meter's sum
 	// over every request's lane, traced or not. Zero from Drive, which
 	// has no meter.
 	Path meter.PathStats
@@ -68,6 +68,11 @@ type RunResult struct {
 	// ClientShed counts ops dropped at intended arrival because their
 	// lane queue was full — the client-side half of overload.
 	ClientShed int64
+	// Late counts, under an SLO, the executed ops whose intended-clock
+	// latency exceeded it: those the front door expired on arrival
+	// (Path.Deadline) and those served in time that finished past their
+	// deadline. Executed - Late ops met their SLO.
+	Late int64
 	// OfferedQPS is the schedule-defined offered rate (Offered / span).
 	OfferedQPS float64
 	// ScheduleSpan is the schedule's intended duration.
@@ -164,8 +169,9 @@ type RunConfig struct {
 	Arrival *workload.ArrivalConfig
 	// SLO, under open loop, is each op's latency budget: the op's
 	// deadline is its intended arrival plus SLO, propagated down the
-	// request path (and across transports) for admission control.
-	// Zero means no deadline.
+	// request path (and across transports) to the front door, which
+	// answers an op that arrives past it without work; ops that finish
+	// past it are counted in RunResult.Late. Zero means no deadline.
 	SLO time.Duration
 	// LaneDepth bounds each worker lane's client-side queue under open
 	// loop; an op arriving to a full lane is dropped and counted in
@@ -369,6 +375,7 @@ func drive(workers []ServiceWorker, gen workload.Generator, cfg RunConfig, arch 
 	// dispatcher released into queue, when it has one, else its own next
 	// <= BatchSize dealt ops. Only the metered phase is sampled.
 	send, intended := make([][]time.Duration, par), make([][]time.Duration, par)
+	late := make([]int64, par)
 	lane := func(w int, mine []workload.Op, queue <-chan chunk, sample bool) error {
 		// Pin to an OS thread: every thread-CPU clock delta this lane's
 		// request path takes is then against one clock.
@@ -414,6 +421,9 @@ func drive(workers []ServiceWorker, gen workload.Generator, cfg RunConfig, arch 
 					send[w] = append(send[w], sent)
 					if queue != nil {
 						intended[w] = append(intended[w], lat)
+					}
+					if !c.deadline.IsZero() && done.After(c.deadline) {
+						late[w]++
 					}
 				}
 			}
@@ -487,6 +497,9 @@ func drive(workers []ServiceWorker, gen workload.Generator, cfg RunConfig, arch 
 		lats = slices.Concat(intended...)
 		res.Arrival = sched.Name()
 		res.Offered, res.Executed, res.ClientShed = cfg.Ops, res.Ops, shed
+		for _, n := range late {
+			res.Late += n
+		}
 		res.ScheduleSpan = sched.Span()
 		if sp := sched.Span().Seconds(); sp > 0 {
 			res.OfferedQPS = float64(cfg.Ops) / sp

@@ -21,7 +21,8 @@ import (
 
 // DeadlineWorker is a ServiceWorker that accepts a per-request SLO
 // deadline, propagated down the request path (and across transports via
-// the trace context) for admission control.
+// the trace context) to the front door, which expires a request that
+// arrives past it.
 type DeadlineWorker interface {
 	ReadDeadline(key string, deadline time.Time) ([]byte, error)
 	WriteDeadline(key string, value []byte, deadline time.Time) error

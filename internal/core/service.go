@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"strings"
+	"time"
 	"unsafe"
 
-	"cachecost/internal/admission"
 	"cachecost/internal/linkedcache"
 	"cachecost/internal/rpc"
 	"cachecost/internal/storage"
@@ -16,8 +16,9 @@ import (
 // The front door. KVService and CatalogService are two instances of one
 // service over an application port: the application says what its object
 // is and where it lives, what a read answers, and what a write leaves
-// behind; everything else — lanes, admission, the tier calls, batching, hit
-// accounting, the wire shapes — is stated once, here and in batch.go.
+// behind; everything else — lanes, deadline expiry, the tier calls,
+// batching, hit accounting, the wire shapes — is stated once, here and in
+// batch.go.
 
 // application is one application's port into the front door.
 type application[V any] struct {
@@ -53,8 +54,8 @@ type service[V any] struct {
 	lanes []*lane[V]
 
 	// hitCount is the application-level cache accounting, counted at the
-	// tier call on the full path (shed reads are overload triage, not the
-	// architecture's policy, and stay out of it).
+	// tier call on the full path (an expired request makes no tier call
+	// and stays out of it).
 	hitCount
 
 	// obs, when set (before traffic starts), observes every successful
@@ -175,18 +176,6 @@ func (s *service[V]) write(l *lane[V], sc trace.SpanContext, key string, payload
 	return l.tier.drop(sc, key, payload, l.src)
 }
 
-// readShed is the degraded serve for a shed read: answer from the cache
-// tier alone — no storage, no admission slot — so overload responses
-// stay cheap and bounded. A tier that cannot peek sheds outright.
-// Deliberately not counted: the hit ratio describes the full-path policy,
-// not overload triage.
-func (s *service[V]) readShed(l *lane[V], sc trace.SpanContext, key string) (v V, held []byte, ok bool) {
-	if p, ok := l.tier.(peeker[V]); ok {
-		return p.peek(sc, key)
-	}
-	return v, nil, false
-}
-
 // encodeReadOut encodes the GetResponse shape {1: found, 2: answer} into a
 // transport-pool buffer, then recycles held — the buffer v was borrowed
 // from, if any: the answer is the last read of v. n is answer's.
@@ -229,13 +218,27 @@ func fieldBytes(buf []byte, want uint32) (body []byte, err error) {
 	return body, err
 }
 
-// handleRead is the client-facing read: decode, pass the admission gate,
-// serve through the cache hierarchy, apply the application logic, reply
-// with the small derived result. The handler is one "app" operation and
-// the one client-visible request of the request's lane: whatever the lane
-// is not carried into a downstream component for lands on "app". A shed request is a non-error: it answers
-// found=false (or a cache-only hit) so overload is a degraded mode, not a
-// failure storm.
+// expired reports whether a client request reached the front door past
+// its propagated SLO deadline, counting it on the request's lane when it
+// did. The handler then answers without work: the client has already
+// given up on the answer, and serving it would bill CPU for nothing. A
+// request without a deadline reads no clock.
+func expired(sc trace.SpanContext) bool {
+	dl := sc.DeadlineUnixNano()
+	if dl == 0 || time.Now().UnixNano() <= dl {
+		return false
+	}
+	sc.Lane().CountDeadline()
+	return true
+}
+
+// handleRead is the client-facing read: decode, expire a request that
+// arrived past its deadline, serve through the cache hierarchy, apply the
+// application logic, reply with the small derived result. The handler is
+// one "app" operation and the one client-visible request of the request's
+// lane: whatever the lane is not carried into a downstream component for
+// lands on "app". An expired read is a non-error: it answers found=false,
+// so overload is a degraded mode, not a failure storm.
 func (s *service[V]) handleRead(l *lane[V], sc trace.SpanContext, req []byte) ([]byte, error) {
 	sc.Lane().EnterOp(s.appComp)
 	sc.Lane().CountRequest()
@@ -249,20 +252,12 @@ func (s *service[V]) handleRead(l *lane[V], sc trace.SpanContext, req []byte) ([
 	// it copies it: the linked cache on insert, a consistency tier's fill
 	// table, the sharder, the access observer.
 	key := unsafe.String(unsafe.SliceData(kb), len(kb))
-	outcome, release := s.admit(sc)
-	switch outcome {
-	case admission.ShedQueueFull:
-		act.Annotate("admission", "shed")
-		v, held, ok := s.readShed(l, asc, key)
-		out, _ := s.encodeReadOut(ok, v, held)
-		return out, nil
-	case admission.DeadlineExpired:
-		act.Annotate("admission", "deadline")
+	if expired(sc) {
+		act.Annotate("deadline", "expired")
 		var none V
 		out, _ := s.encodeReadOut(false, none, nil)
 		return out, nil
 	}
-	defer release()
 	v, held, err := s.read(l, asc, key)
 	if err != nil {
 		return nil, err
@@ -272,7 +267,7 @@ func (s *service[V]) handleRead(l *lane[V], sc trace.SpanContext, req []byte) ([
 	return out, nil
 }
 
-// handleWrite is the client-facing write. A shed or expired write is
+// handleWrite is the client-facing write. An expired write is
 // acknowledged ok=false and NOT applied: under overload the service
 // refuses mutations rather than applying them outside the SLO.
 func (s *service[V]) handleWrite(l *lane[V], sc trace.SpanContext, req []byte) ([]byte, error) {
@@ -292,16 +287,10 @@ func (s *service[V]) handleWrite(l *lane[V], sc trace.SpanContext, req []byte) (
 		return nil, err
 	}
 	key := unsafe.String(unsafe.SliceData(kb), len(kb))
-	outcome, release := s.admit(sc)
-	switch outcome {
-	case admission.ShedQueueFull:
-		act.Annotate("admission", "shed")
-		return encodeAck(false), nil
-	case admission.DeadlineExpired:
-		act.Annotate("admission", "deadline")
+	if expired(sc) {
+		act.Annotate("deadline", "expired")
 		return encodeAck(false), nil
 	}
-	defer release()
 	if err := s.write(l, asc, key, value); err != nil {
 		return nil, err
 	}

@@ -126,13 +126,6 @@ type batchDropper[V any] interface {
 	dropBatch(sc trace.SpanContext, keys []string, payloads [][]byte, src source[V]) error
 }
 
-// peeker is a tier that can answer from its cache alone — no storage, no
-// fill — which is what an overloaded service sheds reads to. Errors are
-// misses; held is as in tier.read.
-type peeker[V any] interface {
-	peek(sc trace.SpanContext, key string) (v V, held []byte, ok bool)
-}
-
 // objectKit is what the application contributes to its architecture: how
 // the linked cache budgets one live object, and the serialized form a
 // remote cache holds (the asymmetry §5.4 prices).
@@ -280,11 +273,6 @@ func (t *remoteTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V
 	return v, held, false, t.rc.SetTTLCtx(sc, key, t.kit.encode(v), 0)
 }
 
-func (t *remoteTier[V]) peek(sc trace.SpanContext, key string) (V, []byte, bool) {
-	v, held, found, _ := t.get(sc, key)
-	return v, held, found
-}
-
 func (t *remoteTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
 	if err := src.store(sc, key, payload); err != nil {
 		return err
@@ -387,11 +375,6 @@ func (t *linkedTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V
 		return keepLoaded(t.lent, v, held), err
 	})
 	return v, nil, hit, err
-}
-
-func (t *linkedTier[V]) peek(sc trace.SpanContext, key string) (V, []byte, bool) {
-	v, ok := t.lc.GetCtx(sc, key)
-	return v, nil, ok
 }
 
 func (t *linkedTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {

@@ -17,12 +17,11 @@ import (
 )
 
 // tierCaps is the set of optional protocols a tier declares.
-type tierCaps struct{ batchRead, batchDrop, peek, writeThrough bool }
+type tierCaps struct{ batchRead, batchDrop, writeThrough bool }
 
 func capsOf[V any](t tier[V]) (c tierCaps) {
 	_, c.batchRead = t.(batchReader[V])
 	_, c.batchDrop = t.(batchDropper[V])
-	_, c.peek = t.(peeker[V])
 	_, c.writeThrough = t.(writeThrough[V])
 	return c
 }
@@ -36,8 +35,8 @@ func capsOf[V any](t tier[V]) (c tierCaps) {
 func TestTierCapabilities(t *testing.T) {
 	want := map[Arch]tierCaps{
 		Base:          {batchRead: true},
-		Remote:        {batchRead: true, batchDrop: true, peek: true},
-		Linked:        {batchRead: true, peek: true, writeThrough: true},
+		Remote:        {batchRead: true, batchDrop: true},
+		Linked:        {batchRead: true, writeThrough: true},
 		LinkedVersion: {},
 		LinkedOwned:   {writeThrough: true},
 		LinkedTTL:     {writeThrough: true},

@@ -1,7 +1,7 @@
 // Package flight is the tail-latency flight recorder: an always-on,
 // allocation-free per-request record of where each client-visible request
-// spent its intended-clock latency (queue, admission, cache, storage,
-// app) and what it cost, feeding a lock-free ring of recent requests and
+// spent its intended-clock latency (queue, cache, storage, app) and
+// what it cost, feeding a lock-free ring of recent requests and
 // a tail-based sampler.
 //
 // The sampler inverts head sampling's blind spot: instead of choosing
@@ -9,8 +9,8 @@
 // span capture), it decides at request *completion*, when the outcome and
 // total latency are facts. It retains full exemplars — stage breakdown,
 // cost, and the span tree when the request happened to be head-sampled —
-// for the slowest-K requests seen, plus every shed, blown-deadline,
-// degraded and errored request (each class in its own bounded
+// for the slowest-K requests seen, plus every blown-deadline, degraded
+// and errored request (each class in its own bounded
 // drop-oldest buffer). A request that was fast until its final stage is
 // still captured, because nothing is decided until it finishes.
 //
@@ -38,8 +38,6 @@ type Outcome uint8
 const (
 	// outcomeOK is a request served normally within its deadline.
 	outcomeOK Outcome = iota
-	// outcomeShed is a request rejected by the admission gate.
-	outcomeShed
 	// outcomeDeadline is a request whose SLO deadline expired.
 	outcomeDeadline
 	// outcomeDegraded is a request answered in cache-degraded mode.
@@ -50,7 +48,7 @@ const (
 	numOutcomes
 )
 
-var outcomeNames = [numOutcomes]string{"ok", "shed", "deadline", "degraded", "error"}
+var outcomeNames = [numOutcomes]string{"ok", "deadline", "degraded", "error"}
 
 // String returns the outcome's JSON/query name.
 func (o Outcome) String() string {
@@ -102,14 +100,12 @@ type Record struct {
 	Err string
 }
 
-// Outcome classifies the record by severity: error > shed > deadline >
+// Outcome classifies the record by severity: error > deadline >
 // degraded > ok.
 func (r *Record) Outcome() Outcome {
 	switch {
 	case r.Flags&meter.FlagError != 0:
 		return outcomeError
-	case r.Flags&meter.FlagShed != 0:
-		return outcomeShed
 	case r.Flags&meter.FlagDeadline != 0:
 		return outcomeDeadline
 	case r.Flags&meter.FlagDegraded != 0:
@@ -147,7 +143,7 @@ type Config struct {
 	// SlowestK is how many slowest requests the tail sampler retains.
 	// Default 64.
 	SlowestK int
-	// OutcomeCap bounds each bad-outcome exemplar buffer (shed, deadline,
+	// OutcomeCap bounds each bad-outcome exemplar buffer (deadline,
 	// degraded, error); oldest entries drop first. Default 64.
 	OutcomeCap int
 	// CPUCoreMonthUSD, when set, prices record cost in dollars on the
@@ -231,14 +227,14 @@ func (r *Recorder) Done(sc trace.SpanContext, arch, method string, start time.Ti
 		rec.Stages[meter.StageQueue] = max(startNS-rec.Intended, 0)
 		rec.Dur = endNS - rec.Intended
 	}
-	inner := rec.Stages[meter.StageAdmission] + rec.Stages[meter.StageCache] + rec.Stages[meter.StageStorage]
+	inner := rec.Stages[meter.StageCache] + rec.Stages[meter.StageStorage]
 	rec.Stages[meter.StageApp] = max(int64(dur)-inner, 0)
 	if err != nil {
 		rec.Flags |= meter.FlagError
 		rec.Err = err.Error()
 	}
 	// A request that finished past its propagated SLO deadline blew it
-	// even if the admission gate let it through — completion time is the
+	// even if it reached the front door in time — completion time is the
 	// only place this is knowable.
 	if dl := sc.DeadlineUnixNano(); dl != 0 && endNS > dl {
 		rec.Flags |= meter.FlagDeadline
@@ -299,7 +295,6 @@ func (r *Recorder) Ring(limit int) []Record {
 // ExemplarSet is a snapshot of every retained exemplar class.
 type ExemplarSet struct {
 	Slowest  []Exemplar // slowest-K, slowest first
-	Shed     []Exemplar
 	Deadline []Exemplar
 	Degraded []Exemplar
 	Error    []Exemplar
@@ -319,7 +314,6 @@ func (r *Recorder) Exemplars() ExemplarSet {
 	cp := func(q []Exemplar) []Exemplar { return append([]Exemplar(nil), q...) }
 	return ExemplarSet{
 		Slowest:  slow,
-		Shed:     cp(r.outcomes[outcomeShed]),
 		Deadline: cp(r.outcomes[outcomeDeadline]),
 		Degraded: cp(r.outcomes[outcomeDegraded]),
 		Error:    cp(r.outcomes[outcomeError]),

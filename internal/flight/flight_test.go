@@ -58,8 +58,8 @@ func TestCompletionTimeSampling(t *testing.T) {
 	}
 }
 
-// TestBlownDeadlineCapturedAtCompletion: a request the admission gate
-// happily admitted but that finished past its propagated deadline must
+// TestBlownDeadlineCapturedAtCompletion: a request that reached the front
+// door in time but finished past its propagated deadline must
 // land in the deadline exemplar class — completion is the only place
 // this is knowable.
 func TestBlownDeadlineCapturedAtCompletion(t *testing.T) {
@@ -120,23 +120,23 @@ func TestOutcomeBuffersDropOldest(t *testing.T) {
 	base := time.Now()
 	for i := 1; i <= 10; i++ {
 		done(r, base, time.Duration(i)*time.Millisecond, func(l *meter.Lane) {
-			l.CountShed()
+			l.CountDegraded()
 		}, nil)
 	}
 	ex := r.Exemplars()
-	if len(ex.Shed) != 4 {
-		t.Fatalf("shed exemplars = %d, want 4", len(ex.Shed))
+	if len(ex.Degraded) != 4 {
+		t.Fatalf("degraded exemplars = %d, want 4", len(ex.Degraded))
 	}
-	for i, e := range ex.Shed {
+	for i, e := range ex.Degraded {
 		want := int64(time.Duration(7+i) * time.Millisecond)
 		if e.Dur != want {
-			t.Fatalf("shed[%d].Dur = %v, want %v (oldest must drop first)", i, time.Duration(e.Dur), time.Duration(want))
+			t.Fatalf("degraded[%d].Dur = %v, want %v (oldest must drop first)", i, time.Duration(e.Dur), time.Duration(want))
 		}
 	}
 }
 
 // TestOutcomeSeverity: a request carrying several outcome flags
-// classifies by severity (error > shed > deadline > degraded).
+// classifies by severity (error > deadline > degraded).
 func TestOutcomeSeverity(t *testing.T) {
 	r := New(Config{})
 	base := time.Now()
@@ -145,13 +145,13 @@ func TestOutcomeSeverity(t *testing.T) {
 		l.CountDeadline()
 	}, nil)
 	done(r, base, time.Millisecond, func(l *meter.Lane) {
-		l.CountShed()
+		l.CountDeadline()
 		l.CountDegraded()
 	}, errors.New("boom"))
 	ex := r.Exemplars()
-	if len(ex.Deadline) != 1 || len(ex.Error) != 1 || len(ex.Shed) != 0 || len(ex.Degraded) != 0 {
-		t.Fatalf("classification: deadline=%d error=%d shed=%d degraded=%d, want 1/1/0/0",
-			len(ex.Deadline), len(ex.Error), len(ex.Shed), len(ex.Degraded))
+	if len(ex.Deadline) != 1 || len(ex.Error) != 1 || len(ex.Degraded) != 0 {
+		t.Fatalf("classification: deadline=%d error=%d degraded=%d, want 1/1/0",
+			len(ex.Deadline), len(ex.Error), len(ex.Degraded))
 	}
 }
 
@@ -210,7 +210,7 @@ func TestRecorderConcurrent(t *testing.T) {
 				dur := time.Duration(rng.Intn(1000)+1) * time.Microsecond
 				var mutate func(*meter.Lane)
 				if i%17 == 0 {
-					mutate = (*meter.Lane).CountShed
+					mutate = (*meter.Lane).CountDeadline
 				}
 				done(r, base, dur, mutate, nil)
 			}

@@ -94,7 +94,7 @@ type debugPayload struct {
 
 // Handler serves the recorder's state as JSON. Query parameters:
 //
-//	outcome=ok|shed|deadline|degraded|error  keep only that outcome
+//	outcome=ok|deadline|degraded|error  keep only that outcome
 //	arch=<label>                             keep only that architecture
 //	min_ms=<float>                           keep only slower requests
 //	n=<int>                                  cap ring records (default 256)
@@ -160,7 +160,6 @@ func (r *Recorder) payload(f filter) debugPayload {
 		list []Exemplar
 	}{
 		{"slowest", ex.Slowest},
-		{"shed", ex.Shed},
 		{"deadline", ex.Deadline},
 		{"degraded", ex.Degraded},
 		{"error", ex.Error},

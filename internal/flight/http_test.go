@@ -28,7 +28,7 @@ func TestDebugRequestsFilters(t *testing.T) {
 	}
 	mk("Base", 1*time.Millisecond, nil)
 	mk("Base", 30*time.Millisecond, (*meter.Lane).CountDeadline)
-	mk("Linked", 5*time.Millisecond, (*meter.Lane).CountShed)
+	mk("Linked", 5*time.Millisecond, (*meter.Lane).CountDegraded)
 
 	h := Handler(r)
 	get := func(query string) (p struct {
@@ -63,7 +63,7 @@ func TestDebugRequestsFilters(t *testing.T) {
 	if len(byOutcome.Ring) != 1 || byOutcome.Ring[0]["outcome"] != "deadline" {
 		t.Fatalf("outcome filter ring = %+v, want the one deadline record", byOutcome.Ring)
 	}
-	if len(byOutcome.Exemplars["shed"]) != 0 || len(byOutcome.Exemplars["deadline"]) != 1 {
+	if len(byOutcome.Exemplars["degraded"]) != 0 || len(byOutcome.Exemplars["deadline"]) != 1 {
 		t.Fatal("outcome filter must apply to exemplar classes too")
 	}
 

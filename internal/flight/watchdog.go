@@ -23,8 +23,8 @@ type WatchdogConfig struct {
 	// Dir is where black-box dumps are written. Default "flight-dumps".
 	Dir string
 	// BudgetFrac is the SLO error budget: the fraction of requests
-	// allowed to go bad (shed or blown deadline at admission: the
-	// meter.path counts Shed and Deadline) in steady state. Default 0.001
+	// allowed to go bad (expired on arrival at the front door: the
+	// meter.path count Deadline) in steady state. Default 0.001
 	// (99.9% SLO).
 	BudgetFrac float64
 	// FastBurn is the burn-rate multiple that triggers a dump: bad
@@ -113,7 +113,7 @@ func (w *Watchdog) tick(now time.Time) (burn float64, dumpDir string, err error)
 
 	var bad, total float64
 	for _, c := range delta.Counters {
-		if c.Name == "meter.path" && (c.Labels[0].Value == "Shed" || c.Labels[0].Value == "Deadline") {
+		if c.Name == "meter.path" && c.Labels[0].Value == "Deadline" {
 			bad += c.Value
 		}
 	}

@@ -22,9 +22,9 @@ func TestWatchdogDumpOnFastBurn(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := meter.NewMeter()
 	telemetry.RegisterMeter(reg, "meter", m)
-	shed := func() { // one request the admission gate refused
+	expire := func() { // one request that reached the front door past its deadline
 		l := meter.OpenLane(m.Component("app"))
-		l.CountShed()
+		l.CountDeadline()
 		l.Close()
 	}
 	lat := reg.Histogram("request.latency", "seconds")
@@ -56,11 +56,11 @@ func TestWatchdogDumpOnFastBurn(t *testing.T) {
 		t.Fatalf("baseline tick: burn=%g dump=%q, want 0 and none", burn, d)
 	}
 
-	// Healthy window: 1000 requests, one shed → burn 1.0 (budget 0.1%).
+	// Healthy window: 1000 requests, one expired → burn 1.0 (budget 0.1%).
 	for i := 0; i < 1000; i++ {
 		lat.Observe(int64(time.Millisecond))
 	}
-	shed()
+	expire()
 	now = now.Add(time.Minute)
 	if burn, d, _ := w.tick(now); burn >= 14 || d != "" {
 		t.Fatalf("healthy tick: burn=%g dump=%q, want <14 and none", burn, d)
@@ -71,7 +71,7 @@ func TestWatchdogDumpOnFastBurn(t *testing.T) {
 		lat.Observe(int64(time.Millisecond))
 	}
 	for i := 0; i < 50; i++ {
-		shed()
+		expire()
 	}
 	now = now.Add(time.Minute)
 	burn, d, err := w.tick(now)
@@ -90,7 +90,7 @@ func TestWatchdogDumpOnFastBurn(t *testing.T) {
 		lat.Observe(int64(time.Millisecond))
 	}
 	for i := 0; i < 50; i++ {
-		shed()
+		expire()
 	}
 	now = now.Add(time.Minute)
 	_, d, err = w.tick(now)

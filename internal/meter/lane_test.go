@@ -94,7 +94,7 @@ func TestLaneNilSafe(t *testing.T) {
 	l.Exclude(time.Second)
 	l.Arm()
 	l.AddStage(meter.StageCache, l.StageClock())
-	l.CountShed()
+	l.CountDeadline()
 	l.CountHop()
 	if l.Close() != 0 || clk.reads.Load() != 0 || l.Flags() != 0 || l.Stages() != [meter.NumStages]int64{} {
 		t.Fatal("a nil lane must read no clock and report no time")
@@ -130,10 +130,9 @@ func TestPathCountersAndReset(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		l.CountRetry()
 	}
-	l.CountShed()
 	l.CountDeadline()
 	l.CountDeadline()
-	if want := meter.FlagShed | meter.FlagDeadline | meter.FlagDegraded; l.Flags() != want {
+	if want := meter.FlagDeadline | meter.FlagDegraded; l.Flags() != want {
 		t.Fatalf("flags = %b, want %b", l.Flags(), want)
 	}
 	if got := m.Path(); got != (meter.PathStats{}) {
@@ -142,7 +141,7 @@ func TestPathCountersAndReset(t *testing.T) {
 	l.Close()
 	want := meter.PathStats{Requests: 1, RPCHops: 2, CacheMsgs: 2, SQLStatements: 1, RaftShips: 2,
 		CacheHits: 1, CacheMisses: 1, LinkedHits: 1, LinkedMisses: 1, Faults: 1,
-		Degraded: 2, Retries: 3, Shed: 1, Deadline: 2}
+		Degraded: 2, Retries: 3, Deadline: 2}
 	if got := m.Path(); got != want {
 		t.Errorf("Path = %+v, want %+v", got, want)
 	}

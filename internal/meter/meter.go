@@ -19,7 +19,7 @@
 // The Lane is the request's whole record, not only its laps: it also
 // carries the flight recorder's stage times and the request's path counts
 // (hops, cache messages, SQL statements, raft ships, and the fault-path
-// events: cache demotions, retries, sheds, expired deadlines), which the
+// events: cache demotions, retries, expired deadlines), which the
 // meter sums per window (Meter.Path) beside the busy time it prices. A
 // path event is counted once, on the lane, at the one site that decides
 // it; the request's outcome flags are read off those counts.

@@ -7,8 +7,8 @@ package meter
 
 // Stage labels one slice of a request's latency budget. Stages partition
 // the intended-clock latency of a client-visible request: where the
-// request *waited to start* (queue), where it waited for capacity
-// (admission), and which downstream tier it spent the rest in. The flight
+// request *waited to start* (queue) and which downstream tier it spent
+// the rest in. The flight
 // recorder (internal/flight) turns a lane's stage times into the record
 // that tail exemplars and the `tailwhy` figure report.
 type Stage uint8
@@ -19,9 +19,6 @@ const (
 	// plus dispatcher slip. Computed at completion from the intended
 	// timestamp; zero for closed-loop requests.
 	StageQueue Stage = iota
-	// StageAdmission is time blocked in admission.Gate.Enter waiting for
-	// an inflight slot (or for the deadline that rejected the request).
-	StageAdmission
 	// StageCache is client-observed time in remote-cache calls (the whole
 	// round trip: marshal, hop, server occupancy, injected stalls).
 	StageCache
@@ -33,7 +30,7 @@ const (
 	// from conservation sums: its time is already inside StageStorage.
 	StageRaft
 	// StageApp is the handler remainder: wall time inside the front-door
-	// dispatch not attributed to admission, cache or storage. Computed at
+	// dispatch not attributed to cache or storage. Computed at
 	// completion.
 	StageApp
 
@@ -41,7 +38,7 @@ const (
 	NumStages
 )
 
-var stageNames = [NumStages]string{"queue", "admission", "cache", "storage", "raft", "app"}
+var stageNames = [NumStages]string{"queue", "cache", "storage", "raft", "app"}
 
 // String returns the stage's wire/JSON name.
 func (s Stage) String() string {
@@ -53,15 +50,12 @@ func (s Stage) String() string {
 
 // Outcome flag bits of a request's flight record. A request may carry
 // several (a degraded read that still blew its deadline); the flight
-// recorder classifies by severity: error > shed > deadline > degraded >
-// ok. A lane derives the first three from its path counts (Flags).
+// recorder classifies by severity: error > deadline > degraded > ok. A
+// lane derives the first two from its path counts (Flags).
 const (
-	// FlagShed marks a request rejected by the admission gate (queue
-	// full) and answered by the cheap degraded path.
-	FlagShed uint32 = 1 << iota
 	// FlagDeadline marks a request whose SLO deadline expired before or
 	// during service.
-	FlagDeadline
+	FlagDeadline uint32 = 1 << iota
 	// FlagDegraded marks a request answered in cache-degraded mode
 	// (cache tier demoted or bypassed; answer may be stale or partial).
 	FlagDegraded
@@ -102,14 +96,11 @@ func (l *Lane) Stages() (out [NumStages]int64) {
 }
 
 // Flags returns the outcome flag bits the request has earned so far,
-// read off its path counts: a shed, an expired deadline or a cache
-// demotion counted on the lane sets its bit.
+// read off its path counts: an expired deadline or a cache demotion
+// counted on the lane sets its bit.
 func (l *Lane) Flags() (f uint32) {
 	if l == nil {
 		return 0
-	}
-	if l.path[pathShed] != 0 {
-		f |= FlagShed
 	}
 	if l.path[pathDeadline] != 0 {
 		f |= FlagDeadline
@@ -152,10 +143,9 @@ type PathStats struct {
 	Degraded int64
 	// Retries counts cache-call retries the retry budget granted.
 	Retries int64
-	// Shed counts requests the admission gate refused (queue full);
-	// Deadline counts requests whose SLO deadline expired at or before
-	// admission.
-	Shed, Deadline int64
+	// Deadline counts requests that reached the front door past their
+	// SLO deadline and were answered without work.
+	Deadline int64
 }
 
 // Lane.path and Meter.path index the counts in PathStats field order.
@@ -172,7 +162,6 @@ const (
 	pathFaults
 	pathDegraded
 	pathRetries
-	pathShed
 	pathDeadline
 	numPathFields
 )
@@ -226,12 +215,8 @@ func (l *Lane) CountDegraded() { l.count(pathDegraded, 1) }
 // CountRetry counts one cache-call retry.
 func (l *Lane) CountRetry() { l.count(pathRetries, 1) }
 
-// CountShed counts the request's refusal by the admission gate; it marks
-// the request shed.
-func (l *Lane) CountShed() { l.count(pathShed, 1) }
-
-// CountDeadline counts the request's SLO deadline expiring at or before
-// admission; it marks the request's deadline blown.
+// CountDeadline counts the request's arrival at the front door past its
+// SLO deadline; it marks the request's deadline blown.
 func (l *Lane) CountDeadline() { l.count(pathDeadline, 1) }
 
 // Path returns the path counts of the lanes closed on m since it was
@@ -254,7 +239,6 @@ func (m *Meter) Path() PathStats {
 		Faults:        n[pathFaults],
 		Degraded:      n[pathDegraded],
 		Retries:       n[pathRetries],
-		Shed:          n[pathShed],
 		Deadline:      n[pathDeadline],
 	}
 }

@@ -73,7 +73,7 @@ func (c *Client) Call(method string, req []byte) ([]byte, error) {
 // and, when sampled, recorded as an "rpc" span (annotated rpc.hop=tcp),
 // and when the request is sampled or carries a deadline the span context
 // is embedded in the frame so the server's spans stitch into this trace
-// by ID and its admission control sees the caller's SLO budget.
+// by ID and the front door sees the caller's SLO deadline.
 func (c *Client) CallCtx(sc trace.SpanContext, method string, req []byte) ([]byte, error) {
 	sc.Lane().CountHop()
 	if !sc.Sampled() && !sc.HasDeadline() {

@@ -307,8 +307,8 @@ func (s *Server) serveFrame(conn net.Conn, wmu *sync.Mutex, in *inbound, buf []b
 	// local fragment of the caller's trace; the server-side dispatch span
 	// is recorded here (never in DispatchCtx) so in-process transports do
 	// not get a duplicate. The wire deadline re-attaches even when the
-	// server has no tracer — admission control must see the SLO either
-	// way.
+	// server has no tracer — the front door must see the SLO deadline
+	// either way.
 	sc := s.tracer.Join(in.traceID, in.spanID, in.sampled).WithDeadlineUnixNano(in.deadline)
 	act, hsc := trace.Start(sc, s.traceName, in.method)
 	resp, err := s.DispatchCtx(hsc, in.method, in.body)

@@ -165,14 +165,6 @@ func (sc SpanContext) WithDeadlineUnixNano(ns int64) SpanContext {
 // HasDeadline reports whether the request carries an SLO expiry.
 func (sc SpanContext) HasDeadline() bool { return sc.deadline != 0 }
 
-// Deadline returns the SLO expiry (zero time if none).
-func (sc SpanContext) Deadline() time.Time {
-	if sc.deadline == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, sc.deadline)
-}
-
 // DeadlineUnixNano returns the SLO expiry for wire encoding (0 if none).
 func (sc SpanContext) DeadlineUnixNano() int64 { return sc.deadline }
 

@@ -14,8 +14,8 @@ import (
 //	1  flags     (bit 0: sampled; bit 1: deadline present; others zero)
 //	8  deadline  (big endian unix nanoseconds; present iff bit 1 set)
 //
-// The deadline is the caller's SLO budget expiry; servers use it for
-// admission control (shed work that cannot finish in time). A block with
+// The deadline is the caller's SLO budget expiry; the front door answers
+// a request that arrives past it without work. A block with
 // the deadline bit set must carry a non-zero deadline — zero would be
 // indistinguishable from "no deadline", so the canonical encoding of "no
 // deadline" is bit clear and no trailing word.
