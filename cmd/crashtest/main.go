@@ -118,7 +118,7 @@ func childMain() {
 		fmt.Fprintf(os.Stderr, "child: %v\n", err)
 		os.Exit(2)
 	}
-	ffs := (*fault.Injector)(nil).NewFS(inner, fault.FSOptions{
+	ffs := fault.NewFS(inner, fault.FSOptions{
 		SyncSleep:      *flagStall,
 		TornWriteAfter: *flagTorn,
 	})

@@ -82,7 +82,7 @@ func TestChaosClusterOverTCP(t *testing.T) {
 	cacheAddr := listen(t, cacheSrv.RPCServer())
 
 	appMeter := meter.NewMeter()
-	inj := fault.New(5, fault.Options{Meter: appMeter})
+	inj := fault.New(5, appMeter)
 	dbConn, err := rpc.Dial(storeAddr, appMeter.Component("app"), meter.NewBurner(), rpc.DefaultCost)
 	if err != nil {
 		t.Fatal(err)
@@ -130,17 +130,32 @@ func TestChaosClusterOverTCP(t *testing.T) {
 		return nil
 	}
 
-	// Flaky cache → kill → revive, with reads throughout.
+	// Flaky cache → kill → revive, with reads throughout. Each request's
+	// lane closes before its response is written, so the path counts are
+	// exact between phases.
 	for i := 0; i < 150; i++ {
 		if err := read(i); err != nil {
 			t.Fatalf("flaky phase: %v", err)
 		}
 	}
+	if appMeter.Path().Faults == 0 {
+		t.Error("flaky phase: the fault layer injected nothing")
+	}
 	inj.Kill(core.CacheNode)
+	faultComp := appMeter.Component("fault")
+	faults, burns := appMeter.Path().Faults, faultComp.Ops()
 	for i := 0; i < 150; i++ {
 		if err := read(i); err != nil {
 			t.Fatalf("cache-down phase: %v", err)
 		}
+	}
+	// A killed node rejects before its rule draws, so this phase's only
+	// faults are kill rejects: they count, and burn no stall work.
+	if appMeter.Path().Faults == faults {
+		t.Error("cache-down phase: the kill rejected no call")
+	}
+	if faultComp.Ops() != burns {
+		t.Errorf("cache-down phase: %d calls reached the node's rule", faultComp.Ops()-burns)
 	}
 	inj.Revive(core.CacheNode)
 	for i := 0; i < 150; i++ {
@@ -151,10 +166,6 @@ func TestChaosClusterOverTCP(t *testing.T) {
 
 	if appMeter.Path().Degraded == 0 {
 		t.Error("no degradations recorded despite injected faults")
-	}
-	st := inj.Stats() // the cache node is the only one
-	if st.InjectedErrors == 0 || st.DownRejects == 0 {
-		t.Errorf("fault layer saw no traffic: %+v", st)
 	}
 	if appMeter.Path().Retries == 0 {
 		t.Error("retry layer never retried a call despite injected errors")

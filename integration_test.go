@@ -167,7 +167,7 @@ func TestClusterStoreFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := fault.New(1, fault.Options{})
+	inj := fault.New(1, nil)
 	svc, err := core.NewKVServiceRemote(core.ServiceConfig{
 		Arch:  core.Linked,
 		Meter: appMeter,

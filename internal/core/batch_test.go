@@ -176,13 +176,13 @@ func TestBatchTraceInvariants(t *testing.T) {
 	})
 }
 
-// A cache-node blackhole landing mid-run must not drop or double-count
+// A cache-node kill landing mid-run must not drop or double-count
 // ops at any batch size: the batch demotes the dead node's keys to
 // misses, serves them from one batched storage read, and every op is
 // still driven exactly once (any failure would propagate as an error).
 func TestBatchChaosDegradesToStorage(t *testing.T) {
 	m := meter.NewMeter()
-	inj := fault.New(5, fault.Options{Meter: m})
+	inj := fault.New(5, m)
 	gen := smallGen(21)
 	cfg := smallCfg(Remote, m)
 	cfg.Faults = inj

@@ -8,30 +8,24 @@ import (
 )
 
 // ChaosConfig parameterizes one chaos cell: an architecture driven
-// through a workload while the fault layer abuses its cache tier.
+// through a workload while the fault layer abuses its cache tier. The
+// fault schedule derives from the figure's seed.
 type ChaosConfig struct {
 	// Arch selects the assembly (Base runs fault-free as the reference).
 	Arch Arch
-	// ErrorRate is the cache node's injected transient-error rate.
+	// ErrorRate is the cache node's injected transient-error rate. It
+	// is also the Rule's StallRate for chaosStallWork, whose zero means
+	// every call: a zero-rate cell stalls every cache call.
 	ErrorRate float64
-	// StallWork is metered stall CPU injected alongside errors (applied
-	// at ErrorRate). Default 2048.
-	StallWork int
 	// KillWindow, when true, kills the cache node for the middle fifth
 	// of the metered window and revives it (with slow-start) after —
 	// the cache-node-loss episode of the paper's availability argument.
 	KillWindow bool
-	// Seed drives the fault schedule.
-	Seed int64
 }
 
-// ChaosResult bundles a chaos cell's priced outcome with the live fault
-// and service handles, so tests can assert on schedules and counters.
-type ChaosResult struct {
-	*RunResult
-	Injector *fault.Injector
-	Service  *KVService
-}
+// chaosStallWork is the metered stall CPU (Burner units) a chaos cell's
+// stalled cache call pays.
+const chaosStallWork = 2048
 
 // faultNodeFor maps an architecture to its cache-tier fault target.
 func faultNodeFor(arch Arch) string {
@@ -49,21 +43,15 @@ func faultNodeFor(arch Arch) string {
 // tier and drives it through the synthetic workload. All request failures
 // propagate as errors — the acceptance bar is that with degradation in
 // place there are none.
-func (o FigOptions) ChaosCell(cc ChaosConfig, wcfg workload.SyntheticConfig) (*ChaosResult, error) {
+func (o FigOptions) ChaosCell(cc ChaosConfig, wcfg workload.SyntheticConfig) (*RunResult, error) {
 	o.applyDefaults()
-	if cc.Seed == 0 {
-		cc.Seed = o.Seed
-	}
-	if cc.StallWork == 0 {
-		cc.StallWork = 2048
-	}
 	c := o.synthCell(cc.Arch, wcfg)
-	inj := fault.New(cc.Seed, fault.Options{Meter: c.svc.Meter})
+	inj := fault.New(o.Seed, c.svc.Meter)
 	node := faultNodeFor(cc.Arch)
 	if node != "" {
 		inj.SetRule(node, fault.Rule{
 			ErrorRate:      cc.ErrorRate,
-			StallWork:      cc.StallWork,
+			StallWork:      chaosStallWork,
 			StallRate:      cc.ErrorRate,
 			SlowStartCalls: 50,
 		})
@@ -85,11 +73,7 @@ func (o FigOptions) ChaosCell(cc ChaosConfig, wcfg workload.SyntheticConfig) (*C
 	sched := fault.NewSchedule(events)
 
 	c.run.OnOp = func(int) { sched.Step(inj) }
-	res, err := o.runCell(fmt.Sprintf("chaos/%s/rate=%g", cc.Arch, cc.ErrorRate), c)
-	if err != nil {
-		return nil, err
-	}
-	return &ChaosResult{RunResult: res, Injector: inj, Service: c.kv}, nil
+	return o.runCell(fmt.Sprintf("chaos/%s/rate=%g", cc.Arch, cc.ErrorRate), c)
 }
 
 // defaultFaultRates is the chaos figure's sweep.
@@ -115,7 +99,7 @@ func FigChaos(o FigOptions) (*Table, error) {
 	}
 	wcfg := workload.SyntheticConfig{Keys: o.Keys, Alpha: 1.2, ReadRatio: 0.9, ValueSize: 1 << 10, Seed: o.Seed}
 
-	base, err := o.ChaosCell(ChaosConfig{Arch: Base, Seed: o.Seed}, wcfg)
+	base, err := o.ChaosCell(ChaosConfig{Arch: Base}, wcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +112,6 @@ func FigChaos(o FigOptions) (*Table, error) {
 				Arch:       arch,
 				ErrorRate:  rate,
 				KillWindow: rate > 0,
-				Seed:       o.Seed,
 			}, wcfg)
 			if err != nil {
 				return nil, fmt.Errorf("chaos %s rate=%v: %w", arch, rate, err)

@@ -24,7 +24,7 @@ func TestChaosOverloadDegradesWithoutErrors(t *testing.T) {
 	)
 	m := meter.NewMeter()
 	gen := smallGen(13)
-	inj := fault.New(13, fault.Options{Meter: m})
+	inj := fault.New(13, m)
 
 	cfg := smallCfg(Remote, m)
 	cfg.Parallelism = par
@@ -51,7 +51,7 @@ func TestChaosOverloadDegradesWithoutErrors(t *testing.T) {
 	})
 
 	m2 := meter.NewMeter()
-	inj2 := fault.New(13, fault.Options{Meter: m2})
+	inj2 := fault.New(13, m2)
 	cfg2 := smallCfg(Remote, m2)
 	cfg2.Parallelism = par
 	cfg2.Faults = inj2

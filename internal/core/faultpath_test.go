@@ -90,7 +90,7 @@ func TestPathCountsFaultEvents(t *testing.T) {
 	t.Run("flight", func(t *testing.T) {
 		rec := flight.New(flight.Config{})
 		m := meter.NewMeter()
-		inj := fault.New(1, fault.Options{Meter: m})
+		inj := fault.New(1, m)
 		cfg := smallCfg(Remote, m)
 		cfg.Faults, cfg.Flight = inj, rec
 		svc, err := BuildKVService(cfg, smallGen(1))

@@ -72,7 +72,7 @@ func FigTailwhy(o FigOptions) (*Table, error) {
 			if rate <= 0 {
 				rate = 1
 			}
-			c.svc.Faults = fault.New(o.Seed, fault.Options{Meter: c.svc.Meter})
+			c.svc.Faults = fault.New(o.Seed, c.svc.Meter)
 			c.svc.Faults.SetRule(StorageFaultNode, fault.Rule{StallSleep: o.StorageStall, StallRate: rate})
 		}
 		res, err := o.runCell(fmt.Sprintf("tailwhy/%s/load=%.1f", arch, load), c)

@@ -132,7 +132,7 @@ func TestFlightStorageStallDominant(t *testing.T) {
 	rec := flight.New(flight.Config{SlowestK: 16})
 	m := meter.NewMeter()
 	gen := smallGen(5)
-	inj := fault.New(5, fault.Options{Meter: m})
+	inj := fault.New(5, m)
 	cfg := smallCfg(Base, m) // no cache tier: every read round-trips storage
 	cfg.Faults = inj
 	cfg.Flight = rec
@@ -172,7 +172,7 @@ func TestFlightCacheStallDominant(t *testing.T) {
 	rec := flight.New(flight.Config{SlowestK: 16})
 	m := meter.NewMeter()
 	gen := smallGen(6)
-	inj := fault.New(6, fault.Options{Meter: m})
+	inj := fault.New(6, m)
 	cfg := smallCfg(Remote, m)
 	cfg.Faults = inj
 	cfg.Flight = rec
@@ -222,7 +222,7 @@ func TestFlightDegradedFlagIsPerRequest(t *testing.T) {
 			rec := flight.New(flight.Config{OutcomeCap: 256})
 			m := meter.NewMeter()
 			gen := smallGen(8)
-			inj := fault.New(8, fault.Options{Meter: m})
+			inj := fault.New(8, m)
 			inj.SetRule(CacheNode, fault.Rule{ErrorRate: 0.3})
 			cfg := smallCfg(Remote, m)
 			cfg.Parallelism, cfg.Faults, cfg.Flight = 4, inj, rec

@@ -29,7 +29,7 @@ func TestManagedTierKillOldNodeMidMigration(t *testing.T) {
 	)
 	m := meter.NewMeter()
 	gen := smallGen(7)
-	inj := fault.New(7, fault.Options{Meter: m})
+	inj := fault.New(7, m)
 	cfg := smallCfg(Remote, m)
 	cfg.CacheNodes = 4
 	cfg.RemoteCacheBytes = 1 << 20 // whole population fits: the dip we see is the fault's

@@ -29,8 +29,8 @@ const (
 )
 
 // StorageFaultNode is the fault-injection target name of the app→storage
-// connection on in-process deployments. A Rule with StallWork against it
-// burns metered work on every storage round trip, which the flight
+// connection on in-process deployments. A Rule with StallSleep against it
+// holds storage round trips for wall-clock time, which the flight
 // recorder observes as StageStorage time — the injected fault the tailwhy
 // smoke test expects to dominate deadline exemplars.
 const StorageFaultNode = "storage0"
@@ -210,9 +210,6 @@ func (d *deployment) build(cfg ServiceConfig, inProcess bool) error {
 	d.cfg, d.m = cfg, cfg.Meter
 	d.appComp = cfg.Meter.Component("app")
 	d.lbm = rpc.NewMetrics(cfg.Telemetry, "loopback")
-	if cfg.Faults != nil {
-		cfg.Faults.RegisterTelemetry(cfg.Telemetry)
-	}
 	if !inProcess {
 		return nil
 	}

@@ -8,6 +8,7 @@ import (
 	"cachecost/internal/fault"
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
+	"cachecost/internal/trace"
 	"cachecost/internal/workload"
 )
 
@@ -148,7 +149,7 @@ func (nopConn) Close() error                        { return nil }
 // worker's per-call outcome sequence (true = fault injected).
 func workerFaultTrace(t *testing.T, seed int64, workers, calls int) [][]bool {
 	t.Helper()
-	inj := fault.New(seed, fault.Options{})
+	inj := fault.New(seed, nil)
 	inj.SetRule(CacheNode, fault.Rule{ErrorRate: 0.3})
 	traces := make([][]bool, workers)
 	var wg sync.WaitGroup
@@ -228,8 +229,9 @@ func equalTrace(a, b []bool) bool {
 func TestParallelServiceFaultsDegradeNotFail(t *testing.T) {
 	const par = 4
 	m := meter.NewMeter()
-	inj := fault.New(11, fault.Options{Meter: m})
-	inj.SetRule(CacheNode, fault.Rule{ErrorRate: 0.2, StallWork: 512, StallRate: 0.2})
+	rule := fault.Rule{ErrorRate: 0.2, StallWork: 512, StallRate: 0.2}
+	inj := fault.New(11, m)
+	inj.SetRule(CacheNode, rule)
 	gen := workload.NewSynthetic(workload.SyntheticConfig{
 		Keys: 300, Alpha: 1.2, ReadRatio: 0.9, ValueSize: 512, Seed: 11,
 	})
@@ -255,10 +257,35 @@ func TestParallelServiceFaultsDegradeNotFail(t *testing.T) {
 		t.Errorf("degraded=%d retries=%d at 20%% fault rate", res.Path.Degraded, res.Path.Retries)
 	}
 	for w := 0; w < par; w++ {
-		if inj.WorkerStats(CacheNode, w).Calls == 0 {
-			t.Errorf("worker %d drew no fault decisions", w)
+		if k := drawsTaken(inj, 11, rule, w); k <= 0 {
+			t.Errorf("worker %d: its fault stream was not drawn (offset %d)", w, k)
 		}
 	}
+}
+
+// drawsTaken returns how many decisions worker w's stream against
+// CacheNode has taken on live: it finds live's next 64 verdicts in a
+// fresh injector's stream w at the same seed and rule. -1 means no
+// offset up to 20000 matches — the lane did not draw from stream w.
+func drawsTaken(live *fault.Injector, seed int64, rule fault.Rule, w int) int {
+	const window, limit = 64, 20000
+	verdicts := func(in *fault.Injector, n int) []bool {
+		out := make([]bool, n)
+		for i := range out {
+			out[i] = in.Decide(CacheNode, w, trace.SpanContext{}) != nil
+		}
+		return out
+	}
+	next := verdicts(live, window)
+	ref := fault.New(seed, nil)
+	ref.SetRule(CacheNode, rule)
+	stream := verdicts(ref, limit+window)
+	for k := 0; k <= limit; k++ {
+		if equalTrace(stream[k:k+window], next) {
+			return k
+		}
+	}
+	return -1
 }
 
 // TestParallelWorkerErrors: lane bounds and unsupported configurations
@@ -291,7 +318,6 @@ func TestChaosCellUnderParallelism(t *testing.T) {
 			Arch:       arch,
 			ErrorRate:  0.3,
 			KillWindow: true,
-			Seed:       5,
 		}, wcfg)
 		if err != nil {
 			t.Fatalf("%v: %v", arch, err)

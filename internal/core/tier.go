@@ -359,7 +359,7 @@ func (t *linkedTier[V]) faulted(sc trace.SpanContext) bool {
 	if t.faults == nil {
 		return false
 	}
-	if err := t.faults.DecideTrace(LinkedCacheNode, t.w, sc); err != nil {
+	if err := t.faults.Decide(LinkedCacheNode, t.w, sc); err != nil {
 		sc.Lane().CountDegraded()
 		return true
 	}

@@ -482,7 +482,7 @@ func TestTierConsistencyRace(t *testing.T) {
 // pre-write object until it was evicted.
 func TestLinkedFaultedWriteDropsEntry(t *testing.T) {
 	m := meter.NewMeter()
-	inj := fault.New(1, fault.Options{Meter: m})
+	inj := fault.New(1, m)
 	cfg := smallCfg(Linked, m)
 	cfg.Faults = inj
 	svc, err := NewKVService(cfg)

@@ -59,7 +59,7 @@ func FigTimeseries(o FigOptions) (*Table, error) {
 	wcfg := workload.SyntheticConfig{Keys: o.Keys, Alpha: 1.2, ReadRatio: 0.9, ValueSize: 1 << 10, Seed: o.Seed}
 	c := o.synthCell(Remote, wcfg)
 	c.svc.Parallelism = 1 // one lane: window edges are op counts on one timeline
-	inj := fault.New(o.Seed, fault.Options{Meter: c.svc.Meter})
+	inj := fault.New(o.Seed, c.svc.Meter)
 	inj.SetRule(CacheNode, fault.Rule{SlowStartCalls: 50})
 	c.svc.Faults = inj
 

@@ -196,7 +196,7 @@ func TestTraceInvariantWriteFanout(t *testing.T) {
 // the cache itself is never consulted.
 func TestTraceInvariantChaosDegraded(t *testing.T) {
 	svc, tr := newTracedKV(t, Linked, func(cfg *ServiceConfig) {
-		inj := fault.New(1, fault.Options{Meter: cfg.Meter})
+		inj := fault.New(1, cfg.Meter)
 		inj.SetRule(LinkedCacheNode, fault.Rule{ErrorRate: 1})
 		cfg.Faults = inj
 	})

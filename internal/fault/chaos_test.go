@@ -20,9 +20,13 @@ func chaosWorkload(o core.FigOptions) workload.SyntheticConfig {
 	return workload.SyntheticConfig{Keys: o.Keys, Alpha: 1.2, ReadRatio: 0.9, ValueSize: 256, Seed: o.Seed}
 }
 
-func runCell(t *testing.T, cc core.ChaosConfig) *core.ChaosResult {
+func runCell(t *testing.T, cc core.ChaosConfig) *core.RunResult {
 	t.Helper()
-	o := chaosOpts()
+	return runCellAt(t, chaosOpts(), cc)
+}
+
+func runCellAt(t *testing.T, o core.FigOptions, cc core.ChaosConfig) *core.RunResult {
+	t.Helper()
 	res, err := o.ChaosCell(cc, chaosWorkload(o))
 	if err != nil {
 		t.Fatalf("chaos cell %+v: client-visible failure: %v", cc, err)
@@ -33,6 +37,9 @@ func runCell(t *testing.T, cc core.ChaosConfig) *core.ChaosResult {
 // TestFallThroughAbsorbsFaults is the headline acceptance check: a 10%
 // cache-node error rate plus a kill/revive episode produces zero request
 // failures and a nonzero degradation counter, for both cache architectures.
+// A kill-only cell shows the kill landed: at a zero error rate every
+// fault but a kill reject burns stall or slow-start work, so faults
+// beyond the fault component's ops are kill rejects.
 func TestFallThroughAbsorbsFaults(t *testing.T) {
 	for _, arch := range []core.Arch{core.Remote, core.Linked} {
 		cc := core.ChaosConfig{Arch: arch, ErrorRate: 0.10, KillWindow: true}
@@ -46,8 +53,10 @@ func TestFallThroughAbsorbsFaults(t *testing.T) {
 		if arch == core.Remote && res.Path.Retries == 0 {
 			t.Errorf("Remote behind the retry layer recorded zero retries at 10%% faults")
 		}
-		if st := res.Injector.Stats(); st.DownRejects == 0 {
-			t.Errorf("%s: kill window produced no down rejects (stats %+v)", arch, st)
+		kill := runCell(t, core.ChaosConfig{Arch: arch, KillWindow: true})
+		if rejects := kill.Path.Faults - faultOps(kill); rejects <= 0 {
+			t.Errorf("%s: kill window rejected no call (faults %d, fault ops %d)",
+				arch, kill.Path.Faults, faultOps(kill))
 		}
 	}
 }
@@ -90,21 +99,33 @@ func TestDegradationIsMonotonic(t *testing.T) {
 	}
 }
 
+// faultOps returns the ops the cell's fault component burned: one per
+// decision that injected stall or slow-start work.
+func faultOps(res *core.RunResult) int64 {
+	for _, l := range res.Report.Lines {
+		if l.Component == "fault" {
+			return l.Ops
+		}
+	}
+	return 0
+}
+
 // TestChaosCellIsDeterministic re-runs one chaos cell with a fixed seed
 // and requires an identical fault schedule and identical op-level
-// outcomes (degradations, retries, hit ratio — everything except wall
-// time).
+// outcomes: every path count (faults, degradations, retries, hits) and
+// the fault component's ops — everything except wall time.
 func TestChaosCellIsDeterministic(t *testing.T) {
+	o := chaosOpts()
+	o.Seed = 99
 	for _, arch := range []core.Arch{core.Remote, core.Linked} {
-		cc := core.ChaosConfig{Arch: arch, ErrorRate: 0.25, KillWindow: true, Seed: 99}
-		a := runCell(t, cc)
-		b := runCell(t, cc)
-		if at, bt := a.Injector.Stats(), b.Injector.Stats(); at != bt {
-			t.Errorf("%s: fault schedules diverged under fixed seed:\n%+v\n%+v", arch, at, bt)
+		cc := core.ChaosConfig{Arch: arch, ErrorRate: 0.25, KillWindow: true}
+		a := runCellAt(t, o, cc)
+		b := runCellAt(t, o, cc)
+		if a.Path != b.Path {
+			t.Errorf("%s: path counts diverged under fixed seed:\n%+v\n%+v", arch, a.Path, b.Path)
 		}
-		if a.Path.Degraded != b.Path.Degraded || a.Path.Retries != b.Path.Retries {
-			t.Errorf("%s: outcome counters diverged: degraded %d/%d retries %d/%d",
-				arch, a.Path.Degraded, b.Path.Degraded, a.Path.Retries, b.Path.Retries)
+		if fa, fb := faultOps(a), faultOps(b); fa != fb || fa == 0 {
+			t.Errorf("%s: fault ops diverged (or none): %d vs %d", arch, fa, fb)
 		}
 		if a.HitRatio != b.HitRatio {
 			t.Errorf("%s: hit ratio diverged: %v vs %v", arch, a.HitRatio, b.HitRatio)

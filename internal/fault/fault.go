@@ -8,21 +8,25 @@
 // in the cost report like any other CPU.
 //
 // An Injector owns a set of named fault targets ("nodes"). Each node has a
-// composable Rule (error rate, injected stall work, slow-start after
-// recovery) plus two switches: Kill (node refuses every call) and
-// Blackhole (calls disappear and the caller pays a modeled timeout).
-// Conns wrapped with Injector.Wrap consult their node before every call;
-// non-RPC layers (the linked cache, the raft group) consult the same
-// decisions through Decide and Down.
+// composable Rule (error rate, injected stall work or sleep, slow-start
+// after recovery) plus a kill switch (the node refuses every call until
+// revived). Conns wrapped with Injector.WrapWorker consult their node
+// before every call; the linked cache tier consults the same decisions
+// through Decide.
+//
+// Every injected fault is counted once, on the request's lane
+// (meter.PathStats.Faults); its work is burned on the meter's "fault"
+// component, and a sampled request carries a "fault" span naming the
+// outcome. The injector keeps no tallies of its own.
 //
 // Determinism: every decision is a pure function of (seed, node name,
 // decision-stream identity, per-stream call sequence number). The default
 // stream reproduces the classic single-threaded schedule exactly. A
-// concurrent driver gives each worker its own stream (Wrap with
-// WrapWorker, or DecideTrace with a worker index): each stream has a private
-// atomic sequence counter and a worker-specific salt, so a fixed seed
-// reproduces the identical per-worker fault schedule regardless of how the
-// scheduler interleaves workers. Kill/blackhole/slow-start switches remain
+// concurrent driver gives each worker its own stream (WrapWorker, or
+// Decide with a worker index): each stream has a private atomic sequence
+// counter and a worker-specific salt, so a fixed seed reproduces the
+// identical per-worker fault schedule regardless of how the scheduler
+// interleaves workers. The kill and slow-start switches remain
 // node-global, as they model node state, not caller state.
 package fault
 
@@ -46,10 +50,6 @@ var (
 	ErrInjected = errors.New("fault: injected transient error")
 	// ErrNodeDown is returned for every call to a killed node.
 	ErrNodeDown = errors.New("fault: node is down")
-	// ErrBlackhole models a request that vanished into a network
-	// partition: the caller burns a timeout's worth of waiting-side work
-	// and sees this error.
-	ErrBlackhole = errors.New("fault: request blackholed (timeout)")
 )
 
 // Rule is the steady-state fault behaviour of one node. The zero Rule
@@ -60,7 +60,7 @@ type Rule struct {
 	ErrorRate float64
 	// StallWork is metered CPU work (Burner units) injected per stalled
 	// call — added latency standing in for queueing, GC pauses or a slow
-	// replica. Charged to the injector's component so stalls appear in
+	// replica. Charged to the "fault" component so stalls appear in
 	// the cost report.
 	StallWork int
 	// StallRate is the probability a call pays StallWork. Zero means 1
@@ -72,12 +72,10 @@ type Rule struct {
 	// StallWork it charges nothing to the meter — it is pure latency, the
 	// quantity the flight recorder's stage attribution observes.
 	StallSleep time.Duration
-	// SlowStartCalls is how many calls after Revive pay SlowStartWork
-	// each — a cold cache, connection re-establishment, page-in.
+	// SlowStartCalls is how many calls after Revive pay extra work
+	// each — a cold cache, connection re-establishment, page-in: four
+	// times StallWork, or 8192 units when StallWork is zero.
 	SlowStartCalls int
-	// SlowStartWork is the extra work per slow-start call. Zero means
-	// 4*StallWork, or 8192 if StallWork is also zero.
-	SlowStartWork int
 }
 
 func (r Rule) stallRate() float64 {
@@ -91,57 +89,10 @@ func (r Rule) stallRate() float64 {
 }
 
 func (r Rule) slowStartWork() int {
-	if r.SlowStartWork > 0 {
-		return r.SlowStartWork
-	}
 	if r.StallWork > 0 {
 		return 4 * r.StallWork
 	}
 	return 8192
-}
-
-// NodeStats counts what the injector did to one node.
-type NodeStats struct {
-	Calls          int64 // decisions taken
-	InjectedErrors int64 // ErrInjected returned
-	DownRejects    int64 // ErrNodeDown returned
-	Blackholed     int64 // ErrBlackhole returned
-	Stalls         int64 // calls that paid StallWork
-	SlowStarts     int64 // calls that paid slow-start work
-	WorkInjected   int64 // total Burner units charged
-}
-
-func (s *NodeStats) add(o NodeStats) {
-	s.Calls += o.Calls
-	s.InjectedErrors += o.InjectedErrors
-	s.DownRejects += o.DownRejects
-	s.Blackholed += o.Blackholed
-	s.Stalls += o.Stalls
-	s.SlowStarts += o.SlowStarts
-	s.WorkInjected += o.WorkInjected
-}
-
-// statsCell is the lock-free accumulator behind NodeStats.
-type statsCell struct {
-	calls          atomic.Int64
-	injectedErrors atomic.Int64
-	downRejects    atomic.Int64
-	blackholed     atomic.Int64
-	stalls         atomic.Int64
-	slowStarts     atomic.Int64
-	workInjected   atomic.Int64
-}
-
-func (s *statsCell) snapshot() NodeStats {
-	return NodeStats{
-		Calls:          s.calls.Load(),
-		InjectedErrors: s.injectedErrors.Load(),
-		DownRejects:    s.downRejects.Load(),
-		Blackholed:     s.blackholed.Load(),
-		Stalls:         s.stalls.Load(),
-		SlowStarts:     s.slowStarts.Load(),
-		WorkInjected:   s.workInjected.Load(),
-	}
 }
 
 // stream is one deterministic decision stream against a node: a private
@@ -149,21 +100,18 @@ func (s *statsCell) snapshot() NodeStats {
 // has salt 0, making its draws byte-identical to the historical
 // single-threaded injector.
 type stream struct {
-	salt  uint64
-	seq   atomic.Uint64
-	stats statsCell
+	salt uint64
+	seq  atomic.Uint64
 }
 
 // nodeState holds one fault target. The switches (rule, killed,
-// blackholed, slow-start budget) are node-global and atomic; decision
-// sequencing and stats live in per-stream state so concurrent workers
-// never contend.
+// slow-start budget) are node-global and atomic; decision sequencing
+// lives in per-stream state so concurrent workers never contend.
 type nodeState struct {
-	nameHash   uint64
-	rule       atomic.Pointer[Rule]
-	killed     atomic.Bool
-	blackholed atomic.Bool
-	slowLeft   atomic.Int64
+	nameHash uint64
+	rule     atomic.Pointer[Rule]
+	killed   atomic.Bool
+	slowLeft atomic.Int64
 
 	def stream // the default (worker-less) decision stream
 
@@ -198,47 +146,25 @@ func workerSalt(worker int) uint64 {
 	return splitmix64(uint64(worker) + 0x8000000000000000)
 }
 
-// Options configures an Injector.
-type Options struct {
-	// Meter receives the injected stall work under Component. Nil
-	// disables metering (faults still fire, but stalls burn nothing).
-	Meter *meter.Meter
-	// Component is the meter component name. Default "fault".
-	Component string
-	// TimeoutWork is the waiting-side work charged for a blackholed
-	// call (the caller spinning on a timeout). Default 16384.
-	TimeoutWork int
-}
-
 // Injector injects faults into named nodes. All methods are safe for
 // concurrent use. Decisions on distinct streams are lock-free after the
 // first call; the injector-level lock is only taken to create nodes.
 type Injector struct {
-	seed        uint64
-	comp        *meter.Component
-	burner      *meter.Burner
-	timeoutWork int
+	seed   uint64
+	comp   *meter.Component
+	burner *meter.Burner
 
 	mu    sync.RWMutex
 	nodes map[string]*nodeState
 }
 
-// New returns an Injector whose decisions derive from seed.
-func New(seed int64, opts Options) *Injector {
-	in := &Injector{
-		seed:        uint64(seed),
-		timeoutWork: opts.TimeoutWork,
-		nodes:       make(map[string]*nodeState),
-	}
-	if in.timeoutWork == 0 {
-		in.timeoutWork = 16384
-	}
-	if opts.Meter != nil {
-		name := opts.Component
-		if name == "" {
-			name = "fault"
-		}
-		in.comp = opts.Meter.Component(name)
+// New returns an Injector whose decisions derive from seed. Injected
+// work is burned on m's "fault" component; a nil m disables metering
+// (faults still fire, but stalls burn nothing).
+func New(seed int64, m *meter.Meter) *Injector {
+	in := &Injector{seed: uint64(seed), nodes: make(map[string]*nodeState)}
+	if m != nil {
+		in.comp = m.Component("fault")
 		in.burner = meter.NewBurner()
 	}
 	return in
@@ -263,7 +189,7 @@ func (in *Injector) node(name string) *nodeState {
 }
 
 // SetRule installs the steady-state rule for node, replacing any earlier
-// rule. The node's kill/blackhole switches are unaffected.
+// rule. The node's kill switch is unaffected.
 func (in *Injector) SetRule(node string, r Rule) {
 	in.node(node).rule.Store(&r)
 }
@@ -280,21 +206,6 @@ func (in *Injector) Revive(node string) {
 	if n.killed.CompareAndSwap(true, false) {
 		n.slowLeft.Store(int64(n.rule.Load().SlowStartCalls))
 	}
-}
-
-// Blackhole sets or clears the node's partition switch: while set, calls
-// vanish (the caller pays timeout work and sees ErrBlackhole).
-func (in *Injector) Blackhole(node string, on bool) {
-	in.node(node).blackholed.Store(on)
-}
-
-// down reports whether node is currently killed or blackholed. Pools and
-// replication layers use it to route around unreachable nodes.
-func (in *Injector) down(node string) bool {
-	in.mu.RLock()
-	n, ok := in.nodes[node]
-	in.mu.RUnlock()
-	return ok && (n.killed.Load() || n.blackholed.Load())
 }
 
 // splitmix64 is the decision hash: a full-avalanche mix of the seed, the
@@ -317,39 +228,23 @@ func hashName(s string) uint64 {
 // unit maps a decision draw to [0,1).
 func unit(x uint64) float64 { return float64(x>>11) / float64(1<<53) }
 
-// Decide takes the next fault decision on node's default stream and
+// Decide takes the next fault decision for node on an explicit decision
+// stream — worker >= 0 selects that worker's private stream
+// (deterministic under concurrency), worker < 0 the default stream — and
 // returns the injected error, or nil to let the call proceed. Stall and
-// slow-start work is burned and metered before the verdict. Wrapped conns
-// call this on every Call; non-RPC layers (linked caches, raft groups)
-// call it directly.
-func (in *Injector) Decide(node string) error {
-	return in.DecideTrace(node, -1, trace.SpanContext{})
-}
-
-// DecideTrace is Decide on an explicit decision stream — worker >= 0
-// selects that worker's private stream (deterministic under concurrency),
-// worker < 0 the default stream — carrying the caller's span context:
-// injected work is a lap of the request's lane, and decisions that inject
-// anything — a kill reject, a blackhole timeout, stall or slow-start
-// work, a transient error — are recorded as "fault" spans on the request
-// trace and bump the trace's fault counter. Clean decisions leave no
-// span. The decision-draw sequence does not depend on the context, so
-// fixed-seed fault schedules are unchanged by tracing.
-func (in *Injector) DecideTrace(node string, worker int, sc trace.SpanContext) error {
+// slow-start work is burned and metered before the verdict, as a lap of
+// the request's lane. A decision that injects anything — a kill reject,
+// stall or slow-start work, a transient error — is counted on the lane
+// and recorded as a "fault" span on a sampled request; clean decisions
+// leave no trace. The decision-draw sequence does not depend on the
+// context, so fixed-seed fault schedules are unchanged by tracing.
+func (in *Injector) Decide(node string, worker int, sc trace.SpanContext) error {
 	n := in.node(node)
 	st := n.stream(worker)
 	seq := st.seq.Add(1)
-	st.stats.calls.Add(1)
 	if n.killed.Load() {
-		st.stats.downRejects.Add(1)
 		in.recordFault(sc, node, "down", 0, 0)
 		return ErrNodeDown
-	}
-	if n.blackholed.Load() {
-		st.stats.blackholed.Add(1)
-		st.stats.workInjected.Add(int64(in.timeoutWork))
-		in.recordFault(sc, node, "blackhole", in.timeoutWork, 0)
-		return ErrBlackhole
 	}
 	rule := *n.rule.Load()
 	draw := splitmix64(in.seed ^ n.nameHash ^ st.salt ^ seq)
@@ -362,7 +257,6 @@ func (in *Injector) DecideTrace(node string, worker int, sc trace.SpanContext) e
 		}
 		if n.slowLeft.CompareAndSwap(left, left-1) {
 			work += rule.slowStartWork()
-			st.stats.slowStarts.Add(1)
 			slow = true
 			break
 		}
@@ -376,15 +270,12 @@ func (in *Injector) DecideTrace(node string, worker int, sc trace.SpanContext) e
 	if rule.stallRate() > 0 && stallDraw < rule.stallRate() {
 		work += rule.StallWork
 		sleep = rule.StallSleep
-		st.stats.stalls.Add(1)
 		stalled = true
 	}
 	var err error
 	if rule.ErrorRate > 0 && errDraw < rule.ErrorRate {
-		st.stats.injectedErrors.Add(1)
 		err = ErrInjected
 	}
-	st.stats.workInjected.Add(int64(work))
 	if err == nil && work == 0 && sleep == 0 {
 		return nil // clean decision: no span, no burn
 	}
@@ -424,56 +315,6 @@ func (in *Injector) recordFault(sc trace.SpanContext, node, outcome string, work
 	act.End()
 }
 
-// nodeStats sums a node's counters across the default stream and every
-// worker stream.
-func (n *nodeState) nodeStats() NodeStats {
-	total := n.def.stats.snapshot()
-	n.wmu.RLock()
-	for _, st := range n.workers {
-		s := st.stats.snapshot()
-		total.add(s)
-	}
-	n.wmu.RUnlock()
-	return total
-}
-
-// WorkerStats returns the counters for one worker's decision stream
-// against node. worker < 0 selects the default stream.
-func (in *Injector) WorkerStats(node string, worker int) NodeStats {
-	in.mu.RLock()
-	n, ok := in.nodes[node]
-	in.mu.RUnlock()
-	if !ok {
-		return NodeStats{}
-	}
-	if worker < 0 {
-		return n.def.stats.snapshot()
-	}
-	n.wmu.RLock()
-	st, ok := n.workers[worker]
-	n.wmu.RUnlock()
-	if !ok {
-		return NodeStats{}
-	}
-	return st.stats.snapshot()
-}
-
-// Stats returns counters summed over every node.
-func (in *Injector) Stats() NodeStats {
-	in.mu.RLock()
-	nodes := make([]*nodeState, 0, len(in.nodes))
-	for _, n := range in.nodes {
-		nodes = append(nodes, n)
-	}
-	in.mu.RUnlock()
-	var total NodeStats
-	for _, n := range nodes {
-		s := n.nodeStats()
-		total.add(s)
-	}
-	return total
-}
-
 // Conn is an rpc.Conn filtered through an Injector node.
 type Conn struct {
 	node   string
@@ -498,7 +339,7 @@ func (c *Conn) Call(method string, req []byte) ([]byte, error) {
 // CallCtx implements rpc.TraceConn: injected faults appear as spans on
 // the request trace, and clean calls propagate the span context onward.
 func (c *Conn) CallCtx(sc trace.SpanContext, method string, req []byte) ([]byte, error) {
-	if err := c.in.DecideTrace(c.node, c.worker, sc); err != nil {
+	if err := c.in.Decide(c.node, c.worker, sc); err != nil {
 		return nil, err
 	}
 	return rpc.CallTraced(c.next, sc, method, req)
@@ -506,7 +347,3 @@ func (c *Conn) CallCtx(sc trace.SpanContext, method string, req []byte) ([]byte,
 
 // Close implements rpc.Conn.
 func (c *Conn) Close() error { return c.next.Close() }
-
-// Down implements rpc.Downer: pools skip this connection while its node
-// is killed or blackholed.
-func (c *Conn) Down() bool { return c.in.down(c.node) }

@@ -2,34 +2,57 @@ package fault
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
+	"cachecost/internal/trace"
 )
 
+// decide takes the next decision on node's default stream, outside any
+// request.
+func decide(in *Injector, node string) error {
+	return in.Decide(node, -1, trace.SpanContext{})
+}
+
+// laneOf returns a span context carrying a fresh lane on m, and a func
+// that closes the lane and returns m's path counts.
+func laneOf(m *meter.Meter) (trace.SpanContext, func() meter.PathStats) {
+	l := meter.OpenLane(m.Component("app"))
+	return trace.SpanContext{}.WithLane(l), func() meter.PathStats {
+		l.Close()
+		return m.Path()
+	}
+}
+
 func TestZeroRuleInjectsNothing(t *testing.T) {
-	in := New(1, Options{})
+	m := meter.NewMeter()
+	in := New(1, m)
+	sc, done := laneOf(m)
 	for i := 0; i < 1000; i++ {
-		if err := in.Decide("n"); err != nil {
+		if err := in.Decide("n", -1, sc); err != nil {
 			t.Fatalf("zero rule injected %v at call %d", err, i)
 		}
 	}
-	st := in.node("n").nodeStats()
-	if st.Calls != 1000 || st.InjectedErrors != 0 || st.Stalls != 0 {
-		t.Fatalf("stats = %+v", st)
+	if got := in.node("n").def.seq.Load(); got != 1000 {
+		t.Fatalf("draws = %d, want 1000", got)
+	}
+	if p := done(); p.Faults != 0 {
+		t.Fatalf("Path.Faults = %d, want 0", p.Faults)
+	}
+	if ops := m.Component("fault").Ops(); ops != 0 {
+		t.Fatalf("fault ops = %d, want 0", ops)
 	}
 }
 
 func TestErrorRateIsApproximatelyHonored(t *testing.T) {
-	in := New(7, Options{})
+	in := New(7, nil)
 	in.SetRule("n", Rule{ErrorRate: 0.1})
 	errs := 0
 	const calls = 10000
 	for i := 0; i < calls; i++ {
-		if err := in.Decide("n"); err != nil {
+		if err := decide(in, "n"); err != nil {
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("unexpected error kind %v", err)
 			}
@@ -41,14 +64,27 @@ func TestErrorRateIsApproximatelyHonored(t *testing.T) {
 	}
 }
 
+// TestDeterministicUnderFixedSeed replays one schedule twice: every
+// verdict, and which decisions stalled (a stall burns one op on the
+// fault component), must agree.
 func TestDeterministicUnderFixedSeed(t *testing.T) {
-	run := func() ([]error, string) {
-		in := New(42, Options{})
+	type step struct {
+		node     string
+		err      error
+		faultOps int64
+	}
+	run := func() []step {
+		m := meter.NewMeter()
+		in := New(42, m)
 		in.SetRule("a", Rule{ErrorRate: 0.3, StallWork: 100, StallRate: 0.5})
 		in.SetRule("b", Rule{ErrorRate: 0.05})
-		var out []error
+		fc := m.Component("fault")
+		var out []step
 		for i := 0; i < 500; i++ {
-			out = append(out, in.Decide("a"), in.Decide("b"))
+			for _, n := range []string{"a", "b"} {
+				err := decide(in, n)
+				out = append(out, step{n, err, fc.Ops()})
+			}
 			if i == 200 {
 				in.Kill("a")
 			}
@@ -56,26 +92,22 @@ func TestDeterministicUnderFixedSeed(t *testing.T) {
 				in.Revive("a")
 			}
 		}
-		return out, fmt.Sprintf("%+v %+v", in.node("a").nodeStats(), in.node("b").nodeStats())
+		return out
 	}
-	o1, t1 := run()
-	o2, t2 := run()
-	if t1 != t2 {
-		t.Fatalf("fault schedules diverged:\n%s\n%s", t1, t2)
-	}
+	o1, o2 := run(), run()
 	for i := range o1 {
-		if !errors.Is(o2[i], o1[i]) && (o1[i] != nil || o2[i] != nil) {
-			t.Fatalf("decision %d diverged: %v vs %v", i, o1[i], o2[i])
+		if o1[i] != o2[i] {
+			t.Fatalf("decision %d diverged: %+v vs %+v", i, o1[i], o2[i])
 		}
 	}
 }
 
 func TestSeedChangesSchedule(t *testing.T) {
 	decisions := func(seed int64) (errs int) {
-		in := New(seed, Options{})
+		in := New(seed, nil)
 		in.SetRule("n", Rule{ErrorRate: 0.5})
 		for i := 0; i < 200; i++ {
-			if in.Decide("n") != nil {
+			if decide(in, "n") != nil {
 				errs++
 			}
 		}
@@ -87,12 +119,12 @@ func TestSeedChangesSchedule(t *testing.T) {
 		t.Fatal("same seed disagreed")
 	}
 	a, b := decisions(1), decisions(2)
-	in1, in2 := New(1, Options{}), New(2, Options{})
+	in1, in2 := New(1, nil), New(2, nil)
 	in1.SetRule("n", Rule{ErrorRate: 0.5})
 	in2.SetRule("n", Rule{ErrorRate: 0.5})
 	same := true
 	for i := 0; i < 200; i++ {
-		if (in1.Decide("n") == nil) != (in2.Decide("n") == nil) {
+		if (decide(in1, "n") == nil) != (decide(in2, "n") == nil) {
 			same = false
 		}
 	}
@@ -102,68 +134,43 @@ func TestSeedChangesSchedule(t *testing.T) {
 }
 
 func TestKillReviveAndSlowStart(t *testing.T) {
-	in := New(3, Options{})
-	in.SetRule("n", Rule{SlowStartCalls: 5, SlowStartWork: 100})
-	if err := in.Decide("n"); err != nil {
+	m := meter.NewMeter()
+	in := New(3, m)
+	in.SetRule("n", Rule{SlowStartCalls: 5})
+	sc, done := laneOf(m)
+	if err := in.Decide("n", -1, sc); err != nil {
 		t.Fatalf("healthy node: %v", err)
 	}
 	in.Kill("n")
-	if !in.down("n") {
-		t.Fatal("killed node should report down")
-	}
 	for i := 0; i < 3; i++ {
-		if err := in.Decide("n"); !errors.Is(err, ErrNodeDown) {
+		if err := in.Decide("n", -1, sc); !errors.Is(err, ErrNodeDown) {
 			t.Fatalf("killed node returned %v", err)
 		}
 	}
 	in.Revive("n")
-	if in.down("n") {
-		t.Fatal("revived node should be up")
-	}
 	for i := 0; i < 10; i++ {
-		if err := in.Decide("n"); err != nil {
+		if err := in.Decide("n", -1, sc); err != nil {
 			t.Fatalf("revived node errored: %v", err)
 		}
 	}
-	st := in.node("n").nodeStats()
-	if st.SlowStarts != 5 {
-		t.Fatalf("SlowStarts = %d, want 5", st.SlowStarts)
+	// Three kill rejects and five slow-start calls are faults; only the
+	// slow-start calls burn work.
+	if p := done(); p.Faults != 8 {
+		t.Fatalf("Path.Faults = %d, want 8", p.Faults)
 	}
-	if st.DownRejects != 3 {
-		t.Fatalf("DownRejects = %d, want 3", st.DownRejects)
-	}
-	if st.WorkInjected != 500 {
-		t.Fatalf("WorkInjected = %d, want 500", st.WorkInjected)
-	}
-}
-
-func TestBlackholeAndHeal(t *testing.T) {
-	in := New(3, Options{TimeoutWork: 7})
-	in.Blackhole("n", true)
-	if !in.down("n") {
-		t.Fatal("blackholed node should report down")
-	}
-	if err := in.Decide("n"); !errors.Is(err, ErrBlackhole) {
-		t.Fatalf("blackholed call returned %v", err)
-	}
-	in.Blackhole("n", false)
-	if err := in.Decide("n"); err != nil {
-		t.Fatalf("healed node errored: %v", err)
-	}
-	st := in.node("n").nodeStats()
-	if st.Blackholed != 1 || st.WorkInjected != 7 {
-		t.Fatalf("stats = %+v", st)
+	if ops := m.Component("fault").Ops(); ops != 5 {
+		t.Fatalf("slow-start burns = %d, want 5", ops)
 	}
 }
 
 func TestStallWorkIsMetered(t *testing.T) {
 	m := meter.NewMeter()
-	in := New(5, Options{Meter: m, Component: "chaos"})
+	in := New(5, m)
 	in.SetRule("n", Rule{StallWork: 50000})
 	for i := 0; i < 20; i++ {
-		in.Decide("n")
+		decide(in, "n")
 	}
-	comp := m.Component("chaos")
+	comp := m.Component("fault")
 	if comp.Busy() <= 0 {
 		t.Fatal("stall work should accrue busy time on the fault component")
 	}
@@ -181,13 +188,18 @@ func echoServer() *rpc.Server {
 	return s
 }
 
+// TestWrappedConnInjectsAndPassesThrough: injected errors stop the call
+// and are counted once on the request's lane; clean calls reach the
+// wrapped connection.
 func TestWrappedConnInjectsAndPassesThrough(t *testing.T) {
-	in := New(11, Options{})
+	m := meter.NewMeter()
+	in := New(11, m)
 	in.SetRule("cache0", Rule{ErrorRate: 0.5})
 	conn := in.WrapWorker("cache0", -1, rpc.NewDirect(echoServer()))
+	sc, done := laneOf(m)
 	ok, failed := 0, 0
 	for i := 0; i < 400; i++ {
-		resp, err := conn.Call("echo", []byte("hi"))
+		resp, err := conn.CallCtx(sc, "echo", []byte("hi"))
 		if err != nil {
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("unexpected error %v", err)
@@ -203,35 +215,29 @@ func TestWrappedConnInjectsAndPassesThrough(t *testing.T) {
 	if ok == 0 || failed == 0 {
 		t.Fatalf("want a mix of outcomes, got ok=%d failed=%d", ok, failed)
 	}
-	if got := in.node("cache0").nodeStats().InjectedErrors; got != int64(failed) {
-		t.Fatalf("stats errors = %d, want %d", got, failed)
+	if got := done().Faults; got != int64(failed) {
+		t.Fatalf("Path.Faults = %d, want %d", got, failed)
 	}
 }
 
-func TestWrappedConnDownImplementsPoolInterface(t *testing.T) {
-	in := New(1, Options{})
-	conn := in.WrapWorker("n", -1, rpc.NewDirect(echoServer()))
-	var d rpc.Downer = conn
-	if d.Down() {
-		t.Fatal("fresh node should be up")
-	}
-	in.Kill("n")
-	if !d.Down() {
-		t.Fatal("killed node should be down through the pool interface")
-	}
-}
-
+// TestScheduleAppliesEventsInOpOrder: events given out of order apply at
+// their op, and same-op events apply in the order given.
 func TestScheduleAppliesEventsInOpOrder(t *testing.T) {
-	in := New(1, Options{})
+	in := New(1, nil)
 	s := NewSchedule([]Event{
-		{AtOp: 5, Node: "n", Action: ActKill},
-		{AtOp: 2, Node: "n", Action: actSetRule, Rule: Rule{ErrorRate: 1}},
 		{AtOp: 8, Node: "n", Action: ActRevive},
+		{AtOp: 5, Node: "n", Action: ActKill},
+		{AtOp: 10, Node: "n", Action: ActKill},
+		{AtOp: 10, Node: "n", Action: ActRevive},
 	})
 	var timeline []bool // down per op
 	for op := 0; op < 12; op++ {
 		s.Step(in)
-		timeline = append(timeline, in.down("n"))
+		err := decide(in, "n")
+		if err != nil && !errors.Is(err, ErrNodeDown) {
+			t.Fatalf("op %d: unexpected verdict %v", op, err)
+		}
+		timeline = append(timeline, err != nil)
 	}
 	for op, down := range timeline {
 		wantDown := op >= 5 && op < 8
@@ -242,28 +248,33 @@ func TestScheduleAppliesEventsInOpOrder(t *testing.T) {
 	if s.pos != len(s.events) {
 		t.Fatal("schedule should be exhausted")
 	}
-	// The actSetRule at op 2 must be live.
-	if err := in.Decide("n"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("rule with ErrorRate=1 should inject, got %v", err)
-	}
 }
 
+// TestInjectorIsSafeForConcurrentUse races decisions on the shared
+// default stream and on per-worker streams created on first use; no draw
+// may be lost.
 func TestInjectorIsSafeForConcurrentUse(t *testing.T) {
-	in := New(9, Options{Meter: meter.NewMeter()})
+	in := New(9, meter.NewMeter())
 	in.SetRule("n", Rule{ErrorRate: 0.2, StallWork: 10})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				in.Decide("n")
-				in.down("n")
+				decide(in, "n")
+				in.Decide("n", w, trace.SpanContext{})
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
-	if got := in.node("n").nodeStats().Calls; got != 1600 {
-		t.Fatalf("calls = %d, want 1600", got)
+	n := in.node("n")
+	if got := n.def.seq.Load(); got != 1600 {
+		t.Fatalf("default-stream draws = %d, want 1600", got)
+	}
+	for w := 0; w < 8; w++ {
+		if got := n.stream(w).seq.Load(); got != 200 {
+			t.Fatalf("worker %d draws = %d, want 200", w, got)
+		}
 	}
 }

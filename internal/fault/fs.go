@@ -17,47 +17,36 @@ import (
 // recovery must reject.
 var errTornWrite = errors.New("fault: torn write injected")
 
+// tornWriteFrac is the fraction of a torn buffer that reaches the inner
+// file.
+const tornWriteFrac = 0.5
+
 // FSOptions configures a fault-injecting filesystem wrapper.
 type FSOptions struct {
-	// Node is the injector node consulted before every fsync; its Rule
-	// prices fsync stalls (StallWork burned on the meter) and its
-	// ErrorRate can fail syncs outright. Default "fs".
-	Node string
 	// SyncSleep adds a wall-clock delay inside every fsync. The kill
 	// harness uses it to widen the window in which a SIGKILL lands
 	// mid-fsync; it is real sleeping, not metered work.
 	SyncSleep time.Duration
 	// TornWriteAfter tears the Nth write call (1-based) across all
-	// files: only a prefix of the buffer reaches the inner file and the
+	// files: only half of the buffer reaches the inner file and the
 	// write returns errTornWrite. Zero disables injection.
 	TornWriteAfter int64
-	// TornWriteFrac is the fraction of the torn buffer that survives,
-	// clamped to [0,1). Default 0.5.
-	TornWriteFrac float64
 }
 
-// FS wraps a kv.FS, consulting an Injector on every fsync and
-// optionally tearing one write. It composes with both DirFS (for the
-// crash harness) and MemFS (for in-process tests).
+// FS wraps a kv.FS, sleeping in every fsync and optionally tearing one
+// write. It composes with both DirFS (for the crash harness) and MemFS
+// (for in-process tests).
 type FS struct {
 	inner  kv.FS
-	in     *Injector
 	opts   FSOptions
 	writes atomic.Int64
 	syncs  atomic.Int64
 	torn   atomic.Int64
 }
 
-// NewFS returns inner filtered through the injector. A nil injector
-// still supports torn-write injection and sync sleeps.
-func (in *Injector) NewFS(inner kv.FS, opts FSOptions) *FS {
-	if opts.Node == "" {
-		opts.Node = "fs"
-	}
-	if opts.TornWriteFrac <= 0 || opts.TornWriteFrac >= 1 {
-		opts.TornWriteFrac = 0.5
-	}
-	return &FS{inner: inner, in: in, opts: opts}
+// NewFS returns inner with opts' sync sleep and torn write applied.
+func NewFS(inner kv.FS, opts FSOptions) *FS {
+	return &FS{inner: inner, opts: opts}
 }
 
 func (f *FS) Create(name string) (kv.File, error) {
@@ -91,7 +80,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 	n := f.fs.writes.Add(1)
 	if after := f.fs.opts.TornWriteAfter; after > 0 && n == after {
 		f.fs.torn.Add(1)
-		keep := int(float64(len(p)) * f.fs.opts.TornWriteFrac)
+		keep := int(float64(len(p)) * tornWriteFrac)
 		if keep > 0 {
 			if _, err := f.File.Write(p[:keep]); err != nil {
 				return 0, err
@@ -106,14 +95,6 @@ func (f *faultFile) Sync() error {
 	f.fs.syncs.Add(1)
 	if d := f.fs.opts.SyncSleep; d > 0 {
 		time.Sleep(d)
-	}
-	if f.fs.in != nil {
-		// The injector's verdict prices the stall (metered burn) and can
-		// fail the sync; a failed fsync promises nothing about what
-		// reached the platter, so callers must treat it as fatal.
-		if err := f.fs.in.Decide(f.fs.opts.Node); err != nil {
-			return fmt.Errorf("fault: fsync: %w", err)
-		}
 	}
 	return f.File.Sync()
 }

@@ -11,31 +11,7 @@ const (
 	ActKill Action = iota
 	// ActRevive clears the kill switch (arming slow-start).
 	ActRevive
-	// actBlackhole partitions the node.
-	actBlackhole
-	// actHeal clears the partition.
-	actHeal
-	// actSetRule installs Event.Rule as the node's steady-state rule.
-	actSetRule
 )
-
-// String implements fmt.Stringer.
-func (a Action) String() string {
-	switch a {
-	case ActKill:
-		return "kill"
-	case ActRevive:
-		return "revive"
-	case actBlackhole:
-		return "blackhole"
-	case actHeal:
-		return "heal"
-	case actSetRule:
-		return "set-rule"
-	default:
-		return "unknown"
-	}
-}
 
 // Event is one timed step of a fault schedule: when the driver's op
 // counter reaches AtOp, Action is applied to Node.
@@ -43,7 +19,6 @@ type Event struct {
 	AtOp   int
 	Node   string
 	Action Action
-	Rule   Rule // used by actSetRule
 }
 
 // Schedule replays a fixed list of fault events against an Injector as a
@@ -77,12 +52,6 @@ func (s *Schedule) Step(in *Injector) int {
 			in.Kill(e.Node)
 		case ActRevive:
 			in.Revive(e.Node)
-		case actBlackhole:
-			in.Blackhole(e.Node, true)
-		case actHeal:
-			in.Blackhole(e.Node, false)
-		case actSetRule:
-			in.SetRule(e.Node, e.Rule)
 		}
 	}
 	s.op++

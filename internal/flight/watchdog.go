@@ -10,61 +10,36 @@ import (
 	"cachecost/internal/telemetry"
 )
 
+// The watchdog's SLO policy.
+const (
+	// budgetFrac is the SLO error budget: the fraction of requests
+	// allowed to go bad (expired on arrival at the front door: the
+	// meter.path count Deadline) in steady state — a 99.9% SLO.
+	budgetFrac = 0.001
+	// fastBurn is the burn-rate multiple that triggers a dump: bad
+	// fraction / budgetFrac. 14 is the SRE fast-burn page rate — a
+	// 30-day budget gone in ~2 days. Two consecutive over-threshold
+	// windows are required, so a single noisy window cannot fire.
+	fastBurn = 14
+	// totalHist names the histogram whose windowed count is "total
+	// requests".
+	totalHist = "request.latency"
+	// keepDeltas is how many recent snapshot deltas ride into a dump.
+	keepDeltas = 12
+	// minInterval debounces dumps.
+	minInterval = time.Minute
+)
+
 // WatchdogConfig parameterizes the SLO burn-rate watchdog.
 type WatchdogConfig struct {
 	// Registry is the telemetry registry whose snapshot stream the
-	// watchdog differences. Required.
+	// watchdog differences; a dump's /statusz render reads it too.
+	// Required.
 	Registry *telemetry.Registry
 	// Recorder supplies the exemplars a dump preserves. Optional.
 	Recorder *Recorder
-	// Ops parameterizes the /statusz render written into dumps; its
-	// Registry defaults to the watchdog's.
-	Ops telemetry.OpsConfig
 	// Dir is where black-box dumps are written. Default "flight-dumps".
 	Dir string
-	// BudgetFrac is the SLO error budget: the fraction of requests
-	// allowed to go bad (expired on arrival at the front door: the
-	// meter.path count Deadline) in steady state. Default 0.001
-	// (99.9% SLO).
-	BudgetFrac float64
-	// FastBurn is the burn-rate multiple that triggers a dump: bad
-	// fraction / BudgetFrac. Default 14 (the SRE fast-burn page rate —
-	// a 30-day budget gone in ~2 days). Two consecutive over-threshold
-	// windows are required, so a single noisy window cannot fire.
-	FastBurn float64
-	// TotalHist names the histogram whose windowed count is "total
-	// requests". Default "request.latency".
-	TotalHist string
-	// KeepDeltas is how many recent snapshot deltas ride into a dump.
-	// Default 12.
-	KeepDeltas int
-	// MinInterval debounces dumps. Default 1 minute.
-	MinInterval time.Duration
-}
-
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.Dir == "" {
-		c.Dir = "flight-dumps"
-	}
-	if c.BudgetFrac <= 0 {
-		c.BudgetFrac = 0.001
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = 14
-	}
-	if c.TotalHist == "" {
-		c.TotalHist = "request.latency"
-	}
-	if c.KeepDeltas <= 0 {
-		c.KeepDeltas = 12
-	}
-	if c.MinInterval <= 0 {
-		c.MinInterval = time.Minute
-	}
-	if c.Ops.Registry == nil {
-		c.Ops.Registry = c.Registry
-	}
-	return c
 }
 
 // Watchdog watches the telemetry snapshot stream for an error budget
@@ -95,12 +70,15 @@ type deltaEntry struct {
 // NewWatchdog builds a Watchdog. tick and Run must not be called
 // concurrently with each other.
 func NewWatchdog(cfg WatchdogConfig) *Watchdog {
-	return &Watchdog{cfg: cfg.withDefaults()}
+	if cfg.Dir == "" {
+		cfg.Dir = "flight-dumps"
+	}
+	return &Watchdog{cfg: cfg}
 }
 
 // tick takes one snapshot, differences it against the previous window,
 // and returns the window's burn rate. When the rate has exceeded
-// FastBurn for two consecutive windows (and the debounce allows), it
+// fastBurn for two consecutive windows (and the debounce allows), it
 // writes a dump and returns its directory.
 func (w *Watchdog) tick(now time.Time) (burn float64, dumpDir string, err error) {
 	snap := w.cfg.Registry.Snapshot()
@@ -118,25 +96,25 @@ func (w *Watchdog) tick(now time.Time) (burn float64, dumpDir string, err error)
 		}
 	}
 	for _, h := range delta.Hists {
-		if h.Name == w.cfg.TotalHist {
+		if h.Name == totalHist {
 			total += float64(h.Count)
 		}
 	}
 	if total > 0 {
-		burn = bad / total / w.cfg.BudgetFrac
+		burn = bad / total / budgetFrac
 	}
 
 	w.deltas = append(w.deltas, deltaEntry{At: now, Burn: burn, Bad: bad, Total: total, Delta: delta})
-	if over := len(w.deltas) - w.cfg.KeepDeltas; over > 0 {
+	if over := len(w.deltas) - keepDeltas; over > 0 {
 		w.deltas = append(w.deltas[:0:0], w.deltas[over:]...)
 	}
 
-	if burn >= w.cfg.FastBurn {
+	if burn >= fastBurn {
 		w.overrun++
 	} else {
 		w.overrun = 0
 	}
-	if w.overrun >= 2 && now.Sub(w.lastDump) >= w.cfg.MinInterval {
+	if w.overrun >= 2 && now.Sub(w.lastDump) >= minInterval {
 		dumpDir, err = w.dump(now)
 		if err == nil {
 			w.lastDump = now
@@ -177,7 +155,7 @@ func (w *Watchdog) dump(now time.Time) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	telemetry.WriteStatusz(f, w.cfg.Ops)
+	telemetry.WriteStatusz(f, telemetry.OpsConfig{Registry: w.cfg.Registry})
 	if err := f.Close(); err != nil {
 		return "", err
 	}

@@ -40,11 +40,9 @@ func TestWatchdogDumpOnFastBurn(t *testing.T) {
 
 	dir := t.TempDir()
 	w := NewWatchdog(WatchdogConfig{
-		Registry:   reg,
-		Recorder:   rec,
-		Dir:        dir,
-		BudgetFrac: 0.001,
-		FastBurn:   14,
+		Registry: reg,
+		Recorder: rec,
+		Dir:      dir,
 	})
 
 	now := time.Unix(1700000000, 0)

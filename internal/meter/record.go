@@ -204,8 +204,8 @@ func (l *Lane) countHit(hit bool, hits int) {
 	l.count(hits, 1)
 }
 
-// CountFault counts one injected fault (stall, error, kill or blackhole)
-// that altered a call.
+// CountFault counts one injected fault (stall, slow start, error or kill
+// reject) that altered a call.
 func (l *Lane) CountFault() { l.count(pathFaults, 1) }
 
 // CountDegraded counts one cache failure demoted so the request kept

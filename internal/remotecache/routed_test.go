@@ -314,7 +314,7 @@ func parseVersion(t testing.TB, v string) int {
 // absorbs from storage) but must never return a value older than the
 // last acknowledged write. Run with -race.
 func TestRoutedKillOldNodeMidMigration(t *testing.T) {
-	inj := fault.New(1, fault.Options{})
+	inj := fault.New(1, nil)
 	f := newRoutedFixture(t, 4, 16, inj)
 	c := f.client
 	m := meter.NewMeter()

@@ -69,14 +69,6 @@ func (p *Pool) SetMetrics(m *Metrics) {
 	}
 }
 
-// Downer is implemented by connections that know whether their backend
-// is currently unreachable (the fault layer's wrapped conns, health-
-// checked clients). Pools skip down connections while healthy ones
-// remain.
-type Downer interface {
-	Down() bool
-}
-
 // snapshot returns the live connection slice, or nil if the pool is
 // closed or empty.
 func (p *Pool) snapshot() []Conn {
@@ -91,17 +83,13 @@ func (p *Pool) snapshot() []Conn {
 }
 
 // callFrom attempts the call starting at index start, failing over across
-// the snapshot. A connection whose node is down — reported via Downer, or
-// discovered by a transport-level failure — is skipped while other healthy
-// connections remain; only application-level errors (*RemoteError) are
-// returned without failover.
+// the snapshot: a connection that fails at the transport level is skipped
+// while others remain; only application-level errors (*RemoteError) are
+// returned without failover. conns is never empty.
 func callFrom(conns []Conn, start uint64, sc trace.SpanContext, method string, req []byte) ([]byte, error) {
 	var firstErr error
 	for i := 0; i < len(conns); i++ {
 		conn := conns[(start+uint64(i))%uint64(len(conns))]
-		if d, ok := conn.(Downer); ok && d.Down() {
-			continue
-		}
 		resp, err := CallTraced(conn, sc, method, req)
 		if err == nil {
 			return resp, nil
@@ -115,9 +103,6 @@ func callFrom(conns []Conn, start uint64, sc trace.SpanContext, method string, r
 		if firstErr == nil {
 			firstErr = err
 		}
-	}
-	if firstErr == nil {
-		firstErr = ErrNoHealthyConn
 	}
 	return nil, firstErr
 }
@@ -161,7 +146,3 @@ var ErrPoolClosed = poolClosedError{}
 type poolClosedError struct{}
 
 func (poolClosedError) Error() string { return "rpc: connection pool is closed" }
-
-// ErrNoHealthyConn is returned when every pooled connection reports its
-// node down before a call could even be attempted.
-var ErrNoHealthyConn = errors.New("rpc: no healthy connection in pool")

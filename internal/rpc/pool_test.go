@@ -120,60 +120,6 @@ func TestDialPoolFailureClosesPartial(t *testing.T) {
 	}
 }
 
-// downConn is a conn with a controllable health flag.
-type downConn struct {
-	connFunc
-	down bool
-}
-
-func (d *downConn) Down() bool { return d.down }
-
-// TestPoolSkipsDownConnections is the regression test for the failover
-// bug: a pooled connection whose node is down used to fail the call it
-// landed on; it must instead be skipped while healthy peers remain.
-func TestPoolSkipsDownConnections(t *testing.T) {
-	served := make([]int, 3)
-	conns := make([]Conn, 3)
-	for i := range conns {
-		i := i
-		conns[i] = &downConn{connFunc: func(method string, req []byte) ([]byte, error) {
-			served[i]++
-			return req, nil
-		}}
-	}
-	conns[1].(*downConn).down = true
-	p := NewPool(conns...)
-	for i := 0; i < 12; i++ {
-		if _, err := p.Call("m", nil); err != nil {
-			t.Fatalf("call %d failed with a healthy conn in the pool: %v", i, err)
-		}
-	}
-	if served[1] != 0 {
-		t.Fatalf("down conn served %d calls", served[1])
-	}
-	if served[0]+served[2] != 12 || served[0] == 0 || served[2] == 0 {
-		t.Fatalf("healthy conns served %v, want all 12 split between them", served)
-	}
-	// Recovery: the conn serves again once its node is back.
-	conns[1].(*downConn).down = false
-	for i := 0; i < 6; i++ {
-		p.Call("m", nil)
-	}
-	if served[1] == 0 {
-		t.Fatal("revived conn never served")
-	}
-}
-
-func TestPoolAllDown(t *testing.T) {
-	p := NewPool(
-		&downConn{down: true, connFunc: func(string, []byte) ([]byte, error) { return nil, nil }},
-		&downConn{down: true, connFunc: func(string, []byte) ([]byte, error) { return nil, nil }},
-	)
-	if _, err := p.Call("m", nil); !errors.Is(err, ErrNoHealthyConn) {
-		t.Fatalf("err = %v, want ErrNoHealthyConn", err)
-	}
-}
-
 func TestPoolFailsOverOnTransportError(t *testing.T) {
 	bad := errors.New("connection reset")
 	calls := 0

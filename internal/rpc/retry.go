@@ -103,12 +103,3 @@ func (r *RetryConn) CallCtx(sc trace.SpanContext, method string, req []byte) ([]
 
 // Close implements Conn.
 func (r *RetryConn) Close() error { return r.next.Close() }
-
-// Down implements Downer when the wrapped conn does, so pool failover
-// sees through the retry layer.
-func (r *RetryConn) Down() bool {
-	if d, ok := r.next.(Downer); ok {
-		return d.Down()
-	}
-	return false
-}

@@ -174,7 +174,7 @@ type Sample struct {
 }
 
 // Collector pulls values that already live as atomic state elsewhere
-// (cache hit counters, fault tallies, meter components) into a
+// (cache hit counters, meter components and path counts) into a
 // snapshot. Pull-based feeds add zero cost to their hot paths: the
 // owning structures keep their existing counters and the registry reads
 // them only when scraped.
