@@ -119,8 +119,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		metricsAddr = fs.String("metrics", "", "serve /metrics, /metrics.json, /statusz, /debug/pprof and /debug/requests on this address while figures run")
 		snapPath    = fs.String("snapshot", "", "append timestamped telemetry deltas to this JSONL file while figures run")
 		snapIvl     = fs.Duration("snapshot-interval", time.Second, "with -snapshot, the recording interval")
-		stall       = fs.Duration("storagestall", 0, "inject a wall-clock stall of this length on storage round trips in the tailwhy figure")
-		stallRate   = fs.Float64("stallrate", 0, "with -storagestall, the probability a storage call stalls (0 = every call)")
 		dumpDir     = fs.String("flightdump", "", "run the SLO burn-rate watchdog, writing black-box dumps under this directory")
 		dumpIvl     = fs.Duration("flightdump-interval", time.Second, "with -flightdump, the watchdog's evaluation interval")
 	)
@@ -185,13 +183,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	// (-json) whether or not an ops endpoint is serving.
 	reg := telemetry.NewRegistry()
 	opts.Telemetry = reg
-	// So is the flight recorder: it keeps no per-request state beyond the
-	// lane every request already carries, and /debug/requests (with
-	// -metrics) and the tailwhy figure both read from it.
+	// So is the flight recorder, armed on every cell's front door: it
+	// keeps no per-request state beyond the lane every request already
+	// carries, and /debug/requests (with -metrics), the -flightdump
+	// watchdog and the overload figure's tail_stage column read from it.
 	fr := flight.New(flight.Config{CPUCoreMonthUSD: meter.GCP.CPUCoreMonth})
 	opts.Flight = fr
-	opts.StorageStall = *stall
-	opts.StorageStallRate = *stallRate
 
 	if args[0] == "list" {
 		for _, f := range core.Figures {

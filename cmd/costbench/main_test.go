@@ -25,8 +25,8 @@ func TestListExitsZero(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("list exited %d", code)
 	}
-	if !strings.Contains(stdout, "fig2a") {
-		t.Fatalf("list output missing figures:\n%s", stdout)
+	if !strings.Contains(stdout, "fig2a") || strings.Count(stdout, "\n") != 20 {
+		t.Fatalf("list output is not the 20 figures:\n%s", stdout)
 	}
 }
 

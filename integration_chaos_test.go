@@ -99,7 +99,7 @@ func TestChaosClusterOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.SetRule(core.CacheNode, fault.Rule{ErrorRate: 0.2, StallWork: 512})
+	inj.SetRule(core.CacheNode, fault.Rule{ErrorRate: 0.2, StallWork: 512, StallRate: 1})
 
 	const keys = 60
 	items := make([]core.PreloadItem, keys)

@@ -13,9 +13,9 @@ import (
 type ChaosConfig struct {
 	// Arch selects the assembly (Base runs fault-free as the reference).
 	Arch Arch
-	// ErrorRate is the cache node's injected transient-error rate. It
-	// is also the Rule's StallRate for chaosStallWork, whose zero means
-	// every call: a zero-rate cell stalls every cache call.
+	// ErrorRate is the cache node's injected transient-error rate, and
+	// the rate at which its calls stall for chaosStallWork: a zero-rate
+	// cell injects nothing.
 	ErrorRate float64
 	// KillWindow, when true, kills the cache node for the middle fifth
 	// of the metered window and revives it (with slow-start) after —

@@ -53,7 +53,7 @@ func FigElastic(o FigOptions) (*Table, error) {
 	}
 	ws := int64(cfg.Keys) * int64(cfg.ValueSize)
 
-	verdict := map[Arch]map[string]float64{}
+	cells := map[Arch][2]*RunResult{} // static, elastic
 	for _, arch := range []Arch{Base, Remote, Linked} {
 		// Closed-loop capacity probe; it also calibrates the marginal
 		// cost of a miss from this architecture's own measured storage
@@ -77,8 +77,8 @@ func FigElastic(o FigOptions) (*Table, error) {
 		runCfg := cfg
 		runCfg.FlipAt = o.Warmup + o.Ops/2
 
-		verdict[arch] = map[string]float64{}
-		for _, mode := range []string{"static", "elastic"} {
+		var pair [2]*RunResult
+		for i, mode := range []string{"static", "elastic"} {
 			el := mode == "elastic" && arch != Base
 			res, info, err := o.elasticCell(mode, arch, runCfg, ws, prices, &arrival, slo, el, missUSD)
 			if err != nil {
@@ -87,21 +87,23 @@ func FigElastic(o FigOptions) (*Table, error) {
 			t.AddRow(arch.String(), mode, res.CostPerMReq, float64(res.LatencyP99)/1e6,
 				res.HitRatio, res.Report.MemCost, info.endBytes, info.resizes,
 				res.Path.Deadline)
-			verdict[arch][mode] = res.CostPerMReq
+			pair[i] = res
 		}
-		if s, e := verdict[arch]["static"], verdict[arch]["elastic"]; arch != Base && e > 0 {
+		cells[arch] = pair
+		if s, e := pair[0], pair[1]; arch != Base && s.Report.MemCost > 0 {
 			t.Notes = append(t.Notes, fmt.Sprintf(
-				"%s: elastic is %.3gx the static cost at the same met SLO", arch, e/s))
+				"%s: elastic pays %.3gx the static memory rent at a hit ratio %+.3f from static's",
+				arch, e.Report.MemCost/s.Report.MemCost, e.HitRatio-s.HitRatio))
 		}
 	}
 	t.Notes = append(t.Notes,
 		"Base has no cache tier: its elastic cell runs identically to static (control pair)",
 		fmt.Sprintf("static cells fix the cache at %d%% of the working set; elastic cells start there and let the controller move it", elasticStaticShare),
 		"memory is billed time-averaged, so off-peak shrinking is rent actually saved, not cosmetics")
-	if rs, re := verdict[Remote]["elastic"], verdict[Linked]["elastic"]; rs > 0 && re > 0 {
+	if r, l := cells[Remote], cells[Linked]; r[1].CostPerMReq > 0 && l[1].CostPerMReq > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"verdict check: Linked/Remote cost ratio is %.3g static vs %.3g elastic — elasticity narrows the bill but does not flip the paper's ordering",
-			verdict[Linked]["static"]/verdict[Remote]["static"], re/rs))
+			l[0].CostPerMReq/r[0].CostPerMReq, l[1].CostPerMReq/r[1].CostPerMReq))
 	}
 	return t, nil
 }

@@ -37,8 +37,8 @@ type FigOptions struct {
 	FaultRates []float64
 	// Parallelism drives experiment cells with that many concurrent
 	// workers on as many worker lanes (cmd/costbench -parallelism), on
-	// every architecture; cells that measure one timeline (timeseries,
-	// tiering, elastic) stay single-lane. Default 1.
+	// every architecture; cells that measure one timeline (tiering,
+	// elastic) stay single-lane. Default 1.
 	Parallelism int
 	// Tracer, when non-nil, assembles every experiment cell's service
 	// with request tracing (cmd/costbench -trace): the tracer's ring holds
@@ -68,18 +68,12 @@ type FigOptions struct {
 	// (cmd/costbench -arrival): poisson, bursty or diurnal. Empty means
 	// poisson.
 	Arrival string
-	// Flight, when non-nil, is the tail-latency flight recorder the
-	// tailwhy figure arms on every cell's front door (cmd/costbench always
-	// creates one, which /debug/requests serves under -metrics). Nil lets
-	// the figure build a private one.
+	// Flight, when non-nil, is the tail-latency flight recorder armed on
+	// every experiment cell's front door (cmd/costbench always creates
+	// one, which /debug/requests and the -flightdump watchdog read). The
+	// overload figure reads its exemplars, building a private recorder
+	// when this is nil.
 	Flight *flight.Recorder
-	// StorageStall, when > 0, injects a wall-clock stall of this length
-	// on the app→storage connection (StorageFaultNode) in the tailwhy
-	// figure's cells (cmd/costbench -storagestall).
-	StorageStall time.Duration
-	// StorageStallRate is the probability a storage call pays
-	// StorageStall. Zero means every call (cmd/costbench -stallrate).
-	StorageStallRate float64
 	// OnResult, when non-nil, receives every completed experiment cell's
 	// result as figures produce them, keyed by a cell label
 	// ("fig5b/Remote", "chaos/Linked/rate=0.1", ...). cmd/costbench uses
@@ -160,6 +154,7 @@ func (o FigOptions) newCell(arch Arch, gen workload.Generator, ws int64) *figCel
 			Parallelism:       o.Parallelism,
 			Tracer:            o.Tracer,
 			Telemetry:         o.Telemetry,
+			Flight:            o.Flight,
 		},
 		run: RunConfig{
 			Warmup: o.Warmup, Ops: o.Ops, Prices: o.Prices, Telemetry: o.Telemetry,
@@ -752,9 +747,7 @@ var Figures = []Figure{
 	{"batch", "cost vs multi-key batch size", FigBatch},
 	{"chaos", "cost under cache-tier faults", FigChaos},
 	{"overload", "open-loop cost and honest latency past saturation", FigOverload},
-	{"tailwhy", "stage attribution of the latency tail under overload", FigTailwhy},
 	{"hotshard", "dynamic shard management through a popularity flip", FigHotShard},
-	{"timeseries", "windowed telemetry through warm-up and a cache kill", FigTimeseries},
 	{"tiering", "durable storage: cost vs DRAM:disk split", FigTiering},
 	{"elastic", "elastic vs static cache provisioning", FigElastic},
 }

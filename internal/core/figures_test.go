@@ -224,7 +224,7 @@ func TestFigMarginalShape(t *testing.T) {
 }
 
 func TestFigureRegistry(t *testing.T) {
-	if len(Figures) != 22 {
+	if len(Figures) != 20 {
 		t.Fatalf("registered figures = %d", len(Figures))
 	}
 	seen := map[string]bool{}

@@ -143,7 +143,7 @@ func TestFlightStorageStallDominant(t *testing.T) {
 	populate(t, svc)
 
 	rec.Reset()
-	inj.SetRule(StorageFaultNode, fault.Rule{StallSleep: 3 * time.Millisecond, StallRate: 1})
+	inj.SetRule(storageFaultNode, fault.Rule{StallSleep: 3 * time.Millisecond, StallRate: 1})
 	for i := 0; i < 40; i++ {
 		op := gen.Next()
 		// A 1ms budget the 3ms storage stall always blows; the deadline

@@ -28,12 +28,11 @@ const (
 	LinkedCacheNode = "app.cache"
 )
 
-// StorageFaultNode is the fault-injection target name of the app→storage
+// storageFaultNode is the fault-injection target name of the app→storage
 // connection on in-process deployments. A Rule with StallSleep against it
 // holds storage round trips for wall-clock time, which the flight
-// recorder observes as StageStorage time — the injected fault the tailwhy
-// smoke test expects to dominate deadline exemplars.
-const StorageFaultNode = "storage0"
+// recorder observes as StageStorage time.
+const storageFaultNode = "storage0"
 
 // ServiceConfig assembles one architecture deployment for an experiment.
 type ServiceConfig struct {
@@ -102,8 +101,8 @@ type ServiceConfig struct {
 	// as Path.Degraded), so the service keeps serving through cache loss
 	// as the paper's availability discussion assumes. In-process
 	// deployments additionally wrap the app→storage connection under
-	// StorageFaultNode, so storage stalls can be injected for the
-	// tail-attribution experiments.
+	// storageFaultNode, so storage stalls can be injected and the flight
+	// recorder's storage stage attributed.
 	Faults *fault.Injector
 
 	// Tracer, when non-nil, records request-path spans for a sample of
@@ -347,13 +346,13 @@ func (d *deployment) loopback(srv *rpc.Server) rpc.Conn {
 // lanePath builds lane worker's (-1 is the default lane) private paths
 // below the app: a storage client and, for Remote, a cache client stack.
 // Connections in eps are used as given; the rest are loopbacks, with the
-// storage hop wrapped under StorageFaultNode.
+// storage hop wrapped under storageFaultNode.
 func (d *deployment) lanePath(worker int, eps RemoteEndpoints) (*storage.Client, *remotecache.Client, error) {
 	dbConn := eps.DB
 	if dbConn == nil {
 		dbConn = d.loopback(d.node.Server())
 		if d.cfg.Faults != nil {
-			dbConn = d.cfg.Faults.WrapWorker(StorageFaultNode, worker, dbConn)
+			dbConn = d.cfg.Faults.WrapWorker(storageFaultNode, worker, dbConn)
 		}
 	}
 	var rc *remotecache.Client

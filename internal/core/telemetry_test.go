@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"testing"
 
 	"cachecost/internal/meter"
@@ -115,71 +114,5 @@ func TestTelemetryParallelismInvariance(t *testing.T) {
 			t.Fatalf("P%d: histogram p99 %v vs exact sample p99 %v: drift %.1f%% > 5%%",
 				par, req.P99, res.LatencyP99, 100*drift)
 		}
-	}
-}
-
-// TestFigTimeseriesShape drives the windowed-telemetry figure and checks
-// the story it is meant to tell: warm-up windows first, a kill window
-// where the cache hit ratio collapses and degradations appear, and a
-// recovery phase after revival.
-func TestFigTimeseriesShape(t *testing.T) {
-	if raceEnabled {
-		t.Skip("windowed latency shapes are distorted by race-detector instrumentation")
-	}
-	var cells []string
-	o := tinyOpts()
-	o.OnResult = func(cell string, res *RunResult) { cells = append(cells, cell) }
-	tab, err := FigTimeseries(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 10 {
-		t.Fatalf("rows = %d, want 10 windows:\n%s", len(tab.Rows), tab)
-	}
-	if tab.Rows[0][2] != "warmup" {
-		t.Fatalf("first window phase = %q, want warmup", tab.Rows[0][2])
-	}
-	phase := func(row int) string { return tab.Rows[row][2] }
-	var steadyHit, killedHit, killedDegraded float64
-	var sawSteady, sawKilled, sawRecovered bool
-	for i := range tab.Rows {
-		switch phase(i) {
-		case "steady":
-			sawSteady = true
-			steadyHit = cell(t, tab, i, 6)
-		case "killed":
-			sawKilled = true
-			killedHit = cell(t, tab, i, 6)
-			killedDegraded += cell(t, tab, i, 7)
-		case "recovered":
-			sawRecovered = true
-		}
-	}
-	if !sawSteady || !sawKilled || !sawRecovered {
-		t.Fatalf("missing phases (steady=%v killed=%v recovered=%v):\n%s", sawSteady, sawKilled, sawRecovered, tab)
-	}
-	if killedDegraded == 0 {
-		t.Errorf("kill window recorded no degradations:\n%s", tab)
-	}
-	if killedHit >= steadyHit {
-		t.Errorf("killed-window hit ratio %.2f should fall below steady %.2f:\n%s", killedHit, steadyHit, tab)
-	}
-	// Every window must carry ops, and the metered windows' op counts
-	// must sum to the metered total.
-	var meteredOps int64
-	for i := range tab.Rows {
-		n, err := strconv.ParseInt(tab.Rows[i][3], 10, 64)
-		if err != nil {
-			t.Fatalf("window %d ops %q not integer", i+1, tab.Rows[i][3])
-		}
-		if phase(i) != "warmup" {
-			meteredOps += n
-		}
-	}
-	if meteredOps != int64(o.Ops) {
-		t.Errorf("metered windows sum to %d ops, want %d", meteredOps, o.Ops)
-	}
-	if len(cells) != 1 || cells[0] != "timeseries/Remote" {
-		t.Errorf("OnResult cells = %v, want [timeseries/Remote]", cells)
 	}
 }

@@ -39,7 +39,9 @@ func runCellAt(t *testing.T, o core.FigOptions, cc core.ChaosConfig) *core.RunRe
 // failures and a nonzero degradation counter, for both cache architectures.
 // A kill-only cell shows the kill landed: at a zero error rate every
 // fault but a kill reject burns stall or slow-start work, so faults
-// beyond the fault component's ops are kill rejects.
+// beyond the fault component's ops are kill rejects; the rejected calls
+// degrade to storage loads, and the hit ratio falls below that of a
+// fault-free cell on the same seed.
 func TestFallThroughAbsorbsFaults(t *testing.T) {
 	for _, arch := range []core.Arch{core.Remote, core.Linked} {
 		cc := core.ChaosConfig{Arch: arch, ErrorRate: 0.10, KillWindow: true}
@@ -57,6 +59,12 @@ func TestFallThroughAbsorbsFaults(t *testing.T) {
 		if rejects := kill.Path.Faults - faultOps(kill); rejects <= 0 {
 			t.Errorf("%s: kill window rejected no call (faults %d, fault ops %d)",
 				arch, kill.Path.Faults, faultOps(kill))
+		}
+		if kill.Path.Degraded == 0 {
+			t.Errorf("%s: kill window recorded no degradation", arch)
+		}
+		if free := runCell(t, core.ChaosConfig{Arch: arch}); kill.HitRatio >= free.HitRatio {
+			t.Errorf("%s: kill-window hit ratio %v not below fault-free %v", arch, kill.HitRatio, free.HitRatio)
 		}
 	}
 }

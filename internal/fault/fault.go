@@ -63,8 +63,8 @@ type Rule struct {
 	// replica. Charged to the "fault" component so stalls appear in
 	// the cost report.
 	StallWork int
-	// StallRate is the probability a call pays StallWork. Zero means 1
-	// (every call stalls) when StallWork or StallSleep is set.
+	// StallRate is the probability in [0,1] that a call pays StallWork
+	// and StallSleep: 1 stalls every call, 0 none.
 	StallRate float64
 	// StallSleep is wall-clock occupancy injected per stalled call, on
 	// top of any StallWork: the caller sleeps this long, modeling a slow
@@ -76,16 +76,6 @@ type Rule struct {
 	// each — a cold cache, connection re-establishment, page-in: four
 	// times StallWork, or 8192 units when StallWork is zero.
 	SlowStartCalls int
-}
-
-func (r Rule) stallRate() float64 {
-	if r.StallWork <= 0 && r.StallSleep <= 0 {
-		return 0
-	}
-	if r.StallRate == 0 {
-		return 1
-	}
-	return r.StallRate
 }
 
 func (r Rule) slowStartWork() int {
@@ -134,16 +124,11 @@ func (n *nodeState) stream(worker int) *stream {
 	if st, ok = n.workers[worker]; ok {
 		return st
 	}
-	st = &stream{salt: workerSalt(worker)}
+	// Worker indices are small integers, so a full-avalanche mix keeps
+	// neighbouring workers' fault schedules statistically independent.
+	st = &stream{salt: splitmix64(uint64(worker) + 0x8000000000000000)}
 	n.workers[worker] = st
 	return st
-}
-
-// workerSalt derives the per-worker draw salt. Worker indices are small
-// integers, so a full-avalanche mix keeps neighbouring workers' fault
-// schedules statistically independent.
-func workerSalt(worker int) uint64 {
-	return splitmix64(uint64(worker) + 0x8000000000000000)
 }
 
 // Injector injects faults into named nodes. All methods are safe for
@@ -267,7 +252,7 @@ func (in *Injector) Decide(node string, worker int, sc trace.SpanContext) error 
 	errDraw := unit(splitmix64(draw))
 	stalled := false
 	var sleep time.Duration
-	if rule.stallRate() > 0 && stallDraw < rule.stallRate() {
+	if stallDraw < rule.StallRate {
 		work += rule.StallWork
 		sleep = rule.StallSleep
 		stalled = true

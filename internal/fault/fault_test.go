@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
@@ -26,23 +27,29 @@ func laneOf(m *meter.Meter) (trace.SpanContext, func() meter.PathStats) {
 	}
 }
 
+// TestZeroRuleInjectsNothing: the zero Rule, and a Rule whose stall
+// work is set at a zero StallRate (the chaos figure's fault-free cell),
+// inject nothing.
 func TestZeroRuleInjectsNothing(t *testing.T) {
-	m := meter.NewMeter()
-	in := New(1, m)
-	sc, done := laneOf(m)
-	for i := 0; i < 1000; i++ {
-		if err := in.Decide("n", -1, sc); err != nil {
-			t.Fatalf("zero rule injected %v at call %d", err, i)
+	for _, rule := range []Rule{{}, {StallWork: 2048, StallSleep: time.Millisecond, SlowStartCalls: 50}} {
+		m := meter.NewMeter()
+		in := New(1, m)
+		in.SetRule("n", rule)
+		sc, done := laneOf(m)
+		for i := 0; i < 1000; i++ {
+			if err := in.Decide("n", -1, sc); err != nil {
+				t.Fatalf("%+v injected %v at call %d", rule, err, i)
+			}
 		}
-	}
-	if got := in.node("n").def.seq.Load(); got != 1000 {
-		t.Fatalf("draws = %d, want 1000", got)
-	}
-	if p := done(); p.Faults != 0 {
-		t.Fatalf("Path.Faults = %d, want 0", p.Faults)
-	}
-	if ops := m.Component("fault").Ops(); ops != 0 {
-		t.Fatalf("fault ops = %d, want 0", ops)
+		if got := in.node("n").def.seq.Load(); got != 1000 {
+			t.Fatalf("%+v: draws = %d, want 1000", rule, got)
+		}
+		if p := done(); p.Faults != 0 {
+			t.Fatalf("%+v: Path.Faults = %d, want 0", rule, p.Faults)
+		}
+		if ops := m.Component("fault").Ops(); ops != 0 {
+			t.Fatalf("%+v: fault ops = %d, want 0", rule, ops)
+		}
 	}
 }
 
@@ -166,7 +173,7 @@ func TestKillReviveAndSlowStart(t *testing.T) {
 func TestStallWorkIsMetered(t *testing.T) {
 	m := meter.NewMeter()
 	in := New(5, m)
-	in.SetRule("n", Rule{StallWork: 50000})
+	in.SetRule("n", Rule{StallWork: 50000, StallRate: 1})
 	for i := 0; i < 20; i++ {
 		decide(in, "n")
 	}
@@ -255,7 +262,7 @@ func TestScheduleAppliesEventsInOpOrder(t *testing.T) {
 // may be lost.
 func TestInjectorIsSafeForConcurrentUse(t *testing.T) {
 	in := New(9, meter.NewMeter())
-	in.SetRule("n", Rule{ErrorRate: 0.2, StallWork: 10})
+	in.SetRule("n", Rule{ErrorRate: 0.2, StallWork: 10, StallRate: 1})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -320,8 +320,8 @@ func (r *Recorder) Exemplars() ExemplarSet {
 	}
 }
 
-// Reset drops every record and exemplar (the experiment driver calls it
-// at the metered-window boundary so warmup tails don't pollute a cell).
+// Reset drops every record and exemplar (the overload figure calls it at
+// the start of each cell, so its exemplars describe that cell only).
 func (r *Recorder) Reset() {
 	if r == nil {
 		return

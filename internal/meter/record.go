@@ -10,7 +10,7 @@ package meter
 // request *waited to start* (queue) and which downstream tier it spent
 // the rest in. The flight
 // recorder (internal/flight) turns a lane's stage times into the record
-// that tail exemplars and the `tailwhy` figure report.
+// that tail exemplars and the overload figure's tail_stage report.
 type Stage uint8
 
 const (

@@ -4,8 +4,8 @@ import "sort"
 
 // HistState is one histogram's full merged state inside a Snapshot.
 // Buckets are retained (not just the digest) so two snapshots can be
-// differenced into windowed percentiles — the property the timeseries
-// figure and the JSONL recorder are built on.
+// differenced into windowed percentiles — the property the JSONL
+// recorder is built on.
 type HistState struct {
 	Name    string
 	Unit    string

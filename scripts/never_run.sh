@@ -128,8 +128,8 @@ scrape "http://127.0.0.1:$mport/metrics" "http://127.0.0.1:$mport/metrics.json" 
 	"http://127.0.0.1:$mport/statusz" "http://127.0.0.1:$mport/debug/requests?outcome=deadline&n=4"
 wait "${pids[-1]}"
 unset 'pids[-1]'
-run costbench -figure tailwhy -ops 2000 -warmup 150 -keys 500 -parallelism 4 -offered 0.05 \
-	-storagestall 50ms -stallrate 0.02 -flightdump "$work/dumps" -flightdump-interval 100ms
+run costbench -figure overload -offered 3 -ops 2000 -warmup 150 -keys 500 -parallelism 4 \
+	-flightdump "$work/dumps" -flightdump-interval 100ms
 
 # The durable engine's kill loop (the children it SIGKILLs write no
 # coverage).
