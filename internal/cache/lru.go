@@ -1,8 +1,9 @@
 // Package cache provides the in-memory caching primitives shared by every
 // caching architecture in the study: a byte-budgeted LRU, a sharded wrapper
-// for concurrency, TTL expiry, and a reuse-distance analyzer that computes
-// miss-ratio curves from traces (used to validate the analytic model in
-// internal/core/model).
+// for concurrency, and a reuse-distance analyzer that computes miss-ratio
+// curves from traces (used to validate the analytic model in
+// internal/core/model). Entries never expire: a design that bounds
+// staleness stamps its entries itself (core's Linked+TTL tier).
 //
 // Values are generic: the remote cache stores []byte, while the linked
 // cache stores live application objects — which is precisely the linked
@@ -12,17 +13,15 @@ package cache
 import (
 	"container/list"
 	"sync"
-	"time"
 )
 
 // Stats counts cache events. All counters are cumulative.
 type Stats struct {
-	Hits        int64
-	Misses      int64
-	Puts        int64
-	Deletes     int64
-	Evictions   int64
-	Expirations int64
+	Hits      int64
+	Misses    int64
+	Puts      int64
+	Deletes   int64
+	Evictions int64
 }
 
 // HitRatio returns Hits / (Hits + Misses), or 0 when no lookups happened.
@@ -40,14 +39,13 @@ func (s *Stats) add(o Stats) {
 	s.Puts += o.Puts
 	s.Deletes += o.Deletes
 	s.Evictions += o.Evictions
-	s.Expirations += o.Expirations
 }
 
 // SizeOf reports the budgeted size of a cached value, in bytes. It should
 // include per-entry overhead if the caller wants conservative budgeting.
 type SizeOf[V any] func(key string, v V) int64
 
-// EvictFunc observes evictions (capacity or expiry), e.g. to release
+// EvictFunc observes evictions and deletes, e.g. to release
 // resources or meter memory.
 type EvictFunc[V any] func(key string, v V)
 
@@ -60,15 +58,13 @@ type LRU[V any] struct {
 	items    map[string]*list.Element
 	sizeOf   SizeOf[V]
 	onEvict  EvictFunc[V]
-	now      func() time.Time
 	stats    Stats
 }
 
 type entry[V any] struct {
-	key    string
-	val    V
-	size   int64
-	expire time.Time // zero = never
+	key  string
+	val  V
+	size int64
 }
 
 // NewLRU returns an LRU with the given byte capacity. sizeOf must be
@@ -83,46 +79,30 @@ func NewLRU[V any](capacity int64, sizeOf SizeOf[V]) *LRU[V] {
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
 		sizeOf:   sizeOf,
-		now:      time.Now,
 	}
 }
 
 // SetEvictFunc installs an eviction observer.
 func (c *LRU[V]) SetEvictFunc(fn EvictFunc[V]) { c.onEvict = fn }
 
-// Get returns the value for key, marking it most recently used. Expired
-// entries are removed and reported as misses.
+// Get returns the value for key, marking it most recently used.
 func (c *LRU[V]) Get(key string) (V, bool) {
-	var zero V
 	el, ok := c.items[key]
 	if !ok {
 		c.stats.Misses++
-		return zero, false
-	}
-	en := el.Value.(*entry[V])
-	if !en.expire.IsZero() && c.now().After(en.expire) {
-		c.removeElement(el, &c.stats.Expirations)
-		c.stats.Misses++
+		var zero V
 		return zero, false
 	}
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
-	return en.val, true
+	return el.Value.(*entry[V]).val, true
 }
 
-// Put inserts or replaces key with no expiry.
-func (c *LRU[V]) Put(key string, v V) { c.PutTTL(key, v, 0) }
-
-// PutTTL inserts or replaces key, expiring after ttl (0 = never). Entries
-// larger than the whole capacity are not admitted (they would evict
-// everything for one uncacheable object).
-func (c *LRU[V]) PutTTL(key string, v V, ttl time.Duration) {
+// Put inserts or replaces key. Entries larger than the whole capacity are
+// not admitted (they would evict everything for one uncacheable object).
+func (c *LRU[V]) Put(key string, v V) {
 	c.stats.Puts++
 	size := c.sizeOf(key, v)
-	var expire time.Time
-	if ttl > 0 {
-		expire = c.now().Add(ttl)
-	}
 	if size > c.capacity {
 		// Not admitted (the value would evict everything else for one
 		// uncacheable object). On replace, the old entry is dropped too —
@@ -143,12 +123,12 @@ func (c *LRU[V]) PutTTL(key string, v V, ttl time.Duration) {
 	if el, ok := c.items[key]; ok {
 		en := el.Value.(*entry[V])
 		c.used += size - en.size
-		en.val, en.size, en.expire = v, size, expire
+		en.val, en.size = v, size
 		c.ll.MoveToFront(el)
 		c.evictToFit()
 		return
 	}
-	el := c.ll.PushFront(&entry[V]{key: key, val: v, size: size, expire: expire})
+	el := c.ll.PushFront(&entry[V]{key: key, val: v, size: size})
 	c.items[key] = el
 	c.used += size
 	c.evictToFit()
@@ -179,14 +159,6 @@ func (c *LRU[V]) SetCapacity(capacity int64) {
 
 // Stats returns cumulative counters.
 func (c *LRU[V]) Stats() Stats { return c.stats }
-
-// Flush removes every entry without invoking the evict callback and resets
-// usage.
-func (c *LRU[V]) Flush() {
-	c.ll.Init()
-	clear(c.items)
-	c.used = 0
-}
 
 func (c *LRU[V]) evictToFit() {
 	for c.used > c.capacity {

@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 func byteSize(_ string, v []byte) int64 { return int64(len(v)) }
@@ -28,8 +27,8 @@ func TestLRUBasicPutGet(t *testing.T) {
 	}
 }
 
-// resident reports whether key holds an entry, without touching recency,
-// expiry or counters.
+// resident reports whether key holds an entry, without touching recency
+// or counters.
 func resident(c *LRU[[]byte], key string) bool {
 	_, ok := c.items[key]
 	return ok
@@ -121,26 +120,6 @@ func TestLRUDelete(t *testing.T) {
 	}
 }
 
-func TestLRUTTLExpiry(t *testing.T) {
-	c := newByteLRU(100)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	c.PutTTL("a", []byte("x"), time.Minute)
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("entry should be live before expiry")
-	}
-	now = now.Add(2 * time.Minute)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("entry should have expired")
-	}
-	if c.Stats().Expirations != 1 {
-		t.Fatalf("expirations = %d, want 1", c.Stats().Expirations)
-	}
-	if c.UsedBytes() != 0 {
-		t.Fatal("expired entry should release bytes")
-	}
-}
-
 func TestLRUSetCapacityShrinks(t *testing.T) {
 	c := newByteLRU(100)
 	for i := 0; i < 10; i++ {
@@ -170,19 +149,6 @@ func TestLRUEvictCallback(t *testing.T) {
 	c.Delete("b")
 	if len(evicted) != 2 || evicted[1] != "b" {
 		t.Fatalf("delete should invoke callback: %v", evicted)
-	}
-}
-
-func TestLRUFlush(t *testing.T) {
-	c := newByteLRU(100)
-	c.Put("a", []byte("1"))
-	c.Put("b", []byte("2"))
-	c.Flush()
-	if c.ll.Len() != 0 || c.UsedBytes() != 0 {
-		t.Fatal("Flush should empty the cache")
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("flushed entries must be gone")
 	}
 }
 
@@ -251,7 +217,7 @@ func checkLRUInvariants(t *testing.T, c *LRU[[]byte]) {
 }
 
 // FuzzLRUInvariants drives a random op sequence (put, oversize put,
-// replace, get, delete, TTL put, clock advance) and checks the
+// replace, get, delete) and checks the
 // used == Σ live sizes invariant after every single operation.
 func FuzzLRUInvariants(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -259,12 +225,10 @@ func FuzzLRUInvariants(f *testing.F) {
 	f.Add([]byte{3, 17, 255, 3, 17, 42, 7, 7, 7, 128, 64})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		c := newByteLRU(64)
-		now := time.Unix(1000, 0)
-		c.now = func() time.Time { return now }
 		for i := 0; i+1 < len(script); i += 2 {
 			op, arg := script[i], script[i+1]
 			key := fmt.Sprintf("k%d", arg%8)
-			switch op % 7 {
+			switch op % 5 {
 			case 0: // put, sometimes oversize
 				c.Put(key, make([]byte, int(arg)))
 			case 1: // bounded put (always admissible)
@@ -275,10 +239,6 @@ func FuzzLRUInvariants(f *testing.F) {
 				c.Get(key)
 			case 4:
 				c.Delete(key)
-			case 5: // TTL put
-				c.PutTTL(key, make([]byte, int(arg%32)), time.Duration(arg%4)*time.Second)
-			case 6: // advance clock so TTL entries expire
-				now = now.Add(time.Duration(arg%5) * time.Second)
 			}
 			checkLRUInvariants(t, c)
 		}

@@ -1,9 +1,5 @@
 package cache
 
-import (
-	"time"
-)
-
 // Sharded is a concurrency-safe cache built from N independently locked
 // LRU shards. The byte capacity is divided evenly among shards, mirroring
 // how production caches (memcached, CacheLib) partition memory.
@@ -95,20 +91,12 @@ func (s *Sharded[V]) Get(key string) (V, bool) {
 	return sh.lru.Get(key)
 }
 
-// Put inserts or replaces key with no expiry.
+// Put inserts or replaces key.
 func (s *Sharded[V]) Put(key string, v V) {
 	sh := s.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.lru.Put(key, v)
-}
-
-// PutTTL inserts or replaces key with an expiry.
-func (s *Sharded[V]) PutTTL(key string, v V, ttl time.Duration) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.lru.PutTTL(key, v, ttl)
 }
 
 // Delete removes key, reporting whether it was present.
@@ -148,13 +136,4 @@ func (s *Sharded[V]) Stats() Stats {
 		s.shards[i].mu.Unlock()
 	}
 	return out
-}
-
-// Flush empties every shard.
-func (s *Sharded[V]) Flush() {
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-		s.shards[i].lru.Flush()
-		s.shards[i].mu.Unlock()
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestShardedBasic(t *testing.T) {
@@ -43,15 +42,6 @@ func TestShardedMinimumOneShard(t *testing.T) {
 	}
 }
 
-func TestShardedTTL(t *testing.T) {
-	s := NewSharded[[]byte](1<<20, 4, byteSize)
-	s.PutTTL("a", []byte("x"), time.Nanosecond)
-	time.Sleep(time.Millisecond)
-	if _, ok := s.Get("a"); ok {
-		t.Fatal("TTL entry should expire")
-	}
-}
-
 func TestShardedStatsAggregation(t *testing.T) {
 	s := NewSharded[[]byte](1<<20, 4, byteSize)
 	for i := 0; i < 100; i++ {
@@ -64,26 +54,6 @@ func TestShardedStatsAggregation(t *testing.T) {
 	st := s.Stats()
 	if st.Puts != 100 || st.Hits != 100 || st.Misses != 1 {
 		t.Fatalf("aggregated stats = %+v", st)
-	}
-}
-
-func TestShardedLenAndFlush(t *testing.T) {
-	s := NewSharded[[]byte](1<<20, 4, byteSize)
-	for i := 0; i < 37; i++ {
-		s.Put(fmt.Sprintf("k%d", i), []byte("v"))
-	}
-	entries := func() (n int) {
-		for i := range s.shards {
-			n += s.shards[i].lru.ll.Len()
-		}
-		return n
-	}
-	if entries() != 37 {
-		t.Fatalf("entries = %d", entries())
-	}
-	s.Flush()
-	if entries() != 0 || s.UsedBytes() != 0 {
-		t.Fatal("Flush should empty all shards")
 	}
 }
 

@@ -94,12 +94,11 @@ func (c *AppClient) ReadDeadline(key string, deadline time.Time) (v []byte, err 
 }
 
 // WriteDeadline is Write with an SLO deadline (SetRequest {1: key,
-// 2: value, 3: ttl_ms} in, Ack out).
+// 2: value} in, Ack out).
 func (c *AppClient) WriteDeadline(key string, value []byte, deadline time.Time) error {
 	return c.call("write", "app.Write", deadline, func(e *wire.Encoder) {
 		e.String(1, key)
 		e.BytesField(2, value)
-		e.Int64(3, 0)
 	}, nil)
 }
 
@@ -124,7 +123,7 @@ func (c *AppClient) ReadBatch(keys []string) (vs [][]byte, err error) {
 }
 
 // WriteBatch is one multi-key write (MultiSetRequest {1: key...,
-// 2: value..., 3: ttl_ms}).
+// 2: value...}).
 func (c *AppClient) WriteBatch(keys []string, values [][]byte) error {
 	if len(keys) == 0 {
 		return nil
@@ -132,6 +131,5 @@ func (c *AppClient) WriteBatch(keys []string, values [][]byte) error {
 	return c.call("write", "app.WriteBatch", time.Time{}, func(e *wire.Encoder) {
 		e.StringSlice(1, keys)
 		e.BytesSlice(2, values)
-		e.Int64(3, 0)
 	}, nil)
 }

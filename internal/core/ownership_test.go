@@ -139,7 +139,7 @@ func TestOwnershipWriteThroughKeepsItsOwnCopy(t *testing.T) {
 		req[i] = 0xDB
 	}
 	got, ok := svc.LinkedCache().Get(key)
-	if !ok || !bytes.Equal(got, value) {
+	if !ok || !bytes.Equal(got.v, value) {
 		t.Fatal("the write-through entry aliases the request buffer")
 	}
 }

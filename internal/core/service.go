@@ -130,8 +130,9 @@ func (s *service[V]) Worker(i int) (ServiceWorker, error) {
 }
 
 // LinkedCache returns the Linked tier's cache, or nil on other
-// architectures. The elastic controller resizes through it.
-func (s *service[V]) LinkedCache() *linkedcache.Cache[V] { return s.arch.lc }
+// architectures. The elastic controller resizes through it. Its entries
+// are the fill guard's, each object under an empty stamp.
+func (s *service[V]) LinkedCache() *linkedcache.Cache[stamped[V, struct{}]] { return s.arch.lc }
 
 // SetAccessObserver installs a hook observing every successful read's
 // key and cached-entry footprint (the kit's sizeOf) — the elastic

@@ -150,7 +150,7 @@ type architecture[V any] struct {
 	bind func(w int, rc *remotecache.Client) tier[V]
 	// lc is the Linked cache, nil elsewhere: the elastic controller
 	// resizes through it.
-	lc *linkedcache.Cache[V]
+	lc *linkedcache.Cache[stamped[V, struct{}]]
 }
 
 // newArchitecture builds cfg.Arch: the shared linked cache, billed once
@@ -183,10 +183,11 @@ func newArchitecture[V any](cfg *ServiceConfig, kit objectKit[V]) (*architecture
 			return &remoteTier[V]{rc: rc, kit: kit}
 		}
 	case Linked:
-		a.lc = linkedcache.New(lcfg, kit.sizeOf)
+		g := newGuarded(lcfg, kit, 0, equal[struct{}])
+		a.lc = g.lc
 		a.lc.SetBilledReplicas(cfg.AppReplicas)
 		a.bind = func(w int, _ *remotecache.Client) tier[V] {
-			return &linkedTier[V]{lc: a.lc, lent: kit.keep, faults: cfg.Faults, w: w}
+			return &linkedTier[V]{guarded: g, faults: cfg.Faults, w: w}
 		}
 	case LinkedVersion:
 		a.bind = static(newVersionTier(lcfg, kit))
@@ -233,11 +234,13 @@ func lentBy(bufs [][]byte, held []byte) [][]byte {
 // the decode. Reads fill on a miss with no expiry; writes invalidate and
 // let the next read repopulate.
 //
-// This type is the single home of the lookaside stale-set race (ROADMAP
-// item 4): a fill racing a write's delete re-installs the value the read
-// loaded before the write, with nothing to expire it. read and readBatch
-// fill, drop and dropBatch invalidate; a version-stamped set or a lease
-// goes here and nowhere else.
+// This type is the one tier that fills and invalidates a remote cache, so
+// it is the home of the lookaside stale-set race (ROADMAP item 2): a fill
+// racing a write's delete re-installs the value the read loaded before the
+// write, with nothing to expire it. read and readBatch fill, drop and
+// dropBatch invalidate; a version-stamped set or a lease goes here, and in
+// the routed client's copy-forward set (remotecache's routedGet), the one
+// other unguarded fill.
 type remoteTier[V any] struct {
 	rc  *remotecache.Client
 	kit objectKit[V]
@@ -270,7 +273,7 @@ func (t *remoteTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V
 	if v, held, err = src.load(sc, key); err != nil {
 		return v, nil, false, err
 	}
-	return v, held, false, t.rc.SetTTLCtx(sc, key, t.kit.encode(v), 0)
+	return v, held, false, t.rc.SetCtx(sc, key, t.kit.encode(v))
 }
 
 func (t *remoteTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
@@ -310,7 +313,7 @@ func (t *remoteTier[V]) readBatch(sc trace.SpanContext, keys []string, src batch
 	for j, v := range loaded {
 		fills[j] = t.kit.encode(v)
 	}
-	return values, held, hits, t.rc.MultiSetTTLCtx(sc, missKeys, fills, 0)
+	return values, held, hits, t.rc.MultiSetCtx(sc, missKeys, fills)
 }
 
 // objects turns a batch's borrowed wire forms into objects, positionally.
@@ -344,13 +347,13 @@ func (t *remoteTier[V]) dropBatch(sc trace.SpanContext, keys []string, payloads 
 }
 
 // linkedTier is Figure 1c: an in-process cache of live objects, shared by
-// every lane. Each lane consults the fault layer on its own decision
-// stream; an injected fault models the cache shard an app replica carries
-// being lost or restarting, so the request skips the cache (a counted
-// degradation) and is served as Base would serve it.
+// every lane, filled through the one fill guard under a stamp every entry
+// and every fill matches. Each lane consults the fault layer on its own
+// decision stream; an injected fault models the cache shard an app replica
+// carries being lost or restarting, so the request skips the cache (a
+// counted degradation) and is served as Base would serve it.
 type linkedTier[V any] struct {
-	lc     *linkedcache.Cache[V]
-	lent   func(V) V // objectKit.keep
+	*guarded[V, struct{}]
 	faults *fault.Injector
 	w      int
 }
@@ -370,19 +373,9 @@ func (t *linkedTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V
 	if t.faulted(sc) {
 		return baseTier[V]{}.read(sc, key, src)
 	}
-	v, hit, err := t.lc.GetOrLoadCtx(sc, key, func(lsc trace.SpanContext) (V, error) {
-		v, held, err := src.load(lsc, key)
-		return keepLoaded(t.lent, v, held), err
-	})
-	return v, nil, hit, err
-}
-
-func (t *linkedTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
-	if err := src.store(sc, key, payload); err != nil {
-		return err
-	}
-	t.lc.Delete(key)
-	return nil
+	act, csc := trace.Start(sc, "app.cache", "read")
+	v, hit, err := t.lookup(csc, key, struct{}{}, src)
+	return endRead(sc, act, v, hit, err)
 }
 
 func (t *linkedTier[V]) write(sc trace.SpanContext, key string, v V, payload []byte, src source[V]) error {
@@ -393,50 +386,39 @@ func (t *linkedTier[V]) write(sc trace.SpanContext, key string, v V, payload []b
 	// drop does: the entry it leaves would serve the pre-write object once
 	// the fault clears.
 	if t.faulted(sc) {
-		t.lc.Delete(key)
+		t.evict(key)
 	} else {
-		t.lc.PutCtx(sc, key, v)
+		t.keep(key, v, struct{}{})
 	}
 	return nil
 }
 
 // readBatch draws one fault decision per batch — the in-process cache
-// shard is up or down for the whole request — looks every key up, and
-// loads the misses in one storage round trip.
+// shard is up or down for the whole request — and serves the batch
+// through the guard under one app.cache read span.
 func (t *linkedTier[V]) readBatch(sc trace.SpanContext, keys []string, src batchSource[V]) ([]V, [][]byte, int, error) {
 	if t.faulted(sc) {
 		return baseTier[V]{}.readBatch(sc, keys, src)
 	}
-	values := make([]V, len(keys))
-	var miss []int
-	for i, k := range keys {
-		var ok bool
-		if values[i], ok = t.lc.GetCtx(sc, k); !ok {
-			miss = append(miss, i)
-		}
-	}
-	missKeys, loaded, held, err := loadMisses(sc, keys, miss, values, src)
-	for j, v := range loaded {
-		if held != nil {
-			v = t.lent(v)
-		}
-		t.lc.PutCtx(sc, missKeys[j], v)
-	}
-	return values, lentBy(nil, held), len(keys) - len(miss), err
+	act, csc := trace.Start(sc, "app.cache", "read")
+	values, held, hits, err := t.lookupBatch(csc, keys, struct{}{}, src)
+	act.End()
+	return values, lentBy(nil, held), hits, err
 }
 
-// The consistency designs. Each is a linked cache whose entries carry a
-// stamp — what the design checks before serving one — over one fill guard.
+// The linked designs. Each is a linked cache whose entries carry a stamp —
+// what the design checks before serving one — over one fill guard.
 
-// stamped is a consistency tier's cache entry: the object and the stamp it
-// was cached under.
+// stamped is a linked tier's cache entry: the stamp it was cached under and
+// the object. The stamp leads, so Linked's struct{} stamp costs an entry
+// nothing.
 type stamped[V, S any] struct {
-	v     V
 	stamp S
+	v     V
 }
 
-// guarded is a consistency tier's linked cache and the one fill guard the
-// three designs share. An entry serves a read when fresh(entry's stamp,
+// guarded is a linked tier's cache and the one fill guard the four linked
+// designs share. An entry serves a read when fresh(entry's stamp,
 // read's stamp) holds; otherwise the read fills it. A write or
 // invalidation of a key supersedes every fill of the key in flight:
 //
@@ -462,10 +444,10 @@ type guarded[V any, S comparable] struct {
 }
 
 // fill is one fill in flight. Its leader publishes v and err before
-// closing done; superseded is guarded by guarded.mu.
+// marking done; superseded is guarded by guarded.mu.
 type fill[V, S any] struct {
 	stamp      S
-	done       chan struct{}
+	done       sync.WaitGroup
 	v          V
 	err        error
 	superseded bool
@@ -494,38 +476,94 @@ func (g *guarded[V, S]) lookup(sc trace.SpanContext, key string, want S, src sou
 	g.mu.Lock()
 	if fl, ok := g.fills[key]; ok && g.fresh(fl.stamp, want) {
 		g.mu.Unlock()
-		<-fl.done
+		fl.done.Wait()
 		return fl.v, false, fl.err
 	}
-	g.supersede(key) // one this read cannot join: at most one live fill per key
-	fl := &fill[V, S]{stamp: want, done: make(chan struct{})}
-	key = strings.Clone(key) // the fill table keeps it
-	g.fills[key] = fl
+	fl := g.register(key, want)
 	g.mu.Unlock()
 
 	v, held, err := src.load(sc, key)
-	fl.v, fl.err = keepLoaded(g.lent, v, held), err
+	v = keepLoaded(g.lent, v, held)
+	g.install(key, fl, v, err)
+	return v, false, err
+}
+
+// lookupBatch is lookup for keys read under one stamp, in one storage
+// round trip: each key the cache cannot serve gets a fill of its own,
+// registered rather than joined, one loadBatch loads them all, and each
+// fill is installed as lookup installs it. A failed load releases every
+// fill with its error. values are positional and lent from held, as
+// loadMisses lends them; hits counts the keys the cache served.
+func (g *guarded[V, S]) lookupBatch(sc trace.SpanContext, keys []string, want S, src batchSource[V]) ([]V, []byte, int, error) {
+	values := make([]V, len(keys))
+	var miss []int
+	for i, k := range keys {
+		e, ok := g.lc.Get(k)
+		ok = ok && g.fresh(e.stamp, want)
+		sc.Lane().CountLinkedHit(ok)
+		if ok {
+			values[i] = e.v
+		} else {
+			miss = append(miss, i)
+		}
+	}
+	if len(miss) == 0 {
+		return values, nil, len(keys), nil
+	}
+	fills := make([]*fill[V, S], len(miss))
+	g.mu.Lock()
+	for j, i := range miss {
+		fills[j] = g.register(keys[i], want)
+	}
+	g.mu.Unlock()
+	_, loaded, held, err := loadMisses(sc, keys, miss, values, src)
+	for j, i := range miss {
+		var v V
+		if err == nil {
+			v = loaded[j]
+			if held != nil {
+				v = g.lent(v)
+			}
+		}
+		g.install(keys[i], fills[j], v, err)
+	}
+	return values, held, len(keys) - len(miss), err
+}
+
+// register starts a fill of key stamped want, superseding the one in
+// flight: at most one fill per key is live. The caller holds mu.
+func (g *guarded[V, S]) register(key string, want S) *fill[V, S] {
+	g.supersede(key)
+	fl := &fill[V, S]{stamp: want}
+	fl.done.Add(1)
+	g.fills[strings.Clone(key)] = fl // the fill table keeps the key
+	return fl
+}
+
+// install completes fl with its load's result: the readers joined to it
+// get v and err, and the cache keeps v unless a write superseded fl.
+func (g *guarded[V, S]) install(key string, fl *fill[V, S], v V, err error) {
+	fl.v, fl.err = v, err
 	g.mu.Lock()
 	if !fl.superseded {
 		delete(g.fills, key)
-		if fl.err == nil {
-			g.lc.Put(key, stamped[V, S]{fl.v, want})
+		if err == nil {
+			g.lc.Put(key, stamped[V, S]{fl.stamp, v})
 		}
 	}
 	g.mu.Unlock()
-	close(fl.done)
-	return fl.v, false, fl.err
+	fl.done.Done()
 }
 
 // keep caches a write-through object, superseding key's fill.
 func (g *guarded[V, S]) keep(key string, v V, stamp S) {
 	g.mu.Lock()
 	g.supersede(key)
-	g.lc.Put(key, stamped[V, S]{v, stamp})
+	g.lc.Put(key, stamped[V, S]{stamp, v})
 	g.mu.Unlock()
 }
 
-// drop is the consistency designs' invalidating write: storage, then the
+// drop is the linked designs' invalidating write: storage, then the
 // entry, superseding its fill.
 func (g *guarded[V, S]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
 	if err := src.store(sc, key, payload); err != nil {
@@ -552,9 +590,9 @@ func (g *guarded[V, S]) supersede(key string) {
 	}
 }
 
-// endRead closes a consistency tier's app.cache read span. The designs
-// live outside the traced cache library, so the tier records the lookup
-// span and its linked hit count itself; the read's storage calls (version
+// endRead closes a linked tier's app.cache read span. The designs live
+// outside the traced cache library, so the tier records the lookup span
+// and its linked hit count itself; the read's storage calls (version
 // checks, loads) run under the span, as the §5.5 path model describes.
 func endRead[V any](sc trace.SpanContext, act trace.Active, v V, hit bool, err error) (V, []byte, bool, error) {
 	if err == nil {

@@ -183,12 +183,12 @@ func TestUnknownArchFailsAtConstruction(t *testing.T) {
 	}
 }
 
-// The consistency designs at tier level, over fakeRows.
+// The linked designs at tier level, over fakeRows.
 
 // fakeRows is a versioned string store a tier reads through, counting the
-// statements it serves. during, when set, runs once inside the next load,
-// after the load has read its value: the probe for a write that lands
-// while a fill is in flight.
+// statements it serves (a batched load is one). during, when set, runs
+// once inside the next load or batched load, after it has read its values:
+// the probe for a write that lands while a fill is in flight.
 type fakeRows struct {
 	mu                    sync.Mutex
 	data                  map[string]string
@@ -228,6 +228,31 @@ func (f *fakeRows) load(_ trace.SpanContext, key string) (string, []byte, error)
 	return v, nil, nil
 }
 
+// loadBatch loads keys in one statement; a missing row fails the whole
+// batch, as a failed round trip would.
+func (f *fakeRows) loadBatch(_ trace.SpanContext, keys []string) ([]string, []byte, error) {
+	f.mu.Lock()
+	f.loads++
+	values := make([]string, len(keys))
+	var err error
+	for i, k := range keys {
+		var ok bool
+		if values[i], ok = f.data[k]; !ok && err == nil {
+			err = fmt.Errorf("no row for %q", k)
+		}
+	}
+	during := f.during
+	f.during = nil
+	f.mu.Unlock()
+	if during != nil {
+		during()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return values, nil, nil
+}
+
 func (f *fakeRows) version(_ trace.SpanContext, key string) (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -255,16 +280,22 @@ var (
 	testLCfg = linkedcache.Config{CapacityBytes: 1 << 20}
 )
 
-// namedTier is one consistency design over string objects.
+// namedTier is one linked design over string objects.
 type namedTier struct {
 	arch Arch
 	tier tier[string]
 }
 
-// consistencyTiers builds one of each consistency design; nothing expires
-// within a test from the TTL tier's hour.
-func consistencyTiers() []namedTier {
+// newTestLinkedTier is a bare Linked tier with no fault layer.
+func newTestLinkedTier() *linkedTier[string] {
+	return &linkedTier[string]{guarded: newGuarded(testLCfg, strKit, 0, equal[struct{}])}
+}
+
+// guardedTiers builds one of each design over the fill guard; nothing
+// expires within a test from the TTL tier's hour.
+func guardedTiers() []namedTier {
 	return []namedTier{
+		{Linked, newTestLinkedTier()},
 		{LinkedVersion, newVersionTier(testLCfg, strKit)},
 		{LinkedOwned, newOwnedTier("app0", cluster.NewSharder(64), testLCfg, strKit)},
 		{LinkedTTL, newTTLTier(testLCfg, strKit, time.Hour)},
@@ -301,7 +332,7 @@ func writeTier(t *testing.T, tr tier[string], key, v string, through bool, src s
 // read, which must see the write, not the pre-write value cached as a hit.
 func TestTierStaleFillSuperseded(t *testing.T) {
 	for _, through := range []bool{false, true} {
-		for _, c := range consistencyTiers() {
+		for _, c := range guardedTiers() {
 			if _, ok := c.tier.(writeThrough[string]); through && !ok {
 				continue
 			}
@@ -323,7 +354,7 @@ func TestTierStaleFillSuperseded(t *testing.T) {
 // never returns the value of a fill the invalidation superseded — it
 // fills afresh instead of joining the one in flight.
 func TestTierNoJoinAfterSupersede(t *testing.T) {
-	for _, c := range consistencyTiers() {
+	for _, c := range guardedTiers() {
 		t.Run(c.arch.String(), func(t *testing.T) {
 			src := newFakeRows("k", "old")
 			entered, gate := make(chan struct{}), make(chan struct{})
@@ -347,14 +378,103 @@ func TestTierNoJoinAfterSupersede(t *testing.T) {
 	}
 }
 
-// TestTierStatementsPerOp pins the storage statements each consistency
-// design issues, and that each issues no statement whose result nothing
+// TestTierBatchStaleFillSuperseded is TestTierStaleFillSuperseded for
+// Linked's batched read: a write that lands inside the batch's storage
+// load supersedes that key's fill, so the pre-write value it loaded is
+// returned to the batch but never cached.
+func TestTierBatchStaleFillSuperseded(t *testing.T) {
+	for _, through := range []bool{false, true} {
+		t.Run(fmt.Sprintf("writeThrough=%v", through), func(t *testing.T) {
+			lt := newTestLinkedTier()
+			src := newFakeRows("k", "old")
+			src.put("j", "j0")
+			src.during = func() { writeTier(t, lt, "k", "new", through, src) }
+			values, _, hits, err := lt.readBatch(trace.SpanContext{}, []string{"j", "k"}, src)
+			if err != nil || hits != 0 || values[0] != "j0" || values[1] != "old" {
+				t.Fatalf("batch the write overlapped = %q, %d hits, %v; want [j0 old], 0 hits", values, hits, err)
+			}
+			if v, _ := readTier(t, lt, "k", src); v != "new" {
+				t.Errorf("read after the write = %q, want %q: the superseded batch fill was cached", v, "new")
+			}
+			if v, hit := readTier(t, lt, "j", src); v != "j0" || !hit {
+				t.Errorf("read of the batch's other key = %q hit=%v, want its cached j0", v, hit)
+			}
+		})
+	}
+}
+
+// TestTierBatchLoadErrorReleasesFills: a batched load that fails releases
+// every fill it registered. A later read of one of its keys loads afresh,
+// rather than joining a fill that never completes.
+func TestTierBatchLoadErrorReleasesFills(t *testing.T) {
+	lt := newTestLinkedTier()
+	src := newFakeRows("k", "v")
+	if _, _, _, err := lt.readBatch(trace.SpanContext{}, []string{"k", "missing"}, src); err == nil {
+		t.Fatal("batch over a missing row succeeded")
+	}
+	read := make(chan string, 1)
+	go func() {
+		v, _, hit, err := lt.read(trace.SpanContext{}, "k", src)
+		if err != nil || hit {
+			t.Errorf("read after the failed batch: hit=%v, %v; want a fresh load", hit, err)
+		}
+		read <- v
+	}()
+	select {
+	case v := <-read:
+		if v != "v" {
+			t.Errorf("read after the failed batch = %q, want v", v)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a read after the failed batch joined a fill the batch never released")
+	}
+}
+
+// TestTierLastWriteWins: readers fill one key while a writer writes it
+// again and again, through and dropped in turn. Once all have returned,
+// the next read returns the last write: no fill that raced a write left
+// its pre-write value behind.
+func TestTierLastWriteWins(t *testing.T) {
+	const writes = 50
+	for _, c := range guardedTiers() {
+		t.Run(c.arch.String(), func(t *testing.T) {
+			src := newFakeRows("k", "w0")
+			var wg sync.WaitGroup
+			done := make(chan struct{})
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
+							readTier(t, c.tier, "k", src)
+						}
+					}
+				}()
+			}
+			for i := 1; i <= writes; i++ {
+				writeTier(t, c.tier, "k", fmt.Sprint("w", i), i%2 == 0, src)
+			}
+			close(done)
+			wg.Wait()
+			if v, _ := readTier(t, c.tier, "k", src); v != fmt.Sprint("w", writes) {
+				t.Errorf("read after quiescence = %q, want the last write w%d", v, writes)
+			}
+		})
+	}
+}
+
+// TestTierStatementsPerOp pins the storage statements each linked design
+// issues, and that each issues no statement whose result nothing
 // reads: a cold miss is the version check plus the load on +Version and
 // the load alone elsewhere; a warm hit is +Version's check and nothing
 // elsewhere; a write is the store alone, kept or dropped.
 func TestTierStatementsPerOp(t *testing.T) {
-	want := map[Arch][2]int{LinkedVersion: {2, 1}, LinkedOwned: {1, 0}, LinkedTTL: {1, 0}}
-	for _, c := range consistencyTiers() {
+	want := map[Arch][2]int{Linked: {1, 0}, LinkedVersion: {2, 1}, LinkedOwned: {1, 0}, LinkedTTL: {1, 0}}
+	for _, c := range guardedTiers() {
 		t.Run(c.arch.String(), func(t *testing.T) {
 			src := newFakeRows("k", "v")
 			for i, w := range want[c.arch] {
@@ -442,11 +562,11 @@ func TestTierOwnedRejectsForeignKeys(t *testing.T) {
 	}
 }
 
-// TestTierConsistencyRace hammers each consistency design's one fill
-// guard under -race: readers, write-throughs and drops on eight keys.
+// TestTierConsistencyRace hammers each linked design's one fill guard
+// under -race: readers, write-throughs and drops on eight keys.
 // Once they drain, a write is durable against any straggling fill.
 func TestTierConsistencyRace(t *testing.T) {
-	for _, c := range consistencyTiers() {
+	for _, c := range guardedTiers() {
 		t.Run(c.arch.String(), func(t *testing.T) {
 			src := newFakeRows("k0", "v")
 			for i := 1; i < 8; i++ {

@@ -140,7 +140,7 @@ func TestTraceInvariantLinkedHit(t *testing.T) {
 	assert.PathPerOp(t, svc.m.Path(), 8, meter.PathStats{LinkedHits: 1})
 	full := tr.Last()
 	assert.Parented(t, full)
-	assert.Annotated(t, full, "app.cache", "get-or-load", "cache.hit", "true")
+	assert.Annotated(t, full, "app.cache", "read", "cache.hit", "true")
 	assert.NoSpans(t, full, "rpc", "")
 	assert.NoSpans(t, full, "storage.sql", "")
 	if t.Failed() {

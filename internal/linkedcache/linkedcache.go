@@ -37,8 +37,6 @@ type Cache[V any] struct {
 type Config struct {
 	// CapacityBytes is the memory budget (the paper's s_A). Required.
 	CapacityBytes int64
-	// Shards is the lock-shard count. Default 16.
-	Shards int
 	// Meter and Name attribute the cache's provisioned memory to a
 	// component (busy time is the application's own and is metered by the
 	// app server, not here). Nil Meter disables attribution.
@@ -50,17 +48,17 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
+// shards is the lock-shard count.
+const shards = 16
+
 // New builds a linked cache. sizeOf reports the budgeted bytes of a value;
 // it must account for the live object footprint, not a serialized form.
 func New[V any](cfg Config, sizeOf cache.SizeOf[V]) *Cache[V] {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
 	name := cfg.Name
 	if name == "" {
 		name = "app.cache"
 	}
-	c := &Cache[V]{store: cache.NewSharded[V](cfg.CapacityBytes, cfg.Shards, sizeOf), name: name}
+	c := &Cache[V]{store: cache.NewSharded[V](cfg.CapacityBytes, shards, sizeOf), name: name}
 	c.replicas.Store(1)
 	if cfg.Meter != nil {
 		c.comp = cfg.Meter.Component(name)
@@ -123,39 +121,18 @@ func (c *Cache[V]) registerTelemetry(reg *telemetry.Registry) {
 // by Put-ing a fresh value, never by mutating one in place.
 func (c *Cache[V]) Get(key string) (V, bool) { return c.store.Get(key) }
 
-// Put stores a live value with no TTL. The cache keeps a copy of key,
-// which may alias a request buffer.
+// Put stores a live value. The cache keeps a copy of key, which may alias
+// a request buffer.
 func (c *Cache[V]) Put(key string, v V) { c.store.Put(strings.Clone(key), v) }
 
 // Delete removes key.
 func (c *Cache[V]) Delete(key string) bool { return c.store.Delete(key) }
 
-// GetCtx is Get carrying the caller's span context: the outcome is
-// counted on the request's lane as a linked hit or miss, and a sampled
-// lookup is recorded as a cache span (annotated cache.hit) under the
-// cache's component name. No hop is counted — the lookup never leaves the
-// process, which is the architecture's whole point.
-func (c *Cache[V]) GetCtx(sc trace.SpanContext, key string) (V, bool) {
-	v, ok := c.store.Get(key)
-	sc.Lane().CountLinkedHit(ok)
-	if sc.Sampled() {
-		act, _ := trace.Start(sc, c.name, "get")
-		act.AnnotateBool("cache.hit", ok)
-		act.End()
-	}
-	return v, ok
-}
-
-// PutCtx is Put carrying the caller's span context.
-func (c *Cache[V]) PutCtx(sc trace.SpanContext, key string, v V) {
-	act, _ := trace.Start(sc, c.name, "put")
-	c.store.Put(strings.Clone(key), v)
-	act.End()
-}
-
-// GetOrLoadCtx returns the cached value or loads, caches and returns it.
-// Concurrent loads of the same key may race and both load; the last Put
-// wins — the standard lookaside trade-off. The lookup is recorded as a
+// GetOrLoadCtx returns the cached value or loads, caches and returns it:
+// the unguarded lookaside form. Concurrent loads of the same key may race
+// and both load, and a load that races a writer's Delete re-installs the
+// value it read before the write. The Linked tier does not fill through
+// it: core's fill guard closes that race. The lookup is recorded as a
 // cache span under the caller's span context; load receives that span's
 // context so the loader's downstream spans (the storage round trip on a
 // miss) nest under it. As Put does, a fill keeps a copy of key, and load's
@@ -188,6 +165,3 @@ func (c *Cache[V]) UsedBytes() int64 { return c.store.UsedBytes() }
 
 // Capacity returns the byte budget.
 func (c *Cache[V]) Capacity() int64 { return c.store.Capacity() }
-
-// Flush drops every entry.
-func (c *Cache[V]) Flush() { c.store.Flush() }

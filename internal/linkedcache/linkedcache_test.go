@@ -86,12 +86,14 @@ func TestFlushAndDelete(t *testing.T) {
 	if !c.Delete("a") {
 		t.Fatal("delete existing")
 	}
-	c.Flush()
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("flush should drop everything")
+	if c.Delete("a") {
+		t.Fatal("delete of a deleted key reported presence")
 	}
-	if c.Capacity() != 1<<20 {
-		t.Fatal("capacity should survive flush")
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("deleted key still served")
+	}
+	if _, ok := c.Get("b"); !ok {
+		t.Fatal("delete dropped another key")
 	}
 }
 

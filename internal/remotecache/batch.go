@@ -2,7 +2,6 @@ package remotecache
 
 import (
 	"fmt"
-	"time"
 
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
@@ -78,21 +77,17 @@ func (r *MultiGetResponse) UnmarshalWire(d *wire.Decoder) error {
 	})
 }
 
-// MultiSetRequest stores many key/value pairs, sharing one TTL — batches
-// come from one backfill decision, so per-key TTLs would only pad the
-// frame. Decoded, Values alias the decoder's input: a handler that keeps
-// them copies them.
+// MultiSetRequest stores many key/value pairs. Decoded, Values alias the
+// decoder's input: a handler that keeps them copies them.
 type MultiSetRequest struct {
 	Keys   []string
 	Values [][]byte
-	TTLms  int64
 }
 
 // MarshalWire implements wire.Marshaler.
 func (r *MultiSetRequest) MarshalWire(e *wire.Encoder) {
 	e.StringSlice(1, r.Keys)
 	e.BytesSlice(2, r.Values)
-	e.Int64(3, r.TTLms)
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
@@ -107,8 +102,6 @@ func (r *MultiSetRequest) UnmarshalWire(d *wire.Decoder) error {
 			var b []byte
 			b, err = d.Bytes()
 			r.Values = append(r.Values, b)
-		case 3:
-			r.TTLms, err = d.Int64()
 		default:
 			err = d.Skip(t)
 		}
@@ -254,10 +247,10 @@ func (c *Client) multiGetOn(sc trace.SpanContext, keys []string, values [][]byte
 	return held, nil
 }
 
-// MultiSetTTLCtx stores keys[i] = values[i], all expiring after ttl
-// (0 = never), under the caller's span context. A failed RPC is one
-// counted no-op demotion: the next read of those keys re-populates.
-func (c *Client) MultiSetTTLCtx(sc trace.SpanContext, keys []string, values [][]byte, ttl time.Duration) error {
+// MultiSetCtx stores keys[i] = values[i] under the caller's span context.
+// A failed RPC is one counted no-op demotion: the next read of those keys
+// re-populates.
+func (c *Client) MultiSetCtx(sc trace.SpanContext, keys []string, values [][]byte) error {
 	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
 	if len(keys) != len(values) {
 		return fmt.Errorf("remotecache: MultiSet %d keys but %d values", len(keys), len(values))
@@ -267,14 +260,13 @@ func (c *Client) MultiSetTTLCtx(sc trace.SpanContext, keys []string, values [][]
 	}
 	if c.router != nil {
 		c.eachKey(sc, keys, func(i int, key string) error {
-			return c.setTTL(sc, key, values[i], ttl)
+			return c.set(sc, key, values[i])
 		})
 		return nil
 	}
 	e := wire.GetEncoder()
 	e.StringSlice(1, keys)
 	e.BytesSlice(2, values)
-	e.Int64(3, int64(ttl/time.Millisecond))
 	return demote(sc.Lane(), callAck(sc, c.conns[0], "cache.MultiSet", e, new(MultiAck)))
 }
 
@@ -362,7 +354,7 @@ func (s *Server) handleMultiSet(sc trace.SpanContext, req []byte) ([]byte, error
 	act, _ := trace.Start(sc, s.name, "multiset")
 	ok := make([]bool, len(r.Keys))
 	for i, k := range r.Keys {
-		s.put(k, r.Values[i], r.TTLms)
+		s.put(k, r.Values[i])
 		ok[i] = true
 	}
 	act.AnnotateInt("batch.keys", int64(len(r.Keys)))

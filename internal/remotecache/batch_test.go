@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"cachecost/internal/cluster"
 	"cachecost/internal/meter"
@@ -41,7 +40,7 @@ func TestMultiGetSetDeleteSingleNode(t *testing.T) {
 
 	keys := []string{"a", "b", "c", "d"}
 	vals := [][]byte{[]byte("va"), []byte("vb"), []byte("vc"), []byte("vd")}
-	if err := c.MultiSetTTLCtx(noCtx, keys, vals, 0); err != nil {
+	if err := c.MultiSetCtx(noCtx, keys, vals); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,7 +76,7 @@ func TestMultiGetEmptyBatch(t *testing.T) {
 	if err != nil || len(vals) != 0 || len(found) != 0 {
 		t.Fatalf("empty batch = %v %v %v", vals, found, err)
 	}
-	if err := c.MultiSetTTLCtx(noCtx, nil, nil, 0); err != nil {
+	if err := c.MultiSetCtx(noCtx, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.MultiDeleteCtx(noCtx, nil); err != nil {
@@ -88,7 +87,7 @@ func TestMultiGetEmptyBatch(t *testing.T) {
 func TestMultiSetLengthMismatch(t *testing.T) {
 	srv := newNode(t, nil, 1<<20)
 	c := NewSingleClient(rpc.NewDirect(srv.RPCServer()))
-	if err := c.MultiSetTTLCtx(noCtx, []string{"a", "b"}, [][]byte{[]byte("x")}, 0); err == nil {
+	if err := c.MultiSetCtx(noCtx, []string{"a", "b"}, [][]byte{[]byte("x")}); err == nil {
 		t.Fatal("mismatched keys/values must error")
 	}
 }
@@ -107,7 +106,7 @@ func TestMultiGetFansOutAcrossNodes(t *testing.T) {
 		keys[i] = fmt.Sprintf("k%d", i)
 		vals[i] = []byte(fmt.Sprintf("v%d", i))
 	}
-	if err := c.MultiSetTTLCtx(noCtx, keys, vals, 0); err != nil {
+	if err := c.MultiSetCtx(noCtx, keys, vals); err != nil {
 		t.Fatal(err)
 	}
 	// Every key twice, each pair split by a miss.
@@ -183,7 +182,7 @@ func TestMultiGetPartialResultsDegraded(t *testing.T) {
 			t.Fatalf("Degraded = %d, CacheMisses = %d; want 1 (one failed RPC, not one per key) and 3", p.Degraded, p.CacheMisses)
 		}
 		onLane(m, func(sc trace.SpanContext) {
-			if err := c.MultiSetTTLCtx(sc, keys, three, 0); err != nil {
+			if err := c.MultiSetCtx(sc, keys, three); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.MultiDeleteCtx(sc, keys); err != nil {
@@ -247,7 +246,7 @@ func TestMultiGetPartialResultsDegraded(t *testing.T) {
 			t.Fatalf("Degraded = %d, want 3 (one per dead key)", got)
 		}
 		onLane(m, func(sc trace.SpanContext) {
-			if err := c.MultiSetTTLCtx(sc, deadKeys, three, 0); err != nil {
+			if err := c.MultiSetCtx(sc, deadKeys, three); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.MultiDeleteCtx(sc, deadKeys); err != nil {
@@ -258,22 +257,6 @@ func TestMultiGetPartialResultsDegraded(t *testing.T) {
 			t.Fatalf("Degraded = %d, want 9", got)
 		}
 	})
-}
-
-func TestMultiSetTTLExpires(t *testing.T) {
-	srv := newNode(t, nil, 1<<20)
-	c := NewSingleClient(rpc.NewDirect(srv.RPCServer()))
-	if err := c.MultiSetTTLCtx(noCtx, []string{"a", "b"}, [][]byte{[]byte("1"), []byte("2")}, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
-	_, found, err := multiGet(c, []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if found[0] || found[1] {
-		t.Fatal("batched TTL entries should expire")
-	}
 }
 
 func TestMultiMessagesRoundTrip(t *testing.T) {
@@ -301,12 +284,12 @@ func TestMultiMessagesRoundTrip(t *testing.T) {
 		t.Fatalf("values = %q", respOut.Values)
 	}
 
-	setIn := &MultiSetRequest{Keys: []string{"k"}, Values: [][]byte{[]byte("v")}, TTLms: 1500}
+	setIn := &MultiSetRequest{Keys: []string{"k"}, Values: [][]byte{[]byte("v")}}
 	var setOut MultiSetRequest
 	if err := roundTrip(setIn, &setOut); err != nil {
 		t.Fatal(err)
 	}
-	if len(setOut.Keys) != 1 || setOut.Keys[0] != "k" || string(setOut.Values[0]) != "v" || setOut.TTLms != 1500 {
+	if len(setOut.Keys) != 1 || setOut.Keys[0] != "k" || string(setOut.Values[0]) != "v" {
 		t.Fatalf("set = %+v", setOut)
 	}
 

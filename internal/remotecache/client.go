@@ -1,8 +1,6 @@
 package remotecache
 
 import (
-	"time"
-
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
 	"cachecost/internal/telemetry"
@@ -131,35 +129,33 @@ func getOn(sc trace.SpanContext, conn rpc.Conn, key string) (value, held []byte,
 	return value, held, true, nil
 }
 
-// Set stores key with no TTL.
+// Set stores key.
 func (c *Client) Set(key string, value []byte) error {
-	return c.SetTTLCtx(trace.SpanContext{}, key, value, 0)
+	return c.SetCtx(trace.SpanContext{}, key, value)
 }
 
-// SetTTLCtx stores key, expiring after ttl (0 = never), under the
-// caller's span context. A cache failure is a counted no-op: the next
-// read re-populates.
-func (c *Client) SetTTLCtx(sc trace.SpanContext, key string, value []byte, ttl time.Duration) error {
+// SetCtx stores key under the caller's span context. A cache failure is a
+// counted no-op: the next read re-populates.
+func (c *Client) SetCtx(sc trace.SpanContext, key string, value []byte) error {
 	t0 := sc.Lane().StageClock()
-	err := c.setTTL(sc, key, value, ttl)
+	err := c.set(sc, key, value)
 	sc.Lane().AddStage(meter.StageCache, t0)
 	return demote(sc.Lane(), err)
 }
 
-func (c *Client) setTTL(sc trace.SpanContext, key string, value []byte, ttl time.Duration) error {
+func (c *Client) set(sc trace.SpanContext, key string, value []byte) error {
 	if c.router != nil {
-		return c.routedSet(sc, key, value, ttl)
+		return c.routedSet(sc, key, value)
 	}
-	return setOn(sc, c.conns[0], key, value, ttl)
+	return setOn(sc, c.conns[0], key, value)
 }
 
 // setOn is one cache.Set round trip on conn: the SetRequest shape
-// {1: key, 2: value, 3: ttl_ms} out, an Ack back.
-func setOn(sc trace.SpanContext, conn rpc.Conn, key string, value []byte, ttl time.Duration) error {
+// {1: key, 2: value} out, an Ack back.
+func setOn(sc trace.SpanContext, conn rpc.Conn, key string, value []byte) error {
 	e := wire.GetEncoder()
 	e.String(1, key)
 	e.BytesField(2, value)
-	e.Int64(3, int64(ttl/time.Millisecond))
 	return callAck(sc, conn, "cache.Set", e, new(Ack))
 }
 

@@ -56,19 +56,17 @@ func (r *GetResponse) UnmarshalWire(d *wire.Decoder) error {
 	})
 }
 
-// SetRequest stores a value with an optional TTL in milliseconds. Decoded,
-// Value aliases the decoder's input: a handler that keeps it copies it.
+// SetRequest stores a value. Decoded, Value aliases the decoder's input: a
+// handler that keeps it copies it.
 type SetRequest struct {
 	Key   string
 	Value []byte
-	TTLms int64
 }
 
 // MarshalWire implements wire.Marshaler.
 func (r *SetRequest) MarshalWire(e *wire.Encoder) {
 	e.String(1, r.Key)
 	e.BytesField(2, r.Value)
-	e.Int64(3, r.TTLms)
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
@@ -79,8 +77,6 @@ func (r *SetRequest) UnmarshalWire(d *wire.Decoder) error {
 			r.Key, err = d.String()
 		case 2:
 			r.Value, err = d.Bytes()
-		case 3:
-			r.TTLms, err = d.Int64()
 		default:
 			err = d.Skip(t)
 		}

@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"cachecost/internal/cluster"
 	"cachecost/internal/meter"
@@ -38,18 +37,6 @@ func TestGetSetDeleteLoopback(t *testing.T) {
 	}
 	if existed, _ := c.Delete("k"); existed {
 		t.Fatal("double delete should report absence")
-	}
-}
-
-func TestTTLExpires(t *testing.T) {
-	srv := newNode(t, nil, 1<<20)
-	c := NewSingleClient(rpc.NewDirect(srv.RPCServer()))
-	if err := c.SetTTLCtx(noCtx, "k", []byte("v"), time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
-	if _, found, _ := c.Get("k"); found {
-		t.Fatal("TTL entry should expire")
 	}
 }
 

@@ -3,7 +3,6 @@ package remotecache
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"cachecost/internal/cluster"
 	"cachecost/internal/rpc"
@@ -126,7 +125,7 @@ func (c *Client) routedGet(sc trace.SpanContext, key string) (value, held []byte
 	// copy-forward failure propagates, and the caller's demotion turns it
 	// into a miss (the value is re-fetched from storage — wasteful, never
 	// wrong).
-	if err := c.setNode(sc, pl.Replicas[0], cluster.EpochKey(pl.Epoch, key), value, 0); err != nil {
+	if err := c.setNode(sc, pl.Replicas[0], cluster.EpochKey(pl.Epoch, key), value); err != nil {
 		rpc.PutBuffer(held)
 		return nil, nil, false, err
 	}
@@ -137,14 +136,14 @@ func (c *Client) routedGet(sc trace.SpanContext, key string) (value, held []byte
 // then invalidates the old primary's entry during a handoff. A write is
 // acknowledged only once every replica holds it — a subsequent read
 // from ANY replica sees it, so replica fan-out never serves stale data.
-func (c *Client) routedSet(sc trace.SpanContext, key string, value []byte, ttl time.Duration) error {
+func (c *Client) routedSet(sc trace.SpanContext, key string, value []byte) error {
 	r := c.router
 	shard := r.smap.ShardOf(key)
 	r.smap.Note(shard)
 	pl := r.smap.Placement(shard)
 	ek := cluster.EpochKey(pl.Epoch, key)
 	for i, node := range pl.Replicas {
-		if err := c.setNode(sc, node, ek, value, ttl); err != nil {
+		if err := c.setNode(sc, node, ek, value); err != nil {
 			return err
 		}
 		if i > 0 {
@@ -205,10 +204,10 @@ func (c *Client) getNode(sc trace.SpanContext, node, key string) (value, held []
 	return getOn(sc, conn, key)
 }
 
-func (c *Client) setNode(sc trace.SpanContext, node, key string, value []byte, ttl time.Duration) error {
+func (c *Client) setNode(sc trace.SpanContext, node, key string, value []byte) error {
 	conn, infl := c.track(node)
 	defer infl.Add(-1)
-	return setOn(sc, conn, key, value, ttl)
+	return setOn(sc, conn, key, value)
 }
 
 func (c *Client) deleteNode(sc trace.SpanContext, node, key string) (bool, error) {

@@ -198,7 +198,7 @@ func TestRoutedHandoffDoubleRead(t *testing.T) {
 	}
 }
 
-// A routed MultiSetTTLCtx is a routed Set per key: a replicated shard's
+// A routed MultiSetCtx is a routed Set per key: a replicated shard's
 // key lands on every replica, each extra replica counted as one fan-out
 // write, and a later batch read from any replica sees it.
 func TestRoutedMultiSetFansOutToReplicas(t *testing.T) {
@@ -217,7 +217,7 @@ func TestRoutedMultiSetFansOutToReplicas(t *testing.T) {
 	}
 	keys := []string{"plain-a", hot, "plain-b"}
 	values := [][]byte{[]byte("a"), []byte("v1"), []byte("b")}
-	if err := c.MultiSetTTLCtx(noCtx, keys, values, 0); err != nil {
+	if err := c.MultiSetCtx(noCtx, keys, values); err != nil {
 		t.Fatal(err)
 	}
 	ek := cluster.EpochKey(pl.Epoch, hot)

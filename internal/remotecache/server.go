@@ -205,7 +205,6 @@ func (s *Server) registerTelemetry(reg *telemetry.Registry) {
 		emit(telemetry.Sample{Name: "cache.hits", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.Hits)})
 		emit(telemetry.Sample{Name: "cache.misses", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.Misses)})
 		emit(telemetry.Sample{Name: "cache.evictions", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.Evictions)})
-		emit(telemetry.Sample{Name: "cache.expirations", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(st.Expirations)})
 		emit(telemetry.Sample{Name: "cache.used_bytes", Labels: lbl, Kind: telemetry.KindGauge, Value: float64(s.store.UsedBytes())})
 		emit(telemetry.Sample{Name: "cache.capacity_bytes", Labels: lbl, Kind: telemetry.KindGauge, Value: float64(s.store.Capacity())})
 	})
@@ -264,7 +263,7 @@ func (s *Server) handleSet(sc trace.SpanContext, req []byte) ([]byte, error) {
 	s.acquire(sc.Lane())
 	defer s.release()
 	act, _ := trace.Start(sc, s.name, "set")
-	s.put(r.Key, r.Value, r.TTLms)
+	s.put(r.Key, r.Value)
 	act.SetBytes(len(req), 0)
 	act.End()
 	return replyAck(true), nil
@@ -273,13 +272,8 @@ func (s *Server) handleSet(sc trace.SpanContext, req []byte) ([]byte, error) {
 // put stores a copy of value, which aliases the request: the entry is
 // independent of every transport buffer and immutable from here on, so
 // concurrent readers may share it.
-func (s *Server) put(key string, value []byte, ttlMs int64) {
-	value = append([]byte(nil), value...)
-	if ttlMs > 0 {
-		s.store.PutTTL(key, value, time.Duration(ttlMs)*time.Millisecond)
-	} else {
-		s.store.Put(key, value)
-	}
+func (s *Server) put(key string, value []byte) {
+	s.store.Put(key, append([]byte(nil), value...))
 }
 
 func (s *Server) handleDelete(sc trace.SpanContext, req []byte) ([]byte, error) {
