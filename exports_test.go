@@ -10,6 +10,12 @@ package cachecost_test
 // reason; an entry that no longer names a flagged identifier fails too,
 // so the list can only shrink with the code.
 //
+// The same pass is the knob ratchet: an exported field of an exported
+// …Config or …Options struct under internal/ (and of fault.Rule) must be
+// set — as a keyed composite-literal entry or an assignment — by some
+// non-test file other than the one declaring it, or be allowlisted. A
+// field only its own defaulting code sets is a constant in disguise.
+//
 // The scan uses the standard library only: go/build's MatchFile honours
 // build tags, go/parser and go/types check every package from source, and
 // importer.Default() supplies std.
@@ -35,6 +41,8 @@ import (
 type exportScan struct {
 	exported int      // exported funcs, methods, vars, consts and types under internal/
 	flagged  []string // exported funcs, methods, vars and consts no other non-test file names
+	knobs    int      // exported fields of the config structs
+	unset    []string // config fields no other non-test file sets
 }
 
 // scanPkg is one directory's non-test files, parsed and type-checked.
@@ -218,6 +226,41 @@ func scanExports(root string) (*exportScan, error) {
 		}
 	}
 
+	// Which files set each struct field: a keyed composite-literal entry
+	// or the target of an assignment.
+	setters := map[types.Object]map[string]bool{}
+	set := func(p *scanPkg, id *ast.Ident) {
+		if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
+			if setters[v.Origin()] == nil {
+				setters[v.Origin()] = map[string]bool{}
+			}
+			setters[v.Origin()][fset.Position(id.Pos()).Filename] = true
+		}
+	}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								set(p, id)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							set(p, sel.Sel)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
 	scan := &exportScan{}
 	for _, path := range paths {
 		p := pkgs[path]
@@ -262,9 +305,39 @@ func scanExports(root string) (*exportScan, error) {
 				scan.flagged = append(scan.flagged, name)
 			}
 		}
+		for _, name := range p.types.Scope().Names() {
+			tn, ok := p.types.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !isKnobStruct(p.rel, name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				fv := st.Field(i)
+				if !fv.Exported() || fv.Embedded() {
+					continue
+				}
+				scan.knobs++
+				file := fset.Position(fv.Pos()).Filename
+				if n := len(setters[fv]); n > 1 || n == 1 && !setters[fv][file] {
+					continue
+				}
+				scan.unset = append(scan.unset, p.rel+"."+name+"."+fv.Name())
+			}
+		}
 	}
 	sort.Strings(scan.flagged)
+	sort.Strings(scan.unset)
 	return scan, nil
+}
+
+// isKnobStruct reports whether the type named name in the package at rel
+// (its path under internal/) is a configuration struct the knob ratchet
+// covers.
+func isKnobStruct(rel, name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || rel == "fault" && name == "Rule"
 }
 
 func recvName(t types.Type) string {
@@ -329,7 +402,7 @@ type allowEntry struct {
 	line         int
 }
 
-var allowReason = regexp.MustCompile(`^(test-hook|oracle|sentinel|roadmap-[0-9]+)$`)
+var allowReason = regexp.MustCompile(`^(test-hook|fake|oracle|sentinel|roadmap-[0-9]+)$`)
 
 // parseAllow parses an allowlist: "name reason free text", '#' comments.
 // A name without a dot is a whole package (its path under internal/).
@@ -341,7 +414,7 @@ func parseAllow(text string) ([]allowEntry, error) {
 			continue
 		}
 		if len(fields) < 2 || !allowReason.MatchString(fields[1]) {
-			return nil, fmt.Errorf("line %d: want \"name reason ...\" with reason test-hook, oracle, sentinel or roadmap-N: %q", i+1, line)
+			return nil, fmt.Errorf("line %d: want \"name reason ...\" with reason test-hook, fake, oracle, sentinel or roadmap-N: %q", i+1, line)
 		}
 		out = append(out, allowEntry{name: fields[0], reason: fields[1], line: i + 1})
 	}
@@ -386,11 +459,19 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d exported identifiers under internal/, %d flagged, %d allowlisted; scan took %v",
-		scan.exported, len(scan.flagged), len(allow), time.Since(start).Round(time.Millisecond))
-	unlisted, stale := applyAllow(scan.flagged, allow)
+	t.Logf("%d exported identifiers under internal/, %d flagged; %d config fields, %d set by no other file; %d allowlisted; scan took %v",
+		scan.exported, len(scan.flagged), scan.knobs, len(scan.unset), len(allow), time.Since(start).Round(time.Millisecond))
+	unlisted, stale := applyAllow(append(scan.flagged, scan.unset...), allow)
+	knob := map[string]bool{}
+	for _, name := range scan.unset {
+		knob[name] = true
+	}
 	for _, name := range unlisted {
-		t.Errorf("%s: exported but named by no other non-test file; delete it, unexport it, or allowlist it with a reason", name)
+		if knob[name] {
+			t.Errorf("%s: a config field no other non-test file sets; make it a constant at its default, or allowlist it with a reason", name)
+		} else {
+			t.Errorf("%s: exported but named by no other non-test file; delete it, unexport it, or allowlist it with a reason", name)
+		}
 	}
 	for _, s := range stale {
 		t.Errorf("testdata/exports_allow.txt %s: stale entry, the identifier is used or gone", s)
@@ -414,9 +495,15 @@ func TestExportScanFixture(t *testing.T) {
 		t.Fatalf("flagged %v, want %v", scan.flagged, want)
 	}
 	// lib declares five funcs, Limit, ErrEmpty, Stack and its five methods,
-	// Name and String, Cache and its two methods, and Outer and Size.
-	if scan.exported != 20 {
-		t.Errorf("exported = %d, want 20", scan.exported)
+	// Name and String, Cache and its two methods, Outer and Size, and
+	// Config.
+	if scan.exported != 21 {
+		t.Errorf("exported = %d, want 21", scan.exported)
+	}
+	// Config's four fields: cmd/app sets Keyed and Assigned; Defaulted is
+	// set only in its own file, TestSet only from a test.
+	if want := "lib.Config.Defaulted lib.Config.TestSet"; scan.knobs != 4 || strings.Join(scan.unset, " ") != want {
+		t.Errorf("config fields %d, unset %v; want 4, %s", scan.knobs, scan.unset, want)
 	}
 
 	allow, err := parseAllow("# comment\nlib.LocalOnly oracle why\nlib.OnlyTested test-hook\nlib.Used roadmap-9\n")

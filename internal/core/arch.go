@@ -85,6 +85,4 @@ type Service interface {
 	Write(key string, value []byte) error
 	// Arch identifies the assembly.
 	Arch() Arch
-	// Close releases resources.
-	Close() error
 }

@@ -98,9 +98,6 @@ func TestRunExperimentProducesReport(t *testing.T) {
 	if res.AppCores <= 0 || res.StorageCores <= 0 {
 		t.Fatalf("cores missing: %+v", res)
 	}
-	if res.String() == "" {
-		t.Fatal("String should render")
-	}
 }
 
 // runArch is a test helper running one architecture on a fresh meter and
@@ -265,8 +262,9 @@ func TestModelSavingPositiveAcrossAlpha(t *testing.T) {
 func TestModelSavingSurvivesReplicationAndPrice(t *testing.T) {
 	// Figure 2b + §4: even with N_r up to 10 and memory 40x the price,
 	// the linked cache still wins.
+	base := DefaultModel(1.2)
 	for _, nr := range []float64{1, 2, 5, 10} {
-		m := DefaultModel(1.2)
+		m := base
 		m.Replicas = nr
 		if s := m.CostSaving(8<<30, 1<<30, 1<<30); s <= 1 {
 			t.Fatalf("N_r=%v: saving %v", nr, s)
@@ -275,7 +273,7 @@ func TestModelSavingSurvivesReplicationAndPrice(t *testing.T) {
 	// At 40x memory prices a fixed 8GB allocation may lose, but the
 	// paper's claim is about the optimal allocation: adding the right
 	// amount of cache still saves.
-	m := DefaultModel(1.2)
+	m := base
 	m.Prices = meter.GCP.WithMemoryMultiplier(40)
 	opt := m.OptimalSA(1<<30, 16<<30)
 	if s := m.CostSaving(opt, 1<<30, 1<<30); s <= 1 {

@@ -84,8 +84,7 @@ type recService struct {
 	comp     *meter.Component // each call closes one lane on it, counting one hop
 }
 
-func (s *recService) Arch() Arch   { return Base }
-func (s *recService) Close() error { return nil }
+func (s *recService) Arch() Arch { return Base }
 func (s *recService) Worker(i int) (ServiceWorker, error) {
 	if i < 0 || i >= len(s.lanes) {
 		return nil, fmt.Errorf("no lane %d", i)

@@ -47,7 +47,7 @@ func FigElastic(o FigOptions) (*Table, error) {
 		Header: []string{"arch", "mode", "$/Mreq", "p99_intended_ms", "hit", "mem_$/mo",
 			"end_bytes", "resizes", "deadline_exp"},
 	}
-	prices := o.Prices.WithMemoryMultiplier(elasticMemMultiplier)
+	prices := meter.GCP.WithMemoryMultiplier(elasticMemMultiplier)
 	cfg := workload.SyntheticConfig{
 		Keys: o.Keys, Alpha: 1.2, ReadRatio: 0.9, ValueSize: elasticValueSize, Seed: o.Seed,
 	}

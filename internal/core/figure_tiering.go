@@ -69,7 +69,7 @@ func FigTiering(o FigOptions) (*Table, error) {
 	cfg := workload.SyntheticConfig{
 		Keys: tieringKeys, Alpha: 1.2, ReadRatio: 0.9, ValueSize: tieringValueSize, Seed: o.Seed,
 	}
-	prices := o.Prices.WithMemoryMultiplier(tieringMemMultiplier)
+	prices := meter.GCP.WithMemoryMultiplier(tieringMemMultiplier)
 	ws := int64(cfg.Keys) * int64(cfg.ValueSize)
 
 	for _, arch := range []Arch{Base, Linked} {

@@ -27,8 +27,6 @@ type FigOptions struct {
 	Tables int
 	// Seed drives workload determinism. Default 1.
 	Seed int64
-	// Prices is the cost book. Default GCP.
-	Prices meter.PriceBook
 	// AppReplicas is the number of application servers carrying the
 	// linked cache (memory billed per server). Default 3.
 	AppReplicas int
@@ -104,9 +102,6 @@ func (o *FigOptions) applyDefaults() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Prices == (meter.PriceBook{}) {
-		o.Prices = meter.GCP
-	}
 	if o.AppReplicas <= 0 {
 		o.AppReplicas = 3
 	}
@@ -157,7 +152,7 @@ func (o FigOptions) newCell(arch Arch, gen workload.Generator, ws int64) *figCel
 			Flight:            o.Flight,
 		},
 		run: RunConfig{
-			Warmup: o.Warmup, Ops: o.Ops, Prices: o.Prices, Telemetry: o.Telemetry,
+			Warmup: o.Warmup, Ops: o.Ops, Prices: meter.GCP, Telemetry: o.Telemetry,
 		},
 	}
 }
@@ -263,14 +258,15 @@ func fig2b(o FigOptions) (*Table, error) {
 		Header: []string{"N_r", "saving_8GB", "saving_40x_optimal_sA", "optimal_sA_GB_40x"},
 	}
 	const sD = 1 << 30
+	base := DefaultModel(1.2) // one miss-ratio curve; each row copies the model
 	for nr := 1; nr <= 10; nr++ {
-		m := DefaultModel(1.2)
+		m := base
 		m.Replicas = float64(nr)
 		s := m.CostSaving(8<<30, sD, sD)
 
-		mx := DefaultModel(1.2)
+		mx := base
 		mx.Replicas = float64(nr)
-		mx.Prices = o.Prices.WithMemoryMultiplier(40)
+		mx.Prices = meter.GCP.WithMemoryMultiplier(40)
 		opt := mx.OptimalSA(sD, 16<<30)
 		sx := mx.CostSaving(opt, sD, sD)
 		t.AddRow(nr, s, sx, opt/(1<<30))

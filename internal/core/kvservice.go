@@ -381,9 +381,6 @@ func (d *deployment) newFront() *rpc.Server {
 // Arch implements Service.
 func (d *deployment) Arch() Arch { return d.cfg.Arch }
 
-// Close implements Service.
-func (d *deployment) Close() error { return nil }
-
 // KVService is the synthetic/Meta-trace service: a key-value style
 // application (one row per key in the kvdata table) deployed under one of
 // the §2.4 architectures. The client-facing surface is itself an RPC

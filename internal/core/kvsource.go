@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"cachecost/internal/rpc"
 	"cachecost/internal/storage"
 	"cachecost/internal/storage/sql"
 	"cachecost/internal/trace"
@@ -77,7 +78,7 @@ func (r *kvRows) loadBatch(sc trace.SpanContext, keys []string) ([][]byte, []byt
 	out := make([][]byte, len(keys))
 	for i, rs := range resp.Results {
 		if len(rs.Rows) == 0 {
-			resp.Release()
+			rpc.PutBuffer(resp.Detach())
 			return nil, nil, fmt.Errorf("core: no row for key %q", keys[i])
 		}
 		out[i] = rs.Rows[0][0].Blob

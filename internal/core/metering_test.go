@@ -2,10 +2,12 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"cachecost/internal/meter"
+	"cachecost/internal/trace"
 	"cachecost/internal/workload"
 )
 
@@ -119,6 +121,28 @@ func TestMeteredOpsUnchanged(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLinkedMissAllocs pins a bare Linked tier's miss: the fill (with
+// its WaitGroup), the fill table's copy of the key, which the cache
+// adopts when the fill installs, and the cache's entry. The source
+// lends a stored string, so the load allocates nothing.
+func TestLinkedMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting differs under -race")
+	}
+	tier, src := newTestLinkedTier(), newFakeRows("miss-key", "value")
+	key := strings.Repeat("miss-key", 1) // not a constant: the copies are real
+	miss := func() {
+		tier.evict(key)
+		if _, _, hit, err := tier.read(trace.SpanContext{}, key, src); err != nil || hit {
+			t.Fatalf("read = hit %v, %v; want a miss", hit, err)
+		}
+	}
+	miss()
+	if got := testing.AllocsPerRun(200, miss); got > 4 {
+		t.Errorf("a Linked miss allocates %.0f times, want <= 4", got)
 	}
 }
 

@@ -29,7 +29,6 @@ func (s *stallService) do() {
 func (s *stallService) Read(key string) ([]byte, error)      { s.do(); return nil, nil }
 func (s *stallService) Write(key string, value []byte) error { s.do(); return nil }
 func (s *stallService) Arch() Arch                           { return Base }
-func (s *stallService) Close() error                         { return nil }
 func (s *stallService) Worker(i int) (ServiceWorker, error)  { return s, nil }
 
 var _ ParallelService = (*stallService)(nil)

@@ -222,7 +222,7 @@ func TestBorrowedStorageReads(t *testing.T) {
 							return
 						}
 					}
-					resp.Release()
+					rpc.PutBuffer(resp.Detach())
 				default:
 					ver, found, err := c.VersionCtx(trace.SpanContext{}, "kvdata", keys[j])
 					if err != nil || !found || ver < vers[j] {

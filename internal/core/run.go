@@ -90,13 +90,6 @@ type RunResult struct {
 	Hists []telemetry.HistSummary
 }
 
-// String renders a one-line summary.
-func (r *RunResult) String() string {
-	return fmt.Sprintf("%-14s %-13s cost/Mreq=$%.4f hit=%.2f app=%.3f cores cache=%.3f cores storage=%.3f cores mem%%=%.1f",
-		r.Arch, r.Workload, r.CostPerMReq, r.HitRatio,
-		r.AppCores, r.CacheCores, r.StorageCores, 100*r.Report.MemFraction())
-}
-
 // hitRatioReporter is implemented by services that track cache hits. It
 // reports cumulative (hits, reads) since construction; the driver
 // snapshots the pair at the fence and reports the metered window's delta,

@@ -444,8 +444,11 @@ type guarded[V any, S comparable] struct {
 }
 
 // fill is one fill in flight. Its leader publishes v and err before
-// marking done; superseded is guarded by guarded.mu.
+// marking done; superseded is guarded by guarded.mu. key is the fill's
+// own copy of the key: the fill table's, and the cache entry's once the
+// fill installs.
 type fill[V, S any] struct {
+	key        string
 	stamp      S
 	done       sync.WaitGroup
 	v          V
@@ -484,7 +487,7 @@ func (g *guarded[V, S]) lookup(sc trace.SpanContext, key string, want S, src sou
 
 	v, held, err := src.load(sc, key)
 	v = keepLoaded(g.lent, v, held)
-	g.install(key, fl, v, err)
+	g.install(fl, v, err)
 	return v, false, err
 }
 
@@ -517,7 +520,7 @@ func (g *guarded[V, S]) lookupBatch(sc trace.SpanContext, keys []string, want S,
 	}
 	g.mu.Unlock()
 	_, loaded, held, err := loadMisses(sc, keys, miss, values, src)
-	for j, i := range miss {
+	for j, fl := range fills {
 		var v V
 		if err == nil {
 			v = loaded[j]
@@ -525,7 +528,7 @@ func (g *guarded[V, S]) lookupBatch(sc trace.SpanContext, keys []string, want S,
 				v = g.lent(v)
 			}
 		}
-		g.install(keys[i], fills[j], v, err)
+		g.install(fl, v, err)
 	}
 	return values, held, len(keys) - len(miss), err
 }
@@ -534,21 +537,22 @@ func (g *guarded[V, S]) lookupBatch(sc trace.SpanContext, keys []string, want S,
 // flight: at most one fill per key is live. The caller holds mu.
 func (g *guarded[V, S]) register(key string, want S) *fill[V, S] {
 	g.supersede(key)
-	fl := &fill[V, S]{stamp: want}
+	fl := &fill[V, S]{key: strings.Clone(key), stamp: want} // key may alias the request
 	fl.done.Add(1)
-	g.fills[strings.Clone(key)] = fl // the fill table keeps the key
+	g.fills[fl.key] = fl
 	return fl
 }
 
 // install completes fl with its load's result: the readers joined to it
-// get v and err, and the cache keeps v unless a write superseded fl.
-func (g *guarded[V, S]) install(key string, fl *fill[V, S], v V, err error) {
+// get v and err, and the cache keeps v, under fl's copy of the key, unless
+// a write superseded fl.
+func (g *guarded[V, S]) install(fl *fill[V, S], v V, err error) {
 	fl.v, fl.err = v, err
 	g.mu.Lock()
 	if !fl.superseded {
-		delete(g.fills, key)
+		delete(g.fills, fl.key)
 		if err == nil {
-			g.lc.Put(key, stamped[V, S]{fl.stamp, v})
+			g.lc.PutOwned(fl.key, stamped[V, S]{fl.stamp, v})
 		}
 	}
 	g.mu.Unlock()

@@ -66,18 +66,10 @@ type Config struct {
 	// MinBytes/MaxBytes clamp the size the controller may choose.
 	// Defaults: 1 MiB and 4 GiB.
 	MinBytes, MaxBytes int64
-	// StepFrac is the multiplicative step per tick (0.15 default): each
-	// tick moves the size by at most ±StepFrac of its current value.
-	StepFrac float64
-	// Hysteresis is the minimum relative cost improvement required to
-	// move at all (0.02 default); below it the controller holds, which
-	// is what keeps it from oscillating around a flat minimum.
-	Hysteresis float64
 
-	// Window and Decay parameterize the windowed MRC (accesses per
-	// generation, previous-generation weight). Defaults 8192 and 0.5.
+	// Window is the windowed MRC's accesses per generation. Default
+	// 8192.
 	Window int
-	Decay  float64
 	// MinSamples is the curve weight below which a tick holds
 	// everything (default 256).
 	MinSamples float64
@@ -92,9 +84,21 @@ type Config struct {
 	// DemandQPS overrides the measured request rate (tests). Nil
 	// derives it from Observe counts and the clock.
 	DemandQPS func() float64
-	// Clock overrides time.Now (tests).
-	Clock func() time.Time
 }
+
+// The size loop's fixed tuning, typed so Tick's arithmetic rounds as it
+// did when these were config fields.
+const (
+	// stepFrac is the multiplicative step per tick: each tick moves the
+	// size by at most ±stepFrac of its current value.
+	stepFrac float64 = 0.15
+	// hysteresis is the minimum relative cost improvement required to
+	// move at all; below it the controller holds, which is what keeps
+	// it from oscillating around a flat minimum.
+	hysteresis float64 = 0.02
+	// decay is the windowed MRC's previous-generation weight.
+	decay float64 = 0.5
+)
 
 // Decision is the outcome of one Tick, for figures and tests.
 type Decision struct {
@@ -141,29 +145,17 @@ func New(cfg Config) *Controller {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = 4 << 30
 	}
-	if cfg.StepFrac <= 0 {
-		cfg.StepFrac = 0.15
-	}
-	if cfg.Hysteresis <= 0 {
-		cfg.Hysteresis = 0.02
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = 8192
-	}
-	if cfg.Decay <= 0 {
-		cfg.Decay = 0.5
 	}
 	if cfg.MinSamples <= 0 {
 		cfg.MinSamples = 256
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
 	c := &Controller{
 		cfg: cfg,
-		win: cache.NewWindowedAnalyzer(cfg.Window, cfg.Decay),
+		win: cache.NewWindowedAnalyzer(cfg.Window, decay),
 	}
-	c.lastTick = cfg.Clock()
+	c.lastTick = time.Now()
 	c.last.TargetBytes = cfg.Target.Capacity()
 	if reg := cfg.Registry; reg != nil {
 		lbl := telemetry.L("tier", cfg.Name)
@@ -213,7 +205,7 @@ func (c *Controller) Tick() Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	now := c.cfg.Clock()
+	now := time.Now()
 	elapsed := now.Sub(c.lastTick).Seconds()
 	c.lastTick = now
 
@@ -249,8 +241,8 @@ func (c *Controller) Tick() Decision {
 	}
 	best, bestCost := cur, costAt(cur)
 	for _, cand := range []int64{
-		clamp(int64(float64(cur)*(1-c.cfg.StepFrac)), c.cfg.MinBytes, c.cfg.MaxBytes),
-		clamp(int64(float64(cur)*(1+c.cfg.StepFrac)), c.cfg.MinBytes, c.cfg.MaxBytes),
+		clamp(int64(float64(cur)*(1-stepFrac)), c.cfg.MinBytes, c.cfg.MaxBytes),
+		clamp(int64(float64(cur)*(1+stepFrac)), c.cfg.MinBytes, c.cfg.MaxBytes),
 	} {
 		if cand == cur {
 			continue
@@ -263,7 +255,7 @@ func (c *Controller) Tick() Decision {
 	// knob's own cost component — not with total cost: a workload whose
 	// compulsory misses dwarf the rent would otherwise pin the size
 	// forever, because no resize can touch the compulsory term.
-	if best != cur && bestCost < costAt(cur)-c.cfg.Hysteresis*c.cfg.Prices.MemCost(cur*int64(c.cfg.Replicas)) {
+	if best != cur && bestCost < costAt(cur)-hysteresis*c.cfg.Prices.MemCost(cur*int64(c.cfg.Replicas)) {
 		c.cfg.Target.Resize(best)
 		d.Resized = true
 		c.nResizes++

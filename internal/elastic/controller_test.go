@@ -43,7 +43,6 @@ func TestSizeConvergesToAnalyticOptimum(t *testing.T) {
 		a       = float64(64 << 20) // curve scale: 64 MiB
 		qps     = 1000.0
 		missUSD = 1e-6
-		step    = 0.15
 	)
 	prices := meter.GCP.WithMemoryMultiplier(40)
 	want := OptimalBytes(a, qps, missUSD, prices.MemGBMonth)
@@ -57,14 +56,13 @@ func TestSizeConvergesToAnalyticOptimum(t *testing.T) {
 			Target:      tgt,
 			Prices:      prices,
 			MissCostUSD: missUSD,
-			StepFrac:    step,
 			CurveFn:     func() Curve { return expCurve{a: a} },
 			DemandQPS:   func() float64 { return qps },
 		})
 		trail := run(c, 200)
 
 		got := float64(trail[len(trail)-1])
-		if r := got / want; r < 1-2*step || r > 1+2*step {
+		if r := got / want; r < 1-2*stepFrac || r > 1+2*stepFrac {
 			t.Errorf("start=%d: settled at %.0f, want within 2 steps of %.0f (ratio %.2f)",
 				start, got, want, r)
 		}
@@ -96,7 +94,6 @@ func TestHysteresisHoldsFlatMinimum(t *testing.T) {
 		Target:      tgt,
 		Prices:      prices,
 		MissCostUSD: missUSD,
-		Hysteresis:  0.05,
 		CurveFn:     func() Curve { return expCurve{a: a} },
 		DemandQPS:   func() float64 { return qps * wobble },
 	})

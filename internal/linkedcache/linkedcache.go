@@ -125,6 +125,11 @@ func (c *Cache[V]) Get(key string) (V, bool) { return c.store.Get(key) }
 // a request buffer.
 func (c *Cache[V]) Put(key string, v V) { c.store.Put(strings.Clone(key), v) }
 
+// PutOwned is Put for a key the caller already owns, such as a copy made
+// for its own bookkeeping: the cache keeps key itself, so it must not
+// alias a buffer anyone reuses.
+func (c *Cache[V]) PutOwned(key string, v V) { c.store.Put(key, v) }
+
 // Delete removes key.
 func (c *Cache[V]) Delete(key string) bool { return c.store.Delete(key) }
 

@@ -26,7 +26,6 @@
 package meter
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -283,9 +282,4 @@ func (s ComponentSnapshot) Cores(elapsed time.Duration) float64 {
 		return 0
 	}
 	return float64(s.Busy) / float64(elapsed)
-}
-
-// String implements fmt.Stringer for debugging output.
-func (s ComponentSnapshot) String() string {
-	return fmt.Sprintf("%s busy=%v mem=%dB ops=%d", s.Name, s.Busy, s.MemBytes, s.Ops)
 }

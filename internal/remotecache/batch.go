@@ -27,9 +27,6 @@ type MultiGetRequest struct {
 	Keys []string
 }
 
-// MarshalWire implements wire.Marshaler.
-func (r *MultiGetRequest) MarshalWire(e *wire.Encoder) { e.StringSlice(1, r.Keys) }
-
 // UnmarshalWire implements wire.Unmarshaler.
 func (r *MultiGetRequest) UnmarshalWire(d *wire.Decoder) error {
 	return decodeFields(d, func(f uint32, t wire.Type) (err error) {
@@ -48,12 +45,6 @@ func (r *MultiGetRequest) UnmarshalWire(d *wire.Decoder) error {
 type MultiGetResponse struct {
 	Found  []bool
 	Values [][]byte
-}
-
-// MarshalWire implements wire.Marshaler.
-func (r *MultiGetResponse) MarshalWire(e *wire.Encoder) {
-	e.PackedBools(1, r.Found)
-	e.BytesSlice(2, r.Values)
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
@@ -84,12 +75,6 @@ type MultiSetRequest struct {
 	Values [][]byte
 }
 
-// MarshalWire implements wire.Marshaler.
-func (r *MultiSetRequest) MarshalWire(e *wire.Encoder) {
-	e.StringSlice(1, r.Keys)
-	e.BytesSlice(2, r.Values)
-}
-
 // UnmarshalWire implements wire.Unmarshaler.
 func (r *MultiSetRequest) UnmarshalWire(d *wire.Decoder) error {
 	return decodeFields(d, func(f uint32, t wire.Type) (err error) {
@@ -109,35 +94,11 @@ func (r *MultiSetRequest) UnmarshalWire(d *wire.Decoder) error {
 	})
 }
 
-// MultiDeleteRequest removes many keys in one frame.
-type MultiDeleteRequest struct {
-	Keys []string
-}
-
-// MarshalWire implements wire.Marshaler.
-func (r *MultiDeleteRequest) MarshalWire(e *wire.Encoder) { e.StringSlice(1, r.Keys) }
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (r *MultiDeleteRequest) UnmarshalWire(d *wire.Decoder) error {
-	return decodeFields(d, func(f uint32, t wire.Type) (err error) {
-		if f == 1 {
-			var k string
-			k, err = d.String()
-			r.Keys = append(r.Keys, k)
-			return err
-		}
-		return d.Skip(t)
-	})
-}
-
 // MultiAck is the positional write reply: OK[i] answers Keys[i] (for
 // MultiDelete, whether the key existed).
 type MultiAck struct {
 	OK []bool
 }
-
-// MarshalWire implements wire.Marshaler.
-func (r *MultiAck) MarshalWire(e *wire.Encoder) { e.PackedBools(1, r.OK) }
 
 // UnmarshalWire implements wire.Unmarshaler.
 func (r *MultiAck) UnmarshalWire(d *wire.Decoder) error {

@@ -9,7 +9,6 @@ import (
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
 	"cachecost/internal/trace"
-	"cachecost/internal/wire"
 )
 
 // multiGet is MultiBorrowCtx with the values copied out.
@@ -20,10 +19,6 @@ func multiGet(c *Client, keys []string) ([][]byte, []bool, error) {
 	}
 	rpc.PutBuffers(held)
 	return values, found, err
-}
-
-func roundTrip(in wire.Marshaler, out wire.Unmarshaler) error {
-	return wire.Unmarshal(wire.Marshal(in), out)
 }
 
 // brokenConn fails every call, modelling an unreachable cache node.
@@ -259,55 +254,60 @@ func TestMultiGetPartialResultsDegraded(t *testing.T) {
 	})
 }
 
+// Each batch frame round-trips through the codec the lab runs: the
+// client writes MultiSet, MultiGet and MultiDelete in place, the node
+// reads them in place and writes its MultiAck and MultiGet replies, and
+// the client reads those. The cases are the ones positional alignment
+// must survive: an empty key, an empty value, and a miss between hits.
 func TestMultiMessagesRoundTrip(t *testing.T) {
-	// The message structs must round-trip through the generic
-	// Marshal/Unmarshal path (the client hot path encodes field-by-field;
-	// this pins the struct codecs they must stay compatible with).
-	reqIn := &MultiGetRequest{Keys: []string{"a", "", "c"}}
-	var reqOut MultiGetRequest
-	if err := roundTrip(reqIn, &reqOut); err != nil {
-		t.Fatal(err)
-	}
-	if len(reqOut.Keys) != 3 || reqOut.Keys[0] != "a" || reqOut.Keys[1] != "" || reqOut.Keys[2] != "c" {
-		t.Fatalf("keys = %q", reqOut.Keys)
-	}
-
-	respIn := &MultiGetResponse{Found: []bool{true, false, true}, Values: [][]byte{[]byte("x"), nil, []byte("z")}}
-	var respOut MultiGetResponse
-	if err := roundTrip(respIn, &respOut); err != nil {
-		t.Fatal(err)
-	}
-	if len(respOut.Found) != 3 || !respOut.Found[0] || respOut.Found[1] || !respOut.Found[2] {
-		t.Fatalf("found = %v", respOut.Found)
-	}
-	if len(respOut.Values) != 3 || string(respOut.Values[0]) != "x" || len(respOut.Values[1]) != 0 || string(respOut.Values[2]) != "z" {
-		t.Fatalf("values = %q", respOut.Values)
-	}
-
-	setIn := &MultiSetRequest{Keys: []string{"k"}, Values: [][]byte{[]byte("v")}}
-	var setOut MultiSetRequest
-	if err := roundTrip(setIn, &setOut); err != nil {
-		t.Fatal(err)
-	}
-	if len(setOut.Keys) != 1 || setOut.Keys[0] != "k" || string(setOut.Values[0]) != "v" {
-		t.Fatalf("set = %+v", setOut)
-	}
-
-	ackIn := &MultiAck{OK: []bool{false, true}}
-	var ackOut MultiAck
-	if err := roundTrip(ackIn, &ackOut); err != nil {
-		t.Fatal(err)
-	}
-	if len(ackOut.OK) != 2 || ackOut.OK[0] || !ackOut.OK[1] {
-		t.Fatalf("ack = %v", ackOut.OK)
-	}
-
-	delIn := &MultiDeleteRequest{Keys: []string{"x", "y"}}
-	var delOut MultiDeleteRequest
-	if err := roundTrip(delIn, &delOut); err != nil {
-		t.Fatal(err)
-	}
-	if len(delOut.Keys) != 2 || delOut.Keys[0] != "x" || delOut.Keys[1] != "y" {
-		t.Fatalf("del = %q", delOut.Keys)
+	for _, tc := range []struct {
+		name       string
+		keys, vals []string
+		get        []string
+		found      []bool
+	}{
+		{"empty key", []string{"a", "", "c"}, []string{"x", "y", "z"}, []string{"a", "", "c"}, []bool{true, true, true}},
+		{"empty value", []string{"k"}, []string{""}, []string{"k"}, []bool{true}},
+		{"miss between hits", []string{"x", "z"}, []string{"1", "3"}, []string{"x", "y", "z"}, []bool{true, false, true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewSingleClient(rpc.NewDirect(newNode(t, nil, 1<<20).RPCServer()))
+			want := map[string]string{}
+			vals := make([][]byte, len(tc.vals))
+			for i, v := range tc.vals {
+				vals[i], want[tc.keys[i]] = []byte(v), v
+			}
+			m := meter.NewMeter() // a reply the client cannot read is a demotion
+			onLane(m, func(sc trace.SpanContext) {
+				if err := c.MultiSetCtx(sc, tc.keys, vals); err != nil {
+					t.Fatal(err)
+				}
+			})
+			got, found, err := multiGet(c, tc.get)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range tc.get {
+				if found[i] != tc.found[i] || string(got[i]) != want[k] {
+					t.Fatalf("slot %d (%q) = %q/%v, want %q/%v", i, k, got[i], found[i], want[k], tc.found[i])
+				}
+			}
+			onLane(m, func(sc trace.SpanContext) {
+				if err := c.MultiDeleteCtx(sc, tc.keys); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if d := m.Path().Degraded; d != 0 {
+				t.Fatalf("Degraded = %d: the client could not read the node's MultiAck", d)
+			}
+			if _, found, err = multiGet(c, tc.get); err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range found {
+				if f {
+					t.Fatalf("slot %d (%q) survived MultiDelete", i, tc.get[i])
+				}
+			}
+		})
 	}
 }

@@ -198,23 +198,12 @@ func (c *Client) delete(sc trace.SpanContext, key string) (bool, error) {
 	return deleteOn(sc, c.conns[0], key)
 }
 
-// deleteOn is one cache.Delete round trip on conn: the DeleteRequest
-// shape {1: key} out, an Ack (existed) back.
+// deleteOn is one cache.Delete round trip on conn: the request {1: key}
+// out, an Ack (existed) back.
 func deleteOn(sc trace.SpanContext, conn rpc.Conn, key string) (bool, error) {
 	e := wire.GetEncoder()
 	e.String(1, key)
 	var ack Ack
 	err := callAck(sc, conn, "cache.Delete", e, &ack)
 	return ack.OK, err
-}
-
-// Close closes every connection, returning the first error.
-func (c *Client) Close() error {
-	var first error
-	for _, conn := range c.conns {
-		if err := conn.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

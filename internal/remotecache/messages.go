@@ -16,17 +16,6 @@ type GetRequest struct {
 // MarshalWire implements wire.Marshaler.
 func (r *GetRequest) MarshalWire(e *wire.Encoder) { e.String(1, r.Key) }
 
-// UnmarshalWire implements wire.Unmarshaler.
-func (r *GetRequest) UnmarshalWire(d *wire.Decoder) error {
-	return decodeFields(d, func(f uint32, t wire.Type) (err error) {
-		if f == 1 {
-			r.Key, err = d.String()
-			return err
-		}
-		return d.Skip(t)
-	})
-}
-
 // GetResponse returns the value, if present.
 type GetResponse struct {
 	Found bool
@@ -84,32 +73,10 @@ func (r *SetRequest) UnmarshalWire(d *wire.Decoder) error {
 	})
 }
 
-// DeleteRequest removes a key.
-type DeleteRequest struct {
-	Key string
-}
-
-// MarshalWire implements wire.Marshaler.
-func (r *DeleteRequest) MarshalWire(e *wire.Encoder) { e.String(1, r.Key) }
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (r *DeleteRequest) UnmarshalWire(d *wire.Decoder) error {
-	return decodeFields(d, func(f uint32, t wire.Type) (err error) {
-		if f == 1 {
-			r.Key, err = d.String()
-			return err
-		}
-		return d.Skip(t)
-	})
-}
-
 // Ack is the generic success reply for writes.
 type Ack struct {
 	OK bool
 }
-
-// MarshalWire implements wire.Marshaler.
-func (r *Ack) MarshalWire(e *wire.Encoder) { e.Bool(1, r.OK) }
 
 // UnmarshalWire implements wire.Unmarshaler.
 func (r *Ack) UnmarshalWire(d *wire.Decoder) error {

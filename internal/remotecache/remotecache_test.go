@@ -118,8 +118,8 @@ func TestOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer conn.Close()
 	c := NewSingleClient(conn)
-	defer c.Close()
 
 	if err := c.Set("tcp-key", bytes.Repeat([]byte("x"), 10000)); err != nil {
 		t.Fatal(err)

@@ -277,8 +277,8 @@ func (s *Server) put(key string, value []byte) {
 }
 
 func (s *Server) handleDelete(sc trace.SpanContext, req []byte) ([]byte, error) {
-	// DeleteRequest shape {1: key}. The key is only a lookup argument, so
-	// it aliases the request, as handleGet's does.
+	// The request is {1: key}. The key is only a lookup argument, so it
+	// aliases the request, as handleGet's does.
 	var key string
 	err := wire.Decode(req, func(d *wire.Decoder) (err error) {
 		return decodeFields(d, func(f uint32, t wire.Type) error {

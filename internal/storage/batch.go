@@ -34,7 +34,7 @@ type BatchQueryResponse struct {
 	Results []plan.ResultSet
 
 	// held is the transport buffer a response BatchQueryCtx returned
-	// aliases, which Release recycles with it.
+	// aliases, which Detach hands back.
 	held []byte
 }
 
@@ -80,17 +80,12 @@ func (r *BatchQueryResponse) UnmarshalWire(d *wire.Decoder) error {
 // batches recycles the responses BatchQueryCtx hands out.
 var batches = freelist.List[*BatchQueryResponse]{New: func() *BatchQueryResponse { return new(BatchQueryResponse) }}
 
-// Release recycles a response BatchQueryCtx returned and the buffer its
-// sets alias: nothing read from it may be used afterwards. Call it at
-// most once.
-func (r *BatchQueryResponse) Release() { rpc.PutBuffer(r.Detach()) }
-
-// Detach is Release for a caller that keeps reading values taken from
-// the response: it recycles the response but hands back the buffer those
-// values alias, for the caller to pass to rpc.PutBuffer once done. Each
-// set is Reset, so the recycled response references nothing of that
-// buffer; a response of more than maxKeptResults sets is kept without
-// them.
+// Detach recycles a response BatchQueryCtx returned but hands back the
+// buffer its sets alias: a caller that keeps reading values taken from
+// the response passes it to rpc.PutBuffer once done, and one that does
+// not passes it at once. Call it at most once. Each set is Reset, so the
+// recycled response references nothing of that buffer; a response of
+// more than maxKeptResults sets is kept without them.
 func (r *BatchQueryResponse) Detach() (held []byte) {
 	held, r.held = r.held, nil
 	for i := range r.Results {
@@ -110,7 +105,7 @@ const maxKeptResults = 256
 
 // BatchQueryCtx is BatchQuery carrying the caller's span context. The
 // response borrows the reply, as QueryCtx's ResultSet does; the caller
-// releases it. An empty parameter list returns nil without touching the
+// Detaches it. An empty parameter list returns nil without touching the
 // node.
 func (c *Client) BatchQueryCtx(sc trace.SpanContext, src string, params []sql.Value) (*BatchQueryResponse, error) {
 	if len(params) == 0 {
@@ -129,7 +124,7 @@ func (c *Client) BatchQueryCtx(sc trace.SpanContext, src string, params []sql.Va
 			len(resp.Results), len(params))
 	}
 	if err != nil {
-		resp.Release()
+		rpc.PutBuffer(resp.Detach())
 		return nil, err
 	}
 	return resp, nil

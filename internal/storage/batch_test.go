@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cachecost/internal/meter"
+	"cachecost/internal/rpc"
 	"cachecost/internal/storage/plan"
 	"cachecost/internal/storage/sql"
 	"cachecost/internal/trace"
@@ -34,7 +35,7 @@ func TestBatchQueryPositionalResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Release()
+	defer func() { rpc.PutBuffer(resp.Detach()) }()
 	results := resp.Results
 	if len(results) != 4 {
 		t.Fatalf("got %d result sets, want 4", len(results))
@@ -90,7 +91,7 @@ func TestBatchQueryAmortizesFrontend(t *testing.T) {
 					t.Fatalf("batched slot %d: %v", i, rs.Rows)
 				}
 			}
-			resp.Release()
+			rpc.PutBuffer(resp.Detach())
 		} else {
 			for _, p := range params {
 				rs, err := c.Query("SELECT v FROM bt WHERE id = ?", p)
@@ -140,7 +141,7 @@ func TestBatchQueryMatchesScalarReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Release()
+	defer func() { rpc.PutBuffer(resp.Detach()) }()
 	batched := resp.Results
 	for i, p := range params {
 		scalar, err := c.Query("SELECT v FROM bt WHERE id = ?", p)

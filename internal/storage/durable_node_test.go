@@ -34,7 +34,7 @@ func TestDurableNodeServesSQLAndMetersDisk(t *testing.T) {
 		}
 	}
 	for _, db := range n.dbs {
-		db.Store().Flush()
+		db.Store().DataBytes() // flushes the memtable
 	}
 	for i := 0; i < 200; i++ {
 		rs, err := c.Query("SELECT v FROM t WHERE id = ?", sql.Int64(int64(i)))
@@ -83,7 +83,7 @@ func TestDurableNodeTelemetryPublishesTierState(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Exec("INSERT INTO t (id, v) VALUES (?, ?)", sql.Int64(int64(i)), sql.Text(pad))
 	}
-	n.LeaderDB().Store().Flush()
+	n.LeaderDB().Store().DataBytes() // flushes the memtable
 	for i := 0; i < 100; i++ {
 		c.Query("SELECT v FROM t WHERE id = ?", sql.Int64(int64(i)))
 	}

@@ -256,7 +256,7 @@ func (s *Store) durAppend(rec WALRecord) {
 	s.stats.WALBytes += int64(n)
 	s.stats.DiskWrites++
 	s.stats.DiskWriteBytes += int64(n)
-	s.burnDisk(n, s.cfg.DiskWritePenaltyPerByte)
+	s.burnDisk(n, diskWritePenaltyPerByte)
 	d.walPending++
 	if d.walPending >= d.syncEvery {
 		s.durSync()
@@ -446,7 +446,7 @@ func (s *Store) durFlush() {
 	}
 	sort.Strings(keys)
 
-	w, err := newSSTWriter(d.fs, d.nextSeq, s.cfg.BlockBytes, s.cfg.BloomBitsPerKey)
+	w, err := newSSTWriter(d.fs, d.nextSeq)
 	mustDur(err)
 	d.nextSeq++
 	for _, k := range keys {
@@ -462,7 +462,7 @@ func (s *Store) durFlush() {
 	d.fileBytes += size
 	s.stats.DiskWrites++
 	s.stats.DiskWriteBytes += size
-	s.burnDisk(int(size), s.cfg.DiskWritePenaltyPerByte)
+	s.burnDisk(int(size), diskWritePenaltyPerByte)
 
 	s.mem = make(map[string]*memEntry)
 	s.memBytes = 0
@@ -554,7 +554,7 @@ func (s *Store) durCompact() {
 		iters[i] = newTableIter(t)
 		mustDur(iters[i].next())
 	}
-	w, err := newSSTWriter(d.fs, d.nextSeq, s.cfg.BlockBytes, s.cfg.BloomBitsPerKey)
+	w, err := newSSTWriter(d.fs, d.nextSeq)
 	mustDur(err)
 	d.nextSeq++
 
@@ -612,7 +612,7 @@ func (s *Store) durCompact() {
 		s.stats.DiskWrites++
 		s.stats.DiskWriteBytes += size
 		s.stats.CompactionBytes += size
-		s.burnDisk(int(size), s.cfg.DiskWritePenaltyPerByte)
+		s.burnDisk(int(size), diskWritePenaltyPerByte)
 	}
 	// Delete inputs oldest-first (ascending seq): a crash part-way
 	// leaves only newer inputs behind, all shadowed by the output.

@@ -129,7 +129,7 @@ func runDurableModel(t *testing.T, seed int64) {
 				t.Fatalf("op %d: Get(%s) = %q,%v, oracle %q,%v", i, key, val, ok, want, wantOK)
 			}
 		case r < 90: // forced flush
-			s.Flush()
+			flush(s)
 		case r < 93: // full compaction + tier-gauge invariant
 			s.Compact()
 			checkTierGauge(t, s)

@@ -123,11 +123,11 @@ func TestDurableCompactionMergesAndGCsTombstones(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v1"))
 	}
-	s.Flush()
+	flush(s)
 	for i := 0; i < 50; i++ {
 		s.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v2"))
 	}
-	s.Flush()
+	flush(s)
 	for i := 0; i < 25; i++ {
 		s.Delete([]byte(fmt.Sprintf("k%04d", i)))
 	}
@@ -214,7 +214,7 @@ func TestDurableTierDemotionAndPromotion(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Put([]byte(fmt.Sprintf("k%04d", i)), val)
 	}
-	s.Flush()
+	flush(s)
 	st := s.Stats()
 	if st.TierDemotions == 0 {
 		t.Fatalf("expected demotions with a 2 KiB tier: %+v", st)
@@ -251,7 +251,7 @@ func TestDurableBloomSkipsAbsentKeys(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		s.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v"))
 	}
-	s.Flush()
+	flush(s)
 	pre := s.Stats()
 	misses := 0
 	for i := 0; i < 200; i++ {
@@ -284,7 +284,7 @@ func TestDurableMetersDiskFootprint(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		s.Put([]byte(fmt.Sprintf("k%04d", i)), bytes.Repeat([]byte("x"), 256))
 	}
-	s.Flush()
+	flush(s)
 	got := m.Component("storage.kv").DiskBytes()
 	if got != s.dur.fileBytes {
 		t.Fatalf("metered disk bytes %d != store footprint %d", got, s.dur.fileBytes)
@@ -311,7 +311,7 @@ func TestDurableDirFS(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		s.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
-	s.Flush()
+	flush(s)
 	s.Delete([]byte("k0000"))
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -342,11 +342,8 @@ func TestConfigValidation(t *testing.T) {
 		{"negative MemtableBytes", Config{MemtableBytes: -4096}, "MemtableBytes"},
 		{"negative CacheBytes", Config{CacheBytes: -1}, "CacheBytes"},
 		{"negative DiskPenaltyPerByte", Config{DiskPenaltyPerByte: -0.5}, "DiskPenaltyPerByte"},
-		{"negative DiskWritePenaltyPerByte", Config{DiskWritePenaltyPerByte: -1}, "DiskWritePenaltyPerByte"},
 		{"negative DiskPenaltyPerOp", Config{DiskPenaltyPerOp: -8}, "DiskPenaltyPerOp"},
 		{"negative WALSyncEvery", Config{WALSyncEvery: -2}, "WALSyncEvery"},
-		{"negative BlockBytes", Config{BlockBytes: -4096}, "BlockBytes"},
-		{"negative BloomBitsPerKey", Config{BloomBitsPerKey: -10}, "BloomBitsPerKey"},
 		{"negative CompactAt", Config{CompactAt: -4}, "CompactAt"},
 		{"CompactAt of one", Config{CompactAt: 1}, "CompactAt"},
 		{"Dir and FS both set", Config{Dir: "/tmp/x", FS: NewMemFS()}, "mutually exclusive"},
@@ -385,12 +382,12 @@ func TestDurableScanMergesTiersInOrder(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("old"))
 	}
-	s.Flush()
+	flush(s)
 	for i := 10; i < 20; i++ {
 		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("mid"))
 	}
 	s.Delete([]byte("k25"))
-	s.Flush()
+	flush(s)
 	for i := 15; i < 18; i++ {
 		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("new"))
 	}

@@ -1,10 +1,14 @@
 package kv
 
+// flush forces the memtable out through DataBytes, the footprint read
+// that flushes pending writes before it counts them.
+func flush(s *Store) { s.DataBytes() }
+
 // Compact forces a full merge of all tables (flushing the memtable
 // first).
 func (s *Store) Compact() {
 	if s.dur == nil {
-		s.Flush()
+		flush(s)
 		return
 	}
 	s.track(func() {

@@ -41,7 +41,7 @@ func TestMemtableFlushThreshold(t *testing.T) {
 func TestMemtableTombstoneShadowsPage(t *testing.T) {
 	s := NewStore(Config{PageBytes: 4096, CacheBytes: 1 << 20})
 	s.Put([]byte("k"), []byte("v"))
-	s.Flush() // now on a page
+	flush(s) // now on a page
 	if !s.Delete([]byte("k")) {
 		t.Fatal("delete of paged key should report existence")
 	}
@@ -51,7 +51,7 @@ func TestMemtableTombstoneShadowsPage(t *testing.T) {
 	if _, ok := s.VersionOf([]byte("k")); ok {
 		t.Fatal("VersionOf must see the tombstone")
 	}
-	s.Flush()
+	flush(s)
 	if _, _, ok := s.Get([]byte("k")); ok {
 		t.Fatal("flushing the tombstone must remove the paged value")
 	}
@@ -66,7 +66,7 @@ func TestScanMergesMemtableAndPages(t *testing.T) {
 	for _, k := range []string{"k0", "k2", "k4"} {
 		s.Put([]byte(k), []byte("old-"+k))
 	}
-	s.Flush()
+	flush(s)
 	s.Put([]byte("k1"), []byte("mem-k1"))
 	s.Put([]byte("k3"), []byte("mem-k3"))
 	s.Put([]byte("k2"), []byte("mem-k2"))
@@ -92,7 +92,7 @@ func TestScanLimitWithShadowedEntries(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v"))
 	}
-	s.Flush()
+	flush(s)
 	// Tombstone the first three; a limit-3 scan must still return three
 	// live items.
 	for i := 0; i < 3; i++ {
@@ -117,7 +117,7 @@ func TestWriteCheaperThanReadMissAtLargeValues(t *testing.T) {
 	s := NewStore(Config{PageBytes: 16 << 10, CacheBytes: 0, MemtableBytes: 64 << 20})
 	val := bytes.Repeat([]byte("x"), 1<<20)
 	s.Put([]byte("warm"), val)
-	s.Flush()
+	flush(s)
 
 	wBefore := s.Stats().DiskWriteBytes
 	s.Put([]byte("k2"), val) // memtable write: WAL only
@@ -135,7 +135,7 @@ func TestVersionsSurviveFlush(t *testing.T) {
 	s := NewStore(Config{PageBytes: 4096, CacheBytes: 1 << 20})
 	v1 := s.Put([]byte("a"), []byte("1"))
 	v2 := s.Put([]byte("b"), []byte("2"))
-	s.Flush()
+	flush(s)
 	if got, _ := s.VersionOf([]byte("a")); got != v1 {
 		t.Fatalf("a version = %d, want %d", got, v1)
 	}

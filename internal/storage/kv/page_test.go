@@ -15,7 +15,7 @@ func TestBlockCacheHitAllocs(t *testing.T) {
 	s := NewStore(Config{PageBytes: 4096, CacheBytes: 1 << 20})
 	key := []byte("row-7")
 	s.Put(key, []byte("payload"))
-	s.Flush()
+	flush(s)
 	s.Get(key) // warm the block cache
 	if got := testing.AllocsPerRun(200, func() { s.Get(key) }); got != 0 {
 		t.Errorf("Get on a block-cache hit: %v allocs, want 0", got)
@@ -39,7 +39,7 @@ func TestDecodedPageEntriesDoNotShareCapacity(t *testing.T) {
 	for i := 0; i < n; i++ {
 		s.Put([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("value-%d", i)))
 	}
-	s.Flush()
+	flush(s)
 
 	p := s.pages[0]
 	dp := decodePage(p.encoded, p.n)
@@ -70,7 +70,7 @@ func TestDecodedPageEntriesDoNotShareCapacity(t *testing.T) {
 	before, _, _ := s.Get([]byte("k3"))
 	s.Put([]byte("k3"), []byte("new"))
 	s.Put([]byte("k35"), []byte("inserted"))
-	s.Flush()
+	flush(s)
 	if string(before) != "value-3" {
 		t.Fatalf("earlier Get = %q after a write to its key", before)
 	}

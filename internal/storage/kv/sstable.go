@@ -17,7 +17,7 @@ import (
 // output), read many times, and never modified:
 //
 //	table  := block* index bloom footer
-//	block  := entry* crc32(u32 LE)            — entries sorted, ≤ BlockBytes
+//	block  := entry* crc32(u32 LE)            — entries sorted, ≤ sstBlockBytes
 //	entry  := flags(byte) version(uvarint) klen(uvarint) key
 //	          [vlen(uvarint) value]           — value absent when tombstone
 //	index  := count(uvarint)
@@ -105,15 +105,19 @@ type blockRef struct {
 // ---------------------------------------------------------------------------
 // Writer
 
+// A table's data blocks close at sstBlockBytes, and its bloom filter
+// spends sstBloomBitsPerKey bits on each key (≈0.8% false positives).
+const (
+	sstBlockBytes      = 4 << 10
+	sstBloomBitsPerKey = 10
+)
+
 // sstWriter streams sorted entries into a new table file.
 type sstWriter struct {
 	fs        FS
 	tmpName   string
 	finalName string
 	f         File
-
-	blockTarget int
-	bloomBits   int
 
 	block    []byte // current block's entry bytes
 	firstKey []byte // first key of the current block
@@ -127,17 +131,14 @@ type sstWriter struct {
 	maxVersion uint64
 }
 
-func newSSTWriter(fs FS, seq uint64, blockTarget, bloomBits int) (*sstWriter, error) {
+func newSSTWriter(fs FS, seq uint64) (*sstWriter, error) {
 	final := sstName(seq)
 	tmp := final + ".tmp"
 	f, err := fs.Create(tmp)
 	if err != nil {
 		return nil, fmt.Errorf("kv: create sstable: %w", err)
 	}
-	return &sstWriter{
-		fs: fs, tmpName: tmp, finalName: final, f: f,
-		blockTarget: blockTarget, bloomBits: bloomBits,
-	}, nil
+	return &sstWriter{fs: fs, tmpName: tmp, finalName: final, f: f}, nil
 }
 
 // add appends one entry. Keys must arrive in strictly ascending order.
@@ -167,7 +168,7 @@ func (w *sstWriter) add(key, val []byte, ver Version, tomb bool) error {
 		w.maxVersion = uint64(ver)
 	}
 	w.hashes = append(w.hashes, bloomHash(key))
-	if len(w.block) >= w.blockTarget {
+	if len(w.block) >= sstBlockBytes {
 		return w.flushBlock()
 	}
 	return nil
@@ -211,7 +212,7 @@ func (w *sstWriter) finish() (string, int64, error) {
 	w.off += uint64(len(idx))
 
 	// Bloom section.
-	filter := newBloomFilter(len(w.hashes), w.bloomBits)
+	filter := newBloomFilter(len(w.hashes), sstBloomBitsPerKey)
 	for _, h := range w.hashes {
 		filter.add(h)
 	}

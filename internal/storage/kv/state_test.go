@@ -59,7 +59,7 @@ func stateHash(valueSize int, cacheBytes int64) string {
 			}
 		}
 	}
-	s.Flush()
+	flush(s)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range s.pages {
@@ -119,13 +119,13 @@ func TestFlushEncodesEachPageOnce(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		s.Put(row(i), make([]byte, 1<<10))
 	}
-	s.Flush()
+	flush(s)
 	for i := 500; i < 740; i++ {
 		s.Put(row(i), make([]byte, 1<<10))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s.Flush()
+	flush(s)
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("flush of 240 rows allocated %d B", got)

@@ -70,11 +70,6 @@ type Config struct {
 	// values trade a longer unacknowledged window for fewer fsyncs.
 	// Writes are only guaranteed durable after Sync returns.
 	WALSyncEvery int
-	// BlockBytes is the SSTable data-block target size. Default 4 KiB.
-	BlockBytes int
-	// BloomBitsPerKey sizes each table's bloom filter. Default 10
-	// (≈0.8% false positives).
-	BloomBitsPerKey int
 	// CompactAt triggers a full k-way-merge compaction when the table
 	// count reaches it. Default 4.
 	CompactAt int
@@ -82,10 +77,6 @@ type Config struct {
 	// encoded byte read from "disk", modeling the I/O stack on a
 	// block-cache miss. Default 1.
 	DiskPenaltyPerByte float64
-	// DiskWritePenaltyPerByte is the per-byte work on the write path.
-	// Writes append to a WAL and pages are flushed asynchronously, so
-	// the synchronous per-byte cost is lower than a read's. Default 0.25.
-	DiskWritePenaltyPerByte float64
 	// DiskPenaltyPerOp is the fixed CPU work charged per disk access,
 	// modeling the per-I/O overhead of the storage stack. Default 8192.
 	DiskPenaltyPerOp int
@@ -95,6 +86,11 @@ type Config struct {
 	// Burner performs the disk-penalty work. Required if Comp is set.
 	Burner *meter.Burner
 }
+
+// diskWritePenaltyPerByte is the per-byte work on the write path.
+// Writes append to a WAL and pages are flushed asynchronously, so the
+// synchronous per-byte cost is a quarter of a read's default.
+const diskWritePenaltyPerByte = 0.25
 
 // validate rejects configurations that would otherwise misbehave
 // silently. Each failure names the offending field and value.
@@ -108,16 +104,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("kv: Config.CacheBytes must be >= 0, got %d", c.CacheBytes)
 	case c.DiskPenaltyPerByte < 0:
 		return fmt.Errorf("kv: Config.DiskPenaltyPerByte must be >= 0, got %v", c.DiskPenaltyPerByte)
-	case c.DiskWritePenaltyPerByte < 0:
-		return fmt.Errorf("kv: Config.DiskWritePenaltyPerByte must be >= 0, got %v", c.DiskWritePenaltyPerByte)
 	case c.DiskPenaltyPerOp < 0:
 		return fmt.Errorf("kv: Config.DiskPenaltyPerOp must be >= 0, got %d", c.DiskPenaltyPerOp)
 	case c.WALSyncEvery < 0:
 		return fmt.Errorf("kv: Config.WALSyncEvery must be positive (or 0 for fsync-every-write), got %d", c.WALSyncEvery)
-	case c.BlockBytes < 0:
-		return fmt.Errorf("kv: Config.BlockBytes must be positive (or 0 for the 4 KiB default), got %d", c.BlockBytes)
-	case c.BloomBitsPerKey < 0:
-		return fmt.Errorf("kv: Config.BloomBitsPerKey must be positive (or 0 for the default 10), got %d", c.BloomBitsPerKey)
 	case c.CompactAt < 0:
 		return fmt.Errorf("kv: Config.CompactAt must be >= 2 (or 0 for the default 4), got %d", c.CompactAt)
 	case c.CompactAt == 1:
@@ -138,20 +128,11 @@ func (c *Config) applyDefaults() {
 	if c.DiskPenaltyPerByte == 0 {
 		c.DiskPenaltyPerByte = 1
 	}
-	if c.DiskWritePenaltyPerByte == 0 {
-		c.DiskWritePenaltyPerByte = 0.25
-	}
 	if c.DiskPenaltyPerOp == 0 {
 		c.DiskPenaltyPerOp = 8192
 	}
 	if c.WALSyncEvery <= 0 {
 		c.WALSyncEvery = 1
-	}
-	if c.BlockBytes <= 0 {
-		c.BlockBytes = 4 << 10
-	}
-	if c.BloomBitsPerKey <= 0 {
-		c.BloomBitsPerKey = 10
 	}
 	if c.CompactAt <= 0 {
 		c.CompactAt = 4
@@ -366,7 +347,7 @@ func (s *Store) storePage(p *page, dp *decodedPage) {
 	p.n = len(dp.keys)
 	s.stats.DiskWrites++
 	s.stats.DiskWriteBytes += int64(p.size)
-	s.burnDisk(p.size, s.cfg.DiskWritePenaltyPerByte)
+	s.burnDisk(p.size, diskWritePenaltyPerByte)
 	s.bcache.Put(p.cacheKey, dp)
 }
 
@@ -471,7 +452,7 @@ func (s *Store) Put(key, value []byte) (ver Version) {
 			s.durTierWrite(string(key), value, ver, false)
 		} else {
 			// WAL append: sequential write of the record.
-			s.burnDisk(len(key)+len(value), s.cfg.DiskWritePenaltyPerByte)
+			s.burnDisk(len(key)+len(value), diskWritePenaltyPerByte)
 		}
 		*s.memSlot(key) = memEntry{val: value, ver: ver}
 		s.memBytes += int64(len(value))
@@ -507,7 +488,7 @@ func (s *Store) Delete(key []byte) (existed bool) {
 			s.durAppend(WALRecord{Op: walOpDelete, Version: s.version, Key: key})
 			s.durTierWrite(string(key), nil, s.version, true)
 		} else {
-			s.burnDisk(len(key), s.cfg.DiskWritePenaltyPerByte) // tombstone WAL append
+			s.burnDisk(len(key), diskWritePenaltyPerByte) // tombstone WAL append
 		}
 		*s.memSlot(key) = memEntry{ver: s.version, tomb: true}
 	})
@@ -556,15 +537,6 @@ func (s *Store) flushLocked() {
 	s.encodeDirty()
 	s.mem = make(map[string]*memEntry)
 	s.memBytes = 0
-}
-
-// Flush forces the memtable into the page store.
-func (s *Store) Flush() {
-	s.track(func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.flushLocked()
-	})
 }
 
 // applyToPages inserts or replaces key in the page store. Callers hold

@@ -95,7 +95,7 @@ func TestPageSplitsKeepOrder(t *testing.T) {
 	for _, k := range keys {
 		s.Put([]byte(k), bytes.Repeat([]byte("x"), 32))
 	}
-	s.Flush()
+	flush(s)
 	if len(s.pages) < 10 {
 		t.Fatalf("expected many pages after inserts, got %d", len(s.pages))
 	}
@@ -160,12 +160,12 @@ func TestGetLendsStoredValue(t *testing.T) {
 		t.Fatalf("lent value has capacity %d for length %d", cap(fromMem), len(fromMem))
 	}
 	_ = append(fromMem, "XXXX"...)
-	s.Flush()
+	flush(s)
 	fromPage, _, _ := s.Get([]byte("k"))
 	s.Put([]byte("k"), []byte("replaced"))
-	s.Flush()
+	flush(s)
 	s.Delete([]byte("k"))
-	s.Flush()
+	flush(s)
 	if string(fromMem) != "original" || string(fromPage) != "original" {
 		t.Fatalf("lent values changed to %q and %q", fromMem, fromPage)
 	}
@@ -178,7 +178,7 @@ func TestGetLendsStoredValue(t *testing.T) {
 func TestBlockCacheHitAvoidsDisk(t *testing.T) {
 	s := NewStore(Config{PageBytes: 4096, CacheBytes: 1 << 20})
 	s.Put([]byte("k"), []byte("v"))
-	s.Flush()
+	flush(s)
 	before := s.Stats().DiskReads
 	for i := 0; i < 100; i++ {
 		s.Get([]byte("k"))
@@ -196,7 +196,7 @@ func TestBlockCacheHitAvoidsDisk(t *testing.T) {
 func TestNoCacheAlwaysReadsDisk(t *testing.T) {
 	s := NewStore(Config{PageBytes: 4096, CacheBytes: 0})
 	s.Put([]byte("k"), []byte("v"))
-	s.Flush() // move past the memtable so reads hit the page path
+	flush(s) // move past the memtable so reads hit the page path
 	before := s.Stats().DiskReads
 	for i := 0; i < 10; i++ {
 		s.Get([]byte("k"))
@@ -274,7 +274,7 @@ func TestDiskPenaltyScalesWithValueSize(t *testing.T) {
 			Burner:     meter.NewBurner(),
 		})
 		s.Put([]byte("k"), bytes.Repeat([]byte("x"), valSize))
-		s.Flush()
+		flush(s)
 		m.Reset()
 		for i := 0; i < 20; i++ {
 			s.Get([]byte("k"))

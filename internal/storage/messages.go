@@ -118,12 +118,6 @@ type VersionRequest struct {
 	PK    sql.Value
 }
 
-// MarshalWire implements wire.Marshaler.
-func (v *VersionRequest) MarshalWire(e *wire.Encoder) {
-	e.String(1, v.Table)
-	sql.EncodeValue(e, 2, v.PK)
-}
-
 // UnmarshalWire implements wire.Unmarshaler.
 func (v *VersionRequest) UnmarshalWire(d *wire.Decoder) error {
 	for !d.Done() {

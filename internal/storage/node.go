@@ -32,8 +32,6 @@ type Config struct {
 	DiskPenaltyPerOp   int
 	// Meter receives component attributions; nil disables metering.
 	Meter *meter.Meter
-	// Prefix namespaces the node's meter components. Default "storage".
-	Prefix string
 	// RPCCost is the transport overhead model for the node's RPC server.
 	RPCCost rpc.CostModel
 	// FrontendWork is the per-statement CPU burn (Burner units) modeling
@@ -48,7 +46,7 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Telemetry, when set, feeds per-statement latency histograms and
 	// rpc dispatch metrics, and registers a pull collector exposing the
-	// block-cache hit ratio and raft replication counters under Prefix.
+	// block-cache hit ratio and raft replication counters.
 	Telemetry *telemetry.Registry
 	// Durable switches every replica's kv store to the durable tiered
 	// engine (WAL + bloom-filtered SSTables). BlockCacheBytes becomes the
@@ -60,12 +58,13 @@ type Config struct {
 	// filesystem — a fault.FS for fsync-stall experiments, or a DirFS
 	// for real disks.
 	DurableFS func(replica int) kv.FS
-	// MemtableBytes, WALSyncEvery and CompactAt pass through to the
-	// durable engine; zero selects the kv defaults.
+	// MemtableBytes passes through to the durable engine; zero selects
+	// the kv default.
 	MemtableBytes int64
-	WALSyncEvery  int
-	CompactAt     int
 }
+
+// nodeName namespaces the node's meter components, spans and metrics.
+const nodeName = "storage"
 
 func (c *Config) applyDefaults() {
 	if c.Replicas <= 0 {
@@ -76,9 +75,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.PageBytes <= 0 {
 		c.PageBytes = 16 << 10
-	}
-	if c.Prefix == "" {
-		c.Prefix = "storage"
 	}
 	if c.RPCCost == (rpc.CostModel{}) {
 		// A database's request path is markedly more expensive per byte
@@ -150,11 +146,11 @@ func NewNode(cfg Config) *Node {
 	n.req.texts = n.texts
 
 	if cfg.Meter != nil {
-		n.rpcComp = cfg.Meter.Component(cfg.Prefix + ".rpc")
-		n.sqlComp = cfg.Meter.Component(cfg.Prefix + ".sql")
-		n.execComp = cfg.Meter.Component(cfg.Prefix + ".exec")
-		n.kvComp = cfg.Meter.Component(cfg.Prefix + ".kv")
-		n.raftComp = cfg.Meter.Component(cfg.Prefix + ".raft")
+		n.rpcComp = cfg.Meter.Component(nodeName + ".rpc")
+		n.sqlComp = cfg.Meter.Component(nodeName + ".sql")
+		n.execComp = cfg.Meter.Component(nodeName + ".exec")
+		n.kvComp = cfg.Meter.Component(nodeName + ".kv")
+		n.raftComp = cfg.Meter.Component(nodeName + ".raft")
 	}
 
 	n.dbs = make([]*plan.DB, cfg.Replicas)
@@ -170,8 +166,6 @@ func NewNode(cfg Config) *Node {
 		}
 		if cfg.Durable {
 			kcfg.MemtableBytes = cfg.MemtableBytes
-			kcfg.WALSyncEvery = cfg.WALSyncEvery
-			kcfg.CompactAt = cfg.CompactAt
 			if cfg.DurableFS != nil {
 				kcfg.FS = cfg.DurableFS(i)
 			} else {
@@ -198,7 +192,7 @@ func NewNode(cfg Config) *Node {
 	n.server.SetMeterHandlerBody(false) // handlers meter their own internals
 	n.server.SetPooledResponses(true)   // every reply is built by encode
 	if cfg.Tracer != nil {
-		n.server.SetTracer(cfg.Tracer, cfg.Prefix+".rpc")
+		n.server.SetTracer(cfg.Tracer, nodeName+".rpc")
 	}
 	n.server.HandleCtx("sql.Query", n.handleQuery)
 	n.server.HandleCtx("sql.Exec", n.handleExec)
@@ -209,7 +203,7 @@ func NewNode(cfg Config) *Node {
 		n.histExec = cfg.Telemetry.Histogram("storage.stmt.latency", "seconds", telemetry.L("stmt", "exec"))
 		n.histVersion = cfg.Telemetry.Histogram("storage.stmt.latency", "seconds", telemetry.L("stmt", "version"))
 		n.histBatch = cfg.Telemetry.Histogram("storage.stmt.latency", "seconds", telemetry.L("stmt", "batch"))
-		n.server.SetMetrics(rpc.NewMetrics(cfg.Telemetry, cfg.Prefix))
+		n.server.SetMetrics(rpc.NewMetrics(cfg.Telemetry, nodeName))
 		n.registerTelemetry(cfg.Telemetry)
 	}
 	return n
@@ -224,8 +218,8 @@ func (n *Node) registerTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	lbl := []telemetry.Label{telemetry.L("node", n.cfg.Prefix)}
-	reg.RegisterCollector("storage."+n.cfg.Prefix, func(emit func(telemetry.Sample)) {
+	lbl := []telemetry.Label{telemetry.L("node", nodeName)}
+	reg.RegisterCollector("storage."+nodeName, func(emit func(telemetry.Sample)) {
 		db := n.LeaderDB()
 		cs := db.Store().CacheStats()
 		emit(telemetry.Sample{Name: "storage.block_cache.hits", Labels: lbl, Kind: telemetry.KindCounter, Value: float64(cs.Hits)})

@@ -18,20 +18,6 @@ const (
 	pathScan                    // full table scan
 )
 
-// String implements fmt.Stringer.
-func (p AccessPath) String() string {
-	switch p {
-	case pathPoint:
-		return "point"
-	case pathIndex:
-		return "index"
-	case pathScan:
-		return "scan"
-	default:
-		return "unknown"
-	}
-}
-
 // Common execution errors.
 var (
 	ErrDuplicateKey = errors.New("plan: duplicate primary key")

@@ -129,15 +129,6 @@ func TestSelectMatchesReferenceFilter(t *testing.T) {
 	}
 }
 
-func TestAccessPathString(t *testing.T) {
-	if pathPoint.String() != "point" || pathIndex.String() != "index" || pathScan.String() != "scan" {
-		t.Fatal("AccessPath.String broken")
-	}
-	if AccessPath(9).String() != "unknown" {
-		t.Fatal("unknown path should stringify")
-	}
-}
-
 func TestIndexPathUsedInsideJoinProbe(t *testing.T) {
 	db := newTestDB(t)
 	seedJoinWorld(t, db)

@@ -30,7 +30,7 @@ func newLoopbackNode(t testing.TB) (*Node, *Client) {
 		}
 	}
 	for _, db := range n.dbs {
-		db.Store().Flush()
+		db.Store().DataBytes() // flushes the memtable
 	}
 	return n, NewClient(rpc.NewLoopback(n.Server(), nil, meter.NewBurner(), rpc.CostModel{}))
 }
@@ -74,7 +74,7 @@ func TestStatementAllocs(t *testing.T) {
 		if err != nil || len(resp.Results) != 8 {
 			t.Fatalf("batch: %v, %v", resp, err)
 		}
-		resp.Release()
+		rpc.PutBuffer(resp.Detach())
 	}
 	version := func() {
 		i++
@@ -165,7 +165,7 @@ func TestConcurrentStatementsShareNodeScratch(t *testing.T) {
 							return
 						}
 					}
-					resp.Release()
+					rpc.PutBuffer(resp.Detach())
 				}
 			}
 		}(g)
@@ -230,7 +230,7 @@ func TestConcurrentWritesReuseReplicaScratch(t *testing.T) {
 				return
 			case <-time.After(time.Millisecond):
 				for _, db := range n.dbs {
-					db.Store().Flush()
+					db.Store().DataBytes() // flushes the memtable
 				}
 			}
 		}
@@ -275,7 +275,7 @@ func TestConcurrentWritesReuseReplicaScratch(t *testing.T) {
 							return
 						}
 					}
-					resp.Release()
+					rpc.PutBuffer(resp.Detach())
 				}
 			}
 		}(g)

@@ -75,45 +75,24 @@ type ArrivalConfig struct {
 	Rate float64
 	// Seed makes the timeline deterministic. Default 1.
 	Seed int64
-
-	// BurstFactor is the burst-state rate as a multiple of Rate
-	// (ArrivalBursty). Default 8.
-	BurstFactor float64
-	// BurstDuty is the fraction of each cycle spent in the burst state
-	// (ArrivalBursty), in (0,1). Default 0.1.
-	BurstDuty float64
-	// BurstPeriod is the burst on/off cycle length (ArrivalBursty).
-	// Default 200ms.
-	BurstPeriod time.Duration
-
-	// DiurnalPeriod is one compressed "day" (ArrivalDiurnal).
-	// Default 2s.
-	DiurnalPeriod time.Duration
-	// DiurnalAmplitude is the peak-to-mean rate swing in [0,1)
-	// (ArrivalDiurnal). Default 0.8.
-	DiurnalAmplitude float64
 }
 
-func (c *ArrivalConfig) applyDefaults() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.BurstFactor == 0 {
-		c.BurstFactor = 8
-	}
-	if c.BurstDuty == 0 {
-		c.BurstDuty = 0.1
-	}
-	if c.BurstPeriod == 0 {
-		c.BurstPeriod = 200 * time.Millisecond
-	}
-	if c.DiurnalPeriod == 0 {
-		c.DiurnalPeriod = 2 * time.Second
-	}
-	if c.DiurnalAmplitude == 0 {
-		c.DiurnalAmplitude = 0.8
-	}
-}
+// The modulated processes' shapes. The rates are typed so rateAt's
+// arithmetic rounds as it did when they were config fields.
+const (
+	// burstFactor is ArrivalBursty's burst-state rate as a multiple of
+	// Rate.
+	burstFactor float64 = 8
+	// burstDuty is the fraction of each cycle ArrivalBursty spends in the
+	// burst state.
+	burstDuty float64 = 0.1
+	// burstPeriod is ArrivalBursty's on/off cycle length.
+	burstPeriod = 200 * time.Millisecond
+	// diurnalPeriod is one compressed "day" of ArrivalDiurnal.
+	diurnalPeriod = 2 * time.Second
+	// diurnalAmplitude is ArrivalDiurnal's peak-to-mean rate swing.
+	diurnalAmplitude float64 = 0.8
+)
 
 // Schedule is a fixed arrival timeline: the intended start instant of
 // each operation, as an offset from the run's origin. Offsets are
@@ -126,23 +105,16 @@ type Schedule struct {
 }
 
 // BuildSchedule materializes n intended arrivals for cfg. The timeline
-// is a pure function of (Process, Rate, Seed, n) and the process knobs.
+// is a pure function of (Process, Rate, Seed, n).
 func BuildSchedule(cfg ArrivalConfig, n int) (*Schedule, error) {
-	cfg.applyDefaults()
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("workload: arrival rate must be positive, got %g", cfg.Rate)
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: schedule needs at least one arrival, got %d", n)
-	}
-	if cfg.BurstDuty <= 0 || cfg.BurstDuty >= 1 {
-		return nil, fmt.Errorf("workload: BurstDuty must be in (0,1), got %g", cfg.BurstDuty)
-	}
-	if cfg.BurstFactor < 1 {
-		return nil, fmt.Errorf("workload: BurstFactor must be >= 1, got %g", cfg.BurstFactor)
-	}
-	if cfg.DiurnalAmplitude < 0 || cfg.DiurnalAmplitude >= 1 {
-		return nil, fmt.Errorf("workload: DiurnalAmplitude must be in [0,1), got %g", cfg.DiurnalAmplitude)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	offsets := make([]time.Duration, n)
@@ -167,18 +139,18 @@ func (c *ArrivalConfig) rateAt(t float64) float64 {
 	const floorFrac = 0.05
 	switch c.Process {
 	case ArrivalBursty:
-		period := c.BurstPeriod.Seconds()
-		burst := c.Rate * c.BurstFactor
-		quiet := c.Rate * (1 - c.BurstDuty*c.BurstFactor) / (1 - c.BurstDuty)
+		period := burstPeriod.Seconds()
+		burst := c.Rate * burstFactor
+		quiet := c.Rate * (1 - burstDuty*burstFactor) / (1 - burstDuty)
 		if quiet < c.Rate*floorFrac {
 			quiet = c.Rate * floorFrac
 		}
-		if math.Mod(t, period) < c.BurstDuty*period {
+		if math.Mod(t, period) < burstDuty*period {
 			return burst
 		}
 		return quiet
 	case ArrivalDiurnal:
-		r := c.Rate * (1 + c.DiurnalAmplitude*math.Sin(2*math.Pi*t/c.DiurnalPeriod.Seconds()))
+		r := c.Rate * (1 + diurnalAmplitude*math.Sin(2*math.Pi*t/diurnalPeriod.Seconds()))
 		if r < c.Rate*floorFrac {
 			r = c.Rate * floorFrac
 		}

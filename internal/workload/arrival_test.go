@@ -103,9 +103,6 @@ func TestScheduleValidation(t *testing.T) {
 		{"zero rate", ArrivalConfig{Rate: 0}, 10},
 		{"negative rate", ArrivalConfig{Rate: -1}, 10},
 		{"zero n", ArrivalConfig{Rate: 100}, 0},
-		{"bad duty", ArrivalConfig{Process: ArrivalBursty, Rate: 100, BurstDuty: 1.5}, 10},
-		{"bad burst factor", ArrivalConfig{Process: ArrivalBursty, Rate: 100, BurstFactor: 0.5}, 10},
-		{"bad amplitude", ArrivalConfig{Process: ArrivalDiurnal, Rate: 100, DiurnalAmplitude: 1}, 10},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

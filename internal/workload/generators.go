@@ -105,12 +105,15 @@ func (s *Synthetic) ValueSize() int { return s.cfg.ValueSize }
 type MetaKVConfig struct {
 	Keys int   // default 100_000
 	Seed int64 // default 1
-	// WriteRatio defaults to 0.30 per the paper.
-	WriteRatio float64
-	// Alpha defaults to 0.9: production key-value traces are skewed but
-	// less extreme than the synthetic sweep.
-	Alpha float64
 }
+
+const (
+	// metaWriteRatio is the Meta trace's write share, per the paper.
+	metaWriteRatio = 0.30
+	// metaAlpha is its Zipf skew: production key-value traces are skewed
+	// but less extreme than the synthetic sweep.
+	metaAlpha = 0.9
+)
 
 // MetaKV generates the Meta-like trace.
 type MetaKV struct {
@@ -128,17 +131,11 @@ func NewMetaKV(cfg MetaKVConfig) *MetaKV {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.WriteRatio == 0 {
-		cfg.WriteRatio = 0.30
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.9
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	return &MetaKV{
 		cfg:  cfg,
 		rng:  rng,
-		zipf: NewZipfSampler(cfg.Keys, cfg.Alpha, rng),
+		zipf: NewZipfSampler(cfg.Keys, metaAlpha, rng),
 		perm: permute(cfg.Keys, rng),
 	}
 }
@@ -157,7 +154,7 @@ func MetaValueSize(rank int) int {
 func (m *MetaKV) Next() Op {
 	rank := m.zipf.Sample()
 	kind := Read
-	if m.rng.Float64() < m.cfg.WriteRatio {
+	if m.rng.Float64() < metaWriteRatio {
 		kind = Write
 	}
 	keyID := m.perm[rank]
@@ -175,11 +172,14 @@ type UnityConfig struct {
 	Tables int
 	// Seed defaults to 1.
 	Seed int64
-	// ReadRatio defaults to 0.93.
-	ReadRatio float64
-	// Alpha defaults to 1.05 (Figure 3b shows strong skew).
-	Alpha float64
 }
+
+const (
+	// unityReadRatio is the Unity Catalog trace's read share.
+	unityReadRatio = 0.93
+	// unityAlpha is its Zipf skew (Figure 3b shows strong skew).
+	unityAlpha = 1.05
+)
 
 // Unity generates the Unity-Catalog-like trace.
 type Unity struct {
@@ -197,17 +197,11 @@ func NewUnity(cfg UnityConfig) *Unity {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.ReadRatio == 0 {
-		cfg.ReadRatio = 0.93
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 1.05
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	return &Unity{
 		cfg:  cfg,
 		rng:  rng,
-		zipf: NewZipfSampler(cfg.Tables, cfg.Alpha, rng),
+		zipf: NewZipfSampler(cfg.Tables, unityAlpha, rng),
 		perm: permute(cfg.Tables, rng),
 	}
 }
@@ -227,7 +221,7 @@ func UnityValueSize(tableID int) int {
 func (u *Unity) Next() Op {
 	rank := u.zipf.Sample()
 	kind := Write
-	if u.rng.Float64() < u.cfg.ReadRatio {
+	if u.rng.Float64() < unityReadRatio {
 		kind = Read
 	}
 	tableID := u.perm[rank]

@@ -23,7 +23,8 @@ const (
 	Write
 )
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: the driver's failed-op error names
+// the kind with it.
 func (k OpKind) String() string {
 	if k == Read {
 		return "read"

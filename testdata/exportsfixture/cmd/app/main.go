@@ -14,5 +14,7 @@ var _ sizer = lib.Outer{}
 func main() {
 	c := &lib.Cache[int]{}
 	c.Put(lib.Used() + lib.Limit)
-	fmt.Println(c.Get(), errors.Is(nil, lib.ErrEmpty), lib.Name("x"), lib.Stack{})
+	cfg := lib.Config{Keyed: 1}
+	cfg.Assigned = 2
+	fmt.Println(c.Get(), errors.Is(nil, lib.ErrEmpty), lib.Name("x"), lib.Stack{}, cfg)
 }

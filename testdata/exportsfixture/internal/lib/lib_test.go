@@ -2,4 +2,4 @@ package lib
 
 import "testing"
 
-func TestOnlyTested(t *testing.T) { OnlyTested() }
+func TestOnlyTested(t *testing.T) { OnlyTested(); _ = Config{TestSet: 1} }
