@@ -10,10 +10,7 @@
 // cache's advantage (§2.4): hits return a pointer, with no deserialization.
 package cache
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // Stats counts cache events. All counters are cumulative.
 type Stats struct {
@@ -51,20 +48,30 @@ type EvictFunc[V any] func(key string, v V)
 
 // LRU is a byte-budgeted least-recently-used cache. It is not safe for
 // concurrent use; wrap it in Sharded for that.
+//
+// Entries live in one slab and link by index into a ring through node 0,
+// the sentinel: nodes[0].next is the most recent entry, nodes[0].prev the
+// least. A slot an entry leaves is zeroed, so it pins no value, and goes
+// on a free list the next insert takes from, so once the slab has grown
+// to the working set a Put — one that evicts included — allocates nothing.
+// The slab keeps its high-water length: a shrink leaves free slots, each
+// costing its node and nothing it held.
 type LRU[V any] struct {
 	capacity int64
 	used     int64
-	ll       *list.List // front = most recent
-	items    map[string]*list.Element
+	nodes    []node[V]
+	free     int32 // first free slot, threaded through next; 0 when none
+	items    map[string]int32
 	sizeOf   SizeOf[V]
 	onEvict  EvictFunc[V]
 	stats    Stats
 }
 
-type entry[V any] struct {
-	key  string
-	val  V
-	size int64
+type node[V any] struct {
+	key        string
+	val        V
+	size       int64
+	prev, next int32
 }
 
 // NewLRU returns an LRU with the given byte capacity. sizeOf must be
@@ -76,8 +83,8 @@ func NewLRU[V any](capacity int64, sizeOf SizeOf[V]) *LRU[V] {
 	}
 	return &LRU[V]{
 		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+		nodes:    make([]node[V], 1),
+		items:    make(map[string]int32),
 		sizeOf:   sizeOf,
 	}
 }
@@ -87,15 +94,15 @@ func (c *LRU[V]) SetEvictFunc(fn EvictFunc[V]) { c.onEvict = fn }
 
 // Get returns the value for key, marking it most recently used.
 func (c *LRU[V]) Get(key string) (V, bool) {
-	el, ok := c.items[key]
+	i, ok := c.items[key]
 	if !ok {
 		c.stats.Misses++
 		var zero V
 		return zero, false
 	}
-	c.ll.MoveToFront(el)
+	c.moveToFront(i)
 	c.stats.Hits++
-	return el.Value.(*entry[V]).val, true
+	return c.nodes[i].val, true
 }
 
 // Put inserts or replaces key. Entries larger than the whole capacity are
@@ -110,8 +117,8 @@ func (c *LRU[V]) Put(key string, v V) {
 		// promoting it to the front would make evictToFit purge every
 		// OTHER entry before the oversize one. Either way this counts as
 		// an immediate eviction for observability.
-		if el, ok := c.items[key]; ok {
-			c.removeElement(el, &c.stats.Evictions)
+		if i, ok := c.items[key]; ok {
+			c.remove(i, &c.stats.Evictions)
 			return
 		}
 		c.stats.Evictions++
@@ -120,28 +127,36 @@ func (c *LRU[V]) Put(key string, v V) {
 		}
 		return
 	}
-	if el, ok := c.items[key]; ok {
-		en := el.Value.(*entry[V])
-		c.used += size - en.size
-		en.val, en.size = v, size
-		c.ll.MoveToFront(el)
+	if i, ok := c.items[key]; ok {
+		n := &c.nodes[i]
+		c.used += size - n.size
+		n.val, n.size = v, size
+		c.moveToFront(i)
 		c.evictToFit()
 		return
 	}
-	el := c.ll.PushFront(&entry[V]{key: key, val: v, size: size})
-	c.items[key] = el
+	i := c.free
+	if i != 0 {
+		c.free = c.nodes[i].next
+	} else {
+		c.nodes = append(c.nodes, node[V]{})
+		i = int32(len(c.nodes) - 1)
+	}
+	c.nodes[i] = node[V]{key: key, val: v, size: size}
+	c.pushFront(i)
+	c.items[key] = i
 	c.used += size
 	c.evictToFit()
 }
 
 // Delete removes key, returning whether it was present.
 func (c *LRU[V]) Delete(key string) bool {
-	el, ok := c.items[key]
+	i, ok := c.items[key]
 	if !ok {
 		return false
 	}
 	c.stats.Deletes++
-	c.removeElement(el, nil)
+	c.remove(i, nil)
 	return true
 }
 
@@ -162,33 +177,55 @@ func (c *LRU[V]) Stats() Stats { return c.stats }
 
 func (c *LRU[V]) evictToFit() {
 	for c.used > c.capacity {
-		el := c.ll.Back()
-		if el == nil {
+		i := c.nodes[0].prev
+		if i == 0 {
 			return
 		}
-		c.removeElement(el, &c.stats.Evictions)
+		c.remove(i, &c.stats.Evictions)
 	}
 }
 
-func (c *LRU[V]) removeElement(el *list.Element, counter *int64) {
-	en := el.Value.(*entry[V])
-	c.ll.Remove(el)
-	delete(c.items, en.key)
-	c.used -= en.size
+// pushFront links slot i in as the most recent entry.
+func (c *LRU[V]) pushFront(i int32) {
+	head := c.nodes[0].next
+	c.nodes[i].prev, c.nodes[i].next = 0, head
+	c.nodes[head].prev = i
+	c.nodes[0].next = i
+}
+
+func (c *LRU[V]) moveToFront(i int32) {
+	c.unlink(i)
+	c.pushFront(i)
+}
+
+func (c *LRU[V]) unlink(i int32) {
+	prev, next := c.nodes[i].prev, c.nodes[i].next
+	c.nodes[prev].next = next
+	c.nodes[next].prev = prev
+}
+
+// remove unlinks slot i and frees it, then reports the entry to onEvict.
+func (c *LRU[V]) remove(i int32, counter *int64) {
+	n := c.nodes[i]
+	c.unlink(i)
+	delete(c.items, n.key)
+	c.used -= n.size
+	c.nodes[i] = node[V]{next: c.free}
+	c.free = i
 	if counter != nil {
 		*counter++
 	}
 	if c.onEvict != nil {
-		c.onEvict(en.key, en.val)
+		c.onEvict(n.key, n.val)
 	}
 }
 
 // Keys returns the keys from most to least recently used. kv's store
 // state golden hashes the block cache through it.
 func (c *LRU[V]) Keys() []string {
-	out := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*entry[V]).key)
+	out := make([]string, 0, len(c.items))
+	for i := c.nodes[0].next; i != 0; i = c.nodes[i].next {
+		out = append(out, c.nodes[i].key)
 	}
 	return out
 }

@@ -62,8 +62,8 @@ func TestLRUByteBudget(t *testing.T) {
 	if c.UsedBytes() > 100 {
 		t.Fatalf("used %d bytes exceeds capacity", c.UsedBytes())
 	}
-	if c.ll.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", c.ll.Len())
+	if len(c.items) != 10 {
+		t.Fatalf("Len = %d, want 10", len(c.items))
 	}
 }
 
@@ -78,8 +78,8 @@ func TestLRUReplaceAdjustsUsage(t *testing.T) {
 	if c.UsedBytes() != 5 {
 		t.Fatalf("used = %d, want 5", c.UsedBytes())
 	}
-	if c.ll.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.ll.Len())
+	if len(c.items) != 1 {
+		t.Fatalf("Len = %d, want 1", len(c.items))
 	}
 }
 
@@ -101,7 +101,7 @@ func TestLRUZeroCapacityCachesNothing(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("zero-capacity cache should never hit")
 	}
-	if c.ll.Len() != 0 {
+	if len(c.items) != 0 {
 		t.Fatal("zero-capacity cache should hold nothing")
 	}
 }
@@ -185,8 +185,8 @@ func TestLRUOversizedReplaceNotAdmitted(t *testing.T) {
 	if !resident(c, "b") {
 		t.Fatal("other entries must survive an oversize replace")
 	}
-	if c.ll.Len() != 1 || c.UsedBytes() != 4 {
-		t.Fatalf("Len=%d used=%d, want 1/4", c.ll.Len(), c.UsedBytes())
+	if len(c.items) != 1 || c.UsedBytes() != 4 {
+		t.Fatalf("Len=%d used=%d, want 1/4", len(c.items), c.UsedBytes())
 	}
 	if c.Stats().Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1 (the dropped old entry)", c.Stats().Evictions)
@@ -197,19 +197,40 @@ func TestLRUOversizedReplaceNotAdmitted(t *testing.T) {
 }
 
 // checkLRUInvariants asserts the accounting invariants that both bugfixes
-// protect: UsedBytes equals the sum of live entry sizes, Len matches the
-// map and list, and usage never exceeds capacity.
+// protect — UsedBytes equals the sum of live entry sizes, the ring holds
+// exactly the map's entries, and usage never exceeds capacity — and the
+// slab's: every slot but the sentinel is live or free, and a free slot
+// holds no key or value.
 func checkLRUInvariants(t *testing.T, c *LRU[[]byte]) {
 	t.Helper()
 	var sum int64
-	for _, el := range c.items {
-		sum += el.Value.(*entry[[]byte]).size
+	live := 0
+	for prev, i := int32(0), c.nodes[0].next; i != 0; prev, i = i, c.nodes[i].next {
+		n := c.nodes[i]
+		if n.prev != prev {
+			t.Fatalf("slot %d: prev = %d, want %d", i, n.prev, prev)
+		}
+		if j, ok := c.items[n.key]; !ok || j != i {
+			t.Fatalf("slot %d holds %q, which the map puts at %d (%v)", i, n.key, j, ok)
+		}
+		sum += n.size
+		live++
 	}
 	if c.used != sum {
 		t.Fatalf("used = %d, Σ live sizes = %d", c.used, sum)
 	}
-	if c.ll.Len() != len(c.items) {
-		t.Fatalf("list len %d != map len %d", c.ll.Len(), len(c.items))
+	if live != len(c.items) {
+		t.Fatalf("ring holds %d entries, map %d", live, len(c.items))
+	}
+	free := 0
+	for i := c.free; i != 0; i = c.nodes[i].next {
+		if n := c.nodes[i]; n.key != "" || n.val != nil || n.size != 0 {
+			t.Fatalf("free slot %d still holds %q (%d B)", i, n.key, len(n.val))
+		}
+		free++
+	}
+	if live+free != len(c.nodes)-1 {
+		t.Fatalf("%d live + %d free slots, slab has %d", live, free, len(c.nodes)-1)
 	}
 	if c.used > c.capacity {
 		t.Fatalf("used %d exceeds capacity %d", c.used, c.capacity)
@@ -243,6 +264,33 @@ func FuzzLRUInvariants(f *testing.F) {
 			checkLRUInvariants(t, c)
 		}
 	})
+}
+
+// TestLRUSteadyStateAllocs pins the slab: once a full cache has grown its
+// slab, a Put of a new key reuses the slot its eviction frees, so cycling
+// keys through it allocates nothing.
+func TestLRUSteadyStateAllocs(t *testing.T) {
+	c := newByteLRU(64 * 100)
+	keys := make([]string, 1000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	v := make([]byte, 64)
+	n := 0
+	put := func() {
+		c.Put(keys[n%len(keys)], v)
+		n++
+	}
+	for range keys {
+		put()
+	}
+	if got := testing.AllocsPerRun(5000, put); got != 0 {
+		t.Fatalf("a Put into a full LRU allocates %.2f times, want 0", got)
+	}
+	if len(c.items) != 100 || c.Stats().Evictions == 0 {
+		t.Fatalf("%d entries, %d evictions: the cache did not cycle", len(c.items), c.Stats().Evictions)
+	}
+	checkLRUInvariants(t, c)
 }
 
 func TestStatsRatios(t *testing.T) {

@@ -115,6 +115,8 @@ func (s *service[V]) handleWriteBatch(l *lane[V], sc trace.SpanContext, req []by
 	sc.Lane().CountRequest()
 	act, asc := trace.Start(sc, "app", "write")
 	defer act.End()
+	// Keys and values alias req, as handleWrite's do: req outlives every
+	// use below, and write copies a key for a tier that keeps it.
 	var r remotecache.MultiSetRequest
 	if err := wire.Unmarshal(req, &r); err != nil {
 		return nil, err

@@ -125,9 +125,10 @@ func TestMeteredOpsUnchanged(t *testing.T) {
 }
 
 // TestLinkedMissAllocs pins a bare Linked tier's miss: the fill (with
-// its WaitGroup), the fill table's copy of the key, which the cache
-// adopts when the fill installs, and the cache's entry. The source
-// lends a stored string, so the load allocates nothing.
+// its WaitGroup) and the fill table's copy of the key, which the cache
+// adopts when the fill installs. The cache's entry takes the slab slot
+// the eviction freed, and the source lends a stored string, so neither
+// the install nor the load allocates.
 func TestLinkedMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
@@ -141,8 +142,8 @@ func TestLinkedMissAllocs(t *testing.T) {
 		}
 	}
 	miss()
-	if got := testing.AllocsPerRun(200, miss); got > 4 {
-		t.Errorf("a Linked miss allocates %.0f times, want <= 4", got)
+	if got := testing.AllocsPerRun(200, miss); got > 2 {
+		t.Errorf("a Linked miss allocates %.0f times, want <= 2", got)
 	}
 }
 

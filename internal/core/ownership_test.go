@@ -127,20 +127,25 @@ func TestOwnershipWriteThroughKeepsItsOwnCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := workload.KeyName(9)
-	value := ValueFor("fresh", 2048)
-	req := wire.Marshal(&remotecache.SetRequest{Key: key, Value: value})
-	resp, err := svc.Front().Dispatch("app.Write", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rpc.PutBuffer(resp)
-	for i := range req {
-		req[i] = 0xDB
-	}
-	got, ok := svc.LinkedCache().Get(key)
-	if !ok || !bytes.Equal(got.v, value) {
-		t.Fatal("the write-through entry aliases the request buffer")
+	for i, method := range []string{"app.Write", "app.WriteBatch"} {
+		key := workload.KeyName(9 + i)
+		value := ValueFor("fresh", 2048)
+		req := wire.Append(nil, func(e *wire.Encoder) { // SetRequest and MultiSetRequest of one pair
+			e.String(1, key)
+			e.BytesField(2, value)
+		})
+		resp, err := svc.Front().Dispatch(method, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rpc.PutBuffer(resp)
+		for i := range req {
+			req[i] = 0xDB
+		}
+		got, ok := svc.LinkedCache().Get(key)
+		if !ok || !bytes.Equal(got.v, value) {
+			t.Fatalf("%s: the write-through entry aliases the request buffer", method)
+		}
 	}
 }
 

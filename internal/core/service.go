@@ -177,11 +177,16 @@ func (s *service[V]) write(l *lane[V], sc trace.SpanContext, key string, payload
 	return l.tier.drop(sc, key, payload, l.src)
 }
 
+// readOutSize is the reply room a read reserves: a digest answer and its
+// framing fit, so a pooled ack-sized buffer is replaced in one step rather
+// than grown field by field.
+const readOutSize = 64
+
 // encodeReadOut encodes the GetResponse shape {1: found, 2: answer} into a
 // transport-pool buffer, then recycles held — the buffer v was borrowed
 // from, if any: the answer is the last read of v. n is answer's.
 func (s *service[V]) encodeReadOut(found bool, v V, held []byte) (out []byte, n int) {
-	out = wire.Append(rpc.GetBuffer(), func(e *wire.Encoder) {
+	out = wire.Append(rpc.GetBufferCap(readOutSize), func(e *wire.Encoder) {
 		e.Bool(1, found)
 		if found {
 			n = s.app.answer(e, v)

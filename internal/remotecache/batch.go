@@ -68,8 +68,9 @@ func (r *MultiGetResponse) UnmarshalWire(d *wire.Decoder) error {
 	})
 }
 
-// MultiSetRequest stores many key/value pairs. Decoded, Values alias the
-// decoder's input: a handler that keeps them copies them.
+// MultiSetRequest stores many key/value pairs. Decoded, Keys and Values
+// alias the decoder's input, as handleSet's key and value do: a handler
+// that keeps them copies them.
 type MultiSetRequest struct {
 	Keys   []string
 	Values [][]byte
@@ -81,7 +82,7 @@ func (r *MultiSetRequest) UnmarshalWire(d *wire.Decoder) error {
 		switch f {
 		case 1:
 			var k string
-			k, err = d.String()
+			k, err = d.StringZC()
 			r.Keys = append(r.Keys, k)
 		case 2:
 			var b []byte
@@ -300,8 +301,8 @@ func (s *Server) handleMultiGet(sc trace.SpanContext, req []byte) ([]byte, error
 	return resp, nil
 }
 
-// handleMultiSet serves cache.MultiSet. The store keeps keys and values,
-// so each value is copied out of the request on its way in.
+// handleMultiSet serves cache.MultiSet. The request is read in place, as
+// handleSet's is: keys and values alias it until put copies them.
 func (s *Server) handleMultiSet(sc trace.SpanContext, req []byte) ([]byte, error) {
 	var r MultiSetRequest
 	if err := wire.Unmarshal(req, &r); err != nil {

@@ -45,8 +45,7 @@ func (r *GetResponse) UnmarshalWire(d *wire.Decoder) error {
 	})
 }
 
-// SetRequest stores a value. Decoded, Value aliases the decoder's input: a
-// handler that keeps it copies it.
+// SetRequest stores a value. The node reads it in place (handleSet).
 type SetRequest struct {
 	Key   string
 	Value []byte
@@ -56,21 +55,6 @@ type SetRequest struct {
 func (r *SetRequest) MarshalWire(e *wire.Encoder) {
 	e.String(1, r.Key)
 	e.BytesField(2, r.Value)
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (r *SetRequest) UnmarshalWire(d *wire.Decoder) error {
-	return decodeFields(d, func(f uint32, t wire.Type) (err error) {
-		switch f {
-		case 1:
-			r.Key, err = d.String()
-		case 2:
-			r.Value, err = d.Bytes()
-		default:
-			err = d.Skip(t)
-		}
-		return err
-	})
 }
 
 // Ack is the generic success reply for writes.

@@ -11,6 +11,7 @@ import (
 	"cachecost/internal/cluster"
 	"cachecost/internal/rpc"
 	"cachecost/internal/trace"
+	"cachecost/internal/wire"
 )
 
 var noCtx trace.SpanContext
@@ -176,6 +177,40 @@ func TestOwnershipServerGetAliasesKeyAndAllocatesNothing(t *testing.T) {
 		t.Fatalf("server Get allocates %.1f per call, want 0", allocs)
 	}
 	runtime.KeepAlive(srv)
+}
+
+// TestRemoteFillAllocs pins a fill on a full node: the request is read in
+// place and the entry takes the slab slot its eviction frees, so a
+// cache.Set allocates the two copies the store keeps — the key and the
+// value — and nothing else.
+func TestRemoteFillAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting differs under -race")
+	}
+	srv := NewServer(ServerConfig{CapacityBytes: 64 << 10, Shards: 1})
+	conn := rpc.NewDirect(srv.RPCServer())
+	reqs := make([][]byte, 2000) // 2000 × ~1.1 KB entries: four times the budget
+	for i := range reqs {
+		reqs[i] = wire.Marshal(&SetRequest{Key: fmt.Sprintf("fill-%04d", i), Value: bytes.Repeat([]byte("v"), 1000)})
+	}
+	n := 0
+	set := func() {
+		resp, err := conn.Call("cache.Set", reqs[n%len(reqs)])
+		if err != nil {
+			panic(err)
+		}
+		rpc.PutBuffer(resp)
+		n++
+	}
+	for range reqs {
+		set()
+	}
+	if got := testing.AllocsPerRun(2000, set); got > 2 {
+		t.Fatalf("a fill allocates %.2f times, want <= 2 (key and value)", got)
+	}
+	if st := srv.Stats(); st.Evictions == 0 {
+		t.Fatalf("stats %+v: the node never filled up", st)
+	}
 }
 
 type recordFunc func(string)

@@ -1,6 +1,7 @@
 package remotecache
 
 import (
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -212,14 +213,9 @@ func (s *Server) registerTelemetry(reg *telemetry.Registry) {
 
 // reply builds a handler's response of about size bytes in a
 // transport-pool buffer, which the transport recycles (DESIGN.md, "Buffer
-// ownership"). A pool buffer that is too small is replaced in one step
-// rather than grown field by field.
+// ownership").
 func reply(size int, fn func(*wire.Encoder)) []byte {
-	buf := rpc.GetBuffer()
-	if cap(buf) < size {
-		buf = make([]byte, 0, size)
-	}
-	return wire.Append(buf, fn)
+	return wire.Append(rpc.GetBufferCap(size), fn)
 }
 
 func (s *Server) handleGet(sc trace.SpanContext, req []byte) ([]byte, error) {
@@ -256,24 +252,42 @@ func (s *Server) handleGet(sc trace.SpanContext, req []byte) ([]byte, error) {
 }
 
 func (s *Server) handleSet(sc trace.SpanContext, req []byte) ([]byte, error) {
-	var r SetRequest
-	if err := wire.Unmarshal(req, &r); err != nil {
+	// The request is {1: key, 2: value}, read in place: both alias the
+	// request until put copies them.
+	var key string
+	var value []byte
+	err := wire.Decode(req, func(d *wire.Decoder) error {
+		return decodeFields(d, func(f uint32, t wire.Type) (err error) {
+			switch f {
+			case 1:
+				key, err = d.StringZC()
+			case 2:
+				value, err = d.Bytes()
+			default:
+				err = d.Skip(t)
+			}
+			return err
+		})
+	})
+	if err != nil {
 		return nil, err
 	}
 	s.acquire(sc.Lane())
 	defer s.release()
 	act, _ := trace.Start(sc, s.name, "set")
-	s.put(r.Key, r.Value)
+	s.put(key, value)
 	act.SetBytes(len(req), 0)
 	act.End()
 	return replyAck(true), nil
 }
 
-// put stores a copy of value, which aliases the request: the entry is
-// independent of every transport buffer and immutable from here on, so
-// concurrent readers may share it.
+// put stores copies of key and value, which alias the request: the entry
+// is independent of every transport buffer and immutable from here on, so
+// concurrent readers may share it. The two copies stay two allocations,
+// each sized to its bytes: one buffer holding both would push a value at
+// a size-class edge (16 KB) into the next class.
 func (s *Server) put(key string, value []byte) {
-	s.store.Put(key, append([]byte(nil), value...))
+	s.store.Put(strings.Clone(key), append([]byte(nil), value...))
 }
 
 func (s *Server) handleDelete(sc trace.SpanContext, req []byte) ([]byte, error) {

@@ -19,6 +19,19 @@ func GetBuffer() []byte {
 	return bufPool.Get()[:0]
 }
 
+// GetBufferCap is GetBuffer for a message of about size bytes: a pooled
+// buffer too small for it is replaced by one made to size, so the encode
+// allocates once instead of growing field by field. The small buffer is
+// left to the collector, which keeps tiny acks from circulating through
+// the pool to encoders that need more.
+func GetBufferCap(size int) []byte {
+	buf := GetBuffer()
+	if cap(buf) < size {
+		buf = make([]byte, 0, size)
+	}
+	return buf
+}
+
 // PutBuffer recycles b's capacity for future GetBuffer calls; one larger
 // than maxKeptBuffer is dropped instead, so the pool never pins a rare
 // big frame. The caller must own b outright: nothing may alias it
