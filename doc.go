@@ -7,7 +7,7 @@
 // with the standard library only: a mini distributed SQL database (SQL
 // front-end, planner/executor, LSM-flavored paged storage with block
 // caches, Raft replication with leader leases), a remote cache tier, a
-// linked in-process cache, a Slicer-style auto-sharder, a gRPC-like RPC
+// linked in-process cache, a Slicer-style shard map, a gRPC-like RPC
 // layer with a calibrated CPU cost model, workload generators matching
 // the paper's traces, and a metering/pricing framework that converts
 // measured busy CPU and provisioned DRAM into monthly dollars.

@@ -4,7 +4,7 @@
 //     — linearizable, but the per-read check hands back most of the
 //     linked cache's cost advantage.
 //
-//  2. The ownership-based design: the auto-sharder grants the cache
+//  2. The ownership-based design: the shard map grants the cache
 //     strong ownership, so reads skip the check entirely while staying
 //     linearizable.
 //

@@ -1,7 +1,15 @@
+// Package cluster provides the partitioning substrate: the ShardMap,
+// which splits the key space into logical shards and places each on a
+// replica set of nodes. The routed remote cache client resolves keys
+// through it and the shard manager reshapes it, and the ownership-based
+// consistent cache of §6 takes its leases from it: a node owns a key
+// while it is the primary of the key's shard, under the shard's epoch.
 package cluster
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -40,14 +48,7 @@ func (p ShardPlacement) Primary() string {
 func (p ShardPlacement) Migrating() bool { return p.Old != "" }
 
 // HasReplica reports whether node currently serves the shard.
-func (p ShardPlacement) HasReplica(node string) bool {
-	for _, r := range p.Replicas {
-		if r == node {
-			return true
-		}
-	}
-	return false
-}
+func (p ShardPlacement) HasReplica(node string) bool { return slices.Contains(p.Replicas, node) }
 
 // loadCell is one cache-line-padded per-shard demand tally, so
 // concurrent client lanes noting different shards never false-share.
@@ -57,16 +58,15 @@ type loadCell struct {
 }
 
 // ShardMap partitions the key space into a fixed number of logical
-// shards and maps each shard to a replica set of cache nodes. It is the
-// dynamic successor of a bare consistent-hash ring: the ring seeds the
-// initial one-replica-per-shard placement, and the shard manager then
-// replicates, un-replicates and migrates shards at runtime. The read
-// path (ShardOf, Placement, Note) is lock-free — placements live in an
-// immutable copy-on-write snapshot behind an atomic pointer — while
-// mutators serialize on a mutex and bump a global generation, mirroring
-// the Sharder's generation-lease rule: any placement a client resolved
-// before the bump is stale, and the epoch stamped into cache keys is
-// what makes acting on a stale placement harmless.
+// shards and maps each shard to a replica set of nodes. A consistent-hash
+// ring seeds the initial one-replica-per-shard placement, and the shard
+// manager then replicates, un-replicates and migrates shards at runtime.
+// The read path (ShardOf, Placement, Note) is lock-free — placements
+// live in an immutable copy-on-write snapshot behind an atomic pointer —
+// while mutators serialize on a mutex and bump a global generation. Any
+// placement a reader resolved before a bump is stale; the shard's epoch,
+// stamped into cache keys and ownership leases, is what makes acting on
+// a stale placement harmless.
 type ShardMap struct {
 	shards int
 	nodes  []string // fixed node population, sorted
@@ -86,29 +86,19 @@ type ShardMap struct {
 
 // NewShardMap builds a map of `shards` logical shards over the given
 // nodes, seeding one primary per shard from a consistent-hash ring with
-// the given virtual-node count. shards < 1 is treated as 1.
+// the given virtual-node count (see seedPrimaries). shards < 1 is
+// treated as 1.
 func NewShardMap(shards int, nodes []string, virtualNodes int) (*ShardMap, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: ShardMap needs at least one node")
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	ring := NewRing(virtualNodes)
-	sorted := make([]string, len(nodes))
-	copy(sorted, nodes)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	shards = max(shards, 1)
+	sorted := append([]string(nil), nodes...)
+	sort.Strings(sorted)
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] == sorted[i-1] {
 			return nil, fmt.Errorf("cluster: duplicate node %q", sorted[i])
 		}
-	}
-	for _, n := range sorted {
-		ring.Add(n)
 	}
 	m := &ShardMap{
 		shards:  shards,
@@ -117,23 +107,65 @@ func NewShardMap(shards int, nodes []string, virtualNodes int) (*ShardMap, error
 		tainted: make([]map[string]bool, shards),
 	}
 	pls := make([]ShardPlacement, shards)
-	for i := range pls {
-		pls[i] = ShardPlacement{Replicas: []string{ring.Owner("shard#" + strconv.Itoa(i))}, Epoch: 1}
+	for i, primary := range seedPrimaries(shards, sorted, virtualNodes) {
+		pls[i] = ShardPlacement{Replicas: []string{primary}, Epoch: 1}
 	}
 	m.cur.Store(&pls)
 	m.gen.Store(1)
 	return m, nil
 }
 
+// seedPrimaries places shards on a consistent-hash ring. Each node takes
+// virtualNodes points (at least one), hash64("<node>#<i>"), and shard i
+// goes to the node with the first point at or after hash64("shard#<i>"),
+// wrapping past the top. nodes are sorted and the sort is stable, so on a
+// point collision the earlier node keeps the point.
+func seedPrimaries(shards int, nodes []string, virtualNodes int) []string {
+	type point struct {
+		h    uint64
+		node string
+	}
+	virtualNodes = max(virtualNodes, 1)
+	ring := make([]point, 0, len(nodes)*virtualNodes)
+	for _, n := range nodes {
+		for i := 0; i < virtualNodes; i++ {
+			ring = append(ring, point{hash64(n + "#" + strconv.Itoa(i)), n})
+		}
+	}
+	sort.SliceStable(ring, func(i, j int) bool { return ring[i].h < ring[j].h })
+	primaries := make([]string, shards)
+	for s := range primaries {
+		h := hash64("shard#" + strconv.Itoa(s))
+		i := sort.Search(len(ring), func(i int) bool { return ring[i].h >= h })
+		primaries[s] = ring[i%len(ring)].node
+	}
+	return primaries
+}
+
+// hash64 is FNV-1a over the string's bytes, computed inline so key
+// lookups never copy the string into a []byte. FNV-1a of short, similar
+// strings yields near-sequential values, which would clump a node's
+// virtual nodes into one arc of the ring, so a murmur3-style finalizer
+// spreads them uniformly.
+func hash64(s string) uint64 {
+	x := uint64(14695981039346656037) // FNV-1a offset basis
+	for i := 0; i < len(s); i++ {
+		x ^= uint64(s[i])
+		x *= 1099511628211 // FNV-1a prime
+	}
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
 // Shards returns the logical shard count.
 func (m *ShardMap) Shards() int { return m.shards }
 
 // Nodes returns the node population, sorted.
-func (m *ShardMap) Nodes() []string {
-	out := make([]string, len(m.nodes))
-	copy(out, m.nodes)
-	return out
-}
+func (m *ShardMap) Nodes() []string { return slices.Clone(m.nodes) }
 
 // ShardOf maps a key to its logical shard. Allocation-free.
 func (m *ShardMap) ShardOf(key string) int {
@@ -177,22 +209,13 @@ func (m *ShardMap) publishLocked(shard int, pl ShardPlacement) {
 	m.gen.Add(1)
 }
 
-func (m *ShardMap) validNode(node string) bool {
-	for _, n := range m.nodes {
-		if n == node {
-			return true
-		}
-	}
-	return false
-}
-
 // Replicate adds node to shard's replica set. If the node previously
 // left this shard's set since the last epoch bump (it may hold stale
 // entries under the current epoch), the epoch bumps — a cold restart
 // for the shard, the price of making the rejoin safe. Returns false if
 // the node is unknown, already a replica, or the shard is mid-handoff.
 func (m *ShardMap) Replicate(shard int, node string) bool {
-	if !m.validNode(node) {
+	if !slices.Contains(m.nodes, node) {
 		return false
 	}
 	m.mu.Lock()
@@ -248,7 +271,7 @@ func (m *ShardMap) Unreplicate(shard int, node string) bool {
 // no taint is recorded for them (or for the old primary). Returns false
 // if to is unknown, already the primary, or a handoff is in flight.
 func (m *ShardMap) BeginMigration(shard int, to string) bool {
-	if !m.validNode(to) {
+	if !slices.Contains(m.nodes, to) {
 		return false
 	}
 	m.mu.Lock()

@@ -39,6 +39,33 @@ func TestShardMapSeeding(t *testing.T) {
 	}
 }
 
+// TestShardMapSeedingPinned pins the seeded primaries of the maps the
+// deployment builds for a multi-node Remote tier (64 shards, 64 virtual
+// nodes, cache nodes c0…), the hotshard figure's four included: one
+// digit per shard, the index of its primary. The figures' initial
+// placement changes only if this does.
+func TestShardMapSeedingPinned(t *testing.T) {
+	want := map[int]string{
+		2: "1100011100110011011011011111111110110110011011110110111100010001",
+		3: "2200211102212022012011022111111112120112222021212122112100020021",
+		4: "2300313332313033313011023111111113120113222021213122112103330023",
+	}
+	for n, pin := range want {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("c%d", i)
+		}
+		m := newTestMap(t, 64, names...)
+		got := ""
+		for s := 0; s < 64; s++ {
+			got += m.Placement(s).Primary()[1:]
+		}
+		if got != pin {
+			t.Errorf("%d nodes: seeded primaries %s, want %s", n, got, pin)
+		}
+	}
+}
+
 func TestShardMapRejectsBadConfig(t *testing.T) {
 	if _, err := NewShardMap(8, nil, 64); err == nil {
 		t.Fatal("no error for empty node set")
@@ -191,6 +218,21 @@ func TestShardMapLoads(t *testing.T) {
 		if got[i] != 0 {
 			t.Fatalf("second drain not zero: %v", got)
 		}
+	}
+}
+
+// ShardOf and Placement are on the per-request routing and ownership
+// path; they must not allocate.
+func TestShardMapLookupZeroAlloc(t *testing.T) {
+	m := newTestMap(t, 64, "n0", "n1", "n2", "n3")
+	key := "key01234"
+	allocs := testing.AllocsPerRun(1000, func() {
+		if m.Placement(m.ShardOf(key)).Primary() == "" {
+			t.Fatal("no primary")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a shard lookup allocates %.1f objects, want 0", allocs)
 	}
 }
 

@@ -28,7 +28,7 @@ const (
 	// storage for linearizable reads (Figure 1d).
 	LinkedVersion
 	// LinkedOwned: the §6 future-work design — linked cache with
-	// auto-sharder ownership leases standing in for per-read checks.
+	// shard-map ownership leases standing in for per-read checks.
 	LinkedOwned
 	// LinkedTTL: linked cache with TTL expiry — the industry-standard
 	// bounded-staleness compromise the paper's related work surveys (§7).

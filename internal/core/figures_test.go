@@ -223,6 +223,33 @@ func TestFigMarginalShape(t *testing.T) {
 	}
 }
 
+// TestTieringNotesClaimSLOOnlyWhenMet: the tiering notes compare splits
+// "at a met SLO" only when no cell expired an op. A sweep with expiring
+// cells names them instead, interior winner or extreme alike.
+func TestTieringNotesClaimSLOOnlyWhenMet(t *testing.T) {
+	sweep := func(expired10, expired50 int64) []tieringOutcome {
+		return []tieringOutcome{{0, 5.8, 0}, {10, 5.3, expired10}, {25, 5.4, 0}, {50, 5.7, expired50}, {100, 6.7, 0}}
+	}
+	edge := []tieringOutcome{{0, 3.6, 0}, {10, 3.8, 0}, {25, 3.9, 0}, {50, 4.0, 0}, {100, 4.1, 0}}
+	archs := []Arch{Base, Linked}
+
+	met := strings.Join(tieringNotes(archs, [][]tieringOutcome{sweep(0, 0), edge}), "\n")
+	if !strings.Contains(met, "Base: 10% DRAM wins") || strings.Count(met, "met SLO") != 2 {
+		t.Errorf("notes over a sweep with no expired op:\n%s\nwant Base's 10%% win at the same met SLO, and the schedule's met SLO", met)
+	}
+
+	edge[2].expired = 7
+	missed := strings.Join(tieringNotes(archs, [][]tieringOutcome{sweep(47, 830), edge}), "\n")
+	if strings.Contains(missed, "met SLO") {
+		t.Errorf("notes claim a met SLO over expired cells:\n%s", missed)
+	}
+	for _, cell := range []string{"10% (47 ops)", "50% (830 ops)", "25% (7 ops)"} {
+		if !strings.Contains(missed, cell) {
+			t.Errorf("notes do not name the expired cell %s:\n%s", cell, missed)
+		}
+	}
+}
+
 func TestFigureRegistry(t *testing.T) {
 	if len(Figures) != 20 {
 		t.Fatalf("registered figures = %d", len(Figures))

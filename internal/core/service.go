@@ -169,7 +169,7 @@ func (s *service[V]) read(l *lane[V], sc trace.SpanContext, key string) (v V, he
 // a tier that can keep it does; the rest invalidate. key and payload may
 // only be valid for the call (they alias the request), so what a tier
 // keeps is its own copy: the application's object here, the key's where
-// it is kept (the linked cache, the sharder).
+// it is kept (the linked cache).
 func (s *service[V]) write(l *lane[V], sc trace.SpanContext, key string, payload []byte) error {
 	if wt, ok := l.tier.(writeThrough[V]); ok && s.app.object != nil {
 		return wt.write(sc, key, s.app.object(payload), payload, l.src)
@@ -256,7 +256,7 @@ func (s *service[V]) handleRead(l *lane[V], sc trace.SpanContext, req []byte) ([
 	}
 	// The key aliases req, which outlives every use below. Whatever keeps
 	// it copies it: the linked cache on insert, a consistency tier's fill
-	// table, the sharder, the access observer.
+	// table, the access observer.
 	key := unsafe.String(unsafe.SliceData(kb), len(kb))
 	if expired(sc) {
 		act.Annotate("deadline", "expired")

@@ -192,9 +192,13 @@ func newArchitecture[V any](cfg *ServiceConfig, kit objectKit[V]) (*architecture
 	case LinkedVersion:
 		a.bind = static(newVersionTier(lcfg, kit))
 	case LinkedOwned:
-		// One application server owns every shard: the auto-sharder's
-		// leases are real, its routing is not exercised.
-		a.bind = static(newOwnedTier("app0", cluster.NewSharder(64), lcfg, kit))
+		// One application server owns every shard: the map's leases are
+		// real, its routing is not exercised.
+		smap, err := cluster.NewShardMap(64, []string{"app0"}, 64)
+		if err != nil {
+			return nil, err
+		}
+		a.bind = static(newOwnedTier("app0", smap, lcfg, kit))
 	case LinkedTTL:
 		a.bind = static(newTTLTier(lcfg, kit, linkedTTL))
 	default:
@@ -628,61 +632,54 @@ func (t *versionTier[V]) read(sc trace.SpanContext, key string, src source[V]) (
 	return endRead(sc, act, v, hit, err)
 }
 
-// errNotOwner is returned for a key another application server owns; the
-// serving tier routes such requests to the owner.
+// errNotOwner is returned for a key another application server owns.
+// Nothing forwards such a request to its owner yet (ROADMAP item 20(b)):
+// a deployment has one application server, which owns every shard.
 var errNotOwner = errors.New("core: not the owner of this key")
 
-// ownedTier is the §6 design: a linked cache holding auto-sharder
-// ownership leases. An entry is stamped with the assignment it was cached
-// under and served while the sharder grants the same one, so reads are
-// linearizable with no storage contact as long as every write for an owned
-// key comes through the owner. A reshard bumps the generation, which voids
-// every outstanding assignment, and evicts the keys that moved away. The
-// hazard that remains, a write delayed from before a reshard, is Figure
-// 8's (consistency.RunDelayedWriteScenario).
+// ownedTier is the §6 design: a linked cache holding ownership leases
+// from the shard map. A node owns a key while it is the primary of the
+// key's shard; an entry is stamped with the shard's placement epoch when
+// it was cached and served while the epoch is unchanged, so reads are
+// linearizable with no storage contact as long as every write for an
+// owned key comes through the owner. A migration bumps the moved shard's
+// epoch, which voids its entries on every node and leaves every other
+// shard's served. The hazard that remains, a write delayed from before a
+// migration, is Figure 8's (consistency.RunDelayedWriteScenario).
 type ownedTier[V any] struct {
-	*guarded[V, cluster.Assignment]
-	self    string
-	sharder *cluster.Sharder
+	*guarded[V, uint64]
+	self string
+	smap *cluster.ShardMap
 }
 
-// newOwnedTier joins self to sharder.
-func newOwnedTier[V any](self string, sharder *cluster.Sharder, lcfg linkedcache.Config, kit objectKit[V]) *ownedTier[V] {
-	t := &ownedTier[V]{guarded: newGuarded(lcfg, kit, 32, equal[cluster.Assignment]), self: self, sharder: sharder}
-	sharder.Watch(func(moved []string, from, _ string) {
-		if from == self {
-			for _, k := range moved {
-				t.evict(k)
-			}
-		}
-	})
-	sharder.Join(self)
-	return t
+func newOwnedTier[V any](self string, smap *cluster.ShardMap, lcfg linkedcache.Config, kit objectKit[V]) *ownedTier[V] {
+	return &ownedTier[V]{guarded: newGuarded(lcfg, kit, 16, equal[uint64]), self: self, smap: smap}
 }
 
-// assign is the sharder's current grant of key, which must be to self.
-func (t *ownedTier[V]) assign(key string) (cluster.Assignment, error) {
-	a := t.sharder.Assign(key)
-	if a.Node != t.self {
-		return a, errNotOwner
+// assign is self's lease on key: its shard's epoch, if self is the
+// shard's primary. One atomic load; no lock, no per-key state.
+func (t *ownedTier[V]) assign(key string) (uint64, error) {
+	pl := t.smap.Placement(t.smap.ShardOf(key))
+	if pl.Primary() != t.self {
+		return 0, errNotOwner
 	}
-	return a, nil
+	return pl.Epoch, nil
 }
 
 func (t *ownedTier[V]) read(sc trace.SpanContext, key string, src source[V]) (V, []byte, bool, error) {
 	act, csc := trace.Start(sc, "app.cache", "read")
 	var v V
 	hit := false
-	a, err := t.assign(key)
+	epoch, err := t.assign(key)
 	if err == nil {
-		v, hit, err = t.lookup(csc, key, a, src)
+		v, hit, err = t.lookup(csc, key, epoch, src)
 	}
 	return endRead(sc, act, v, hit, err)
 }
 
 // drop routes the write through the owner without re-materializing the
-// object: invalidating makes the next read re-compose it under a fresh
-// assignment, which preserves linearizability (the owner is the only
+// object: invalidating makes the next read re-compose it under the
+// current lease, which preserves linearizability (the owner is the only
 // writer of its keys).
 func (t *ownedTier[V]) drop(sc trace.SpanContext, key string, payload []byte, src source[V]) error {
 	if _, err := t.assign(key); err != nil {
@@ -692,16 +689,16 @@ func (t *ownedTier[V]) drop(sc trace.SpanContext, key string, payload []byte, sr
 }
 
 // write is the owner-routed write-through: the entry is stamped with the
-// assignment taken before the store.
+// lease taken before the store.
 func (t *ownedTier[V]) write(sc trace.SpanContext, key string, v V, payload []byte, src source[V]) error {
-	a, err := t.assign(key)
+	epoch, err := t.assign(key)
 	if err != nil {
 		return err
 	}
 	if err := src.store(sc, key, payload); err != nil {
 		return err
 	}
-	t.keep(key, v, a)
+	t.keep(key, v, epoch)
 	return nil
 }
 

@@ -291,13 +291,28 @@ func newTestLinkedTier() *linkedTier[string] {
 	return &linkedTier[string]{guarded: newGuarded(testLCfg, strKit, 0, equal[struct{}])}
 }
 
+// ownedBy is a 64-shard map over nodes with every shard migrated to
+// owner, so owner holds the lease on every key until a test moves a shard.
+func ownedBy(owner string, nodes ...string) *cluster.ShardMap {
+	smap, err := cluster.NewShardMap(64, nodes, 64)
+	if err != nil {
+		panic(err)
+	}
+	for s := 0; s < smap.Shards(); s++ {
+		if smap.BeginMigration(s, owner) {
+			smap.FinishMigration(s)
+		}
+	}
+	return smap
+}
+
 // guardedTiers builds one of each design over the fill guard; nothing
 // expires within a test from the TTL tier's hour.
 func guardedTiers() []namedTier {
 	return []namedTier{
 		{Linked, newTestLinkedTier()},
 		{LinkedVersion, newVersionTier(testLCfg, strKit)},
-		{LinkedOwned, newOwnedTier("app0", cluster.NewSharder(64), testLCfg, strKit)},
+		{LinkedOwned, newOwnedTier("app0", ownedBy("app0", "app0"), testLCfg, strKit)},
 		{LinkedTTL, newTTLTier(testLCfg, strKit, time.Hour)},
 	}
 }
@@ -315,15 +330,16 @@ func readTier(t *testing.T, tr tier[string], key string, src source[string]) (st
 // dropped otherwise (through=false forces the drop).
 func writeTier(t *testing.T, tr tier[string], key, v string, through bool, src source[string]) {
 	t.Helper()
-	var err error
-	if wt, ok := tr.(writeThrough[string]); ok && through {
-		err = wt.write(trace.SpanContext{}, key, v, []byte(v), src)
-	} else {
-		err = tr.drop(trace.SpanContext{}, key, []byte(v), src)
-	}
-	if err != nil {
+	if err := tryWrite(tr, key, v, through, src); err != nil {
 		t.Error(err)
 	}
+}
+
+func tryWrite(tr tier[string], key, v string, through bool, src source[string]) error {
+	if wt, ok := tr.(writeThrough[string]); ok && through {
+		return wt.write(trace.SpanContext{}, key, v, []byte(v), src)
+	}
+	return tr.drop(trace.SpanContext{}, key, []byte(v), src)
 }
 
 // TestTierStaleFillSuperseded: a write that lands while a read's fill is
@@ -494,60 +510,70 @@ func TestTierStatementsPerOp(t *testing.T) {
 	}
 }
 
-// TestTierOwnedReshard: a second owner joining revokes the first's
-// authority — a write it never saw is read after the reshard, and keys
-// that moved are evicted and served by their new owner.
-func TestTierOwnedReshard(t *testing.T) {
-	sh := cluster.NewSharder(64)
-	a := newOwnedTier("app1", sh, testLCfg, strKit)
-	src := newFakeRows("k0", "v1")
-	for i := 0; i < 64; i++ {
-		src.put(fmt.Sprint("k", i), "v1")
-		readTier(t, a, fmt.Sprint("k", i), src)
-	}
-	b := newOwnedTier("app2", sh, testLCfg, strKit)
-	var mine, theirs string
-	for i := 0; i < 64; i++ {
-		k := fmt.Sprint("k", i)
-		src.put(k, "v2") // lands by a path app1 did not see
-		switch owner := sh.Assign(k).Node; {
-		case owner == "app1" && mine == "":
-			mine = k
-		case owner == "app2" && theirs == "":
-			theirs = k
-		}
-	}
-	if mine == "" || theirs == "" {
-		t.Fatal("test setup: the reshard did not split the keys")
-	}
-	if v, _ := readTier(t, a, mine, src); v != "v2" {
-		t.Errorf("app1 read after the reshard = %q, want v2", v)
-	}
-	if _, ok := a.lc.Get(theirs); ok {
-		t.Errorf("%s moved to app2 but stayed in app1's cache", theirs)
-	}
-	if v, _ := readTier(t, b, theirs, src); v != "v2" {
-		t.Errorf("app2 read = %q, want v2", v)
+// migrate moves shard to node and completes the handoff.
+func migrate(t *testing.T, smap *cluster.ShardMap, shard int, node string) {
+	t.Helper()
+	if !smap.BeginMigration(shard, node) || !smap.FinishMigration(shard) {
+		t.Fatalf("migrating shard %d to %s refused", shard, node)
 	}
 }
 
-// TestTierOwnedRejectsForeignKeys: an owner serves only the keys the
-// sharder grants it. A read, write or drop of another node's key is
-// refused before it reaches storage.
-func TestTierOwnedRejectsForeignKeys(t *testing.T) {
-	sh := cluster.NewSharder(64)
-	a := newOwnedTier("app1", sh, testLCfg, strKit)
-	newOwnedTier("app2", sh, testLCfg, strKit)
-	k := ""
-	for i := 0; i < 100 && k == ""; i++ {
-		if sh.Assign(fmt.Sprint("k", i)).Node == "app2" {
-			k = fmt.Sprint("k", i)
+// keyOnShard is the first key k<i> whose shard is (or, with want false,
+// is not) shard.
+func keyOnShard(smap *cluster.ShardMap, shard int, want bool) string {
+	for i := 0; ; i++ {
+		if k := fmt.Sprint("k", i); (smap.ShardOf(k) == shard) == want {
+			return k
 		}
 	}
-	if k == "" {
-		t.Fatal("test setup: app2 owns none of 100 keys")
+}
+
+// TestTierOwnedReshard: a migration voids the moved shard's leases and
+// no other. A key whose shard moved away and back re-reads the write its
+// owner never saw, made by the owner it moved to; a key whose shard
+// stayed is still served from the cache, with no statement.
+func TestTierOwnedReshard(t *testing.T) {
+	smap := ownedBy("app1", "app1", "app2")
+	a := newOwnedTier("app1", smap, testLCfg, strKit)
+	b := newOwnedTier("app2", smap, testLCfg, strKit)
+	moved := smap.ShardOf("k0")
+	mine, stay := keyOnShard(smap, moved, true), keyOnShard(smap, moved, false)
+	src := newFakeRows(mine, "v1")
+	src.put(stay, "v1")
+	readTier(t, a, mine, src)
+	readTier(t, a, stay, src)
+
+	migrate(t, smap, moved, "app2")
+	if _, _, _, err := a.read(trace.SpanContext{}, mine, src); !errors.Is(err, errNotOwner) {
+		t.Errorf("app1 read of a key it no longer owns = %v, want errNotOwner", err)
 	}
+	writeTier(t, b, mine, "v2", true, src)
+	migrate(t, smap, moved, "app1")
+
+	if v, hit := readTier(t, a, mine, src); v != "v2" || hit {
+		t.Errorf("app1 read after the shard came back = %q hit=%v, want app2's v2 from storage", v, hit)
+	}
+	before := src.statements()
+	if v, hit := readTier(t, a, stay, src); v != "v1" || !hit || src.statements() != before {
+		t.Errorf("read of a key on a shard that stayed = %q hit=%v, %d statements; want a cached v1 and none",
+			v, hit, src.statements()-before)
+	}
+}
+
+// TestTierOwnedRejectsForeignKeys: an owner serves only the keys whose
+// shard it is the primary of, the moment a migration begins included. A
+// read, write or drop of another node's key is refused before it reaches
+// storage.
+func TestTierOwnedRejectsForeignKeys(t *testing.T) {
+	smap := ownedBy("app1", "app1", "app2")
+	a := newOwnedTier("app1", smap, testLCfg, strKit)
+	k := "k0"
 	src := newFakeRows(k, "v")
+	readTier(t, a, k, src)
+	if !smap.BeginMigration(smap.ShardOf(k), "app2") {
+		t.Fatal("migration refused")
+	}
+	before := src.statements()
 	if _, _, _, err := a.read(trace.SpanContext{}, k, src); !errors.Is(err, errNotOwner) {
 		t.Errorf("foreign read = %v, want errNotOwner", err)
 	}
@@ -557,13 +583,33 @@ func TestTierOwnedRejectsForeignKeys(t *testing.T) {
 	if err := a.drop(trace.SpanContext{}, k, []byte("x"), src); !errors.Is(err, errNotOwner) {
 		t.Errorf("foreign drop = %v, want errNotOwner", err)
 	}
-	if n := src.statements(); n != 0 {
+	if n := src.statements() - before; n != 0 {
 		t.Errorf("refused requests issued %d statements, want none", n)
 	}
 }
 
+// TestTierOwnedHitAllocs: taking the lease costs a hit nothing a Linked
+// hit does not pay.
+func TestTierOwnedHitAllocs(t *testing.T) {
+	src := newFakeRows("k", "v")
+	hitAllocs := func(tr tier[string]) float64 {
+		readTier(t, tr, "k", src)
+		return testing.AllocsPerRun(200, func() {
+			if _, _, hit, err := tr.read(trace.SpanContext{}, "k", src); !hit || err != nil {
+				t.Fatalf("warm read: hit=%v, %v", hit, err)
+			}
+		})
+	}
+	owned := hitAllocs(newOwnedTier("app0", ownedBy("app0", "app0"), testLCfg, strKit))
+	if linked := hitAllocs(newTestLinkedTier()); owned > linked {
+		t.Errorf("+Owned hit allocates %.1f objects, Linked %.1f", owned, linked)
+	}
+}
+
 // TestTierConsistencyRace hammers each linked design's one fill guard
-// under -race: readers, write-throughs and drops on eight keys.
+// under -race: readers, write-throughs and drops on eight keys, and on
+// +Owned a migration moving k0's shard away and back throughout, so its
+// requests race lease changes and are refused while the shard is away.
 // Once they drain, a write is durable against any straggling fill.
 func TestTierConsistencyRace(t *testing.T) {
 	for _, c := range guardedTiers() {
@@ -572,7 +618,36 @@ func TestTierConsistencyRace(t *testing.T) {
 			for i := 1; i < 8; i++ {
 				src.put(fmt.Sprint("k", i), "v")
 			}
+			check := func(err error) {
+				if err != nil && !errors.Is(err, errNotOwner) {
+					t.Error(err)
+				}
+			}
 			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			var moving sync.WaitGroup
+			if c.arch == LinkedOwned {
+				smap := ownedBy("app0", "app0", "app1")
+				c.tier = newOwnedTier("app0", smap, testLCfg, strKit)
+				moving.Add(1)
+				go func() {
+					defer moving.Done()
+					s := smap.ShardOf("k0")
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						for _, to := range []string{"app1", "app0"} {
+							if !smap.BeginMigration(s, to) || !smap.FinishMigration(s) {
+								t.Errorf("migrating shard %d to %s refused", s, to)
+								return
+							}
+						}
+					}
+				}()
+			}
 			for g := 0; g < 8; g++ {
 				wg.Add(1)
 				go func() {
@@ -580,14 +655,17 @@ func TestTierConsistencyRace(t *testing.T) {
 					for i := 0; i < 200; i++ {
 						key := fmt.Sprint("k", (g+i)%8)
 						if g%2 == 0 {
-							readTier(t, c.tier, key, src)
+							_, _, _, err := c.tier.read(trace.SpanContext{}, key, src)
+							check(err)
 						} else {
-							writeTier(t, c.tier, key, "w", i%3 != 0, src)
+							check(tryWrite(c.tier, key, "w", i%3 != 0, src))
 						}
 					}
 				}()
 			}
 			wg.Wait()
+			close(stop)
+			moving.Wait()
 			writeTier(t, c.tier, "k0", "final", true, src)
 			if v, _ := readTier(t, c.tier, "k0", src); v != "final" {
 				t.Errorf("read after the final write = %q", v)

@@ -8,7 +8,7 @@
 // caches are sharded: each server owns a partition of the key space and
 // the serving tier routes requests to owners. This package is one
 // server's cache; ownership is internal/core's Linked+Owned tier over
-// cluster.Sharder.
+// cluster.ShardMap.
 package linkedcache
 
 import (

@@ -1,6 +1,7 @@
 package remotecache
 
 import (
+	"errors"
 	"fmt"
 
 	"cachecost/internal/meter"
@@ -18,9 +19,9 @@ import (
 //
 // Partial-result semantics: a single-node client sends a batch as one
 // frame, so a failed RPC demotes the whole batch to misses — counted as
-// ONE demotion, it was one RPC. A routed client runs a batch as per-key
-// ops, so each failed key is one demotion and the other keys' results
-// stand.
+// ONE demotion, it was one RPC. A routed client has no one node to batch
+// against and refuses a batch with errRoutedBatch: no figure batches over
+// a multi-node tier.
 
 // MultiGetRequest asks for many keys in one frame.
 type MultiGetRequest struct {
@@ -112,54 +113,39 @@ func (r *MultiAck) UnmarshalWire(d *wire.Decoder) error {
 	})
 }
 
+// errRoutedBatch refuses a batch on a routed client.
+var errRoutedBatch = errors.New("remotecache: a routed client does not batch")
+
 // MultiBorrowCtx fetches keys, reporting per-key presence positionally,
 // under the caller's span context. Nothing is copied: every found value
-// aliases one of the transport buffers in held — the one MultiGet
-// response of a single-node client, or each hit's own response on a
-// routed one. The caller hands each to rpc.PutBuffer when it is done
-// reading the values and must not touch them afterwards (DESIGN.md,
-// "Buffer ownership"); on an error held is nil.
+// aliases the one MultiGet response, held. The caller hands it to
+// rpc.PutBuffer when it is done reading the values and must not touch
+// them afterwards (DESIGN.md, "Buffer ownership"); on an error held is
+// nil.
 //
-// Each RPC counts two cache messages (one request, one response frame —
+// The RPC counts two cache messages (one request, one response frame —
 // NOT two per key); each key's outcome is counted as a cache hit or miss
-// exactly as the scalar path would. A failed RPC demotes its keys to
+// exactly as the scalar path would. A failed RPC demotes the keys to
 // misses without failing the batch.
 func (c *Client) MultiBorrowCtx(sc trace.SpanContext, keys []string) (values [][]byte, found []bool, held [][]byte, err error) {
+	if c.router != nil {
+		return nil, nil, nil, errRoutedBatch
+	}
 	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
 	values = make([][]byte, len(keys))
 	found = make([]bool, len(keys))
 	if len(keys) == 0 {
 		return values, found, nil, nil
 	}
-	if c.router != nil {
-		c.eachKey(sc, keys, func(i int, key string) error {
-			v, h, f, err := c.get(sc, key)
-			if f {
-				values[i], found[i] = v, true
-				held = append(held, h)
-			}
-			return err
-		})
-	} else {
-		h, err := c.multiGetOn(sc, keys, values, found)
-		demote(sc.Lane(), err) // one failed RPC, one demotion; every key stays a miss
-		if h != nil {
-			held = [][]byte{h}
-		}
+	h, err := c.multiGetOn(sc, keys, values, found)
+	demote(sc.Lane(), err) // one failed RPC, one demotion; every key stays a miss
+	if h != nil {
+		held = [][]byte{h}
 	}
 	for _, f := range found {
 		sc.Lane().CountCacheHit(f)
 	}
 	return values, found, held, nil
-}
-
-// eachKey runs a routed batch as per-key ops: each key's replica choice
-// and handoff state is independent, so there is no single node to batch
-// against. Each failed key is one demotion.
-func (c *Client) eachKey(sc trace.SpanContext, keys []string, op func(i int, key string) error) {
-	for i, key := range keys {
-		demote(sc.Lane(), op(i, key))
-	}
 }
 
 // multiGetOn is one cache.MultiGet round trip for keys on the client's
@@ -213,17 +199,14 @@ func (c *Client) multiGetOn(sc trace.SpanContext, keys []string, values [][]byte
 // A failed RPC is one counted no-op demotion: the next read of those keys
 // re-populates.
 func (c *Client) MultiSetCtx(sc trace.SpanContext, keys []string, values [][]byte) error {
+	if c.router != nil {
+		return errRoutedBatch
+	}
 	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
 	if len(keys) != len(values) {
 		return fmt.Errorf("remotecache: MultiSet %d keys but %d values", len(keys), len(values))
 	}
 	if len(keys) == 0 {
-		return nil
-	}
-	if c.router != nil {
-		c.eachKey(sc, keys, func(i int, key string) error {
-			return c.set(sc, key, values[i])
-		})
 		return nil
 	}
 	e := wire.GetEncoder()
@@ -237,15 +220,11 @@ func (c *Client) MultiSetCtx(sc trace.SpanContext, keys []string, values [][]byt
 // entries may survive until their node recovers, the
 // same bounded-staleness price the scalar Delete documents.
 func (c *Client) MultiDeleteCtx(sc trace.SpanContext, keys []string) error {
+	if c.router != nil {
+		return errRoutedBatch
+	}
 	defer sc.Lane().AddStage(meter.StageCache, sc.Lane().StageClock())
 	if len(keys) == 0 {
-		return nil
-	}
-	if c.router != nil {
-		c.eachKey(sc, keys, func(_ int, key string) error {
-			_, err := c.delete(sc, key)
-			return err
-		})
 		return nil
 	}
 	e := wire.GetEncoder()

@@ -2,10 +2,8 @@ package remotecache
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
-	"cachecost/internal/cluster"
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
 	"cachecost/internal/trace"
@@ -87,61 +85,6 @@ func TestMultiSetLengthMismatch(t *testing.T) {
 	}
 }
 
-// A routed batch fans out across nodes key by key and answers
-// positionally: duplicates and misses keep their slots, each hit lends
-// its own response buffer, and MultiDelete clears every node.
-func TestMultiGetFansOutAcrossNodes(t *testing.T) {
-	f := newRoutedFixture(t, 3, 16, nil)
-	c := f.client
-
-	const n = 90
-	keys := make([]string, n)
-	vals := make([][]byte, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%d", i)
-		vals[i] = []byte(fmt.Sprintf("v%d", i))
-	}
-	if err := c.MultiSetCtx(noCtx, keys, vals); err != nil {
-		t.Fatal(err)
-	}
-	// Every key twice, each pair split by a miss.
-	var batch []string
-	for _, k := range keys {
-		batch = append(batch, k, "absent-"+k, k)
-	}
-	values, found, held, err := c.MultiBorrowCtx(noCtx, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range batch {
-		want := vals[i/3]
-		if i%3 == 1 {
-			want = nil
-		}
-		if found[i] != (want != nil) || string(values[i]) != string(want) {
-			t.Fatalf("slot %d (%s) = %q/%v, want %q", i, k, values[i], found[i], want)
-		}
-	}
-	if len(held) != 2*n {
-		t.Fatalf("lent %d buffers, want one per hit (%d)", len(held), 2*n)
-	}
-	rpc.PutBuffers(held)
-	// The batch must actually have sharded: every node owns some keys.
-	for name, srv := range f.servers {
-		if srv.UsedBytes() == 0 {
-			t.Fatalf("node %s received no keys", name)
-		}
-	}
-	if err := c.MultiDeleteCtx(noCtx, keys); err != nil {
-		t.Fatal(err)
-	}
-	for name, srv := range f.servers {
-		if srv.UsedBytes() != 0 {
-			t.Fatalf("node %s still holds bytes after MultiDelete", name)
-		}
-	}
-}
-
 // onLane runs fn on a fresh request lane of m; closing the lane folds
 // its path counts into m.Path.
 func onLane(m *meter.Meter, fn func(sc trace.SpanContext)) {
@@ -152,10 +95,8 @@ func onLane(m *meter.Meter, fn func(sc trace.SpanContext)) {
 
 // Partial-result semantics, per topology. A single-node batch is one
 // frame, so a failed RPC is ONE demotion that reads every key as a miss.
-// A routed batch is per-key ops: with one of three nodes dead, the client
-// returns the live nodes' hits, reads the dead node's keys as misses and
-// counts one demotion per dead key. Demotions are counted on the
-// request's lane.
+// Demotions are counted on the request's lane. A routed client refuses a
+// batch outright: it sends nothing and counts nothing.
 func TestMultiGetPartialResultsDegraded(t *testing.T) {
 	three := [][]byte{[]byte("x"), []byte("y"), []byte("z")}
 	t.Run("single", func(t *testing.T) {
@@ -190,66 +131,26 @@ func TestMultiGetPartialResultsDegraded(t *testing.T) {
 	})
 
 	t.Run("routed", func(t *testing.T) {
-		smap, err := cluster.NewShardMap(16, []string{"c0", "c1", "c2"}, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns := map[string]rpc.Conn{"c1": brokenConn{}}
-		for _, n := range []string{"c0", "c2"} {
-			conns[n] = rpc.NewDirect(newNode(t, nil, 1<<20).RPCServer())
-		}
-		c, err := NewRoutedClient(conns, smap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var liveKeys, deadKeys []string
-		for i := 0; len(liveKeys) < 3 || len(deadKeys) < 3; i++ {
-			k := fmt.Sprintf("k%d", i)
-			if smap.Placement(smap.ShardOf(k)).Primary() == "c1" {
-				deadKeys = append(deadKeys, k)
-			} else {
-				liveKeys = append(liveKeys, k)
-			}
-		}
-		liveKeys, deadKeys = liveKeys[:3], deadKeys[:3]
-		for _, k := range liveKeys {
-			if err := c.Set(k, []byte("v-"+k)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		batch := []string{liveKeys[0], deadKeys[0], liveKeys[1], deadKeys[1], liveKeys[2], deadKeys[2]}
-
-		// Partial results, one demotion per dead key.
+		f := newRoutedFixture(t, 3, 16, nil)
 		m := meter.NewMeter()
 		onLane(m, func(sc trace.SpanContext) {
-			values, found, held, err := c.MultiBorrowCtx(sc, batch)
-			if err != nil {
-				t.Fatal(err)
+			if _, _, held, err := f.client.MultiBorrowCtx(sc, []string{"a", "b"}); !errors.Is(err, errRoutedBatch) || held != nil {
+				t.Errorf("routed MultiBorrow = %v, %d buffers lent; want errRoutedBatch and none", err, len(held))
 			}
-			for i, k := range batch {
-				wantLive := i%2 == 0
-				if found[i] != wantLive || (wantLive && string(values[i]) != "v-"+k) {
-					t.Fatalf("slot %d (%s) = %q/%v, want live=%v", i, k, values[i], found[i], wantLive)
-				}
+			if err := f.client.MultiSetCtx(sc, []string{"a", "b"}, three[:2]); !errors.Is(err, errRoutedBatch) {
+				t.Errorf("routed MultiSet = %v, want errRoutedBatch", err)
 			}
-			if len(held) != 3 {
-				t.Fatalf("%d buffers lent, want one per live hit (3)", len(held))
+			if err := f.client.MultiDeleteCtx(sc, []string{"a", "b"}); !errors.Is(err, errRoutedBatch) {
+				t.Errorf("routed MultiDelete = %v, want errRoutedBatch", err)
 			}
-			rpc.PutBuffers(held)
 		})
-		if got := m.Path().Degraded; got != 3 {
-			t.Fatalf("Degraded = %d, want 3 (one per dead key)", got)
+		if p := m.Path(); p != (meter.PathStats{}) {
+			t.Errorf("refused batches counted %+v, want nothing", p)
 		}
-		onLane(m, func(sc trace.SpanContext) {
-			if err := c.MultiSetCtx(sc, deadKeys, three); err != nil {
-				t.Fatal(err)
+		for name, srv := range f.servers {
+			if srv.UsedBytes() != 0 {
+				t.Errorf("node %s holds bytes after a refused MultiSet", name)
 			}
-			if err := c.MultiDeleteCtx(sc, deadKeys); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if got := m.Path().Degraded; got != 9 {
-			t.Fatalf("Degraded = %d, want 9", got)
 		}
 	})
 }

@@ -198,103 +198,6 @@ func TestRoutedHandoffDoubleRead(t *testing.T) {
 	}
 }
 
-// A routed MultiSetCtx is a routed Set per key: a replicated shard's
-// key lands on every replica, each extra replica counted as one fan-out
-// write, and a later batch read from any replica sees it.
-func TestRoutedMultiSetFansOutToReplicas(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	f := newRoutedFixture(t, 3, 16, nil)
-	c := f.client
-	c.SetTelemetry(reg)
-	hot := "celebrity"
-	shard := f.smap.ShardOf(hot)
-	for _, n := range f.smap.Nodes() {
-		f.smap.Replicate(shard, n) // the primary refuses, the others join
-	}
-	pl := f.smap.Placement(shard)
-	if len(pl.Replicas) != 3 {
-		t.Fatalf("setup: %d replicas", len(pl.Replicas))
-	}
-	keys := []string{"plain-a", hot, "plain-b"}
-	values := [][]byte{[]byte("a"), []byte("v1"), []byte("b")}
-	if err := c.MultiSetCtx(noCtx, keys, values); err != nil {
-		t.Fatal(err)
-	}
-	ek := cluster.EpochKey(pl.Epoch, hot)
-	for _, n := range pl.Replicas {
-		if v, ok := f.servers[n].store.Get(ek); !ok || string(v) != "v1" {
-			t.Fatalf("replica %s: %q %v", n, v, ok)
-		}
-	}
-	want := int64(len(pl.Replicas) - 1)
-	for _, k := range []string{"plain-a", "plain-b"} { // unreplicated unless they share the hot shard
-		if f.smap.ShardOf(k) == shard {
-			want += int64(len(pl.Replicas) - 1)
-		}
-	}
-	if got := reg.Counter("cache.client.fanout_writes").Value(); got != want {
-		t.Fatalf("fanout_writes = %d, want %d", got, want)
-	}
-	for i := 0; i < 50; i++ { // P2C spreads these reads over the replicas
-		got, found, err := multiGet(c, keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range keys {
-			if !found[j] || string(got[j]) != string(values[j]) {
-				t.Fatalf("read %d, key %s = %q/%v", i, keys[j], got[j], found[j])
-			}
-		}
-	}
-}
-
-// A routed MultiBorrowCtx that misses the new primary during a handoff
-// double-reads the old primary at its old epoch, lends that value and
-// copies it forward, exactly as the scalar read does.
-func TestRoutedMultiBorrowHandoffDoubleRead(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	f := newRoutedFixture(t, 3, 16, nil)
-	c := f.client
-	c.SetTelemetry(reg)
-	key := "moving"
-	shard := f.smap.ShardOf(key)
-	if err := c.Set(key, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	old := f.smap.Placement(shard).Primary()
-	target := f.smap.Nodes()[0]
-	if target == old {
-		target = f.smap.Nodes()[1]
-	}
-	if !f.smap.BeginMigration(shard, target) {
-		t.Fatal("BeginMigration refused")
-	}
-	values, found, held, err := c.MultiBorrowCtx(noCtx, []string{key, "absent"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found[0] || string(values[0]) != "v1" || found[1] {
-		t.Fatalf("handoff batch = %q/%v, %v", values[0], found[0], found[1])
-	}
-	if len(held) != 1 {
-		t.Fatalf("lent %d buffers, want 1 (one hit)", len(held))
-	}
-	rpc.PutBuffers(held)
-	// Each key of the migrating shard that misses its new primary
-	// double-reads once.
-	want := int64(1)
-	if f.smap.ShardOf("absent") == shard {
-		want++
-	}
-	if got := reg.Counter("cache.client.handoff_reads").Value(); got != want {
-		t.Fatalf("handoff_reads = %d, want %d", got, want)
-	}
-	pl := f.smap.Placement(shard)
-	if v, ok := f.servers[target].store.Get(cluster.EpochKey(pl.Epoch, key)); !ok || string(v) != "v1" {
-		t.Fatalf("new primary after copy-forward: %q %v", v, ok)
-	}
-}
-
 // parseVersion extracts N from a "key@vN" test value.
 func parseVersion(t testing.TB, v string) int {
 	t.Helper()
