@@ -48,8 +48,6 @@ func TestElasticControllerSyncThroughService(t *testing.T) {
 		MissCostUSD: 1e-7,
 		MinBytes:    ws / 64,
 		MaxBytes:    2 * ws,
-		Window:      2000,
-		MinSamples:  200,
 		Registry:    reg,
 	})
 	svc.SetAccessObserver(ctrl.Observe)

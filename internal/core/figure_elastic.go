@@ -142,8 +142,6 @@ func (o FigOptions) elasticCell(mode string, arch Arch, cfg workload.SyntheticCo
 				MissCostUSD: missUSD,
 				MinBytes:    ws / 64,
 				MaxBytes:    2 * ws,
-				Window:      4096,
-				MinSamples:  512,
 				Registry:    o.Telemetry,
 			}
 			switch {

@@ -41,7 +41,7 @@ type Curve interface {
 	// LRU of the given byte capacity.
 	MissRatio(cacheBytes int64) float64
 	// Weight returns the total sample mass behind the curve; ticks
-	// below Config.MinSamples are skipped as statistically empty.
+	// below minSamples are skipped as statistically empty.
 	Weight() float64
 }
 
@@ -67,13 +67,6 @@ type Config struct {
 	// Defaults: 1 MiB and 4 GiB.
 	MinBytes, MaxBytes int64
 
-	// Window is the windowed MRC's accesses per generation. Default
-	// 8192.
-	Window int
-	// MinSamples is the curve weight below which a tick holds
-	// everything (default 256).
-	MinSamples float64
-
 	// Registry, when set, receives elastic.* counters/gauges and a
 	// /statusz section.
 	Registry *telemetry.Registry
@@ -98,6 +91,11 @@ const (
 	hysteresis float64 = 0.02
 	// decay is the windowed MRC's previous-generation weight.
 	decay float64 = 0.5
+	// window is the windowed MRC's accesses per generation.
+	window = 4096
+	// minSamples is the curve weight below which a tick holds
+	// everything.
+	minSamples float64 = 512
 )
 
 // Decision is the outcome of one Tick, for figures and tests.
@@ -145,15 +143,9 @@ func New(cfg Config) *Controller {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = 4 << 30
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 8192
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 256
-	}
 	c := &Controller{
 		cfg: cfg,
-		win: cache.NewWindowedAnalyzer(cfg.Window, decay),
+		win: cache.NewWindowedAnalyzer(window, decay),
 	}
 	c.lastTick = time.Now()
 	c.last.TargetBytes = cfg.Target.Capacity()
@@ -224,7 +216,7 @@ func (c *Controller) Tick() Decision {
 	c.ops = 0
 
 	d := Decision{QPS: qps, TargetBytes: c.last.TargetBytes}
-	if curve.Weight() < c.cfg.MinSamples || qps <= 0 {
+	if curve.Weight() < minSamples || qps <= 0 {
 		if c.holds != nil {
 			c.holds.Inc()
 		}

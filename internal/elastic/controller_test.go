@@ -82,26 +82,30 @@ func TestSizeConvergesToAnalyticOptimum(t *testing.T) {
 }
 
 // A perturbation smaller than the hysteresis band must not move the
-// knob at all.
+// knob at all. At the optimum no step pays even without the band; at
+// 1.10 × the optimum the −15 % step does, by about $0.33/mo against a
+// band of about $0.69/mo, so there only the band holds the knob.
 func TestHysteresisHoldsFlatMinimum(t *testing.T) {
 	const a, qps, missUSD = float64(64 << 20), 1000.0, 1e-6
 	prices := meter.GCP.WithMemoryMultiplier(40)
 	opt := int64(OptimalBytes(a, qps, missUSD, prices.MemGBMonth))
 
-	wobble := 1.0
-	tgt := &fakeSize{capacity: opt}
-	c := New(Config{
-		Target:      tgt,
-		Prices:      prices,
-		MissCostUSD: missUSD,
-		CurveFn:     func() Curve { return expCurve{a: a} },
-		DemandQPS:   func() float64 { return qps * wobble },
-	})
-	for i := 0; i < 100; i++ {
-		wobble = 1 + 0.02*math.Sin(float64(i)) // ±2% demand noise
-		if d := c.Tick(); d.Resized {
-			t.Fatalf("tick %d: resized to %d under sub-hysteresis noise (start %d)",
-				i, d.TargetBytes, opt)
+	for _, start := range []int64{opt, opt * 11 / 10} {
+		wobble := 1.0
+		tgt := &fakeSize{capacity: start}
+		c := New(Config{
+			Target:      tgt,
+			Prices:      prices,
+			MissCostUSD: missUSD,
+			CurveFn:     func() Curve { return expCurve{a: a} },
+			DemandQPS:   func() float64 { return qps * wobble },
+		})
+		for i := 0; i < 100; i++ {
+			wobble = 1 + 0.02*math.Sin(float64(i)) // ±2% demand noise
+			if d := c.Tick(); d.Resized {
+				t.Fatalf("tick %d: resized to %d under sub-hysteresis noise (start %d, optimum %d)",
+					i, d.TargetBytes, start, opt)
+			}
 		}
 	}
 }
@@ -146,8 +150,6 @@ func TestControllerKeepsMeterAndGaugeInSync(t *testing.T) {
 		Prices:      meter.GCP.WithMemoryMultiplier(40),
 		Replicas:    replicas,
 		MissCostUSD: 1e-6,
-		Window:      2000,
-		MinSamples:  100,
 		Registry:    reg,
 	})
 

@@ -14,8 +14,9 @@ import (
 // FS. Writes append to a CRC-framed WAL (group-committed every
 // WALSyncEvery records) and land in the memtable; flushes turn the
 // memtable into immutable SSTables; a full k-way-merge compaction folds
-// the tables together and garbage-collects tombstones once CompactAt
-// tables accumulate. Reads consult memtable → DRAM value tier → tables
+// the tables together, keeping each key's newest version, once CompactAt
+// tables accumulate. The engine is put-only: no record or entry it writes
+// deletes a key. Reads consult memtable → DRAM value tier → tables
 // newest-first (bloom filters skip tables that cannot hold the key).
 //
 // The DRAM tier is the cost story: hot values are served from memory
@@ -156,18 +157,8 @@ func (s *Store) openDurable() error {
 			return fmt.Errorf("kv: stat wal: %w", err)
 		}
 		_, err = replayWAL(f, size, func(rec WALRecord) {
-			k := string(rec.Key)
-			if old, ok := s.mem[k]; ok {
-				s.memBytes -= int64(len(old.val))
-			} else {
-				s.memBytes += int64(len(k)) + 48
-			}
-			if rec.Op == walOpDelete {
-				s.mem[k] = &memEntry{ver: rec.Version, tomb: true}
-			} else {
-				s.mem[k] = &memEntry{val: rec.Value, ver: rec.Version}
-				s.memBytes += int64(len(rec.Value))
-			}
+			*s.memSlot(rec.Key) = memEntry{val: rec.Value, ver: rec.Version}
+			s.memBytes += int64(len(rec.Value))
 			if rec.Version > s.version {
 				s.version = rec.Version
 			}
@@ -386,7 +377,7 @@ func (s *Store) durGet(key []byte) (val []byte, ver Version, ok bool) {
 	}
 	for i := len(d.tables) - 1; i >= 0; i-- {
 		t := d.tables[i]
-		v, tver, tomb, found, bytesRead, err := t.get(key)
+		v, tver, found, bytesRead, err := t.get(key)
 		if bytesRead > 0 {
 			s.stats.DiskReads++
 			s.stats.DiskReadBytes += int64(bytesRead)
@@ -398,9 +389,6 @@ func (s *Store) durGet(key []byte) (val []byte, ver Version, ok bool) {
 		if !found {
 			continue
 		}
-		if tomb {
-			return nil, 0, false
-		}
 		v = append([]byte(nil), v...) // detach from the block buffer
 		if d.tier != nil {
 			d.tier.Put(k, tierValue{val: v, ver: tver})
@@ -411,15 +399,11 @@ func (s *Store) durGet(key []byte) (val []byte, ver Version, ok bool) {
 	return nil, 0, false
 }
 
-// durTierWrite keeps the DRAM tier write-through coherent with a Put or
-// Delete. Callers hold s.mu.
-func (s *Store) durTierWrite(key string, val []byte, ver Version, tomb bool) {
+// durTierWrite keeps the DRAM tier write-through coherent with a Put.
+// Callers hold s.mu.
+func (s *Store) durTierWrite(key string, val []byte, ver Version) {
 	d := s.dur
 	if d.tier == nil {
-		return
-	}
-	if tomb {
-		d.tier.Delete(key)
 		return
 	}
 	// Only update entries already resident (plus admit fresh writes):
@@ -431,9 +415,7 @@ func (s *Store) durTierWrite(key string, val []byte, ver Version, tomb bool) {
 // Flush and compaction
 
 // durFlush writes the memtable to a new SSTable, rotates the WAL, and
-// deletes segments the new table supersedes. Tombstones are written to
-// the table (they must shadow older tables); only a full compaction
-// drops them. Callers hold s.mu.
+// deletes segments the new table supersedes. Callers hold s.mu.
 func (s *Store) durFlush() {
 	d := s.dur
 	if len(s.mem) == 0 {
@@ -451,7 +433,7 @@ func (s *Store) durFlush() {
 	d.nextSeq++
 	for _, k := range keys {
 		e := s.mem[k]
-		mustDur(w.add([]byte(k), e.val, e.ver, e.tomb))
+		mustDur(w.add([]byte(k), e.val, e.ver))
 	}
 	name, size, err := w.finish()
 	mustDur(err)
@@ -484,7 +466,6 @@ type tableIter struct {
 	block    []byte
 	key, val []byte
 	ver      Version
-	tomb     bool
 	read     int64 // file bytes fetched
 	done     bool
 }
@@ -527,21 +508,19 @@ func (it *tableIter) next() error {
 		it.read += int64(ref.length)
 		it.block = b
 	}
-	k, v, ver, tomb, n, err := decodeEntry(it.block)
+	k, v, ver, n, err := decodeEntry(it.block)
 	if err != nil {
 		return err
 	}
-	it.key, it.val, it.ver, it.tomb = k, v, ver, tomb
+	it.key, it.val, it.ver = k, v, ver
 	it.block = it.block[n:]
 	return nil
 }
 
 // durCompact folds every table into one via a k-way merge, dropping
-// tombstones and shadowed versions (the merge covers the whole keyspace,
-// so a tombstone has nothing left to shadow). Input tables are deleted
-// oldest-first after the output commits: if a crash interrupts the
-// deletions, recovery sees the output shadowing whatever inputs remain —
-// a deleted key can never resurrect. Callers hold s.mu.
+// shadowed versions. Input tables are deleted oldest-first after the
+// output commits: if a crash interrupts the deletions, recovery sees the
+// output shadowing whatever inputs remain. Callers hold s.mu.
 func (s *Store) durCompact() {
 	d := s.dur
 	if len(d.tables) < 2 {
@@ -558,7 +537,6 @@ func (s *Store) durCompact() {
 	mustDur(err)
 	d.nextSeq++
 
-	var outEntries uint64
 	for {
 		// Smallest key across live iterators; ties resolve to the newest
 		// table (highest index — tables is sorted by ascending seq).
@@ -576,10 +554,7 @@ func (s *Store) durCompact() {
 			break
 		}
 		key := append([]byte(nil), iters[winner].key...)
-		if !iters[winner].tomb {
-			mustDur(w.add(key, iters[winner].val, iters[winner].ver, false))
-			outEntries++
-		}
+		mustDur(w.add(key, iters[winner].val, iters[winner].ver))
 		// Advance every iterator sitting on this key (shadowed copies).
 		for _, it := range iters {
 			for !it.done && bytes.Equal(it.key, key) {
@@ -597,23 +572,17 @@ func (s *Store) durCompact() {
 	s.burnDisk(int(readBytes), s.cfg.DiskPenaltyPerByte)
 
 	old := d.tables
-	if outEntries == 0 {
-		// Everything was tombstoned away; the store is empty.
-		w.abort()
-		d.tables = nil
-	} else {
-		name, size, err := w.finish()
-		mustDur(err)
-		t, err := openSSTable(d.fs, name)
-		mustDur(err)
-		d.tables = []*ssTable{t}
-		d.sizes[name] = size
-		d.fileBytes += size
-		s.stats.DiskWrites++
-		s.stats.DiskWriteBytes += size
-		s.stats.CompactionBytes += size
-		s.burnDisk(int(size), diskWritePenaltyPerByte)
-	}
+	name, size, err := w.finish()
+	mustDur(err)
+	t, err := openSSTable(d.fs, name)
+	mustDur(err)
+	d.tables = []*ssTable{t}
+	d.sizes[name] = size
+	d.fileBytes += size
+	s.stats.DiskWrites++
+	s.stats.DiskWriteBytes += size
+	s.stats.CompactionBytes += size
+	s.burnDisk(int(size), diskWritePenaltyPerByte)
 	// Delete inputs oldest-first (ascending seq): a crash part-way
 	// leaves only newer inputs behind, all shadowed by the output.
 	for _, t := range old {
@@ -697,13 +666,11 @@ func (s *Store) durScan(start, end []byte, limit int) (items []Item) {
 				}
 			}
 			e := s.mem[k]
-			if !e.tomb {
-				items = append(items, Item{
-					Key:     []byte(k),
-					Value:   append([]byte(nil), e.val...),
-					Version: e.ver,
-				})
-			}
+			items = append(items, Item{
+				Key:     []byte(k),
+				Value:   append([]byte(nil), e.val...),
+				Version: e.ver,
+			})
 			continue
 		}
 
@@ -715,13 +682,11 @@ func (s *Store) durScan(start, end []byte, limit int) (items []Item) {
 			}
 			continue
 		}
-		if !iters[winner].tomb {
-			items = append(items, Item{
-				Key:     key,
-				Value:   append([]byte(nil), iters[winner].val...),
-				Version: iters[winner].ver,
-			})
-		}
+		items = append(items, Item{
+			Key:     key,
+			Value:   append([]byte(nil), iters[winner].val...),
+			Version: iters[winner].ver,
+		})
 		for _, it := range iters {
 			for !it.done && bytes.Equal(it.key, key) {
 				mustDur(it.next())

@@ -2,7 +2,11 @@ package kv
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -19,7 +23,7 @@ func durableStore(t *testing.T, fs *MemFS, cfg Config) *Store {
 	return s
 }
 
-func TestDurableBasicPutGetDelete(t *testing.T) {
+func TestDurableBasicPutGet(t *testing.T) {
 	fs := NewMemFS()
 	s := durableStore(t, fs, Config{CacheBytes: 1 << 20, MemtableBytes: 1 << 20})
 	if ver := s.Put([]byte("a"), []byte("va")); ver != 1 {
@@ -30,14 +34,8 @@ func TestDurableBasicPutGetDelete(t *testing.T) {
 	if !ok || string(val) != "va" || ver != 1 {
 		t.Fatalf("Get(a) = %q,%d,%v", val, ver, ok)
 	}
-	if !s.Delete([]byte("a")) {
-		t.Fatal("Delete(a) should report existence")
-	}
-	if _, _, ok := s.Get([]byte("a")); ok {
-		t.Fatal("deleted key must not be served")
-	}
-	if s.Delete([]byte("nope")) {
-		t.Fatal("Delete of missing key must report false")
+	if _, _, ok := s.Get([]byte("nope")); ok {
+		t.Fatal("a key never put must not be served")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -51,25 +49,22 @@ func TestDurableSurvivesCleanReopen(t *testing.T) {
 	for i := 0; i < n; i++ {
 		s.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%04d", i)))
 	}
-	s.Delete([]byte("k0007"))
+	s.Put([]byte("k0007"), []byte("v0007-new"))
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
 	r := durableStore(t, fs, Config{CacheBytes: 1 << 20})
-	if got := len(r.Scan(nil, nil, 0)); got != n-1 {
-		t.Fatalf("Len after reopen = %d, want %d", got, n-1)
+	if got := len(r.Scan(nil, nil, 0)); got != n {
+		t.Fatalf("Len after reopen = %d, want %d", got, n)
 	}
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("k%04d", i)
-		val, _, ok := r.Get([]byte(key))
+		want := fmt.Sprintf("v%04d", i)
 		if key == "k0007" {
-			if ok {
-				t.Fatal("tombstone lost across reopen")
-			}
-			continue
+			want += "-new" // the overwrite, not the first put, survives
 		}
-		if !ok || string(val) != fmt.Sprintf("v%04d", i) {
+		if val, _, ok := r.Get([]byte(key)); !ok || string(val) != want {
 			t.Fatalf("Get(%s) after reopen = %q,%v", key, val, ok)
 		}
 	}
@@ -117,7 +112,7 @@ func TestDurableFlushCreatesSSTablesAndDropsWAL(t *testing.T) {
 	s.Close()
 }
 
-func TestDurableCompactionMergesAndGCsTombstones(t *testing.T) {
+func TestDurableCompactionMergesShadowedVersions(t *testing.T) {
 	fs := NewMemFS()
 	s := durableStore(t, fs, Config{CacheBytes: 1 << 20, MemtableBytes: 1 << 20, CompactAt: 100})
 	for i := 0; i < 100; i++ {
@@ -129,7 +124,7 @@ func TestDurableCompactionMergesAndGCsTombstones(t *testing.T) {
 	}
 	flush(s)
 	for i := 0; i < 25; i++ {
-		s.Delete([]byte(fmt.Sprintf("k%04d", i)))
+		s.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v3"))
 	}
 	s.Compact()
 
@@ -147,11 +142,12 @@ func TestDurableCompactionMergesAndGCsTombstones(t *testing.T) {
 	if ssts != 1 {
 		t.Fatalf("full compaction must leave one table, have %v", names)
 	}
-	if got := len(s.Scan(nil, nil, 0)); got != 75 {
-		t.Fatalf("Len = %d, want 75", got)
+	if got := len(s.Scan(nil, nil, 0)); got != 100 {
+		t.Fatalf("Len = %d, want 100", got)
 	}
 	// Invariant: after a full compaction the disk tier's live-byte gauge
-	// equals the sum of live entry sizes exactly.
+	// equals the sum of live entry sizes exactly: no shadowed version
+	// survives the merge.
 	_, diskLive := s.TierBytes()
 	var want int64
 	for _, it := range s.Scan(nil, nil, 0) {
@@ -160,16 +156,13 @@ func TestDurableCompactionMergesAndGCsTombstones(t *testing.T) {
 	if diskLive != want {
 		t.Fatalf("disk live bytes = %d, want %d", diskLive, want)
 	}
-	// Deleted keys stay gone after reopen (no resurrection).
+	// Each key's newest version survives a reopen; no older one comes back.
 	s.Close()
 	r := durableStore(t, fs, Config{CacheBytes: 1 << 20})
-	for i := 0; i < 25; i++ {
-		if _, _, ok := r.Get([]byte(fmt.Sprintf("k%04d", i))); ok {
-			t.Fatalf("tombstoned key k%04d resurrected", i)
+	for key, want := range map[string]string{"k0010": "v3", "k0030": "v2", "k0080": "v1"} {
+		if v, _, ok := r.Get([]byte(key)); !ok || string(v) != want {
+			t.Fatalf("%s = %q,%v want %s", key, v, ok, want)
 		}
-	}
-	if v, _, ok := r.Get([]byte("k0030")); !ok || string(v) != "v2" {
-		t.Fatalf("k0030 = %q,%v want v2", v, ok)
 	}
 	r.Close()
 }
@@ -312,7 +305,7 @@ func TestDurableDirFS(t *testing.T) {
 		s.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
 	flush(s)
-	s.Delete([]byte("k0000"))
+	s.Put([]byte("k0000"), []byte("v0-new"))
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -320,8 +313,11 @@ func TestDurableDirFS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if got := len(r.Scan(nil, nil, 0)); got != 299 {
+	if got := len(r.Scan(nil, nil, 0)); got != 300 {
 		t.Fatalf("Len = %d", got)
+	}
+	if v, _, ok := r.Get([]byte("k0000")); !ok || string(v) != "v0-new" {
+		t.Fatalf("k0000 = %q,%v", v, ok)
 	}
 	if v, _, ok := r.Get([]byte("k0123")); !ok || string(v) != "v123" {
 		t.Fatalf("k0123 = %q,%v", v, ok)
@@ -386,14 +382,13 @@ func TestDurableScanMergesTiersInOrder(t *testing.T) {
 	for i := 10; i < 20; i++ {
 		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("mid"))
 	}
-	s.Delete([]byte("k25"))
 	flush(s)
 	for i := 15; i < 18; i++ {
 		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("new"))
 	}
 
 	items := s.Scan([]byte("k05"), []byte("k28"), 0)
-	wantLen := 28 - 5 - 1 // k25 deleted
+	wantLen := 28 - 5
 	if len(items) != wantLen {
 		t.Fatalf("scan returned %d items, want %d", len(items), wantLen)
 	}
@@ -434,4 +429,54 @@ func TestDurableGroupCommitBatchesFsyncs(t *testing.T) {
 		t.Fatalf("WALFsyncs = %d, want 10 (160 appends / 16 per group)", st.WALFsyncs)
 	}
 	s.Close()
+}
+
+// TestDurableFilesGolden pins the durable engine's bytes on disk. A seeded
+// put/get mix on a MemFS runs through several flushes and compactions, and
+// the sha256 of every WAL segment and SSTable it leaves must match. Any
+// change to the WAL framing, the SSTable layout, or what a flush or a
+// compaction writes changes them.
+func TestDurableFilesGolden(t *testing.T) {
+	fs := NewMemFS()
+	s := durableStore(t, fs, Config{CacheBytes: 16 << 10, MemtableBytes: 8 << 10, CompactAt: 3})
+	rng := rand.New(rand.NewSource(1))
+	mix := func(ops int) {
+		for i := 0; i < ops; i++ {
+			key := []byte(fmt.Sprintf("key-%04d", rng.Intn(400)))
+			if rng.Intn(2) == 0 {
+				val := make([]byte, 1+rng.Intn(64))
+				rng.Read(val)
+				s.Put(key, val)
+			} else {
+				s.Get(key)
+			}
+		}
+	}
+	// The mix's own flushes compact; the forced one leaves a second table
+	// beside the compacted one, and the last ops a WAL with records in it.
+	mix(1200)
+	flush(s)
+	mix(40)
+	if st := s.Stats(); st.Flushes < 2 || st.Compactions < 1 {
+		t.Fatalf("mix ran %d flushes and %d compactions, want >= 2 and >= 1", st.Flushes, st.Compactions)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	want := map[string]string{
+		"000012.sst": "af5571aea0dc92896790ba2521d91dc7608ebee28216a1e9172c2ec09d15f89f",
+		"000013.sst": "1a52e4b2fba4b9f79bab473e13628cacb5278fb8980c76cf3e65d9878fb9bbfe",
+		"000014.wal": "7cbd9bb3758b327eb5c0e4e517245d1ef0e3e0497132ad141cc56ce8f4bfe908",
+	}
+	names, _ := fs.List()
+	sort.Strings(names)
+	if len(names) != len(want) {
+		t.Errorf("files %v, want %d", names, len(want))
+	}
+	for _, name := range names {
+		sum := sha256.Sum256(fs.files[name].data)
+		if got := hex.EncodeToString(sum[:]); got != want[name] {
+			t.Errorf("%s: sha256 %s, want %s", name, got, want[name])
+		}
+	}
 }

@@ -2,22 +2,38 @@ package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
+
+	"cachecost/internal/wire"
 )
+
+// deleteFrame frames a record with op 2, a delete: version and key, no
+// value, under a valid checksum. The log is put-only, so its decoder
+// rejects such a frame as corrupt.
+func deleteFrame(ver Version, key string) []byte {
+	payload := wire.AppendUvarint([]byte{2}, ver)
+	payload = wire.AppendUvarint(payload, uint64(len(key)))
+	payload = append(payload, key...)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
+}
 
 // FuzzWALRecord feeds arbitrary bytes to the WAL record decoder. The
 // decoder must never panic and must be fail-closed: it either returns a
 // record that re-encodes to exactly the bytes it consumed, or an error
 // and nothing else. A corrupt frame must never yield a record.
 func FuzzWALRecord(f *testing.F) {
-	// Valid frames of each shape.
-	f.Add(appendWALRecord(nil, WALRecord{Op: walOpPut, Version: 1, Key: []byte("k"), Value: []byte("v")}))
-	f.Add(appendWALRecord(nil, WALRecord{Op: walOpDelete, Version: 7, Key: []byte("gone")}))
-	f.Add(appendWALRecord(nil, WALRecord{Op: walOpPut, Version: 1 << 40, Key: bytes.Repeat([]byte("K"), 300), Value: nil}))
+	// Valid frames of each shape, and a delete, which must be rejected.
+	f.Add(appendWALRecord(nil, WALRecord{Version: 1, Key: []byte("k"), Value: []byte("v")}))
+	f.Add(deleteFrame(7, "gone"))
+	f.Add(appendWALRecord(nil, WALRecord{Version: 1 << 40, Key: bytes.Repeat([]byte("K"), 300), Value: nil}))
 	// Two back-to-back frames (decoder must consume only the first).
-	two := appendWALRecord(nil, WALRecord{Op: walOpPut, Version: 2, Key: []byte("a"), Value: []byte("1")})
-	f.Add(appendWALRecord(two, WALRecord{Op: walOpDelete, Version: 3, Key: []byte("b")}))
+	two := appendWALRecord(nil, WALRecord{Version: 2, Key: []byte("a"), Value: []byte("1")})
+	f.Add(append(two, deleteFrame(3, "b")...))
 	// Adversarial shapes: empty, short, huge length prefix, zeroed frame.
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
@@ -37,11 +53,8 @@ func FuzzWALRecord(f *testing.F) {
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		if rec.Op != walOpPut && rec.Op != walOpDelete {
-			t.Fatalf("accepted record with bad op %d", rec.Op)
-		}
-		if rec.Op == walOpDelete && rec.Value != nil {
-			t.Fatal("delete record carries a value")
+		if data[8] != walOpPut {
+			t.Fatalf("accepted record with op %d", data[8])
 		}
 		// Round-trip: a decoded record re-encodes to the consumed bytes.
 		if got := appendWALRecord(nil, rec); !bytes.Equal(got, data[:n]) {
@@ -112,7 +125,7 @@ func FuzzEncodedLen(f *testing.F) {
 // to another valid frame boundary — impossible here since the buffer
 // holds exactly one frame).
 func TestWALDecodeRejectsBitFlips(t *testing.T) {
-	orig := appendWALRecord(nil, WALRecord{Op: walOpPut, Version: 42, Key: []byte("key"), Value: []byte("value")})
+	orig := appendWALRecord(nil, WALRecord{Version: 42, Key: []byte("key"), Value: []byte("value")})
 	for i := range orig {
 		mut := append([]byte(nil), orig...)
 		mut[i] ^= 0x01
@@ -134,5 +147,69 @@ func TestSSTableFooterRejectsBitFlips(t *testing.T) {
 		if ft, err := decodeSSTableFooter(mut); err == nil {
 			t.Fatalf("byte %d: flip accepted: %+v", i, ft)
 		}
+	}
+}
+
+// TestWALRejectsDeleteRecord: a frame with op 2 is corrupt however sound
+// its checksum, and recovery stops at it, as at any corrupt frame: the
+// put before it is replayed, the put after it is not.
+func TestWALRejectsDeleteRecord(t *testing.T) {
+	if _, _, err := decodeWALRecord(deleteFrame(7, "gone")); !errors.Is(err, ErrWALCorrupt) {
+		t.Fatalf("delete frame: err = %v, want ErrWALCorrupt", err)
+	}
+	seg := appendWALRecord(nil, WALRecord{Version: 1, Key: []byte("before"), Value: []byte("v")})
+	seg = append(seg, deleteFrame(2, "before")...)
+	seg = appendWALRecord(seg, WALRecord{Version: 3, Key: []byte("after"), Value: []byte("v")})
+	fs := NewMemFS()
+	f, _ := fs.Create(walName(1))
+	f.Write(seg)
+	f.Sync()
+	s := durableStore(t, fs, Config{})
+	defer s.Close()
+	if v, ver, ok := s.Get([]byte("before")); !ok || string(v) != "v" || ver != 1 {
+		t.Fatalf("Get(before) = %q v%d %v, want the put ahead of the delete frame", v, ver, ok)
+	}
+	if _, _, ok := s.Get([]byte("after")); ok {
+		t.Fatal("a record past the delete frame was replayed")
+	}
+}
+
+// TestSSTableRejectsTombstoneEntry: an entry with flag bit 0 set, a
+// tombstone, is corrupt: as decoded, in the old value-less form and with
+// a value, and as a point read meets it in a table whose block checksum
+// holds.
+func TestSSTableRejectsTombstoneEntry(t *testing.T) {
+	for _, entry := range [][]byte{
+		{1, 7, 4, 'g', 'o', 'n', 'e'},         // flags, version, klen, key
+		{1, 7, 4, 'g', 'o', 'n', 'e', 1, 'v'}, // ... vlen, value
+	} {
+		if _, _, _, _, err := decodeEntry(entry); !errors.Is(err, ErrSSTableCorrupt) {
+			t.Fatalf("decodeEntry(%x): err = %v, want ErrSSTableCorrupt", entry, err)
+		}
+	}
+	fs := NewMemFS()
+	w, err := newSSTWriter(fs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.add([]byte("k"), []byte("v"), 1); err != nil {
+		t.Fatal(err)
+	}
+	name, _, err := w.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The table's one block opens the file: one six-byte entry (flags,
+	// version, klen, "k", vlen, "v") and its crc32.
+	data := fs.files[name].data
+	data[0] |= 1
+	binary.LittleEndian.PutUint32(data[6:], crc32.ChecksumIEEE(data[:6]))
+	tbl, err := openSSTable(fs, name)
+	if err != nil {
+		t.Fatalf("openSSTable: %v", err)
+	}
+	defer tbl.close()
+	if _, _, _, _, err := tbl.get([]byte("k")); !errors.Is(err, ErrSSTableCorrupt) {
+		t.Fatalf("get over a tombstone entry: err = %v, want ErrSSTableCorrupt", err)
 	}
 }

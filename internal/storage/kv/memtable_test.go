@@ -38,31 +38,29 @@ func TestMemtableFlushThreshold(t *testing.T) {
 	}
 }
 
-func TestMemtableTombstoneShadowsPage(t *testing.T) {
+func TestMemtableOverwriteShadowsPage(t *testing.T) {
 	s := NewStore(Config{PageBytes: 4096, CacheBytes: 1 << 20})
-	s.Put([]byte("k"), []byte("v"))
+	s.Put([]byte("k"), []byte("old"))
 	flush(s) // now on a page
-	if !s.Delete([]byte("k")) {
-		t.Fatal("delete of paged key should report existence")
+	v2 := s.Put([]byte("k"), []byte("new"))
+	if val, ver, ok := s.Get([]byte("k")); !ok || string(val) != "new" || ver != v2 {
+		t.Fatalf("Get = %q v%d %v: the memtable entry must shadow the paged value", val, ver, ok)
 	}
-	if _, _, ok := s.Get([]byte("k")); ok {
-		t.Fatal("tombstone must shadow the paged value")
-	}
-	if _, ok := s.VersionOf([]byte("k")); ok {
-		t.Fatal("VersionOf must see the tombstone")
+	if ver, ok := s.VersionOf([]byte("k")); !ok || ver != v2 {
+		t.Fatalf("VersionOf = %d %v, want the memtable's %d", ver, ok, v2)
 	}
 	flush(s)
-	if _, _, ok := s.Get([]byte("k")); ok {
-		t.Fatal("flushing the tombstone must remove the paged value")
+	if val, ver, ok := s.Get([]byte("k")); !ok || string(val) != "new" || ver != v2 {
+		t.Fatalf("Get after flush = %q v%d %v: the flush must replace the paged value", val, ver, ok)
 	}
-	if len(s.Scan(nil, nil, 0)) != 0 {
-		t.Fatalf("%d live keys", len(s.Scan(nil, nil, 0)))
+	if n := len(s.Scan(nil, nil, 0)); n != 1 {
+		t.Fatalf("%d keys, want 1", n)
 	}
 }
 
 func TestScanMergesMemtableAndPages(t *testing.T) {
 	s := NewStore(Config{PageBytes: 4096, CacheBytes: 1 << 20})
-	// Paged: k0, k2, k4. Memtable: k1, k3 (new), k2 (overwrite), k4 (tomb).
+	// Paged: k0, k2, k4. Memtable: k1, k3 (new), k2 (overwrite).
 	for _, k := range []string{"k0", "k2", "k4"} {
 		s.Put([]byte(k), []byte("old-"+k))
 	}
@@ -70,10 +68,9 @@ func TestScanMergesMemtableAndPages(t *testing.T) {
 	s.Put([]byte("k1"), []byte("mem-k1"))
 	s.Put([]byte("k3"), []byte("mem-k3"))
 	s.Put([]byte("k2"), []byte("mem-k2"))
-	s.Delete([]byte("k4"))
 
 	items := s.Scan(nil, nil, 0)
-	want := map[string]string{"k0": "old-k0", "k1": "mem-k1", "k2": "mem-k2", "k3": "mem-k3"}
+	want := map[string]string{"k0": "old-k0", "k1": "mem-k1", "k2": "mem-k2", "k3": "mem-k3", "k4": "old-k4"}
 	if len(items) != len(want) {
 		t.Fatalf("scan = %d items, want %d", len(items), len(want))
 	}
@@ -93,17 +90,19 @@ func TestScanLimitWithShadowedEntries(t *testing.T) {
 		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v"))
 	}
 	flush(s)
-	// Tombstone the first three; a limit-3 scan must still return three
-	// live items.
+	// Overwrite the first three in the memtable; a limit-3 scan must
+	// return each once, with its memtable value.
 	for i := 0; i < 3; i++ {
-		s.Delete([]byte(fmt.Sprintf("k%02d", i)))
+		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("new"))
 	}
 	items := s.Scan(nil, nil, 3)
 	if len(items) != 3 {
 		t.Fatalf("limit scan = %d items", len(items))
 	}
-	if string(items[0].Key) != "k03" {
-		t.Fatalf("first live item = %q", items[0].Key)
+	for i, it := range items {
+		if want := fmt.Sprintf("k%02d", i); string(it.Key) != want || string(it.Value) != "new" {
+			t.Fatalf("item %d = %q:%q, want %s:new", i, it.Key, it.Value, want)
+		}
 	}
 }
 

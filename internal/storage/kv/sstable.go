@@ -19,7 +19,7 @@ import (
 //	table  := block* index bloom footer
 //	block  := entry* crc32(u32 LE)            — entries sorted, ≤ sstBlockBytes
 //	entry  := flags(byte) version(uvarint) klen(uvarint) key
-//	          [vlen(uvarint) value]           — value absent when tombstone
+//	          vlen(uvarint) value
 //	index  := count(uvarint)
 //	          (klen(uvarint) firstKey off(uvarint) len(uvarint))*
 //	          crc32(u32 LE)
@@ -27,7 +27,9 @@ import (
 //	footer := indexOff indexLen bloomOff bloomLen entries liveBytes
 //	          maxVersion (each u64 LE) crc32(u32 LE) magic("CCSSTB01")
 //
-// flags bit 0 marks a tombstone. The sparse index holds one entry per
+// flags is always 0: the engine is put-only, so an entry with any flag
+// set (bit 0 once marked a tombstone) is rejected as corrupt. The sparse
+// index holds one entry per
 // block (first key + extent); readers binary-search it and touch exactly
 // one block per point read. Every section carries its own CRC32 (IEEE)
 // and the footer ends in a magic string, so a truncated, torn or
@@ -52,14 +54,12 @@ type SSTableFooter struct {
 	BloomOff   uint64
 	BloomLen   uint64
 	Entries    uint64
-	LiveBytes  uint64 // Σ len(key)+len(value) over non-tombstone entries
+	LiveBytes  uint64 // Σ len(key)+len(value) over entries
 	MaxVersion uint64
 }
 
 // ErrSSTableCorrupt is returned when any table section fails validation.
 var ErrSSTableCorrupt = errors.New("kv: sstable corrupt")
-
-const sstTombstone = 0x01
 
 // encodeSSTableFooter returns the fixed-size footer encoding.
 func encodeSSTableFooter(f SSTableFooter) []byte {
@@ -142,7 +142,7 @@ func newSSTWriter(fs FS, seq uint64) (*sstWriter, error) {
 }
 
 // add appends one entry. Keys must arrive in strictly ascending order.
-func (w *sstWriter) add(key, val []byte, ver Version, tomb bool) error {
+func (w *sstWriter) add(key, val []byte, ver Version) error {
 	if w.lastKey != nil && bytes.Compare(key, w.lastKey) <= 0 {
 		return fmt.Errorf("kv: sstable keys out of order: %q after %q", key, w.lastKey)
 	}
@@ -150,19 +150,13 @@ func (w *sstWriter) add(key, val []byte, ver Version, tomb bool) error {
 	if w.firstKey == nil {
 		w.firstKey = append([]byte(nil), key...)
 	}
-	flags := byte(0)
-	if tomb {
-		flags = sstTombstone
-	}
-	w.block = append(w.block, flags)
+	w.block = append(w.block, 0) // flags
 	w.block = wire.AppendUvarint(w.block, uint64(ver))
 	w.block = wire.AppendUvarint(w.block, uint64(len(key)))
 	w.block = append(w.block, key...)
-	if !tomb {
-		w.block = wire.AppendUvarint(w.block, uint64(len(val)))
-		w.block = append(w.block, val...)
-		w.liveBytes += uint64(len(key) + len(val))
-	}
+	w.block = wire.AppendUvarint(w.block, uint64(len(val)))
+	w.block = append(w.block, val...)
+	w.liveBytes += uint64(len(key) + len(val))
 	w.entries++
 	if uint64(ver) > w.maxVersion {
 		w.maxVersion = uint64(ver)
@@ -246,12 +240,6 @@ func (w *sstWriter) finish() (string, int64, error) {
 		return "", 0, fmt.Errorf("kv: sstable rename: %w", err)
 	}
 	return w.finalName, int64(w.off), nil
-}
-
-// abort discards a partially written table.
-func (w *sstWriter) abort() {
-	w.f.Close()
-	_ = w.fs.Remove(w.tmpName)
 }
 
 // ---------------------------------------------------------------------------
@@ -418,73 +406,68 @@ func (t *ssTable) readBlock(ref blockRef) ([]byte, error) {
 	return payload, nil
 }
 
-// decodeEntry decodes one entry, returning bytes consumed.
-func decodeEntry(b []byte) (key, val []byte, ver Version, tomb bool, n int, err error) {
+// decodeEntry decodes one entry, returning bytes consumed. An entry with
+// any flag set — a tombstone among them — is corrupt.
+func decodeEntry(b []byte) (key, val []byte, ver Version, n int, err error) {
 	if len(b) < 3 {
-		return nil, nil, 0, false, 0, fmt.Errorf("%w: short entry", ErrSSTableCorrupt)
+		return nil, nil, 0, 0, fmt.Errorf("%w: short entry", ErrSSTableCorrupt)
 	}
-	flags := b[0]
-	if flags&^byte(sstTombstone) != 0 {
-		return nil, nil, 0, false, 0, fmt.Errorf("%w: unknown entry flags %#x", ErrSSTableCorrupt, flags)
+	if flags := b[0]; flags != 0 {
+		return nil, nil, 0, 0, fmt.Errorf("%w: unknown entry flags %#x", ErrSSTableCorrupt, flags)
 	}
-	tomb = flags&sstTombstone != 0
 	p := b[1:]
 	v, vn, verr := wire.Uvarint(p)
 	if verr != nil {
-		return nil, nil, 0, false, 0, fmt.Errorf("%w: entry version", ErrSSTableCorrupt)
+		return nil, nil, 0, 0, fmt.Errorf("%w: entry version", ErrSSTableCorrupt)
 	}
 	p = p[vn:]
 	klen, kn, verr := wire.Uvarint(p)
 	if verr != nil || uint64(len(p)-kn) < klen {
-		return nil, nil, 0, false, 0, fmt.Errorf("%w: entry key", ErrSSTableCorrupt)
+		return nil, nil, 0, 0, fmt.Errorf("%w: entry key", ErrSSTableCorrupt)
 	}
 	p = p[kn:]
 	key = p[:klen]
 	p = p[klen:]
-	used := 1 + vn + kn + int(klen)
-	if !tomb {
-		vlen, vln, verr := wire.Uvarint(p)
-		if verr != nil || uint64(len(p)-vln) < vlen {
-			return nil, nil, 0, false, 0, fmt.Errorf("%w: entry value", ErrSSTableCorrupt)
-		}
-		val = p[vln : vln+int(vlen)]
-		used += vln + int(vlen)
+	vlen, vln, verr := wire.Uvarint(p)
+	if verr != nil || uint64(len(p)-vln) < vlen {
+		return nil, nil, 0, 0, fmt.Errorf("%w: entry value", ErrSSTableCorrupt)
 	}
-	return key, val, Version(v), tomb, used, nil
+	val = p[vln : vln+int(vlen)]
+	return key, val, Version(v), 1 + vn + kn + int(klen) + vln + int(vlen), nil
 }
 
 // get looks key up in the table. bytesRead reports how many file bytes
 // were touched (zero when the bloom filter excluded the key); the caller
 // charges the disk penalty from it. found=false with err=nil means the
 // table does not contain the key.
-func (t *ssTable) get(key []byte) (val []byte, ver Version, tomb, found bool, bytesRead int, err error) {
+func (t *ssTable) get(key []byte) (val []byte, ver Version, found bool, bytesRead int, err error) {
 	if !t.bloom.maybeContains(bloomHash(key)) {
-		return nil, 0, false, false, 0, nil
+		return nil, 0, false, 0, nil
 	}
 	// Last block whose firstKey <= key.
 	i := sort.Search(len(t.refs), func(i int) bool {
 		return bytes.Compare(t.refs[i].firstKey, key) > 0
 	})
 	if i == 0 {
-		return nil, 0, false, false, 0, nil
+		return nil, 0, false, 0, nil
 	}
 	ref := t.refs[i-1]
 	block, err := t.readBlock(ref)
 	if err != nil {
-		return nil, 0, false, false, int(ref.length), err
+		return nil, 0, false, int(ref.length), err
 	}
 	for len(block) > 0 {
-		k, v, entryVer, entryTomb, n, err := decodeEntry(block)
+		k, v, entryVer, n, err := decodeEntry(block)
 		if err != nil {
-			return nil, 0, false, false, int(ref.length), err
+			return nil, 0, false, int(ref.length), err
 		}
 		switch bytes.Compare(k, key) {
 		case 0:
-			return v, entryVer, entryTomb, true, int(ref.length), nil
+			return v, entryVer, true, int(ref.length), nil
 		case 1:
-			return nil, 0, false, false, int(ref.length), nil // past it; absent
+			return nil, 0, false, int(ref.length), nil // past it; absent
 		}
 		block = block[n:]
 	}
-	return nil, 0, false, false, int(ref.length), nil
+	return nil, 0, false, int(ref.length), nil
 }

@@ -12,13 +12,12 @@ import (
 	"cachecost/internal/meter"
 )
 
-// stateHash drives a seeded Put/Delete/Get mix over a 256 KB memtable
-// and a block cache of cacheBytes, and hashes everything the store's
-// state is:
+// stateHash drives a seeded Put/Get mix over a 256 KB memtable and a
+// block cache of cacheBytes, and hashes everything the store's state is:
 // each page's id, first key, encoding and entry count; the block cache's
-// keys in recency order; the version; Stats and CacheStats; the Burner's
-// sink (which chains every modeled unit burned, in order); and every Get
-// answer along the way.
+// keys in recency order; the version; every Stats field and CacheStats;
+// the Burner's sink (which chains every modeled unit burned, in order);
+// and every Get answer along the way.
 func stateHash(valueSize int, cacheBytes int64) string {
 	const (
 		keys = 1500
@@ -44,12 +43,6 @@ func stateHash(valueSize int, cacheBytes int64) string {
 			val := make([]byte, valueSize/2+rng.Intn(valueSize+1))
 			rng.Read(val)
 			put(s.Put(key, val))
-		case r < 6:
-			if s.Delete(key) {
-				put(1)
-			} else {
-				put(0)
-			}
 		default:
 			val, ver, ok := s.Get(key)
 			field(val)
@@ -72,7 +65,16 @@ func stateHash(valueSize int, cacheBytes int64) string {
 		field([]byte(k))
 	}
 	put(s.version)
-	fmt.Fprintf(h, "%+v %+v", s.stats, s.bcache.Stats())
+	st := s.stats
+	for _, v := range []int64{
+		st.Gets, st.Puts, st.Scans, st.MemtableHits, st.Flushes,
+		st.DiskReads, st.DiskReadBytes, st.DiskWrites, st.DiskWriteBytes,
+		st.WALAppends, st.WALFsyncs, st.WALBytes, st.Compactions, st.CompactionBytes,
+		st.TierHits, st.TierPromotions, st.TierDemotions, st.BloomNegatives, st.Recoveries,
+	} {
+		put(uint64(v))
+	}
+	fmt.Fprintf(h, "%+v", s.bcache.Stats())
 	put(b.Sink())
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -81,23 +83,24 @@ func stateHash(valueSize int, cacheBytes int64) string {
 // mix at three value sizes: one entry per page (16 KB), tens per page
 // (1 KB) and over a thousand (10 B); each over a block cache a few pages
 // deep and over none, where every page a flush reads back, including
-// one the same flush already stored, is a miss. The hashes were computed before
-// flushes deferred page encoding to their end, and re-pinned only when
-// cache.Stats lost its Expirations field, which reads 0 in every case; any
-// change to what a flush writes, what the block cache holds, what a page
-// read or write counts or what it burns changes them.
+// one the same flush already stored, is a miss. The hashes were re-pinned
+// when the store became put-only: the mix lost its deletes and Stats its
+// Deletes field, and the new pins were computed by this same body against
+// the engine that still had Delete, so every put, flush, page and burn is
+// as it was. Any change to what a flush writes, what the block cache
+// holds, what a page read or write counts or what it burns changes them.
 func TestStoreStateGolden(t *testing.T) {
 	for _, tc := range []struct {
 		valueSize  int
 		cacheBytes int64
 		want       string
 	}{
-		{10, 128 << 10, "84c501dc6946d981be4825846393cbab263faf5396502d7ae9594673dd398776"},
-		{1 << 10, 128 << 10, "4ac2ac2dd169bbc5cc19f0d14354ed1d4f41d24a74e3d441bee6f7b934c91461"},
-		{16 << 10, 128 << 10, "1cc1b919164641d4018954d088cc1fd5d9f8d4329ec70dd24a89cdac26d63c3f"},
-		{10, 0, "e7278cb767a6ee8d7b0bed88d2d6b55618122482af36e5250a9794251f46fbab"},
-		{1 << 10, 0, "3856276ea168930b8f8f1e9088bf80a4e25dc7c7d3a79971b253655151a71ca8"},
-		{16 << 10, 0, "7442bb45c54fb83dfe33327cc3b14ea804c48b080b09ad0ef7501a39816c249b"},
+		{10, 128 << 10, "1fc520870019f0c08b77937dc40bfb1439d3f289050d27a5b4576016c21fcd6d"},
+		{1 << 10, 128 << 10, "c63ab04b915153cee7d503d4b78e1dd883de9bf2e0086183074a23e1bb830dfc"},
+		{16 << 10, 128 << 10, "a75bb80173aa67dd05939d8f39db6cfa5e2eea89831c052d7209bcc8b4aca7de"},
+		{10, 0, "2f73b538e59a4790cd2caaab998b60f30890360f05d8828d68f0ef341b75d22f"},
+		{1 << 10, 0, "5e51ef6dd8c1069d78fce115a912406bef4d1f54fdbc408d48971834105025c7"},
+		{16 << 10, 0, "23562d4b2b0ddb32c98d51d20be45aa1501d24f3efb957e825e420c247243d68"},
 	} {
 		if got := stateHash(tc.valueSize, tc.cacheBytes); got != tc.want {
 			t.Errorf("%d B values, %d B cache: state hash %s, want %s", tc.valueSize, tc.cacheBytes, got, tc.want)

@@ -150,7 +150,6 @@ func (c Config) durableCfg() bool { return c.Dir != "" || c.FS != nil }
 type Stats struct {
 	Gets           int64
 	Puts           int64
-	Deletes        int64
 	Scans          int64
 	MemtableHits   int64
 	Flushes        int64
@@ -191,11 +190,10 @@ type Store struct {
 	loading atomic.Int32
 }
 
-// memEntry is one pending write (or tombstone) in the memtable.
+// memEntry is one pending write in the memtable.
 type memEntry struct {
-	val  []byte
-	ver  Version
-	tomb bool
+	val []byte
+	ver Version
 }
 
 // page is the authoritative, "on disk" form of a key range. A page a
@@ -378,9 +376,6 @@ func (s *Store) Get(key []byte) (val []byte, ver Version, ok bool) {
 		s.stats.Gets++
 		if e, hit := s.mem[string(key)]; hit {
 			s.stats.MemtableHits++
-			if e.tomb {
-				return
-			}
 			val, ver, ok = e.val, e.ver, true
 			return
 		}
@@ -410,11 +405,7 @@ func (s *Store) VersionOf(key []byte) (ver Version, ok bool) {
 		s.stats.Gets++
 		if e, hit := s.mem[string(key)]; hit {
 			s.stats.MemtableHits++
-			if e.tomb {
-				return
-			}
-			ver = e.ver
-			ok = true
+			ver, ok = e.ver, true
 			return
 		}
 		if s.dur != nil {
@@ -448,8 +439,8 @@ func (s *Store) Put(key, value []byte) (ver Version) {
 		ver = s.version
 		if s.dur != nil {
 			// Real WAL append (CRC-framed, group-committed).
-			s.durAppend(WALRecord{Op: walOpPut, Version: ver, Key: key, Value: value})
-			s.durTierWrite(string(key), value, ver, false)
+			s.durAppend(WALRecord{Version: ver, Key: key, Value: value})
+			s.durTierWrite(string(key), value, ver)
 		} else {
 			// WAL append: sequential write of the record.
 			s.burnDisk(len(key)+len(value), diskWritePenaltyPerByte)
@@ -463,41 +454,10 @@ func (s *Store) Put(key, value []byte) (ver Version) {
 	return ver
 }
 
-// Delete removes key, reporting whether it existed. Like a real LSM the
-// delete itself is a cheap tombstone append, but reporting existence
-// requires a read.
-func (s *Store) Delete(key []byte) (existed bool) {
-	s.track(func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.stats.Deletes++
-		if e, ok := s.mem[string(key)]; ok {
-			existed = !e.tomb
-		} else if s.dur != nil {
-			_, _, existed = s.durGet(key)
-		} else {
-			p := s.pages[s.pageIdx(key)]
-			dp := s.loadPage(p)
-			_, existed = dp.find(key)
-		}
-		if !existed {
-			return
-		}
-		s.version++
-		if s.dur != nil {
-			s.durAppend(WALRecord{Op: walOpDelete, Version: s.version, Key: key})
-			s.durTierWrite(string(key), nil, s.version, true)
-		} else {
-			s.burnDisk(len(key), diskWritePenaltyPerByte) // tombstone WAL append
-		}
-		*s.memSlot(key) = memEntry{ver: s.version, tomb: true}
-	})
-	return existed
-}
-
-// memSlot returns key's memtable entry for a write to overwrite, taking
-// the old value out of memBytes. A key the memtable does not hold yet is
-// added: the key is copied then, and only then. Callers hold s.mu.
+// memSlot returns key's memtable entry for a write (a Put or a replayed
+// WAL record) to overwrite, taking the old value out of memBytes. A key
+// the memtable does not hold yet is added: the key is copied then, and
+// only then. Callers hold s.mu.
 func (s *Store) memSlot(key []byte) *memEntry {
 	if e, ok := s.mem[string(key)]; ok {
 		s.memBytes -= int64(len(e.val))
@@ -528,11 +488,7 @@ func (s *Store) flushLocked() {
 	sort.Strings(keys) // page-order locality, as a real flush has
 	for _, k := range keys {
 		e := s.mem[k]
-		if e.tomb {
-			s.deleteFromPages([]byte(k))
-		} else {
-			s.applyToPages([]byte(k), e.val, e.ver)
-		}
+		s.applyToPages([]byte(k), e.val, e.ver)
 	}
 	s.encodeDirty()
 	s.mem = make(map[string]*memEntry)
@@ -561,29 +517,6 @@ func (s *Store) applyToPages(key, value []byte, ver Version) {
 	s.maybeSplit(idx)
 }
 
-// deleteFromPages removes key from the page store. Callers hold s.mu.
-func (s *Store) deleteFromPages(key []byte) {
-	idx := s.pageIdx(key)
-	p := s.pages[idx]
-	dp := s.loadPage(p)
-	i, found := dp.find(key)
-	if !found {
-		return
-	}
-	ndp := dp.clone()
-	ndp.keys = removeAt(ndp.keys, i)
-	ndp.vals = removeAt(ndp.vals, i)
-	ndp.vers = removeVerAt(ndp.vers, i)
-	s.storePage(p, ndp)
-	if len(ndp.keys) == 0 && len(s.pages) > 1 {
-		s.bcache.Delete(p.cacheKey)
-		s.pages = append(s.pages[:idx], s.pages[idx+1:]...)
-		if idx == 0 {
-			s.pages[0].firstKey = nil
-		}
-	}
-}
-
 // Scan returns up to limit items with start <= key < end (end nil = no
 // upper bound), in key order, merging the memtable over the page store.
 // limit <= 0 means no limit.
@@ -607,12 +540,9 @@ func (s *Store) Scan(start, end []byte, limit int) (items []Item) {
 		}
 		sort.Strings(memKeys)
 
-		// Page items; over-fetch to cover entries the memtable shadows.
-		pageLimit := 0
-		if limit > 0 {
-			pageLimit = limit + len(memKeys)
-		}
-		pageItems := s.scanPagesLocked(start, end, pageLimit)
+		// Page items. The first limit keys of the merge are among the
+		// pages' first limit: a memtable entry only adds or shadows keys.
+		pageItems := s.scanPagesLocked(start, end, limit)
 
 		// Merge, memtable winning on equal keys.
 		mi, pi := 0, 0
@@ -635,13 +565,11 @@ func (s *Store) Scan(start, end []byte, limit int) (items []Item) {
 			}
 			if takeMem {
 				e := s.mem[memKeys[mi]]
-				if !e.tomb {
-					items = append(items, Item{
-						Key:     []byte(memKeys[mi]),
-						Value:   append([]byte(nil), e.val...),
-						Version: e.ver,
-					})
-				}
+				items = append(items, Item{
+					Key:     []byte(memKeys[mi]),
+					Value:   append([]byte(nil), e.val...),
+					Version: e.ver,
+				})
 				mi++
 			} else {
 				items = append(items, pageItems[pi])
@@ -755,17 +683,9 @@ func insertAt(s [][]byte, i int, v []byte) [][]byte {
 	return s
 }
 
-func removeAt(s [][]byte, i int) [][]byte {
-	return append(s[:i:i], s[i+1:]...)
-}
-
 func insertVerAt(s []Version, i int, v Version) []Version {
 	s = append(s, 0)
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
-}
-
-func removeVerAt(s []Version, i int) []Version {
-	return append(s[:i:i], s[i+1:]...)
 }

@@ -71,20 +71,6 @@ func TestVersionOf(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	s := newTestStore()
-	s.Put([]byte("k"), []byte("v"))
-	if !s.Delete([]byte("k")) {
-		t.Fatal("Delete should report existence")
-	}
-	if s.Delete([]byte("k")) {
-		t.Fatal("second Delete should report absence")
-	}
-	if _, _, ok := s.Get([]byte("k")); ok {
-		t.Fatal("deleted key should be gone")
-	}
-}
-
 func TestPageSplitsKeepOrder(t *testing.T) {
 	s := NewStore(Config{PageBytes: 256, CacheBytes: 1 << 20})
 	rng := rand.New(rand.NewSource(1))
@@ -148,8 +134,8 @@ func TestScanAcrossManyPages(t *testing.T) {
 
 // TestGetLendsStoredValue: Get lends the stored value instead of copying
 // it, which is safe because the store never rewrites a value it holds. A
-// lent value stays as it was through an overwrite of its key, a flush
-// and a delete, from the memtable and from a page alike, and its
+// lent value stays as it was through an overwrite of its key and a
+// flush, from the memtable and from a page alike, and its
 // capacity is clipped, so an append reallocates instead of writing into
 // the store.
 func TestGetLendsStoredValue(t *testing.T) {
@@ -163,8 +149,6 @@ func TestGetLendsStoredValue(t *testing.T) {
 	flush(s)
 	fromPage, _, _ := s.Get([]byte("k"))
 	s.Put([]byte("k"), []byte("replaced"))
-	flush(s)
-	s.Delete([]byte("k"))
 	flush(s)
 	if string(fromMem) != "original" || string(fromPage) != "original" {
 		t.Fatalf("lent values changed to %q and %q", fromMem, fromPage)
@@ -300,9 +284,9 @@ func TestDataBytesTracksContent(t *testing.T) {
 		t.Fatal("DataBytes should grow with inserts")
 	}
 	grown := s.DataBytes()
-	s.Delete([]byte("k"))
+	s.Put([]byte("k"), []byte("v"))
 	if s.DataBytes() >= grown {
-		t.Fatal("DataBytes should shrink after delete")
+		t.Fatal("DataBytes should shrink when a value is overwritten with a smaller one")
 	}
 }
 
@@ -310,7 +294,7 @@ func TestStoreMatchesReferenceMap(t *testing.T) {
 	// Property test: a sequence of random ops against the store must agree
 	// with a plain map + version counter.
 	type op struct {
-		Kind int // 0 put, 1 get, 2 delete, 3 versionOf
+		Kind int // 0 put, 1 get, 2 versionOf
 		Key  uint8
 		Val  uint16
 	}
@@ -321,7 +305,7 @@ func TestStoreMatchesReferenceMap(t *testing.T) {
 		var ver Version
 		for _, o := range ops {
 			key := []byte(fmt.Sprintf("k%d", o.Key%32))
-			switch o.Kind % 4 {
+			switch o.Kind % 3 {
 			case 0:
 				val := bytes.Repeat([]byte{byte(o.Val)}, int(o.Val%64)+1)
 				ver++
@@ -338,17 +322,6 @@ func TestStoreMatchesReferenceMap(t *testing.T) {
 					return false
 				}
 			case 2:
-				if _, exists := ref[string(key)]; exists {
-					ver++ // deletes consume a version in the store
-				}
-				got := s.Delete(key)
-				_, want := ref[string(key)]
-				if got != want {
-					return false
-				}
-				delete(ref, string(key))
-				delete(refVer, string(key))
-			case 3:
 				gotVer, ok := s.VersionOf(key)
 				_, wantOK := ref[string(key)]
 				if ok != wantOK {

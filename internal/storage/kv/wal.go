@@ -10,13 +10,14 @@ import (
 	"cachecost/internal/wire"
 )
 
-// WAL wire format. Each record is one CRC-framed put or delete:
+// WAL wire format. Each record is one CRC-framed put:
 //
 //	frame   := length(u32 LE) crc32(u32 LE) payload
-//	payload := op(byte) version(uvarint) klen(uvarint) key [vlen(uvarint) value]
+//	payload := op(byte) version(uvarint) klen(uvarint) key vlen(uvarint) value
 //
 // length counts payload bytes only; crc32 (IEEE) covers the payload.
-// op 1 is a put (value present), op 2 a delete tombstone (no value).
+// op is always 1 (put): the engine is put-only, so any other op (2 once
+// marked a delete) is rejected as corrupt.
 // Records append sequentially; Sync is the acknowledgement barrier.
 // Recovery decodes records until the first frame that is short or fails
 // its checksum — that frame and everything after it were never covered
@@ -24,22 +25,18 @@ import (
 // and it never applies a record whose checksum does not match (a torn
 // record is rejected, not misread).
 
-// WAL op codes.
-const (
-	walOpPut    = 1
-	walOpDelete = 2
-)
+// walOpPut is the op byte of every record.
+const walOpPut = 1
 
 // maxWALRecordBytes bounds a single record so a corrupt length prefix
 // cannot drive a multi-gigabyte allocation during recovery.
 const maxWALRecordBytes = 1 << 28 // 256 MiB
 
-// WALRecord is one decoded write-ahead-log record.
+// WALRecord is one decoded write-ahead-log record: a put.
 type WALRecord struct {
-	Op      byte // walOpPut or walOpDelete
 	Version Version
 	Key     []byte
-	Value   []byte // nil for deletes
+	Value   []byte
 }
 
 // Errors returned by decodeWALRecord. ErrWALShort marks a frame cut off
@@ -53,22 +50,18 @@ var (
 
 // appendWALRecord appends the framed encoding of r to dst.
 func appendWALRecord(dst []byte, r WALRecord) []byte {
-	payloadLen := 1 + wire.UvarintLen(uint64(r.Version)) + wire.UvarintLen(uint64(len(r.Key))) + len(r.Key)
-	if r.Op == walOpPut {
-		payloadLen += wire.UvarintLen(uint64(len(r.Value))) + len(r.Value)
-	}
+	payloadLen := 1 + wire.UvarintLen(uint64(r.Version)) + wire.UvarintLen(uint64(len(r.Key))) + len(r.Key) +
+		wire.UvarintLen(uint64(len(r.Value))) + len(r.Value)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(payloadLen))
 	crcAt := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // crc placeholder
 	payloadAt := len(dst)
-	dst = append(dst, r.Op)
+	dst = append(dst, walOpPut)
 	dst = wire.AppendUvarint(dst, uint64(r.Version))
 	dst = wire.AppendUvarint(dst, uint64(len(r.Key)))
 	dst = append(dst, r.Key...)
-	if r.Op == walOpPut {
-		dst = wire.AppendUvarint(dst, uint64(len(r.Value)))
-		dst = append(dst, r.Value...)
-	}
+	dst = wire.AppendUvarint(dst, uint64(len(r.Value)))
+	dst = append(dst, r.Value...)
 	binary.LittleEndian.PutUint32(dst[crcAt:], crc32.ChecksumIEEE(dst[payloadAt:]))
 	return dst
 }
@@ -98,9 +91,8 @@ func decodeWALRecord(buf []byte) (WALRecord, int, error) {
 	if crc32.ChecksumIEEE(payload) != wantCRC {
 		return r, 0, fmt.Errorf("%w: checksum mismatch", ErrWALCorrupt)
 	}
-	r.Op = payload[0]
-	if r.Op != walOpPut && r.Op != walOpDelete {
-		return r, 0, fmt.Errorf("%w: unknown op %d", ErrWALCorrupt, r.Op)
+	if op := payload[0]; op != walOpPut {
+		return r, 0, fmt.Errorf("%w: unknown op %d", ErrWALCorrupt, op)
 	}
 	p := payload[1:]
 	ver, n, verr := wire.Uvarint(p)
@@ -116,15 +108,11 @@ func decodeWALRecord(buf []byte) (WALRecord, int, error) {
 	r.Version = Version(ver)
 	r.Key = p[:klen]
 	p = p[klen:]
-	if r.Op == walOpPut {
-		vlen, n, verr := wire.Uvarint(p)
-		if verr != nil || uint64(len(p)-n) != vlen {
-			return r, 0, fmt.Errorf("%w: bad value length", ErrWALCorrupt)
-		}
-		r.Value = p[n:]
-	} else if len(p) != 0 {
-		return r, 0, fmt.Errorf("%w: trailing bytes after delete", ErrWALCorrupt)
+	vlen, n, verr := wire.Uvarint(p)
+	if verr != nil || uint64(len(p)-n) != vlen {
+		return r, 0, fmt.Errorf("%w: bad value length", ErrWALCorrupt)
 	}
+	r.Value = p[n:]
 	return r, 8 + payloadLen, nil
 }
 
@@ -194,9 +182,7 @@ func replayWAL(f File, size int64, fn func(WALRecord)) (good int64, err error) {
 		}
 		// Copy out: rec aliases data, which outlives this loop only here.
 		rec.Key = append([]byte(nil), rec.Key...)
-		if rec.Value != nil {
-			rec.Value = append([]byte(nil), rec.Value...)
-		}
+		rec.Value = append([]byte(nil), rec.Value...)
 		fn(rec)
 		off += n
 	}

@@ -271,6 +271,9 @@ func (db *DB) execUpdate(st *sql.UpdateStmt, params []sql.Value) (*ResultSet, er
 		if p == t.PKIndex {
 			return nil, fmt.Errorf("plan: updating the primary key of %q is not supported", st.Table)
 		}
+		if _, ok := t.IndexOn(a.Column); ok {
+			return nil, fmt.Errorf("plan: updating indexed column %q of %q is not supported", a.Column, st.Table)
+		}
 		setPos = append(setPos, p)
 	}
 	var n int64
@@ -284,20 +287,6 @@ func (db *DB) execUpdate(st *sql.UpdateStmt, params []sql.Value) (*ResultSet, er
 				return nil, err
 			}
 			newVals[setPos[i]] = v
-		}
-		// Maintain indexes whose column changed.
-		for idxName, idxCol := range t.Indexes {
-			ci := t.ColIndex(idxCol)
-			oldV, newV := vals[ci], newVals[ci]
-			if oldV.Equal(newV) || oldV.IsNull() && newV.IsNull() {
-				continue
-			}
-			if !oldV.IsNull() {
-				db.store.Delete(indexKey(t.Name, idxName, oldV, pk))
-			}
-			if !newV.IsNull() {
-				db.store.Put(indexKey(t.Name, idxName, newV, pk), nil)
-			}
 		}
 		var kb [64]byte
 		db.store.Put(rowKey(kb[:0], t.Name, pk), encodeRow(newVals))
@@ -401,7 +390,8 @@ func (db *DB) scanTable(dst [][]sql.Value, t *Table, preds []sql.Pred, params []
 			rk := append(tablePrefix(t.Name), en.Key[len(prefix):]...)
 			buf, _, ok := db.store.Get(rk)
 			if !ok {
-				continue // index entry racing a delete
+				// A row is put before its index entries and never removed.
+				return dst, fmt.Errorf("plan: index %q entry %q has no row", idxName, en.Key)
 			}
 			if err := keep(buf); err != nil {
 				return dst, err

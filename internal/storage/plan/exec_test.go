@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"cachecost/internal/storage/kv"
@@ -150,16 +151,34 @@ func TestIndexMaintainedByWrites(t *testing.T) {
 	if got := len(mustExec(t, db, "SELECT * FROM users WHERE age = 25").Rows); got != 3 {
 		t.Fatalf("after insert: %d rows", got)
 	}
-	mustExec(t, db, "UPDATE users SET age = 26 WHERE id = 5")
+}
+
+// TestUpdateIndexedColumnRejected: the store is put-only, so it cannot
+// move a row's index entry; an UPDATE that sets an indexed column fails,
+// as one that sets the primary key does, and writes nothing — not the
+// rows, not the index, not the other columns it sets.
+func TestUpdateIndexedColumnRejected(t *testing.T) {
+	db := newTestDB(t)
+	seedUsers(t, db)
+	mustExec(t, db, "CREATE INDEX idx_age ON users (age)")
+	before := db.Store().Scan(nil, nil, 0)
+	puts := db.Store().Stats().Puts
+	for _, q := range []string{
+		"UPDATE users SET age = 26 WHERE id = 1",
+		"UPDATE users SET name = 'zed', age = NULL WHERE age = 25",
+	} {
+		if _, err := db.ExecSQL(q); err == nil {
+			t.Fatalf("%s: accepted", q)
+		}
+	}
+	if got := db.Store().Stats().Puts; got != puts {
+		t.Fatalf("rejected updates made %d puts", got-puts)
+	}
+	if after := db.Store().Scan(nil, nil, 0); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected updates changed the store: %d items, then %d", len(before), len(after))
+	}
 	if got := len(mustExec(t, db, "SELECT * FROM users WHERE age = 25").Rows); got != 2 {
-		t.Fatalf("after update: %d rows", got)
-	}
-	if got := len(mustExec(t, db, "SELECT * FROM users WHERE age = 26").Rows); got != 1 {
-		t.Fatal("updated row should be findable at new index value")
-	}
-	mustExec(t, db, "UPDATE users SET age = NULL WHERE id = 5")
-	if got := len(mustExec(t, db, "SELECT * FROM users WHERE age = 26").Rows); got != 0 {
-		t.Fatal("a row updated to NULL must leave the index")
+		t.Fatalf("index lookup after rejected updates: %d rows, want 2", got)
 	}
 }
 

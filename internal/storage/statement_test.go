@@ -185,10 +185,11 @@ func TestConcurrentStatementsShareNodeScratch(t *testing.T) {
 // command buffer, rows the store lends — and the TEXT parameters that
 // alias the request and the command, from many goroutines at once, while
 // another goroutine flushes every replica's memtable under the lent rows.
-// The value column is TEXT and indexed, so a written value travels as an
-// aliased TEXT into the row encode and into the index keys. Every read
-// must return what its goroutine last wrote — by key, by index and in a
-// batch, on the leader and then on every replica — and once the traffic
+// Updates set the unindexed TEXT column v, so a written value travels as
+// an aliased TEXT into the row encode; inserts add rows whose TEXT tag is
+// indexed, so it travels into the index keys too. Every read must return
+// what its goroutine last wrote — by key, by index and in a batch, on the
+// leader and then on every replica — and once the traffic
 // stops no scratch may still hold a piece of a statement. The transport
 // overwrites each request the moment its handler returns; run the test
 // with -race, and rpc.PutBuffer poisons the command and response buffers
@@ -197,7 +198,7 @@ func TestConcurrentStatementsShareNodeScratch(t *testing.T) {
 func TestConcurrentWritesReuseReplicaScratch(t *testing.T) {
 	n := NewNode(Config{Replicas: 3, BlockCacheBytes: 1 << 20, Meter: meter.NewMeter()})
 	c := NewClient(reusingConn{n.Server()})
-	for _, s := range []string{"CREATE TABLE notes (k TEXT PRIMARY KEY, v TEXT)", "CREATE INDEX notes_v ON notes (v)"} {
+	for _, s := range []string{"CREATE TABLE notes (k TEXT PRIMARY KEY, v TEXT, tag TEXT)", "CREATE INDEX notes_tag ON notes (tag)"} {
 		if _, err := c.Exec(s); err != nil {
 			t.Fatal(err)
 		}
@@ -209,14 +210,17 @@ func TestConcurrentWritesReuseReplicaScratch(t *testing.T) {
 	)
 	keys := make([][]sql.Value, workers)
 	latest := make([][]string, workers)
+	tagged := make([]map[string]string, workers) // tag -> key, per goroutine
 	for g := range keys {
+		tagged[g] = make(map[string]string)
 		for j := 0; j < owned; j++ {
-			k, v := fmt.Sprintf("g%d-k%d", g, j), fmt.Sprintf("g%d-k%d-initial", g, j)
-			if _, err := c.Exec("INSERT INTO notes (k, v) VALUES (?, ?)", sql.Text(k), sql.Text(v)); err != nil {
+			k, v, tag := fmt.Sprintf("g%d-k%d", g, j), fmt.Sprintf("g%d-k%d-initial", g, j), fmt.Sprintf("g%d-k%d-tag", g, j)
+			if _, err := c.Exec("INSERT INTO notes (k, v, tag) VALUES (?, ?, ?)", sql.Text(k), sql.Text(v), sql.Text(tag)); err != nil {
 				t.Fatal(err)
 			}
 			keys[g] = append(keys[g], sql.Text(k))
 			latest[g] = append(latest[g], v)
+			tagged[g][tag] = k
 		}
 	}
 
@@ -258,9 +262,15 @@ func TestConcurrentWritesReuseReplicaScratch(t *testing.T) {
 						return
 					}
 				case 2:
-					rs, err := c.Query("SELECT k FROM notes WHERE v = ?", sql.Text(want))
-					if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != key.Str {
-						t.Errorf("worker %d index read %q: %v, %v; want %v", g, want, rs, err, key)
+					k, tag := fmt.Sprintf("g%d-n%d", g, i), fmt.Sprintf("g%d-i%d-%s", g, i, strings.Repeat("y", i%40))
+					if n, err := c.Exec("INSERT INTO notes (k, v, tag) VALUES (?, ?, ?)", sql.Text(k), sql.Text(want), sql.Text(tag)); err != nil || n != 1 {
+						t.Errorf("worker %d insert %q: %d rows, %v", g, k, n, err)
+						return
+					}
+					tagged[g][tag] = k
+					rs, err := c.Query("SELECT k FROM notes WHERE tag = ?", sql.Text(tag))
+					if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != k {
+						t.Errorf("worker %d index read %q: %v, %v; want %q", g, tag, rs, err, k)
 						return
 					}
 				default:
@@ -294,14 +304,20 @@ func TestConcurrentWritesReuseReplicaScratch(t *testing.T) {
 				if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != latest[g][j] {
 					t.Fatalf("replica %d, key %v: %v, %v; want %q", i, key, rs, err, latest[g][j])
 				}
-				rs, err = db.ExecSQL("SELECT k FROM notes WHERE v = ?", sql.Text(latest[g][j]))
-				if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != key.Str {
-					t.Fatalf("replica %d, index entry %q: %v, %v; want %v", i, latest[g][j], rs, err, key)
-				}
 			}
 		}
-		if rs, err := db.ExecSQL("SELECT k FROM notes"); err != nil || len(rs.Rows) != workers*owned {
-			t.Fatalf("replica %d holds %v rows (%v), want %d", i, rs, err, workers*owned)
+		rows := 0
+		for g := range tagged {
+			for tag, key := range tagged[g] {
+				rs, err := db.ExecSQL("SELECT k FROM notes WHERE tag = ?", sql.Text(tag))
+				if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != key {
+					t.Fatalf("replica %d, index entry %q: %v, %v; want %q", i, tag, rs, err, key)
+				}
+				rows++
+			}
+		}
+		if rs, err := db.ExecSQL("SELECT k FROM notes"); err != nil || len(rs.Rows) != rows {
+			t.Fatalf("replica %d holds %v rows (%v), want %d", i, rs, err, rows)
 		}
 	}
 
