@@ -270,7 +270,7 @@ func verify(dir string, acked int64) (maxSeq int64, err error) {
 	// Invariant 1: nothing torn is served. Every surviving record must
 	// byte-match its re-derivation, acknowledged or not.
 	maxSeq = -1
-	for _, it := range s.Scan(nil, nil, 0) {
+	for _, it := range s.Scan(nil, nil) {
 		seq, ok := seqOf(it.Value)
 		if !ok {
 			return 0, fmt.Errorf("key %q holds unparseable (torn?) value %q", it.Key, truncate(it.Value))

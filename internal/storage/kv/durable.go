@@ -599,7 +599,7 @@ func (s *Store) durCompact() {
 
 // durScan merges the memtable over a k-way merge of all tables.
 // Callers hold s.mu.
-func (s *Store) durScan(start, end []byte, limit int) (items []Item) {
+func (s *Store) durScan(start, end []byte) (items []Item) {
 	d := s.dur
 
 	var memKeys []string
@@ -629,7 +629,7 @@ func (s *Store) durScan(start, end []byte, limit int) (items []Item) {
 	}()
 
 	mi := 0
-	for limit <= 0 || len(items) < limit {
+	for {
 		// Smallest table key, newest table winning ties.
 		winner := -1
 		for i, it := range iters {

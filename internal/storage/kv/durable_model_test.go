@@ -9,7 +9,7 @@ import (
 // dumpStore reads the full logical contents of the store via Scan.
 func dumpStore(s *Store) map[string]string {
 	out := make(map[string]string)
-	for _, it := range s.Scan(nil, nil, 0) {
+	for _, it := range s.Scan(nil, nil) {
 		out[string(it.Key)] = string(it.Value)
 	}
 	return out
@@ -165,7 +165,7 @@ func checkTierGauge(t *testing.T, s *Store) {
 	t.Helper()
 	_, diskLive := s.TierBytes()
 	var want int64
-	for _, it := range s.Scan(nil, nil, 0) {
+	for _, it := range s.Scan(nil, nil) {
 		want += int64(len(it.Key) + len(it.Value))
 	}
 	if diskLive != want {

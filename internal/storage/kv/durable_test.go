@@ -55,7 +55,7 @@ func TestDurableSurvivesCleanReopen(t *testing.T) {
 	}
 
 	r := durableStore(t, fs, Config{CacheBytes: 1 << 20})
-	if got := len(r.Scan(nil, nil, 0)); got != n {
+	if got := len(r.Scan(nil, nil)); got != n {
 		t.Fatalf("Len after reopen = %d, want %d", got, n)
 	}
 	for i := 0; i < n; i++ {
@@ -142,7 +142,7 @@ func TestDurableCompactionMergesShadowedVersions(t *testing.T) {
 	if ssts != 1 {
 		t.Fatalf("full compaction must leave one table, have %v", names)
 	}
-	if got := len(s.Scan(nil, nil, 0)); got != 100 {
+	if got := len(s.Scan(nil, nil)); got != 100 {
 		t.Fatalf("Len = %d, want 100", got)
 	}
 	// Invariant: after a full compaction the disk tier's live-byte gauge
@@ -150,7 +150,7 @@ func TestDurableCompactionMergesShadowedVersions(t *testing.T) {
 	// survives the merge.
 	_, diskLive := s.TierBytes()
 	var want int64
-	for _, it := range s.Scan(nil, nil, 0) {
+	for _, it := range s.Scan(nil, nil) {
 		want += int64(len(it.Key) + len(it.Value))
 	}
 	if diskLive != want {
@@ -191,7 +191,7 @@ func TestDurableTornTailIsDroppedNotServed(t *testing.T) {
 	}
 	// Unacked writes may or may not survive, but any that are served
 	// must be intact (the decoder rejects torn records wholesale).
-	for _, it := range r.Scan([]byte("unacked"), []byte("unacked~"), 0) {
+	for _, it := range r.Scan([]byte("unacked"), []byte("unacked~")) {
 		if string(it.Value) != "U" {
 			t.Fatalf("torn record served: %q=%q", it.Key, it.Value)
 		}
@@ -313,7 +313,7 @@ func TestDurableDirFS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if got := len(r.Scan(nil, nil, 0)); got != 300 {
+	if got := len(r.Scan(nil, nil)); got != 300 {
 		t.Fatalf("Len = %d", got)
 	}
 	if v, _, ok := r.Get([]byte("k0000")); !ok || string(v) != "v0-new" {
@@ -387,7 +387,7 @@ func TestDurableScanMergesTiersInOrder(t *testing.T) {
 		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("new"))
 	}
 
-	items := s.Scan([]byte("k05"), []byte("k28"), 0)
+	items := s.Scan([]byte("k05"), []byte("k28"))
 	wantLen := 28 - 5
 	if len(items) != wantLen {
 		t.Fatalf("scan returned %d items, want %d", len(items), wantLen)
@@ -410,10 +410,6 @@ func TestDurableScanMergesTiersInOrder(t *testing.T) {
 		if string(it.Value) != want {
 			t.Fatalf("key %s = %q, want %q", it.Key, it.Value, want)
 		}
-	}
-	// Limit honored.
-	if got := s.Scan([]byte("k05"), []byte("k28"), 3); len(got) != 3 {
-		t.Fatalf("limit ignored: %d", len(got))
 	}
 	s.Close()
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
+	"unsafe"
 
 	"cachecost/internal/wire"
 )
@@ -106,15 +107,58 @@ func FuzzEncodedLen(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, keyLen, valLen uint32, ver uint64, entries uint8) {
 		keyLen, valLen = keyLen%(1<<17), valLen%(1<<17)
-		dp := &decodedPage{}
+		var dp decodedPage
 		for i := 0; i < int(entries%8); i++ {
-			dp.keys = append(dp.keys, make([]byte, int(keyLen)+i))
-			dp.vals = append(dp.vals, make([]byte, int(valLen)+i))
-			dp.vers = append(dp.vers, ver+uint64(i))
+			dp = append(dp, entry{key: make([]byte, int(keyLen)+i), val: make([]byte, int(valLen)+i), ver: ver + uint64(i)})
 		}
 		if got, want := encodedLen(dp), len(encodePage(dp)); got != want {
 			t.Fatalf("encodedLen = %d, len(encodePage) = %d (key %d, value %d, version %d, %d entries)",
-				got, want, keyLen, valLen, ver, len(dp.keys))
+				got, want, keyLen, valLen, ver, len(dp))
+		}
+	})
+}
+
+// FuzzPageRoundTrip checks that decodePage inverts encodePage entry for
+// entry, and that it decodes in place: every key and value lies inside the
+// encoded buffer, capacity clipped, so the buffer is the decoded page's
+// only copy of the bytes and an append to one entry cannot reach the next.
+// Each entry takes a key length and a value length byte from data, then
+// that many bytes (fewer at the end).
+func FuzzPageRoundTrip(f *testing.F) {
+	f.Add([]byte{}, uint64(0))
+	f.Add([]byte("\x02\x05k1value\x00\x00\x03\x01k22v"), uint64(1))
+	f.Add(append([]byte{0x7f, 0x80}, bytes.Repeat([]byte("x"), 255)...), uint64(1<<63))
+	f.Add(bytes.Repeat([]byte{0xff}, 1024), uint64(1<<64-1))
+	f.Fuzz(func(t *testing.T, data []byte, ver uint64) {
+		var dp decodedPage
+		for len(data) >= 2 {
+			k, v := min(int(data[0]), len(data)-2), int(data[1])
+			key, rest := data[2:2+k], data[2+k:]
+			v = min(v, len(rest))
+			dp = append(dp, entry{key: key, val: rest[:v], ver: ver + uint64(len(dp))})
+			data = rest[v:]
+		}
+		buf := encodePage(dp)
+		got := decodePage(buf, len(dp))
+		if len(got) != len(dp) {
+			t.Fatalf("decoded %d entries, encoded %d", len(got), len(dp))
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+		inside := func(b []byte) bool {
+			at := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+			return len(b) == 0 || at >= lo && at+uintptr(len(b)) <= lo+uintptr(len(buf))
+		}
+		for i, en := range got {
+			if want := dp[i]; !bytes.Equal(en.key, want.key) || !bytes.Equal(en.val, want.val) || en.ver != want.ver {
+				t.Fatalf("entry %d = %q:%q@%d, want %q:%q@%d", i, en.key, en.val, en.ver, want.key, want.val, want.ver)
+			}
+			if cap(en.key) != len(en.key) || cap(en.val) != len(en.val) {
+				t.Fatalf("entry %d: capacity not clipped (key %d/%d, value %d/%d)",
+					i, len(en.key), cap(en.key), len(en.val), cap(en.val))
+			}
+			if !inside(en.key) || !inside(en.val) {
+				t.Fatalf("entry %d does not alias the encoded page", i)
+			}
 		}
 	})
 }

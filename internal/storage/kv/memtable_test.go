@@ -53,7 +53,7 @@ func TestMemtableOverwriteShadowsPage(t *testing.T) {
 	if val, ver, ok := s.Get([]byte("k")); !ok || string(val) != "new" || ver != v2 {
 		t.Fatalf("Get after flush = %q v%d %v: the flush must replace the paged value", val, ver, ok)
 	}
-	if n := len(s.Scan(nil, nil, 0)); n != 1 {
+	if n := len(s.Scan(nil, nil)); n != 1 {
 		t.Fatalf("%d keys, want 1", n)
 	}
 }
@@ -69,7 +69,7 @@ func TestScanMergesMemtableAndPages(t *testing.T) {
 	s.Put([]byte("k3"), []byte("mem-k3"))
 	s.Put([]byte("k2"), []byte("mem-k2"))
 
-	items := s.Scan(nil, nil, 0)
+	items := s.Scan(nil, nil)
 	want := map[string]string{"k0": "old-k0", "k1": "mem-k1", "k2": "mem-k2", "k3": "mem-k3", "k4": "old-k4"}
 	if len(items) != len(want) {
 		t.Fatalf("scan = %d items, want %d", len(items), len(want))
@@ -80,28 +80,6 @@ func TestScanMergesMemtableAndPages(t *testing.T) {
 		}
 		if i > 0 && bytes.Compare(items[i-1].Key, it.Key) >= 0 {
 			t.Fatal("merged scan out of order")
-		}
-	}
-}
-
-func TestScanLimitWithShadowedEntries(t *testing.T) {
-	s := NewStore(Config{PageBytes: 4096, CacheBytes: 1 << 20})
-	for i := 0; i < 10; i++ {
-		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v"))
-	}
-	flush(s)
-	// Overwrite the first three in the memtable; a limit-3 scan must
-	// return each once, with its memtable value.
-	for i := 0; i < 3; i++ {
-		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("new"))
-	}
-	items := s.Scan(nil, nil, 3)
-	if len(items) != 3 {
-		t.Fatalf("limit scan = %d items", len(items))
-	}
-	for i, it := range items {
-		if want := fmt.Sprintf("k%02d", i); string(it.Key) != want || string(it.Value) != "new" {
-			t.Fatalf("item %d = %q:%q, want %s:new", i, it.Key, it.Value, want)
 		}
 	}
 }

@@ -8,17 +8,20 @@
 // The cost model is honest rather than synthetic: authoritative data lives
 // in encoded (serialized) pages; a read that misses both the memtable and
 // the block cache pays a calibrated disk-penalty CPU burn plus the real
-// CPU of decoding the page, while hits touch only in-memory forms. Writes
-// pay an append-style WAL charge immediately and the page re-encode cost
-// only at flush time, amortized across the batch — so storage CPU scales
-// with value size on both paths exactly as the paper observes (§5.3,
-// Figure 6), without overcharging writes with read-modify-write page churn
-// a real LSM does not do.
+// CPU of decoding the page, while hits touch only in-memory forms. The
+// burn is the whole disk read: the decode copies nothing, because an
+// encoded page is never rewritten, so its decoded keys and values alias
+// it. Writes pay an append-style WAL charge immediately and the page
+// re-encode cost only at flush time, amortized across the batch — so
+// storage CPU scales with value size on both paths exactly as the paper
+// observes (§5.3, Figure 6), without overcharging writes with
+// read-modify-write page churn a real LSM does not do.
 package kv
 
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -180,8 +183,8 @@ type Store struct {
 	nextID   uint64
 	version  Version
 	stats    Stats
-	bcache   *cache.LRU[*decodedPage] // block cache, guarded by mu
-	mem      map[string]*memEntry     // pending writes
+	bcache   *cache.LRU[decodedPage] // block cache, guarded by mu
+	mem      map[string]*memEntry    // pending writes
 	memBytes int64
 	dur      *durable // non-nil for durable stores; see durable.go
 
@@ -197,28 +200,24 @@ type memEntry struct {
 }
 
 // page is the authoritative, "on disk" form of a key range. A page a
-// flush stores is held decoded in pending until the flush ends, which
-// encodes it once however many of the flush's keys it absorbed; size is
-// its encoded length all along.
+// flush stores is held decoded in pending (and dirty) until the flush
+// ends, which encodes it once however many of the flush's keys it
+// absorbed; size is its encoded length all along. encoded is immutable:
+// a new encoding replaces the slice and never writes into the old one,
+// which decoded pages may still alias.
 type page struct {
 	id       uint64
 	cacheKey string // the page's block-cache key, formatted once
 	firstKey []byte // lower bound of the page's range; nil for the first page
 	encoded  []byte
-	pending  *decodedPage // stored by the running flush, not yet encoded
-	size     int          // len(encoded), or encodedLen(pending) while pending
-	n        int          // entry count, tracked to avoid decoding for sizing
+	pending  decodedPage // stored by the running flush, not yet encoded
+	dirty    bool        // pending holds the page, encoded is stale
+	size     int         // len(encoded), or encodedLen(pending) while dirty
+	n        int         // entry count, tracked to avoid decoding for sizing
 }
 
 func newPage(id uint64, firstKey []byte) *page {
 	return &page{id: id, cacheKey: "p" + strconv.FormatUint(id, 10), firstKey: firstKey}
-}
-
-// decodedPage is the in-memory form held by the block cache.
-type decodedPage struct {
-	keys [][]byte
-	vals [][]byte
-	vers []Version
 }
 
 // NewStore returns an empty store. It panics on an invalid Config or a
@@ -243,12 +242,12 @@ func Open(cfg Config) (*Store, error) {
 	cfg.applyDefaults()
 	s := &Store{cfg: cfg, nextID: 1, mem: make(map[string]*memEntry)}
 	first := newPage(0, nil)
-	first.encoded = encodePage(&decodedPage{})
+	first.encoded = encodePage(nil)
 	s.pages = []*page{first}
-	s.bcache = cache.NewLRU[*decodedPage](cfg.CacheBytes, func(_ string, p *decodedPage) int64 {
+	s.bcache = cache.NewLRU[decodedPage](cfg.CacheBytes, func(_ string, dp decodedPage) int64 {
 		var n int64
-		for i := range p.keys {
-			n += int64(len(p.keys[i]) + len(p.vals[i]) + 16)
+		for _, en := range dp {
+			n += int64(len(en.key) + len(en.val) + 16)
 		}
 		return n
 	})
@@ -317,7 +316,7 @@ func (s *Store) pageIdx(key []byte) int {
 }
 
 // loadPage returns the decoded form of page p, via the block cache.
-func (s *Store) loadPage(p *page) *decodedPage {
+func (s *Store) loadPage(p *page) decodedPage {
 	if dp, ok := s.bcache.Get(p.cacheKey); ok {
 		return dp
 	}
@@ -327,7 +326,7 @@ func (s *Store) loadPage(p *page) *decodedPage {
 	s.stats.DiskReadBytes += int64(p.size)
 	s.burnDisk(p.size, s.cfg.DiskPenaltyPerByte)
 	dp := p.pending
-	if dp == nil {
+	if !p.dirty {
 		dp = decodePage(p.encoded, p.n)
 	}
 	s.bcache.Put(p.cacheKey, dp)
@@ -339,10 +338,10 @@ func (s *Store) loadPage(p *page) *decodedPage {
 // and charged at dp's encoded size now; the encoding itself waits for
 // the end of the flush (encodeDirty), so a page that absorbs many keys
 // is encoded once.
-func (s *Store) storePage(p *page, dp *decodedPage) {
-	p.pending = dp
+func (s *Store) storePage(p *page, dp decodedPage) {
+	p.pending, p.dirty = dp, true
 	p.size = encodedLen(dp)
-	p.n = len(dp.keys)
+	p.n = len(dp)
 	s.stats.DiskWrites++
 	s.stats.DiskWriteBytes += int64(p.size)
 	s.burnDisk(p.size, diskWritePenaltyPerByte)
@@ -353,14 +352,14 @@ func (s *Store) storePage(p *page, dp *decodedPage) {
 // Callers hold s.mu.
 func (s *Store) encodeDirty() {
 	for _, p := range s.pages {
-		if p.pending == nil {
+		if !p.dirty {
 			continue
 		}
 		p.encoded = encodePage(p.pending)
 		if len(p.encoded) != p.size {
 			panic(fmt.Sprintf("kv: page %d encoded to %d bytes, sized %d", p.id, len(p.encoded), p.size))
 		}
-		p.pending = nil
+		p.pending, p.dirty = nil, false
 	}
 }
 
@@ -389,7 +388,7 @@ func (s *Store) Get(key []byte) (val []byte, ver Version, ok bool) {
 		if !found {
 			return
 		}
-		val, ver, ok = dp.vals[i], dp.vers[i], true
+		val, ver, ok = dp[i].val, dp[i].ver, true
 	})
 	return val[:len(val):len(val)], ver, ok
 }
@@ -418,7 +417,7 @@ func (s *Store) VersionOf(key []byte) (ver Version, ok bool) {
 		if !found {
 			return
 		}
-		ver = dp.vers[i]
+		ver = dp[i].ver
 		ok = true
 	})
 	return ver, ok
@@ -502,31 +501,28 @@ func (s *Store) applyToPages(key, value []byte, ver Version) {
 	p := s.pages[idx]
 	dp := s.loadPage(p)
 	i, found := dp.find(key)
-	// The decoded page in the cache is about to be mutated; work on a
-	// shallow copy of the slices so other references stay coherent.
-	ndp := dp.clone()
+	// Other references to the loaded page (the block cache, a lent
+	// value's page) must not see the write: change a copy of its entries,
+	// made with room for one more.
+	ndp := append(make(decodedPage, 0, len(dp)+1), dp...)
 	if found {
-		ndp.vals[i] = value
-		ndp.vers[i] = ver
+		ndp[i].val, ndp[i].ver = value, ver
 	} else {
-		ndp.keys = insertAt(ndp.keys, i, append([]byte(nil), key...))
-		ndp.vals = insertAt(ndp.vals, i, value)
-		ndp.vers = insertVerAt(ndp.vers, i, ver)
+		ndp = slices.Insert(ndp, i, entry{key: append([]byte(nil), key...), val: value, ver: ver})
 	}
 	s.storePage(p, ndp)
 	s.maybeSplit(idx)
 }
 
-// Scan returns up to limit items with start <= key < end (end nil = no
-// upper bound), in key order, merging the memtable over the page store.
-// limit <= 0 means no limit.
-func (s *Store) Scan(start, end []byte, limit int) (items []Item) {
+// Scan returns the items with start <= key < end (end nil = no upper
+// bound), in key order, merging the memtable over the page store.
+func (s *Store) Scan(start, end []byte) (items []Item) {
 	s.track(func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.stats.Scans++
 		if s.dur != nil {
-			items = s.durScan(start, end, limit)
+			items = s.durScan(start, end)
 			return
 		}
 
@@ -540,16 +536,11 @@ func (s *Store) Scan(start, end []byte, limit int) (items []Item) {
 		}
 		sort.Strings(memKeys)
 
-		// Page items. The first limit keys of the merge are among the
-		// pages' first limit: a memtable entry only adds or shadows keys.
-		pageItems := s.scanPagesLocked(start, end, limit)
+		pageItems := s.scanPagesLocked(start, end)
 
 		// Merge, memtable winning on equal keys.
 		mi, pi := 0, 0
 		for mi < len(memKeys) || pi < len(pageItems) {
-			if limit > 0 && len(items) >= limit {
-				return
-			}
 			var takeMem bool
 			switch {
 			case mi >= len(memKeys):
@@ -581,7 +572,7 @@ func (s *Store) Scan(start, end []byte, limit int) (items []Item) {
 }
 
 // scanPagesLocked collects page items in range. Callers hold s.mu.
-func (s *Store) scanPagesLocked(start, end []byte, limit int) (items []Item) {
+func (s *Store) scanPagesLocked(start, end []byte) (items []Item) {
 	idx := s.pageIdx(start)
 	for ; idx < len(s.pages); idx++ {
 		p := s.pages[idx]
@@ -590,19 +581,15 @@ func (s *Store) scanPagesLocked(start, end []byte, limit int) (items []Item) {
 		}
 		dp := s.loadPage(p)
 		i, _ := dp.find(start)
-		for ; i < len(dp.keys); i++ {
-			k := dp.keys[i]
-			if end != nil && bytes.Compare(k, end) >= 0 {
+		for _, en := range dp[i:] {
+			if end != nil && bytes.Compare(en.key, end) >= 0 {
 				return items
 			}
 			items = append(items, Item{
-				Key:     append([]byte(nil), k...),
-				Value:   append([]byte(nil), dp.vals[i]...),
-				Version: dp.vers[i],
+				Key:     append([]byte(nil), en.key...),
+				Value:   append([]byte(nil), en.val...),
+				Version: en.ver,
 			})
-			if limit > 0 && len(items) >= limit {
-				return items
-			}
 		}
 	}
 	return items
@@ -654,11 +641,10 @@ func (s *Store) maybeSplit(idx int) {
 		return
 	}
 	dp := s.loadPage(p)
-	mid := len(dp.keys) / 2
-	left := &decodedPage{keys: dp.keys[:mid:mid], vals: dp.vals[:mid:mid], vers: dp.vers[:mid:mid]}
-	right := &decodedPage{keys: dp.keys[mid:], vals: dp.vals[mid:], vers: dp.vers[mid:]}
+	mid := len(dp) / 2
+	left, right := dp[:mid:mid], dp[mid:]
 
-	np := newPage(s.nextID, append([]byte(nil), right.keys[0]...))
+	np := newPage(s.nextID, append([]byte(nil), right[0].key...))
 	s.nextID++
 	s.storePage(p, left)
 	s.storePage(np, right)
@@ -674,18 +660,4 @@ func (s *Store) maybeSplit(idx int) {
 			break
 		}
 	}
-}
-
-func insertAt(s [][]byte, i int, v []byte) [][]byte {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertVerAt(s []Version, i int, v Version) []Version {
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
 }

@@ -54,8 +54,8 @@ func TestOverwriteBumpsVersion(t *testing.T) {
 	if string(val) != "b" || ver != v2 {
 		t.Fatalf("Get after overwrite = %q v%d", val, ver)
 	}
-	if len(s.Scan(nil, nil, 0)) != 1 {
-		t.Fatalf("%d live keys, want 1", len(s.Scan(nil, nil, 0)))
+	if len(s.Scan(nil, nil)) != 1 {
+		t.Fatalf("%d live keys, want 1", len(s.Scan(nil, nil)))
 	}
 }
 
@@ -85,7 +85,7 @@ func TestPageSplitsKeepOrder(t *testing.T) {
 	if len(s.pages) < 10 {
 		t.Fatalf("expected many pages after inserts, got %d", len(s.pages))
 	}
-	items := s.Scan(nil, nil, 0)
+	items := s.Scan(nil, nil)
 	for i := 1; i < len(items); i++ {
 		if bytes.Compare(items[i-1].Key, items[i].Key) >= 0 {
 			t.Fatalf("scan out of order at %d: %q >= %q", i, items[i-1].Key, items[i].Key)
@@ -104,18 +104,14 @@ func TestScanRange(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte{byte(i)})
 	}
-	items := s.Scan([]byte("k10"), []byte("k20"), 0)
+	items := s.Scan([]byte("k10"), []byte("k20"))
 	if len(items) != 10 {
 		t.Fatalf("range scan returned %d items, want 10", len(items))
 	}
 	if string(items[0].Key) != "k10" || string(items[9].Key) != "k19" {
 		t.Fatalf("range bounds wrong: %q .. %q", items[0].Key, items[9].Key)
 	}
-	limited := s.Scan(nil, nil, 7)
-	if len(limited) != 7 {
-		t.Fatalf("limit scan returned %d items", len(limited))
-	}
-	empty := s.Scan([]byte("z"), nil, 0)
+	empty := s.Scan([]byte("z"), nil)
 	if len(empty) != 0 {
 		t.Fatalf("scan past end returned %d items", len(empty))
 	}
@@ -126,7 +122,7 @@ func TestScanAcrossManyPages(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		s.Put([]byte(fmt.Sprintf("k%04d", i)), bytes.Repeat([]byte("v"), 20))
 	}
-	items := s.Scan([]byte("k0050"), []byte("k0150"), 0)
+	items := s.Scan([]byte("k0050"), []byte("k0150"))
 	if len(items) != 100 {
 		t.Fatalf("cross-page scan returned %d, want 100", len(items))
 	}
@@ -333,7 +329,7 @@ func TestStoreMatchesReferenceMap(t *testing.T) {
 			}
 		}
 		// Final scan must equal the sorted reference contents.
-		items := s.Scan(nil, nil, 0)
+		items := s.Scan(nil, nil)
 		if len(items) != len(ref) {
 			return false
 		}
@@ -370,13 +366,13 @@ func TestConcurrentAccess(t *testing.T) {
 				case 1:
 					s.Get(key)
 				case 2:
-					s.Scan(key, nil, 5)
+					s.Scan(key, nil)
 				}
 			}
 		}(w)
 	}
 	wg.Wait() // run with -race
-	items := s.Scan(nil, nil, 0)
+	items := s.Scan(nil, nil)
 	for i := 1; i < len(items); i++ {
 		if bytes.Compare(items[i-1].Key, items[i].Key) >= 0 {
 			t.Fatal("order violated after concurrent load")

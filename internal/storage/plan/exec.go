@@ -179,7 +179,7 @@ func (db *DB) execCreateIndex(st *sql.CreateIndexStmt) (*ResultSet, error) {
 	// Backfill the index from existing rows.
 	col := t.ColIndex(st.Column)
 	prefix := tablePrefix(t.Name)
-	items := db.store.Scan(prefix, prefixEnd(prefix), 0)
+	items := db.store.Scan(prefix, prefixEnd(prefix))
 	var n int64
 	vals := make([]sql.Value, len(t.Cols))
 	for _, it := range items {
@@ -385,7 +385,7 @@ func (db *DB) scanTable(dst [][]sql.Value, t *Table, preds []sql.Pred, params []
 			return dst, err
 		}
 		prefix := indexValPrefix(t.Name, idxName, v)
-		entries := db.store.Scan(prefix, prefixEnd(prefix), 0)
+		entries := db.store.Scan(prefix, prefixEnd(prefix))
 		for _, en := range entries {
 			rk := append(tablePrefix(t.Name), en.Key[len(prefix):]...)
 			buf, _, ok := db.store.Get(rk)
@@ -403,7 +403,7 @@ func (db *DB) scanTable(dst [][]sql.Value, t *Table, preds []sql.Pred, params []
 	// Path 3: full scan.
 	db.lastPath = pathScan
 	prefix := tablePrefix(t.Name)
-	items := db.store.Scan(prefix, prefixEnd(prefix), 0)
+	items := db.store.Scan(prefix, prefixEnd(prefix))
 	for _, it := range items {
 		if err := keep(it.Value); err != nil {
 			return dst, err

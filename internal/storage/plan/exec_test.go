@@ -161,7 +161,7 @@ func TestUpdateIndexedColumnRejected(t *testing.T) {
 	db := newTestDB(t)
 	seedUsers(t, db)
 	mustExec(t, db, "CREATE INDEX idx_age ON users (age)")
-	before := db.Store().Scan(nil, nil, 0)
+	before := db.Store().Scan(nil, nil)
 	puts := db.Store().Stats().Puts
 	for _, q := range []string{
 		"UPDATE users SET age = 26 WHERE id = 1",
@@ -174,7 +174,7 @@ func TestUpdateIndexedColumnRejected(t *testing.T) {
 	if got := db.Store().Stats().Puts; got != puts {
 		t.Fatalf("rejected updates made %d puts", got-puts)
 	}
-	if after := db.Store().Scan(nil, nil, 0); !reflect.DeepEqual(after, before) {
+	if after := db.Store().Scan(nil, nil); !reflect.DeepEqual(after, before) {
 		t.Fatalf("rejected updates changed the store: %d items, then %d", len(before), len(after))
 	}
 	if got := len(mustExec(t, db, "SELECT * FROM users WHERE age = 25").Rows); got != 2 {
