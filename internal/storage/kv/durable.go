@@ -446,7 +446,7 @@ func (s *Store) durFlush() {
 	s.stats.DiskWriteBytes += size
 	s.burnDisk(int(size), diskWritePenaltyPerByte)
 
-	s.mem = make(map[string]*memEntry)
+	clear(s.mem) // the map's storage is reused by the next memtable
 	s.memBytes = 0
 
 	// The new table covers everything the old segments held.

@@ -490,7 +490,7 @@ func (s *Store) flushLocked() {
 		s.applyToPages([]byte(k), e.val, e.ver)
 	}
 	s.encodeDirty()
-	s.mem = make(map[string]*memEntry)
+	clear(s.mem) // the map's storage is reused by the next memtable
 	s.memBytes = 0
 }
 

@@ -153,9 +153,9 @@ func NewNode(cfg Config) *Node {
 		n.raftComp = cfg.Meter.Component(nodeName + ".raft")
 	}
 
-	n.dbs = make([]*plan.DB, cfg.Replicas)
+	stores := make([]*kv.Store, cfg.Replicas)
 	n.lastResult = make([]*plan.ResultSet, cfg.Replicas)
-	for i := 0; i < cfg.Replicas; i++ {
+	for i := range stores {
 		kcfg := kv.Config{
 			PageBytes:          cfg.PageBytes,
 			CacheBytes:         cfg.BlockCacheBytes,
@@ -172,8 +172,11 @@ func NewNode(cfg Config) *Node {
 				kcfg.FS = kv.NewMemFS()
 			}
 		}
-		n.dbs[i] = plan.NewDB(kv.NewStore(kcfg))
+		stores[i] = kv.NewStore(kcfg)
 	}
+	// Raft applies replica 0 first, as Bootstrap runs it first: the
+	// leader, whose rows the followers' stores share.
+	n.dbs = plan.NewReplicas(stores)
 	// Block-cache memory is provisioned per replica; the shared component
 	// must carry the total.
 	if n.kvComp != nil {
@@ -264,10 +267,13 @@ type applier struct {
 func (a *applier) Apply(cmd raft.Command) { a.ApplyCtx(trace.SpanContext{}, cmd) }
 
 // ApplyCtx implements raft.ContextApplier. Statement-based replication:
-// every replica re-parses and re-executes the statement, paying the same
-// CPU the leader paid — the replication cost the paper's write path
-// carries. It runs inside handleExec's Propose and walks that request's
-// lane on through sql and exec; handleExec re-enters sql afterwards.
+// every replica re-parses and re-executes the statement, encoding every
+// row it writes, paying the same CPU the leader paid — the replication
+// cost the paper's write path carries. What a follower stores is the
+// leader's row wherever its own encodes to the same bytes
+// (plan.NewReplicas): one row per write, not one per replica. It runs
+// inside handleExec's Propose and walks that request's lane on through
+// sql and exec; handleExec re-enters sql afterwards.
 func (a *applier) ApplyCtx(sc trace.SpanContext, cmd raft.Command) {
 	defer a.req.reset()
 	if err := a.req.decodeInPlace(cmd.Value); err != nil {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -51,6 +52,35 @@ type DB struct {
 	outCols []string
 	outRows [][]sql.Value
 	outVals []sql.Value
+
+	// A replica set's row share (NewReplicas) and this DB's place in the
+	// set, replica 0 the leader; share is nil for a DB NewDB built. A
+	// follower encodes its rows into rowBuf and counts them in rowAt, the
+	// position of its next row in the share.
+	share   *rowShare
+	replica int
+	rowBuf  []byte
+	rowAt   int
+}
+
+// rowShare holds the rows the leader of a replica set put during the
+// statement the set is applying, in put order. Stored values are
+// immutable (kv.Store.Put keeps the slice and nothing writes into it),
+// so a follower whose row encodes to the same bytes stores the leader's
+// slice instead of a copy of its own.
+type rowShare struct {
+	rows [][]byte
+	last int // the replica whose statement ends the set's: it empties rows
+}
+
+// reset empties the share, zeroed so no row of it stays reachable, and
+// keeps its array unless it grew too large.
+func (s *rowShare) reset() {
+	clear(s.rows)
+	s.rows = s.rows[:0]
+	if cap(s.rows) > maxKeptVals {
+		s.rows = nil
+	}
 }
 
 // maxKeptVals bounds the row arena a DB keeps between statements: a large
@@ -68,12 +98,16 @@ func (db *DB) rowVals(n int) []sql.Value {
 
 // release ends a statement: the arena and the matched rows are zeroed,
 // so no row of it stays reachable, and kept unless they grew too large.
+// A replica set's last replica empties the share as well.
 func (db *DB) release() {
 	clear(db.vals)
 	clear(db.rows)
 	db.vals, db.rows = db.vals[:0], db.rows[:0]
 	if cap(db.vals) > maxKeptVals {
 		db.vals, db.rows = nil, nil
+	}
+	if db.share != nil && db.replica == db.share.last {
+		db.share.reset()
 	}
 }
 
@@ -89,6 +123,13 @@ func (db *DB) begin() {
 		db.each, db.outCols, db.outRows, db.outVals = nil, nil, nil, nil
 	}
 	db.res = ResultSet{}
+	// A follower counts its rows from the share's first. The leader starts
+	// the set's statement and drops a share the last replica never ended
+	// (a statement that stopped before that replica ran it).
+	db.rowAt = 0
+	if db.share != nil && db.replica == 0 {
+		db.share.reset()
+	}
 }
 
 // wrote returns a write's result: the DB's own ResultSet, valid until
@@ -101,6 +142,49 @@ func (db *DB) wrote(n int64) *ResultSet {
 // NewDB returns a DB over store with an empty catalog.
 func NewDB(store *kv.Store) *DB {
 	return &DB{cat: NewCatalog(), store: store}
+}
+
+// NewReplicas returns one DB per store, each with an empty catalog, that
+// share one statement's rows: stores[0]'s DB is the leader. Every replica
+// executes each statement itself, the leader first and then the
+// followers in order, with no other statement on any of them in between.
+// A follower encodes every row it writes, as the leader does, but stores
+// the leader's row in its place when the two are equal byte for byte,
+// so a replicated write keeps one row, not one per replica. The last
+// replica's statement empties the share.
+func NewReplicas(stores []*kv.Store) []*DB {
+	share := &rowShare{last: len(stores) - 1}
+	dbs := make([]*DB, len(stores))
+	for i, st := range stores {
+		dbs[i] = NewDB(st)
+		dbs[i].share, dbs[i].replica = share, i
+	}
+	return dbs
+}
+
+// putRow stores vals, encoded, as the row at key. A DB outside a replica
+// set and a set's leader store a fresh buffer, which the leader records
+// in the share. A follower encodes into its scratch and stores the
+// leader's row at the same position if its bytes are equal, otherwise a
+// copy of its own (also where the leader recorded no row).
+func (db *DB) putRow(key []byte, vals []sql.Value) {
+	if db.share == nil || db.replica == 0 {
+		row := encodeRow(nil, vals)
+		if db.share != nil {
+			db.share.rows = append(db.share.rows, row)
+		}
+		db.store.Put(key, row)
+		return
+	}
+	db.rowBuf = encodeRow(db.rowBuf[:0], vals)
+	row, at := db.rowBuf, db.rowAt
+	db.rowAt++
+	if at < len(db.share.rows) && bytes.Equal(db.share.rows[at], row) {
+		row = db.share.rows[at]
+	} else {
+		row = bytes.Clone(row)
+	}
+	db.store.Put(key, row)
 }
 
 // Catalog returns the schema catalog.
@@ -239,7 +323,7 @@ func (db *DB) execInsert(st *sql.InsertStmt, params []sql.Value) (*ResultSet, er
 		if _, _, exists := db.store.Get(key); exists {
 			return nil, fmt.Errorf("%w: %s in %q", ErrDuplicateKey, pk, t.Name)
 		}
-		db.store.Put(key, encodeRow(vals))
+		db.putRow(key, vals)
 		for idxName, idxCol := range t.Indexes {
 			cv := vals[t.ColIndex(idxCol)]
 			if !cv.IsNull() {
@@ -289,7 +373,7 @@ func (db *DB) execUpdate(st *sql.UpdateStmt, params []sql.Value) (*ResultSet, er
 			newVals[setPos[i]] = v
 		}
 		var kb [64]byte
-		db.store.Put(rowKey(kb[:0], t.Name, pk), encodeRow(newVals))
+		db.putRow(rowKey(kb[:0], t.Name, pk), newVals)
 		n++
 	}
 	return db.wrote(n), nil

@@ -45,9 +45,11 @@ func newLoopbackNode(t testing.TB) (*Node, *Client) {
 // borrows the response until Release. A version check builds its SELECT
 // on the stack and parses it into the node's scratch. A replicated UPDATE
 // is parsed four times: once by the front end, then by each of the three
-// replicas' appliers, each into its own scratch. What it keeps per
-// replica is the new row; the rest is the client's statement encode and
-// the loopback hop.
+// replicas' appliers, each into its own scratch. What it keeps is one new
+// row, the leader's, which every follower's store shares (a follower
+// encodes into its own scratch); the rest is the client's statement
+// encode and the loopback hop. The replicas' memtable maps do not regrow:
+// the set-up flush empties them and keeps their storage.
 func TestStatementAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
@@ -98,11 +100,11 @@ func TestStatementAllocs(t *testing.T) {
 		op   func()
 		max  float64
 	}{
-		// Measured 0 / 0 / 0 / 6.
+		// Measured 0 / 0 / 0 / 3.
 		{"point SELECT", read, 1},     // parent: 9 (17 before garbage-free writes, 39 before the pooled parser)
 		{"BatchQuery of 8", batch, 1}, // parent: 76
 		{"version check", version, 1}, // parent: 14
-		{"UPDATE", update, 10},        // parent: 6 (50 before garbage-free writes)
+		{"UPDATE", update, 3},         // parent: 6, a row per replica and memtable maps regrown after the flush (50 before garbage-free writes)
 	} {
 		got := testing.AllocsPerRun(200, tc.op)
 		t.Logf("%s: %v allocs", tc.name, got)
@@ -190,7 +192,8 @@ func TestConcurrentStatementsShareNodeScratch(t *testing.T) {
 // indexed, so it travels into the index keys too. Every read must return
 // what its goroutine last wrote — by key, by index and in a batch, on the
 // leader and then on every replica — and once the traffic
-// stops no scratch may still hold a piece of a statement. The transport
+// stops no scratch, nor the row share the replicas' stores take the
+// leader's rows from, may still hold a piece of a statement. The transport
 // overwrites each request the moment its handler returns; run the test
 // with -race, and rpc.PutBuffer poisons the command and response buffers
 // it recycles too, so an alias that outlived its statement reads as
@@ -342,6 +345,9 @@ func TestConcurrentWritesReuseReplicaScratch(t *testing.T) {
 				t.Errorf("replica %d's DB still holds rows in its %s", i, f)
 			}
 		}
+	}
+	if share := reflect.ValueOf(n.dbs[0]).Elem().FieldByName("share").Elem(); !zeroToCap(share.FieldByName("rows")) {
+		t.Error("the replicas' row share still holds a row")
 	}
 }
 
