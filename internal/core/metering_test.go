@@ -86,11 +86,22 @@ func TestMeteringConservation(t *testing.T) {
 // bulk load that meters nothing, so each architecture's storage.kv is
 // exactly 1,800 lower (Base 3340, Remote 2680, Linked 2611 before) and
 // every other count is as it was.
+//
+// Replication ships the leader's puts, not its statement: the followers
+// parse and execute nothing and read no row, they Put. Over the stream's
+// 108 writes, each architecture's storage.sql is 324 lower (3 applier
+// parses a write), storage.exec 216 lower (2 follower executions) and
+// storage.kv 216 lower (2 follower reads for the existing row); every
+// other count is as it was (Base 3324 / 1216 / 1540, Remote 1344 / 556 /
+// 880, Linked 1137 / 487 / 811 before). The Burner units moved by the
+// ship bytes alone: put bytes instead of statement bytes, 47 B fewer a
+// write here, so 2376 units fewer over the stream on every architecture
+// (92 230 752, 61 076 536 and 33 482 100).
 func TestMeteredOpsUnchanged(t *testing.T) {
 	want := map[Arch]map[string]int64{
-		Base:   {"app": 5000, "storage.exec": 1216, "storage.kv": 1540, "storage.raft": 1108, "storage.rpc": 2000, "storage.sql": 3324},
-		Remote: {"app": 6144, "remotecache": 3696, "storage.exec": 556, "storage.kv": 880, "storage.raft": 448, "storage.rpc": 680, "storage.sql": 1344},
-		Linked: {"app": 3542, "app.cache": 0, "storage.exec": 487, "storage.kv": 811, "storage.raft": 379, "storage.rpc": 542, "storage.sql": 1137},
+		Base:   {"app": 5000, "storage.exec": 1000, "storage.kv": 1324, "storage.raft": 1108, "storage.rpc": 2000, "storage.sql": 3000},
+		Remote: {"app": 6144, "remotecache": 3696, "storage.exec": 340, "storage.kv": 664, "storage.raft": 448, "storage.rpc": 680, "storage.sql": 1020},
+		Linked: {"app": 3542, "app.cache": 0, "storage.exec": 271, "storage.kv": 595, "storage.raft": 379, "storage.rpc": 542, "storage.sql": 813},
 	}
 	for arch, ops := range want {
 		t.Run(arch.String(), func(t *testing.T) {
@@ -156,12 +167,13 @@ func TestLinkedMissAllocs(t *testing.T) {
 // the digest it returns. A Remote hit adds the cache round trip and not
 // one value-sized buffer — the value is encoded into a pool buffer,
 // copied across the loopback into another, and digested in place
-// (DESIGN.md, "Buffer ownership"). A write is parsed four times and
-// applied three ways; per replica it keeps one thing, the new row, which
-// becomes its memtable entry, plus, amortised over the memtable, the pages
-// a flush writes. The old row is read where the store keeps it, and the
-// statement, the command and the result are scratch the node and the
-// replicas reuse. A 10 B write shows the per-message part alone.
+// (DESIGN.md, "Buffer ownership"). A write is parsed and executed once,
+// on the leader, and its puts applied on every replica; it keeps one new
+// row, the leader's, which becomes every replica's memtable entry, plus,
+// amortised over the memtable, the pages each replica's flush writes. The
+// old row is read where the leader's store keeps it, and the statement,
+// the put list and the result are scratch the node reuses. A 10 B write
+// shows the per-message part alone.
 //
 // Anything handed through the tier interface that is built per request (a
 // closure over the storage statement, say) escapes to the heap and shows
@@ -182,15 +194,16 @@ func TestLinkedHitAllocs(t *testing.T) {
 	}{
 		// A warmed read allocates the digest it returns and nothing else:
 		// the storage result borrows its response up to the answer.
-		// Measured 1.00 / 16-21 B; 25.0 / 6.66 values; 4.36 at 10 B.
-		// Parent: 11.04 / 16,807 B; 24.9 / 6.66 values; 4.36 at 10 B.
-		{Base, 2, 0.1 * valueSize, 25, 7, 4.5},
-		// Measured 1.00 / 16-20 B; 26.0 / 6.67 values; 5.36 at 10 B.
-		// Parent: 2.01 / 51 B; 25.9 / 6.67 values; 5.37 at 10 B.
-		{Remote, 1.05, 24, 26, 7, 5.5},
-		// Measured 1.00 / 16 B; 26.9 / 7.67 values; 6.38 at 10 B.
-		// Parent: 2.00 / 32 B; 27.0 / 7.66 values; 6.36 at 10 B.
-		{Linked, 1.05, 24, 27, 8, 6.5},
+		// Measured 1.00 / 16 B; 14.1 / 4.39 values; 2.36 at 10 B.
+		// Parent (followers re-executing each write, which read the old
+		// row and so loaded its page): 25.0 / 6.66 values; 4.36 at 10 B.
+		{Base, 2, 0.1 * valueSize, 14, 5, 2},
+		// Measured 1.00 / 16 B; 15.1 / 4.39 values; 3.36 at 10 B.
+		// Parent: 26.0 / 6.67 values; 5.36 at 10 B.
+		{Remote, 1.05, 24, 15, 5, 3},
+		// Measured 1.00 / 16 B; 16.1 / 5.39 values; 4.36 at 10 B.
+		// Parent: 26.9 / 7.67 values; 6.38 at 10 B.
+		{Linked, 1.05, 24, 16, 6, 4},
 	} {
 		t.Run(tc.arch.String(), func(t *testing.T) {
 			gen := workload.NewSynthetic(workload.SyntheticConfig{

@@ -252,11 +252,13 @@ func clockReadsPerOp(t *testing.T, arch core.Arch, cacheBytes int64, n int, writ
 // its lane and never leaves "app"; a Remote hit adds the cache server's
 // lap; a Base point read walks app -> storage sql -> raft -> exec (with
 // kv's own stopwatch pair inside) -> sql -> rpc -> app. A write walks the
-// storage node's sections once on the leader and once more per replica
-// apply (sql, exec with kv's stopwatch pairs), and a Remote write adds
-// the cache Delete's lap. The write counts are pinned exactly, at what
-// they were before the write path stopped allocating, so a change to it
-// cannot add or drop a lap boundary.
+// storage node's sections once, on the leader: sql, exec (kv's stopwatch
+// pairs for the old row's read and the put inside), raft (the ships and
+// each follower's put, its stopwatch pair inside), sql; a Remote write
+// adds the cache Delete's lap. The write counts are pinned exactly, so a
+// change to the write path cannot add or drop a lap boundary. They were
+// 25 / 27 / 25 while every replica re-executed the statement, each apply
+// adding an sql and an exec section and kv's read and put pairs.
 func TestClockReadBudget(t *testing.T) {
 	for _, c := range []struct {
 		arch   core.Arch
@@ -264,7 +266,7 @@ func TestClockReadBudget(t *testing.T) {
 		budget float64
 	}{
 		{core.Linked, false, 2}, {core.Remote, false, 4}, {core.Base, false, 10},
-		{core.Linked, true, 25}, {core.Remote, true, 27}, {core.Base, true, 25},
+		{core.Linked, true, 16}, {core.Remote, true, 18}, {core.Base, true, 16},
 	} {
 		name := c.arch.String()
 		if c.write {

@@ -143,25 +143,17 @@ func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error
 	lane.CountStatement()
 	defer n.histBatch.ObserveSince(time.Now())
 
-	stmt, sqlAct, err := n.parseStatement(sc, req)
+	stmt, sqlAct, err := n.parseStatement(sc, req, true)
 	q := &n.req
+	if err == nil && len(q.Params) == 0 {
+		err = fmt.Errorf("storage: sql.BatchQuery needs at least one parameter")
+	}
+	sqlAct.AnnotateInt("batch.keys", int64(len(q.Params)))
+	sqlAct.End()
 	if err != nil {
-		sqlAct.End()
 		return nil, err
 	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		sqlAct.End()
-		return nil, fmt.Errorf("storage: sql.BatchQuery only accepts SELECT")
-	}
-	if len(q.Params) == 0 {
-		sqlAct.End()
-		return nil, fmt.Errorf("storage: sql.BatchQuery needs at least one parameter")
-	}
-	n.burnFrontend(lane)
-	sqlAct.AnnotateInt("batch.keys", int64(len(q.Params)))
-	sqlAct.SetBytes(len(req), 0)
-	sqlAct.End()
+	sel := stmt.(*sql.SelectStmt)
 	db := n.validateLease(sc)
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
 	_, err = n.exec(lane, func() (*plan.ResultSet, error) {

@@ -33,8 +33,8 @@ func TestDurableNodeServesSQLAndMetersDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, db := range n.dbs {
-		db.Store().DataBytes() // flushes the memtable
+	for _, st := range n.stores {
+		st.DataBytes() // flushes the memtable
 	}
 	for i := 0; i < 200; i++ {
 		rs, err := c.Query("SELECT v FROM t WHERE id = ?", sql.Int64(int64(i)))

@@ -8,34 +8,25 @@
 package storage
 
 import (
-	"cachecost/internal/rpc"
 	"cachecost/internal/storage/sql"
 	"cachecost/internal/wire"
 )
 
-// QueryRequest is the body of the sql.Query / sql.Exec RPC methods, and
-// of a replicated statement's proposed command. Decoded TEXT and BLOB
-// parameters alias the decoder's input: the node's handlers consume them
-// before returning, and a proposed command is never written while a
-// replica applies it (DESIGN.md, "Buffer ownership").
+// QueryRequest is the body of the sql.Query / sql.Exec RPC methods, as
+// the node decodes it: in place, into the one request it reuses for
+// every statement (Node.parseStatement). Params keeps its array, and the
+// text comes from the node's table. Decoded TEXT and BLOB parameters
+// alias the decoder's input: the node's handlers consume them before
+// returning (DESIGN.md, "Buffer ownership").
 type QueryRequest struct {
 	SQL    string
 	Params []sql.Value
 
-	// texts, when set, supplies the statement text on decode; see
-	// decodeInPlace.
+	// texts supplies the statement text on decode.
 	texts stmtTexts
 	// stmt is the owner's statement scratch: SQL is parsed into it, and
 	// the AST is the owner's until reset.
 	stmt sql.Scratch
-}
-
-// MarshalWire implements wire.Marshaler.
-func (q *QueryRequest) MarshalWire(e *wire.Encoder) {
-	e.String(1, q.SQL)
-	for _, p := range q.Params {
-		sql.EncodeValue(e, 2, p)
-	}
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
@@ -71,14 +62,6 @@ func (q *QueryRequest) UnmarshalWire(d *wire.Decoder) error {
 	return nil
 }
 
-// decodeInPlace decodes buf into q, which its owner reuses for every
-// request: Params keeps its array, and the text comes from q's table. The
-// owner calls reset once the statement is done.
-func (q *QueryRequest) decodeInPlace(buf []byte) error {
-	q.reset()
-	return wire.Unmarshal(buf, q)
-}
-
 // reset empties q for reuse, zeroing the Params and the AST it held so no
 // alias of a finished request, and no piece of its statement, outlives
 // its handler.
@@ -92,7 +75,7 @@ func (q *QueryRequest) reset() {
 // statements, so a known text decodes without allocating. The text cannot
 // alias the request buffer instead: CREATE TABLE keeps names that are
 // substrings of it. Past maxStmtTexts entries each new text is copied, as
-// without a table. A nil table copies every text.
+// without a table.
 type stmtTexts map[string]string
 
 // maxStmtTexts bounds a node's text table.
@@ -103,7 +86,7 @@ func (t stmtTexts) intern(b []byte) string {
 		return s
 	}
 	s := string(b)
-	if t != nil && len(t) < maxStmtTexts {
+	if len(t) < maxStmtTexts {
 		t[s] = s
 	}
 	return s
@@ -182,13 +165,4 @@ func (v *VersionResponse) UnmarshalWire(d *wire.Decoder) error {
 		}
 	}
 	return nil
-}
-
-// encodeCmd encodes a statement and its bound parameters as a proposed
-// command: statement-based replication in QueryRequest's shape, which
-// each replica's applier decodes in place. The buffer comes from the
-// transport pool; nothing keeps the command once Propose returns, so the
-// proposer recycles it then.
-func encodeCmd(q *QueryRequest) []byte {
-	return wire.AppendMarshal(rpc.GetBuffer(), q)
 }

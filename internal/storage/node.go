@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-	"unsafe"
 
 	"cachecost/internal/meter"
 	"cachecost/internal/rpc"
@@ -88,7 +87,9 @@ func (c *Config) applyDefaults() {
 }
 
 // Node is a replicated SQL database node group: Replicas kv stores kept in
-// sync by statement-based raft replication, with SQL served by the leader.
+// sync by raft, with SQL served by the leader. The leader parses and
+// executes every statement; a write's key-value puts are what raft ships,
+// and each follower's store applies them.
 type Node struct {
 	cfg Config
 
@@ -98,8 +99,9 @@ type Node struct {
 	// executor lap exact.
 	mu sync.Mutex
 
-	group *raft.Group
-	dbs   []*plan.DB
+	group  *raft.Group
+	db     *plan.DB    // the leader's
+	stores []*kv.Store // replica i's; stores[0] is the leader's
 
 	burner   *meter.Burner
 	rpcComp  *meter.Component // transport overhead
@@ -117,33 +119,23 @@ type Node struct {
 	histVersion *telemetry.Histogram
 	histBatch   *telemetry.Histogram
 
-	// lastResult holds each replica's most recent apply result, its DB's
-	// own (plan.DB.Exec); indexed by replica id, guarded by mu (appliers
-	// run under Propose, which the handlers call while holding mu).
-	lastResult []*plan.ResultSet
-
-	// req is the statement a handler is serving, decoded in place; texts
-	// is the table of statement texts it and the appliers decode through.
-	// ver and batch are the version check's request and reply and the
-	// batch reply, each reused handler after handler. All are guarded by
-	// mu.
-	req   QueryRequest
-	texts stmtTexts
-	ver   struct {
+	// req is the statement a handler is serving, decoded in place through
+	// its table of statement texts; ver and batch are the version check's
+	// request and reply and the batch reply, each reused handler after
+	// handler. All are guarded by mu.
+	req QueryRequest
+	ver struct {
 		req  VersionRequest
 		resp VersionResponse
 	}
 	batch BatchQueryResponse
-
-	applyErrMu sync.Mutex
-	applyErr   error // first replication apply error, for tests/diagnostics
 }
 
 // NewNode builds the replica group and registers the RPC methods.
 func NewNode(cfg Config) *Node {
 	cfg.applyDefaults()
-	n := &Node{cfg: cfg, burner: meter.NewBurner(), texts: make(stmtTexts)}
-	n.req.texts = n.texts
+	n := &Node{cfg: cfg, burner: meter.NewBurner()}
+	n.req.texts = make(stmtTexts)
 
 	if cfg.Meter != nil {
 		n.rpcComp = cfg.Meter.Component(nodeName + ".rpc")
@@ -153,9 +145,8 @@ func NewNode(cfg Config) *Node {
 		n.raftComp = cfg.Meter.Component(nodeName + ".raft")
 	}
 
-	stores := make([]*kv.Store, cfg.Replicas)
-	n.lastResult = make([]*plan.ResultSet, cfg.Replicas)
-	for i := range stores {
+	n.stores = make([]*kv.Store, cfg.Replicas)
+	for i := range n.stores {
 		kcfg := kv.Config{
 			PageBytes:          cfg.PageBytes,
 			CacheBytes:         cfg.BlockCacheBytes,
@@ -172,11 +163,9 @@ func NewNode(cfg Config) *Node {
 				kcfg.FS = kv.NewMemFS()
 			}
 		}
-		stores[i] = kv.NewStore(kcfg)
+		n.stores[i] = kv.NewStore(kcfg)
 	}
-	// Raft applies replica 0 first, as Bootstrap runs it first: the
-	// leader, whose rows the followers' stores share.
-	n.dbs = plan.NewReplicas(stores)
+	n.db = plan.NewDB(n.stores[0])
 	// Block-cache memory is provisioned per replica; the shared component
 	// must carry the total.
 	if n.kvComp != nil {
@@ -188,7 +177,10 @@ func NewNode(cfg Config) *Node {
 		Comp:     n.raftComp,
 		Burner:   n.burner,
 	}, func(id int) raft.StateMachine {
-		return &applier{node: n, id: id, req: QueryRequest{texts: n.texts}}
+		if id == 0 {
+			return nil // the leader's DB applied the puts as it executed the statement
+		}
+		return follower{n.stores[id]}
 	})
 
 	n.server = rpc.NewServer(n.rpcComp, n.burner, cfg.RPCCost)
@@ -218,9 +210,6 @@ func NewNode(cfg Config) *Node {
 // statement path is untouched — everything here reads existing atomics
 // or cheap snapshots at scrape time.
 func (n *Node) registerTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
 	lbl := []telemetry.Label{telemetry.L("node", nodeName)}
 	reg.RegisterCollector("storage."+nodeName, func(emit func(telemetry.Sample)) {
 		db := n.LeaderDB()
@@ -253,66 +242,18 @@ func (n *Node) registerTelemetry(reg *telemetry.Registry) {
 	})
 }
 
-// applier executes replicated statements against one replica's DB.
-type applier struct {
-	node *Node
-	id   int
-	// req is the command being applied, decoded in place. The raft
-	// group's lock serializes an applier's calls (ProposeCtx), and
-	// handleExec's n.mu guards the text table it shares with the node.
-	req QueryRequest
-}
+// follower is a follower replica's state machine: its store, which puts
+// each pair the leader's statement put, keeping the leader's row slice.
+// Its puts meter themselves on the shared kv component.
+type follower struct{ *kv.Store }
 
 // Apply implements raft.StateMachine.
-func (a *applier) Apply(cmd raft.Command) { a.ApplyCtx(trace.SpanContext{}, cmd) }
-
-// ApplyCtx implements raft.ContextApplier. Statement-based replication:
-// every replica re-parses and re-executes the statement, encoding every
-// row it writes, paying the same CPU the leader paid — the replication
-// cost the paper's write path carries. What a follower stores is the
-// leader's row wherever its own encodes to the same bytes
-// (plan.NewReplicas): one row per write, not one per replica. It runs
-// inside handleExec's Propose and walks that request's lane on through
-// sql and exec; handleExec re-enters sql afterwards.
-func (a *applier) ApplyCtx(sc trace.SpanContext, cmd raft.Command) {
-	defer a.req.reset()
-	if err := a.req.decodeInPlace(cmd.Value); err != nil {
-		a.node.noteApplyErr(fmt.Errorf("storage: replica %d: corrupt command: %w", a.id, err))
-		return
-	}
-	n, lane := a.node, sc.Lane()
-	lane.EnterOp(n.sqlComp)
-	stmt, err := a.req.stmt.Parse(a.req.SQL)
-	if err != nil {
-		n.noteApplyErr(fmt.Errorf("storage: replica %d: %w", a.id, err))
-		return
-	}
-	rs, err := n.exec(lane, func() (*plan.ResultSet, error) { return n.dbs[a.id].Exec(stmt, a.req.Params) })
-	if err != nil {
-		n.noteApplyErr(fmt.Errorf("storage: replica %d: %w", a.id, err))
-		return
-	}
-	n.lastResult[a.id] = rs
-}
-
-func (n *Node) noteApplyErr(err error) {
-	n.applyErrMu.Lock()
-	defer n.applyErrMu.Unlock()
-	if n.applyErr == nil {
-		n.applyErr = err
-	}
-}
-
-// firstApplyErr returns the first replication apply error, if any.
-func (n *Node) firstApplyErr() error {
-	n.applyErrMu.Lock()
-	defer n.applyErrMu.Unlock()
-	return n.applyErr
-}
+func (f follower) Apply(cmd raft.Command) { f.Put(cmd.Key, cmd.Value) }
 
 // A statement handler walks its request's lane through the node's
-// components in order — sql (decode, parse, front-end burn), raft (lease
-// or replication), exec, sql again (result encoding) — entering each as
+// components in order — sql (decode, parse, front-end burn), then raft
+// (the lease check) and exec for a read, or exec and raft (replication)
+// for a write, then sql again (result encoding) — entering each as
 // its section starts (Lane.EnterOp), so a statement costs one clock read
 // per section instead of a stopwatch pair around each. The handler leaves
 // the lane where its last section ended; the rpc server that dispatched
@@ -339,18 +280,24 @@ func (n *Node) burnFrontend(l *meter.Lane) {
 }
 
 // exec runs fn as one operation of the executor component, net of the
-// busy time the kv engine attributed to itself meanwhile: kv has no
-// request context and keeps its own stopwatch, on the same clock the lane
-// reads. Callers hold n.mu, so the kv delta is this statement's alone.
+// busy time the kv engine attributed to itself meanwhile (kvBusy).
 func (n *Node) exec(l *meter.Lane, fn func() (*plan.ResultSet, error)) (*plan.ResultSet, error) {
-	if n.execComp == nil {
-		return fn()
-	}
 	l.EnterOp(n.execComp)
-	kv0 := n.kvComp.Busy()
+	kv0 := n.kvBusy()
 	rs, err := fn()
-	l.Exclude(n.kvComp.Busy() - kv0)
+	l.Exclude(n.kvBusy() - kv0)
 	return rs, err
+}
+
+// kvBusy is the kv engine's busy time so far, which a section excludes
+// as it grows: kv has no request context and keeps its own stopwatch, on
+// the same clock the lane reads. Callers hold n.mu, so a delta is their
+// statement's alone.
+func (n *Node) kvBusy() time.Duration {
+	if n.kvComp == nil {
+		return 0
+	}
+	return n.kvComp.Busy()
 }
 
 // Server returns the node's RPC server for use with rpc.Serve, loopback or
@@ -358,7 +305,7 @@ func (n *Node) exec(l *meter.Lane, fn func() (*plan.ResultSet, error)) (*plan.Re
 func (n *Node) Server() *rpc.Server { return n.server }
 
 // LeaderDB returns the leader's (replica 0's) DB, for white-box tests.
-func (n *Node) LeaderDB() *plan.DB { return n.dbs[0] }
+func (n *Node) LeaderDB() *plan.DB { return n.db }
 
 // DataBytes returns the leader's on-disk data size.
 func (n *Node) DataBytes() int64 {
@@ -371,66 +318,74 @@ func (n *Node) Close() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var first error
-	for _, db := range n.dbs {
-		if err := db.Store().Close(); err != nil && first == nil {
+	for _, st := range n.stores {
+		if err := st.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// Bootstrap executes DDL or seed statements directly against every
-// replica, bypassing RPC, raft and metering. Use it to set up schemas
-// and preload data without polluting an experiment's cost measurements.
-// Each replica runs the statements as a bulk load (kv.Store.BulkLoad):
-// parse, plan, row encoding, memtable, flushes, page splits and the
-// block cache do their real work and leave the state a metered write
-// would, but no meter component is charged and no modeled disk penalty
-// is burned — loading is set-up, billed to nobody. n.mu, which every
-// statement handler takes, keeps the scope to this call's statements.
+// Bootstrap executes DDL or seed statements directly, bypassing RPC,
+// raft and metering. Use it to set up schemas and preload data without
+// polluting an experiment's cost measurements. The leader executes each
+// statement and every follower's store applies the puts it made, all as
+// a bulk load (kv.Store.BulkLoad): parse, plan, row encoding, memtable,
+// flushes, page splits and the block cache do their real work and leave
+// the state a metered write would, but no meter component is charged and
+// no modeled disk penalty is burned — loading is set-up, billed to
+// nobody. n.mu, which every statement handler takes, keeps the scope to
+// this call's statements.
 func (n *Node) Bootstrap(statements []string, params ...[]sql.Value) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for i, src := range statements {
-		stmt, err := sql.Parse(src)
-		if err != nil {
-			return fmt.Errorf("storage: bootstrap %q: %w", truncate(src, 60), err)
-		}
 		var p []sql.Value
 		if i < len(params) {
 			p = params[i]
 		}
-		for _, db := range n.dbs {
-			db.Store().BulkLoad(func() { _, err = db.Exec(stmt, p) })
-			if err != nil {
-				return fmt.Errorf("storage: bootstrap %q: %w", truncate(src, 60), err)
-			}
+		stmt, err := sql.Parse(src)
+		if err == nil {
+			n.stores[0].BulkLoad(func() { _, err = n.db.Exec(stmt, p) })
+		}
+		if err != nil {
+			return fmt.Errorf("storage: bootstrap %.60q: %w", src, err)
+		}
+		for _, st := range n.stores[1:] {
+			st.BulkLoad(func() {
+				for _, cmd := range n.db.Puts() {
+					st.Put(cmd.Key, cmd.Value)
+				}
+			})
 		}
 	}
 	return nil
 }
 
-// BootstrapExec runs one parameterized statement on every replica without
-// metering (bulk loading).
+// BootstrapExec runs one parameterized statement on the leader, and its
+// puts on every follower, without metering (bulk loading).
 func (n *Node) BootstrapExec(src string, params ...sql.Value) error {
 	return n.Bootstrap([]string{src}, params)
 }
 
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
-}
-
-// parseStatement opens a statement's sql section: request decode into
-// n.req and parse, under a "storage.sql" parse span the caller ends.
-// Callers hold n.mu and reset n.req before releasing it.
-func (n *Node) parseStatement(sc trace.SpanContext, req []byte) (stmt sql.Stmt, act trace.Active, err error) {
+// parseStatement is a statement's opening sql section, under a
+// "storage.sql" parse span the caller ends: request decode into n.req,
+// parse and, for a statement of the kind the method takes (query: a
+// SELECT; otherwise anything but), the front-end burn. Callers hold n.mu
+// and reset n.req before releasing it.
+func (n *Node) parseStatement(sc trace.SpanContext, req []byte, query bool) (stmt sql.Stmt, act trace.Active, err error) {
 	sc.Lane().EnterOp(n.sqlComp)
 	act, _ = trace.Start(sc, "storage.sql", "parse")
-	if err = n.req.decodeInPlace(req); err == nil {
+	n.req.reset()
+	if err = wire.Unmarshal(req, &n.req); err == nil {
 		stmt, err = n.req.stmt.Parse(n.req.SQL)
+	}
+	if _, sel := stmt.(*sql.SelectStmt); err == nil && sel != query {
+		err = fmt.Errorf("storage: a SELECT goes to sql.Query or sql.BatchQuery, any other statement to sql.Exec")
+	}
+	if err == nil {
+		n.burnFrontend(sc.Lane())
+		act.SetBytes(len(req), 0)
 	}
 	return stmt, act, err
 }
@@ -462,18 +417,11 @@ func (n *Node) handleQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
 	lane.CountStatement()
 	defer n.histQuery.ObserveSince(time.Now())
 
-	stmt, sqlAct, err := n.parseStatement(sc, req)
+	stmt, sqlAct, err := n.parseStatement(sc, req, true)
+	sqlAct.End()
 	if err != nil {
-		sqlAct.End()
 		return nil, err
 	}
-	if _, ok := stmt.(*sql.SelectStmt); !ok {
-		sqlAct.End()
-		return nil, fmt.Errorf("storage: sql.Query only accepts SELECT; use sql.Exec")
-	}
-	n.burnFrontend(lane)
-	sqlAct.SetBytes(len(req), 0)
-	sqlAct.End()
 	db := n.validateLease(sc)
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
 	rs, err := n.exec(lane, func() (*plan.ResultSet, error) { return db.Exec(stmt, n.req.Params) })
@@ -484,8 +432,9 @@ func (n *Node) handleQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
 	return n.encode(lane, rs), nil
 }
 
-// handleExec serves write statements: parsed for validation on the
-// front-end, then replicated through raft and applied on every replica.
+// handleExec serves write statements: parsed and executed on the
+// leader, then replicated as the key-value puts the statement made. A
+// statement that fails puts nothing and proposes nothing.
 func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 	lane := sc.Lane()
 	n.lock(lane)
@@ -494,53 +443,27 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 	lane.CountStatement()
 	defer n.histExec.ObserveSince(time.Now())
 
-	stmt, sqlAct, err := n.parseStatement(sc, req)
+	stmt, sqlAct, err := n.parseStatement(sc, req, false)
+	sqlAct.End()
 	if err != nil {
-		sqlAct.End()
 		return nil, err
 	}
-	if _, ok := stmt.(*sql.SelectStmt); ok {
-		sqlAct.End()
-		return nil, fmt.Errorf("storage: sql.Exec does not accept SELECT; use sql.Query")
-	}
-	n.burnFrontend(lane)
-	sqlAct.SetBytes(len(req), 0)
-	sqlAct.End()
-	// Dry-run validation on the leader would double-apply; instead rely
-	// on the apply path and surface its error.
-	n.applyErrMu.Lock()
-	n.applyErr = nil
-	n.applyErrMu.Unlock()
-
-	cmd := raft.Command{
-		Op:    raft.OpPut,
-		Key:   cmdKey(n.req.SQL),
-		Value: encodeCmd(&n.req),
+	rs, err := n.exec(lane, func() (*plan.ResultSet, error) { return n.db.Exec(stmt, n.req.Params) })
+	if err != nil {
+		return nil, err
 	}
 	// The replication slice of the write is informational sub-stage time:
 	// for an in-process request it is already inside the client-observed
-	// StageStorage, so conservation sums exclude StageRaft.
+	// StageStorage, so conservation sums exclude StageRaft. The followers'
+	// puts meter themselves on kv, so the raft section excludes kv's busy
+	// time, as exec's does.
 	raftT0 := lane.StageClock()
-	lane.Enter(n.raftComp) // the ships' laps; each replica's apply walks on from here
-	_, perr := n.group.ProposeCtx(sc, cmd)
-	rpc.PutBuffer(cmd.Value)
+	lane.Enter(n.raftComp)
+	kv0 := n.kvBusy()
+	n.group.ProposeCtx(sc, n.db.Puts()...)
+	lane.Exclude(n.kvBusy() - kv0)
 	lane.AddStage(meter.StageRaft, raftT0)
-	if perr != nil {
-		return nil, perr
-	}
-	if err := n.firstApplyErr(); err != nil {
-		return nil, err
-	}
-	// Every replica applied the statement; the leader's result is its
-	// answer.
-	return n.encode(lane, n.lastResult[0]), nil
-}
-
-// cmdKey is a proposed command's key: the statement's first 32 bytes.
-// The group reads it only for its length, which the ship burn prices, so
-// it is the statement text itself, read-only, not a copy.
-func cmdKey(stmt string) []byte {
-	return unsafe.Slice(unsafe.StringData(stmt), min(len(stmt), 32))
+	return n.encode(lane, rs), nil
 }
 
 // handleVersion serves the §5.5 version check. As in TiDB, it traverses
@@ -583,7 +506,7 @@ func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
 		var src [128]byte
 		b := append(append(src[:0], "SELECT * FROM "...), vr.Table...)
 		b = append(append(append(b, " WHERE "...), t.PKCol()...), " = ?"...)
-		text := n.texts.intern(b)
+		text := n.req.texts.intern(b)
 		stmt, err := n.req.stmt.Parse(text)
 		if err != nil {
 			return nil, err
@@ -605,11 +528,4 @@ func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
 		return nil, err
 	}
 	return n.encode(lane, resp), nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

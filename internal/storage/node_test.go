@@ -59,15 +59,17 @@ func TestWritesReplicateToAllReplicas(t *testing.T) {
 	n, c := newTestNode(t, nil)
 	c.Exec("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
 	c.Exec("INSERT INTO t (id, v) VALUES (7, 'replicated')")
-	for i := 0; i < 3; i++ {
-		rs, err := n.dbs[i].ExecSQL("SELECT v FROM t WHERE id = 7")
-		if err != nil {
-			t.Fatalf("replica %d: %v", i, err)
-		}
-		if len(rs.Rows) != 1 || rs.Rows[0][0].Str != "replicated" {
-			t.Fatalf("replica %d missing write: %v", i, rs.Rows)
+	rs, err := n.db.ExecSQL("SELECT v FROM t WHERE id = 7")
+	if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != "replicated" {
+		t.Fatalf("leader missing write: %v, %v", rs, err)
+	}
+	key := sql.Int64(7).AppendKeyBytes([]byte("t/t/"))
+	for i, st := range n.stores {
+		if _, _, ok := st.Get(key); !ok {
+			t.Fatalf("replica %d missing write", i)
 		}
 	}
+	requireReplicasMatch(t, n)
 }
 
 func TestVersionCheck(t *testing.T) {
@@ -107,8 +109,8 @@ func TestBootstrapLeavesMeterUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, db := range n.dbs {
-		if st := db.Store().Stats(); st.Flushes == 0 {
+	for i, st := range n.stores {
+		if st := st.Stats(); st.Flushes == 0 {
 			t.Fatalf("replica %d never flushed: %+v", i, st)
 		}
 	}
@@ -137,11 +139,7 @@ func TestBootstrapBypassesMetering(t *testing.T) {
 	if err != nil || len(rs.Rows) != 1 {
 		t.Fatalf("rows=%v err=%v", rs, err)
 	}
-	for i := 0; i < 3; i++ {
-		if got, _ := n.dbs[i].ExecSQL("SELECT * FROM t"); len(got.Rows) != 1 {
-			t.Fatalf("replica %d missing bootstrap data", i)
-		}
-	}
+	requireReplicasMatch(t, n)
 }
 
 func TestMeterBreakdownComponents(t *testing.T) {

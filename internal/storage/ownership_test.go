@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"cachecost/internal/rpc"
+	"cachecost/internal/storage/kv"
+	"cachecost/internal/storage/plan"
 	"cachecost/internal/storage/sql"
 )
 
@@ -27,12 +31,70 @@ func (c reusingConn) Call(method string, req []byte) ([]byte, error) {
 
 func (c reusingConn) Close() error { return nil }
 
+// requireReplicasMatch fails unless every follower's store holds exactly
+// the leader's keys, values and versions.
+func requireReplicasMatch(t *testing.T, n *Node) {
+	t.Helper()
+	lead := n.stores[0].Scan(nil, nil)
+	for r, st := range n.stores[1:] {
+		if got := st.Scan(nil, nil); !reflect.DeepEqual(got, lead) {
+			t.Fatalf("replica %d holds %d items that are not the leader's %d", r+1, len(got), len(lead))
+		}
+	}
+}
+
+// requireLeaderRow fails unless every follower's store lends the leader's
+// row at key: the same bytes in the same backing array, at the same
+// version. It holds from a write until a flush re-encodes the stores'
+// pages, each store its own.
+func requireLeaderRow(t *testing.T, n *Node, key []byte) {
+	t.Helper()
+	lead, ver, ok := n.stores[0].Get(key)
+	if !ok {
+		t.Fatalf("the leader has no row %q", key)
+	}
+	for r, st := range n.stores[1:] {
+		row, v, ok := st.Get(key)
+		if !ok || !bytes.Equal(row, lead) || v != ver {
+			t.Fatalf("replica %d's row %q (version %d) differs from the leader's (version %d)", r+1, key, v, ver)
+		}
+		if unsafe.SliceData(row) != unsafe.SliceData(lead) {
+			t.Fatalf("replica %d keeps a copy of row %q, not the leader's", r+1, key)
+		}
+	}
+}
+
+// storeStats snapshots every replica's store counters, the leader's first.
+func storeStats(n *Node) []kv.Stats {
+	stats := make([]kv.Stats, len(n.stores))
+	for i, st := range n.stores {
+		stats[i] = st.Stats()
+	}
+	return stats
+}
+
+// requirePutsOnly fails unless, since the snapshot was, every follower's
+// store applied what the leader's did and nothing else: as many Puts,
+// and no Get or Scan.
+func requirePutsOnly(t *testing.T, n *Node, was []kv.Stats) {
+	t.Helper()
+	now := storeStats(n)
+	puts := now[0].Puts - was[0].Puts
+	for r := 1; r < len(now); r++ {
+		if got := now[r].Puts - was[r].Puts; got != puts {
+			t.Fatalf("replica %d applied %d puts, the leader %d", r, got, puts)
+		}
+		if now[r].Gets != was[r].Gets || now[r].Scans != was[r].Scans {
+			t.Fatalf("replica %d read while applying a write: %d gets, %d scans", r, now[r].Gets-was[r].Gets, now[r].Scans-was[r].Scans)
+		}
+	}
+}
+
 // TestOwnershipExecOutlivesRequestAndLogIsImmutable pins the storage rows
 // of DESIGN.md's "Buffer ownership" table. A write's BLOB parameter is
-// decoded in place, on the leader out of the request and on every replica
-// out of the proposed command, which lives only until Propose returns.
-// So no replica may still point into the request once sql.Exec has
-// returned.
+// decoded in place out of the request, and the leader encodes it into the
+// row every replica's store keeps. So no replica may still point into the
+// request once sql.Exec has returned.
 func TestOwnershipExecOutlivesRequestAndLogIsImmutable(t *testing.T) {
 	n := NewNode(Config{Replicas: 3, BlockCacheBytes: 8 << 20})
 	c := NewClient(reusingConn{n.Server()})
@@ -45,23 +107,21 @@ func TestOwnershipExecOutlivesRequestAndLogIsImmutable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	onReplica := func(i int, k string) []byte {
+	// holds checks the leader's row of k and that every follower holds
+	// what the leader holds.
+	holds := func(k string, want []byte) {
 		t.Helper()
-		rs, err := n.dbs[i].ExecSQL("SELECT v FROM kvdata WHERE k = ?", sql.Text(k))
-		if err != nil || len(rs.Rows) != 1 {
-			t.Fatalf("replica %d, key %s: %v, %v", i, k, rs, err)
+		rs, err := n.db.ExecSQL("SELECT v FROM kvdata WHERE k = ?", sql.Text(k))
+		if err != nil || len(rs.Rows) != 1 || !bytes.Equal(rs.Rows[0][0].Blob, want) {
+			t.Fatalf("key %s: the leader kept bytes of a request buffer that has been reused (%v)", k, err)
 		}
-		return rs.Rows[0][0].Blob
+		requireReplicasMatch(t, n)
 	}
 
 	if _, err := c.Exec("UPDATE kvdata SET v = ? WHERE k = ?", sql.Blob(blob('A')), sql.Text("a")); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if !bytes.Equal(onReplica(i, "a"), blob('A')) {
-			t.Fatalf("replica %d kept bytes of a request buffer that has been reused", i)
-		}
-	}
+	holds("a", blob('A'))
 	// More traffic, of the same shape, through the same buffers.
 	for i := 0; i < 50; i++ {
 		if _, err := c.Query("SELECT v FROM kvdata WHERE k = ?", sql.Text("a")); err != nil {
@@ -71,11 +131,8 @@ func TestOwnershipExecOutlivesRequestAndLogIsImmutable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		if !bytes.Equal(onReplica(i, "a"), blob('A')) || !bytes.Equal(onReplica(i, "b"), blob('B')) {
-			t.Fatalf("replica %d does not hold the updates as they were proposed", i)
-		}
-	}
+	holds("a", blob('A'))
+	holds("b", blob('B'))
 	// And through the front: the leader serves what was written.
 	rs, err := c.Query("SELECT v FROM kvdata WHERE k = ?", sql.Text("a"))
 	if err != nil || len(rs.Rows) != 1 || !bytes.Equal(rs.Rows[0][0].Blob, blob('A')) {
@@ -83,14 +140,16 @@ func TestOwnershipExecOutlivesRequestAndLogIsImmutable(t *testing.T) {
 	}
 }
 
-// TestReplicaRowOwnership pins the row a replicated write shares
-// (plan.NewReplicas): every follower re-executes the write and encodes
-// its rows, but stores the leader's row, so right after each INSERT and
-// UPDATE every follower's store lends the leader's backing array, with
-// the same bytes. The writes are a seeded mix of one- and two-row
-// INSERTs, point UPDATEs and UPDATEs of every row of a group (a scan
-// that writes several rows per statement), with flushes between them that
-// move the rows out of the memtables into each replica's own pages.
+// TestReplicaRowOwnership pins what replication ships: the
+// leader's puts, which every follower's store applies as they are, with
+// no read of its own. Right after each INSERT and UPDATE every follower
+// lends the leader's row for each key written — the same bytes in the
+// same backing array, at the same version — and every follower holds
+// exactly what the leader holds.
+// The writes are a seeded mix of one- and two-row INSERTs, point UPDATEs
+// and UPDATEs of every row of a group (a scan that writes several rows
+// per statement), with flushes between them that move the rows out of the
+// memtables into each replica's own pages.
 func TestReplicaRowOwnership(t *testing.T) {
 	n := NewNode(Config{Replicas: 3, BlockCacheBytes: 1 << 20})
 	c := NewClient(reusingConn{n.Server()})
@@ -126,6 +185,7 @@ func TestReplicaRowOwnership(t *testing.T) {
 	writes := 0
 	for i := 0; i < 400; i++ {
 		var written []sql.Value
+		was := storeStats(n)
 		switch r := rng.Intn(4); {
 		case len(keys) < 4 || r == 0:
 			written = insert()
@@ -142,34 +202,116 @@ func TestReplicaRowOwnership(t *testing.T) {
 			}
 			written = []sql.Value{k}
 		}
+		requirePutsOnly(t, n, was)
 		for _, k := range written {
 			// The row's key, as plan lays it out: t/<table>/<pk-bytes>.
-			rk := k.AppendKeyBytes([]byte("t/kvdata/"))
-			lead, _, ok := n.dbs[0].Store().Get(rk)
-			if !ok {
-				t.Fatalf("write %d: the leader has no row %v", i, k)
-			}
-			for r := 1; r < len(n.dbs); r++ {
-				row, _, ok := n.dbs[r].Store().Get(rk)
-				if !ok || !bytes.Equal(row, lead) {
-					t.Fatalf("write %d: replica %d's row %v differs from the leader's", i, r, k)
-				}
-				if unsafe.SliceData(row) != unsafe.SliceData(lead) {
-					t.Fatalf("write %d: replica %d keeps a copy of row %v, not the leader's", i, r, k)
-				}
-			}
+			requireLeaderRow(t, n, k.AppendKeyBytes([]byte("t/kvdata/")))
 			writes++
 		}
 		if i%25 == 24 {
-			for _, db := range n.dbs {
-				db.Store().DataBytes() // flushes the memtable
+			requireReplicasMatch(t, n)
+			for _, st := range n.stores {
+				st.DataBytes() // flushes the memtable
 			}
 		}
 	}
-	if err := n.firstApplyErr(); err != nil {
-		t.Fatal(err)
-	}
+	requireReplicasMatch(t, n)
 	if writes < 400 {
 		t.Fatalf("only %d rows written", writes)
+	}
+}
+
+// TestOwnershipFailedWriteProposesNothing: a write that fails on the
+// leader — a duplicate primary key, an unknown table, a two-row INSERT
+// whose second row is a duplicate — puts nothing on any replica, the
+// leader included, and ships nothing.
+func TestOwnershipFailedWriteProposesNothing(t *testing.T) {
+	n := NewNode(Config{Replicas: 3, BlockCacheBytes: 1 << 20})
+	c := NewClient(reusingConn{n.Server()})
+	if _, err := c.Exec("CREATE TABLE kvdata (k TEXT PRIMARY KEY, v BLOB)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec("INSERT INTO kvdata (k, v) VALUES ('a', ?)", sql.Blob([]byte("first"))); err != nil {
+		t.Fatal(err)
+	}
+	ships := n.group.Stats().Ships
+	state := make([][]kv.Item, len(n.stores))
+	for i, st := range n.stores {
+		state[i] = st.Scan(nil, nil)
+	}
+	for _, w := range []struct {
+		src    string
+		params []sql.Value
+		want   string
+	}{
+		{"INSERT INTO kvdata (k, v) VALUES ('a', ?)", []sql.Value{sql.Blob([]byte("again"))}, plan.ErrDuplicateKey.Error()},
+		{"INSERT INTO nosuch (k, v) VALUES ('b', ?)", []sql.Value{sql.Blob([]byte("lost"))}, "no such table"},
+		{"INSERT INTO kvdata (k, v) VALUES ('b', ?), ('a', ?)", []sql.Value{sql.Blob([]byte("b")), sql.Blob([]byte("a"))}, plan.ErrDuplicateKey.Error()},
+		{"INSERT INTO kvdata (k, v) VALUES ('c', ?), ('c', ?)", []sql.Value{sql.Blob([]byte("c")), sql.Blob([]byte("c"))}, plan.ErrDuplicateKey.Error()},
+	} {
+		if _, err := c.Exec(w.src, w.params...); err == nil || !strings.Contains(err.Error(), w.want) {
+			t.Fatalf("%s: err = %v, want %q", w.src, err, w.want)
+		}
+		if got := n.group.Stats().Ships; got != ships {
+			t.Fatalf("%s: %d ships after the failure, want %d", w.src, got, ships)
+		}
+		for i, st := range n.stores {
+			if got := st.Scan(nil, nil); !reflect.DeepEqual(got, state[i]) {
+				t.Fatalf("%s: replica %d changed: %d items, was %d", w.src, i, len(got), len(state[i]))
+			}
+		}
+	}
+	// The leader's next statement still runs and replicates.
+	if _, err := c.Exec("INSERT INTO kvdata (k, v) VALUES ('b', ?)", sql.Blob([]byte("b"))); err != nil {
+		t.Fatal(err)
+	}
+	requireLeaderRow(t, n, sql.Text("b").AppendKeyBytes([]byte("t/kvdata/")))
+	requireReplicasMatch(t, n)
+}
+
+// TestOwnershipIndexedInsertReplicatesLeaderRow: DDL runs on the
+// leader's catalog only, and what an index adds to a follower is the
+// leader's puts. CREATE INDEX over existing rows ships the leader's
+// backfilled entries, and an INSERT into the indexed table leaves every
+// follower holding the leader's row (its backing array) and the row's
+// index entry, each at the leader's version; no follower reads to apply
+// either.
+func TestOwnershipIndexedInsertReplicatesLeaderRow(t *testing.T) {
+	n := NewNode(Config{Replicas: 3, BlockCacheBytes: 1 << 20})
+	c := NewClient(reusingConn{n.Server()})
+	if _, err := c.Exec("CREATE TABLE notes (k TEXT PRIMARY KEY, v TEXT, tag TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"k1", "k2"} {
+		if _, err := c.Exec("INSERT INTO notes (k, v, tag) VALUES (?, ?, ?)", sql.Text(k), sql.Text("v"), sql.Text("t-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	was := storeStats(n)
+	if _, err := c.Exec("CREATE INDEX notes_tag ON notes (tag)"); err != nil {
+		t.Fatal(err)
+	}
+	requirePutsOnly(t, n, was)
+	was = storeStats(n)
+	if _, err := c.Exec("INSERT INTO notes (k, v, tag) VALUES (?, ?, ?)", sql.Text("k3"), sql.Text("v3"), sql.Text("t-k3")); err != nil {
+		t.Fatal(err)
+	}
+	requirePutsOnly(t, n, was)
+	requireLeaderRow(t, n, sql.Text("k3").AppendKeyBytes([]byte("t/notes/")))
+	index := n.stores[0].Scan([]byte("x/notes/notes_tag/"), []byte("x/notes/notes_tag0"))
+	if len(index) != 3 {
+		t.Fatalf("the leader holds %d index entries, want 3", len(index))
+	}
+	for _, en := range index {
+		for r, st := range n.stores[1:] {
+			if _, ver, ok := st.Get(en.Key); !ok || ver != en.Version {
+				t.Fatalf("replica %d: index entry %q at version %d (held %v), the leader's at %d", r+1, en.Key, ver, ok, en.Version)
+			}
+		}
+	}
+	requireReplicasMatch(t, n)
+	rs, err := c.Query("SELECT k FROM notes WHERE tag = ?", sql.Text("t-k3"))
+	if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != "k3" {
+		t.Fatalf("index read: %v, %v", rs, err)
 	}
 }

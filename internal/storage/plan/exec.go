@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"cachecost/internal/storage/kv"
+	"cachecost/internal/storage/raft"
 	"cachecost/internal/storage/sql"
 )
 
@@ -53,34 +54,12 @@ type DB struct {
 	outRows [][]sql.Value
 	outVals []sql.Value
 
-	// A replica set's row share (NewReplicas) and this DB's place in the
-	// set, replica 0 the leader; share is nil for a DB NewDB built. A
-	// follower encodes its rows into rowBuf and counts them in rowAt, the
-	// position of its next row in the share.
-	share   *rowShare
-	replica int
-	rowBuf  []byte
-	rowAt   int
-}
-
-// rowShare holds the rows the leader of a replica set put during the
-// statement the set is applying, in put order. Stored values are
-// immutable (kv.Store.Put keeps the slice and nothing writes into it),
-// so a follower whose row encodes to the same bytes stores the leader's
-// slice instead of a copy of its own.
-type rowShare struct {
-	rows [][]byte
-	last int // the replica whose statement ends the set's: it empties rows
-}
-
-// reset empties the share, zeroed so no row of it stays reachable, and
-// keeps its array unless it grew too large.
-func (s *rowShare) reset() {
-	clear(s.rows)
-	s.rows = s.rows[:0]
-	if cap(s.rows) > maxKeptVals {
-		s.rows = nil
-	}
+	// A statement's writes, in order: puts holds each row and index entry
+	// it writes, its key copied into keys. Exec applies them to the store
+	// once the statement has succeeded, and they stay the DB's own until
+	// its next statement (Puts).
+	puts []raft.Command
+	keys []byte
 }
 
 // maxKeptVals bounds the row arena a DB keeps between statements: a large
@@ -98,7 +77,6 @@ func (db *DB) rowVals(n int) []sql.Value {
 
 // release ends a statement: the arena and the matched rows are zeroed,
 // so no row of it stays reachable, and kept unless they grew too large.
-// A replica set's last replica empties the share as well.
 func (db *DB) release() {
 	clear(db.vals)
 	clear(db.rows)
@@ -106,13 +84,10 @@ func (db *DB) release() {
 	if cap(db.vals) > maxKeptVals {
 		db.vals, db.rows = nil, nil
 	}
-	if db.share != nil && db.replica == db.share.last {
-		db.share.reset()
-	}
 }
 
-// begin starts a statement: the last one's result is zeroed, and its
-// arrays kept unless they grew too large.
+// begin starts a statement: the last one's result and writes are zeroed,
+// and their arrays kept unless they grew too large.
 func (db *DB) begin() {
 	clear(db.each)
 	clear(db.outCols)
@@ -123,12 +98,10 @@ func (db *DB) begin() {
 		db.each, db.outCols, db.outRows, db.outVals = nil, nil, nil, nil
 	}
 	db.res = ResultSet{}
-	// A follower counts its rows from the share's first. The leader starts
-	// the set's statement and drops a share the last replica never ended
-	// (a statement that stopped before that replica ran it).
-	db.rowAt = 0
-	if db.share != nil && db.replica == 0 {
-		db.share.reset()
+	clear(db.puts)
+	db.puts, db.keys = db.puts[:0], db.keys[:0]
+	if cap(db.puts) > maxKeptVals {
+		db.puts, db.keys = nil, nil
 	}
 }
 
@@ -144,48 +117,30 @@ func NewDB(store *kv.Store) *DB {
 	return &DB{cat: NewCatalog(), store: store}
 }
 
-// NewReplicas returns one DB per store, each with an empty catalog, that
-// share one statement's rows: stores[0]'s DB is the leader. Every replica
-// executes each statement itself, the leader first and then the
-// followers in order, with no other statement on any of them in between.
-// A follower encodes every row it writes, as the leader does, but stores
-// the leader's row in its place when the two are equal byte for byte,
-// so a replicated write keeps one row, not one per replica. The last
-// replica's statement empties the share.
-func NewReplicas(stores []*kv.Store) []*DB {
-	share := &rowShare{last: len(stores) - 1}
-	dbs := make([]*DB, len(stores))
-	for i, st := range stores {
-		dbs[i] = NewDB(st)
-		dbs[i].share, dbs[i].replica = share, i
-	}
-	return dbs
+// put records a write of value at key, the key copied into the
+// statement's arena, for Exec to apply once the statement has succeeded.
+// The store keeps value itself (kv.Store.Put), as does every follower's.
+func (db *DB) put(key, value []byte) {
+	at := len(db.keys)
+	db.keys = append(db.keys, key...)
+	db.puts = append(db.puts, raft.Command{Op: raft.OpPut, Key: db.keys[at:len(db.keys):len(db.keys)], Value: value})
 }
 
-// putRow stores vals, encoded, as the row at key. A DB outside a replica
-// set and a set's leader store a fresh buffer, which the leader records
-// in the share. A follower encodes into its scratch and stores the
-// leader's row at the same position if its bytes are equal, otherwise a
-// copy of its own (also where the leader recorded no row).
-func (db *DB) putRow(key []byte, vals []sql.Value) {
-	if db.share == nil || db.replica == 0 {
-		row := encodeRow(nil, vals)
-		if db.share != nil {
-			db.share.rows = append(db.share.rows, row)
+// putting reports whether the statement has already recorded a write at
+// key.
+func (db *DB) putting(key []byte) bool {
+	for _, p := range db.puts {
+		if bytes.Equal(p.Key, key) {
+			return true
 		}
-		db.store.Put(key, row)
-		return
 	}
-	db.rowBuf = encodeRow(db.rowBuf[:0], vals)
-	row, at := db.rowBuf, db.rowAt
-	db.rowAt++
-	if at < len(db.share.rows) && bytes.Equal(db.share.rows[at], row) {
-		row = db.share.rows[at]
-	} else {
-		row = bytes.Clone(row)
-	}
-	db.store.Put(key, row)
+	return false
 }
+
+// Puts returns the writes of the DB's last statement, in the order it
+// applied them: what replication ships to the followers. They are the
+// DB's own until its next statement; a failed statement has none.
+func (db *DB) Puts() []raft.Command { return db.puts }
 
 // Catalog returns the schema catalog.
 func (db *DB) Catalog() *Catalog { return db.cat }
@@ -212,10 +167,24 @@ func (db *DB) ExecSQL(src string, params ...sql.Value) (*ResultSet, error) {
 // Exec executes a parsed statement with bound parameters. The ResultSet
 // is the DB's own, valid until the DB's next statement: a caller that
 // keeps any of it past that copies it. A SELECT's TEXT and BLOB values
-// alias rows the store lent, which it never rewrites.
+// alias rows the store lent, which it never rewrites. A write applies
+// all its puts or, when it fails, none.
 func (db *DB) Exec(stmt sql.Stmt, params []sql.Value) (*ResultSet, error) {
 	db.begin()
 	defer db.release()
+	rs, err := db.exec(stmt, params)
+	if err != nil {
+		clear(db.puts)
+		db.puts = db.puts[:0]
+		return nil, err
+	}
+	for _, p := range db.puts {
+		db.store.Put(p.Key, p.Value)
+	}
+	return rs, nil
+}
+
+func (db *DB) exec(stmt sql.Stmt, params []sql.Value) (*ResultSet, error) {
 	switch st := stmt.(type) {
 	case *sql.CreateTableStmt:
 		_, err := db.cat.Define(st)
@@ -274,7 +243,7 @@ func (db *DB) execCreateIndex(st *sql.CreateIndexStmt) (*ResultSet, error) {
 		if vals[col].IsNull() {
 			continue
 		}
-		db.store.Put(indexKey(t.Name, st.Name, vals[col], vals[t.PKIndex]), nil)
+		db.put(indexKey(t.Name, st.Name, vals[col], vals[t.PKIndex]), nil)
 		n++
 	}
 	return db.wrote(n), nil
@@ -320,14 +289,14 @@ func (db *DB) execInsert(st *sql.InsertStmt, params []sql.Value) (*ResultSet, er
 		}
 		var kb [64]byte
 		key := rowKey(kb[:0], t.Name, pk)
-		if _, _, exists := db.store.Get(key); exists {
+		if _, _, exists := db.store.Get(key); exists || db.putting(key) {
 			return nil, fmt.Errorf("%w: %s in %q", ErrDuplicateKey, pk, t.Name)
 		}
-		db.putRow(key, vals)
+		db.put(key, encodeRow(vals))
 		for idxName, idxCol := range t.Indexes {
 			cv := vals[t.ColIndex(idxCol)]
 			if !cv.IsNull() {
-				db.store.Put(indexKey(t.Name, idxName, cv, pk), nil)
+				db.put(indexKey(t.Name, idxName, cv, pk), nil)
 			}
 		}
 		n++
@@ -373,7 +342,7 @@ func (db *DB) execUpdate(st *sql.UpdateStmt, params []sql.Value) (*ResultSet, er
 			newVals[setPos[i]] = v
 		}
 		var kb [64]byte
-		db.putRow(rowKey(kb[:0], t.Name, pk), newVals)
+		db.put(rowKey(kb[:0], t.Name, pk), encodeRow(newVals))
 		n++
 	}
 	return db.wrote(n), nil

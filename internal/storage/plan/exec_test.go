@@ -1,11 +1,9 @@
 package plan
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"cachecost/internal/storage/kv"
 	"cachecost/internal/storage/sql"
@@ -464,72 +462,5 @@ func BenchmarkIndexSelect(b *testing.B) {
 		if _, err := db.ExecSQL("SELECT id FROM t WHERE grp = ?", sql.Int64(int64(i%100))); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestReplicaRowOwnershipDiverged: in a NewReplicas set, a follower
-// stores the leader's row only where its own encodes to the same bytes.
-// A follower that runs a different statement keeps its own copy, with
-// its own bytes, as does one whose leader recorded no row; a follower
-// that runs the leader's statement shares the leader's row. The last
-// replica's statement leaves the share empty.
-func TestReplicaRowOwnershipDiverged(t *testing.T) {
-	stores := make([]*kv.Store, 3)
-	for i := range stores {
-		stores[i] = kv.NewStore(kv.Config{PageBytes: 4096, CacheBytes: 1 << 20})
-	}
-	dbs := NewReplicas(stores)
-	for _, db := range dbs {
-		mustExec(t, db, "CREATE TABLE kvdata (k TEXT PRIMARY KEY, v TEXT)")
-	}
-	row := func(db *DB, k string) []byte {
-		t.Helper()
-		var kb [64]byte
-		b, _, ok := db.store.Get(rowKey(kb[:0], "kvdata", sql.Text(k)))
-		if !ok {
-			t.Fatalf("no row %q", k)
-		}
-		return b
-	}
-	same := func(a, b []byte) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
-
-	// The set applies one statement: the leader's, a diverging follower's,
-	// then the last replica's, which is the leader's again.
-	mustExec(t, dbs[0], "INSERT INTO kvdata (k, v) VALUES ('a', 'leader')")
-	mustExec(t, dbs[1], "INSERT INTO kvdata (k, v) VALUES ('a', 'follower')")
-	mustExec(t, dbs[2], "INSERT INTO kvdata (k, v) VALUES ('a', 'leader')")
-	lead, own, shared := row(dbs[0], "a"), row(dbs[1], "a"), row(dbs[2], "a")
-	if same(own, lead) || bytes.Equal(own, lead) {
-		t.Fatal("a follower that ran another statement stores the leader's row")
-	}
-	if rs := mustExec(t, dbs[1], "SELECT v FROM kvdata WHERE k = 'a'"); rs.Rows[0][0].Str != "follower" {
-		t.Fatalf("the diverging follower reads %v", rs.Rows[0][0])
-	}
-	if !same(shared, lead) || !bytes.Equal(shared, lead) {
-		t.Fatal("a follower that ran the leader's statement keeps a copy of its own")
-	}
-	if len(dbs[0].share.rows) != 0 {
-		t.Fatalf("the last replica left %d rows in the share", len(dbs[0].share.rows))
-	}
-
-	// The leader's UPDATE matches no row, so it records none: a follower
-	// that writes one stores its own, a copy of its encode scratch, which
-	// the set's next statement reuses.
-	mustExec(t, dbs[0], "UPDATE kvdata SET v = 'x' WHERE k = 'b'")
-	mustExec(t, dbs[1], "INSERT INTO kvdata (k, v) VALUES ('b', 'follower')")
-	mustExec(t, dbs[2], "UPDATE kvdata SET v = 'x' WHERE k = 'b'")
-	for _, db := range dbs {
-		mustExec(t, db, "INSERT INTO kvdata (k, v) VALUES ('c', 'scratch!')")
-	}
-	if rs := mustExec(t, dbs[1], "SELECT v FROM kvdata WHERE k = 'b'"); len(rs.Rows) != 1 || rs.Rows[0][0].Str != "follower" {
-		t.Fatalf("the follower's own row reads %v", rs.Rows)
-	}
-	if !same(row(dbs[1], "c"), row(dbs[0], "c")) {
-		t.Fatal("after diverging, a follower no longer shares the leader's rows")
-	}
-
-	// A DB NewDB built shares nothing.
-	if db := newTestDB(t); db.share != nil {
-		t.Fatal("NewDB built a DB with a row share")
 	}
 }

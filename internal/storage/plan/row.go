@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"slices"
 
 	"cachecost/internal/freelist"
 	"cachecost/internal/rpc"
@@ -62,15 +61,15 @@ func prefixEnd(prefix []byte) []byte {
 	return nil // prefix is all 0xff: no upper bound
 }
 
-// encodeRow appends the encoding of vals (one per table column, in schema
-// order) to dst, grown first so the encode never grows it again: with a
-// nil dst, a buffer of the row's own, which the store keeps (putRow).
-func encodeRow(dst []byte, vals []sql.Value) []byte {
+// encodeRow returns the encoding of vals (one per table column, in
+// schema order) in a buffer of the row's own, sized so the encode never
+// grows it: the row every replica's store keeps (DB.put).
+func encodeRow(vals []sql.Value) []byte {
 	size := 16
 	for _, v := range vals {
 		size += int(v.Size())
 	}
-	return wire.Append(slices.Grow(dst, size), func(e *wire.Encoder) {
+	return wire.Append(make([]byte, 0, size), func(e *wire.Encoder) {
 		for i, v := range vals {
 			sql.EncodeValue(e, uint32(i+1), v)
 		}

@@ -3,7 +3,9 @@
 //
 //   - Every write is shipped to the N_r−1 followers and applied on all
 //     N_r replicas: each ship burns a fixed per-message cost plus a
-//     per-byte cost for the marshalled command.
+//     per-byte cost for the proposal's commands. A proposal carries the
+//     key-value puts one statement made on the leader, which parsed and
+//     executed it; a follower applies the puts and runs no SQL.
 //   - Every local read validates the leader's lease first, a small
 //     per-read burn that §5.5 identifies as part of the storage-side cost
 //     of even a "minimal" version check.
@@ -11,7 +13,7 @@
 // The group is a fixed leader (replica 0) and its followers, all
 // reachable: no failure the experiments inject reaches the replication
 // layer, so elections, terms and a retained log would price nothing.
-// A proposal holds its command only until Propose returns.
+// A proposal holds its commands only until Propose returns.
 package raft
 
 import (
@@ -31,26 +33,19 @@ type Command struct {
 	Value []byte
 }
 
-// StateMachine is the replicated application (the kv.Store in this
-// repository). Apply must be deterministic.
+// StateMachine is the replicated application (a follower's kv.Store in
+// this repository). Apply must be deterministic.
 type StateMachine interface {
 	Apply(cmd Command)
-}
-
-// ContextApplier is the optional StateMachine extension for appliers that
-// meter their work on the proposing request's lane: when implemented,
-// ApplyCtx is called instead of Apply, with the proposal's span context.
-type ContextApplier interface {
-	ApplyCtx(sc trace.SpanContext, cmd Command)
 }
 
 // The modeled work, in Burner units.
 const (
 	// replicationPerMsg is the fixed work per AppendEntries message.
 	replicationPerMsg = 2048
-	// replicationPerByte is charged per byte shipped to one follower (the
-	// entry is already marshalled; followers pay transfer and append, not
-	// SQL work).
+	// replicationPerByte is charged per byte shipped to one follower: the
+	// puts' keys and values, which the follower appends as they are; it
+	// pays transfer and append, not SQL work.
 	replicationPerByte = 0.25
 	// leaseCheckWork validates the leader lease on a read: small, but
 	// per-read, which is the point of §5.5.
@@ -82,7 +77,9 @@ type Group struct {
 }
 
 // NewGroup creates a group of cfg.Replicas replicas, each applying
-// committed commands to the state machine produced by newSM.
+// committed commands to the state machine produced by newSM. A nil state
+// machine applies nothing: a leader that applied its writes as it made
+// them.
 func NewGroup(cfg Config, newSM func(id int) StateMachine) *Group {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
@@ -104,24 +101,28 @@ func (g *Group) burn(l *meter.Lane, work int) {
 }
 
 // Propose replicates cmd through the leader and returns its commit index.
-// The cost charged is proportional to command size times the number of
-// followers, plus the apply on every replica. The error is always nil:
-// every replica is reachable.
+// The error is always nil: every replica is reachable.
 func (g *Group) Propose(cmd Command) (int, error) {
-	return g.ProposeCtx(trace.SpanContext{}, cmd)
+	return g.ProposeCtx(trace.SpanContext{}, cmd), nil
 }
 
-// ProposeCtx is Propose carrying the caller's span context: the proposal
-// is recorded as a "storage.raft" propose span annotated with the
-// replication fan-out (raft.fanout = N_r−1 AppendEntries ships), each
-// ship and each replica apply (the leader's first) as child spans, and
-// the ships feed the trace's raft-ship counter.
-func (g *Group) ProposeCtx(sc trace.SpanContext, cmd Command) (int, error) {
+// ProposeCtx replicates cmds as one proposal, carrying the caller's span
+// context, and returns its commit index. The cost charged is one ship per
+// follower, proportional to the commands' bytes, plus the apply of every
+// command on every replica, which the state machine (kv.Store) meters
+// itself. The proposal is recorded as a "storage.raft" propose span
+// annotated with the replication fan-out (raft.fanout = N_r−1
+// AppendEntries ships), each ship and each replica apply (the leader's
+// first) as child spans, and the ships feed the trace's raft-ship counter.
+func (g *Group) ProposeCtx(sc trace.SpanContext, cmds ...Command) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.proposals++
 	act, psc := trace.Start(sc, "storage.raft", "propose")
-	size := len(cmd.Key) + len(cmd.Value) + 16
+	size := 16
+	for _, cmd := range cmds {
+		size += len(cmd.Key) + len(cmd.Value)
+	}
 	ships := int64(len(g.sms) - 1)
 	for id := 1; id < len(g.sms); id++ {
 		shipAct, _ := trace.Start(psc, "storage.raft", "ship")
@@ -134,19 +135,17 @@ func (g *Group) ProposeCtx(sc trace.SpanContext, cmd Command) (int, error) {
 	g.ships += ships
 	act.AnnotateInt("raft.fanout", ships)
 	for id, sm := range g.sms {
-		// The state machine itself (kv.Store) meters its own work; no
-		// extra burn here.
 		applyAct, _ := trace.Start(psc, "storage.raft", "apply")
 		applyAct.AnnotateInt("raft.replica", int64(id))
-		if ca, ok := sm.(ContextApplier); ok {
-			ca.ApplyCtx(psc, cmd)
-		} else if sm != nil {
-			sm.Apply(cmd)
+		if sm != nil {
+			for _, cmd := range cmds {
+				sm.Apply(cmd)
+			}
 		}
 		applyAct.End()
 	}
 	act.End()
-	return int(g.proposals), nil
+	return int(g.proposals)
 }
 
 // ValidateLeaseCtx is the check the leader makes before serving a local

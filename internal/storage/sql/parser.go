@@ -27,8 +27,8 @@ func (e *ParseError) Error() string {
 func Parse(src string) (Stmt, error) { return parse(src, nil) }
 
 // Scratch is the reusable AST of one statement at a time. A caller that
-// parses statement after statement — a storage node's request, each
-// replica's applier — parses into its own Scratch, and a SELECT or UPDATE
+// parses statement after statement — a storage node's request — parses
+// into its own Scratch, and a SELECT or UPDATE
 // then reuses the Scratch's statement node and slices instead of
 // allocating them. The zero value is ready to use.
 //

@@ -29,8 +29,8 @@ func newLoopbackNode(t testing.TB) (*Node, *Client) {
 			t.Fatal(err)
 		}
 	}
-	for _, db := range n.dbs {
-		db.Store().DataBytes() // flushes the memtable
+	for _, st := range n.stores {
+		st.DataBytes() // flushes the memtable
 	}
 	return n, NewClient(rpc.NewLoopback(n.Server(), nil, meter.NewBurner(), rpc.CostModel{}))
 }
@@ -44,12 +44,12 @@ func newLoopbackNode(t testing.TB) (*Node, *Client) {
 // node's next statement; the client decodes it into a pooled set that
 // borrows the response until Release. A version check builds its SELECT
 // on the stack and parses it into the node's scratch. A replicated UPDATE
-// is parsed four times: once by the front end, then by each of the three
-// replicas' appliers, each into its own scratch. What it keeps is one new
-// row, the leader's, which every follower's store shares (a follower
-// encodes into its own scratch); the rest is the client's statement
-// encode and the loopback hop. The replicas' memtable maps do not regrow:
-// the set-up flush empties them and keeps their storage.
+// is parsed and executed once, on the leader, which records its put in
+// the DB's reused put list and key arena; the followers' stores apply
+// that put. What it keeps is one new row, the leader's, which every
+// follower's store shares; the rest is the client's statement encode and
+// the loopback hop. The replicas' memtable maps do not regrow: the set-up
+// flush empties them and keeps their storage.
 func TestStatementAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
@@ -116,7 +116,7 @@ func TestStatementAllocs(t *testing.T) {
 
 // TestConcurrentStatementsShareNodeScratch drives the node's shared
 // per-statement state — the request decoded in place, the text table,
-// the appliers' requests, the pooled parser — from many goroutines at
+// the leader DB's put list, the pooled parser — from many goroutines at
 // once: reads, writes and batches, with more distinct statement texts
 // than the text table holds. Each goroutine owns its keys, so every read
 // must return exactly what that goroutine last wrote. Run it with -race.
@@ -173,31 +173,26 @@ func TestConcurrentStatementsShareNodeScratch(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if err := n.firstApplyErr(); err != nil {
-		t.Fatal(err)
-	}
-	if len(n.texts) > maxStmtTexts {
-		t.Fatalf("text table holds %d texts, bound %d", len(n.texts), maxStmtTexts)
+	if len(n.req.texts) > maxStmtTexts {
+		t.Fatalf("text table holds %d texts, bound %d", len(n.req.texts), maxStmtTexts)
 	}
 }
 
 // TestConcurrentWritesReuseReplicaScratch drives what a write reuses
-// instead of allocating — the node's and every applier's request and
-// statement scratch, each replica's row arena and result, the pooled
-// command buffer, rows the store lends — and the TEXT parameters that
-// alias the request and the command, from many goroutines at once, while
-// another goroutine flushes every replica's memtable under the lent rows.
-// Updates set the unindexed TEXT column v, so a written value travels as
-// an aliased TEXT into the row encode; inserts add rows whose TEXT tag is
-// indexed, so it travels into the index keys too. Every read must return
-// what its goroutine last wrote — by key, by index and in a batch, on the
-// leader and then on every replica — and once the traffic
-// stops no scratch, nor the row share the replicas' stores take the
-// leader's rows from, may still hold a piece of a statement. The transport
-// overwrites each request the moment its handler returns; run the test
-// with -race, and rpc.PutBuffer poisons the command and response buffers
-// it recycles too, so an alias that outlived its statement reads as
-// poison.
+// instead of allocating — the node's request and statement scratch, the
+// leader DB's row arena, result, put list and key arena, rows the store
+// lends — and the TEXT parameters that alias the request, from many
+// goroutines at once, while another goroutine flushes every replica's
+// memtable under the lent rows. Updates set the unindexed TEXT column v,
+// so a written value travels as an aliased TEXT into the row encode;
+// inserts add rows whose TEXT tag is indexed, so it travels into the
+// index keys too. Every read must return what its goroutine last wrote —
+// by key, by index and in a batch — every follower must hold exactly what
+// the leader holds, and once the traffic stops no scratch may still hold a
+// piece of a statement. The transport overwrites each request the moment
+// its handler returns; run the test with -race, and rpc.PutBuffer poisons
+// the response buffers it recycles too, so an alias that outlived its
+// statement reads as poison.
 func TestConcurrentWritesReuseReplicaScratch(t *testing.T) {
 	n := NewNode(Config{Replicas: 3, BlockCacheBytes: 1 << 20, Meter: meter.NewMeter()})
 	c := NewClient(reusingConn{n.Server()})
@@ -236,8 +231,8 @@ func TestConcurrentWritesReuseReplicaScratch(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(time.Millisecond):
-				for _, db := range n.dbs {
-					db.Store().DataBytes() // flushes the memtable
+				for _, st := range n.stores {
+					st.DataBytes() // flushes the memtable
 				}
 			}
 		}
@@ -296,58 +291,43 @@ func TestConcurrentWritesReuseReplicaScratch(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-flushed
-	if err := n.firstApplyErr(); err != nil {
-		t.Fatal(err)
-	}
 
-	for i, db := range n.dbs {
-		for g := range keys {
-			for j, key := range keys[g] {
-				rs, err := db.ExecSQL("SELECT v FROM notes WHERE k = ?", key)
-				if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != latest[g][j] {
-					t.Fatalf("replica %d, key %v: %v, %v; want %q", i, key, rs, err, latest[g][j])
-				}
+	db := n.LeaderDB()
+	for g := range keys {
+		for j, key := range keys[g] {
+			rs, err := db.ExecSQL("SELECT v FROM notes WHERE k = ?", key)
+			if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != latest[g][j] {
+				t.Fatalf("key %v: %v, %v; want %q", key, rs, err, latest[g][j])
 			}
-		}
-		rows := 0
-		for g := range tagged {
-			for tag, key := range tagged[g] {
-				rs, err := db.ExecSQL("SELECT k FROM notes WHERE tag = ?", sql.Text(tag))
-				if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != key {
-					t.Fatalf("replica %d, index entry %q: %v, %v; want %q", i, tag, rs, err, key)
-				}
-				rows++
-			}
-		}
-		if rs, err := db.ExecSQL("SELECT k FROM notes"); err != nil || len(rs.Rows) != rows {
-			t.Fatalf("replica %d holds %v rows (%v), want %d", i, rs, err, rows)
 		}
 	}
+	rows := 0
+	for g := range tagged {
+		for tag, key := range tagged[g] {
+			rs, err := db.ExecSQL("SELECT k FROM notes WHERE tag = ?", sql.Text(tag))
+			if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str != key {
+				t.Fatalf("index entry %q: %v, %v; want %q", tag, rs, err, key)
+			}
+			rows++
+		}
+	}
+	if rs, err := db.ExecSQL("SELECT k FROM notes"); err != nil || len(rs.Rows) != rows {
+		t.Fatalf("the leader holds %v rows (%v), want %d", rs, err, rows)
+	}
+	requireReplicasMatch(t, n)
 
-	// Quiescent: every request the node and its appliers decoded into,
-	// every statement scratch and every replica's row arena is empty to
-	// its capacity.
-	reqs := []reflect.Value{reflect.ValueOf(&n.req).Elem()}
-	sms := reflect.ValueOf(n.group).Elem().FieldByName("sms")
-	for i := 0; i < sms.Len(); i++ {
-		reqs = append(reqs, sms.Index(i).Elem().Elem().FieldByName("req"))
-	}
-	for i, q := range reqs {
-		for _, f := range []string{"SQL", "Params", "stmt"} {
-			if !zeroToCap(q.FieldByName(f)) {
-				t.Errorf("request %d (0 is the node's) still holds its %s", i, f)
-			}
+	// Quiescent: the request the node decoded into, its statement scratch
+	// and the leader DB's row arena are empty to their capacity.
+	q := reflect.ValueOf(&n.req).Elem()
+	for _, f := range []string{"SQL", "Params", "stmt"} {
+		if !zeroToCap(q.FieldByName(f)) {
+			t.Errorf("the node's request still holds its %s", f)
 		}
 	}
-	for i, db := range n.dbs {
-		for _, f := range []string{"vals", "rows"} {
-			if !zeroToCap(reflect.ValueOf(db).Elem().FieldByName(f)) {
-				t.Errorf("replica %d's DB still holds rows in its %s", i, f)
-			}
+	for _, f := range []string{"vals", "rows"} {
+		if !zeroToCap(reflect.ValueOf(db).Elem().FieldByName(f)) {
+			t.Errorf("the leader's DB still holds rows in its %s", f)
 		}
-	}
-	if share := reflect.ValueOf(n.dbs[0]).Elem().FieldByName("share").Elem(); !zeroToCap(share.FieldByName("rows")) {
-		t.Error("the replicas' row share still holds a row")
 	}
 }
 
