@@ -97,7 +97,18 @@ func TestMeteringConservation(t *testing.T) {
 // ship bytes alone: put bytes instead of statement bytes, 47 B fewer a
 // write here, so 2376 units fewer over the stream on every architecture
 // (92 230 752, 61 076 536 and 33 482 100).
+//
+// Each component's modeled units (meter.ComponentSnapshot.Units) are
+// pinned too. They were counted on the engine that still burned every
+// statement's front-end work, lease, ships and disk penalties under the
+// storage node's lock, and moving those burns out of it moved no unit:
+// the sum is each architecture's Burner total above.
 func TestMeteredOpsUnchanged(t *testing.T) {
+	wantUnits := map[Arch]map[string]int64{
+		Base:   {"app": 17568512, "storage.kv": 2823984, "storage.raft": 1013120, "storage.rpc": 21673136, "storage.sql": 49152000},
+		Remote: {"app": 22480444, "remotecache": 11016932, "storage.kv": 2823984, "storage.raft": 675200, "storage.rpc": 7368296, "storage.sql": 16711680},
+		Linked: {"app": 10825262, "storage.kv": 2823984, "storage.raft": 639872, "storage.rpc": 5872790, "storage.sql": 13320192},
+	}
 	want := map[Arch]map[string]int64{
 		Base:   {"app": 5000, "storage.exec": 1000, "storage.kv": 1324, "storage.raft": 1108, "storage.rpc": 2000, "storage.sql": 3000},
 		Remote: {"app": 6144, "remotecache": 3696, "storage.exec": 340, "storage.kv": 664, "storage.raft": 448, "storage.rpc": 680, "storage.sql": 1020},
@@ -129,6 +140,9 @@ func TestMeteredOpsUnchanged(t *testing.T) {
 			for _, c := range snap {
 				if c.Ops != ops[c.Name] {
 					t.Errorf("%s: %d ops, want %d", c.Name, c.Ops, ops[c.Name])
+				}
+				if c.Units != wantUnits[arch][c.Name] {
+					t.Errorf("%s: %d modeled units, want %d", c.Name, c.Units, wantUnits[arch][c.Name])
 				}
 			}
 		})

@@ -178,8 +178,8 @@ func (s *service[V]) write(l *lane[V], sc trace.SpanContext, key string, payload
 }
 
 // readOutSize is the reply room a read reserves: a digest answer and its
-// framing fit, so a pooled ack-sized buffer is replaced in one step rather
-// than grown field by field.
+// framing fit, so the reply takes a small-class transport buffer and
+// never grows field by field.
 const readOutSize = 64
 
 // encodeReadOut encodes the GetResponse shape {1: found, 2: answer} into a
@@ -196,9 +196,13 @@ func (s *service[V]) encodeReadOut(found bool, v V, held []byte) (out []byte, n 
 	return out, n
 }
 
-// encodeAck encodes the write ack shape {1: ok}.
+// ackSize is the length of an encoded write ack: one tag, one bool.
+const ackSize = 2
+
+// encodeAck encodes the write ack shape {1: ok}, into a small-class
+// transport buffer.
 func encodeAck(ok bool) []byte {
-	return wire.Append(rpc.GetBuffer(), func(e *wire.Encoder) { e.Bool(1, ok) })
+	return wire.Append(rpc.GetBufferCap(ackSize), func(e *wire.Encoder) { e.Bool(1, ok) })
 }
 
 // fieldBytes scans a wire message for length-delimited field want and

@@ -99,19 +99,29 @@ func (l *Lane) EnterOp(c *Component) {
 // a lane the burn is a lap of it; code with no request context (l == nil)
 // times the burn on c's clock itself. A nil c does nothing.
 func (l *Lane) Burn(c *Component, b *Burner, work int) {
+	if c != nil && work > 0 {
+		l.Settle(c, b, work)
+		c.AddOps(1)
+	}
+}
+
+// Settle is Burn for work that operations c already counted left owing —
+// a kv store's disk penalties, recorded under its lock and burned after
+// it — so it counts no operation. It counts the units, as Burn does.
+func (l *Lane) Settle(c *Component, b *Burner, work int) {
 	switch {
 	case c == nil || work <= 0:
+		return
 	case l == nil:
 		t0 := c.m.clk.now()
 		b.Burn(work)
 		c.AddBusy(time.Duration(c.m.clk.now() - t0))
-		c.AddOps(1)
 	default:
 		prev := l.Enter(c)
 		b.Burn(work)
-		c.AddOps(1)
 		l.Leave(prev)
 	}
+	c.units.Add(int64(work))
 }
 
 // Park ends the running lap before the goroutine blocks (a socket read, a

@@ -250,15 +250,17 @@ func clockReadsPerOp(t *testing.T, arch core.Arch, cacheBytes int64, n int, writ
 // TestClockReadBudget pins what metering costs a request: busy-clock
 // reads per request through the front door. A Linked hit opens and closes
 // its lane and never leaves "app"; a Remote hit adds the cache server's
-// lap; a Base point read walks app -> storage sql -> raft -> exec (with
-// kv's own stopwatch pair inside) -> sql -> rpc -> app. A write walks the
-// storage node's sections once, on the leader: sql, exec (kv's stopwatch
-// pairs for the old row's read and the put inside), raft (the ships and
-// each follower's put, its stopwatch pair inside), sql; a Remote write
-// adds the cache Delete's lap. The write counts are pinned exactly, so a
-// change to the write path cannot add or drop a lap boundary. They were
-// 25 / 27 / 25 while every replica re-executed the statement, each apply
-// adding an sql and an exec section and kv's read and put pairs.
+// lap; a Base point read walks app -> storage sql -> exec (with kv's own
+// stopwatch pair inside) -> sql -> raft (the lease, after the node's
+// statement lock) -> rpc -> app. A write walks the storage node's
+// sections once, on the leader: sql, exec (kv's stopwatch pairs for the
+// old row's read and the put inside), one kv lap for every follower's
+// put, sql; then, after the lock, raft (the ships) and kv (the disk
+// penalties the stores owe); a Remote write adds the cache Delete's lap.
+// The write counts are pinned exactly, so a change to the write path
+// cannot add or drop a lap boundary. They were 25 / 27 / 25 while every
+// replica re-executed the statement, and 16 / 18 / 16 while each
+// follower's put kept its own stopwatch pair inside a raft section.
 func TestClockReadBudget(t *testing.T) {
 	for _, c := range []struct {
 		arch   core.Arch
@@ -266,7 +268,7 @@ func TestClockReadBudget(t *testing.T) {
 		budget float64
 	}{
 		{core.Linked, false, 2}, {core.Remote, false, 4}, {core.Base, false, 10},
-		{core.Linked, true, 16}, {core.Remote, true, 18}, {core.Base, true, 16},
+		{core.Linked, true, 14}, {core.Remote, true, 16}, {core.Base, true, 14},
 	} {
 		name := c.arch.String()
 		if c.write {

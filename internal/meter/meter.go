@@ -90,10 +90,10 @@ func (m *Meter) AddRequests(n int64) { m.requests.Add(n) }
 // Requests returns the number of client-visible requests recorded so far.
 func (m *Meter) Requests() int64 { return m.requests.Load() }
 
-// Reset zeroes the flow counters (busy time, ops, requests, path counts)
-// and restarts the elapsed clock. Provisioned memory is a level, not a flow — it
-// survives Reset, so warmup can be discarded without re-registering
-// every cache's footprint.
+// Reset zeroes the flow counters (busy time, ops, modeled units,
+// requests, path counts) and restarts the elapsed clock. Provisioned
+// memory is a level, not a flow — it survives Reset, so warmup can be
+// discarded without re-registering every cache's footprint.
 func (m *Meter) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -101,6 +101,7 @@ func (m *Meter) Reset() {
 	for _, c := range m.components {
 		c.busyNanos.Store(0)
 		c.ops.Store(0)
+		c.units.Store(0)
 		// Restart the memory integral at the new window boundary: the
 		// level carries over, the byte-seconds of the old window do not.
 		c.memMu.Lock()
@@ -137,6 +138,7 @@ func (m *Meter) Snapshot() []ComponentSnapshot {
 			MemAvgBytes: c.avgMemBytes(m.start, now),
 			DiskBytes:   c.diskBytes.Load(),
 			Ops:         c.ops.Load(),
+			Units:       c.units.Load(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -152,7 +154,8 @@ type Component struct {
 	memBytes  atomic.Int64
 	diskBytes atomic.Int64
 	ops       atomic.Int64
-	m         *Meter // the owning meter, whose clock times the component
+	units     atomic.Int64 // modeled work burned as the component's (Lane.Settle)
+	m         *Meter       // the owning meter, whose clock times the component
 
 	// Provisioned memory is priced by its time-average over the metered
 	// window, so a controller that resizes a cache mid-window is billed
@@ -273,6 +276,9 @@ type ComponentSnapshot struct {
 	MemAvgBytes int64
 	DiskBytes   int64
 	Ops         int64
+	// Units is the modeled work, in Burner units, burned as the
+	// component's: a deterministic count, where Busy is measured.
+	Units int64
 }
 
 // Cores converts busy time over an elapsed window into equivalent fully-busy

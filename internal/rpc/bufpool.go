@@ -6,38 +6,50 @@ import (
 	"cachecost/internal/freelist"
 )
 
-// bufPool, the transport buffer pool, recycles message buffers across
-// the RPC hot path. Who owns a buffer when, and who may hand it back, is
-// stated once: DESIGN.md, "Buffer ownership". It holds the slices
-// themselves, so a Get/Put cycle is allocation free in the steady state.
-var bufPool freelist.List[[]byte]
+// The transport buffer pool recycles message buffers across the RPC hot
+// path. Who owns a buffer when, and who may hand it back, is stated once:
+// DESIGN.md, "Buffer ownership". It keeps two size classes, each a free
+// list of the slices themselves, so a Get/Put cycle is allocation free in
+// the steady state: smallPool holds buffers of at most smallBuffer bytes
+// (acks, digests, short replies), bufPool the value-sized rest. A tiny
+// message never takes a value-sized buffer out of circulation, and a
+// value encode never starts from an ack's.
+var bufPool, smallPool freelist.List[[]byte]
 
-// GetBuffer returns a zero-length buffer with reusable capacity, or nil
-// when the pool is empty, so the caller's append allocates only the bytes
-// it needs. Pair it with PutBuffer once the contents are dead.
+// smallBuffer is the largest capacity the small class holds, and the
+// capacity it makes, so every buffer it lends fits every small message.
+const smallBuffer = 256
+
+// GetBuffer returns a zero-length value-class buffer with reusable
+// capacity, or nil when the class is empty, so the caller's append
+// allocates only the bytes it needs. Pair it with PutBuffer once the
+// contents are dead.
 func GetBuffer() []byte {
 	return bufPool.Get()[:0]
 }
 
-// GetBufferCap is GetBuffer for a message of about size bytes: a pooled
-// buffer too small for it is replaced by one made to size, so the encode
-// allocates once instead of growing field by field. The small buffer is
-// left to the collector, which keeps tiny acks from circulating through
-// the pool to encoders that need more.
+// GetBufferCap is GetBuffer for a message of about size bytes, from the
+// size's class: a pooled buffer too small for it is replaced by one made
+// to size (the small class makes smallBuffer), so the encode or copy
+// allocates once instead of growing. The small buffer is left to the
+// collector.
 func GetBufferCap(size int) []byte {
-	buf := GetBuffer()
+	pool, made := &bufPool, size
+	if size <= smallBuffer {
+		pool, made = &smallPool, smallBuffer
+	}
+	buf := pool.Get()[:0]
 	if cap(buf) < size {
-		buf = make([]byte, 0, size)
+		buf = make([]byte, 0, made)
 	}
 	return buf
 }
 
-// PutBuffer recycles b's capacity for future GetBuffer calls; one larger
-// than maxKeptBuffer is dropped instead, so the pool never pins a rare
-// big frame. The caller must own b outright: nothing may alias it
-// afterwards. Under the race detector the released bytes are overwritten
-// first, so a read through a stale alias returns poison instead of
-// passing by luck.
+// PutBuffer recycles b's capacity into its class; one larger than
+// maxKeptBuffer is dropped instead, so the pool never pins a rare big
+// frame. The caller must own b outright: nothing may alias it afterwards.
+// Under the race detector the released bytes are overwritten first, so a
+// read through a stale alias returns poison instead of passing by luck.
 func PutBuffer(b []byte) {
 	if cap(b) == 0 || cap(b) > maxKeptBuffer {
 		return
@@ -47,6 +59,10 @@ func PutBuffer(b []byte) {
 		for i := range b {
 			b[i] = poisonByte
 		}
+	}
+	if cap(b) <= smallBuffer {
+		smallPool.Put(b)
+		return
 	}
 	bufPool.Put(b)
 }

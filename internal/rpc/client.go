@@ -201,7 +201,7 @@ func (c *Client) readLoop() {
 		}
 		switch rd.kind {
 		case frameResponse:
-			p.res.body = append(GetBuffer(), rd.body...)
+			p.res.body = append(GetBufferCap(len(rd.body)), rd.body...)
 		case frameError:
 			p.res.err = &RemoteError{Method: rd.method, Msg: string(rd.body)}
 		default:

@@ -77,7 +77,7 @@ func (l *Loopback) call(sc trace.SpanContext, method string, req []byte) ([]byte
 	}
 	// resp may alias wireReq (an echo-style handler): copy it out before
 	// either is released.
-	wireResp := append(GetBuffer(), resp...)
+	wireResp := append(GetBufferCap(len(resp)), resp...)
 	l.server.recycle(resp, wireReq)
 	loopbackBufPool.Put(keep(wireReq))
 	l.cost.Charge(sc.Lane(), l.comp, l.burner, len(wireResp))

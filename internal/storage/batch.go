@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"time"
 
 	"cachecost/internal/freelist"
 	"cachecost/internal/meter"
@@ -132,17 +131,11 @@ func (c *Client) BatchQueryCtx(sc trace.SpanContext, src string, params []sql.Va
 
 // handleBatchQuery serves sql.BatchQuery on the leader: single parse,
 // single front-end burn, single lease validation, then the executor
-// runs the pre-parsed statement once per parameter.
+// runs the pre-parsed statement once per parameter. One batch is one
+// statement against the path model: the per-key rows all come from a
+// single parsed plan.
 func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
 	lane := sc.Lane()
-	n.lock(lane)
-	defer n.mu.Unlock()
-	defer n.req.reset()
-	// One batch is one statement against the path model: the per-key rows
-	// all come from a single parsed plan.
-	lane.CountStatement()
-	defer n.histBatch.ObserveSince(time.Now())
-
 	stmt, sqlAct, err := n.parseStatement(sc, req, true)
 	q := &n.req
 	if err == nil && len(q.Params) == 0 {
@@ -154,11 +147,11 @@ func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error
 		return nil, err
 	}
 	sel := stmt.(*sql.SelectStmt)
-	db := n.validateLease(sc)
+	n.due.lease = true
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
 	_, err = n.exec(lane, func() (*plan.ResultSet, error) {
 		var e error
-		n.batch.Results, e = db.QueryEach(sel, q.Params)
+		n.batch.Results, e = n.db.QueryEach(sel, q.Params)
 		return nil, e
 	})
 	kvAct.AnnotateInt("batch.keys", int64(len(q.Params)))
@@ -167,7 +160,7 @@ func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error
 		return nil, err
 	}
 	// The results are the leader DB's until its next statement; the
-	// response is encoded before this handler releases n.mu.
+	// response is encoded before the handler returns and n.mu is released.
 	out := n.encode(lane, &n.batch)
 	n.batch.Results = nil
 	return out, nil

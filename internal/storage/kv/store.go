@@ -26,6 +26,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cachecost/internal/cache"
 	"cachecost/internal/meter"
@@ -84,9 +85,11 @@ type Config struct {
 	// modeling the per-I/O overhead of the storage stack. Default 8192.
 	DiskPenaltyPerOp int
 	// Comp receives the store's busy time and provisioned cache memory.
-	// Nil disables metering.
+	// Nil disables metering. A metered store owes its disk-penalty work
+	// rather than spinning it under its lock (TakeOwed).
 	Comp *meter.Component
-	// Burner performs the disk-penalty work. Required if Comp is set.
+	// Burner performs an unmetered store's disk-penalty work; nil uses a
+	// shared one. A metered store burns nothing itself.
 	Burner *meter.Burner
 }
 
@@ -140,9 +143,6 @@ func (c *Config) applyDefaults() {
 	if c.CompactAt <= 0 {
 		c.CompactAt = 4
 	}
-	if c.Comp != nil && c.Burner == nil {
-		c.Burner = meter.NewBurner()
-	}
 }
 
 // durableCfg reports whether the configuration asks for a durable store.
@@ -191,6 +191,12 @@ type Store struct {
 	// loading counts open BulkLoad scopes. Atomic because track reads it
 	// before taking mu.
 	loading atomic.Int32
+
+	// owed is the disk-penalty work a metered store's calls recorded and
+	// nobody has taken yet (TakeOwed); busy is what its own stopwatch has
+	// attributed to Comp (Busy).
+	owed atomic.Int64
+	busy atomic.Int64
 }
 
 // memEntry is one pending write in the memtable.
@@ -276,30 +282,53 @@ func (s *Store) BulkLoad(fn func()) {
 	fn()
 }
 
-// track wraps a critical section with meter attribution.
+// metered reports whether the store's calls are metered now: it has a
+// component and no BulkLoad scope is open.
+func (s *Store) metered() bool { return s.cfg.Comp != nil && s.loading.Load() == 0 }
+
+// track wraps a critical section with meter attribution: one operation
+// of Comp, timed by the store's own stopwatch.
 func (s *Store) track(fn func()) {
-	if s.cfg.Comp == nil || s.loading.Load() != 0 {
+	if !s.metered() {
 		fn()
 		return
 	}
 	sw := s.cfg.Comp.Start()
 	fn()
-	sw.Stop()
+	s.busy.Add(int64(sw.Stop()))
 }
 
+// Busy returns the busy time the store's own stopwatch has attributed to
+// Comp so far, the one leaf a request lane excludes: storage.Node's
+// executor section takes out its growth, which only the statement
+// holding the node's lock adds to.
+func (s *Store) Busy() time.Duration { return time.Duration(s.busy.Load()) }
+
+// burnDisk charges one disk access of n bytes at perByte. Callers hold
+// s.mu, so a metered store records the work as owed rather than spin it
+// here, in front of every other caller of the store; an unmetered store
+// still pays it, inline, so the work done does not depend on metering.
 func (s *Store) burnDisk(n int, perByte float64) {
 	if s.loading.Load() != 0 {
 		return
 	}
 	work := s.cfg.DiskPenaltyPerOp + int(perByte*float64(n))
-	if s.cfg.Burner != nil {
+	switch {
+	case s.cfg.Comp != nil:
+		s.owed.Add(int64(work))
+	case s.cfg.Burner != nil:
 		s.cfg.Burner.Burn(work)
-	} else {
-		// Unmetered stores still pay the work so behaviour does not
-		// depend on metering; use a shared static burner.
+	default:
 		staticBurner.Burn(work)
 	}
 }
+
+// TakeOwed returns the disk-penalty work, in Burner units, the store's
+// metered calls have recorded since the last TakeOwed, and clears it.
+// The taker burns it as Comp's work once it holds no lock (storage.Node
+// does after each statement, on the statement's lane). An unmetered
+// store owes nothing.
+func (s *Store) TakeOwed() int { return int(s.owed.Swap(0)) }
 
 var staticBurner = meter.NewBurner()
 
@@ -430,26 +459,41 @@ func (s *Store) VersionOf(key []byte) (ver Version, ok bool) {
 // ownership"). key is only read; the memtable copies it when the key is
 // new to it, and rewrites the entry of a key it holds in place.
 func (s *Store) Put(key, value []byte) (ver Version) {
-	s.track(func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.stats.Puts++
-		s.version++
-		ver = s.version
-		if s.dur != nil {
-			// Real WAL append (CRC-framed, group-committed).
-			s.durAppend(WALRecord{Version: ver, Key: key, Value: value})
-			s.durTierWrite(string(key), value, ver)
-		} else {
-			// WAL append: sequential write of the record.
-			s.burnDisk(len(key)+len(value), diskWritePenaltyPerByte)
-		}
-		*s.memSlot(key) = memEntry{val: value, ver: ver}
-		s.memBytes += int64(len(value))
-		if s.memBytes > s.cfg.MemtableBytes {
-			s.flushLocked()
-		}
-	})
+	s.track(func() { ver = s.put(key, value) })
+	return ver
+}
+
+// Apply is Put for a replica applying a replicated write inside its
+// caller's own lap of Comp (storage.Node laps a write's follower applies
+// on the request's lane): it counts one operation of Comp, as Put does,
+// but opens no stopwatch. The disk penalty is owed as Put's is.
+func (s *Store) Apply(key, value []byte) Version {
+	if s.metered() {
+		s.cfg.Comp.AddOps(1)
+	}
+	return s.put(key, value)
+}
+
+// put is Put's body.
+func (s *Store) put(key, value []byte) Version {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Puts++
+	s.version++
+	ver := s.version
+	if s.dur != nil {
+		// Real WAL append (CRC-framed, group-committed).
+		s.durAppend(WALRecord{Version: ver, Key: key, Value: value})
+		s.durTierWrite(string(key), value, ver)
+	} else {
+		// WAL append: sequential write of the record.
+		s.burnDisk(len(key)+len(value), diskWritePenaltyPerByte)
+	}
+	*s.memSlot(key) = memEntry{val: value, ver: ver}
+	s.memBytes += int64(len(value))
+	if s.memBytes > s.cfg.MemtableBytes {
+		s.flushLocked()
+	}
 	return ver
 }
 

@@ -206,9 +206,10 @@ func TestMeteredStoreAttributesTime(t *testing.T) {
 }
 
 // TestLoadBurnsNothing: inside a BulkLoad scope, Puts that cross a
-// memtable flush and page splits leave a caller's Burner and the metered
-// component as they were; the same Puts outside the scope burn and meter.
-// The loaded state is the store's all the same.
+// memtable flush and page splits owe no disk penalty, so settling leaves a
+// caller's Burner and the metered component as they were; the same Puts
+// outside the scope owe work that settling burns, and meter. The loaded
+// state is the store's all the same.
 func TestLoadBurnsNothing(t *testing.T) {
 	for _, loaded := range []bool{true, false} {
 		m := meter.NewMeter()
@@ -228,6 +229,7 @@ func TestLoadBurnsNothing(t *testing.T) {
 		if st := s.Stats(); st.Flushes == 0 || st.DiskWrites == 0 {
 			t.Fatalf("loaded=%v: the Puts never flushed: %+v", loaded, st)
 		}
+		settle(s, b)
 		c := m.Component("kv")
 		if burned := b.Sink() != sink; burned == loaded {
 			t.Errorf("loaded=%v: Burner sink moved = %v", loaded, burned)
@@ -241,30 +243,37 @@ func TestLoadBurnsNothing(t *testing.T) {
 	}
 }
 
+// TestDiskPenaltyScalesWithValueSize: a block-cache miss owes exactly
+// the per-access penalty plus one unit per page byte, so twenty misses
+// of a 256 KB value owe over ten times what twenty of a 1 KB value do.
+// It counts owed units, not measured CPU, so no scheduler can tip it.
 func TestDiskPenaltyScalesWithValueSize(t *testing.T) {
-	if raceEnabled {
-		t.Skip("measured cost ratios are distorted by race-detector instrumentation")
-	}
-	busyFor := func(valSize int) int64 {
+	owedFor := func(valSize int) int {
 		m := meter.NewMeter()
 		s := NewStore(Config{
 			PageBytes:  16 << 10,
 			CacheBytes: 0, // force disk on every access
 			Comp:       m.Component("kv"),
-			Burner:     meter.NewBurner(),
 		})
 		s.Put([]byte("k"), bytes.Repeat([]byte("x"), valSize))
 		flush(s)
-		m.Reset()
+		s.TakeOwed() // the put's WAL charge and the flush's page write
+		before := s.Stats()
 		for i := 0; i < 20; i++ {
 			s.Get([]byte("k"))
 		}
-		return int64(m.Component("kv").Busy())
+		st := s.Stats()
+		reads, readBytes := st.DiskReads-before.DiskReads, st.DiskReadBytes-before.DiskReadBytes
+		got := s.TakeOwed()
+		if want := int(reads)*8192 + int(readBytes); reads != 20 || got != want {
+			t.Fatalf("%d B values: %d disk reads owe %d units, want 20 owing %d", valSize, reads, got, want)
+		}
+		return got
 	}
-	small := busyFor(1 << 10)
-	large := busyFor(256 << 10)
+	small := owedFor(1 << 10)
+	large := owedFor(256 << 10)
 	if large < small*10 {
-		t.Fatalf("disk penalty should scale with value size: 1KB=%d 256KB=%d", small, large)
+		t.Fatalf("disk penalty should scale with value size: 1KB=%d 256KB=%d units", small, large)
 	}
 }
 

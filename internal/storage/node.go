@@ -93,10 +93,16 @@ func (c *Config) applyDefaults() {
 type Node struct {
 	cfg Config
 
-	// mu serializes statement execution. The paper's cost metric is CPU
-	// busy time, not latency, so a single execution lane loses nothing —
-	// and it makes the kv busy delta a statement excludes from its
-	// executor lap exact.
+	// mu guards the node's state, one statement at a time: the request
+	// scratch (req, ver, batch), the leader's plan.DB and its result, the
+	// in-order applies of a write's puts on the replicas' stores, and the
+	// result encode. It guards no modeled CPU. The front-end burn, the
+	// lease check, the raft ships and the disk penalties the stores
+	// recorded are a statement's debt, burned on its own lane after it
+	// releases mu (statement), so concurrent statements wait for each other's
+	// state changes, not for each other's spins. Only statements under mu
+	// call the leader's store, so the kv busy time the executor section
+	// excludes (kv.Store.Busy) is that statement's alone.
 	mu sync.Mutex
 
 	group  *raft.Group
@@ -112,13 +118,6 @@ type Node struct {
 
 	server *rpc.Server
 
-	// stmtHist records per-statement wall latency by kind; nil (no-op)
-	// without telemetry.
-	histQuery   *telemetry.Histogram
-	histExec    *telemetry.Histogram
-	histVersion *telemetry.Histogram
-	histBatch   *telemetry.Histogram
-
 	// req is the statement a handler is serving, decoded in place through
 	// its table of statement texts; ver and batch are the version check's
 	// request and reply and the batch reply, each reused handler after
@@ -129,6 +128,8 @@ type Node struct {
 		resp VersionResponse
 	}
 	batch BatchQueryResponse
+	// due is the running statement's debt (statement), guarded by mu.
+	due debt
 }
 
 // NewNode builds the replica group and registers the RPC methods.
@@ -189,18 +190,19 @@ func NewNode(cfg Config) *Node {
 	if cfg.Tracer != nil {
 		n.server.SetTracer(cfg.Tracer, nodeName+".rpc")
 	}
-	n.server.HandleCtx("sql.Query", n.handleQuery)
-	n.server.HandleCtx("sql.Exec", n.handleExec)
-	n.server.HandleCtx("sql.Version", n.handleVersion)
-	n.server.HandleCtx("sql.BatchQuery", n.handleBatchQuery)
+	var histQuery, histExec, histVersion, histBatch *telemetry.Histogram
 	if cfg.Telemetry != nil {
-		n.histQuery = cfg.Telemetry.Histogram("storage.stmt.latency", "seconds", telemetry.L("stmt", "query"))
-		n.histExec = cfg.Telemetry.Histogram("storage.stmt.latency", "seconds", telemetry.L("stmt", "exec"))
-		n.histVersion = cfg.Telemetry.Histogram("storage.stmt.latency", "seconds", telemetry.L("stmt", "version"))
-		n.histBatch = cfg.Telemetry.Histogram("storage.stmt.latency", "seconds", telemetry.L("stmt", "batch"))
+		histQuery = cfg.Telemetry.Histogram("storage.stmt.latency", "seconds", telemetry.L("stmt", "query"))
+		histExec = cfg.Telemetry.Histogram("storage.stmt.latency", "seconds", telemetry.L("stmt", "exec"))
+		histVersion = cfg.Telemetry.Histogram("storage.stmt.latency", "seconds", telemetry.L("stmt", "version"))
+		histBatch = cfg.Telemetry.Histogram("storage.stmt.latency", "seconds", telemetry.L("stmt", "batch"))
 		n.server.SetMetrics(rpc.NewMetrics(cfg.Telemetry, nodeName))
 		n.registerTelemetry(cfg.Telemetry)
 	}
+	n.server.HandleCtx("sql.Query", n.statement(histQuery, n.handleQuery))
+	n.server.HandleCtx("sql.Exec", n.statement(histExec, n.handleExec))
+	n.server.HandleCtx("sql.Version", n.statement(histVersion, n.handleVersion))
+	n.server.HandleCtx("sql.BatchQuery", n.statement(histBatch, n.handleBatchQuery))
 	return n
 }
 
@@ -244,28 +246,100 @@ func (n *Node) registerTelemetry(reg *telemetry.Registry) {
 
 // follower is a follower replica's state machine: its store, which puts
 // each pair the leader's statement put, keeping the leader's row slice.
-// Its puts meter themselves on the shared kv component.
-type follower struct{ *kv.Store }
+// Its puts time nothing themselves: handleExec laps every follower apply
+// of a write as one kv section of the request's lane.
+type follower struct{ st *kv.Store }
 
 // Apply implements raft.StateMachine.
-func (f follower) Apply(cmd raft.Command) { f.Put(cmd.Key, cmd.Value) }
+func (f follower) Apply(cmd raft.Command) { f.st.Apply(cmd.Key, cmd.Value) }
 
-// A statement handler walks its request's lane through the node's
-// components in order — sql (decode, parse, front-end burn), then raft
-// (the lease check) and exec for a read, or exec and raft (replication)
-// for a write, then sql again (result encoding) — entering each as
+// A statement handler (handleQuery, handleExec, handleVersion,
+// handleBatchQuery) runs under n.mu, wrapped by statement, and walks its
+// request's lane through the node's components in order, entering each as
 // its section starts (Lane.EnterOp), so a statement costs one clock read
-// per section instead of a stopwatch pair around each. The handler leaves
-// the lane where its last section ended; the rpc server that dispatched
-// it (handler body metering off) takes it from there.
+// per section instead of a stopwatch pair around each: sql (decode,
+// parse), exec (plan and execute, the leader store's kv time excluded),
+// for a write a kv lap of the followers' applies, then sql again (result
+// encoding). Then, with n.mu released, pay walks on through the
+// statement's debt: sql's front-end burn (the lane is still in sql),
+// raft's lease check or ships, and kv's disk penalties. The lane stays
+// where the last section ended; the rpc server that dispatched the
+// statement (handler body metering off) takes it from there.
 
-// lock takes the execution slot, parking the lane if it has to wait:
+// debt is the modeled CPU a statement ran up under n.mu: the units it
+// would have spun there, burned after it by pay, each on the component
+// that owes it.
+type debt struct {
+	frontend bool // the statement parsed: one SQL front-end burn
+	lease    bool // a read: the lease check that guards it
+	ship     int  // a write's proposal size, shipped to every follower; 0 if none
+	disk     int  // disk-penalty units the replicas' stores recorded
+}
+
+// statement makes run a statement handler: run does the statement's
+// state work under n.mu and notes what it owes in n.due; pay burns that
+// once the lock is released. hist (nil without telemetry) records the
+// statement's wall latency from taking the lock to its last burn.
+func (n *Node) statement(hist *telemetry.Histogram, run rpc.HandlerCtxFunc) rpc.HandlerCtxFunc {
+	return func(sc trace.SpanContext, req []byte) ([]byte, error) {
+		t0, d, out, err := n.locked(sc, req, run)
+		n.pay(sc, d)
+		hist.ObserveSince(t0)
+		return out, err
+	}
+}
+
+// locked runs run under n.mu as one statement and returns its debt, with
+// the disk penalties the replicas' stores recorded meanwhile.
+func (n *Node) locked(sc trace.SpanContext, req []byte, run rpc.HandlerCtxFunc) (t0 time.Time, d debt, out []byte, err error) {
+	lane := sc.Lane()
+	n.lock(lane)
+	defer n.mu.Unlock()
+	defer n.req.reset()
+	lane.CountStatement()
+	t0 = time.Now()
+	n.due = debt{}
+	out, err = run(sc, req)
+	d = n.due
+	for _, st := range n.stores {
+		d.disk += st.TakeOwed()
+	}
+	return t0, d, out, err
+}
+
+// lock takes the statement lock, parking the lane if it has to wait:
 // queueing behind another statement is nobody's CPU.
 func (n *Node) lock(l *meter.Lane) {
 	if !n.mu.TryLock() {
 		l.Park()
 		n.mu.Lock()
 		l.Unpark()
+	}
+}
+
+// pay burns a statement's debt on its lane, each section entered once:
+// the front-end work in sql, where encoding left the lane; the lease
+// check or the ships in raft (the lease is priced, not a gate, so it is
+// billed after the read it guards); the disk penalties in kv.
+func (n *Node) pay(sc trace.SpanContext, d debt) {
+	lane := sc.Lane()
+	if d.frontend {
+		n.burnFrontend(lane)
+	}
+	if d.lease || d.ship > 0 {
+		lane.Enter(n.raftComp)
+	}
+	if d.lease {
+		n.group.ValidateLeaseCtx(sc)
+	}
+	if d.ship > 0 {
+		t0 := lane.StageClock()
+		n.group.ShipCtx(sc, d.ship)
+		lane.AddStage(meter.StageRaft, t0)
+	}
+	if d.disk > 0 {
+		lane.Enter(n.kvComp) // and stay: the rpc server takes the lane on
+		lane.Settle(n.kvComp, n.burner, d.disk)
 	}
 }
 
@@ -280,24 +354,13 @@ func (n *Node) burnFrontend(l *meter.Lane) {
 }
 
 // exec runs fn as one operation of the executor component, net of the
-// busy time the kv engine attributed to itself meanwhile (kvBusy).
+// busy time the leader's store attributed to kv meanwhile.
 func (n *Node) exec(l *meter.Lane, fn func() (*plan.ResultSet, error)) (*plan.ResultSet, error) {
 	l.EnterOp(n.execComp)
-	kv0 := n.kvBusy()
+	kv0 := n.stores[0].Busy()
 	rs, err := fn()
-	l.Exclude(n.kvBusy() - kv0)
+	l.Exclude(n.stores[0].Busy() - kv0)
 	return rs, err
-}
-
-// kvBusy is the kv engine's busy time so far, which a section excludes
-// as it grows: kv has no request context and keeps its own stopwatch, on
-// the same clock the lane reads. Callers hold n.mu, so a delta is their
-// statement's alone.
-func (n *Node) kvBusy() time.Duration {
-	if n.kvComp == nil {
-		return 0
-	}
-	return n.kvComp.Busy()
 }
 
 // Server returns the node's RPC server for use with rpc.Serve, loopback or
@@ -307,9 +370,15 @@ func (n *Node) Server() *rpc.Server { return n.server }
 // LeaderDB returns the leader's (replica 0's) DB, for white-box tests.
 func (n *Node) LeaderDB() *plan.DB { return n.db }
 
-// DataBytes returns the leader's on-disk data size.
+// DataBytes returns the leader's on-disk data size. The memtable flush it
+// forces burns its page writes, billed to no statement.
 func (n *Node) DataBytes() int64 {
-	return n.LeaderDB().Store().DataBytes()
+	n.mu.Lock()
+	size := n.stores[0].DataBytes()
+	owed := n.stores[0].TakeOwed()
+	n.mu.Unlock()
+	n.burner.Burn(owed)
+	return size
 }
 
 // Close syncs and closes every replica's store. Only meaningful for
@@ -369,9 +438,9 @@ func (n *Node) BootstrapExec(src string, params ...sql.Value) error {
 }
 
 // parseStatement is a statement's opening sql section, under a
-// "storage.sql" parse span the caller ends: request decode into n.req,
-// parse and, for a statement of the kind the method takes (query: a
-// SELECT; otherwise anything but), the front-end burn. Callers hold n.mu
+// "storage.sql" parse span the caller ends: request decode into n.req and
+// parse; a statement of the kind the method takes (query: a SELECT;
+// otherwise anything but) owes the front-end burn. Callers hold n.mu
 // and reset n.req before releasing it.
 func (n *Node) parseStatement(sc trace.SpanContext, req []byte, query bool) (stmt sql.Stmt, act trace.Active, err error) {
 	sc.Lane().EnterOp(n.sqlComp)
@@ -384,19 +453,10 @@ func (n *Node) parseStatement(sc trace.SpanContext, req []byte, query bool) (stm
 		err = fmt.Errorf("storage: a SELECT goes to sql.Query or sql.BatchQuery, any other statement to sql.Exec")
 	}
 	if err == nil {
-		n.burnFrontend(sc.Lane())
+		n.due.frontend = true
 		act.SetBytes(len(req), 0)
 	}
 	return stmt, act, err
-}
-
-// validateLease is the transaction layer's check before a local read: a
-// raft section, entered here so that it and the executor section after it
-// cost one clock read each.
-func (n *Node) validateLease(sc trace.SpanContext) *plan.DB {
-	sc.Lane().Enter(n.raftComp)
-	n.group.ValidateLeaseCtx(sc)
-	return n.LeaderDB()
 }
 
 // encode is the closing sql section: result encoding, into a
@@ -407,24 +467,18 @@ func (n *Node) encode(l *meter.Lane, m wire.Marshaler) []byte {
 	return wire.AppendMarshal(rpc.GetBuffer(), m)
 }
 
-// handleQuery serves read-only statements on the leader after validating
-// its lease.
+// handleQuery serves read-only statements on the leader, under its
+// lease.
 func (n *Node) handleQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
 	lane := sc.Lane()
-	n.lock(lane)
-	defer n.mu.Unlock()
-	defer n.req.reset()
-	lane.CountStatement()
-	defer n.histQuery.ObserveSince(time.Now())
-
 	stmt, sqlAct, err := n.parseStatement(sc, req, true)
 	sqlAct.End()
 	if err != nil {
 		return nil, err
 	}
-	db := n.validateLease(sc)
+	n.due.lease = true
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
-	rs, err := n.exec(lane, func() (*plan.ResultSet, error) { return db.Exec(stmt, n.req.Params) })
+	rs, err := n.exec(lane, func() (*plan.ResultSet, error) { return n.db.Exec(stmt, n.req.Params) })
 	kvAct.End()
 	if err != nil {
 		return nil, err
@@ -437,12 +491,6 @@ func (n *Node) handleQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
 // statement that fails puts nothing and proposes nothing.
 func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 	lane := sc.Lane()
-	n.lock(lane)
-	defer n.mu.Unlock()
-	defer n.req.reset()
-	lane.CountStatement()
-	defer n.histExec.ObserveSince(time.Now())
-
 	stmt, sqlAct, err := n.parseStatement(sc, req, false)
 	sqlAct.End()
 	if err != nil {
@@ -452,16 +500,15 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The replication slice of the write is informational sub-stage time:
-	// for an in-process request it is already inside the client-observed
-	// StageStorage, so conservation sums exclude StageRaft. The followers'
-	// puts meter themselves on kv, so the raft section excludes kv's busy
-	// time, as exec's does.
+	// Every follower's apply of the puts is one kv lap: the follower
+	// stores time nothing themselves (kv.Store.Apply), and the ships
+	// are debt. The replication slice is informational sub-stage time:
+	// for an in-process request it is already inside the
+	// client-observed StageStorage, so conservation sums exclude
+	// StageRaft.
 	raftT0 := lane.StageClock()
-	lane.Enter(n.raftComp)
-	kv0 := n.kvBusy()
-	n.group.ProposeCtx(sc, n.db.Puts()...)
-	lane.Exclude(n.kvBusy() - kv0)
+	lane.Enter(n.kvComp)
+	_, n.due.ship = n.group.CommitCtx(sc, n.db.Puts()...)
 	lane.AddStage(meter.StageRaft, raftT0)
 	return n.encode(lane, rs), nil
 }
@@ -474,12 +521,6 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 // scratch; the table name aliases the request, which outlives the check.
 func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
 	lane := sc.Lane()
-	n.lock(lane)
-	defer n.mu.Unlock()
-	defer n.req.reset()
-	lane.CountStatement()
-	defer n.histVersion.ObserveSince(time.Now())
-
 	lane.EnterOp(n.sqlComp)
 	sqlAct, _ := trace.Start(sc, "storage.sql", "parse")
 	vr := &n.ver.req
@@ -489,15 +530,14 @@ func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
 		return nil, err
 	}
 	// Even a version check traverses the SQL front-end (§5.5).
-	n.burnFrontend(lane)
+	n.due.frontend, n.due.lease = true, true
 	sqlAct.Annotate("sql.op", "version-check")
 	sqlAct.End()
-	db := n.validateLease(sc)
 	resp := &n.ver.resp
 	*resp = VersionResponse{}
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
 	_, err := n.exec(lane, func() (*plan.ResultSet, error) {
-		t, err := db.Catalog().Lookup(vr.Table)
+		t, err := n.db.Catalog().Lookup(vr.Table)
 		if err != nil {
 			return nil, err
 		}
@@ -512,12 +552,12 @@ func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
 			return nil, err
 		}
 		pk := [1]sql.Value{vr.PK}
-		rs, err := db.Exec(stmt, pk[:])
+		rs, err := n.db.Exec(stmt, pk[:])
 		if err != nil {
 			return nil, err
 		}
 		resp.Found = len(rs.Rows) > 0
-		if ver, ok := db.VersionOf(vr.Table, vr.PK); ok {
+		if ver, ok := n.db.VersionOf(vr.Table, vr.PK); ok {
 			resp.Version = ver
 		}
 		return rs, nil

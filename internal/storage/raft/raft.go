@@ -13,11 +13,15 @@
 // The group is a fixed leader (replica 0) and its followers, all
 // reachable: no failure the experiments inject reaches the replication
 // layer, so elections, terms and a retained log would price nothing.
-// A proposal holds its commands only until Propose returns.
+// A proposal holds its commands only until CommitCtx returns. The group
+// burns its modeled work under no lock of its own: a proposal's applies
+// are ordered under the group's mutex, its ships are billed after
+// (ShipCtx), and a lease check takes no lock at all.
 package raft
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"cachecost/internal/meter"
 	"cachecost/internal/trace"
@@ -67,13 +71,13 @@ type Config struct {
 type Group struct {
 	cfg Config
 
-	mu  sync.Mutex
+	mu  sync.Mutex     // orders proposals' applies
 	sms []StateMachine // replica 0 leads
 
 	// Counters for tests and reports.
-	proposals   int64
-	leaseChecks int64
-	ships       int64
+	proposals   atomic.Int64
+	leaseChecks atomic.Int64
+	ships       atomic.Int64
 }
 
 // NewGroup creates a group of cfg.Replicas replicas, each applying
@@ -100,40 +104,34 @@ func (g *Group) burn(l *meter.Lane, work int) {
 	l.Burn(g.cfg.Comp, g.cfg.Burner, work)
 }
 
-// Propose replicates cmd through the leader and returns its commit index.
-// The error is always nil: every replica is reachable.
+// Propose replicates cmd through the leader and returns its commit index:
+// CommitCtx, then ShipCtx. The error is always nil: every replica is
+// reachable.
 func (g *Group) Propose(cmd Command) (int, error) {
-	return g.ProposeCtx(trace.SpanContext{}, cmd), nil
+	idx, size := g.CommitCtx(trace.SpanContext{}, cmd)
+	g.ShipCtx(trace.SpanContext{}, size)
+	return idx, nil
 }
 
-// ProposeCtx replicates cmds as one proposal, carrying the caller's span
-// context, and returns its commit index. The cost charged is one ship per
-// follower, proportional to the commands' bytes, plus the apply of every
-// command on every replica, which the state machine (kv.Store) meters
-// itself. The proposal is recorded as a "storage.raft" propose span
-// annotated with the replication fan-out (raft.fanout = N_r−1
-// AppendEntries ships), each ship and each replica apply (the leader's
-// first) as child spans, and the ships feed the trace's raft-ship counter.
-func (g *Group) ProposeCtx(sc trace.SpanContext, cmds ...Command) int {
+// CommitCtx commits cmds as one proposal, carrying the caller's span
+// context: every replica's state machine applies every command, in
+// proposal order, the leader's first. It returns the commit index and the
+// proposal's size in shipped bytes, whose ships the caller then bills with
+// ShipCtx — once it holds no lock, for the modeled work is the group's
+// only CPU that is not state. The applies meter themselves (kv.Store) or
+// ride the caller's lap. The proposal is recorded as a "storage.raft"
+// propose span annotated with the replication fan-out (raft.fanout = N_r−1
+// AppendEntries ships), each replica apply a child span.
+func (g *Group) CommitCtx(sc trace.SpanContext, cmds ...Command) (index, size int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.proposals++
+	index = int(g.proposals.Add(1))
 	act, psc := trace.Start(sc, "storage.raft", "propose")
-	size := 16
+	size = 16
 	for _, cmd := range cmds {
 		size += len(cmd.Key) + len(cmd.Value)
 	}
-	ships := int64(len(g.sms) - 1)
-	for id := 1; id < len(g.sms); id++ {
-		shipAct, _ := trace.Start(psc, "storage.raft", "ship")
-		shipAct.AnnotateInt("raft.replica", int64(id))
-		shipAct.SetBytes(size, 0)
-		g.burn(sc.Lane(), replicationPerMsg+int(replicationPerByte*float64(size)))
-		shipAct.End()
-	}
-	sc.Lane().CountRaftShips(ships)
-	g.ships += ships
-	act.AnnotateInt("raft.fanout", ships)
+	act.AnnotateInt("raft.fanout", int64(len(g.sms)-1))
 	for id, sm := range g.sms {
 		applyAct, _ := trace.Start(psc, "storage.raft", "apply")
 		applyAct.AnnotateInt("raft.replica", int64(id))
@@ -145,16 +143,31 @@ func (g *Group) ProposeCtx(sc trace.SpanContext, cmds ...Command) int {
 		applyAct.End()
 	}
 	act.End()
-	return int(g.proposals)
+	return index, size
+}
+
+// ShipCtx bills the ships of a committed proposal of size bytes: one
+// AppendEntries to each follower, a fixed per-message cost plus a per-byte
+// cost, each an operation of the group's component and a "storage.raft"
+// ship span, and the ships feed the trace's raft-ship counter.
+func (g *Group) ShipCtx(sc trace.SpanContext, size int) {
+	ships := int64(len(g.sms) - 1)
+	for id := 1; id < len(g.sms); id++ {
+		shipAct, _ := trace.Start(sc, "storage.raft", "ship")
+		shipAct.AnnotateInt("raft.replica", int64(id))
+		shipAct.SetBytes(size, 0)
+		g.burn(sc.Lane(), replicationPerMsg+int(replicationPerByte*float64(size)))
+		shipAct.End()
+	}
+	sc.Lane().CountRaftShips(ships)
+	g.ships.Add(ships)
 }
 
 // ValidateLeaseCtx is the check the leader makes before serving a local
 // read: the per-read cost the paper's §5.5 identifies, recorded as a
-// "storage.raft" lease span.
+// "storage.raft" lease span. It takes no lock.
 func (g *Group) ValidateLeaseCtx(sc trace.SpanContext) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.leaseChecks++
+	g.leaseChecks.Add(1)
 	act, _ := trace.Start(sc, "storage.raft", "lease")
 	g.burn(sc.Lane(), leaseCheckWork)
 	act.End()
@@ -169,7 +182,5 @@ type GroupStats struct {
 
 // Stats returns a snapshot of counters.
 func (g *Group) Stats() GroupStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return GroupStats{Proposals: g.proposals, LeaseChecks: g.leaseChecks, Ships: g.ships}
+	return GroupStats{Proposals: g.proposals.Load(), LeaseChecks: g.leaseChecks.Load(), Ships: g.ships.Load()}
 }
